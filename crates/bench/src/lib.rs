@@ -7,13 +7,16 @@
 //! | Table 1 (cycles per source instruction) | `--bin table1` |
 //! | Fig. 6 (cycle accuracy) | `--bin fig6` |
 //! | Table 2 (runtime comparison) | `--bin table2` |
+//! | repository benchmark (end-to-end and per-layer metrics) | `bench` in `perfbench/` (`perfbench/bench.sh`, declared by `BENCHMARK.json`) |
+//! | comparison of two benchmark runs | `bench-diff` in `perfbench/` |
 //!
 //! The bench targets (`cargo bench -p cabt-bench`, plain `harness =
 //! false` timing mains — no external bench framework in this offline
 //! workspace) measure the same pipelines on reduced workloads, the
 //! ablations (cache call vs. inline, block vs. instruction
 //! granularity), and the naive-vs-pre-decoded dispatch comparison
-//! emitted to `BENCH_fig5.json` by `scripts/bench.sh`.
+//! emitted to `BENCH_fig5.json` by `scripts/bench.sh`. Performance
+//! claims cite the `perfbench/` runs, not `BENCH_fig5.json`.
 
 use cabt_core::DetailLevel;
 use cabt_exec::trace::{TraceConfig, TraceStats};

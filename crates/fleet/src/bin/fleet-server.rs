@@ -29,11 +29,24 @@
 //! quit
 //!     End the conversation.
 //! ```
+//!
+//! A request line longer than 64 MiB, or one that is not UTF-8, gets
+//! an `{"ok":false,...}` row and the conversation goes on.
 
 use cabt_exec::Limit;
 use cabt_fleet::{run_one, FleetPool, FleetRequest, FleetResult};
 use cabt_sim::{Backend, Session, SessionError};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+
+/// Longest request line the server reads, in bytes. The longest
+/// legitimate requests are `resume` lines carrying a park image as hex,
+/// and the largest image a bundled workload parks to is a 256-core
+/// `producer_consumer` session: about 6.8 MB of hex (1.4 MB at 64
+/// cores, under 80 kB at 4 cores or on one core). The cap is ten times
+/// that. Only sessions whose state grows with the budget — a
+/// one-core `mailbox` spinning for 10^8 cycles parks to 200 MB — exceed
+/// it, and their resume lines get an error row instead of a buffer.
+const MAX_LINE_BYTES: usize = 64 << 20;
 
 const WORKLOAD_NAMES: [&str; 8] = [
     "gcd",
@@ -80,7 +93,7 @@ fn main() {
         None => {
             let stdin = std::io::stdin();
             let mut stdout = std::io::stdout().lock();
-            serve(&pool, &mut stdin.lock(), &mut stdout);
+            serve(&pool, &mut stdin.lock(), &mut stdout, MAX_LINE_BYTES);
         }
         Some(addr) => {
             let listener = std::net::TcpListener::bind(&addr)
@@ -92,7 +105,12 @@ fn main() {
                     Ok(w) => w,
                     Err(_) => continue,
                 };
-                serve(&pool, &mut BufReader::new(conn), &mut writer);
+                serve(
+                    &pool,
+                    &mut BufReader::new(conn),
+                    &mut writer,
+                    MAX_LINE_BYTES,
+                );
             }
         }
     }
@@ -103,19 +121,30 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// One conversation: request lines in, JSON result lines out.
-fn serve(pool: &FleetPool, input: &mut dyn BufRead, output: &mut dyn Write) {
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+/// One conversation: request lines in, JSON result lines out. A line
+/// longer than `max_line` bytes is answered with an error row and
+/// skipped without being buffered past the cap.
+fn serve(pool: &FleetPool, input: &mut dyn BufRead, output: &mut dyn Write, max_line: usize) {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match Read::take(&mut *input, max_line as u64 + 1).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        if line == "quit" {
-            break;
-        }
-        let reply = dispatch(pool, line)
-            .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":{}}}", json_str(&e.to_string())));
+        let reply = if buf.len() > max_line && buf.last() != Some(&b'\n') {
+            if input.skip_until(b'\n').is_err() {
+                break;
+            }
+            error_row(&format!("request line longer than {max_line} bytes"))
+        } else {
+            match std::str::from_utf8(&buf).map(str::trim) {
+                Err(_) => error_row("request line is not UTF-8"),
+                Ok("quit") => break,
+                Ok(line) if line.is_empty() || line.starts_with('#') => continue,
+                Ok(line) => dispatch(pool, line).unwrap_or_else(|e| error_row(&e.to_string())),
+            }
+        };
         if writeln!(output, "{reply}")
             .and_then(|()| output.flush())
             .is_err()
@@ -239,6 +268,10 @@ fn parse_budget(words: &mut std::str::SplitWhitespace<'_>) -> Result<Limit, Sess
     }
 }
 
+fn error_row(msg: &str) -> String {
+    format!("{{\"ok\":false,\"error\":{}}}", json_str(msg))
+}
+
 fn protocol(msg: &str) -> SessionError {
     SessionError::ParseBackend(format!("protocol: {msg}"))
 }
@@ -324,4 +357,42 @@ fn hex_decode(hex: &str) -> Option<Vec<u8>> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).ok())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn over_long_lines_get_an_error_row_and_the_conversation_goes_on() {
+        let pool = FleetPool::new(1);
+        let long = "x".repeat(100);
+        let input = format!("{long}\nworkloads\n{long}\nquit\nworkloads\n");
+        let mut output = Vec::new();
+        serve(&pool, &mut input.as_bytes(), &mut output, 64);
+        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        let refused = r#"{"ok":false,"error":"request line longer than 64 bytes"}"#;
+        assert_eq!(rows.len(), 3, "{rows:?}");
+        assert_eq!(rows[0], refused);
+        assert!(
+            rows[1].starts_with(r#"{"ok":true,"workloads":["#),
+            "{}",
+            rows[1]
+        );
+        assert_eq!(rows[2], refused);
+    }
+
+    #[test]
+    fn lines_at_the_cap_are_served() {
+        let pool = FleetPool::new(1);
+        let mut output = Vec::new();
+        serve(&pool, &mut "workloads".as_bytes(), &mut output, 9);
+        assert!(output.starts_with(br#"{"ok":true,"workloads":["#));
+        output.clear();
+        serve(&pool, &mut &b"\xff\nquit\n"[..], &mut output, 9);
+        assert_eq!(
+            output,
+            b"{\"ok\":false,\"error\":\"request line is not UTF-8\"}\n"
+        );
+    }
 }

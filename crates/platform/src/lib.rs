@@ -42,8 +42,9 @@ use cabt_core::translate::SYNC_DEVICE_BASE;
 use cabt_core::Translated;
 use cabt_exec::{run_epochs, StopCause};
 use cabt_vliw::sim::{TargetBus, VliwError, VliwSim};
+use std::any::Any;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
 
 pub use bus::{
     CoreLink, GoldenBridge, ScratchRam, ShardArbiter, SharedSocBus, SocBus, SocBusState,
@@ -106,11 +107,11 @@ impl PlatformConfig {
     }
 
     /// Target cycles per generation epoch: the platform drives its
-    /// engine in bursts of this size and snapshots shared device state
-    /// once per burst, instead of doing bookkeeping per packet. One
-    /// epoch covers [`SYNC_EPOCH_SOC_CYCLES`] generated SoC cycles at
-    /// the configured ratio; with an unlimited rate there is nothing to
-    /// pace, so the epoch is unbounded.
+    /// engine in bursts of this size, and sharded translated sessions
+    /// use it as their default barrier cadence. One epoch covers
+    /// [`SYNC_EPOCH_SOC_CYCLES`] generated SoC cycles at the configured
+    /// ratio; with an unlimited rate there is nothing to pace, so the
+    /// epoch is unbounded.
     pub fn epoch_target_cycles(&self) -> u64 {
         match self.rate {
             SyncRate::Unlimited => u64::MAX,
@@ -148,58 +149,51 @@ impl PlatformStats {
     }
 }
 
-/// The combined device window shared between the simulator's bus hook
-/// and the platform (for post-run inspection). The SoC bus itself is a
-/// [`SharedSocBus`] handle, so the *same* device population can also
-/// be shared with other vehicles (e.g. the golden model via
+/// The synchronization device's register window.
+const SYNC_WINDOW: Range<u32> = SYNC_DEVICE_BASE..SYNC_DEVICE_BASE + 16;
+
+/// The platform's device bus, owned by the engine: the core's own
+/// synchronization device — each core paces its own cycle generation —
+/// plus a [`SharedSocBus`] handle, so the *same* device population can
+/// also be shared with other vehicles (e.g. the golden model via
 /// [`bus::GoldenBridge`]); shards of a multi-core session instead get
 /// *private* bus clones reconciled by the [`ShardArbiter`] at epoch
-/// barriers. The synchronization device stays per-platform — each core
-/// paces its own cycle generation.
-struct PlatformBusInner {
+/// barriers. [`Platform`] reaches it through the engine.
+struct PlatformBus {
     sync: SyncDevice,
     soc: SharedSocBus,
-    handshake: u32,
     cfg: PlatformConfig,
 }
 
-struct PlatformBusHandle(Arc<Mutex<PlatformBusInner>>);
-
-impl TargetBus for PlatformBusHandle {
-    fn covers(&self, addr: u32) -> bool {
-        (SYNC_DEVICE_BASE..SYNC_DEVICE_BASE + 16).contains(&addr)
-            || (IO_BASE..IO_END).contains(&addr)
+impl TargetBus for PlatformBus {
+    fn windows(&self) -> Vec<Range<u32>> {
+        vec![SYNC_WINDOW, IO_BASE..IO_END]
     }
 
     fn bus_read(&mut self, cycle: u64, addr: u32, size: u32) -> (u32, u64) {
-        let mut b = self.0.lock().expect("platform bus lock");
-        if (SYNC_DEVICE_BASE..SYNC_DEVICE_BASE + 16).contains(&addr) {
+        if SYNC_WINDOW.contains(&addr) {
             return match addr - SYNC_DEVICE_BASE {
-                4 => (0, b.sync.wait(cycle)),
-                12 => (0, b.sync.wait_correction(cycle)),
+                4 => (0, self.sync.wait(cycle)),
+                12 => (0, self.sync.wait_correction(cycle)),
                 _ => (0, 0),
             };
         }
         // SoC-bus transaction: the handshake takes generated-clock cycles.
-        let soc_now = b.sync.soc_time();
-        let v = b.soc.read(soc_now, addr, size);
-        let stall = b.cfg.soc_to_target(b.handshake as u64);
-        (v, stall)
+        let v = self.soc.read(self.sync.soc_time(), addr, size);
+        (v, self.cfg.soc_to_target(self.cfg.bus_handshake as u64))
     }
 
     fn bus_write(&mut self, cycle: u64, addr: u32, size: u32, value: u32) -> u64 {
-        let mut b = self.0.lock().expect("platform bus lock");
-        if (SYNC_DEVICE_BASE..SYNC_DEVICE_BASE + 16).contains(&addr) {
+        if SYNC_WINDOW.contains(&addr) {
             match addr - SYNC_DEVICE_BASE {
-                0 => b.sync.start(cycle, value),
-                8 => b.sync.start_correction(cycle, value),
+                0 => self.sync.start(cycle, value),
+                8 => self.sync.start_correction(cycle, value),
                 _ => {}
             }
             return 0;
         }
-        let soc_now = b.sync.soc_time();
-        b.soc.write(soc_now, addr, size, value);
-        b.cfg.soc_to_target(b.handshake as u64)
+        self.soc.write(self.sync.soc_time(), addr, size, value);
+        self.cfg.soc_to_target(self.cfg.bus_handshake as u64)
     }
 }
 
@@ -268,9 +262,16 @@ pub fn mirror_soc_bus(ncores: u32) -> SocBus {
 }
 
 /// The assembled rapid-prototyping platform.
+///
+/// The engine owns the device bus; the platform's device accessors
+/// ([`Platform::stats`], [`Platform::save_sync_device`],
+/// [`Platform::soc_bus`], …) read it back through
+/// [`VliwSim::bus`]. If a caller replaces the bus through
+/// [`Platform::engine`], those accessors see no platform devices: they
+/// report zero device counters, return `None` and ignore restores —
+/// they never panic.
 pub struct Platform {
     sim: VliwSim,
-    bus: Arc<Mutex<PlatformBusInner>>,
     cfg: PlatformConfig,
 }
 
@@ -320,28 +321,34 @@ impl Platform {
         soc: SharedSocBus,
     ) -> Result<Self, PlatformError> {
         let mut sim = translated.make_sim()?;
-        let inner = Arc::new(Mutex::new(PlatformBusInner {
+        sim.set_bus(Box::new(PlatformBus {
             sync: SyncDevice::new(cfg.rate),
             soc,
-            handshake: cfg.bus_handshake,
             cfg,
         }));
-        sim.set_bus(Box::new(PlatformBusHandle(Arc::clone(&inner))));
-        Ok(Platform {
-            sim,
-            bus: inner,
-            cfg,
-        })
+        Ok(Platform { sim, cfg })
+    }
+
+    /// The platform's device bus, unless the engine's bus was replaced.
+    fn bus(&self) -> Option<&PlatformBus> {
+        let bus: &dyn Any = self.sim.bus()?;
+        bus.downcast_ref()
+    }
+
+    /// Mutable twin of [`Platform::bus`].
+    fn bus_mut(&mut self) -> Option<&mut PlatformBus> {
+        let bus: &mut dyn Any = self.sim.bus_mut()?;
+        bus.downcast_mut()
     }
 
     /// Runs the translated program to completion.
     ///
-    /// The engine is driven generically through [`cabt_exec::ExecutionEngine`] in
-    /// generation epochs sized by the [`SyncRate`]
-    /// ([`PlatformConfig::epoch_target_cycles`]): per epoch — not per
-    /// packet — the platform snapshots the synchronization device's
-    /// generation progress, which is where epoch-clocked peripherals
-    /// and cross-core synchronization hook in as the platform grows.
+    /// The engine is driven generically through
+    /// [`cabt_exec::ExecutionEngine`] in generation epochs sized by the
+    /// [`SyncRate`] ([`PlatformConfig::epoch_target_cycles`]). Nothing
+    /// happens at the epoch boundaries: the synchronization device and
+    /// the peripherals are clocked lazily, on access, by the device's
+    /// generated-cycle count.
     ///
     /// # Errors
     ///
@@ -349,40 +356,31 @@ impl Platform {
     /// exhaustion.
     pub fn run(&mut self, max_cycles: u64) -> Result<PlatformStats, PlatformError> {
         let epoch = self.cfg.epoch_target_cycles();
-        let bus = Arc::clone(&self.bus);
-        let stop = run_epochs(&mut self.sim, max_cycles, epoch, |_engine| {
-            // Epoch boundary: observe generation progress once per
-            // burst. Peripherals are clocked lazily by `soc_time()` on
-            // access, so observing the counter is all the bookkeeping
-            // this epoch needs today.
-            let _generated_so_far = bus.lock().expect("platform bus lock").sync.soc_time();
-        })?;
+        let stop = run_epochs(&mut self.sim, max_cycles, epoch, |_| {})?;
         if stop == StopCause::LimitReached {
             return Err(PlatformError::Vliw(VliwError::CycleLimit));
         }
-        Ok(self.collect_stats())
+        Ok(self.stats())
     }
 
-    /// Snapshot of the run counters so far (engine + shared devices) —
+    /// Snapshot of the run counters so far (engine + platform devices) —
     /// readable at any point, not just after [`Platform::run`], so
     /// session drivers that step the engine themselves can still
     /// report generated-cycle statistics.
     pub fn stats(&self) -> PlatformStats {
-        self.collect_stats()
-    }
-
-    /// Snapshot of the run counters (engine + shared devices).
-    fn collect_stats(&self) -> PlatformStats {
         let vstats = self.sim.stats();
-        let bus = self.bus.lock().expect("platform bus lock");
-        PlatformStats {
+        let mut stats = PlatformStats {
             target_cycles: vstats.cycles,
-            generated_cycles: bus.sync.generated(),
-            corrected_cycles: bus.sync.corrected(),
-            sync_stall_cycles: bus.sync.stall_cycles(),
             slots: vstats.slots,
-            uart: bus.soc.uart_log(),
+            ..PlatformStats::default()
+        };
+        if let Some(bus) = self.bus() {
+            stats.generated_cycles = bus.sync.generated();
+            stats.corrected_cycles = bus.sync.corrected();
+            stats.sync_stall_cycles = bus.sync.stall_cycles();
+            stats.uart = bus.soc.uart_log();
         }
+        stats
     }
 
     /// The platform configuration.
@@ -429,50 +427,28 @@ impl Platform {
     }
 
     /// Clones the synchronization device's state. Together with an
-    /// engine snapshot *and* a [`Platform::save_soc_bus`] image this is
-    /// a resumable image of a platform run: the device's generation
-    /// queue is keyed to the target clock, so rewinding the engine
-    /// without it would turn wait reads into phantom stalls.
-    pub fn save_sync_device(&self) -> SyncDevice {
-        self.bus.lock().expect("platform bus lock").sync.clone()
+    /// engine snapshot *and* the [`SharedSocBus::save_state`] image of
+    /// [`Platform::soc_bus`] this is a resumable image of a platform
+    /// run: the device's generation queue is keyed to the target clock,
+    /// so rewinding the engine without it would turn wait reads into
+    /// phantom stalls.
+    pub fn save_sync_device(&self) -> Option<SyncDevice> {
+        self.bus().map(|b| b.sync.clone())
     }
 
     /// Restores synchronization-device state captured by
     /// [`Platform::save_sync_device`].
     pub fn restore_sync_device(&mut self, sync: &SyncDevice) {
-        self.bus.lock().expect("platform bus lock").sync = sync.clone();
-    }
-
-    /// Captures the state of every SoC peripheral plus the bus's
-    /// transaction counter — the device half of a resumable platform
-    /// image (the other half is [`Platform::save_sync_device`] plus the
-    /// engine snapshot). Restoring it rewinds UART logs, timer epochs
-    /// and scratch-RAM contents with the engine, so a restore-replay
-    /// repeats device behaviour bit-identically instead of double
-    /// logging.
-    pub fn save_soc_bus(&self) -> SocBusState {
-        self.bus.lock().expect("platform bus lock").soc.save_state()
-    }
-
-    /// Restores SoC peripheral state captured by
-    /// [`Platform::save_soc_bus`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image came from a different device population.
-    pub fn restore_soc_bus(&mut self, state: &SocBusState) {
-        self.bus
-            .lock()
-            .expect("platform bus lock")
-            .soc
-            .restore_state(state);
+        if let Some(bus) = self.bus_mut() {
+            bus.sync = sync.clone();
+        }
     }
 
     /// A clone of the handle to this platform's SoC bus. With
     /// [`Platform::with_shared_bus`] this is the *same* bus other cores
     /// were built around.
-    pub fn soc_bus(&self) -> SharedSocBus {
-        self.bus.lock().expect("platform bus lock").soc.clone()
+    pub fn soc_bus(&self) -> Option<SharedSocBus> {
+        self.bus().map(|b| b.soc.clone())
     }
 }
 

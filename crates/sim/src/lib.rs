@@ -1037,7 +1037,7 @@ impl Vehicle {
     fn device_bus(&self) -> Option<SharedSocBus> {
         match self {
             Vehicle::Golden { bus, .. } => bus.clone(),
-            Vehicle::Translated { platform, .. } => Some(platform.soc_bus()),
+            Vehicle::Translated { platform, .. } => platform.soc_bus(),
             Vehicle::Rtl(_) | Vehicle::Sharded(_) => None,
         }
     }
@@ -1079,6 +1079,10 @@ enum Snap {
         step_exchange_at: u64,
     },
 }
+
+/// Sessions never hand out their [`Platform`], so nothing can replace
+/// its engine's device bus.
+const PLATFORM_BUS: &str = "a session's platform keeps its own device bus";
 
 impl Snap {
     fn name(&self) -> &'static str {
@@ -1813,7 +1817,7 @@ impl Session {
             Vehicle::Golden { sim, .. } => Snap::Golden(Box::new(sim.snapshot())),
             Vehicle::Translated { platform, .. } => Snap::Target {
                 engine: Box::new(platform.sim().snapshot()),
-                sync: platform.save_sync_device(),
+                sync: platform.save_sync_device().expect(PLATFORM_BUS),
             },
             Vehicle::Rtl(core) => Snap::Rtl(Box::new(core.snapshot())),
             Vehicle::Sharded(set) => Snap::Sharded {
@@ -1848,7 +1852,7 @@ impl Session {
             (Vehicle::Golden { sim, .. }, Snap::Golden(slot)) => **slot = sim.snapshot(),
             (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
                 **engine = platform.sim().snapshot();
-                *sync = platform.save_sync_device();
+                *sync = platform.save_sync_device().expect(PLATFORM_BUS);
             }
             (Vehicle::Rtl(core), Snap::Rtl(slot)) => **slot = core.snapshot(),
             (

@@ -22,7 +22,7 @@
 //! at block boundaries.
 
 use crate::isa::{Op, Pred, Reg};
-use crate::sim::{route_load, route_store, PrePacket, PreSlot, TargetBus, VliwError, NO_IDX};
+use crate::sim::{route_load, route_store, DeviceBus, PrePacket, PreSlot, VliwError, NO_IDX};
 use cabt_exec::blocks::{BlockMap, UnitFlow};
 use cabt_isa::mem::Memory;
 
@@ -30,7 +30,7 @@ use cabt_isa::mem::Memory;
 pub(crate) struct VHot<'a> {
     pub regs: &'a mut [u32; 64],
     pub mem: &'a mut Memory,
-    pub bus: &'a mut Option<Box<dyn TargetBus>>,
+    pub bus: &'a mut Option<DeviceBus>,
     /// Target cycle at packet dispatch (constant across the packet —
     /// stalls are accumulated separately and applied in the epilogue,
     /// as in the interpretive cores).

@@ -15,7 +15,10 @@
 //! * [`sim`] — a cycle-counting simulator with delayed register
 //!   write-back, branch shadows and a memory-mapped-device hook
 //!   ([`sim::TargetBus`]) through which the platform's synchronization
-//!   device and SoC-bus adapter are reached.
+//!   device and SoC-bus adapter are reached. The simulator owns the
+//!   attached bus; the bus declares its address windows once, when
+//!   attached, and a device access stalls the core by the cycles it
+//!   returns, charged after the packet that made it.
 //!
 //! One deliberate deviation from the real C6201 is documented in
 //! DESIGN.md: the target has an iterative divide unit (`div`/`rem`, 18

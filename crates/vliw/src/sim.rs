@@ -6,7 +6,14 @@
 //! slots, multiplies 1, iterative divide 17), branch shadows of 5 issue
 //! slots, and stall cycles injected by memory-mapped devices through
 //! [`TargetBus`] — which is how the platform's synchronization device
-//! makes a "wait for end of cycle generation" read block.
+//! makes a "wait for end of cycle generation" read block. The engine
+//! owns its bus; the bus declares its address windows once, at
+//! [`VliwSim::set_bus`], and loads and stores test them inline.
+//!
+//! Delayed writes wait in one list kept in due order (ties in staging
+//! order), so every core's packet prologue retires them by draining
+//! the due prefix: for one register the later-due write wins, even when
+//! a device stall lets several become due at once.
 //!
 //! # Dispatch modes
 //!
@@ -48,23 +55,59 @@ use cabt_exec::{EngineStats, ExecutionEngine};
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
-/// A memory-mapped device region on the target's bus.
+/// The memory-mapped device bus of the target.
 ///
-/// Reads return the value *and* the number of stall cycles the access
-/// costs; writes return stall cycles. The platform implements its
-/// synchronization device and SoC-bus adapter behind this trait.
-pub trait TargetBus: Send {
-    /// True if `addr` belongs to this device region.
-    fn covers(&self, addr: u32) -> bool;
+/// The contract:
+///
+/// * **Windows are declared once.** [`VliwSim::set_bus`] asks for
+///   [`TargetBus::windows`] a single time and caches the ranges; every
+///   load and store tests them inline, so ordinary memory accesses never
+///   call into the bus. The answer must not change while attached.
+/// * **Stalls.** Reads return the value *and* the target cycles the
+///   access stalls; writes return the stall alone. Stalls of one packet
+///   add up and are charged after it, so every slot of the packet sees
+///   the packet's dispatch cycle as `cycle`, and results staged by the
+///   packet become due relative to that cycle (a long stall can carry
+///   the clock past several due cycles at once).
+/// * **The engine owns the bus.** It is attached as a box and lives in
+///   the simulator; owners reach it again through [`VliwSim::bus`] /
+///   [`VliwSim::bus_mut`] and downcast through the [`Any`] supertrait.
+///   It is not part of a [`VliwSnapshot`].
+///
+/// The platform implements its synchronization device and SoC-bus
+/// adapter behind this trait.
+pub trait TargetBus: Any + Send {
+    /// The address ranges this bus claims.
+    fn windows(&self) -> Vec<Range<u32>>;
     /// Handles a load of `size` bytes; returns `(value, stall_cycles)`.
     /// `cycle` is the current target cycle, so devices can model elapsed
     /// time between accesses.
     fn bus_read(&mut self, cycle: u64, addr: u32, size: u32) -> (u32, u64);
     /// Handles a store; returns stall cycles.
     fn bus_write(&mut self, cycle: u64, addr: u32, size: u32, value: u32) -> u64;
+}
+
+/// An attached [`TargetBus`] with the windows it declared.
+pub(crate) struct DeviceBus {
+    windows: Box<[Range<u32>]>,
+    dev: Box<dyn TargetBus>,
+}
+
+impl DeviceBus {
+    /// The device, if `addr` falls in one of its windows.
+    #[inline]
+    fn claim(&mut self, addr: u32) -> Option<&mut dyn TargetBus> {
+        if self.windows.iter().any(|w| w.contains(&addr)) {
+            Some(&mut *self.dev)
+        } else {
+            None
+        }
+    }
 }
 
 /// Errors raised while executing target code.
@@ -230,7 +273,7 @@ pub(crate) struct PreSlot {
 /// memory, fetch position, the delayed-write and branch-shadow pipeline
 /// state, and counters. The pre-decoded packet table and slot arena are
 /// load-time constants and stay shared with the engine; the attached
-/// [`TargetBus`] is owned by whoever attached it and is *not* captured
+/// [`TargetBus`] lives in the engine but is device state, *not* captured
 /// (the same scope as [`ExecutionEngine::reset`]).
 #[derive(Debug, Clone)]
 pub struct VliwSnapshot {
@@ -340,6 +383,10 @@ impl VliwSnapshot {
             let reg = Reg::from_index(r.u8()?);
             pending_writes.push((due, reg, r.u32()?));
         }
+        // Engines keep the list in due order; images written before
+        // they did may not be, and a stable sort is the order the old
+        // commit applied them in.
+        pending_writes.sort_by_key(|&(due, _, _)| due);
         let next_due = r.u64()?;
         let pending_branch = if r.bool()? {
             let slots = r.i64()?;
@@ -417,10 +464,12 @@ pub struct VliwSim {
     trace_cfg: TraceConfig,
     pc: usize,
     cycle: u64,
+    /// Staged results `(due cycle, register, value)`, kept in due
+    /// order with ties in staging order (see [`settle_staged`]).
     pending_writes: Vec<(u64, Reg, u32)>,
-    /// Earliest due cycle in `pending_writes` (`u64::MAX` when empty);
-    /// lets the pre-decoded core skip retirement entirely while loads
-    /// and multiplies are still in flight.
+    /// Due cycle of `pending_writes[0]` (`u64::MAX` when empty); lets
+    /// the dispatch cores skip retirement entirely while loads and
+    /// multiplies are still in flight.
     next_due: u64,
     /// `(remaining issue slots, target address)`.
     pending_branch: Option<(i64, u32)>,
@@ -430,7 +479,7 @@ pub struct VliwSim {
     /// Reused staging buffer for the pre-decoded path.
     scratch: Vec<(u64, Reg, u32)>,
     mode: VliwDispatch,
-    bus: Option<Box<dyn TargetBus>>,
+    bus: Option<DeviceBus>,
     stats: VliwStats,
     halted: bool,
 }
@@ -521,14 +570,23 @@ impl VliwSim {
         self.mem_image = Some(self.mem.clone());
     }
 
-    /// Attaches the memory-mapped device bus.
+    /// Attaches the memory-mapped device bus, replacing any previous
+    /// one, and caches the windows it declares.
     pub fn set_bus(&mut self, bus: Box<dyn TargetBus>) {
-        self.bus = Some(bus);
+        self.bus = Some(DeviceBus {
+            windows: bus.windows().into(),
+            dev: bus,
+        });
     }
 
-    /// Takes the bus back (to inspect device state after a run).
-    pub fn take_bus(&mut self) -> Option<Box<dyn TargetBus>> {
-        self.bus.take()
+    /// The attached device bus (downcast it through [`Any`]).
+    pub fn bus(&self) -> Option<&dyn TargetBus> {
+        self.bus.as_ref().map(|b| &*b.dev)
+    }
+
+    /// Mutable twin of [`VliwSim::bus`].
+    pub fn bus_mut(&mut self) -> Option<&mut dyn TargetBus> {
+        self.bus.as_mut().map(|b| &mut *b.dev)
     }
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
@@ -727,14 +785,7 @@ impl VliwSim {
             self.compiled = Some(compiled::compile(&self.pre, &self.pre_slots));
         }
         if self.cycle >= self.next_due {
-            if self.pending_writes.len() == 1 {
-                // Overwhelmingly common case: one staged result, due now.
-                let (_, r, v) = self.pending_writes.pop().expect("len checked");
-                self.regs[r.index()] = v;
-                self.next_due = u64::MAX;
-            } else {
-                self.commit_due_writes();
-            }
+            self.commit_due_writes();
         }
         self.redirect_if_due()?;
 
@@ -781,12 +832,7 @@ impl VliwSim {
             self.pending_writes.truncate(staged);
             return Err(e);
         }
-
-        // End of packet: stage results (visible from the next cycle on).
-        for &(c, _, _) in &self.pending_writes[staged..] {
-            self.next_due = self.next_due.min(c);
-        }
-
+        settle_staged(&mut self.pending_writes, staged, &mut self.next_due);
         self.finish_packet(branch, issue, stall)
     }
 
@@ -805,13 +851,7 @@ impl VliwSim {
         // writes, then redirect an expired branch shadow — only then is
         // `pc` the packet this step actually dispatches.
         if self.cycle >= self.next_due {
-            if self.pending_writes.len() == 1 {
-                let (_, r, v) = self.pending_writes.pop().expect("len checked");
-                self.regs[r.index()] = v;
-                self.next_due = u64::MAX;
-            } else {
-                self.commit_due_writes();
-            }
+            self.commit_due_writes();
         }
         self.redirect_if_due()?;
 
@@ -978,9 +1018,7 @@ impl VliwSim {
                 pending_writes.truncate(staged);
                 break Err(e);
             }
-            for &(c, _, _) in &pending_writes[staged..] {
-                *next_due = (*next_due).min(c);
-            }
+            settle_staged(pending_writes, staged, next_due);
 
             // Packet epilogue, inline (`finish_packet` minus the
             // per-packet counter, which is batched below).
@@ -1036,14 +1074,7 @@ impl VliwSim {
     /// no allocation per step.
     fn step_packet_predecoded(&mut self) -> Result<(), VliwError> {
         if self.cycle >= self.next_due {
-            if self.pending_writes.len() == 1 {
-                // Overwhelmingly common case: one staged result, due now.
-                let (_, r, v) = self.pending_writes.pop().expect("len checked");
-                self.regs[r.index()] = v;
-                self.next_due = u64::MAX;
-            } else {
-                self.commit_due_writes();
-            }
+            self.commit_due_writes();
         }
         self.redirect_if_due()?;
 
@@ -1076,11 +1107,10 @@ impl VliwSim {
         }
 
         // End of packet: stage results (visible from the next cycle on).
-        for &(c, _, _) in &writes {
-            self.next_due = self.next_due.min(c);
-        }
+        let staged = self.pending_writes.len();
         self.pending_writes.append(&mut writes);
         self.scratch = writes;
+        settle_staged(&mut self.pending_writes, staged, &mut self.next_due);
 
         self.finish_packet(branch, pp.issue, stall)
     }
@@ -1134,10 +1164,9 @@ impl VliwSim {
         }
 
         // End of packet: stage results (visible from the next cycle on).
-        for &(c, _, _) in &writes {
-            self.next_due = self.next_due.min(c);
-        }
+        let staged = self.pending_writes.len();
         self.pending_writes.extend(writes);
+        settle_staged(&mut self.pending_writes, staged, &mut self.next_due);
 
         self.finish_packet(branch, packet.issue_cycles(), stall)
     }
@@ -1295,19 +1324,17 @@ impl VliwSim {
 /// directly, so routing semantics cannot drift between modes).
 pub(crate) fn route_load(
     mem: &mut Memory,
-    bus: &mut Option<Box<dyn TargetBus>>,
+    bus: &mut Option<DeviceBus>,
     cycle: u64,
     addr: u32,
     w: Width,
     unsigned: bool,
     stall: &mut u64,
 ) -> Result<u32, VliwError> {
-    if let Some(bus) = bus {
-        if bus.covers(addr) {
-            let (v, s) = bus.bus_read(cycle, addr, w.bytes());
-            *stall += s;
-            return Ok(v);
-        }
+    if let Some(dev) = bus.as_mut().and_then(|b| b.claim(addr)) {
+        let (v, s) = dev.bus_read(cycle, addr, w.bytes());
+        *stall += s;
+        return Ok(v);
     }
     Ok(match (w, unsigned) {
         (Width::B, false) => mem.read_u8(addr)? as i8 as i32 as u32,
@@ -1321,18 +1348,16 @@ pub(crate) fn route_load(
 /// Store twin of [`route_load`].
 pub(crate) fn route_store(
     mem: &mut Memory,
-    bus: &mut Option<Box<dyn TargetBus>>,
+    bus: &mut Option<DeviceBus>,
     cycle: u64,
     addr: u32,
     w: Width,
     v: u32,
     stall: &mut u64,
 ) -> Result<(), VliwError> {
-    if let Some(bus) = bus {
-        if bus.covers(addr) {
-            *stall += bus.bus_write(cycle, addr, w.bytes(), v);
-            return Ok(());
-        }
+    if let Some(dev) = bus.as_mut().and_then(|b| b.claim(addr)) {
+        *stall += dev.bus_write(cycle, addr, w.bytes(), v);
+        return Ok(());
     }
     match w {
         Width::B => mem.write_u8(addr, v as u8)?,
@@ -1342,27 +1367,40 @@ pub(crate) fn route_store(
     Ok(())
 }
 
-/// Retires all staged writes due at `now` and recomputes the earliest
-/// remaining due cycle — the write-back half of the packet prologue,
-/// shared by the per-packet cores (via
-/// [`VliwSim::commit_due_writes`]) and the in-trace packet loop.
+/// Files the writes one packet staged at the tail (`pending[staged..]`,
+/// slot order) into due order and refreshes `next_due`. The insertion
+/// is stable — a write goes after every earlier-staged write due no
+/// later — so ties keep staging order. Usually the new writes are due
+/// last and nothing moves.
+fn settle_staged(pending: &mut [(u64, Reg, u32)], staged: usize, next_due: &mut u64) {
+    for i in staged.max(1)..pending.len() {
+        let due = pending[i].0;
+        if pending[i - 1].0 > due {
+            let at = pending[..i].partition_point(|&(c, _, _)| c <= due);
+            pending[at..=i].rotate_right(1);
+        }
+    }
+    if let Some(&(due, _, _)) = pending.first() {
+        *next_due = due;
+    }
+}
+
+/// Retires every staged write due at `now`: applies the due prefix of
+/// the due-ordered list in order (so for one register the later-due,
+/// then later-staged, write wins) and drains it. The write-back half of
+/// the packet prologue on every core.
 fn commit_due(
     pending: &mut Vec<(u64, Reg, u32)>,
     next_due: &mut u64,
     regs: &mut [u32; 64],
     now: u64,
 ) {
-    pending.sort_by_key(|&(c, _, _)| c);
-    let mut i = 0;
-    while i < pending.len() {
-        if pending[i].0 <= now {
-            let (_, r, v) = pending.remove(i);
-            regs[r.index()] = v;
-        } else {
-            i += 1;
-        }
+    let due = pending.iter().take_while(|&&(c, _, _)| c <= now).count();
+    for &(_, r, v) in &pending[..due] {
+        regs[r.index()] = v;
     }
-    *next_due = pending.iter().map(|&(c, _, _)| c).min().unwrap_or(u64::MAX);
+    pending.drain(..due);
+    *next_due = pending.first().map_or(u64::MAX, |&(c, _, _)| c);
 }
 
 impl ExecutionEngine for VliwSim {
@@ -1790,8 +1828,9 @@ mod tests {
     fn bus_stall_cycles_accumulate() {
         struct SlowDev;
         impl TargetBus for SlowDev {
-            fn covers(&self, addr: u32) -> bool {
-                addr >= 0xff00_0000
+            #[allow(clippy::single_range_in_vec_init)] // one window, not its addresses
+            fn windows(&self) -> Vec<Range<u32>> {
+                vec![0xff00_0000..u32::MAX]
             }
             fn bus_read(&mut self, _c: u64, _a: u32, _s: u32) -> (u32, u64) {
                 (7, 10)
@@ -1844,6 +1883,132 @@ mod tests {
         // The 10-cycle read stall pushes the halt packet past the load's
         // delay slots, so the loaded value has committed.
         assert_eq!(sim.reg(Reg::a(1)), 7);
+    }
+
+    /// A `DIV` staged before an `ADD` to the same register is due after
+    /// it; a device stall in the `ADD`'s packet carries the clock past
+    /// both due cycles, so one commit retires both and the later-due
+    /// quotient must win — on every core, and across a snapshot taken
+    /// while the writes are in flight out of staging order.
+    #[test]
+    fn one_commit_retires_writes_in_due_order() {
+        struct StallDev;
+        impl TargetBus for StallDev {
+            #[allow(clippy::single_range_in_vec_init)] // one window, not its addresses
+            fn windows(&self) -> Vec<Range<u32>> {
+                vec![0xff00_0000..0xff00_0010]
+            }
+            fn bus_read(&mut self, _c: u64, _a: u32, _s: u32) -> (u32, u64) {
+                (0x5a, 30)
+            }
+            fn bus_write(&mut self, _c: u64, _a: u32, _s: u32, _v: u32) -> u64 {
+                0
+            }
+        }
+        let (a1, a2, a3, a4, a5, b1) = (
+            Reg::a(1),
+            Reg::a(2),
+            Reg::a(3),
+            Reg::a(4),
+            Reg::a(5),
+            Reg::b(1),
+        );
+        let build = |mode| {
+            let prog = program(vec![
+                vec![
+                    Slot::new(Unit::S1, Op::Mvk { d: a1, imm16: 100 }),
+                    Slot::new(Unit::S2, Op::Mvk { d: b1, imm16: 0 }),
+                ],
+                vec![
+                    Slot::new(Unit::S1, Op::Mvk { d: a2, imm16: 7 }),
+                    Slot::new(
+                        Unit::S2,
+                        Op::Mvkh {
+                            d: b1,
+                            imm16: 0xff00,
+                        },
+                    ),
+                ],
+                // Cycle 2: the quotient is due at 2 + 18 = 20.
+                vec![Slot::new(
+                    Unit::M1,
+                    Op::Div {
+                        d: a3,
+                        s1: a1,
+                        s2: a2,
+                    },
+                )],
+                // Cycle 3: the sum is due at 4, the load at 8; the load
+                // stalls 30, so the next packet dispatches at 34.
+                vec![
+                    Slot::new(
+                        Unit::L1,
+                        Op::Add {
+                            d: a3,
+                            s1: a1,
+                            s2: a2,
+                        },
+                    ),
+                    Slot::new(
+                        Unit::D1,
+                        Op::Ld {
+                            w: Width::W,
+                            unsigned: false,
+                            d: a4,
+                            base: b1,
+                            woff: 0,
+                        },
+                    ),
+                ],
+                vec![Slot::new(Unit::L1, Op::Mv { d: a5, s: a3 })],
+                halt(),
+            ]);
+            let mut sim = VliwSim::new(prog).unwrap();
+            sim.set_dispatch(mode);
+            sim.set_bus(Box::new(StallDev));
+            sim
+        };
+        let regs = |sim: &VliwSim| -> Vec<u32> {
+            (0..64u8).map(|i| sim.reg(Reg::from_index(i))).collect()
+        };
+        let encode = |snap: &VliwSnapshot| {
+            let mut bytes = Vec::new();
+            snap.encode_into(&mut bytes);
+            VliwSnapshot::decode(&mut ByteReader::new(&bytes)).unwrap()
+        };
+        for mode in [
+            VliwDispatch::Naive,
+            VliwDispatch::Predecoded,
+            VliwDispatch::Compiled,
+            VliwDispatch::Trace,
+        ] {
+            let mut sim = build(mode);
+            for _ in 0..4 {
+                sim.step_packet().unwrap();
+            }
+            assert_eq!(sim.cycle(), 34, "{mode:?}");
+            let snap = sim.snapshot();
+            let in_due_order = vec![(4, a3, 107), (8, a4, 0x5a), (20, a3, 14)];
+            assert_eq!(snap.pending_writes, in_due_order, "{mode:?}");
+            // An image listing the writes in staging order, as engines
+            // that sorted at commit time wrote it.
+            let mut staging_order = snap.clone();
+            staging_order.pending_writes = vec![(20, a3, 14), (4, a3, 107), (8, a4, 0x5a)];
+
+            let stats = sim.run(1000).unwrap();
+            assert_eq!(sim.reg(a3), 14, "{mode:?}: the later-due quotient wins");
+            assert_eq!(sim.reg(a5), 14, "{mode:?}: one commit retired both");
+            assert_eq!(sim.reg(a4), 0x5a, "{mode:?}");
+            let want = regs(&sim);
+            for image in [&snap, &staging_order] {
+                let decoded = encode(image);
+                assert_eq!(decoded.pending_writes, in_due_order, "{mode:?}");
+                let mut replay = build(mode);
+                replay.restore(&decoded);
+                assert_eq!(replay.run(1000).unwrap(), stats, "{mode:?}");
+                assert_eq!(regs(&replay), want, "{mode:?}: replay diverged");
+            }
+        }
     }
 
     #[test]

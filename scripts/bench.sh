@@ -9,9 +9,14 @@
 # (O(traffic) delta barrier vs the full-image baseline, ns/epoch at
 # 8/64/256 cores), and the fleet service at 1/10/100/1000 concurrent
 # sessions with paired 1-worker/4-worker pool rows — sessions/sec plus
-# aggregate MIPS) and leaves the machine-readable result in
-# BENCH_fig5.json at the repo root, so the performance trajectory
-# accumulates run over run.
+# aggregate MIPS) and writes the machine-readable result to
+# BENCH_fig5.json at the repo root, overwriting the previous run's file.
+# It is a snapshot of one run, not a history.
+#
+# The measurement of record is the repository benchmark under
+# perfbench/: BENCHMARK.json declares its workloads and metrics,
+# perfbench/bench.sh runs it, and its bench-diff binary compares a
+# change's runs against its parent's.
 #
 # Note on the fleet pairs: both pool sizes simulate the bit-identical
 # batch (the bench asserts the folded epoch digest chains match), so on
