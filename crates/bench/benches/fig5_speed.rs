@@ -170,14 +170,10 @@ fn main() {
 
     // Sharded throughput: the producer/consumer workload from 1 up to
     // the NoC-scale fabric widths (8/64/256), paired rows per core
-    // count. Narrow fabrics keep the historical pairing — sequential
-    // round-robin versus the thread-parallel scheduler (one worker
-    // thread per shard per epoch round); wide fabrics pair sequential
-    // with the *pooled* schedule (epoch rounds as work items on a
-    // fixed fleet pool at host parallelism) — a 256-thread round per
-    // epoch is exactly what the pool exists to avoid. All schedules
-    // simulate the same bit-identical run.
-    println!("\nsharded throughput (aggregate across shards, sequential vs parallel/pooled):");
+    // count — the sequential schedule versus the pooled one (epoch
+    // rounds as work items on a fixed fleet pool at host parallelism).
+    // Both schedules simulate the same bit-identical run.
+    println!("\nsharded throughput (aggregate across shards, sequential vs pooled):");
     let mc = cabt_workloads::producer_consumer(160, 0xcab7);
     let core_counts: &[u16] = if smoke {
         &[1, 2]
@@ -186,17 +182,11 @@ fn main() {
     };
     let mut sharded = Vec::new();
     for &cores in core_counts {
-        // Smoke covers the pooled schedule at 2 cores.
-        let concurrent = if cores >= 8 || smoke {
-            ShardSchedule::Pooled(0)
-        } else {
-            ShardSchedule::Parallel
-        };
         // The widest fabrics simulate 256x the work per run; fewer
         // repeats keep the rows affordable.
         let row_iters = if cores >= 64 { iters.min(2) } else { iters };
         let seq = sharded_throughput(&mc, cores, row_iters, ShardSchedule::Sequential);
-        let con = sharded_throughput(&mc, cores, row_iters, concurrent);
+        let con = sharded_throughput(&mc, cores, row_iters, ShardSchedule::Pooled(0));
         let speedup = con.aggregate_mips / seq.aggregate_mips;
         println!(
             "  {:<18} cores {:>3}  {:>9} retired/run  seq {:>8.2} MIPS  {} {:>8.2} MIPS  ({:.2}x, {} epochs)",

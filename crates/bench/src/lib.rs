@@ -693,9 +693,9 @@ pub fn compare_dispatch(
 
 /// Scheduling epoch (target cycles) used by the sharded throughput
 /// measurement: large enough to amortize the barrier exchange and the
-/// parallel scheduler's per-round worker spawns, identical for both
-/// schedules so the sequential and parallel rows simulate the *same*
-/// run (`tests/parallel_determinism.rs` proves bit-identity).
+/// pooled scheduler's per-round job dispatch, identical for both
+/// schedules so the sequential and pooled rows simulate the *same* run
+/// (`tests/parallel_determinism.rs` proves bit-identity).
 pub const SHARDED_BENCH_EPOCH: u64 = 65_536;
 
 /// Host-side throughput of one sharded configuration: `cores` shards
@@ -706,7 +706,7 @@ pub const SHARDED_BENCH_EPOCH: u64 = 65_536;
 pub struct ShardedThroughput {
     /// Workload name.
     pub workload: &'static str,
-    /// Shard count (= worker threads under the parallel schedule).
+    /// Shard count.
     pub cores: u16,
     /// Host schedule of the epoch rounds.
     pub schedule: ShardSchedule,
@@ -719,12 +719,11 @@ pub struct ShardedThroughput {
 }
 
 impl ShardedThroughput {
-    /// Short tag of the schedule (`sequential` / `parallel` /
-    /// `pooled`), as emitted in the JSON rows.
+    /// Short tag of the schedule (`sequential` / `pooled`), as emitted
+    /// in the JSON rows.
     pub fn schedule_tag(&self) -> &'static str {
         match self.schedule {
             ShardSchedule::Sequential => "sequential",
-            ShardSchedule::Parallel => "parallel",
             ShardSchedule::Pooled(_) => "pooled",
         }
     }

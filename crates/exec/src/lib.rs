@@ -403,97 +403,64 @@ pub fn run_epochs<E: ExecutionEngine>(
 /// least-advanced non-halted shard (every shard has completed at least
 /// this many cycles), or the maximum cycle count when all shards have
 /// halted. Paired with whether the whole set has halted. This is the
-/// clock [`run_epochs_sharded`] budgets against, and what a sharded
-/// session reports as its own [`ExecutionEngine::cycle`].
+/// clock epoch rounds are planned against, and what a sharded session
+/// reports as its own [`ExecutionEngine::cycle`].
 pub fn shard_frontier<E: ExecutionEngine>(shards: &[E]) -> (u64, bool) {
+    frontier(shards.iter().map(|s| (s.cycle(), s.is_halted())))
+}
+
+/// [`shard_frontier`] over `(cycle, halted)` pairs.
+fn frontier(clocks: impl Iterator<Item = (u64, bool)>) -> (u64, bool) {
     let mut max_all = 0u64;
     let mut min_live: Option<u64> = None;
-    for s in shards {
-        let c = s.cycle();
+    for (c, halted) in clocks {
         max_all = max_all.max(c);
-        if !s.is_halted() {
+        if !halted {
             min_live = Some(min_live.map_or(c, |m| m.min(c)));
         }
     }
     (min_live.unwrap_or(max_all), min_live.is_none())
 }
 
-/// Epoch-synchronized multi-core driver: advances every shard of
-/// `shards` one epoch at a time until all of them halt or the
-/// least-advanced shard exhausts `max_cycles`.
-///
-/// Scheduling is deterministic: each round picks the frontier (the
-/// cycle count of the least-advanced non-halted shard), runs every
-/// shard that has not yet reached `frontier + epoch` up to that
-/// deadline *in shard order*, then fires `on_epoch` — the boundary at
-/// which harnesses exchange shared device state (the platform's
-/// arbiter captures the canonical SoC-bus image there). Because no
-/// shard can run ahead of the slowest by more than one epoch, shards
-/// communicating through shared devices (mailbox RAM, UART) observe
-/// each other's traffic with at most one epoch of skew, identically on
-/// every run.
-///
-/// Stop semantics mirror [`ExecutionEngine::run_until`]: the budget
-/// check precedes the halt check (a zero budget returns
-/// [`StopCause::LimitReached`] without dispatching, even on a fully
-/// halted set), `Halted` means *every* shard reached its halt, and
-/// architectural state is committed on all shards before returning
-/// `Halted`. An empty shard set reports `Halted` immediately.
-///
-/// # Errors
-///
-/// Propagates the first shard fault (remaining shards keep the state
-/// they reached inside the failing round).
-pub fn run_epochs_sharded<E: ExecutionEngine>(
-    shards: &mut [E],
-    max_cycles: u64,
-    epoch: u64,
-    on_epoch: impl FnMut(&mut [E]),
-) -> Result<StopCause, E::Error> {
-    run_epochs_rounds(shards, max_cycles, epoch, on_epoch, |shards, deadline| {
-        run_shard_round_sequential(shards, deadline, true)
-    })
+/// What the round planner reads of one shard. Executors collect one
+/// per shard before every round — from a slice of engines or from the
+/// mutex slots a worker pool shares — and hand them to
+/// `plan_shard_round`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShardState {
+    /// The shard's clock ([`ExecutionEngine::cycle`]).
+    pub cycle: u64,
+    /// Whether the shard has halted.
+    pub halted: bool,
+    /// Units the shard has retired.
+    pub retired: u64,
 }
 
-/// Runs one epoch round in shard order on the calling thread: every
-/// live shard below `deadline` executes `run_until(Cycles(deadline))`.
-/// With `commit_boundary_halts`, a shard that halts exactly on the
-/// deadline gets its architectural state committed inside the round (a
-/// completed run, same as the single-engine epoch driver).
-///
-/// # Errors
-///
-/// Propagates the fault of the lowest-numbered faulting shard. Every
-/// other shard of the round still runs to its deadline first — the
-/// same post-fault state [`run_shard_round_parallel`] leaves, so a
-/// faulting round is bit-identical under both schedulers.
-pub fn run_shard_round_sequential<E: ExecutionEngine>(
-    shards: &mut [E],
-    deadline: u64,
-    commit_boundary_halts: bool,
-) -> Result<(), E::Error> {
-    let mut first_err: Option<E::Error> = None;
-    for s in shards.iter_mut() {
-        if let Err(e) = run_shard_to_deadline(s, deadline, commit_boundary_halts) {
-            if first_err.is_none() {
-                first_err = Some(e);
-            }
+impl ShardState {
+    /// The planner's view of `shard`.
+    pub fn of<E: ExecutionEngine>(shard: &E) -> ShardState {
+        ShardState {
+            cycle: shard.cycle(),
+            halted: shard.is_halted(),
+            retired: shard.engine_stats().retired,
         }
     }
-    first_err.map_or(Ok(()), Err)
+
+    /// Whether a round with this deadline advances the shard at all
+    /// (the check [`run_shard_to_deadline`] makes first).
+    pub fn runs_before(&self, deadline: u64) -> bool {
+        !self.halted && self.cycle < deadline
+    }
 }
 
-/// What the epoch scheduler decided for the next round — the planning
-/// half of the shared shard-round loop, split out so external
-/// schedulers (the fleet thread pool drives rounds as work items, not
-/// as a blocking loop) make *exactly* the decision the in-process
-/// drivers make. One plan per barrier: compute the frontier, call
-/// [`plan_epoch_round`], act on the verdict.
+/// What the epoch planner decided for the next round. One plan per
+/// barrier: collect the shards' `ShardState`s, call
+/// `plan_shard_round`, act on the verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochPlan {
-    /// The frontier reached the cycle budget: stop with
-    /// [`StopCause::LimitReached`]. Checked *before* the halt state,
-    /// mirroring [`ExecutionEngine::run_until`]'s budget-first rule.
+    /// The budget is exhausted: stop with [`StopCause::LimitReached`].
+    /// Checked *before* the halt state, mirroring
+    /// [`ExecutionEngine::run_until`]'s budget-first rule.
     LimitReached,
     /// Every shard halted: commit architectural state on all shards and
     /// stop with [`StopCause::Halted`].
@@ -501,16 +468,15 @@ pub enum EpochPlan {
     /// Run every live shard below `deadline` up to it, then exchange
     /// shared state at the barrier and plan again.
     Round {
-        /// The cycle deadline of this round
-        /// (`frontier + epoch`, clamped to the budget).
+        /// The cycle deadline of this round.
         deadline: u64,
     },
 }
 
-/// Plans one epoch round from a shard set's frontier — the single
-/// decision procedure behind [`run_epochs_sharded`],
-/// [`run_epochs_parallel`] and the fleet pool scheduler. `frontier` and
-/// `all_halted` come from [`shard_frontier`]; `epoch` is clamped to at
+/// Plans one round against a *cycle* budget from a shard set's
+/// frontier: the cycle half of `plan_shard_round`. `frontier` and
+/// `all_halted` come from [`shard_frontier`]; the deadline is
+/// `frontier + epoch`, clamped to the budget; `epoch` is clamped to at
 /// least one cycle.
 pub fn plan_epoch_round(frontier: u64, all_halted: bool, max_cycles: u64, epoch: u64) -> EpochPlan {
     if frontier >= max_cycles {
@@ -523,12 +489,57 @@ pub fn plan_epoch_round(frontier: u64, all_halted: bool, max_cycles: u64, epoch:
     EpochPlan::Round { deadline }
 }
 
+/// Plans the next epoch round of a shard set against `limit` — the one
+/// decision procedure both executors share: [`run_epochs_sharded`] on
+/// the calling thread and [`pool::spawn_epochs_pooled`] on a worker
+/// pool. An empty set is trivially halted.
+///
+/// A [`Limit::Cycles`] budget binds the frontier
+/// ([`plan_epoch_round`]). A [`Limit::Retirements`] budget binds the
+/// retirements summed over all shards, checked before the halt state.
+/// Its rounds get the remaining budget split evenly across the shards
+/// as cycle room, clamped to one epoch and to at least one cycle. A
+/// shard retires at most one unit per cycle, so the final rounds
+/// advance one unit per shard and the aggregate overshoots the budget
+/// by fewer than the shard count.
+pub(crate) fn plan_shard_round(shards: &[ShardState], limit: Limit, epoch: u64) -> EpochPlan {
+    if shards.is_empty() {
+        return EpochPlan::Halted;
+    }
+    let (frontier, all_halted) = frontier(shards.iter().map(|s| (s.cycle, s.halted)));
+    let budget = match limit {
+        Limit::Cycles(max_cycles) => {
+            return plan_epoch_round(frontier, all_halted, max_cycles, epoch);
+        }
+        Limit::Retirements(budget) => budget,
+    };
+    let retired: u64 = shards.iter().map(|s| s.retired).sum();
+    if retired >= budget {
+        EpochPlan::LimitReached
+    } else if all_halted {
+        EpochPlan::Halted
+    } else {
+        let room = ((budget - retired) / shards.len() as u64).clamp(1, epoch.max(1));
+        EpochPlan::Round {
+            deadline: frontier.saturating_add(room),
+        }
+    }
+}
+
+/// Whether a shard halting exactly on a round deadline commits its
+/// architectural state inside the round. Under a cycle budget that halt
+/// is a completed run, as in [`run_epochs`]; under a retirement budget
+/// only the all-halted stop commits.
+fn commits_boundary_halts(limit: Limit) -> bool {
+    matches!(limit, Limit::Cycles(_))
+}
+
 /// Advances one shard to an epoch-round deadline — the per-shard body
-/// both round schedulers (and the fleet pool's shard work items) share.
-/// Halted shards and shards already at the deadline are skipped; with
-/// `commit_boundary_halts`, a shard that halts exactly on the deadline
-/// gets its architectural state committed inside the round (a completed
-/// run, same as the single-engine epoch driver).
+/// both executors share. Halted shards and shards already at the
+/// deadline are skipped; with `commit_boundary_halts`, a shard that
+/// halts exactly on the deadline gets its architectural state committed
+/// inside the round (a completed run, same as the single-engine epoch
+/// driver).
 ///
 /// # Errors
 ///
@@ -550,27 +561,48 @@ pub fn run_shard_to_deadline<E: ExecutionEngine>(
     Ok(())
 }
 
-/// The one epoch schedule both sharded drivers share: frontier, budget
-/// and halt checks, deadline computation and `on_epoch` placement live
-/// here *exactly once* — the drivers differ only in the `round`
-/// callback that advances the shards to each deadline. This is what
-/// makes the sequential/parallel bit-identity claim structural rather
-/// than a matter of keeping two loops in sync. The planning half is
-/// public as [`plan_epoch_round`], so out-of-process schedulers (the
-/// fleet pool) share the same decisions without borrowing this loop.
-fn run_epochs_rounds<E: ExecutionEngine>(
+/// Epoch-synchronized multi-core driver, the *inline* executor: runs
+/// epoch rounds over `shards` on the calling thread until every shard
+/// halts or `limit` is exhausted. [`pool::spawn_epochs_pooled`] is the
+/// same engine on a worker pool.
+///
+/// Every round is planned by `plan_shard_round`; the round runs each
+/// shard that has not yet reached the deadline up to it *in shard
+/// order* ([`run_shard_to_deadline`]), then fires `on_epoch` — the
+/// barrier at which harnesses exchange shared device state (the
+/// platform's arbiter reconciles the shards' SoC buses there). Because
+/// no shard can run ahead of the slowest by more than one epoch, shards
+/// communicating through shared devices observe each other's traffic
+/// with at most one epoch of skew, identically on every run. Whenever
+/// shards touch no shared mutable state inside an epoch, a round's
+/// result is a pure function of the shard states at its start, so the
+/// pool executor reproduces this one bit for bit.
+///
+/// Stop semantics mirror [`ExecutionEngine::run_until`]: the budget
+/// check precedes the halt check (a zero budget returns
+/// [`StopCause::LimitReached`] without dispatching, even on a fully
+/// halted set), `Halted` means *every* shard reached its halt, and
+/// architectural state is committed on all shards before returning
+/// `Halted`. An empty shard set reports `Halted` immediately.
+///
+/// # Errors
+///
+/// Propagates the fault of the lowest-numbered faulting shard. Every
+/// other shard of the faulting round still runs to its deadline first,
+/// and the round's barrier does not fire — the same post-fault state
+/// under both executors.
+pub fn run_epochs_sharded<E: ExecutionEngine>(
     shards: &mut [E],
-    max_cycles: u64,
+    limit: Limit,
     epoch: u64,
     mut on_epoch: impl FnMut(&mut [E]),
-    mut round: impl FnMut(&mut [E], u64) -> Result<(), E::Error>,
 ) -> Result<StopCause, E::Error> {
-    if shards.is_empty() {
-        return Ok(StopCause::Halted);
-    }
+    let commit = commits_boundary_halts(limit);
+    let mut states = Vec::with_capacity(shards.len());
     loop {
-        let (frontier, all_halted) = shard_frontier(shards);
-        match plan_epoch_round(frontier, all_halted, max_cycles, epoch) {
+        states.clear();
+        states.extend(shards.iter().map(ShardState::of));
+        match plan_shard_round(&states, limit, epoch) {
             EpochPlan::LimitReached => return Ok(StopCause::LimitReached),
             EpochPlan::Halted => {
                 for s in shards.iter_mut() {
@@ -579,99 +611,18 @@ fn run_epochs_rounds<E: ExecutionEngine>(
                 return Ok(StopCause::Halted);
             }
             EpochPlan::Round { deadline } => {
-                round(shards, deadline)?;
+                let mut fault = None;
+                for s in shards.iter_mut() {
+                    if let Err(e) = run_shard_to_deadline(s, deadline, commit) {
+                        fault.get_or_insert(e);
+                    }
+                }
+                if let Some(e) = fault {
+                    return Err(e);
+                }
                 on_epoch(shards);
             }
         }
-    }
-}
-
-/// Thread-parallel twin of [`run_epochs_sharded`]: literally the same
-/// epoch schedule (both drivers delegate to one shared loop — frontier
-/// computation, deadlines, halt/budget semantics and `on_epoch`
-/// boundaries exist once), but every round runs its shards
-/// concurrently, one scoped worker thread per live shard.
-///
-/// Bit-identity with the sequential driver is a *property of the
-/// shards*, guaranteed whenever shards touch no shared mutable state
-/// inside an epoch (the sharded session satisfies this by giving every
-/// shard a private device-state clone and reconciling at the
-/// `on_epoch` barrier — see `cabt-platform`'s `ShardArbiter`). Under
-/// that isolation the round's result is a pure function of the shard
-/// states at its start, so the host interleaving cannot be observed
-/// and sequential and parallel runs produce bit-identical shard
-/// states, cycle counts and device images.
-///
-/// # Errors
-///
-/// Propagates the fault of the lowest-numbered faulting shard
-/// (deterministic whatever thread finished first). Every shard of the
-/// faulting round has already run to its deadline — exactly like the
-/// sequential driver, so faulting runs stay bit-identical under both
-/// schedulers.
-pub fn run_epochs_parallel<E>(
-    shards: &mut [E],
-    max_cycles: u64,
-    epoch: u64,
-    on_epoch: impl FnMut(&mut [E]),
-) -> Result<StopCause, E::Error>
-where
-    E: ExecutionEngine + Send,
-    E::Error: Send,
-{
-    run_epochs_rounds(shards, max_cycles, epoch, on_epoch, |shards, deadline| {
-        run_shard_round_parallel(shards, deadline, true)
-    })
-}
-
-/// Runs one epoch round concurrently: every live shard below `deadline`
-/// gets a scoped worker thread executing `run_until(Cycles(deadline))`.
-/// With `commit_boundary_halts`, a shard that halts exactly on the
-/// deadline gets its architectural state committed inside the round —
-/// matching [`run_epochs_sharded`]'s per-round behaviour. Drivers with
-/// their own commit discipline (e.g. retirement-budgeted rounds that
-/// commit only once the whole set halts) pass `false`.
-///
-/// # Errors
-///
-/// Propagates the fault of the lowest-numbered faulting shard.
-pub fn run_shard_round_parallel<E>(
-    shards: &mut [E],
-    deadline: u64,
-    commit_boundary_halts: bool,
-) -> Result<(), E::Error>
-where
-    E: ExecutionEngine + Send,
-    E::Error: Send,
-{
-    let mut first_err: Option<E::Error> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for s in shards.iter_mut() {
-            if s.is_halted() || s.cycle() >= deadline {
-                continue;
-            }
-            handles.push(
-                scope.spawn(move || run_shard_to_deadline(s, deadline, commit_boundary_halts)),
-            );
-        }
-        // Joined in spawn (= shard) order, so the reported fault is the
-        // lowest-numbered faulting shard regardless of thread timing.
-        for h in handles {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -977,7 +928,7 @@ mod tests {
         // Unequal speeds: the slow shard defines the frontier.
         let mut shards = vec![scaled(2, 10), scaled(7, 4)];
         let mut boundaries = 0;
-        let r = run_epochs_sharded(&mut shards, u64::MAX, 8, |_| boundaries += 1);
+        let r = run_epochs_sharded(&mut shards, Limit::Cycles(u64::MAX), 8, |_| boundaries += 1);
         assert_eq!(r, Ok(StopCause::Halted));
         assert!(shards.iter().all(super::ExecutionEngine::is_halted));
         assert!(boundaries >= 2, "multiple epoch rounds: {boundaries}");
@@ -991,15 +942,15 @@ mod tests {
         // Zero budget: LimitReached without dispatching, even halted.
         let mut shards = vec![scaled(1, 0), scaled(1, 0)];
         assert!(shards.iter().all(super::ExecutionEngine::is_halted));
-        let r = run_epochs_sharded(&mut shards, 0, 4, |_| {});
+        let r = run_epochs_sharded(&mut shards, Limit::Cycles(0), 4, |_| {});
         assert_eq!(r, Ok(StopCause::LimitReached));
         // With budget, a fully halted set reports Halted.
-        let r = run_epochs_sharded(&mut shards, 100, 4, |_| {});
+        let r = run_epochs_sharded(&mut shards, Limit::Cycles(100), 4, |_| {});
         assert_eq!(r, Ok(StopCause::Halted));
 
         // The budget binds the *frontier*: the slowest live shard.
         let mut shards = vec![scaled(1, 1000), scaled(10, 1000)];
-        let r = run_epochs_sharded(&mut shards, 50, 5, |_| {});
+        let r = run_epochs_sharded(&mut shards, Limit::Cycles(50), 5, |_| {});
         assert_eq!(r, Ok(StopCause::LimitReached));
         let (frontier, all_halted) = shard_frontier(&shards);
         assert!(!all_halted);
@@ -1018,7 +969,7 @@ mod tests {
     fn sharded_driver_is_deterministic() {
         let run = || {
             let mut shards = vec![scaled(3, 40), scaled(5, 25), scaled(2, 60)];
-            run_epochs_sharded(&mut shards, u64::MAX, 16, |_| {}).unwrap();
+            run_epochs_sharded(&mut shards, Limit::Cycles(u64::MAX), 16, |_| {}).unwrap();
             shards
                 .iter()
                 .map(super::ExecutionEngine::engine_stats)
@@ -1031,50 +982,7 @@ mod tests {
     fn empty_shard_set_is_trivially_halted() {
         let mut shards: Vec<Toy> = Vec::new();
         assert_eq!(
-            run_epochs_sharded(&mut shards, 100, 4, |_| {}),
-            Ok(StopCause::Halted)
-        );
-    }
-
-    #[test]
-    fn parallel_driver_matches_sequential_bit_for_bit() {
-        // Isolated shards (no shared state): the parallel schedule must
-        // reproduce the sequential one exactly — stats, boundary count,
-        // stop cause — on halting and budget-bound runs alike.
-        for budget in [u64::MAX, 50, 0] {
-            let build = || vec![scaled(3, 40), scaled(5, 25), scaled(2, 60), scaled(7, 13)];
-            let mut seq = build();
-            let mut seq_bounds = 0u32;
-            let rs = run_epochs_sharded(&mut seq, budget, 16, |_| seq_bounds += 1).unwrap();
-            let mut par = build();
-            let mut par_bounds = 0u32;
-            let rp = run_epochs_parallel(&mut par, budget, 16, |_| par_bounds += 1).unwrap();
-            assert_eq!(rs, rp, "budget {budget}: stop cause");
-            assert_eq!(seq_bounds, par_bounds, "budget {budget}: epoch boundaries");
-            let stats = |v: &[ScaledToy]| {
-                v.iter()
-                    .map(super::ExecutionEngine::engine_stats)
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(stats(&seq), stats(&par), "budget {budget}: shard stats");
-        }
-    }
-
-    #[test]
-    fn parallel_driver_entry_semantics_match_the_trait() {
-        // Zero budget: LimitReached without dispatching, even halted.
-        let mut shards = vec![scaled(1, 0), scaled(1, 0)];
-        assert_eq!(
-            run_epochs_parallel(&mut shards, 0, 4, |_| {}),
-            Ok(StopCause::LimitReached)
-        );
-        assert_eq!(
-            run_epochs_parallel(&mut shards, 100, 4, |_| {}),
-            Ok(StopCause::Halted)
-        );
-        let mut empty: Vec<Toy> = Vec::new();
-        assert_eq!(
-            run_epochs_parallel(&mut empty, 100, 4, |_| {}),
+            run_epochs_sharded(&mut shards, Limit::Cycles(100), 4, |_| {}),
             Ok(StopCause::Halted)
         );
     }

@@ -1,23 +1,21 @@
 //! The fixed work-stealing thread pool epoch scheduling runs on, and
-//! the pooled shard-round driver built on it.
+//! the pool executor of the epoch-round engine.
 //!
 //! The paper's prototyping platform runs *one* session; a fleet service
-//! runs hundreds, and the thread-per-shard-per-round discipline of
-//! [`run_epochs_parallel`](crate::run_epochs_parallel) does not scale
-//! past a handful of concurrent sessions (M sessions × N shards × one
-//! spawn per round). [`FleetPool`] replaces it with a fixed worker
-//! population: epoch rounds are *work items*, and however many sessions
-//! are in flight, host parallelism stays bounded by the worker count.
+//! runs hundreds. [`FleetPool`] gives them a fixed worker population:
+//! epoch rounds are *work items*, and however many sessions are in
+//! flight, host parallelism stays bounded by the worker count.
 //!
-//! [`run_epochs_pooled`] applies the same discipline *within* one
-//! session: the shard rounds of a single NoC-scale sharded run become
-//! pool jobs — one job per live shard per round, no thread spawned per
-//! round — and the job that finishes a round performs the barrier
-//! exchange and plans the next round. The schedule decisions are
-//! [`plan_epoch_round`](crate::plan_epoch_round), the identical
-//! procedure behind the sequential and thread-parallel drivers, so the
-//! pooled schedule is bit-identical to both whenever shards touch no
-//! shared mutable state inside an epoch.
+//! [`spawn_epochs_pooled`] runs one shard set's epoch rounds as pool
+//! jobs — one job per live shard per round — and the job that finishes
+//! a round performs the barrier exchange and plans the next round; a
+//! completion callback receives the shards back, so no job ever blocks.
+//! [`run_epochs_pooled`] is the same run with the caller waiting for
+//! it. The rounds are planned by `plan_shard_round` and advanced by
+//! [`run_shard_to_deadline`], the same two functions the inline
+//! executor [`run_epochs_sharded`](crate::run_epochs_sharded) uses, so
+//! both executors are bit-identical whenever shards touch no shared
+//! mutable state inside an epoch.
 //!
 //! Stealing discipline: every worker owns a deque and pops its own work
 //! LIFO (a worker that just finished a shard round keeps the cache-hot
@@ -26,10 +24,15 @@
 //! session cannot starve the rest of the fleet. Jobs a worker spawns
 //! land on its own deque; external spawns land on the injector.
 
-use crate::{plan_epoch_round, run_shard_to_deadline, EpochPlan, ExecutionEngine, StopCause};
+use crate::{
+    commits_boundary_halts, plan_shard_round, run_shard_to_deadline, EpochPlan, ExecutionEngine,
+    Limit, ShardState, StopCause,
+};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread;
 
 /// Locks a pool-internal mutex, recovering from poison. The pool's
@@ -141,9 +144,8 @@ impl PoolCore {
 ///
 /// Dropping the pool shuts it down: workers finish the jobs already
 /// queued, then exit and are joined. [`FleetPool::spawn`] is the raw
-/// entry; the fleet's cross-session epoch scheduler and the
-/// within-session [`run_epochs_pooled`] driver are the intended
-/// clients.
+/// entry; the pool executor [`spawn_epochs_pooled`] is the intended
+/// client.
 pub struct FleetPool {
     core: Arc<PoolCore>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -259,11 +261,11 @@ impl Latch {
     }
 }
 
-// --- the within-session pooled epoch driver ------------------------------
+// --- the pool executor ----------------------------------------------------
 
-/// Result of [`run_epochs_pooled`]: the shards and barrier context move
-/// into the run (they cross worker threads, and the workspace forbids
-/// `unsafe`, so scoped borrowing is not an option) and come back here.
+/// A finished pooled run: the shards and barrier context move into the
+/// run (they cross worker threads, and the workspace forbids `unsafe`,
+/// so scoped borrowing is not an option) and come back here.
 pub struct PooledOutcome<E: ExecutionEngine, C> {
     /// The shard engines, in shard order, at their final states.
     pub shards: Vec<E>,
@@ -274,258 +276,235 @@ pub struct PooledOutcome<E: ExecutionEngine, C> {
     pub stop: Result<StopCause, E::Error>,
 }
 
-/// Shared state of one pooled run, held by every job of the run.
-struct PooledRun<E: ExecutionEngine, C, F> {
-    shards: Vec<Mutex<E>>,
-    ctx: Mutex<C>,
-    on_epoch: Mutex<F>,
+/// What a pooled run's completion callback receives: the outcome, or
+/// the panic payload of a shard job or barrier that panicked (the
+/// run's shards are dropped with it).
+pub type PooledResult<E, C> = std::thread::Result<PooledOutcome<E, C>>;
+
+/// The barrier callback of a pooled run.
+type BarrierFn<E, C> = Box<dyn FnMut(&mut C, &[&E]) + Send>;
+
+/// The barrier context, its callback and the completion callback of a
+/// pooled run — taken out exactly once, by whichever job finishes it.
+struct Control<E: ExecutionEngine, C> {
+    ctx: C,
+    on_epoch: BarrierFn<E, C>,
+    done: Box<dyn FnOnce(PooledResult<E, C>) + Send>,
+}
+
+/// Shared state of one pooled run, held by every job of the run. Each
+/// slot holds its shard until the run finishes, so finishing needs no
+/// unique ownership of the run: a job that has just counted its shard
+/// off may still hold its handle for a moment.
+struct PooledRun<E: ExecutionEngine, C> {
+    shards: Vec<Mutex<Option<E>>>,
+    control: Mutex<Option<Control<E, C>>>,
     /// Shard jobs still running in the current round; the job that
     /// takes this to zero performs the barrier.
     remaining: AtomicUsize,
     /// Lowest-numbered shard fault of the failing round, if any.
-    fault: Mutex<Option<(usize, <E as ExecutionEngine>::Error)>>,
-    /// Panic payload of a panicking shard job (re-raised by the
-    /// coordinator, like the scoped-thread driver's `resume_unwind`).
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// How the run stopped (`None` while a fault/panic ended it).
-    outcome: Mutex<Option<StopCause>>,
-    max_cycles: u64,
+    fault: Mutex<Option<(usize, E::Error)>>,
+    /// Panic payload of the first panicking shard job.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    limit: Limit,
     epoch: u64,
-    commit_boundary_halts: bool,
 }
 
-/// Plans the next epoch round of a pooled run and either finishes the
-/// run or schedules one shard job per live shard. Runs on a worker (or
-/// once, from the coordinator via the injector).
-fn plan_pooled_round<E, C, F>(
-    run: &Arc<PooledRun<E, C, F>>,
-    core: &Arc<PoolCore>,
-    latch: &Arc<Latch>,
-) where
+impl<E, C> PooledRun<E, C>
+where
     E: ExecutionEngine + Send + 'static,
     E::Error: Send + 'static,
     C: Send + 'static,
-    F: FnMut(&mut C) + Send + 'static,
 {
-    // The frontier over the mutex-held shards — no job of this run is
-    // in flight while planning, so each lock is uncontended.
-    let mut max_all = 0u64;
-    let mut min_live: Option<u64> = None;
-    let mut states = Vec::with_capacity(run.shards.len());
-    for s in &run.shards {
-        let g = lock_ok(s);
-        let (c, halted) = (g.cycle(), g.is_halted());
-        states.push((c, halted));
-        max_all = max_all.max(c);
-        if !halted {
-            min_live = Some(min_live.map_or(c, |m| m.min(c)));
-        }
-    }
-    let (frontier, all_halted) = (min_live.unwrap_or(max_all), min_live.is_none());
-    match plan_epoch_round(frontier, all_halted, run.max_cycles, run.epoch) {
-        EpochPlan::LimitReached => {
-            *lock_ok(&run.outcome) = Some(StopCause::LimitReached);
-            latch.count_down();
-        }
-        EpochPlan::Halted => {
-            for s in &run.shards {
-                lock_ok(s).commit_arch_state();
+    /// Plans the next round and either finishes the run or schedules
+    /// one job per shard the round advances. No job of this run is in
+    /// flight while planning, so every lock is uncontended.
+    fn plan(self: Arc<Self>, core: &Arc<PoolCore>) {
+        let states: Vec<ShardState> = self
+            .shards
+            .iter()
+            .filter_map(|s| lock_ok(s).as_ref().map(ShardState::of))
+            .collect();
+        match plan_shard_round(&states, self.limit, self.epoch) {
+            EpochPlan::LimitReached => self.finish(Ok(Ok(StopCause::LimitReached))),
+            EpochPlan::Halted => {
+                for s in &self.shards {
+                    if let Some(s) = lock_ok(s).as_mut() {
+                        s.commit_arch_state();
+                    }
+                }
+                self.finish(Ok(Ok(StopCause::Halted)));
             }
-            *lock_ok(&run.outcome) = Some(StopCause::Halted);
-            latch.count_down();
-        }
-        EpochPlan::Round { deadline } => {
-            let runnable: Vec<usize> = states
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(c, halted))| !halted && c < deadline)
-                .map(|(i, _)| i)
-                .collect();
-            // `plan_epoch_round` only answers `Round` when a live shard
-            // sits below the budget, and the deadline strictly exceeds
-            // the frontier — at least one shard is runnable.
-            run.remaining.store(runnable.len(), Ordering::Release);
-            for idx in runnable {
-                let (run, core, latch) = (Arc::clone(run), Arc::clone(core), Arc::clone(latch));
-                let job_core = Arc::clone(&core);
-                job_core.push(Box::new(move || {
-                    shard_round_job(&run, &core, &latch, idx, deadline);
-                }));
+            EpochPlan::Round { deadline } => {
+                // A `Round` always has a live shard below its deadline,
+                // so at least one job is scheduled.
+                let runnable: Vec<usize> = (0..states.len())
+                    .filter(|&i| states[i].runs_before(deadline))
+                    .collect();
+                self.remaining.store(runnable.len(), Ordering::Release);
+                for idx in runnable {
+                    let (run, job_core) = (Arc::clone(&self), Arc::clone(core));
+                    core.push(Box::new(move || run.shard_job(&job_core, idx, deadline)));
+                }
             }
         }
     }
-}
 
-/// One shard's slice of a pooled epoch round; the job that completes
-/// the round (takes `remaining` to zero) runs the barrier exchange and
-/// plans the next round — event-driven, no coordinator polling.
-fn shard_round_job<E, C, F>(
-    run: &Arc<PooledRun<E, C, F>>,
-    core: &Arc<PoolCore>,
-    latch: &Arc<Latch>,
-    idx: usize,
-    deadline: u64,
-) where
-    E: ExecutionEngine + Send + 'static,
-    E::Error: Send + 'static,
-    C: Send + 'static,
-    F: FnMut(&mut C) + Send + 'static,
-{
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut shard = lock_ok(&run.shards[idx]);
-        run_shard_to_deadline(&mut *shard, deadline, run.commit_boundary_halts)
-    }));
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => {
-            // Deterministic fault report: the lowest-numbered faulting
-            // shard wins, whatever order the jobs finished in — the
-            // same discipline as the sequential and scoped drivers.
-            let mut slot = lock_ok(&run.fault);
-            if slot.as_ref().is_none_or(|&(winner, _)| idx < winner) {
-                *slot = Some((idx, e));
+    /// One shard's slice of a round. The job that completes the round
+    /// ends a faulting run, or runs the barrier and re-plans —
+    /// event-driven, no coordinator polling.
+    fn shard_job(self: Arc<Self>, core: &Arc<PoolCore>, idx: usize, deadline: u64) {
+        let commit = commits_boundary_halts(self.limit);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            match lock_ok(&self.shards[idx]).as_mut() {
+                Some(shard) => run_shard_to_deadline(shard, deadline, commit),
+                None => Ok(()),
+            }
+        }));
+        match ran {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                // The lowest-numbered faulting shard wins, whatever
+                // order the jobs finished in.
+                let mut slot = lock_ok(&self.fault);
+                if slot.as_ref().is_none_or(|&(winner, _)| idx < winner) {
+                    *slot = Some((idx, e));
+                }
+            }
+            Err(payload) => {
+                lock_ok(&self.panic).get_or_insert(payload);
             }
         }
-        Err(payload) => {
-            let mut slot = lock_ok(&run.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-    }
-    if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last shard of the round. A faulting round ends the run
-        // *without* the barrier — the in-process drivers propagate the
-        // round's error before `on_epoch` fires, and the pooled
-        // schedule must leave bit-identical state behind.
-        if lock_ok(&run.fault).is_some() || lock_ok(&run.panic).is_some() {
-            latch.count_down();
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
-        {
-            let mut ctx = lock_ok(&run.ctx);
-            let mut on_epoch = lock_ok(&run.on_epoch);
-            (on_epoch)(&mut ctx);
+        // Last shard of the round. A faulting round ends the run without
+        // its barrier, exactly like the inline executor.
+        let panic = lock_ok(&self.panic).take();
+        if let Some(payload) = panic {
+            return self.finish(Err(payload));
         }
-        // Re-plan from the pool, not by direct recursion: a long run
-        // crosses millions of barriers and must not grow the stack.
-        let (run, latch) = (Arc::clone(run), Arc::clone(latch));
-        let plan_core = Arc::clone(core);
-        core.push(Box::new(move || {
-            plan_pooled_round(&run, &plan_core, &latch);
-        }));
+        let fault = lock_ok(&self.fault).take();
+        if let Some((_, e)) = fault {
+            return self.finish(Ok(Err(e)));
+        }
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.barrier())) {
+            return self.finish(Err(payload));
+        }
+        // `plan` only queues the next round's jobs, so calling it here
+        // does not nest rounds on the stack.
+        self.plan(core);
+    }
+
+    /// Fires the barrier callback with read access to every shard.
+    fn barrier(&self) {
+        let guards: Vec<_> = self.shards.iter().map(lock_ok).collect();
+        let view: Vec<&E> = guards.iter().filter_map(|g| g.as_ref()).collect();
+        if let Some(c) = lock_ok(&self.control).as_mut() {
+            (c.on_epoch)(&mut c.ctx, &view);
+        }
+    }
+
+    /// Hands the shards and context back through the completion
+    /// callback.
+    fn finish(&self, stop: std::thread::Result<Result<StopCause, E::Error>>) {
+        let control = lock_ok(&self.control).take();
+        let Some(Control { ctx, done, .. }) = control else {
+            return;
+        };
+        let shards = self
+            .shards
+            .iter()
+            .filter_map(|s| lock_ok(s).take())
+            .collect();
+        done(stop.map(|stop| PooledOutcome { shards, ctx, stop }));
     }
 }
 
-/// Pool-scheduled twin of
-/// [`run_epochs_sharded`](crate::run_epochs_sharded): the same epoch
-/// schedule ([`plan_epoch_round`] makes every decision), but each
-/// round's shards run as work items on a [`FleetPool`] — no thread is
-/// spawned per round, and the job that finishes a round performs the
-/// barrier (`on_epoch` over `ctx`) and plans the next. The calling
-/// thread blocks until the run completes and gets the shards and
-/// context back in the [`PooledOutcome`].
+/// Epoch-synchronized multi-core driver, the *pool* executor: the same
+/// engine as the inline [`run_epochs_sharded`](crate::run_epochs_sharded)
+/// — `plan_shard_round` makes every decision,
+/// [`run_shard_to_deadline`] is the per-shard body, the lowest-numbered
+/// fault wins and a faulting round fires no barrier — but each round's
+/// shards run as work items on `pool`. No thread is spawned per round,
+/// and the job that finishes a round performs the barrier (`on_epoch`
+/// over `ctx`, with read access to every shard) and plans the next.
 ///
-/// Bit-identity with the sequential and scoped-parallel drivers is the
-/// same *property of the shards* those two share: whenever shards touch
-/// no shared mutable state inside an epoch, every schedule runs the
-/// identical rounds to the identical deadlines and exchanges at the
-/// identical barriers.
+/// Returns at once; no job of the run ever blocks. `done` runs on a
+/// pool worker when the run stops and receives the shards and context
+/// back, or the payload of a panicking shard job or barrier.
 ///
-/// With `commit_boundary_halts`, a shard halting exactly on a round
-/// deadline gets its architectural state committed inside the round
-/// (matching the other drivers' default); drivers with their own
-/// commit discipline pass `false`.
-///
-/// # Panics
-///
-/// Re-raises a shard job's panic on the calling thread (the same
-/// surface as the scoped-thread driver's `resume_unwind`).
-pub fn run_epochs_pooled<E, C, F>(
+/// Bit-identity with the inline executor is a *property of the shards*:
+/// whenever shards touch no shared mutable state inside an epoch, both
+/// executors run the identical rounds to the identical deadlines and
+/// exchange at the identical barriers.
+pub fn spawn_epochs_pooled<E, C>(
     pool: &FleetPool,
     shards: Vec<E>,
     ctx: C,
-    max_cycles: u64,
+    limit: Limit,
     epoch: u64,
-    commit_boundary_halts: bool,
-    on_epoch: F,
+    on_epoch: impl FnMut(&mut C, &[&E]) + Send + 'static,
+    done: impl FnOnce(PooledResult<E, C>) + Send + 'static,
+) where
+    E: ExecutionEngine + Send + 'static,
+    E::Error: Send + 'static,
+    C: Send + 'static,
+{
+    let run = Arc::new(PooledRun {
+        shards: shards.into_iter().map(|s| Mutex::new(Some(s))).collect(),
+        control: Mutex::new(Some(Control {
+            ctx,
+            on_epoch: Box::new(on_epoch),
+            done: Box::new(done),
+        })),
+        remaining: AtomicUsize::new(0),
+        fault: Mutex::new(None),
+        panic: Mutex::new(None),
+        limit,
+        epoch,
+    });
+    let core = pool.core();
+    let job_core = Arc::clone(&core);
+    core.push(Box::new(move || run.plan(&job_core)));
+}
+
+/// [`spawn_epochs_pooled`] plus a wait on the calling thread: runs the
+/// shard set on `pool` and returns the shards and context when the run
+/// stops.
+///
+/// # Panics
+///
+/// Re-raises a shard job's or barrier's panic on the calling thread.
+pub fn run_epochs_pooled<E, C>(
+    pool: &FleetPool,
+    shards: Vec<E>,
+    ctx: C,
+    limit: Limit,
+    epoch: u64,
+    on_epoch: impl FnMut(&mut C, &[&E]) + Send + 'static,
 ) -> PooledOutcome<E, C>
 where
     E: ExecutionEngine + Send + 'static,
     E::Error: Send + 'static,
     C: Send + 'static,
-    F: FnMut(&mut C) + Send + 'static,
 {
-    if shards.is_empty() {
-        return PooledOutcome {
-            shards,
-            ctx,
-            stop: Ok(StopCause::Halted),
-        };
-    }
-    let run = Arc::new(PooledRun {
-        shards: shards.into_iter().map(Mutex::new).collect(),
-        ctx: Mutex::new(ctx),
-        on_epoch: Mutex::new(on_epoch),
-        remaining: AtomicUsize::new(0),
-        fault: Mutex::new(None),
-        panic: Mutex::new(None),
-        outcome: Mutex::new(None),
-        max_cycles,
-        epoch,
-        commit_boundary_halts,
+    let (tx, rx) = mpsc::channel();
+    spawn_epochs_pooled(pool, shards, ctx, limit, epoch, on_epoch, move |result| {
+        // The receiver waits below until this send.
+        let _ = tx.send(result);
     });
-    let latch = Arc::new(Latch::new(1));
-    {
-        let (run, core, latch) = (Arc::clone(&run), pool.core(), Arc::clone(&latch));
-        let spawn_core = Arc::clone(&core);
-        spawn_core.push(Box::new(move || {
-            plan_pooled_round(&run, &core, &latch);
-        }));
+    match rx.recv() {
+        Ok(Ok(outcome)) => outcome,
+        Ok(Err(payload)) => std::panic::resume_unwind(payload),
+        Err(mpsc::RecvError) => panic!("a pooled run was dropped before it finished"),
     }
-    latch.wait();
-    // The finishing job counts the latch down while still holding its
-    // `Arc` of the run for a moment; spin until this thread is the sole
-    // owner, then unwrap the state back out.
-    let mut run = run;
-    let inner = loop {
-        match Arc::try_unwrap(run) {
-            Ok(inner) => break inner,
-            Err(still_shared) => {
-                run = still_shared;
-                thread::yield_now();
-            }
-        }
-    };
-    if let Some(payload) = lock_ok(&inner.panic).take() {
-        std::panic::resume_unwind(payload);
-    }
-    let shards = inner
-        .shards
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    let ctx = inner
-        .ctx
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let stop = match inner
-        .fault
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some((_, e)) => Err(e),
-        None => Ok(lock_ok(&inner.outcome)
-            .take()
-            .expect("a pooled run without fault or panic records its stop cause")),
-    };
-    PooledOutcome { shards, ctx, stop }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{aggregate_stats, run_epochs_sharded, EngineStats, Limit};
+    use crate::{aggregate_stats, run_epochs_sharded, EngineStats};
     use std::fmt;
 
     #[test]
@@ -686,97 +665,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pooled_schedule_matches_sequential_bit_for_bit() {
-        for budget in [u64::MAX, 50, 0] {
-            let build = || {
-                vec![
-                    shardling(3, 40),
-                    shardling(5, 25),
-                    shardling(2, 60),
-                    shardling(7, 13),
-                ]
-            };
-            let mut seq = build();
-            let mut seq_bounds = 0u32;
-            let rs = run_epochs_sharded(&mut seq, budget, 16, |_| seq_bounds += 1).unwrap();
+    fn stats(v: &[Shardling]) -> Vec<EngineStats> {
+        v.iter().map(ExecutionEngine::engine_stats).collect()
+    }
 
-            let pool = FleetPool::new(3);
-            let out = run_epochs_pooled(&pool, build(), 0u32, budget, 16, true, |bounds| {
-                *bounds += 1;
-            });
-            assert_eq!(out.stop, Ok(rs), "budget {budget}: stop cause");
-            assert_eq!(out.ctx, seq_bounds, "budget {budget}: epoch boundaries");
-            let stats = |v: &[Shardling]| {
-                v.iter()
-                    .map(ExecutionEngine::engine_stats)
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                stats(&seq),
-                stats(&out.shards),
-                "budget {budget}: shard stats"
-            );
-            assert_eq!(aggregate_stats(&seq), aggregate_stats(&out.shards));
+    /// Four isolated shards of unequal speeds.
+    fn uneven() -> Vec<Shardling> {
+        vec![
+            shardling(3, 40),
+            shardling(5, 25),
+            shardling(2, 60),
+            shardling(7, 13),
+        ]
+    }
+
+    /// Runs `build()` under `limit` on both executors and asserts the
+    /// same stop cause, per-shard stats and barrier count; returns the
+    /// inline run's shards and stop cause.
+    fn both_executors(
+        build: impl Fn() -> Vec<Shardling>,
+        limit: Limit,
+        epoch: u64,
+    ) -> (Vec<Shardling>, Result<StopCause, Boom>) {
+        let mut inline = build();
+        let mut bounds = 0u32;
+        let stop = run_epochs_sharded(&mut inline, limit, epoch, |_| bounds += 1);
+        let pool = FleetPool::new(3);
+        let n = inline.len();
+        let out = run_epochs_pooled(&pool, build(), 0u32, limit, epoch, move |b, view| {
+            assert_eq!(view.len(), n, "the barrier sees every shard");
+            *b += 1;
+        });
+        assert_eq!(out.stop, stop, "{limit:?}: stop cause");
+        assert_eq!(out.ctx, bounds, "{limit:?}: barrier count");
+        assert_eq!(stats(&inline), stats(&out.shards), "{limit:?}: shard stats");
+        (inline, stop)
+    }
+
+    #[test]
+    fn pooled_schedule_matches_inline_bit_for_bit() {
+        for budget in [u64::MAX, 50, 0] {
+            let (shards, _) = both_executors(uneven, Limit::Cycles(budget), 16);
+            assert_eq!(aggregate_stats(&shards).retired > 0, budget > 0);
+        }
+    }
+
+    #[test]
+    fn retirement_budgets_match_on_both_executors() {
+        // 138 units in total: budgets below, at the halting edge of and
+        // far beyond it. The aggregate overshoots a binding budget by
+        // fewer units than there are shards.
+        for budget in [0, 1, 37, 5000, u64::MAX] {
+            let (shards, stop) = both_executors(uneven, Limit::Retirements(budget), 16);
+            let retired = aggregate_stats(&shards).retired;
+            match stop {
+                Ok(StopCause::LimitReached) => {
+                    assert!(
+                        retired >= budget,
+                        "budget {budget}: stopped short at {retired}"
+                    );
+                    assert!(
+                        retired - budget < shards.len() as u64,
+                        "budget {budget}: overshoot {retired}"
+                    );
+                }
+                Ok(StopCause::Halted) => {
+                    assert!(retired <= budget, "budget {budget}");
+                    assert!(shards.iter().all(ExecutionEngine::is_halted));
+                }
+                Err(e) => panic!("budget {budget}: {e}"),
+            }
         }
     }
 
     #[test]
     fn pooled_entry_semantics_match_the_trait() {
         let pool = FleetPool::new(2);
+        let idle = |_: &mut (), _: &[&Shardling]| {};
         // Zero budget: LimitReached without dispatching, even halted.
-        let out = run_epochs_pooled(
-            &pool,
-            vec![shardling(1, 0), shardling(1, 0)],
-            (),
-            0,
-            4,
-            true,
-            |()| {},
-        );
+        let halted = vec![shardling(1, 0), shardling(1, 0)];
+        let out = run_epochs_pooled(&pool, halted, (), Limit::Cycles(0), 4, idle);
         assert_eq!(out.stop, Ok(StopCause::LimitReached));
         // With budget, a fully halted set reports Halted.
-        let out = run_epochs_pooled(&pool, out.shards, (), 100, 4, true, |()| {});
+        let out = run_epochs_pooled(&pool, out.shards, (), Limit::Cycles(100), 4, idle);
         assert_eq!(out.stop, Ok(StopCause::Halted));
-        // An empty shard set is trivially halted, no job scheduled.
-        let out = run_epochs_pooled(&pool, Vec::<Shardling>::new(), (), 100, 4, true, |()| {});
+        // An empty shard set is trivially halted.
+        let out = run_epochs_pooled(&pool, Vec::new(), (), Limit::Cycles(100), 4, idle);
         assert_eq!(out.stop, Ok(StopCause::Halted));
     }
 
     #[test]
     fn pooled_fault_reports_lowest_shard_and_skips_the_barrier() {
         // Shards 1 and 3 fault in the same round; every shard of the
-        // round still runs to its deadline (same post-fault state as
-        // the sequential driver), the reported fault is shard 1's, and
-        // the barrier of the faulting round never fires.
+        // round still runs to its deadline, the reported fault is shard
+        // 1's, and the barrier of the faulting round never fires.
         let build = || {
-            let mut v = vec![
-                shardling(1, 100),
-                shardling(1, 100),
-                shardling(1, 100),
-                shardling(1, 100),
-            ];
+            let mut v: Vec<Shardling> = (0..4).map(|_| shardling(1, 100)).collect();
             v[1].fault_at = Some(3);
             v[3].fault_at = Some(5);
             v
         };
-        let mut seq = build();
-        let mut seq_bounds = 0u32;
-        let seq_err = run_epochs_sharded(&mut seq, u64::MAX, 8, |_| seq_bounds += 1).unwrap_err();
-
-        let pool = FleetPool::new(4);
-        let out = run_epochs_pooled(&pool, build(), 0u32, u64::MAX, 8, true, |bounds| {
-            *bounds += 1;
-        });
-        assert_eq!(out.stop, Err(seq_err), "lowest-numbered fault wins");
-        assert_eq!(out.stop, Err(Boom(3)));
-        assert_eq!(out.ctx, seq_bounds, "no barrier after the faulting round");
-        let stats = |v: &[Shardling]| {
-            v.iter()
-                .map(ExecutionEngine::engine_stats)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(stats(&seq), stats(&out.shards), "post-fault state matches");
+        let (_, stop) = both_executors(build, Limit::Cycles(u64::MAX), 8);
+        assert_eq!(stop, Err(Boom(3)), "lowest-numbered fault wins");
     }
 
     #[test]
@@ -790,10 +780,9 @@ mod tests {
                 &pool,
                 (0..8).map(|i| shardling(1 + i % 3, 30)).collect(),
                 (),
-                u64::MAX,
+                Limit::Cycles(u64::MAX),
                 8,
-                true,
-                |()| {},
+                |(), _| {},
             );
             assert_eq!(out.stop, Ok(StopCause::Halted));
             assert!(out.shards.iter().all(ExecutionEngine::is_halted));
@@ -836,22 +825,16 @@ mod tests {
             }
         }
         let pool = FleetPool::new(2);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_epochs_pooled(&pool, vec![Bomb], (), u64::MAX, 8, true, |()| {})
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_epochs_pooled(
+                &pool,
+                vec![Bomb],
+                (),
+                Limit::Cycles(u64::MAX),
+                8,
+                |(), _| {},
+            )
         }));
         assert!(caught.is_err(), "the shard panic re-raises, not deadlocks");
-    }
-
-    #[test]
-    fn pooled_retirement_budgets_still_run_through_run_until() {
-        // The pooled driver budgets rounds in cycles; a retirement
-        // budget is the session layer's job. Pin that the pool does not
-        // interfere with a plain run_until on the same engine type.
-        let mut s = shardling(3, 100);
-        assert_eq!(
-            s.run_until(Limit::Retirements(7)),
-            Ok(crate::StopCause::LimitReached)
-        );
-        assert_eq!(s.engine_stats().retired, 7);
     }
 }

@@ -11,7 +11,7 @@
 //! run <workload> <backend> cycles|retirements <n>
 //!     Run the named workload on the backend descriptor (see
 //!     `Backend` `Display`/`FromStr`, e.g. `golden:compiled`,
-//!     `sharded-4x-par:translated:cache`) under the budget.
+//!     `sharded-4x-pool2:translated:cache`) under the budget.
 //!     → {"ok":true,"workload":...,"stats":{...},"uart":"..."}
 //! park <workload> <backend> cycles|retirements <n>
 //!     Run under the budget, then park: the session is serialized to
@@ -30,8 +30,9 @@
 //!     End the conversation.
 //! ```
 //!
-//! A request line longer than 64 MiB, or one that is not UTF-8, gets
-//! an `{"ok":false,...}` row and the conversation goes on.
+//! A request line longer than 64 MiB, one that is not UTF-8, or a
+//! budget above `MAX_BUDGET` gets an `{"ok":false,...}` row and the
+//! conversation goes on.
 
 use cabt_exec::Limit;
 use cabt_fleet::{run_one, FleetPool, FleetRequest, FleetResult};
@@ -47,6 +48,16 @@ use std::io::{BufRead, BufReader, Read, Write};
 /// one-core `mailbox` spinning for 10^8 cycles parks to 200 MB — exceed
 /// it, and their resume lines get an error row instead of a buffer.
 const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Largest `cycles` or `retirements` budget `run`, `park` and `resume`
+/// accept. Every registry workload halts on every `backends` entry
+/// within 468,138 cycles (the largest: `fibonacci` on
+/// `translated:cache`), and a 256-core `producer_consumer` within
+/// 4,501 frontier cycles. The cap is about 200 times the former, so
+/// every halting request fits, while a request that never halts (e.g.
+/// one-core `mailbox`) stops after a bounded run instead of holding a
+/// worker forever.
+const MAX_BUDGET: u64 = 100_000_000;
 
 const WORKLOAD_NAMES: [&str; 8] = [
     "gcd",
@@ -261,6 +272,11 @@ fn parse_budget(words: &mut std::str::SplitWhitespace<'_>) -> Result<Limit, Sess
         .next()
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| protocol("budget needs a numeric bound"))?;
+    if n > MAX_BUDGET {
+        return Err(protocol(&format!(
+            "budget {n} is above the cap of {MAX_BUDGET}"
+        )));
+    }
     match kind {
         "cycles" => Ok(Limit::Cycles(n)),
         "retirements" => Ok(Limit::Retirements(n)),
@@ -380,6 +396,29 @@ mod tests {
             rows[1]
         );
         assert_eq!(rows[2], refused);
+    }
+
+    #[test]
+    fn over_cap_budgets_get_an_error_row_on_every_verb() {
+        let pool = FleetPool::new(1);
+        let input = format!(
+            "run gcd golden retirements {over}\n\
+             park gcd golden cycles {over}\n\
+             resume 00 cycles {over}\n\
+             run gcd golden cycles 18446744073709551615\n\
+             run gcd golden cycles {max}\n",
+            max = MAX_BUDGET,
+            over = MAX_BUDGET + 1,
+        );
+        let mut output = Vec::new();
+        serve(&pool, &mut input.as_bytes(), &mut output, MAX_LINE_BYTES);
+        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert_eq!(rows.len(), 5, "{rows:?}");
+        for row in &rows[..4] {
+            assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
+            assert!(row.contains("above the cap"), "{row}");
+        }
+        assert!(rows[4].contains(r#""checksum_ok":true"#), "{}", rows[4]);
     }
 
     #[test]

@@ -6,17 +6,15 @@
 //!
 //! * **[`FleetPool`]** — a fixed work-stealing thread pool. Epoch
 //!   rounds are work items, so M concurrent sessions × N shards
-//!   multiplex onto a bounded worker population instead of the
-//!   thread-per-shard-per-round discipline of
-//!   [`cabt_exec::run_epochs_parallel`].
-//! * **The pooled epoch scheduler** ([`run_fleet`]) — event-driven:
-//!   the pool job that completes the last shard of a session's epoch
-//!   round performs the barrier exchange and schedules the next round.
-//!   Decisions are made by the *same* [`cabt_exec::plan_epoch_round`] /
-//!   [`cabt_exec::run_shard_to_deadline`] pair the in-process drivers
-//!   use, so the simulation is bit-identical to a plain
-//!   [`Session`](cabt_sim::Session) run — pinned per epoch by a rolling
-//!   [`cabt_exec::fingerprint_engine`] digest chain.
+//!   multiplex onto a bounded worker population.
+//! * **The batch driver** ([`run_fleet`]) — builds every request as a
+//!   [`Session`] with [`SimBuilder`] and hands it
+//!   to the pool with [`Session::spawn_on`]: the session's rounds run
+//!   on the pool executor of the one epoch-round engine in `cabt-exec`,
+//!   so the simulation is bit-identical to a plain `Session` run. This
+//!   crate keeps only request handling, the per-epoch
+//!   [`cabt_exec::fingerprint_engine`] digest chain that pins that
+//!   identity, and result assembly.
 //! * **Portable sessions** — [`cabt_sim::Session::park`] serializes a
 //!   mid-run session to versioned bytes; [`cabt_sim::Session::resume`]
 //!   rebuilds it on any worker, or in another process entirely. The
@@ -38,25 +36,11 @@
 //! # Ok::<(), cabt_sim::SessionError>(())
 //! ```
 
-pub use cabt_exec::pool::{self, FleetPool, Latch};
+pub use cabt_exec::pool::{FleetPool, Latch};
 
-use cabt_exec::{
-    fingerprint_engine, plan_epoch_round, run_shard_to_deadline, EngineStats, EpochPlan,
-    Fingerprint, Limit, StopCause,
-};
-use cabt_platform::ShardArbiter;
+use cabt_exec::{fingerprint_engine, EngineStats, Fingerprint, Limit, StopCause};
 use cabt_sim::{Backend, Session, SessionError, SimBuilder};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Locks a fleet-internal mutex, recovering from poison. A worker that
-/// panicked mid-round poisons the mutexes it held; the values they
-/// guard (shard sessions, counters, logs) stay structurally valid, and
-/// the failed unit is reported as a typed [`SessionError::Service`] —
-/// one lost run must not abort the pool or the whole batch.
-fn lock_ok<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::mpsc;
 
 /// Scheduling epoch (target cycles) used when a request does not name
 /// one — the same default granularity sharded sessions fall back to.
@@ -67,15 +51,17 @@ pub const FLEET_EPOCH_CYCLES: u64 = 4096;
 pub struct FleetRequest {
     /// Named `cabt-workloads` entry (`"gcd"`, `"sieve"`, …).
     pub workload: String,
-    /// The vehicle to run it on. [`Backend::Sharded`] requests are
-    /// decomposed into per-shard work items around a shared device
-    /// fabric; single-core backends become one work item per epoch.
+    /// The vehicle to run it on. Every epoch round of a
+    /// [`Backend::Sharded`] request is one work item per shard; a
+    /// single-core session is one work item per epoch. The sharded
+    /// backend's own schedule is not used.
     pub backend: Backend,
     /// Run budget (frontier cycles or aggregate retirements, exactly as
-    /// [`cabt_sim::Session::run`] interprets them).
+    /// the session's [`cabt_exec::ExecutionEngine::run_until`]
+    /// interprets them).
     pub budget: Limit,
     /// Scheduling epoch in target cycles ([`FLEET_EPOCH_CYCLES`] when
-    /// `None`).
+    /// `None`), passed to [`SimBuilder::shard_epoch`].
     pub epoch: Option<u64>,
 }
 
@@ -151,321 +137,90 @@ impl FleetResult {
     }
 }
 
-/// A fleet session decomposed for the pool: N shard slots (N = 1 for
-/// single-core backends) plus the barrier arbiter of sharded requests.
-struct UnitState {
+/// What a request's result needs besides its finished session.
+struct Unit {
     workload: String,
     backend: Backend,
     expected_d2: u32,
-    budget: Limit,
-    epoch: u64,
-    shards: Vec<Mutex<Session>>,
-    /// `Some` for sharded requests: the canonical device fabric merged
-    /// at every epoch barrier.
-    arbiter: Mutex<Option<ShardArbiter>>,
-    /// Live shards still to finish the current round.
-    remaining: AtomicUsize,
-    /// First fault of the current round (lowest-indexed shard wins at
-    /// collection time; rounds run to the barrier like the parallel
-    /// driver).
-    fault: Mutex<Option<SessionError>>,
-    /// Rounds completed plus the rolling per-epoch digest chain.
-    progress: Mutex<(u64, Fingerprint)>,
-    /// The final outcome, set exactly once.
-    outcome: Mutex<Option<Result<StopCause, SessionError>>>,
 }
 
-impl UnitState {
-    fn build(req: &FleetRequest) -> Result<UnitState, SessionError> {
+/// Epoch rounds completed and the rolling per-epoch digest chain.
+type Progress = (u64, Fingerprint);
+
+impl Unit {
+    fn build(req: &FleetRequest) -> Result<(Unit, Session), SessionError> {
         let expected_d2 = cabt_workloads::by_name(&req.workload)
             .ok_or_else(|| SessionError::UnknownWorkload(req.workload.clone()))?
             .expected_d2;
-        let (shards, arbiter) = match req.backend {
-            // Decompose a sharded backend into fleet-owned shard
-            // sessions around a shared device fabric — the same
-            // construction `Backend::Sharded` performs internally
-            // (private bus clone per shard, core id in `%d15`), built
-            // here from the public surface so every shard is an
-            // independently schedulable work item.
-            Backend::Sharded { cores, backend, .. } => {
-                if cores == 0 {
-                    return Err(SessionError::ShardConfig(
-                        "a sharded fleet request needs at least one core".into(),
-                    ));
-                }
-                let buses: Vec<cabt_platform::SharedSocBus> = (0..cores)
-                    .map(|id| {
-                        cabt_platform::SharedSocBus::new(cabt_platform::shard_soc_bus(
-                            u32::from(id),
-                            u32::from(cores),
-                        ))
-                    })
-                    .collect();
-                let arbiter = ShardArbiter::new(
-                    cabt_platform::mirror_soc_bus(u32::from(cores)),
-                    buses.clone(),
-                );
-                let mut shards = Vec::with_capacity(cores as usize);
-                for id in 0..cores {
-                    let mut builder =
-                        SimBuilder::named(&req.workload).backend(Backend::from(backend));
-                    // RTL shards have no I/O window; the builder ignores
-                    // a bus for them, matching the sharded vehicle.
-                    if !matches!(Backend::from(backend), Backend::Rtl) {
-                        builder = builder.soc_bus(buses[id as usize].clone());
-                    }
-                    let mut shard = builder.build()?;
-                    shard.write_d(15, u32::from(id));
-                    shards.push(Mutex::new(shard));
-                }
-                (shards, Some(arbiter))
-            }
-            backend => {
-                let session = SimBuilder::named(&req.workload).backend(backend).build()?;
-                (vec![Mutex::new(session)], None)
-            }
-        };
-        Ok(UnitState {
+        let session = SimBuilder::named(&req.workload)
+            .backend(req.backend)
+            .shard_epoch(req.epoch.unwrap_or(FLEET_EPOCH_CYCLES))
+            .build()?;
+        let unit = Unit {
             workload: req.workload.clone(),
             backend: req.backend,
             expected_d2,
-            budget: req.budget,
-            epoch: req.epoch.unwrap_or(FLEET_EPOCH_CYCLES).max(1),
-            shards,
-            arbiter: Mutex::new(arbiter),
-            remaining: AtomicUsize::new(0),
-            fault: Mutex::new(None),
-            progress: Mutex::new((0, Fingerprint::new())),
-            outcome: Mutex::new(None),
-        })
-    }
-
-    /// Frontier clock and halt state, as [`cabt_exec::shard_frontier`]
-    /// defines them, over the locked shard slots.
-    fn frontier(&self) -> (u64, bool) {
-        let mut frontier = u64::MAX;
-        let mut all_halted = true;
-        for slot in &self.shards {
-            let shard = lock_ok(slot);
-            if !cabt_exec::ExecutionEngine::is_halted(&*shard) {
-                all_halted = false;
-                frontier = frontier.min(cabt_exec::ExecutionEngine::cycle(&*shard));
-            }
-        }
-        if all_halted {
-            frontier = self
-                .shards
-                .iter()
-                .map(|s| cabt_exec::ExecutionEngine::cycle(&*lock_ok(s)))
-                .max()
-                .unwrap_or(0);
-        }
-        (frontier, all_halted)
-    }
-
-    fn aggregate_retired(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| cabt_exec::ExecutionEngine::engine_stats(&*lock_ok(s)).retired)
-            .sum()
-    }
-
-    fn aggregate_stats(&self) -> EngineStats {
-        let mut agg = EngineStats::default();
-        for slot in &self.shards {
-            let s = cabt_exec::ExecutionEngine::engine_stats(&*lock_ok(slot));
-            agg.retired += s.retired;
-            agg.stall_cycles += s.stall_cycles;
-            agg.cycles = agg.cycles.max(s.cycles);
-        }
-        agg
-    }
-
-    fn commit_all(&self) {
-        for slot in &self.shards {
-            cabt_exec::ExecutionEngine::commit_arch_state(&mut *lock_ok(slot));
-        }
-    }
-
-    /// Barrier work at the end of a round: exchange device state (when
-    /// the unit has a fabric) and extend the per-epoch digest chain.
-    fn complete_round(&self) {
-        if let Some(arbiter) = lock_ok(&self.arbiter).as_mut() {
-            arbiter.exchange();
-        }
-        let mut progress = lock_ok(&self.progress);
-        progress.0 += 1;
-        for slot in &self.shards {
-            let digest = fingerprint_engine(&*lock_ok(slot));
-            progress.1.mix_u64(digest);
-        }
-    }
-
-    /// Records the outcome and releases the caller's handle *before*
-    /// counting down, so the batch driver's `Arc::into_inner` cannot
-    /// race the completing worker.
-    fn finish(self: Arc<Self>, outcome: Result<StopCause, SessionError>, latch: &Latch) {
-        *lock_ok(&self.outcome) = Some(outcome);
-        drop(self);
-        latch.count_down();
-    }
-
-    /// Collects the finished unit into a [`FleetResult`]. Works on a
-    /// shared handle — a worker that has decremented the round counter
-    /// may still hold its `Arc` briefly after the latch fires, so the
-    /// batch driver cannot assume unique ownership.
-    fn take_result(&self) -> Result<FleetResult, SessionError> {
-        let stats = self.aggregate_stats();
-        let stop = lock_ok(&self.outcome).take().ok_or_else(|| {
-            SessionError::Service(
-                "fleet unit finished without an outcome (worker died mid-round)".into(),
-            )
-        })??;
-        let mut digest = Fingerprint::new();
-        for slot in &self.shards {
-            digest.mix_u64(fingerprint_engine(&*lock_ok(slot)));
-        }
-        let uart = match lock_ok(&self.arbiter).as_ref() {
-            Some(arbiter) => arbiter.uart_log(),
-            None => {
-                let shard = lock_ok(&self.shards[0]);
-                shard
-                    .soc_bus_handle()
-                    .map_or_else(Vec::new, |b| b.uart_log())
-            }
         };
-        let d2 = lock_ok(&self.shards[0]).read_d(2);
-        let (epochs, chain) = *lock_ok(&self.progress);
-        Ok(FleetResult {
-            workload: self.workload.clone(),
+        Ok((unit, session))
+    }
+
+    fn result(self, session: &Session, stop: StopCause, (epochs, chain): Progress) -> FleetResult {
+        let uart = match session.sharded_stats() {
+            Some(stats) => stats.uart,
+            None => session
+                .soc_bus_handle()
+                .map_or_else(Vec::new, |b| b.uart_log()),
+        };
+        FleetResult {
+            workload: self.workload,
             backend: self.backend,
             stop,
-            stats,
+            stats: session.stats(),
             epochs,
-            digest: digest.digest(),
+            digest: digest(session),
             epoch_chain: chain.digest(),
-            d2,
+            d2: session.read_d(2),
             expected_d2: self.expected_d2,
             uart,
-        })
-    }
-}
-
-/// What the next round of one unit should do — the fleet-side
-/// reflection of [`cabt_exec::EpochPlan`], extended with the
-/// retirement-budget arithmetic of sharded sessions.
-enum RoundPlan {
-    Done(StopCause),
-    Round {
-        deadline: u64,
-        commit_boundary_halts: bool,
-        live: Vec<usize>,
-    },
-}
-
-fn plan_round(unit: &UnitState) -> RoundPlan {
-    let (frontier, all_halted) = unit.frontier();
-    match unit.budget {
-        Limit::Cycles(max_cycles) => {
-            match plan_epoch_round(frontier, all_halted, max_cycles, unit.epoch) {
-                EpochPlan::LimitReached => RoundPlan::Done(StopCause::LimitReached),
-                EpochPlan::Halted => {
-                    unit.commit_all();
-                    RoundPlan::Done(StopCause::Halted)
-                }
-                EpochPlan::Round { deadline } => RoundPlan::Round {
-                    deadline,
-                    commit_boundary_halts: true,
-                    live: live_below(unit, deadline),
-                },
-            }
-        }
-        // Aggregate retirement budget: the same round arithmetic as the
-        // sharded session driver — room shrinks as the budget drains, a
-        // shard retires at most one unit per cycle, and boundary halts
-        // commit only when the whole set has halted.
-        Limit::Retirements(budget) => {
-            if unit.aggregate_retired() >= budget {
-                return RoundPlan::Done(StopCause::LimitReached);
-            }
-            if all_halted {
-                unit.commit_all();
-                return RoundPlan::Done(StopCause::Halted);
-            }
-            let room = ((budget - unit.aggregate_retired()) / unit.shards.len() as u64)
-                .clamp(1, unit.epoch);
-            let deadline = frontier.saturating_add(room);
-            RoundPlan::Round {
-                deadline,
-                commit_boundary_halts: false,
-                live: live_below(unit, deadline),
-            }
         }
     }
 }
 
-fn live_below(unit: &UnitState, deadline: u64) -> Vec<usize> {
-    unit.shards
-        .iter()
-        .enumerate()
-        .filter(|(_, slot)| {
-            let shard = lock_ok(slot);
-            !cabt_exec::ExecutionEngine::is_halted(&*shard)
-                && cabt_exec::ExecutionEngine::cycle(&*shard) < deadline
-        })
-        .map(|(i, _)| i)
-        .collect()
+/// Every shard's [`fingerprint_engine`] mixed in shard order (the
+/// session itself when single-core).
+fn digest(session: &Session) -> u64 {
+    let mut fp = Fingerprint::new();
+    for i in 0..session.shard_count() {
+        fp.mix_u64(fingerprint_engine(session.shard(i).unwrap_or(session)));
+    }
+    fp.digest()
 }
 
-/// Plans and schedules the unit's next round. Called once per unit from
-/// [`run_fleet`], then again from whichever pool job completes the last
-/// shard of each round — event-driven, no per-session coordinator
-/// thread blocks anywhere.
-fn schedule_round(unit: Arc<UnitState>, core: Arc<pool::PoolCore>, latch: Arc<Latch>) {
-    let fault = lock_ok(&unit.fault).take();
-    if let Some(fault) = fault {
-        unit.finish(Err(fault), &latch);
-        return;
-    }
-    match plan_round(&unit) {
-        RoundPlan::Done(stop) => unit.finish(Ok(stop), &latch),
-        RoundPlan::Round {
-            deadline,
-            commit_boundary_halts,
-            live,
-        } => {
-            unit.remaining.store(live.len(), Ordering::Release);
-            for i in live {
-                let (unit, core2, latch) =
-                    (Arc::clone(&unit), Arc::clone(&core), Arc::clone(&latch));
-                core.push(Box::new(move || {
-                    let result = {
-                        let mut shard = lock_ok(&unit.shards[i]);
-                        run_shard_to_deadline(&mut *shard, deadline, commit_boundary_halts)
-                    };
-                    if let Err(e) = result {
-                        let mut fault = lock_ok(&unit.fault);
-                        if fault.is_none() {
-                            *fault = Some(e);
-                        }
-                    }
-                    if unit.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        unit.complete_round();
-                        schedule_round(unit, Arc::clone(&core2), latch);
-                    }
-                }));
-            }
+/// Runs `session` on the pool under `budget`, extending the epoch
+/// count and digest chain at every barrier. Returns at once; `done`
+/// runs on a pool worker.
+fn spawn_session(
+    pool: &FleetPool,
+    session: Session,
+    budget: Limit,
+    done: impl FnOnce(Result<(Session, StopCause, Progress), SessionError>) + Send + 'static,
+) {
+    let on_barrier = |(epochs, chain): &mut Progress, shards: &[&Session]| {
+        *epochs += 1;
+        for shard in shards {
+            chain.mix_u64(fingerprint_engine(*shard));
         }
-    }
+    };
+    session.spawn_on(pool, budget, (0, Fingerprint::new()), on_barrier, done);
 }
 
 /// Runs every request to completion on the pool and returns the results
 /// in request order. Sessions run *concurrently* — M sessions × N
 /// shards multiplex as epoch-sized work items over the pool's fixed
-/// worker population — but each session's simulation is bit-identical
-/// to a dedicated [`cabt_sim::Session::run`] with the same budget,
-/// whatever the worker count (the per-epoch digest chain in
-/// [`FleetResult::epoch_chain`] is the receipt).
+/// worker population, and no pool job ever blocks — but each session's
+/// simulation is bit-identical to a dedicated [`cabt_sim::Session::run`]
+/// with the same budget, whatever the worker count (the per-epoch
+/// digest chain in [`FleetResult::epoch_chain`] is the receipt).
 ///
 /// Build failures (unknown workload, invalid configuration) are
 /// reported per request; they do not abort the batch.
@@ -473,16 +228,38 @@ pub fn run_fleet(
     pool: &FleetPool,
     requests: &[FleetRequest],
 ) -> Vec<Result<FleetResult, SessionError>> {
-    let mut units: Vec<Result<Arc<UnitState>, SessionError>> = Vec::with_capacity(requests.len());
-    for req in requests {
-        units.push(UnitState::build(req).map(Arc::new));
+    let (tx, rx) = mpsc::channel();
+    let mut results: Vec<Option<Result<FleetResult, SessionError>>> = Vec::new();
+    for (i, req) in requests.iter().enumerate() {
+        match Unit::build(req) {
+            Ok((unit, session)) => {
+                let tx = tx.clone();
+                spawn_session(pool, session, req.budget, move |ran| {
+                    let result = ran.map(|(s, stop, progress)| unit.result(&s, stop, progress));
+                    // The batch waits below until every unit has sent.
+                    let _ = tx.send((i, result));
+                });
+                results.push(None);
+            }
+            Err(e) => results.push(Some(Err(e))),
+        }
     }
-    let latch = Arc::new(Latch::new(units.iter().filter(|u| u.is_ok()).count()));
-    for unit in units.iter().flatten() {
-        schedule_round(Arc::clone(unit), pool.core(), Arc::clone(&latch));
+    // Every unit's completion holds a sender; the loop ends once all
+    // of them have reported or been dropped.
+    drop(tx);
+    for (i, result) in rx {
+        results[i] = Some(result);
     }
-    latch.wait();
-    units.into_iter().map(|unit| unit?.take_result()).collect()
+    results
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|| {
+                Err(SessionError::Service(
+                    "fleet unit finished without an outcome".into(),
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Convenience single-session entry: one request, run to completion on
@@ -645,17 +422,66 @@ mod tests {
         donor.run(Limit::Cycles(50_000_000)).unwrap();
         let expected = fingerprint_engine(&donor);
 
-        let latch = Arc::new(Latch::new(1));
-        let slot: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
-        let (l2, s2) = (Arc::clone(&latch), Arc::clone(&slot));
+        let (tx, rx) = mpsc::channel();
         pool.spawn(move || {
             let mut resumed = Session::resume(&parked).unwrap();
             resumed.run(Limit::Cycles(50_000_000)).unwrap();
-            *s2.lock().unwrap() = Some(fingerprint_engine(&resumed));
-            l2.count_down();
+            tx.send(fingerprint_engine(&resumed)).unwrap();
         });
-        latch.wait();
-        assert_eq!(slot.lock().unwrap().unwrap(), expected);
+        assert_eq!(rx.recv().unwrap(), expected);
+    }
+
+    /// Four golden shards; odd shards take a wild `ji` to an address
+    /// that depends on their core id, so shards 1 and 3 fault
+    /// differently in the same round.
+    const SHARD_FAULTS: &str = "
+        .text
+        .global _start
+    _start:
+        and    %d11, %d15, 1
+        jnz    %d11, faulter
+        mov    %d12, 300
+    spin:
+        addi   %d12, %d12, -1
+        jnz    %d12, spin
+        debug
+    faulter:
+        movh   %d13, 0x4000
+        add    %d13, %d15
+        add    %d13, %d15
+        mov.a  %a4, %d13
+        ji     %a4
+    ";
+
+    #[test]
+    fn fleet_reports_the_lowest_faulting_shard_like_a_sequential_run() {
+        let build = || {
+            SimBuilder::asm(SHARD_FAULTS)
+                .backend(Backend::sharded(4, Backend::golden()))
+                .shard_epoch(FLEET_EPOCH_CYCLES)
+                .build()
+                .unwrap()
+        };
+        let budget = Limit::Cycles(1_000_000);
+        let expected = build().run(budget).unwrap_err();
+        let mut shard3 = build();
+        assert_ne!(
+            shard3.shard_mut(3).unwrap().run(budget).unwrap_err(),
+            expected,
+            "the odd shards must fault differently"
+        );
+        let pool = FleetPool::new(4);
+        for attempt in 0..20 {
+            let (tx, rx) = mpsc::channel();
+            spawn_session(&pool, build(), budget, move |ran| {
+                tx.send(ran.map(|(_, _, (epochs, _))| epochs)).unwrap();
+            });
+            assert_eq!(
+                rx.recv().unwrap(),
+                Err(expected.clone()),
+                "attempt {attempt}"
+            );
+        }
     }
 
     fn cabt_core_detail() -> cabt_core::DetailLevel {

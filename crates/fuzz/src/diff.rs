@@ -17,7 +17,7 @@
 //!   vehicle by design), plus guest memory windows and UART byte
 //!   sequences. Cycle counts differ across vehicles by design and are
 //!   never compared here.
-//! * **Sharded**: the sequential and thread-parallel schedulers are
+//! * **Sharded**: the sequential and pooled schedulers are
 //!   driven through an *identical* chunked run-call sequence (epoch
 //!   barriers land where run calls put them) and must produce
 //!   element-wise equal digest chains, equal per-shard finals, equal
@@ -50,7 +50,7 @@ pub struct MatrixOptions {
     pub rtl_max_retired: u64,
     /// Translation detail levels to sweep.
     pub levels: Vec<DetailLevel>,
-    /// Shard counts for the sequential/parallel/pooled schedule sweep.
+    /// Shard counts for the sequential/pooled schedule sweep.
     pub shard_cores: Vec<u16>,
 }
 
@@ -475,9 +475,10 @@ fn run_final(
     }
 }
 
-/// Drives the sequential, parallel and pooled sharded schedulers
-/// through an identical chunked run-call sequence and compares their
-/// chains and final states — seq≡par≡pooled, fuzzed continuously.
+/// Drives the sequential and pooled sharded schedulers (the inline and
+/// the pool executor of the epoch-round engine) through an identical
+/// chunked run-call sequence and compares their chains and final
+/// states — seq≡pooled, fuzzed continuously.
 fn sharded_schedule_check(
     elf: &ElfFile,
     cores: u16,
@@ -487,43 +488,36 @@ fn sharded_schedule_check(
 ) {
     let check = format!("sharded-schedule:{cores}x:{base}");
     let seq_b = Backend::sharded(cores, base);
-    let par_b = Backend::sharded_parallel(cores, base);
     let pool_b = Backend::sharded_pooled(cores, 2, base);
-    let (mut seq, mut par, mut pool) =
-        match (build(elf, seq_b), build(elf, par_b), build(elf, pool_b)) {
-            (Ok(a), Ok(b), Ok(c)) => (a, b, c),
-            (a, b, c) => {
-                let e = a.err().or(b.err()).or(c.err()).expect("one side failed");
-                out.push(Divergence {
-                    check: check.clone(),
-                    detail: format!("session build failed: {e}"),
-                });
-                return;
-            }
-        };
+    let (mut seq, mut pool) = match (build(elf, seq_b), build(elf, pool_b)) {
+        (Ok(a), Ok(b)) => (a, b),
+        (a, b) => {
+            let e = a.err().or(b.err()).expect("one side failed");
+            out.push(Divergence {
+                check: check.clone(),
+                detail: format!("session build failed: {e}"),
+            });
+            return;
+        }
+    };
     let mut seq_chain = DigestChain::new();
-    let mut par_chain = DigestChain::new();
     let mut pool_chain = DigestChain::new();
     let cap = opts.cycle_cap.saturating_mul(4);
     let mut deadline = 0u64;
     loop {
         deadline += opts.shard_chunk;
         let se = run_to(&mut seq, Limit::Cycles(deadline));
-        let pe = run_to(&mut par, Limit::Cycles(deadline));
         let oe = run_to(&mut pool, Limit::Cycles(deadline));
         let sd = seq_chain.record(&seq);
-        let pd = par_chain.record(&par);
         let od = pool_chain.record(&pool);
-        if sd != pd || se != pe || sd != od || se != oe {
+        if sd != od || se != oe {
             out.push(Divergence {
                 check: check.clone(),
                 detail: format!(
-                    "schedulers diverged at chunk {} (deadline {deadline}): sequential {:?} {} vs parallel {:?} {} vs pooled {:?} {}",
+                    "schedulers diverged at chunk {} (deadline {deadline}): sequential {:?} {} vs pooled {:?} {}",
                     seq_chain.len() - 1,
                     se,
                     seq.stats(),
-                    pe,
-                    par.stats(),
                     oe,
                     pool.stats(),
                 ),
@@ -546,7 +540,7 @@ fn sharded_schedule_check(
     }
     // Per-shard architectural finals and the merged device log.
     for i in 0..usize::from(cores) {
-        let (Some(a), Some(b), Some(c)) = (seq.shard(i), par.shard(i), pool.shard(i)) else {
+        let (Some(a), Some(b)) = (seq.shard(i), pool.shard(i)) else {
             break;
         };
         let mut d = Vec::new();
@@ -554,16 +548,8 @@ fn sharded_schedule_check(
             &check,
             "sequential",
             &final_state(a),
-            "parallel",
-            &final_state(b),
-            &mut d,
-        );
-        diff_finals(
-            &check,
-            "sequential",
-            &final_state(a),
             "pooled",
-            &final_state(c),
+            &final_state(b),
             &mut d,
         );
         if let Some(mut dv) = d.pop() {
@@ -572,21 +558,7 @@ fn sharded_schedule_check(
             return;
         }
     }
-    let (ss, ps, os) = (
-        seq.sharded_stats(),
-        par.sharded_stats(),
-        pool.sharded_stats(),
-    );
-    if let (Some(ss), Some(ps), Some(os)) = (ss, ps, os) {
-        if ss.uart != ps.uart || ss.epochs != ps.epochs || ss.aggregate != ps.aggregate {
-            out.push(Divergence {
-                check: check.clone(),
-                detail: format!(
-                    "sharded stats mismatch: sequential {:?}/{} epochs vs parallel {:?}/{} epochs",
-                    ss.aggregate, ss.epochs, ps.aggregate, ps.epochs
-                ),
-            });
-        }
+    if let (Some(ss), Some(os)) = (seq.sharded_stats(), pool.sharded_stats()) {
         if ss.uart != os.uart || ss.epochs != os.epochs || ss.aggregate != os.aggregate {
             out.push(Divergence {
                 check: check.clone(),
@@ -597,7 +569,6 @@ fn sharded_schedule_check(
             });
         }
     }
-    diff_memory(&check, elf, &mut seq, &mut par, out);
     diff_memory(&check, elf, &mut seq, &mut pool, out);
 }
 
@@ -838,7 +809,7 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
                 }
             }
         }
-        // Sharded sequential-vs-parallel, and the mid-epoch snapshot
+        // Sharded sequential-vs-pooled, and the mid-epoch snapshot
         // probes over the suspected tiers.
         for &cores in &opts.shard_cores {
             checks += 2;

@@ -22,8 +22,8 @@
 //! ([`SocPeripheral::merge_state`]) into one canonical image, which is
 //! then broadcast back into every shard's bus. Because shards never
 //! touch each other's devices *inside* an epoch, the protocol is
-//! schedule-independent — the sequential round-robin scheduler and the
-//! thread-parallel scheduler produce bit-identical runs — and every
+//! schedule-independent — the sequential and the pooled shard
+//! schedulers produce bit-identical runs — and every
 //! type in the exchange is `Send`, so shards can run on worker threads.
 
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
@@ -1016,8 +1016,8 @@ impl SharedSocBus {
 /// ([`SocBus::merge_states`]) and broadcasts the result back into
 /// every shard's bus. The merge is a pure function of the states, so a
 /// run's device behaviour is identical whatever host schedule executed
-/// the epoch — which is exactly what makes the sequential and
-/// thread-parallel shard schedulers bit-identical.
+/// the epoch — which is exactly what makes the sequential and pooled
+/// shard schedulers bit-identical.
 ///
 /// The arbiter holds the canonical state in a private *mirror* bus (a
 /// device population never attached to any engine); mid-epoch

@@ -42,6 +42,7 @@
 pub mod analyze;
 
 use cabt_core::{DetailLevel, Granularity, TranslateError, Translated, Translator};
+use cabt_exec::pool::{run_epochs_pooled, spawn_epochs_pooled, FleetPool};
 use cabt_exec::trace::{TraceConfig, TraceStats};
 use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
@@ -91,9 +92,8 @@ pub enum Backend {
     /// `ShardArbiter` merges them in fixed shard order into one
     /// canonical image broadcast back to every shard — so runs, and
     /// snapshot-restore replays, are deterministic and *schedule
-    /// independent*: the sequential round-robin scheduler and the
-    /// thread-parallel scheduler ([`ShardSchedule`]) produce
-    /// bit-identical state. Each shard is seeded with its core id in
+    /// independent*: both [`ShardSchedule`]s produce bit-identical
+    /// state. Each shard is seeded with its core id in
     /// source register `%d15` (shard 0 keeps the conventional
     /// single-core role), which is how SPMD workloads like
     /// `producer_consumer` pick their role; each shard's bus also
@@ -111,31 +111,25 @@ pub enum Backend {
     },
 }
 
-/// How a sharded session's epoch rounds execute on the host.
+/// How a sharded session's epoch rounds execute on the host: which
+/// executor of the one epoch-round engine in `cabt-exec` runs them.
 ///
-/// All schedules run the *same* deterministic protocol — identical
-/// epoch deadlines, identical barrier exchanges — and therefore
-/// produce bit-identical simulations; they differ only in wall-clock
-/// scaling. `tests/parallel_determinism.rs` pins the equivalence.
+/// Both schedules run the *same* deterministic protocol — one round
+/// plan, one per-shard body, one barrier placement — and therefore
+/// produce bit-identical simulations under every budget; they differ
+/// only in wall-clock scaling. `tests/parallel_determinism.rs` pins
+/// the equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardSchedule {
-    /// One host thread runs every shard round-robin
-    /// (`cabt_exec::run_epochs_sharded`).
+    /// The inline executor: one host thread runs every shard in shard
+    /// order (`cabt_exec::run_epochs_sharded`).
     #[default]
     Sequential,
-    /// One worker thread per live shard per round
-    /// (`cabt_exec::run_epochs_parallel`): aggregate throughput scales
-    /// with host cores, not just simulated ones.
-    Parallel,
-    /// Shard rounds as work items on a fixed worker pool
-    /// (`cabt_exec::pool::run_epochs_pooled`): no thread is spawned per
-    /// round, so host parallelism stays bounded at NoC scale (64–256
-    /// shards on a handful of workers). The value is the worker count;
-    /// `0` sizes the pool to the host's available parallelism. The
-    /// pool schedules cycle-bounded runs; retirement-budgeted rounds
-    /// (the stepping/debug path) run sequentially — the rounds are
-    /// schedule-independent, so the result is bit-identical either
-    /// way.
+    /// The pool executor: shard rounds as work items on a fixed worker
+    /// pool (`cabt_exec::pool::run_epochs_pooled`), so host parallelism
+    /// stays bounded at NoC scale (64–256 shards on a handful of
+    /// workers). The value is the worker count; `0` sizes the pool to
+    /// the host's available parallelism.
     Pooled(u16),
 }
 
@@ -243,18 +237,6 @@ impl Backend {
         Self::sharded_with_schedule(cores, base, ShardSchedule::Sequential)
     }
 
-    /// A sharded multi-core session run by the thread-parallel
-    /// scheduler: one worker thread per shard per epoch round,
-    /// bit-identical to [`Backend::sharded`] but scaling with host
-    /// cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is itself [`Backend::Sharded`].
-    pub fn sharded_parallel(cores: u16, base: Backend) -> Self {
-        Self::sharded_with_schedule(cores, base, ShardSchedule::Parallel)
-    }
-
     /// A sharded multi-core session scheduled on a fixed worker pool:
     /// epoch rounds become pool work items instead of per-round
     /// threads, bit-identical to [`Backend::sharded`] but scaling to
@@ -336,7 +318,6 @@ impl fmt::Display for Backend {
                 schedule,
             } => match schedule {
                 ShardSchedule::Sequential => write!(f, "sharded-{cores}x:{backend}"),
-                ShardSchedule::Parallel => write!(f, "sharded-{cores}x-par:{backend}"),
                 ShardSchedule::Pooled(workers) => {
                     write!(f, "sharded-{cores}x-pool{workers}:{backend}")
                 }
@@ -356,33 +337,33 @@ impl fmt::Display for Backend {
 ///     assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
 /// }
 /// assert_eq!(
-///     "sharded-4x-par:translated:cache:compiled".parse::<Backend>().unwrap(),
-///     Backend::sharded_parallel(4, Backend::translated_compiled(cabt_core::DetailLevel::Cache)),
+///     "sharded-4x:translated:cache:compiled".parse::<Backend>().unwrap(),
+///     Backend::sharded(4, Backend::translated_compiled(cabt_core::DetailLevel::Cache)),
 /// );
 /// assert_eq!(
 ///     "sharded-64x-pool8:golden".parse::<Backend>().unwrap(),
 ///     Backend::sharded_pooled(64, 8, Backend::golden()),
 /// );
+/// // The retired thread-per-shard schedule is a typed error.
+/// assert!(matches!(
+///     "sharded-4x-par:golden".parse::<Backend>(),
+///     Err(cabt_sim::SessionError::ParseBackend(_)),
+/// ));
 /// ```
 impl std::str::FromStr for Backend {
     type Err = SessionError;
 
     fn from_str(s: &str) -> Result<Self, SessionError> {
         let err = || SessionError::ParseBackend(s.to_string());
-        // `sharded-{N}x:{base}` / `sharded-{N}x-par:{base}` /
-        // `sharded-{N}x-pool{W}:{base}`.
+        // `sharded-{N}x:{base}` / `sharded-{N}x-pool{W}:{base}`.
         if let Some(rest) = s.strip_prefix("sharded-") {
             let (head, base) = rest.split_once(':').ok_or_else(err)?;
-            let (digits, schedule) = if let Some((d, w)) = head.split_once("x-pool") {
-                (d, ShardSchedule::Pooled(w.parse().map_err(|_| err())?))
-            } else {
-                match head.strip_suffix("x-par") {
-                    Some(d) => (d, ShardSchedule::Parallel),
-                    None => (
-                        head.strip_suffix('x').ok_or_else(err)?,
-                        ShardSchedule::Sequential,
-                    ),
-                }
+            let (digits, schedule) = match head.split_once("x-pool") {
+                Some((d, w)) => (d, ShardSchedule::Pooled(w.parse().map_err(|_| err())?)),
+                None => (
+                    head.strip_suffix('x').ok_or_else(err)?,
+                    ShardSchedule::Sequential,
+                ),
             };
             let cores: u16 = digits.parse().map_err(|_| err())?;
             return match base.parse()? {
@@ -812,8 +793,9 @@ impl SimBuilder {
     /// `SyncRate` generation epoch where the platform configuration
     /// bounds one, else a fixed fallback. Larger epochs amortize
     /// barrier cost (better parallel scaling); smaller epochs tighten
-    /// cross-shard visibility latency. Ignored by single-core
-    /// backends. Clamped to ≥ 1.
+    /// cross-shard visibility latency. A single-core session uses it
+    /// only as its round length when handed to a pool
+    /// ([`Session::spawn_on`]). Clamped to ≥ 1.
     pub fn shard_epoch(mut self, target_cycles: u64) -> Self {
         self.shard_epoch = Some(target_cycles.max(1));
         self
@@ -1234,12 +1216,15 @@ impl fmt::Debug for SessionSnapshot {
 /// forever waiting for traffic from a shard that never gets to run.
 const SHARD_EPOCH_CYCLES: u64 = 4096;
 
-/// Minimum round length (target cycles) worth paying a worker-thread
-/// spawn per shard for: retirement-budgeted rounds whose cycle room
-/// has drained below this run on the calling thread instead — rounds
-/// are schedule-independent, so the result is bit-identical either
-/// way.
-const PARALLEL_MIN_ROUND_CYCLES: u64 = 256;
+/// A panic in a pool job, as a typed service error.
+fn pool_job_panicked(payload: Box<dyn std::any::Any + Send>) -> SessionError {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message");
+    SessionError::Service(format!("a pool job panicked: {msg}"))
+}
 
 /// Per-shard and aggregate statistics of a [`Backend::Sharded`]
 /// session.
@@ -1275,7 +1260,7 @@ struct ShardSet {
     step_exchange_at: u64,
     /// The worker pool of [`ShardSchedule::Pooled`] runs, built lazily
     /// on the first pooled run and reused for the session's lifetime.
-    pool: Option<cabt_exec::pool::FleetPool>,
+    pool: Option<FleetPool>,
 }
 
 impl ShardSet {
@@ -1389,115 +1374,49 @@ impl ShardSet {
             .map(|(i, _)| i)
     }
 
-    /// Runs cycle-bounded epochs on the session's worker pool: shards
-    /// and arbiter move into the run (pool jobs are `'static`) and come
-    /// back when it completes. The schedule decisions are the same
-    /// `plan_epoch_round` the in-process drivers use, so the result is
-    /// bit-identical to them.
-    fn run_cycles_pooled(
-        &mut self,
-        max_cycles: u64,
-        workers: u16,
-    ) -> Result<StopCause, SessionError> {
-        let pool = self.pool.get_or_insert_with(|| {
-            if workers == 0 {
-                cabt_exec::pool::FleetPool::with_host_parallelism()
-            } else {
-                cabt_exec::pool::FleetPool::new(usize::from(workers))
-            }
-        });
-        let shards = std::mem::take(&mut self.shards);
-        let arbiter = std::mem::replace(
-            &mut self.arbiter,
-            ShardArbiter::new(cabt_platform::mirror_soc_bus(0), Vec::new()),
-        );
-        let out = cabt_exec::pool::run_epochs_pooled(
-            pool,
-            shards,
-            arbiter,
-            max_cycles,
-            self.epoch,
-            true,
-            |arb| {
-                arb.exchange();
-            },
-        );
-        self.shards = out.shards;
-        self.arbiter = out.ctx;
-        out.stop
+    /// Moves the shards and the arbiter out for a pool run, leaving an
+    /// empty fabric behind until the run hands them back.
+    fn take_fabric(&mut self) -> (Vec<Session>, ShardArbiter) {
+        let idle = ShardArbiter::new(cabt_platform::mirror_soc_bus(0), Vec::new());
+        let arbiter = std::mem::replace(&mut self.arbiter, idle);
+        (std::mem::take(&mut self.shards), arbiter)
     }
 
+    /// Re-arms the single-step path's barrier bookkeeping from
+    /// wherever a run left the frontier (runs exchange per round on
+    /// their own).
+    fn rearm_step_exchange(&mut self) {
+        self.step_exchange_at = self.frontier().saturating_add(self.epoch);
+    }
+
+    /// Epoch rounds under any budget, on the schedule's executor. The
+    /// pooled schedule moves the shards and arbiter into the run (pool
+    /// jobs are `'static`) on the session's own worker pool, built on
+    /// the first pooled run.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
-        if let (Limit::Cycles(c), ShardSchedule::Pooled(workers)) = (limit, self.schedule) {
-            let result = self.run_cycles_pooled(c, workers);
-            self.step_exchange_at = self.frontier().saturating_add(self.epoch);
-            return result;
-        }
-        let ShardSet {
-            shards,
-            arbiter,
-            epoch,
-            schedule,
-            ..
-        } = self;
-        let result = match limit {
-            Limit::Cycles(c) => match schedule {
-                ShardSchedule::Sequential | ShardSchedule::Pooled(_) => {
-                    cabt_exec::run_epochs_sharded(shards, c, *epoch, |_| {
-                        arbiter.exchange();
-                    })
-                }
-                ShardSchedule::Parallel => {
-                    cabt_exec::run_epochs_parallel(shards, c, *epoch, |_| {
-                        arbiter.exchange();
-                    })
-                }
-            },
-            Limit::Retirements(r) => {
-                // Epoch rounds against an aggregate retirement budget.
-                // Cycle deadlines shrink as the budget drains (a shard
-                // retires at most one unit per cycle), so the final
-                // rounds advance one unit per shard and the aggregate
-                // overshoots by fewer than `cores` units. The round body
-                // is identical under both schedules (no boundary-halt
-                // commit inside the round — the all-halted branch
-                // commits), so sequential and parallel stay
-                // bit-identical here too.
-                loop {
-                    let retired: u64 = shards.iter().map(|s| s.engine_stats().retired).sum();
-                    if retired >= r {
-                        break Ok(StopCause::LimitReached);
-                    }
-                    let (frontier, all_halted) = cabt_exec::shard_frontier(shards.as_slice());
-                    if all_halted {
-                        for s in shards.iter_mut() {
-                            s.commit_arch_state();
-                        }
-                        break Ok(StopCause::Halted);
-                    }
-                    let room = ((r - retired) / shards.len() as u64).clamp(1, *epoch);
-                    let deadline = frontier.saturating_add(room);
-                    // Tiny endgame rounds (the budget drained to a few
-                    // cycles of room) are not worth a worker spawn per
-                    // shard: rounds are schedule-independent, so the
-                    // sequential body is observably identical.
-                    let parallel_worthwhile = room >= PARALLEL_MIN_ROUND_CYCLES;
-                    match schedule {
-                        ShardSchedule::Parallel if parallel_worthwhile => {
-                            cabt_exec::run_shard_round_parallel(shards, deadline, false)?;
-                        }
-                        _ => {
-                            cabt_exec::run_shard_round_sequential(shards, deadline, false)?;
-                        }
-                    }
+        let stop = match self.schedule {
+            ShardSchedule::Sequential => {
+                let arbiter = &mut self.arbiter;
+                cabt_exec::run_epochs_sharded(&mut self.shards, limit, self.epoch, |_| {
                     arbiter.exchange();
-                }
+                })
+            }
+            ShardSchedule::Pooled(workers) => {
+                let (shards, arbiter) = self.take_fabric();
+                let pool = self.pool.get_or_insert_with(|| match workers {
+                    0 => FleetPool::with_host_parallelism(),
+                    n => FleetPool::new(usize::from(n)),
+                });
+                let out = run_epochs_pooled(pool, shards, arbiter, limit, self.epoch, |arb, _| {
+                    arb.exchange();
+                });
+                self.shards = out.shards;
+                self.arbiter = out.ctx;
+                out.stop
             }
         };
-        // Re-arm the single-step path's barrier bookkeeping from
-        // wherever the run left the frontier.
-        self.step_exchange_at = self.frontier().saturating_add(self.epoch);
-        result
+        self.rearm_step_exchange();
+        stop
     }
 
     /// Barrier check of the interleaved single-step path: once the
@@ -1709,6 +1628,68 @@ impl Session {
             Vehicle::Golden { sim, .. } => sim.trace_plans(),
             _ => Vec::new(),
         }
+    }
+
+    /// Hands the session to `pool` and returns at once: its epoch
+    /// rounds run under `limit` on the pool executor of the epoch-round
+    /// engine ([`cabt_exec::pool::spawn_epochs_pooled`]), and no pool
+    /// job ever blocks. A sharded session submits its shards and its
+    /// arbiter, whatever its own schedule; a single-core session runs
+    /// as a one-shard set without an arbiter, in rounds of its
+    /// [`SimBuilder::shard_epoch`] (4096 cycles by default). Budgets
+    /// mean what they mean to [`ExecutionEngine::run_until`]; epoch and
+    /// stop observers do not fire.
+    ///
+    /// After every round's barrier exchange, `on_barrier` gets `state`
+    /// and read access to the shards (the session itself when it is
+    /// single-core). `done` runs on a pool worker when the run stops
+    /// and gets the session, the stop cause and `state` back — or the
+    /// fault of the lowest-numbered faulting shard (the session is
+    /// dropped), or [`SessionError::Service`] if a pool job panicked.
+    pub fn spawn_on<S: Send + 'static>(
+        mut self,
+        pool: &FleetPool,
+        limit: Limit,
+        state: S,
+        mut on_barrier: impl FnMut(&mut S, &[&Session]) + Send + 'static,
+        done: impl FnOnce(Result<(Session, StopCause, S), SessionError>) + Send + 'static,
+    ) {
+        let Vehicle::Sharded(set) = &mut self.vehicle else {
+            let epoch = self.config.shard_epoch.unwrap_or(SHARD_EPOCH_CYCLES);
+            return spawn_epochs_pooled(pool, vec![self], state, limit, epoch, on_barrier, |ran| {
+                done(ran.map_err(pool_job_panicked).and_then(|mut out| {
+                    let stop = out.stop?;
+                    let session = out.shards.pop().ok_or_else(|| {
+                        SessionError::Service("a pooled run lost its session".into())
+                    })?;
+                    Ok((session, stop, out.ctx))
+                }));
+            });
+        };
+        let (shards, arbiter) = set.take_fabric();
+        let epoch = set.epoch;
+        spawn_epochs_pooled(
+            pool,
+            shards,
+            (arbiter, state),
+            limit,
+            epoch,
+            move |(arbiter, state), shards| {
+                arbiter.exchange();
+                on_barrier(state, shards);
+            },
+            move |ran| {
+                done(ran.map_err(pool_job_panicked).and_then(|out| {
+                    let (arbiter, state) = out.ctx;
+                    if let Vehicle::Sharded(set) = &mut self.vehicle {
+                        set.shards = out.shards;
+                        set.arbiter = arbiter;
+                        set.rearm_step_exchange();
+                    }
+                    Ok((self, out.stop?, state))
+                }));
+            },
+        );
     }
 
     /// Per-shard and aggregate counters plus the merged UART log —
@@ -2236,11 +2217,12 @@ impl ExecutionEngine for Session {
     }
 
     /// See the trait contract — identical across backends. On sharded
-    /// sessions the budget binds the *frontier* clock (the
+    /// sessions a `Cycles` budget binds the *frontier* clock (the
     /// least-advanced live shard) and execution advances in
-    /// epoch-synchronized rounds via [`cabt_exec::run_epochs_sharded`];
-    /// aggregate `Retirements` budgets may overshoot by fewer than
-    /// `cores` units (shards advance in lockstep).
+    /// epoch-synchronized rounds planned by
+    /// `cabt_exec::plan_shard_round`; aggregate `Retirements` budgets
+    /// may overshoot by fewer than `cores` units (shards advance in
+    /// lockstep).
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
         match &mut self.vehicle {
             // Both ShardSet paths check the budget before the halt on
@@ -2512,7 +2494,6 @@ mod tests {
         for base in singles {
             for schedule in [
                 ShardSchedule::Sequential,
-                ShardSchedule::Parallel,
                 ShardSchedule::Pooled(0),
                 ShardSchedule::Pooled(8),
             ] {
@@ -2537,6 +2518,7 @@ mod tests {
             "sharded-99999x:golden",
             "sharded-4x-pool:golden",
             "sharded-4x-poolx:golden",
+            "sharded-4x-par:golden",
             "sharded-2x:sharded-2x:golden",
             "rtl:compiled",
         ] {

@@ -1,5 +1,5 @@
 //! Multi-core sharding: N cores, private device clones reconciled at
-//! epoch barriers, one session — under ALL THREE shard schedules.
+//! epoch barriers, one session — under BOTH shard schedules.
 //!
 //! `Backend::Sharded` builds N copies of any single-core vehicle, each
 //! around a *private* clone of the SoC device population (timer, UART,
@@ -7,11 +7,12 @@
 //! epoch at a time; at every barrier the `ShardArbiter` reconciles the
 //! per-shard device states (O(traffic) delta journals; idle devices
 //! are skipped). Because shards never touch each other's state inside
-//! an epoch, the sequential round-robin scheduler, the thread-parallel
-//! scheduler (one worker thread per shard per round) and the *pooled*
-//! scheduler (epoch rounds as work items on a fixed fleet pool)
-//! produce **bit-identical** runs — this example proves it end to end,
-//! then proves snapshot → restore → rerun replays bit-identically too.
+//! an epoch, the sequential scheduler (every shard on the calling
+//! thread) and the *pooled* scheduler (epoch rounds as work items on a
+//! fixed fleet pool) produce **bit-identical** runs — both are
+//! executors of one epoch-round engine. This example proves it end to
+//! end, then proves snapshot → restore → rerun replays bit-identically
+//! too.
 //!
 //! The bundled `producer_consumer` workload is SPMD: every core runs
 //! the same image and picks its role from the core id seeded into
@@ -46,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .build()
         };
 
-        // Run the same workload under both schedulers.
         let mut session = build(ShardSchedule::Sequential)?;
 
         // Snapshot mid-handoff, finish, then prove the replay.
@@ -84,30 +84,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
 
-        // ...the THREAD-PARALLEL scheduler must reproduce the run
-        // bit-identically (one worker thread per shard per epoch
-        // round, same barrier exchanges). Epoch barriers land where
-        // the run calls put them, so the parallel session is driven
-        // through the *same* call sequence.
-        let mut parallel = build(ShardSchedule::Parallel)?;
-        parallel.run_until(Limit::Cycles(500))?;
-        parallel.run(Limit::Cycles(50_000_000))?;
-        let pstats = parallel.sharded_stats().expect("sharded");
-        assert_eq!(
-            pstats, stats,
-            "parallel scheduler must be bit-identical to sequential"
-        );
-        for i in 0..cores as usize {
-            assert_eq!(
-                parallel.shard(i).expect("shard").read_d(2),
-                session.shard(i).expect("shard").read_d(2),
-                "core {i}: parallel checksum"
-            );
-        }
-        println!("  parallel scheduler ({cores} worker threads): bit-identical");
-
-        // ...the POOLED scheduler too (epoch rounds as work items on a
-        // fixed two-worker fleet pool — no per-round thread spawns)...
+        // ...the POOLED scheduler must reproduce the run
+        // bit-identically (epoch rounds as work items on a fixed
+        // two-worker fleet pool, same barrier exchanges). Epoch
+        // barriers land where the run calls put them, so the pooled
+        // session is driven through the *same* call sequence.
         let mut pooled = build(ShardSchedule::Pooled(2))?;
         pooled.run_until(Limit::Cycles(500))?;
         pooled.run(Limit::Cycles(50_000_000))?;
@@ -116,19 +97,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats,
             "pooled scheduler must be bit-identical to sequential"
         );
+        for i in 0..cores as usize {
+            assert_eq!(
+                pooled.shard(i).expect("shard").read_d(2),
+                session.shard(i).expect("shard").read_d(2),
+                "core {i}: pooled checksum"
+            );
+        }
         println!("  pooled scheduler (2 pool workers): bit-identical");
 
         // ...and a snapshot captured under one scheduler replays
         // bit-identically under the other: snapshots pin simulation
         // state, not the host schedule.
-        parallel.restore(&snap);
-        parallel.run(Limit::Cycles(50_000_000))?;
+        pooled.restore(&snap);
+        pooled.run(Limit::Cycles(50_000_000))?;
         assert_eq!(
-            parallel.sharded_stats().expect("sharded"),
+            pooled.sharded_stats().expect("sharded"),
             stats,
             "restore-replay across schedulers must be bit-identical"
         );
-        println!("  snapshot (sequential) -> restore -> parallel rerun: bit-identical\n");
+        println!("  snapshot (sequential) -> restore -> pooled rerun: bit-identical\n");
     }
 
     // -- NoC scale: 64 cores on the fleet pool, doorbell mailboxes,

@@ -4,8 +4,7 @@
 # profile-guided trace dispatch comparison — golden and VLIW cores on
 # every tier, with per-workload trace-formation stats — the sharded
 # multi-core throughput scaling 1->2->4->8->64->256 cores with paired
-# scheduler rows (sequential/parallel on narrow fabrics,
-# sequential/pooled at NoC scale), the epoch-barrier cost table
+# sequential/pooled scheduler rows, the epoch-barrier cost table
 # (O(traffic) delta barrier vs the full-image baseline, ns/epoch at
 # 8/64/256 cores), and the fleet service at 1/10/100/1000 concurrent
 # sessions with paired 1-worker/4-worker pool rows — sessions/sec plus
@@ -24,8 +23,8 @@
 # pairing measures scheduling overhead there, not parallel speedup.
 #
 # `bench.sh --smoke` runs a tiny-budget pass instead (CI keep-alive
-# for the bench paths, covering ALL THREE shard schedules — the pooled
-# schedule runs at 2 cores — the barrier-cost harness, and all FOUR
+# for the bench paths, covering both shard schedules at 1 and 2
+# cores, the barrier-cost harness, and all FOUR
 # dispatch cores: the trace tier is exercised on every bundled fig5
 # workload with an eager formation config, and the bench asserts
 # traces actually form) and does NOT touch BENCH_fig5.json.

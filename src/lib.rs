@@ -20,7 +20,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
-//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the work-stealing `exec::pool::FleetPool`; single-core, sharded sequential, thread-parallel and pool-scheduled epoch drivers |
+//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the work-stealing `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
 //! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (pre-decoded, block-compiled and trace-compiled dispatch cores) |
 //! | [`vliw`] | target VLIW ISA, binary container format, simulator (pre-decoded, closure-compiled and trace dispatch cores) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
@@ -29,7 +29,7 @@
 //! | [`sim`] | **the front door**: `SimBuilder`/`Session` over every execution vehicle, single-core or sharded (up to 256 cores, with live shard migration via `park_shard`/`adopt_shard`); versioned portable park/resume bytes; the `sim::analyze` lint surface behind the `cabt-analyze` binary |
 //! | [`debug`] | generic lockstep driver, dual-translation debugger + RSP packet layer |
 //! | [`workloads`] | the paper's benchmark programs (plus the multi-core `producer_consumer` and the doorbell all-to-all `mailbox`) |
-//! | [`fleet`] | **the session service**: work-stealing epoch-scheduler pool multiplexing M sessions × N shards, batch driver, `fleet-server` binary |
+//! | [`fleet`] | **the session service**: a batch driver that hands built sessions to the work-stealing pool (M sessions × N shards as epoch-round jobs), per-epoch digest chains, `fleet-server` binary |
 //! | [`fuzz`] | **continuous differential fuzzing**: seed-reproducible program generator, full-matrix comparison on per-epoch digest chains, shrinker to minimal reproducers, `cabt-fuzz` binary |
 //!
 //! Execution comes in four dispatch tiers, all bit-identical and all
@@ -85,13 +85,14 @@
 //! delivers CoreLink doorbell messages (per-shard MMIO: core-id
 //! register plus per-core mailboxes, `docs/sharding.md`). Because
 //! shards are isolated inside an epoch, the run is *schedule
-//! independent*: the sequential round-robin scheduler
-//! ([`cabt_exec::run_epochs_sharded`]), the thread-parallel
-//! scheduler ([`cabt_exec::run_epochs_parallel`], one worker thread
-//! per shard, aggregate throughput scaling with host cores) and the
-//! pooled scheduler ([`cabt_exec::run_epochs_pooled`], shard rounds
-//! as work items on a fixed `FleetPool` — the NoC-scale driver)
-//! produce bit-identical runs — same session lifecycle, merged UART
+//! independent*: one epoch-round engine plans every round
+//! (`cabt_exec::plan_shard_round`) and runs it on one of two
+//! executors — inline on the calling thread
+//! ([`cabt_exec::run_epochs_sharded`], the sequential schedule) or as
+//! work items on a fixed `FleetPool`
+//! ([`cabt_exec::pool::run_epochs_pooled`], the pooled schedule and the
+//! NoC-scale driver) — and both produce bit-identical runs: the same
+//! session lifecycle, merged UART
 //! logs, per-shard plus aggregate statistics, live shard migration at
 //! barriers ([`cabt_sim::Session::park_shard`]/`adopt_shard`), pinned
 //! by `tests/parallel_determinism.rs`:
@@ -109,12 +110,12 @@
 //! assert_eq!(mc.shard(1).unwrap().read_d(2), w.expected_d2);
 //! assert_eq!(mc.sharded_stats().unwrap().uart.len(), 2);
 //!
-//! // The thread-parallel scheduler simulates the identical run.
-//! let mut par = SimBuilder::workload(&w)
-//!     .backend(Backend::sharded_parallel(2, Backend::translated(DetailLevel::Static)))
+//! // The pooled scheduler (two pool workers) simulates the identical run.
+//! let mut pooled = SimBuilder::workload(&w)
+//!     .backend(Backend::sharded_pooled(2, 2, Backend::translated(DetailLevel::Static)))
 //!     .build()?;
-//! par.run(Limit::Cycles(50_000_000))?;
-//! assert_eq!(par.sharded_stats(), mc.sharded_stats());
+//! pooled.run(Limit::Cycles(50_000_000))?;
+//! assert_eq!(pooled.sharded_stats(), mc.sharded_stats());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

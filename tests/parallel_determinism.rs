@@ -1,9 +1,7 @@
 //! The determinism contract of concurrent shard execution:
-//! `ShardSchedule::Parallel` (one worker thread per shard per epoch
-//! round, `cabt_exec::run_epochs_parallel`) and
 //! `ShardSchedule::Pooled` (rounds as work items on a fixed pool,
-//! `cabt_exec::pool::run_epochs_pooled`) must both be **bit-identical**
-//! to `ShardSchedule::Sequential` (round-robin,
+//! `cabt_exec::pool::run_epochs_pooled`), at two and more workers, must
+//! be **bit-identical** to `ShardSchedule::Sequential` (one thread,
 //! `cabt_exec::run_epochs_sharded`) — per-shard registers, per-shard
 //! data memory, cycle counts, `EngineStats`, the merged UART log, the
 //! canonical SoC device state, and the stop cause all have to match,
@@ -136,7 +134,7 @@ fn assert_schedules_agree(label: &str, w: &Workload, cores: u16, base: Backend, 
         observe(&mut s, Some(stop))
     };
     let seq = drive(ShardSchedule::Sequential);
-    let par = drive(ShardSchedule::Parallel);
+    let par = drive(ShardSchedule::Pooled(2));
     let pooled = drive(ShardSchedule::Pooled(3));
     assert_eq!(
         seq, par,
@@ -161,7 +159,7 @@ fn producer_consumer_is_schedule_independent_at_2_4_8_shards() {
         ] {
             assert_schedules_agree("producer_consumer", &w, cores, base, BUDGET);
             // And the parallel run is *correct*, not just consistent.
-            let mut s = build(&w, cores, base, ShardSchedule::Parallel);
+            let mut s = build(&w, cores, base, ShardSchedule::Pooled(2));
             assert_eq!(s.run_until(BUDGET).unwrap(), StopCause::Halted);
             for i in 0..cores as usize {
                 assert_eq!(
@@ -218,7 +216,7 @@ fn every_base_backend_runs_parallel_shards() {
     };
     for base in Backend::all() {
         assert_schedules_agree("sum10", &sum, 3, base, BUDGET);
-        let mut s = build(&sum, 3, base, ShardSchedule::Parallel);
+        let mut s = build(&sum, 3, base, ShardSchedule::Pooled(2));
         assert_eq!(s.run_until(BUDGET).unwrap(), StopCause::Halted, "{base}");
         for i in 0..3 {
             assert_eq!(s.shard(i).unwrap().read_d(2), 55, "{base} shard {i}");
@@ -342,7 +340,7 @@ fn randomized_spmd_programs_are_schedule_independent() {
                     (digest, full, s.is_halted(), uart_len)
                 };
                 let (dseq, fseq, halted, uart_len) = drive(ShardSchedule::Sequential);
-                let (dpar, fpar, _, _) = drive(ShardSchedule::Parallel);
+                let (dpar, fpar, _, _) = drive(ShardSchedule::Pooled(2));
                 assert_eq!(
                     dseq, dpar,
                     "seed {seed:#x} ({cores}x{base}): parallel digest diverged — replay with \
@@ -372,7 +370,7 @@ fn repeated_parallel_runs_are_deterministic() {
             &w,
             4,
             Backend::translated(DetailLevel::Static),
-            ShardSchedule::Parallel,
+            ShardSchedule::Pooled(2),
         );
         let stop = s.run_until(BUDGET).expect("runs");
         observe(&mut s, Some(stop))
@@ -385,7 +383,7 @@ fn repeated_parallel_runs_are_deterministic() {
         &w,
         4,
         Backend::translated(DetailLevel::Static),
-        ShardSchedule::Parallel,
+        ShardSchedule::Pooled(2),
     );
     s.run_until(BUDGET).expect("runs");
     s.reset();
@@ -423,7 +421,7 @@ fn parallel_shard_types_are_send_clean() {
 // --- NoC-scale cases: 64-shard fabric --------------------------------
 
 /// The tentpole claim at NoC scale: a 64-shard producer/consumer run is
-/// bit-identical across all three schedules, and the pooled run is
+/// bit-identical across the schedules, and the pooled run is
 /// *correct* (every consumer sees the producer's checksum through the
 /// barrier-exchanged scratch RAM).
 #[test]
@@ -439,7 +437,7 @@ fn noc_scale_64_shard_fabric_is_schedule_independent() {
     let seq = drive(ShardSchedule::Sequential);
     assert_eq!(
         seq,
-        drive(ShardSchedule::Parallel),
+        drive(ShardSchedule::Pooled(2)),
         "64x parallel diverged from sequential"
     );
     assert_eq!(
@@ -556,7 +554,7 @@ fn shard_buses_are_private_to_each_shard() {
         &w,
         4,
         Backend::translated(DetailLevel::Static),
-        ShardSchedule::Parallel,
+        ShardSchedule::Pooled(2),
     );
     let handles: Vec<cabt_platform::SharedSocBus> = (0..4)
         .map(|i| {

@@ -300,7 +300,7 @@ fn golden_and_translated_timers_agree() {
 }
 
 /// Snapshots are *schedule-independent*: an image captured mid-flight
-/// in a thread-parallel sharded session restores into a sequential
+/// in a pooled sharded session restores into a sequential
 /// session (and vice versa), and both replay to bit-identical state —
 /// per-shard checksums, aggregate stats, merged UART log. A snapshot
 /// pins simulation state, not the host schedule that produced it.
@@ -318,9 +318,9 @@ fn sharded_snapshots_are_schedule_independent() {
                 .build()
                 .unwrap()
         };
-        // Run k epochs under the PARALLEL scheduler, snapshot
-        // mid-handoff, finish parallel.
-        let mut par = build(ShardSchedule::Parallel);
+        // Run k epochs under the POOLED scheduler, snapshot
+        // mid-handoff, finish pooled.
+        let mut par = build(ShardSchedule::Pooled(2));
         par.run_until(Limit::Cycles(500)).unwrap();
         let snap = par.snapshot();
         par.run_until(Limit::Cycles(50_000_000)).unwrap();
@@ -345,8 +345,8 @@ fn sharded_snapshots_are_schedule_independent() {
         assert_eq!(d2_seq, d2_par, "{cores} cores: replay checksums diverged");
 
         // And back the other way: the same image replays identically
-        // under the parallel scheduler too.
-        let mut par2 = build(ShardSchedule::Parallel);
+        // under the pooled scheduler too.
+        let mut par2 = build(ShardSchedule::Pooled(2));
         par2.restore(&snap);
         par2.run_until(Limit::Cycles(50_000_000)).unwrap();
         assert_eq!(par2.sharded_stats().unwrap(), end_par, "{cores} cores");
