@@ -45,14 +45,14 @@ fn main() {
         );
     }
 
-    // Dispatch-core comparison: the decode-once, block-compilation and
-    // trace-tier refactors' headline (naive seed vs pre-decoded table
-    // vs fused closure blocks vs profile-guided superblock traces).
+    // Dispatch-core comparison: the decode-once and trace-tier
+    // refactors' headline (naive seed vs pre-decoded table vs
+    // profile-guided superblock traces over fused closure blocks).
     // Workloads are sized so each timed run lasts milliseconds — small
     // programs drown in timer noise. Smoke runs shrink the workloads
     // but keep all three so the trace tier is exercised everywhere; an
     // eager config makes traces form inside the tiny budgets.
-    println!("\ndispatch throughput (naive vs pre-decoded vs compiled vs trace):");
+    println!("\ndispatch throughput (naive vs pre-decoded vs trace):");
     let rows = if smoke {
         let eager = TraceConfig {
             warmup: 1_000_000,
@@ -94,22 +94,18 @@ fn main() {
     };
     for r in &rows {
         println!(
-            "  {:<8} level {:<14} golden {:>7.2} -> {:>7.2} -> {:>7.2} -> {:>7.2} MIPS ({:.2}x pre, {:.2}x compiled, {:.2}x trace)   vliw {:>7.2} -> {:>7.2} -> {:>7.2} -> {:>7.2} Mpkt/s ({:.2}x pre, {:.2}x compiled, {:.2}x trace)",
+            "  {:<8} level {:<14} golden {:>7.2} -> {:>7.2} -> {:>7.2} MIPS ({:.2}x pre, {:.2}x trace)   vliw {:>7.2} -> {:>7.2} -> {:>7.2} Mpkt/s ({:.2}x pre, {:.2}x trace)",
             r.workload,
             r.level.to_string(),
             r.golden_naive_mips,
             r.golden_predecoded_mips,
-            r.golden_compiled_mips,
             r.golden_trace_mips,
             r.golden_speedup(),
-            r.golden_compiled_speedup(),
             r.golden_trace_speedup(),
             r.vliw_naive_mpps,
             r.vliw_predecoded_mpps,
-            r.vliw_compiled_mpps,
             r.vliw_trace_mpps,
             r.vliw_speedup(),
-            r.vliw_compiled_speedup(),
             r.vliw_trace_speedup(),
         );
         println!(

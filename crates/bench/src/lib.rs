@@ -475,11 +475,10 @@ pub fn trace_prediction(w: &Workload, cfg: TraceConfig) -> TracePredictionRow {
     }
 }
 
-/// Host-side dispatch throughput of the naive, pre-decoded,
-/// block-/closure-compiled and profile-guided trace engine cores on one
-/// workload — the headline measurement of the decode-once, block-
-/// compilation and trace-tier refactors, emitted to `BENCH_fig5.json`
-/// by the `fig5_speed` bench.
+/// Host-side dispatch throughput of the naive, pre-decoded and
+/// profile-guided trace engine cores on one workload — the headline
+/// measurement of the decode-once and trace-tier refactors, emitted to
+/// `BENCH_fig5.json` by the `fig5_speed` bench.
 #[derive(Debug, Clone)]
 pub struct DispatchComparison {
     /// Workload name.
@@ -491,8 +490,6 @@ pub struct DispatchComparison {
     pub golden_naive_mips: f64,
     /// Golden model, pre-decoded core.
     pub golden_predecoded_mips: f64,
-    /// Golden model, block-compiled closure core.
-    pub golden_compiled_mips: f64,
     /// Golden model, profile-guided trace core.
     pub golden_trace_mips: f64,
     /// Translated image on the platform, naive VLIW core: million
@@ -500,8 +497,6 @@ pub struct DispatchComparison {
     pub vliw_naive_mpps: f64,
     /// Translated image, pre-decoded VLIW core.
     pub vliw_predecoded_mpps: f64,
-    /// Translated image, closure-compiled VLIW core.
-    pub vliw_compiled_mpps: f64,
     /// Translated image, trace-tier VLIW core.
     pub vliw_trace_mpps: f64,
     /// Trace coverage of the golden trace run.
@@ -516,21 +511,9 @@ impl DispatchComparison {
         self.golden_predecoded_mips / self.golden_naive_mips
     }
 
-    /// Block-compiled over *pre-decoded* speedup of the golden model —
-    /// the block-compilation headline (compiled vs. the already-fast
-    /// interpreter, not vs. the naive seed).
-    pub fn golden_compiled_speedup(&self) -> f64 {
-        self.golden_compiled_mips / self.golden_predecoded_mips
-    }
-
     /// Pre-decoded over naive packet-dispatch speedup of the VLIW core.
     pub fn vliw_speedup(&self) -> f64 {
         self.vliw_predecoded_mpps / self.vliw_naive_mpps
-    }
-
-    /// Closure-compiled over pre-decoded packet-dispatch speedup.
-    pub fn vliw_compiled_speedup(&self) -> f64 {
-        self.vliw_compiled_mpps / self.vliw_predecoded_mpps
     }
 
     /// Trace tier over *pre-decoded* speedup of the golden model — the
@@ -539,20 +522,10 @@ impl DispatchComparison {
         self.golden_trace_mips / self.golden_predecoded_mips
     }
 
-    /// Trace tier over block-compiled speedup of the golden model.
-    pub fn golden_trace_over_compiled(&self) -> f64 {
-        self.golden_trace_mips / self.golden_compiled_mips
-    }
-
     /// Trace tier over pre-decoded packet-dispatch speedup of the VLIW
     /// core.
     pub fn vliw_trace_speedup(&self) -> f64 {
         self.vliw_trace_mpps / self.vliw_predecoded_mpps
-    }
-
-    /// Trace tier over closure-compiled packet-dispatch speedup.
-    pub fn vliw_trace_over_compiled(&self) -> f64 {
-        self.vliw_trace_mpps / self.vliw_compiled_mpps
     }
 
     /// Renders one JSON object (hand-rolled; the workspace is
@@ -562,40 +535,32 @@ impl DispatchComparison {
             concat!(
                 "{{\"workload\":\"{}\",\"level\":\"{}\",",
                 "\"golden_naive_mips\":{:.3},\"golden_predecoded_mips\":{:.3},",
-                "\"golden_compiled_mips\":{:.3},\"golden_trace_mips\":{:.3},",
-                "\"golden_speedup\":{:.3},\"golden_compiled_speedup\":{:.3},",
-                "\"golden_trace_speedup\":{:.3},\"golden_trace_over_compiled\":{:.3},",
+                "\"golden_trace_mips\":{:.3},",
+                "\"golden_speedup\":{:.3},\"golden_trace_speedup\":{:.3},",
                 "\"vliw_naive_mpps\":{:.3},\"vliw_predecoded_mpps\":{:.3},",
-                "\"vliw_compiled_mpps\":{:.3},\"vliw_trace_mpps\":{:.3},",
-                "\"vliw_speedup\":{:.3},\"vliw_compiled_speedup\":{:.3},",
-                "\"vliw_trace_speedup\":{:.3},\"vliw_trace_over_compiled\":{:.3},",
+                "\"vliw_trace_mpps\":{:.3},",
+                "\"vliw_speedup\":{:.3},\"vliw_trace_speedup\":{:.3},",
                 "\"golden_trace_stats\":{},\"vliw_trace_stats\":{}}}"
             ),
             self.workload,
             self.level,
             self.golden_naive_mips,
             self.golden_predecoded_mips,
-            self.golden_compiled_mips,
             self.golden_trace_mips,
             self.golden_speedup(),
-            self.golden_compiled_speedup(),
             self.golden_trace_speedup(),
-            self.golden_trace_over_compiled(),
             self.vliw_naive_mpps,
             self.vliw_predecoded_mpps,
-            self.vliw_compiled_mpps,
             self.vliw_trace_mpps,
             self.vliw_speedup(),
-            self.vliw_compiled_speedup(),
             self.vliw_trace_speedup(),
-            self.vliw_trace_over_compiled(),
             self.golden_trace.to_json(),
             self.vliw_trace.to_json(),
         )
     }
 }
 
-/// Measures naive vs. pre-decoded vs. compiled vs. trace dispatch
+/// Measures naive vs. pre-decoded vs. trace dispatch
 /// throughput on `w`: the golden model interpreting source code, and
 /// the translated image (at `level`) dispatching execute packets on the
 /// platform. The trace rows run under `trace_cfg` (each timed run
@@ -653,9 +618,6 @@ pub fn compare_dispatch(
     let golden_predecoded_mips = throughput(Backend::Golden {
         dispatch: DispatchMode::Predecoded,
     });
-    let golden_compiled_mips = throughput(Backend::Golden {
-        dispatch: DispatchMode::Compiled,
-    });
     let (golden_trace_mips, golden_trace) = measure(Backend::Golden {
         dispatch: DispatchMode::Trace,
     });
@@ -667,10 +629,6 @@ pub fn compare_dispatch(
         level,
         dispatch: VliwDispatch::Predecoded,
     });
-    let vliw_compiled_mpps = throughput(Backend::Translated {
-        level,
-        dispatch: VliwDispatch::Compiled,
-    });
     let (vliw_trace_mpps, vliw_trace) = measure(Backend::Translated {
         level,
         dispatch: VliwDispatch::Trace,
@@ -680,11 +638,9 @@ pub fn compare_dispatch(
         level,
         golden_naive_mips,
         golden_predecoded_mips,
-        golden_compiled_mips,
         golden_trace_mips,
         vliw_naive_mpps,
         vliw_predecoded_mpps,
-        vliw_compiled_mpps,
         vliw_trace_mpps,
         golden_trace: golden_trace.expect("trace stats on the golden trace backend"),
         vliw_trace: vliw_trace.expect("trace stats on the VLIW trace backend"),
@@ -912,7 +868,7 @@ pub fn barrier_cost(cores: u16, words_per_epoch: u32, epochs: u32) -> BarrierCos
             buses.iter().map(SharedSocBus::save_state).collect();
         let merged = mirror.merge_states(&canonical, &imgs);
         for bus in &buses {
-            bus.restore_state(&merged);
+            bus.restore_state(&merged).expect("merged images decode");
         }
         canonical = merged;
         if e >= 3 {

@@ -30,7 +30,7 @@ use cabt_exec::ExecutionEngine;
 use cabt_isa::elf::ElfFile;
 use cabt_sim::{Backend, Session, SessionError, SimBuilder};
 use cabt_tricore::isa::{AReg, DReg};
-use cabt_vliw::sim::VliwError;
+use cabt_vliw::sim::{VliwDispatch, VliwError};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -359,14 +359,15 @@ impl DebugSession {
             return Err(DebugError::BadBackend(builder.selected_backend()));
         };
         // The lockstep contract is one source instruction per boundary,
-        // so the trace tier (whole fused packet runs per step) is
-        // downgraded to its packet-granular compiled core; other
-        // dispatch modes pass through unchanged.
+        // so the trace tier (whole fused packet runs per step) runs on
+        // the packet-granular pre-decoded core; other dispatch modes
+        // pass through unchanged.
+        let dispatch = match dispatch {
+            VliwDispatch::Trace => VliwDispatch::Predecoded,
+            other => other,
+        };
         let session = builder
-            .backend(Backend::Translated {
-                level,
-                dispatch: dispatch.debug_downgrade(),
-            })
+            .backend(Backend::Translated { level, dispatch })
             .granularity(Granularity::PerInstruction)
             .build()?;
         let elf = session.source_elf();
@@ -575,7 +576,7 @@ mod tests {
     #[test]
     fn trace_backends_downgrade_to_packet_stepping() {
         // A trace-tier builder is accepted, but the lockstep session
-        // runs on the packet-granular compiled core — single-stepping
+        // runs on the packet-granular pre-decoded core — single-stepping
         // still stops at every source instruction.
         use cabt_core::DetailLevel;
         let mut dbg = DebugSession::from_builder(
@@ -586,9 +587,9 @@ mod tests {
             dbg.lockstep().engine().backend(),
             Backend::Translated {
                 level: DetailLevel::Static,
-                dispatch: cabt_vliw::sim::VliwDispatch::Compiled,
+                dispatch: VliwDispatch::Predecoded,
             },
-            "debugger must downgrade Trace to Compiled"
+            "debugger must run Trace builders on Predecoded"
         );
         dbg.step().unwrap();
         assert_eq!(dbg.read_reg("d0").unwrap(), 3);

@@ -2,7 +2,7 @@
 //! layer — the substrate of the trace-compiled dispatch tier.
 //!
 //! The paper's progression is "compile ever-larger units": instructions
-//! (pre-decode), basic blocks (the compiled cores), and finally *hot
+//! (pre-decode), basic blocks (closure-compiled at load), and finally *hot
 //! paths* spanning several blocks. This module hosts the engine-neutral
 //! half of that last step, mirroring [`blocks`](crate::blocks): the
 //! per-block profile counters an engine collects during its warm-up
@@ -11,7 +11,7 @@
 //! formation/coverage counters the bench harness reports
 //! ([`TraceStats`]). What a *formed* trace looks like — fused closure
 //! runs on the golden model, a packet-run window on the VLIW core — is
-//! engine-specific and lives with each compiled core.
+//! engine-specific and lives with each core's trace tier.
 //!
 //! The tier is profile-guided but still deterministic: counters advance
 //! only with the engine's own (deterministic) execution, so the same

@@ -10,7 +10,7 @@
 //!
 //! run <workload> <backend> cycles|retirements <n>
 //!     Run the named workload on the backend descriptor (see
-//!     `Backend` `Display`/`FromStr`, e.g. `golden:compiled`,
+//!     `Backend` `Display`/`FromStr`, e.g. `golden:trace`,
 //!     `sharded-4x-pool2:translated:cache`) under the budget.
 //!     → {"ok":true,"workload":...,"stats":{...},"uart":"..."}
 //! park <workload> <backend> cycles|retirements <n>
@@ -378,6 +378,7 @@ fn hex_decode(hex: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cabt_sim::SimBuilder;
 
     #[test]
     fn over_long_lines_get_an_error_row_and_the_conversation_goes_on() {
@@ -419,6 +420,40 @@ mod tests {
             assert!(row.contains("above the cap"), "{row}");
         }
         assert!(rows[4].contains(r#""checksum_ok":true"#), "{}", rows[4]);
+    }
+
+    #[test]
+    fn corrupt_park_images_get_an_error_row_and_serving_goes_on() {
+        let pool = FleetPool::new(1);
+        let mut s = SimBuilder::named("gcd")
+            .backend(Backend::translated(cabt_core::DetailLevel::Cache))
+            .build()
+            .unwrap();
+        s.run(Limit::Retirements(500)).unwrap();
+        let mut parked = s.park().unwrap();
+        // The park ends with the bus image: a device count, then each
+        // device image as a u64 length and its bytes — the Timer first,
+        // 12 bytes long. Cut the Timer image to 3 bytes.
+        let mut bus = Vec::new();
+        s.soc_bus_state()
+            .expect("translated bus")
+            .encode_into(&mut bus);
+        let at = parked.len() - bus.len();
+        assert_eq!(parked[at + 8..at + 16], 12u64.to_le_bytes());
+        parked.splice(
+            at + 8..at + 28,
+            [&3u64.to_le_bytes()[..], &bus[16..19]].concat(),
+        );
+        let input = format!(
+            "resume {} cycles 1000000\nrun gcd golden cycles {MAX_BUDGET}\n",
+            hex_encode(&parked)
+        );
+        let mut output = Vec::new();
+        serve(&pool, &mut input.as_bytes(), &mut output, MAX_LINE_BYTES);
+        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(rows[0].starts_with(r#"{"ok":false,"#), "{}", rows[0]);
+        assert!(rows[1].contains(r#""checksum_ok":true"#), "{}", rows[1]);
     }
 
     #[test]

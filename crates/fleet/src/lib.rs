@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn fleet_matches_dedicated_session_on_single_core_backends() {
         let pool = FleetPool::new(2);
-        for backend in [Backend::golden(), Backend::golden_compiled()] {
+        for backend in [Backend::golden(), Backend::golden_trace()] {
             let req = FleetRequest::named("gcd")
                 .backend(backend)
                 .budget(Limit::Cycles(50_000_000));
@@ -415,7 +415,7 @@ mod tests {
         // Park on this thread, resume and finish inside a pool job —
         // the migration the portable snapshot format exists for.
         let pool = FleetPool::new(2);
-        let backend = Backend::translated_compiled(cabt_core_detail());
+        let backend = Backend::translated_trace(cabt_core_detail());
         let mut donor = SimBuilder::named("gcd").backend(backend).build().unwrap();
         donor.run(Limit::Retirements(500)).unwrap();
         let parked = donor.park().unwrap();

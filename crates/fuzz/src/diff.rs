@@ -712,11 +712,7 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
 
     // In-family chains: golden tiers against the naive golden.
     let mut cross: Vec<(String, FinalState)> = Vec::new();
-    for subject in [
-        Backend::golden(),
-        Backend::golden_compiled(),
-        Backend::golden_trace(),
-    ] {
+    for subject in [Backend::golden(), Backend::golden_trace()] {
         checks += 1;
         let f = family_chain(
             &format!("family-chain:{subject}"),
@@ -750,11 +746,7 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
             opts,
             &mut div,
         );
-        for subject in [
-            Backend::translated(level),
-            Backend::translated_compiled(level),
-            Backend::translated_trace(level),
-        ] {
+        for subject in [Backend::translated(level), Backend::translated_trace(level)] {
             checks += 1;
             let f = family_chain(
                 &format!("family-chain:{subject}"),

@@ -52,9 +52,17 @@ pub trait SocPeripheral: Send {
         Vec::new()
     }
     /// Restores state produced by [`SocPeripheral::save_state`] on the
-    /// same device type. The default pairs with the default
-    /// `save_state`: nothing to restore.
-    fn restore_state(&mut self, _state: &[u8]) {}
+    /// same device type. The whole image is decoded before anything
+    /// changes, so a short, over-long or corrupt image leaves the device
+    /// as it was. The default pairs with the default `save_state`: only
+    /// the empty image restores.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] if `state` is not a well-formed image.
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), CodecError> {
+        ByteReader::new(state).finish()
+    }
     /// Deterministically merges per-shard state images into one
     /// canonical image — the epoch-barrier reduction of a sharded run.
     /// `base` is the canonical image every shard started the epoch
@@ -190,7 +198,6 @@ impl SocBus {
         Self::default()
     }
 
-    /// Attaches a peripheral.
     /// The `(first, last_exclusive)` address windows of every attached
     /// device, in attach order — the MMIO half of the static
     /// analyzer's valid-address map.
@@ -250,21 +257,27 @@ impl SocBus {
 
     /// Restores a [`SocBus::save_state`] image into this bus.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the image was captured from a bus with a different
-    /// device count — state is positional, so the device population
-    /// must match.
-    pub fn restore_state(&mut self, state: &SocBusState) {
-        assert_eq!(
-            state.devices.len(),
-            self.devices.len(),
-            "SocBusState captured from a bus with a different device population"
-        );
+    /// Returns a [`CodecError`] — before touching any device — if the
+    /// image was captured from a bus with a different device count
+    /// (state is positional, so the device population must match), or
+    /// from the first device whose image does not decode. That device
+    /// is unchanged, but the devices before it already hold their new
+    /// images: callers restoring untrusted bytes restore into a bus
+    /// they can discard or roll back.
+    pub fn restore_state(&mut self, state: &SocBusState) -> Result<(), CodecError> {
+        if state.devices.len() != self.devices.len() {
+            return Err(CodecError::BadLength {
+                what: "bus device images",
+                len: state.devices.len() as u64,
+            });
+        }
         for (dev, img) in self.devices.iter_mut().zip(&state.devices) {
-            dev.restore_state(img);
+            dev.restore_state(img)?;
         }
         self.transactions = state.transactions;
+        Ok(())
     }
 
     /// Merges per-shard bus states into one canonical image: each
@@ -346,7 +359,9 @@ impl SocBus {
     }
 
     fn device_restore(&mut self, i: usize, state: &[u8]) {
-        self.devices[i].restore_state(state);
+        self.devices[i]
+            .restore_state(state)
+            .expect("barrier images come from the same device type");
     }
 
     fn device_merge(&self, i: usize, base: &[u8], shards: &[&[u8]]) -> Vec<u8> {
@@ -447,12 +462,16 @@ impl SocPeripheral for Timer {
         out
     }
 
-    fn restore_state(&mut self, state: &[u8]) {
-        self.epoch = get_u64(state, 0);
-        self.compare = get_u32(state, 8);
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(state);
+        let (epoch, compare) = (r.u64()?, r.u32()?);
+        r.finish()?;
+        self.epoch = epoch;
+        self.compare = compare;
         // Conservative: the restored state may diverge from the
         // arbiter's canonical image, so the next barrier must look.
         self.dirty = true;
+        Ok(())
     }
 
     fn barrier_dirty(&self) -> bool {
@@ -542,9 +561,22 @@ impl SocPeripheral for Uart {
         out
     }
 
-    fn restore_state(&mut self, state: &[u8]) {
-        self.exchanged = get_u64(state, 0) as usize;
-        self.log = Self::decode_entries(&state[8..]).collect();
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(state);
+        let exchanged = r.u64()?;
+        let mut log = Vec::with_capacity(r.remaining() / 9);
+        while r.remaining() > 0 {
+            log.push((r.u64()?, r.u8()?));
+        }
+        if exchanged > log.len() as u64 {
+            return Err(CodecError::BadLength {
+                what: "UART exchanged prefix",
+                len: exchanged,
+            });
+        }
+        self.exchanged = exchanged as usize;
+        self.log = log;
+        Ok(())
     }
 
     /// The log is append-only within an epoch, so every shard image is
@@ -636,17 +668,17 @@ impl ScratchRam {
         out
     }
 
-    fn decode(state: &[u8]) -> (HashMap<u32, u32>, std::collections::BTreeSet<u32>) {
-        let njournal = get_u64(state, 0) as usize;
-        let journal = state[8..8 + 4 * njournal]
-            .chunks_exact(4)
-            .map(|c| get_u32(c, 0))
-            .collect();
-        let words = state[8 + 4 * njournal..]
-            .chunks_exact(8)
-            .map(|c| (get_u32(c, 0), get_u32(c, 4)))
-            .collect();
-        (words, journal)
+    fn decode(
+        state: &[u8],
+    ) -> Result<(HashMap<u32, u32>, std::collections::BTreeSet<u32>), CodecError> {
+        let mut r = ByteReader::new(state);
+        let njournal = r.count("scratch-RAM journal", 4)?;
+        let journal = (0..njournal).map(|_| r.u32()).collect::<Result<_, _>>()?;
+        let mut words = HashMap::new();
+        while r.remaining() > 0 {
+            words.insert(r.u32()?, r.u32()?);
+        }
+        Ok((words, journal))
     }
 }
 
@@ -688,10 +720,9 @@ impl SocPeripheral for ScratchRam {
         Self::encode(&self.words, &self.journal)
     }
 
-    fn restore_state(&mut self, state: &[u8]) {
-        let (words, journal) = Self::decode(state);
-        self.words = words;
-        self.journal = journal;
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), CodecError> {
+        (self.words, self.journal) = Self::decode(state)?;
+        Ok(())
     }
 
     /// Word-granular merge: every journaled write is applied in shard
@@ -702,9 +733,10 @@ impl SocPeripheral for ScratchRam {
     /// normally reconciles the RAM through the O(traffic)
     /// barrier-delta path instead, with the same write-wins rule.)
     fn merge_state(&self, base: &[u8], shards: &[&[u8]]) -> Vec<u8> {
-        let (mut merged, mut journal) = Self::decode(base);
+        let decode = |img| Self::decode(img).expect("merge inputs are scratch-RAM images");
+        let (mut merged, mut journal) = decode(base);
         for img in shards {
-            let (words, shard_journal) = Self::decode(img);
+            let (words, shard_journal) = decode(img);
             for &addr in &shard_journal {
                 merged.insert(addr, words.get(&addr).copied().unwrap_or(0));
             }
@@ -850,18 +882,18 @@ impl SocPeripheral for CoreLink {
         out
     }
 
-    fn restore_state(&mut self, state: &[u8]) {
-        let ninbox = get_u64(state, 0) as usize;
-        self.inbox = state[8..8 + 4 * ninbox]
-            .chunks_exact(4)
-            .map(|c| get_u32(c, 0))
-            .collect();
-        let at = 8 + 4 * ninbox;
-        let noutbox = get_u64(state, at) as usize;
-        self.outbox = state[at + 8..at + 8 + 12 * noutbox]
-            .chunks_exact(12)
-            .map(|c| (get_u32(c, 0), get_u32(c, 4), get_u32(c, 8)))
-            .collect();
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(state);
+        let ninbox = r.count("CoreLink inbox", 4)?;
+        let inbox = (0..ninbox).map(|_| r.u32()).collect::<Result<_, _>>()?;
+        let noutbox = r.count("CoreLink outbox", 12)?;
+        let outbox = (0..noutbox)
+            .map(|_| Ok((r.u32()?, r.u32()?, r.u32()?)))
+            .collect::<Result<_, CodecError>>()?;
+        r.finish()?;
+        self.inbox = inbox;
+        self.outbox = outbox;
+        Ok(())
     }
 
     /// O(traffic) barrier exchange: only the sends of the epoch travel.
@@ -963,11 +995,11 @@ impl SharedSocBus {
 
     /// Restores a captured bus state (see [`SocBus::restore_state`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a device-population mismatch.
-    pub fn restore_state(&self, state: &SocBusState) {
-        self.lock().restore_state(state);
+    /// See [`SocBus::restore_state`].
+    pub fn restore_state(&self, state: &SocBusState) -> Result<(), CodecError> {
+        self.lock().restore_state(state)
     }
 
     /// True if `other` is a handle to the same underlying bus.
@@ -1188,9 +1220,10 @@ impl ShardArbiter {
     /// Resets the whole device fabric to `initial`: the mirror and
     /// every shard bus are restored and the epoch counter cleared.
     pub fn reset(&mut self, initial: &SocBusState) {
-        self.mirror.restore_state(initial);
+        let expect = "the initial image was captured from this fabric";
+        self.mirror.restore_state(initial).expect(expect);
         for bus in &self.buses {
-            bus.restore_state(initial);
+            bus.restore_state(initial).expect(expect);
         }
         self.epochs = 0;
     }
@@ -1200,9 +1233,18 @@ impl ShardArbiter {
     /// per-shard buses are restored by their owners (each shard's
     /// snapshot carries its own possibly mid-epoch device image); this
     /// only re-seats the barrier's merge base.
-    pub fn restore_canonical(&mut self, state: &SocBusState, epochs: u64) {
-        self.mirror.restore_state(state);
+    ///
+    /// # Errors
+    ///
+    /// See [`SocBus::restore_state`]; the epoch counter is kept then.
+    pub fn restore_canonical(
+        &mut self,
+        state: &SocBusState,
+        epochs: u64,
+    ) -> Result<(), CodecError> {
+        self.mirror.restore_state(state)?;
         self.epochs = epochs;
+        Ok(())
     }
 }
 
@@ -1278,7 +1320,7 @@ mod tests {
         t.write(123, 0xc, 4, 0); // epoch = 123
         let img = t.save_state();
         let mut fresh = Timer::new(0);
-        fresh.restore_state(&img);
+        fresh.restore_state(&img).unwrap();
         assert_eq!(fresh.read(200, 0x0, 4), 77, "epoch restored");
         assert_eq!(fresh.read(200, 0x4, 4), 77, "compare restored");
         assert_eq!(fresh.save_state(), img);
@@ -1291,12 +1333,12 @@ mod tests {
         u.write(900, 0, 4, b'Y' as u32);
         let img = u.save_state();
         let mut fresh = Uart::new(0);
-        fresh.restore_state(&img);
+        fresh.restore_state(&img).unwrap();
         assert_eq!(fresh.transmitted(), u.transmitted());
         // Restoring an earlier image truncates later transmissions —
         // the double-log fix.
         u.write(1000, 0, 4, b'Z' as u32);
-        u.restore_state(&img);
+        u.restore_state(&img).unwrap();
         assert_eq!(u.transmitted().len(), 2);
     }
 
@@ -1317,7 +1359,7 @@ mod tests {
             "state image must not depend on insertion order"
         );
         let mut fresh = ScratchRam::new(0, 0x100);
-        fresh.restore_state(&img);
+        fresh.restore_state(&img).unwrap();
         assert_eq!(fresh.read(0, 4 * 4, 4), r.read(0, 4 * 4, 4));
         assert_eq!(fresh.save_state(), img);
     }
@@ -1337,7 +1379,7 @@ mod tests {
         bus.write(20, 0x204, 4, 1);
         assert_eq!(bus.uart_log().len(), 2);
 
-        bus.restore_state(&img);
+        bus.restore_state(&img).unwrap();
         assert_eq!(bus.uart_log(), vec![(7, b'!')]);
         assert_eq!(bus.read(10, 0x204, 4), 0, "later write rolled back");
         assert_eq!(bus.read(10, 0x0, 4), 1, "timer epoch restored (10 - 9)");
@@ -1347,13 +1389,12 @@ mod tests {
             b2.attach(Box::new(Timer::new(0x0)));
             b2.attach(Box::new(Uart::new(0x100)));
             b2.attach(Box::new(ScratchRam::new(0x200, 0x100)));
-            b2.restore_state(&img);
+            b2.restore_state(&img).unwrap();
             b2.save_state()
         });
     }
 
     #[test]
-    #[should_panic(expected = "different device population")]
     fn bus_state_rejects_mismatched_population() {
         let mut a = SocBus::new();
         a.attach(Box::new(Timer::new(0)));
@@ -1361,7 +1402,41 @@ mod tests {
         let mut b = SocBus::new();
         b.attach(Box::new(Timer::new(0)));
         b.attach(Box::new(Uart::new(0x100)));
-        b.restore_state(&img);
+        let before = b.save_state();
+        assert!(matches!(
+            b.restore_state(&img),
+            Err(CodecError::BadLength { len: 1, .. })
+        ));
+        assert_eq!(b.save_state(), before, "a refused image changes nothing");
+    }
+
+    #[test]
+    fn malformed_device_images_are_refused_before_any_change() {
+        let mut t = Timer::new(0);
+        t.write(7, 0xc, 4, 0);
+        let good = t.save_state();
+        let mut u = Uart::new(0x100);
+        u.write(3, 0x100, 4, 0x41);
+        let mut ram = ScratchRam::new(0x200, 0x100);
+        ram.write(0, 0x204, 4, 9);
+        let mut link = CoreLink::new(0x400, 0, 2);
+        let bad: [(&mut dyn SocPeripheral, Vec<u8>); 6] = [
+            (&mut t, good[..3].to_vec()),
+            (&mut Timer::new(0), [&good[..], &[0]].concat()),
+            (&mut u, vec![0; 3]),
+            // An exchanged prefix longer than the log.
+            (&mut Uart::new(0), 1u64.to_le_bytes().to_vec()),
+            (&mut ram, vec![0xff; 8]),
+            (&mut link, vec![0xff; 8]),
+        ];
+        for (i, (dev, img)) in bad.into_iter().enumerate() {
+            let before = dev.save_state();
+            assert!(
+                dev.restore_state(&img).is_err(),
+                "image {i} must be refused"
+            );
+            assert_eq!(dev.save_state(), before, "image {i} changed the device");
+        }
     }
 
     #[test]
@@ -1463,7 +1538,7 @@ mod tests {
         // The exchanged mark survives a save/restore round trip.
         let img = u.save_state();
         let mut fresh = Uart::new(0);
-        fresh.restore_state(&img);
+        fresh.restore_state(&img).unwrap();
         assert_eq!(fresh.barrier_delta().unwrap().len(), 9);
         assert_eq!(fresh.transmitted(), u.transmitted());
     }
@@ -1528,7 +1603,7 @@ mod tests {
         // snapshot resumes with its writes still pending exchange).
         let img = r.save_state();
         let mut fresh = ScratchRam::new(0, 0x100);
-        fresh.restore_state(&img);
+        fresh.restore_state(&img).unwrap();
         assert_eq!(fresh.barrier_delta(), r.barrier_delta());
         assert_eq!(fresh.save_state(), img);
     }
@@ -1543,7 +1618,7 @@ mod tests {
         assert!(t.barrier_dirty());
         t.mark_exchanged();
         assert!(!t.barrier_dirty());
-        t.restore_state(&t.save_state());
+        t.restore_state(&t.save_state()).unwrap();
         assert!(t.barrier_dirty(), "a restore is conservatively dirty");
     }
 
@@ -1675,14 +1750,14 @@ mod tests {
         // Restoring core 2's image into another endpoint moves the
         // mailboxes but not the identity.
         let mut fresh = CoreLink::new(0, 0, 3);
-        fresh.restore_state(&img);
+        fresh.restore_state(&img).unwrap();
         assert_eq!(fresh.read(0, 0x0, 4), 0, "identity kept");
         assert_eq!(fresh.read(0, 0x804, 4), 5, "inbox restored");
         assert_eq!(fresh.save_state(), img);
         // Pending sends survive the round trip too.
         let img2 = link.save_state();
         let mut fresh2 = CoreLink::new(0, 1, 3);
-        fresh2.restore_state(&img2);
+        fresh2.restore_state(&img2).unwrap();
         assert_eq!(fresh2.barrier_delta(), link.barrier_delta());
         assert!(fresh2.barrier_dirty());
     }

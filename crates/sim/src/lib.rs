@@ -15,7 +15,7 @@
 //!
 //! let src = ".text\n_start: mov %d2, 21\n add %d2, %d2\n debug\n";
 //! // Every production vehicle — golden and translated on both the
-//! // pre-decoded and the block-compiled dispatch cores, plus RTL.
+//! // pre-decoded and the trace dispatch cores, plus RTL.
 //! for backend in Backend::all() {
 //!     let mut session = SimBuilder::asm(src).backend(backend).build()?;
 //!     session.run(Limit::Cycles(1_000_000))?;
@@ -186,26 +186,6 @@ impl Backend {
         }
     }
 
-    /// The golden model on the block-compiled dispatch core: basic
-    /// blocks fused into closure runs at load, dispatched
-    /// block-at-a-time (block boundaries are the only stop points —
-    /// see [`DispatchMode::Compiled`]).
-    pub fn golden_compiled() -> Self {
-        Backend::Golden {
-            dispatch: DispatchMode::Compiled,
-        }
-    }
-
-    /// A translated session at `level` on the closure-compiled VLIW
-    /// core (packet-granular, like the pre-decoded core — see
-    /// [`VliwDispatch::Compiled`]).
-    pub fn translated_compiled(level: DetailLevel) -> Self {
-        Backend::Translated {
-            level,
-            dispatch: VliwDispatch::Compiled,
-        }
-    }
-
     /// The golden model on the profile-guided trace tier: hot block
     /// chains fused into superblock closures after a warm-up window
     /// (see [`DispatchMode::Trace`] and
@@ -270,20 +250,15 @@ impl Backend {
     }
 
     /// Every single-core backend generic drivers should sweep: golden
-    /// and the four translation detail levels on all three production
-    /// dispatch tiers (pre-decoded, block-/closure-compiled, and the
-    /// profile-guided trace tier), plus RTL — the full Table 2 column
-    /// set. The retained naive interpreters are differential
-    /// references, not production backends, and are spelled explicitly
-    /// where needed; sharded configurations via [`Backend::sharded`].
+    /// and the four translation detail levels on both production
+    /// dispatch tiers (pre-decoded and the profile-guided trace tier),
+    /// plus RTL — the full Table 2 column set. The retained naive
+    /// interpreters are differential references, not production
+    /// backends, and are spelled explicitly where needed; sharded
+    /// configurations via [`Backend::sharded`].
     pub fn all() -> Vec<Backend> {
-        let mut v = vec![
-            Backend::golden(),
-            Backend::golden_compiled(),
-            Backend::golden_trace(),
-        ];
+        let mut v = vec![Backend::golden(), Backend::golden_trace()];
         v.extend(DetailLevel::ALL.map(Backend::translated));
-        v.extend(DetailLevel::ALL.map(Backend::translated_compiled));
         v.extend(DetailLevel::ALL.map(Backend::translated_trace));
         v.push(Backend::Rtl);
         v
@@ -301,13 +276,11 @@ impl fmt::Display for Backend {
         match self {
             Backend::Golden { dispatch } => match dispatch {
                 DispatchMode::Predecoded => f.write_str("golden"),
-                DispatchMode::Compiled => f.write_str("golden:compiled"),
                 DispatchMode::Trace => f.write_str("golden:trace"),
                 DispatchMode::Naive => f.write_str("golden:naive"),
             },
             Backend::Translated { level, dispatch } => match dispatch {
                 VliwDispatch::Predecoded => write!(f, "translated:{level}"),
-                VliwDispatch::Compiled => write!(f, "translated:{level}:compiled"),
                 VliwDispatch::Trace => write!(f, "translated:{level}:trace"),
                 VliwDispatch::Naive => write!(f, "translated:{level}:naive"),
             },
@@ -337,8 +310,8 @@ impl fmt::Display for Backend {
 ///     assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
 /// }
 /// assert_eq!(
-///     "sharded-4x:translated:cache:compiled".parse::<Backend>().unwrap(),
-///     Backend::sharded(4, Backend::translated_compiled(cabt_core::DetailLevel::Cache)),
+///     "sharded-4x:translated:cache:trace".parse::<Backend>().unwrap(),
+///     Backend::sharded(4, Backend::translated_trace(cabt_core::DetailLevel::Cache)),
 /// );
 /// assert_eq!(
 ///     "sharded-64x-pool8:golden".parse::<Backend>().unwrap(),
@@ -349,6 +322,12 @@ impl fmt::Display for Backend {
 ///     "sharded-4x-par:golden".parse::<Backend>(),
 ///     Err(cabt_sim::SessionError::ParseBackend(_)),
 /// ));
+/// // So is the retired compiled tier: it is the trace tier with a
+/// // warm-up of 0 (`SimBuilder::trace_config`).
+/// for retired in ["golden:compiled", "translated:cache:compiled", "sharded-4x:translated:cache:compiled"] {
+///     let err = retired.parse::<Backend>();
+///     assert!(matches!(err, Err(cabt_sim::SessionError::ParseBackend(_))), "{retired}");
+/// }
 /// ```
 impl std::str::FromStr for Backend {
     type Err = SessionError;
@@ -377,7 +356,6 @@ impl std::str::FromStr for Backend {
         if s == "golden" || s.starts_with("golden:") {
             let dispatch = match s.strip_prefix("golden").unwrap() {
                 "" => DispatchMode::Predecoded,
-                ":compiled" => DispatchMode::Compiled,
                 ":trace" => DispatchMode::Trace,
                 ":naive" => DispatchMode::Naive,
                 _ => return Err(err()),
@@ -386,7 +364,6 @@ impl std::str::FromStr for Backend {
         }
         let rest = s.strip_prefix("translated:").ok_or_else(err)?;
         let (level, dispatch) = match rest.rsplit_once(':') {
-            Some((level, "compiled")) => (level, VliwDispatch::Compiled),
             Some((level, "trace")) => (level, VliwDispatch::Trace),
             Some((level, "naive")) => (level, VliwDispatch::Naive),
             // No dispatch suffix ("branch-predict" has a hyphen but no
@@ -1911,8 +1888,10 @@ impl Session {
     ///
     /// [`SessionError::Codec`] on bad magic, a version this build does
     /// not read ([`CodecError::Version`]), or truncated/corrupt
-    /// payload bytes; [`SessionError::ParseBackend`] if the descriptor
-    /// does not parse; plus the usual build errors.
+    /// payload bytes — device images included;
+    /// [`SessionError::ParseBackend`] if the descriptor does not parse
+    /// (retired descriptors such as `golden:compiled` included); plus
+    /// the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
         let (backend, config, elf, snapshot) = Self::decode_park(bytes)?;
         let vehicle = SimBuilder::build_vehicle(
@@ -1933,8 +1912,75 @@ impl Session {
             on_epoch: Vec::new(),
             on_stop: Vec::new(),
         };
-        session.restore(&snapshot);
+        session.restore_checked(&snapshot)?;
         Ok(session)
+    }
+
+    /// [`ExecutionEngine::restore`] for snapshots decoded from untrusted
+    /// bytes ([`Session::resume`], [`Session::adopt_shard`]): a device
+    /// image that does not decode is an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// The first [`CodecError`] a device image raises; the session's
+    /// bus state is then partly restored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot came from a different backend kind.
+    fn restore_checked(&mut self, snapshot: &SessionSnapshot) -> Result<(), CodecError> {
+        match (&mut self.vehicle, &snapshot.snap) {
+            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => sim.restore(s),
+            (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
+                platform.engine().restore(engine);
+                platform.restore_sync_device(sync);
+            }
+            (Vehicle::Rtl(core), Snap::Rtl(s)) => core.restore(s),
+            (Vehicle::Sharded(set), Snap::Sharded { shards, .. }) => {
+                assert_eq!(
+                    set.shards.len(),
+                    shards.len(),
+                    "cannot restore a {}-shard snapshot into a {}-shard session",
+                    shards.len(),
+                    set.shards.len()
+                );
+                for (shard, snap) in set.shards.iter_mut().zip(shards) {
+                    shard.restore_checked(snap)?;
+                }
+            }
+            (vehicle, snap) => panic!(
+                "cannot restore a {} snapshot into a {} session",
+                snap.name(),
+                vehicle.name()
+            ),
+        }
+        // Device state. Single-core vehicles restore their live bus;
+        // sharded sessions already restored every shard's private bus
+        // through the per-shard sub-snapshots above, so the top-level
+        // image re-seats the arbiter's canonical merge base (and epoch
+        // counter) instead.
+        match &mut self.vehicle {
+            Vehicle::Sharded(set) => {
+                if let (
+                    Some(devices),
+                    Snap::Sharded {
+                        epochs,
+                        step_exchange_at,
+                        ..
+                    },
+                ) = (&snapshot.devices, &snapshot.snap)
+                {
+                    set.arbiter.restore_canonical(devices, *epochs)?;
+                    set.step_exchange_at = *step_exchange_at;
+                }
+            }
+            vehicle => {
+                if let (Some(devices), Some(bus)) = (&snapshot.devices, vehicle.device_bus()) {
+                    bus.restore_state(devices)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Parses and validates a park envelope without building a vehicle —
@@ -2014,7 +2060,7 @@ impl Session {
     ///
     /// `backend_override` rebuilds the shard on a *different* vehicle —
     /// a different dispatch tier of the same vehicle kind (pre-decoded
-    /// ↔ compiled ↔ trace), which shares architectural state — proving
+    /// ↔ trace), which shares architectural state — proving
     /// heterogeneous shard sets. The parked snapshot must structurally
     /// fit the override; a cross-kind override (golden → RTL) is
     /// rejected. Note the set-level backend descriptor keeps describing
@@ -2025,7 +2071,8 @@ impl Session {
     ///
     /// [`SessionError::ShardConfig`] on single-core sessions,
     /// out-of-range indices, or an override the snapshot does not fit;
-    /// plus everything [`Session::resume`] raises for the envelope.
+    /// plus everything [`Session::resume`] raises for the envelope. On
+    /// any error the shard and its bus slot are left as they were.
     pub fn adopt_shard(
         &mut self,
         i: usize,
@@ -2059,6 +2106,10 @@ impl Session {
             Backend::Rtl => None,
             _ => Some(set.arbiter.bus(i)),
         };
+        // The shard is built around the arbiter's live bus for slot `i`:
+        // a device image that fails to decode must leave that bus as it
+        // was.
+        let live = bus.as_ref().map(|b| (b.clone(), b.save_state()));
         let vehicle = SimBuilder::build_vehicle(
             &elf,
             backend,
@@ -2077,7 +2128,13 @@ impl Session {
             on_epoch: Vec::new(),
             on_stop: Vec::new(),
         };
-        shard.restore(&snapshot);
+        if let Err(e) = shard.restore_checked(&snapshot) {
+            if let Some((bus, image)) = live {
+                bus.restore_state(&image)
+                    .expect("a bus's own image restores into it");
+            }
+            return Err(e.into());
+        }
         set.shards[i] = shard;
         Ok(())
     }
@@ -2126,59 +2183,12 @@ impl ExecutionEngine for Session {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot came from a different backend kind.
+    /// Panics if the snapshot came from a different backend kind, or
+    /// carries a device image that does not decode (untrusted bytes go
+    /// through [`Session::resume`], which reports it).
     fn restore(&mut self, snapshot: &SessionSnapshot) {
-        match (&mut self.vehicle, &snapshot.snap) {
-            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => sim.restore(s),
-            (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
-                platform.engine().restore(engine);
-                platform.restore_sync_device(sync);
-            }
-            (Vehicle::Rtl(core), Snap::Rtl(s)) => core.restore(s),
-            (Vehicle::Sharded(set), Snap::Sharded { shards, .. }) => {
-                assert_eq!(
-                    set.shards.len(),
-                    shards.len(),
-                    "cannot restore a {}-shard snapshot into a {}-shard session",
-                    shards.len(),
-                    set.shards.len()
-                );
-                for (shard, snap) in set.shards.iter_mut().zip(shards) {
-                    shard.restore(snap);
-                }
-            }
-            (vehicle, snap) => panic!(
-                "cannot restore a {} snapshot into a {} session",
-                snap.name(),
-                vehicle.name()
-            ),
-        }
-        // Device state. Single-core vehicles restore their live bus;
-        // sharded sessions already restored every shard's private bus
-        // through the per-shard sub-snapshots above, so the top-level
-        // image re-seats the arbiter's canonical merge base (and epoch
-        // counter) instead.
-        match &mut self.vehicle {
-            Vehicle::Sharded(set) => {
-                if let (
-                    Some(devices),
-                    Snap::Sharded {
-                        epochs,
-                        step_exchange_at,
-                        ..
-                    },
-                ) = (&snapshot.devices, &snapshot.snap)
-                {
-                    set.arbiter.restore_canonical(devices, *epochs);
-                    set.step_exchange_at = *step_exchange_at;
-                }
-            }
-            vehicle => {
-                if let (Some(devices), Some(bus)) = (&snapshot.devices, vehicle.device_bus()) {
-                    bus.restore_state(devices);
-                }
-            }
-        }
+        self.restore_checked(snapshot)
+            .expect("in-process snapshots carry well-formed device images");
     }
 
     /// Resets to a fully fresh run. Unlike the engine-scope trait
@@ -2424,25 +2434,18 @@ mod tests {
         assert!(all.iter().any(|b| matches!(b, Backend::Golden { .. })));
         assert!(all.iter().any(|b| matches!(b, Backend::Translated { .. })));
         assert!(all.iter().any(|b| matches!(b, Backend::Rtl)));
-        // All three production dispatch tiers of each dispatch-capable
+        // Both production dispatch tiers of each dispatch-capable
         // vehicle (the naive interpreters are differential references,
-        // deliberately absent).
-        for dispatch in [
-            DispatchMode::Predecoded,
-            DispatchMode::Compiled,
-            DispatchMode::Trace,
-        ] {
+        // deliberately absent): golden, four levels and RTL.
+        assert_eq!(all.len(), 2 + 2 * DetailLevel::ALL.len() + 1);
+        for dispatch in [DispatchMode::Predecoded, DispatchMode::Trace] {
             assert!(
                 all.contains(&Backend::Golden { dispatch }),
                 "golden {dispatch:?} missing from Backend::all()"
             );
         }
         for level in DetailLevel::ALL {
-            for dispatch in [
-                VliwDispatch::Predecoded,
-                VliwDispatch::Compiled,
-                VliwDispatch::Trace,
-            ] {
+            for dispatch in [VliwDispatch::Predecoded, VliwDispatch::Trace] {
                 assert!(
                     all.contains(&Backend::Translated { level, dispatch }),
                     "translated {level}/{dispatch:?} missing from Backend::all()"
@@ -2462,7 +2465,7 @@ mod tests {
             "naive reference interpreters are not production backends"
         );
         // Every entry round-trips through the ShardBackend conversion,
-        // dispatch core included — which is what makes sharded compiled
+        // dispatch core included — which is what makes sharded trace
         // sessions come for free.
         for b in all {
             let sharded = Backend::sharded(2, b);
@@ -2662,7 +2665,7 @@ mod tests {
     fn park_resume_continues_bit_identically() {
         for backend in [
             Backend::golden_trace(),
-            Backend::translated_compiled(DetailLevel::Cache),
+            Backend::translated_trace(DetailLevel::Cache),
             Backend::sharded(2, Backend::golden()),
             Backend::sharded_pooled(2, 2, Backend::golden()),
         ] {

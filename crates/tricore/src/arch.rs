@@ -359,7 +359,7 @@ impl CacheSim {
     }
 
     /// [`CacheSim::access`] with the most-recently-used way probed
-    /// first — the compiled core's lead-access path. A hit on the MRU
+    /// first — the compiled blocks' lead-access path. A hit on the MRU
     /// way leaves the LRU ranks exactly as a full access would
     /// (`touch` is idempotent there), so only the hit counter moves;
     /// any other outcome falls back to the full search. Effects are

@@ -24,9 +24,9 @@
 //!
 //! * the retirement counter (`RunStats::instructions`) is added once
 //!   per block exit (reconstructed on the fault path), and `run_until`
-//!   budget checks happen per *block* — block boundaries are the only
-//!   stop points of this core (documented on
-//!   [`DispatchMode::Compiled`](crate::sim::DispatchMode));
+//!   budget checks happen per *block* — block and trace boundaries are
+//!   the only stop points of the trace tier built on these blocks
+//!   (documented on [`DispatchMode::Trace`](crate::sim::DispatchMode));
 //! * fetch line *runs* are proved at build time: an op whose first
 //!   line is the line the previous op just touched takes the
 //!   guaranteed-hit path ([`CacheSim::repeat_hit`]), and lead accesses
@@ -276,7 +276,7 @@ pub(crate) struct CompiledTrace {
 
 /// Compiles a selected superblock ([`cabt_exec::trace::grow`]) into its
 /// fused form. Segments reuse [`compile_op`] — every op performs the
-/// exact per-instruction work of the block-compiled core, so trace
+/// exact per-instruction work of single-block dispatch, so trace
 /// dispatch stays bit-identical — but the line-run analysis now spans
 /// the whole chain: `prev_line` carries across seams, because a seam is
 /// only crossed after the guard confirmed control left through the

@@ -13,7 +13,7 @@
 //!
 //! # Dispatch modes
 //!
-//! The simulator has four dispatch cores selected by [`DispatchMode`]:
+//! The simulator has three dispatch cores selected by [`DispatchMode`]:
 //!
 //! * [`DispatchMode::Predecoded`] (the default) decodes the whole
 //!   `.text` image once at load into a dense table. Each entry carries
@@ -21,29 +21,27 @@
 //!   *table indices*, the cache lines its fetch touches, and its
 //!   read/write register sets — so the hot loop chases indices through
 //!   a flat `Vec` and never hashes an address or allocates.
-//! * [`DispatchMode::Compiled`] goes the paper's final step: every
-//!   basic block of that table (partitioned by the shared
+//! * [`DispatchMode::Trace`] goes the paper's final step: every basic
+//!   block of that table (partitioned by the shared
 //!   [`cabt_exec::blocks::BlockMap`]) is fused at load into a run of
 //!   specialized closures, and dispatch is block-threaded — one
 //!   [`ExecutionEngine::step_unit`] executes a whole block and chases
-//!   the successor block id. Bit-identical to the pre-decoded core at
-//!   every block boundary; block boundaries are the *only* stop
-//!   points (budgeted runs overshoot into the current block's end).
-//! * [`DispatchMode::Trace`] adds the profile-guided superblock tier on
-//!   top of the compiled core: block-edge counters collected during a
-//!   warm-up window, hot chains fused into single multi-block closure
-//!   runs with side-exit guards ([`cabt_exec::trace`]). One step
-//!   dispatches a whole *trace* (up to a bounded number of loop
-//!   iterations for loop traces), so stop points coarsen further; the
-//!   architectural trajectory stays bit-identical.
+//!   the successor block id. On top of that, block-edge counters
+//!   collected during a warm-up window fuse hot chains into single
+//!   multi-block closure runs with side-exit guards
+//!   ([`cabt_exec::trace`]); one step then dispatches a whole *trace*
+//!   (up to a bounded number of loop iterations for loop traces). With
+//!   a warm-up window of 0 no trace ever forms and the tier is plain
+//!   block-at-a-time dispatch. Blocks and traces are the only stop
+//!   points: budgeted runs overshoot into the end of the current unit.
 //! * [`DispatchMode::Naive`] is the retained seed interpreter: an
 //!   address-keyed map looked up on every step, with per-step line and
 //!   operand-set computation. It exists as the reference for the
 //!   differential tests proving the other cores bit-identical.
 //!
 //! All modes produce exactly the same architectural state, cycle
-//! counts, statistics and fault behaviour (the compiled core observed
-//! at block boundaries, the trace core at trace boundaries).
+//! counts, statistics and fault behaviour (the trace core observed at
+//! block and trace boundaries).
 
 use crate::arch::{ArchDesc, CacheConfig, CacheSim, PreTiming, TimingModel, TimingState};
 use crate::compiled::{self, CompiledProgram, CompiledTrace, Ctl, Hot, TraceCont};
@@ -194,18 +192,9 @@ pub enum DispatchMode {
     /// Decode-once table dispatch (index-chased hot loop).
     #[default]
     Predecoded,
-    /// Block-compiled dispatch: every basic block fused into one run of
-    /// specialized closures at load, executed block-at-a-time. One
-    /// [`Simulator::step`] (and one [`ExecutionEngine::step_unit`])
-    /// dispatches a *whole basic block*, so block boundaries are the
-    /// only stop points: `run_until` budgets are checked between
-    /// blocks and may overshoot into the end of the current block, and
-    /// snapshots always land on block boundaries. Architectural state,
-    /// cycle counts, statistics and fault behaviour are bit-identical
-    /// to [`DispatchMode::Predecoded`] at every boundary.
-    Compiled,
-    /// Trace-compiled dispatch: the compiled core plus the
-    /// profile-guided superblock tier. During a warm-up window
+    /// Trace-compiled dispatch: every basic block fused into one run of
+    /// specialized closures at load, plus the profile-guided
+    /// superblock tier. During a warm-up window
     /// ([`cabt_exec::trace::TraceConfig::warmup`] profiled block
     /// dispatches) the engine counts block executions and exit edges;
     /// when a block's count reaches the hot threshold, the hottest
@@ -213,10 +202,14 @@ pub enum DispatchMode {
     /// blocks, with fetch line runs proved across the seams and
     /// side-exit guards falling back to block dispatch. Once the
     /// window closes profiling stops and dispatch is pure table
-    /// lookups. One [`Simulator::step`] executes a whole trace —
-    /// bounded loop-trace iteration included — so budgets overshoot
-    /// further than under [`DispatchMode::Compiled`]; everything
-    /// architectural stays bit-identical at every stop point.
+    /// lookups. One [`Simulator::step`] (and one
+    /// [`ExecutionEngine::step_unit`]) executes a whole block, or a
+    /// whole trace — bounded loop-trace iteration included — so
+    /// `run_until` budgets are checked between units and may overshoot
+    /// into the current one, and snapshots land on unit boundaries.
+    /// A warm-up of 0 forms no traces: plain block-at-a-time dispatch.
+    /// Everything architectural is bit-identical to
+    /// [`DispatchMode::Predecoded`] at every stop point.
     Trace,
     /// The retained seed interpreter: address-map fetch on every step.
     Naive,
@@ -412,9 +405,12 @@ impl SimSnapshot {
     }
 }
 
-/// The golden model's trace-tier state: the warm-up profile, the formed
-/// traces (indexed by head block id) and the coverage counters.
+/// The golden model's trace-tier state: the block-compiled closure
+/// table (a load-time constant, like the pre-decoded table), the
+/// warm-up profile, the formed traces (indexed by head block id) and
+/// the coverage counters.
 struct TraceTier {
+    prog: CompiledProgram,
     cfg: TraceConfig,
     profile: TraceProfile,
     traces: Vec<Option<CompiledTrace>>,
@@ -422,13 +418,24 @@ struct TraceTier {
 }
 
 impl TraceTier {
-    fn new(blocks: usize, cfg: TraceConfig) -> TraceTier {
+    fn new(prog: CompiledProgram, cfg: TraceConfig) -> TraceTier {
+        let blocks = prog.map.len();
         TraceTier {
+            prog,
             cfg,
             profile: TraceProfile::new(blocks, &cfg),
             traces: (0..blocks).map(|_| None).collect(),
             tstats: TraceStats::default(),
         }
+    }
+
+    /// A cold profile under `cfg` and no formed traces; the compiled
+    /// table stays.
+    fn restart(&mut self, cfg: TraceConfig) {
+        self.cfg = cfg;
+        self.profile = TraceProfile::new(self.traces.len(), &cfg);
+        self.traces.fill_with(|| None);
+        self.tstats = TraceStats::default();
     }
 }
 
@@ -484,17 +491,12 @@ pub struct Simulator {
     table: Vec<PreInstr>,
     /// Address → table index (entry points, indirect jumps).
     index_of: HashMap<u32, u32>,
-    /// Block-compiled closure table (built by
-    /// [`Simulator::set_dispatch`] on first selection of
-    /// [`DispatchMode::Compiled`]; a load-time constant afterwards,
-    /// shared by snapshots like the pre-decoded table).
-    compiled: Option<CompiledProgram>,
-    /// Trace-tier state (profile, formed traces, coverage counters) —
-    /// built on first selection of [`DispatchMode::Trace`]. Formed
-    /// traces are deterministic compilations of load-time data, so
-    /// like the compiled table they survive [`ExecutionEngine::reset`]
-    /// and are not part of snapshots: whichever tier dispatches a
-    /// block, the architectural trajectory is identical.
+    /// Trace-tier state (compiled blocks, profile, formed traces,
+    /// coverage counters) — built on first selection of
+    /// [`DispatchMode::Trace`]. Compiled blocks and formed traces are
+    /// deterministic compilations of load-time data, so they are not
+    /// part of snapshots: whichever tier dispatches a block, the
+    /// architectural trajectory is identical.
     trace: Option<Box<TraceTier>>,
     /// Trace-tier knobs ([`Simulator::set_trace_config`]).
     trace_cfg: TraceConfig,
@@ -602,7 +604,6 @@ impl Simulator {
             tstate: TimingState::new(),
             table,
             index_of,
-            compiled: None,
             trace: None,
             trace_cfg: TraceConfig::default(),
             cur,
@@ -621,24 +622,16 @@ impl Simulator {
     }
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`DispatchMode::Compiled`] for the first time fuses the whole
+    /// [`DispatchMode::Trace`] for the first time fuses the whole
     /// pre-decoded table into per-block closure runs (a one-off
     /// load-time cost, like the pre-decode pass itself).
     pub fn set_dispatch(&mut self, mode: DispatchMode) {
         self.mode = mode;
-        if matches!(mode, DispatchMode::Compiled | DispatchMode::Trace) && self.compiled.is_none() {
-            let entry = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
-            self.compiled = Some(compiled::compile(&self.table, entry));
-        }
         if mode == DispatchMode::Trace && self.trace.is_none() {
-            let blocks = self.compiled.as_ref().expect("compiled above").map.len();
-            self.trace = Some(Box::new(TraceTier::new(blocks, self.trace_cfg)));
+            let entry = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
+            let prog = compiled::compile(&self.table, entry);
+            self.trace = Some(Box::new(TraceTier::new(prog, self.trace_cfg)));
         }
-    }
-
-    /// The dispatch core in use.
-    pub fn dispatch(&self) -> DispatchMode {
-        self.mode
     }
 
     /// Sets the trace-tier knobs (warm-up window, hot threshold, trace
@@ -647,13 +640,8 @@ impl Simulator {
     /// fresh profile and no formed traces.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         self.trace_cfg = cfg;
-        if self.trace.is_some() {
-            let blocks = self
-                .compiled
-                .as_ref()
-                .map(|p| p.map.len())
-                .unwrap_or_default();
-            self.trace = Some(Box::new(TraceTier::new(blocks, cfg)));
+        if let Some(tier) = &mut self.trace {
+            tier.restart(cfg);
         }
     }
 
@@ -720,8 +708,8 @@ impl Simulator {
 
     /// Executes a single dispatch unit, returning the last instruction
     /// it retired: one instruction on the interpretive cores, one whole
-    /// basic block (reporting its terminator) under
-    /// [`DispatchMode::Compiled`].
+    /// basic block or trace (reporting its terminator) under
+    /// [`DispatchMode::Trace`].
     ///
     /// # Errors
     ///
@@ -730,27 +718,26 @@ impl Simulator {
     pub fn step(&mut self) -> Result<Instr, SimError> {
         match self.mode {
             DispatchMode::Predecoded => self.step_predecoded(),
-            DispatchMode::Compiled => self.step_compiled(),
             DispatchMode::Trace => self.step_trace(),
             DispatchMode::Naive => self.step_naive(),
         }
     }
 
-    /// The block-compiled hot loop: resolve the current block once,
-    /// run its fused closures to the terminator, follow the exit edge.
-    /// Per-instruction work inside the closures mirrors the
+    /// The trace-tier hot loop. At a block leader with a formed trace,
+    /// the whole fused superblock executes inside this one step — seam
+    /// guards compare each segment terminator's actual exit with the
+    /// edge the trace was selected along, side-exiting into normal
+    /// dispatch on mismatch; loop traces iterate in place (bounded by
+    /// [`TRACE_LOOP_CAP`]) using the head segment's back-edge
+    /// specialization. Leaders without a trace take single-block
+    /// compiled dispatch, feeding the warm-up profile that forms
+    /// traces. Per-instruction work inside the closures mirrors the
     /// pre-decoded step exactly (cache accounting, semantics, the
     /// stateful timing model, branch statistics); only the retirement
-    /// counter is batched per block — and reconstructed on the fault
-    /// path, where `cpu.pc` parks on the faulting instruction just as
-    /// the interpretive cores leave it.
-    fn step_compiled(&mut self) -> Result<Instr, SimError> {
-        if self.compiled.is_none() {
-            // Defensive: `set_dispatch` builds the table; keep the
-            // invariant even if the mode was forced some other way.
-            let entry = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
-            self.compiled = Some(compiled::compile(&self.table, entry));
-        }
+    /// counter is batched per block or trace — and reconstructed on the
+    /// fault path, where `cpu.pc` parks on the faulting instruction
+    /// just as the interpretive cores leave it.
+    fn step_trace(&mut self) -> Result<Instr, SimError> {
         let pc = self.cpu.pc;
         let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
             self.cur
@@ -764,101 +751,15 @@ impl Simulator {
         // instruction-by-instruction until dispatch lands back on a
         // block leader. Rare by construction — every direct target and
         // post-control instruction *is* a leader.
-        let off = {
-            let prog = self.compiled.as_ref().expect("compiled table built above");
-            prog.map.location(cur).offset
-        };
-        if off != 0 {
+        let tier = self
+            .trace
+            .as_ref()
+            .expect("set_dispatch builds the trace tier");
+        if tier.prog.map.location(cur).offset != 0 {
             self.cur = cur;
             return self.step_predecoded();
         }
         let Simulator {
-            compiled,
-            cpu,
-            mem,
-            io,
-            tstate,
-            cache,
-            cache_cfg,
-            model,
-            stats,
-            halted,
-            cur: cur_field,
-            index_of,
-            ..
-        } = self;
-        let prog = compiled.as_ref().expect("compiled table built above");
-        let blk = &prog.blocks[prog.map.location(cur).block as usize];
-        let mut hot = Hot {
-            cpu: &mut *cpu,
-            mem: &mut *mem,
-            io: &mut *io,
-            tstate: &mut *tstate,
-            cache: &mut *cache,
-            cache_cfg: *cache_cfg,
-            model,
-            stats: &mut *stats,
-            halted: &mut *halted,
-        };
-        let mut i = 0usize;
-        let exit = loop {
-            match (blk.ops[i])(&mut hot) {
-                Ok(Ctl::Next) => i += 1,
-                Ok(ctl) => break ctl,
-                Err(e) => {
-                    // The faulting instruction does not retire; the ops
-                    // before it already did everything but the batched
-                    // count.
-                    stats.instructions += i as u64;
-                    cpu.pc = blk.pcs[i];
-                    *cur_field = blk.first + i as u32;
-                    return Err(e);
-                }
-            }
-        };
-        stats.instructions += (i + 1) as u64;
-        let (next_pc, next_idx) = match exit {
-            Ctl::Next | Ctl::Fall => (blk.fall_pc, blk.fall_unit),
-            Ctl::Taken => (blk.target_pc, blk.taken_unit),
-            Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
-        };
-        cpu.pc = next_pc;
-        *cur_field = next_idx;
-        Ok(blk.term)
-    }
-
-    /// The trace-tier hot loop. At a block leader with a formed trace,
-    /// the whole fused superblock executes inside this one step — seam
-    /// guards compare each segment terminator's actual exit with the
-    /// edge the trace was selected along, side-exiting into normal
-    /// dispatch on mismatch; loop traces iterate in place (bounded by
-    /// [`TRACE_LOOP_CAP`]) using the head segment's back-edge
-    /// specialization. Leaders without a trace take single-block
-    /// compiled dispatch, feeding the warm-up profile that forms
-    /// traces; mid-block entries keep the pre-decoded fallback.
-    /// Retirement is batched per trace and reconstructed on the fault
-    /// path exactly like the block core.
-    fn step_trace(&mut self) -> Result<Instr, SimError> {
-        if self.compiled.is_none() || self.trace.is_none() {
-            // Defensive: `set_dispatch` builds both tables.
-            self.set_dispatch(DispatchMode::Trace);
-        }
-        let pc = self.cpu.pc;
-        let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
-            self.cur
-        } else {
-            *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
-        };
-        let off = {
-            let prog = self.compiled.as_ref().expect("compiled table built above");
-            prog.map.location(cur).offset
-        };
-        if off != 0 {
-            self.cur = cur;
-            return self.step_predecoded();
-        }
-        let Simulator {
-            compiled,
             trace,
             table,
             cpu,
@@ -874,8 +775,8 @@ impl Simulator {
             index_of,
             ..
         } = self;
-        let prog = compiled.as_ref().expect("compiled table built above");
-        let tier = &mut **trace.as_mut().expect("trace tier built above");
+        let tier = &mut **trace.as_mut().expect("set_dispatch builds the trace tier");
+        let prog = &tier.prog;
         let head = prog.map.location(cur).block;
 
         // Warm-up profiling: count the dispatch; on the hot-threshold
@@ -1453,10 +1354,7 @@ impl ExecutionEngine for Simulator {
             }
             // Snapshot predates the tier: replay starts from a fresh
             // profile, exactly as the snapshotted engine would have.
-            (Some(tier), None) => {
-                let (blocks, cfg) = (tier.traces.len(), tier.cfg);
-                **tier = TraceTier::new(blocks, cfg);
-            }
+            (Some(tier), None) => tier.restart(tier.cfg),
             _ => {}
         }
     }
@@ -1480,8 +1378,7 @@ impl ExecutionEngine for Simulator {
         // reproduces the original run exactly — budget stop points
         // included, not just the architectural trajectory.
         if let Some(tier) = &mut self.trace {
-            let (blocks, cfg) = (tier.traces.len(), tier.cfg);
-            **tier = TraceTier::new(blocks, cfg);
+            tier.restart(tier.cfg);
         }
     }
 
@@ -1751,32 +1648,44 @@ mod tests {
         }
     }
 
+    /// A closed warm-up window: no trace ever forms, so the trace tier
+    /// dispatches one compiled block per step.
+    fn block_dispatch() -> TraceConfig {
+        TraceConfig {
+            warmup: 0,
+            ..TraceConfig::default()
+        }
+    }
+
+    /// A simulator on `mode`, with `cfg` as its trace-tier knobs.
+    fn sim_on(elf: &ElfFile, mode: DispatchMode, cfg: TraceConfig) -> Simulator {
+        let mut sim = Simulator::new(elf).expect("loads");
+        sim.set_trace_config(cfg);
+        sim.set_dispatch(mode);
+        sim
+    }
+
     /// Every observable — registers, stats, cycles, fault shape — must
-    /// be identical across all four dispatch cores at the halt.
+    /// be identical across every dispatch core at the halt, the trace
+    /// tier with and without traces.
     fn diff_modes(src: &str) {
         let elf = assemble(src).expect("assembles");
         let mut fast = Simulator::new(&elf).expect("loads");
-        let run_as = |mode: DispatchMode| {
-            let mut sim = Simulator::new(&elf).expect("loads");
-            sim.set_trace_config(eager_traces());
-            sim.set_dispatch(mode);
-            let r = sim.run(1_000_000);
-            (r, sim)
-        };
         let rf = fast.run(1_000_000);
-        for mode in [
-            DispatchMode::Naive,
-            DispatchMode::Compiled,
-            DispatchMode::Trace,
+        for (mode, cfg) in [
+            (DispatchMode::Naive, eager_traces()),
+            (DispatchMode::Trace, block_dispatch()),
+            (DispatchMode::Trace, eager_traces()),
         ] {
-            let (rm, sim) = run_as(mode);
-            assert_eq!(rf, rm, "{mode:?}: run results diverge");
-            assert_eq!(fast.stats(), sim.stats(), "{mode:?}: stats diverge");
+            let mut sim = sim_on(&elf, mode, cfg);
+            let rm = sim.run(1_000_000);
+            assert_eq!(rf, rm, "{mode:?} {cfg:?}: run results diverge");
+            assert_eq!(fast.stats(), sim.stats(), "{mode:?} {cfg:?}: stats diverge");
             for i in 0..16 {
-                assert_eq!(fast.cpu.d(i), sim.cpu.d(i), "{mode:?}: d{i}");
-                assert_eq!(fast.cpu.a(i), sim.cpu.a(i), "{mode:?}: a{i}");
+                assert_eq!(fast.cpu.d(i), sim.cpu.d(i), "{mode:?} {cfg:?}: d{i}");
+                assert_eq!(fast.cpu.a(i), sim.cpu.a(i), "{mode:?} {cfg:?}: a{i}");
             }
-            assert_eq!(fast.cpu.pc, sim.cpu.pc, "{mode:?}: pc");
+            assert_eq!(fast.cpu.pc, sim.cpu.pc, "{mode:?} {cfg:?}: pc");
         }
     }
 
@@ -1804,8 +1713,7 @@ mod tests {
     fn compiled_blocks_retire_and_fault_like_the_interpreter() {
         // Block granularity: one step retires the whole entry block.
         let elf = assemble(".text\n_start: mov %d1, 1\nmov %d2, 2\nmov %d3, 3\ndebug\n").unwrap();
-        let mut sim = Simulator::new(&elf).unwrap();
-        sim.set_dispatch(DispatchMode::Compiled);
+        let mut sim = sim_on(&elf, DispatchMode::Trace, block_dispatch());
         let term = sim.step().unwrap();
         assert!(
             matches!(term, Instr::Debug16),
@@ -1822,8 +1730,7 @@ mod tests {
         )
         .unwrap();
         let run = |mode: DispatchMode| {
-            let mut sim = Simulator::new(&elf).unwrap();
-            sim.set_dispatch(mode);
+            let mut sim = sim_on(&elf, mode, block_dispatch());
             let err = loop {
                 match sim.step() {
                     Ok(_) => {}
@@ -1833,7 +1740,7 @@ mod tests {
             (err, sim.cpu.pc, sim.stats())
         };
         let (ep, pp, sp) = run(DispatchMode::Predecoded);
-        let (ec, pc, sc) = run(DispatchMode::Compiled);
+        let (ec, pc, sc) = run(DispatchMode::Trace);
         assert_eq!(ep, ec, "fault kind");
         assert_eq!(pp, pc, "fault pc");
         assert_eq!(sp, sc, "stats at the fault");
@@ -1843,7 +1750,7 @@ mod tests {
     #[test]
     fn compiled_enters_blocks_mid_way_after_indirect_jumps() {
         // `ji` computed to land in the *middle* of the body block: the
-        // compiled core must enter at the offset, not the leader.
+        // trace tier must enter at the offset, not the leader.
         let src = "
             .text
         _start:
@@ -1861,24 +1768,19 @@ mod tests {
         // CFG — but the engine's block map only splits at control flow,
         // so force a mid-block landing by computing the address.
         let elf = assemble(src).unwrap();
-        for mode in [DispatchMode::Predecoded, DispatchMode::Compiled] {
-            let mut sim = Simulator::new(&elf).unwrap();
-            sim.set_dispatch(mode);
+        for mode in [DispatchMode::Predecoded, DispatchMode::Trace] {
+            let mut sim = sim_on(&elf, mode, block_dispatch());
             sim.run(100).unwrap();
             assert_eq!(sim.cpu.d(1), 0, "{mode:?}: skipped prefix must not run");
             assert_eq!(sim.cpu.d(2), 2, "{mode:?}");
             assert_eq!(sim.cpu.d(3), 3, "{mode:?}");
         }
         let stats = |mode: DispatchMode| {
-            let mut sim = Simulator::new(&elf).unwrap();
-            sim.set_dispatch(mode);
+            let mut sim = sim_on(&elf, mode, block_dispatch());
             sim.run(100).unwrap();
             sim.stats()
         };
-        assert_eq!(
-            stats(DispatchMode::Predecoded),
-            stats(DispatchMode::Compiled)
-        );
+        assert_eq!(stats(DispatchMode::Predecoded), stats(DispatchMode::Trace));
     }
 
     #[test]
@@ -1984,11 +1886,10 @@ mod tests {
         let elf = assemble(".text\n_start: ji %a0\n").unwrap();
         for mode in [
             DispatchMode::Predecoded,
-            DispatchMode::Compiled,
+            DispatchMode::Trace,
             DispatchMode::Naive,
         ] {
-            let mut sim = Simulator::new(&elf).unwrap();
-            sim.set_dispatch(mode);
+            let mut sim = sim_on(&elf, mode, block_dispatch());
             sim.cpu.set_a(0, 0x1234_0000);
             sim.step().unwrap();
             assert!(matches!(

@@ -1,6 +1,6 @@
 //! VLIW front end for the static analyzer: lowers an execute-packet
 //! program into the [`cabt_exec::analyze::Program`] form, mirroring
-//! the compiled tier's control-flow classification exactly (one packet
+//! the compiled packets' control-flow classification exactly (one packet
 //! = one dispatch unit; a branch slot ends the block and keeps its
 //! fall edge — the five-slot branch shadow architecturally falls into
 //! the following packets before the redirect lands).
@@ -11,7 +11,7 @@
 //!   outside the arena lowers to an off-table taken edge (the engine's
 //!   fault path).
 //! * `BReg` lowers to a branch with an *off-table* taken edge, exactly
-//!   as the compiled tier models it — the analyzer cannot see where a
+//!   as the compiled packets model it — the analyzer cannot see where a
 //!   register branch lands, so reachability through one is not
 //!   tracked. The translator never emits `BReg` today; revisit the
 //!   classification (an indirect-with-fall role) if that changes.

@@ -11,15 +11,15 @@
 //!
 //! Packet-run structure comes from the same
 //! [`cabt_exec::blocks::BlockMap`] partition the golden model's
-//! block-compiled core and the translator's CFG use (leaders at branch
+//! compiled blocks and the translator's CFG use (leaders at branch
 //! destinations and after branch packets). Unlike the golden model,
 //! dispatch here stays *per packet*: branch shadows and delayed
 //! write-backs make control transfer and retirement between any two
-//! packets, and the lockstep debugger's single-step contract (one
-//! source instruction per boundary on the per-instruction translation)
-//! requires packet-granular stepping. The compiled core is therefore
-//! bit-identical to the pre-decoded core at *every* packet, not just
-//! at block boundaries.
+//! packets, so a compiled packet is bit-identical to the pre-decoded
+//! core at *every* packet, not just at block boundaries. The trace
+//! tier ([`VliwDispatch::Trace`](crate::sim::VliwDispatch)) dispatches
+//! these packets one at a time until a fall chain turns hot, then runs
+//! the chain as one fused packet range.
 
 use crate::isa::{Op, Pred, Reg};
 use crate::sim::{route_load, route_store, DeviceBus, PrePacket, PreSlot, VliwError, NO_IDX};

@@ -17,7 +17,7 @@
 //!
 //! # Dispatch modes
 //!
-//! Like the golden model, the VLIW core has four dispatch paths
+//! Like the golden model, the VLIW core has three dispatch paths
 //! selected by [`VliwDispatch`]:
 //!
 //! * [`VliwDispatch::Predecoded`] (default) flattens the packet list
@@ -26,21 +26,17 @@
 //!   loop dispatches by index, copies `Copy` slots out of the arena and
 //!   reuses one staging buffer — no per-packet clone, no linear scans,
 //!   no address hashing on the fall-through path.
-//! * [`VliwDispatch::Compiled`] fuses every execute packet into a run
-//!   of specialized slot closures at load (operands, predication
-//!   guards, staged-write latencies and branch destinations captured
-//!   as constants), organized by the shared
-//!   [`cabt_exec::blocks::BlockMap`] partition. Dispatch stays
-//!   packet-granular — branch shadows retire between any two packets,
-//!   and the debugger's single-step contract needs packet boundaries —
-//!   so this core is bit-identical to the pre-decoded one at *every*
-//!   packet.
-//! * [`VliwDispatch::Trace`] adds the profile-guided trace tier on top
-//!   of the compiled core: hot fall-through packet chains (block
-//!   shadows make every in-trace edge a fall edge) are dispatched as
-//!   one fused run per step, with the branch-shadow and delayed-write
-//!   pipeline checked between packets inside the run and side exits
-//!   falling back to packet dispatch.
+//! * [`VliwDispatch::Trace`] fuses every execute packet into a run of
+//!   specialized slot closures at load (operands, predication guards,
+//!   staged-write latencies and branch destinations captured as
+//!   constants), organized by the shared
+//!   [`cabt_exec::blocks::BlockMap`] partition, and adds the
+//!   profile-guided trace tier on top: hot fall-through packet chains
+//!   (branch shadows make every in-trace edge a fall edge) are
+//!   dispatched as one fused run per step, with the branch-shadow and
+//!   delayed-write pipeline checked between packets inside the run and
+//!   side exits falling back to per-packet closure dispatch. With a
+//!   warm-up window of 0 no trace forms and every step is one packet.
 //! * [`VliwDispatch::Naive`] is the retained seed interpreter (clone
 //!   the packet, scan for slot positions, hash branch targets), kept as
 //!   the reference half of the differential tests.
@@ -49,7 +45,6 @@
 
 use crate::compiled::{self, CompiledProgram, VHot};
 use crate::isa::{Op, Packet, Reg, Slot, Width};
-use cabt_exec::blocks::BlockMap;
 use cabt_exec::trace::{grow, TraceConfig, TraceProfile, TraceStats};
 use cabt_exec::{EngineStats, ExecutionEngine};
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
@@ -174,39 +169,19 @@ pub enum VliwDispatch {
     /// Decode-once flattened-arena dispatch.
     #[default]
     Predecoded,
-    /// Closure-compiled dispatch: packets fused into specialized slot
-    /// closures at load, still dispatched one packet per step (see the
-    /// crate docs — bit-identical to the pre-decoded core at every
-    /// packet).
-    Compiled,
-    /// The compiled core plus the profile-guided trace tier. During the
-    /// warm-up window ([`TraceConfig::warmup`] dispatches) block
-    /// execution and fall-edge counters are collected; when a block
-    /// crosses [`TraceConfig::hot_threshold`] the hottest fall chain is
-    /// fused into a trace and dispatched as one run per step. Once
-    /// warm-up closes, profiling cost drops to zero and the trace set
-    /// is frozen. Budget overshoot is trace-granular (like the golden
-    /// compiled core's block granularity); the lockstep debugger
-    /// downgrades to [`VliwDispatch::Compiled`] to keep packet
-    /// stepping.
+    /// Closure-compiled packets plus the profile-guided trace tier.
+    /// During the warm-up window ([`TraceConfig::warmup`] dispatches)
+    /// block execution and fall-edge counters are collected; when a
+    /// block crosses [`TraceConfig::hot_threshold`] the hottest fall
+    /// chain is fused into a trace and dispatched as one run per step.
+    /// Once warm-up closes, profiling cost drops to zero and the trace
+    /// set is frozen. Budget overshoot is trace-granular (a warm-up of
+    /// 0 forms no traces and steps one packet at a time); the lockstep
+    /// debugger runs translated sessions on
+    /// [`VliwDispatch::Predecoded`] to keep packet stepping.
     Trace,
     /// The retained seed interpreter (per-packet clone and scans).
     Naive,
-}
-
-impl VliwDispatch {
-    /// The packet-granular core a single-stepping debugger should use:
-    /// [`VliwDispatch::Trace`] retires whole traces per step, which
-    /// breaks the lockstep single-step contract, so it downgrades to
-    /// [`VliwDispatch::Compiled`]; every other mode is already
-    /// packet-granular and is kept as-is.
-    #[must_use]
-    pub fn debug_downgrade(self) -> Self {
-        match self {
-            VliwDispatch::Trace => VliwDispatch::Compiled,
-            other => other,
-        }
-    }
 }
 
 /// Sentinel for "no packet index".
@@ -216,8 +191,10 @@ pub(crate) const NO_IDX: u32 = u32::MAX;
 /// every in-trace edge a *fall* edge (a redirect lands packets after
 /// the branch), so a VLIW trace is simply a consecutive packet range
 /// starting at a hot block's leader; no separate trace compilation is
-/// needed on top of the fused packet closures.
+/// needed on top of the fused packet closures (`prog`, a load-time
+/// constant like the pre-decoded table).
 struct TraceTier {
+    prog: CompiledProgram,
     cfg: TraceConfig,
     profile: TraceProfile,
     /// Per head block: one past the last packet of the fused range
@@ -232,17 +209,32 @@ struct TraceTier {
 }
 
 impl TraceTier {
-    fn new(blocks: usize, mut cfg: TraceConfig) -> TraceTier {
-        // Taken edges leave the consecutive arena; VLIW traces only
-        // ever grow along fall chains.
-        cfg.follow_taken = false;
-        TraceTier {
-            profile: TraceProfile::new(blocks, &cfg),
+    fn new(prog: CompiledProgram, cfg: TraceConfig) -> TraceTier {
+        let blocks = prog.map.len();
+        let mut tier = TraceTier {
+            prog,
             cfg,
+            profile: TraceProfile::new(blocks, &cfg),
             ends: vec![None; blocks],
             span: vec![NO_IDX; blocks],
             tstats: TraceStats::default(),
-        }
+        };
+        // `restart` applies the fall-only rule.
+        tier.restart(cfg);
+        tier
+    }
+
+    /// A cold profile under `cfg` and no formed ranges; the compiled
+    /// packets stay.
+    fn restart(&mut self, mut cfg: TraceConfig) {
+        // Taken edges leave the consecutive arena; VLIW traces only
+        // ever grow along fall chains.
+        cfg.follow_taken = false;
+        self.cfg = cfg;
+        self.profile = TraceProfile::new(self.ends.len(), &cfg);
+        self.ends.fill(None);
+        self.span.fill(NO_IDX);
+        self.tstats = TraceStats::default();
     }
 }
 
@@ -454,11 +446,8 @@ pub struct VliwSim {
     pre: Vec<PrePacket>,
     /// Flattened slot arena for the pre-decoded path.
     pre_slots: Vec<PreSlot>,
-    /// Closure-compiled packet table (built on first selection of
-    /// [`VliwDispatch::Compiled`]; a load-time constant afterwards).
-    compiled: Option<CompiledProgram>,
-    /// Trace-tier state (profile counters + formed trace ranges), built
-    /// on selection of [`VliwDispatch::Trace`].
+    /// Trace-tier state (compiled packets, profile counters, formed
+    /// trace ranges), built on selection of [`VliwDispatch::Trace`].
     trace: Option<Box<TraceTier>>,
     /// Warm-up/threshold knobs the trace tier is built with.
     trace_cfg: TraceConfig,
@@ -545,7 +534,6 @@ impl VliwSim {
             index,
             pre,
             pre_slots,
-            compiled: None,
             trace: None,
             trace_cfg: TraceConfig::default(),
             pc: 0,
@@ -590,17 +578,14 @@ impl VliwSim {
     }
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`VliwDispatch::Compiled`] for the first time fuses the packet
+    /// [`VliwDispatch::Trace`] for the first time fuses the packet
     /// table into specialized slot closures (a one-off load-time cost,
     /// like the pre-decode flattening itself).
     pub fn set_dispatch(&mut self, mode: VliwDispatch) {
         self.mode = mode;
-        if matches!(mode, VliwDispatch::Compiled | VliwDispatch::Trace) && self.compiled.is_none() {
-            self.compiled = Some(compiled::compile(&self.pre, &self.pre_slots));
-        }
         if mode == VliwDispatch::Trace && self.trace.is_none() {
-            let blocks = self.compiled.as_ref().expect("compiled above").map.len();
-            self.trace = Some(Box::new(TraceTier::new(blocks, self.trace_cfg)));
+            let prog = compiled::compile(&self.pre, &self.pre_slots);
+            self.trace = Some(Box::new(TraceTier::new(prog, self.trace_cfg)));
         }
     }
 
@@ -609,14 +594,8 @@ impl VliwSim {
     /// applies from a clean slate.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         self.trace_cfg = cfg;
-        if self.trace.is_some() {
-            let blocks = self
-                .compiled
-                .as_ref()
-                .expect("trace implies compiled")
-                .map
-                .len();
-            self.trace = Some(Box::new(TraceTier::new(blocks, cfg)));
+        if let Some(tier) = &mut self.trace {
+            tier.restart(cfg);
         }
     }
 
@@ -624,22 +603,6 @@ impl VliwSim {
     /// been selected).
     pub fn trace_stats(&self) -> Option<TraceStats> {
         self.trace.as_ref().map(|t| t.tstats)
-    }
-
-    /// The dispatch core in use.
-    pub fn dispatch(&self) -> VliwDispatch {
-        self.mode
-    }
-
-    /// The basic-block partition of the packet table (leaders at branch
-    /// destinations and after branch packets) — the shared
-    /// [`cabt_exec::blocks::BlockMap`] view the compiled core is built
-    /// over. Builds the compiled table on first use.
-    pub fn block_map(&mut self) -> &BlockMap {
-        if self.compiled.is_none() {
-            self.compiled = Some(compiled::compile(&self.pre, &self.pre_slots));
-        }
-        &self.compiled.as_ref().expect("compiled above").map
     }
 
     /// Reads a register as the architecture would see it *now*
@@ -770,30 +733,16 @@ impl VliwSim {
     pub fn step_packet(&mut self) -> Result<(), VliwError> {
         match self.mode {
             VliwDispatch::Predecoded => self.step_packet_predecoded(),
-            VliwDispatch::Compiled => self.step_packet_compiled(),
             VliwDispatch::Trace => self.step_packet_trace(),
             VliwDispatch::Naive => self.step_packet_naive(),
         }
     }
 
-    /// The closure-compiled hot loop: the same prologue/epilogue as the
-    /// pre-decoded core, with the slot walk replaced by the packet's
-    /// fused closure run.
-    fn step_packet_compiled(&mut self) -> Result<(), VliwError> {
-        if self.compiled.is_none() {
-            // Defensive: `set_dispatch` builds the table.
-            self.compiled = Some(compiled::compile(&self.pre, &self.pre_slots));
-        }
-        if self.cycle >= self.next_due {
-            self.commit_due_writes();
-        }
-        self.redirect_if_due()?;
-
-        let pcv = self.pc;
-        if pcv >= self.pre.len() {
-            return Err(self.off_end_error());
-        }
-
+    /// Packet `pcv` on its fused closure run — the trace tier's
+    /// per-packet body, entered after the prologue (due writes retired,
+    /// expired branch shadow redirected): the pre-decoded core's
+    /// packet, with the slot walk replaced by the closure run.
+    fn step_packet_compiled(&mut self, pcv: usize) -> Result<(), VliwError> {
         let mut stall = 0u64;
         let mut branch: Option<(u32, u32)> = None;
         let issue;
@@ -803,7 +752,7 @@ impl VliwSim {
         let staged = self.pending_writes.len();
         let result = {
             let VliwSim {
-                compiled,
+                trace,
                 regs,
                 mem,
                 bus,
@@ -813,10 +762,8 @@ impl VliwSim {
                 pending_writes,
                 ..
             } = self;
-            let cp = &compiled
-                .as_ref()
-                .expect("compiled table built above")
-                .packets[pcv];
+            let tier = trace.as_ref().expect("set_dispatch builds the trace tier");
+            let cp = &tier.prog.packets[pcv];
             issue = cp.issue;
             let mut hot = VHot {
                 regs,
@@ -843,10 +790,6 @@ impl VliwSim {
     /// compiled per-packet path, feeding the warm-up fall-edge profile
     /// that forms traces.
     fn step_packet_trace(&mut self) -> Result<(), VliwError> {
-        if self.compiled.is_none() || self.trace.is_none() {
-            // Defensive: `set_dispatch` builds both tables.
-            self.set_dispatch(VliwDispatch::Trace);
-        }
         // Prologue order matches the per-packet cores: retire due
         // writes, then redirect an expired branch shadow — only then is
         // `pc` the packet this step actually dispatches.
@@ -860,8 +803,11 @@ impl VliwSim {
             return Err(self.off_end_error());
         }
 
-        let tier = &mut **self.trace.as_mut().expect("trace tier built above");
-        let prog = self.compiled.as_ref().expect("compiled table built above");
+        let tier = &mut **self
+            .trace
+            .as_mut()
+            .expect("set_dispatch builds the trace tier");
+        let prog = &tier.prog;
         let loc = prog.map.location(pcv as u32);
         let warm = tier.profile.warm();
         if loc.offset == 0 {
@@ -917,11 +863,14 @@ impl VliwSim {
         // packet — branch shadows mean taken edges leave via
         // `redirect_if_due` later, which ends trace growth anyway).
         let last_of_block = pcv as u32 == prog.map.blocks[loc.block as usize].last();
-        let r = self.step_packet_compiled();
+        let r = self.step_packet_compiled(pcv);
         if r.is_ok() && warm && last_of_block {
             let redirecting = self.pending_branch.is_some_and(|(rem, _)| rem <= 0);
             if !redirecting && !self.halted {
-                let tier = self.trace.as_mut().expect("trace tier built above");
+                let tier = self
+                    .trace
+                    .as_mut()
+                    .expect("set_dispatch builds the trace tier");
                 tier.profile.record_fall(loc.block);
             }
         }
@@ -936,7 +885,6 @@ impl VliwSim {
     /// (`stats.packets`) is batched per run.
     fn run_vliw_trace(&mut self, end: u32) -> Result<(), VliwError> {
         let VliwSim {
-            compiled,
             trace,
             regs,
             mem,
@@ -952,8 +900,8 @@ impl VliwSim {
             halted,
             ..
         } = self;
-        let prog = compiled.as_ref().expect("compiled table built above");
-        let tier = &mut **trace.as_mut().expect("trace tier built above");
+        let tier = &mut **trace.as_mut().expect("set_dispatch builds the trace tier");
+        let prog = &tier.prog;
         let mut pcv = *pc;
         let mut cyc = *cycle;
         let mut retired = 0u64;
@@ -1448,10 +1396,7 @@ impl ExecutionEngine for VliwSim {
             }
             // Snapshot predates the tier: replay starts from a fresh
             // profile, exactly as the snapshotted engine would have.
-            (Some(tier), None) => {
-                let (blocks, cfg) = (tier.ends.len(), tier.cfg);
-                **tier = TraceTier::new(blocks, cfg);
-            }
+            (Some(tier), None) => tier.restart(tier.cfg),
             _ => {}
         }
     }
@@ -1476,8 +1421,7 @@ impl ExecutionEngine for VliwSim {
         // Rerun from a cold trace profile so a reset run reproduces the
         // original exactly, budget stop points included.
         if let Some(tier) = &mut self.trace {
-            let (blocks, cfg) = (tier.ends.len(), tier.cfg);
-            **tier = TraceTier::new(blocks, cfg);
+            tier.restart(tier.cfg);
         }
     }
 
@@ -1979,7 +1923,6 @@ mod tests {
         for mode in [
             VliwDispatch::Naive,
             VliwDispatch::Predecoded,
-            VliwDispatch::Compiled,
             VliwDispatch::Trace,
         ] {
             let mut sim = build(mode);
@@ -2280,27 +2223,29 @@ mod tests {
         };
         let mut fast = VliwSim::new(build()).unwrap();
         let rf = fast.run(10_000).unwrap();
-        for mode in [
-            VliwDispatch::Naive,
-            VliwDispatch::Compiled,
-            VliwDispatch::Trace,
+        // A warm-up of 0 closes the window before any trace forms: the
+        // trace tier then dispatches one compiled packet per step.
+        for (mode, warmup) in [
+            (VliwDispatch::Naive, 10_000),
+            (VliwDispatch::Trace, 0),
+            (VliwDispatch::Trace, 10_000),
         ] {
             let mut other = VliwSim::new(build()).unwrap();
             other.set_trace_config(TraceConfig {
-                warmup: 10_000,
+                warmup,
                 hot_threshold: 2,
                 max_blocks: 16,
                 follow_taken: true, // forced off by the VLIW tier
             });
             other.set_dispatch(mode);
             let ro = other.run(10_000).unwrap();
-            assert_eq!(rf, ro, "{mode:?}: stats diverge");
+            assert_eq!(rf, ro, "{mode:?}/{warmup}: stats diverge");
             for i in 0..64u8 {
                 let r = Reg::from_index(i);
-                assert_eq!(fast.reg(r), other.reg(r), "{mode:?}: {r} diverged");
+                assert_eq!(fast.reg(r), other.reg(r), "{mode:?}/{warmup}: {r} diverged");
             }
-            assert_eq!(fast.cycle(), other.cycle(), "{mode:?}");
-            if mode == VliwDispatch::Trace {
+            assert_eq!(fast.cycle(), other.cycle(), "{mode:?}/{warmup}");
+            if mode == VliwDispatch::Trace && warmup > 0 {
                 let ts = other.trace_stats().expect("tier active");
                 assert!(ts.traces > 0, "hot loop must form a trace");
                 assert!(ts.trace_retired > 0, "retirement must move into traces");
@@ -2344,7 +2289,7 @@ mod tests {
             p
         };
         let mut sim = VliwSim::new(prog).unwrap();
-        let map = sim.block_map().clone();
+        let map = compiled::compile(&sim.pre, &sim.pre_slots).map;
         // Blocks: [0,1] (ends at the branch packet), [2] (post-branch
         // leader), [3] (branch target).
         assert_eq!(map.len(), 3);
@@ -2363,8 +2308,8 @@ mod tests {
             "branch edge resolves to the target block"
         );
         assert_eq!(map.blocks[0].fall, 1, "branch shadows fall through");
-        // The map is the compiled core's view: the same sim still runs.
-        sim.set_dispatch(VliwDispatch::Compiled);
+        // The map is the trace tier's view: the same sim still runs.
+        sim.set_dispatch(VliwDispatch::Trace);
         sim.run(100).unwrap();
         assert!(sim.is_halted());
     }

@@ -2,7 +2,7 @@
 //! suite and prints the speed/accuracy trade-off of §3.2 — the paper's
 //! central knob. Every run — golden reference included — goes through a
 //! `cabt-sim` session; the detail level *and the dispatch core* are
-//! just parts of the [`Backend`] value, so the closure-compiled cores
+//! just parts of the [`Backend`] value, so the trace dispatch cores
 //! ride the same loop (their generated cycle counts are bit-identical
 //! to the pre-decoded rows — dispatch is a host-speed knob, not an
 //! accuracy one).
@@ -19,20 +19,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "program", "backend", "cycles", "generated", "deviation"
     );
     for w in cabt::workloads::fig5_set() {
-        // The board reference itself runs block-compiled: the fastest
-        // bit-identical vehicle for the measured cycle count.
+        // The board reference itself runs on the trace tier: the
+        // fastest bit-identical vehicle for the measured cycle count.
         let mut board = SimBuilder::workload(&w)
-            .backend(Backend::golden_compiled())
+            .backend(Backend::golden_trace())
             .build()?;
         board.run(Limit::Retirements(500_000_000))?;
         assert_eq!(board.read_d(2), w.expected_d2);
         let measured = board.stats().cycles;
 
         for level in DetailLevel::ALL {
-            for backend in [
-                Backend::translated(level),
-                Backend::translated_compiled(level),
-            ] {
+            for backend in [Backend::translated(level), Backend::translated_trace(level)] {
                 let mut session = SimBuilder::workload(&w).backend(backend).build()?;
                 session.run(Limit::Cycles(5_000_000_000))?;
                 assert_eq!(session.read_d(2), w.expected_d2);

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     requests.push(
         FleetRequest::named("fibonacci")
-            .backend(Backend::golden_compiled())
+            .backend(Backend::golden_trace())
             .budget(Limit::Cycles(50_000_000)),
     );
 
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Portable park/resume: interrupt a session mid-run, serialize it,
     // finish it inside a pool worker, and match the uninterrupted run.
-    let backend = Backend::translated_compiled(DetailLevel::Cache);
+    let backend = Backend::translated_trace(DetailLevel::Cache);
     let mut donor = SimBuilder::named("sieve").backend(backend).build()?;
     donor.run(Limit::Retirements(1_000))?;
     let parked = donor.park()?;

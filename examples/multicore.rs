@@ -127,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // rings every peer's doorbell with its contribution, and sums the
     // 64 epoch-synchronously delivered contributions into %d2 — no
     // shared RAM involved. Mid-run, shard 13 is parked at an epoch
-    // barrier and adopted back onto the *compiled* dispatch core; the
+    // barrier and adopted back onto the *trace* dispatch core; the
     // barrier fabric keeps the shard's bus slot, so the migration is
     // invisible to the run.
     let mailbox = cabt_workloads::mailbox(64);
@@ -136,7 +136,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     noc.run_until(Limit::Cycles(8192))?; // two epochs: doorbells delivered
     let parked = noc.park_shard(13)?;
-    noc.adopt_shard(13, &parked, Some(Backend::golden_compiled()))?;
+    noc.adopt_shard(13, &parked, Some(Backend::golden_trace()))?;
     noc.run(Limit::Cycles(50_000_000))?;
     for i in 0..64 {
         assert_eq!(
@@ -147,7 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "64 cores, pooled schedule: doorbell all-reduce = {} on every core \
-         (shard 13 live-migrated to the compiled dispatch core mid-run)",
+         (shard 13 live-migrated to the trace dispatch core mid-run)",
         mailbox.expected_d2
     );
     Ok(())

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the fig5_speed benchmark (host throughput of every simulator
-# configuration, the naive vs pre-decoded vs block-compiled vs
-# profile-guided trace dispatch comparison — golden and VLIW cores on
+# configuration, the naive vs pre-decoded vs profile-guided trace
+# dispatch comparison — golden and VLIW cores on
 # every tier, with per-workload trace-formation stats — the sharded
 # multi-core throughput scaling 1->2->4->8->64->256 cores with paired
 # sequential/pooled scheduler rows, the epoch-barrier cost table
@@ -24,7 +24,7 @@
 #
 # `bench.sh --smoke` runs a tiny-budget pass instead (CI keep-alive
 # for the bench paths, covering both shard schedules at 1 and 2
-# cores, the barrier-cost harness, and all FOUR
+# cores, the barrier-cost harness, and all THREE
 # dispatch cores: the trace tier is exercised on every bundled fig5
 # workload with an eager formation config, and the bench asserts
 # traces actually form) and does NOT touch BENCH_fig5.json.

@@ -1,10 +1,9 @@
 //! Differential fuzz loop CLI: generates seed-reproducible guest
 //! programs and runs each across the full execution matrix — golden
-//! and translated vehicles × naive/pre-decoded/compiled/trace
-//! dispatch, RTL where the workload fits, sharded
-//! sequential-vs-parallel schedules — comparing per-stride digest
-//! chains, final architectural state, guest memory, UART logs, and
-//! fault parity.
+//! and translated vehicles × naive/pre-decoded/trace dispatch, RTL
+//! where the workload fits, sharded sequential-vs-pooled schedules —
+//! comparing per-stride digest chains, final architectural state,
+//! guest memory, UART logs, and fault parity.
 //!
 //! ```sh
 //! cabt-fuzz --seed 42                # one seed, full matrix, verbose

@@ -21,8 +21,8 @@
 //! |---|---|
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
 //! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the work-stealing `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
-//! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (pre-decoded, block-compiled and trace-compiled dispatch cores) |
-//! | [`vliw`] | target VLIW ISA, binary container format, simulator (pre-decoded, closure-compiled and trace dispatch cores) |
+//! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (pre-decoded and trace dispatch cores, naive oracle) |
+//! | [`vliw`] | target VLIW ISA, binary container format, simulator (pre-decoded and trace dispatch cores, naive oracle) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
 //! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with deterministic state merge and O(traffic) journaled delta exchange (`docs/sharding.md`) |
 //! | [`rtlsim`] | event-driven RT-level baseline simulator |
@@ -32,33 +32,17 @@
 //! | [`fleet`] | **the session service**: a batch driver that hands built sessions to the work-stealing pool (M sessions × N shards as epoch-round jobs), per-epoch digest chains, `fleet-server` binary |
 //! | [`fuzz`] | **continuous differential fuzzing**: seed-reproducible program generator, full-matrix comparison on per-epoch digest chains, shrinker to minimal reproducers, `cabt-fuzz` binary |
 //!
-//! Execution comes in four dispatch tiers, all bit-identical and all
-//! selected as plain `Backend` data. The retained naive interpreters
-//! (`DispatchMode::Naive`/`VliwDispatch::Naive`) re-fetch through an
-//! address map per step and exist as differential references. The
-//! **pre-decoded engines** decode the whole image once at load into
-//! dense tables whose entries carry fall-through and branch-target
-//! *indices* plus cached operand sets and timing records — an
-//! index-chased dispatch ≥2× faster than the naive cores
-//! (`predecode_diff` proves bit-identity). The **block-compiled
-//! engines** (`DispatchMode::Compiled`/`VliwDispatch::Compiled`) go
-//! the paper's final step: the shared basic-block layer
-//! ([`cabt_exec::blocks`]) partitions the dispatch tables — the same
-//! partition the translator's CFG is built over — and every block is
-//! fused at load into a run of specialized closures (operands, fetch
-//! line runs and timing classes captured as constants), dispatched
-//! block-at-a-time on the golden model for another ~1.5–2×
-//! over the pre-decoded core (`BENCH_fig5.json`), bit-identical at
-//! every block boundary (`tests/compiled_diff.rs`). The **trace
-//! tier** (`DispatchMode::Trace`/`VliwDispatch::Trace`) adds
-//! profile-guided superblocks on top: block-edge counters collected
-//! during a warm-up window ([`cabt_exec::trace::TraceConfig`]) pick
-//! hot chains, which fuse into one dispatch run per step — closure
-//! chains with side-exit guards and in-place loop iteration on the
-//! golden model, consecutive packet ranges on the VLIW core — for
-//! ≥3× over pre-decoded on the golden model and ≥1.5× on the VLIW
-//! core (`fir`/`sieve` rows of `BENCH_fig5.json`), still
-//! bit-identical at every stop point.
+//! Execution comes in three dispatch tiers, all bit-identical and all
+//! selected as plain `Backend` data: the retained naive interpreters
+//! (the differential oracle), the **pre-decoded engines** (the image
+//! decoded once at load into index-chased tables) and the **trace
+//! tier** (basic blocks of the shared [`cabt_exec::blocks`] partition
+//! fused into closure runs at load, hot chains fused into superblocks
+//! after a warm-up window; with a warm-up of 0 it is plain
+//! block-at-a-time dispatch). The [`tricore::sim`] and [`vliw::sim`]
+//! module docs describe each core; `tests/predecode_diff.rs` and
+//! `tests/compiled_diff.rs` prove them bit-identical, and
+//! `BENCH_fig5.json` records their speed.
 //!
 //! Every vehicle — the golden model, the translated platform, *and* the
 //! RTL core — implements [`cabt_exec::ExecutionEngine`], including its
@@ -72,30 +56,12 @@
 //! trait, which is where new backends plug in — one more `Backend`
 //! variant, not another bespoke constructor.
 //!
-//! Snapshots are *platform-complete*: session snapshots capture the
-//! engine, the synchronization device **and** every SoC peripheral
-//! (UART logs, timer epochs, scratch-RAM contents), so
-//! `snapshot → run → restore → run` replays device behaviour
-//! bit-identically. That state capture is what powers the multi-core
-//! backend: `Backend::Sharded` builds N engines (up to 256), each with
-//! a *private* clone of the SoC device population; shards run one
-//! epoch at a time and reconcile at every epoch barrier, where the
-//! `ShardArbiter` exchanges journaled device deltas in fixed shard
-//! order — O(traffic), with full-image merge as the fallback — and
-//! delivers CoreLink doorbell messages (per-shard MMIO: core-id
-//! register plus per-core mailboxes, `docs/sharding.md`). Because
-//! shards are isolated inside an epoch, the run is *schedule
-//! independent*: one epoch-round engine plans every round
-//! (`cabt_exec::plan_shard_round`) and runs it on one of two
-//! executors — inline on the calling thread
-//! ([`cabt_exec::run_epochs_sharded`], the sequential schedule) or as
-//! work items on a fixed `FleetPool`
-//! ([`cabt_exec::pool::run_epochs_pooled`], the pooled schedule and the
-//! NoC-scale driver) — and both produce bit-identical runs: the same
-//! session lifecycle, merged UART
-//! logs, per-shard plus aggregate statistics, live shard migration at
-//! barriers ([`cabt_sim::Session::park_shard`]/`adopt_shard`), pinned
-//! by `tests/parallel_determinism.rs`:
+//! Snapshots capture the engine, the synchronization device and every
+//! SoC peripheral, which is what the multi-core backend builds on:
+//! `Backend::Sharded` runs N engines (up to 256) on private device
+//! clones reconciled at epoch barriers, bit-identically under the
+//! sequential and the pooled schedule (`docs/sharding.md` is the
+//! operating manual, `tests/parallel_determinism.rs` the proof):
 //!
 //! ```
 //! use cabt::prelude::*;
@@ -137,8 +103,8 @@
 //! "#;
 //!
 //! // Every production vehicle answers the same way — golden and
-//! // translated on the pre-decoded, block-compiled and trace
-//! // dispatch cores, plus the RTL baseline:
+//! // translated on the pre-decoded and trace dispatch cores, plus
+//! // the RTL baseline:
 //! for backend in Backend::all() {
 //!     let mut s = SimBuilder::asm(src).backend(backend).build()?;
 //!     s.run(Limit::Cycles(1_000_000))?;

@@ -1,21 +1,26 @@
-//! Differential proof that the block-/closure-compiled dispatch cores
-//! are bit-identical to the pre-decoded engines — the acceptance gate
-//! of the block-compiled execution layer.
+//! Differential proof that the trace-tier dispatch cores — basic
+//! blocks (golden) and execute packets (VLIW) fused into closure runs at
+//! load, plus profile-guided superblock traces over them — are
+//! bit-identical to the pre-decoded engines.
 //!
-//! The golden model's compiled core dispatches whole basic blocks, so
-//! it is compared at block boundaries (and at the halt); the VLIW
-//! compiled core stays packet-granular and is compared after every
-//! packet. Both are swept over every bundled workload, PRNG-randomized
-//! programs, and the fault paths (mid-block memory faults, indirect
-//! jumps out of the image).
+//! The trace tier is exercised in two configurations: an eager one in
+//! which traces form and carry most retirement, and a warm-up of 0 in
+//! which no trace ever forms, so every step dispatches one compiled
+//! block (golden) or one compiled packet (VLIW). The golden model is
+//! compared at block and trace boundaries (and at the halt); the VLIW
+//! core with warm-up 0 stays packet-granular and is compared after
+//! every packet. Both are swept over every bundled workload,
+//! PRNG-randomized programs, and the fault paths (mid-block memory
+//! faults, indirect jumps out of the image).
 
 use cabt::prelude::*;
-use cabt_exec::trace::TraceConfig;
+use cabt_exec::trace::{TraceConfig, TraceStats};
 use cabt_exec::{fingerprint_engine, ExecutionEngine};
-use cabt_isa::elf::SectionKind;
+use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_isa::rng::Pcg32;
+use cabt_platform::PlatformStats;
 use cabt_tricore::sim::{DispatchMode, SimError, Simulator};
-use cabt_vliw::sim::VliwDispatch;
+use cabt_vliw::sim::{VliwDispatch, VliwStats};
 use std::fmt::Write as _;
 
 /// Aggressive trace formation for differential tests: the warm-up
@@ -28,6 +33,23 @@ fn eager_traces() -> TraceConfig {
         max_blocks: 16,
         follow_taken: true,
     }
+}
+
+/// A closed warm-up window: no trace ever forms, so the trace tier
+/// dispatches one compiled block (golden) or packet (VLIW) per step.
+fn block_dispatch() -> TraceConfig {
+    TraceConfig {
+        warmup: 0,
+        ..TraceConfig::default()
+    }
+}
+
+/// A golden-model simulator on `mode` with `cfg` as its trace knobs.
+fn sim_on(elf: &ElfFile, mode: DispatchMode, cfg: TraceConfig) -> Simulator {
+    let mut sim = Simulator::new(elf).expect("loads");
+    sim.set_trace_config(cfg);
+    sim.set_dispatch(mode);
+    sim
 }
 
 /// All bundled workloads (the Fig. 5 set plus the Table 2 set).
@@ -48,12 +70,7 @@ fn assert_tricore_equal(name: &str, a: &mut Simulator, b: &mut Simulator) {
     }
 }
 
-fn assert_memory_equal(
-    name: &str,
-    elf: &cabt_isa::elf::ElfFile,
-    a: &mut Simulator,
-    b: &mut Simulator,
-) {
+fn assert_memory_equal(name: &str, elf: &ElfFile, a: &mut Simulator, b: &mut Simulator) {
     for s in &elf.sections {
         if matches!(s.kind, SectionKind::Data | SectionKind::Bss) && s.size > 0 {
             let ma = a.read_mem(s.addr, s.size as usize).expect("readable");
@@ -63,33 +80,16 @@ fn assert_memory_equal(
     }
 }
 
-#[test]
-fn tricore_compiled_is_bit_identical_on_all_workloads() {
-    for w in all_workloads() {
-        let elf = w.elf().expect("assembles");
-        let mut pre = Simulator::new(&elf).expect("loads");
-        let mut comp = Simulator::new(&elf).expect("loads");
-        comp.set_dispatch(DispatchMode::Compiled);
-        let rp = pre.run(500_000_000).expect("halts");
-        let rc = comp.run(500_000_000).expect("halts");
-        assert_eq!(rp, rc, "{}: final stats", w.name);
-        assert_eq!(comp.cpu.d(2), w.expected_d2, "{}: checksum", w.name);
-        assert_tricore_equal(w.name, &mut pre, &mut comp);
-        assert_memory_equal(w.name, &elf, &mut pre, &mut comp);
-    }
-}
-
-/// Block-boundary lockstep: step the compiled core one *block*, run the
-/// pre-decoded core to the same retirement count, and demand identical
-/// state at every boundary — a divergence is pinned to the block that
-/// introduced it.
+/// Block-boundary lockstep: step the trace tier with warm-up 0 one
+/// compiled *block*, run the pre-decoded core to the same retirement
+/// count, and demand identical state at every boundary — a divergence
+/// is pinned to the block that introduced it.
 #[test]
 fn tricore_compiled_agrees_at_every_block_boundary() {
     for w in [cabt::workloads::gcd(6, 11), cabt::workloads::sieve(60)] {
         let elf = w.elf().expect("assembles");
         let mut pre = Simulator::new(&elf).expect("loads");
-        let mut comp = Simulator::new(&elf).expect("loads");
-        comp.set_dispatch(DispatchMode::Compiled);
+        let mut comp = sim_on(&elf, DispatchMode::Trace, block_dispatch());
         let mut blocks = 0u64;
         while !comp.is_halted() && blocks < 20_000 {
             comp.step().expect("compiled steps");
@@ -105,30 +105,9 @@ fn tricore_compiled_agrees_at_every_block_boundary() {
     }
 }
 
-#[test]
-fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
-    for w in all_workloads() {
-        let elf = w.elf().expect("assembles");
-        for level in [DetailLevel::Static, DetailLevel::Cache] {
-            let t = Translator::new(level).translate(&elf).expect("translates");
-            let run = |mode: VliwDispatch| {
-                let mut p = Platform::new(&t, PlatformConfig::unlimited()).expect("builds");
-                p.set_dispatch(mode);
-                let stats = p.run(5_000_000_000).expect("halts");
-                let regs: Vec<u32> = (0..64).map(|i| p.sim().read_reg_index(i)).collect();
-                (stats, regs, p.sim().stats())
-            };
-            let (sp, rp, vp) = run(VliwDispatch::Predecoded);
-            let (sc, rc, vc) = run(VliwDispatch::Compiled);
-            assert_eq!(sp, sc, "{} level {level}: platform stats diverged", w.name);
-            assert_eq!(vp, vc, "{} level {level}: engine stats diverged", w.name);
-            assert_eq!(rp, rc, "{} level {level}: register file diverged", w.name);
-        }
-    }
-}
-
-/// The VLIW compiled core keeps packet granularity, so the comparison
-/// can be made after *every* packet, pending pipeline state included.
+/// With warm-up 0 the VLIW trace tier dispatches one compiled packet
+/// per step, so the comparison can be made after *every* packet,
+/// pending pipeline state included.
 #[test]
 fn vliw_compiled_agrees_after_every_packet() {
     let w = cabt::workloads::gcd(6, 11);
@@ -138,7 +117,8 @@ fn vliw_compiled_agrees_after_every_packet() {
         .expect("translates");
     let mut pre = t.make_sim().expect("builds");
     let mut comp = t.make_sim().expect("builds");
-    comp.set_dispatch(VliwDispatch::Compiled);
+    comp.set_trace_config(block_dispatch());
+    comp.set_dispatch(VliwDispatch::Trace);
     let mut packets = 0u64;
     while !pre.is_halted() && packets < 50_000 {
         pre.step_packet().expect("predecoded steps");
@@ -198,8 +178,7 @@ fn random_programs_agree_in_compiled_mode() {
 
         let elf = cabt_tricore::asm::assemble(&src).expect("assembles");
         let mut pre = Simulator::new(&elf).expect("loads");
-        let mut comp = Simulator::new(&elf).expect("loads");
-        comp.set_dispatch(DispatchMode::Compiled);
+        let mut comp = sim_on(&elf, DispatchMode::Trace, block_dispatch());
         let rp = pre.run(100_000).expect("halts");
         let rc = comp.run(100_000).expect("halts");
         assert_eq!(rp, rc, "case {case}: stats diverged");
@@ -214,8 +193,7 @@ fn fault_behaviour_matches_the_interpreter() {
     // block).
     let elf = cabt_tricore::asm::assemble(".text\n_start: mov %d1, 2\nji %a5\n").unwrap();
     let run = |mode: DispatchMode| {
-        let mut sim = Simulator::new(&elf).unwrap();
-        sim.set_dispatch(mode);
+        let mut sim = sim_on(&elf, mode, block_dispatch());
         sim.cpu.set_a(5, 0xbad0_0000);
         let err = loop {
             match sim.step() {
@@ -226,7 +204,7 @@ fn fault_behaviour_matches_the_interpreter() {
         (err, sim.cpu.pc, sim.stats())
     };
     let (ep, pp, sp) = run(DispatchMode::Predecoded);
-    let (ec, pc, sc) = run(DispatchMode::Compiled);
+    let (ec, pc, sc) = run(DispatchMode::Trace);
     assert_eq!(ep, ec);
     assert_eq!(pp, pc);
     assert_eq!(sp, sc);
@@ -239,8 +217,7 @@ fn fault_behaviour_matches_the_interpreter() {
     )
     .unwrap();
     let run = |mode: DispatchMode| {
-        let mut sim = Simulator::new(&elf).unwrap();
-        sim.set_dispatch(mode);
+        let mut sim = sim_on(&elf, mode, block_dispatch());
         let err = loop {
             match sim.step() {
                 Ok(_) => {}
@@ -249,7 +226,7 @@ fn fault_behaviour_matches_the_interpreter() {
         };
         (err, sim.cpu.pc, sim.cpu.d(1), sim.cpu.d(4), sim.stats())
     };
-    assert_eq!(run(DispatchMode::Predecoded), run(DispatchMode::Compiled));
+    assert_eq!(run(DispatchMode::Predecoded), run(DispatchMode::Trace));
 }
 
 #[test]
@@ -257,33 +234,36 @@ fn engine_trait_reports_identical_counters() {
     let w = cabt::workloads::fir(8, 64, 5);
     let elf = w.elf().expect("assembles");
     let collect = |mode: DispatchMode| {
-        let mut sim = Simulator::new(&elf).expect("loads");
-        sim.set_dispatch(mode);
+        let mut sim = sim_on(&elf, mode, block_dispatch());
         sim.run(10_000_000).expect("halts");
         sim.engine_stats()
     };
     assert_eq!(
         collect(DispatchMode::Predecoded),
-        collect(DispatchMode::Compiled)
+        collect(DispatchMode::Trace)
     );
 }
 
-/// The compiled backends drive through `cabt-sim` sessions like any
-/// other: same checksums, same counters as their pre-decoded twins at
-/// the halt.
+/// Trace backends with warm-up 0 drive through `cabt-sim` sessions like
+/// any other: same checksums, same counters as their pre-decoded twins
+/// at the halt.
 #[test]
 fn compiled_sessions_match_predecoded_sessions() {
     for w in all_workloads() {
         let pairs: [(Backend, Backend); 2] = [
-            (Backend::golden(), Backend::golden_compiled()),
+            (Backend::golden(), Backend::golden_trace()),
             (
                 Backend::translated(DetailLevel::Static),
-                Backend::translated_compiled(DetailLevel::Static),
+                Backend::translated_trace(DetailLevel::Static),
             ),
         ];
         for (pre, comp) in pairs {
             let drive = |backend: Backend| {
-                let mut s = SimBuilder::workload(&w).backend(backend).build().unwrap();
+                let mut s = SimBuilder::workload(&w)
+                    .backend(backend)
+                    .trace_config(block_dispatch())
+                    .build()
+                    .unwrap();
                 s.run(Limit::Cycles(u64::MAX)).unwrap();
                 (s.stats(), s.read_d(2))
             };
@@ -292,18 +272,75 @@ fn compiled_sessions_match_predecoded_sessions() {
     }
 }
 
-/// The trace tier on the golden model: every bundled workload runs
+/// The trace tier with warm-up 0 — every step one compiled block, no
+/// trace ever forms — runs every bundled workload bit-identically to
+/// the pre-decoded engine: registers, memory, stats, checksum.
+#[test]
+fn tricore_compiled_is_bit_identical_on_all_workloads() {
+    for w in all_workloads() {
+        let elf = w.elf().expect("assembles");
+        let mut pre = Simulator::new(&elf).expect("loads");
+        let mut comp = sim_on(&elf, DispatchMode::Trace, block_dispatch());
+        let rp = pre.run(500_000_000).expect("halts");
+        let rc = comp.run(500_000_000).expect("halts");
+        assert_eq!(rp, rc, "{}: final stats", w.name);
+        assert_eq!(comp.cpu.d(2), w.expected_d2, "{}: checksum", w.name);
+        assert_tricore_equal(w.name, &mut pre, &mut comp);
+        assert_memory_equal(w.name, &elf, &mut pre, &mut comp);
+        let ts = comp.trace_stats().expect("trace dispatch selected");
+        assert_eq!(ts.traces, 0, "{}: a closed window formed traces", w.name);
+    }
+}
+
+/// Shared VLIW run for the all-workload checks: platform stats,
+/// register file, engine stats and trace counters at the halt.
+fn vliw_run(
+    t: &Translated,
+    mode: VliwDispatch,
+    cfg: TraceConfig,
+) -> (PlatformStats, Vec<u32>, VliwStats, Option<TraceStats>) {
+    let mut p = Platform::new(t, PlatformConfig::unlimited()).expect("builds");
+    p.set_trace_config(cfg);
+    p.set_dispatch(mode);
+    let stats = p.run(5_000_000_000).expect("halts");
+    let regs: Vec<u32> = (0..64).map(|i| p.sim().read_reg_index(i)).collect();
+    (stats, regs, p.sim().stats(), p.trace_stats())
+}
+
+/// The VLIW trace tier with warm-up 0 — every step one compiled packet,
+/// no trace ever forms — matches the pre-decoded engine at the halt on
+/// every bundled workload and detail level.
+#[test]
+fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
+    for w in all_workloads() {
+        let elf = w.elf().expect("assembles");
+        for level in [DetailLevel::Static, DetailLevel::Cache] {
+            let t = Translator::new(level).translate(&elf).expect("translates");
+            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Predecoded, block_dispatch());
+            let (sc, rc, vc, ts) = vliw_run(&t, VliwDispatch::Trace, block_dispatch());
+            assert_eq!(sp, sc, "{} level {level}: platform stats diverged", w.name);
+            assert_eq!(vp, vc, "{} level {level}: engine stats diverged", w.name);
+            assert_eq!(rp, rc, "{} level {level}: register file diverged", w.name);
+            let ts = ts.expect("trace dispatch selected");
+            assert_eq!(
+                ts.traces, 0,
+                "{} level {level}: a closed window formed traces",
+                w.name
+            );
+        }
+    }
+}
+
+/// The trace tier with eager formation runs every bundled workload
 /// bit-identically to the pre-decoded engine — registers, memory,
-/// stats, checksum — while retiring most of its instructions inside
-/// fused superblocks.
+/// stats, checksum — with most instructions retiring inside fused
+/// superblocks.
 #[test]
 fn tricore_trace_is_bit_identical_on_all_workloads() {
     for w in all_workloads() {
         let elf = w.elf().expect("assembles");
         let mut pre = Simulator::new(&elf).expect("loads");
-        let mut tr = Simulator::new(&elf).expect("loads");
-        tr.set_trace_config(eager_traces());
-        tr.set_dispatch(DispatchMode::Trace);
+        let mut tr = sim_on(&elf, DispatchMode::Trace, eager_traces());
         let rp = pre.run(500_000_000).expect("halts");
         let rt = tr.run(500_000_000).expect("halts");
         assert_eq!(rp, rt, "{}: final stats", w.name);
@@ -331,16 +368,8 @@ fn vliw_trace_is_bit_identical_on_all_workloads() {
         let elf = w.elf().expect("assembles");
         for level in [DetailLevel::Static, DetailLevel::Cache] {
             let t = Translator::new(level).translate(&elf).expect("translates");
-            let run = |mode: VliwDispatch| {
-                let mut p = Platform::new(&t, PlatformConfig::unlimited()).expect("builds");
-                p.set_trace_config(eager_traces());
-                p.set_dispatch(mode);
-                let stats = p.run(5_000_000_000).expect("halts");
-                let regs: Vec<u32> = (0..64).map(|i| p.sim().read_reg_index(i)).collect();
-                (stats, regs, p.sim().stats(), p.trace_stats())
-            };
-            let (sp, rp, vp, _) = run(VliwDispatch::Predecoded);
-            let (st, rt, vt, ts) = run(VliwDispatch::Trace);
+            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Predecoded, eager_traces());
+            let (st, rt, vt, ts) = vliw_run(&t, VliwDispatch::Trace, eager_traces());
             assert_eq!(sp, st, "{} level {level}: platform stats diverged", w.name);
             assert_eq!(vp, vt, "{} level {level}: engine stats diverged", w.name);
             assert_eq!(rp, rt, "{} level {level}: register file diverged", w.name);
@@ -406,9 +435,7 @@ fn random_hot_indirect_programs_agree_in_trace_mode() {
 
         let elf = cabt_tricore::asm::assemble(&src).expect("assembles");
         let mut pre = Simulator::new(&elf).expect("loads");
-        let mut tr = Simulator::new(&elf).expect("loads");
-        tr.set_trace_config(eager_traces());
-        tr.set_dispatch(DispatchMode::Trace);
+        let mut tr = sim_on(&elf, DispatchMode::Trace, eager_traces());
         let mut steps = 0u64;
         while !tr.is_halted() && steps < 100_000 {
             tr.step().expect("trace steps");
@@ -452,9 +479,7 @@ walk:
     )
     .expect("assembles");
     let run = |mode: DispatchMode| {
-        let mut sim = Simulator::new(&elf).expect("loads");
-        sim.set_trace_config(eager_traces());
-        sim.set_dispatch(mode);
+        let mut sim = sim_on(&elf, mode, eager_traces());
         let err = loop {
             match sim.step() {
                 Ok(_) => {}
@@ -521,14 +546,14 @@ fn trace_sessions_snapshot_across_side_exits() {
     }
 }
 
-/// Reset and rerun reproduces the compiled run exactly (the compiled
-/// table is a load-time constant; reset touches only mutable state).
+/// Reset and rerun reproduces the block-at-a-time trace-tier run
+/// exactly (the compiled table is a load-time constant; reset touches
+/// only mutable state).
 #[test]
 fn compiled_reset_reproduces_the_run() {
     let w = cabt::workloads::sieve(200);
     let elf = w.elf().expect("assembles");
-    let mut sim = Simulator::new(&elf).expect("loads");
-    sim.set_dispatch(DispatchMode::Compiled);
+    let mut sim = sim_on(&elf, DispatchMode::Trace, block_dispatch());
     sim.run(10_000_000).expect("halts");
     let first = sim.stats();
     assert_eq!(sim.cpu.d(2), w.expected_d2);

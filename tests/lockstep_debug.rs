@@ -93,29 +93,29 @@ fn fibonacci_lockstep() {
     lockstep(&cabt::workloads::fibonacci(3, 10), 300);
 }
 
-/// The lockstep debugger drives the closure-compiled VLIW core
-/// unchanged: compiled dispatch stays packet-granular, so the
-/// per-instruction translation still stops at every source address.
+/// The lockstep debugger accepts a trace-tier builder and runs it on
+/// the packet-granular pre-decoded core, so the per-instruction
+/// translation still stops at every source address.
 #[test]
-fn lockstep_drives_the_compiled_vliw_core() {
+fn lockstep_drives_a_trace_backend_builder() {
     for w in [cabt::workloads::gcd(4, 21), cabt::workloads::sieve(40)] {
         let elf = w.elf().expect("assembles");
         let dbg = DebugSession::from_builder(
-            SimBuilder::elf(elf).backend(Backend::translated_compiled(DetailLevel::Static)),
+            SimBuilder::elf(elf).backend(Backend::translated_trace(DetailLevel::Static)),
         )
-        .expect("compiled debug session builds");
+        .expect("trace debug session builds");
         lockstep_against(&w, 500, dbg);
     }
 }
 
-/// Breakpoints hit at the same source addresses on the compiled core.
+/// Breakpoints hit at the same source addresses on a trace-tier builder.
 #[test]
-fn breakpoints_work_on_the_compiled_core() {
+fn breakpoints_work_on_a_trace_backend_builder() {
     let elf = assemble(".text\n_start: mov %d1, 1\nmid: mov %d2, 2\n add %d2, %d1\n debug\n")
         .expect("assembles");
     let mid = elf.symbol("mid").expect("symbol").value;
     let mut dbg = DebugSession::from_builder(
-        SimBuilder::elf(elf).backend(Backend::translated_compiled(DetailLevel::Static)),
+        SimBuilder::elf(elf).backend(Backend::translated_trace(DetailLevel::Static)),
     )
     .expect("builds");
     dbg.set_breakpoint(mid).expect("source address");

@@ -18,6 +18,7 @@
 //! (any divergence prints the seed for replay), at N = 2/4/8.
 
 use cabt::prelude::*;
+use cabt_exec::trace::TraceConfig;
 use cabt_exec::{fingerprint_engine, Fingerprint};
 use cabt_isa::elf::SectionKind;
 use cabt_isa::rng::Pcg32;
@@ -118,9 +119,21 @@ fn digest_session(s: &mut Session, stop: StopCause) -> u64 {
     fp.digest()
 }
 
+/// Trace knobs every session in this file is built with: a warm-up of
+/// 0, so the trace backends form no trace and dispatch one compiled
+/// block (golden) or packet (VLIW) per step. Trace formation under
+/// sharding is covered by `tests/sharded.rs` and the fuzz matrix.
+fn block_dispatch() -> TraceConfig {
+    TraceConfig {
+        warmup: 0,
+        ..TraceConfig::default()
+    }
+}
+
 fn build(source: &Workload, cores: u16, base: Backend, schedule: ShardSchedule) -> Session {
     SimBuilder::workload(source)
         .backend(Backend::sharded_with_schedule(cores, base, schedule))
+        .trace_config(block_dispatch())
         .build()
         .expect("sharded session builds")
 }
@@ -152,9 +165,9 @@ fn producer_consumer_is_schedule_independent_at_2_4_8_shards() {
     for cores in [2u16, 4, 8] {
         for base in [
             Backend::golden(),
-            Backend::golden_compiled(),
+            Backend::golden_trace(),
             Backend::translated(DetailLevel::Static),
-            Backend::translated_compiled(DetailLevel::Static),
+            Backend::translated_trace(DetailLevel::Static),
             Backend::translated(DetailLevel::Cache),
         ] {
             assert_schedules_agree("producer_consumer", &w, cores, base, BUDGET);
@@ -231,7 +244,7 @@ fn partial_runs_and_retirement_budgets_are_schedule_independent() {
     let w = cabt_workloads::by_name("producer_consumer").unwrap();
     for base in [
         Backend::golden(),
-        Backend::golden_compiled(),
+        Backend::golden_trace(),
         Backend::translated(DetailLevel::Static),
     ] {
         for limit in [
@@ -322,13 +335,14 @@ fn randomized_spmd_programs_are_schedule_independent() {
         for cores in [2u16, 4] {
             for base in [
                 Backend::golden(),
-                Backend::golden_compiled(),
+                Backend::golden_trace(),
                 Backend::translated(DetailLevel::Static),
-                Backend::translated_compiled(DetailLevel::Static),
+                Backend::translated_trace(DetailLevel::Static),
             ] {
                 let drive = |schedule: ShardSchedule| {
                     let mut s = SimBuilder::asm(src.clone())
                         .backend(Backend::sharded_with_schedule(cores, base, schedule))
+                        .trace_config(block_dispatch())
                         .build()
                         .unwrap_or_else(|e| panic!("seed {seed:#x}: fails to build: {e}"));
                     let stop = s
@@ -475,8 +489,9 @@ fn mid_run_shard_migration_replays_bit_identically() {
     let want = digest_session(&mut reference, stop);
 
     // Same-backend migration, and a dispatch-tier migration onto the
-    // compiled core — both must be invisible to the digest.
-    for target in [None, Some(Backend::golden_compiled())] {
+    // trace core (the envelope carries the donor's warm-up of 0) — both
+    // must be invisible to the digest.
+    for target in [None, Some(Backend::golden_trace())] {
         let mut s = build(&w, cores, Backend::golden(), schedule);
         // Two full epochs in: a barrier point, every shard at the same
         // deadline.
@@ -532,9 +547,9 @@ fn mailbox_runs_on_every_mmio_capable_base() {
     let w = cabt_workloads::mailbox(4);
     for base in [
         Backend::golden(),
-        Backend::golden_compiled(),
+        Backend::golden_trace(),
         Backend::translated(DetailLevel::Static),
-        Backend::translated_compiled(DetailLevel::Static),
+        Backend::translated_trace(DetailLevel::Static),
     ] {
         assert_schedules_agree("mailbox", &w, 4, base, BUDGET);
         let mut s = build(&w, 4, base, ShardSchedule::Pooled(2));

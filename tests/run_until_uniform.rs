@@ -6,6 +6,7 @@
 //! halted engine reports an exhausted budget as `LimitReached`.
 
 use cabt::prelude::*;
+use cabt_exec::trace::TraceConfig;
 use cabt_tricore::sim::DispatchMode;
 use cabt_vliw::sim::VliwDispatch;
 
@@ -21,43 +22,31 @@ top:
     debug
 ";
 
-/// Every backend variant, including every dispatch core of each
-/// dispatch-mode-capable engine (the naive references too).
+/// Every backend variant: [`Backend::all`] plus the two naive
+/// reference interpreters (the VLIW one at every detail level), so the
+/// sweep cannot drift from the enum.
 fn all_backends() -> Vec<Backend> {
-    let mut v = Vec::new();
-    for dispatch in [
-        DispatchMode::Predecoded,
-        DispatchMode::Compiled,
-        DispatchMode::Trace,
-        DispatchMode::Naive,
-    ] {
-        v.push(Backend::Golden { dispatch });
-    }
-    for level in DetailLevel::ALL {
-        for dispatch in [
-            VliwDispatch::Predecoded,
-            VliwDispatch::Compiled,
-            VliwDispatch::Trace,
-            VliwDispatch::Naive,
-        ] {
-            v.push(Backend::Translated { level, dispatch });
-        }
-    }
-    v.push(Backend::Rtl);
+    let mut v = Backend::all();
+    v.push(Backend::Golden {
+        dispatch: DispatchMode::Naive,
+    });
+    v.extend(DetailLevel::ALL.map(|level| Backend::Translated {
+        level,
+        dispatch: VliwDispatch::Naive,
+    }));
     v
 }
 
-/// True for engines whose dispatch unit is a whole basic block (or a
-/// fused trace of blocks): their budget checks happen between units,
-/// so an unmet budget may be overshot into the end of the current unit
-/// (documented on `DispatchMode::Compiled`/`Trace` and
-/// `VliwDispatch::Trace`). Every *met-at-entry* semantic below is
-/// identical regardless.
+/// True for engines whose dispatch unit is a whole basic block, packet
+/// run or fused trace: their budget checks happen between units, so an
+/// unmet budget may be overshot into the end of the current unit
+/// (documented on `DispatchMode::Trace` and `VliwDispatch::Trace`).
+/// Every *met-at-entry* semantic below is identical regardless.
 fn block_granular(backend: Backend) -> bool {
     matches!(
         backend,
         Backend::Golden {
-            dispatch: DispatchMode::Compiled | DispatchMode::Trace
+            dispatch: DispatchMode::Trace
         } | Backend::Translated {
             dispatch: VliwDispatch::Trace,
             ..
@@ -65,51 +54,67 @@ fn block_granular(backend: Backend) -> bool {
     )
 }
 
-fn session(backend: Backend) -> Session {
-    SimBuilder::asm(SUM)
-        .backend(backend)
-        .build()
-        .expect("builds")
+/// One session per backend, labelled — plus every trace backend again
+/// with a warm-up of 0, where no trace forms and each step dispatches
+/// one compiled block (golden) or packet (VLIW).
+fn sessions() -> Vec<(String, Backend, Session)> {
+    let block_dispatch = TraceConfig {
+        warmup: 0,
+        ..TraceConfig::default()
+    };
+    let mut v = Vec::new();
+    for backend in all_backends() {
+        let build = |trace| {
+            SimBuilder::asm(SUM)
+                .backend(backend)
+                .trace_config(trace)
+                .build()
+                .expect("builds")
+        };
+        v.push((backend.to_string(), backend, build(TraceConfig::default())));
+        if block_granular(backend) {
+            v.push((
+                format!("{backend} warm-up 0"),
+                backend,
+                build(block_dispatch),
+            ));
+        }
+    }
+    v
 }
 
 #[test]
 fn zero_budget_returns_limit_without_stepping() {
-    for backend in all_backends() {
-        let mut s = session(backend);
+    for (label, _, mut s) in sessions() {
         for limit in [Limit::Cycles(0), Limit::Retirements(0)] {
             assert_eq!(
                 s.run_until(limit).unwrap(),
                 StopCause::LimitReached,
-                "{backend}: {limit:?}"
+                "{label}: {limit:?}"
             );
-            assert_eq!(
-                s.stats().retired,
-                0,
-                "{backend}: {limit:?} must not dispatch"
-            );
-            assert_eq!(s.cycle(), 0, "{backend}: {limit:?} must not advance time");
+            assert_eq!(s.stats().retired, 0, "{label}: {limit:?} must not dispatch");
+            assert_eq!(s.cycle(), 0, "{label}: {limit:?} must not advance time");
         }
     }
 }
 
 #[test]
 fn already_met_limits_return_limit_without_stepping() {
-    for backend in all_backends() {
-        let mut s = session(backend);
+    for (label, backend, mut s) in sessions() {
         // Make some progress, then ask for less than already done.
         assert_eq!(
             s.run_until(Limit::Retirements(3)).unwrap(),
             StopCause::LimitReached,
-            "{backend}"
+            "{label}"
         );
         let before = s.stats();
         if block_granular(backend) {
             assert!(
                 before.retired >= 3,
-                "{backend}: block-granular budgets stop at the next boundary"
+                "{label}: block-granular budgets stop at the next boundary"
             );
         } else {
-            assert_eq!(before.retired, 3, "{backend}: retirement budgets are exact");
+            assert_eq!(before.retired, 3, "{label}: retirement budgets are exact");
         }
         for limit in [
             Limit::Retirements(3),
@@ -120,12 +125,12 @@ fn already_met_limits_return_limit_without_stepping() {
             assert_eq!(
                 s.run_until(limit).unwrap(),
                 StopCause::LimitReached,
-                "{backend}: {limit:?}"
+                "{label}: {limit:?}"
             );
             assert_eq!(
                 s.stats(),
                 before,
-                "{backend}: {limit:?} must leave the engine untouched"
+                "{label}: {limit:?} must leave the engine untouched"
             );
         }
     }
@@ -133,30 +138,29 @@ fn already_met_limits_return_limit_without_stepping() {
 
 #[test]
 fn budget_check_precedes_halt_check() {
-    for backend in all_backends() {
-        let mut s = session(backend);
+    for (label, _, mut s) in sessions() {
         assert_eq!(
             s.run_until(Limit::Cycles(u64::MAX)).unwrap(),
             StopCause::Halted,
-            "{backend}"
+            "{label}"
         );
-        assert!(s.is_halted(), "{backend}");
+        assert!(s.is_halted(), "{label}");
         // Exhausted budget wins over the halt...
         assert_eq!(
             s.run_until(Limit::Cycles(0)).unwrap(),
             StopCause::LimitReached,
-            "{backend}: zero budget on a halted engine"
+            "{label}: zero budget on a halted engine"
         );
         assert_eq!(
             s.run_until(Limit::Retirements(0)).unwrap(),
             StopCause::LimitReached,
-            "{backend}: zero retirements on a halted engine"
+            "{label}: zero retirements on a halted engine"
         );
         // ...while an unexhausted budget still reports the halt.
         assert_eq!(
             s.run_until(Limit::Cycles(u64::MAX)).unwrap(),
             StopCause::Halted,
-            "{backend}: halted engine with budget left"
+            "{label}: halted engine with budget left"
         );
     }
 }

@@ -8,7 +8,11 @@
 //! architectural registers.
 
 use cabt::prelude::*;
+use cabt_exec::fingerprint_engine;
+use cabt_exec::trace::TraceConfig;
+use cabt_isa::codec::{ByteReader, ByteWriter};
 use cabt_isa::elf::SectionKind;
+use cabt_platform::SocBusState;
 use cabt_rtlsim::RtlCore;
 use cabt_tricore::sim::DispatchMode;
 use cabt_vliw::sim::VliwDispatch;
@@ -65,8 +69,8 @@ fn diff_snapshot<E: ExecutionEngine>(label: &str, e: &mut E, k: u64, n: u64, win
         StopCause::LimitReached,
         "{label}: warm-up must not halt (pick a smaller k)"
     );
-    // Block-granular engines (the golden compiled core) may overshoot a
-    // retirement budget into the end of the current block; the snapshot
+    // Block-granular engines (the trace tiers) may overshoot a
+    // retirement budget into the end of the current unit; the snapshot
     // contract is about rewinding to wherever the warm-up *actually*
     // stopped.
     let at = e.engine_stats().retired;
@@ -111,24 +115,26 @@ fn data_windows(elf: &cabt_isa::elf::ElfFile) -> Vec<(u32, usize)> {
 fn golden_model_snapshot_is_bit_identical_in_every_dispatch_mode() {
     let elf = assemble(SRC).unwrap();
     let win = data_windows(&elf);
-    for mode in [
-        DispatchMode::Predecoded,
-        DispatchMode::Compiled,
-        DispatchMode::Trace,
-        DispatchMode::Naive,
+    // The trace tier runs twice: block-at-a-time (warm-up 0, no trace
+    // forms) and with aggressive formation, so the snapshot/restore
+    // straddles fused-trace dispatch (the tier is architecturally
+    // invisible, so restore need not rewind the profile — replay must
+    // still be bit-identical).
+    for (mode, warmup) in [
+        (DispatchMode::Predecoded, 1_000_000),
+        (DispatchMode::Trace, 0),
+        (DispatchMode::Trace, 1_000_000),
+        (DispatchMode::Naive, 1_000_000),
     ] {
         let mut sim = Simulator::new(&elf).unwrap();
-        // Aggressive trace formation so the snapshot/restore straddles
-        // fused-trace dispatch (the tier is architecturally invisible,
-        // so restore need not rewind the profile — replay must still be
-        // bit-identical).
-        sim.set_trace_config(cabt::exec::trace::TraceConfig {
-            warmup: 1_000_000,
+        sim.set_trace_config(TraceConfig {
+            warmup,
             hot_threshold: 2,
             ..Default::default()
         });
         sim.set_dispatch(mode);
-        diff_snapshot(&format!("golden/{mode:?}"), &mut sim, 7, 9, &win);
+        let label = format!("golden/{mode:?}/warm-up {warmup}");
+        diff_snapshot(&label, &mut sim, 7, 9, &win);
     }
 }
 
@@ -138,22 +144,23 @@ fn vliw_core_snapshot_is_bit_identical_in_both_dispatch_modes() {
     let win = data_windows(&elf);
     for level in [DetailLevel::Static, DetailLevel::Cache] {
         let t = Translator::new(level).translate(&elf).unwrap();
-        for mode in [
-            VliwDispatch::Predecoded,
-            VliwDispatch::Compiled,
-            VliwDispatch::Trace,
-            VliwDispatch::Naive,
+        for (mode, warmup) in [
+            (VliwDispatch::Predecoded, 1_000_000),
+            (VliwDispatch::Trace, 0),
+            (VliwDispatch::Trace, 1_000_000),
+            (VliwDispatch::Naive, 1_000_000),
         ] {
             let mut sim = t.make_sim().unwrap();
-            sim.set_trace_config(cabt::exec::trace::TraceConfig {
-                warmup: 1_000_000,
+            sim.set_trace_config(TraceConfig {
+                warmup,
                 hot_threshold: 2,
                 ..Default::default()
             });
             sim.set_dispatch(mode);
             // Snapshot inside the program: loads in flight, branch
             // shadows pending.
-            diff_snapshot(&format!("vliw/{level}/{mode:?}"), &mut sim, 11, 17, &win);
+            let label = format!("vliw/{level}/{mode:?}/warm-up {warmup}");
+            diff_snapshot(&label, &mut sim, 11, 17, &win);
         }
     }
 }
@@ -456,4 +463,93 @@ fn park_header_rejects_foreign_and_future_images() {
             "truncated at {cut}: must fail to decode"
         );
     }
+}
+
+/// Re-encodes `parked` (whose payload ends with `devices`, its SoC bus
+/// image) once per known-bad device corruption: a dropped device image,
+/// the Timer and UART images truncated to 3 bytes, and a scratch-RAM
+/// journal count of `u64::MAX`. Every variant keeps a well-formed
+/// envelope, so only the device restore can object.
+fn corrupt_device_parks(parked: &[u8], devices: &SocBusState) -> Vec<(&'static str, Vec<u8>)> {
+    let mut tail = Vec::new();
+    devices.encode_into(&mut tail);
+    assert!(parked.ends_with(&tail), "the bus image closes the park");
+    let head = &parked[..parked.len() - tail.len()];
+    // Default device population: Timer, UART, scratch RAM, CoreLink.
+    let mut r = ByteReader::new(&tail);
+    let n = r.count("device images", 8).unwrap();
+    let images: Vec<Vec<u8>> = (0..n).map(|_| r.bytes("image").unwrap().to_vec()).collect();
+    let transactions = r.u64().unwrap();
+    let repark = |images: &[Vec<u8>]| {
+        let mut out = head.to_vec();
+        let mut w = ByteWriter::new(&mut out);
+        w.u64(images.len() as u64);
+        images.iter().for_each(|img| w.bytes(img));
+        w.u64(transactions);
+        out
+    };
+    assert_eq!(repark(&images), parked, "the split round-trips");
+    let (mut timer, mut uart, mut ram) = (images.clone(), images.clone(), images.clone());
+    timer[0].truncate(3);
+    uart[1].truncate(3);
+    ram[2][..8].fill(0xff);
+    vec![
+        ("device image dropped", repark(&images[..n - 1])),
+        ("Timer image truncated", repark(&timer)),
+        ("UART image truncated", repark(&uart)),
+        ("scratch-RAM journal count corrupt", repark(&ram)),
+    ]
+}
+
+/// A well-framed park whose device images do not decode is a typed
+/// error on both untrusted restore paths — `Session::resume` and
+/// `Session::adopt_shard` — never a panic; a refused adoption leaves
+/// the run it was aimed at untouched.
+#[test]
+fn corrupt_device_images_are_codec_errors_not_panics() {
+    let translated = || {
+        SimBuilder::asm(TIMER_UART_SRC)
+            .backend(Backend::translated(DetailLevel::Cache))
+            .platform(PlatformConfig::default())
+    };
+    let mut s = translated().build().unwrap();
+    s.run_until(Limit::Retirements(150)).unwrap();
+    let parked = s.park().unwrap();
+    let devices = s.soc_bus_state().expect("translated sessions own a bus");
+    for (what, bytes) in corrupt_device_parks(&parked, &devices) {
+        assert!(
+            matches!(Session::resume(&bytes), Err(SessionError::Codec(_))),
+            "resume: {what}"
+        );
+    }
+
+    // Park shard 1 early, let traffic move its devices on, then offer
+    // the stale corrupt images: a partial restore would rewind the
+    // devices decoded before the bad one. Barriers land on run-call
+    // boundaries, so the reference makes the same calls.
+    let drive = |offer_corrupt: bool| {
+        let mut s = translated()
+            .backend(Backend::sharded(2, Backend::translated(DetailLevel::Cache)))
+            .build()
+            .unwrap();
+        s.run_until(Limit::Cycles(500)).unwrap();
+        let parked = s.park_shard(1).unwrap();
+        let devices = s.shard(1).unwrap().soc_bus_state().expect("shard bus");
+        s.run_until(Limit::Cycles(4_500)).unwrap();
+        if offer_corrupt {
+            for (what, bytes) in corrupt_device_parks(&parked, &devices) {
+                assert!(
+                    matches!(s.adopt_shard(1, &bytes, None), Err(SessionError::Codec(_))),
+                    "adopt_shard: {what}"
+                );
+            }
+        }
+        s.run_until(Limit::Cycles(u64::MAX)).unwrap();
+        let devices = s.soc_bus_state();
+        (fingerprint_engine(&s), s.sharded_stats(), devices)
+    };
+    assert!(
+        drive(true) == drive(false),
+        "refused adoptions must not disturb the run"
+    );
 }
