@@ -3,7 +3,7 @@
 //! `--bin fig5` from simulated clock counts), plus the dispatch
 //! comparison of the naive versus pre-decoded engine cores, the
 //! sharded-throughput scaling rows up to the 256-core NoC fabric, and
-//! the epoch-barrier cost table (delta vs full-image), emitted as
+//! the epoch-barrier cost table (ns per exchange), emitted as
 //! `BENCH_fig5.json` so the repo's performance trajectory accumulates.
 //!
 //! Run via `cargo bench -p cabt-bench --bench fig5_speed`; the JSON
@@ -203,13 +203,12 @@ fn main() {
         sharded.push(con);
     }
 
-    // Epoch-barrier cost at NoC scale: nanoseconds per exchange on the
-    // O(traffic) delta barrier versus the full-image barrier it
-    // replaced, measured on the bare device fabric (no engines) under
-    // producer/consumer-shaped traffic. The delta column must grow
-    // sublinearly in the fabric width while the full-image column
-    // scales with cores x device state.
-    println!("\nepoch-barrier cost (delta vs full-image, ns/epoch):");
+    // Epoch-barrier cost at NoC scale: nanoseconds per exchange,
+    // measured on the bare device fabric (no engines) under
+    // producer/consumer-shaped traffic. The merged journal is applied
+    // on every shard, so the cost tracks traffic x width, not the
+    // device state the run has accumulated.
+    println!("\nepoch-barrier cost (ns/epoch):");
     let widths: &[u16] = if smoke { &[8] } else { &[8, 64, 256] };
     let barrier_epochs = if smoke { 20 } else { 200 };
     let barrier: Vec<_> = widths
@@ -217,13 +216,7 @@ fn main() {
         .map(|&n| cabt_bench::barrier_cost(n, 160, barrier_epochs))
         .collect();
     for b in &barrier {
-        println!(
-            "  cores {:>3}  delta {:>10.0} ns/epoch   full-image {:>12.0} ns/epoch   ({:.1}x)",
-            b.cores,
-            b.delta_ns_per_epoch,
-            b.full_ns_per_epoch,
-            b.speedup(),
-        );
+        println!("  cores {:>3}  {:>10.0} ns/epoch", b.cores, b.ns_per_epoch);
     }
 
     // Fleet throughput: M concurrent sessions as epoch-sized work items

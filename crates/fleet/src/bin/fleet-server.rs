@@ -433,15 +433,15 @@ mod tests {
         let mut parked = s.park().unwrap();
         // The park ends with the bus image: a device count, then each
         // device image as a u64 length and its bytes — the Timer first,
-        // 12 bytes long. Cut the Timer image to 3 bytes.
+        // 24 bytes long. Cut the Timer image to 3 bytes.
         let mut bus = Vec::new();
         s.soc_bus_state()
             .expect("translated bus")
             .encode_into(&mut bus);
         let at = parked.len() - bus.len();
-        assert_eq!(parked[at + 8..at + 16], 12u64.to_le_bytes());
+        assert_eq!(parked[at + 8..at + 16], 24u64.to_le_bytes());
         parked.splice(
-            at + 8..at + 28,
+            at + 8..at + 40,
             [&3u64.to_le_bytes()[..], &bus[16..19]].concat(),
         );
         let input = format!(

@@ -385,20 +385,25 @@ fn mem_op(rng: &mut Pcg32, over_data: bool) -> String {
 }
 
 /// One random MMIO access through `%a6` (UART data write, scratch-RAM
-/// read/write). The timer window is never read — its value is
-/// cycle-dependent and would diverge across vehicles by design.
+/// read/write, timer compare write). The timer window is never read
+/// and its epoch never reset — both are cycle-dependent and would
+/// diverge across vehicles by design — but a compare write carries
+/// only a register value, and on sharded sessions it travels through
+/// the barrier like any other device change.
 fn mmio_op(rng: &mut Pcg32) -> String {
     let r = pool(rng);
     // `%a6` is based at the UART (IO + 0x100): the UART data register
-    // is offset 0 and the scratch RAM starts at +0x100, so every
-    // access fits the assembler's signed 10-bit offset field.
+    // is offset 0, the scratch RAM starts at +0x100 and the timer
+    // compare register sits at -0xfc, so every access fits the
+    // assembler's signed 10-bit offset field.
     let so4 = (rng.random_range(0..0x80) / 4) * 4;
-    match rng.below(5) {
+    match rng.below(6) {
         0 => format!("st.b [%a6]0, %d{r}"),
         1 => format!("st.w [%a6]0, %d{r}"),
         2 => format!("st.w [%a6]{:#x}, %d{r}", 0x100 + so4),
         3 => format!("ld.w %d{r}, [%a6]{:#x}", 0x100 + so4),
-        _ => format!("st.h [%a6]{:#x}, %d{r}", 0x100 + so4),
+        4 => format!("st.h [%a6]{:#x}, %d{r}", 0x100 + so4),
+        _ => format!("st.w [%a6]-0xfc, %d{r}"),
     }
 }
 

@@ -87,13 +87,12 @@ pub enum Backend {
     /// A multi-core shard set: `cores` copies of the per-shard vehicle
     /// `backend`, each owning a *private* clone of the shared SoC
     /// device population (timer, UART, scratch-RAM mailbox). The shards
-    /// advance one `SyncRate` epoch at a time and exchange
-    /// `SocBusState` images at every epoch barrier, where the
-    /// `ShardArbiter` merges them in fixed shard order into one
-    /// canonical image broadcast back to every shard — so runs, and
-    /// snapshot-restore replays, are deterministic and *schedule
-    /// independent*: both [`ShardSchedule`]s produce bit-identical
-    /// state. Each shard is seeded with its core id in
+    /// advance one `SyncRate` epoch at a time, and at every epoch
+    /// barrier the `ShardArbiter` applies each device's per-shard
+    /// journals, concatenated in fixed shard order, to every shard — so
+    /// runs, and snapshot-restore replays, are deterministic and
+    /// *schedule independent*: both [`ShardSchedule`]s produce
+    /// bit-identical state. Each shard is seeded with its core id in
     /// source register `%d15` (shard 0 keeps the conventional
     /// single-core role), which is how SPMD workloads like
     /// `producer_consumer` pick their role; each shard's bus also
@@ -1174,8 +1173,10 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// default bus population and the dirty-word journal to the
 /// `ScratchRam` state encoding — v1 images carry a three-device bus
 /// state and the journal-less scratch encoding, so they no longer
-/// decode and are rejected by version, not misread.
-pub const PARK_VERSION: u16 = 2;
+/// decode and are rejected by version, not misread. v3 grew the
+/// `Timer` image from 12 to 24 bytes: its `(epoch, compare)` as of the
+/// last barrier follows the current one.
+pub const PARK_VERSION: u16 = 3;
 
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1768,8 +1769,8 @@ impl Session {
     /// Snapshot core. Single-core vehicles capture their bus's device
     /// state in `devices`; sharded sessions capture every shard's
     /// *private* (possibly mid-epoch) bus image inside the per-shard
-    /// sub-snapshots, and carry the arbiter's canonical barrier image —
-    /// the merge base of the next exchange — in `devices`.
+    /// sub-snapshots, and carry the arbiter's canonical barrier image
+    /// in `devices`.
     fn snapshot_with_devices(&self) -> SessionSnapshot {
         let snap = match &self.vehicle {
             Vehicle::Golden { sim, .. } => Snap::Golden(Box::new(sim.snapshot())),
@@ -1957,7 +1958,7 @@ impl Session {
         // Device state. Single-core vehicles restore their live bus;
         // sharded sessions already restored every shard's private bus
         // through the per-shard sub-snapshots above, so the top-level
-        // image re-seats the arbiter's canonical merge base (and epoch
+        // image re-seats the arbiter's canonical mirror (and epoch
         // counter) instead.
         match &mut self.vehicle {
             Vehicle::Sharded(set) => {

@@ -5,8 +5,7 @@
 # every tier, with per-workload trace-formation stats — the sharded
 # multi-core throughput scaling 1->2->4->8->64->256 cores with paired
 # sequential/pooled scheduler rows, the epoch-barrier cost table
-# (O(traffic) delta barrier vs the full-image baseline, ns/epoch at
-# 8/64/256 cores), and the fleet service at 1/10/100/1000 concurrent
+# (ns per ShardArbiter exchange at 8/64/256 cores), and the fleet service at 1/10/100/1000 concurrent
 # sessions with paired 1-worker/4-worker pool rows — sessions/sec plus
 # aggregate MIPS) and writes the machine-readable result to
 # BENCH_fig5.json at the repo root, overwriting the previous run's file.

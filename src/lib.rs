@@ -24,7 +24,7 @@
 //! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (pre-decoded and trace dispatch cores, naive oracle) |
 //! | [`vliw`] | target VLIW ISA, binary container format, simulator (pre-decoded and trace dispatch cores, naive oracle) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
-//! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with deterministic state merge and O(traffic) journaled delta exchange (`docs/sharding.md`) |
+//! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with a deterministic O(traffic) journaled delta exchange (`docs/sharding.md`) |
 //! | [`rtlsim`] | event-driven RT-level baseline simulator |
 //! | [`sim`] | **the front door**: `SimBuilder`/`Session` over every execution vehicle, single-core or sharded (up to 256 cores, with live shard migration via `park_shard`/`adopt_shard`); versioned portable park/resume bytes; the `sim::analyze` lint surface behind the `cabt-analyze` binary |
 //! | [`debug`] | generic lockstep driver, dual-translation debugger + RSP packet layer |

@@ -410,6 +410,92 @@ fn repeated_parallel_runs_are_deterministic() {
     );
 }
 
+/// Every shard reconfigures the timer in the first epoch, writing
+/// compare = core id − shard count: the last shard writes the reset
+/// value (`u32::MAX`) back, so the shard below it is the
+/// highest-numbered one whose timer changed and wins the barrier.
+/// After the barrier every shard reads the agreed value into `%d2`.
+const TIMER_COMPARE_SRC: &str = "
+    .text
+_start:
+    movh.a %a2, 0xf000          # timer
+    movh.a %a4, 0xf000
+    lea    %a4, [%a4]0x2000     # CoreLink
+    ld.w   %d1, [%a4]4          # shard count
+    sub    %d3, %d15, %d1
+    st.w   [%a2]4, %d3          # compare = core id - shard count
+    mov    %d0, 3000
+spin:
+    addi   %d0, %d0, -1
+    jnz    %d0, spin
+    ld.w   %d2, [%a2]4          # the compare value the barrier agreed on
+    debug
+";
+
+/// Conflicting timer writes in one epoch resolve identically under
+/// every schedule and across a mid-epoch snapshot and restore — the
+/// timer's barrier base is part of its state image, so a restored shard
+/// neither loses its pending change nor counts as changed when it is
+/// not.
+#[test]
+fn timer_reconfiguration_is_schedule_and_snapshot_independent() {
+    for cores in [2u16, 4] {
+        for base in [Backend::golden(), Backend::translated(DetailLevel::Static)] {
+            let build = |schedule: ShardSchedule| {
+                SimBuilder::asm(TIMER_COMPARE_SRC)
+                    .backend(Backend::sharded_with_schedule(cores, base, schedule))
+                    .trace_config(block_dispatch())
+                    .shard_epoch(1024)
+                    .build()
+                    .expect("sharded session builds")
+            };
+            let drive = |schedule: ShardSchedule| {
+                let mut s = build(schedule);
+                let stop = s.run_until(BUDGET).expect("runs");
+                for i in 0..cores as usize {
+                    assert_eq!(
+                        s.shard(i).unwrap().read_d(2),
+                        u32::MAX - 1, // (cores - 2) - cores = -2
+                        "{cores}x{base} core {i}: shard {} wins the barrier",
+                        cores - 2
+                    );
+                }
+                observe(&mut s, Some(stop))
+            };
+            let seq = drive(ShardSchedule::Sequential);
+            assert_eq!(
+                seq,
+                drive(ShardSchedule::Pooled(2)),
+                "{cores}x{base}: pooled run diverged from sequential"
+            );
+
+            // Step every shard past its compare write, short of the
+            // first barrier.
+            let stepped = || {
+                let mut s = build(ShardSchedule::Sequential);
+                while (0..cores as usize).any(|i| s.shard(i).unwrap().stats().retired < 6) {
+                    s.step().expect("steps");
+                }
+                assert_eq!(s.sharded_stats().unwrap().epochs, 0, "still mid-epoch");
+                s
+            };
+            let mut reference = stepped();
+            let stop = reference.run_until(BUDGET).expect("runs");
+            let want = observe(&mut reference, Some(stop));
+            let mut s = stepped();
+            let snap = s.snapshot();
+            s.run_until(BUDGET).expect("runs");
+            s.restore(&snap);
+            let stop = s.run_until(BUDGET).expect("replays");
+            assert_eq!(
+                observe(&mut s, Some(stop)),
+                want,
+                "{cores}x{base}: replay from a mid-epoch snapshot diverged"
+            );
+        }
+    }
+}
+
 /// The compile-time half of the Send-cleanliness satellite: every type
 /// that crosses (or could cross) a worker-thread boundary in a parallel
 /// sharded run must be `Send`, and the bus handle additionally `Sync`.

@@ -493,11 +493,18 @@ fn corrupt_device_parks(parked: &[u8], devices: &SocBusState) -> Vec<(&'static s
     timer[0].truncate(3);
     uart[1].truncate(3);
     ram[2][..8].fill(0xff);
+    // A well-formed CoreLink image with one mailbox more than the
+    // fabric has cores.
+    let mut link = images.clone();
+    let ninbox = u64::from_le_bytes(link[3][..8].try_into().unwrap());
+    link[3][..8].copy_from_slice(&(ninbox + 1).to_le_bytes());
+    link[3].splice(8..8, [0; 4]);
     vec![
         ("device image dropped", repark(&images[..n - 1])),
         ("Timer image truncated", repark(&timer)),
         ("UART image truncated", repark(&uart)),
         ("scratch-RAM journal count corrupt", repark(&ram)),
+        ("CoreLink inbox length ≠ core count", repark(&link)),
     ]
 }
 
@@ -552,4 +559,29 @@ fn corrupt_device_images_are_codec_errors_not_panics() {
         drive(true) == drive(false),
         "refused adoptions must not disturb the run"
     );
+}
+
+/// A shard parked on a fabric of one width does not fit a fabric of
+/// another: its CoreLink inbox has one mailbox per donor core, so the
+/// adoption is a typed codec error and the receiving slot is left as
+/// it was.
+#[test]
+fn adopt_shard_refuses_a_shard_from_another_fabric_width() {
+    let w = cabt_workloads::by_name("producer_consumer").unwrap();
+    let build = |cores: u16| {
+        let mut s = SimBuilder::workload(&w)
+            .backend(Backend::sharded(cores, Backend::golden()))
+            .build()
+            .unwrap();
+        s.run_until(Limit::Cycles(4096)).unwrap();
+        s
+    };
+    let donor = build(2).park_shard(1).unwrap();
+    let mut s = build(4);
+    let before = s.park_shard(1).unwrap();
+    assert!(matches!(
+        s.adopt_shard(1, &donor, None),
+        Err(SessionError::Codec(_))
+    ));
+    assert_eq!(s.park_shard(1).unwrap(), before, "slot 1 unchanged");
 }
