@@ -180,7 +180,7 @@ fn analyze_block(block: &Block, info: &mut BaseAddrInfo) {
             }
             _ => {
                 // Any other write invalidates.
-                for w in ir.instr.writes() {
+                for w in ir.instr.writes().iter() {
                     if w < 16 {
                         d[w as usize] = Val::Unknown;
                     } else {

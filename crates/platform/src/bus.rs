@@ -36,6 +36,8 @@ use std::sync::{Arc, Mutex};
 /// hold thread-bound state.
 pub trait SocPeripheral: Send {
     /// `(first, last_exclusive)` address range served by this device.
+    /// The window is fixed for the device's lifetime: [`SocBus::attach`]
+    /// reads it once and routes by that copy.
     fn range(&self) -> (u32, u32);
     /// Handles a read at SoC time `soc_cycle`.
     fn read(&mut self, soc_cycle: u64, addr: u32, size: u32) -> u32;
@@ -143,6 +145,8 @@ impl SocBusState {
 #[derive(Default)]
 pub struct SocBus {
     devices: Vec<Box<dyn SocPeripheral>>,
+    /// `range()` of each device, read at attach, in attach order.
+    windows: Vec<(u32, u32)>,
     /// Transactions served (diagnostics).
     transactions: u64,
 }
@@ -166,13 +170,21 @@ impl SocBus {
     /// device, in attach order — the MMIO half of the static
     /// analyzer's valid-address map.
     pub fn device_ranges(&self) -> Vec<(u32, u32)> {
-        self.devices.iter().map(|d| d.range()).collect()
+        self.windows.clone()
     }
 
-    /// Attaches a peripheral to the bus; later devices win address
-    /// overlaps (checked in order).
+    /// Attaches a peripheral to the bus. Where windows overlap, the
+    /// device attached first serves the address.
     pub fn attach(&mut self, dev: Box<dyn SocPeripheral>) {
+        self.windows.push(dev.range());
         self.devices.push(dev);
+    }
+
+    /// Index of the first attached device whose window holds `addr`.
+    fn route(&self, addr: u32) -> Option<usize> {
+        self.windows
+            .iter()
+            .position(|&(lo, hi)| (lo..hi).contains(&addr))
     }
 
     /// Number of transactions served so far (open-bus accesses are not
@@ -183,25 +195,18 @@ impl SocBus {
 
     /// Routes a read.
     pub fn read(&mut self, soc_cycle: u64, addr: u32, size: u32) -> u32 {
-        for d in &mut self.devices {
-            let (lo, hi) = d.range();
-            if (lo..hi).contains(&addr) {
-                self.transactions += 1;
-                return d.read(soc_cycle, addr, size);
-            }
-        }
-        0
+        let Some(i) = self.route(addr) else {
+            return 0;
+        };
+        self.transactions += 1;
+        self.devices[i].read(soc_cycle, addr, size)
     }
 
     /// Routes a write.
     pub fn write(&mut self, soc_cycle: u64, addr: u32, size: u32, value: u32) {
-        for d in &mut self.devices {
-            let (lo, hi) = d.range();
-            if (lo..hi).contains(&addr) {
-                self.transactions += 1;
-                d.write(soc_cycle, addr, size, value);
-                return;
-            }
+        if let Some(i) = self.route(addr) {
+            self.transactions += 1;
+            self.devices[i].write(soc_cycle, addr, size, value);
         }
     }
 
@@ -1063,6 +1068,20 @@ mod tests {
             3,
             "open-bus accesses are not served and not counted"
         );
+    }
+
+    #[test]
+    fn first_attached_device_wins_an_overlap() {
+        let mut bus = SocBus::new();
+        bus.attach(Box::new(Timer::new(0x1000)));
+        bus.attach(Box::new(ScratchRam::new(0x1000, 0x100)));
+        bus.write(0, 0x1004, 4, 77);
+        bus.write(0, 0x1008, 4, 9);
+        bus.write(0, 0x1020, 4, 5);
+        assert_eq!(bus.read(0, 0x1004, 4), 77, "timer compare register");
+        assert_eq!(bus.read(0, 0x1008, 4), 0, "timer status, not RAM");
+        assert_eq!(bus.read(0, 0x1020, 4), 5, "RAM past the timer window");
+        assert_eq!(bus.device_ranges(), [(0x1000, 0x1010), (0x1000, 0x1100)]);
     }
 
     #[test]

@@ -218,8 +218,8 @@ pub fn lower_elf(elf: &ElfFile) -> Result<Program, SimError> {
             GuestUnit {
                 pc,
                 flow: instr.unit_flow(target),
-                reads: instr.reads(),
-                writes: instr.writes(),
+                reads: instr.reads().iter().collect(),
+                writes: instr.writes().iter().collect(),
                 ops,
                 mem,
                 call,

@@ -16,7 +16,7 @@
 //! static-prediction error are the genuine ones from the paper: effects
 //! that cross basic-block boundaries, branch outcomes, and cache misses.
 
-use crate::isa::Instr;
+use crate::isa::{Instr, RegSet};
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Issue pipeline of an instruction (the TriCore-style dual pipe).
@@ -508,8 +508,8 @@ pub struct TimingModel {
 /// Mutable pipeline state threaded through [`TimingModel::step`].
 #[derive(Debug, Clone, Default)]
 pub struct TimingState {
-    /// Cycle at which each register's value is available (index space of
-    /// [`Instr::reads`]).
+    /// Cycle at which each register's value is available (the timing
+    /// indices of [`RegSet`]).
     ready: [u64; 32],
     /// Early-forwarded availability for MAC accumulator chains.
     mac_ready: [u64; 32],
@@ -519,20 +519,13 @@ pub struct TimingState {
     pair: Option<PairSlot>,
 }
 
-/// An open dual-issue slot. Instructions write at most two registers,
-/// so the write set is a fixed-size copy (the hot loop must not
-/// allocate).
+/// An open dual-issue slot: the issue cycle of the integer-pipe
+/// instruction that opened it and the registers that instruction
+/// writes, which a load/store may neither read nor write to pair.
 #[derive(Debug, Clone, Copy)]
 struct PairSlot {
     cycle: u64,
-    writes: [u8; 2],
-    nwrites: u8,
-}
-
-impl PairSlot {
-    fn writes(&self) -> &[u8] {
-        &self.writes[..self.nwrites as usize]
-    }
+    writes: RegSet,
 }
 
 impl TimingState {
@@ -567,10 +560,16 @@ impl TimingState {
         match self.pair {
             None => w.bool(false),
             Some(p) => {
+                // At most two registers, ascending, zero-padded, then
+                // the count.
+                let mut regs = [0u8; 2];
+                for (byte, r) in regs.iter_mut().zip(p.writes.iter()) {
+                    *byte = r;
+                }
                 w.bool(true);
                 w.u64(p.cycle);
-                w.raw(&p.writes);
-                w.u8(p.nwrites);
+                w.raw(&regs);
+                w.u8(p.writes.len() as u8);
             }
         }
     }
@@ -579,7 +578,9 @@ impl TimingState {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
+    /// Returns a [`CodecError`] on truncated or corrupt input, including
+    /// a pair slot with more than two registers or an index of 32 or
+    /// more.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let mut ready = [0u64; 32];
         for c in &mut ready {
@@ -592,12 +593,25 @@ impl TimingState {
         let next = r.u64()?;
         let pair = if r.bool()? {
             let cycle = r.u64()?;
-            let writes: [u8; 2] = r.raw(2)?.try_into().expect("2 bytes");
-            Some(PairSlot {
-                cycle,
-                writes,
-                nwrites: r.u8()?,
-            })
+            let regs: [u8; 2] = r.raw(2)?.try_into().expect("2 bytes");
+            let count = r.u8()?;
+            if count > 2 {
+                return Err(CodecError::BadLength {
+                    what: "pair slot writes",
+                    len: count as u64,
+                });
+            }
+            let mut writes = RegSet::EMPTY;
+            for &reg in &regs[..count as usize] {
+                if reg >= 32 {
+                    return Err(CodecError::BadTag {
+                        what: "pair slot register",
+                        tag: reg,
+                    });
+                }
+                writes = writes | RegSet::one(reg);
+            }
+            Some(PairSlot { cycle, writes })
         } else {
             None
         };
@@ -643,6 +657,10 @@ pub struct PreTiming {
     pub mac_acc: u8,
     /// Post-increment base register timing index (`0xff` when none).
     pub postinc_reg: u8,
+    /// Registers read ([`Instr::reads`]).
+    pub reads: RegSet,
+    /// Registers written ([`Instr::writes`]).
+    pub writes: RegSet,
 }
 
 impl TimingModel {
@@ -696,25 +714,19 @@ impl TimingModel {
             predicts_taken: self.timing.predicts_taken(instr),
             mac_acc,
             postinc_reg,
+            reads: instr.reads(),
+            writes: instr.writes(),
         }
     }
 
     /// [`TimingModel::step`] over a pre-computed timing record — the
-    /// allocation- and match-free variant the pre-decoded dispatch core
-    /// runs. `p`, `reads` and `writes` must have been derived from the
-    /// same instruction; results are bit-identical to [`TimingModel::step`].
-    pub fn step_pre(
-        &self,
-        st: &mut TimingState,
-        p: &PreTiming,
-        taken: Option<bool>,
-        reads: &[u8],
-        writes: &[u8],
-    ) -> StepInfo {
+    /// match-free variant the pre-decoded dispatch core runs; results
+    /// are bit-identical to [`TimingModel::step`].
+    pub fn step_pre(&self, st: &mut TimingState, p: &PreTiming, taken: Option<bool>) -> StepInfo {
         match p.class {
-            IssueClass::Ip => self.step_pre_class::<false, false>(st, p, taken, reads, writes),
-            IssueClass::Ls => self.step_pre_class::<true, false>(st, p, taken, reads, writes),
-            IssueClass::Br => self.step_pre_class::<false, true>(st, p, taken, reads, writes),
+            IssueClass::Ip => self.step_pre_class::<false, false>(st, p, taken),
+            IssueClass::Ls => self.step_pre_class::<true, false>(st, p, taken),
+            IssueClass::Br => self.step_pre_class::<false, true>(st, p, taken),
         }
     }
 
@@ -730,8 +742,6 @@ impl TimingModel {
         st: &mut TimingState,
         p: &PreTiming,
         taken: Option<bool>,
-        reads: &[u8],
-        writes: &[u8],
     ) -> StepInfo {
         debug_assert_eq!(
             p.class,
@@ -744,7 +754,7 @@ impl TimingModel {
         );
         // Earliest cycle all operands are ready.
         let mut operands_ready = 0u64;
-        for &r in reads {
+        for r in p.reads.iter() {
             let mut avail = st.ready[r as usize];
             // MAC accumulator forwarding: a madd/msub may consume the
             // accumulator produced by the previous MAC one cycle early.
@@ -756,19 +766,15 @@ impl TimingModel {
 
         // Try to pair into an open integer slot.
         if IS_LS {
-            if let Some(slot) = &st.pair {
-                let conflicts = reads
-                    .iter()
-                    .chain(writes.iter())
-                    .any(|r| slot.writes().contains(r));
+            if let Some(slot) = st.pair {
+                let conflicts = (p.reads | p.writes).intersects(slot.writes);
                 if !conflicts && operands_ready <= slot.cycle {
-                    let cycle = slot.cycle;
                     st.pair = None;
-                    self.retire_pre(st, p, cycle, writes);
-                    // `next` was already advanced past `cycle` by the
-                    // integer instruction that opened the slot.
+                    self.retire_pre(st, p, slot.cycle);
+                    // `next` was already advanced past the slot's cycle
+                    // by the integer instruction that opened it.
                     return StepInfo {
-                        issue_cycle: cycle,
+                        issue_cycle: slot.cycle,
                         paired: true,
                     };
                 }
@@ -786,24 +792,21 @@ impl TimingModel {
             st.next = issue + cost.max(1) as u64;
             st.pair = None;
             // Link-register writes become ready immediately after issue.
-            for &w in writes {
+            for w in p.writes.iter() {
                 st.ready[w as usize] = issue + 1;
                 st.mac_ready[w as usize] = issue + 1;
             }
         } else {
             st.next = issue + p.occupancy as u64;
             st.pair = if !IS_LS {
-                let mut w = [0u8; 2];
-                w[..writes.len()].copy_from_slice(writes);
                 Some(PairSlot {
                     cycle: issue,
-                    writes: w,
-                    nwrites: writes.len() as u8,
+                    writes: p.writes,
                 })
             } else {
                 None
             };
-            self.retire_pre(st, p, issue, writes);
+            self.retire_pre(st, p, issue);
         }
 
         StepInfo {
@@ -812,10 +815,10 @@ impl TimingModel {
         }
     }
 
-    fn retire_pre(&self, st: &mut TimingState, p: &PreTiming, issue: u64, writes: &[u8]) {
+    fn retire_pre(&self, st: &mut TimingState, p: &PreTiming, issue: u64) {
         let lat = p.latency as u64;
         let is_mac = p.mac_acc != 0xff;
-        for &w in writes {
+        for w in p.writes.iter() {
             st.ready[w as usize] = issue + lat;
             st.mac_ready[w as usize] = if is_mac { issue + 1 } else { issue + lat };
         }
@@ -829,24 +832,12 @@ impl TimingModel {
     /// Accounts one instruction. For conditional control transfers pass
     /// the actual direction in `taken`; pass `None` to account only the
     /// guaranteed minimum cost (the static-calculation mode of §3.3).
+    ///
+    /// The timing record is derived on the spot and handed to
+    /// [`TimingModel::step_pre`], which owns the one copy of the
+    /// issue/pair/retire algorithm.
     pub fn step(&self, st: &mut TimingState, instr: &Instr, taken: Option<bool>) -> StepInfo {
-        self.step_with(st, instr, taken, &instr.reads(), &instr.writes())
-    }
-
-    /// Like [`TimingModel::step`] with the instruction's read and write
-    /// sets supplied by the caller; `reads`/`writes` must equal
-    /// [`Instr::reads`]/[`Instr::writes`] of `instr`. The timing record
-    /// is derived on the spot and handed to [`TimingModel::step_pre`],
-    /// which owns the one copy of the issue/pair/retire algorithm.
-    pub fn step_with(
-        &self,
-        st: &mut TimingState,
-        instr: &Instr,
-        taken: Option<bool>,
-        reads: &[u8],
-        writes: &[u8],
-    ) -> StepInfo {
-        self.step_pre(st, &self.pre_timing(instr), taken, reads, writes)
+        self.step_pre(st, &self.pre_timing(instr), taken)
     }
 }
 
@@ -1054,6 +1045,45 @@ mod tests {
             m.step(&mut s2, i, Some(true));
         }
         assert_eq!(s1.cycles(), s2.cycles());
+    }
+
+    /// The park image of a state with an open pair slot: 32 `ready` and
+    /// 32 `mac_ready` u64s, `next`, then the slot's flag, cycle, two
+    /// register bytes and count. Only the listed bytes are non-zero.
+    #[test]
+    fn open_pair_slot_image_is_pinned() {
+        let mut st = TimingState::new();
+        model().step(&mut st, &add(5, 1, 2), None);
+        let mut bytes = Vec::new();
+        st.encode_into(&mut bytes);
+        let mut want = vec![0u8; 532];
+        for (at, b) in [(40, 1), (296, 1), (512, 1), (520, 1), (529, 5), (531, 1)] {
+            want[at] = b;
+        }
+        assert_eq!(bytes, want);
+    }
+
+    /// An open two-register slot round-trips; an over-long count or an
+    /// out-of-range register is a codec error.
+    #[test]
+    fn pair_slot_images_round_trip_or_are_rejected() {
+        let image = |regs: [u8; 2], count: u8| {
+            let mut bytes = Vec::new();
+            TimingState::new().encode_into(&mut bytes);
+            bytes[520] = 1;
+            bytes.extend(7u64.to_le_bytes().into_iter().chain(regs).chain([count]));
+            bytes
+        };
+        let good = image([3, 20], 2);
+        let st = TimingState::decode(&mut ByteReader::new(&good)).expect("decodes");
+        let mut again = Vec::new();
+        st.encode_into(&mut again);
+        assert_eq!(again, good);
+        for (regs, count) in [([3, 0], 9), ([3, 0], 3), ([32, 0], 1), ([3, 255], 2)] {
+            let bad = image(regs, count);
+            let err = TimingState::decode(&mut ByteReader::new(&bad));
+            assert!(err.is_err(), "regs {regs:?} count {count} must not decode");
+        }
     }
 
     #[test]

@@ -449,10 +449,6 @@ struct Meta {
     /// prologue folds out of the closure entirely).
     fetch: bool,
     timing: PreTiming,
-    reads: [u8; 3],
-    nreads: u8,
-    writes: [u8; 2],
-    nwrites: u8,
 }
 
 impl Meta {
@@ -463,10 +459,6 @@ impl Meta {
             first_repeat,
             fetch,
             timing: pi.timing,
-            reads: pi.reads,
-            nreads: pi.nreads,
-            writes: pi.writes,
-            nwrites: pi.nwrites,
         }
     }
 }
@@ -511,13 +503,8 @@ where
             h.icache_op(&m);
         }
         body(h)?;
-        h.model.step_pre_class::<IS_LS, IS_BR>(
-            h.tstate,
-            &m.timing,
-            Some(true),
-            &m.reads[..m.nreads as usize],
-            &m.writes[..m.nwrites as usize],
-        );
+        h.model
+            .step_pre_class::<IS_LS, IS_BR>(h.tstate, &m.timing, Some(true));
         Ok(exit)
     })
 }
@@ -544,13 +531,8 @@ where
             h.icache_op(&m);
         }
         let t = body(h);
-        h.model.step_pre_class::<IS_LS, IS_BR>(
-            h.tstate,
-            &m.timing,
-            Some(t),
-            &m.reads[..m.nreads as usize],
-            &m.writes[..m.nwrites as usize],
-        );
+        h.model
+            .step_pre_class::<IS_LS, IS_BR>(h.tstate, &m.timing, Some(t));
         h.stats.cond_branches += 1;
         if t {
             h.stats.taken += 1;
@@ -582,13 +564,8 @@ where
             h.icache_op(&m);
         }
         let a = body(h);
-        h.model.step_pre_class::<IS_LS, IS_BR>(
-            h.tstate,
-            &m.timing,
-            Some(true),
-            &m.reads[..m.nreads as usize],
-            &m.writes[..m.nwrites as usize],
-        );
+        h.model
+            .step_pre_class::<IS_LS, IS_BR>(h.tstate, &m.timing, Some(true));
         Ok(Ctl::Indirect(a))
     })
 }

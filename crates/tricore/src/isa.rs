@@ -24,6 +24,53 @@ pub const SP: AReg = AReg(10);
 /// Return-address register alias.
 pub const RA: AReg = AReg(11);
 
+/// A set of timing-model register indices (`0..16` = D bank, `16..32` =
+/// A bank), one bit per register: the operand sets of [`Instr::reads`]
+/// and [`Instr::writes`]. It is `Copy` and fits a register, so the
+/// timing model checks a dual-issue hazard with one mask operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegSet(u32);
+
+impl RegSet {
+    /// The empty set.
+    pub const EMPTY: RegSet = RegSet(0);
+
+    /// The set holding timing index `r`, which must be below 32.
+    pub const fn one(r: u8) -> RegSet {
+        RegSet(1 << r)
+    }
+
+    /// True when the two sets share a register.
+    pub fn intersects(self, other: RegSet) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// Number of registers in the set.
+    pub(crate) fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The set's indices in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = u8> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let r = bits.trailing_zeros() as u8;
+            bits &= bits - 1;
+            Some(r)
+        })
+    }
+}
+
+impl std::ops::BitOr for RegSet {
+    type Output = RegSet;
+    fn bitor(self, other: RegSet) -> RegSet {
+        RegSet(self.0 | other.0)
+    }
+}
+
 impl DReg {
     /// Creates a data register, panicking on indices above 15.
     ///
@@ -445,41 +492,39 @@ impl Instr {
     /// Registers read by this instruction, as timing-model indices
     /// (`0..16` = D bank, `16..32` = A bank). Used for hazard detection
     /// by both the golden model and the static cycle calculator.
-    pub fn reads(&self) -> Vec<u8> {
-        let d = |r: DReg| r.0;
-        let a = |r: AReg| r.0 + 16;
+    pub fn reads(&self) -> RegSet {
+        let d = |r: DReg| RegSet::one(r.0);
+        let a = |r: AReg| RegSet::one(r.0 + 16);
         match *self {
-            Instr::MovRR16 { s, .. } | Instr::MovRR { s, .. } | Instr::MovA { s, .. } => {
-                vec![d(s)]
-            }
-            Instr::Add16 { d: dd, s } | Instr::Sub16 { d: dd, s } => vec![d(dd), d(s)],
-            Instr::LdW16 { a: base, .. } => vec![a(base)],
-            Instr::StW16 { a: base, s } => vec![a(base), d(s)],
-            Instr::Addi { s, .. } | Instr::Addih { s, .. } => vec![d(s)],
-            Instr::MovD { a: s, .. } | Instr::MovAA { s, .. } => vec![a(s)],
-            Instr::Lea { base, .. } => vec![a(base)],
-            Instr::Bin { s1, s2, .. } => vec![d(s1), d(s2)],
-            Instr::BinI { s1, .. } => vec![d(s1)],
+            Instr::MovRR16 { s, .. } | Instr::MovRR { s, .. } | Instr::MovA { s, .. } => d(s),
+            Instr::Add16 { d: dd, s } | Instr::Sub16 { d: dd, s } => d(dd) | d(s),
+            Instr::LdW16 { a: base, .. } => a(base),
+            Instr::StW16 { a: base, s } => a(base) | d(s),
+            Instr::Addi { s, .. } | Instr::Addih { s, .. } => d(s),
+            Instr::MovD { a: s, .. } | Instr::MovAA { s, .. } => a(s),
+            Instr::Lea { base, .. } => a(base),
+            Instr::Bin { s1, s2, .. } => d(s1) | d(s2),
+            Instr::BinI { s1, .. } => d(s1),
             Instr::Madd { acc, s1, s2, .. } | Instr::Msub { acc, s1, s2, .. } => {
-                vec![d(acc), d(s1), d(s2)]
+                d(acc) | d(s1) | d(s2)
             }
-            Instr::Ld { base, .. } | Instr::LdA { base, .. } => vec![a(base)],
-            Instr::St { s, base, .. } => vec![d(s), a(base)],
-            Instr::StA { s, base, .. } => vec![a(s), a(base)],
-            Instr::Ji { a: r } | Instr::Jli { a: r } => vec![a(r)],
-            Instr::Jcond { s1, s2, .. } => vec![d(s1), d(s2)],
-            Instr::JcondZ { s1, .. } => vec![d(s1)],
-            Instr::Loop { a: r, .. } => vec![a(r)],
-            Instr::Ret16 => vec![a(RA)],
-            _ => vec![],
+            Instr::Ld { base, .. } | Instr::LdA { base, .. } => a(base),
+            Instr::St { s, base, .. } => d(s) | a(base),
+            Instr::StA { s, base, .. } => a(s) | a(base),
+            Instr::Ji { a: r } | Instr::Jli { a: r } => a(r),
+            Instr::Jcond { s1, s2, .. } => d(s1) | d(s2),
+            Instr::JcondZ { s1, .. } => d(s1),
+            Instr::Loop { a: r, .. } => a(r),
+            Instr::Ret16 => a(RA),
+            _ => RegSet::EMPTY,
         }
     }
 
     /// Registers written by this instruction (same index space as
-    /// [`Instr::reads`]).
-    pub fn writes(&self) -> Vec<u8> {
-        let d = |r: DReg| r.0;
-        let a = |r: AReg| r.0 + 16;
+    /// [`Instr::reads`]); never more than two.
+    pub fn writes(&self) -> RegSet {
+        let d = |r: DReg| RegSet::one(r.0);
+        let a = |r: AReg| RegSet::one(r.0 + 16);
         match *self {
             Instr::Mov16 { d: dd, .. }
             | Instr::MovRR16 { d: dd, .. }
@@ -495,12 +540,12 @@ impl Instr {
             | Instr::Bin { d: dd, .. }
             | Instr::BinI { d: dd, .. }
             | Instr::Madd { d: dd, .. }
-            | Instr::Msub { d: dd, .. } => vec![d(dd)],
+            | Instr::Msub { d: dd, .. } => d(dd),
             Instr::MovhA { a: aa, .. }
             | Instr::MovA { a: aa, .. }
             | Instr::MovAA { a: aa, .. }
             | Instr::Lea { a: aa, .. }
-            | Instr::LdA { a: aa, .. } => vec![a(aa)],
+            | Instr::LdA { a: aa, .. } => a(aa),
             Instr::Ld {
                 d: dd,
                 base,
@@ -508,21 +553,21 @@ impl Instr {
                 ..
             } => {
                 if postinc {
-                    vec![d(dd), a(base)]
+                    d(dd) | a(base)
                 } else {
-                    vec![d(dd)]
+                    d(dd)
                 }
             }
             Instr::St { base, postinc, .. } | Instr::StA { base, postinc, .. } => {
                 if postinc {
-                    vec![a(base)]
+                    a(base)
                 } else {
-                    vec![]
+                    RegSet::EMPTY
                 }
             }
-            Instr::Jl { .. } | Instr::Jli { .. } => vec![a(RA)],
-            Instr::Loop { a: r, .. } => vec![a(r)],
-            _ => vec![],
+            Instr::Jl { .. } | Instr::Jli { .. } => a(RA),
+            Instr::Loop { a: r, .. } => a(r),
+            _ => RegSet::EMPTY,
         }
     }
 }
@@ -690,8 +735,7 @@ mod tests {
             off10: 4,
             postinc: true,
         };
-        assert!(ld.writes().contains(&1));
-        assert!(ld.writes().contains(&18));
+        assert_eq!(ld.writes().iter().collect::<Vec<_>>(), [1, 18]);
         let st = Instr::St {
             kind: StKind::W,
             s: DReg(1),
@@ -699,15 +743,14 @@ mod tests {
             off10: 4,
             postinc: false,
         };
-        assert!(st.writes().is_empty());
-        assert!(st.reads().contains(&1));
-        assert!(st.reads().contains(&18));
+        assert_eq!(st.writes(), RegSet::EMPTY);
+        assert_eq!(st.reads().iter().collect::<Vec<_>>(), [1, 18]);
     }
 
     #[test]
     fn call_writes_link_register() {
-        assert_eq!(Instr::Jl { disp24: 0 }.writes(), vec![16 + 11]);
-        assert_eq!(Instr::Ret16.reads(), vec![16 + 11]);
+        assert_eq!(Instr::Jl { disp24: 0 }.writes(), RegSet::one(16 + 11));
+        assert_eq!(Instr::Ret16.reads(), RegSet::one(16 + 11));
     }
 
     #[test]

@@ -237,23 +237,8 @@ pub(crate) struct PreInstr {
     /// First and last I-cache lines the fetch touches.
     pub(crate) line_first: u32,
     pub(crate) line_last: u32,
-    /// Cached operand sets for the timing model (max 3 reads, 2 writes).
-    pub(crate) reads: [u8; 3],
-    pub(crate) nreads: u8,
-    pub(crate) writes: [u8; 2],
-    pub(crate) nwrites: u8,
-    /// Cached per-instruction timing record.
+    /// Cached per-instruction timing record, operand sets included.
     pub(crate) timing: PreTiming,
-}
-
-impl PreInstr {
-    fn reads(&self) -> &[u8] {
-        &self.reads[..self.nreads as usize]
-    }
-
-    fn writes(&self) -> &[u8] {
-        &self.writes[..self.nwrites as usize]
-    }
 }
 
 /// Resumable image of the golden model's mutable state — everything
@@ -563,12 +548,6 @@ impl Simulator {
             .map(|&(pc, instr)| {
                 let fall_pc = pc.wrapping_add(instr.size());
                 let target_pc = instr.target(pc).unwrap_or(0);
-                let r = instr.reads();
-                let w = instr.writes();
-                let mut reads = [0u8; 3];
-                reads[..r.len()].copy_from_slice(&r);
-                let mut writes = [0u8; 2];
-                writes[..w.len()].copy_from_slice(&w);
                 PreInstr {
                     instr,
                     pc,
@@ -578,10 +557,6 @@ impl Simulator {
                     target: index_of.get(&target_pc).copied().unwrap_or(NO_IDX),
                     line_first: cfg.line_of(pc),
                     line_last: cfg.line_of(pc + instr.size() - 1),
-                    reads,
-                    nreads: r.len() as u8,
-                    writes,
-                    nwrites: w.len() as u8,
                     timing: model.pre_timing(&instr),
                 }
             })
@@ -1004,13 +979,7 @@ impl Simulator {
         };
 
         let dyn_taken = taken.or(Some(true));
-        self.model.step_pre(
-            &mut self.tstate,
-            &pi.timing,
-            dyn_taken,
-            pi.reads(),
-            pi.writes(),
-        );
+        self.model.step_pre(&mut self.tstate, &pi.timing, dyn_taken);
         self.finish_step(taken, pi.timing.predicts_taken);
         self.cpu.pc = next_pc;
         self.cur = next_idx;

@@ -561,6 +561,41 @@ fn corrupt_device_images_are_codec_errors_not_panics() {
     );
 }
 
+/// The golden pipeline image carries the open dual-issue slot's write
+/// set as two register bytes and a count. A park whose count or
+/// register byte is out of range is a typed codec error on resume,
+/// not a panic on the next load/store.
+#[test]
+fn corrupt_golden_pair_slot_is_a_codec_error_not_a_panic() {
+    let mut s = SimBuilder::asm(SRC).build().unwrap();
+    // `mov %d2, 0` is the fifth instruction: an integer-pipe op that
+    // leaves its slot open for a load/store to pair into.
+    s.run_until(Limit::Retirements(5)).unwrap();
+    let parked = s.park().unwrap();
+    // The pipeline image is followed by the present-cache flag and the
+    // default geometry (16 sets, 2 ways, 32-byte lines, 8-cycle miss).
+    let mut cache_head = vec![1u8];
+    for v in [16u32, 2, 32, 8] {
+        cache_head.extend_from_slice(&v.to_le_bytes());
+    }
+    let at: Vec<usize> = (1..parked.len())
+        .filter(|&i| parked[i..].starts_with(&cache_head))
+        .collect();
+    assert_eq!(at.len(), 1, "the cache image starts once");
+    let count = at[0] - 1;
+    assert_eq!(parked[count - 11], 1, "the pair slot is open");
+    assert_eq!(parked[count - 2..=count], [2, 0, 1], "slot writes d2 only");
+    assert!(Session::resume(&parked).is_ok());
+    for (at, byte) in [(count, 9), (count, 3), (count - 2, 32), (count - 2, 0xff)] {
+        let mut bytes = parked.clone();
+        bytes[at] = byte;
+        assert!(
+            matches!(Session::resume(&bytes), Err(SessionError::Codec(_))),
+            "byte {byte} at {at}"
+        );
+    }
+}
+
 /// A shard parked on a fabric of one width does not fit a fabric of
 /// another: its CoreLink inbox has one mailbox per donor core, so the
 /// adoption is a typed codec error and the receiving slot is left as
