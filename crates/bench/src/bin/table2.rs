@@ -19,19 +19,26 @@ fn main() {
         );
     };
     row("# executed instructions", &|r| r.instructions.to_string());
-    row("Simulation (this host)", &|r| {
-        cabt_bench::human_time(r.rtl_seconds)
-    });
-    row("Emulation (FPGA, 8MHz)", &|r| {
-        cabt_bench::human_time(r.fpga_seconds)
-    });
+    row("Simulation (this host)", &|r| human_time(r.rtl_seconds));
+    row("Emulation (FPGA, 8MHz)", &|r| human_time(r.fpga_seconds));
     row("Translation C6x cycle", &|r| {
-        cabt_bench::human_time(r.translation_seconds[0])
+        human_time(r.translation_seconds[0])
     });
     row("Translation C6x branch", &|r| {
-        cabt_bench::human_time(r.translation_seconds[1])
+        human_time(r.translation_seconds[1])
     });
     row("Translation C6x cache", &|r| {
-        cabt_bench::human_time(r.translation_seconds[2])
+        human_time(r.translation_seconds[2])
     });
+}
+
+/// Formats seconds the way the paper's Table 2 does (µs/ms/s).
+fn human_time(seconds: f64) -> String {
+    if seconds < 1e-3 {
+        format!("{:.1} µs", seconds * 1e6)
+    } else if seconds < 1.0 {
+        format!("{:.2} ms", seconds * 1e3)
+    } else {
+        format!("{seconds:.2} s")
+    }
 }

@@ -150,6 +150,9 @@ pub enum TranslateError {
     },
     /// Internal scheduling failure (a bug if it ever escapes).
     Sched(String),
+    /// The input image cannot be materialized (a `.bss` over
+    /// [`cabt_isa::elf::MAX_SECTION_SIZE`]).
+    Image(cabt_isa::IsaError),
 }
 
 impl fmt::Display for TranslateError {
@@ -178,6 +181,7 @@ impl fmt::Display for TranslateError {
                 )
             }
             TranslateError::Sched(msg) => write!(f, "scheduling failure: {msg}"),
+            TranslateError::Image(e) => write!(f, "input image: {e}"),
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::regbind::{
 };
 use crate::sched::{FixupKind, Item, Scheduler, TOp};
 use crate::{DetailLevel, Granularity, TranslateError};
-use cabt_isa::elf::{ElfFile, Section, SectionKind, EM_TI_C6000};
+use cabt_isa::elf::{check_section_size, ElfFile, Section, SectionKind, EM_TI_C6000};
 use cabt_tricore::arch::{ArchDesc, TimingModel};
 use cabt_tricore::isa::{AReg, Cond, Instr, RA};
 use cabt_vliw::encode::encode_program;
@@ -498,11 +498,15 @@ impl Translator {
             .sections
             .iter()
             .filter_map(|s| match s.kind {
-                SectionKind::Data => Some((s.addr, s.data.clone())),
-                SectionKind::Bss => Some((s.addr, vec![0u8; s.size as usize])),
+                SectionKind::Data => Some(Ok((s.addr, s.data.clone()))),
+                SectionKind::Bss => Some(
+                    check_section_size(u64::from(s.size))
+                        .map(|()| (s.addr, vec![0u8; s.size as usize])),
+                ),
                 SectionKind::Text => None,
             })
-            .collect();
+            .collect::<Result<_, _>>()
+            .map_err(TranslateError::Image)?;
 
         let stats = TranslationStats {
             source_instructions: cfg.instr_count(),

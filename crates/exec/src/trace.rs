@@ -196,8 +196,10 @@ pub fn grow(
 /// Formation and coverage counters of one engine's trace tier. Kept
 /// *outside* the engine's architectural statistics on purpose: those
 /// are compared bit-for-bit across dispatch tiers by the differential
-/// suites, while these describe the tier itself (reported by the bench
-/// harness into `BENCH_fig5.json`).
+/// suites, while these describe the tier itself (printed by
+/// `cabt-bench`'s `dispatch` binary, and as
+/// `exec.golden_trace_coverage` / `exec.vliw_trace_coverage` by the
+/// repository benchmark).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Traces formed.

@@ -359,11 +359,25 @@ mod tests {
 
     #[test]
     fn digest_chain_is_identical_across_worker_counts() {
-        let requests: Vec<FleetRequest> = ["gcd", "sieve", "fibonacci"]
-            .iter()
-            .map(|w| {
-                FleetRequest::named(*w)
-                    .backend(Backend::sharded(2, Backend::golden()))
+        // Sharded requests next to single-core ones on every tier: the
+        // pool interleaves both kinds of work item.
+        let sharded =
+            ["gcd", "sieve", "fibonacci"].map(|w| (w, Backend::sharded(2, Backend::golden())));
+        let single = [
+            ("gcd", Backend::golden()),
+            ("gcd", Backend::golden_trace()),
+            ("sieve", Backend::translated(cabt_core::DetailLevel::Cache)),
+            (
+                "fibonacci",
+                Backend::translated_trace(cabt_core::DetailLevel::Static),
+            ),
+        ];
+        let requests: Vec<FleetRequest> = sharded
+            .into_iter()
+            .chain(single)
+            .map(|(w, backend)| {
+                FleetRequest::named(w)
+                    .backend(backend)
                     .budget(Limit::Cycles(50_000_000))
             })
             .collect();

@@ -19,6 +19,27 @@ pub const EM_TRICORE: u16 = 44;
 /// ELF machine number for TI C6000 (`EM_TI_C6000`), used for translated images.
 pub const EM_TI_C6000: u16 = 140;
 
+/// Largest `ALLOC` section (`.text`, `.data` or `.bss`) an image may
+/// hold: 16 MiB. Images arrive untrusted (as bytes, and inside parked
+/// sessions), and a `.bss` is materialized as zeroed host memory, so
+/// its 32-bit size field must not decide how much the host allocates.
+/// Every bundled and benchmark section is under 64 KiB.
+pub const MAX_SECTION_SIZE: u32 = 16 << 20;
+
+/// Checks one section size against [`MAX_SECTION_SIZE`]: the one check
+/// that [`ElfFile::parse`], the assembler and every `.bss`
+/// materialization share.
+///
+/// # Errors
+///
+/// Returns [`IsaError::SectionTooLarge`] when `size` exceeds the limit.
+pub fn check_section_size(size: u64) -> Result<(), IsaError> {
+    if size > u64::from(MAX_SECTION_SIZE) {
+        return Err(IsaError::SectionTooLarge { size });
+    }
+    Ok(())
+}
+
 const EHDR_SIZE: u32 = 52;
 const SHDR_SIZE: u32 = 40;
 const SYM_SIZE: u32 = 16;
@@ -176,7 +197,9 @@ impl ElfFile {
     ///
     /// # Errors
     ///
-    /// Propagates memory faults from [`crate::mem::Memory::load`].
+    /// Returns [`IsaError::SectionTooLarge`] for a `.bss` over
+    /// [`MAX_SECTION_SIZE`]; propagates memory faults from
+    /// [`crate::mem::Memory::load`].
     pub fn load_into(&self, mem: &mut crate::mem::Memory) -> Result<(), IsaError> {
         for s in &self.sections {
             match s.kind {
@@ -184,6 +207,7 @@ impl ElfFile {
                 SectionKind::Bss => {
                     // Explicitly zero the range so fault-on-unmapped
                     // memories treat .bss as mapped.
+                    check_section_size(u64::from(s.size))?;
                     mem.load(s.addr, &vec![0u8; s.size as usize])?;
                 }
             }
@@ -362,7 +386,8 @@ impl ElfFile {
     ///
     /// Returns [`IsaError::BadElf`] on any structural violation: bad
     /// magic, wrong class/endianness, truncated tables, or out-of-range
-    /// offsets.
+    /// offsets; [`IsaError::SectionTooLarge`] for an `ALLOC` section
+    /// over [`MAX_SECTION_SIZE`].
     pub fn parse(bytes: &[u8]) -> Result<Self, IsaError> {
         let bad = |msg: &str| IsaError::BadElf(msg.to_string());
         if bytes.len() < EHDR_SIZE as usize {
@@ -425,6 +450,9 @@ impl ElfFile {
         let mut symbols = Vec::new();
         for i in 1..shnum {
             let h = read_shdr(i)?;
+            if h.flags & SHF_ALLOC != 0 {
+                check_section_size(u64::from(h.size))?;
+            }
             match h.ty {
                 SHT_PROGBITS => {
                     let data = slice(bytes, h.offset, h.size)?.to_vec();
@@ -600,6 +628,25 @@ mod tests {
         let mut elf = sample();
         elf.sections[0].size = 999;
         assert!(matches!(elf.to_bytes(), Err(IsaError::ElfEncode(_))));
+    }
+
+    #[test]
+    fn oversized_bss_is_refused_before_allocation() {
+        let mut elf = sample();
+        elf.sections[2].size = 64 << 20;
+        let bytes = elf.to_bytes().unwrap();
+        assert_eq!(
+            ElfFile::parse(&bytes),
+            Err(IsaError::SectionTooLarge { size: 64 << 20 })
+        );
+        let mut mem = crate::mem::Memory::new();
+        assert_eq!(
+            elf.load_into(&mut mem),
+            Err(IsaError::SectionTooLarge { size: 64 << 20 })
+        );
+        // The limit itself is still a legal size.
+        elf.sections[2].size = MAX_SECTION_SIZE;
+        assert!(ElfFile::parse(&elf.to_bytes().unwrap()).is_ok());
     }
 
     #[test]

@@ -60,6 +60,11 @@ pub enum IsaError {
     BadElf(String),
     /// An ELF image could not be produced.
     ElfEncode(String),
+    /// An `ALLOC` section is larger than [`elf::MAX_SECTION_SIZE`].
+    SectionTooLarge {
+        /// The section's size in bytes.
+        size: u64,
+    },
 }
 
 impl fmt::Display for IsaError {
@@ -71,6 +76,11 @@ impl fmt::Display for IsaError {
             }
             IsaError::BadElf(msg) => write!(f, "malformed ELF image: {msg}"),
             IsaError::ElfEncode(msg) => write!(f, "cannot encode ELF image: {msg}"),
+            IsaError::SectionTooLarge { size } => write!(
+                f,
+                "section of {size} bytes exceeds the {} byte limit",
+                elf::MAX_SECTION_SIZE
+            ),
         }
     }
 }

@@ -132,12 +132,11 @@ impl RtlCore {
     ///
     /// # Errors
     ///
-    /// Returns [`RtlError::Fault`] if the image has no text (fetch would
-    /// fault immediately anyway, but we check early).
+    /// Returns [`RtlError::Mem`] if the image does not load (e.g. a
+    /// `.bss` over [`cabt_isa::elf::MAX_SECTION_SIZE`]).
     pub fn new(elf: &ElfFile) -> Result<Self, RtlError> {
         let mut data_mem = Memory::new();
-        elf.load_into(&mut data_mem)
-            .map_err(|_| RtlError::Fault { pc: elf.entry })?;
+        elf.load_into(&mut data_mem).map_err(RtlError::Mem)?;
         let mem = Arc::new(Mutex::new(data_mem));
 
         // Instruction memory: halfwords keyed by address.

@@ -2508,6 +2508,31 @@ mod tests {
     }
 
     #[test]
+    fn oversized_images_are_typed_errors_on_every_backend() {
+        let asm = SimBuilder::asm(".text\n_start: debug\n.bss\nbuf: .space 0x4000000\n").build();
+        assert!(
+            matches!(&asm, Err(SessionError::Asm(e)) if e.line == 4),
+            "{asm:?}"
+        );
+        // An in-memory image skips `ElfFile::parse`, so every backend's
+        // own `.bss` materialization must refuse it.
+        let mut elf = cabt_tricore::asm::assemble(".text\n_start: debug\n.bss\nbuf: .space 16\n")
+            .expect("assembles");
+        let bss = elf
+            .sections
+            .iter_mut()
+            .find(|s| s.name == ".bss")
+            .expect("bss");
+        bss.size = 64 << 20;
+        for backend in Backend::all() {
+            match SimBuilder::elf(elf.clone()).backend(backend).build() {
+                Err(e) => assert!(e.to_string().contains("byte limit"), "{backend}: {e}"),
+                Ok(_) => panic!("{backend}: a 64 MiB .bss was accepted"),
+            }
+        }
+    }
+
+    #[test]
     fn bad_backend_descriptors_are_rejected() {
         for s in [
             "",

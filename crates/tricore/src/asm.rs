@@ -31,7 +31,7 @@
 
 use crate::encode::encode_into;
 use crate::isa::{AReg, BinOp, Cond, DReg, Instr, LdKind, StKind};
-use cabt_isa::elf::{ElfFile, Section, Symbol, SymbolKind, EM_TRICORE};
+use cabt_isa::elf::{check_section_size, ElfFile, Section, Symbol, SymbolKind, EM_TRICORE};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -63,6 +63,27 @@ fn err<T>(line: u32, msg: impl Into<String>) -> Result<T, AsmError> {
     Err(AsmError {
         line,
         msg: msg.into(),
+    })
+}
+
+/// Advances a section cursor by `n` bytes; a cursor that would wrap
+/// past the top of the 32-bit address space is an error.
+fn advance(cursor: &mut u32, n: u32, line: u32) -> Result<(), AsmError> {
+    match cursor.checked_add(n) {
+        Some(next) => {
+            *cursor = next;
+            Ok(())
+        }
+        None => err(line, "section runs past the end of the address space"),
+    }
+}
+
+/// Checks a section length against the image limit
+/// ([`check_section_size`]).
+fn check_size(len: u64, line: u32) -> Result<(), AsmError> {
+    check_section_size(len).map_err(|e| AsmError {
+        line,
+        msg: e.to_string(),
     })
 }
 
@@ -269,27 +290,32 @@ impl Assembler {
                         let cur = pc[idx(section)];
                         let pad = (v - (cur % v)) % v;
                         if pad > 0 {
+                            check_size(pad.into(), line)?;
                             items.push(Item {
                                 line,
                                 addr: cur,
                                 section,
                                 kind: ItemKind::Space(pad),
                             });
-                            pc[idx(section)] += pad;
+                            advance(&mut pc[idx(section)], pad, line)?;
                         }
                     }
                     "space" | "skip" => {
-                        let v = parse_number(rest).ok_or_else(|| AsmError {
-                            line,
-                            msg: "bad .space value".into(),
-                        })? as u32;
+                        let v = parse_number(rest)
+                            .and_then(|v| u64::try_from(v).ok())
+                            .ok_or_else(|| AsmError {
+                                line,
+                                msg: "bad .space value".into(),
+                            })?;
+                        check_size(v, line)?;
+                        let v = v as u32;
                         items.push(Item {
                             line,
                             addr: pc[idx(section)],
                             section,
                             kind: ItemKind::Space(v),
                         });
-                        pc[idx(section)] += v;
+                        advance(&mut pc[idx(section)], v, line)?;
                     }
                     "word" | "half" | "byte" => {
                         if section == SectionId::Text {
@@ -307,7 +333,7 @@ impl Assembler {
                             section,
                             kind,
                         });
-                        pc[idx(section)] += unit * args.len() as u32;
+                        advance(&mut pc[idx(section)], unit * args.len() as u32, line)?;
                     }
                     other => return err(line, format!("unknown directive `.{other}`")),
                 }
@@ -339,14 +365,14 @@ impl Assembler {
                     args,
                 },
             });
-            pc[0] += size;
+            advance(&mut pc[0], size, line)?;
         }
 
         // ---- pass 2: resolve and emit ----
         let resolve = |name: &str| symbols.get(name).map(|&(v, _)| v as i64);
         let mut text = Vec::new();
         let mut data = Vec::new();
-        let mut bss_size = 0u32;
+        let mut bss_size = 0u64;
         let mut data_addr_start: Option<u32> = None;
         let mut text_addr_start: Option<u32> = None;
 
@@ -360,7 +386,7 @@ impl Assembler {
                         msg: e.to_string(),
                     })?;
                 }
-                (ItemKind::Space(n), SectionId::Bss) => bss_size += n,
+                (ItemKind::Space(n), SectionId::Bss) => bss_size += u64::from(*n),
                 (ItemKind::Space(n), SectionId::Data) => {
                     data_addr_start.get_or_insert(item.addr);
                     data.extend(std::iter::repeat_n(0u8, *n as usize));
@@ -382,6 +408,11 @@ impl Assembler {
                     }
                 }
             }
+            // Pass 1 bounds every single item by the limit, so no
+            // section outgrows twice the limit before this check fires.
+            for len in [text.len() as u64, data.len() as u64, bss_size] {
+                check_size(len, item.line)?;
+            }
         }
 
         let mut elf = ElfFile::new(EM_TRICORE, 0);
@@ -398,7 +429,8 @@ impl Assembler {
             ));
         }
         if bss_size > 0 {
-            elf.sections.push(Section::bss(self.bss_base, bss_size));
+            elf.sections
+                .push(Section::bss(self.bss_base, bss_size as u32));
         }
         for (name, (value, sect)) in &symbols {
             elf.symbols.push(Symbol {
@@ -945,6 +977,31 @@ mod tests {
     fn decode_text(elf: &ElfFile) -> Vec<(u32, Instr)> {
         let t = elf.section(".text").expect("text");
         decode_section(t.addr, &t.data).expect("decodes")
+    }
+
+    #[test]
+    fn oversized_sections_are_errors_not_overflows() {
+        let limit = cabt_isa::elf::MAX_SECTION_SIZE;
+        let line_of = |src: &str| assemble(src).map(|_| ()).map_err(|e| e.line);
+        // One directive over the limit, in every section.
+        assert_eq!(line_of(".bss\nbuf: .space 0x40000000\n"), Err(2));
+        assert_eq!(line_of(".data\n.space 0x40000000\n"), Err(2));
+        assert_eq!(line_of(".text\n.space 0xffffffff\n"), Err(2));
+        // Directives that fit one by one but not together.
+        let half = limit / 2;
+        assert_eq!(
+            line_of(&format!(".bss\n.space {half}\n.space {half}\n.space 1\n")),
+            Err(4)
+        );
+        // Alignment padding counts too.
+        assert_eq!(line_of(".data\n.byte 1\n.align 0x80000000\n"), Err(3));
+        // A cursor that would wrap the address space.
+        assert_eq!(line_of(".bss\n.org 0xfffffff0\n.space 0x20\n"), Err(3));
+        // Negative sizes are malformed, not huge.
+        assert_eq!(line_of(".bss\n.space -1\n"), Err(2));
+        // The limit itself is a legal .bss.
+        let elf = assemble(&format!(".bss\n.space {limit}\n")).unwrap();
+        assert_eq!(elf.section(".bss").unwrap().size, limit);
     }
 
     #[test]

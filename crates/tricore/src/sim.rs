@@ -590,8 +590,7 @@ impl Simulator {
         })
     }
 
-    /// Disables the instruction-cache model (an ideal-memory variant used
-    /// by ablation benches).
+    /// Disables the instruction-cache model (an ideal-memory variant).
     pub fn disable_icache(&mut self) {
         self.cache = None;
     }

@@ -41,8 +41,10 @@
 //! after a warm-up window; with a warm-up of 0 it is plain
 //! block-at-a-time dispatch). The [`tricore::sim`] and [`vliw::sim`]
 //! module docs describe each core; `tests/predecode_diff.rs` and
-//! `tests/compiled_diff.rs` prove them bit-identical, and
-//! `BENCH_fig5.json` records their speed.
+//! `tests/compiled_diff.rs` prove them bit-identical. The repository
+//! benchmark in `perfbench/` measures their speed end to end, and
+//! `cargo run --release -p cabt-bench --bin dispatch` prints each
+//! tier's throughput on both cores.
 //!
 //! Every vehicle — the golden model, the translated platform, *and* the
 //! RTL core — implements [`cabt_exec::ExecutionEngine`], including its

@@ -563,7 +563,7 @@ fn compiled_reset_reproduces_the_run() {
 }
 
 /// Static/dynamic trace cross-check: every chain the golden trace tier
-/// actually fuses on `fir` and `sieve` must pass the analyzer's static
+/// actually fuses on `gcd`, `fir` and `sieve` must pass the analyzer's static
 /// side-exit verification — every possible exit lands on a `BlockMap`
 /// leader and every seam is a real block edge — and each dynamic head
 /// must sit inside a statically predicted natural loop. The analyzer's
@@ -573,6 +573,7 @@ fn compiled_reset_reproduces_the_run() {
 fn trace_plans_verify_against_the_static_analyzer() {
     use cabt_exec::analyze::{natural_loops, predict_traces, verify_trace_exits};
     for w in [
+        cabt::workloads::gcd(16, 0xcab7),
         cabt::workloads::fir(16, 300, 0xcab7),
         cabt::workloads::sieve(400),
     ] {

@@ -6,8 +6,8 @@
 //! data memory, cycle counts, `EngineStats`, the merged UART log, the
 //! canonical SoC device state, and the stop cause all have to match,
 //! whatever the host's thread scheduling did. The NoC-scale cases (N =
-//! 64, including a mid-run shard migration and a doorbell-mailbox SPMD
-//! program) live at the bottom of the file.
+//! 64 and 256, including a mid-run shard migration and a
+//! doorbell-mailbox SPMD program) live at the bottom of the file.
 //!
 //! The property holds by construction — within an epoch every shard
 //! touches only its own engine and its *private* clone of the device
@@ -518,7 +518,7 @@ fn parallel_shard_types_are_send_clean() {
     assert_send::<Platform>();
 }
 
-// --- NoC-scale cases: 64-shard fabric --------------------------------
+// --- NoC-scale cases: 64- and 256-shard fabrics ----------------------
 
 /// The tentpole claim at NoC scale: a 64-shard producer/consumer run is
 /// bit-identical across the schedules, and the pooled run is
@@ -556,6 +556,35 @@ fn noc_scale_64_shard_fabric_is_schedule_independent() {
         );
     }
     assert_eq!(s.sharded_stats().unwrap().uart.len(), 64);
+}
+
+/// The widest fabric: 256 producer/consumer shards on the golden and
+/// translated cores, bit-identical between the sequential schedule and
+/// a 4-worker pool, and correct on every shard.
+#[test]
+fn noc_scale_256_shard_fabric_is_schedule_independent() {
+    let w = cabt_workloads::by_name("producer_consumer").unwrap();
+    for base in [Backend::golden(), Backend::translated(DetailLevel::Static)] {
+        let drive = |schedule: ShardSchedule| {
+            let mut s = build(&w, 256, base, schedule);
+            let stop = s.run_until(BUDGET).expect("runs");
+            assert_eq!(stop, StopCause::Halted, "256x{base} {schedule:?}");
+            for i in 0..256 {
+                assert_eq!(
+                    s.shard(i).unwrap().read_d(2),
+                    w.expected_d2,
+                    "256x{base} {schedule:?} core {i}: barrier handoff"
+                );
+            }
+            assert_eq!(s.sharded_stats().unwrap().uart.len(), 256);
+            digest_session(&mut s, stop)
+        };
+        assert_eq!(
+            drive(ShardSchedule::Sequential),
+            drive(ShardSchedule::Pooled(4)),
+            "256x{base} pooled diverged from sequential"
+        );
+    }
 }
 
 /// Live migration: parking one shard at an epoch barrier mid-run and
