@@ -14,7 +14,7 @@
 //! to generic drivers afterwards. The trait surface is exactly what the
 //! drivers need:
 //!
-//! * stepping and bounded runs ([`ExecutionEngine::step`],
+//! * stepping and bounded runs ([`ExecutionEngine::step_unit`],
 //!   [`ExecutionEngine::run_until`]) with a uniform stop/fault shape,
 //! * cycle/retirement counters ([`EngineStats`]) for throughput tables,
 //! * architectural inspection (program counter, a flat register file
@@ -159,20 +159,7 @@ pub trait ExecutionEngine {
     ///
     /// Propagates faults from stepping.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, Self::Error> {
-        loop {
-            let exhausted = match limit {
-                Limit::Cycles(c) => self.cycle() >= c,
-                Limit::Retirements(r) => self.engine_stats().retired >= r,
-            };
-            if exhausted {
-                return Ok(StopCause::LimitReached);
-            }
-            if self.is_halted() {
-                self.commit_arch_state();
-                return Ok(StopCause::Halted);
-            }
-            self.step_unit()?;
-        }
+        run_until_with(self, limit, Self::step_unit)
     }
 
     /// Clock cycles consumed so far.
@@ -215,6 +202,37 @@ pub trait ExecutionEngine {
 
     /// Uniform counters.
     fn engine_stats(&self) -> EngineStats;
+}
+
+/// The loop behind [`ExecutionEngine::run_until`], with the dispatch
+/// of one unit supplied by the caller: the budget check, then the halt
+/// check (committing architectural state), then `step`. Engines that
+/// override `run_until` to hold a resource for the whole run — the
+/// golden model enters its I/O device once — dispatch through this, so
+/// every engine keeps the one stop rule.
+///
+/// # Errors
+///
+/// Propagates faults from `step`.
+pub fn run_until_with<E: ExecutionEngine + ?Sized>(
+    engine: &mut E,
+    limit: Limit,
+    mut step: impl FnMut(&mut E) -> Result<(), E::Error>,
+) -> Result<StopCause, E::Error> {
+    loop {
+        let exhausted = match limit {
+            Limit::Cycles(c) => engine.cycle() >= c,
+            Limit::Retirements(r) => engine.engine_stats().retired >= r,
+        };
+        if exhausted {
+            return Ok(StopCause::LimitReached);
+        }
+        if engine.is_halted() {
+            engine.commit_arch_state();
+            return Ok(StopCause::Halted);
+        }
+        step(engine)?;
+    }
 }
 
 /// Seed-reproducible rolling hash of execution effects — the 8-byte

@@ -457,6 +457,22 @@ mod tests {
     }
 
     #[test]
+    fn shard_counts_above_the_fabric_ceiling_get_an_error_row() {
+        let pool = FleetPool::new(1);
+        let input = "run gcd sharded-65535x:golden cycles 10\n\
+                     park gcd sharded-257x-pool2:golden cycles 10\n\
+                     run gcd sharded-256x:golden cycles 10\n";
+        let mut output = Vec::new();
+        serve(&pool, &mut input.as_bytes(), &mut output, MAX_LINE_BYTES);
+        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert_eq!(rows.len(), 3, "{rows:?}");
+        for row in &rows[..2] {
+            assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
+        }
+        assert!(rows[2].starts_with(r#"{"ok":true,"#), "{}", rows[2]);
+    }
+
+    #[test]
     fn lines_at_the_cap_are_served() {
         let pool = FleetPool::new(1);
         let mut output = Vec::new();

@@ -5,7 +5,8 @@
 //! * **In-family** (same vehicle, different dispatch cores): driven in
 //!   retirement lockstep — the subject runs one chain stride, the
 //!   family's naive reference runs to the *same* retirement count, and
-//!   both record a [`DigestChain`] entry ([`fingerprint_engine`]:
+//!   both record a [`DigestChain`] entry
+//!   ([`fingerprint_engine`](cabt_exec::fingerprint_engine):
 //!   stats, full register file, pc, halt flag). Chains must agree at
 //!   every boundary; at the halt the guest `Data`/`Bss` windows must
 //!   match byte-for-byte, and a faulting subject must fault at the

@@ -8,7 +8,7 @@
 //! the trace tier forms traces), [`diff`] runs it across the whole
 //! backend × dispatch × shard matrix comparing per-epoch
 //! [`cabt_exec::DigestChain`]s plus final registers / memory / stats /
-//! faults, and [`shrink`] reduces a diverging program to a minimal
+//! faults, and [`shrink`](mod@shrink) reduces a diverging program to a minimal
 //! reproducer for the `cabt-workloads` regression corpus.
 //!
 //! Everything is seed-reproducible: `cabt-fuzz --seed N` replays one

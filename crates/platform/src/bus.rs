@@ -28,6 +28,7 @@
 //! exchange is `Send`, so shards can run on worker threads.
 
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
+use cabt_tricore::sim::IoDevice;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -786,6 +787,13 @@ impl SocPeripheral for CoreLink {
 /// buses onto worker threads); accesses serialize through an
 /// uncontended mutex — within an epoch exactly one shard owns every
 /// handle to its bus, so the lock never blocks on the hot path.
+///
+/// A golden engine does not lock per access: it enters its
+/// [`GoldenBridge`] once per run slice and holds this lock for the
+/// whole slice (translated platforms still lock once per access).
+/// While a slice runs, every other method on any clone of the handle
+/// blocks until the slice ends; the shard arbiter touches buses only
+/// at epoch barriers, between slices, so it never waits on one.
 ///
 /// Sharded sessions deliberately do *not* alias one bus across shards:
 /// each shard gets a private clone of the device population, and the
@@ -1670,6 +1678,14 @@ mod tests {
 /// access — on the golden side the core *is* the SoC clock, so timer
 /// reads and UART timestamps land in exactly the clock domain the
 /// synchronization device reproduces for translated runs.
+///
+/// The engine enters the bridge once per run slice
+/// ([`IoDevice::enter`]): the bridge takes the bus lock there and
+/// hands the engine the locked [`SocBus`], which serves every access
+/// of the slice without locking again. The running engine holds the bus for the whole slice, so any
+/// other holder of the handle blocks until the slice ends rather than
+/// interleaving with it access by access. A golden shard's round slice
+/// is one slice, so it takes its bus lock once per round.
 #[derive(Debug)]
 pub struct GoldenBridge {
     bus: SharedSocBus,
@@ -1682,12 +1698,34 @@ impl GoldenBridge {
     }
 }
 
-impl cabt_tricore::sim::IoDevice for GoldenBridge {
+impl IoDevice for GoldenBridge {
     fn io_read(&mut self, cycle: u64, addr: u32, size: u32) -> u32 {
         self.bus.read(cycle, addr, size)
     }
 
     fn io_write(&mut self, cycle: u64, addr: u32, size: u32, value: u32) {
         self.bus.write(cycle, addr, size, value);
+    }
+
+    /// Takes the bus lock once and serves the whole slice from the
+    /// locked bus; the lock is released when `run` returns.
+    fn enter(&mut self, run: &mut dyn FnMut(&mut dyn IoDevice)) {
+        run(&mut *self.bus.lock());
+    }
+}
+
+/// A bare bus is a golden-model device too: what [`GoldenBridge`]
+/// hands a running engine for the slice it holds the lock.
+impl IoDevice for SocBus {
+    fn io_read(&mut self, cycle: u64, addr: u32, size: u32) -> u32 {
+        self.read(cycle, addr, size)
+    }
+
+    fn io_write(&mut self, cycle: u64, addr: u32, size: u32, value: u32) {
+        self.write(cycle, addr, size, value);
+    }
+
+    fn enter(&mut self, run: &mut dyn FnMut(&mut dyn IoDevice)) {
+        run(self);
     }
 }

@@ -101,7 +101,8 @@ pub enum Backend {
     /// NoC-scale signaling path that does not round-trip through the
     /// merged scratch RAM.
     Sharded {
-        /// Number of shards (≥ 1, validated at build time).
+        /// Number of shards (1 to [`MAX_SHARDS`], validated at build
+        /// time).
         cores: u16,
         /// The vehicle every shard runs.
         backend: ShardBackend,
@@ -344,6 +345,9 @@ impl std::str::FromStr for Backend {
                 ),
             };
             let cores: u16 = digits.parse().map_err(|_| err())?;
+            if cores > MAX_SHARDS {
+                return Err(err());
+            }
             return match base.parse()? {
                 Backend::Sharded { .. } => Err(err()),
                 base => Ok(Backend::sharded_with_schedule(cores, base, schedule)),
@@ -929,6 +933,11 @@ impl SimBuilder {
                         "a sharded backend needs at least one core".into(),
                     ));
                 }
+                if cores > MAX_SHARDS {
+                    return Err(SessionError::ShardConfig(format!(
+                        "{cores} cores exceed the fabric's ceiling of {MAX_SHARDS}"
+                    )));
+                }
                 if soc_bus.is_some() {
                     return Err(SessionError::ShardConfig(
                         "sharded sessions own their device fabric; `soc_bus` is not accepted"
@@ -1186,6 +1195,15 @@ impl fmt::Debug for SessionSnapshot {
             .finish()
     }
 }
+
+/// Most shards a [`Backend::Sharded`] session may have. The CoreLink
+/// window ([`cabt_platform::CORE_LINK_WINDOW`]) holds one doorbell send
+/// slot and one inbox slot per core for this many cores; a wider fabric
+/// would build cores that can never receive a doorbell. Descriptors
+/// above it do not parse and [`SimBuilder::build`] refuses it.
+pub const MAX_SHARDS: u16 = 256;
+
+const _: () = assert!(0x800 + 4 * MAX_SHARDS as u32 == cabt_platform::CORE_LINK_WINDOW);
 
 /// Scheduling epoch (in target cycles) used by sharded sessions when
 /// the platform configuration does not bound one (unlimited generation
@@ -2234,30 +2252,22 @@ impl ExecutionEngine for Session {
     /// `cabt_exec::plan_shard_round`; aggregate `Retirements` budgets
     /// may overshoot by fewer than `cores` units (shards advance in
     /// lockstep).
+    ///
+    /// Single-core sessions hand the whole budget to their engine's own
+    /// `run_until`, so a golden engine enters its I/O device once for
+    /// the call — a golden shard's round slice takes its bus lock once.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
         match &mut self.vehicle {
+            Vehicle::Golden { sim, .. } => sim.run_until(limit).map_err(SessionError::Golden),
+            Vehicle::Translated { platform, .. } => platform
+                .engine()
+                .run_until(limit)
+                .map_err(SessionError::Target),
+            Vehicle::Rtl(core) => core.run_until(limit).map_err(SessionError::Rtl),
             // Both ShardSet paths check the budget before the halt on
             // their first iteration, preserving the uniform entry
             // semantics (an exhausted budget dispatches nothing).
             Vehicle::Sharded(set) => set.run_until(limit),
-            _ => {
-                // Default trait loop, spelled out because the match arm
-                // above overrides it for one vehicle only.
-                loop {
-                    let exhausted = match limit {
-                        Limit::Cycles(c) => self.cycle() >= c,
-                        Limit::Retirements(r) => self.engine_stats().retired >= r,
-                    };
-                    if exhausted {
-                        return Ok(StopCause::LimitReached);
-                    }
-                    if self.is_halted() {
-                        self.commit_arch_state();
-                        return Ok(StopCause::Halted);
-                    }
-                    self.step_unit()?;
-                }
-            }
         }
     }
 
@@ -2545,6 +2555,8 @@ mod tests {
             "sharded-x:golden",
             "sharded-4:golden",
             "sharded-99999x:golden",
+            "sharded-257x:golden",
+            "sharded-65535x:golden",
             "sharded-4x-pool:golden",
             "sharded-4x-poolx:golden",
             "sharded-4x-par:golden",

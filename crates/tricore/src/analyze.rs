@@ -9,7 +9,8 @@
 //!
 //! Classification notes:
 //!
-//! * `ret`, `ji` and `jli` lower to [`UnitFlow::Indirect`] — the
+//! * `ret`, `ji` and `jli` lower to
+//!   [`UnitFlow::Indirect`](cabt_exec::blocks::UnitFlow::Indirect) — the
 //!   conservative bucket the framework treats as
 //!   may-transfer-anywhere.
 //! * `jl` (and `jli`) are recorded as calls for the

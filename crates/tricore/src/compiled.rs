@@ -69,7 +69,7 @@ pub(crate) enum Ctl {
 pub(crate) struct Hot<'a> {
     pub cpu: &'a mut Cpu,
     pub mem: &'a mut Memory,
-    pub io: &'a mut Option<Box<dyn IoDevice>>,
+    pub io: Option<&'a mut dyn IoDevice>,
     pub tstate: &'a mut TimingState,
     pub cache: &'a mut Option<CacheSim>,
     pub cache_cfg: CacheConfig,
@@ -129,12 +129,19 @@ impl Hot<'_> {
 
     #[inline]
     fn load(&mut self, addr: u32, kind: LdKind) -> Result<u32, SimError> {
-        route_load(self.mem, self.io, self.tstate, addr, kind)
+        route_load(self.mem, self.io.as_deref_mut(), self.tstate, addr, kind)
     }
 
     #[inline]
     fn store(&mut self, addr: u32, kind: StKind, value: u32) -> Result<(), SimError> {
-        route_store(self.mem, self.io, self.tstate, addr, kind, value)
+        route_store(
+            self.mem,
+            self.io.as_deref_mut(),
+            self.tstate,
+            addr,
+            kind,
+            value,
+        )
     }
 
     /// Effective address with optional post-increment (mirrors

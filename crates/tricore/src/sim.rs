@@ -48,7 +48,7 @@ use crate::compiled::{self, CompiledProgram, CompiledTrace, Ctl, Hot, TraceCont}
 use crate::encode::decode_section;
 use crate::isa::{AReg, Instr, LdKind, StKind, RA};
 use cabt_exec::trace::{grow, TraceConfig, TracePlan, TraceProfile, TraceStats};
-use cabt_exec::{EngineStats, ExecutionEngine};
+use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::mem::Memory;
@@ -70,12 +70,29 @@ pub const IO_END: u32 = 0xf010_0000;
 /// time-dependent devices (timers, UART timestamps) observe the *same*
 /// clock the golden model is measured in — on the golden side the core
 /// is the SoC clock.
+///
+/// A running engine does not call the attached device directly: it
+/// *enters* it once per run slice ([`IoDevice::enter`] — once per
+/// [`ExecutionEngine::run_until`], [`Simulator::run`] or
+/// [`Simulator::step`]) and routes every access of the slice to the
+/// device it was handed. A device behind a lock (the platform crate's
+/// `GoldenBridge` over a shared SoC bus) therefore takes its lock once
+/// per slice and holds it for the whole slice: other holders of the
+/// lock block until the slice ends instead of interleaving with it
+/// access by access.
 pub trait IoDevice: Send {
     /// Handles a load of `size` bytes (1, 2 or 4) from `addr` at core
     /// time `cycle`.
     fn io_read(&mut self, cycle: u64, addr: u32, size: u32) -> u32;
     /// Handles a store of `size` bytes to `addr` at core time `cycle`.
     fn io_write(&mut self, cycle: u64, addr: u32, size: u32, value: u32);
+    /// Enters the device for one run slice: calls `run` exactly once,
+    /// with the device that serves every access of the slice. Devices
+    /// with nothing to acquire hand over themselves (`run(self)`); a
+    /// device behind a lock takes it here and hands over the guarded
+    /// device, so the lock is held for the slice and released when
+    /// `run` returns — on a fault as on a normal stop.
+    fn enter(&mut self, run: &mut dyn FnMut(&mut dyn IoDevice));
 }
 
 /// Errors raised while simulating.
@@ -647,6 +664,24 @@ impl Simulator {
         self.io = Some(dev);
     }
 
+    /// Runs `body` with the attached I/O device entered once for the
+    /// whole call ([`IoDevice::enter`]); `body` sees `None` when no
+    /// device is attached. The device is detached for the call, so the
+    /// dispatch path reaches it only through `body`'s argument.
+    fn with_io<R>(&mut self, body: impl FnOnce(&mut Self, Option<&mut dyn IoDevice>) -> R) -> R {
+        let Some(mut dev) = self.io.take() else {
+            return body(self, None);
+        };
+        let mut body = Some(body);
+        let mut out = None;
+        dev.enter(&mut |io| {
+            let body = body.take().expect("IoDevice::enter runs its slice once");
+            out = Some(body(self, Some(io)));
+        });
+        self.io = Some(dev);
+        out.expect("IoDevice::enter runs its slice")
+    }
+
     /// The architecture description in use.
     pub fn arch(&self) -> &ArchDesc {
         &self.arch
@@ -664,20 +699,23 @@ impl Simulator {
         self.halted
     }
 
-    /// Runs until `debug` halts the program.
+    /// Runs until `debug` halts the program, with the I/O device
+    /// entered once for the whole run.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InstructionLimit`] after `max_instructions`
     /// retirements without a halt, or any fault from [`Simulator::step`].
     pub fn run(&mut self, max_instructions: u64) -> Result<RunStats, SimError> {
-        while !self.halted {
-            if self.stats.instructions >= max_instructions {
-                return Err(SimError::InstructionLimit);
+        self.with_io(|sim, mut io| {
+            while !sim.halted {
+                if sim.stats.instructions >= max_instructions {
+                    return Err(SimError::InstructionLimit);
+                }
+                sim.dispatch(io.as_deref_mut())?;
             }
-            self.step()?;
-        }
-        Ok(self.stats())
+            Ok(sim.stats())
+        })
     }
 
     /// Executes a single dispatch unit, returning the last instruction
@@ -690,10 +728,16 @@ impl Simulator {
     /// Returns [`SimError::PcInvalid`] if the program counter points
     /// outside the decoded program, or [`SimError::Mem`] on data faults.
     pub fn step(&mut self) -> Result<Instr, SimError> {
+        self.with_io(Self::dispatch)
+    }
+
+    /// One dispatch unit on the selected core, with `io` the entered
+    /// I/O device.
+    fn dispatch(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         match self.mode {
-            DispatchMode::Predecoded => self.step_predecoded(),
-            DispatchMode::Trace => self.step_trace(),
-            DispatchMode::Naive => self.step_naive(),
+            DispatchMode::Predecoded => self.step_predecoded(io),
+            DispatchMode::Trace => self.step_trace(io),
+            DispatchMode::Naive => self.step_naive(io),
         }
     }
 
@@ -711,7 +755,7 @@ impl Simulator {
     /// counter is batched per block or trace — and reconstructed on the
     /// fault path, where `cpu.pc` parks on the faulting instruction
     /// just as the interpretive cores leave it.
-    fn step_trace(&mut self) -> Result<Instr, SimError> {
+    fn step_trace(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         let pc = self.cpu.pc;
         let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
             self.cur
@@ -731,14 +775,13 @@ impl Simulator {
             .expect("set_dispatch builds the trace tier");
         if tier.prog.map.location(cur).offset != 0 {
             self.cur = cur;
-            return self.step_predecoded();
+            return self.step_predecoded(io);
         }
         let Simulator {
             trace,
             table,
             cpu,
             mem,
-            io,
             tstate,
             cache,
             cache_cfg,
@@ -774,7 +817,8 @@ impl Simulator {
         let mut hot = Hot {
             cpu: &mut *cpu,
             mem: &mut *mem,
-            io: &mut *io,
+            // Shortens the device's object lifetime to the step's.
+            io: io.map(|d| d as &mut dyn IoDevice),
             tstate: &mut *tstate,
             cache: &mut *cache,
             cache_cfg: *cache_cfg,
@@ -942,7 +986,7 @@ impl Simulator {
 
     /// The pre-decoded hot loop: index-chased dispatch over the flat
     /// table, no address hashing, no per-step operand-set allocation.
-    fn step_predecoded(&mut self) -> Result<Instr, SimError> {
+    fn step_predecoded(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         let pc = self.cpu.pc;
         // The cached index is valid unless someone rewrote `cpu.pc`
         // behind our back (debuggers do); fall back to one map lookup.
@@ -970,7 +1014,7 @@ impl Simulator {
             }
         }
 
-        let (flow, taken) = self.exec(pc, pi.instr, pi.fall_pc)?;
+        let (flow, taken) = self.exec(pc, pi.instr, pi.fall_pc, io)?;
         let (next_pc, next_idx) = match flow {
             Flow::Fall => (pi.fall_pc, pi.fall),
             Flow::Direct => (pi.target_pc, pi.target),
@@ -988,7 +1032,7 @@ impl Simulator {
     /// The retained naive interpreter: per-step map fetch, per-step line
     /// computation, per-step operand-set construction — exactly the seed
     /// implementation, kept as the differential-test reference.
-    fn step_naive(&mut self) -> Result<Instr, SimError> {
+    fn step_naive(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         let pc = self.cpu.pc;
         // Address-hashed fetch on every step — the seed's dispatch shape.
         let idx = *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?;
@@ -1015,7 +1059,7 @@ impl Simulator {
         }
 
         let fall_pc = pc.wrapping_add(instr.size());
-        let (flow, taken) = self.exec(pc, instr, fall_pc)?;
+        let (flow, taken) = self.exec(pc, instr, fall_pc, io)?;
         let next_pc = match flow {
             Flow::Fall => fall_pc,
             Flow::Direct => instr.target(pc).expect("direct"),
@@ -1060,6 +1104,7 @@ impl Simulator {
         pc: u32,
         instr: Instr,
         fall_pc: u32,
+        io: Option<&mut (dyn IoDevice + '_)>,
     ) -> Result<(Flow, Option<bool>), SimError> {
         let mut flow = Flow::Fall;
         let mut taken: Option<bool> = None;
@@ -1080,11 +1125,11 @@ impl Simulator {
                 .cpu
                 .set_d(d.0, self.cpu.d(d.0).wrapping_sub(self.cpu.d(s.0))),
             Instr::LdW16 { d, a } => {
-                let v = self.load(self.cpu.a(a.0), LdKind::W)?;
+                let v = self.load(io, self.cpu.a(a.0), LdKind::W)?;
                 self.cpu.set_d(d.0, v);
             }
             Instr::StW16 { a, s } => {
-                self.store(self.cpu.a(a.0), StKind::W, self.cpu.d(s.0))?;
+                self.store(io, self.cpu.a(a.0), StKind::W, self.cpu.d(s.0))?;
             }
             Instr::Mov { d, imm16 } => self.cpu.set_d(d.0, imm16 as i32 as u32),
             Instr::Movh { d, imm16 } => self.cpu.set_d(d.0, (imm16 as u32) << 16),
@@ -1130,7 +1175,7 @@ impl Simulator {
                 postinc,
             } => {
                 let addr = self.ea(base, off10, postinc);
-                let v = self.load(addr, kind)?;
+                let v = self.load(io, addr, kind)?;
                 self.cpu.set_d(d.0, v);
             }
             Instr::LdA {
@@ -1140,7 +1185,7 @@ impl Simulator {
                 postinc,
             } => {
                 let addr = self.ea(base, off10, postinc);
-                let v = self.load(addr, LdKind::W)?;
+                let v = self.load(io, addr, LdKind::W)?;
                 self.cpu.set_a(a.0, v);
             }
             Instr::St {
@@ -1151,7 +1196,7 @@ impl Simulator {
                 postinc,
             } => {
                 let addr = self.ea(base, off10, postinc);
-                self.store(addr, kind, self.cpu.d(s.0))?;
+                self.store(io, addr, kind, self.cpu.d(s.0))?;
             }
             Instr::StA {
                 s,
@@ -1160,7 +1205,7 @@ impl Simulator {
                 postinc,
             } => {
                 let addr = self.ea(base, off10, postinc);
-                self.store(addr, StKind::W, self.cpu.a(s.0))?;
+                self.store(io, addr, StKind::W, self.cpu.a(s.0))?;
             }
             Instr::J { .. } => {
                 debug_assert!(instr.target(pc).is_some());
@@ -1213,12 +1258,23 @@ impl Simulator {
         }
     }
 
-    fn load(&mut self, addr: u32, kind: LdKind) -> Result<u32, SimError> {
-        route_load(&mut self.mem, &mut self.io, &self.tstate, addr, kind)
+    fn load(
+        &mut self,
+        io: Option<&mut (dyn IoDevice + '_)>,
+        addr: u32,
+        kind: LdKind,
+    ) -> Result<u32, SimError> {
+        route_load(&mut self.mem, io, &self.tstate, addr, kind)
     }
 
-    fn store(&mut self, addr: u32, kind: StKind, value: u32) -> Result<(), SimError> {
-        route_store(&mut self.mem, &mut self.io, &self.tstate, addr, kind, value)
+    fn store(
+        &mut self,
+        io: Option<&mut (dyn IoDevice + '_)>,
+        addr: u32,
+        kind: StKind,
+        value: u32,
+    ) -> Result<(), SimError> {
+        route_store(&mut self.mem, io, &self.tstate, addr, kind, value)
     }
 }
 
@@ -1227,7 +1283,7 @@ impl Simulator {
 /// directly, so routing semantics cannot drift between modes).
 pub(crate) fn route_load(
     mem: &mut Memory,
-    io: &mut Option<Box<dyn IoDevice>>,
+    io: Option<&mut (dyn IoDevice + '_)>,
     tstate: &TimingState,
     addr: u32,
     kind: LdKind,
@@ -1255,7 +1311,7 @@ pub(crate) fn route_load(
 /// Store twin of [`route_load`].
 pub(crate) fn route_store(
     mem: &mut Memory,
-    io: &mut Option<Box<dyn IoDevice>>,
+    io: Option<&mut (dyn IoDevice + '_)>,
     tstate: &TimingState,
     addr: u32,
     kind: StKind,
@@ -1352,6 +1408,15 @@ impl ExecutionEngine for Simulator {
 
     fn step_unit(&mut self) -> Result<(), SimError> {
         self.step().map(|_| ())
+    }
+
+    /// The trait's loop ([`cabt_exec::run_until_with`]) with the I/O
+    /// device entered once for the whole run, however many accesses
+    /// the run makes.
+    fn run_until(&mut self, limit: Limit) -> Result<StopCause, SimError> {
+        self.with_io(|sim, mut io| {
+            cabt_exec::run_until_with(sim, limit, |s| s.dispatch(io.as_deref_mut()).map(|_| ()))
+        })
     }
 
     fn cycle(&self) -> u64 {
@@ -1551,6 +1616,9 @@ mod tests {
             fn io_write(&mut self, _cycle: u64, addr: u32, _size: u32, value: u32) {
                 self.0.push((addr, value));
             }
+            fn enter(&mut self, run: &mut dyn FnMut(&mut dyn IoDevice)) {
+                run(self);
+            }
         }
         let elf = assemble(
             "
@@ -1568,6 +1636,83 @@ mod tests {
         sim.set_io_device(Box::new(Probe(Vec::new())));
         sim.run(100).unwrap();
         assert_eq!(sim.cpu.d(3), 0x55);
+    }
+
+    /// A run enters its device once, whatever its access count, and
+    /// every access goes to the device it was handed — on every
+    /// dispatch core, through `run_until` and `run` alike.
+    #[test]
+    fn a_run_enters_its_io_device_once() {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        use std::sync::Arc;
+        #[derive(Default)]
+        struct Counts {
+            enters: AtomicU64,
+            reads: AtomicU64,
+        }
+        /// The attached device: counts entries, serves no access itself.
+        struct Gate(Arc<Counts>);
+        /// The device a slice is handed.
+        struct Entered<'a>(&'a Counts);
+        impl IoDevice for Gate {
+            fn io_read(&mut self, _cycle: u64, _addr: u32, _size: u32) -> u32 {
+                unreachable!("accesses go to the entered device")
+            }
+            fn io_write(&mut self, _cycle: u64, _addr: u32, _size: u32, _value: u32) {
+                unreachable!("accesses go to the entered device")
+            }
+            fn enter(&mut self, run: &mut dyn FnMut(&mut dyn IoDevice)) {
+                self.0.enters.fetch_add(1, Relaxed);
+                run(&mut Entered(&self.0));
+            }
+        }
+        impl IoDevice for Entered<'_> {
+            fn io_read(&mut self, _cycle: u64, _addr: u32, _size: u32) -> u32 {
+                self.0.reads.fetch_add(1, Relaxed);
+                0
+            }
+            fn io_write(&mut self, _cycle: u64, _addr: u32, _size: u32, _value: u32) {}
+            fn enter(&mut self, run: &mut dyn FnMut(&mut dyn IoDevice)) {
+                run(self);
+            }
+        }
+        const N: u64 = 300;
+        let elf = assemble(&format!(
+            "
+            .text
+        _start:
+            movh.a %a2, 0xf000
+            mov %d0, {N}
+        poll:
+            ld.w %d3, [%a2]0
+            addi %d0, %d0, -1
+            jnz %d0, poll
+            debug
+        "
+        ))
+        .unwrap();
+        for mode in [
+            DispatchMode::Naive,
+            DispatchMode::Predecoded,
+            DispatchMode::Trace,
+        ] {
+            let counts = Arc::new(Counts::default());
+            let mut sim = Simulator::new(&elf).unwrap();
+            sim.set_dispatch(mode);
+            sim.set_io_device(Box::new(Gate(Arc::clone(&counts))));
+            assert_eq!(
+                sim.run_until(Limit::Cycles(u64::MAX)),
+                Ok(StopCause::Halted),
+                "{mode:?}"
+            );
+            assert_eq!(counts.enters.load(Relaxed), 1, "{mode:?}: run_until");
+            assert_eq!(counts.reads.load(Relaxed), N, "{mode:?}: run_until");
+
+            sim.reset();
+            sim.run(1_000_000).unwrap();
+            assert_eq!(counts.enters.load(Relaxed), 2, "{mode:?}: run");
+            assert_eq!(counts.reads.load(Relaxed), 2 * N, "{mode:?}: run");
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 
 use cabt::prelude::*;
 use cabt_platform::bus::{GoldenBridge, ScratchRam, SharedSocBus, SocBus, Uart};
+use cabt_platform::default_soc_bus;
+use std::sync::{Arc, Mutex};
 
 const DRIVER: &str = "
     .text
@@ -87,4 +89,61 @@ fn uart_timestamps_are_in_generated_time() {
     assert!(*times.last().expect("bytes sent") <= stats.total_generated());
     // Later loop iterations transmit at strictly later generated times.
     assert!(times[0] < times[3]);
+}
+
+/// A golden engine holds its bus for a whole run slice. A slice that
+/// faults must still release it: the handle works right after the
+/// `Err`, on every golden dispatch core.
+#[test]
+fn a_faulting_golden_run_releases_its_bus() {
+    const FAULT: &str = "
+        .text
+    _start:
+        movh.a %a3, 0xf000
+        lea    %a3, [%a3]0x100      # uart
+        mov    %d1, 90              # 'Z'
+        st.w   [%a3]0, %d1
+        movh.a %a4, 0x1234
+        ji     %a4                  # outside the program
+    ";
+    for backend in [Backend::golden(), Backend::golden_trace()] {
+        let bus = SharedSocBus::new(default_soc_bus());
+        let mut s = SimBuilder::asm(FAULT)
+            .backend(backend)
+            .soc_bus(bus.clone())
+            .build()
+            .unwrap();
+        assert!(
+            matches!(
+                s.run(Limit::Cycles(1_000_000)),
+                Err(SessionError::Golden(_))
+            ),
+            "{backend}"
+        );
+        assert_eq!(bus.transactions(), 1, "{backend}");
+        let bytes: Vec<u8> = bus.uart_log().into_iter().map(|(_, b)| b).collect();
+        assert_eq!(bytes, b"Z", "{backend}");
+    }
+}
+
+/// Epoch observers run between slices, never inside one: an observer
+/// that reads the session's own bus handle finishes, and the handle
+/// works after the run.
+#[test]
+fn an_epoch_observer_can_read_the_bus_a_golden_session_runs_on() {
+    let bus = SharedSocBus::new(default_soc_bus());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let (handle, log) = (bus.clone(), Arc::clone(&seen));
+    let mut s = SimBuilder::asm(DRIVER)
+        .soc_bus(bus.clone())
+        .epoch(8)
+        .on_epoch(move |_| log.lock().unwrap().push(handle.uart_log().len()))
+        .build()
+        .unwrap();
+    assert_eq!(s.run(Limit::Cycles(1_000_000)).unwrap(), StopCause::Halted);
+    let seen = seen.lock().unwrap();
+    assert!(seen.len() > 1, "the run spans several epochs: {seen:?}");
+    assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
+    let bytes: Vec<u8> = bus.uart_log().into_iter().map(|(_, b)| b).collect();
+    assert_eq!(bytes, b"ABCD");
 }

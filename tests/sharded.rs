@@ -199,6 +199,18 @@ fn shard_config_is_validated() {
         .build()
         .unwrap_err();
     assert!(matches!(err, SessionError::ShardConfig(_)));
+    // Above the CoreLink window's 256 cores the fabric would build
+    // cores no doorbell can reach; the builder refuses before building.
+    for cores in [cabt_sim::MAX_SHARDS + 1, u16::MAX] {
+        let err = SimBuilder::named("gcd")
+            .backend(Backend::sharded(cores, Backend::golden()))
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, SessionError::ShardConfig(_)),
+            "{cores}: {err}"
+        );
+    }
     assert_eq!(
         format!(
             "{}",

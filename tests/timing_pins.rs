@@ -7,7 +7,10 @@
 //! all together and passes unseen. Here any change to issue pairing,
 //! operand stalls or retire timing shows up as a moved number.
 
-use cabt::prelude::{DetailLevel, Platform, PlatformConfig, Translator};
+use cabt::prelude::{
+    Backend, DetailLevel, Limit, Platform, PlatformConfig, ShardSchedule, SimBuilder, StopCause,
+    Translator,
+};
 use cabt_isa::elf::ElfFile;
 use cabt_tricore::sim::{DispatchMode, RunStats, Simulator};
 
@@ -66,5 +69,56 @@ fn timing_model_outputs_match_the_pinned_literals() {
         let s = p.run(5_000_000_000).expect("halts");
         let got = [s.target_cycles, s.total_generated()];
         assert_eq!(got, translated, "{name}: cache-level translation");
+    }
+}
+
+/// Per golden-shard run: workload, core count and shard backend, then
+/// the session's `ShardedStats` bus transactions and epochs, aggregate
+/// retired instructions and cycles, and the merged UART length.
+type ShardPin = (&'static str, u16, &'static str, [u64; 5]);
+
+const SHARD_PINS: [ShardPin; 6] = [
+    ("mailbox", 2, "golden", [2042, 2, 4124, 4126, 0]),
+    ("mailbox", 2, "golden:trace", [2058, 2, 4156, 4158, 0]),
+    ("mailbox", 64, "golden", [69312, 2, 159744, 4684, 0]),
+    ("mailbox", 64, "golden:trace", [69696, 2, 160512, 4708, 0]),
+    ("producer_consumer", 4, "golden", [3321, 2, 7256, 4501, 4]),
+    (
+        "producer_consumer",
+        4,
+        "golden:trace",
+        [3333, 2, 7280, 4517, 4],
+    ),
+];
+
+/// The golden shards' SoC-bus traffic, pinned under both schedules.
+/// `parallel_determinism` compares the schedules only with each other,
+/// so a change that moves both alike (a double-counted transaction, a
+/// shifted barrier) passes there and shows up here as a moved number.
+#[test]
+fn golden_shard_bus_traffic_matches_the_pinned_literals() {
+    for (name, cores, base, want) in SHARD_PINS {
+        let w = match name {
+            "mailbox" => cabt_workloads::mailbox(u32::from(cores)),
+            _ => cabt_workloads::by_name(name).expect("registry program"),
+        };
+        let base: Backend = base.parse().expect("descriptor");
+        for schedule in [ShardSchedule::Sequential, ShardSchedule::Pooled(2)] {
+            let mut s = SimBuilder::workload(&w)
+                .backend(Backend::sharded_with_schedule(cores, base, schedule))
+                .build()
+                .expect("builds");
+            let stop = s.run(Limit::Cycles(50_000_000)).expect("runs");
+            assert_eq!(stop, StopCause::Halted, "{name} {cores}x{base}");
+            let st = s.sharded_stats().expect("sharded");
+            let got = [
+                st.bus_transactions,
+                st.epochs,
+                st.aggregate.retired,
+                st.aggregate.cycles,
+                st.uart.len() as u64,
+            ];
+            assert_eq!(got, want, "{name} {cores}x{base} {schedule:?}");
+        }
     }
 }
