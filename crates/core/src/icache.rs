@@ -13,9 +13,7 @@
 //!    receives the tag and set of an analysis block, probes the
 //!    simulated cache, updates LRU/valid state and adds the miss penalty
 //!    to the cycle correction counter ([`correction_subroutine`]). Call
-//!    sites are emitted by the translator before each analysis block;
-//!    for the inline ablation the same body is emitted without the
-//!    call/return wrapper ([`correction_inline`]).
+//!    sites are emitted by the translator before each analysis block.
 //!
 //! The generated code supports 1- and 2-way caches (the paper's example
 //! is two-way); wider associativities are rejected at translation time.
@@ -376,13 +374,6 @@ pub fn correction_subroutine(layout: &CacheLayout) -> Vec<TOp> {
     ops
 }
 
-/// The inline variant (paper: "in large basic blocks, this code can be
-/// included into the basic block making the subroutine call
-/// unnecessary"): body only, arguments pre-set the same way.
-pub fn correction_inline(layout: &CacheLayout) -> Vec<TOp> {
-    correction_body(layout)
-}
-
 /// Reference behaviour of the generated code, used by tests and by the
 /// golden-equivalence suite: runs the same probe/update algorithm on a
 /// plain array, returning `true` on hit.
@@ -517,9 +508,6 @@ mod tests {
         let n = ops.len();
         assert!(matches!(ops[n - 2].op, Op::BReg { .. }));
         assert!(matches!(ops[n - 1].op, Op::Nop { count: 5 }));
-        // Inline variant omits the return.
-        let inline = correction_inline(&layout());
-        assert!(!inline.iter().any(|t| matches!(t.op, Op::BReg { .. })));
     }
 
     #[test]

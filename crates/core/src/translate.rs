@@ -5,7 +5,7 @@ use crate::baseaddr::{self, AccessClass, BaseAddrInfo};
 use crate::cfg::{Block, Cfg};
 use crate::cycles::{block_cycles, BlockCycles};
 use crate::expand::expand_instr;
-use crate::icache::{analysis_blocks, check_supported, correction_inline, CacheLayout};
+use crate::icache::{analysis_blocks, check_supported, CacheLayout};
 use crate::regbind::{
     areg, dreg, TempAlloc, CACHE_ARG_SET, CACHE_ARG_TAG, CACHE_BASE_REG, CACHE_RET_REG, CORR_REG,
     ONE_REG, SYNC_BASE_REG, ZERO_REG,
@@ -187,8 +187,6 @@ pub struct Translator {
     level: DetailLevel,
     granularity: Granularity,
     arch: ArchDesc,
-    cache_inline: bool,
-    image_base: u32,
 }
 
 impl Translator {
@@ -199,8 +197,6 @@ impl Translator {
             level,
             granularity: Granularity::BasicBlock,
             arch: ArchDesc::default(),
-            cache_inline: false,
-            image_base: IMAGE_BASE,
         }
     }
 
@@ -214,20 +210,6 @@ impl Translator {
     /// Uses a custom source architecture description.
     pub fn with_arch(mut self, arch: ArchDesc) -> Self {
         self.arch = arch;
-        self
-    }
-
-    /// Inlines the cache-correction code into blocks instead of calling
-    /// the generated subroutine (the paper's large-block optimization;
-    /// an ablation lever here).
-    pub fn with_cache_inline(mut self, inline: bool) -> Self {
-        self.cache_inline = inline;
-        self
-    }
-
-    /// Overrides the target image base address.
-    pub fn with_image_base(mut self, base: u32) -> Self {
-        self.image_base = base;
         self
     }
 
@@ -356,36 +338,30 @@ impl Translator {
                             imm16: self.arch.cache.set_of(ab.line) as i16,
                         }),
                     )?;
-                    if self.cache_inline {
-                        for t in correction_inline(&layout_probe) {
-                            push(&mut sched, t)?;
-                        }
-                    } else {
-                        let ret = next_label;
-                        next_label += 1;
-                        push(
-                            &mut sched,
-                            TOp::new(Op::Mvk {
-                                d: CACHE_RET_REG,
-                                imm16: 0,
-                            })
-                            .with_fixup(FixupKind::MvkLo, ret),
-                        )?;
-                        push(
-                            &mut sched,
-                            TOp::new(Op::Mvkh {
-                                d: CACHE_RET_REG,
-                                imm16: 0,
-                            })
-                            .with_fixup(FixupKind::MvkHi, ret),
-                        )?;
-                        push(
-                            &mut sched,
-                            TOp::new(Op::B { disp21: 0 }).with_fixup(FixupKind::Branch, sub_label),
-                        )?;
-                        push(&mut sched, TOp::new(Op::Nop { count: 5 }))?;
-                        sched.push(Item::Label(ret))?;
-                    }
+                    let ret = next_label;
+                    next_label += 1;
+                    push(
+                        &mut sched,
+                        TOp::new(Op::Mvk {
+                            d: CACHE_RET_REG,
+                            imm16: 0,
+                        })
+                        .with_fixup(FixupKind::MvkLo, ret),
+                    )?;
+                    push(
+                        &mut sched,
+                        TOp::new(Op::Mvkh {
+                            d: CACHE_RET_REG,
+                            imm16: 0,
+                        })
+                        .with_fixup(FixupKind::MvkHi, ret),
+                    )?;
+                    push(
+                        &mut sched,
+                        TOp::new(Op::B { disp21: 0 }).with_fixup(FixupKind::Branch, sub_label),
+                    )?;
+                    push(&mut sched, TOp::new(Op::Nop { count: 5 }))?;
+                    sched.push(Item::Label(ret))?;
                     for ir in &block.instrs[ab.start..ab.end] {
                         if !ir.instr.is_control() {
                             let vol = access_volatile(&base_info, ir.addr);
@@ -415,7 +391,7 @@ impl Translator {
         }
 
         // ---- cache correction subroutine ----
-        if self.level.simulates_icache() && !self.cache_inline {
+        if self.level.simulates_icache() {
             sched.push(Item::Label(sub_label))?;
             for t in crate::icache::correction_subroutine(&CacheLayout {
                 cfg: self.arch.cache,
@@ -428,7 +404,7 @@ impl Translator {
 
         // ---- layout and relocation ----
         let mut schedule = sched.finish();
-        let (row_addrs, end_addr) = row_addresses(&schedule.rows, self.image_base);
+        let (row_addrs, end_addr) = row_addresses(&schedule.rows, IMAGE_BASE);
         let label_addr =
             |label: usize, labels: &HashMap<usize, usize>| -> Result<u32, TranslateError> {
                 let row = *labels
@@ -463,7 +439,7 @@ impl Translator {
             }
         }
 
-        let (packets, _) = schedule.layout(self.image_base)?;
+        let (packets, _) = schedule.layout(IMAGE_BASE)?;
         let cache_layout = if self.level.simulates_icache() {
             Some(CacheLayout {
                 cfg: self.arch.cache,
@@ -519,7 +495,7 @@ impl Translator {
 
         Ok(Translated {
             packets,
-            entry: self.image_base,
+            entry: IMAGE_BASE,
             blocks,
             addr_map,
             cache_layout,
@@ -1080,24 +1056,5 @@ mod tests {
         assert_eq!(t.stats.source_instructions, 6);
         assert!(t.stats.target_slots > 6);
         assert!(t.stats.target_packets > 3);
-    }
-
-    #[test]
-    fn cache_inline_variant_runs_and_is_faster() {
-        let elf = assemble(SUM_SRC).unwrap();
-        let call = Translator::new(DetailLevel::Cache).translate(&elf).unwrap();
-        let inline = Translator::new(DetailLevel::Cache)
-            .with_cache_inline(true)
-            .translate(&elf)
-            .unwrap();
-        let mut s1 = call.make_sim().unwrap();
-        let c1 = s1.run(10_000_000).unwrap().cycles;
-        let mut s2 = inline.make_sim().unwrap();
-        let c2 = s2.run(10_000_000).unwrap().cycles;
-        assert_eq!(
-            s1.reg(dreg(cabt_tricore::isa::DReg(2))),
-            s2.reg(dreg(cabt_tricore::isa::DReg(2)))
-        );
-        assert!(c2 < c1, "inline ({c2}) should beat call ({c1})");
     }
 }

@@ -157,11 +157,6 @@ impl<E: ExecutionEngine> Lockstep<E> {
         &mut self.engine
     }
 
-    /// True if `src` is a known source instruction address.
-    pub fn is_src_addr(&self, src: u32) -> bool {
-        self.src_addrs.contains(&src)
-    }
-
     /// Sets a breakpoint at a source instruction address; `false` if the
     /// address is not an instruction start.
     pub fn set_breakpoint(&mut self, src: u32) -> bool {

@@ -35,9 +35,10 @@
 //! lowered [`Program`] records one per unit.
 
 use crate::blocks::{BlockMap, UnitFlow, NO_BLOCK};
+use crate::trace::MAX_TRACE_BLOCKS;
 
-/// Number of register slots the register-mask analyses track. Covers
-/// the TriCore flat space (32) and the VLIW flat space (64).
+/// Number of register slots the register-mask analyses track: the
+/// width of their `u64` masks (the TriCore flat space uses 32).
 pub const NUM_REGS: usize = 64;
 
 // ---------------------------------------------------------------------
@@ -111,8 +112,7 @@ pub struct GuestUnit {
 }
 
 /// A lowered guest program: what a per-ISA front end hands the
-/// analyses. Produced by `cabt-tricore`'s and `cabt-vliw`'s `analyze`
-/// modules.
+/// analyses. Produced by `cabt-tricore`'s `analyze` module.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Units in table order.
@@ -892,13 +892,10 @@ pub struct PredictedTrace {
 /// at the header and follow the edge that stays inside the loop
 /// (preferring the fall edge when both do — the tier's tie-break on a
 /// balanced branch is execution-dependent, so prediction takes the
-/// cheaper edge). Stops at `max_blocks`, on leaving the loop, on
-/// closing back to the header, or on revisiting a block.
-pub fn predict_traces(
-    graph: &FlowGraph,
-    loops: &[NaturalLoop],
-    max_blocks: usize,
-) -> Vec<PredictedTrace> {
+/// cheaper edge). Stops at the tier's [`MAX_TRACE_BLOCKS`] cap, on
+/// leaving the loop, on closing back to the header, or on revisiting a
+/// block.
+pub fn predict_traces(graph: &FlowGraph, loops: &[NaturalLoop]) -> Vec<PredictedTrace> {
     loops
         .iter()
         .map(|l| {
@@ -906,7 +903,7 @@ pub fn predict_traces(
             let mut blocks = vec![l.head];
             let mut loop_back = false;
             let mut cur = l.head;
-            while blocks.len() < max_blocks.max(1) {
+            while (blocks.len() as u32) < MAX_TRACE_BLOCKS {
                 let span = graph.map.blocks[cur as usize];
                 let term = graph.flows[span.last() as usize];
                 let fall = if matches!(term, UnitFlow::Halt) {
@@ -1103,15 +1100,10 @@ impl AnalysisReport {
 /// use-before-def (`whitelist` masks exempt registers), constant-store
 /// checking against `mem`, static side-exit verification of every
 /// predicted trace, and unbounded-recursion detection.
-pub fn analyze_program(
-    prog: &Program,
-    mem: &MemMap,
-    whitelist: u64,
-    max_trace_blocks: usize,
-) -> AnalysisReport {
+pub fn analyze_program(prog: &Program, mem: &MemMap, whitelist: u64) -> AnalysisReport {
     let graph = prog.graph();
     let loops = natural_loops(&graph);
-    let predicted = predict_traces(&graph, &loops, max_trace_blocks);
+    let predicted = predict_traces(&graph, &loops);
     let mut findings = reachability(prog, &graph);
     findings.extend(use_before_def(prog, &graph, whitelist));
     findings.extend(const_stores(prog, &graph, mem));
@@ -1326,7 +1318,7 @@ mod tests {
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].head, 1);
         assert_eq!(loops[0].blocks, vec![1]);
-        let predicted = predict_traces(&g, &loops, 16);
+        let predicted = predict_traces(&g, &loops);
         assert_eq!(predicted.len(), 1);
         assert_eq!(predicted[0].blocks, vec![1]);
         assert!(predicted[0].loop_back);

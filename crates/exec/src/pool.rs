@@ -46,7 +46,7 @@ fn lock_ok<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One unit of pool work (an epoch round of one shard, a batch driver's
 /// bookkeeping step, …).
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
     /// The pool this thread is a worker of, if any — lets jobs spawned
@@ -60,7 +60,7 @@ thread_local! {
 /// shutdown flag. Jobs hold an `Arc` of this so they can schedule
 /// follow-up work (the event-driven epoch schedulers reschedule a
 /// session's next round from the job that completed its last).
-pub struct PoolCore {
+pub(crate) struct PoolCore {
     /// One deque per worker, then the injector queue last.
     queues: Vec<Mutex<VecDeque<Job>>>,
     /// Guards sleeping: pushes bump the generation under this lock, so
@@ -73,7 +73,7 @@ pub struct PoolCore {
 impl PoolCore {
     /// Enqueues a job: onto the current worker's own deque when called
     /// from inside this pool, onto the injector otherwise.
-    pub fn push(self: &Arc<Self>, job: Job) {
+    pub(crate) fn push(self: &Arc<Self>, job: Job) {
         let slot = WORKER.with(|w| {
             w.borrow()
                 .as_ref()
@@ -204,7 +204,7 @@ impl FleetPool {
     }
 
     /// The shared core, for jobs that schedule follow-up work.
-    pub fn core(&self) -> Arc<PoolCore> {
+    pub(crate) fn core(&self) -> Arc<PoolCore> {
         Arc::clone(&self.core)
     }
 }

@@ -21,7 +21,7 @@
 //! observable.
 
 use crate::blocks::{BlockMap, NO_BLOCK};
-use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
+use cabt_isa::codec::{expect_len, ByteReader, ByteWriter, CodecError};
 
 /// Knobs of the profile-guided trace tier. Engines expose these through
 /// their session builder; the defaults suit the bundled workloads.
@@ -36,21 +36,16 @@ pub struct TraceConfig {
     /// engine grows a superblock the moment a block's counter *reaches*
     /// this value (so each head is attempted exactly once).
     pub hot_threshold: u32,
-    /// Maximum number of blocks fused into one trace (the length cap).
-    pub max_blocks: u32,
-    /// Whether [`grow`] may follow taken edges. The golden model does;
-    /// the VLIW core must not — its branch shadows redirect *mid*-block,
-    /// so only fall chains are sequential packet runs there.
-    pub follow_taken: bool,
 }
+
+/// Maximum number of blocks fused into one trace (the length cap).
+pub const MAX_TRACE_BLOCKS: u32 = 16;
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             warmup: 200_000,
             hot_threshold: 64,
-            max_blocks: 16,
-            follow_taken: true,
         }
     }
 }
@@ -137,30 +132,27 @@ pub struct TracePlan {
 /// chosen edge must carry at least half the successor block's recorded
 /// exits and have fired at all), at indirect terminators and table
 /// exits (no successor edge), at blocks already in the trace, and at
-/// the [`TraceConfig::max_blocks`] cap. An edge back to the head is
-/// detected as a *loop trace* instead of a stop.
+/// the [`MAX_TRACE_BLOCKS`] cap. An edge back to the head is detected
+/// as a *loop trace* instead of a stop. Engines that never record a
+/// taken edge (the VLIW core, whose branch shadows redirect *mid*-block)
+/// grow along fall chains only.
 ///
 /// Returns `None` when no useful trace exists (a single block with no
 /// loop edge gains nothing over plain block dispatch).
-pub fn grow(
-    map: &BlockMap,
-    profile: &TraceProfile,
-    head: u32,
-    cfg: &TraceConfig,
-) -> Option<TracePlan> {
+pub fn grow(map: &BlockMap, profile: &TraceProfile, head: u32) -> Option<TracePlan> {
     let mut blocks = vec![head];
     let mut via_taken = Vec::new();
     let mut loop_back = false;
     let mut loop_via_taken = false;
     let mut cur = head;
-    while (blocks.len() as u32) < cfg.max_blocks {
+    while (blocks.len() as u32) < MAX_TRACE_BLOCKS {
         let span = &map.blocks[cur as usize];
         let exec = profile.exec[cur as usize];
         let fall_n = profile.fall[cur as usize];
         let taken_n = profile.taken[cur as usize];
         // Hottest recorded exit edge (ties go to the fall edge — the
         // cheaper continuation on every engine).
-        let (next, thru_taken, hits) = if cfg.follow_taken && taken_n > fall_n {
+        let (next, thru_taken, hits) = if taken_n > fall_n {
             (span.taken, true, taken_n)
         } else {
             (span.fall, false, fall_n)
@@ -235,8 +227,6 @@ impl TraceConfig {
         let mut w = ByteWriter::new(out);
         w.u64(self.warmup);
         w.u32(self.hot_threshold);
-        w.u32(self.max_blocks);
-        w.bool(self.follow_taken);
     }
 
     /// Decodes a [`TraceConfig::encode_into`] image.
@@ -248,8 +238,6 @@ impl TraceConfig {
         Ok(TraceConfig {
             warmup: r.u64()?,
             hot_threshold: r.u32()?,
-            max_blocks: r.u32()?,
-            follow_taken: r.bool()?,
         })
     }
 }
@@ -294,6 +282,19 @@ impl TraceProfile {
             taken: decode_counters(r, "trace taken counters")?,
         })
     }
+
+    /// Checks that a decoded profile counts exactly `blocks` blocks —
+    /// the block count of the engine it is restored into.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadLength`] naming the first counter table that
+    /// does not fit.
+    pub fn check_blocks(&self, blocks: usize) -> Result<(), CodecError> {
+        expect_len("trace exec counters", self.exec.len(), blocks)?;
+        expect_len("trace fall counters", self.fall.len(), blocks)?;
+        expect_len("trace taken counters", self.taken.len(), blocks)
+    }
 }
 
 impl TraceStats {
@@ -328,8 +329,6 @@ mod tests {
         TraceConfig {
             warmup: 1_000,
             hot_threshold: 4,
-            max_blocks: 8,
-            follow_taken: true,
         }
     }
 
@@ -368,7 +367,7 @@ mod tests {
             p.record_exec(1, cfg.hot_threshold);
             p.record_taken(1);
         }
-        let plan = grow(&map, &p, 1, &cfg).expect("loop trace forms");
+        let plan = grow(&map, &p, 1).expect("loop trace forms");
         assert_eq!(plan.blocks, vec![1]);
         assert!(plan.loop_back);
         assert!(plan.loop_via_taken);
@@ -392,27 +391,12 @@ mod tests {
             p.record_taken(0); // hot edge: taken to block [3]
         }
         p.record_fall(0); // cold fall into [2]
-        let plan = grow(&map, &p, 0, &cfg).expect("grows along taken edge");
+        let plan = grow(&map, &p, 0).expect("grows along taken edge");
         assert_eq!(plan.blocks, vec![0, map.location(3).block]);
         assert_eq!(plan.via_taken, vec![true]);
         assert!(!plan.loop_back);
         // The halt block's exits were never recorded: growth stops.
         assert_eq!(plan.blocks.len(), 2);
-    }
-
-    #[test]
-    fn follow_taken_false_sticks_to_fall_edges() {
-        let map = loopy_map();
-        let mut cfg = cfg();
-        cfg.follow_taken = false;
-        let mut p = TraceProfile::new(map.len(), &cfg);
-        for _ in 0..8 {
-            p.record_exec(1, cfg.hot_threshold);
-            p.record_taken(1);
-        }
-        // The only hot edge is the taken self-loop; with fall-only
-        // growth there is no trace worth forming.
-        assert_eq!(grow(&map, &p, 1, &cfg), None);
     }
 
     #[test]
@@ -426,7 +410,7 @@ mod tests {
             p.record_exec(0, cfg.hot_threshold);
         }
         p.record_fall(0);
-        assert_eq!(grow(&map, &p, 0, &cfg), None);
+        assert_eq!(grow(&map, &p, 0), None);
     }
 
     #[test]
@@ -443,8 +427,8 @@ mod tests {
                 p.record_fall(b);
             }
         }
-        let plan = grow(&map, &p, 0, &cfg).expect("chain forms");
-        assert_eq!(plan.blocks.len(), cfg.max_blocks as usize);
+        let plan = grow(&map, &p, 0).expect("chain forms");
+        assert_eq!(plan.blocks.len(), MAX_TRACE_BLOCKS as usize);
         assert!(!plan.loop_back);
     }
 

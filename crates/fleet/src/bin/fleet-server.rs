@@ -444,16 +444,28 @@ mod tests {
             at + 8..at + 40,
             [&3u64.to_le_bytes()[..], &bus[16..19]].concat(),
         );
+        // A golden park whose cached table index points past the
+        // program: `cur` is the u32 before the halted flag, the
+        // trace-tier flag and the absent-devices flag that close it.
+        let mut golden = SimBuilder::named("gcd").build().unwrap();
+        golden.run(Limit::Retirements(500)).unwrap();
+        assert!(golden.soc_bus_state().is_none(), "no devices to skip");
+        let mut past_end = golden.park().unwrap();
+        let cur = past_end.len() - 7;
+        past_end[cur..cur + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
         let input = format!(
-            "resume {} cycles 1000000\nrun gcd golden cycles {MAX_BUDGET}\n",
-            hex_encode(&parked)
+            "resume {} cycles 1000000\nresume {} cycles 1000000\nrun gcd golden cycles {MAX_BUDGET}\n",
+            hex_encode(&parked),
+            hex_encode(&past_end)
         );
         let mut output = Vec::new();
         serve(&pool, &mut input.as_bytes(), &mut output, MAX_LINE_BYTES);
         let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
-        assert_eq!(rows.len(), 2, "{rows:?}");
-        assert!(rows[0].starts_with(r#"{"ok":false,"#), "{}", rows[0]);
-        assert!(rows[1].contains(r#""checksum_ok":true"#), "{}", rows[1]);
+        assert_eq!(rows.len(), 3, "{rows:?}");
+        for row in &rows[..2] {
+            assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
+        }
+        assert!(rows[2].contains(r#""checksum_ok":true"#), "{}", rows[2]);
     }
 
     #[test]

@@ -143,8 +143,6 @@ fn eager_traces() -> TraceConfig {
     TraceConfig {
         warmup: 1_000_000_000,
         hot_threshold: 2,
-        max_blocks: 16,
-        follow_taken: true,
     }
 }
 

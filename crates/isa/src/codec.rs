@@ -24,6 +24,7 @@
 //! module only moves raw fields.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Errors produced while decoding snapshot bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +62,23 @@ pub enum CodecError {
         /// The offending count.
         len: u64,
     },
+    /// An index decoded intact but points past the table of the engine
+    /// it is restored into — a snapshot from another program, or
+    /// corrupt bytes.
+    BadIndex {
+        /// What was being restored (static context string).
+        what: &'static str,
+        /// The offending index.
+        index: u64,
+    },
+    /// A counter decoded intact but holds a value the engine it is
+    /// restored into never records — corrupt or forged bytes.
+    BadValue {
+        /// What was being restored (static context string).
+        what: &'static str,
+        /// The offending value.
+        value: u64,
+    },
     /// A UTF-8 string field held invalid UTF-8.
     BadUtf8,
     /// Decoding finished with unconsumed input — almost always a sign
@@ -93,6 +111,12 @@ impl fmt::Display for CodecError {
             CodecError::BadLength { what, len } => {
                 write!(f, "implausible length {len} while decoding {what}")
             }
+            CodecError::BadIndex { what, index } => {
+                write!(f, "{what} {index} is out of range for this program")
+            }
+            CodecError::BadValue { what, value } => {
+                write!(f, "{what} {value} cannot occur on this engine")
+            }
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in snapshot string field"),
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} unconsumed bytes after decoding snapshot")
@@ -102,6 +126,41 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// `Ok` when a restored per-unit table has the `want` entries the engine
+/// it is restored into expects; [`CodecError::BadLength`] otherwise.
+///
+/// # Errors
+///
+/// See above.
+pub fn expect_len(what: &'static str, len: usize, want: usize) -> Result<(), CodecError> {
+    if len == want {
+        Ok(())
+    } else {
+        Err(CodecError::BadLength {
+            what,
+            len: len as u64,
+        })
+    }
+}
+
+/// `Ok` when a restored index lies in `range` or is `u32::MAX`, the
+/// "no index" sentinel every engine uses; [`CodecError::BadIndex`]
+/// otherwise.
+///
+/// # Errors
+///
+/// See above.
+pub fn expect_index(what: &'static str, index: u32, range: Range<usize>) -> Result<(), CodecError> {
+    if index == u32::MAX || range.contains(&(index as usize)) {
+        Ok(())
+    } else {
+        Err(CodecError::BadIndex {
+            what,
+            index: index.into(),
+        })
+    }
+}
 
 /// Little-endian append-only writer over a caller-owned buffer.
 ///

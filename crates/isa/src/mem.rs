@@ -75,8 +75,6 @@ pub struct Memory {
     /// frames), making most accesses hash-free.
     last: Option<(u32, u32)>,
     fault_on_unmapped: bool,
-    reads: u64,
-    writes: u64,
 }
 
 impl Memory {
@@ -89,17 +87,6 @@ impl Memory {
     /// [`IsaError::Unmapped`] instead of returning zero.
     pub fn set_fault_on_unmapped(&mut self, fault: bool) {
         self.fault_on_unmapped = fault;
-    }
-
-    /// Number of byte-level reads served so far (used by platform
-    /// statistics and tests).
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of byte-level writes served so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// Copies `data` into memory starting at `addr`, allocating pages as
@@ -178,7 +165,6 @@ impl Memory {
     /// Returns [`IsaError::Unmapped`] when the page is unmapped and
     /// faulting is enabled.
     pub fn read_u8(&mut self, addr: Addr) -> Result<u8, IsaError> {
-        self.reads += 1;
         match self.frame_of(addr) {
             Some(i) => Ok(self.frames[i as usize][(addr & OFFSET_MASK) as usize]),
             None if self.fault_on_unmapped => Err(IsaError::Unmapped { addr }),
@@ -188,7 +174,6 @@ impl Memory {
 
     /// Writes one byte, materializing the page if needed.
     pub fn write_u8(&mut self, addr: Addr, value: u8) -> Result<(), IsaError> {
-        self.writes += 1;
         self.store_u8(addr, value);
         Ok(())
     }
@@ -207,7 +192,6 @@ impl Memory {
         if addr & 1 != 0 {
             return Err(IsaError::Misaligned { addr, align: 2 });
         }
-        self.reads += 2;
         let off = (addr & OFFSET_MASK) as usize;
         match self.frame_of(addr) {
             Some(i) => {
@@ -228,7 +212,6 @@ impl Memory {
         if addr & 1 != 0 {
             return Err(IsaError::Misaligned { addr, align: 2 });
         }
-        self.writes += 2;
         let off = (addr & OFFSET_MASK) as usize;
         self.page_mut(addr)[off..off + 2].copy_from_slice(&value.to_le_bytes());
         Ok(())
@@ -245,7 +228,6 @@ impl Memory {
         if addr & 3 != 0 {
             return Err(IsaError::Misaligned { addr, align: 4 });
         }
-        self.reads += 4;
         let off = (addr & OFFSET_MASK) as usize;
         match self.frame_of(addr) {
             Some(i) => Ok(u32::from_le_bytes(
@@ -267,7 +249,6 @@ impl Memory {
         if addr & 3 != 0 {
             return Err(IsaError::Misaligned { addr, align: 4 });
         }
-        self.writes += 4;
         let off = (addr & OFFSET_MASK) as usize;
         self.page_mut(addr)[off..off + 4].copy_from_slice(&value.to_le_bytes());
         Ok(())
@@ -285,8 +266,6 @@ impl Memory {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new(out);
         w.bool(self.fault_on_unmapped);
-        w.u64(self.reads);
-        w.u64(self.writes);
         let mut pages: Vec<(u32, u32)> = self.table.iter().map(|(&k, &i)| (k, i)).collect();
         pages.sort_unstable_by_key(|&(k, _)| k);
         w.u64(pages.len() as u64);
@@ -303,16 +282,12 @@ impl Memory {
     /// Returns a [`CodecError`] on truncated or corrupt input.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let fault_on_unmapped = r.bool()?;
-        let reads = r.u64()?;
-        let writes = r.u64()?;
         let npages = r.count("memory pages", 4 + PAGE_SIZE)?;
         let mut mem = Memory {
             table: HashMap::default(),
             frames: Vec::with_capacity(npages),
             last: None,
             fault_on_unmapped,
-            reads,
-            writes,
         };
         for _ in 0..npages {
             let key = r.u32()?;
@@ -404,31 +379,17 @@ mod tests {
     }
 
     #[test]
-    fn access_counters_advance() {
-        let mut m = Memory::new();
-        m.write_u32(0, 1).unwrap();
-        let _ = m.read_u32(0).unwrap();
-        assert_eq!(m.write_count(), 4);
-        assert_eq!(m.read_count(), 4);
-    }
-
-    #[test]
     fn codec_round_trips_and_is_allocation_order_independent() {
         let mut a = Memory::new();
         a.set_fault_on_unmapped(true);
         a.write_u32(0x8000_0000, 0xdead_beef).unwrap();
         a.write_u8(0x42, 7).unwrap();
-        let mut img = Vec::new();
-        a.encode_into(&mut img);
 
         // Same bytes, pages materialized in the opposite order.
         let mut b = Memory::new();
         b.set_fault_on_unmapped(true);
         b.write_u8(0x42, 7).unwrap();
         b.write_u32(0x8000_0000, 0xdead_beef).unwrap();
-        // Equalize the access counters (they are part of the image).
-        let _ = b.read_u32(0x8000_0000);
-        let _ = a.read_u32(0x8000_0000);
         let mut img_a = Vec::new();
         a.encode_into(&mut img_a);
         let mut img_b = Vec::new();
@@ -442,10 +403,7 @@ mod tests {
         assert!(back.read_u8(0x9999_0000).is_err(), "fault flag restored");
         let mut img_back = Vec::new();
         back.encode_into(&mut img_back);
-        // Counters advanced by the reads above; re-encode of the
-        // original after the same reads must still match.
-        let _ = a.read_u8(0x42);
-        let _ = back.read_u8(0x42);
+        assert_eq!(img_back, img_a, "reads leave the image unchanged");
 
         // Truncated input errors instead of panicking.
         let mut r = ByteReader::new(&img_a[..img_a.len() - 1]);

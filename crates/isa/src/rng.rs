@@ -34,11 +34,6 @@ impl Pcg32 {
         xorshifted.rotate_right(rot)
     }
 
-    /// The next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        ((self.next_u32() as u64) << 32) | self.next_u32() as u64
-    }
-
     /// A uniform value in `range` (debiased by rejection).
     ///
     /// # Panics

@@ -10,7 +10,6 @@
 //! `analyze` verb of `fleet-server`.
 
 use cabt_exec::analyze::{analyze_program, MemMap};
-use cabt_exec::trace::TraceConfig;
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_tricore::analyze::{lower_elf, SHARD_ID_REG};
 
@@ -66,13 +65,7 @@ pub fn analyze_elf(elf: &ElfFile) -> Result<AnalysisReport, SessionError> {
         return Ok(AnalysisReport::skip("entry outside decoded table"));
     }
     let mem = guest_mem_map(elf);
-    let max_blocks = TraceConfig::default().max_blocks as usize;
-    Ok(analyze_program(
-        &prog,
-        &mem,
-        1u64 << SHARD_ID_REG,
-        max_blocks,
-    ))
+    Ok(analyze_program(&prog, &mem, 1u64 << SHARD_ID_REG))
 }
 
 /// [`analyze_elf`] over a named `cabt-workloads` entry.

@@ -1184,8 +1184,11 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// state and the journal-less scratch encoding, so they no longer
 /// decode and are rejected by version, not misread. v3 grew the
 /// `Timer` image from 12 to 24 bytes: its `(epoch, compare)` as of the
-/// last barrier follows the current one.
-pub const PARK_VERSION: u16 = 3;
+/// last barrier follows the current one. v4 dropped fields that carried
+/// nothing: the trace configuration's length cap and taken-edge flag,
+/// the memory images' access counters and the golden statistics' exit
+/// flag.
+pub const PARK_VERSION: u16 = 4;
 
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1816,44 +1819,6 @@ impl Session {
         }
     }
 
-    /// Captures the session into an existing snapshot, reusing its
-    /// allocations where the shapes line up (the per-vehicle boxes and
-    /// the recursive shard list) instead of minting fresh ones — the
-    /// in-memory half of what keeps fleet park/resume loops from
-    /// churning the allocator (the byte half is
-    /// [`Session::park_into`]). Equivalent to `*out = self.snapshot()`
-    /// in every observable way; a mismatched snapshot (other backend
-    /// kind, other shard count) is simply replaced.
-    pub fn snapshot_into(&self, out: &mut SessionSnapshot) {
-        match (&self.vehicle, &mut out.snap) {
-            (Vehicle::Golden { sim, .. }, Snap::Golden(slot)) => **slot = sim.snapshot(),
-            (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
-                **engine = platform.sim().snapshot();
-                *sync = platform.save_sync_device().expect(PLATFORM_BUS);
-            }
-            (Vehicle::Rtl(core), Snap::Rtl(slot)) => **slot = core.snapshot(),
-            (
-                Vehicle::Sharded(set),
-                Snap::Sharded {
-                    shards,
-                    epochs,
-                    step_exchange_at,
-                },
-            ) if shards.len() == set.shards.len() => {
-                for (shard, slot) in set.shards.iter().zip(shards.iter_mut()) {
-                    shard.snapshot_into(slot);
-                }
-                *epochs = set.arbiter.epochs();
-                *step_exchange_at = set.step_exchange_at;
-            }
-            (_, snap) => *snap = self.snapshot_with_devices().snap,
-        }
-        out.devices = match &self.vehicle {
-            Vehicle::Sharded(set) => Some(set.arbiter.canonical_state()),
-            vehicle => vehicle.device_bus().map(|b| b.save_state()),
-        };
-    }
-
     /// Serializes the whole session — backend descriptor, build
     /// configuration, ELF image and a full [`Session::snapshot`] — into
     /// a versioned, self-describing byte envelope. [`Session::resume`]
@@ -1872,29 +1837,15 @@ impl Session {
     /// re-serialize (not reachable for images that assembled or parsed).
     pub fn park(&self) -> Result<Vec<u8>, SessionError> {
         let mut out = Vec::new();
-        self.park_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`Session::park`] into a caller-owned buffer (cleared first) —
-    /// park loops keep one scratch `Vec` and re-encode into it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::park`].
-    pub fn park_into(&self, out: &mut Vec<u8>) -> Result<(), SessionError> {
-        out.clear();
-        {
-            let mut w = ByteWriter::new(out);
-            w.raw(PARK_MAGIC);
-            w.u16(PARK_VERSION);
-            w.str(&self.backend.to_string());
-        }
-        self.config.encode_into(out);
+        let mut w = ByteWriter::new(&mut out);
+        w.raw(PARK_MAGIC);
+        w.u16(PARK_VERSION);
+        w.str(&self.backend.to_string());
+        self.config.encode_into(&mut out);
         let elf = self.elf.to_bytes()?;
-        ByteWriter::new(out).bytes(&elf);
-        self.snapshot_with_devices().encode_into(out);
-        Ok(())
+        ByteWriter::new(&mut out).bytes(&elf);
+        self.snapshot_with_devices().encode_into(&mut out);
+        Ok(out)
     }
 
     /// Rebuilds a parked session from [`Session::park`] bytes: parses
@@ -1936,21 +1887,26 @@ impl Session {
     }
 
     /// [`ExecutionEngine::restore`] for snapshots decoded from untrusted
-    /// bytes ([`Session::resume`], [`Session::adopt_shard`]): a device
-    /// image that does not decode is an error instead of a panic.
+    /// bytes ([`Session::resume`], [`Session::adopt_shard`]): an engine
+    /// index or table that does not fit the rebuilt engine, or a device
+    /// image that does not decode, is an error instead of a panic.
     ///
     /// # Errors
     ///
-    /// The first [`CodecError`] a device image raises; the session's
-    /// bus state is then partly restored.
+    /// The first [`CodecError`] an engine check or a device image
+    /// raises; the session's state is then partly restored.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot came from a different backend kind.
     fn restore_checked(&mut self, snapshot: &SessionSnapshot) -> Result<(), CodecError> {
         match (&mut self.vehicle, &snapshot.snap) {
-            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => sim.restore(s),
+            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => {
+                sim.check_snapshot(s)?;
+                sim.restore(s);
+            }
             (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
+                platform.sim().check_snapshot(engine)?;
                 platform.engine().restore(engine);
                 platform.restore_sync_device(sync);
             }
@@ -2202,12 +2158,13 @@ impl ExecutionEngine for Session {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot came from a different backend kind, or
-    /// carries a device image that does not decode (untrusted bytes go
-    /// through [`Session::resume`], which reports it).
+    /// Panics if the snapshot came from a different backend kind, does
+    /// not fit this session's program, or carries a device image that
+    /// does not decode (untrusted bytes go through [`Session::resume`],
+    /// which reports it).
     fn restore(&mut self, snapshot: &SessionSnapshot) {
         self.restore_checked(snapshot)
-            .expect("in-process snapshots carry well-formed device images");
+            .expect("in-process snapshots fit their session");
     }
 
     /// Resets to a fully fresh run. Unlike the engine-scope trait
@@ -2724,24 +2681,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_reuses_and_matches_snapshot() {
-        let mut s = SimBuilder::asm(SUM)
-            .backend(Backend::sharded(2, Backend::golden()))
-            .build()
-            .unwrap();
-        s.run(Limit::Retirements(4)).unwrap();
-        // Seed a reusable snapshot, then advance and recapture into it.
-        let mut reused = s.snapshot();
-        s.run(Limit::Retirements(9)).unwrap();
-        s.snapshot_into(&mut reused);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        reused.encode_into(&mut a);
-        s.snapshot().encode_into(&mut b);
-        assert_eq!(a, b, "snapshot_into must capture the same state");
-    }
-
-    #[test]
     fn park_rejects_foreign_and_future_versions() {
         let s = SimBuilder::asm(SUM).build().unwrap();
         let parked = s.park().unwrap();
@@ -2752,13 +2691,16 @@ mod tests {
             Session::resume(&corrupt),
             Err(SessionError::Codec(CodecError::BadMagic))
         ));
-        // A future format version must be rejected, not misdecoded.
-        let mut future = parked.clone();
-        future[8..10].copy_from_slice(&(PARK_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            Session::resume(&future),
-            Err(SessionError::Codec(CodecError::Version { .. }))
-        ));
+        // Past and future format versions must be rejected, not
+        // misdecoded.
+        for version in [PARK_VERSION - 1, PARK_VERSION + 1] {
+            let mut other = parked.clone();
+            other[8..10].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                Session::resume(&other),
+                Err(SessionError::Codec(CodecError::Version { .. }))
+            ));
+        }
         // Truncation anywhere is an error, never a panic.
         assert!(Session::resume(&parked[..parked.len() - 3]).is_err());
     }

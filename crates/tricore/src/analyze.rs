@@ -280,7 +280,7 @@ mod tests {
         let g = prog.graph();
         // Three blocks: entry, loop body, halt.
         assert_eq!(g.len(), 3);
-        let report = analyze_program(&prog, &MemMap::default(), whitelist(), 16);
+        let report = analyze_program(&prog, &MemMap::default(), whitelist());
         assert!(report.is_clean(), "findings: {:?}", report.findings);
         assert_eq!(report.loops.len(), 1, "the countdown loop");
         assert!(report.predicted[0].loop_back);

@@ -169,291 +169,239 @@ enum SectionId {
 /// # Ok::<(), cabt_tricore::asm::AsmError>(())
 /// ```
 pub fn assemble(src: &str) -> Result<ElfFile, AsmError> {
-    Assembler::new().assemble(src)
-}
+    // ---- pass 1: parse, size, lay out, collect symbols ----
+    let mut items: Vec<Item> = Vec::new();
+    let mut symbols: HashMap<String, (u32, SectionId)> = HashMap::new();
+    let mut globals: Vec<String> = Vec::new();
+    let mut section = SectionId::Text;
+    let mut pc = [TEXT_BASE, DATA_BASE, BSS_BASE];
+    let idx = |s: SectionId| match s {
+        SectionId::Text => 0usize,
+        SectionId::Data => 1,
+        SectionId::Bss => 2,
+    };
 
-/// The two-pass assembler. Use [`assemble`] unless you need custom
-/// section base addresses.
-#[derive(Debug, Clone)]
-pub struct Assembler {
-    text_base: u32,
-    data_base: u32,
-    bss_base: u32,
-}
-
-impl Default for Assembler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Assembler {
-    /// Creates an assembler with the default memory map.
-    pub fn new() -> Self {
-        Assembler {
-            text_base: TEXT_BASE,
-            data_base: DATA_BASE,
-            bss_base: BSS_BASE,
+    for (lineno, raw) in src.lines().enumerate() {
+        let line = lineno as u32 + 1;
+        let mut text = raw;
+        if let Some(p) = text.find(['#', ';']) {
+            text = &text[..p];
         }
-    }
+        let mut text = text.trim();
 
-    /// Overrides the `.text` base address.
-    pub fn with_text_base(mut self, base: u32) -> Self {
-        self.text_base = base;
-        self
-    }
-
-    /// Overrides the `.data` base address.
-    pub fn with_data_base(mut self, base: u32) -> Self {
-        self.data_base = base;
-        self
-    }
-
-    /// Runs both passes over `src`.
-    ///
-    /// # Errors
-    ///
-    /// See [`assemble`].
-    pub fn assemble(&self, src: &str) -> Result<ElfFile, AsmError> {
-        // ---- pass 1: parse, size, lay out, collect symbols ----
-        let mut items: Vec<Item> = Vec::new();
-        let mut symbols: HashMap<String, (u32, SectionId)> = HashMap::new();
-        let mut globals: Vec<String> = Vec::new();
-        let mut section = SectionId::Text;
-        let mut pc = [self.text_base, self.data_base, self.bss_base];
-        let idx = |s: SectionId| match s {
-            SectionId::Text => 0usize,
-            SectionId::Data => 1,
-            SectionId::Bss => 2,
-        };
-
-        for (lineno, raw) in src.lines().enumerate() {
-            let line = lineno as u32 + 1;
-            let mut text = raw;
-            if let Some(p) = text.find(['#', ';']) {
-                text = &text[..p];
+        // Labels (possibly several) at the start of the line.
+        while let Some(colon) = text.find(':') {
+            let (head, rest) = text.split_at(colon);
+            let name = head.trim();
+            if name.is_empty()
+                || !name
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+                || name.starts_with('.')
+                || rest.is_empty()
+            {
+                break;
             }
-            let mut text = text.trim();
+            // "hi:" / "lo:" inside operands never reach here because
+            // labels are only recognized before the mnemonic.
+            if symbols
+                .insert(name.to_string(), (pc[idx(section)], section))
+                .is_some()
+            {
+                return err(line, format!("duplicate label `{name}`"));
+            }
+            text = rest[1..].trim();
+        }
+        if text.is_empty() {
+            continue;
+        }
 
-            // Labels (possibly several) at the start of the line.
-            while let Some(colon) = text.find(':') {
-                let (head, rest) = text.split_at(colon);
-                let name = head.trim();
-                if name.is_empty()
-                    || !name
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-                    || name.starts_with('.')
-                    || rest.is_empty()
-                {
-                    break;
-                }
-                // "hi:" / "lo:" inside operands never reach here because
-                // labels are only recognized before the mnemonic.
-                if symbols
-                    .insert(name.to_string(), (pc[idx(section)], section))
-                    .is_some()
-                {
-                    return err(line, format!("duplicate label `{name}`"));
-                }
-                text = rest[1..].trim();
-            }
-            if text.is_empty() {
-                continue;
-            }
-
-            if let Some(directive) = text.strip_prefix('.') {
-                let (name, rest) = match directive.find(char::is_whitespace) {
-                    Some(p) => (&directive[..p], directive[p..].trim()),
-                    None => (directive, ""),
-                };
-                match name {
-                    "text" => section = SectionId::Text,
-                    "data" => section = SectionId::Data,
-                    "bss" => section = SectionId::Bss,
-                    "global" | "globl" => globals.push(rest.to_string()),
-                    "org" => {
-                        let v = parse_number(rest).ok_or_else(|| AsmError {
-                            line,
-                            msg: "bad .org value".into(),
-                        })?;
-                        pc[idx(section)] = v as u32;
-                    }
-                    "align" => {
-                        let v = parse_number(rest).ok_or_else(|| AsmError {
-                            line,
-                            msg: "bad .align value".into(),
-                        })? as u32;
-                        if v == 0 || !v.is_power_of_two() {
-                            return err(line, ".align requires a power of two");
-                        }
-                        let cur = pc[idx(section)];
-                        let pad = (v - (cur % v)) % v;
-                        if pad > 0 {
-                            check_size(pad.into(), line)?;
-                            items.push(Item {
-                                line,
-                                addr: cur,
-                                section,
-                                kind: ItemKind::Space(pad),
-                            });
-                            advance(&mut pc[idx(section)], pad, line)?;
-                        }
-                    }
-                    "space" | "skip" => {
-                        let v = parse_number(rest)
-                            .and_then(|v| u64::try_from(v).ok())
-                            .ok_or_else(|| AsmError {
-                                line,
-                                msg: "bad .space value".into(),
-                            })?;
-                        check_size(v, line)?;
-                        let v = v as u32;
-                        items.push(Item {
-                            line,
-                            addr: pc[idx(section)],
-                            section,
-                            kind: ItemKind::Space(v),
-                        });
-                        advance(&mut pc[idx(section)], v, line)?;
-                    }
-                    "word" | "half" | "byte" => {
-                        if section == SectionId::Text {
-                            return err(line, "data directives are not allowed in .text");
-                        }
-                        let args = parse_args(rest, line)?;
-                        let (kind, unit) = match name {
-                            "word" => (ItemKind::Word(args.clone()), 4),
-                            "half" => (ItemKind::Half(args.clone()), 2),
-                            _ => (ItemKind::Byte(args.clone()), 1),
-                        };
-                        items.push(Item {
-                            line,
-                            addr: pc[idx(section)],
-                            section,
-                            kind,
-                        });
-                        advance(&mut pc[idx(section)], unit * args.len() as u32, line)?;
-                    }
-                    other => return err(line, format!("unknown directive `.{other}`")),
-                }
-                continue;
-            }
-
-            // Instruction line.
-            if section != SectionId::Text {
-                return err(line, "instructions are only allowed in .text");
-            }
-            let (mnemonic, rest) = match text.find(char::is_whitespace) {
-                Some(p) => (&text[..p], text[p..].trim()),
-                None => (text, ""),
+        if let Some(directive) = text.strip_prefix('.') {
+            let (name, rest) = match directive.find(char::is_whitespace) {
+                Some(p) => (&directive[..p], directive[p..].trim()),
+                None => (directive, ""),
             };
-            let args = parse_args(rest, line)?;
-            // Build once with a dummy resolver purely for the size; the
-            // 16/32-bit choice depends only on operand form, so the size
-            // is stable across passes. Symbols resolve to the current pc
-            // so displacement range checks cannot fire spuriously here.
-            let here = pc[0];
-            let probe = build_instr(mnemonic, &args, line, here, &move |_| Some(here as i64))?;
-            let size = probe.size();
-            items.push(Item {
-                line,
-                addr: pc[0],
-                section,
-                kind: ItemKind::Instr {
-                    mnemonic: mnemonic.to_string(),
-                    args,
-                },
-            });
-            advance(&mut pc[0], size, line)?;
-        }
-
-        // ---- pass 2: resolve and emit ----
-        let resolve = |name: &str| symbols.get(name).map(|&(v, _)| v as i64);
-        let mut text = Vec::new();
-        let mut data = Vec::new();
-        let mut bss_size = 0u64;
-        let mut data_addr_start: Option<u32> = None;
-        let mut text_addr_start: Option<u32> = None;
-
-        for item in &items {
-            match (&item.kind, item.section) {
-                (ItemKind::Instr { mnemonic, args }, _) => {
-                    text_addr_start.get_or_insert(item.addr);
-                    let instr = build_instr(mnemonic, args, item.line, item.addr, &resolve)?;
-                    encode_into(&instr, &mut text).map_err(|e| AsmError {
-                        line: item.line,
-                        msg: e.to_string(),
+            match name {
+                "text" => section = SectionId::Text,
+                "data" => section = SectionId::Data,
+                "bss" => section = SectionId::Bss,
+                "global" | "globl" => globals.push(rest.to_string()),
+                "org" => {
+                    let v = parse_number(rest).ok_or_else(|| AsmError {
+                        line,
+                        msg: "bad .org value".into(),
                     })?;
+                    pc[idx(section)] = v as u32;
                 }
-                (ItemKind::Space(n), SectionId::Bss) => bss_size += u64::from(*n),
-                (ItemKind::Space(n), SectionId::Data) => {
-                    data_addr_start.get_or_insert(item.addr);
-                    data.extend(std::iter::repeat_n(0u8, *n as usize));
-                }
-                (ItemKind::Space(n), SectionId::Text) => {
-                    text_addr_start.get_or_insert(item.addr);
-                    text.extend(std::iter::repeat_n(0u8, *n as usize));
-                }
-                (ItemKind::Word(v) | ItemKind::Half(v) | ItemKind::Byte(v), _) => {
-                    data_addr_start.get_or_insert(item.addr);
-                    let unit = match item.kind {
-                        ItemKind::Word(_) => 4usize,
-                        ItemKind::Half(_) => 2,
-                        _ => 1,
-                    };
-                    for a in v {
-                        let val = eval_arg(a, item.line, &resolve)?;
-                        data.extend_from_slice(&(val as u32).to_le_bytes()[..unit]);
+                "align" => {
+                    let v = parse_number(rest).ok_or_else(|| AsmError {
+                        line,
+                        msg: "bad .align value".into(),
+                    })? as u32;
+                    if v == 0 || !v.is_power_of_two() {
+                        return err(line, ".align requires a power of two");
+                    }
+                    let cur = pc[idx(section)];
+                    let pad = (v - (cur % v)) % v;
+                    if pad > 0 {
+                        check_size(pad.into(), line)?;
+                        items.push(Item {
+                            line,
+                            addr: cur,
+                            section,
+                            kind: ItemKind::Space(pad),
+                        });
+                        advance(&mut pc[idx(section)], pad, line)?;
                     }
                 }
+                "space" | "skip" => {
+                    let v = parse_number(rest)
+                        .and_then(|v| u64::try_from(v).ok())
+                        .ok_or_else(|| AsmError {
+                            line,
+                            msg: "bad .space value".into(),
+                        })?;
+                    check_size(v, line)?;
+                    let v = v as u32;
+                    items.push(Item {
+                        line,
+                        addr: pc[idx(section)],
+                        section,
+                        kind: ItemKind::Space(v),
+                    });
+                    advance(&mut pc[idx(section)], v, line)?;
+                }
+                "word" | "half" | "byte" => {
+                    if section == SectionId::Text {
+                        return err(line, "data directives are not allowed in .text");
+                    }
+                    let args = parse_args(rest, line)?;
+                    let (kind, unit) = match name {
+                        "word" => (ItemKind::Word(args.clone()), 4),
+                        "half" => (ItemKind::Half(args.clone()), 2),
+                        _ => (ItemKind::Byte(args.clone()), 1),
+                    };
+                    items.push(Item {
+                        line,
+                        addr: pc[idx(section)],
+                        section,
+                        kind,
+                    });
+                    advance(&mut pc[idx(section)], unit * args.len() as u32, line)?;
+                }
+                other => return err(line, format!("unknown directive `.{other}`")),
             }
-            // Pass 1 bounds every single item by the limit, so no
-            // section outgrows twice the limit before this check fires.
-            for len in [text.len() as u64, data.len() as u64, bss_size] {
-                check_size(len, item.line)?;
-            }
+            continue;
         }
 
-        let mut elf = ElfFile::new(EM_TRICORE, 0);
-        if !text.is_empty() {
-            elf.sections.push(Section::text(
-                text_addr_start.unwrap_or(self.text_base),
-                text,
-            ));
+        // Instruction line.
+        if section != SectionId::Text {
+            return err(line, "instructions are only allowed in .text");
         }
-        if !data.is_empty() {
-            elf.sections.push(Section::data(
-                data_addr_start.unwrap_or(self.data_base),
-                data,
-            ));
-        }
-        if bss_size > 0 {
-            elf.sections
-                .push(Section::bss(self.bss_base, bss_size as u32));
-        }
-        for (name, (value, sect)) in &symbols {
-            elf.symbols.push(Symbol {
-                name: name.clone(),
-                value: *value,
-                size: 0,
-                kind: if *sect == SectionId::Text {
-                    SymbolKind::Func
-                } else {
-                    SymbolKind::Object
-                },
-            });
-        }
-        elf.symbols
-            .sort_by(|a, b| a.value.cmp(&b.value).then(a.name.cmp(&b.name)));
-        elf.entry = symbols
-            .get("_start")
-            .map(|&(v, _)| v)
-            .or(text_addr_start)
-            .unwrap_or(self.text_base);
-        let _ = globals; // all symbols are emitted; .global is accepted for compatibility
-        Ok(elf)
+        let (mnemonic, rest) = match text.find(char::is_whitespace) {
+            Some(p) => (&text[..p], text[p..].trim()),
+            None => (text, ""),
+        };
+        let args = parse_args(rest, line)?;
+        // Build once with a dummy resolver purely for the size; the
+        // 16/32-bit choice depends only on operand form, so the size
+        // is stable across passes. Symbols resolve to the current pc
+        // so displacement range checks cannot fire spuriously here.
+        let here = pc[0];
+        let probe = build_instr(mnemonic, &args, line, here, &move |_| Some(here as i64))?;
+        let size = probe.size();
+        items.push(Item {
+            line,
+            addr: pc[0],
+            section,
+            kind: ItemKind::Instr {
+                mnemonic: mnemonic.to_string(),
+                args,
+            },
+        });
+        advance(&mut pc[0], size, line)?;
     }
+
+    // ---- pass 2: resolve and emit ----
+    let resolve = |name: &str| symbols.get(name).map(|&(v, _)| v as i64);
+    let mut text = Vec::new();
+    let mut data = Vec::new();
+    let mut bss_size = 0u64;
+    let mut data_addr_start: Option<u32> = None;
+    let mut text_addr_start: Option<u32> = None;
+
+    for item in &items {
+        match (&item.kind, item.section) {
+            (ItemKind::Instr { mnemonic, args }, _) => {
+                text_addr_start.get_or_insert(item.addr);
+                let instr = build_instr(mnemonic, args, item.line, item.addr, &resolve)?;
+                encode_into(&instr, &mut text).map_err(|e| AsmError {
+                    line: item.line,
+                    msg: e.to_string(),
+                })?;
+            }
+            (ItemKind::Space(n), SectionId::Bss) => bss_size += u64::from(*n),
+            (ItemKind::Space(n), SectionId::Data) => {
+                data_addr_start.get_or_insert(item.addr);
+                data.extend(std::iter::repeat_n(0u8, *n as usize));
+            }
+            (ItemKind::Space(n), SectionId::Text) => {
+                text_addr_start.get_or_insert(item.addr);
+                text.extend(std::iter::repeat_n(0u8, *n as usize));
+            }
+            (ItemKind::Word(v) | ItemKind::Half(v) | ItemKind::Byte(v), _) => {
+                data_addr_start.get_or_insert(item.addr);
+                let unit = match item.kind {
+                    ItemKind::Word(_) => 4usize,
+                    ItemKind::Half(_) => 2,
+                    _ => 1,
+                };
+                for a in v {
+                    let val = eval_arg(a, item.line, &resolve)?;
+                    data.extend_from_slice(&(val as u32).to_le_bytes()[..unit]);
+                }
+            }
+        }
+        // Pass 1 bounds every single item by the limit, so no
+        // section outgrows twice the limit before this check fires.
+        for len in [text.len() as u64, data.len() as u64, bss_size] {
+            check_size(len, item.line)?;
+        }
+    }
+
+    let mut elf = ElfFile::new(EM_TRICORE, 0);
+    if !text.is_empty() {
+        elf.sections
+            .push(Section::text(text_addr_start.unwrap_or(TEXT_BASE), text));
+    }
+    if !data.is_empty() {
+        elf.sections
+            .push(Section::data(data_addr_start.unwrap_or(DATA_BASE), data));
+    }
+    if bss_size > 0 {
+        elf.sections.push(Section::bss(BSS_BASE, bss_size as u32));
+    }
+    for (name, (value, sect)) in &symbols {
+        elf.symbols.push(Symbol {
+            name: name.clone(),
+            value: *value,
+            size: 0,
+            kind: if *sect == SectionId::Text {
+                SymbolKind::Func
+            } else {
+                SymbolKind::Object
+            },
+        });
+    }
+    elf.symbols
+        .sort_by(|a, b| a.value.cmp(&b.value).then(a.name.cmp(&b.name)));
+    elf.entry = symbols
+        .get("_start")
+        .map(|&(v, _)| v)
+        .or(text_addr_start)
+        .unwrap_or(TEXT_BASE);
+    let _ = globals; // all symbols are emitted; .global is accepted for compatibility
+    Ok(elf)
 }
 
 fn parse_number(s: &str) -> Option<i64> {

@@ -43,9 +43,7 @@
 
 use crate::arch::{CacheConfig, CacheSim, IssueClass, PreTiming, TimingModel, TimingState};
 use crate::isa::{Instr, LdKind, StKind, RA};
-use crate::sim::{
-    route_load, route_store, Cpu, IoDevice, PreInstr, RunExitKind, RunStats, SimError, NO_IDX,
-};
+use crate::sim::{route_load, route_store, Cpu, IoDevice, PreInstr, RunStats, SimError, NO_IDX};
 use cabt_exec::blocks::{BlockMap, UnitFlow};
 use cabt_exec::trace::TracePlan;
 use cabt_isa::mem::Memory;
@@ -591,7 +589,6 @@ fn compile_op(pi: &PreInstr, terminator: bool, first_repeat: bool, fetch: bool) 
         Instr::Nop16 | Instr::Nop => fuse(m, next, |_| Ok(())),
         Instr::Debug16 => fuse(m, Ctl::Fall, |h| {
             *h.halted = true;
-            h.stats.exit = Some(RunExitKind::Halted);
             Ok(())
         }),
         Instr::Ret16 => fuse_indirect(m, |h| h.cpu.a(RA.0)),

@@ -58,4 +58,4 @@ pub mod sim;
 pub use arch::{ArchDesc, CacheConfig, Timing};
 pub use asm::{assemble, AsmError};
 pub use isa::{AReg, BinOp, Cond, DReg, Instr, LdKind, StKind};
-pub use sim::{RunExit, RunStats, Simulator};
+pub use sim::{RunStats, Simulator};

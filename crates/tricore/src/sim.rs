@@ -49,7 +49,7 @@ use crate::encode::decode_section;
 use crate::isa::{AReg, Instr, LdKind, StKind, RA};
 use cabt_exec::trace::{grow, TraceConfig, TracePlan, TraceProfile, TraceStats};
 use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
-use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
+use cabt_isa::codec::{expect_index, expect_len, ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
@@ -166,13 +166,6 @@ impl Cpu {
     }
 }
 
-/// Why [`Simulator::run`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunExit {
-    /// The program executed `debug` (normal termination).
-    Halted,
-}
-
 /// Counters accumulated while running.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -192,15 +185,6 @@ pub struct RunStats {
     pub icache_misses: u64,
     /// Cycles spent stalled on instruction-cache line fills.
     pub stall_cycles: u64,
-    /// Why the run ended.
-    pub exit: Option<RunExitKind>,
-}
-
-/// Exit kind stored in [`RunStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunExitKind {
-    /// Program halted via `debug`.
-    Halted,
 }
 
 /// Which dispatch core [`Simulator::step`] uses.
@@ -324,7 +308,6 @@ impl SimSnapshot {
         w.u64(self.stats.icache_accesses);
         w.u64(self.stats.icache_misses);
         w.u64(self.stats.stall_cycles);
-        w.bool(matches!(self.stats.exit, Some(RunExitKind::Halted)));
         w.u32(self.cur);
         w.bool(self.halted);
         match &self.trace {
@@ -363,7 +346,7 @@ impl SimSnapshot {
         } else {
             None
         };
-        let mut stats = RunStats {
+        let stats = RunStats {
             instructions: r.u64()?,
             cycles: r.u64()?,
             cond_branches: r.u64()?,
@@ -372,11 +355,7 @@ impl SimSnapshot {
             icache_accesses: r.u64()?,
             icache_misses: r.u64()?,
             stall_cycles: r.u64()?,
-            exit: None,
         };
-        if r.bool()? {
-            stats.exit = Some(RunExitKind::Halted);
-        }
         let cur = r.u32()?;
         let halted = r.bool()?;
         let trace = if r.bool()? {
@@ -625,8 +604,8 @@ impl Simulator {
         }
     }
 
-    /// Sets the trace-tier knobs (warm-up window, hot threshold, trace
-    /// length cap). Call before — or together with — selecting
+    /// Sets the trace-tier knobs (warm-up window and hot threshold).
+    /// Call before — or together with — selecting
     /// [`DispatchMode::Trace`]: an already-built tier is rebuilt with a
     /// fresh profile and no formed traces.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
@@ -634,6 +613,26 @@ impl Simulator {
         if let Some(tier) = &mut self.trace {
             tier.restart(cfg);
         }
+    }
+
+    /// Checks a snapshot decoded from untrusted bytes against this
+    /// engine before [`ExecutionEngine::restore`]: the cached table
+    /// index and the trace tier's per-block tables must fit the program
+    /// this engine was built from. A snapshot this engine took always
+    /// fits.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadIndex`] or [`CodecError::BadLength`] for the
+    /// first field that does not fit.
+    pub fn check_snapshot(&self, snapshot: &SimSnapshot) -> Result<(), CodecError> {
+        expect_index("golden table index", snapshot.cur, 0..self.table.len())?;
+        if let (Some(tier), Some(snap)) = (&self.trace, &snapshot.trace) {
+            let blocks = tier.traces.len();
+            snap.profile.check_blocks(blocks)?;
+            expect_len("formed trace flags", snap.formed.len(), blocks)?;
+        }
+        Ok(())
     }
 
     /// Trace-tier formation/coverage counters (`None` unless
@@ -802,7 +801,7 @@ impl Simulator {
             && tier.profile.warm()
             && tier.profile.record_exec(head, tier.cfg.hot_threshold)
         {
-            if let Some(plan) = grow(&prog.map, &tier.profile, head, &tier.cfg) {
+            if let Some(plan) = grow(&prog.map, &tier.profile, head) {
                 tier.tstats.traces += 1;
                 tier.tstats.trace_blocks += plan.blocks.len() as u64;
                 tier.traces[head as usize] = Some(compiled::compile_trace(
@@ -1111,10 +1110,7 @@ impl Simulator {
 
         match instr {
             Instr::Nop16 | Instr::Nop => {}
-            Instr::Debug16 => {
-                self.halted = true;
-                self.stats.exit = Some(RunExitKind::Halted);
-            }
+            Instr::Debug16 => self.halted = true,
             Instr::Ret16 => flow = Flow::Indirect(self.cpu.a(RA.0)),
             Instr::Mov16 { d, imm7 } => self.cpu.set_d(d.0, imm7 as i32 as u32),
             Instr::MovRR16 { d, s } => self.cpu.set_d(d.0, self.cpu.d(s.0)),
@@ -1564,7 +1560,7 @@ mod tests {
         assert_eq!(st.taken, 9);
         // Backward branch is predicted taken: exactly one mispredict (exit).
         assert_eq!(st.mispredicted, 1);
-        assert_eq!(st.exit, Some(RunExitKind::Halted));
+        assert!(sim.is_halted());
     }
 
     #[test]
@@ -1756,8 +1752,6 @@ mod tests {
         TraceConfig {
             warmup: 1_000_000,
             hot_threshold: 2,
-            max_blocks: 16,
-            follow_taken: true,
         }
     }
 

@@ -46,7 +46,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod analyze;
 pub(crate) mod compiled;
 pub mod encode;
 pub mod isa;

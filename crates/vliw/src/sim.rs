@@ -47,7 +47,7 @@ use crate::compiled::{self, CompiledProgram, VHot};
 use crate::isa::{Op, Packet, Reg, Slot, Width};
 use cabt_exec::trace::{grow, TraceConfig, TraceProfile, TraceStats};
 use cabt_exec::{EngineStats, ExecutionEngine};
-use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
+use cabt_isa::codec::{expect_index, expect_len, ByteReader, ByteWriter, CodecError};
 use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
 use std::any::Any;
@@ -211,25 +211,19 @@ struct TraceTier {
 impl TraceTier {
     fn new(prog: CompiledProgram, cfg: TraceConfig) -> TraceTier {
         let blocks = prog.map.len();
-        let mut tier = TraceTier {
+        TraceTier {
             prog,
             cfg,
             profile: TraceProfile::new(blocks, &cfg),
             ends: vec![None; blocks],
             span: vec![NO_IDX; blocks],
             tstats: TraceStats::default(),
-        };
-        // `restart` applies the fall-only rule.
-        tier.restart(cfg);
-        tier
+        }
     }
 
     /// A cold profile under `cfg` and no formed ranges; the compiled
     /// packets stay.
-    fn restart(&mut self, mut cfg: TraceConfig) {
-        // Taken edges leave the consecutive arena; VLIW traces only
-        // ever grow along fall chains.
-        cfg.follow_taken = false;
+    fn restart(&mut self, cfg: TraceConfig) {
         self.cfg = cfg;
         self.profile = TraceProfile::new(self.ends.len(), &cfg);
         self.ends.fill(None);
@@ -589,6 +583,45 @@ impl VliwSim {
         }
     }
 
+    /// Checks a snapshot decoded from untrusted bytes against this
+    /// engine before [`ExecutionEngine::restore`]: the resolved branch
+    /// index and the trace tier's per-block tables (and the packet
+    /// range each cover ends at) must fit the program this engine was
+    /// built from, and the profile must hold no taken-edge count (this
+    /// core records fall edges only, and trace growth along a taken
+    /// edge would form a range that is not consecutive). A snapshot
+    /// this engine took always passes.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadIndex`], [`CodecError::BadLength`] or
+    /// [`CodecError::BadValue`] for the first field that does not fit.
+    pub fn check_snapshot(&self, snapshot: &VliwSnapshot) -> Result<(), CodecError> {
+        let packets = self.pre.len();
+        expect_index(
+            "pending branch packet index",
+            snapshot.pending_branch_idx,
+            0..packets,
+        )?;
+        if let (Some(tier), Some(snap)) = (&self.trace, &snapshot.trace) {
+            let map = &tier.prog.map;
+            snap.profile.check_blocks(map.len())?;
+            if let Some(&taken) = snap.profile.taken.iter().find(|&&c| c != 0) {
+                return Err(CodecError::BadValue {
+                    what: "VLIW trace taken-edge count",
+                    value: taken.into(),
+                });
+            }
+            expect_len("trace ends", snap.ends.len(), map.len())?;
+            expect_len("trace spans", snap.span.len(), map.len())?;
+            // A cover ends past its block and inside the packet table.
+            for (block, &end) in map.blocks.iter().zip(&snap.span) {
+                expect_index("trace span end", end, block.end() as usize..packets + 1)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Sets the trace tier's warm-up/threshold knobs. Resets any
     /// existing profile and formed traces so the new configuration
     /// applies from a clean slate.
@@ -657,16 +690,6 @@ impl VliwSim {
     /// True once a `HALT` slot executed.
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// Repositions fetch at the packet starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VliwError::BadPc`] if no packet starts there.
-    pub fn jump_to(&mut self, addr: u32) -> Result<(), VliwError> {
-        self.pc = *self.index.get(&addr).ok_or(VliwError::BadPc { addr })?;
-        Ok(())
     }
 
     /// Registers extra branch-target addresses resolving to existing
@@ -816,7 +839,7 @@ impl VliwSim {
                 && warm
                 && tier.profile.record_exec(head, tier.cfg.hot_threshold)
             {
-                if let Some(plan) = grow(&prog.map, &tier.profile, head, &tier.cfg) {
+                if let Some(plan) = grow(&prog.map, &tier.profile, head) {
                     // Fall chains are consecutive in the dense packet
                     // arena, so the trace is just a packet range.
                     let last = prog.map.blocks[*plan.blocks.last().expect("non-empty") as usize];
@@ -2234,8 +2257,6 @@ mod tests {
             other.set_trace_config(TraceConfig {
                 warmup,
                 hot_threshold: 2,
-                max_blocks: 16,
-                follow_taken: true, // forced off by the VLIW tier
             });
             other.set_dispatch(mode);
             let ro = other.run(10_000).unwrap();

@@ -12,9 +12,8 @@ fn golden_stats(w: &Workload) -> cabt_tricore::sim::RunStats {
     stats
 }
 
-fn cache_run(w: &Workload, inline: bool) -> cabt_platform::PlatformStats {
+fn cache_run(w: &Workload) -> cabt_platform::PlatformStats {
     let t = Translator::new(DetailLevel::Cache)
-        .with_cache_inline(inline)
         .translate(&w.elf().unwrap())
         .unwrap();
     let mut p = Platform::new(&t, PlatformConfig::unlimited()).unwrap();
@@ -32,7 +31,7 @@ fn golden_miss_penalties(stats: &cabt_tricore::sim::RunStats) -> u64 {
 fn corrected_cycles_cover_golden_miss_penalties() {
     for w in [cabt::workloads::gcd(8, 5), cabt::workloads::fir(8, 64, 5)] {
         let g = golden_stats(&w);
-        let s = cache_run(&w, false);
+        let s = cache_run(&w);
         let miss_penalties = golden_miss_penalties(&g);
         assert!(
             s.corrected_cycles >= miss_penalties,
@@ -44,25 +43,6 @@ fn corrected_cycles_cover_golden_miss_penalties() {
         // And the total must land within a few percent of the measured count.
         let dev = (s.total_generated() as f64 - g.cycles as f64).abs() / g.cycles as f64;
         assert!(dev < 0.05, "{}: cache-level deviation {dev:.3}", w.name);
-    }
-}
-
-#[test]
-fn inline_and_call_variants_generate_identical_cycles() {
-    for w in [cabt::workloads::dpcm(120, 6), cabt::workloads::ellip(24, 6)] {
-        let call = cache_run(&w, false);
-        let inline = cache_run(&w, true);
-        assert_eq!(
-            call.total_generated(),
-            inline.total_generated(),
-            "{}: generated cycle counts must not depend on the call/inline choice",
-            w.name
-        );
-        assert!(
-            inline.target_cycles < call.target_cycles,
-            "{}: inlining must be faster on the target (paper §3.4.2)",
-            w.name
-        );
     }
 }
 

@@ -30,8 +30,6 @@ fn eager_traces() -> TraceConfig {
     TraceConfig {
         warmup: 1_000_000_000,
         hot_threshold: 2,
-        max_blocks: 16,
-        follow_taken: true,
     }
 }
 
@@ -581,7 +579,7 @@ fn trace_plans_verify_against_the_static_analyzer() {
         let prog = cabt_tricore::analyze::lower_elf(&elf).expect("lowers");
         let graph = prog.graph();
         let loops = natural_loops(&graph);
-        let predicted = predict_traces(&graph, &loops, eager_traces().max_blocks as usize);
+        let predicted = predict_traces(&graph, &loops);
         assert!(!predicted.is_empty(), "{}: nothing predicted hot", w.name);
 
         let mut s = SimBuilder::workload(&w)

@@ -130,7 +130,6 @@ fn golden_model_snapshot_is_bit_identical_in_every_dispatch_mode() {
         sim.set_trace_config(TraceConfig {
             warmup,
             hot_threshold: 2,
-            ..Default::default()
         });
         sim.set_dispatch(mode);
         let label = format!("golden/{mode:?}/warm-up {warmup}");
@@ -154,7 +153,6 @@ fn vliw_core_snapshot_is_bit_identical_in_both_dispatch_modes() {
             sim.set_trace_config(TraceConfig {
                 warmup,
                 hot_threshold: 2,
-                ..Default::default()
             });
             sim.set_dispatch(mode);
             // Snapshot inside the program: loads in flight, branch
@@ -616,6 +614,193 @@ fn adopt_shard_refuses_a_shard_from_another_fabric_width() {
     let before = s.park_shard(1).unwrap();
     assert!(matches!(
         s.adopt_shard(1, &donor, None),
+        Err(SessionError::Codec(_))
+    ));
+    assert_eq!(s.park_shard(1).unwrap(), before, "slot 1 unchanged");
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// `s`'s park image split into the bytes before its session snapshot
+/// and the snapshot itself, which closes the park.
+fn split_park(s: &Session) -> (Vec<u8>, Vec<u8>) {
+    let parked = s.park().unwrap();
+    let mut snap = Vec::new();
+    s.snapshot().encode_into(&mut snap);
+    assert!(parked.ends_with(&snap), "the snapshot closes the park");
+    (parked[..parked.len() - snap.len()].to_vec(), snap)
+}
+
+/// Offset of the trace tier's coverage counters (`traces`,
+/// `trace_blocks`, `trace_retired`) in `s`'s snapshot image: the
+/// anchor the per-block trace tables before them are found from.
+fn trace_stats_at(s: &Session, snap: &[u8]) -> usize {
+    let t = s.trace_stats().expect("trace tier");
+    assert!(t.traces > 0, "a trace has formed");
+    let pattern: Vec<u8> = [t.traces, t.trace_blocks, t.trace_retired]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let at: Vec<usize> = (0..snap.len())
+        .filter(|&i| snap[i..].starts_with(&pattern))
+        .collect();
+    assert_eq!(at.len(), 1, "the coverage counters occur once");
+    at[0]
+}
+
+/// Start of the count-prefixed table of `width`-byte entries that ends
+/// at `end`, and its entry count.
+fn fixed_table_before(snap: &[u8], end: usize, width: usize) -> (usize, usize) {
+    (1..end / width)
+        .find(|&n| end >= 8 + n * width && u64_at(snap, end - 8 - n * width) == n as u64)
+        .map(|n| (end - 8 - n * width, n))
+        .expect("a count-prefixed table ends here")
+}
+
+/// A golden snapshot image with its cached table index (`cur`, the
+/// u32 four bytes before the halted flag) set to 1,000,000. `cur_end`
+/// is the offset just past `cur`.
+fn with_golden_cur(snap: &[u8], cur_end: usize) -> Vec<u8> {
+    let mut out = snap.to_vec();
+    out[cur_end - 4..cur_end].copy_from_slice(&1_000_000u32.to_le_bytes());
+    out
+}
+
+/// Well-framed parks that decode but whose engine state does not fit
+/// the engine the resume rebuilds: a golden table index past the
+/// program, on the pre-decoded and the trace tier; a golden trace
+/// profile with empty counter tables; and a VLIW trace tier with empty
+/// `ends`/`span` tables, or with spans that end before their blocks.
+/// Returns `(what, park bytes)`.
+fn corrupt_engine_parks() -> Vec<(&'static str, Vec<u8>)> {
+    let w = cabt_workloads::by_name("fir").unwrap();
+    let session = |backend: Backend| {
+        let mut s = SimBuilder::workload(&w).backend(backend).build().unwrap();
+        s.run_until(Limit::Retirements(10_000)).unwrap();
+        s
+    };
+    let mut out = Vec::new();
+
+    // Golden snapshot tail: `cur` (u32), halted, trace-tier flag, then
+    // the devices flag and bus image.
+    let s = session(Backend::golden());
+    let (head, snap) = split_park(&s);
+    let devices = s.soc_bus_state().map_or(1, |d| {
+        let mut v = Vec::new();
+        d.encode_into(&mut v);
+        1 + v.len()
+    });
+    let cur_end = snap.len() - devices - 2;
+    out.push((
+        "golden pre-decoded cur",
+        [head, with_golden_cur(&snap, cur_end)].concat(),
+    ));
+
+    // Golden trace tier, after `cur`, halted and the tier flag: the
+    // warm-up left (u64), the exec/fall/taken counter tables and the
+    // formed flags, one entry per block each, then the coverage
+    // counters.
+    let s = session(Backend::golden_trace());
+    let (head, snap) = split_park(&s);
+    let stats = trace_stats_at(&s, &snap);
+    let (formed, blocks) = fixed_table_before(&snap, stats, 1);
+    let counters = formed - 3 * (8 + 4 * blocks);
+    for table in 0..3 {
+        assert_eq!(
+            u64_at(&snap, counters + table * (8 + 4 * blocks)),
+            blocks as u64
+        );
+    }
+    let cur_end = counters - 8 - 2;
+    out.push((
+        "golden trace cur",
+        [head.clone(), with_golden_cur(&snap, cur_end)].concat(),
+    ));
+    let mut empty = snap.clone();
+    empty.splice(counters..formed, [0u8; 24]);
+    out.push(("golden trace profile empty", [head, empty].concat()));
+
+    // VLIW trace tier: the `ends` table (one optional u32 per block),
+    // then the `span` table (one u32 per block), then the coverage
+    // counters.
+    let s = session(Backend::translated_trace(DetailLevel::Cache));
+    let (head, snap) = split_park(&s);
+    let stats = trace_stats_at(&s, &snap);
+    let (span, blocks) = fixed_table_before(&snap, stats, 4);
+    let ends = (span - 8 - 5 * blocks..=span - 8 - blocks)
+        .find(|&at| {
+            u64_at(&snap, at) == blocks as u64
+                && (0..blocks).try_fold(at + 8, |i, _| match snap[i] {
+                    0 => Some(i + 1),
+                    1 => Some(i + 5),
+                    _ => None,
+                }) == Some(span)
+        })
+        .expect("the ends table precedes the spans");
+    let mut empty = snap.clone();
+    empty.splice(ends..stats, [0u8; 16]);
+    out.push(("VLIW trace ends/span empty", [head.clone(), empty].concat()));
+    // Every block covered by a range that ends at packet 0, before the
+    // block itself.
+    let mut short = snap.clone();
+    short[span + 8..stats].fill(0);
+    out.push((
+        "VLIW trace span ends before its block",
+        [head.clone(), short].concat(),
+    ));
+    // The exec/fall/taken counter tables precede `ends`. Every block one
+    // dispatch short of hot, with a taken count the core never records:
+    // the next unformed head would grow along its taken edge, which for
+    // a loop latch points back before the trace's own start.
+    let table = 8 + 4 * blocks;
+    let taken = ends - table;
+    let exec = taken - 2 * table;
+    assert_eq!(u64_at(&snap, exec), blocks as u64);
+    assert_eq!(u64_at(&snap, taken), blocks as u64);
+    let nearly_hot = TraceConfig::default().hot_threshold - 1;
+    let mut forged = snap.clone();
+    for b in 0..blocks {
+        forged[exec + 8 + 4 * b..][..4].copy_from_slice(&nearly_hot.to_le_bytes());
+        forged[taken + 8 + 4 * b..][..4].copy_from_slice(&1_000_000u32.to_le_bytes());
+    }
+    out.push((
+        "VLIW trace profile with taken-edge counts",
+        [head, forged].concat(),
+    ));
+    out
+}
+
+/// A park whose engine indices or trace tables do not fit the program
+/// is a typed codec error on resume, not a panic on the next step —
+/// and, offered as a migrating shard, is refused with the receiving
+/// slot left as it was.
+#[test]
+fn corrupt_engine_tables_are_codec_errors_not_panics() {
+    for (what, bytes) in corrupt_engine_parks() {
+        assert!(
+            matches!(Session::resume(&bytes), Err(SessionError::Codec(_))),
+            "resume: {what}"
+        );
+    }
+
+    let w = cabt_workloads::by_name("fir").unwrap();
+    let mut s = SimBuilder::workload(&w)
+        .backend(Backend::sharded(2, Backend::golden_trace()))
+        .build()
+        .unwrap();
+    s.run_until(Limit::Cycles(20_000)).unwrap();
+    let shard = s.shard(1).unwrap();
+    let (head, snap) = split_park(shard);
+    let stats = trace_stats_at(shard, &snap);
+    let (formed, blocks) = fixed_table_before(&snap, stats, 1);
+    let counters = formed - 3 * (8 + 4 * blocks);
+    let mut empty = snap.clone();
+    empty.splice(counters..formed, [0u8; 24]);
+    let before = s.park_shard(1).unwrap();
+    assert!(matches!(
+        s.adopt_shard(1, &[head, empty].concat(), None),
         Err(SessionError::Codec(_))
     ));
     assert_eq!(s.park_shard(1).unwrap(), before, "slot 1 unchanged");
