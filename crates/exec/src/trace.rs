@@ -189,7 +189,7 @@ pub fn grow(map: &BlockMap, profile: &TraceProfile, head: u32) -> Option<TracePl
 /// *outside* the engine's architectural statistics on purpose: those
 /// are compared bit-for-bit across dispatch tiers by the differential
 /// suites, while these describe the tier itself (printed by
-/// `cabt-bench`'s `dispatch` binary, and as
+/// `examples/dispatch.rs`, and as
 /// `exec.golden_trace_coverage` / `exec.vliw_trace_coverage` by the
 /// repository benchmark).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

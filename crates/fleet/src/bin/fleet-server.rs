@@ -30,13 +30,15 @@
 //!     End the conversation.
 //! ```
 //!
-//! A request line longer than 64 MiB, one that is not UTF-8, or a
-//! budget above `MAX_BUDGET` gets an `{"ok":false,...}` row and the
-//! conversation goes on.
+//! A request line longer than 64 MiB, one that is not UTF-8, a budget
+//! above `MAX_BUDGET`, or a line with a missing, unknown or trailing
+//! word gets an `{"ok":false,...}` row and the conversation goes on.
+//! Protocol mistakes read `"error":"protocol: …"`.
 
 use cabt_exec::Limit;
 use cabt_fleet::{run_one, FleetPool, FleetRequest, FleetResult};
-use cabt_sim::{Backend, Session, SessionError};
+use cabt_sim::{Backend, Session};
+use std::error::Error;
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// Longest request line the server reads, in bytes. The longest
@@ -165,11 +167,10 @@ fn serve(pool: &FleetPool, input: &mut dyn BufRead, output: &mut dyn Write, max_
     }
 }
 
-fn dispatch(pool: &FleetPool, line: &str) -> Result<String, SessionError> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().unwrap_or_default();
-    match verb {
-        "workloads" => Ok(format!(
+fn dispatch(pool: &FleetPool, line: &str) -> Result<String, Box<dyn Error>> {
+    let words: Vec<&str> = line.split_whitespace().collect();
+    match words[..] {
+        ["workloads"] => Ok(format!(
             "{{\"ok\":true,\"workloads\":[{}]}}",
             WORKLOAD_NAMES
                 .iter()
@@ -177,7 +178,7 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, SessionError> {
                 .collect::<Vec<_>>()
                 .join(",")
         )),
-        "backends" => Ok(format!(
+        ["backends"] => Ok(format!(
             "{{\"ok\":true,\"backends\":[{}]}}",
             Backend::all()
                 .iter()
@@ -185,8 +186,9 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, SessionError> {
                 .collect::<Vec<_>>()
                 .join(",")
         )),
-        "run" => {
-            let (workload, backend, budget) = parse_run(&mut words)?;
+        ["run", workload, backend, kind, n] => {
+            let backend: Backend = backend.parse()?;
+            let budget = parse_budget(kind, n)?;
             let result = run_one(
                 pool,
                 FleetRequest::named(workload)
@@ -195,27 +197,25 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, SessionError> {
             )?;
             Ok(result_json(&result, None))
         }
-        "park" => {
-            let (workload, backend, budget) = parse_run(&mut words)?;
+        ["park", workload, backend, kind, n] => {
+            let backend: Backend = backend.parse()?;
+            let budget = parse_budget(kind, n)?;
             // Parking needs the session object itself, so the budgeted
             // prefix runs as a dedicated session rather than a fleet
             // unit; resume continues it anywhere.
-            let mut session = cabt_sim::SimBuilder::named(&workload)
+            let mut session = cabt_sim::SimBuilder::named(workload)
                 .backend(backend)
                 .build()?;
             session.run(budget)?;
             let parked = session.park()?;
             Ok(format!(
                 "{{\"ok\":true,\"workload\":{},\"backend\":{},\"parked\":{}}}",
-                json_str(&workload),
+                json_str(workload),
                 json_str(&backend.to_string()),
                 json_str(&hex_encode(&parked)),
             ))
         }
-        "analyze" => {
-            let workload = words
-                .next()
-                .ok_or_else(|| protocol("analyze needs <workload>"))?;
+        ["analyze", workload] => {
             // Known-bad corpus entries are addressable too, so a client
             // can exercise the expected-findings path over the wire.
             let report = if workload.starts_with("bad-") {
@@ -228,11 +228,8 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, SessionError> {
                 cabt_sim::analyze::report_json(workload, &report)
             ))
         }
-        "resume" => {
-            let hex = words
-                .next()
-                .ok_or_else(|| protocol("resume needs <hex> bytes"))?;
-            let budget = parse_budget(&mut words)?;
+        ["resume", hex, kind, n] => {
+            let budget = parse_budget(kind, n)?;
             let bytes = hex_decode(hex).ok_or_else(|| protocol("bad hex in resume"))?;
             let mut session = Session::resume(&bytes)?;
             let stop = session.run(budget)?;
@@ -245,33 +242,20 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, SessionError> {
                 stats_json(&stats),
             ))
         }
-        other => Err(protocol(&format!("unknown verb `{other}`"))),
+        ["run" | "park", ..] => Err(protocol(
+            "usage: run|park <workload> <backend> cycles|retirements <n>",
+        )),
+        ["resume", ..] => Err(protocol("usage: resume <hex> cycles|retirements <n>")),
+        ["analyze", ..] => Err(protocol("usage: analyze <workload>")),
+        ["workloads" | "backends", ..] => Err(protocol("usage: workloads | backends")),
+        _ => Err(protocol(&format!("unknown verb `{}`", words[0]))),
     }
 }
 
-fn parse_run(
-    words: &mut std::str::SplitWhitespace<'_>,
-) -> Result<(String, Backend, Limit), SessionError> {
-    let workload = words
-        .next()
-        .ok_or_else(|| protocol("run needs <workload>"))?
-        .to_string();
-    let backend: Backend = words
-        .next()
-        .ok_or_else(|| protocol("run needs <backend>"))?
-        .parse()?;
-    let budget = parse_budget(words)?;
-    Ok((workload, backend, budget))
-}
-
-fn parse_budget(words: &mut std::str::SplitWhitespace<'_>) -> Result<Limit, SessionError> {
-    let kind = words
-        .next()
-        .ok_or_else(|| protocol("budget needs cycles|retirements <n>"))?;
-    let n: u64 = words
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| protocol("budget needs a numeric bound"))?;
+fn parse_budget(kind: &str, n: &str) -> Result<Limit, Box<dyn Error>> {
+    let n: u64 = n
+        .parse()
+        .map_err(|_| protocol("budget needs a numeric bound"))?;
     if n > MAX_BUDGET {
         return Err(protocol(&format!(
             "budget {n} is above the cap of {MAX_BUDGET}"
@@ -288,8 +272,9 @@ fn error_row(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":{}}}", json_str(msg))
 }
 
-fn protocol(msg: &str) -> SessionError {
-    SessionError::ParseBackend(format!("protocol: {msg}"))
+/// A request line the protocol does not accept.
+fn protocol(msg: &str) -> Box<dyn Error> {
+    format!("protocol: {msg}").into()
 }
 
 fn result_json(r: &FleetResult, parked_hex: Option<&str>) -> String {
@@ -380,14 +365,32 @@ mod tests {
     use super::*;
     use cabt_sim::SimBuilder;
 
+    /// Serves `input` as one conversation on a one-worker pool and
+    /// returns the reply rows.
+    fn replies(input: &str, max_line: usize) -> Vec<String> {
+        let mut output = Vec::new();
+        serve(
+            &FleetPool::new(1),
+            &mut input.as_bytes(),
+            &mut output,
+            max_line,
+        );
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect()
+    }
+
+    /// True if `row` is an error row for a protocol mistake.
+    fn is_protocol_error(row: &str) -> bool {
+        row.starts_with(r#"{"ok":false,"error":"protocol: "#)
+    }
+
     #[test]
     fn over_long_lines_get_an_error_row_and_the_conversation_goes_on() {
-        let pool = FleetPool::new(1);
         let long = "x".repeat(100);
-        let input = format!("{long}\nworkloads\n{long}\nquit\nworkloads\n");
-        let mut output = Vec::new();
-        serve(&pool, &mut input.as_bytes(), &mut output, 64);
-        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        let rows = replies(&format!("{long}\nworkloads\n{long}\nquit\nworkloads\n"), 64);
         let refused = r#"{"ok":false,"error":"request line longer than 64 bytes"}"#;
         assert_eq!(rows.len(), 3, "{rows:?}");
         assert_eq!(rows[0], refused);
@@ -401,7 +404,6 @@ mod tests {
 
     #[test]
     fn over_cap_budgets_get_an_error_row_on_every_verb() {
-        let pool = FleetPool::new(1);
         let input = format!(
             "run gcd golden retirements {over}\n\
              park gcd golden cycles {over}\n\
@@ -411,20 +413,46 @@ mod tests {
             max = MAX_BUDGET,
             over = MAX_BUDGET + 1,
         );
-        let mut output = Vec::new();
-        serve(&pool, &mut input.as_bytes(), &mut output, MAX_LINE_BYTES);
-        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        let rows = replies(&input, MAX_LINE_BYTES);
         assert_eq!(rows.len(), 5, "{rows:?}");
         for row in &rows[..4] {
-            assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
+            assert!(is_protocol_error(row), "{row}");
             assert!(row.contains("above the cap"), "{row}");
         }
         assert!(rows[4].contains(r#""checksum_ok":true"#), "{}", rows[4]);
     }
 
     #[test]
+    fn malformed_lines_get_protocol_error_rows() {
+        let input = "run gcd golden\nrun gcd golden cycles many\nrun gcd golden seconds 10\n\
+                     resume zz cycles 10\nanalyze\nfrobnicate gcd\n\
+                     run gcd no-such-backend cycles 10\n";
+        let rows = replies(input, MAX_LINE_BYTES);
+        assert_eq!(rows.len(), 7, "{rows:?}");
+        for row in &rows[..6] {
+            assert!(is_protocol_error(row), "{row}");
+        }
+        // A descriptor that does not parse is the session's error.
+        assert!(
+            rows[6].contains("unknown backend descriptor"),
+            "{}",
+            rows[6]
+        );
+    }
+
+    #[test]
+    fn trailing_words_get_an_error_row() {
+        let input = "run gcd golden cycles 100 extra\npark gcd golden cycles 100 extra\n\
+                     resume 00 cycles 100 extra\nanalyze gcd extra\nworkloads extra\n";
+        let rows = replies(input, MAX_LINE_BYTES);
+        assert_eq!(rows.len(), 5, "{rows:?}");
+        for row in &rows {
+            assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
+        }
+    }
+
+    #[test]
     fn corrupt_park_images_get_an_error_row_and_serving_goes_on() {
-        let pool = FleetPool::new(1);
         let mut s = SimBuilder::named("gcd")
             .backend(Backend::translated(cabt_core::DetailLevel::Cache))
             .build()
@@ -458,9 +486,7 @@ mod tests {
             hex_encode(&parked),
             hex_encode(&past_end)
         );
-        let mut output = Vec::new();
-        serve(&pool, &mut input.as_bytes(), &mut output, MAX_LINE_BYTES);
-        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        let rows = replies(&input, MAX_LINE_BYTES);
         assert_eq!(rows.len(), 3, "{rows:?}");
         for row in &rows[..2] {
             assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
@@ -470,13 +496,10 @@ mod tests {
 
     #[test]
     fn shard_counts_above_the_fabric_ceiling_get_an_error_row() {
-        let pool = FleetPool::new(1);
         let input = "run gcd sharded-65535x:golden cycles 10\n\
                      park gcd sharded-257x-pool2:golden cycles 10\n\
                      run gcd sharded-256x:golden cycles 10\n";
-        let mut output = Vec::new();
-        serve(&pool, &mut input.as_bytes(), &mut output, MAX_LINE_BYTES);
-        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        let rows = replies(input, MAX_LINE_BYTES);
         assert_eq!(rows.len(), 3, "{rows:?}");
         for row in &rows[..2] {
             assert!(row.starts_with(r#"{"ok":false,"#), "{row}");

@@ -5,19 +5,15 @@
 //! Each row also shows the trace tier's coverage, and the printer
 //! fails if a trace tier forms no traces.
 //!
-//! Run with `cargo run --release -p cabt-bench --bin dispatch`. It takes
-//! no options and writes no file. The repository benchmark in
+//! Run with `cargo run --release --example dispatch`. It takes no
+//! options and writes no file. The repository benchmark in
 //! `perfbench/` is the measurement of record; it does not measure the
 //! tiers one by one yet.
 
-use cabt_bench::{run_engine_to_halt, HALT_BUDGET};
-use cabt_core::DetailLevel;
-use cabt_exec::trace::TraceStats;
-use cabt_exec::ExecutionEngine;
-use cabt_sim::{Backend, SimBuilder};
-use cabt_tricore::sim::DispatchMode;
-use cabt_vliw::sim::VliwDispatch;
-use cabt_workloads::Workload;
+use cabt::exec::trace::TraceStats;
+use cabt::prelude::*;
+use cabt::tricore::sim::DispatchMode;
+use cabt::vliw::sim::VliwDispatch;
 use std::time::Instant;
 
 /// Timed runs per batch.
@@ -48,7 +44,13 @@ fn measure(w: &Workload, backend: Backend) -> Tier {
     let mut retired = 0;
     let mut run = || {
         s.reset();
-        retired = run_engine_to_halt(&mut s, HALT_BUDGET).retired;
+        let stop = s.run_until(Limit::Retirements(5_000_000_000));
+        assert!(
+            matches!(stop, Ok(StopCause::Halted)),
+            "{} on {backend}: {stop:?}",
+            w.name
+        );
+        retired = s.engine_stats().retired;
         assert_eq!(
             s.read_d(2),
             w.expected_d2,
@@ -100,9 +102,9 @@ fn coverage(name: &str, tier: &Tier) -> String {
 fn main() {
     println!("dispatch throughput (naive -> pre-decoded -> trace, best of {BATCHES} batches of {RUNS} runs):");
     for (w, level) in [
-        (cabt_workloads::gcd(256, 0xcab7), DetailLevel::Static),
-        (cabt_workloads::fir(16, 2000, 0xcab7), DetailLevel::Static),
-        (cabt_workloads::sieve(2000), DetailLevel::Cache),
+        (cabt::workloads::gcd(256, 0xcab7), DetailLevel::Static),
+        (cabt::workloads::fir(16, 2000, 0xcab7), DetailLevel::Static),
+        (cabt::workloads::sieve(2000), DetailLevel::Cache),
     ] {
         let golden = [
             DispatchMode::Naive,

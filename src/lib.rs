@@ -43,8 +43,7 @@
 //! module docs describe each core; `tests/predecode_diff.rs` and
 //! `tests/compiled_diff.rs` prove them bit-identical. The repository
 //! benchmark in `perfbench/` measures their speed end to end, and
-//! `cargo run --release -p cabt-bench --bin dispatch` prints each
-//! tier's throughput on both cores.
+//! `examples/dispatch.rs` prints each tier's throughput on both cores.
 //!
 //! Every vehicle — the golden model, the translated platform, *and* the
 //! RTL core — implements [`cabt_exec::ExecutionEngine`], including its
@@ -54,9 +53,14 @@
 //! [`cabt_sim::Backend`] value, and yields a [`cabt_sim::Session`] with
 //! the uniform lifecycle `run / step / stats / snapshot / restore /
 //! reset` plus per-epoch/per-stop observers. The platform harness, the
-//! debugger and the benchmark tables all drive sessions through the
+//! debugger and the [`reproduction`] pass all drive sessions through the
 //! trait, which is where new backends plug in — one more `Backend`
 //! variant, not another bespoke constructor.
+//!
+//! The paper's evaluation — Fig. 5 speed, Fig. 6 cycle accuracy,
+//! Table 1 CPI and Table 2 runtime — is [`reproduction::Reproduction`]:
+//! one pass over the paper's programs, rendered as the committed
+//! `docs/reproduction.md` that `tests/reproduction.rs` diffs.
 //!
 //! Snapshots capture the engine, the synchronization device and every
 //! SoC peripheral, which is what the multi-core backend builds on:
@@ -203,6 +207,8 @@ pub use cabt_sim as sim;
 pub use cabt_tricore as tricore;
 pub use cabt_vliw as vliw;
 pub use cabt_workloads as workloads;
+
+pub mod reproduction;
 
 /// The most common imports in one place.
 pub mod prelude {

@@ -4,8 +4,10 @@
 //! measured counts as the detail level rises.
 
 use cabt::prelude::*;
+use cabt::reproduction::Table2Row;
 use cabt_core::regbind::{areg, dreg};
 use cabt_tricore::isa::{AReg, DReg};
+use std::time::Instant;
 
 fn golden(w: &Workload) -> (cabt_tricore::sim::Simulator, cabt_tricore::sim::RunStats) {
     let elf = w.elf().expect("assembles");
@@ -130,12 +132,38 @@ fn per_instruction_granularity_matches_results_too() {
 #[test]
 fn table2_workloads_run_on_rtl_core_identically() {
     for w in cabt::workloads::table2_set() {
-        if w.name == "fibonacci" {
-            continue; // covered by the (slower) bench path; keep tests fast
-        }
         let elf = w.elf().expect("assembles");
         let mut core = cabt::rtlsim::RtlCore::new(&elf).expect("elaborates");
         core.run(100_000_000).expect("halts");
         assert_eq!(core.d(2), w.expected_d2, "{} on the RTL core", w.name);
     }
+}
+
+#[test]
+fn table2_translation_beats_rtl_by_orders_of_magnitude() {
+    let w = cabt::workloads::gcd(3, 7);
+    let r = Table2Row::measure(&w);
+    // Assembled outside the timed region: the wall-clock time covers
+    // building and running the RTL core (elaboration included, as the
+    // paper's "simulation time" does), not assembling the source.
+    let elf = w.elf().expect("assembles");
+    let start = Instant::now();
+    let mut rtl = SimBuilder::elf(elf)
+        .backend(Backend::Rtl)
+        .build()
+        .expect("elaborates");
+    assert_eq!(
+        rtl.run(Limit::Retirements(100_000_000)).expect("runs"),
+        StopCause::Halted
+    );
+    let rtl_seconds = start.elapsed().as_secs_f64();
+    assert_eq!(rtl.read_d(2), w.expected_d2, "gcd on the RTL core");
+    assert!(rtl_seconds > 0.0);
+    for t in r.translation_seconds {
+        assert!(
+            t < rtl_seconds,
+            "translation must beat RTL simulation ({rtl_seconds} s): {r:?}"
+        );
+    }
+    assert!(r.translation_seconds[0] < r.fpga_seconds * 10.0);
 }
