@@ -20,9 +20,19 @@
 //! tier ([`VliwDispatch::Trace`](crate::sim::VliwDispatch)) dispatches
 //! these packets one at a time until a fall chain turns hot, then runs
 //! the chain as one fused packet range.
+//!
+//! The closures do only the write-back work their slot needs:
+//! single-cycle results (every ALU operation but multiply, divide and
+//! remainder) go into the engine's next-cycle latch; loads and the
+//! multi-cycle results go into the due-ordered list. Each compiled
+//! packet also records whether the packet after it is all NOPs, so a
+//! fused run can fold that packet into this one's dispatch without
+//! calling its closure.
 
 use crate::isa::{Op, Pred, Reg};
-use crate::sim::{route_load, route_store, DeviceBus, PrePacket, PreSlot, VliwError, NO_IDX};
+use crate::sim::{
+    route_load, route_store, DeviceBus, Latch, PrePacket, PreSlot, VliwError, NO_IDX,
+};
 use cabt_exec::blocks::{BlockMap, UnitFlow};
 use cabt_isa::mem::Memory;
 
@@ -38,6 +48,9 @@ pub(crate) struct VHot<'a> {
     pub halted: &'a mut bool,
     /// `VliwStats::slots` (executed slots, NOPs excluded).
     pub slots: &'a mut u64,
+    /// Where single-cycle results go; every other result is staged in
+    /// the due-ordered list.
+    pub latch: &'a mut Latch,
 }
 
 /// One fused slot: predication guard + semantics in one specialized
@@ -59,6 +72,9 @@ pub(crate) type SlotFn = Box<
 pub(crate) struct CompiledPacket {
     /// Issue cycles (packet epilogue cost).
     pub issue: u32,
+    /// Issue cycles of the next packet when all its slots are NOPs, so
+    /// a trace run can fold it into this one; 0 otherwise.
+    pub nop_after: u32,
     /// The whole packet, slots composed in issue order.
     pub run: SlotFn,
 }
@@ -118,10 +134,20 @@ pub(crate) fn compile(pre: &[PrePacket], pre_slots: &[PreSlot]) -> CompiledProgr
     // Packets are a dense arena: every packet's sequential successor is
     // the next table entry.
     let map = BlockMap::build(&units, |_| true, std::iter::once(0u32), false);
+    let all_nops = |p: &PrePacket| {
+        slots_of(p)
+            .iter()
+            .all(|ps| matches!(ps.slot.op, Op::Nop { .. }))
+    };
     let packets = pre
         .iter()
-        .map(|p| CompiledPacket {
+        .enumerate()
+        .map(|(i, p)| CompiledPacket {
             issue: p.issue,
+            nop_after: pre
+                .get(i + 1)
+                .filter(|n| all_nops(n))
+                .map_or(0, |n| n.issue),
             run: fuse_packet(slots_of(p).iter().map(compile_slot).collect()),
         })
         .collect();
@@ -164,14 +190,23 @@ fn compile_slot(ps: &PreSlot) -> SlotFn {
     let counts = !matches!(ps.slot.op, Op::Nop { .. });
     // Staged results become visible `1 + delay` cycles after dispatch.
     let lat = 1 + ps.delay as u64;
-    // ALU ops share one shape: read sources, stage one result.
+    // ALU ops share one shape: read sources, stage one result —
+    // single-cycle ones into the next-cycle latch.
     macro_rules! alu {
         (|$h:ident| $v:expr, $d:expr) => {{
             let d = $d;
-            guard(pred, counts, move |$h, writes, _, _| {
-                writes.push(($h.cycle + lat, d, $v));
-                Ok(())
-            })
+            if lat == 1 {
+                guard(pred, counts, move |$h, _, _, _| {
+                    let v = $v;
+                    $h.latch.push(d, v);
+                    Ok(())
+                })
+            } else {
+                guard(pred, counts, move |$h, writes, _, _| {
+                    writes.push(($h.cycle + lat, d, $v));
+                    Ok(())
+                })
+            }
         }};
     }
     match ps.slot.op {

@@ -11,9 +11,14 @@
 //! [`VliwSim::set_bus`], and loads and stores test them inline.
 //!
 //! Delayed writes wait in one list kept in due order (ties in staging
-//! order), so every core's packet prologue retires them by draining
-//! the due prefix: for one register the later-due write wins, even when
-//! a device stall lets several become due at once.
+//! order), so a packet prologue retires them by draining the due
+//! prefix: for one register the later-due write wins, even when a
+//! device stall lets several become due at once. The trace tier keeps
+//! single-cycle results — almost every translated slot — out of the
+//! list: they go into a next-cycle latch that the next packet's
+//! prologue always finds due and drains between the list entries due
+//! no later and the rest, the order the one list would retire them
+//! in. Snapshots put the latch back into the list at that place.
 //!
 //! # Dispatch modes
 //!
@@ -35,11 +40,18 @@
 //!   (branch shadows make every in-trace edge a fall edge) are
 //!   dispatched as one fused run per step, with the branch-shadow and
 //!   delayed-write pipeline checked between packets inside the run and
-//!   side exits falling back to per-packet closure dispatch. With a
-//!   warm-up window of 0 no trace forms and every step is one packet.
+//!   side exits falling back to per-packet closure dispatch. Inside a
+//!   run, an all-NOP packet folds into the packet before it: its
+//!   write-back prologue and epilogue run, its closure is not called.
+//!   With a warm-up window of 0 no trace forms and every step is one
+//!   packet.
 //! * [`VliwDispatch::Naive`] is the retained seed interpreter (clone
 //!   the packet, scan for slot positions, hash branch targets), kept as
 //!   the reference half of the differential tests.
+//!
+//! The pre-decoded and naive cores stage every result in the one list;
+//! that list-only write-back is the oracle the trace tier's latch is
+//! diffed against.
 //!
 //! All paths are cycle- and state-identical.
 
@@ -156,8 +168,8 @@ pub struct VliwStats {
     pub cycles: u64,
     /// Execute packets dispatched.
     pub packets: u64,
-    /// Instruction slots executed (predicated-false slots included,
-    /// NOPs excluded).
+    /// Instruction slots executed (predicated-false slots and NOPs
+    /// excluded).
     pub slots: u64,
     /// Cycles spent stalled on device accesses.
     pub stall_cycles: u64,
@@ -454,6 +466,9 @@ pub struct VliwSim {
     /// the dispatch cores skip retirement entirely while loads and
     /// multiplies are still in flight.
     next_due: u64,
+    /// The trace tier's single-cycle results of the last packet (empty
+    /// on the other cores; see [`Latch`]).
+    latch: Latch,
     /// `(remaining issue slots, target address)`.
     pending_branch: Option<(i64, u32)>,
     /// Resolved packet index of the pending branch target (NO_IDX when
@@ -534,6 +549,7 @@ impl VliwSim {
             cycle: 0,
             pending_writes: Vec::new(),
             next_due: u64::MAX,
+            latch: Latch::EMPTY,
             pending_branch: None,
             pending_branch_idx: NO_IDX,
             scratch: Vec::new(),
@@ -576,6 +592,9 @@ impl VliwSim {
     /// table into specialized slot closures (a one-off load-time cost,
     /// like the pre-decode flattening itself).
     pub fn set_dispatch(&mut self, mode: VliwDispatch) {
+        // Only the trace tier latches; the other cores see one list.
+        self.latch
+            .spill(&mut self.pending_writes, &mut self.next_due);
         self.mode = mode;
         if mode == VliwDispatch::Trace && self.trace.is_none() {
             let prog = compiled::compile(&self.pre, &self.pre_slots);
@@ -654,9 +673,10 @@ impl VliwSim {
     /// call this before inspecting registers so the architecturally
     /// visible state is observed.
     pub fn commit_due_writes(&mut self) {
-        commit_due(
+        commit_latched(
             &mut self.pending_writes,
             &mut self.next_due,
+            &mut self.latch,
             &mut self.regs,
             self.cycle,
         );
@@ -769,9 +789,10 @@ impl VliwSim {
         let mut stall = 0u64;
         let mut branch: Option<(u32, u32)> = None;
         let issue;
-        // Slots stage straight into `pending_writes` (results only
-        // become due from the next cycle on, so nothing staged here can
-        // commit mid-packet): no scratch-buffer swap per step.
+        // Slots stage straight into the latch and `pending_writes`
+        // (results only become due from the next cycle on, so nothing
+        // staged here can commit mid-packet): no scratch-buffer swap per
+        // step.
         let staged = self.pending_writes.len();
         let result = {
             let VliwSim {
@@ -783,11 +804,13 @@ impl VliwSim {
                 halted,
                 stats,
                 pending_writes,
+                latch,
                 ..
             } = self;
             let tier = trace.as_ref().expect("set_dispatch builds the trace tier");
             let cp = &tier.prog.packets[pcv];
             issue = cp.issue;
+            latch.due = *cycle + 1;
             let mut hot = VHot {
                 regs,
                 mem,
@@ -795,14 +818,18 @@ impl VliwSim {
                 cycle: *cycle,
                 halted,
                 slots: &mut stats.slots,
+                latch,
             };
             (cp.run)(&mut hot, pending_writes, &mut stall, &mut branch)
         };
         if let Err(e) = result {
             self.pending_writes.truncate(staged);
+            self.latch.len = 0;
             return Err(e);
         }
-        settle_staged(&mut self.pending_writes, staged, &mut self.next_due);
+        if self.pending_writes.len() != staged {
+            settle_staged(&mut self.pending_writes, staged, &mut self.next_due);
+        }
         self.finish_packet(branch, issue, stall)
     }
 
@@ -816,9 +843,7 @@ impl VliwSim {
         // Prologue order matches the per-packet cores: retire due
         // writes, then redirect an expired branch shadow — only then is
         // `pc` the packet this step actually dispatches.
-        if self.cycle >= self.next_due {
-            self.commit_due_writes();
-        }
+        self.commit_due_writes();
         self.redirect_if_due()?;
 
         let pcv = self.pc;
@@ -906,6 +931,14 @@ impl VliwSim {
     /// cores do it; an expiring branch shadow is a *side exit* that
     /// hands the redirect target back to normal dispatch. Retirement
     /// (`stats.packets`) is batched per run.
+    ///
+    /// A packet followed by an all-NOP packet inside the range folds
+    /// that packet into its own dispatch when the loop would not stop
+    /// before it — no halt, no expired shadow: the NOP's prologue
+    /// write-back and epilogue run, its closure (which could only read
+    /// predicate registers) does not. A branch the packet staged is
+    /// already a pending shadow by then, which the NOP counts down like
+    /// any packet — the translator's `NOP 5` after every branch folds.
     fn run_vliw_trace(&mut self, end: u32) -> Result<(), VliwError> {
         let VliwSim {
             trace,
@@ -917,6 +950,7 @@ impl VliwSim {
             cycle,
             pending_writes,
             next_due,
+            latch,
             pending_branch,
             pending_branch_idx,
             stats,
@@ -938,6 +972,7 @@ impl VliwSim {
             cycle: cyc,
             halted,
             slots: &mut stats.slots,
+            latch,
         };
         let result = loop {
             if *hot.halted {
@@ -975,21 +1010,23 @@ impl VliwSim {
             if pcv as u32 >= end {
                 break Ok(());
             }
-            if cyc >= *next_due {
-                commit_due(pending_writes, next_due, hot.regs, cyc);
-            }
+            commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
 
             let cp = &prog.packets[pcv];
             let mut stall = 0u64;
             let mut branch: Option<(u32, u32)> = None;
             let staged = pending_writes.len();
             hot.cycle = cyc;
+            hot.latch.due = cyc + 1;
             let r = (cp.run)(&mut hot, pending_writes, &mut stall, &mut branch);
             if let Err(e) = r {
                 pending_writes.truncate(staged);
+                hot.latch.len = 0;
                 break Err(e);
             }
-            settle_staged(pending_writes, staged, next_due);
+            if pending_writes.len() != staged {
+                settle_staged(pending_writes, staged, next_due);
+            }
 
             // Packet epilogue, inline (`finish_packet` minus the
             // per-packet counter, which is batched below).
@@ -1006,6 +1043,20 @@ impl VliwSim {
             stall_acc += stall;
             cyc += cp.issue as u64 + stall;
             pcv += 1;
+
+            if cp.nop_after != 0
+                && (pcv as u32) < end
+                && !*hot.halted
+                && !pending_branch.is_some_and(|(remaining, _)| remaining <= 0)
+            {
+                commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
+                if let Some((remaining, _)) = pending_branch {
+                    *remaining -= cp.nop_after as i64;
+                }
+                retired += 1;
+                cyc += cp.nop_after as u64;
+                pcv += 1;
+            }
         };
         *pc = pcv;
         *cycle = cyc;
@@ -1013,6 +1064,17 @@ impl VliwSim {
         stats.packets += retired;
         tier.tstats.trace_retired += retired;
         result
+    }
+
+    /// The list-only write-back of the pre-decoded and naive cores,
+    /// which never latch: the due prefix of the list retires.
+    fn commit_list(&mut self) {
+        commit_due(
+            &mut self.pending_writes,
+            &mut self.next_due,
+            &mut self.regs,
+            self.cycle,
+        );
     }
 
     /// Redirects fetch if the pending branch's shadow has expired.
@@ -1045,7 +1107,7 @@ impl VliwSim {
     /// no allocation per step.
     fn step_packet_predecoded(&mut self) -> Result<(), VliwError> {
         if self.cycle >= self.next_due {
-            self.commit_due_writes();
+            self.commit_list();
         }
         self.redirect_if_due()?;
 
@@ -1090,7 +1152,7 @@ impl VliwSim {
     /// position scans, address hashing on every redirect — exactly the
     /// seed implementation, kept as the differential-test reference.
     fn step_packet_naive(&mut self) -> Result<(), VliwError> {
-        self.commit_due_writes();
+        self.commit_list();
 
         // Branch shadow expired? Redirect before dispatch.
         if let Some((remaining, target)) = self.pending_branch {
@@ -1374,18 +1436,101 @@ fn commit_due(
     *next_due = pending.first().map_or(u64::MAX, |&(c, _, _)| c);
 }
 
+/// The trace tier's next-cycle latch: the single-cycle results one
+/// packet staged, in slot order, all due at `due` (the packet's
+/// dispatch cycle + 1). A packet that stages anything issues for one
+/// cycle (only a lone `NOP n` issues for `n`), so the next packet's
+/// prologue always finds them due and drains the latch whole
+/// ([`commit_latched`]). A packet holds at most eight slots, so eight
+/// entries suffice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Latch {
+    writes: [(Reg, u32); 8],
+    len: usize,
+    /// Due cycle of every entry (meaningless while empty).
+    pub(crate) due: u64,
+}
+
+impl Latch {
+    const EMPTY: Latch = Latch {
+        writes: [(Reg::a(0), 0); 8],
+        len: 0,
+        due: 0,
+    };
+
+    /// Latches one result of the packet in flight.
+    #[inline]
+    pub(crate) fn push(&mut self, r: Reg, v: u32) {
+        self.writes[self.len] = (r, v);
+        self.len += 1;
+    }
+
+    fn entries(&self) -> &[(Reg, u32)] {
+        &self.writes[..self.len]
+    }
+
+    /// Moves the latch into the due-ordered list and empties it. It
+    /// goes after every entry due no later (those were staged earlier),
+    /// so the list retires in the order a list-only core's would.
+    fn spill(&mut self, pending: &mut Vec<(u64, Reg, u32)>, next_due: &mut u64) {
+        if self.len == 0 {
+            return;
+        }
+        let due = self.due;
+        let at = pending.partition_point(|&(c, _, _)| c <= due);
+        pending.splice(at..at, self.entries().iter().map(|&(r, v)| (due, r, v)));
+        *next_due = pending[0].0;
+        self.len = 0;
+    }
+}
+
+/// The trace tier's packet prologue write-back: retires the latch and
+/// every list entry due at `now`, in the order one due-ordered list
+/// holding both would — list entries due no later than the latch
+/// (staged earlier), then the latch in slot order, then the rest of the
+/// due prefix.
+#[inline]
+fn commit_latched(
+    pending: &mut Vec<(u64, Reg, u32)>,
+    next_due: &mut u64,
+    latch: &mut Latch,
+    regs: &mut [u32; 64],
+    now: u64,
+) {
+    if latch.len != 0 {
+        debug_assert!(latch.due <= now, "latched results are due next packet");
+        if *next_due <= latch.due {
+            commit_due(pending, next_due, regs, latch.due);
+        }
+        for &(r, v) in latch.entries() {
+            regs[r.index()] = v;
+        }
+        latch.len = 0;
+    }
+    if now >= *next_due {
+        commit_due(pending, next_due, regs, now);
+    }
+}
+
 impl ExecutionEngine for VliwSim {
     type Error = VliwError;
     type Snapshot = VliwSnapshot;
 
+    /// The latch goes into the snapshot's pending list where a list-only
+    /// core keeps the same writes, so the image reads the same whichever
+    /// core took it.
     fn snapshot(&self) -> VliwSnapshot {
+        let mut pending_writes = self.pending_writes.clone();
+        let mut next_due = self.next_due;
+        let mut latch = self.latch;
+        latch.spill(&mut pending_writes, &mut next_due);
         VliwSnapshot {
             regs: self.regs,
             mem: self.mem.clone(),
             pc: self.pc,
             cycle: self.cycle,
-            pending_writes: self.pending_writes.clone(),
-            next_due: self.next_due,
+            pending_writes,
+            next_due,
             pending_branch: self.pending_branch,
             pending_branch_idx: self.pending_branch_idx,
             stats: self.stats,
@@ -1406,6 +1551,7 @@ impl ExecutionEngine for VliwSim {
         self.cycle = snapshot.cycle;
         self.pending_writes.clone_from(&snapshot.pending_writes);
         self.next_due = snapshot.next_due;
+        self.latch.len = 0;
         self.pending_branch = snapshot.pending_branch;
         self.pending_branch_idx = snapshot.pending_branch_idx;
         self.stats = snapshot.stats;
@@ -1437,6 +1583,7 @@ impl ExecutionEngine for VliwSim {
         self.cycle = 0;
         self.pending_writes.clear();
         self.next_due = u64::MAX;
+        self.latch.len = 0;
         self.pending_branch = None;
         self.pending_branch_idx = NO_IDX;
         self.stats = VliwStats::default();
@@ -1748,10 +1895,162 @@ mod tests {
             ],
             halt(),
         ]);
-        let mut sim = VliwSim::new(prog).unwrap();
-        sim.run(100).unwrap();
-        assert_eq!(sim.reg(Reg::a(2)), 5, "true guard executes");
-        assert_eq!(sim.reg(Reg::a(3)), 0, "false guard annuls");
+        for mode in [
+            VliwDispatch::Naive,
+            VliwDispatch::Predecoded,
+            VliwDispatch::Trace,
+        ] {
+            let mut sim = VliwSim::new(prog.clone()).unwrap();
+            sim.set_dispatch(mode);
+            let st = sim.run(100).unwrap();
+            assert_eq!(sim.reg(Reg::a(2)), 5, "{mode:?}: true guard executes");
+            assert_eq!(sim.reg(Reg::a(3)), 0, "{mode:?}: false guard annuls");
+            assert_eq!(st.slots, 3, "{mode:?}: the annulled slot is not counted");
+        }
+    }
+
+    /// A counted loop whose body mixes latched single-cycle results, a
+    /// load in flight across packets and a `NOP 5` branch shadow.
+    fn latch_loop() -> Vec<Packet> {
+        let (a1, a3, a4, a5, a6, b1) = (
+            Reg::a(1),
+            Reg::a(3),
+            Reg::a(4),
+            Reg::a(5),
+            Reg::a(6),
+            Reg::b(1),
+        );
+        program(vec![
+            vec![
+                Slot::new(Unit::S1, Op::Mvk { d: a1, imm16: 12 }),
+                Slot::new(
+                    Unit::S2,
+                    Op::Mvk {
+                        d: b1,
+                        imm16: 0x100,
+                    },
+                ),
+            ],
+            // 0x8010, the loop head.
+            vec![
+                Slot::new(
+                    Unit::L1,
+                    Op::AddI {
+                        d: a1,
+                        s1: a1,
+                        imm5: -1,
+                    },
+                ),
+                Slot::new(Unit::S1, Op::Mvk { d: a3, imm16: 7 }),
+                Slot::new(
+                    Unit::D1,
+                    Op::Ld {
+                        w: Width::W,
+                        unsigned: false,
+                        d: a6,
+                        base: b1,
+                        woff: 0,
+                    },
+                ),
+            ],
+            vec![
+                Slot::new(
+                    Unit::L1,
+                    Op::Add {
+                        d: a4,
+                        s1: a4,
+                        s2: a3,
+                    },
+                ),
+                Slot::new(
+                    Unit::D1,
+                    Op::Add {
+                        d: a6,
+                        s1: a6,
+                        s2: a3,
+                    },
+                ),
+            ],
+            // 0x8038: back to 0x8010 while `a1` is non-zero.
+            vec![
+                Slot::when(Unit::S1, Pred::nz(a1), Op::B { disp21: -10 }),
+                Slot::new(
+                    Unit::L1,
+                    Op::Add {
+                        d: a5,
+                        s1: a5,
+                        s2: a6,
+                    },
+                ),
+            ],
+            vec![Slot::new(Unit::S1, Op::Nop { count: 5 })],
+            vec![Slot::new(Unit::S1, Op::Mvk { d: a3, imm16: 9 })],
+            vec![Slot::new(
+                Unit::L1,
+                Op::Add {
+                    d: a4,
+                    s1: a4,
+                    s2: a3,
+                },
+            )],
+            halt(),
+        ])
+    }
+
+    /// At every trace-tier step boundary — fused runs and single
+    /// compiled packets alike — the snapshot reads exactly like the
+    /// pre-decoded core's at the same retirement count: the latch sits
+    /// in the pending list behind the writes due no later, and
+    /// `next_due` covers it. Restoring it on either core replays to the
+    /// same halt.
+    #[test]
+    fn trace_snapshots_put_the_latch_where_the_list_keeps_it() {
+        let eager = TraceConfig {
+            warmup: u64::MAX,
+            hot_threshold: 2,
+        };
+        let per_packet = TraceConfig {
+            warmup: 0,
+            ..TraceConfig::default()
+        };
+        let build = |mode, cfg| {
+            let mut sim = VliwSim::new(latch_loop()).unwrap();
+            sim.mem.write_u32(0x100, 5).unwrap();
+            sim.set_trace_config(cfg);
+            sim.set_dispatch(mode);
+            sim
+        };
+        let mut oracle = build(VliwDispatch::Predecoded, eager);
+        let end = oracle.run(10_000).unwrap();
+        let end_regs = oracle.regs;
+        assert_eq!(oracle.reg(Reg::a(4)), 12 * 7 + 9);
+        for cfg in [eager, per_packet] {
+            let mut tr = build(VliwDispatch::Trace, cfg);
+            let mut pre = build(VliwDispatch::Predecoded, cfg);
+            let mut latched = 0;
+            while !tr.is_halted() {
+                tr.run_until(Limit::Retirements(tr.stats().packets + 1))
+                    .unwrap();
+                pre.run_until(Limit::Retirements(tr.stats().packets))
+                    .unwrap();
+                latched += usize::from(tr.latch.len > 0);
+                let (t, p) = (tr.snapshot(), pre.snapshot());
+                let at = format!("{cfg:?} at packet {}", tr.stats().packets);
+                assert_eq!(t.pending_writes, p.pending_writes, "{at}");
+                assert_eq!(t.next_due, p.next_due, "{at}");
+                assert_eq!((t.regs, t.cycle), (p.regs, p.cycle), "{at}");
+                // A fused run takes an expired shadow's redirect before
+                // it stops; the pre-decoded core at its next prologue.
+                assert_eq!(tr.pc_addr(), pre.pc_addr(), "{at}");
+                for mode in [VliwDispatch::Trace, VliwDispatch::Predecoded] {
+                    let mut replay = build(mode, cfg);
+                    replay.restore(&t);
+                    assert_eq!(replay.run(10_000).unwrap(), end, "{at}: {mode:?}");
+                    assert_eq!(replay.regs, end_regs, "{at}: {mode:?}");
+                }
+            }
+            assert!(latched > 0, "{cfg:?}: no boundary held latched results");
+        }
     }
 
     #[test]

@@ -382,6 +382,65 @@ fn vliw_trace_is_bit_identical_on_all_workloads() {
     }
 }
 
+/// The paper's configuration — cache level, `PlatformConfig::default()`
+/// with its sync-device stalls — compared at every boundary of a small
+/// prime cycle stride, not only at the halt. The trace session stops
+/// where its fused runs end (at or past each stride multiple), often
+/// right after a folded NOP packet; the pre-decoded session is run to
+/// the same retirement count and both digests must agree there. In
+/// between, results the trace tier holds in its next-cycle latch and
+/// the pre-decoded core holds in its list are equally uncommitted, so
+/// the digests see the same register file.
+#[test]
+fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
+    const STRIDE: u64 = 31;
+    for w in all_workloads() {
+        let build = |backend| {
+            SimBuilder::workload(&w)
+                .backend(backend)
+                .platform(PlatformConfig::default())
+                .trace_config(eager_traces())
+                .build()
+                .expect("builds")
+        };
+        let mut tr = build(Backend::translated_trace(DetailLevel::Cache));
+        let mut pre = build(Backend::translated(DetailLevel::Cache));
+        let mut boundaries = 0u64;
+        loop {
+            let bound = (tr.cycle() / STRIDE + 1) * STRIDE;
+            let stop = tr.run(Limit::Cycles(bound)).expect("trace session runs");
+            pre.run(Limit::Retirements(tr.stats().retired))
+                .expect("pre-decoded session runs");
+            assert_eq!(
+                fingerprint_engine(&pre),
+                fingerprint_engine(&tr),
+                "{}: diverged at the boundary at cycle {} (packet {})",
+                w.name,
+                tr.cycle(),
+                tr.stats().retired
+            );
+            boundaries += 1;
+            if stop == StopCause::Halted {
+                break;
+            }
+        }
+        assert!(
+            pre.is_halted(),
+            "{}: pre-decoded session did not halt",
+            w.name
+        );
+        assert_eq!(tr.read_d(2), w.expected_d2, "{}: checksum", w.name);
+        let ts = tr.trace_stats().expect("trace backend");
+        assert!(ts.trace_retired > 0, "{}: no trace retirement", w.name);
+        assert!(
+            tr.stats().stall_cycles > 0,
+            "{}: no sync stall to straddle",
+            w.name
+        );
+        assert!(boundaries > 100, "{}: only {boundaries} boundaries", w.name);
+    }
+}
+
 /// Randomized programs with hot loops and *indirect* branches, some
 /// deliberately pointed one instruction past a block leader: a `ji`
 /// into the middle of a fused region must fall back to per-instruction

@@ -420,6 +420,75 @@ fn parked_bytes_resume_bit_identically_on_every_backend() {
     }
 }
 
+/// `parked` with its backend descriptor replaced by `backend`: the same
+/// engine state, resumed on another dispatch core.
+fn park_on(parked: &[u8], backend: Backend) -> Vec<u8> {
+    // Magic (8 bytes) and version (2), then the length-prefixed
+    // descriptor.
+    let mut r = ByteReader::new(&parked[10..]);
+    r.str("backend").expect("descriptor decodes");
+    let rest = &parked[parked.len() - r.remaining()..];
+    let mut out = parked[..10].to_vec();
+    ByteWriter::new(&mut out).str(&backend.to_string());
+    out.extend_from_slice(rest);
+    out
+}
+
+/// A park taken at a trace-tier `Limit::Retirements` boundary, right
+/// after a fused run whose last packet left results that are due but
+/// not yet committed: the trace tier holds such single-cycle results in
+/// its next-cycle latch, and the park image carries them in the pending
+/// list, where the pre-decoded core keeps its own. Resumed on the trace
+/// tier and on the pre-decoded core, both runs end bit-identical to the
+/// uninterrupted one.
+#[test]
+fn park_with_latched_results_resumes_on_trace_and_predecoded_cores() {
+    let w = cabt::workloads::gcd(6, 11);
+    let trace = Backend::translated_trace(DetailLevel::Cache);
+    let build = || {
+        SimBuilder::workload(&w)
+            .backend(trace)
+            .trace_config(TraceConfig {
+                warmup: 1_000_000_000,
+                hot_threshold: 2,
+            })
+            .build()
+            .unwrap()
+    };
+    let regs =
+        |s: &Session| -> Vec<u32> { (0..s.reg_count()).map(|i| s.read_reg_index(i)).collect() };
+    let finish = |mut s: Session| {
+        assert_eq!(s.run(Limit::Cycles(u64::MAX)).unwrap(), StopCause::Halted);
+        (fingerprint_engine(&s), s.stats(), s.read_d(2))
+    };
+    let expected = finish(build());
+    assert_eq!(expected.2, w.expected_d2);
+
+    // One step per call: find the first fused run that ends with
+    // results pending at its boundary (committing them would change
+    // the register file) and park there, before probing.
+    let mut donor = build();
+    let parked = loop {
+        let fused = donor.trace_stats().unwrap().trace_retired;
+        let stop = donor.run_until(Limit::Retirements(donor.stats().retired + 1));
+        assert_eq!(stop.unwrap(), StopCause::LimitReached, "no such boundary");
+        if donor.trace_stats().unwrap().trace_retired == fused {
+            continue;
+        }
+        let parked = donor.park().unwrap();
+        let staged = regs(&donor);
+        donor.commit_arch_state();
+        if regs(&donor) != staged {
+            break parked;
+        }
+    };
+    for backend in [trace, Backend::translated(DetailLevel::Cache)] {
+        let resumed = Session::resume(&park_on(&parked, backend)).expect("resumes");
+        assert_eq!(resumed.backend(), backend);
+        assert_eq!(finish(resumed), expected, "{backend}: resumed run diverged");
+    }
+}
+
 /// Version safety of the portable format: a flipped magic and a bumped
 /// version header are both rejected with typed errors — a future format
 /// revision can never be misparsed as the current one.
