@@ -27,11 +27,35 @@
 //! Comments start with `#` or `;`. Short 16-bit encodings are selected
 //! automatically whenever the operand *form* permits it (literal
 //! immediate in range, zero offset, two-operand add/sub), which keeps
-//! instruction sizes identical between the two passes.
+//! instruction sizes identical between the two passes. `.global` is
+//! accepted and ignored: every label is emitted to the symbol table.
+//!
+//! # Passes
+//!
+//! Pass 1 walks the source on bytes: one scan finds a line's end and
+//! comment, then it takes the labels off the front and splits the
+//! directive or mnemonic from its operands. Operands borrow from the
+//! source, and so does the symbol table. It lays out the sections and
+//! collects the symbols. Data directives write their constant operands
+//! straight into the `.data` image; any other operand (a symbol, or a
+//! register that pass 2 rejects) leaves a zeroed slot and a fix-up.
+//! Instructions are parsed and sized (the size depends on operand form
+//! only, so it holds in pass 2).
+//!
+//! Pass 2 walks the instructions and fix-ups in source order: it
+//! resolves symbols, encodes `.text` and fills the data slots. So a
+//! pass-1 error anywhere in the file wins over a resolution error, and
+//! resolution errors come in source order.
+//!
+//! The operand parser is a loop, not a recursion: stacked `hi:`/`lo:`
+//! prefixes and memory operands nested as offsets are scanned one after
+//! another, so no operand can overflow the stack.
 
 use crate::encode::encode_into;
 use crate::isa::{AReg, BinOp, Cond, DReg, Instr, LdKind, StKind};
-use cabt_isa::elf::{check_section_size, ElfFile, Section, Symbol, SymbolKind, EM_TRICORE};
+use cabt_isa::elf::{
+    check_section_size, ElfFile, Section, Symbol, SymbolKind, EM_TRICORE, MAX_SECTION_SIZE,
+};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -95,25 +119,29 @@ enum Part {
     Lo,
 }
 
+/// An operand that evaluates to a number.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Val<'a> {
+    Imm(i64),
+    Sym { name: &'a str, add: i64, part: Part },
+}
+
 /// A parsed operand.
-#[derive(Debug, Clone, PartialEq)]
-enum Arg {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arg<'a> {
     D(DReg),
     A(AReg),
-    Imm(i64),
-    Sym {
-        name: String,
-        add: i64,
-        part: Part,
-    },
+    Val(Val<'a>),
+    /// `[base]off`; `off` is `None` when the offset is a register or
+    /// another memory operand, which fails where it is evaluated.
     Mem {
         base: AReg,
         postinc: bool,
-        off: Box<Arg>,
+        off: Option<Val<'a>>,
     },
 }
 
-impl Arg {
+impl<'a> Arg<'a> {
     fn d(&self, line: u32) -> Result<DReg, AsmError> {
         match self {
             Arg::D(r) => Ok(*r),
@@ -127,30 +155,199 @@ impl Arg {
             _ => err(line, "expected an address register"),
         }
     }
+
+    fn val(self) -> Option<Val<'a>> {
+        match self {
+            Arg::Val(v) => Some(v),
+            _ => None,
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
-enum ItemKind {
-    Instr { mnemonic: String, args: Vec<Arg> },
-    Word(Vec<Arg>),
-    Half(Vec<Arg>),
-    Byte(Vec<Arg>),
-    Space(u32),
-}
-
-#[derive(Debug, Clone)]
-struct Item {
-    line: u32,
-    addr: u32,
-    section: SectionId,
-    kind: ItemKind,
-}
-
+/// A section; its discriminant indexes the per-section cursors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SectionId {
     Text,
     Data,
     Bss,
+}
+
+/// Pass-2 work, in source order.
+#[derive(Debug, Clone, Copy)]
+enum Work<'a> {
+    /// An instruction; its operands are `args[args.0..args.1]`.
+    Instr {
+        line: u32,
+        addr: u32,
+        mnemonic: &'a str,
+        args: (usize, usize),
+    },
+    /// Zeroed bytes in `.text`.
+    TextSpace(u32),
+    /// A data operand to evaluate into `data[at..at + unit]`.
+    Fixup {
+        line: u32,
+        at: usize,
+        unit: usize,
+        arg: Arg<'a>,
+    },
+    /// The item at `line` took a section to `len` bytes, past the
+    /// image limit.
+    TooLarge { line: u32, len: u64 },
+}
+
+/// What pass 1 hands to pass 2.
+#[derive(Default)]
+struct Layout<'a> {
+    /// The `.data` image, constant operands already in place.
+    data: Vec<u8>,
+    /// Every instruction's operands, one after another.
+    args: Vec<Arg<'a>>,
+    work: Vec<Work<'a>>,
+    text_len: u64,
+    bss_size: u64,
+    text_start: Option<u32>,
+    data_start: Option<u32>,
+    /// Set at the first section past the image limit. Pass 2 fails at
+    /// that item whatever comes after it, so pass 1 only looks for its
+    /// own errors from then on and writes nothing more.
+    full: bool,
+}
+
+impl Layout<'_> {
+    /// Records `len`, a section's new total after the item at `line`.
+    fn check_total(&mut self, len: u64, line: u32) {
+        if !self.full && len > u64::from(MAX_SECTION_SIZE) {
+            self.work.push(Work::TooLarge { line, len });
+            self.full = true;
+        }
+    }
+
+    /// Reserves `n` zeroed bytes in `section`.
+    fn space(&mut self, section: SectionId, addr: u32, n: u32, line: u32) {
+        let n64 = u64::from(n);
+        match section {
+            SectionId::Text => {
+                self.text_start.get_or_insert(addr);
+                self.text_len += n64;
+                if !self.full {
+                    self.work.push(Work::TextSpace(n));
+                }
+                self.check_total(self.text_len, line);
+            }
+            SectionId::Data => {
+                self.data_start.get_or_insert(addr);
+                let len = self.data.len() as u64 + n64;
+                self.check_total(len, line);
+                if !self.full {
+                    self.data.resize(len as usize, 0);
+                }
+            }
+            SectionId::Bss => {
+                self.bss_size += n64;
+                self.check_total(self.bss_size, line);
+            }
+        }
+    }
+}
+
+/// Whitespace as `char::is_whitespace` sees it, for ASCII bytes.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r')
+}
+
+/// `str::trim`, stripping ASCII ends on bytes; a non-ASCII end goes to
+/// `str::trim`.
+#[inline(always)]
+fn trim(s: &str) -> &str {
+    let b = s.as_bytes();
+    let (mut i, mut j) = (0, b.len());
+    while i < j && is_space(b[i]) {
+        i += 1;
+    }
+    while j > i && is_space(b[j - 1]) {
+        j -= 1;
+    }
+    let t = &s[i..j];
+    match (t.bytes().next(), t.bytes().next_back()) {
+        (Some(first), Some(last)) if !first.is_ascii() || !last.is_ascii() => t.trim(),
+        _ => t,
+    }
+}
+
+/// The index of the first `\n`, `#` or `;` at or after `i`, or the
+/// end: eight bytes a step, with the zero-byte test of each pattern
+/// XORed in. A borrow can only mark a byte above a true match, so the
+/// lowest marked byte is the first match.
+fn line_stop(b: &[u8], mut i: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let hits = |w: u64, c: u8| {
+        let x = w ^ (ONES * u64::from(c));
+        x.wrapping_sub(ONES) & !x & HIGH
+    };
+    while let Some(chunk) = b.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let m = hits(w, b'\n') | hits(w, b'#') | hits(w, b';');
+        if m != 0 {
+            return i + (m.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < b.len() && !matches!(b[i], b'\n' | b'#' | b';') {
+        i += 1;
+    }
+    i
+}
+
+/// Splits `s` at its first whitespace into `(word, rest.trim())`.
+fn split_word(s: &str) -> (&str, &str) {
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if is_space(b) {
+            return (&s[..i], trim(&s[i..]));
+        }
+        if !b.is_ascii() {
+            // Non-ASCII whitespace counts too: finish with char semantics.
+            return match s[i..].find(char::is_whitespace) {
+                Some(p) => (&s[..i + p], s[i + p..].trim()),
+                None => (s, ""),
+            };
+        }
+    }
+    (s, "")
+}
+
+/// Takes a leading `label:` off `text`, returning the name and the
+/// trimmed rest.
+fn split_label(text: &str) -> Option<(&str, &str)> {
+    let b = text.as_bytes();
+    let n = b
+        .iter()
+        .position(|&c| !(c.is_ascii_alphanumeric() || c == b'_' || c == b'.'))
+        .unwrap_or(b.len());
+    if n == 0 || b[0] == b'.' {
+        return None;
+    }
+    let rest = text[n..].trim_start().strip_prefix(':')?;
+    Some((&text[..n], trim(rest)))
+}
+
+/// The comma-separated operands of `s` (already trimmed), each trimmed.
+fn operands(s: &str) -> impl Iterator<Item = &str> {
+    let mut rest = (!s.is_empty()).then_some(s);
+    std::iter::from_fn(move || {
+        let r = rest?;
+        match r.as_bytes().iter().position(|&b| b == b',') {
+            Some(p) => {
+                rest = Some(&r[p + 1..]);
+                Some(trim(&r[..p]))
+            }
+            None => {
+                rest = None;
+                Some(trim(r))
+            }
+        }
+    })
 }
 
 /// Assembles source text into an ELF32 image.
@@ -170,68 +367,56 @@ enum SectionId {
 /// ```
 pub fn assemble(src: &str) -> Result<ElfFile, AsmError> {
     // ---- pass 1: parse, size, lay out, collect symbols ----
-    let mut items: Vec<Item> = Vec::new();
-    let mut symbols: HashMap<String, (u32, SectionId)> = HashMap::new();
-    let mut globals: Vec<String> = Vec::new();
+    let mut out = Layout::default();
+    let mut symbols: HashMap<&str, (u32, SectionId)> = HashMap::new();
     let mut section = SectionId::Text;
     let mut pc = [TEXT_BASE, DATA_BASE, BSS_BASE];
-    let idx = |s: SectionId| match s {
-        SectionId::Text => 0usize,
-        SectionId::Data => 1,
-        SectionId::Bss => 2,
-    };
+    let bytes = src.as_bytes();
+    let (mut start, mut line) = (0, 0u32);
 
-    for (lineno, raw) in src.lines().enumerate() {
-        let line = lineno as u32 + 1;
-        let mut text = raw;
-        if let Some(p) = text.find(['#', ';']) {
-            text = &text[..p];
-        }
-        let mut text = text.trim();
+    while start < bytes.len() {
+        line += 1;
+        let stop = line_stop(bytes, start);
+        let end = match bytes.get(stop) {
+            Some(b'#' | b';') => bytes[stop..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |p| stop + p),
+            _ => stop,
+        };
+        let mut text = trim(&src[start..stop]);
+        start = end + 1;
 
-        // Labels (possibly several) at the start of the line.
-        while let Some(colon) = text.find(':') {
-            let (head, rest) = text.split_at(colon);
-            let name = head.trim();
-            if name.is_empty()
-                || !name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-                || name.starts_with('.')
-                || rest.is_empty()
-            {
-                break;
-            }
-            // "hi:" / "lo:" inside operands never reach here because
-            // labels are only recognized before the mnemonic.
+        // Labels (possibly several) at the start of the line. "hi:" /
+        // "lo:" inside operands never reach here because labels are
+        // only recognized before the mnemonic.
+        while let Some((name, rest)) = split_label(text) {
             if symbols
-                .insert(name.to_string(), (pc[idx(section)], section))
+                .insert(name, (pc[section as usize], section))
                 .is_some()
             {
                 return err(line, format!("duplicate label `{name}`"));
             }
-            text = rest[1..].trim();
+            text = rest;
         }
         if text.is_empty() {
             continue;
         }
+        let here = pc[section as usize];
 
         if let Some(directive) = text.strip_prefix('.') {
-            let (name, rest) = match directive.find(char::is_whitespace) {
-                Some(p) => (&directive[..p], directive[p..].trim()),
-                None => (directive, ""),
-            };
+            let (name, rest) = split_word(directive);
             match name {
                 "text" => section = SectionId::Text,
                 "data" => section = SectionId::Data,
                 "bss" => section = SectionId::Bss,
-                "global" | "globl" => globals.push(rest.to_string()),
+                "global" | "globl" => {}
                 "org" => {
                     let v = parse_number(rest).ok_or_else(|| AsmError {
                         line,
                         msg: "bad .org value".into(),
                     })?;
-                    pc[idx(section)] = v as u32;
+                    pc[section as usize] = v as u32;
                 }
                 "align" => {
                     let v = parse_number(rest).ok_or_else(|| AsmError {
@@ -241,17 +426,11 @@ pub fn assemble(src: &str) -> Result<ElfFile, AsmError> {
                     if v == 0 || !v.is_power_of_two() {
                         return err(line, ".align requires a power of two");
                     }
-                    let cur = pc[idx(section)];
-                    let pad = (v - (cur % v)) % v;
+                    let pad = (v - (here % v)) % v;
                     if pad > 0 {
                         check_size(pad.into(), line)?;
-                        items.push(Item {
-                            line,
-                            addr: cur,
-                            section,
-                            kind: ItemKind::Space(pad),
-                        });
-                        advance(&mut pc[idx(section)], pad, line)?;
+                        out.space(section, here, pad, line);
+                        advance(&mut pc[section as usize], pad, line)?;
                     }
                 }
                 "space" | "skip" => {
@@ -262,32 +441,44 @@ pub fn assemble(src: &str) -> Result<ElfFile, AsmError> {
                             msg: "bad .space value".into(),
                         })?;
                     check_size(v, line)?;
-                    let v = v as u32;
-                    items.push(Item {
-                        line,
-                        addr: pc[idx(section)],
-                        section,
-                        kind: ItemKind::Space(v),
-                    });
-                    advance(&mut pc[idx(section)], v, line)?;
+                    out.space(section, here, v as u32, line);
+                    advance(&mut pc[section as usize], v as u32, line)?;
                 }
                 "word" | "half" | "byte" => {
                     if section == SectionId::Text {
                         return err(line, "data directives are not allowed in .text");
                     }
-                    let args = parse_args(rest, line)?;
-                    let (kind, unit) = match name {
-                        "word" => (ItemKind::Word(args.clone()), 4),
-                        "half" => (ItemKind::Half(args.clone()), 2),
-                        _ => (ItemKind::Byte(args.clone()), 1),
+                    let unit = match name {
+                        "word" => 4,
+                        "half" => 2,
+                        _ => 1,
                     };
-                    items.push(Item {
-                        line,
-                        addr: pc[idx(section)],
-                        section,
-                        kind,
-                    });
-                    advance(&mut pc[idx(section)], unit * args.len() as u32, line)?;
+                    let mut count = 0u32;
+                    for op in operands(rest) {
+                        let arg = parse_arg(op, line)?;
+                        count += 1;
+                        if out.full {
+                            continue;
+                        }
+                        let v = match arg {
+                            Arg::Val(Val::Imm(v)) => v,
+                            _ => {
+                                let at = out.data.len();
+                                out.work.push(Work::Fixup {
+                                    line,
+                                    at,
+                                    unit,
+                                    arg,
+                                });
+                                0
+                            }
+                        };
+                        out.data
+                            .extend_from_slice(&(v as u32).to_le_bytes()[..unit]);
+                    }
+                    out.data_start.get_or_insert(here);
+                    out.check_total(out.data.len() as u64, line);
+                    advance(&mut pc[section as usize], unit as u32 * count, line)?;
                 }
                 other => return err(line, format!("unknown directive `.{other}`")),
             }
@@ -298,95 +489,84 @@ pub fn assemble(src: &str) -> Result<ElfFile, AsmError> {
         if section != SectionId::Text {
             return err(line, "instructions are only allowed in .text");
         }
-        let (mnemonic, rest) = match text.find(char::is_whitespace) {
-            Some(p) => (&text[..p], text[p..].trim()),
-            None => (text, ""),
-        };
-        let args = parse_args(rest, line)?;
+        let (mnemonic, rest) = split_word(text);
+        let first = out.args.len();
+        for op in operands(rest) {
+            let arg = parse_arg(op, line)?;
+            out.args.push(arg);
+        }
         // Build once with a dummy resolver purely for the size; the
         // 16/32-bit choice depends only on operand form, so the size
         // is stable across passes. Symbols resolve to the current pc
         // so displacement range checks cannot fire spuriously here.
-        let here = pc[0];
-        let probe = build_instr(mnemonic, &args, line, here, &move |_| Some(here as i64))?;
-        let size = probe.size();
-        items.push(Item {
-            line,
-            addr: pc[0],
-            section,
-            kind: ItemKind::Instr {
-                mnemonic: mnemonic.to_string(),
-                args,
-            },
-        });
+        let args = &out.args[first..];
+        let size = build_instr(mnemonic, args, line, here, &move |_| Some(i64::from(here)))?.size();
+        out.text_start.get_or_insert(here);
+        out.text_len += u64::from(size);
+        if out.full {
+            out.args.truncate(first);
+        } else {
+            out.work.push(Work::Instr {
+                line,
+                addr: here,
+                mnemonic,
+                args: (first, out.args.len()),
+            });
+        }
+        out.check_total(out.text_len, line);
         advance(&mut pc[0], size, line)?;
     }
 
-    // ---- pass 2: resolve and emit ----
-    let resolve = |name: &str| symbols.get(name).map(|&(v, _)| v as i64);
+    // ---- pass 2: resolve, encode and fill in ----
+    let resolve = |name: &str| symbols.get(name).map(|&(v, _)| i64::from(v));
     let mut text = Vec::new();
-    let mut data = Vec::new();
-    let mut bss_size = 0u64;
-    let mut data_addr_start: Option<u32> = None;
-    let mut text_addr_start: Option<u32> = None;
-
-    for item in &items {
-        match (&item.kind, item.section) {
-            (ItemKind::Instr { mnemonic, args }, _) => {
-                text_addr_start.get_or_insert(item.addr);
-                let instr = build_instr(mnemonic, args, item.line, item.addr, &resolve)?;
+    for &w in &out.work {
+        match w {
+            Work::Instr {
+                line,
+                addr,
+                mnemonic,
+                args,
+            } => {
+                let instr = build_instr(mnemonic, &out.args[args.0..args.1], line, addr, &resolve)?;
                 encode_into(&instr, &mut text).map_err(|e| AsmError {
-                    line: item.line,
+                    line,
                     msg: e.to_string(),
                 })?;
             }
-            (ItemKind::Space(n), SectionId::Bss) => bss_size += u64::from(*n),
-            (ItemKind::Space(n), SectionId::Data) => {
-                data_addr_start.get_or_insert(item.addr);
-                data.extend(std::iter::repeat_n(0u8, *n as usize));
+            Work::TextSpace(n) => text.extend(std::iter::repeat_n(0u8, n as usize)),
+            Work::Fixup {
+                line,
+                at,
+                unit,
+                arg,
+            } => {
+                let v = eval(arg.val(), line, &resolve)?;
+                out.data[at..at + unit].copy_from_slice(&(v as u32).to_le_bytes()[..unit]);
             }
-            (ItemKind::Space(n), SectionId::Text) => {
-                text_addr_start.get_or_insert(item.addr);
-                text.extend(std::iter::repeat_n(0u8, *n as usize));
-            }
-            (ItemKind::Word(v) | ItemKind::Half(v) | ItemKind::Byte(v), _) => {
-                data_addr_start.get_or_insert(item.addr);
-                let unit = match item.kind {
-                    ItemKind::Word(_) => 4usize,
-                    ItemKind::Half(_) => 2,
-                    _ => 1,
-                };
-                for a in v {
-                    let val = eval_arg(a, item.line, &resolve)?;
-                    data.extend_from_slice(&(val as u32).to_le_bytes()[..unit]);
-                }
-            }
-        }
-        // Pass 1 bounds every single item by the limit, so no
-        // section outgrows twice the limit before this check fires.
-        for len in [text.len() as u64, data.len() as u64, bss_size] {
-            check_size(len, item.line)?;
+            Work::TooLarge { line, len } => check_size(len, line)?,
         }
     }
 
     let mut elf = ElfFile::new(EM_TRICORE, 0);
     if !text.is_empty() {
         elf.sections
-            .push(Section::text(text_addr_start.unwrap_or(TEXT_BASE), text));
+            .push(Section::text(out.text_start.unwrap_or(TEXT_BASE), text));
     }
-    if !data.is_empty() {
+    if !out.data.is_empty() {
         elf.sections
-            .push(Section::data(data_addr_start.unwrap_or(DATA_BASE), data));
+            .push(Section::data(out.data_start.unwrap_or(DATA_BASE), out.data));
     }
-    if bss_size > 0 {
-        elf.sections.push(Section::bss(BSS_BASE, bss_size as u32));
+    if out.bss_size > 0 {
+        elf.sections
+            .push(Section::bss(BSS_BASE, out.bss_size as u32));
     }
-    for (name, (value, sect)) in &symbols {
+    for (name, &(value, sect)) in &symbols {
         elf.symbols.push(Symbol {
-            name: name.clone(),
-            value: *value,
+            name: (*name).to_string(),
+            value,
             size: 0,
-            kind: if *sect == SectionId::Text {
+            kind: if sect == SectionId::Text {
                 SymbolKind::Func
             } else {
                 SymbolKind::Object
@@ -398,36 +578,55 @@ pub fn assemble(src: &str) -> Result<ElfFile, AsmError> {
     elf.entry = symbols
         .get("_start")
         .map(|&(v, _)| v)
-        .or(text_addr_start)
+        .or(out.text_start)
         .unwrap_or(TEXT_BASE);
-    let _ = globals; // all symbols are emitted; .global is accepted for compatibility
     Ok(elf)
 }
 
+#[inline(always)]
 fn parse_number(s: &str) -> Option<i64> {
-    let s = s.trim();
+    let s = trim(s);
     let (neg, s) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, s),
     };
-    let v = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).ok()?
+    let v = if let [b'0', b'x' | b'X', ..] = s.as_bytes() {
+        i64::from_str_radix(&s[2..], 16).ok()?
     } else {
-        s.parse::<i64>().ok()?
+        parse_decimal(s.as_bytes())?
     };
-    Some(if neg { -v } else { v })
+    Some(if neg { v.wrapping_neg() } else { v })
 }
 
-fn parse_args(s: &str, line: u32) -> Result<Vec<Arg>, AsmError> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
+/// `str::parse::<i64>` on bytes: an optional sign, then at least one
+/// ASCII digit, without overflow.
+#[inline(always)]
+fn parse_decimal(s: &[u8]) -> Option<i64> {
+    let (neg, digits) = match s {
+        [b'+', rest @ ..] => (false, rest),
+        [b'-', rest @ ..] => (true, rest),
+        _ => (false, s),
+    };
+    if digits.is_empty() {
+        return None;
     }
-    // Split on top-level commas; memory operands contain no commas.
-    s.split(',').map(|op| parse_arg(op.trim(), line)).collect()
+    let mut v = 0i64;
+    for &c in digits {
+        let d = i64::from(c.wrapping_sub(b'0'));
+        if d > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?;
+        v = if neg {
+            v.checked_sub(d)?
+        } else {
+            v.checked_add(d)?
+        };
+    }
+    Some(v)
 }
 
-fn parse_reg(s: &str) -> Option<Arg> {
+fn parse_reg<'a>(s: &str) -> Option<Arg<'a>> {
     match s {
         "%sp" => return Some(Arg::A(AReg(10))),
         "%ra" => return Some(Arg::A(AReg(11))),
@@ -449,55 +648,109 @@ fn parse_reg(s: &str) -> Option<Arg> {
     None
 }
 
-fn parse_arg(s: &str, line: u32) -> Result<Arg, AsmError> {
-    if s.is_empty() {
-        return err(line, "empty operand");
+/// Parses one operand.
+///
+/// An operand is a chain read left to right: runs of `hi:`/`lo:`
+/// prefixes and memory heads (`[base]` or `[base+]`, whose offset is
+/// the rest of the chain), ending in a register, number or symbol. The
+/// loop checks each head as it meets it and the end of the chain last,
+/// then applies the prefixes as their nesting reads, innermost first:
+/// on a number each part in turn, on a symbol the run's outermost part,
+/// and on anything else an error naming the run's innermost prefix. So
+/// errors come in the order a recursive descent would report them.
+// Inlined, like `parse_val`, `parse_number`, `parse_decimal` and
+// `trim`, into the two operand loops: a data line is mostly short
+// numbers, and calls and result copies cost more than the parse.
+#[inline(always)]
+fn parse_arg<'a>(s: &'a str, line: u32) -> Result<Arg<'a>, AsmError> {
+    let mut s = s;
+    // The outermost memory head, and whether another one follows it.
+    let mut mem: Option<(AReg, bool)> = None;
+    let mut nested = false;
+    // The prefix group being scanned: `group[..group_len]`.
+    let (mut group, mut group_len) = (s, 0);
+    // The innermost prefix of the innermost group that wraps a memory
+    // operand.
+    let mut wraps_mem: Option<&str> = None;
+    let end = loop {
+        if s.is_empty() {
+            return err(line, "empty operand");
+        }
+        if s.starts_with('%') {
+            break parse_reg(s).ok_or_else(|| AsmError {
+                line,
+                msg: format!("bad register `{s}`"),
+            })?;
+        }
+        if let Some(rest) = s.strip_prefix('[') {
+            let close = rest.find(']').ok_or_else(|| AsmError {
+                line,
+                msg: "missing `]` in memory operand".into(),
+            })?;
+            let (inner, off) = (&rest[..close], rest[close + 1..].trim());
+            let (reg_str, postinc) = match inner.trim().strip_suffix('+') {
+                Some(r) => (r.trim(), true),
+                None => (inner.trim(), false),
+            };
+            let base = match parse_reg(reg_str) {
+                Some(Arg::A(a)) => a,
+                _ => return err(line, format!("bad base register `{reg_str}`")),
+            };
+            if group_len > 0 {
+                wraps_mem = Some(&group[group_len - 3..group_len]);
+            }
+            nested = mem.is_some();
+            mem.get_or_insert((base, postinc));
+            if off.is_empty() {
+                break Arg::Val(Val::Imm(0));
+            }
+            (s, group, group_len) = (off, off, 0);
+            continue;
+        }
+        if s.starts_with("hi:") || s.starts_with("lo:") {
+            s = &s[3..];
+            group_len += 3;
+            continue;
+        }
+        break Arg::Val(parse_val(s, line)?);
+    };
+
+    let prefixes = &group[..group_len];
+    let end = match end {
+        _ if prefixes.is_empty() => end,
+        Arg::Val(Val::Sym { name, add, .. }) => Arg::Val(Val::Sym {
+            name,
+            add,
+            part: part_of(&prefixes.as_bytes()[..3]),
+        }),
+        Arg::Val(Val::Imm(v)) => Arg::Val(Val::Imm(
+            prefixes
+                .as_bytes()
+                .rchunks(3)
+                .fold(v, |v, p| apply_part(v, part_of(p))),
+        )),
+        _ => return err(line, needs_value(&prefixes[group_len - 3..])),
+    };
+    if let Some(prefix) = wraps_mem {
+        return err(line, needs_value(prefix));
     }
-    if s.starts_with('%') {
-        return parse_reg(s).ok_or_else(|| AsmError {
-            line,
-            msg: format!("bad register `{s}`"),
-        });
-    }
-    if let Some(rest) = s.strip_prefix('[') {
-        let close = rest.find(']').ok_or_else(|| AsmError {
-            line,
-            msg: "missing `]` in memory operand".into(),
-        })?;
-        let (inner, off_str) = (&rest[..close], rest[close + 1..].trim());
-        let (reg_str, postinc) = match inner.trim().strip_suffix('+') {
-            Some(r) => (r.trim(), true),
-            None => (inner.trim(), false),
-        };
-        let base = match parse_reg(reg_str) {
-            Some(Arg::A(a)) => a,
-            _ => return err(line, format!("bad base register `{reg_str}`")),
-        };
-        let off = if off_str.is_empty() {
-            Arg::Imm(0)
-        } else {
-            parse_arg(off_str, line)?
-        };
-        return Ok(Arg::Mem {
+    Ok(match mem {
+        None => end,
+        Some((base, postinc)) => Arg::Mem {
             base,
             postinc,
-            off: Box::new(off),
-        });
-    }
-    for (prefix, part) in [("hi:", Part::Hi), ("lo:", Part::Lo)] {
-        if let Some(rest) = s.strip_prefix(prefix) {
-            return match parse_arg(rest, line)? {
-                Arg::Sym { name, add, .. } => Ok(Arg::Sym { name, add, part }),
-                Arg::Imm(v) => Ok(Arg::Imm(apply_part(v, part))),
-                _ => err(line, format!("`{prefix}` needs a symbol or number")),
-            };
-        }
-    }
+            off: if nested { None } else { end.val() },
+        },
+    })
+}
+
+/// Parses a number, or a symbol with an optional `+`/`-` offset.
+#[inline(always)]
+fn parse_val(s: &str, line: u32) -> Result<Val<'_>, AsmError> {
     if let Some(v) = parse_number(s) {
-        return Ok(Arg::Imm(v));
+        return Ok(Val::Imm(v));
     }
-    // symbol with optional +/- offset
-    let (name, add) = match s.find(['+', '-']) {
+    let (name, add) = match s.bytes().position(|b| b == b'+' || b == b'-') {
         Some(p) if p > 0 => {
             let (n, rest) = s.split_at(p);
             let add = parse_number(rest).ok_or_else(|| AsmError {
@@ -510,17 +763,30 @@ fn parse_arg(s: &str, line: u32) -> Result<Arg, AsmError> {
     };
     if name.is_empty()
         || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-        || name.chars().next().is_some_and(|c| c.is_ascii_digit())
+            .bytes()
+            .all(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'.')
+        || name.as_bytes()[0].is_ascii_digit()
     {
         return err(line, format!("bad operand `{s}`"));
     }
-    Ok(Arg::Sym {
-        name: name.to_string(),
+    Ok(Val::Sym {
+        name,
         add,
         part: Part::None,
     })
+}
+
+/// The part a `hi:` or `lo:` prefix selects.
+fn part_of(prefix: &[u8]) -> Part {
+    if prefix == b"hi:" {
+        Part::Hi
+    } else {
+        Part::Lo
+    }
+}
+
+fn needs_value(prefix: &str) -> String {
+    format!("`{prefix}` needs a symbol or number")
 }
 
 fn apply_part(v: i64, part: Part) -> i64 {
@@ -531,25 +797,31 @@ fn apply_part(v: i64, part: Part) -> i64 {
     }
 }
 
-fn eval_arg(arg: &Arg, line: u32, resolve: &dyn Fn(&str) -> Option<i64>) -> Result<i64, AsmError> {
-    match arg {
-        Arg::Imm(v) => Ok(*v),
-        Arg::Sym { name, add, part } => {
+/// Evaluates a value operand; `None` (a register or memory operand)
+/// is an error.
+fn eval(
+    v: Option<Val<'_>>,
+    line: u32,
+    resolve: &dyn Fn(&str) -> Option<i64>,
+) -> Result<i64, AsmError> {
+    match v {
+        Some(Val::Imm(v)) => Ok(v),
+        Some(Val::Sym { name, add, part }) => {
             let base = resolve(name).ok_or_else(|| AsmError {
                 line,
                 msg: format!("undefined symbol `{name}`"),
             })?;
-            Ok(apply_part(base + add, *part))
+            Ok(apply_part(base.wrapping_add(add), part))
         }
-        _ => err(line, "expected an immediate or symbol"),
+        None => err(line, "expected an immediate or symbol"),
     }
 }
 
 /// True when the operand is a literal immediate (16-bit selection is
 /// allowed to depend on its value).
 fn literal(arg: &Arg) -> Option<i64> {
-    match arg {
-        Arg::Imm(v) => Some(*v),
+    match arg.val() {
+        Some(Val::Imm(v)) => Some(v),
         _ => None,
     }
 }
@@ -563,7 +835,7 @@ fn imm_range(v: i64, lo: i64, hi: i64, line: u32, what: &str) -> Result<i64, Asm
 }
 
 fn branch_disp(target: i64, pc: u32, line: u32, bits: u32) -> Result<i32, AsmError> {
-    let delta = target - pc as i64;
+    let delta = target.wrapping_sub(i64::from(pc));
     if delta % 2 != 0 {
         return err(line, "branch target is not halfword aligned");
     }
@@ -578,7 +850,7 @@ fn branch_disp(target: i64, pc: u32, line: u32, bits: u32) -> Result<i32, AsmErr
     Ok(disp as i32)
 }
 
-fn n_args(args: &[Arg], n: usize, line: u32) -> Result<&[Arg], AsmError> {
+fn n_args<'s, 'a>(args: &'s [Arg<'a>], n: usize, line: u32) -> Result<&'s [Arg<'a>], AsmError> {
     if args.len() == n {
         Ok(args)
     } else {
@@ -587,14 +859,14 @@ fn n_args(args: &[Arg], n: usize, line: u32) -> Result<&[Arg], AsmError> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn build_instr(
+fn build_instr<'a>(
     mnemonic: &str,
-    args: &[Arg],
+    args: &[Arg<'a>],
     line: u32,
     pc: u32,
     resolve: &dyn Fn(&str) -> Option<i64>,
 ) -> Result<Instr, AsmError> {
-    let ev = |a: &Arg| eval_arg(a, line, resolve);
+    let ev = |a: &Arg| eval(a.val(), line, resolve);
     let cond_of = |m: &str| match m {
         "jeq" => Some(Cond::Eq),
         "jne" => Some(Cond::Ne),
@@ -625,9 +897,9 @@ fn build_instr(
         "rem" => Some(BinOp::Rem),
         _ => None,
     };
-    let mem_of = |a: &Arg| -> Option<(AReg, bool, Arg)> {
-        match a {
-            Arg::Mem { base, postinc, off } => Some((*base, *postinc, (**off).clone())),
+    let mem_of = |a: &Arg<'a>| -> Option<(AReg, bool, Option<Val<'a>>)> {
+        match *a {
+            Arg::Mem { base, postinc, off } => Some((base, postinc, off)),
             _ => None,
         }
     };
@@ -735,13 +1007,7 @@ fn build_instr(
             if postinc {
                 return err(line, "lea does not support post-increment");
             }
-            let v = imm_range(
-                eval_arg(&off, line, resolve)?,
-                -32768,
-                32767,
-                line,
-                "lea offset",
-            )?;
+            let v = imm_range(eval(off, line, resolve)?, -32768, 32767, line, "lea offset")?;
             Ok(Instr::Lea {
                 a: a[0].a(line)?,
                 base,
@@ -795,13 +1061,7 @@ fn build_instr(
                 line,
                 msg: "load needs a memory operand".into(),
             })?;
-            let offv = imm_range(
-                eval_arg(&off, line, resolve)?,
-                -512,
-                511,
-                line,
-                "load offset",
-            )?;
+            let offv = imm_range(eval(off, line, resolve)?, -512, 511, line, "load offset")?;
             if mnemonic == "ld.a" {
                 return Ok(Instr::LdA {
                     a: a[0].a(line)?,
@@ -812,7 +1072,7 @@ fn build_instr(
             }
             let d = a[0].d(line)?;
             // Short form: ld.w with a literal zero offset, no post-increment.
-            if mnemonic == "ld.w" && !postinc && literal(&off) == Some(0) {
+            if mnemonic == "ld.w" && !postinc && off == Some(Val::Imm(0)) {
                 return Ok(Instr::LdW16 { d, a: base });
             }
             let kind = match mnemonic {
@@ -836,13 +1096,7 @@ fn build_instr(
                 line,
                 msg: "store needs a memory operand first".into(),
             })?;
-            let offv = imm_range(
-                eval_arg(&off, line, resolve)?,
-                -512,
-                511,
-                line,
-                "store offset",
-            )?;
+            let offv = imm_range(eval(off, line, resolve)?, -512, 511, line, "store offset")?;
             if mnemonic == "st.a" {
                 return Ok(Instr::StA {
                     s: a[1].a(line)?,
@@ -852,7 +1106,7 @@ fn build_instr(
                 });
             }
             let s = a[1].d(line)?;
-            if mnemonic == "st.w" && !postinc && literal(&off) == Some(0) {
+            if mnemonic == "st.w" && !postinc && off == Some(Val::Imm(0)) {
                 return Ok(Instr::StW16 { a: base, s });
             }
             let kind = match mnemonic {
@@ -1178,6 +1432,57 @@ mod tests {
     fn comments_and_blank_lines_ignored() {
         let elf = assemble("# header\n.text\n  nop  # trailing\n; full line\n\n debug\n").unwrap();
         assert_eq!(decode_text(&elf).len(), 2);
+    }
+
+    #[test]
+    fn stacked_prefixes_apply_innermost_first() {
+        let src = ".data\nbuf: .word hi:lo:0x12348765, lo:hi:0x12348765, hi:hi:0x7fff8000, \
+                   lo:lo:-1, hi:lo:hi:0x89abcdef, lo:hi:buf+98304, hi:lo:buf+98304\n";
+        let elf = assemble(src).unwrap();
+        let words: Vec<u32> = elf
+            .section(".data")
+            .unwrap()
+            .data
+            .chunks(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        // On a symbol only the outermost prefix counts.
+        assert_eq!(words, [0, 0x1235, 1, 0xffff_ffff, 0, 0xffff_8000, 0xd002]);
+    }
+
+    #[test]
+    fn deeply_stacked_prefixes_do_not_overflow_the_stack() {
+        let src = format!(".data\n.word {}1\n", "hi:".repeat(200_000));
+        let elf = assemble(&src).unwrap();
+        assert_eq!(elf.section(".data").unwrap().data, [0; 4]);
+        let src = format!(".data\n.word {}%d1\n", "lo:".repeat(200_000));
+        let e = assemble(&src).unwrap_err();
+        assert_eq!(
+            (e.line, e.msg.as_str()),
+            (2, "`lo:` needs a symbol or number")
+        );
+    }
+
+    #[test]
+    fn deeply_nested_memory_operands_do_not_overflow_the_stack() {
+        let src = format!(".text\nld.w %d1, {}0\n", "[%a2]".repeat(200_000));
+        let e = assemble(&src).unwrap_err();
+        assert_eq!(
+            (e.line, e.msg.as_str()),
+            (2, "expected an immediate or symbol")
+        );
+    }
+
+    #[test]
+    fn extreme_values_wrap_instead_of_overflowing() {
+        let elf =
+            assemble(".data\nx: .word x+9223372036854775807, --9223372036854775808\n").unwrap();
+        let d = &elf.section(".data").unwrap().data;
+        assert_eq!(d[..4], 0xcfff_ffffu32.to_le_bytes());
+        assert_eq!(d[4..], [0; 4]);
+        let e = assemble(".text\nj --9223372036854775808\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("exceeds 24 bits"), "{e}");
     }
 
     #[test]

@@ -42,13 +42,46 @@ impl Workload {
     }
 }
 
+/// `label:` and then `.word` lines of eight values each, as signed
+/// decimals, written into one buffer sized up front.
 fn data_words(label: &str, values: &[u32]) -> String {
-    let mut s = format!("{label}:\n");
+    const LINE: usize = "    .word \n".len();
+    // At most "-2147483648, " per value.
+    let mut s =
+        Vec::with_capacity(label.len() + 2 + values.len().div_ceil(8) * LINE + values.len() * 13);
+    s.extend_from_slice(label.as_bytes());
+    s.extend_from_slice(b":\n");
     for chunk in values.chunks(8) {
-        let list: Vec<String> = chunk.iter().map(|v| format!("{}", *v as i32)).collect();
-        let _ = writeln!(s, "    .word {}", list.join(", "));
+        s.extend_from_slice(b"    .word ");
+        for (i, &v) in chunk.iter().enumerate() {
+            if i > 0 {
+                s.extend_from_slice(b", ");
+            }
+            push_decimal(&mut s, v as i32);
+        }
+        s.push(b'\n');
     }
-    s
+    String::from_utf8(s).expect("labels and decimals are UTF-8")
+}
+
+/// Appends `v` in decimal, as `{}` would format it.
+fn push_decimal(s: &mut Vec<u8>, v: i32) {
+    let mut digits = [0u8; 11];
+    let mut i = digits.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        i -= 1;
+        digits[i] = b'-';
+    }
+    s.extend_from_slice(&digits[i..]);
 }
 
 /// `gcd` — subtraction-based greatest common divisor over `pairs` random
