@@ -339,11 +339,6 @@ impl DebugSession {
     /// steppable translation), and the basic-block-oriented twin is
     /// translated alongside for inspection.
     ///
-    /// Observers registered on the builder do not fire here: the
-    /// lockstep driver steps the engine directly and never calls the
-    /// session's observer-aware `run`. Debug-time tracing hangs off
-    /// breakpoints and [`DebugSession::step`] instead.
-    ///
     /// # Errors
     ///
     /// Propagates build failures; [`DebugError::BadBackend`] if the

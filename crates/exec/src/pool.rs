@@ -1,5 +1,5 @@
-//! The fixed work-stealing thread pool epoch scheduling runs on, and
-//! the pool executor of the epoch-round engine.
+//! The fixed thread pool epoch scheduling runs on, with one FIFO job
+//! queue, and the pool executor of the epoch-round engine.
 //!
 //! The paper's prototyping platform runs *one* session; a fleet service
 //! runs hundreds. [`FleetPool`] gives them a fixed worker population:
@@ -17,12 +17,10 @@
 //! both executors are bit-identical whenever shards touch no shared
 //! mutable state inside an epoch.
 //!
-//! Stealing discipline: every worker owns a deque and pops its own work
-//! LIFO (a worker that just finished a shard round keeps the cache-hot
-//! session); idle workers steal FIFO from the external injector queue
-//! and then from their peers, oldest item first — so one long-running
-//! session cannot starve the rest of the fleet. Jobs a worker spawns
-//! land on its own deque; external spawns land on the injector.
+//! One queue: every job, whether the caller or a running job spawned
+//! it, joins the back of a single FIFO queue, and idle workers take
+//! from its front — so jobs start in the order they were spawned, and
+//! one long-running session cannot starve the rest of the fleet.
 
 use crate::{
     commits_boundary_halts, plan_shard_round, run_shard_to_deadline, EpochPlan, ExecutionEngine,
@@ -31,15 +29,15 @@ use crate::{
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Locks a pool-internal mutex, recovering from poison. The pool's
-/// shared state (job deques, the wake generation, latch counters) is
-/// a plain collection of values with no multi-step invariants, so the
-/// state behind a poisoned lock is still coherent — a panicking *job*
-/// must not take the whole worker population down with it.
+/// shared state (the job queue, latch counters) is a plain collection
+/// of values with no multi-step invariants, so the state behind a
+/// poisoned lock is still coherent — a panicking *job* must not take
+/// the whole worker population down with it.
 fn lock_ok<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -48,94 +46,54 @@ fn lock_ok<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// bookkeeping step, …).
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
-thread_local! {
-    /// The pool this thread is a worker of, if any — lets jobs spawned
-    /// from inside a worker land on the worker's own deque (stolen only
-    /// when a peer goes idle).
-    static WORKER: std::cell::RefCell<Option<(Weak<PoolCore>, usize)>> =
-        const { std::cell::RefCell::new(None) };
+/// The job queue and the shutdown flag, guarded together.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
-/// Shared state of a [`FleetPool`]: the deques, the sleep gate and the
-/// shutdown flag. Jobs hold an `Arc` of this so they can schedule
-/// follow-up work (the event-driven epoch schedulers reschedule a
-/// session's next round from the job that completed its last).
+/// Shared state of a [`FleetPool`]: one queue and the condition
+/// variable idle workers sleep on. Jobs hold an `Arc` of this so they
+/// can schedule follow-up work (the event-driven epoch schedulers
+/// reschedule a session's next round from the job that completed its
+/// last).
 pub(crate) struct PoolCore {
-    /// One deque per worker, then the injector queue last.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Guards sleeping: pushes bump the generation under this lock, so
-    /// a worker that re-checks the queues under it cannot miss a wake.
-    gate: Mutex<u64>,
+    queue: Mutex<Queue>,
     wake: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl PoolCore {
-    /// Enqueues a job: onto the current worker's own deque when called
-    /// from inside this pool, onto the injector otherwise.
-    pub(crate) fn push(self: &Arc<Self>, job: Job) {
-        let slot = WORKER.with(|w| {
-            w.borrow()
-                .as_ref()
-                .and_then(|(core, id)| (Weak::as_ptr(core) == Arc::as_ptr(self)).then_some(*id))
-        });
-        let q = slot.unwrap_or(self.queues.len() - 1);
-        lock_ok(&self.queues[q]).push_back(job);
-        let mut generation = lock_ok(&self.gate);
-        *generation += 1;
-        drop(generation);
-        self.wake.notify_all();
+    /// Appends a job to the queue and wakes one idle worker.
+    pub(crate) fn push(&self, job: Job) {
+        lock_ok(&self.queue).jobs.push_back(job);
+        self.wake.notify_one();
     }
 
-    /// Own deque LIFO, then injector and peers FIFO.
-    fn grab(&self, id: usize) -> Option<Job> {
-        if let Some(job) = lock_ok(&self.queues[id]).pop_back() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        // Start at the injector (index n-1), then sweep the peers.
-        for step in 0..n {
-            let q = (n - 1 + step) % n;
-            if q == id {
-                continue;
-            }
-            if let Some(job) = lock_ok(&self.queues[q]).pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn has_work(&self) -> bool {
-        self.queues.iter().any(|q| !lock_ok(q).is_empty())
-    }
-
-    fn worker(self: Arc<Self>, id: usize) {
-        WORKER.with(|w| *w.borrow_mut() = Some((Arc::downgrade(&self), id)));
+    /// Runs jobs in queue order until the pool shuts down and the
+    /// queue is empty.
+    fn worker(&self) {
         loop {
-            if let Some(job) = self.grab(id) {
-                // A panicking job must not kill the worker: the pool
-                // would silently lose capacity (and, once every worker
-                // died, deadlock the latch-waiting coordinator). The
-                // session the job belonged to reports the failure
-                // through its own outcome slot; the worker moves on.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                continue;
-            }
-            let generation = lock_ok(&self.gate);
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            // Re-check under the gate: a push between `grab` and the
-            // lock bumped the generation and must not be slept through.
-            if self.has_work() {
-                continue;
-            }
-            drop(
-                self.wake
-                    .wait(generation)
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
+            let job = {
+                let mut queue = lock_ok(&self.queue);
+                loop {
+                    if let Some(job) = queue.jobs.pop_front() {
+                        break job;
+                    }
+                    if queue.shutdown {
+                        return;
+                    }
+                    queue = self
+                        .wake
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            // A panicking job must not kill the worker: the pool would
+            // silently lose capacity (and, once every worker died,
+            // deadlock the latch-waiting coordinator). The session the
+            // job belonged to reports the failure through its own
+            // outcome slot; the worker moves on.
+            let _ = catch_unwind(AssertUnwindSafe(job));
         }
     }
 }
@@ -143,7 +101,7 @@ impl PoolCore {
 /// A fixed pool of worker threads executing epoch-scheduling work items.
 ///
 /// Dropping the pool shuts it down: workers finish the jobs already
-/// queued, then exit and are joined. [`FleetPool::spawn`] is the raw
+/// queued (and any those jobs spawn), then exit and are joined. [`FleetPool::spawn`] is the raw
 /// entry; the pool executor [`spawn_epochs_pooled`] is the intended
 /// client.
 pub struct FleetPool {
@@ -161,22 +119,22 @@ impl FleetPool {
     pub fn new(workers: usize) -> FleetPool {
         let workers = workers.max(1);
         let core = Arc::new(PoolCore {
-            queues: (0..=workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(0),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
         // A host refusing threads mid-loop degrades the pool to the
-        // workers it did get — queues of spawn-failed slots are still
-        // drained by the survivors via stealing. Only a host that
-        // grants *no* threads at all is unrecoverable: every spawn()
-        // would queue work nobody runs, so fail loudly up front.
+        // workers it did get, which share the one queue. Only a host
+        // that grants *no* threads at all is unrecoverable: every
+        // spawn() would queue work nobody runs, so fail loudly up front.
         let handles: Vec<_> = (0..workers)
             .filter_map(|id| {
                 let core = Arc::clone(&core);
                 thread::Builder::new()
                     .name(format!("fleet-worker-{id}"))
-                    .spawn(move || core.worker(id))
+                    .spawn(move || core.worker())
                     .ok()
             })
             .collect();
@@ -211,11 +169,7 @@ impl FleetPool {
 
 impl Drop for FleetPool {
     fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        {
-            let mut generation = lock_ok(&self.core.gate);
-            *generation += 1;
-        }
+        lock_ok(&self.core.queue).shutdown = true;
         self.core.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -524,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn jobs_spawned_from_workers_run_and_steal_across_workers() {
+    fn jobs_spawned_from_workers_run() {
         // A chain of follow-up jobs spawned from inside worker threads —
         // the shape of the event-driven epoch scheduler.
         let pool = FleetPool::new(3);
@@ -540,6 +494,19 @@ mod tests {
         }
         step(core, Arc::clone(&latch), 64);
         latch.wait();
+    }
+
+    #[test]
+    fn one_worker_runs_jobs_in_spawn_order() {
+        let order = Arc::new(Mutex::new(Vec::new()));
+        {
+            let pool = FleetPool::new(1);
+            for i in 0..32 {
+                let order = Arc::clone(&order);
+                pool.spawn(move || lock_ok(&order).push(i));
+            }
+        }
+        assert_eq!(*lock_ok(&order), (0..32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -569,20 +536,25 @@ mod tests {
 
     #[test]
     fn drop_finishes_queued_work() {
+        // The pool drops as soon as the jobs are queued: shutdown must
+        // drain the queue, including jobs the queued jobs spawn.
         let hits = Arc::new(AtomicUsize::new(0));
-        let latch = Arc::new(Latch::new(8));
         {
             let pool = FleetPool::new(2);
+            let core = pool.core();
             for _ in 0..8 {
-                let (hits, latch) = (Arc::clone(&hits), Arc::clone(&latch));
+                let (hits, core) = (Arc::clone(&hits), Arc::clone(&core));
                 pool.spawn(move || {
+                    thread::sleep(std::time::Duration::from_millis(1));
                     hits.fetch_add(1, Ordering::Relaxed);
-                    latch.count_down();
+                    let hits = Arc::clone(&hits);
+                    core.push(Box::new(move || {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    }));
                 });
             }
-            latch.wait();
         }
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
+        assert_eq!(hits.load(Ordering::Relaxed), 16);
     }
 
     /// A toy shard for schedule-parity tests: each unit costs `cost`

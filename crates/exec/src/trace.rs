@@ -297,6 +297,105 @@ impl TraceProfile {
     }
 }
 
+impl TracePlan {
+    /// Serializes the plan (a formed trace, carried by its engine's
+    /// snapshot so a restored engine can compile it again).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::new(out);
+        w.u64(self.blocks.len() as u64);
+        for &b in &self.blocks {
+            w.u32(b);
+        }
+        w.u64(self.via_taken.len() as u64);
+        for &t in &self.via_taken {
+            w.bool(t);
+        }
+        w.bool(self.loop_back);
+        w.bool(self.loop_via_taken);
+    }
+
+    /// Decodes a [`TracePlan::encode_into`] image.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on truncated or corrupt input.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let n = r.count("trace plan blocks", 4)?;
+        let blocks = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
+        let n = r.count("trace plan seams", 1)?;
+        let via_taken = (0..n).map(|_| r.bool()).collect::<Result<_, _>>()?;
+        Ok(TracePlan {
+            blocks,
+            via_taken,
+            loop_back: r.bool()?,
+            loop_via_taken: r.bool()?,
+        })
+    }
+
+    /// Checks that a decoded plan is one [`grow`] could have produced on
+    /// `map` from head block `head`: it starts at `head`, names at most
+    /// [`MAX_TRACE_BLOCKS`] distinct in-range blocks (two or more unless
+    /// it loops), has one seam flag per seam, and each seam and the loop
+    /// edge is the fall or taken edge its flag names.
+    ///
+    /// # Errors
+    ///
+    /// The [`CodecError`] of the first property that fails.
+    pub fn check(&self, map: &BlockMap, head: u32) -> Result<(), CodecError> {
+        let n = self.blocks.len();
+        if self.blocks.first() != Some(&head) {
+            return Err(CodecError::BadIndex {
+                what: "trace plan head block",
+                index: self.blocks.first().map_or(u64::MAX, |&b| u64::from(b)),
+            });
+        }
+        if n > MAX_TRACE_BLOCKS as usize || (n < 2 && !self.loop_back) {
+            return Err(CodecError::BadLength {
+                what: "trace plan blocks",
+                len: n as u64,
+            });
+        }
+        expect_len("trace plan seams", self.via_taken.len(), n - 1)?;
+        for (i, &b) in self.blocks.iter().enumerate() {
+            if b as usize >= map.len() {
+                return Err(CodecError::BadIndex {
+                    what: "trace plan block",
+                    index: u64::from(b),
+                });
+            }
+            if self.blocks[..i].contains(&b) {
+                return Err(CodecError::BadValue {
+                    what: "repeated trace plan block",
+                    value: u64::from(b),
+                });
+            }
+        }
+        let edge = |b: u32, taken: bool| {
+            let span = &map.blocks[b as usize];
+            if taken {
+                span.taken
+            } else {
+                span.fall
+            }
+        };
+        let mut seams = self.blocks.windows(2).zip(&self.via_taken);
+        if let Some(i) = seams.position(|(w, &t)| edge(w[0], t) != w[1]) {
+            return Err(CodecError::BadValue {
+                what: "trace plan seam off its block's edges",
+                value: i as u64,
+            });
+        }
+        let closes = edge(self.blocks[n - 1], self.loop_via_taken) == head;
+        if (self.loop_back && !closes) || (!self.loop_back && self.loop_via_taken) {
+            return Err(CodecError::BadValue {
+                what: "trace plan loop edge",
+                value: u64::from(self.loop_via_taken),
+            });
+        }
+        Ok(())
+    }
+}
+
 impl TraceStats {
     /// Serializes the formation/coverage counters.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -430,6 +529,31 @@ mod tests {
         let plan = grow(&map, &p, 0).expect("chain forms");
         assert_eq!(plan.blocks.len(), MAX_TRACE_BLOCKS as usize);
         assert!(!plan.loop_back);
+    }
+
+    #[test]
+    fn grown_plans_round_trip_and_pass_the_check() {
+        let map = loopy_map();
+        let cfg = cfg();
+        let mut p = TraceProfile::new(map.len(), &cfg);
+        for _ in 0..8 {
+            p.record_exec(1, cfg.hot_threshold);
+            p.record_taken(1);
+        }
+        let plan = grow(&map, &p, 1).expect("loop trace forms");
+        let mut bytes = Vec::new();
+        plan.encode_into(&mut bytes);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(TracePlan::decode(&mut r), Ok(plan.clone()));
+        assert_eq!(plan.check(&map, 1), Ok(()));
+        // Filed under another head, or closing the loop along the
+        // fall edge, it is not a plan growth could produce.
+        assert!(plan.check(&map, 0).is_err());
+        let fall_loop = TracePlan {
+            loop_via_taken: false,
+            ..plan
+        };
+        assert!(fall_loop.check(&map, 1).is_err());
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 use cabt_exec::Limit;
 use cabt_fleet::{run_one, FleetPool, FleetRequest, FleetResult};
+use cabt_sim::analyze::json_str;
 use cabt_sim::{Backend, Session};
 use std::error::Error;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -322,24 +323,6 @@ fn stop_name(stop: cabt_exec::StopCause) -> &'static str {
         cabt_exec::StopCause::Halted => "halted",
         cabt_exec::StopCause::LimitReached => "limit-reached",
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn hex_encode(bytes: &[u8]) -> String {

@@ -4,8 +4,8 @@
 //! one vehicle, one run. This crate turns it into a service. Three
 //! pieces:
 //!
-//! * **[`FleetPool`]** — a fixed work-stealing thread pool. Epoch
-//!   rounds are work items, so M concurrent sessions × N shards
+//! * **[`FleetPool`]** — a fixed thread pool over one FIFO job queue.
+//!   Epoch rounds are work items, so M concurrent sessions × N shards
 //!   multiplex onto a bounded worker population.
 //! * **The batch driver** ([`run_fleet`]) — builds every request as a
 //!   [`Session`] with [`SimBuilder`] and hands it

@@ -5,9 +5,8 @@
 //! analysis over a workload before any backend executes it.
 //!
 //! Three consumers sit on top of this module: the `cabt-analyze`
-//! binary, [`SimBuilder::analyze`](crate::SimBuilder::analyze) /
-//! the opt-in pre-flight lint gate on session construction, and the
-//! `analyze` verb of `fleet-server`.
+//! binary, [`SimBuilder::analyze`](crate::SimBuilder::analyze), and
+//! the `analyze` verb of `fleet-server`.
 
 use cabt_exec::analyze::{analyze_program, MemMap};
 use cabt_isa::elf::{ElfFile, SectionKind};
@@ -135,7 +134,8 @@ pub fn report_json(target: &str, report: &AnalysisReport) -> String {
     )
 }
 
-/// Minimal JSON string quoting (mirrors the fleet-server encoder).
+/// Minimal JSON string quoting: the one encoder of the analyzer's
+/// reports and the fleet-server's reply rows.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

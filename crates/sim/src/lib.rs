@@ -33,11 +33,9 @@
 //! sharded multi-core) means adding one [`Backend`] variant, not
 //! another bespoke constructor.
 //!
-//! Observers ([`SimBuilder::on_epoch`], [`SimBuilder::on_stop`]) hook
-//! tracing and statistics collection into [`Session::run`] without
-//! touching the hot loop: epoch observers fire between bounded bursts
-//! (every [`SimBuilder::epoch`] engine cycles), stop observers fire
-//! once per completed `run`.
+//! Progress tracing needs no hook: run in slices
+//! (`session.run_until(Limit::Cycles(session.cycle() + n))`) and read
+//! the session between them.
 
 pub mod analyze;
 
@@ -410,9 +408,6 @@ pub enum SessionError {
     /// The session's ELF image failed to (re-)serialize or parse
     /// while building or resuming a park image.
     Elf(IsaError),
-    /// The pre-flight lint gate ([`SimBuilder::strict_lint`]) found
-    /// static-analysis findings; each entry is one finding message.
-    Lint(Vec<String>),
     /// A session service (the fleet scheduler) failed outside the
     /// simulation itself — e.g. a worker died before recording a
     /// unit's outcome. The run is lost but the service keeps going.
@@ -432,12 +427,6 @@ impl fmt::Display for SessionError {
             SessionError::ParseBackend(s) => write!(f, "unknown backend descriptor `{s}`"),
             SessionError::Codec(e) => write!(f, "park image does not decode: {e}"),
             SessionError::Elf(e) => write!(f, "ELF image error: {e}"),
-            SessionError::Lint(findings) => write!(
-                f,
-                "static analysis found {} issue(s): {}",
-                findings.len(),
-                findings.join("; ")
-            ),
             SessionError::Service(msg) => write!(f, "session service failure: {msg}"),
         }
     }
@@ -504,12 +493,12 @@ enum SourceSpec {
     Named(String),
 }
 
-/// The build-time knobs a session retains so it can describe itself —
-/// the configuration half of the park envelope, enough to rebuild an
-/// identical vehicle in another process. Runtime-only builder state
-/// (observers, an externally owned bus) is deliberately absent: a
-/// resumed session owns a private device population whose *state* comes
-/// from the snapshot payload.
+/// The build-time knobs a builder sets and a session retains so it can
+/// describe itself — the configuration half of the park envelope,
+/// enough to rebuild an identical vehicle in another process. An
+/// externally owned bus is deliberately absent: a resumed session owns
+/// a private device population whose *state* comes from the snapshot
+/// payload.
 #[derive(Debug, Clone, Copy)]
 struct BuildConfig {
     platform: PlatformConfig,
@@ -599,59 +588,21 @@ impl BuildConfig {
     }
 }
 
-/// Everything observers receive: uniform counters plus position, taken
-/// at the moment the event fires. Engine cycles are `stats.cycles`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Why the observer fired.
-    pub kind: EventKind,
-    /// Uniform engine counters.
-    pub stats: EngineStats,
-    /// Address of the next unit to dispatch, if known.
-    pub pc: Option<u32>,
-}
-
-/// Observer trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// An epoch boundary inside [`Session::run`].
-    Epoch,
-    /// [`Session::run`] returned with this cause.
-    Stop(StopCause),
-}
-
-// Observers are `Send` so whole sessions are: a shard of a parallel
-// sharded session runs on a worker thread, and `Session` itself is the
-// shard type.
-type ObserverFn = Box<dyn FnMut(&Event) + Send>;
-
-/// Default epoch length between epoch-observer firings, in the units
-/// of the limit passed to [`Session::run`] (see [`SimBuilder::epoch`]).
-pub const DEFAULT_EPOCH: u64 = 4096;
-
 /// Builder for a [`Session`]: workload × [`Backend`] × configuration.
 ///
 /// See the crate docs for the canonical loop over backends.
 pub struct SimBuilder {
     source: SourceSpec,
     backend: Backend,
-    platform: PlatformConfig,
-    granularity: Granularity,
-    epoch: u64,
-    shard_epoch: Option<u64>,
-    trace_config: Option<TraceConfig>,
+    config: BuildConfig,
     soc_bus: Option<SharedSocBus>,
-    strict_lint: bool,
-    on_epoch: Vec<ObserverFn>,
-    on_stop: Vec<ObserverFn>,
 }
 
 impl fmt::Debug for SimBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimBuilder")
             .field("backend", &self.backend)
-            .field("granularity", &self.granularity)
-            .field("epoch", &self.epoch)
+            .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
@@ -661,19 +612,17 @@ impl SimBuilder {
         SimBuilder {
             source,
             backend: Backend::default(),
-            // Pure code speed by default: the synchronization device
-            // generates instantly and wait never stalls. Pass
-            // `PlatformConfig::default()` for the paper's 200/48 MHz
-            // clock ratio.
-            platform: PlatformConfig::unlimited(),
-            granularity: Granularity::default(),
-            epoch: DEFAULT_EPOCH,
-            shard_epoch: None,
-            trace_config: None,
+            config: BuildConfig {
+                // Pure code speed by default: the synchronization
+                // device generates instantly and wait never stalls.
+                // Pass `PlatformConfig::default()` for the paper's
+                // 200/48 MHz clock ratio.
+                platform: PlatformConfig::unlimited(),
+                granularity: Granularity::default(),
+                shard_epoch: None,
+                trace_config: None,
+            },
             soc_bus: None,
-            strict_lint: false,
-            on_epoch: Vec::new(),
-            on_stop: Vec::new(),
         }
     }
 
@@ -716,7 +665,7 @@ impl SimBuilder {
     /// (ignored by the other backends). Defaults to
     /// [`PlatformConfig::unlimited`].
     pub fn platform(mut self, cfg: PlatformConfig) -> Self {
-        self.platform = cfg;
+        self.config.platform = cfg;
         self
     }
 
@@ -724,7 +673,7 @@ impl SimBuilder {
     /// sessions (per basic block by default; per instruction is the
     /// debugger's single-steppable image).
     pub fn granularity(mut self, granularity: Granularity) -> Self {
-        self.granularity = granularity;
+        self.config.granularity = granularity;
         self
     }
 
@@ -753,17 +702,7 @@ impl SimBuilder {
     /// but never profile. Defaults to
     /// [`cabt_exec::trace::TraceConfig::default`].
     pub fn trace_config(mut self, cfg: TraceConfig) -> Self {
-        self.trace_config = Some(cfg);
-        self
-    }
-
-    /// Epoch length between epoch-observer firings inside
-    /// [`Session::run`], in the units of the limit `run` is given —
-    /// engine cycles under [`Limit::Cycles`], retirements under
-    /// [`Limit::Retirements`] (default [`DEFAULT_EPOCH`]; clamped to
-    /// ≥ 1).
-    pub fn epoch(mut self, units: u64) -> Self {
-        self.epoch = units.max(1);
+        self.config.trace_config = Some(cfg);
         self
     }
 
@@ -777,38 +716,12 @@ impl SimBuilder {
     /// only as its round length when handed to a pool
     /// ([`Session::spawn_on`]). Clamped to ≥ 1.
     pub fn shard_epoch(mut self, target_cycles: u64) -> Self {
-        self.shard_epoch = Some(target_cycles.max(1));
-        self
-    }
-
-    /// Registers an observer fired at every epoch boundary of
-    /// [`Session::run`] — the tracing/stats-collection hook.
-    pub fn on_epoch(mut self, f: impl FnMut(&Event) + Send + 'static) -> Self {
-        self.on_epoch.push(Box::new(f));
-        self
-    }
-
-    /// Registers an observer fired once per completed
-    /// [`Session::run`], with the final counters and stop cause.
-    pub fn on_stop(mut self, f: impl FnMut(&Event) + Send + 'static) -> Self {
-        self.on_stop.push(Box::new(f));
-        self
-    }
-
-    /// Enables the pre-flight lint gate: [`SimBuilder::build`] runs
-    /// the full static-analysis pass ([`analyze::analyze_elf`]) over
-    /// the resolved image first and refuses to construct a vehicle for
-    /// a program with findings ([`SessionError::Lint`]). Off by
-    /// default — the bundled workloads all pass, but unvetted guest
-    /// programs may trip the conservative analyses.
-    pub fn strict_lint(mut self, enabled: bool) -> Self {
-        self.strict_lint = enabled;
+        self.config.shard_epoch = Some(target_cycles.max(1));
         self
     }
 
     /// Resolves the workload to an ELF image and runs the full
-    /// static-analysis pass over it, without building a vehicle — the
-    /// report-only face of the lint gate.
+    /// static-analysis pass over it, without building a vehicle.
     ///
     /// # Errors
     ///
@@ -837,126 +750,27 @@ impl SimBuilder {
     /// Assembly, lookup, translation and engine construction failures.
     pub fn build(self) -> Result<Session, SessionError> {
         let elf = Self::resolve(self.source)?;
-        if self.strict_lint {
-            let report = analyze::analyze_elf(&elf)?;
-            if !report.is_clean() {
-                // A skipped report has no findings but proves nothing;
-                // under the strict gate that is a refusal, not a pass.
-                let msgs = if let Some(reason) = report.skipped {
-                    vec![format!("analysis skipped: {reason}")]
-                } else {
-                    report.findings.iter().map(|f| f.message.clone()).collect()
-                };
-                return Err(SessionError::Lint(msgs));
-            }
-        }
-        let config = BuildConfig {
-            platform: self.platform,
-            granularity: self.granularity,
-            shard_epoch: self.shard_epoch,
-            trace_config: self.trace_config,
-        };
-        let vehicle = Self::build_vehicle(
-            &elf,
-            self.backend,
-            self.platform,
-            self.granularity,
-            self.soc_bus,
-            self.shard_epoch,
-            self.trace_config,
-        )?;
-        Ok(Session {
-            vehicle,
-            elf,
-            backend: self.backend,
-            config,
-            epoch: self.epoch,
-            on_epoch: self.on_epoch,
-            on_stop: self.on_stop,
-        })
+        Session::new(elf, self.backend, self.config, self.soc_bus)
     }
+}
 
-    /// Constructs the vehicle for `backend` around an assembled image.
-    fn build_vehicle(
-        elf: &ElfFile,
-        backend: Backend,
-        platform_cfg: PlatformConfig,
-        granularity: Granularity,
-        soc_bus: Option<SharedSocBus>,
-        shard_epoch: Option<u64>,
-        trace_config: Option<TraceConfig>,
-    ) -> Result<Vehicle, SessionError> {
-        Ok(match backend {
-            Backend::Golden { dispatch } => {
-                let mut sim = Simulator::new(elf)?;
-                if let Some(cfg) = trace_config {
-                    sim.set_trace_config(cfg);
-                }
-                sim.set_dispatch(dispatch);
-                if let Some(bus) = &soc_bus {
-                    sim.set_io_device(Box::new(GoldenBridge::new(bus.clone())));
-                }
-                Vehicle::Golden {
-                    sim: Box::new(sim),
-                    bus: soc_bus,
-                }
-            }
-            Backend::Translated { level, dispatch } => {
-                let image = Translator::new(level)
-                    .with_granularity(granularity)
-                    .translate(elf)?;
-                let mut platform = match &soc_bus {
-                    Some(bus) => Platform::with_shared_bus(&image, platform_cfg, bus.clone())?,
-                    None => Platform::new(&image, platform_cfg)?,
-                };
-                if let Some(cfg) = trace_config {
-                    platform.set_trace_config(cfg);
-                }
-                platform.set_dispatch(dispatch);
-                Vehicle::Translated {
-                    platform: Box::new(platform),
-                    image: Box::new(image),
-                    cfg: platform_cfg,
-                    dispatch,
-                    trace_config,
-                    shared: soc_bus,
-                }
-            }
-            Backend::Rtl => Vehicle::Rtl(Box::new(RtlCore::new(elf)?)),
-            Backend::Sharded {
-                cores,
-                backend,
-                schedule,
-            } => {
-                if cores == 0 {
-                    return Err(SessionError::ShardConfig(
-                        "a sharded backend needs at least one core".into(),
-                    ));
-                }
-                if cores > MAX_SHARDS {
-                    return Err(SessionError::ShardConfig(format!(
-                        "{cores} cores exceed the fabric's ceiling of {MAX_SHARDS}"
-                    )));
-                }
-                if soc_bus.is_some() {
-                    return Err(SessionError::ShardConfig(
-                        "sharded sessions own their device fabric; `soc_bus` is not accepted"
-                            .into(),
-                    ));
-                }
-                Vehicle::Sharded(Box::new(ShardSet::build(
-                    elf,
-                    cores,
-                    backend,
-                    schedule,
-                    platform_cfg,
-                    granularity,
-                    shard_epoch,
-                    trace_config,
-                )?))
-            }
-        })
+/// A translated vehicle's platform around `image`: on `bus` when one is
+/// given, else on the platform's own device population.
+fn build_platform(
+    image: &Translated,
+    config: &BuildConfig,
+    dispatch: VliwDispatch,
+    bus: Option<SharedSocBus>,
+) -> Result<Platform, SessionError> {
+    let mut platform = match bus {
+        Some(bus) => Platform::with_shared_bus(image, config.platform, bus)?,
+        None => Platform::new(image, config.platform)?,
+    };
+    if let Some(cfg) = config.trace_config {
+        platform.set_trace_config(cfg);
     }
+    platform.set_dispatch(dispatch);
+    Ok(platform)
 }
 
 /// The vehicle actually driven by a session. Engines are boxed: they
@@ -972,13 +786,9 @@ enum Vehicle {
     Translated {
         platform: Box<Platform>,
         /// Retained so [`Session::reset`] can rebuild the whole
-        /// platform (engine *and* devices) from the same image.
+        /// platform (engine *and* devices) from the same image, under
+        /// the session's own configuration and dispatch core.
         image: Box<Translated>,
-        cfg: PlatformConfig,
-        dispatch: VliwDispatch,
-        /// Trace-tier knobs the session was built with, re-applied by
-        /// [`Session::reset`]'s platform rebuild.
-        trace_config: Option<TraceConfig>,
         /// Externally owned bus the platform was built around, if any:
         /// reset reattaches it instead of minting fresh devices.
         shared: Option<SharedSocBus>,
@@ -1187,8 +997,9 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// last barrier follows the current one. v4 dropped fields that carried
 /// nothing: the trace configuration's length cap and taken-edge flag,
 /// the memory images' access counters and the golden statistics' exit
-/// flag.
-pub const PARK_VERSION: u16 = 4;
+/// flag. v5 carries each formed golden trace's plan in place of its
+/// formed flag, so a resumed trace tier dispatches the donor's traces.
+pub const PARK_VERSION: u16 = 5;
 
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1263,16 +1074,12 @@ struct ShardSet {
 }
 
 impl ShardSet {
-    #[allow(clippy::too_many_arguments)]
     fn build(
         elf: &ElfFile,
         cores: u16,
         backend: ShardBackend,
         schedule: ShardSchedule,
-        platform_cfg: PlatformConfig,
-        granularity: Granularity,
-        shard_epoch: Option<u64>,
-        trace_config: Option<TraceConfig>,
+        config: &BuildConfig,
     ) -> Result<ShardSet, SessionError> {
         // One private device population per shard — each with its own
         // CoreLink identity (core-id register, doorbell window) — plus
@@ -1295,9 +1102,9 @@ impl ShardSet {
         // One SyncRate epoch of target cycles when the configuration
         // bounds one, else the fallback granularity; an explicit
         // builder override wins.
-        let epoch = shard_epoch.unwrap_or(match backend {
+        let epoch = config.shard_epoch.unwrap_or(match backend {
             ShardBackend::Translated { .. } => {
-                let e = platform_cfg.epoch_target_cycles();
+                let e = config.platform.epoch_target_cycles();
                 if e == u64::MAX {
                     SHARD_EPOCH_CYCLES
                 } else {
@@ -1306,36 +1113,17 @@ impl ShardSet {
             }
             _ => SHARD_EPOCH_CYCLES,
         });
+        // Shards describe themselves as single-core sessions: no round
+        // length of their own.
+        let shard_config = BuildConfig {
+            shard_epoch: None,
+            ..*config
+        };
         let mut shards = Vec::with_capacity(cores as usize);
-        for id in 0..cores {
-            let vehicle = SimBuilder::build_vehicle(
-                elf,
-                backend.into(),
-                platform_cfg,
-                granularity,
-                // RTL shards have no I/O window; the builder ignores
-                // the bus for them.
-                match backend {
-                    ShardBackend::Rtl => None,
-                    _ => Some(buses[usize::from(id)].clone()),
-                },
-                None,
-                trace_config,
-            )?;
-            let mut shard = Session {
-                vehicle,
-                elf: elf.clone(),
-                backend: backend.into(),
-                config: BuildConfig {
-                    platform: platform_cfg,
-                    granularity,
-                    shard_epoch: None,
-                    trace_config,
-                },
-                epoch: DEFAULT_EPOCH,
-                on_epoch: Vec::new(),
-                on_stop: Vec::new(),
-            };
+        for (id, bus) in (0..cores).zip(buses) {
+            // RTL shards have no I/O window.
+            let bus = (backend != ShardBackend::Rtl).then_some(bus);
+            let mut shard = Session::new(elf.clone(), backend.into(), shard_config, bus)?;
             shard.write_d(15, u32::from(id));
             shards.push(shard);
         }
@@ -1465,11 +1253,9 @@ pub struct Session {
     elf: ElfFile,
     backend: Backend,
     /// Build-time knobs, retained so [`Session::park`] can emit a
-    /// self-describing envelope.
+    /// self-describing envelope and [`Session::reset`] can rebuild a
+    /// platform.
     config: BuildConfig,
-    epoch: u64,
-    on_epoch: Vec<ObserverFn>,
-    on_stop: Vec<ObserverFn>,
 }
 
 impl fmt::Debug for Session {
@@ -1483,6 +1269,75 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
+    /// Builds the vehicle for `backend` around `elf` — the one place a
+    /// session is made. `bus` routes the I/O window of a golden or
+    /// translated vehicle onto an existing device population.
+    fn new(
+        elf: ElfFile,
+        backend: Backend,
+        config: BuildConfig,
+        bus: Option<SharedSocBus>,
+    ) -> Result<Session, SessionError> {
+        let vehicle = match backend {
+            Backend::Golden { dispatch } => {
+                let mut sim = Simulator::new(&elf)?;
+                if let Some(cfg) = config.trace_config {
+                    sim.set_trace_config(cfg);
+                }
+                sim.set_dispatch(dispatch);
+                if let Some(bus) = &bus {
+                    sim.set_io_device(Box::new(GoldenBridge::new(bus.clone())));
+                }
+                Vehicle::Golden {
+                    sim: Box::new(sim),
+                    bus,
+                }
+            }
+            Backend::Translated { level, dispatch } => {
+                let image = Translator::new(level)
+                    .with_granularity(config.granularity)
+                    .translate(&elf)?;
+                Vehicle::Translated {
+                    platform: Box::new(build_platform(&image, &config, dispatch, bus.clone())?),
+                    image: Box::new(image),
+                    shared: bus,
+                }
+            }
+            Backend::Rtl => Vehicle::Rtl(Box::new(RtlCore::new(&elf)?)),
+            Backend::Sharded {
+                cores,
+                backend,
+                schedule,
+            } => {
+                if cores == 0 {
+                    return Err(SessionError::ShardConfig(
+                        "a sharded backend needs at least one core".into(),
+                    ));
+                }
+                if cores > MAX_SHARDS {
+                    return Err(SessionError::ShardConfig(format!(
+                        "{cores} cores exceed the fabric's ceiling of {MAX_SHARDS}"
+                    )));
+                }
+                if bus.is_some() {
+                    return Err(SessionError::ShardConfig(
+                        "sharded sessions own their device fabric; `soc_bus` is not accepted"
+                            .into(),
+                    ));
+                }
+                Vehicle::Sharded(Box::new(ShardSet::build(
+                    &elf, cores, backend, schedule, &config,
+                )?))
+            }
+        };
+        Ok(Session {
+            vehicle,
+            elf,
+            backend,
+            config,
+        })
+    }
+
     /// The backend this session was built with.
     pub fn backend(&self) -> Backend {
         self.backend
@@ -1508,76 +1363,22 @@ impl Session {
         self.step_unit()
     }
 
-    /// Runs until halt or `limit`, firing epoch observers between
-    /// bursts and stop observers at the end. Without observers this is
-    /// a single uninterrupted [`ExecutionEngine::run_until`].
-    ///
-    /// Unlike the raw trait call — where the budget check precedes the
-    /// halt check — a *completed run* wins here: a program that halts
-    /// exactly on the limit reports [`StopCause::Halted`], matching
-    /// [`cabt_exec::run_epochs`].
+    /// Runs until halt or `limit`: [`ExecutionEngine::run_until`], except
+    /// that a *completed run* wins — where the raw trait call checks the
+    /// budget before the halt, a program that halts exactly on the limit
+    /// reports [`StopCause::Halted`] here (and commits its architectural
+    /// state), matching [`cabt_exec::run_epochs`].
     ///
     /// # Errors
     ///
     /// Engine faults, wrapped in [`SessionError`].
     pub fn run(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
-        let stop = loop {
-            match self.run_until(self.next_chunk(limit))? {
-                StopCause::Halted => break StopCause::Halted,
-                StopCause::LimitReached => {
-                    if self.is_halted() {
-                        self.commit_arch_state();
-                        break StopCause::Halted;
-                    }
-                    let outer_met = match limit {
-                        Limit::Cycles(c) => self.cycle() >= c,
-                        Limit::Retirements(r) => self.engine_stats().retired >= r,
-                    };
-                    if outer_met {
-                        break StopCause::LimitReached;
-                    }
-                    self.emit_epoch();
-                }
-            }
-        };
-        let ev = self.event(EventKind::Stop(stop));
-        for f in &mut self.on_stop {
-            f(&ev);
+        let stop = self.run_until(limit)?;
+        if stop == StopCause::LimitReached && self.is_halted() {
+            self.commit_arch_state();
+            return Ok(StopCause::Halted);
         }
         Ok(stop)
-    }
-
-    /// The next epoch-bounded budget towards `limit`: the whole limit
-    /// when no epoch observer is registered, else one epoch further in
-    /// the limit's own units.
-    fn next_chunk(&self, limit: Limit) -> Limit {
-        if self.on_epoch.is_empty() {
-            return limit;
-        }
-        match limit {
-            Limit::Cycles(c) => Limit::Cycles(self.cycle().saturating_add(self.epoch).min(c)),
-            Limit::Retirements(r) => Limit::Retirements(
-                self.engine_stats()
-                    .retired
-                    .saturating_add(self.epoch)
-                    .min(r),
-            ),
-        }
-    }
-
-    fn event(&self, kind: EventKind) -> Event {
-        Event {
-            kind,
-            stats: self.engine_stats(),
-            pc: self.pc(),
-        }
-    }
-
-    fn emit_epoch(&mut self) {
-        let ev = self.event(EventKind::Epoch);
-        for f in &mut self.on_epoch {
-            f(&ev);
-        }
     }
 
     /// Platform counters (generated/corrected cycles, UART log) —
@@ -1636,8 +1437,7 @@ impl Session {
     /// arbiter, whatever its own schedule; a single-core session runs
     /// as a one-shard set without an arbiter, in rounds of its
     /// [`SimBuilder::shard_epoch`] (4096 cycles by default). Budgets
-    /// mean what they mean to [`ExecutionEngine::run_until`]; epoch and
-    /// stop observers do not fire.
+    /// mean what they mean to [`ExecutionEngine::run_until`].
     ///
     /// After every round's barrier exchange, `on_barrier` gets `state`
     /// and read access to the shards (the session itself when it is
@@ -1829,7 +1629,6 @@ impl Session {
     /// Sessions built around an externally owned bus
     /// ([`SimBuilder::soc_bus`]) park their device *state*; the resumed
     /// session owns a private device population restored from it.
-    /// Observers are runtime wiring, not state, and do not park.
     ///
     /// # Errors
     ///
@@ -1864,24 +1663,7 @@ impl Session {
     /// the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
         let (backend, config, elf, snapshot) = Self::decode_park(bytes)?;
-        let vehicle = SimBuilder::build_vehicle(
-            &elf,
-            backend,
-            config.platform,
-            config.granularity,
-            None,
-            config.shard_epoch,
-            config.trace_config,
-        )?;
-        let mut session = Session {
-            vehicle,
-            elf,
-            backend,
-            config,
-            epoch: DEFAULT_EPOCH,
-            on_epoch: Vec::new(),
-            on_stop: Vec::new(),
-        };
+        let mut session = Session::new(elf, backend, config, None)?;
         session.restore_checked(&snapshot)?;
         Ok(session)
     }
@@ -2085,24 +1867,7 @@ impl Session {
         // a device image that fails to decode must leave that bus as it
         // was.
         let live = bus.as_ref().map(|b| (b.clone(), b.save_state()));
-        let vehicle = SimBuilder::build_vehicle(
-            &elf,
-            backend,
-            config.platform,
-            config.granularity,
-            bus,
-            config.shard_epoch,
-            config.trace_config,
-        )?;
-        let mut shard = Session {
-            vehicle,
-            elf,
-            backend,
-            config,
-            epoch: DEFAULT_EPOCH,
-            on_epoch: Vec::new(),
-            on_stop: Vec::new(),
-        };
+        let mut shard = Session::new(elf, backend, config, bus)?;
         if let Err(e) = shard.restore_checked(&snapshot) {
             if let Some((bus, image)) = live {
                 bus.restore_state(&image)
@@ -2181,21 +1946,13 @@ impl ExecutionEngine for Session {
             Vehicle::Translated {
                 platform,
                 image,
-                cfg,
-                dispatch,
-                trace_config,
                 shared,
             } => {
-                let mut fresh = match shared {
-                    Some(bus) => Platform::with_shared_bus(image, *cfg, bus.clone()),
-                    None => Platform::new(image, *cfg),
-                }
-                .expect("rebuilding a platform that built once");
-                if let Some(tc) = trace_config {
-                    fresh.set_trace_config(*tc);
-                }
-                fresh.set_dispatch(*dispatch);
-                **platform = fresh;
+                let Backend::Translated { dispatch, .. } = self.backend else {
+                    unreachable!("a translated vehicle has a translated backend")
+                };
+                **platform = build_platform(image, &self.config, dispatch, shared.clone())
+                    .expect("rebuilding a platform that built once");
             }
             Vehicle::Rtl(core) => core.reset(),
             Vehicle::Sharded(set) => set.reset(),
@@ -2361,8 +2118,6 @@ impl ExecutionEngine for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::{Arc, Mutex};
 
     const SUM: &str = "
         .text
@@ -2577,40 +2332,6 @@ mod tests {
         );
         s.run(Limit::Cycles(10_000_000)).unwrap();
         assert_eq!(s.platform_stats().unwrap(), first);
-    }
-
-    #[test]
-    fn observers_fire_per_epoch_and_per_stop() {
-        let epochs = Arc::new(AtomicU32::new(0));
-        let stops = Arc::new(AtomicU32::new(0));
-        let last_stop = Arc::new(Mutex::new(None::<StopCause>));
-        let (e2, s2, l2) = (
-            Arc::clone(&epochs),
-            Arc::clone(&stops),
-            Arc::clone(&last_stop),
-        );
-        let mut s = SimBuilder::asm(SUM)
-            .epoch(8)
-            .on_epoch(move |ev| {
-                assert_eq!(ev.kind, EventKind::Epoch);
-                e2.fetch_add(1, Ordering::Relaxed);
-            })
-            .on_stop(move |ev| {
-                let EventKind::Stop(cause) = ev.kind else {
-                    panic!("stop observer got {:?}", ev.kind);
-                };
-                *l2.lock().unwrap() = Some(cause);
-                s2.fetch_add(1, Ordering::Relaxed);
-            })
-            .build()
-            .unwrap();
-        s.run(Limit::Cycles(1_000_000)).unwrap();
-        assert!(
-            epochs.load(Ordering::Relaxed) >= 2,
-            "small epochs must fire several times"
-        );
-        assert_eq!(stops.load(Ordering::Relaxed), 1);
-        assert_eq!(*last_stop.lock().unwrap(), Some(StopCause::Halted));
     }
 
     #[test]

@@ -265,13 +265,16 @@ pub struct SimSnapshot {
 /// architecturally invisible, but its profile counters decide *where*
 /// budgeted runs stop (trace-granular overshoot), so a replay from a
 /// snapshot must rewind them too. Compiled trace closures are not
-/// cloned: restore keeps traces that were already formed at snapshot
-/// time and drops later ones — the restored profile re-forms those at
-/// the same points, from the same (deterministic) plans.
+/// cloned; each formed trace is carried as its plan, indexed by head
+/// block. Restore keeps an engine trace whose plan matches, compiles
+/// the missing ones from their (deterministic) plans and drops later
+/// ones — the restored profile re-forms those at the same points. A
+/// resumed, adopted or reset engine thus dispatches exactly the traces
+/// the snapshotted one did.
 #[derive(Debug, Clone)]
 struct TraceTierSnap {
     profile: TraceProfile,
-    formed: Vec<bool>,
+    plans: Vec<Option<TracePlan>>,
     tstats: TraceStats,
 }
 
@@ -315,10 +318,12 @@ impl SimSnapshot {
             Some(t) => {
                 w.bool(true);
                 t.profile.encode_into(out);
-                let mut w = ByteWriter::new(out);
-                w.u64(t.formed.len() as u64);
-                for &f in &t.formed {
-                    w.bool(f);
+                ByteWriter::new(out).u64(t.plans.len() as u64);
+                for plan in &t.plans {
+                    ByteWriter::new(out).bool(plan.is_some());
+                    if let Some(plan) = plan {
+                        plan.encode_into(out);
+                    }
                 }
                 t.tstats.encode_into(out);
             }
@@ -360,14 +365,18 @@ impl SimSnapshot {
         let halted = r.bool()?;
         let trace = if r.bool()? {
             let profile = TraceProfile::decode(r)?;
-            let nformed = r.count("formed trace flags", 1)?;
-            let mut formed = Vec::with_capacity(nformed);
-            for _ in 0..nformed {
-                formed.push(r.bool()?);
+            let n = r.count("formed trace plans", 1)?;
+            let mut plans = Vec::with_capacity(n);
+            for _ in 0..n {
+                plans.push(if r.bool()? {
+                    Some(TracePlan::decode(r)?)
+                } else {
+                    None
+                });
             }
             Some(TraceTierSnap {
                 profile,
-                formed,
+                plans,
                 tstats: TraceStats::decode(r)?,
             })
         } else {
@@ -475,9 +484,9 @@ pub struct Simulator {
     /// Trace-tier state (compiled blocks, profile, formed traces,
     /// coverage counters) — built on first selection of
     /// [`DispatchMode::Trace`]. Compiled blocks and formed traces are
-    /// deterministic compilations of load-time data, so they are not
-    /// part of snapshots: whichever tier dispatches a block, the
-    /// architectural trajectory is identical.
+    /// deterministic compilations of load-time data and their plans, so
+    /// snapshots carry only the plans: whichever tier dispatches a
+    /// block, the architectural trajectory is identical.
     trace: Option<Box<TraceTier>>,
     /// Trace-tier knobs ([`Simulator::set_trace_config`]).
     trace_cfg: TraceConfig,
@@ -618,19 +627,24 @@ impl Simulator {
     /// Checks a snapshot decoded from untrusted bytes against this
     /// engine before [`ExecutionEngine::restore`]: the cached table
     /// index and the trace tier's per-block tables must fit the program
-    /// this engine was built from. A snapshot this engine took always
-    /// fits.
+    /// this engine was built from, and every formed trace's plan must be
+    /// one trace growth could have produced on its block map
+    /// ([`TracePlan::check`]). A snapshot this engine took always fits.
     ///
     /// # Errors
     ///
-    /// [`CodecError::BadIndex`] or [`CodecError::BadLength`] for the
-    /// first field that does not fit.
+    /// The [`CodecError`] of the first field that does not fit.
     pub fn check_snapshot(&self, snapshot: &SimSnapshot) -> Result<(), CodecError> {
         expect_index("golden table index", snapshot.cur, 0..self.table.len())?;
         if let (Some(tier), Some(snap)) = (&self.trace, &snapshot.trace) {
             let blocks = tier.traces.len();
             snap.profile.check_blocks(blocks)?;
-            expect_len("formed trace flags", snap.formed.len(), blocks)?;
+            expect_len("formed trace plans", snap.plans.len(), blocks)?;
+            for (head, plan) in (0..).zip(&snap.plans) {
+                if let Some(plan) = plan {
+                    plan.check(&tier.prog.map, head)?;
+                }
+            }
         }
         Ok(())
     }
@@ -1348,7 +1362,11 @@ impl ExecutionEngine for Simulator {
             halted: self.halted,
             trace: self.trace.as_ref().map(|t| TraceTierSnap {
                 profile: t.profile.clone(),
-                formed: t.traces.iter().map(Option::is_some).collect(),
+                plans: t
+                    .traces
+                    .iter()
+                    .map(|tr| tr.as_ref().map(|tr| tr.plan.clone()))
+                    .collect(),
                 tstats: t.tstats,
             }),
         }
@@ -1366,9 +1384,18 @@ impl ExecutionEngine for Simulator {
             (Some(tier), Some(snap)) => {
                 tier.profile = snap.profile.clone();
                 tier.tstats = snap.tstats;
-                for (tr, &formed) in tier.traces.iter_mut().zip(&snap.formed) {
-                    if !formed {
-                        *tr = None;
+                for (tr, plan) in tier.traces.iter_mut().zip(&snap.plans) {
+                    match plan {
+                        None => *tr = None,
+                        Some(plan) if tr.as_ref().is_some_and(|t| t.plan == *plan) => {}
+                        Some(plan) => {
+                            *tr = Some(compiled::compile_trace(
+                                &self.table,
+                                &tier.prog.map,
+                                plan,
+                                self.cache_cfg.line_bytes,
+                            ));
+                        }
                     }
                 }
             }

@@ -1,5 +1,6 @@
 //! The fleet service: a batch of concurrent sessions as epoch-sized
-//! work items on a fixed work-stealing pool, plus portable park/resume.
+//! work items on a fixed pool with one FIFO job queue, plus portable
+//! park/resume.
 //!
 //! Three claims, proved end to end:
 //!

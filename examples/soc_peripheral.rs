@@ -6,7 +6,8 @@
 //! synchronization device, so the UART's byte timestamps are in emulated
 //! source-processor time — the property that lets this platform validate
 //! bus handshakes. The session is built with the paper's 200/48 MHz
-//! clock ratio and an epoch observer tracing generation progress.
+//! clock ratio and runs in 512-cycle slices, tracing generation
+//! progress between them.
 //!
 //! ```sh
 //! cargo run --release --example soc_peripheral
@@ -46,13 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The paper's clock ratio: the 200 MHz target is throttled to
         // the 48 MHz generation rate, so wait reads really stall.
         .platform(PlatformConfig::default())
-        .epoch(512)
-        .on_epoch(|ev| {
-            println!(
-                "  epoch at target cycle {:>5}: {} packets retired, {} stalled",
-                ev.stats.cycles, ev.stats.retired, ev.stats.stall_cycles
-            );
-        })
         .build()?;
 
     let image = session.translated().expect("translated session");
@@ -61,7 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         image.stats.source_instructions, image.stats.io_accesses
     );
 
-    session.run(Limit::Cycles(10_000_000))?;
+    while session.run(Limit::Cycles(session.cycle() + 512))? == StopCause::LimitReached {
+        let s = session.stats();
+        println!(
+            "  slice at target cycle {:>5}: {} packets retired, {} stalled",
+            s.cycles, s.retired, s.stall_cycles
+        );
+        assert!(s.cycles < 10_000_000, "the driver never finished");
+    }
     let stats = session.platform_stats().expect("translated session");
 
     let bytes: Vec<u8> = stats.uart.iter().map(|&(_, b)| b).collect();

@@ -20,7 +20,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
-//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the work-stealing `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
+//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the one-queue `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
 //! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (pre-decoded and trace dispatch cores, naive oracle) |
 //! | [`vliw`] | target VLIW ISA, binary container format, simulator (pre-decoded and trace dispatch cores, naive oracle) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
@@ -29,7 +29,7 @@
 //! | [`sim`] | **the front door**: `SimBuilder`/`Session` over every execution vehicle, single-core or sharded (up to 256 cores, with live shard migration via `park_shard`/`adopt_shard`); versioned portable park/resume bytes; the `sim::analyze` lint surface behind the `cabt-analyze` binary |
 //! | [`debug`] | generic lockstep driver, dual-translation debugger + RSP packet layer |
 //! | [`workloads`] | the paper's benchmark programs (plus the multi-core `producer_consumer` and the doorbell all-to-all `mailbox`) |
-//! | [`fleet`] | **the session service**: a batch driver that hands built sessions to the work-stealing pool (M sessions × N shards as epoch-round jobs), per-epoch digest chains, `fleet-server` binary |
+//! | [`fleet`] | **the session service**: a batch driver that hands built sessions to the one-queue pool (M sessions × N shards as epoch-round jobs), per-epoch digest chains, `fleet-server` binary |
 //! | [`fuzz`] | **continuous differential fuzzing**: seed-reproducible program generator, full-matrix comparison on per-epoch digest chains, shrinker to minimal reproducers, `cabt-fuzz` binary |
 //!
 //! Execution comes in three dispatch tiers, all bit-identical and all
@@ -52,7 +52,7 @@
 //! assembly, an ELF image, or a named `cabt-workloads` entry) and a
 //! [`cabt_sim::Backend`] value, and yields a [`cabt_sim::Session`] with
 //! the uniform lifecycle `run / step / stats / snapshot / restore /
-//! reset` plus per-epoch/per-stop observers. The platform harness, the
+//! reset`. The platform harness, the
 //! debugger and the [`reproduction`] pass all drive sessions through the
 //! trait, which is where new backends plug in — one more `Backend`
 //! variant, not another bespoke constructor.
@@ -146,7 +146,7 @@
 //! // Before anything executes, the static analyzer can vet the
 //! // program: dataflow passes over the same basic-block partition the
 //! // engines dispatch (`docs/static-analysis.md`). The `cabt-analyze`
-//! // binary and the opt-in `SimBuilder::strict_lint` gate sit on this.
+//! // binary and the fleet-server's `analyze` verb sit on this.
 //! let report = SimBuilder::asm(src).analyze()?;
 //! assert!(report.is_clean());
 //! assert_eq!(report.loops.len(), 1); // the `fact` countdown loop
@@ -156,8 +156,8 @@
 //! # Fleet quickstart
 //!
 //! Beyond one session at a time, the [`fleet`] crate runs *batches*:
-//! every request becomes epoch-sized work items on a fixed
-//! work-stealing pool, so M sessions × N shards share a bounded worker
+//! every request becomes epoch-sized work items on a fixed pool with
+//! one FIFO job queue, so M sessions × N shards share a bounded worker
 //! population — and each session's simulation stays bit-identical to a
 //! dedicated run, whatever the worker count (pinned per epoch by
 //! rolling [`cabt_exec::fingerprint_engine`] digest chains). Sessions

@@ -6,7 +6,6 @@
 use cabt::prelude::*;
 use cabt_platform::bus::{GoldenBridge, ScratchRam, SharedSocBus, SocBus, Uart};
 use cabt_platform::default_soc_bus;
-use std::sync::{Arc, Mutex};
 
 const DRIVER: &str = "
     .text
@@ -126,23 +125,21 @@ fn a_faulting_golden_run_releases_its_bus() {
     }
 }
 
-/// Epoch observers run between slices, never inside one: an observer
-/// that reads the session's own bus handle finishes, and the handle
-/// works after the run.
+/// A golden run holds its bus lock for one slice, never across
+/// slices: the session's own bus handle reads between `run_until`
+/// slices, and the handle works after the run.
 #[test]
-fn an_epoch_observer_can_read_the_bus_a_golden_session_runs_on() {
+fn a_golden_session_hands_its_bus_back_between_run_slices() {
     let bus = SharedSocBus::new(default_soc_bus());
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let (handle, log) = (bus.clone(), Arc::clone(&seen));
     let mut s = SimBuilder::asm(DRIVER)
         .soc_bus(bus.clone())
-        .epoch(8)
-        .on_epoch(move |_| log.lock().unwrap().push(handle.uart_log().len()))
         .build()
         .unwrap();
-    assert_eq!(s.run(Limit::Cycles(1_000_000)).unwrap(), StopCause::Halted);
-    let seen = seen.lock().unwrap();
-    assert!(seen.len() > 1, "the run spans several epochs: {seen:?}");
+    let mut seen = Vec::new();
+    while s.run_until(Limit::Cycles(s.cycle() + 8)).unwrap() == StopCause::LimitReached {
+        seen.push(bus.uart_log().len());
+    }
+    assert!(seen.len() > 1, "the run spans several slices: {seen:?}");
     assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
     let bytes: Vec<u8> = bus.uart_log().into_iter().map(|(_, b)| b).collect();
     assert_eq!(bytes, b"ABCD");

@@ -9,7 +9,7 @@
 
 use cabt::prelude::*;
 use cabt_exec::fingerprint_engine;
-use cabt_exec::trace::TraceConfig;
+use cabt_exec::trace::{TraceConfig, TracePlan, MAX_TRACE_BLOCKS};
 use cabt_isa::codec::{ByteReader, ByteWriter};
 use cabt_isa::elf::SectionKind;
 use cabt_platform::SocBusState;
@@ -728,6 +728,112 @@ fn fixed_table_before(snap: &[u8], end: usize, width: usize) -> (usize, usize) {
         .expect("a count-prefixed table ends here")
 }
 
+/// The golden trace tier's formed-trace table, which ends at `end`: its
+/// start, and each block's plan (`None` where no trace is headed). The
+/// table is a `u64` block count and one `Option<TracePlan>` per block;
+/// the three exec/fall/taken counter tables of as many blocks precede
+/// it.
+fn plans_table_before(snap: &[u8], end: usize) -> (usize, Vec<Option<TracePlan>>) {
+    let decode = |at: usize| {
+        let mut r = ByteReader::new(&snap[at..end]);
+        let n = usize::try_from(r.u64().ok()?).ok()?;
+        // `n > end` first: it bounds `n` before the arithmetic below.
+        if n == 0 || n > end || at < 3 * (8 + 4 * n) {
+            return None;
+        }
+        let table = 8 + 4 * n;
+        let counters = at - 3 * table;
+        if (0..3).any(|t| u64_at(snap, counters + t * table) != n as u64) {
+            return None;
+        }
+        let mut plans = Vec::with_capacity(n);
+        for _ in 0..n {
+            plans.push(if r.bool().ok()? {
+                Some(TracePlan::decode(&mut r).ok()?)
+            } else {
+                None
+            });
+        }
+        (r.remaining() == 0).then_some(plans)
+    };
+    let found: Vec<_> = (0..end.saturating_sub(8))
+        .filter_map(|at| decode(at).map(|plans| (at, plans)))
+        .collect();
+    assert_eq!(found.len(), 1, "one formed-trace table ends here");
+    found.into_iter().next().unwrap()
+}
+
+/// `snap` (a golden trace-tier snapshot whose formed-trace table spans
+/// `at..end`) with that table re-encoded from `plans`.
+fn with_plans(snap: &[u8], at: usize, end: usize, plans: &[Option<TracePlan>]) -> Vec<u8> {
+    let mut table = Vec::new();
+    ByteWriter::new(&mut table).u64(plans.len() as u64);
+    for plan in plans {
+        ByteWriter::new(&mut table).bool(plan.is_some());
+        if let Some(plan) = plan {
+            plan.encode_into(&mut table);
+        }
+    }
+    [&snap[..at], &table[..], &snap[end..]].concat()
+}
+
+/// Golden trace-tier snapshots whose formed traces could not have grown
+/// on the program's block map: a plan naming a block past the map, a
+/// seam that leaves its block by neither edge, a plan longer than
+/// [`MAX_TRACE_BLOCKS`], and a plan filed under another head. Each is
+/// well framed, so only the engine's check can object.
+fn forged_plan_snaps(s: &Session, snap: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let stats = trace_stats_at(s, snap);
+    let (at, plans) = plans_table_before(snap, stats);
+    assert_eq!(
+        with_plans(snap, at, stats, &plans),
+        snap,
+        "the table re-encodes"
+    );
+    let blocks = plans.len() as u32;
+    let (head, plan) = plans
+        .iter()
+        .enumerate()
+        .find_map(|(h, p)| p.as_ref().filter(|p| p.blocks.len() > 1).map(|p| (h, p)))
+        .expect("a multi-block trace has formed");
+    let forge = |plan: TracePlan, slot: usize| {
+        let mut forged = plans.clone();
+        forged[head] = None;
+        forged[slot] = Some(plan);
+        with_plans(snap, at, stats, &forged)
+    };
+    let mut out_of_range = plan.clone();
+    *out_of_range.blocks.last_mut().unwrap() = blocks;
+    let mut wrong_seam = plan.clone();
+    wrong_seam.via_taken[0] = !wrong_seam.via_taken[0];
+    let over_long = TracePlan {
+        blocks: (0..=MAX_TRACE_BLOCKS)
+            .map(|i| (head as u32 + i) % blocks)
+            .collect(),
+        via_taken: vec![false; MAX_TRACE_BLOCKS as usize],
+        loop_back: false,
+        loop_via_taken: false,
+    };
+    let other_head = (0..plans.len())
+        .find(|&h| plans[h].is_none())
+        .expect("some block heads no trace");
+    vec![
+        (
+            "golden trace plan block out of range",
+            forge(out_of_range, head),
+        ),
+        (
+            "golden trace plan seam off its edges",
+            forge(wrong_seam, head),
+        ),
+        ("golden trace plan over-long", forge(over_long, head)),
+        (
+            "golden trace plan under another head",
+            forge(plan.clone(), other_head),
+        ),
+    ]
+}
+
 /// A golden snapshot image with its cached table index (`cur`, the
 /// u32 four bytes before the halted flag) set to 1,000,000. `cur_end`
 /// is the offset just past `cur`.
@@ -740,7 +846,8 @@ fn with_golden_cur(snap: &[u8], cur_end: usize) -> Vec<u8> {
 /// Well-framed parks that decode but whose engine state does not fit
 /// the engine the resume rebuilds: a golden table index past the
 /// program, on the pre-decoded and the trace tier; a golden trace
-/// profile with empty counter tables; and a VLIW trace tier with empty
+/// profile with empty counter tables; golden trace plans that trace
+/// growth could not have produced; and a VLIW trace tier with empty
 /// `ends`/`span` tables, or with spans that end before their blocks.
 /// Returns `(what, park bytes)`.
 fn corrupt_engine_parks() -> Vec<(&'static str, Vec<u8>)> {
@@ -769,19 +876,13 @@ fn corrupt_engine_parks() -> Vec<(&'static str, Vec<u8>)> {
 
     // Golden trace tier, after `cur`, halted and the tier flag: the
     // warm-up left (u64), the exec/fall/taken counter tables and the
-    // formed flags, one entry per block each, then the coverage
+    // formed-trace table, one entry per block each, then the coverage
     // counters.
     let s = session(Backend::golden_trace());
     let (head, snap) = split_park(&s);
     let stats = trace_stats_at(&s, &snap);
-    let (formed, blocks) = fixed_table_before(&snap, stats, 1);
-    let counters = formed - 3 * (8 + 4 * blocks);
-    for table in 0..3 {
-        assert_eq!(
-            u64_at(&snap, counters + table * (8 + 4 * blocks)),
-            blocks as u64
-        );
-    }
+    let (formed, plans) = plans_table_before(&snap, stats);
+    let counters = formed - 3 * (8 + 4 * plans.len());
     let cur_end = counters - 8 - 2;
     out.push((
         "golden trace cur",
@@ -789,7 +890,10 @@ fn corrupt_engine_parks() -> Vec<(&'static str, Vec<u8>)> {
     ));
     let mut empty = snap.clone();
     empty.splice(counters..formed, [0u8; 24]);
-    out.push(("golden trace profile empty", [head, empty].concat()));
+    out.push(("golden trace profile empty", [head.clone(), empty].concat()));
+    for (what, forged) in forged_plan_snaps(&s, &snap) {
+        out.push((what, [head.clone(), forged].concat()));
+    }
 
     // VLIW trace tier: the `ends` table (one optional u32 per block),
     // then the `span` table (one u32 per block), then the coverage
@@ -863,14 +967,116 @@ fn corrupt_engine_tables_are_codec_errors_not_panics() {
     let shard = s.shard(1).unwrap();
     let (head, snap) = split_park(shard);
     let stats = trace_stats_at(shard, &snap);
-    let (formed, blocks) = fixed_table_before(&snap, stats, 1);
-    let counters = formed - 3 * (8 + 4 * blocks);
+    let (formed, plans) = plans_table_before(&snap, stats);
+    let counters = formed - 3 * (8 + 4 * plans.len());
     let mut empty = snap.clone();
     empty.splice(counters..formed, [0u8; 24]);
+    let mut bad = vec![("golden trace profile empty", empty)];
+    bad.extend(forged_plan_snaps(shard, &snap));
     let before = s.park_shard(1).unwrap();
-    assert!(matches!(
-        s.adopt_shard(1, &[head, empty].concat(), None),
-        Err(SessionError::Codec(_))
-    ));
-    assert_eq!(s.park_shard(1).unwrap(), before, "slot 1 unchanged");
+    for (what, forged) in bad {
+        assert!(
+            matches!(
+                s.adopt_shard(1, &[head.clone(), forged].concat(), None),
+                Err(SessionError::Codec(_))
+            ),
+            "adopt_shard: {what}"
+        );
+        assert_eq!(s.park_shard(1).unwrap(), before, "{what}: slot 1 unchanged");
+    }
+}
+
+/// A parked image is a fixpoint of resume: resuming it and parking
+/// again gives the same bytes, on every backend and on sharded sets of
+/// each (sequential and pooled), under a non-default build
+/// configuration, before and after traces form. On sharded sessions,
+/// re-adopting a shard from its own park image changes nothing either.
+#[test]
+fn a_parked_image_is_a_fixpoint_of_resume() {
+    let w = cabt_workloads::by_name("fir").unwrap();
+    let mut backends = Backend::all();
+    for base in Backend::all() {
+        if base != Backend::Rtl {
+            backends.push(Backend::sharded(3, base));
+            backends.push(Backend::sharded_pooled(3, 2, base));
+        }
+    }
+    backends.push(Backend::sharded(2, Backend::Rtl));
+    for backend in backends {
+        let mut s = SimBuilder::workload(&w)
+            .backend(backend)
+            .platform(PlatformConfig::default())
+            .granularity(Granularity::PerInstruction)
+            .shard_epoch(300)
+            .trace_config(TraceConfig {
+                warmup: 100_000,
+                hot_threshold: 2,
+            })
+            .build()
+            .unwrap();
+        for retired in [0, 7, 50] {
+            s.run_until(Limit::Retirements(retired)).unwrap();
+            let parked = s.park().unwrap();
+            let again = Session::resume(&parked).unwrap().park().unwrap();
+            assert!(
+                again == parked,
+                "{backend} at {retired}: resume moved the park"
+            );
+            if s.shard_count() > 1 {
+                s.adopt_shard(1, &s.park_shard(1).unwrap(), None).unwrap();
+                assert!(
+                    s.park().unwrap() == parked,
+                    "{backend} at {retired}: adopt_shard moved the park"
+                );
+            }
+        }
+    }
+}
+
+/// The golden trace tier dispatches the same traces after resume, and
+/// after reset-then-restore, as the engine that took the snapshot: run
+/// in 3-retirement slices, every slice stops at the same point with the
+/// same trace coverage.
+#[test]
+fn restored_golden_trace_tiers_stop_where_the_donor_stops() {
+    for name in ["fir", "sieve"] {
+        let w = cabt_workloads::by_name(name).unwrap();
+        let build = || {
+            SimBuilder::workload(&w)
+                .backend(Backend::golden_trace())
+                .trace_config(TraceConfig {
+                    warmup: 1_000_000_000,
+                    hot_threshold: 8,
+                })
+                .build()
+                .unwrap()
+        };
+        let mut donor = build();
+        donor.run_until(Limit::Retirements(3_000)).unwrap();
+        let snap = donor.snapshot();
+        let mut resumed = Session::resume(&donor.park().unwrap()).unwrap();
+        let mut restored = build();
+        restored.run_until(Limit::Cycles(u64::MAX)).unwrap();
+        restored.reset();
+        restored.restore(&snap);
+        let mut slices = 0;
+        while !donor.is_halted() {
+            let limit = Limit::Retirements(donor.stats().retired + 3);
+            let stop = donor.run_until(limit).unwrap();
+            for (what, s) in [
+                ("resumed", &mut resumed),
+                ("reset-then-restored", &mut restored),
+            ] {
+                assert_eq!(s.run_until(limit).unwrap(), stop, "{name} {what}");
+                assert_eq!(
+                    (s.stats(), s.trace_stats()),
+                    (donor.stats(), donor.trace_stats()),
+                    "{name} {what}: slice {slices} stopped elsewhere"
+                );
+            }
+            slices += 1;
+        }
+        assert!(slices > 100, "{name}: {slices} slices");
+        assert_eq!(resumed.read_d(2), w.expected_d2, "{name}");
+    }
 }
