@@ -8,12 +8,13 @@
 //! are statically known (built by `movh.a`/`lea`/`mov.a`-of-constant
 //! chains), and classify every memory access.
 //!
-//! Our platform maps the emulated data space at identical target
-//! addresses (DESIGN.md §7), so the remap delta defaults to zero;
-//! accesses with statically *unknown* bases are then still correct. A
-//! non-zero delta is supported and applied to statically-known accesses
-//! (exercised in tests); translating a program that mixes a non-zero
-//! delta with unknown bases is rejected.
+//! Our platform maps the emulated data space, I/O region included, at
+//! identical target addresses, so no access is remapped and one whose
+//! base is statically *unknown* is still correct: the target's device
+//! bus claims I/O addresses at run time. The classification decides
+//! scheduling instead: I/O and unknown-base accesses are translated as
+//! *volatile* operations, which the scheduler keeps strictly ordered
+//! against every other memory operation.
 
 use crate::cfg::{Block, Cfg};
 use cabt_tricore::isa::Instr;

@@ -146,69 +146,38 @@ const P_MISS: Reg = Reg::a(2);
 /// predicate registers `A0..A2`; adds the miss penalty to [`CORR_REG`].
 ///
 /// The `ways = 1` body skips the second-way probe and the LRU word is
-/// unused (the victim is always way 0).
+/// unused (the victim is always way 0). Only 1- and 2-way caches have a
+/// body: callers gate `layout` with [`check_supported`] first.
 pub fn correction_body(layout: &CacheLayout) -> Vec<TOp> {
     let cfg = layout.cfg;
-    let stride = layout.set_stride();
     let mut ops = Vec::new();
     let o = |op: Op| TOp::new(op);
+    debug_assert!(check_supported(&cfg).is_ok(), "{} ways", cfg.ways);
 
     // T_ADDR = CACHE_BASE + set * stride. Strides are 8 (1-way) or 12
     // (2-way): decompose into shifts.
-    match stride {
-        8 => {
-            ops.push(o(Op::ShlI {
-                d: T_ADDR,
-                s1: CACHE_ARG_SET,
-                imm5: 3,
-            }));
-            ops.push(o(Op::Add {
-                d: T_ADDR,
-                s1: T_ADDR,
-                s2: CACHE_BASE_REG,
-            }));
-        }
-        12 => {
-            ops.push(o(Op::ShlI {
-                d: T_ADDR,
-                s1: CACHE_ARG_SET,
-                imm5: 3,
-            }));
-            ops.push(o(Op::ShlI {
-                d: T_SCALED,
-                s1: CACHE_ARG_SET,
-                imm5: 2,
-            }));
-            ops.push(o(Op::Add {
-                d: T_ADDR,
-                s1: T_ADDR,
-                s2: T_SCALED,
-            }));
-            ops.push(o(Op::Add {
-                d: T_ADDR,
-                s1: T_ADDR,
-                s2: CACHE_BASE_REG,
-            }));
-        }
-        other => {
-            // Generic (unused today, kept for forward compatibility):
-            // multiply by the stride.
-            ops.push(o(Op::Mvk {
-                d: T_SCALED,
-                imm16: other as i16,
-            }));
-            ops.push(o(Op::Mpy {
-                d: T_ADDR,
-                s1: CACHE_ARG_SET,
-                s2: T_SCALED,
-            }));
-            ops.push(o(Op::Add {
-                d: T_ADDR,
-                s1: T_ADDR,
-                s2: CACHE_BASE_REG,
-            }));
-        }
+    ops.push(o(Op::ShlI {
+        d: T_ADDR,
+        s1: CACHE_ARG_SET,
+        imm5: 3,
+    }));
+    if cfg.ways == 2 {
+        ops.push(o(Op::ShlI {
+            d: T_SCALED,
+            s1: CACHE_ARG_SET,
+            imm5: 2,
+        }));
+        ops.push(o(Op::Add {
+            d: T_ADDR,
+            s1: T_ADDR,
+            s2: T_SCALED,
+        }));
     }
+    ops.push(o(Op::Add {
+        d: T_ADDR,
+        s1: T_ADDR,
+        s2: CACHE_BASE_REG,
+    }));
 
     // Probe the tags.
     ops.push(o(Op::Ld {

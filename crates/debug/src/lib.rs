@@ -350,8 +350,8 @@ impl DebugSession {
         };
         // The lockstep contract is one source instruction per boundary,
         // so the trace tier (whole fused packet runs per step) runs on
-        // the packet-granular pre-decoded core; other dispatch modes
-        // pass through unchanged.
+        // the pre-decoded tier, which steps the same compiled packets
+        // one at a time; other dispatch modes pass through unchanged.
         let dispatch = match dispatch {
             VliwDispatch::Trace => VliwDispatch::Predecoded,
             other => other,
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn trace_backends_downgrade_to_packet_stepping() {
         // A trace-tier builder is accepted, but the lockstep session
-        // runs on the packet-granular pre-decoded core — single-stepping
+        // runs on the packet-granular pre-decoded tier — single-stepping
         // still stops at every source instruction.
         use cabt_core::DetailLevel;
         let mut dbg = DebugSession::from_builder(

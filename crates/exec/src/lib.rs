@@ -377,46 +377,6 @@ impl DigestChain {
     }
 }
 
-/// Generic epoch-batched driver: runs `engine` to halt within a total
-/// cycle budget, advancing in epochs of `epoch` cycles.
-///
-/// Harnesses that poll shared state between bursts (the platform
-/// snapshots synchronization-device counters, future async peripherals
-/// get clocked) call this instead of hand-rolling the loop; `on_epoch`
-/// fires after every completed epoch. With `epoch >= max_cycles` this
-/// degenerates to a single uninterrupted run.
-///
-/// # Errors
-///
-/// Propagates engine faults.
-pub fn run_epochs<E: ExecutionEngine>(
-    engine: &mut E,
-    max_cycles: u64,
-    epoch: u64,
-    mut on_epoch: impl FnMut(&mut E),
-) -> Result<StopCause, E::Error> {
-    let epoch = epoch.max(1);
-    loop {
-        let deadline = engine.cycle().saturating_add(epoch).min(max_cycles);
-        match engine.run_until(Limit::Cycles(deadline))? {
-            StopCause::Halted => return Ok(StopCause::Halted),
-            StopCause::LimitReached => {
-                // `run_until` reports the budget before the halt: an
-                // engine that halted exactly on the epoch boundary is
-                // still a completed run, not an exhausted one.
-                if engine.is_halted() {
-                    engine.commit_arch_state();
-                    return Ok(StopCause::Halted);
-                }
-                if deadline >= max_cycles {
-                    return Ok(StopCause::LimitReached);
-                }
-                on_epoch(engine);
-            }
-        }
-    }
-}
-
 /// The scheduling frontier of a shard set: the cycle count of the
 /// least-advanced non-halted shard (every shard has completed at least
 /// this many cycles), or the maximum cycle count when all shards have
@@ -546,8 +506,8 @@ pub(crate) fn plan_shard_round(shards: &[ShardState], limit: Limit, epoch: u64) 
 
 /// Whether a shard halting exactly on a round deadline commits its
 /// architectural state inside the round. Under a cycle budget that halt
-/// is a completed run, as in [`run_epochs`]; under a retirement budget
-/// only the all-halted stop commits.
+/// is a completed run (a halt wins over an exactly exhausted budget);
+/// under a retirement budget only the all-halted stop commits.
 fn commits_boundary_halts(limit: Limit) -> bool {
     matches!(limit, Limit::Cycles(_))
 }
@@ -556,8 +516,7 @@ fn commits_boundary_halts(limit: Limit) -> bool {
 /// both executors share. Halted shards and shards already at the
 /// deadline are skipped; with `commit_boundary_halts`, a shard that
 /// halts exactly on the deadline gets its architectural state committed
-/// inside the round (a completed run, same as the single-engine epoch
-/// driver).
+/// inside the round (a completed run).
 ///
 /// # Errors
 ///
@@ -830,41 +789,11 @@ mod tests {
     }
 
     #[test]
-    fn epoch_driver_reports_boundary_halt_as_halted() {
-        // The toy halts at exactly 15 cycles; an epoch of 5 makes the
-        // halt coincide with an epoch deadline.
-        let mut t = toy();
-        let r = run_epochs(&mut t, 15, 5, |_| {});
-        assert_eq!(r, Ok(StopCause::Halted));
-    }
-
-    #[test]
     fn reset_restores_counters() {
         let mut t = toy();
         t.run_until(Limit::Cycles(u64::MAX)).unwrap();
         t.reset();
         assert_eq!(t.cycle(), 0);
-        assert!(!t.is_halted());
-    }
-
-    #[test]
-    fn epoch_driver_visits_epoch_boundaries() {
-        let mut t = toy();
-        let mut epochs = 0;
-        let r = run_epochs(&mut t, 1_000, 6, |_| epochs += 1);
-        assert_eq!(r, Ok(StopCause::Halted));
-        assert!(
-            epochs >= 2,
-            "15 cycles in epochs of 6: at least two boundaries"
-        );
-    }
-
-    #[test]
-    fn epoch_driver_respects_total_budget() {
-        let mut t = toy();
-        let r = run_epochs(&mut t, 7, 2, |_| {});
-        assert_eq!(r, Ok(StopCause::LimitReached));
-        assert!(t.cycle() <= 9, "stops at the budget boundary");
         assert!(!t.is_halted());
     }
 

@@ -42,8 +42,8 @@ use cabt_exec::{fingerprint_engine, EngineStats, Fingerprint, Limit, StopCause};
 use cabt_sim::{Backend, Session, SessionError, SimBuilder};
 use std::sync::mpsc;
 
-/// Scheduling epoch (target cycles) used when a request does not name
-/// one — the same default granularity sharded sessions fall back to.
+/// Scheduling epoch (target cycles) of every fleet session — the same
+/// default granularity sharded sessions fall back to.
 pub const FLEET_EPOCH_CYCLES: u64 = 4096;
 
 /// One workload the fleet should run.
@@ -60,9 +60,6 @@ pub struct FleetRequest {
     /// the session's [`cabt_exec::ExecutionEngine::run_until`]
     /// interprets them).
     pub budget: Limit,
-    /// Scheduling epoch in target cycles ([`FLEET_EPOCH_CYCLES`] when
-    /// `None`), passed to [`SimBuilder::shard_epoch`].
-    pub epoch: Option<u64>,
 }
 
 impl FleetRequest {
@@ -73,7 +70,6 @@ impl FleetRequest {
             workload: workload.into(),
             backend: Backend::default(),
             budget: Limit::Cycles(u64::MAX),
-            epoch: None,
         }
     }
 
@@ -88,13 +84,6 @@ impl FleetRequest {
     #[must_use]
     pub fn budget(mut self, budget: Limit) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Overrides the scheduling epoch (target cycles, clamped to ≥ 1).
-    #[must_use]
-    pub fn epoch(mut self, target_cycles: u64) -> Self {
-        self.epoch = Some(target_cycles.max(1));
         self
     }
 }
@@ -154,7 +143,7 @@ impl Unit {
             .expected_d2;
         let session = SimBuilder::named(&req.workload)
             .backend(req.backend)
-            .shard_epoch(req.epoch.unwrap_or(FLEET_EPOCH_CYCLES))
+            .shard_epoch(FLEET_EPOCH_CYCLES)
             .build()?;
         let unit = Unit {
             workload: req.workload.clone(),

@@ -40,7 +40,7 @@ pub mod sync;
 
 use cabt_core::translate::SYNC_DEVICE_BASE;
 use cabt_core::Translated;
-use cabt_exec::{run_epochs, StopCause};
+use cabt_exec::{ExecutionEngine, Limit, StopCause};
 use cabt_vliw::sim::{TargetBus, VliwError, VliwSim};
 use std::any::Any;
 use std::fmt;
@@ -106,8 +106,7 @@ impl PlatformConfig {
         }
     }
 
-    /// Target cycles per generation epoch: the platform drives its
-    /// engine in bursts of this size, and sharded translated sessions
+    /// Target cycles per generation epoch: sharded translated sessions
     /// use it as their default barrier cadence. One epoch covers
     /// [`SYNC_EPOCH_SOC_CYCLES`] generated SoC cycles at the configured
     /// ratio; with an unlimited rate there is nothing to pace, so the
@@ -341,24 +340,26 @@ impl Platform {
         bus.downcast_mut()
     }
 
-    /// Runs the translated program to completion.
+    /// Runs the translated program to completion within `max_cycles`
+    /// target cycles.
     ///
-    /// The engine is driven generically through
-    /// [`cabt_exec::ExecutionEngine`] in generation epochs sized by the
-    /// [`SyncRate`] ([`PlatformConfig::epoch_target_cycles`]). Nothing
-    /// happens at the epoch boundaries: the synchronization device and
-    /// the peripherals are clocked lazily, on access, by the device's
-    /// generated-cycle count.
+    /// The engine runs as one [`ExecutionEngine::run_until`]: the
+    /// synchronization device and the peripherals are clocked lazily,
+    /// on access, by the device's generated-cycle count, so nothing
+    /// needs to happen between packets. A halt exactly on the budget is
+    /// a completed run, not an exhausted one.
     ///
     /// # Errors
     ///
     /// Returns [`PlatformError`] on target faults or cycle-limit
     /// exhaustion.
     pub fn run(&mut self, max_cycles: u64) -> Result<PlatformStats, PlatformError> {
-        let epoch = self.cfg.epoch_target_cycles();
-        let stop = run_epochs(&mut self.sim, max_cycles, epoch, |_| {})?;
-        if stop == StopCause::LimitReached {
-            return Err(PlatformError::Vliw(VliwError::CycleLimit));
+        // `run_until` reports the budget before the halt.
+        if self.sim.run_until(Limit::Cycles(max_cycles))? == StopCause::LimitReached {
+            if !self.sim.is_halted() {
+                return Err(PlatformError::Vliw(VliwError::CycleLimit));
+            }
+            self.sim.commit_arch_state();
         }
         Ok(self.stats())
     }
@@ -407,9 +408,10 @@ impl Platform {
         &mut self.sim
     }
 
-    /// Selects the VLIW dispatch core (pre-decoded by default). The
-    /// naive core exists for differential testing and the dispatch
-    /// benchmarks.
+    /// Selects the VLIW dispatch core (pre-decoded by default: one
+    /// compiled packet per step; the trace tier adds fused hot packet
+    /// ranges). The naive core is the reference the compiled packets
+    /// are diffed against, and the dispatch benchmarks' baseline.
     pub fn set_dispatch(&mut self, mode: cabt_vliw::sim::VliwDispatch) {
         self.sim.set_dispatch(mode);
     }
@@ -479,6 +481,28 @@ mod tests {
         let stats = p.run(10_000_000).unwrap();
         let d2 = p.sim().reg(dreg(DReg(2)));
         (stats, d2)
+    }
+
+    /// A budget that ends exactly on the halting packet's cycle is a
+    /// completed run, architectural state committed; half of it is an
+    /// exhausted budget.
+    #[test]
+    fn run_halting_on_the_exact_budget_completes() {
+        let cfg = PlatformConfig::default();
+        let (full, d2) = run_level(DetailLevel::Static, cfg);
+        let elf = assemble(SUM_SRC).unwrap();
+        let t = Translator::new(DetailLevel::Static)
+            .translate(&elf)
+            .unwrap();
+        let mut p = Platform::new(&t, cfg).unwrap();
+        assert_eq!(p.run(full.target_cycles).unwrap(), full);
+        assert!(p.sim().is_halted());
+        assert_eq!(p.sim().reg(dreg(DReg(2))), d2);
+        let mut short = Platform::new(&t, cfg).unwrap();
+        assert!(matches!(
+            short.run(full.target_cycles / 2),
+            Err(PlatformError::Vliw(VliwError::CycleLimit))
+        ));
     }
 
     #[test]

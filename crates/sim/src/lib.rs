@@ -28,7 +28,7 @@
 //! [`Session::step`], [`Session::stats`], [`Session::snapshot`],
 //! [`Session::restore`], [`Session::reset`] — and itself implements
 //! [`ExecutionEngine`], so every generic driver in the workspace (the
-//! lockstep debugger, `run_epochs`, the benchmark harnesses) drives a
+//! lockstep debugger, `run_epochs_sharded`, the benchmark harnesses) drives a
 //! session exactly like a bare engine. Growing a new backend (JIT,
 //! sharded multi-core) means adding one [`Backend`] variant, not
 //! another bespoke constructor.
@@ -1242,7 +1242,7 @@ impl ShardSet {
 }
 ///
 /// `Session` implements [`ExecutionEngine`], so anything that drives an
-/// engine generically — `Lockstep`, `run_epochs`, the bench harnesses —
+/// engine generically — `Lockstep`, `run_epochs_sharded`, the bench harnesses —
 /// drives a session unchanged. Units and cycles are *engine-native*
 /// (source instructions and cycles on the golden model, execute packets
 /// and target cycles on the translated platform, clock periods on the
@@ -1367,7 +1367,8 @@ impl Session {
     /// that a *completed run* wins — where the raw trait call checks the
     /// budget before the halt, a program that halts exactly on the limit
     /// reports [`StopCause::Halted`] here (and commits its architectural
-    /// state), matching [`cabt_exec::run_epochs`].
+    /// state), matching [`cabt_exec::run_epochs_sharded`] under a cycle
+    /// budget.
     ///
     /// # Errors
     ///
@@ -2337,7 +2338,7 @@ mod tests {
     #[test]
     fn run_reports_halt_on_exact_limit_boundary() {
         // A completed run wins over an exactly-exhausted budget —
-        // `Session::run` matches `run_epochs`, not the raw
+        // `Session::run` matches the epoch-round drivers, not the raw
         // budget-first `run_until`.
         for backend in [
             Backend::golden(),
@@ -2437,14 +2438,19 @@ mod tests {
 
     #[test]
     fn sessions_run_under_generic_drivers() {
-        // A session is itself an ExecutionEngine: drive it with the
-        // epoch driver from cabt-exec.
-        let mut s = SimBuilder::asm(SUM)
+        // A session is itself an ExecutionEngine: drive it as a
+        // one-shard set with the epoch-round driver from cabt-exec.
+        let s = SimBuilder::asm(SUM)
             .backend(Backend::translated(DetailLevel::Static))
             .build()
             .unwrap();
-        let stop = cabt_exec::run_epochs(&mut s, 1_000_000, 64, |_| {}).unwrap();
+        let mut set = [s];
+        let mut epochs = 0;
+        let stop =
+            cabt_exec::run_epochs_sharded(&mut set, Limit::Cycles(1_000_000), 64, |_| epochs += 1)
+                .unwrap();
         assert_eq!(stop, StopCause::Halted);
-        assert_eq!(s.read_d(2), 55);
+        assert!(epochs > 1, "64-cycle epochs: the run crosses barriers");
+        assert_eq!(set[0].read_d(2), 55);
     }
 }

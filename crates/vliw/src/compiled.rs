@@ -1,4 +1,5 @@
-//! The closure-compiled dispatch core of the VLIW target.
+//! The closure-compiled packets of the VLIW target — the one
+//! production form of its slot semantics.
 //!
 //! The VLIW machine's natural fusion unit is the *execute packet*: its
 //! slots are the straight-line parallel ops of one issue, exactly what
@@ -15,11 +16,12 @@
 //! destinations and after branch packets). Unlike the golden model,
 //! dispatch here stays *per packet*: branch shadows and delayed
 //! write-backs make control transfer and retirement between any two
-//! packets, so a compiled packet is bit-identical to the pre-decoded
-//! core at *every* packet, not just at block boundaries. The trace
-//! tier ([`VliwDispatch::Trace`](crate::sim::VliwDispatch)) dispatches
-//! these packets one at a time until a fall chain turns hot, then runs
-//! the chain as one fused packet range.
+//! packets, so a compiled packet is bit-identical to the naive
+//! interpreter at *every* packet, not just at block boundaries. The
+//! pre-decoded tier ([`VliwDispatch`](crate::sim::VliwDispatch))
+//! dispatches these packets one at a time; the trace tier does too
+//! until a fall chain turns hot, then runs the chain as one fused
+//! packet range.
 //!
 //! The closures do only the write-back work their slot needs:
 //! single-cycle results (every ALU operation but multiply, divide and
@@ -29,12 +31,11 @@
 //! fused run can fold that packet into this one's dispatch without
 //! calling its closure.
 
-use crate::isa::{Op, Pred, Reg};
-use crate::sim::{
-    route_load, route_store, DeviceBus, Latch, PrePacket, PreSlot, VliwError, NO_IDX,
-};
+use crate::isa::{Op, Packet, Pred, Reg, Slot};
+use crate::sim::{route_load, route_store, DeviceBus, Latch, VliwError, NO_IDX};
 use cabt_exec::blocks::{BlockMap, UnitFlow};
 use cabt_isa::mem::Memory;
+use std::collections::HashMap;
 
 /// The mutable engine state a slot closure executes against.
 pub(crate) struct VHot<'a> {
@@ -54,8 +55,8 @@ pub(crate) struct VHot<'a> {
 }
 
 /// One fused slot: predication guard + semantics in one specialized
-/// body. Arguments mirror `exec_slot`: the staged-write list, the
-/// stall accumulator and the branch latch.
+/// body. Arguments: the staged-write list, the stall accumulator and
+/// the branch latch.
 pub(crate) type SlotFn = Box<
     dyn Fn(
             &mut VHot<'_>,
@@ -81,8 +82,8 @@ pub(crate) struct CompiledPacket {
 
 /// Composes the packet's slot closures pairwise into one body. Slots
 /// only read architectural registers (staged writes commit between
-/// packets), so sequential composition is exactly the interpretive
-/// cores' slot loop.
+/// packets), so sequential composition is exactly the naive core's
+/// slot loop.
 fn fuse_packet(slots: Vec<SlotFn>) -> SlotFn {
     slots
         .into_iter()
@@ -102,19 +103,28 @@ pub(crate) struct CompiledProgram {
     pub packets: Vec<CompiledPacket>,
 }
 
+/// A slot's branch destination: the target address of a static `B`
+/// at `slot_addr` and its packet index ([`NO_IDX`] when the target is
+/// not a packet start).
+fn branch_dest(slot_addr: u32, disp21: i32, index: &HashMap<u32, usize>) -> (u32, u32) {
+    let dest = slot_addr.wrapping_add((disp21 as u32).wrapping_mul(4));
+    (dest, index.get(&dest).map_or(NO_IDX, |&i| i as u32))
+}
+
 /// Control-flow role of one packet for the block builder: packets with
 /// a branch slot end blocks (their shadow packets lead the next one),
 /// packets with a `HALT` slot terminate. Branches keep their fall edge
 /// — the five-issue-slot shadow architecturally *falls* into the next
 /// packets before the redirect lands.
-fn flow_of(slots: &[PreSlot]) -> UnitFlow {
+fn flow_of(p: &Packet, index: &HashMap<u32, usize>) -> UnitFlow {
     let mut flow = UnitFlow::Straight;
-    for ps in slots {
-        match ps.slot.op {
+    for (pos, s) in p.slots().iter().enumerate() {
+        match s.op {
             Op::Halt => return UnitFlow::Halt,
-            Op::B { .. } => {
+            Op::B { disp21 } => {
+                let (_, idx) = branch_dest(p.addr + 8 * pos as u32, disp21, index);
                 flow = UnitFlow::Branch {
-                    target: (ps.b_idx != NO_IDX).then_some(ps.b_idx),
+                    target: (idx != NO_IDX).then_some(idx),
                 };
             }
             Op::BReg { .. } => flow = UnitFlow::Branch { target: None },
@@ -124,39 +134,37 @@ fn flow_of(slots: &[PreSlot]) -> UnitFlow {
     flow
 }
 
-/// Compiles the whole packet table. `pre`/`pre_slots` are the
-/// pre-decoded table and slot arena the compiled program is a view
-/// over.
-pub(crate) fn compile(pre: &[PrePacket], pre_slots: &[PreSlot]) -> CompiledProgram {
-    let slots_of =
-        |p: &PrePacket| &pre_slots[p.first_slot as usize..(p.first_slot + p.nslots) as usize];
-    let units: Vec<UnitFlow> = pre.iter().map(|p| flow_of(slots_of(p))).collect();
+/// Compiles the whole packet table; `index` maps packet addresses to
+/// table positions and resolves static branch destinations.
+pub(crate) fn compile(program: &[Packet], index: &HashMap<u32, usize>) -> CompiledProgram {
+    let units: Vec<UnitFlow> = program.iter().map(|p| flow_of(p, index)).collect();
     // Packets are a dense arena: every packet's sequential successor is
     // the next table entry.
     let map = BlockMap::build(&units, |_| true, std::iter::once(0u32), false);
-    let all_nops = |p: &PrePacket| {
-        slots_of(p)
-            .iter()
-            .all(|ps| matches!(ps.slot.op, Op::Nop { .. }))
-    };
-    let packets = pre
+    let all_nops = |p: &&Packet| p.slots().iter().all(|s| matches!(s.op, Op::Nop { .. }));
+    let packets = program
         .iter()
         .enumerate()
         .map(|(i, p)| CompiledPacket {
-            issue: p.issue,
-            nop_after: pre
+            issue: p.issue_cycles(),
+            nop_after: program
                 .get(i + 1)
-                .filter(|n| all_nops(n))
-                .map_or(0, |n| n.issue),
-            run: fuse_packet(slots_of(p).iter().map(compile_slot).collect()),
+                .filter(all_nops)
+                .map_or(0, Packet::issue_cycles),
+            run: fuse_packet(
+                p.slots()
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, s)| compile_slot(s, p.addr + 8 * pos as u32, index))
+                    .collect(),
+            ),
         })
         .collect();
     CompiledProgram { map, packets }
 }
 
 /// Wraps a slot body with its predication guard and the executed-slot
-/// counter — the compiled form of the per-slot prologue both
-/// interpretive cores run.
+/// counter — the compiled form of the naive core's per-slot prologue.
 fn guard<F>(pred: Option<Pred>, counts: bool, body: F) -> SlotFn
 where
     F: Fn(
@@ -182,14 +190,14 @@ where
     })
 }
 
-/// Compiles one slot into its fused closure, specializing the
-/// operation and capturing operands, the staged-write latency and the
-/// pre-resolved branch destination.
-fn compile_slot(ps: &PreSlot) -> SlotFn {
-    let pred = ps.slot.pred;
-    let counts = !matches!(ps.slot.op, Op::Nop { .. });
+/// Compiles the slot at `slot_addr` into its fused closure,
+/// specializing the operation and capturing operands, the staged-write
+/// latency and the pre-resolved branch destination.
+fn compile_slot(slot: &Slot, slot_addr: u32, index: &HashMap<u32, usize>) -> SlotFn {
+    let pred = slot.pred;
+    let counts = !matches!(slot.op, Op::Nop { .. });
     // Staged results become visible `1 + delay` cycles after dispatch.
-    let lat = 1 + ps.delay as u64;
+    let lat = 1 + slot.op.delay_slots() as u64;
     // ALU ops share one shape: read sources, stage one result —
     // single-cycle ones into the next-cycle latch.
     macro_rules! alu {
@@ -209,7 +217,7 @@ fn compile_slot(ps: &PreSlot) -> SlotFn {
             }
         }};
     }
-    match ps.slot.op {
+    match slot.op {
         Op::Add { d, s1, s2 } => {
             alu!(|h| h.regs[s1.index()].wrapping_add(h.regs[s2.index()]), d)
         }
@@ -326,8 +334,7 @@ fn compile_slot(ps: &PreSlot) -> SlotFn {
             })
         }
         Op::B { disp21 } => {
-            let dest = ps.slot_addr.wrapping_add((disp21 as u32).wrapping_mul(4));
-            let b_idx = ps.b_idx;
+            let (dest, b_idx) = branch_dest(slot_addr, disp21, index);
             guard(pred, counts, move |_, _, _, branch| {
                 *branch = Some((dest, b_idx));
                 Ok(())

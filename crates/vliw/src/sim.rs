@@ -13,45 +13,44 @@
 //! Delayed writes wait in one list kept in due order (ties in staging
 //! order), so a packet prologue retires them by draining the due
 //! prefix: for one register the later-due write wins, even when a
-//! device stall lets several become due at once. The trace tier keeps
-//! single-cycle results — almost every translated slot — out of the
-//! list: they go into a next-cycle latch that the next packet's
+//! device stall lets several become due at once. The compiled cores
+//! keep single-cycle results — almost every translated slot — out of
+//! the list: they go into a next-cycle latch that the next packet's
 //! prologue always finds due and drains between the list entries due
-//! no later and the rest, the order the one list would retire them
-//! in. Snapshots put the latch back into the list at that place.
+//! no later and the rest, the order the one list would retire them in.
+//! Snapshots put the latch back into the list at that place.
 //!
 //! # Dispatch modes
 //!
-//! Like the golden model, the VLIW core has three dispatch paths
-//! selected by [`VliwDispatch`]:
+//! At load every execute packet is compiled once into a run of
+//! specialized slot closures (operands, predication guards,
+//! staged-write latencies and resolved branch-target *packet indices*
+//! captured as constants), organized by the shared
+//! [`cabt_exec::blocks::BlockMap`] partition. [`VliwDispatch`] selects
+//! how those packets are stepped:
 //!
-//! * [`VliwDispatch::Predecoded`] (default) flattens the packet list
-//!   once at load into a slot arena with precomputed slot addresses,
-//!   issue costs and resolved branch-target *packet indices*; the hot
-//!   loop dispatches by index, copies `Copy` slots out of the arena and
-//!   reuses one staging buffer — no per-packet clone, no linear scans,
-//!   no address hashing on the fall-through path.
-//! * [`VliwDispatch::Trace`] fuses every execute packet into a run of
-//!   specialized slot closures at load (operands, predication guards,
-//!   staged-write latencies and branch destinations captured as
-//!   constants), organized by the shared
-//!   [`cabt_exec::blocks::BlockMap`] partition, and adds the
-//!   profile-guided trace tier on top: hot fall-through packet chains
-//!   (branch shadows make every in-trace edge a fall edge) are
-//!   dispatched as one fused run per step, with the branch-shadow and
-//!   delayed-write pipeline checked between packets inside the run and
-//!   side exits falling back to per-packet closure dispatch. Inside a
-//!   run, an all-NOP packet folds into the packet before it: its
-//!   write-back prologue and epilogue run, its closure is not called.
-//!   With a warm-up window of 0 no trace forms and every step is one
-//!   packet.
+//! * [`VliwDispatch::Predecoded`] (default) runs one compiled packet
+//!   per step: retire due writes, redirect an expired branch shadow,
+//!   call the packet's closure. Nothing is profiled, so every step is
+//!   one packet — the granularity the lockstep debugger needs.
+//! * [`VliwDispatch::Trace`] is the same per-packet path plus the
+//!   profile-guided trace tier: hot fall-through packet chains (branch
+//!   shadows make every in-trace edge a fall edge) are dispatched as
+//!   one fused run per step, with the branch-shadow and delayed-write
+//!   pipeline checked between packets inside the run and side exits
+//!   falling back to per-packet dispatch. Inside a run, an all-NOP
+//!   packet folds into the packet before it: its write-back prologue
+//!   and epilogue run, its closure is not called. With a warm-up window
+//!   of 0 no trace forms and it steps exactly like the pre-decoded
+//!   tier.
 //! * [`VliwDispatch::Naive`] is the retained seed interpreter (clone
-//!   the packet, scan for slot positions, hash branch targets), kept as
-//!   the reference half of the differential tests.
+//!   the packet, scan for slot positions, hash branch targets) and the
+//!   one caller of the slot-walking `exec_slot`: the independent
+//!   semantics the compiled closures are diffed against.
 //!
-//! The pre-decoded and naive cores stage every result in the one list;
-//! that list-only write-back is the oracle the trace tier's latch is
-//! diffed against.
+//! The naive core stages every result in the one list; that list-only
+//! write-back is the oracle the compiled cores' latch is diffed
+//! against.
 //!
 //! All paths are cycle- and state-identical.
 
@@ -178,10 +177,10 @@ pub struct VliwStats {
 /// Which dispatch core [`VliwSim::step_packet`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VliwDispatch {
-    /// Decode-once flattened-arena dispatch.
+    /// One compiled packet per step, never profiled.
     #[default]
     Predecoded,
-    /// Closure-compiled packets plus the profile-guided trace tier.
+    /// The compiled packets plus the profile-guided trace tier.
     /// During the warm-up window ([`TraceConfig::warmup`] dispatches)
     /// block execution and fall-edge counters are collected; when a
     /// block crosses [`TraceConfig::hot_threshold`] the hottest fall
@@ -192,7 +191,8 @@ pub enum VliwDispatch {
     /// debugger runs translated sessions on
     /// [`VliwDispatch::Predecoded`] to keep packet stepping.
     Trace,
-    /// The retained seed interpreter (per-packet clone and scans).
+    /// The retained seed interpreter (per-packet clone and scans), the
+    /// reference the compiled packets are diffed against.
     Naive,
 }
 
@@ -203,10 +203,8 @@ pub(crate) const NO_IDX: u32 = u32::MAX;
 /// every in-trace edge a *fall* edge (a redirect lands packets after
 /// the branch), so a VLIW trace is simply a consecutive packet range
 /// starting at a hot block's leader; no separate trace compilation is
-/// needed on top of the fused packet closures (`prog`, a load-time
-/// constant like the pre-decoded table).
+/// needed on top of the engine's compiled packets.
 struct TraceTier {
-    prog: CompiledProgram,
     cfg: TraceConfig,
     profile: TraceProfile,
     /// Per head block: one past the last packet of the fused range
@@ -221,10 +219,8 @@ struct TraceTier {
 }
 
 impl TraceTier {
-    fn new(prog: CompiledProgram, cfg: TraceConfig) -> TraceTier {
-        let blocks = prog.map.len();
+    fn new(blocks: usize, cfg: TraceConfig) -> TraceTier {
         TraceTier {
-            prog,
             cfg,
             profile: TraceProfile::new(blocks, &cfg),
             ends: vec![None; blocks],
@@ -233,8 +229,7 @@ impl TraceTier {
         }
     }
 
-    /// A cold profile under `cfg` and no formed ranges; the compiled
-    /// packets stay.
+    /// A cold profile under `cfg` and no formed ranges.
     fn restart(&mut self, cfg: TraceConfig) {
         self.cfg = cfg;
         self.profile = TraceProfile::new(self.ends.len(), &cfg);
@@ -244,33 +239,10 @@ impl TraceTier {
     }
 }
 
-/// Pre-decoded per-packet record: issue cost plus the slice of the slot
-/// arena this packet owns.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PrePacket {
-    pub(crate) issue: u32,
-    pub(crate) first_slot: u32,
-    pub(crate) nslots: u32,
-}
-
-/// Pre-decoded slot: the (Copy) slot plus its address and, for static
-/// branches, the resolved destination packet index.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PreSlot {
-    pub(crate) slot: Slot,
-    /// Target-space address of this slot (packet base + 8·position).
-    pub(crate) slot_addr: u32,
-    /// Destination packet index for `B` (NO_IDX when unresolved or not
-    /// a static branch).
-    pub(crate) b_idx: u32,
-    /// Cached [`Op::delay_slots`] of the slot's operation.
-    pub(crate) delay: u32,
-}
-
 /// Resumable image of the VLIW core's mutable state — registers, data
 /// memory, fetch position, the delayed-write and branch-shadow pipeline
-/// state, and counters. The pre-decoded packet table and slot arena are
-/// load-time constants and stay shared with the engine; the attached
+/// state, and counters. The packet table and its compiled packets are
+/// load-time constants and stay with the engine; the attached
 /// [`TargetBus`] lives in the engine but is device state, *not* captured
 /// (the same scope as [`ExecutionEngine::reset`]).
 #[derive(Debug, Clone)]
@@ -303,9 +275,9 @@ struct VTraceSnap {
 
 impl VliwSnapshot {
     /// Serializes the snapshot for portable park/resume. Captures
-    /// exactly the fields `restore` re-seats; the packet table and slot
-    /// arena are load-time constants the resuming engine rebuilds from
-    /// the same translated image.
+    /// exactly the fields `restore` re-seats; the packet table and its
+    /// compiled packets are load-time constants the resuming engine
+    /// rebuilds from the same translated image.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new(out);
         for &v in &self.regs {
@@ -448,12 +420,11 @@ pub struct VliwSim {
     mem_image: Option<Memory>,
     program: Vec<Packet>,
     index: HashMap<u32, usize>,
-    /// Pre-decoded packet table, parallel to `program`.
-    pre: Vec<PrePacket>,
-    /// Flattened slot arena for the pre-decoded path.
-    pre_slots: Vec<PreSlot>,
-    /// Trace-tier state (compiled packets, profile counters, formed
-    /// trace ranges), built on selection of [`VliwDispatch::Trace`].
+    /// The compiled packets, parallel to `program`, and their block
+    /// partition (a load-time constant).
+    prog: CompiledProgram,
+    /// Trace-tier state (profile counters, formed trace ranges), built
+    /// on selection of [`VliwDispatch::Trace`].
     trace: Option<Box<TraceTier>>,
     /// Warm-up/threshold knobs the trace tier is built with.
     trace_cfg: TraceConfig,
@@ -466,16 +437,14 @@ pub struct VliwSim {
     /// the dispatch cores skip retirement entirely while loads and
     /// multiplies are still in flight.
     next_due: u64,
-    /// The trace tier's single-cycle results of the last packet (empty
-    /// on the other cores; see [`Latch`]).
+    /// The compiled cores' single-cycle results of the last packet
+    /// (empty on the naive core; see [`Latch`]).
     latch: Latch,
     /// `(remaining issue slots, target address)`.
     pending_branch: Option<(i64, u32)>,
     /// Resolved packet index of the pending branch target (NO_IDX when
     /// it must be looked up at redirect time).
     pending_branch_idx: u32,
-    /// Reused staging buffer for the pre-decoded path.
-    scratch: Vec<(u64, Reg, u32)>,
     mode: VliwDispatch,
     bus: Option<DeviceBus>,
     stats: VliwStats,
@@ -496,8 +465,8 @@ impl fmt::Debug for VliwSim {
 
 impl VliwSim {
     /// Builds a simulator over a packet list. Packet addresses index the
-    /// branch-target map; static branch targets are resolved to packet
-    /// indices once, here.
+    /// branch-target map; every packet is compiled, with its static
+    /// branch targets resolved to packet indices, once, here.
     ///
     /// # Errors
     ///
@@ -509,40 +478,14 @@ impl VliwSim {
                 return Err(VliwError::BadPc { addr: p.addr });
             }
         }
-        let mut pre = Vec::with_capacity(program.len());
-        let mut pre_slots = Vec::new();
-        for p in &program {
-            let first_slot = pre_slots.len() as u32;
-            for (pos, s) in p.slots().iter().enumerate() {
-                let slot_addr = p.addr + 8 * pos as u32;
-                let b_idx = match s.op {
-                    Op::B { disp21 } => {
-                        let dest = slot_addr.wrapping_add((disp21 as u32).wrapping_mul(4));
-                        index.get(&dest).map_or(NO_IDX, |&i| i as u32)
-                    }
-                    _ => NO_IDX,
-                };
-                pre_slots.push(PreSlot {
-                    slot: *s,
-                    slot_addr,
-                    b_idx,
-                    delay: s.op.delay_slots(),
-                });
-            }
-            pre.push(PrePacket {
-                issue: p.issue_cycles(),
-                first_slot,
-                nslots: p.slots().len() as u32,
-            });
-        }
+        let prog = compiled::compile(&program, &index);
         Ok(VliwSim {
             regs: [0; 64],
             mem: Memory::new(),
             mem_image: None,
             program,
             index,
-            pre,
-            pre_slots,
+            prog,
             trace: None,
             trace_cfg: TraceConfig::default(),
             pc: 0,
@@ -552,7 +495,6 @@ impl VliwSim {
             latch: Latch::EMPTY,
             pending_branch: None,
             pending_branch_idx: NO_IDX,
-            scratch: Vec::new(),
             mode: VliwDispatch::default(),
             bus: None,
             stats: VliwStats::default(),
@@ -588,17 +530,16 @@ impl VliwSim {
     }
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`VliwDispatch::Trace`] for the first time fuses the packet
-    /// table into specialized slot closures (a one-off load-time cost,
-    /// like the pre-decode flattening itself).
+    /// [`VliwDispatch::Trace`] for the first time sets up its profile
+    /// and trace tables.
     pub fn set_dispatch(&mut self, mode: VliwDispatch) {
-        // Only the trace tier latches; the other cores see one list.
+        // The naive core never latches; it sees one list.
         self.latch
             .spill(&mut self.pending_writes, &mut self.next_due);
         self.mode = mode;
         if mode == VliwDispatch::Trace && self.trace.is_none() {
-            let prog = compiled::compile(&self.pre, &self.pre_slots);
-            self.trace = Some(Box::new(TraceTier::new(prog, self.trace_cfg)));
+            let tier = TraceTier::new(self.prog.map.len(), self.trace_cfg);
+            self.trace = Some(Box::new(tier));
         }
     }
 
@@ -616,14 +557,14 @@ impl VliwSim {
     /// [`CodecError::BadIndex`], [`CodecError::BadLength`] or
     /// [`CodecError::BadValue`] for the first field that does not fit.
     pub fn check_snapshot(&self, snapshot: &VliwSnapshot) -> Result<(), CodecError> {
-        let packets = self.pre.len();
+        let packets = self.program.len();
         expect_index(
             "pending branch packet index",
             snapshot.pending_branch_idx,
             0..packets,
         )?;
-        if let (Some(tier), Some(snap)) = (&self.trace, &snapshot.trace) {
-            let map = &tier.prog.map;
+        if let (Some(_), Some(snap)) = (&self.trace, &snapshot.trace) {
+            let map = &self.prog.map;
             snap.profile.check_blocks(map.len())?;
             if let Some(&taken) = snap.profile.taken.iter().find(|&&c| c != 0) {
                 return Err(CodecError::BadValue {
@@ -774,29 +715,38 @@ impl VliwSim {
     /// Returns [`VliwError`] on bad branch targets, overlapping branch
     /// shadows or data faults.
     pub fn step_packet(&mut self) -> Result<(), VliwError> {
+        if self.mode == VliwDispatch::Naive {
+            return self.step_packet_naive();
+        }
+        // The compiled cores' prologue: retire due writes, then redirect
+        // an expired branch shadow — only then is `pc` the packet this
+        // step actually dispatches.
+        self.commit_due_writes();
+        self.redirect_if_due()?;
+        let pcv = self.pc;
+        if pcv >= self.program.len() {
+            return Err(self.off_end_error());
+        }
         match self.mode {
-            VliwDispatch::Predecoded => self.step_packet_predecoded(),
-            VliwDispatch::Trace => self.step_packet_trace(),
-            VliwDispatch::Naive => self.step_packet_naive(),
+            VliwDispatch::Trace => self.step_packet_trace(pcv),
+            _ => self.step_packet_compiled(pcv),
         }
     }
 
-    /// Packet `pcv` on its fused closure run — the trace tier's
-    /// per-packet body, entered after the prologue (due writes retired,
-    /// expired branch shadow redirected): the pre-decoded core's
-    /// packet, with the slot walk replaced by the closure run.
+    /// Packet `pcv` on its fused closure run, entered after the
+    /// prologue: the whole pre-decoded step, and the trace tier's
+    /// per-packet body.
     fn step_packet_compiled(&mut self, pcv: usize) -> Result<(), VliwError> {
         let mut stall = 0u64;
         let mut branch: Option<(u32, u32)> = None;
         let issue;
-        // Slots stage straight into the latch and `pending_writes`
-        // (results only become due from the next cycle on, so nothing
-        // staged here can commit mid-packet): no scratch-buffer swap per
-        // step.
+        // Slots stage straight into the latch and `pending_writes`:
+        // results only become due from the next cycle on, so nothing
+        // staged here can commit mid-packet.
         let staged = self.pending_writes.len();
         let result = {
             let VliwSim {
-                trace,
+                prog,
                 regs,
                 mem,
                 bus,
@@ -807,8 +757,7 @@ impl VliwSim {
                 latch,
                 ..
             } = self;
-            let tier = trace.as_ref().expect("set_dispatch builds the trace tier");
-            let cp = &tier.prog.packets[pcv];
+            let cp = &prog.packets[pcv];
             issue = cp.issue;
             latch.due = *cycle + 1;
             let mut hot = VHot {
@@ -833,29 +782,19 @@ impl VliwSim {
         self.finish_packet(branch, issue, stall)
     }
 
-    /// The trace-tier hot loop. At any packet inside a formed trace
-    /// range — its head leader or a mid-range landing — the rest of
-    /// the consecutive range dispatches inside this one step via
+    /// The trace-tier hot loop, entered after the prologue at packet
+    /// `pcv`. At any packet inside a formed trace range — its head
+    /// leader or a mid-range landing — the rest of the consecutive
+    /// range dispatches inside this one step via
     /// [`VliwSim::run_vliw_trace`]; uncovered packets take the
     /// compiled per-packet path, feeding the warm-up fall-edge profile
     /// that forms traces.
-    fn step_packet_trace(&mut self) -> Result<(), VliwError> {
-        // Prologue order matches the per-packet cores: retire due
-        // writes, then redirect an expired branch shadow — only then is
-        // `pc` the packet this step actually dispatches.
-        self.commit_due_writes();
-        self.redirect_if_due()?;
-
-        let pcv = self.pc;
-        if pcv >= self.pre.len() {
-            return Err(self.off_end_error());
-        }
-
+    fn step_packet_trace(&mut self, pcv: usize) -> Result<(), VliwError> {
         let tier = &mut **self
             .trace
             .as_mut()
             .expect("set_dispatch builds the trace tier");
-        let prog = &tier.prog;
+        let prog = &self.prog;
         let loc = prog.map.location(pcv as u32);
         let warm = tier.profile.warm();
         if loc.offset == 0 {
@@ -941,6 +880,7 @@ impl VliwSim {
     /// any packet — the translator's `NOP 5` after every branch folds.
     fn run_vliw_trace(&mut self, end: u32) -> Result<(), VliwError> {
         let VliwSim {
+            prog,
             trace,
             regs,
             mem,
@@ -958,7 +898,6 @@ impl VliwSim {
             ..
         } = self;
         let tier = &mut **trace.as_mut().expect("set_dispatch builds the trace tier");
-        let prog = &tier.prog;
         let mut pcv = *pc;
         let mut cyc = *cycle;
         let mut retired = 0u64;
@@ -1066,17 +1005,6 @@ impl VliwSim {
         result
     }
 
-    /// The list-only write-back of the pre-decoded and naive cores,
-    /// which never latch: the due prefix of the list retires.
-    fn commit_list(&mut self) {
-        commit_due(
-            &mut self.pending_writes,
-            &mut self.next_due,
-            &mut self.regs,
-            self.cycle,
-        );
-    }
-
     /// Redirects fetch if the pending branch's shadow has expired.
     fn redirect_if_due(&mut self) -> Result<(), VliwError> {
         if let Some((remaining, target)) = self.pending_branch {
@@ -1102,57 +1030,17 @@ impl VliwSim {
         }
     }
 
-    /// The pre-decoded hot loop: index-chased dispatch over the flat
-    /// packet table and slot arena. No packet clone, no position scans,
-    /// no allocation per step.
-    fn step_packet_predecoded(&mut self) -> Result<(), VliwError> {
-        if self.cycle >= self.next_due {
-            self.commit_list();
-        }
-        self.redirect_if_due()?;
-
-        let pp = match self.pre.get(self.pc) {
-            Some(p) => *p,
-            None => return Err(self.off_end_error()),
-        };
-
-        let mut stall = 0u64;
-        let mut writes = std::mem::take(&mut self.scratch);
-        let mut branch: Option<(u32, u32)> = None;
-
-        let first = pp.first_slot as usize;
-        for i in first..first + pp.nslots as usize {
-            let ps = self.pre_slots[i];
-            if let Some(p) = ps.slot.pred {
-                let v = self.regs[p.reg.index()];
-                if (v != 0) == p.negated {
-                    continue; // guard false: annulled
-                }
-            }
-            if !matches!(ps.slot.op, Op::Nop { .. }) {
-                self.stats.slots += 1;
-            }
-            if let Err(e) = self.exec_slot(&ps, &mut writes, &mut stall, &mut branch) {
-                writes.clear();
-                self.scratch = writes;
-                return Err(e);
-            }
-        }
-
-        // End of packet: stage results (visible from the next cycle on).
-        let staged = self.pending_writes.len();
-        self.pending_writes.append(&mut writes);
-        self.scratch = writes;
-        settle_staged(&mut self.pending_writes, staged, &mut self.next_due);
-
-        self.finish_packet(branch, pp.issue, stall)
-    }
-
     /// The retained naive interpreter: per-packet clone, per-slot
     /// position scans, address hashing on every redirect — exactly the
     /// seed implementation, kept as the differential-test reference.
     fn step_packet_naive(&mut self) -> Result<(), VliwError> {
-        self.commit_list();
+        // List-only write-back: the naive core never latches.
+        commit_due(
+            &mut self.pending_writes,
+            &mut self.next_due,
+            &mut self.regs,
+            self.cycle,
+        );
 
         // Branch shadow expired? Redirect before dispatch.
         if let Some((remaining, target)) = self.pending_branch {
@@ -1185,15 +1073,10 @@ impl VliwSim {
             if !matches!(slot.op, Op::Nop { .. }) {
                 self.stats.slots += 1;
             }
-            // The naive path derives the slot record on the fly — the
-            // exact per-step work the pre-decoded table amortizes away.
-            let ps = PreSlot {
-                slot: *slot,
-                slot_addr: packet.addr + 8 * pos as u32,
-                b_idx: NO_IDX,
-                delay: slot.op.delay_slots(),
-            };
-            self.exec_slot(&ps, &mut writes, &mut stall, &mut branch)?;
+            // Slot addresses are derived on the fly — per-step work the
+            // compiled packets do once at load.
+            let slot_addr = packet.addr + 8 * pos as u32;
+            self.exec_slot(slot, slot_addr, &mut writes, &mut stall, &mut branch)?;
         }
 
         // End of packet: stage results (visible from the next cycle on).
@@ -1204,7 +1087,7 @@ impl VliwSim {
         self.finish_packet(branch, packet.issue_cycles(), stall)
     }
 
-    /// Packet epilogue shared by both dispatch cores: branch shadow
+    /// Packet epilogue shared by the per-packet steps: branch shadow
     /// bookkeeping, counters, cycle advance.
     fn finish_packet(
         &mut self,
@@ -1229,25 +1112,24 @@ impl VliwSim {
         Ok(())
     }
 
-    /// Executes one slot record: `ps.slot_addr` is the slot's
-    /// target-space address (used by relative branches), `ps.b_idx` the
-    /// pre-resolved destination packet index of a static `B` (`NO_IDX`
-    /// when the caller has none, e.g. the naive path or an off-image
-    /// target), `ps.delay` the operation's cached [`Op::delay_slots`].
+    /// Executes one slot of the naive core: `slot_addr` is the slot's
+    /// target-space address (used by relative branches, whose
+    /// destination is looked up at redirect time).
     fn exec_slot(
         &mut self,
-        ps: &PreSlot,
+        slot: &Slot,
+        slot_addr: u32,
         writes: &mut Vec<(u64, Reg, u32)>,
         stall: &mut u64,
         branch: &mut Option<(u32, u32)>,
     ) -> Result<(), VliwError> {
-        let (slot_addr, b_idx, delay) = (ps.slot_addr, ps.b_idx, ps.delay);
+        let delay = slot.op.delay_slots();
         let g = |sim: &Self, r: Reg| sim.regs[r.index()];
         let now = self.cycle;
         let mut put = |_op: &Op, r: Reg, v: u32| {
             writes.push((now + 1 + delay as u64, r, v));
         };
-        let op = ps.slot.op;
+        let op = slot.op;
         match op {
             Op::Add { d, s1, s2 } => put(&op, d, g(self, s1).wrapping_add(g(self, s2))),
             Op::Sub { d, s1, s2 } => put(&op, d, g(self, s1).wrapping_sub(g(self, s2))),
@@ -1319,7 +1201,7 @@ impl VliwSim {
             Op::B { disp21 } => {
                 *branch = Some((
                     slot_addr.wrapping_add((disp21 as u32).wrapping_mul(4)),
-                    b_idx,
+                    NO_IDX,
                 ));
             }
             Op::BReg { s } => *branch = Some((g(self, s), NO_IDX)),
@@ -1436,7 +1318,7 @@ fn commit_due(
     *next_due = pending.first().map_or(u64::MAX, |&(c, _, _)| c);
 }
 
-/// The trace tier's next-cycle latch: the single-cycle results one
+/// The compiled cores' next-cycle latch: the single-cycle results one
 /// packet staged, in slot order, all due at `due` (the packet's
 /// dispatch cycle + 1). A packet that stages anything issues for one
 /// cycle (only a lone `NOP n` issues for `n`), so the next packet's
@@ -1484,7 +1366,7 @@ impl Latch {
     }
 }
 
-/// The trace tier's packet prologue write-back: retires the latch and
+/// The compiled cores' packet prologue write-back: retires the latch and
 /// every list entry due at `now`, in the order one due-ordered list
 /// holding both would — list entries due no later than the latch
 /// (staged earlier), then the latch in slot order, then the rest of the
@@ -1999,9 +1881,9 @@ mod tests {
 
     /// At every trace-tier step boundary — fused runs and single
     /// compiled packets alike — the snapshot reads exactly like the
-    /// pre-decoded core's at the same retirement count: the latch sits
-    /// in the pending list behind the writes due no later, and
-    /// `next_due` covers it. Restoring it on either core replays to the
+    /// list-only naive core's at the same retirement count: the latch
+    /// sits in the pending list behind the writes due no later, and
+    /// `next_due` covers it. Restoring it on any core replays to the
     /// same halt.
     #[test]
     fn trace_snapshots_put_the_latch_where_the_list_keeps_it() {
@@ -2020,13 +1902,13 @@ mod tests {
             sim.set_dispatch(mode);
             sim
         };
-        let mut oracle = build(VliwDispatch::Predecoded, eager);
+        let mut oracle = build(VliwDispatch::Naive, eager);
         let end = oracle.run(10_000).unwrap();
         let end_regs = oracle.regs;
         assert_eq!(oracle.reg(Reg::a(4)), 12 * 7 + 9);
         for cfg in [eager, per_packet] {
             let mut tr = build(VliwDispatch::Trace, cfg);
-            let mut pre = build(VliwDispatch::Predecoded, cfg);
+            let mut pre = build(VliwDispatch::Naive, cfg);
             let mut latched = 0;
             while !tr.is_halted() {
                 tr.run_until(Limit::Retirements(tr.stats().packets + 1))
@@ -2040,9 +1922,13 @@ mod tests {
                 assert_eq!(t.next_due, p.next_due, "{at}");
                 assert_eq!((t.regs, t.cycle), (p.regs, p.cycle), "{at}");
                 // A fused run takes an expired shadow's redirect before
-                // it stops; the pre-decoded core at its next prologue.
+                // it stops; the naive core at its next prologue.
                 assert_eq!(tr.pc_addr(), pre.pc_addr(), "{at}");
-                for mode in [VliwDispatch::Trace, VliwDispatch::Predecoded] {
+                for mode in [
+                    VliwDispatch::Trace,
+                    VliwDispatch::Predecoded,
+                    VliwDispatch::Naive,
+                ] {
                     let mut replay = build(mode, cfg);
                     replay.restore(&t);
                     assert_eq!(replay.run(10_000).unwrap(), end, "{at}: {mode:?}");
@@ -2609,7 +2495,7 @@ mod tests {
             p
         };
         let mut sim = VliwSim::new(prog).unwrap();
-        let map = compiled::compile(&sim.pre, &sim.pre_slots).map;
+        let map = &sim.prog.map;
         // Blocks: [0,1] (ends at the branch packet), [2] (post-branch
         // leader), [3] (branch target).
         assert_eq!(map.len(), 3);

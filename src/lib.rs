@@ -35,7 +35,8 @@
 //! Execution comes in three dispatch tiers, all bit-identical and all
 //! selected as plain `Backend` data: the retained naive interpreters
 //! (the differential oracle), the **pre-decoded engines** (the image
-//! decoded once at load into index-chased tables) and the **trace
+//! decoded once at load into index-chased tables; on the VLIW core, its
+//! compiled packets stepped one at a time) and the **trace
 //! tier** (basic blocks of the shared [`cabt_exec::blocks`] partition
 //! fused into closure runs at load, hot chains fused into superblocks
 //! after a warm-up window; with a warm-up of 0 it is plain

@@ -104,8 +104,8 @@ fn tricore_compiled_agrees_at_every_block_boundary() {
 }
 
 /// With warm-up 0 the VLIW trace tier dispatches one compiled packet
-/// per step, so the comparison can be made after *every* packet,
-/// pending pipeline state included.
+/// per step, so the comparison against the naive interpreter can be
+/// made after *every* packet, pending pipeline state included.
 #[test]
 fn vliw_compiled_agrees_after_every_packet() {
     let w = cabt::workloads::gcd(6, 11);
@@ -113,26 +113,27 @@ fn vliw_compiled_agrees_after_every_packet() {
     let t = Translator::new(DetailLevel::Static)
         .translate(&elf)
         .expect("translates");
-    let mut pre = t.make_sim().expect("builds");
+    let mut naive = t.make_sim().expect("builds");
+    naive.set_dispatch(VliwDispatch::Naive);
     let mut comp = t.make_sim().expect("builds");
     comp.set_trace_config(block_dispatch());
     comp.set_dispatch(VliwDispatch::Trace);
     let mut packets = 0u64;
-    while !pre.is_halted() && packets < 50_000 {
-        pre.step_packet().expect("predecoded steps");
+    while !naive.is_halted() && packets < 50_000 {
+        naive.step_packet().expect("naive steps");
         comp.step_packet().expect("compiled steps");
-        assert_eq!(pre.cycle(), comp.cycle(), "cycle at packet {packets}");
-        assert_eq!(pre.pc_addr(), comp.pc_addr(), "pc at packet {packets}");
+        assert_eq!(naive.cycle(), comp.cycle(), "cycle at packet {packets}");
+        assert_eq!(naive.pc_addr(), comp.pc_addr(), "pc at packet {packets}");
         for i in 0..64 {
             assert_eq!(
-                pre.read_reg_index(i),
+                naive.read_reg_index(i),
                 comp.read_reg_index(i),
                 "reg {i} at packet {packets}"
             );
         }
         packets += 1;
     }
-    assert!(pre.is_halted(), "did not halt in bounds");
+    assert!(naive.is_halted(), "did not halt in bounds");
     assert!(comp.is_halted());
 }
 
@@ -306,7 +307,7 @@ fn vliw_run(
 }
 
 /// The VLIW trace tier with warm-up 0 — every step one compiled packet,
-/// no trace ever forms — matches the pre-decoded engine at the halt on
+/// no trace ever forms — matches the naive interpreter at the halt on
 /// every bundled workload and detail level.
 #[test]
 fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
@@ -314,7 +315,7 @@ fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
         let elf = w.elf().expect("assembles");
         for level in [DetailLevel::Static, DetailLevel::Cache] {
             let t = Translator::new(level).translate(&elf).expect("translates");
-            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Predecoded, block_dispatch());
+            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Naive, block_dispatch());
             let (sc, rc, vc, ts) = vliw_run(&t, VliwDispatch::Trace, block_dispatch());
             assert_eq!(sp, sc, "{} level {level}: platform stats diverged", w.name);
             assert_eq!(vp, vc, "{} level {level}: engine stats diverged", w.name);
@@ -357,8 +358,8 @@ fn tricore_trace_is_bit_identical_on_all_workloads() {
     }
 }
 
-/// The trace tier on the VLIW target: bit-identical to the pre-decoded
-/// engine at the halt on every bundled workload and detail level,
+/// The trace tier on the VLIW target: bit-identical to the naive
+/// interpreter at the halt on every bundled workload and detail level,
 /// retiring packets inside fused packet ranges.
 #[test]
 fn vliw_trace_is_bit_identical_on_all_workloads() {
@@ -366,7 +367,7 @@ fn vliw_trace_is_bit_identical_on_all_workloads() {
         let elf = w.elf().expect("assembles");
         for level in [DetailLevel::Static, DetailLevel::Cache] {
             let t = Translator::new(level).translate(&elf).expect("translates");
-            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Predecoded, eager_traces());
+            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Naive, eager_traces());
             let (st, rt, vt, ts) = vliw_run(&t, VliwDispatch::Trace, eager_traces());
             assert_eq!(sp, st, "{} level {level}: platform stats diverged", w.name);
             assert_eq!(vp, vt, "{} level {level}: engine stats diverged", w.name);
@@ -386,11 +387,11 @@ fn vliw_trace_is_bit_identical_on_all_workloads() {
 /// with its sync-device stalls — compared at every boundary of a small
 /// prime cycle stride, not only at the halt. The trace session stops
 /// where its fused runs end (at or past each stride multiple), often
-/// right after a folded NOP packet; the pre-decoded session is run to
-/// the same retirement count and both digests must agree there. In
+/// right after a folded NOP packet; the naive session is run to the
+/// same retirement count and both digests must agree there. In
 /// between, results the trace tier holds in its next-cycle latch and
-/// the pre-decoded core holds in its list are equally uncommitted, so
-/// the digests see the same register file.
+/// the naive core holds in its list are equally uncommitted, so the
+/// digests see the same register file.
 #[test]
 fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
     const STRIDE: u64 = 31;
@@ -404,15 +405,19 @@ fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
                 .expect("builds")
         };
         let mut tr = build(Backend::translated_trace(DetailLevel::Cache));
-        let mut pre = build(Backend::translated(DetailLevel::Cache));
+        let mut naive = build(Backend::Translated {
+            level: DetailLevel::Cache,
+            dispatch: VliwDispatch::Naive,
+        });
         let mut boundaries = 0u64;
         loop {
             let bound = (tr.cycle() / STRIDE + 1) * STRIDE;
             let stop = tr.run(Limit::Cycles(bound)).expect("trace session runs");
-            pre.run(Limit::Retirements(tr.stats().retired))
-                .expect("pre-decoded session runs");
+            naive
+                .run(Limit::Retirements(tr.stats().retired))
+                .expect("naive session runs");
             assert_eq!(
-                fingerprint_engine(&pre),
+                fingerprint_engine(&naive),
                 fingerprint_engine(&tr),
                 "{}: diverged at the boundary at cycle {} (packet {})",
                 w.name,
@@ -424,11 +429,7 @@ fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
                 break;
             }
         }
-        assert!(
-            pre.is_halted(),
-            "{}: pre-decoded session did not halt",
-            w.name
-        );
+        assert!(naive.is_halted(), "{}: naive session did not halt", w.name);
         assert_eq!(tr.read_d(2), w.expected_d2, "{}: checksum", w.name);
         let ts = tr.trace_stats().expect("trace backend");
         assert!(ts.trace_retired > 0, "{}: no trace retirement", w.name);
