@@ -3,22 +3,25 @@
 //!
 //! The paper's progression is "compile ever-larger units": instructions
 //! (pre-decode), basic blocks (closure-compiled at load), and finally *hot
-//! paths* spanning several blocks. This module hosts the engine-neutral
-//! half of that last step, mirroring [`blocks`](crate::blocks): the
-//! per-block profile counters an engine collects during its warm-up
-//! window ([`TraceProfile`]), the greedy hottest-successor selection
-//! that grows a superblock from a hot head block ([`grow`]), and the
-//! formation/coverage counters the bench harness reports
-//! ([`TraceStats`]). What a *formed* trace looks like — fused closure
-//! runs on the golden model, a packet-run window on the VLIW core — is
-//! engine-specific and lives with each core's trace tier.
+//! paths* spanning several blocks. This module owns the engine-neutral
+//! half of that last step, mirroring [`blocks`](crate::blocks): one
+//! [`TraceState`] per engine holds the knobs, the per-block profile
+//! counters collected during the warm-up window ([`TraceProfile`]), the
+//! plan of every formed trace ([`TracePlan`], grown greedily along the
+//! hottest successors by [`grow`]) and the formation/coverage counters
+//! the bench harness reports ([`TraceStats`]). The state forms traces
+//! ([`TraceState::form`]), serializes with its engine's snapshot and
+//! checks a decoded image against the engine's block map
+//! ([`TraceState::check`]). What an engine *derives* from a plan — fused
+//! closure chains on the golden model, packet-range covers on the VLIW
+//! core — is engine-specific and lives with each core's trace tier.
 //!
 //! The tier is profile-guided but still deterministic: counters advance
 //! only with the engine's own (deterministic) execution, so the same
 //! program forms the same traces in the same order on every run — a
 //! requirement for the bit-identity and schedule-independence suites,
-//! which compare trace-tier runs against pre-decoded runs observable by
-//! observable.
+//! which compare trace-tier runs against the other dispatch tiers and
+//! against resumed and restored runs, observable by observable.
 
 use crate::blocks::{BlockMap, NO_BLOCK};
 use cabt_isa::codec::{expect_len, ByteReader, ByteWriter, CodecError};
@@ -62,21 +65,13 @@ pub struct TraceProfile {
     pub exec: Vec<u32>,
     /// Per-block fall-edge exit counts.
     pub fall: Vec<u32>,
-    /// Per-block taken-edge exit counts.
-    pub taken: Vec<u32>,
+    /// Per-block taken-edge exit counts; `None` on an engine that
+    /// records fall edges only (the VLIW core, whose branch shadows
+    /// redirect *mid*-block), which therefore grows fall chains only.
+    pub taken: Option<Vec<u32>>,
 }
 
 impl TraceProfile {
-    /// A fresh profile over `blocks` basic blocks.
-    pub fn new(blocks: usize, cfg: &TraceConfig) -> TraceProfile {
-        TraceProfile {
-            warmup_left: cfg.warmup,
-            exec: vec![0; blocks],
-            fall: vec![0; blocks],
-            taken: vec![0; blocks],
-        }
-    }
-
     /// True while the warm-up window is open (counters still advance).
     #[inline]
     pub fn warm(&self) -> bool {
@@ -85,9 +80,9 @@ impl TraceProfile {
 
     /// Records one dispatch of `block` and burns one warm-up slot.
     /// Returns true exactly when the block's counter *reaches*
-    /// `hot_threshold` — the caller's cue to try growing a trace.
+    /// `hot_threshold` — the cue to try growing a trace.
     #[inline]
-    pub fn record_exec(&mut self, block: u32, hot_threshold: u32) -> bool {
+    fn record_exec(&mut self, block: u32, hot_threshold: u32) -> bool {
         self.warmup_left -= 1;
         let c = &mut self.exec[block as usize];
         *c = c.saturating_add(1);
@@ -101,11 +96,14 @@ impl TraceProfile {
         *c = c.saturating_add(1);
     }
 
-    /// Records a taken-edge exit of `block`.
+    /// Records a taken-edge exit of `block` (a no-op on a fall-only
+    /// profile).
     #[inline]
     pub fn record_taken(&mut self, block: u32) {
-        let c = &mut self.taken[block as usize];
-        *c = c.saturating_add(1);
+        if let Some(t) = &mut self.taken {
+            let c = &mut t[block as usize];
+            *c = c.saturating_add(1);
+        }
     }
 }
 
@@ -133,9 +131,8 @@ pub struct TracePlan {
 /// exits and have fired at all), at indirect terminators and table
 /// exits (no successor edge), at blocks already in the trace, and at
 /// the [`MAX_TRACE_BLOCKS`] cap. An edge back to the head is detected
-/// as a *loop trace* instead of a stop. Engines that never record a
-/// taken edge (the VLIW core, whose branch shadows redirect *mid*-block)
-/// grow along fall chains only.
+/// as a *loop trace* instead of a stop. A fall-only profile grows along
+/// fall chains only.
 ///
 /// Returns `None` when no useful trace exists (a single block with no
 /// loop edge gains nothing over plain block dispatch).
@@ -149,7 +146,7 @@ pub fn grow(map: &BlockMap, profile: &TraceProfile, head: u32) -> Option<TracePl
         let span = &map.blocks[cur as usize];
         let exec = profile.exec[cur as usize];
         let fall_n = profile.fall[cur as usize];
-        let taken_n = profile.taken[cur as usize];
+        let taken_n = profile.taken.as_ref().map_or(0, |t| t[cur as usize]);
         // Hottest recorded exit edge (ties go to the fall edge — the
         // cheaper continuation on every engine).
         let (next, thru_taken, hits) = if taken_n > fall_n {
@@ -214,11 +211,77 @@ impl TraceStats {
     }
 }
 
+/// One engine's trace-tier state: the knobs, the warm-up profile, the
+/// plan of the trace formed at each head block and the coverage
+/// counters. Both cores keep one, and derive from its plans only what
+/// they dispatch (compiled closure chains, packet-range covers), so a
+/// snapshot carries the state and a restore re-derives the rest.
+#[derive(Debug, Clone)]
+pub struct TraceState {
+    /// The tier's knobs. Not part of the snapshot image: a decoded
+    /// state holds the defaults, and a restore keeps the engine's own.
+    pub cfg: TraceConfig,
+    /// Warm-up profile counters.
+    pub profile: TraceProfile,
+    /// Per head block: the plan of the trace formed there (`None`
+    /// until one forms).
+    pub plans: Vec<Option<TracePlan>>,
+    /// Formation/coverage counters.
+    pub stats: TraceStats,
+}
+
+impl TraceState {
+    /// A cold tier over `blocks` basic blocks; `taken_edges` says
+    /// whether the engine profiles taken edges ([`TraceProfile::taken`]).
+    pub fn new(blocks: usize, cfg: TraceConfig, taken_edges: bool) -> TraceState {
+        TraceState {
+            cfg,
+            profile: TraceProfile {
+                warmup_left: cfg.warmup,
+                exec: vec![0; blocks],
+                fall: vec![0; blocks],
+                taken: taken_edges.then(|| vec![0; blocks]),
+            },
+            plans: vec![None; blocks],
+            stats: TraceStats::default(),
+        }
+    }
+
+    /// A cold profile under `cfg`, no formed traces, zeroed counters.
+    pub fn restart(&mut self, cfg: TraceConfig) {
+        *self = TraceState::new(self.plans.len(), cfg, self.profile.taken.is_some());
+    }
+
+    /// The formation step of one dispatch of head block `head` on
+    /// `map`: while the warm-up window is open and no trace is headed
+    /// there yet, count the dispatch, and when the block turns hot grow
+    /// its trace. Returns the plan of a trace formed by this call, for
+    /// the engine to derive its dispatch form from.
+    #[inline]
+    pub fn form(&mut self, map: &BlockMap, head: u32) -> Option<&TracePlan> {
+        if !self.profile.warm()
+            || self.plans[head as usize].is_some()
+            || !self.profile.record_exec(head, self.cfg.hot_threshold)
+        {
+            return None;
+        }
+        let plan = grow(map, &self.profile, head)?;
+        self.stats.traces += 1;
+        self.stats.trace_blocks += plan.blocks.len() as u64;
+        Some(self.plans[head as usize].insert(plan))
+    }
+
+    /// The formed plans, in head-block order.
+    pub fn formed(&self) -> Vec<TracePlan> {
+        self.plans.iter().flatten().cloned().collect()
+    }
+}
+
 // --- portable-snapshot codecs -------------------------------------------
 //
 // The trace tier is part of an engine's resumable state (profiles keep
-// counting and traces keep forming after a park/resume), so its types
-// serialize with the rest of the snapshot. Engines embed these in their
+// counting and traces keep forming after a park/resume), so its state
+// serializes with the rest of the snapshot. Engines embed it in their
 // own snapshot codecs.
 
 impl TraceConfig {
@@ -253,54 +316,107 @@ fn encode_counters(out: &mut Vec<u8>, v: &[u32]) {
 
 fn decode_counters(r: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<u32>, CodecError> {
     let n = r.count(what, 4)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.u32()?);
-    }
-    Ok(v)
+    (0..n).map(|_| r.u32()).collect()
 }
 
-impl TraceProfile {
-    /// Serializes the profile counters.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        ByteWriter::new(out).u64(self.warmup_left);
-        encode_counters(out, &self.exec);
-        encode_counters(out, &self.fall);
-        encode_counters(out, &self.taken);
+impl TraceState {
+    /// Serializes an engine's tier state (`None` while the engine's
+    /// trace tier was never selected): a presence flag, then the warm-up
+    /// left, the exec/fall (and taken, where profiled) counter tables,
+    /// the formed-plan table and the coverage counters. The knobs are
+    /// not part of the image.
+    pub fn encode_into(state: Option<&TraceState>, out: &mut Vec<u8>) {
+        ByteWriter::new(out).bool(state.is_some());
+        let Some(state) = state else { return };
+        let p = &state.profile;
+        ByteWriter::new(out).u64(p.warmup_left);
+        encode_counters(out, &p.exec);
+        encode_counters(out, &p.fall);
+        if let Some(taken) = &p.taken {
+            encode_counters(out, taken);
+        }
+        ByteWriter::new(out).u64(state.plans.len() as u64);
+        for plan in &state.plans {
+            ByteWriter::new(out).bool(plan.is_some());
+            if let Some(plan) = plan {
+                plan.encode_into(out);
+            }
+        }
+        let mut w = ByteWriter::new(out);
+        w.u64(state.stats.traces);
+        w.u64(state.stats.trace_blocks);
+        w.u64(state.stats.trace_retired);
     }
 
-    /// Decodes a [`TraceProfile::encode_into`] image.
+    /// Decodes a [`TraceState::encode_into`] image of an engine that
+    /// profiles taken edges iff `taken_edges`; a decoded state holds the
+    /// default knobs.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(TraceProfile {
+    pub fn decode(r: &mut ByteReader<'_>, taken_edges: bool) -> Result<Option<Self>, CodecError> {
+        if !r.bool()? {
+            return Ok(None);
+        }
+        let profile = TraceProfile {
             warmup_left: r.u64()?,
             exec: decode_counters(r, "trace exec counters")?,
             fall: decode_counters(r, "trace fall counters")?,
-            taken: decode_counters(r, "trace taken counters")?,
-        })
+            taken: taken_edges
+                .then(|| decode_counters(r, "trace taken counters"))
+                .transpose()?,
+        };
+        let n = r.count("formed trace plans", 1)?;
+        let plans = (0..n)
+            .map(|_| r.bool()?.then(|| TracePlan::decode(r)).transpose())
+            .collect::<Result<_, _>>()?;
+        Ok(Some(TraceState {
+            cfg: TraceConfig::default(),
+            profile,
+            plans,
+            stats: TraceStats {
+                traces: r.u64()?,
+                trace_blocks: r.u64()?,
+                trace_retired: r.u64()?,
+            },
+        }))
     }
 
-    /// Checks that a decoded profile counts exactly `blocks` blocks —
-    /// the block count of the engine it is restored into.
+    /// Checks a decoded state against the block map of the engine it is
+    /// restored into: every counter table and the plan table have one
+    /// entry per block, every formed plan passes [`TracePlan::check`]
+    /// under its head, and a fall-only profile's plans seam and loop
+    /// along fall edges only. A state the engine took always passes.
     ///
     /// # Errors
     ///
-    /// [`CodecError::BadLength`] naming the first counter table that
-    /// does not fit.
-    pub fn check_blocks(&self, blocks: usize) -> Result<(), CodecError> {
-        expect_len("trace exec counters", self.exec.len(), blocks)?;
-        expect_len("trace fall counters", self.fall.len(), blocks)?;
-        expect_len("trace taken counters", self.taken.len(), blocks)
+    /// The [`CodecError`] of the first property that fails.
+    pub fn check(&self, map: &BlockMap) -> Result<(), CodecError> {
+        let p = &self.profile;
+        expect_len("trace exec counters", p.exec.len(), map.len())?;
+        expect_len("trace fall counters", p.fall.len(), map.len())?;
+        if let Some(taken) = &p.taken {
+            expect_len("trace taken counters", taken.len(), map.len())?;
+        }
+        expect_len("formed trace plans", self.plans.len(), map.len())?;
+        for (head, plan) in (0..).zip(&self.plans) {
+            let Some(plan) = plan else { continue };
+            plan.check(map, head)?;
+            if p.taken.is_none() && (plan.loop_via_taken || plan.via_taken.contains(&true)) {
+                return Err(CodecError::BadValue {
+                    what: "taken edge in a fall-only trace plan",
+                    value: u64::from(head),
+                });
+            }
+        }
+        Ok(())
     }
 }
 
 impl TracePlan {
-    /// Serializes the plan (a formed trace, carried by its engine's
-    /// snapshot so a restored engine can compile it again).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Serializes the plan: its blocks, seam flags and loop flags.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new(out);
         w.u64(self.blocks.len() as u64);
         for &b in &self.blocks {
@@ -315,11 +431,7 @@ impl TracePlan {
     }
 
     /// Decodes a [`TracePlan::encode_into`] image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n = r.count("trace plan blocks", 4)?;
         let blocks = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
         let n = r.count("trace plan seams", 1)?;
@@ -396,29 +508,6 @@ impl TracePlan {
     }
 }
 
-impl TraceStats {
-    /// Serializes the formation/coverage counters.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::new(out);
-        w.u64(self.traces);
-        w.u64(self.trace_blocks);
-        w.u64(self.trace_retired);
-    }
-
-    /// Decodes a [`TraceStats::encode_into`] image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(TraceStats {
-            traces: r.u64()?,
-            trace_blocks: r.u64()?,
-            trace_retired: r.u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,7 +535,7 @@ mod tests {
     #[test]
     fn threshold_crossing_fires_exactly_once() {
         let cfg = cfg();
-        let mut p = TraceProfile::new(3, &cfg);
+        let mut p = TraceState::new(3, cfg, true).profile;
         let mut fired = 0;
         for _ in 0..10 {
             if p.record_exec(1, cfg.hot_threshold) {
@@ -461,7 +550,7 @@ mod tests {
     fn single_block_loop_grows_a_loop_trace() {
         let cfg = cfg();
         let map = loopy_map();
-        let mut p = TraceProfile::new(map.len(), &cfg);
+        let mut p = TraceState::new(map.len(), cfg, true).profile;
         for _ in 0..8 {
             p.record_exec(1, cfg.hot_threshold);
             p.record_taken(1);
@@ -484,7 +573,7 @@ mod tests {
         ];
         let map = BlockMap::build(&units, |_| true, [0u32], false);
         let cfg = cfg();
-        let mut p = TraceProfile::new(map.len(), &cfg);
+        let mut p = TraceState::new(map.len(), cfg, true).profile;
         for _ in 0..8 {
             p.record_exec(0, cfg.hot_threshold);
             p.record_taken(0); // hot edge: taken to block [3]
@@ -502,7 +591,7 @@ mod tests {
     fn cold_and_unseen_edges_stop_growth() {
         let map = loopy_map();
         let cfg = cfg();
-        let mut p = TraceProfile::new(map.len(), &cfg);
+        let mut p = TraceState::new(map.len(), cfg, true).profile;
         // Block 0 executed often but its fall edge fired once out of
         // eight exits — dominated, so no trace.
         for _ in 0..8 {
@@ -519,7 +608,7 @@ mod tests {
         units[31] = UnitFlow::Halt;
         let map = BlockMap::build(&units, |_| true, [0u32], true);
         let cfg = cfg();
-        let mut p = TraceProfile::new(map.len(), &cfg);
+        let mut p = TraceState::new(map.len(), cfg, true).profile;
         for b in 0..32u32 {
             for _ in 0..8 {
                 p.record_exec(b, cfg.hot_threshold);
@@ -534,18 +623,30 @@ mod tests {
     #[test]
     fn grown_plans_round_trip_and_pass_the_check() {
         let map = loopy_map();
-        let cfg = cfg();
-        let mut p = TraceProfile::new(map.len(), &cfg);
+        let mut st = TraceState::new(map.len(), cfg(), true);
         for _ in 0..8 {
-            p.record_exec(1, cfg.hot_threshold);
-            p.record_taken(1);
+            st.form(&map, 1);
+            st.profile.record_taken(1);
         }
-        let plan = grow(&map, &p, 1).expect("loop trace forms");
+        assert_eq!(st.stats.traces, 1, "block 1 turned hot once");
+        let plan = st.formed().pop().expect("loop trace forms");
+        assert!(plan.loop_back && plan.loop_via_taken);
         let mut bytes = Vec::new();
-        plan.encode_into(&mut bytes);
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(TracePlan::decode(&mut r), Ok(plan.clone()));
-        assert_eq!(plan.check(&map, 1), Ok(()));
+        TraceState::encode_into(Some(&st), &mut bytes);
+        let back = TraceState::decode(&mut ByteReader::new(&bytes), true)
+            .expect("decodes")
+            .expect("present");
+        assert_eq!((&back.plans, back.stats), (&st.plans, st.stats));
+        assert_eq!(back.check(&map), Ok(()));
+        // A fall-only engine could not have grown along the taken edge.
+        let fall_only = TraceState {
+            profile: TraceState::new(map.len(), cfg(), false).profile,
+            ..back.clone()
+        };
+        assert!(fall_only.check(&map).is_err());
+        let mut short = back;
+        short.plans.pop();
+        assert!(short.check(&map).is_err());
         // Filed under another head, or closing the loop along the
         // fall edge, it is not a plan growth could produce.
         assert!(plan.check(&map, 0).is_err());

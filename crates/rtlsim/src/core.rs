@@ -613,6 +613,13 @@ impl RtlCore {
         self.kernel.delta_count()
     }
 
+    /// Checks a snapshot decoded from untrusted bytes against this
+    /// core's elaboration before [`ExecutionEngine::restore`]; the
+    /// errors are [`Kernel::check_state`]'s.
+    pub fn check_snapshot(&self, snapshot: &RtlSnapshot) -> Result<(), CodecError> {
+        self.kernel.check_state(&snapshot.kernel)
+    }
+
     /// Shared handle to the data memory (testbench access).
     pub fn memory(&self) -> Arc<Mutex<Memory>> {
         Arc::clone(&self.mem)

@@ -5,7 +5,7 @@
 //! writes are staged and committed between delta cycles, and simulated
 //! time only advances once the delta iteration reaches a fixed point.
 
-use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
+use cabt_isa::codec::{expect_len, ByteReader, ByteWriter, CodecError};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -277,6 +277,24 @@ impl Kernel {
             runnable,
             time: self.time,
             deltas: self.deltas,
+        }
+    }
+
+    /// Checks a decoded state against this kernel's elaboration: one
+    /// value per signal, and every runnable index naming a process.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadLength`] or [`CodecError::BadIndex`] for the
+    /// first field that does not fit.
+    pub fn check_state(&self, state: &KernelState) -> Result<(), CodecError> {
+        expect_len("kernel signals", state.values.len(), self.values.len())?;
+        match state.runnable.iter().find(|&&p| p >= self.procs.len()) {
+            Some(&p) => Err(CodecError::BadIndex {
+                what: "runnable process",
+                index: p as u64,
+            }),
+            None => Ok(()),
         }
     }
 

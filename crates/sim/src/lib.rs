@@ -999,7 +999,10 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// the memory images' access counters and the golden statistics' exit
 /// flag. v5 carries each formed golden trace's plan in place of its
 /// formed flag, so a resumed trace tier dispatches the donor's traces.
-pub const PARK_VERSION: u16 = 5;
+/// v6 gives both cores one trace-tier encoding: the VLIW tier parks its
+/// formed plans, not its `ends`, `span` and always-zero taken tables,
+/// and re-derives its packet-range covers on restore.
+pub const PARK_VERSION: u16 = 6;
 
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1419,15 +1422,17 @@ impl Session {
         }
     }
 
-    /// The trace chains the golden trace tier has fused so far
-    /// ([`cabt_exec::trace::TracePlan`]s, in head-block order) — the
-    /// dynamic side of the static trace-prediction cross-check. Empty
-    /// for non-golden vehicles (the VLIW tier's traces are consecutive
-    /// packet ranges, not plans) and while nothing is hot.
+    /// The trace chains the trace tier has formed so far
+    /// ([`cabt_exec::trace::TracePlan`]s, in head-block order) — over the
+    /// guest's blocks on a golden vehicle (the dynamic side of the static
+    /// trace-prediction cross-check), over the packets' blocks on a
+    /// translated one. Empty for RTL and sharded vehicles and while
+    /// nothing is hot.
     pub fn trace_plans(&self) -> Vec<cabt_exec::trace::TracePlan> {
         match &self.vehicle {
             Vehicle::Golden { sim, .. } => sim.trace_plans(),
-            _ => Vec::new(),
+            Vehicle::Translated { platform, .. } => platform.sim().trace_plans(),
+            Vehicle::Rtl(_) | Vehicle::Sharded(_) => Vec::new(),
         }
     }
 
@@ -1693,7 +1698,10 @@ impl Session {
                 platform.engine().restore(engine);
                 platform.restore_sync_device(sync);
             }
-            (Vehicle::Rtl(core), Snap::Rtl(s)) => core.restore(s),
+            (Vehicle::Rtl(core), Snap::Rtl(s)) => {
+                core.check_snapshot(s)?;
+                core.restore(s);
+            }
             (Vehicle::Sharded(set), Snap::Sharded { shards, .. }) => {
                 assert_eq!(
                     set.shards.len(),

@@ -17,7 +17,7 @@
 //! that cross basic-block boundaries, branch outcomes, and cache misses.
 
 use crate::isa::{Instr, RegSet};
-use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
+use cabt_isa::codec::{expect_len, ByteReader, ByteWriter, CodecError};
 
 /// Issue pipeline of an instruction (the TriCore-style dual pipe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -436,6 +436,42 @@ impl CacheSim {
         w.raw(&self.lru);
         w.u64(self.hits);
         w.u64(self.misses);
+    }
+
+    /// Checks a decoded image against the cache model `cfg` it is
+    /// restored into: the same geometry, one tag and one LRU rank per
+    /// (set, way), and every rank below the associativity.
+    ///
+    /// # Errors
+    ///
+    /// The [`CodecError`] of the first property that fails.
+    pub fn check(&self, cfg: &CacheConfig) -> Result<(), CodecError> {
+        let geometry = [
+            ("cache sets", self.cfg.sets, cfg.sets),
+            ("cache ways", self.cfg.ways, cfg.ways),
+            ("cache line bytes", self.cfg.line_bytes, cfg.line_bytes),
+            (
+                "cache miss penalty",
+                self.cfg.miss_penalty,
+                cfg.miss_penalty,
+            ),
+        ];
+        if let Some(&(what, value, _)) = geometry.iter().find(|(_, got, want)| got != want) {
+            return Err(CodecError::BadValue {
+                what,
+                value: value.into(),
+            });
+        }
+        let n = (cfg.sets * cfg.ways) as usize;
+        expect_len("cache tags", self.tags.len(), n)?;
+        expect_len("cache lru ranks", self.lru.len(), n)?;
+        match self.lru.iter().find(|&&rank| u32::from(rank) >= cfg.ways) {
+            Some(&rank) => Err(CodecError::BadValue {
+                what: "cache lru rank",
+                value: rank.into(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Decodes a [`CacheSim::encode_into`] image.

@@ -257,10 +257,6 @@ pub(crate) struct TraceSeg {
 /// selected chain closes back on its head.
 pub(crate) struct CompiledTrace {
     pub segs: Box<[TraceSeg]>,
-    /// The selected chain this trace was compiled from, kept for the
-    /// static/dynamic cross-checks (the analyzer re-verifies every
-    /// formed plan's side exits against the block map).
-    pub plan: TracePlan,
     /// For loop traces: the edge of the *last* segment that re-enters
     /// the head; the executor iterates in place while it matches.
     pub loop_cont: Option<TraceCont>,
@@ -381,7 +377,6 @@ pub(crate) fn compile_trace(
     lines.dedup();
     CompiledTrace {
         segs,
-        plan: plan.clone(),
         loop_cont,
         loop_head_ops,
         lines: lines.into_boxed_slice(),

@@ -47,9 +47,9 @@ use crate::arch::{ArchDesc, CacheConfig, CacheSim, PreTiming, TimingModel, Timin
 use crate::compiled::{self, CompiledProgram, CompiledTrace, Ctl, Hot, TraceCont};
 use crate::encode::decode_section;
 use crate::isa::{AReg, Instr, LdKind, StKind, RA};
-use cabt_exec::trace::{grow, TraceConfig, TracePlan, TraceProfile, TraceStats};
+use cabt_exec::trace::{TraceConfig, TracePlan, TraceState, TraceStats};
 use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
-use cabt_isa::codec::{expect_index, expect_len, ByteReader, ByteWriter, CodecError};
+use cabt_isa::codec::{expect_index, ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
@@ -258,24 +258,14 @@ pub struct SimSnapshot {
     stats: RunStats,
     cur: u32,
     halted: bool,
-    trace: Option<TraceTierSnap>,
-}
-
-/// Trace-tier replay state carried by [`SimSnapshot`]. The tier is
-/// architecturally invisible, but its profile counters decide *where*
-/// budgeted runs stop (trace-granular overshoot), so a replay from a
-/// snapshot must rewind them too. Compiled trace closures are not
-/// cloned; each formed trace is carried as its plan, indexed by head
-/// block. Restore keeps an engine trace whose plan matches, compiles
-/// the missing ones from their (deterministic) plans and drops later
-/// ones — the restored profile re-forms those at the same points. A
-/// resumed, adopted or reset engine thus dispatches exactly the traces
-/// the snapshotted one did.
-#[derive(Debug, Clone)]
-struct TraceTierSnap {
-    profile: TraceProfile,
-    plans: Vec<Option<TracePlan>>,
-    tstats: TraceStats,
+    /// Trace-tier state. The tier is architecturally invisible, but
+    /// its profile decides *where* budgeted runs stop (trace-granular
+    /// overshoot), so a replay must rewind it too. Compiled traces are
+    /// not cloned: restore keeps an engine trace whose plan is equal,
+    /// compiles the other carried plans (compilation is deterministic)
+    /// and drops the rest, so a resumed, adopted or reset engine
+    /// dispatches exactly the traces the snapshotted one did.
+    trace: Option<TraceState>,
 }
 
 impl SimSnapshot {
@@ -313,21 +303,7 @@ impl SimSnapshot {
         w.u64(self.stats.stall_cycles);
         w.u32(self.cur);
         w.bool(self.halted);
-        match &self.trace {
-            None => w.bool(false),
-            Some(t) => {
-                w.bool(true);
-                t.profile.encode_into(out);
-                ByteWriter::new(out).u64(t.plans.len() as u64);
-                for plan in &t.plans {
-                    ByteWriter::new(out).bool(plan.is_some());
-                    if let Some(plan) = plan {
-                        plan.encode_into(out);
-                    }
-                }
-                t.tstats.encode_into(out);
-            }
-        }
+        TraceState::encode_into(self.trace.as_ref(), out);
     }
 
     /// Decodes a [`SimSnapshot::encode_into`] image.
@@ -363,25 +339,7 @@ impl SimSnapshot {
         };
         let cur = r.u32()?;
         let halted = r.bool()?;
-        let trace = if r.bool()? {
-            let profile = TraceProfile::decode(r)?;
-            let n = r.count("formed trace plans", 1)?;
-            let mut plans = Vec::with_capacity(n);
-            for _ in 0..n {
-                plans.push(if r.bool()? {
-                    Some(TracePlan::decode(r)?)
-                } else {
-                    None
-                });
-            }
-            Some(TraceTierSnap {
-                profile,
-                plans,
-                tstats: TraceStats::decode(r)?,
-            })
-        } else {
-            None
-        };
+        let trace = TraceState::decode(r, true)?;
         Ok(SimSnapshot {
             cpu,
             mem,
@@ -395,37 +353,21 @@ impl SimSnapshot {
     }
 }
 
-/// The golden model's trace-tier state: the block-compiled closure
-/// table (a load-time constant, like the pre-decoded table), the
-/// warm-up profile, the formed traces (indexed by head block id) and
-/// the coverage counters.
+/// The golden model's trace tier: the block-compiled closure table (a
+/// load-time constant, like the pre-decoded table), the shared trace
+/// state and, per head block, the trace compiled from its plan.
 struct TraceTier {
     prog: CompiledProgram,
-    cfg: TraceConfig,
-    profile: TraceProfile,
+    state: TraceState,
     traces: Vec<Option<CompiledTrace>>,
-    tstats: TraceStats,
 }
 
 impl TraceTier {
-    fn new(prog: CompiledProgram, cfg: TraceConfig) -> TraceTier {
-        let blocks = prog.map.len();
-        TraceTier {
-            prog,
-            cfg,
-            profile: TraceProfile::new(blocks, &cfg),
-            traces: (0..blocks).map(|_| None).collect(),
-            tstats: TraceStats::default(),
-        }
-    }
-
-    /// A cold profile under `cfg` and no formed traces; the compiled
+    /// A cold state under `cfg` and no compiled traces; the compiled
     /// table stays.
     fn restart(&mut self, cfg: TraceConfig) {
-        self.cfg = cfg;
-        self.profile = TraceProfile::new(self.traces.len(), &cfg);
+        self.state.restart(cfg);
         self.traces.fill_with(|| None);
-        self.tstats = TraceStats::default();
     }
 }
 
@@ -609,7 +551,12 @@ impl Simulator {
         if mode == DispatchMode::Trace && self.trace.is_none() {
             let entry = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
             let prog = compiled::compile(&self.table, entry);
-            self.trace = Some(Box::new(TraceTier::new(prog, self.trace_cfg)));
+            let blocks = prog.map.len();
+            self.trace = Some(Box::new(TraceTier {
+                prog,
+                state: TraceState::new(blocks, self.trace_cfg, true),
+                traces: (0..blocks).map(|_| None).collect(),
+            }));
         }
     }
 
@@ -626,25 +573,27 @@ impl Simulator {
 
     /// Checks a snapshot decoded from untrusted bytes against this
     /// engine before [`ExecutionEngine::restore`]: the cached table
-    /// index and the trace tier's per-block tables must fit the program
-    /// this engine was built from, and every formed trace's plan must be
-    /// one trace growth could have produced on its block map
-    /// ([`TracePlan::check`]). A snapshot this engine took always fits.
+    /// index must fit the program this engine was built from, the cache
+    /// image this engine's cache model ([`CacheSim::check`]), and the
+    /// trace state its block map ([`TraceState::check`]). A snapshot
+    /// this engine took always fits.
     ///
     /// # Errors
     ///
     /// The [`CodecError`] of the first field that does not fit.
     pub fn check_snapshot(&self, snapshot: &SimSnapshot) -> Result<(), CodecError> {
         expect_index("golden table index", snapshot.cur, 0..self.table.len())?;
+        if let Some(c) = &snapshot.cache {
+            c.check(&self.cache_cfg)?;
+        }
+        if snapshot.cache.is_some() != self.cache.is_some() {
+            return Err(CodecError::BadValue {
+                what: "golden icache presence",
+                value: snapshot.cache.is_some().into(),
+            });
+        }
         if let (Some(tier), Some(snap)) = (&self.trace, &snapshot.trace) {
-            let blocks = tier.traces.len();
-            snap.profile.check_blocks(blocks)?;
-            expect_len("formed trace plans", snap.plans.len(), blocks)?;
-            for (head, plan) in (0..).zip(&snap.plans) {
-                if let Some(plan) = plan {
-                    plan.check(&tier.prog.map, head)?;
-                }
-            }
+            snap.check(&tier.prog.map)?;
         }
         Ok(())
     }
@@ -654,7 +603,7 @@ impl Simulator {
     /// [`RunStats`], which is compared bit-for-bit across dispatch
     /// modes by the differential suites.
     pub fn trace_stats(&self) -> Option<TraceStats> {
-        self.trace.as_ref().map(|t| t.tstats)
+        self.trace.as_ref().map(|t| t.state.stats)
     }
 
     /// The chains the trace tier has fused so far, in head-block order —
@@ -663,13 +612,7 @@ impl Simulator {
     pub fn trace_plans(&self) -> Vec<TracePlan> {
         self.trace
             .as_ref()
-            .map(|t| {
-                t.traces
-                    .iter()
-                    .filter_map(|tr| tr.as_ref().map(|tr| tr.plan.clone()))
-                    .collect()
-            })
-            .unwrap_or_default()
+            .map_or_else(Vec::new, |t| t.state.formed())
     }
 
     /// Attaches a memory-mapped I/O device for `IO_BASE..IO_END`.
@@ -811,20 +754,13 @@ impl Simulator {
 
         // Warm-up profiling: count the dispatch; on the hot-threshold
         // crossing, grow the hottest chain and fuse it.
-        if tier.traces[head as usize].is_none()
-            && tier.profile.warm()
-            && tier.profile.record_exec(head, tier.cfg.hot_threshold)
-        {
-            if let Some(plan) = grow(&prog.map, &tier.profile, head) {
-                tier.tstats.traces += 1;
-                tier.tstats.trace_blocks += plan.blocks.len() as u64;
-                tier.traces[head as usize] = Some(compiled::compile_trace(
-                    table.as_slice(),
-                    &prog.map,
-                    &plan,
-                    cache_cfg.line_bytes,
-                ));
-            }
+        if let Some(plan) = tier.state.form(&prog.map, head) {
+            tier.traces[head as usize] = Some(compiled::compile_trace(
+                table.as_slice(),
+                &prog.map,
+                plan,
+                cache_cfg.line_bytes,
+            ));
         }
 
         let mut hot = Hot {
@@ -894,7 +830,7 @@ impl Simulator {
                             }
                             let retired = done + i as u64;
                             hot.stats.instructions += retired;
-                            tier.tstats.trace_retired += retired;
+                            tier.state.stats.trace_retired += retired;
                             hot.cpu.pc = seg.pcs[i];
                             *cur_field = seg.first + i as u32;
                             return Err(e);
@@ -958,7 +894,7 @@ impl Simulator {
                 hot.cpu.pc = next_pc;
                 *cur_field = next_idx;
                 hot.stats.instructions += done;
-                tier.tstats.trace_retired += done;
+                tier.state.stats.trace_retired += done;
                 return Ok(seg.term);
             }
         }
@@ -980,10 +916,11 @@ impl Simulator {
             }
         };
         hot.stats.instructions += (i + 1) as u64;
-        if tier.profile.warm() {
+        let profile = &mut tier.state.profile;
+        if profile.warm() {
             match exit {
-                Ctl::Next | Ctl::Fall => tier.profile.record_fall(head),
-                Ctl::Taken => tier.profile.record_taken(head),
+                Ctl::Next | Ctl::Fall => profile.record_fall(head),
+                Ctl::Taken => profile.record_taken(head),
                 Ctl::Indirect(_) => {}
             }
         }
@@ -1360,15 +1297,7 @@ impl ExecutionEngine for Simulator {
             stats: self.stats,
             cur: self.cur,
             halted: self.halted,
-            trace: self.trace.as_ref().map(|t| TraceTierSnap {
-                profile: t.profile.clone(),
-                plans: t
-                    .traces
-                    .iter()
-                    .map(|tr| tr.as_ref().map(|tr| tr.plan.clone()))
-                    .collect(),
-                tstats: t.tstats,
-            }),
+            trace: self.trace.as_ref().map(|t| t.state.clone()),
         }
     }
 
@@ -1382,12 +1311,11 @@ impl ExecutionEngine for Simulator {
         self.halted = snapshot.halted;
         match (&mut self.trace, &snapshot.trace) {
             (Some(tier), Some(snap)) => {
-                tier.profile = snap.profile.clone();
-                tier.tstats = snap.tstats;
-                for (tr, plan) in tier.traces.iter_mut().zip(&snap.plans) {
+                let plans = tier.traces.iter_mut().zip(&tier.state.plans);
+                for ((tr, had), plan) in plans.zip(&snap.plans) {
                     match plan {
                         None => *tr = None,
-                        Some(plan) if tr.as_ref().is_some_and(|t| t.plan == *plan) => {}
+                        Some(plan) if had.as_ref() == Some(plan) => {}
                         Some(plan) => {
                             *tr = Some(compiled::compile_trace(
                                 &self.table,
@@ -1398,10 +1326,14 @@ impl ExecutionEngine for Simulator {
                         }
                     }
                 }
+                tier.state = TraceState {
+                    cfg: tier.state.cfg,
+                    ..snap.clone()
+                };
             }
             // Snapshot predates the tier: replay starts from a fresh
             // profile, exactly as the snapshotted engine would have.
-            (Some(tier), None) => tier.restart(tier.cfg),
+            (Some(tier), None) => tier.restart(tier.state.cfg),
             _ => {}
         }
     }
@@ -1425,7 +1357,7 @@ impl ExecutionEngine for Simulator {
         // reproduces the original run exactly — budget stop points
         // included, not just the architectural trajectory.
         if let Some(tier) = &mut self.trace {
-            tier.restart(tier.cfg);
+            tier.restart(tier.state.cfg);
         }
     }
 

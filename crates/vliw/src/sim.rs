@@ -56,9 +56,10 @@
 
 use crate::compiled::{self, CompiledProgram, VHot};
 use crate::isa::{Op, Packet, Reg, Slot, Width};
-use cabt_exec::trace::{grow, TraceConfig, TraceProfile, TraceStats};
+use cabt_exec::blocks::BlockMap;
+use cabt_exec::trace::{TraceConfig, TracePlan, TraceState, TraceStats};
 use cabt_exec::{EngineStats, ExecutionEngine};
-use cabt_isa::codec::{expect_index, expect_len, ByteReader, ByteWriter, CodecError};
+use cabt_isa::codec::{expect_index, ByteReader, ByteWriter, CodecError};
 use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
 use std::any::Any;
@@ -201,41 +202,33 @@ pub(crate) const NO_IDX: u32 = u32::MAX;
 
 /// The profile-guided trace tier of the VLIW core. Branch shadows make
 /// every in-trace edge a *fall* edge (a redirect lands packets after
-/// the branch), so a VLIW trace is simply a consecutive packet range
-/// starting at a hot block's leader; no separate trace compilation is
-/// needed on top of the engine's compiled packets.
+/// the branch), so the state profiles fall edges only and a formed
+/// trace is a consecutive packet range from a hot block's leader,
+/// dispatched over the engine's compiled packets.
 struct TraceTier {
-    cfg: TraceConfig,
-    profile: TraceProfile,
-    /// Per head block: one past the last packet of the fused range
-    /// (`None` until a trace forms at that head).
-    ends: Vec<Option<u32>>,
+    state: TraceState,
     /// Per block: one past the last packet of the longest formed range
-    /// *covering* the block ([`NO_IDX`] when uncovered). Dispatch from
-    /// any pc inside a covered block — its leader or a mid-block
-    /// landing of an indirect side exit — fuses the rest of the range.
+    /// *covering* it (0 when uncovered), derived from the plans. From
+    /// any pc inside a covered block — its leader or a mid-block landing
+    /// of an indirect side exit — the rest of the range fuses.
     span: Vec<u32>,
-    tstats: TraceStats,
 }
 
 impl TraceTier {
-    fn new(blocks: usize, cfg: TraceConfig) -> TraceTier {
-        TraceTier {
-            cfg,
-            profile: TraceProfile::new(blocks, &cfg),
-            ends: vec![None; blocks],
-            span: vec![NO_IDX; blocks],
-            tstats: TraceStats::default(),
-        }
-    }
-
-    /// A cold profile under `cfg` and no formed ranges.
+    /// A cold state under `cfg` and no covers.
     fn restart(&mut self, cfg: TraceConfig) {
-        self.cfg = cfg;
-        self.profile = TraceProfile::new(self.ends.len(), &cfg);
-        self.ends.fill(None);
-        self.span.fill(NO_IDX);
-        self.tstats = TraceStats::default();
+        self.state.restart(cfg);
+        self.span.fill(0);
+    }
+}
+
+/// Covers every block of the fall chain `plan` in `span` with its range.
+/// The longest cover per block wins, so the order plans are covered in
+/// does not matter.
+fn cover(span: &mut [u32], map: &BlockMap, plan: &TracePlan) {
+    let end = map.blocks[*plan.blocks.last().expect("plans are non-empty") as usize].end();
+    for &b in &plan.blocks {
+        span[b as usize] = span[b as usize].max(end);
     }
 }
 
@@ -257,20 +250,9 @@ pub struct VliwSnapshot {
     pending_branch_idx: u32,
     stats: VliwStats,
     halted: bool,
-    trace: Option<VTraceSnap>,
-}
-
-/// Trace-tier replay state carried by [`VliwSnapshot`]. The tier is
-/// architecturally invisible, but its profile counters decide where
-/// budgeted runs stop (trace-granular overshoot), so a replay from a
-/// snapshot must rewind them too. VLIW traces are plain packet ranges
-/// (no closures), so the whole tier state clones.
-#[derive(Debug, Clone)]
-struct VTraceSnap {
-    profile: TraceProfile,
-    ends: Vec<Option<u32>>,
-    span: Vec<u32>,
-    tstats: TraceStats,
+    /// Trace-tier state; restore re-derives the packet-range covers
+    /// from its plans.
+    trace: Option<TraceState>,
 }
 
 impl VliwSnapshot {
@@ -308,29 +290,7 @@ impl VliwSnapshot {
         w.u64(self.stats.slots);
         w.u64(self.stats.stall_cycles);
         w.bool(self.halted);
-        match &self.trace {
-            None => w.bool(false),
-            Some(t) => {
-                w.bool(true);
-                t.profile.encode_into(out);
-                let mut w = ByteWriter::new(out);
-                w.u64(t.ends.len() as u64);
-                for &e in &t.ends {
-                    match e {
-                        None => w.bool(false),
-                        Some(idx) => {
-                            w.bool(true);
-                            w.u32(idx);
-                        }
-                    }
-                }
-                w.u64(t.span.len() as u64);
-                for &s in &t.span {
-                    w.u32(s);
-                }
-                t.tstats.encode_into(out);
-            }
-        }
+        TraceState::encode_into(self.trace.as_ref(), out);
     }
 
     /// Decodes a [`VliwSnapshot::encode_into`] image.
@@ -350,8 +310,14 @@ impl VliwSnapshot {
         let mut pending_writes = Vec::with_capacity(npending);
         for _ in 0..npending {
             let due = r.u64()?;
-            let reg = Reg::from_index(r.u8()?);
-            pending_writes.push((due, reg, r.u32()?));
+            let reg = r.u8()?;
+            if reg >= 64 {
+                return Err(CodecError::BadIndex {
+                    what: "pending write register",
+                    index: reg.into(),
+                });
+            }
+            pending_writes.push((due, Reg::from_index(reg), r.u32()?));
         }
         // Engines keep the list in due order; images written before
         // they did may not be, and a stable sort is the order the old
@@ -372,27 +338,7 @@ impl VliwSnapshot {
             stall_cycles: r.u64()?,
         };
         let halted = r.bool()?;
-        let trace = if r.bool()? {
-            let profile = TraceProfile::decode(r)?;
-            let nends = r.count("trace ends", 1)?;
-            let mut ends = Vec::with_capacity(nends);
-            for _ in 0..nends {
-                ends.push(if r.bool()? { Some(r.u32()?) } else { None });
-            }
-            let nspan = r.count("trace spans", 4)?;
-            let mut span = Vec::with_capacity(nspan);
-            for _ in 0..nspan {
-                span.push(r.u32()?);
-            }
-            Some(VTraceSnap {
-                profile,
-                ends,
-                span,
-                tstats: TraceStats::decode(r)?,
-            })
-        } else {
-            None
-        };
+        let trace = TraceState::decode(r, false)?;
         Ok(VliwSnapshot {
             regs,
             mem,
@@ -423,8 +369,8 @@ pub struct VliwSim {
     /// The compiled packets, parallel to `program`, and their block
     /// partition (a load-time constant).
     prog: CompiledProgram,
-    /// Trace-tier state (profile counters, formed trace ranges), built
-    /// on selection of [`VliwDispatch::Trace`].
+    /// Trace-tier state (profile, formed plans, their range covers),
+    /// built on selection of [`VliwDispatch::Trace`].
     trace: Option<Box<TraceTier>>,
     /// Warm-up/threshold knobs the trace tier is built with.
     trace_cfg: TraceConfig,
@@ -531,53 +477,39 @@ impl VliwSim {
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
     /// [`VliwDispatch::Trace`] for the first time sets up its profile
-    /// and trace tables.
+    /// and cover table.
     pub fn set_dispatch(&mut self, mode: VliwDispatch) {
         // The naive core never latches; it sees one list.
         self.latch
             .spill(&mut self.pending_writes, &mut self.next_due);
         self.mode = mode;
         if mode == VliwDispatch::Trace && self.trace.is_none() {
-            let tier = TraceTier::new(self.prog.map.len(), self.trace_cfg);
-            self.trace = Some(Box::new(tier));
+            let blocks = self.prog.map.len();
+            self.trace = Some(Box::new(TraceTier {
+                state: TraceState::new(blocks, self.trace_cfg, false),
+                span: vec![0; blocks],
+            }));
         }
     }
 
     /// Checks a snapshot decoded from untrusted bytes against this
     /// engine before [`ExecutionEngine::restore`]: the resolved branch
-    /// index and the trace tier's per-block tables (and the packet
-    /// range each cover ends at) must fit the program this engine was
-    /// built from, and the profile must hold no taken-edge count (this
-    /// core records fall edges only, and trace growth along a taken
-    /// edge would form a range that is not consecutive). A snapshot
-    /// this engine took always passes.
+    /// index must fit the program this engine was built from, and the
+    /// trace state its block map ([`TraceState::check`]: this core
+    /// profiles fall edges only, so every formed plan is a fall chain).
+    /// A snapshot this engine took always passes.
     ///
     /// # Errors
     ///
-    /// [`CodecError::BadIndex`], [`CodecError::BadLength`] or
-    /// [`CodecError::BadValue`] for the first field that does not fit.
+    /// The [`CodecError`] of the first field that does not fit.
     pub fn check_snapshot(&self, snapshot: &VliwSnapshot) -> Result<(), CodecError> {
-        let packets = self.program.len();
         expect_index(
             "pending branch packet index",
             snapshot.pending_branch_idx,
-            0..packets,
+            0..self.program.len(),
         )?;
         if let (Some(_), Some(snap)) = (&self.trace, &snapshot.trace) {
-            let map = &self.prog.map;
-            snap.profile.check_blocks(map.len())?;
-            if let Some(&taken) = snap.profile.taken.iter().find(|&&c| c != 0) {
-                return Err(CodecError::BadValue {
-                    what: "VLIW trace taken-edge count",
-                    value: taken.into(),
-                });
-            }
-            expect_len("trace ends", snap.ends.len(), map.len())?;
-            expect_len("trace spans", snap.span.len(), map.len())?;
-            // A cover ends past its block and inside the packet table.
-            for (block, &end) in map.blocks.iter().zip(&snap.span) {
-                expect_index("trace span end", end, block.end() as usize..packets + 1)?;
-            }
+            snap.check(&self.prog.map)?;
         }
         Ok(())
     }
@@ -595,7 +527,15 @@ impl VliwSim {
     /// Trace-tier counters (`None` unless [`VliwDispatch::Trace`] has
     /// been selected).
     pub fn trace_stats(&self) -> Option<TraceStats> {
-        self.trace.as_ref().map(|t| t.tstats)
+        self.trace.as_ref().map(|t| t.state.stats)
+    }
+
+    /// The fall chains the trace tier has formed so far, in head-block
+    /// order. Empty when the trace tier is off or nothing turned hot yet.
+    pub fn trace_plans(&self) -> Vec<TracePlan> {
+        self.trace
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.state.formed())
     }
 
     /// Reads a register as the architecture would see it *now*
@@ -796,41 +736,12 @@ impl VliwSim {
             .expect("set_dispatch builds the trace tier");
         let prog = &self.prog;
         let loc = prog.map.location(pcv as u32);
-        let warm = tier.profile.warm();
+        let warm = tier.state.profile.warm();
         if loc.offset == 0 {
-            let head = loc.block;
-            if tier.ends[head as usize].is_none()
-                && warm
-                && tier.profile.record_exec(head, tier.cfg.hot_threshold)
-            {
-                if let Some(plan) = grow(&prog.map, &tier.profile, head) {
-                    // Fall chains are consecutive in the dense packet
-                    // arena, so the trace is just a packet range.
-                    let last = prog.map.blocks[*plan.blocks.last().expect("non-empty") as usize];
-                    debug_assert_eq!(
-                        prog.map.blocks[head as usize].first
-                            + plan
-                                .blocks
-                                .iter()
-                                .map(|&b| prog.map.blocks[b as usize].len)
-                                .sum::<u32>()
-                            - last.len,
-                        last.first,
-                        "VLIW trace blocks must be consecutive"
-                    );
-                    tier.tstats.traces += 1;
-                    tier.tstats.trace_blocks += plan.blocks.len() as u64;
-                    let end = last.end();
-                    tier.ends[head as usize] = Some(end);
-                    // Every block of the range is now covered; keep the
-                    // longest cover per block.
-                    for &b in &plan.blocks {
-                        let s = &mut tier.span[b as usize];
-                        if *s == NO_IDX || end > *s {
-                            *s = end;
-                        }
-                    }
-                }
+            // Fall chains are consecutive in the dense packet arena, so
+            // a formed trace is just a packet range.
+            if let Some(plan) = tier.state.form(&prog.map, loc.block) {
+                cover(&mut tier.span, &prog.map, plan);
             }
         }
         // Any pc inside a formed range — its head, an interior leader,
@@ -839,8 +750,7 @@ impl VliwSim {
         // run. Bit-identical either way: the fused loop replays the
         // per-packet semantics from any starting pc.
         let end = tier.span[loc.block as usize];
-        if end != NO_IDX {
-            debug_assert!((pcv as u32) < end, "covers end on block boundaries");
+        if (pcv as u32) < end {
             return self.run_vliw_trace(end);
         }
 
@@ -858,7 +768,7 @@ impl VliwSim {
                     .trace
                     .as_mut()
                     .expect("set_dispatch builds the trace tier");
-                tier.profile.record_fall(loc.block);
+                tier.state.profile.record_fall(loc.block);
             }
         }
         r
@@ -1001,7 +911,7 @@ impl VliwSim {
         *cycle = cyc;
         stats.stall_cycles += stall_acc;
         stats.packets += retired;
-        tier.tstats.trace_retired += retired;
+        tier.state.stats.trace_retired += retired;
         result
     }
 
@@ -1417,12 +1327,7 @@ impl ExecutionEngine for VliwSim {
             pending_branch_idx: self.pending_branch_idx,
             stats: self.stats,
             halted: self.halted,
-            trace: self.trace.as_ref().map(|t| VTraceSnap {
-                profile: t.profile.clone(),
-                ends: t.ends.clone(),
-                span: t.span.clone(),
-                tstats: t.tstats,
-            }),
+            trace: self.trace.as_ref().map(|t| t.state.clone()),
         }
     }
 
@@ -1440,14 +1345,18 @@ impl ExecutionEngine for VliwSim {
         self.halted = snapshot.halted;
         match (&mut self.trace, &snapshot.trace) {
             (Some(tier), Some(snap)) => {
-                tier.profile = snap.profile.clone();
-                tier.ends.clone_from(&snap.ends);
-                tier.span.clone_from(&snap.span);
-                tier.tstats = snap.tstats;
+                tier.state = TraceState {
+                    cfg: tier.state.cfg,
+                    ..snap.clone()
+                };
+                tier.span.fill(0);
+                for plan in snap.plans.iter().flatten() {
+                    cover(&mut tier.span, &self.prog.map, plan);
+                }
             }
             // Snapshot predates the tier: replay starts from a fresh
             // profile, exactly as the snapshotted engine would have.
-            (Some(tier), None) => tier.restart(tier.cfg),
+            (Some(tier), None) => tier.restart(tier.state.cfg),
             _ => {}
         }
     }
@@ -1473,7 +1382,7 @@ impl ExecutionEngine for VliwSim {
         // Rerun from a cold trace profile so a reset run reproduces the
         // original exactly, budget stop points included.
         if let Some(tier) = &mut self.trace {
-            tier.restart(tier.cfg);
+            tier.restart(tier.state.cfg);
         }
     }
 
@@ -1526,6 +1435,7 @@ impl ExecutionEngine for VliwSim {
 mod tests {
     use super::*;
     use crate::isa::{Pred, Unit};
+    use cabt_exec::blocks::NO_BLOCK;
     use cabt_exec::{Limit, StopCause};
 
     /// Builds a linear program from op lists; each inner vec is a packet.
@@ -1937,6 +1847,59 @@ mod tests {
             }
             assert!(latched > 0, "{cfg:?}: no boundary held latched results");
         }
+    }
+
+    /// A resumed trace tier re-derives its covers from the formed
+    /// plans, and refuses a plan along a taken edge: this core profiles
+    /// fall edges only, so such a plan is no range it could have formed,
+    /// even where it follows the block map's edges.
+    #[test]
+    fn trace_plans_rebuild_covers_and_taken_edges_are_refused() {
+        let mut sim = VliwSim::new(latch_loop()).unwrap();
+        sim.mem.write_u32(0x100, 5).unwrap();
+        sim.set_trace_config(TraceConfig {
+            warmup: u64::MAX,
+            hot_threshold: 2,
+        });
+        sim.set_dispatch(VliwDispatch::Trace);
+        sim.run_until(Limit::Retirements(40)).unwrap();
+        assert!(!sim.trace_plans().is_empty(), "the loop formed a trace");
+        let snap = sim.snapshot();
+        assert_eq!(sim.check_snapshot(&snap), Ok(()));
+        let span = sim.trace.as_ref().unwrap().span.clone();
+        sim.reset();
+        sim.restore(&snap);
+        assert_eq!(sim.trace.as_ref().unwrap().span, span, "covers re-derived");
+
+        let map = &sim.prog.map;
+        let (head, to) = (0..map.len() as u32)
+            .find_map(|b| Some((b, map.blocks[b as usize].taken)).filter(|e| e.1 != NO_BLOCK))
+            .expect("the loop branch has a taken edge");
+        let plan = if to == head {
+            TracePlan {
+                blocks: vec![head],
+                via_taken: vec![],
+                loop_back: true,
+                loop_via_taken: true,
+            }
+        } else {
+            TracePlan {
+                blocks: vec![head, to],
+                via_taken: vec![true],
+                loop_back: false,
+                loop_via_taken: false,
+            }
+        };
+        assert_eq!(plan.check(map, head), Ok(()), "on the block map's edges");
+        let mut forged = snap;
+        forged.trace.as_mut().unwrap().plans[head as usize] = Some(plan);
+        assert!(matches!(
+            sim.check_snapshot(&forged),
+            Err(CodecError::BadValue {
+                what: "taken edge in a fall-only trace plan",
+                ..
+            })
+        ));
     }
 
     #[test]

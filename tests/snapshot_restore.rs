@@ -9,7 +9,7 @@
 
 use cabt::prelude::*;
 use cabt_exec::fingerprint_engine;
-use cabt_exec::trace::{TraceConfig, TracePlan, MAX_TRACE_BLOCKS};
+use cabt_exec::trace::{TraceConfig, TracePlan, TraceState, MAX_TRACE_BLOCKS};
 use cabt_isa::codec::{ByteReader, ByteWriter};
 use cabt_isa::elf::SectionKind;
 use cabt_platform::SocBusState;
@@ -704,7 +704,7 @@ fn split_park(s: &Session) -> (Vec<u8>, Vec<u8>) {
 
 /// Offset of the trace tier's coverage counters (`traces`,
 /// `trace_blocks`, `trace_retired`) in `s`'s snapshot image: the
-/// anchor the per-block trace tables before them are found from.
+/// anchor the trace state that they close is found from.
 fn trace_stats_at(s: &Session, snap: &[u8]) -> usize {
     let t = s.trace_stats().expect("trace tier");
     assert!(t.traces > 0, "a trace has formed");
@@ -719,88 +719,57 @@ fn trace_stats_at(s: &Session, snap: &[u8]) -> usize {
     at[0]
 }
 
-/// Start of the count-prefixed table of `width`-byte entries that ends
-/// at `end`, and its entry count.
-fn fixed_table_before(snap: &[u8], end: usize, width: usize) -> (usize, usize) {
-    (1..end / width)
-        .find(|&n| end >= 8 + n * width && u64_at(snap, end - 8 - n * width) == n as u64)
-        .map(|n| (end - 8 - n * width, n))
-        .expect("a count-prefixed table ends here")
-}
-
-/// The golden trace tier's formed-trace table, which ends at `end`: its
-/// start, and each block's plan (`None` where no trace is headed). The
-/// table is a `u64` block count and one `Option<TracePlan>` per block;
-/// the three exec/fall/taken counter tables of as many blocks precede
-/// it.
-fn plans_table_before(snap: &[u8], end: usize) -> (usize, Vec<Option<TracePlan>>) {
-    let decode = |at: usize| {
-        let mut r = ByteReader::new(&snap[at..end]);
-        let n = usize::try_from(r.u64().ok()?).ok()?;
-        // `n > end` first: it bounds `n` before the arithmetic below.
-        if n == 0 || n > end || at < 3 * (8 + 4 * n) {
-            return None;
-        }
-        let table = 8 + 4 * n;
-        let counters = at - 3 * table;
-        if (0..3).any(|t| u64_at(snap, counters + t * table) != n as u64) {
-            return None;
-        }
-        let mut plans = Vec::with_capacity(n);
-        for _ in 0..n {
-            plans.push(if r.bool().ok()? {
-                Some(TracePlan::decode(&mut r).ok()?)
-            } else {
-                None
-            });
-        }
-        (r.remaining() == 0).then_some(plans)
-    };
-    let found: Vec<_> = (0..end.saturating_sub(8))
-        .filter_map(|at| decode(at).map(|plans| (at, plans)))
+/// The trace state in `s`'s snapshot image: where its image (presence
+/// flag first) starts and ends, and the state itself. The golden model
+/// profiles taken edges, the VLIW core does not.
+fn trace_state_in(s: &Session, snap: &[u8]) -> (usize, usize, TraceState) {
+    let end = trace_stats_at(s, snap) + 24;
+    let taken = matches!(s.backend(), Backend::Golden { .. });
+    let found: Vec<_> = (0..end)
+        .filter_map(|at| {
+            let mut r = ByteReader::new(&snap[at..end]);
+            let state = TraceState::decode(&mut r, taken).ok()??;
+            (r.remaining() == 0).then_some((at, state))
+        })
         .collect();
-    assert_eq!(found.len(), 1, "one formed-trace table ends here");
-    found.into_iter().next().unwrap()
+    assert_eq!(found.len(), 1, "one trace state ends at the counters");
+    let (at, state) = found.into_iter().next().unwrap();
+    (at, end, state)
 }
 
-/// `snap` (a golden trace-tier snapshot whose formed-trace table spans
-/// `at..end`) with that table re-encoded from `plans`.
-fn with_plans(snap: &[u8], at: usize, end: usize, plans: &[Option<TracePlan>]) -> Vec<u8> {
-    let mut table = Vec::new();
-    ByteWriter::new(&mut table).u64(plans.len() as u64);
-    for plan in plans {
-        ByteWriter::new(&mut table).bool(plan.is_some());
-        if let Some(plan) = plan {
-            plan.encode_into(&mut table);
-        }
-    }
-    [&snap[..at], &table[..], &snap[end..]].concat()
+/// `snap` with the trace-state image at `at..end` re-encoded from
+/// `state`.
+fn with_state(snap: &[u8], at: usize, end: usize, state: &TraceState) -> Vec<u8> {
+    let mut image = Vec::new();
+    TraceState::encode_into(Some(state), &mut image);
+    [&snap[..at], &image[..], &snap[end..]].concat()
 }
 
-/// Golden trace-tier snapshots whose formed traces could not have grown
-/// on the program's block map: a plan naming a block past the map, a
-/// seam that leaves its block by neither edge, a plan longer than
-/// [`MAX_TRACE_BLOCKS`], and a plan filed under another head. Each is
-/// well framed, so only the engine's check can object.
+/// Trace-tier snapshots whose formed traces could not have grown on the
+/// program's block map: a plan naming a block past the map, a seam
+/// flipped to the other edge (on the VLIW core, whose plans are fall
+/// chains, a taken seam), a plan longer than [`MAX_TRACE_BLOCKS`], a
+/// plan filed under another head, and a plan table one entry short.
+/// Each is well framed, so only the engine's check can object.
 fn forged_plan_snaps(s: &Session, snap: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
-    let stats = trace_stats_at(s, snap);
-    let (at, plans) = plans_table_before(snap, stats);
+    let (at, end, state) = trace_state_in(s, snap);
     assert_eq!(
-        with_plans(snap, at, stats, &plans),
+        with_state(snap, at, end, &state),
         snap,
-        "the table re-encodes"
+        "the state re-encodes"
     );
+    let plans = &state.plans;
     let blocks = plans.len() as u32;
     let (head, plan) = plans
         .iter()
         .enumerate()
         .find_map(|(h, p)| p.as_ref().filter(|p| p.blocks.len() > 1).map(|p| (h, p)))
         .expect("a multi-block trace has formed");
-    let forge = |plan: TracePlan, slot: usize| {
-        let mut forged = plans.clone();
-        forged[head] = None;
-        forged[slot] = Some(plan);
-        with_plans(snap, at, stats, &forged)
+    let forge = |plan: Option<TracePlan>, slot: usize| {
+        let mut forged = state.clone();
+        forged.plans[head] = None;
+        forged.plans[slot] = plan;
+        with_state(snap, at, end, &forged)
     };
     let mut out_of_range = plan.clone();
     *out_of_range.blocks.last_mut().unwrap() = blocks;
@@ -817,21 +786,36 @@ fn forged_plan_snaps(s: &Session, snap: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
     let other_head = (0..plans.len())
         .find(|&h| plans[h].is_none())
         .expect("some block heads no trace");
+    let mut short = state.clone();
+    short.plans.pop();
     vec![
         (
-            "golden trace plan block out of range",
-            forge(out_of_range, head),
+            "trace plan block out of range",
+            forge(Some(out_of_range), head),
+        ),
+        ("trace plan seam flipped", forge(Some(wrong_seam), head)),
+        ("trace plan over-long", forge(Some(over_long), head)),
+        (
+            "trace plan under another head",
+            forge(Some(plan.clone()), other_head),
         ),
         (
-            "golden trace plan seam off its edges",
-            forge(wrong_seam, head),
-        ),
-        ("golden trace plan over-long", forge(over_long, head)),
-        (
-            "golden trace plan under another head",
-            forge(plan.clone(), other_head),
+            "trace plan table one short",
+            with_state(snap, at, end, &short),
         ),
     ]
+}
+
+/// `snap` (a trace-tier snapshot whose state image spans `at..end`)
+/// with empty profile counter tables.
+fn with_empty_profile(snap: &[u8], at: usize, end: usize, state: &TraceState) -> Vec<u8> {
+    let mut empty = state.clone();
+    empty.profile.exec.clear();
+    empty.profile.fall.clear();
+    if let Some(taken) = &mut empty.profile.taken {
+        taken.clear();
+    }
+    with_state(snap, at, end, &empty)
 }
 
 /// A golden snapshot image with its cached table index (`cur`, the
@@ -843,25 +827,40 @@ fn with_golden_cur(snap: &[u8], cur_end: usize) -> Vec<u8> {
     out
 }
 
+/// `snap` with `bytes` spliced in at `at`, the `u64` count at `count`
+/// raised by one: a table entry added.
+fn with_entry(snap: &[u8], count: usize, at: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut out = snap.to_vec();
+    let n = u64_at(snap, count) + 1;
+    out[count..count + 8].copy_from_slice(&n.to_le_bytes());
+    out.splice(at..at, bytes.iter().copied());
+    out
+}
+
 /// Well-framed parks that decode but whose engine state does not fit
 /// the engine the resume rebuilds: a golden table index past the
-/// program, on the pre-decoded and the trace tier; a golden trace
-/// profile with empty counter tables; golden trace plans that trace
-/// growth could not have produced; and a VLIW trace tier with empty
-/// `ends`/`span` tables, or with spans that end before their blocks.
-/// Returns `(what, park bytes)`.
-fn corrupt_engine_parks() -> Vec<(&'static str, Vec<u8>)> {
+/// program, on the pre-decoded and the trace tier; a golden icache
+/// image with an emptied tag table, or of another geometry; a golden
+/// trace profile with empty counter tables; trace plans that trace
+/// growth could not have produced, on both cores; a VLIW pending write
+/// to a register past the 64 the core has; and an RTL kernel image
+/// with one signal fewer than the elaboration, or a runnable process
+/// index past its processes. Returns `(what, park bytes)`.
+fn corrupt_engine_parks() -> Vec<(String, Vec<u8>)> {
     let w = cabt_workloads::by_name("fir").unwrap();
-    let session = |backend: Backend| {
+    let session = |backend: Backend, retired: u64| {
         let mut s = SimBuilder::workload(&w).backend(backend).build().unwrap();
-        s.run_until(Limit::Retirements(10_000)).unwrap();
+        s.run_until(Limit::Retirements(retired)).unwrap();
         s
     };
     let mut out = Vec::new();
+    let mut push = |what: &str, head: &[u8], snap: Vec<u8>| {
+        out.push((what.to_string(), [head, &snap[..]].concat()));
+    };
 
     // Golden snapshot tail: `cur` (u32), halted, trace-tier flag, then
     // the devices flag and bus image.
-    let s = session(Backend::golden());
+    let s = session(Backend::golden(), 10_000);
     let (head, snap) = split_park(&s);
     let devices = s.soc_bus_state().map_or(1, |d| {
         let mut v = Vec::new();
@@ -869,79 +868,80 @@ fn corrupt_engine_parks() -> Vec<(&'static str, Vec<u8>)> {
         1 + v.len()
     });
     let cur_end = snap.len() - devices - 2;
-    out.push((
+    push(
         "golden pre-decoded cur",
-        [head, with_golden_cur(&snap, cur_end)].concat(),
-    ));
-
-    // Golden trace tier, after `cur`, halted and the tier flag: the
-    // warm-up left (u64), the exec/fall/taken counter tables and the
-    // formed-trace table, one entry per block each, then the coverage
-    // counters.
-    let s = session(Backend::golden_trace());
-    let (head, snap) = split_park(&s);
-    let stats = trace_stats_at(&s, &snap);
-    let (formed, plans) = plans_table_before(&snap, stats);
-    let counters = formed - 3 * (8 + 4 * plans.len());
-    let cur_end = counters - 8 - 2;
-    out.push((
-        "golden trace cur",
-        [head.clone(), with_golden_cur(&snap, cur_end)].concat(),
-    ));
+        &head,
+        with_golden_cur(&snap, cur_end),
+    );
+    // The icache image: the present flag, the default geometry (16
+    // sets, 2 ways, 32-byte lines, 8-cycle miss), then the tag table.
+    let mut cache_head = vec![1u8];
+    for v in [16u32, 2, 32, 8] {
+        cache_head.extend_from_slice(&v.to_le_bytes());
+    }
+    let at: Vec<usize> = (0..snap.len())
+        .filter(|&i| snap[i..].starts_with(&cache_head))
+        .collect();
+    assert_eq!(at.len(), 1, "the cache image starts once");
+    let tags = at[0] + cache_head.len();
+    assert_eq!(u64_at(&snap, tags), 32, "16 sets × 2 ways");
     let mut empty = snap.clone();
-    empty.splice(counters..formed, [0u8; 24]);
-    out.push(("golden trace profile empty", [head.clone(), empty].concat()));
+    empty.splice(tags..tags + 8 + 32 * 8, [0u8; 8]);
+    push("golden icache tag table emptied", &head, empty);
+    let mut one_set = snap.clone();
+    one_set[at[0] + 1..][..4].copy_from_slice(&1u32.to_le_bytes());
+    push("golden icache of one set", &head, one_set);
+
+    // Golden trace tier: `cur`, halted, then the trace state.
+    let s = session(Backend::golden_trace(), 10_000);
+    let (head, snap) = split_park(&s);
+    let (at, end, state) = trace_state_in(&s, &snap);
+    push("golden trace cur", &head, with_golden_cur(&snap, at - 1));
+    push(
+        "golden trace profile empty",
+        &head,
+        with_empty_profile(&snap, at, end, &state),
+    );
     for (what, forged) in forged_plan_snaps(&s, &snap) {
-        out.push((what, [head.clone(), forged].concat()));
+        push(&format!("golden {what}"), &head, forged);
     }
 
-    // VLIW trace tier: the `ends` table (one optional u32 per block),
-    // then the `span` table (one u32 per block), then the coverage
-    // counters.
-    let s = session(Backend::translated_trace(DetailLevel::Cache));
+    // VLIW trace tier.
+    let s = session(Backend::translated_trace(DetailLevel::Cache), 10_000);
     let (head, snap) = split_park(&s);
-    let stats = trace_stats_at(&s, &snap);
-    let (span, blocks) = fixed_table_before(&snap, stats, 4);
-    let ends = (span - 8 - 5 * blocks..=span - 8 - blocks)
-        .find(|&at| {
-            u64_at(&snap, at) == blocks as u64
-                && (0..blocks).try_fold(at + 8, |i, _| match snap[i] {
-                    0 => Some(i + 1),
-                    1 => Some(i + 5),
-                    _ => None,
-                }) == Some(span)
-        })
-        .expect("the ends table precedes the spans");
-    let mut empty = snap.clone();
-    empty.splice(ends..stats, [0u8; 16]);
-    out.push(("VLIW trace ends/span empty", [head.clone(), empty].concat()));
-    // Every block covered by a range that ends at packet 0, before the
-    // block itself.
-    let mut short = snap.clone();
-    short[span + 8..stats].fill(0);
-    out.push((
-        "VLIW trace span ends before its block",
-        [head.clone(), short].concat(),
-    ));
-    // The exec/fall/taken counter tables precede `ends`. Every block one
-    // dispatch short of hot, with a taken count the core never records:
-    // the next unformed head would grow along its taken edge, which for
-    // a loop latch points back before the trace's own start.
-    let table = 8 + 4 * blocks;
-    let taken = ends - table;
-    let exec = taken - 2 * table;
-    assert_eq!(u64_at(&snap, exec), blocks as u64);
-    assert_eq!(u64_at(&snap, taken), blocks as u64);
-    let nearly_hot = TraceConfig::default().hot_threshold - 1;
-    let mut forged = snap.clone();
-    for b in 0..blocks {
-        forged[exec + 8 + 4 * b..][..4].copy_from_slice(&nearly_hot.to_le_bytes());
-        forged[taken + 8 + 4 * b..][..4].copy_from_slice(&1_000_000u32.to_le_bytes());
+    for (what, forged) in forged_plan_snaps(&s, &snap) {
+        push(&format!("VLIW {what}"), &head, forged);
     }
-    out.push((
-        "VLIW trace profile with taken-edge counts",
-        [head, forged].concat(),
-    ));
+    // VLIW snapshot: the tag byte, 64 registers, the memory image (the
+    // unmapped-read flag, a page count, 4100 bytes a page), the pc and
+    // cycle, then the pending-write count and its `(due, register,
+    // value)` entries.
+    let pages = u64_at(&snap, 1 + 256 + 1) as usize;
+    let count = 1 + 256 + 9 + pages * 4100 + 16;
+    let mut write = vec![0u8; 8];
+    write.push(64);
+    write.extend_from_slice(&7u32.to_le_bytes());
+    push(
+        "VLIW pending write to register 64",
+        &head,
+        with_entry(&snap, count, count + 8, &write),
+    );
+
+    // RTL snapshot: the tag byte, the kernel's signal values (a count
+    // and one u64 each), then its runnable process indices.
+    let s = session(Backend::Rtl, 100);
+    let (head, snap) = split_park(&s);
+    let signals = u64_at(&snap, 1);
+    let mut fewer = snap.clone();
+    fewer[1..9].copy_from_slice(&(signals - 1).to_le_bytes());
+    fewer.drain(9..17);
+    push("RTL kernel one signal short", &head, fewer);
+    let runnable = 9 + 8 * signals as usize;
+    push(
+        "RTL runnable process out of range",
+        &head,
+        with_entry(&snap, runnable, runnable + 8, &1_000_000u64.to_le_bytes()),
+    );
     out
 }
 
@@ -966,12 +966,11 @@ fn corrupt_engine_tables_are_codec_errors_not_panics() {
     s.run_until(Limit::Cycles(20_000)).unwrap();
     let shard = s.shard(1).unwrap();
     let (head, snap) = split_park(shard);
-    let stats = trace_stats_at(shard, &snap);
-    let (formed, plans) = plans_table_before(&snap, stats);
-    let counters = formed - 3 * (8 + 4 * plans.len());
-    let mut empty = snap.clone();
-    empty.splice(counters..formed, [0u8; 24]);
-    let mut bad = vec![("golden trace profile empty", empty)];
+    let (at, end, state) = trace_state_in(shard, &snap);
+    let mut bad = vec![(
+        "trace profile empty",
+        with_empty_profile(&snap, at, end, &state),
+    )];
     bad.extend(forged_plan_snaps(shard, &snap));
     let before = s.park_shard(1).unwrap();
     for (what, forged) in bad {
@@ -1033,17 +1032,24 @@ fn a_parked_image_is_a_fixpoint_of_resume() {
     }
 }
 
-/// The golden trace tier dispatches the same traces after resume, and
-/// after reset-then-restore, as the engine that took the snapshot: run
-/// in 3-retirement slices, every slice stops at the same point with the
-/// same trace coverage.
+/// A trace tier dispatches the same traces after resume, and after
+/// reset-then-restore, as the engine that took the snapshot — the
+/// golden model recompiling its traces from their plans, the VLIW core
+/// re-deriving its packet-range covers from them: run in 3-retirement
+/// slices, every slice stops at the same point with the same trace
+/// coverage.
 #[test]
-fn restored_golden_trace_tiers_stop_where_the_donor_stops() {
-    for name in ["fir", "sieve"] {
+fn restored_trace_tiers_stop_where_the_donor_stops() {
+    for (name, backend) in [
+        ("fir", Backend::golden_trace()),
+        ("sieve", Backend::golden_trace()),
+        ("fir", Backend::translated_trace(DetailLevel::Cache)),
+        ("sieve", Backend::translated_trace(DetailLevel::Cache)),
+    ] {
         let w = cabt_workloads::by_name(name).unwrap();
         let build = || {
             SimBuilder::workload(&w)
-                .backend(Backend::golden_trace())
+                .backend(backend)
                 .trace_config(TraceConfig {
                     warmup: 1_000_000_000,
                     hot_threshold: 8,
@@ -1067,16 +1073,16 @@ fn restored_golden_trace_tiers_stop_where_the_donor_stops() {
                 ("resumed", &mut resumed),
                 ("reset-then-restored", &mut restored),
             ] {
-                assert_eq!(s.run_until(limit).unwrap(), stop, "{name} {what}");
+                assert_eq!(s.run_until(limit).unwrap(), stop, "{name} {backend} {what}");
                 assert_eq!(
                     (s.stats(), s.trace_stats()),
                     (donor.stats(), donor.trace_stats()),
-                    "{name} {what}: slice {slices} stopped elsewhere"
+                    "{name} {backend} {what}: slice {slices} stopped elsewhere"
                 );
             }
             slices += 1;
         }
-        assert!(slices > 100, "{name}: {slices} slices");
-        assert_eq!(resumed.read_d(2), w.expected_d2, "{name}");
+        assert!(slices > 100, "{name} {backend}: {slices} slices");
+        assert_eq!(resumed.read_d(2), w.expected_d2, "{name} {backend}");
     }
 }
