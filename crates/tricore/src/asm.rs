@@ -51,8 +51,8 @@
 //! prefixes and memory operands nested as offsets are scanned one after
 //! another, so no operand can overflow the stack.
 
-use crate::encode::encode_into;
-use crate::isa::{AReg, BinOp, Cond, DReg, Instr, LdKind, StKind};
+use crate::encode::{encode_into, BINOPS, CONDS};
+use crate::isa::{AReg, BinOp, DReg, Instr, LdKind, StKind};
 use cabt_isa::elf::{
     check_section_size, ElfFile, Section, Symbol, SymbolKind, EM_TRICORE, MAX_SECTION_SIZE,
 };
@@ -867,36 +867,11 @@ fn build_instr<'a>(
     resolve: &dyn Fn(&str) -> Option<i64>,
 ) -> Result<Instr, AsmError> {
     let ev = |a: &Arg| eval(a.val(), line, resolve);
-    let cond_of = |m: &str| match m {
-        "jeq" => Some(Cond::Eq),
-        "jne" => Some(Cond::Ne),
-        "jlt" => Some(Cond::Lt),
-        "jge" => Some(Cond::Ge),
-        "jlt.u" => Some(Cond::LtU),
-        "jge.u" => Some(Cond::GeU),
-        _ => None,
-    };
-    let zcond_of = |m: &str| match m {
-        "jz" => Some(Cond::Eq),
-        "jnz" => Some(Cond::Ne),
-        "jltz" => Some(Cond::Lt),
-        "jgez" => Some(Cond::Ge),
-        _ => None,
-    };
-    let binop_of = |m: &str| match m {
-        "add" => Some(BinOp::Add),
-        "sub" => Some(BinOp::Sub),
-        "and" => Some(BinOp::And),
-        "or" => Some(BinOp::Or),
-        "xor" => Some(BinOp::Xor),
-        "sll" => Some(BinOp::Sll),
-        "srl" => Some(BinOp::Srl),
-        "sra" => Some(BinOp::Sra),
-        "mul" => Some(BinOp::Mul),
-        "div" => Some(BinOp::Div),
-        "rem" => Some(BinOp::Rem),
-        _ => None,
-    };
+    // One mnemonic table per mapping: the ISA's own spellings (what
+    // `Display` prints), searched over the encoder's operation lists.
+    let cond_of = |m: &str| CONDS.into_iter().find(|c| c.mnemonic() == m);
+    let zcond_of = |m: &str| CONDS.into_iter().find(|c| c.z_mnemonic() == m);
+    let binop_of = |m: &str| BINOPS.into_iter().find(|o| o.mnemonic() == m);
     let mem_of = |a: &Arg<'a>| -> Option<(AReg, bool, Option<Val<'a>>)> {
         match *a {
             Arg::Mem { base, postinc, off } => Some((base, postinc, off)),
@@ -1175,6 +1150,7 @@ fn build_instr<'a>(
 mod tests {
     use super::*;
     use crate::encode::decode_section;
+    use crate::isa::Cond;
 
     fn decode_text(elf: &ElfFile) -> Vec<(u32, Instr)> {
         let t = elf.section(".text").expect("text");
@@ -1499,5 +1475,62 @@ mod tests {
             ((hi as u32) << 16).wrapping_add(lo as i32 as u32),
             DATA_BASE + 8
         );
+    }
+
+    /// Every condition and ALU-operation spelling `Display` prints is
+    /// one the assembler reads back, as the instruction that printed
+    /// it — the unsigned compare-with-zero branches included.
+    #[test]
+    fn every_cond_and_binop_mnemonic_assembles_to_what_printed_it() {
+        let one = |line: &str| -> Instr {
+            let elf = assemble(&format!(".text\n_start: {line}\n"))
+                .unwrap_or_else(|e| panic!("`{line}`: {e}"));
+            decode_text(&elf)[0].1
+        };
+        let (d1, d2, d3) = (DReg(1), DReg(2), DReg(3));
+        for cond in CONDS {
+            // Branches print a relative displacement; reassemble the
+            // printed mnemonic with a label target at displacement 0.
+            for instr in [
+                Instr::Jcond {
+                    cond,
+                    s1: d1,
+                    s2: d2,
+                    disp16: 0,
+                },
+                Instr::JcondZ {
+                    cond,
+                    s1: d1,
+                    disp16: 0,
+                },
+            ] {
+                let printed = instr.to_string();
+                let mn = printed.split_whitespace().next().expect("mnemonic");
+                let ops = if matches!(instr, Instr::Jcond { .. }) {
+                    "%d1, %d2"
+                } else {
+                    "%d1"
+                };
+                assert_eq!(one(&format!("{mn} {ops}, _start")), instr, "{printed}");
+            }
+        }
+        for op in BINOPS {
+            for instr in [
+                Instr::Bin {
+                    op,
+                    d: d3,
+                    s1: d1,
+                    s2: d2,
+                },
+                Instr::BinI {
+                    op,
+                    d: d3,
+                    s1: d1,
+                    imm9: -5,
+                },
+            ] {
+                assert_eq!(one(&instr.to_string()), instr, "{instr}");
+            }
+        }
     }
 }

@@ -1,45 +1,44 @@
 //! The closure-compiled dispatch core of the golden model — the
 //! paper's compiled-simulation thesis applied to our own interpreter.
 //!
-//! At load time every basic block of the pre-decoded table is *fused*
-//! into a run of specialized closures: each instruction's operands,
-//! I-cache line span, timing record and operand sets are captured as
-//! constants, so executing an instruction is one indirect call into a
-//! body with no decode match, no table-entry copy and no per-step
-//! dispatch-cache maintenance. Block structure comes from the shared
-//! [`cabt_exec::blocks::BlockMap`] (the same partition the translator's
-//! CFG uses); dispatch is *block-threaded*: a step enters a block,
-//! runs its straight-line ops to the terminator, and the terminator
-//! returns where control goes — the successor indices are chased
-//! through the flat block table exactly like the pre-decoded core
-//! chases instruction indices.
+//! At load time every instruction of the pre-decoded table is *fused*
+//! into a specialized closure: its operands, I-cache line span, timing
+//! record and operand sets are captured as constants, so executing an
+//! instruction is one indirect call into a body with no decode match,
+//! no table-entry copy and no per-step dispatch-cache maintenance. The
+//! pre-decoded tier steps these ops one per step; the trace tier steps
+//! them too wherever no trace is formed. Block structure comes from the
+//! shared [`cabt_exec::blocks::BlockMap`] (the same partition the
+//! translator's CFG uses): the trace tier profiles blocks and fuses hot
+//! chains of them into superblocks ([`compile_trace`]).
 //!
-//! Bit-identity with the pre-decoded core is a design constraint, not
+//! Bit-identity with the naive interpreter is a design constraint, not
 //! an accident: every closure performs the *same sequence* of cache
 //! accesses, timing-model calls (`step_pre` is stateful — pairing,
 //! operand scoreboards — and must run per instruction) and statistic
-//! updates the pre-decoded step performs, and memory faults unwind
-//! with the program counter parked on the faulting instruction. What
-//! the compiler exploits is what is *statically known per block*:
+//! updates the naive step performs, and memory faults unwind with the
+//! program counter parked on the faulting instruction. What the
+//! compiler exploits is what is *statically known*:
 //!
-//! * the retirement counter (`RunStats::instructions`) is added once
-//!   per block exit (reconstructed on the fault path), and `run_until`
-//!   budget checks happen per *block* — block and trace boundaries are
-//!   the only stop points of the trace tier built on these blocks
-//!   (documented on [`DispatchMode::Trace`](crate::sim::DispatchMode));
-//! * fetch line *runs* are proved at build time: an op whose first
-//!   line is the line the previous op just touched takes the
-//!   guaranteed-hit path ([`CacheSim::repeat_hit`]), and lead accesses
-//!   probe the MRU way first ([`CacheSim::access_mru_first`]) — both
-//!   counter- and LRU-identical to the full search;
+//! * inside a trace, the retirement counter (`RunStats::instructions`)
+//!   is added once per trace exit (reconstructed on the fault path),
+//!   and `run_until` budget checks happen per *trace* — traces are the
+//!   only multi-instruction stop points (documented on
+//!   [`DispatchMode::Trace`](crate::sim::DispatchMode));
+//! * fetch line *runs* inside a trace are proved at build time: an op
+//!   whose first line is the line the previous op just touched takes
+//!   the guaranteed-hit path ([`CacheSim::repeat_hit`]), and lead
+//!   accesses probe the MRU way first
+//!   ([`CacheSim::access_mru_first`]) — both counter- and
+//!   LRU-identical to the full search;
 //! * each instruction's issue class is pinned as a const generic, so
 //!   the timing model's class dispatch folds away inside the closure
 //!   ([`TimingModel::step_pre_class`]).
 //!
-//! Mid-block entries (an indirect jump computed into the middle of a
-//! block, or a debugger-forced pc) fall back to the pre-decoded
-//! interpreter until dispatch lands back on a block leader, since the
-//! fused prologues assume in-order execution from the leader.
+//! A single op carries no line-run proof, so it may be entered from
+//! anywhere: a mid-block entry (an indirect jump computed into the
+//! middle of a block, or a debugger-forced pc) steps the same ops as
+//! any other instruction.
 
 use crate::arch::{CacheConfig, CacheSim, IssueClass, PreTiming, TimingModel, TimingState};
 use crate::isa::{Instr, LdKind, StKind, RA};
@@ -51,13 +50,14 @@ use cabt_isa::mem::Memory;
 /// Where control goes after an op closure.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ctl {
-    /// Straight-line op inside the block: continue with the next op.
+    /// Straight-line op inside a trace segment: continue with the next
+    /// op.
     Next,
-    /// Block exit through the fall-through edge.
+    /// Exit through the fall-through edge.
     Fall,
-    /// Block exit through the direct-target edge.
+    /// Exit through the direct-target edge.
     Taken,
-    /// Block exit to a computed address.
+    /// Exit to a computed address.
     Indirect(u32),
 }
 
@@ -99,14 +99,14 @@ impl Hot<'_> {
         }
     }
 
-    /// Per-op fetch accounting with the block compiler's static
+    /// Per-op fetch accounting with the trace compiler's static
     /// line-run knowledge: when the op's first line is the line the
-    /// previous op in the block just touched (`m.first_repeat`,
+    /// previous op in the trace just touched (`m.first_repeat`,
     /// proved at closure-build time), that access is a guaranteed
     /// MRU hit — only the counters move ([`CacheSim::repeat_hit`]) —
     /// and any further lines of the span get full lead accesses.
-    /// Valid because block execution always enters at offset 0 and
-    /// runs the ops in order within one dispatch.
+    /// Valid because a trace always enters at its head leader and
+    /// runs its ops in order within one dispatch.
     #[inline]
     fn icache_op(&mut self, m: &Meta) {
         if self.cache.is_none() {
@@ -160,32 +160,13 @@ impl Hot<'_> {
 /// single specialized body behind one indirect call.
 pub(crate) type OpFn = Box<dyn Fn(&mut Hot<'_>) -> Result<Ctl, SimError> + Send>;
 
-/// One compiled basic block: its op run plus the terminator's resolved
-/// exits (instruction-table indices, like the pre-decoded entries, so
-/// the dispatch-cache `cur` keeps working unchanged).
-pub(crate) struct CompiledBlock {
-    pub ops: Box<[OpFn]>,
-    /// Source pc of each op — the fault path parks `cpu.pc` here.
-    pub pcs: Box<[u32]>,
-    /// Instruction-table index of the first op.
-    pub first: u32,
-    /// Architectural fall-through exit (pc past the terminator).
-    pub fall_pc: u32,
-    /// Table index of the fall-through exit (`NO_IDX` off-image).
-    pub fall_unit: u32,
-    /// Direct-target exit.
-    pub target_pc: u32,
-    /// Table index of the direct-target exit.
-    pub taken_unit: u32,
-    /// The terminating instruction (what a completed step reports).
-    pub term: Instr,
-}
-
-/// The compiled program: the shared block partition plus one fused
-/// closure run per block, parallel to `map.blocks`.
+/// The compiled program: the shared block partition (the trace tier's
+/// profile and plans index its blocks) plus one fused op per
+/// instruction, parallel to the pre-decoded table. Each op is its own
+/// terminator: a non-control op exits with [`Ctl::Fall`].
 pub(crate) struct CompiledProgram {
     pub map: BlockMap,
-    pub blocks: Vec<CompiledBlock>,
+    pub ops: Box<[OpFn]>,
 }
 
 /// The edge a trace seam expects control to leave through — the static
@@ -232,7 +213,7 @@ pub(crate) struct TraceSeg {
     /// batched path's fault reconstruction, mirroring how retirement
     /// is reconstructed.
     pub acc_prefix: Box<[u32]>,
-    /// Source pc of each op (fault parking, as in [`CompiledBlock`]).
+    /// Source pc of each op — the fault path parks `cpu.pc` here.
     pub pcs: Box<[u32]>,
     /// Instruction-table index of the first op.
     pub first: u32,
@@ -277,9 +258,12 @@ pub(crate) struct CompiledTrace {
 
 /// Compiles a selected superblock ([`cabt_exec::trace::grow`]) into its
 /// fused form. Segments reuse [`compile_op`] — every op performs the
-/// exact per-instruction work of single-block dispatch, so trace
-/// dispatch stays bit-identical — but the line-run analysis now spans
-/// the whole chain: `prev_line` carries across seams, because a seam is
+/// exact per-instruction work of a single compiled op, so trace
+/// dispatch stays bit-identical — and the line-run analysis spans the
+/// whole chain: within a block, an op whose first fetch line is the
+/// line the previous op ended on repeats a just-touched line (a
+/// guaranteed hit, proved here once instead of searched for at every
+/// execution), and `prev_line` carries across seams, because a seam is
 /// only crossed after the guard confirmed control left through the
 /// expected edge, and on *both* edge kinds the previous dynamic fetch
 /// is the terminator's last line.
@@ -391,48 +375,19 @@ fn flow_of(pi: &PreInstr) -> UnitFlow {
         .unit_flow((pi.target != NO_IDX).then_some(pi.target))
 }
 
-/// Compiles the whole pre-decoded table into fused blocks. `entry` is
-/// the table index of the program entry (an extra block leader).
+/// Compiles the whole pre-decoded table into one fused op per
+/// instruction over its block partition. `entry` is the table index of
+/// the program entry (an extra block leader).
 pub(crate) fn compile(table: &[PreInstr], entry: u32) -> CompiledProgram {
     let units: Vec<UnitFlow> = table.iter().map(flow_of).collect();
     let contiguous = |i: usize| table[i].fall == i as u32 + 1;
     let entries = (entry != NO_IDX).then_some(entry);
     let map = BlockMap::build(&units, contiguous, entries, false);
-    let blocks = map
-        .blocks
+    let ops = table
         .iter()
-        .map(|span| {
-            let last = span.last();
-            // Static line-run analysis: an op whose first fetch line is
-            // the line the previous op in the block ended on repeats a
-            // just-touched line — a guaranteed hit, proved here once
-            // instead of searched for at every execution.
-            let mut prev_line: Option<u32> = None;
-            let ops: Box<[OpFn]> = (span.first..span.end())
-                .map(|u| {
-                    let pi = &table[u as usize];
-                    let first_repeat = prev_line == Some(pi.line_first);
-                    prev_line = Some(pi.line_last);
-                    compile_op(pi, u == last, first_repeat, true)
-                })
-                .collect();
-            let pcs: Box<[u32]> = (span.first..span.end())
-                .map(|u| table[u as usize].pc)
-                .collect();
-            let t = &table[last as usize];
-            CompiledBlock {
-                ops,
-                pcs,
-                first: span.first,
-                fall_pc: t.fall_pc,
-                fall_unit: t.fall,
-                target_pc: t.target_pc,
-                taken_unit: t.target,
-                term: t.instr,
-            }
-        })
+        .map(|pi| compile_op(pi, true, false, true))
         .collect();
-    CompiledProgram { map, blocks }
+    CompiledProgram { map, ops }
 }
 
 /// Everything the fused prologue/epilogue needs, captured by value.
@@ -511,7 +466,7 @@ where
 
 /// Fuses a conditional terminator: the body reports the dynamic
 /// direction, which feeds the timing model and the branch statistics —
-/// the compiled form of `finish_step`.
+/// the compiled form of the naive step's branch bookkeeping.
 fn fuse_cond<F>(m: Meta, body: F) -> OpFn
 where
     F: Fn(&mut Hot<'_>) -> bool + Send + 'static,
@@ -571,13 +526,13 @@ where
 }
 
 /// Compiles one instruction into its fused closure. `terminator` marks
-/// the block's last op — straight-line ops inside the block continue
-/// with [`Ctl::Next`], the same op in terminator position exits with
-/// [`Ctl::Fall`]. `first_repeat` is the static line-run fact for the
-/// fetch prologue.
+/// the last op of a trace segment, or a lone op — straight-line ops
+/// inside a segment continue with [`Ctl::Next`], the same op in
+/// terminator position exits with [`Ctl::Fall`]. `first_repeat` is the
+/// static line-run fact for the fetch prologue.
 fn compile_op(pi: &PreInstr, terminator: bool, first_repeat: bool, fetch: bool) -> OpFn {
     let m = Meta::of(pi, first_repeat, fetch);
-    // Exit of a non-control op, decided by block position.
+    // Exit of a non-control op, decided by segment position.
     let next = if terminator { Ctl::Fall } else { Ctl::Next };
     let fall_pc = pi.fall_pc;
     match pi.instr {

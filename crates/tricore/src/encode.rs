@@ -51,7 +51,8 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-const BINOPS: [BinOp; 11] = [
+/// Every ALU operation, in opcode order.
+pub(crate) const BINOPS: [BinOp; 11] = [
     BinOp::Add,
     BinOp::Sub,
     BinOp::And,
@@ -65,7 +66,8 @@ const BINOPS: [BinOp; 11] = [
     BinOp::Rem,
 ];
 
-const CONDS: [Cond; 6] = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::LtU, Cond::GeU];
+/// Every branch condition, in opcode order.
+pub(crate) const CONDS: [Cond; 6] = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::LtU, Cond::GeU];
 
 fn binop_index(op: BinOp) -> u32 {
     BINOPS

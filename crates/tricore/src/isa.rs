@@ -164,7 +164,8 @@ impl BinOp {
         }
     }
 
-    fn mnemonic(self) -> &'static str {
+    /// The assembler spelling of the three-operand form.
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             BinOp::Add => "add",
             BinOp::Sub => "sub",
@@ -211,7 +212,8 @@ impl Cond {
         }
     }
 
-    fn mnemonic(self) -> &'static str {
+    /// The assembler spelling of the two-register compare-and-branch.
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             Cond::Eq => "jeq",
             Cond::Ne => "jne",
@@ -222,7 +224,8 @@ impl Cond {
         }
     }
 
-    fn z_mnemonic(self) -> &'static str {
+    /// The assembler spelling of the compare-with-zero branch.
+    pub(crate) fn z_mnemonic(self) -> &'static str {
         match self {
             Cond::Eq => "jz",
             Cond::Ne => "jnz",

@@ -19,29 +19,31 @@
 //!   `.text` image once at load into a dense table. Each entry carries
 //!   the decoded instruction, its fall-through and direct-branch-target
 //!   *table indices*, the cache lines its fetch touches, and its
-//!   read/write register sets — so the hot loop chases indices through
-//!   a flat `Vec` and never hashes an address or allocates.
-//! * [`DispatchMode::Trace`] goes the paper's final step: every basic
-//!   block of that table (partitioned by the shared
-//!   [`cabt_exec::blocks::BlockMap`]) is fused at load into a run of
-//!   specialized closures, and dispatch is block-threaded — one
-//!   [`ExecutionEngine::step_unit`] executes a whole block and chases
-//!   the successor block id. On top of that, block-edge counters
+//!   read/write register sets — and the table is compiled, also at
+//!   load, into one specialized closure per instruction. One step runs
+//!   one closure and chases the successor index through a flat `Vec`,
+//!   never hashing an address or allocating.
+//! * [`DispatchMode::Trace`] goes the paper's final step on the same
+//!   closures: the table is partitioned into basic blocks (the shared
+//!   [`cabt_exec::blocks::BlockMap`]), and block-edge counters
 //!   collected during a warm-up window fuse hot chains into single
 //!   multi-block closure runs with side-exit guards
-//!   ([`cabt_exec::trace`]); one step then dispatches a whole *trace*
-//!   (up to a bounded number of loop iterations for loop traces). With
-//!   a warm-up window of 0 no trace ever forms and the tier is plain
-//!   block-at-a-time dispatch. Blocks and traces are the only stop
-//!   points: budgeted runs overshoot into the end of the current unit.
+//!   ([`cabt_exec::trace`]); one step at a trace head then dispatches a
+//!   whole *trace* (up to a bounded number of loop iterations for loop
+//!   traces). Everywhere else it steps one instruction, so with a
+//!   warm-up window of 0 no trace ever forms and the tier steps exactly
+//!   like the pre-decoded one. Traces are the only multi-instruction
+//!   stop points: budgeted runs overshoot into the end of the current
+//!   trace.
 //! * [`DispatchMode::Naive`] is the retained seed interpreter: an
 //!   address-keyed map looked up on every step, with per-step line and
-//!   operand-set computation. It exists as the reference for the
-//!   differential tests proving the other cores bit-identical.
+//!   operand-set computation, over its own copy of the instruction
+//!   semantics ([`Simulator`]'s `exec`). It exists as the reference for
+//!   the differential tests proving the compiled cores bit-identical.
 //!
 //! All modes produce exactly the same architectural state, cycle
 //! counts, statistics and fault behaviour (the trace core observed at
-//! block and trace boundaries).
+//! instruction and trace boundaries).
 
 use crate::arch::{ArchDesc, CacheConfig, CacheSim, PreTiming, TimingModel, TimingState};
 use crate::compiled::{self, CompiledProgram, CompiledTrace, Ctl, Hot, TraceCont};
@@ -190,29 +192,30 @@ pub struct RunStats {
 /// Which dispatch core [`Simulator::step`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// Decode-once table dispatch (index-chased hot loop).
+    /// The compiled ops, one instruction per step, never profiled.
     #[default]
     Predecoded,
-    /// Trace-compiled dispatch: every basic block fused into one run of
-    /// specialized closures at load, plus the profile-guided
-    /// superblock tier. During a warm-up window
+    /// The compiled ops plus the profile-guided superblock tier.
+    /// During a warm-up window
     /// ([`cabt_exec::trace::TraceConfig::warmup`] profiled block
-    /// dispatches) the engine counts block executions and exit edges;
-    /// when a block's count reaches the hot threshold, the hottest
+    /// dispatches) the engine counts block executions (at each block
+    /// leader) and exit edges (at each block's last instruction); when
+    /// a block's count reaches the hot threshold, the hottest
     /// fall/taken chain is fused into one closure run spanning its
     /// blocks, with fetch line runs proved across the seams and
-    /// side-exit guards falling back to block dispatch. Once the
-    /// window closes profiling stops and dispatch is pure table
-    /// lookups. One [`Simulator::step`] (and one
-    /// [`ExecutionEngine::step_unit`]) executes a whole block, or a
-    /// whole trace — bounded loop-trace iteration included — so
-    /// `run_until` budgets are checked between units and may overshoot
-    /// into the current one, and snapshots land on unit boundaries.
-    /// A warm-up of 0 forms no traces: plain block-at-a-time dispatch.
-    /// Everything architectural is bit-identical to
-    /// [`DispatchMode::Predecoded`] at every stop point.
+    /// side-exit guards falling back to single ops. Once the window
+    /// closes profiling stops and dispatch is pure table lookups. One
+    /// [`Simulator::step`] (and one [`ExecutionEngine::step_unit`])
+    /// executes a whole trace — bounded loop-trace iteration included —
+    /// when it starts at a trace head, and one instruction otherwise,
+    /// so `run_until` budgets may overshoot into the current trace and
+    /// snapshots land on instruction or trace boundaries. A warm-up of
+    /// 0 forms no traces and steps exactly like
+    /// [`DispatchMode::Predecoded`]. Everything architectural is
+    /// bit-identical to [`DispatchMode::Naive`] at every stop point.
     Trace,
-    /// The retained seed interpreter: address-map fetch on every step.
+    /// The retained seed interpreter: address-map fetch on every step,
+    /// and the reference the compiled ops are diffed against.
     Naive,
 }
 
@@ -353,18 +356,15 @@ impl SimSnapshot {
     }
 }
 
-/// The golden model's trace tier: the block-compiled closure table (a
-/// load-time constant, like the pre-decoded table), the shared trace
-/// state and, per head block, the trace compiled from its plan.
+/// The golden model's trace tier: the shared trace state and, per head
+/// block, the trace compiled from its plan.
 struct TraceTier {
-    prog: CompiledProgram,
     state: TraceState,
     traces: Vec<Option<CompiledTrace>>,
 }
 
 impl TraceTier {
-    /// A cold state under `cfg` and no compiled traces; the compiled
-    /// table stays.
+    /// A cold state under `cfg` and no compiled traces.
     fn restart(&mut self, cfg: TraceConfig) {
         self.state.restart(cfg);
         self.traces.fill_with(|| None);
@@ -423,12 +423,16 @@ pub struct Simulator {
     table: Vec<PreInstr>,
     /// Address → table index (entry points, indirect jumps).
     index_of: HashMap<u32, u32>,
-    /// Trace-tier state (compiled blocks, profile, formed traces,
-    /// coverage counters) — built on first selection of
-    /// [`DispatchMode::Trace`]. Compiled blocks and formed traces are
-    /// deterministic compilations of load-time data and their plans, so
-    /// snapshots carry only the plans: whichever tier dispatches a
-    /// block, the architectural trajectory is identical.
+    /// The table compiled at load into one fused op per instruction,
+    /// over its block partition — what the pre-decoded and trace tiers
+    /// step.
+    prog: CompiledProgram,
+    /// Trace-tier state (profile, formed traces, coverage counters) —
+    /// built on first selection of [`DispatchMode::Trace`]. Formed
+    /// traces are deterministic compilations of load-time data and
+    /// their plans, so snapshots carry only the plans: whichever tier
+    /// dispatches an instruction, the architectural trajectory is
+    /// identical.
     trace: Option<Box<TraceTier>>,
     /// Trace-tier knobs ([`Simulator::set_trace_config`]).
     trace_cfg: TraceConfig,
@@ -515,6 +519,7 @@ impl Simulator {
         };
         cpu.set_a(10, 0xd003_0000); // default stack pointer
         let cur = index_of.get(&elf.entry).copied().unwrap_or(NO_IDX);
+        let prog = compiled::compile(&table, cur);
         Ok(Simulator {
             cpu,
             mem,
@@ -526,6 +531,7 @@ impl Simulator {
             tstate: TimingState::new(),
             table,
             index_of,
+            prog,
             trace: None,
             trace_cfg: TraceConfig::default(),
             cur,
@@ -543,17 +549,12 @@ impl Simulator {
     }
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`DispatchMode::Trace`] for the first time fuses the whole
-    /// pre-decoded table into per-block closure runs (a one-off
-    /// load-time cost, like the pre-decode pass itself).
+    /// [`DispatchMode::Trace`] for the first time sets up its profile.
     pub fn set_dispatch(&mut self, mode: DispatchMode) {
         self.mode = mode;
         if mode == DispatchMode::Trace && self.trace.is_none() {
-            let entry = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
-            let prog = compiled::compile(&self.table, entry);
-            let blocks = prog.map.len();
+            let blocks = self.prog.map.len();
             self.trace = Some(Box::new(TraceTier {
-                prog,
                 state: TraceState::new(blocks, self.trace_cfg, true),
                 traces: (0..blocks).map(|_| None).collect(),
             }));
@@ -592,8 +593,8 @@ impl Simulator {
                 value: snapshot.cache.is_some().into(),
             });
         }
-        if let (Some(tier), Some(snap)) = (&self.trace, &snapshot.trace) {
-            snap.check(&tier.prog.map)?;
+        if let (Some(_), Some(snap)) = (&self.trace, &snapshot.trace) {
+            snap.check(&self.prog.map)?;
         }
         Ok(())
     }
@@ -675,9 +676,9 @@ impl Simulator {
     }
 
     /// Executes a single dispatch unit, returning the last instruction
-    /// it retired: one instruction on the interpretive cores, one whole
-    /// basic block or trace (reporting its terminator) under
-    /// [`DispatchMode::Trace`].
+    /// it retired: one instruction, or under [`DispatchMode::Trace`] at
+    /// the head of a formed trace one whole trace (reporting the
+    /// terminator it left through).
     ///
     /// # Errors
     ///
@@ -691,50 +692,40 @@ impl Simulator {
     /// I/O device.
     fn dispatch(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         match self.mode {
-            DispatchMode::Predecoded => self.step_predecoded(io),
-            DispatchMode::Trace => self.step_trace(io),
             DispatchMode::Naive => self.step_naive(io),
+            DispatchMode::Predecoded | DispatchMode::Trace => self.step_compiled(io),
         }
     }
 
-    /// The trace-tier hot loop. At a block leader with a formed trace,
-    /// the whole fused superblock executes inside this one step — seam
-    /// guards compare each segment terminator's actual exit with the
-    /// edge the trace was selected along, side-exiting into normal
-    /// dispatch on mismatch; loop traces iterate in place (bounded by
+    /// The compiled hot loop of the pre-decoded and trace tiers. At a
+    /// block leader with a formed trace (trace tier only), the whole
+    /// fused superblock executes inside this one step — seam guards
+    /// compare each segment terminator's actual exit with the edge the
+    /// trace was selected along, side-exiting into normal dispatch on
+    /// mismatch; loop traces iterate in place (bounded by
     /// [`TRACE_LOOP_CAP`]) using the head segment's back-edge
-    /// specialization. Leaders without a trace take single-block
-    /// compiled dispatch, feeding the warm-up profile that forms
-    /// traces. Per-instruction work inside the closures mirrors the
-    /// pre-decoded step exactly (cache accounting, semantics, the
-    /// stateful timing model, branch statistics); only the retirement
-    /// counter is batched per block or trace — and reconstructed on the
-    /// fault path, where `cpu.pc` parks on the faulting instruction
-    /// just as the interpretive cores leave it.
-    fn step_trace(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
+    /// specialization. Everywhere else one compiled op executes, and
+    /// while the trace tier's warm-up window is open a leader counts
+    /// its block's dispatch (forming traces) and a block's last
+    /// instruction records the exit edge. Per-instruction work inside
+    /// the closures mirrors the naive step exactly (cache accounting,
+    /// semantics, the stateful timing model, branch statistics); only
+    /// the retirement counter is batched per trace — and reconstructed
+    /// on the fault path, where `cpu.pc` parks on the faulting
+    /// instruction just as the naive core leaves it.
+    fn step_compiled(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         let pc = self.cpu.pc;
+        // The cached index is valid unless someone rewrote `cpu.pc`
+        // behind our back (debuggers do); fall back to one map lookup.
         let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
             self.cur
         } else {
             *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
         };
-        // Mid-block entry (an indirect jump computed into the middle of
-        // a block, or a debugger-forced pc): the fused closures assume
-        // in-order execution from the block leader (their fetch
-        // prologue bakes in the block's line runs), so interpret
-        // instruction-by-instruction until dispatch lands back on a
-        // block leader. Rare by construction — every direct target and
-        // post-control instruction *is* a leader.
-        let tier = self
-            .trace
-            .as_ref()
-            .expect("set_dispatch builds the trace tier");
-        if tier.prog.map.location(cur).offset != 0 {
-            self.cur = cur;
-            return self.step_predecoded(io);
-        }
         let Simulator {
+            prog,
             trace,
+            mode,
             table,
             cpu,
             mem,
@@ -748,20 +739,28 @@ impl Simulator {
             index_of,
             ..
         } = self;
-        let tier = &mut **trace.as_mut().expect("set_dispatch builds the trace tier");
-        let prog = &tier.prog;
-        let head = prog.map.location(cur).block;
-
-        // Warm-up profiling: count the dispatch; on the hot-threshold
-        // crossing, grow the hottest chain and fuse it.
-        if let Some(plan) = tier.state.form(&prog.map, head) {
-            tier.traces[head as usize] = Some(compiled::compile_trace(
-                table.as_slice(),
-                &prog.map,
-                plan,
-                cache_cfg.line_bytes,
-            ));
-        }
+        let loc = prog.map.location(cur);
+        let mut tier = trace
+            .as_deref_mut()
+            .filter(|_| *mode == DispatchMode::Trace);
+        // At a leader, warm-up profiling counts the dispatch and, on the
+        // hot-threshold crossing, grows the hottest chain and fuses it;
+        // then the trace headed here, if any, runs.
+        let formed = match tier.as_deref_mut() {
+            Some(t) if loc.offset == 0 => {
+                if let Some(plan) = t.state.form(&prog.map, loc.block) {
+                    t.traces[loc.block as usize] = Some(compiled::compile_trace(
+                        table.as_slice(),
+                        &prog.map,
+                        plan,
+                        cache_cfg.line_bytes,
+                    ));
+                }
+                let tr = t.traces[loc.block as usize].as_ref();
+                tr.map(|tr| (tr, &mut t.state.stats))
+            }
+            _ => None,
+        };
 
         let mut hot = Hot {
             cpu: &mut *cpu,
@@ -776,7 +775,7 @@ impl Simulator {
             halted: &mut *halted,
         };
 
-        if let Some(tr) = tier.traces[head as usize].as_ref() {
+        if let Some((tr, tstats)) = formed {
             // Fused superblock dispatch. Batched-fetch fast path: when
             // every line the whole trace touches is MRU-resident, each
             // per-op access would be a pure hit with no tag/LRU
@@ -786,8 +785,8 @@ impl Simulator {
             // fetch accounting of the step collapses into one add at
             // the exit point. Bit-identical: no observation point
             // exists inside a step. With no cache configured the fast
-            // path is unconditional and accounts nothing, like the
-            // pre-decoded prologue.
+            // path is unconditional and accounts nothing, like a
+            // single op's prologue.
             let (batched, counted) = match hot.cache.as_ref() {
                 None => (true, false),
                 Some(c) => (tr.lines.iter().all(|&l| c.mru_resident(l)), true),
@@ -814,12 +813,11 @@ impl Simulator {
                         Ok(Ctl::Next) => i += 1,
                         Ok(ctl) => break ctl,
                         Err(e) => {
-                            // Fault inside the trace: identical parking
-                            // to the block core — the completed prefix
-                            // retires, the faulting op does not. On the
-                            // batched path, fetch precedes execute, so
-                            // ops 0..=i did fetch — their accesses (all
-                            // guarded hits) land now.
+                            // Fault inside the trace: the completed
+                            // prefix retires, the faulting op does not.
+                            // On the batched path, fetch precedes
+                            // execute, so ops 0..=i did fetch — their
+                            // accesses (all guarded hits) land now.
                             if batched && counted {
                                 let n = acc + u64::from(seg.acc_prefix[i]);
                                 hot.stats.icache_accesses += n;
@@ -830,7 +828,7 @@ impl Simulator {
                             }
                             let retired = done + i as u64;
                             hot.stats.instructions += retired;
-                            tier.state.stats.trace_retired += retired;
+                            tstats.trace_retired += retired;
                             hot.cpu.pc = seg.pcs[i];
                             *cur_field = seg.first + i as u32;
                             return Err(e);
@@ -867,8 +865,8 @@ impl Simulator {
                     // Cap hit: end the step on the matched edge — it
                     // lands on the head leader, like any side exit.
                 }
-                // Side exit: resolve the successor exactly as the
-                // block core would and return to normal dispatch.
+                // Side exit: resolve the successor exactly as a single
+                // op would and return to normal dispatch.
                 let (next_pc, next_idx) = match exit {
                     Ctl::Next | Ctl::Fall => (seg.fall_pc, seg.fall_unit),
                     Ctl::Taken => (seg.target_pc, seg.taken_unit),
@@ -876,8 +874,8 @@ impl Simulator {
                 };
                 // Direct side exits always land on block leaders
                 // (targets and post-terminator successors are leaders
-                // by construction); indirect exits may land mid-block
-                // and take the documented pre-decoded fallback.
+                // by construction); indirect exits may land mid-block,
+                // where single ops take over.
                 debug_assert!(
                     matches!(exit, Ctl::Indirect(_))
                         || next_idx == NO_IDX
@@ -894,88 +892,32 @@ impl Simulator {
                 hot.cpu.pc = next_pc;
                 *cur_field = next_idx;
                 hot.stats.instructions += done;
-                tier.state.stats.trace_retired += done;
+                tstats.trace_retired += done;
                 return Ok(seg.term);
             }
         }
 
-        // Single-block compiled dispatch, recording exit edges while
-        // the warm-up window is open.
-        let blk = &prog.blocks[head as usize];
-        let mut i = 0usize;
-        let exit = loop {
-            match (blk.ops[i])(&mut hot) {
-                Ok(Ctl::Next) => i += 1,
-                Ok(ctl) => break ctl,
-                Err(e) => {
-                    hot.stats.instructions += i as u64;
-                    hot.cpu.pc = blk.pcs[i];
-                    *cur_field = blk.first + i as u32;
-                    return Err(e);
+        // One compiled op; a fault leaves `cpu.pc` on it.
+        let exit = (prog.ops[cur as usize])(&mut hot)?;
+        hot.stats.instructions += 1;
+        if let Some(tier) = tier {
+            let profile = &mut tier.state.profile;
+            if profile.warm() && cur == prog.map.blocks[loc.block as usize].last() {
+                match exit {
+                    Ctl::Next | Ctl::Fall => profile.record_fall(loc.block),
+                    Ctl::Taken => profile.record_taken(loc.block),
+                    Ctl::Indirect(_) => {}
                 }
             }
-        };
-        hot.stats.instructions += (i + 1) as u64;
-        let profile = &mut tier.state.profile;
-        if profile.warm() {
-            match exit {
-                Ctl::Next | Ctl::Fall => profile.record_fall(head),
-                Ctl::Taken => profile.record_taken(head),
-                Ctl::Indirect(_) => {}
-            }
         }
+        let pi = &table[cur as usize];
         let (next_pc, next_idx) = match exit {
-            Ctl::Next | Ctl::Fall => (blk.fall_pc, blk.fall_unit),
-            Ctl::Taken => (blk.target_pc, blk.taken_unit),
+            Ctl::Next | Ctl::Fall => (pi.fall_pc, pi.fall),
+            Ctl::Taken => (pi.target_pc, pi.target),
             Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
         };
         hot.cpu.pc = next_pc;
         *cur_field = next_idx;
-        Ok(blk.term)
-    }
-
-    /// The pre-decoded hot loop: index-chased dispatch over the flat
-    /// table, no address hashing, no per-step operand-set allocation.
-    fn step_predecoded(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
-        let pc = self.cpu.pc;
-        // The cached index is valid unless someone rewrote `cpu.pc`
-        // behind our back (debuggers do); fall back to one map lookup.
-        let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
-            self.cur
-        } else {
-            *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
-        };
-        let pi = self.table[cur as usize];
-
-        // Instruction-cache accounting over the precomputed line span.
-        if let Some(cache) = &mut self.cache {
-            let mut line = pi.line_first;
-            loop {
-                self.stats.icache_accesses += 1;
-                if !cache.access(line) {
-                    self.stats.icache_misses += 1;
-                    self.stats.stall_cycles += self.cache_cfg.miss_penalty as u64;
-                    self.tstate.stall(self.cache_cfg.miss_penalty as u64);
-                }
-                if line == pi.line_last {
-                    break;
-                }
-                line += self.cache_cfg.line_bytes;
-            }
-        }
-
-        let (flow, taken) = self.exec(pc, pi.instr, pi.fall_pc, io)?;
-        let (next_pc, next_idx) = match flow {
-            Flow::Fall => (pi.fall_pc, pi.fall),
-            Flow::Direct => (pi.target_pc, pi.target),
-            Flow::Indirect(a) => (a, self.index_of.get(&a).copied().unwrap_or(NO_IDX)),
-        };
-
-        let dyn_taken = taken.or(Some(true));
-        self.model.step_pre(&mut self.tstate, &pi.timing, dyn_taken);
-        self.finish_step(taken, pi.timing.predicts_taken);
-        self.cpu.pc = next_pc;
-        self.cur = next_idx;
         Ok(pi.instr)
     }
 
@@ -1019,36 +961,24 @@ impl Simulator {
         // Timing: dynamic outcome for conditionals, exact for the rest.
         let dyn_taken = taken.or(Some(true));
         self.model.step(&mut self.tstate, &instr, dyn_taken);
-        let predicts = if taken.is_some() {
-            self.arch.timing.predicts_taken(&instr)
-        } else {
-            None
-        };
-        self.finish_step(taken, predicts);
-        self.cpu.pc = next_pc;
-        self.cur = NO_IDX;
-        Ok(instr)
-    }
-
-    /// Branch statistics and retirement shared by both dispatch cores;
-    /// `predicts` is the instruction's static prediction (only read
-    /// when `taken` is set).
-    fn finish_step(&mut self, taken: Option<bool>, predicts: Option<bool>) {
         if let Some(t) = taken {
             self.stats.cond_branches += 1;
             if t {
                 self.stats.taken += 1;
             }
-            if predicts != Some(t) {
+            if self.arch.timing.predicts_taken(&instr) != Some(t) {
                 self.stats.mispredicted += 1;
             }
         }
         self.stats.instructions += 1;
+        self.cpu.pc = next_pc;
+        self.cur = NO_IDX;
+        Ok(instr)
     }
 
     /// Executes one instruction's architectural effect and reports where
-    /// control goes. Shared verbatim by both dispatch cores — this *is*
-    /// the instruction semantics.
+    /// control goes: the naive oracle's copy of the instruction
+    /// semantics, written independently of the compiled ops it checks.
     fn exec(
         &mut self,
         pc: u32,
@@ -1319,7 +1249,7 @@ impl ExecutionEngine for Simulator {
                         Some(plan) => {
                             *tr = Some(compiled::compile_trace(
                                 &self.table,
-                                &tier.prog.map,
+                                &self.prog.map,
                                 plan,
                                 self.cache_cfg.line_bytes,
                             ));
@@ -1715,7 +1645,7 @@ mod tests {
     }
 
     /// A closed warm-up window: no trace ever forms, so the trace tier
-    /// dispatches one compiled block per step.
+    /// dispatches one compiled op per step.
     fn block_dispatch() -> TraceConfig {
         TraceConfig {
             warmup: 0,
@@ -1733,13 +1663,14 @@ mod tests {
 
     /// Every observable — registers, stats, cycles, fault shape — must
     /// be identical across every dispatch core at the halt, the trace
-    /// tier with and without traces.
+    /// tier with and without traces. The naive core is the reference:
+    /// the others all run the compiled ops.
     fn diff_modes(src: &str) {
         let elf = assemble(src).expect("assembles");
-        let mut fast = Simulator::new(&elf).expect("loads");
+        let mut fast = sim_on(&elf, DispatchMode::Naive, eager_traces());
         let rf = fast.run(1_000_000);
         for (mode, cfg) in [
-            (DispatchMode::Naive, eager_traces()),
+            (DispatchMode::Predecoded, eager_traces()),
             (DispatchMode::Trace, block_dispatch()),
             (DispatchMode::Trace, eager_traces()),
         ] {
@@ -1777,16 +1708,23 @@ mod tests {
 
     #[test]
     fn compiled_blocks_retire_and_fault_like_the_interpreter() {
-        // Block granularity: one step retires the whole entry block.
+        // Instruction granularity: with no formed trace, one trace-tier
+        // step retires one instruction, even at a block leader.
         let elf = assemble(".text\n_start: mov %d1, 1\nmov %d2, 2\nmov %d3, 3\ndebug\n").unwrap();
         let mut sim = sim_on(&elf, DispatchMode::Trace, block_dispatch());
-        let term = sim.step().unwrap();
+        let first = sim.step().unwrap();
         assert!(
-            matches!(term, Instr::Debug16),
-            "step reports the terminator"
+            matches!(first, Instr::Mov16 { .. } | Instr::Mov { .. }),
+            "step reports the instruction it ran: {first:?}"
         );
-        assert_eq!(sim.stats().instructions, 4, "whole block retired");
-        assert!(sim.is_halted());
+        assert_eq!(sim.stats().instructions, 1, "one instruction retired");
+        assert!(!sim.is_halted());
+        let mut steps = 1;
+        while !sim.is_halted() {
+            sim.step().unwrap();
+            steps += 1;
+        }
+        assert_eq!(steps, 4, "one step per instruction");
 
         // A memory fault mid-block parks pc on the faulting instruction
         // and counts only the completed prefix — like the interpreter.
@@ -1805,12 +1743,14 @@ mod tests {
             };
             (err, sim.cpu.pc, sim.stats())
         };
-        let (ep, pp, sp) = run(DispatchMode::Predecoded);
-        let (ec, pc, sc) = run(DispatchMode::Trace);
-        assert_eq!(ep, ec, "fault kind");
-        assert_eq!(pp, pc, "fault pc");
-        assert_eq!(sp, sc, "stats at the fault");
-        assert!(matches!(ep, SimError::Mem(_)));
+        let (en, pn, sn) = run(DispatchMode::Naive);
+        assert!(matches!(en, SimError::Mem(_)));
+        for mode in [DispatchMode::Predecoded, DispatchMode::Trace] {
+            let (ec, pc, sc) = run(mode);
+            assert_eq!(en, ec, "{mode:?}: fault kind");
+            assert_eq!(pn, pc, "{mode:?}: fault pc");
+            assert_eq!(sn, sc, "{mode:?}: stats at the fault");
+        }
     }
 
     #[test]
@@ -1834,7 +1774,11 @@ mod tests {
         // CFG — but the engine's block map only splits at control flow,
         // so force a mid-block landing by computing the address.
         let elf = assemble(src).unwrap();
-        for mode in [DispatchMode::Predecoded, DispatchMode::Trace] {
+        for mode in [
+            DispatchMode::Naive,
+            DispatchMode::Predecoded,
+            DispatchMode::Trace,
+        ] {
             let mut sim = sim_on(&elf, mode, block_dispatch());
             sim.run(100).unwrap();
             assert_eq!(sim.cpu.d(1), 0, "{mode:?}: skipped prefix must not run");
@@ -1846,15 +1790,16 @@ mod tests {
             sim.run(100).unwrap();
             sim.stats()
         };
-        assert_eq!(stats(DispatchMode::Predecoded), stats(DispatchMode::Trace));
+        assert_eq!(stats(DispatchMode::Naive), stats(DispatchMode::Predecoded));
+        assert_eq!(stats(DispatchMode::Naive), stats(DispatchMode::Trace));
     }
 
     #[test]
     fn trace_tier_forms_traces_and_matches_predecoded() {
         // A hot loop plus a call/ret pair: the loop head crosses the
         // hot threshold, a loop trace forms, and most retirement moves
-        // inside it — all while staying bit-identical to the
-        // pre-decoded core.
+        // inside it — all while staying bit-identical to the naive
+        // core.
         let src = "
             .text
         _start:
@@ -1871,7 +1816,7 @@ mod tests {
             ret
         ";
         let elf = assemble(src).unwrap();
-        let mut base = Simulator::new(&elf).unwrap();
+        let mut base = sim_on(&elf, DispatchMode::Naive, eager_traces());
         base.run(1_000_000).unwrap();
 
         let mut sim = Simulator::new(&elf).unwrap();
@@ -1900,7 +1845,7 @@ mod tests {
         // each iteration and crosses into a misaligned word address
         // after the trace has formed: the fault must park pc on the
         // load with the completed-prefix retirement, exactly like the
-        // pre-decoded core.
+        // naive core.
         let src = "
             .text
         _start:
@@ -1927,14 +1872,14 @@ mod tests {
             };
             (err, sim.cpu.pc, sim.cpu.a(2), sim.stats())
         };
-        let p = observe(DispatchMode::Predecoded);
+        let p = observe(DispatchMode::Naive);
         let t = observe(DispatchMode::Trace);
-        assert_eq!(p, t, "fault shape diverges between predecoded and trace");
+        assert_eq!(p, t, "fault shape diverges between naive and trace");
         assert!(matches!(p.0, SimError::Mem(_)));
 
-        // Instruction budgets overshoot at most to the end of the
-        // current step for block-granular cores; the trace core keeps
-        // reporting correct totals under a budget that lands mid-trace.
+        // The trace core keeps reporting correct totals under a budget
+        // that lands mid-trace, overshooting at most to the end of the
+        // current trace.
         let budget = |mode: DispatchMode, max: u64| {
             let mut sim = Simulator::new(&elf).unwrap();
             sim.set_trace_config(eager_traces());
@@ -1942,7 +1887,7 @@ mod tests {
             let _ = sim.run(max);
             sim.stats().instructions
         };
-        let fine = budget(DispatchMode::Predecoded, 100);
+        let fine = budget(DispatchMode::Naive, 100);
         let fused = budget(DispatchMode::Trace, 100);
         assert!(fused >= fine, "trace core must not under-run the budget");
     }

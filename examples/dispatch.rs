@@ -1,7 +1,10 @@
 //! Prints the host dispatch throughput of the three engine tiers on
-//! both cores: naive (the seed interpreters), pre-decoded, and the
-//! profile-guided trace tier. The golden model runs the source code;
-//! the translated image dispatches execute packets on the platform.
+//! both cores: naive (the seed interpreters), pre-decoded (the compiled
+//! closures, one instruction or packet per step), and the
+//! profile-guided trace tier (the same closures, with hot chains fused
+//! into traces; traces are its only multi-instruction steps). The
+//! golden model runs the source code; the translated image dispatches
+//! execute packets on the platform.
 //! Each row also shows the trace tier's coverage, and the printer
 //! fails if a trace tier forms no traces.
 //!

@@ -35,12 +35,13 @@
 //! Execution comes in three dispatch tiers, all bit-identical and all
 //! selected as plain `Backend` data: the retained naive interpreters
 //! (the differential oracle), the **pre-decoded engines** (the image
-//! decoded once at load into index-chased tables; on the VLIW core, its
-//! compiled packets stepped one at a time) and the **trace
-//! tier** (basic blocks of the shared [`cabt_exec::blocks`] partition
-//! fused into closure runs at load, hot chains fused into superblocks
-//! after a warm-up window; with a warm-up of 0 it is plain
-//! block-at-a-time dispatch). The [`tricore::sim`] and [`vliw::sim`]
+//! decoded once at load into index-chased tables and compiled into
+//! closures, stepped one instruction or packet at a time) and the
+//! **trace tier** (the same closures, profiled over the basic blocks of
+//! the shared [`cabt_exec::blocks`] partition, with hot chains fused
+//! into superblocks after a warm-up window; traces are its only
+//! multi-instruction steps, and with a warm-up of 0 it steps exactly
+//! like the pre-decoded engine). The [`tricore::sim`] and [`vliw::sim`]
 //! module docs describe each core; `tests/predecode_diff.rs` and
 //! `tests/compiled_diff.rs` prove them bit-identical. The repository
 //! benchmark in `perfbench/` measures their speed end to end, and

@@ -1,17 +1,18 @@
-//! Differential proof that the trace-tier dispatch cores — basic
-//! blocks (golden) and execute packets (VLIW) fused into closure runs at
-//! load, plus profile-guided superblock traces over them — are
-//! bit-identical to the pre-decoded engines.
+//! Differential proof that the trace-tier dispatch cores — instructions
+//! (golden) and execute packets (VLIW) compiled into closures at load,
+//! plus profile-guided superblock traces over them — are bit-identical
+//! to the naive interpreters. The pre-decoded tiers step the same
+//! closures, so the naive cores are the reference throughout.
 //!
 //! The trace tier is exercised in two configurations: an eager one in
 //! which traces form and carry most retirement, and a warm-up of 0 in
 //! which no trace ever forms, so every step dispatches one compiled
-//! block (golden) or one compiled packet (VLIW). The golden model is
-//! compared at block and trace boundaries (and at the halt); the VLIW
-//! core with warm-up 0 stays packet-granular and is compared after
-//! every packet. Both are swept over every bundled workload,
-//! PRNG-randomized programs, and the fault paths (mid-block memory
-//! faults, indirect jumps out of the image).
+//! instruction (golden) or one compiled packet (VLIW) and is compared
+//! after every step. With traces formed, the golden model is compared
+//! at instruction and trace boundaries (and at the halt). Both are
+//! swept over every bundled workload, PRNG-randomized programs, and
+//! the fault paths (mid-block memory faults, indirect jumps out of the
+//! image).
 
 use cabt::prelude::*;
 use cabt_exec::trace::{TraceConfig, TraceStats};
@@ -34,7 +35,8 @@ fn eager_traces() -> TraceConfig {
 }
 
 /// A closed warm-up window: no trace ever forms, so the trace tier
-/// dispatches one compiled block (golden) or packet (VLIW) per step.
+/// dispatches one compiled instruction (golden) or packet (VLIW) per
+/// step.
 fn block_dispatch() -> TraceConfig {
     TraceConfig {
         warmup: 0,
@@ -78,28 +80,25 @@ fn assert_memory_equal(name: &str, elf: &ElfFile, a: &mut Simulator, b: &mut Sim
     }
 }
 
-/// Block-boundary lockstep: step the trace tier with warm-up 0 one
-/// compiled *block*, run the pre-decoded core to the same retirement
-/// count, and demand identical state at every boundary — a divergence
-/// is pinned to the block that introduced it.
+/// Instruction lockstep: with warm-up 0 the trace tier retires one
+/// compiled instruction per step, so the comparison against the naive
+/// interpreter is made after *every* step — a divergence is pinned to
+/// the instruction that introduced it.
 #[test]
 fn tricore_compiled_agrees_at_every_block_boundary() {
     for w in [cabt::workloads::gcd(6, 11), cabt::workloads::sieve(60)] {
         let elf = w.elf().expect("assembles");
-        let mut pre = Simulator::new(&elf).expect("loads");
+        let mut naive = sim_on(&elf, DispatchMode::Naive, block_dispatch());
         let mut comp = sim_on(&elf, DispatchMode::Trace, block_dispatch());
-        let mut blocks = 0u64;
-        while !comp.is_halted() && blocks < 20_000 {
+        let mut steps = 0u64;
+        while !comp.is_halted() && steps < 100_000 {
             comp.step().expect("compiled steps");
-            let boundary = comp.stats().instructions;
-            while pre.stats().instructions < boundary {
-                pre.step().expect("predecoded steps");
-            }
-            assert_tricore_equal(&format!("{} block {blocks}", w.name), &mut pre, &mut comp);
-            blocks += 1;
+            naive.step().expect("naive steps");
+            assert_tricore_equal(&format!("{} step {steps}", w.name), &mut naive, &mut comp);
+            steps += 1;
         }
         assert!(comp.is_halted(), "{}: did not halt in bounds", w.name);
-        assert!(pre.is_halted());
+        assert!(naive.is_halted());
     }
 }
 
@@ -176,7 +175,7 @@ fn random_programs_agree_in_compiled_mode() {
         src.push_str("leaf:\n    addi %d10, %d10, 3\n    ret\n");
 
         let elf = cabt_tricore::asm::assemble(&src).expect("assembles");
-        let mut pre = Simulator::new(&elf).expect("loads");
+        let mut pre = sim_on(&elf, DispatchMode::Naive, block_dispatch());
         let mut comp = sim_on(&elf, DispatchMode::Trace, block_dispatch());
         let rp = pre.run(100_000).expect("halts");
         let rc = comp.run(100_000).expect("halts");
@@ -188,8 +187,7 @@ fn random_programs_agree_in_compiled_mode() {
 #[test]
 fn fault_behaviour_matches_the_interpreter() {
     // Indirect jump to nowhere: same error, same state, same step where
-    // it surfaces (block boundaries coincide here — the `ji` ends its
-    // block).
+    // it surfaces.
     let elf = cabt_tricore::asm::assemble(".text\n_start: mov %d1, 2\nji %a5\n").unwrap();
     let run = |mode: DispatchMode| {
         let mut sim = sim_on(&elf, mode, block_dispatch());
@@ -202,7 +200,7 @@ fn fault_behaviour_matches_the_interpreter() {
         };
         (err, sim.cpu.pc, sim.stats())
     };
-    let (ep, pp, sp) = run(DispatchMode::Predecoded);
+    let (ep, pp, sp) = run(DispatchMode::Naive);
     let (ec, pc, sc) = run(DispatchMode::Trace);
     assert_eq!(ep, ec);
     assert_eq!(pp, pc);
@@ -225,7 +223,7 @@ fn fault_behaviour_matches_the_interpreter() {
         };
         (err, sim.cpu.pc, sim.cpu.d(1), sim.cpu.d(4), sim.stats())
     };
-    assert_eq!(run(DispatchMode::Predecoded), run(DispatchMode::Trace));
+    assert_eq!(run(DispatchMode::Naive), run(DispatchMode::Trace));
 }
 
 #[test]
@@ -237,10 +235,7 @@ fn engine_trait_reports_identical_counters() {
         sim.run(10_000_000).expect("halts");
         sim.engine_stats()
     };
-    assert_eq!(
-        collect(DispatchMode::Predecoded),
-        collect(DispatchMode::Trace)
-    );
+    assert_eq!(collect(DispatchMode::Naive), collect(DispatchMode::Trace));
 }
 
 /// Trace backends with warm-up 0 drive through `cabt-sim` sessions like
@@ -271,14 +266,15 @@ fn compiled_sessions_match_predecoded_sessions() {
     }
 }
 
-/// The trace tier with warm-up 0 — every step one compiled block, no
-/// trace ever forms — runs every bundled workload bit-identically to
-/// the pre-decoded engine: registers, memory, stats, checksum.
+/// The trace tier with warm-up 0 — every step one compiled
+/// instruction, no trace ever forms — runs every bundled workload
+/// bit-identically to the naive interpreter: registers, memory, stats,
+/// checksum.
 #[test]
 fn tricore_compiled_is_bit_identical_on_all_workloads() {
     for w in all_workloads() {
         let elf = w.elf().expect("assembles");
-        let mut pre = Simulator::new(&elf).expect("loads");
+        let mut pre = sim_on(&elf, DispatchMode::Naive, block_dispatch());
         let mut comp = sim_on(&elf, DispatchMode::Trace, block_dispatch());
         let rp = pre.run(500_000_000).expect("halts");
         let rc = comp.run(500_000_000).expect("halts");
@@ -331,14 +327,14 @@ fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
 }
 
 /// The trace tier with eager formation runs every bundled workload
-/// bit-identically to the pre-decoded engine — registers, memory,
+/// bit-identically to the naive interpreter — registers, memory,
 /// stats, checksum — with most instructions retiring inside fused
 /// superblocks.
 #[test]
 fn tricore_trace_is_bit_identical_on_all_workloads() {
     for w in all_workloads() {
         let elf = w.elf().expect("assembles");
-        let mut pre = Simulator::new(&elf).expect("loads");
+        let mut pre = sim_on(&elf, DispatchMode::Naive, eager_traces());
         let mut tr = sim_on(&elf, DispatchMode::Trace, eager_traces());
         let rp = pre.run(500_000_000).expect("halts");
         let rt = tr.run(500_000_000).expect("halts");
@@ -444,8 +440,8 @@ fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
 
 /// Randomized programs with hot loops and *indirect* branches, some
 /// deliberately pointed one instruction past a block leader: a `ji`
-/// into the middle of a fused region must fall back to per-instruction
-/// dispatch, bit-identically. Boundary comparisons are 8-byte
+/// into the middle of a fused region must step single instructions up
+/// to the next trace head, bit-identically. Boundary comparisons are 8-byte
 /// [`fingerprint_engine`] digests; the halt check is the full-state
 /// anchor.
 #[test]
@@ -492,14 +488,14 @@ fn random_hot_indirect_programs_agree_in_trace_mode() {
         src.push_str("join:\n    addi %d9, %d9, -1\n    jnz %d9, loop_top\n    debug\n");
 
         let elf = cabt_tricore::asm::assemble(&src).expect("assembles");
-        let mut pre = Simulator::new(&elf).expect("loads");
+        let mut pre = sim_on(&elf, DispatchMode::Naive, eager_traces());
         let mut tr = sim_on(&elf, DispatchMode::Trace, eager_traces());
         let mut steps = 0u64;
         while !tr.is_halted() && steps < 100_000 {
             tr.step().expect("trace steps");
             let boundary = tr.stats().instructions;
             while pre.stats().instructions < boundary {
-                pre.step().expect("predecoded steps");
+                pre.step().expect("naive steps");
             }
             assert_eq!(
                 fingerprint_engine(&pre),
@@ -516,7 +512,7 @@ fn random_hot_indirect_programs_agree_in_trace_mode() {
     assert!(formed > 0, "no case formed a trace");
 }
 
-/// A memory fault in the *middle* of a fused trace: the pre-decoded and
+/// A memory fault in the *middle* of a fused trace: the naive and
 /// trace engines report the same error, park the pc on the faulting
 /// instruction, and agree on the retired prefix.
 #[test]
@@ -546,7 +542,7 @@ walk:
         };
         (err, sim.cpu.pc, sim.cpu.a(2), sim.cpu.d(9), sim.stats())
     };
-    let (ep, pp, ap, dp, sp) = run(DispatchMode::Predecoded);
+    let (ep, pp, ap, dp, sp) = run(DispatchMode::Naive);
     let (et, pt, at, dt, st) = run(DispatchMode::Trace);
     assert_eq!(
         (&ep, pp, ap, dp, sp),
@@ -604,9 +600,9 @@ fn trace_sessions_snapshot_across_side_exits() {
     }
 }
 
-/// Reset and rerun reproduces the block-at-a-time trace-tier run
-/// exactly (the compiled table is a load-time constant; reset touches
-/// only mutable state).
+/// Reset and rerun reproduces the untraced trace-tier run exactly (the
+/// compiled ops are a load-time constant; reset touches only mutable
+/// state).
 #[test]
 fn compiled_reset_reproduces_the_run() {
     let w = cabt::workloads::sieve(200);

@@ -37,12 +37,12 @@ fn all_backends() -> Vec<Backend> {
     v
 }
 
-/// True for engines whose dispatch unit is a whole basic block, packet
-/// run or fused trace: their budget checks happen between units, so an
-/// unmet budget may be overshot into the end of the current unit
+/// True for the trace backends, whose dispatch unit is a fused trace
+/// once one forms: their budget checks happen between units, so an
+/// unmet budget may be overshot into the end of the current trace
 /// (documented on `DispatchMode::Trace` and `VliwDispatch::Trace`).
 /// Every *met-at-entry* semantic below is identical regardless.
-fn block_granular(backend: Backend) -> bool {
+fn trace_granular(backend: Backend) -> bool {
     matches!(
         backend,
         Backend::Golden {
@@ -54,10 +54,11 @@ fn block_granular(backend: Backend) -> bool {
     )
 }
 
-/// One session per backend, labelled — plus every trace backend again
-/// with a warm-up of 0, where no trace forms and each step dispatches
-/// one compiled block (golden) or packet (VLIW).
-fn sessions() -> Vec<(String, Backend, Session)> {
+/// One session per backend, labelled, with whether its budgets may
+/// overshoot — plus every trace backend again with a warm-up of 0,
+/// where no trace forms and each step dispatches one compiled
+/// instruction (golden) or packet (VLIW), so its budgets are exact.
+fn sessions() -> Vec<(String, bool, Session)> {
     let block_dispatch = TraceConfig {
         warmup: 0,
         ..TraceConfig::default()
@@ -71,13 +72,10 @@ fn sessions() -> Vec<(String, Backend, Session)> {
                 .build()
                 .expect("builds")
         };
-        v.push((backend.to_string(), backend, build(TraceConfig::default())));
-        if block_granular(backend) {
-            v.push((
-                format!("{backend} warm-up 0"),
-                backend,
-                build(block_dispatch),
-            ));
+        let traced = trace_granular(backend);
+        v.push((backend.to_string(), traced, build(TraceConfig::default())));
+        if traced {
+            v.push((format!("{backend} warm-up 0"), false, build(block_dispatch)));
         }
     }
     v
@@ -100,7 +98,7 @@ fn zero_budget_returns_limit_without_stepping() {
 
 #[test]
 fn already_met_limits_return_limit_without_stepping() {
-    for (label, backend, mut s) in sessions() {
+    for (label, traced, mut s) in sessions() {
         // Make some progress, then ask for less than already done.
         assert_eq!(
             s.run_until(Limit::Retirements(3)).unwrap(),
@@ -108,10 +106,10 @@ fn already_met_limits_return_limit_without_stepping() {
             "{label}"
         );
         let before = s.stats();
-        if block_granular(backend) {
+        if traced {
             assert!(
                 before.retired >= 3,
-                "{label}: block-granular budgets stop at the next boundary"
+                "{label}: trace budgets stop at the next boundary"
             );
         } else {
             assert_eq!(before.retired, 3, "{label}: retirement budgets are exact");

@@ -115,8 +115,8 @@ fn data_windows(elf: &cabt_isa::elf::ElfFile) -> Vec<(u32, usize)> {
 fn golden_model_snapshot_is_bit_identical_in_every_dispatch_mode() {
     let elf = assemble(SRC).unwrap();
     let win = data_windows(&elf);
-    // The trace tier runs twice: block-at-a-time (warm-up 0, no trace
-    // forms) and with aggressive formation, so the snapshot/restore
+    // The trace tier runs twice: one instruction per step (warm-up 0,
+    // no trace forms) and with aggressive formation, so the snapshot/restore
     // straddles fused-trace dispatch (the tier is architecturally
     // invisible, so restore need not rewind the profile — replay must
     // still be bit-identical).
