@@ -28,9 +28,9 @@ use cabt_core::regbind::{areg, dreg};
 use cabt_core::{DetailLevel, Granularity, TranslateError, Translated, Translator};
 use cabt_exec::ExecutionEngine;
 use cabt_isa::elf::ElfFile;
-use cabt_sim::{Backend, Session, SessionError, SimBuilder};
+use cabt_sim::{Backend, Dispatch, Session, SessionError, SimBuilder};
 use cabt_tricore::isa::{AReg, DReg};
-use cabt_vliw::sim::{VliwDispatch, VliwError};
+use cabt_vliw::sim::VliwError;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -349,11 +349,11 @@ impl DebugSession {
             return Err(DebugError::BadBackend(builder.selected_backend()));
         };
         // The lockstep contract is one source instruction per boundary,
-        // so the trace tier (whole fused packet runs per step) runs on
-        // the pre-decoded tier, which steps the same compiled packets
-        // one at a time; other dispatch modes pass through unchanged.
+        // so a trace builder (whole fused packet runs per step) runs on
+        // the compiled tier at a warm-up of 0, which steps the same
+        // compiled packets one at a time; the naive core passes through.
         let dispatch = match dispatch {
-            VliwDispatch::Trace => VliwDispatch::Predecoded,
+            Dispatch::Trace => Dispatch::Compiled,
             other => other,
         };
         let session = builder
@@ -566,8 +566,8 @@ mod tests {
     #[test]
     fn trace_backends_downgrade_to_packet_stepping() {
         // A trace-tier builder is accepted, but the lockstep session
-        // runs on the packet-granular pre-decoded tier — single-stepping
-        // still stops at every source instruction.
+        // runs on the compiled tier at a warm-up of 0, packet by packet —
+        // single-stepping still stops at every source instruction.
         use cabt_core::DetailLevel;
         let mut dbg = DebugSession::from_builder(
             SimBuilder::asm(SRC).backend(Backend::translated_trace(DetailLevel::Static)),
@@ -577,9 +577,9 @@ mod tests {
             dbg.lockstep().engine().backend(),
             Backend::Translated {
                 level: DetailLevel::Static,
-                dispatch: VliwDispatch::Predecoded,
+                dispatch: Dispatch::Compiled,
             },
-            "debugger must run Trace builders on Predecoded"
+            "debugger must run trace builders on the compiled tier at warm-up 0"
         );
         dbg.step().unwrap();
         assert_eq!(dbg.read_reg("d0").unwrap(), 3);

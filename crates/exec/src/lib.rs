@@ -20,18 +20,18 @@
 //! * architectural inspection (program counter, a flat register file
 //!   index space, memory reads) for debuggers and differential tests.
 //!
-//! Engines in this workspace come in three dispatch flavours (see
+//! Engines in this workspace come in two dispatch flavours (see
 //! `cabt-tricore`/`cabt-vliw`): a retained naive interpreter that
 //! re-fetches through an address map on every step (the seed
 //! implementation, kept as the reference for differential testing),
-//! the pre-decoded engine, which decodes the whole image once at load
-//! into a dense table indexed by position so the hot loop chases table
-//! indices instead of hashing addresses, and the *compiled* engine,
-//! which fuses each basic block of that table into one boxed closure —
-//! the paper's compiled-simulation thesis. The basic-block discovery
-//! every compiled engine (and the translator's CFG) shares lives in
-//! [`blocks`]: one index-based partition algorithm producing leaders,
-//! block spans and fall-through/taken block edges.
+//! and the *compiled* engine — the paper's compiled-simulation thesis.
+//! It decodes the whole image once at load into a dense pre-decoded
+//! table indexed by position, compiles each table entry into a
+//! specialized closure, and, while its warm-up window is open, fuses
+//! hot chains of basic blocks into traces ([`trace`]). The basic-block
+//! discovery every compiled engine (and the translator's CFG) shares
+//! lives in [`blocks`]: one index-based partition algorithm producing
+//! leaders, block spans and fall-through/taken block edges.
 
 pub mod analyze;
 pub mod blocks;

@@ -5,11 +5,11 @@
 //! (pre-decode), basic blocks (closure-compiled at load), and finally *hot
 //! paths* spanning several blocks. This module owns the engine-neutral
 //! half of that last step, mirroring [`blocks`](crate::blocks): one
-//! [`TraceState`] per engine holds the knobs, the per-block profile
-//! counters collected during the warm-up window ([`TraceProfile`]), the
-//! plan of every formed trace ([`TracePlan`], grown greedily along the
-//! hottest successors by [`grow`]) and the formation/coverage counters
-//! the bench harness reports ([`TraceStats`]). The state forms traces
+//! [`TraceState`] per engine holds the per-block profile counters
+//! collected during the warm-up window ([`TraceProfile`]), the plan of
+//! every formed trace ([`TracePlan`], grown greedily along the hottest
+//! successors by [`grow`]) and the formation/coverage counters the
+//! bench harness reports ([`TraceStats`]). The state forms traces
 //! ([`TraceState::form`]), serializes with its engine's snapshot and
 //! checks a decoded image against the engine's block map
 //! ([`TraceState::check`]). What an engine *derives* from a plan — fused
@@ -211,16 +211,13 @@ impl TraceStats {
     }
 }
 
-/// One engine's trace-tier state: the knobs, the warm-up profile, the
-/// plan of the trace formed at each head block and the coverage
-/// counters. Both cores keep one, and derive from its plans only what
+/// One engine's trace-tier state: the warm-up profile, the plan of the
+/// trace formed at each head block and the coverage counters (the
+/// knobs, [`TraceConfig`], stay with the engine). Both cores keep one, and derive from its plans only what
 /// they dispatch (compiled closure chains, packet-range covers), so a
 /// snapshot carries the state and a restore re-derives the rest.
 #[derive(Debug, Clone)]
 pub struct TraceState {
-    /// The tier's knobs. Not part of the snapshot image: a decoded
-    /// state holds the defaults, and a restore keeps the engine's own.
-    pub cfg: TraceConfig,
     /// Warm-up profile counters.
     pub profile: TraceProfile,
     /// Per head block: the plan of the trace formed there (`None`
@@ -231,11 +228,11 @@ pub struct TraceState {
 }
 
 impl TraceState {
-    /// A cold tier over `blocks` basic blocks; `taken_edges` says
-    /// whether the engine profiles taken edges ([`TraceProfile::taken`]).
+    /// A cold tier over `blocks` basic blocks under `cfg`'s warm-up
+    /// window; `taken_edges` says whether the engine profiles taken
+    /// edges ([`TraceProfile::taken`]).
     pub fn new(blocks: usize, cfg: TraceConfig, taken_edges: bool) -> TraceState {
         TraceState {
-            cfg,
             profile: TraceProfile {
                 warmup_left: cfg.warmup,
                 exec: vec![0; blocks],
@@ -247,21 +244,17 @@ impl TraceState {
         }
     }
 
-    /// A cold profile under `cfg`, no formed traces, zeroed counters.
-    pub fn restart(&mut self, cfg: TraceConfig) {
-        *self = TraceState::new(self.plans.len(), cfg, self.profile.taken.is_some());
-    }
-
     /// The formation step of one dispatch of head block `head` on
     /// `map`: while the warm-up window is open and no trace is headed
     /// there yet, count the dispatch, and when the block turns hot grow
-    /// its trace. Returns the plan of a trace formed by this call, for
-    /// the engine to derive its dispatch form from.
+    /// its trace at `hot_threshold` ([`TraceConfig::hot_threshold`]).
+    /// Returns the plan of a trace formed by this call, for the engine
+    /// to derive its dispatch form from.
     #[inline]
-    pub fn form(&mut self, map: &BlockMap, head: u32) -> Option<&TracePlan> {
+    pub fn form(&mut self, map: &BlockMap, head: u32, hot_threshold: u32) -> Option<&TracePlan> {
         if !self.profile.warm()
             || self.plans[head as usize].is_some()
-            || !self.profile.record_exec(head, self.cfg.hot_threshold)
+            || !self.profile.record_exec(head, hot_threshold)
         {
             return None;
         }
@@ -320,8 +313,8 @@ fn decode_counters(r: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<u32
 }
 
 impl TraceState {
-    /// Serializes an engine's tier state (`None` while the engine's
-    /// trace tier was never selected): a presence flag, then the warm-up
+    /// Serializes an engine's tier state (`None` while the engine does
+    /// not profile): a presence flag, then the warm-up
     /// left, the exec/fall (and taken, where profiled) counter tables,
     /// the formed-plan table and the coverage counters. The knobs are
     /// not part of the image.
@@ -349,8 +342,7 @@ impl TraceState {
     }
 
     /// Decodes a [`TraceState::encode_into`] image of an engine that
-    /// profiles taken edges iff `taken_edges`; a decoded state holds the
-    /// default knobs.
+    /// profiles taken edges iff `taken_edges`.
     ///
     /// # Errors
     ///
@@ -372,7 +364,6 @@ impl TraceState {
             .map(|_| r.bool()?.then(|| TracePlan::decode(r)).transpose())
             .collect::<Result<_, _>>()?;
         Ok(Some(TraceState {
-            cfg: TraceConfig::default(),
             profile,
             plans,
             stats: TraceStats {
@@ -625,7 +616,7 @@ mod tests {
         let map = loopy_map();
         let mut st = TraceState::new(map.len(), cfg(), true);
         for _ in 0..8 {
-            st.form(&map, 1);
+            st.form(&map, 1, cfg().hot_threshold);
             st.profile.record_taken(1);
         }
         assert_eq!(st.stats.traces, 1, "block 1 turned hot once");

@@ -31,7 +31,7 @@ use cabt_exec::trace::TraceConfig;
 use cabt_exec::{DigestChain, ExecutionEngine, Limit, StopCause};
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_platform::{default_soc_bus, SharedSocBus};
-use cabt_sim::{Backend, Session, SessionError, SimBuilder};
+use cabt_sim::{Backend, Dispatch, Session, SessionError, SimBuilder};
 use std::fmt;
 
 /// Matrix-wide knobs. The defaults are what `cabt-fuzz` and the
@@ -146,28 +146,16 @@ fn eager_traces() -> TraceConfig {
     }
 }
 
-fn is_trace(b: Backend) -> bool {
-    matches!(
-        b,
-        Backend::Golden {
-            dispatch: cabt_tricore::sim::DispatchMode::Trace
-        } | Backend::Translated {
-            dispatch: cabt_vliw::sim::VliwDispatch::Trace,
-            ..
-        }
-    ) || matches!(b, Backend::Sharded { backend, .. } if is_trace(backend.into()))
-}
-
-/// Builds a session for `backend`; single-core golden sessions get a
-/// private default SoC bus so MMIO templates hit devices instead of
-/// faulting (every other vehicle owns its bus already).
+/// Builds a session for `backend`, forming traces eagerly on `:trace`
+/// descriptors (the others ignore the trace config); single-core golden
+/// sessions get a private default SoC bus so MMIO templates hit devices
+/// instead of faulting (every other vehicle owns its bus already).
 fn build(elf: &ElfFile, backend: Backend) -> Result<Session, SessionError> {
-    let mut b = SimBuilder::elf(elf.clone()).backend(backend);
+    let mut b = SimBuilder::elf(elf.clone())
+        .backend(backend)
+        .trace_config(eager_traces());
     if matches!(backend, Backend::Golden { .. }) {
         b = b.soc_bus(SharedSocBus::new(default_soc_bus()));
-    }
-    if is_trace(backend) {
-        b = b.trace_config(eager_traces());
     }
     b.build()
 }
@@ -688,7 +676,7 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
     }
 
     let golden_naive = Backend::Golden {
-        dispatch: cabt_tricore::sim::DispatchMode::Naive,
+        dispatch: Dispatch::Naive,
     };
     let mut reference = match build(&elf, golden_naive) {
         Ok(s) => s,
@@ -730,7 +718,7 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
     for &level in &opts.levels {
         let naive = Backend::Translated {
             level,
-            dispatch: cabt_vliw::sim::VliwDispatch::Naive,
+            dispatch: Dispatch::Naive,
         };
         // The family reference itself must agree with golden on *how*
         // the run ends — the chains below only pin the tiers to each

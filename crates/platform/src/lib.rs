@@ -408,10 +408,10 @@ impl Platform {
         &mut self.sim
     }
 
-    /// Selects the VLIW dispatch core (pre-decoded by default: one
-    /// compiled packet per step; the trace tier adds fused hot packet
-    /// ranges). The naive core is the reference the compiled packets
-    /// are diffed against, and the dispatch benchmarks' baseline.
+    /// Selects the VLIW dispatch core (the compiled tier by default: one
+    /// packet per step, plus fused hot ranges after a warm-up window).
+    /// The naive core is the reference the compiled packets are diffed
+    /// against, and the dispatch benchmarks' baseline.
     pub fn set_dispatch(&mut self, mode: cabt_vliw::sim::VliwDispatch) {
         self.sim.set_dispatch(mode);
     }
@@ -423,7 +423,7 @@ impl Platform {
     }
 
     /// Trace-tier counters, when [`cabt_vliw::sim::VliwDispatch::Trace`]
-    /// is selected.
+    /// is selected with a warm-up window.
     pub fn trace_stats(&self) -> Option<cabt_exec::trace::TraceStats> {
         self.sim.trace_stats()
     }

@@ -14,8 +14,8 @@
 //! use cabt_sim::{Backend, SimBuilder};
 //!
 //! let src = ".text\n_start: mov %d2, 21\n add %d2, %d2\n debug\n";
-//! // Every production vehicle — golden and translated on both the
-//! // pre-decoded and the trace dispatch cores, plus RTL.
+//! // Every production vehicle — golden and translated on the compiled
+//! // core with and without trace formation, plus RTL.
 //! for backend in Backend::all() {
 //!     let mut session = SimBuilder::asm(src).backend(backend).build()?;
 //!     session.run(Limit::Cycles(1_000_000))?;
@@ -58,6 +58,41 @@ use cabt_vliw::sim::{VliwDispatch, VliwError, VliwSnapshot};
 use cabt_workloads::Workload;
 use std::fmt;
 
+/// How a golden or translated vehicle dispatches: one vocabulary for
+/// both cores, spelled as the descriptor's suffix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch {
+    /// The compiled tier at a warm-up of 0: no trace state, one
+    /// instruction or packet per step. No suffix.
+    Compiled,
+    /// The compiled tier forming traces under the session's
+    /// [`SimBuilder::trace_config`]: `:trace`.
+    Trace,
+    /// The naive oracle the compiled tier is diffed against: `:naive`.
+    Naive,
+}
+
+impl Dispatch {
+    fn suffix(self) -> &'static str {
+        match self {
+            Dispatch::Compiled => "",
+            Dispatch::Trace => ":trace",
+            Dispatch::Naive => ":naive",
+        }
+    }
+
+    /// The engine's trace knobs: the session's, or a warm-up of 0.
+    fn trace_config(self, session: Option<TraceConfig>) -> TraceConfig {
+        match self {
+            Dispatch::Trace => session.unwrap_or_default(),
+            _ => TraceConfig {
+                warmup: 0,
+                ..TraceConfig::default()
+            },
+        }
+    }
+}
+
 /// Which execution vehicle a [`Session`] runs the workload on.
 ///
 /// Backends are plain data: selecting a different vehicle — or a
@@ -68,8 +103,8 @@ pub enum Backend {
     /// The cycle-accurate interpretive golden model (the evaluation
     /// board of the paper's experiments).
     Golden {
-        /// Dispatch core (pre-decoded by default).
-        dispatch: DispatchMode,
+        /// How the golden model dispatches.
+        dispatch: Dispatch,
     },
     /// The paper's vehicle: the program translated to VLIW code and
     /// run on the prototyping platform (synchronization device, SoC
@@ -77,8 +112,8 @@ pub enum Backend {
     Translated {
         /// Cycle-accuracy detail level of the translation.
         level: DetailLevel,
-        /// Dispatch core of the VLIW engine.
-        dispatch: VliwDispatch,
+        /// How the VLIW engine dispatches.
+        dispatch: Dispatch,
     },
     /// The event-driven RT-level model (the slow Table 2 baseline).
     Rtl,
@@ -137,15 +172,15 @@ pub enum ShardSchedule {
 pub enum ShardBackend {
     /// Golden-model shards, bridged onto the shared bus.
     Golden {
-        /// Dispatch core (pre-decoded by default).
-        dispatch: DispatchMode,
+        /// How the golden model dispatches.
+        dispatch: Dispatch,
     },
     /// Translated shards, each with its own synchronization device.
     Translated {
         /// Cycle-accuracy detail level of the translation.
         level: DetailLevel,
-        /// Dispatch core of the VLIW engine.
-        dispatch: VliwDispatch,
+        /// How the VLIW engine dispatches.
+        dispatch: Dispatch,
     },
     /// RT-level shards (no I/O window — they compute but do not touch
     /// the shared bus).
@@ -169,38 +204,35 @@ impl fmt::Display for ShardBackend {
 }
 
 impl Backend {
-    /// The golden model with the default (pre-decoded) dispatch core.
+    /// The golden model on the compiled tier at a warm-up of 0.
     pub fn golden() -> Self {
         Backend::Golden {
-            dispatch: DispatchMode::default(),
+            dispatch: Dispatch::Compiled,
         }
     }
 
-    /// A translated session at `level` with the default dispatch core.
+    /// A translated session at `level` on the compiled tier at warm-up 0.
     pub fn translated(level: DetailLevel) -> Self {
         Backend::Translated {
             level,
-            dispatch: VliwDispatch::default(),
+            dispatch: Dispatch::Compiled,
         }
     }
 
-    /// The golden model on the profile-guided trace tier: hot block
-    /// chains fused into superblock closures after a warm-up window
-    /// (see [`DispatchMode::Trace`] and
-    /// [`SimBuilder::trace_config`]).
+    /// The golden model on the compiled tier forming traces
+    /// ([`Dispatch::Trace`]).
     pub fn golden_trace() -> Self {
         Backend::Golden {
-            dispatch: DispatchMode::Trace,
+            dispatch: Dispatch::Trace,
         }
     }
 
-    /// A translated session at `level` on the VLIW trace tier (hot
-    /// fall-through packet chains dispatched as fused runs — see
-    /// [`VliwDispatch::Trace`]).
+    /// A translated session at `level` on the compiled tier forming
+    /// traces ([`Dispatch::Trace`]).
     pub fn translated_trace(level: DetailLevel) -> Self {
         Backend::Translated {
             level,
-            dispatch: VliwDispatch::Trace,
+            dispatch: Dispatch::Trace,
         }
     }
 
@@ -248,12 +280,11 @@ impl Backend {
     }
 
     /// Every single-core backend generic drivers should sweep: golden
-    /// and the four translation detail levels on both production
-    /// dispatch tiers (pre-decoded and the profile-guided trace tier),
-    /// plus RTL — the full Table 2 column set. The retained naive
-    /// interpreters are differential references, not production
-    /// backends, and are spelled explicitly where needed; sharded
-    /// configurations via [`Backend::sharded`].
+    /// and the four translation detail levels on the compiled tier,
+    /// with and without trace formation, plus RTL — the full Table 2
+    /// column set. The retained naive interpreters are differential
+    /// references, not production backends, and are spelled explicitly
+    /// where needed; sharded configurations via [`Backend::sharded`].
     pub fn all() -> Vec<Backend> {
         let mut v = vec![Backend::golden(), Backend::golden_trace()];
         v.extend(DetailLevel::ALL.map(Backend::translated));
@@ -272,16 +303,10 @@ impl Default for Backend {
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Backend::Golden { dispatch } => match dispatch {
-                DispatchMode::Predecoded => f.write_str("golden"),
-                DispatchMode::Trace => f.write_str("golden:trace"),
-                DispatchMode::Naive => f.write_str("golden:naive"),
-            },
-            Backend::Translated { level, dispatch } => match dispatch {
-                VliwDispatch::Predecoded => write!(f, "translated:{level}"),
-                VliwDispatch::Trace => write!(f, "translated:{level}:trace"),
-                VliwDispatch::Naive => write!(f, "translated:{level}:naive"),
-            },
+            Backend::Golden { dispatch } => write!(f, "golden{}", dispatch.suffix()),
+            Backend::Translated { level, dispatch } => {
+                write!(f, "translated:{level}{}", dispatch.suffix())
+            }
             Backend::Rtl => f.write_str("rtl"),
             Backend::Sharded {
                 cores,
@@ -320,8 +345,7 @@ impl fmt::Display for Backend {
 ///     "sharded-4x-par:golden".parse::<Backend>(),
 ///     Err(cabt_sim::SessionError::ParseBackend(_)),
 /// ));
-/// // So is the retired compiled tier: it is the trace tier with a
-/// // warm-up of 0 (`SimBuilder::trace_config`).
+/// // The compiled tier at a warm-up of 0 is spelled without a suffix.
 /// for retired in ["golden:compiled", "translated:cache:compiled", "sharded-4x:translated:cache:compiled"] {
 ///     let err = retired.parse::<Backend>();
 ///     assert!(matches!(err, Err(cabt_sim::SessionError::ParseBackend(_))), "{retired}");
@@ -354,24 +378,14 @@ impl std::str::FromStr for Backend {
         if s == "rtl" {
             return Ok(Backend::Rtl);
         }
-        if s == "golden" || s.starts_with("golden:") {
-            let dispatch = match s.strip_prefix("golden").unwrap() {
-                "" => DispatchMode::Predecoded,
-                ":trace" => DispatchMode::Trace,
-                ":naive" => DispatchMode::Naive,
-                _ => return Err(err()),
-            };
+        let (vehicle, dispatch) = [Dispatch::Trace, Dispatch::Naive]
+            .into_iter()
+            .find_map(|d| Some((s.strip_suffix(d.suffix())?, d)))
+            .unwrap_or((s, Dispatch::Compiled));
+        if vehicle == "golden" {
             return Ok(Backend::Golden { dispatch });
         }
-        let rest = s.strip_prefix("translated:").ok_or_else(err)?;
-        let (level, dispatch) = match rest.rsplit_once(':') {
-            Some((level, "trace")) => (level, VliwDispatch::Trace),
-            Some((level, "naive")) => (level, VliwDispatch::Naive),
-            // No dispatch suffix ("branch-predict" has a hyphen but no
-            // colon, so it lands here too).
-            _ => (rest, VliwDispatch::Predecoded),
-        };
-        let level = match level {
+        let level = match vehicle.strip_prefix("translated:").ok_or_else(err)? {
             "functional" => DetailLevel::Functional,
             "static" => DetailLevel::Static,
             "branch-predict" => DetailLevel::BranchPredict,
@@ -697,9 +711,9 @@ impl SimBuilder {
 
     /// Warm-up/threshold knobs of the trace dispatch tier, applied to
     /// every engine the session builds (including each shard of a
-    /// sharded session). Only observable when the selected backend's
-    /// dispatch mode is `Trace`; other tiers carry the configuration
-    /// but never profile. Defaults to
+    /// sharded session). Only observable when the selected backend
+    /// dispatches with [`Dispatch::Trace`]; other descriptors carry the
+    /// configuration but never profile. Defaults to
     /// [`cabt_exec::trace::TraceConfig::default`].
     pub fn trace_config(mut self, cfg: TraceConfig) -> Self {
         self.config.trace_config = Some(cfg);
@@ -759,17 +773,17 @@ impl SimBuilder {
 fn build_platform(
     image: &Translated,
     config: &BuildConfig,
-    dispatch: VliwDispatch,
+    dispatch: Dispatch,
     bus: Option<SharedSocBus>,
 ) -> Result<Platform, SessionError> {
     let mut platform = match bus {
         Some(bus) => Platform::with_shared_bus(image, config.platform, bus)?,
         None => Platform::new(image, config.platform)?,
     };
-    if let Some(cfg) = config.trace_config {
-        platform.set_trace_config(cfg);
+    platform.set_trace_config(dispatch.trace_config(config.trace_config));
+    if dispatch == Dispatch::Naive {
+        platform.set_dispatch(VliwDispatch::Naive);
     }
-    platform.set_dispatch(dispatch);
     Ok(platform)
 }
 
@@ -1284,10 +1298,10 @@ impl Session {
         let vehicle = match backend {
             Backend::Golden { dispatch } => {
                 let mut sim = Simulator::new(&elf)?;
-                if let Some(cfg) = config.trace_config {
-                    sim.set_trace_config(cfg);
+                sim.set_trace_config(dispatch.trace_config(config.trace_config));
+                if dispatch == Dispatch::Naive {
+                    sim.set_dispatch(DispatchMode::Naive);
                 }
-                sim.set_dispatch(dispatch);
                 if let Some(bus) = &bus {
                     sim.set_io_device(Box::new(GoldenBridge::new(bus.clone())));
                 }
@@ -1397,8 +1411,8 @@ impl Session {
     }
 
     /// Trace-tier counters (traces formed, blocks fused, units retired
-    /// inside traces) — `Some` only when the session's engine has an
-    /// active trace tier, i.e. its backend dispatch mode is `Trace`.
+    /// inside traces) — `Some` only when the session's engine profiles,
+    /// i.e. its backend is a `:trace` one with a warm-up window.
     /// Sharded sessions aggregate across shards (every shard runs the
     /// same deterministic program, so per-shard values are identical
     /// for SPMD workloads).
@@ -1825,8 +1839,8 @@ impl Session {
     /// barrier, the migrated run replays bit-identically.
     ///
     /// `backend_override` rebuilds the shard on a *different* vehicle —
-    /// a different dispatch tier of the same vehicle kind (pre-decoded
-    /// ↔ trace), which shares architectural state — proving
+    /// a different dispatch of the same vehicle kind (compiled ↔
+    /// trace), which shares architectural state — proving
     /// heterogeneous shard sets. The parked snapshot must structurally
     /// fit the override; a cross-kind override (golden → RTL) is
     /// rejected. Note the set-level backend descriptor keeps describing
@@ -2166,18 +2180,19 @@ mod tests {
         assert!(all.iter().any(|b| matches!(b, Backend::Golden { .. })));
         assert!(all.iter().any(|b| matches!(b, Backend::Translated { .. })));
         assert!(all.iter().any(|b| matches!(b, Backend::Rtl)));
-        // Both production dispatch tiers of each dispatch-capable
-        // vehicle (the naive interpreters are differential references,
-        // deliberately absent): golden, four levels and RTL.
+        // The compiled tier with and without traces on each
+        // dispatch-capable vehicle (the naive interpreters are
+        // differential references, deliberately absent): golden, four
+        // levels and RTL.
         assert_eq!(all.len(), 2 + 2 * DetailLevel::ALL.len() + 1);
-        for dispatch in [DispatchMode::Predecoded, DispatchMode::Trace] {
+        for dispatch in [Dispatch::Compiled, Dispatch::Trace] {
             assert!(
                 all.contains(&Backend::Golden { dispatch }),
                 "golden {dispatch:?} missing from Backend::all()"
             );
         }
         for level in DetailLevel::ALL {
-            for dispatch in [VliwDispatch::Predecoded, VliwDispatch::Trace] {
+            for dispatch in [Dispatch::Compiled, Dispatch::Trace] {
                 assert!(
                     all.contains(&Backend::Translated { level, dispatch }),
                     "translated {level}/{dispatch:?} missing from Backend::all()"
@@ -2188,9 +2203,9 @@ mod tests {
             !all.iter().any(|b| matches!(
                 b,
                 Backend::Golden {
-                    dispatch: DispatchMode::Naive
+                    dispatch: Dispatch::Naive
                 } | Backend::Translated {
-                    dispatch: VliwDispatch::Naive,
+                    dispatch: Dispatch::Naive,
                     ..
                 }
             )),
@@ -2216,11 +2231,11 @@ mod tests {
         let mut singles = Backend::all();
         singles.extend([
             Backend::Golden {
-                dispatch: DispatchMode::Naive,
+                dispatch: Dispatch::Naive,
             },
             Backend::Translated {
                 level: DetailLevel::Cache,
-                dispatch: VliwDispatch::Naive,
+                dispatch: Dispatch::Naive,
             },
         ]);
         for b in &singles {

@@ -6,11 +6,11 @@
 //! record and operand sets are captured as constants, so executing an
 //! instruction is one indirect call into a body with no decode match,
 //! no table-entry copy and no per-step dispatch-cache maintenance. The
-//! pre-decoded tier steps these ops one per step; the trace tier steps
-//! them too wherever no trace is formed. Block structure comes from the
-//! shared [`cabt_exec::blocks::BlockMap`] (the same partition the
-//! translator's CFG uses): the trace tier profiles blocks and fuses hot
-//! chains of them into superblocks ([`compile_trace`]).
+//! compiled core steps these ops one per step wherever no trace is
+//! formed. Block structure comes from the shared
+//! [`cabt_exec::blocks::BlockMap`] (the same partition the translator's
+//! CFG uses): during a warm-up window the core profiles blocks and fuses
+//! hot chains of them into superblocks ([`compile_trace`]).
 //!
 //! Bit-identity with the naive interpreter is a design constraint, not
 //! an accident: every closure performs the *same sequence* of cache
@@ -79,7 +79,7 @@ pub(crate) struct Hot<'a> {
 impl Hot<'_> {
     /// Instruction-cache accounting over a line span of *lead*
     /// accesses (full tag search per line) — byte-for-byte the
-    /// pre-decoded core's fetch prologue.
+    /// naive core's fetch prologue.
     #[inline]
     fn icache(&mut self, line_first: u32, line_last: u32) {
         if let Some(cache) = self.cache.as_mut() {
@@ -436,7 +436,7 @@ macro_rules! by_class {
 }
 
 /// Fuses a non-conditional op: fetch accounting, the specialized body,
-/// the timing-model step (dyn-taken `Some(true)`, as the pre-decoded
+/// the timing-model step (dyn-taken `Some(true)`, as the naive
 /// core passes for non-conditionals), then the fixed exit.
 fn fuse<F>(m: Meta, exit: Ctl, body: F) -> OpFn
 where

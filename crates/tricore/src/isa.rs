@@ -575,9 +575,23 @@ impl Instr {
     }
 }
 
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Instr {
+    /// This instruction at address `pc`, with direct branch targets as
+    /// the absolute addresses [`assemble`](crate::asm::assemble) reads
+    /// (`Display` prints them relative): `.text` printed line by line
+    /// reassembles to the same bytes.
+    pub fn at(self, pc: u32) -> impl fmt::Display {
+        fmt::from_fn(move |f| self.print(f, Some(pc)))
+    }
+
+    /// The one printer behind `Display` and [`Instr::at`].
+    fn print(&self, f: &mut fmt::Formatter<'_>, pc: Option<u32>) -> fmt::Result {
         let pi = |p: bool| if p { "+" } else { "" };
+        // A direct branch's absolute target, or its byte displacement.
+        let to = |halfwords: i32| match pc {
+            Some(pc) => format!("{:#x}", pc.wrapping_add((halfwords * 2) as u32)),
+            None => format!("{:+}", halfwords * 2),
+        };
         match *self {
             Instr::Nop16 => write!(f, "nop16"),
             Instr::Debug16 => write!(f, "debug"),
@@ -646,8 +660,8 @@ impl fmt::Display for Instr {
             } => {
                 write!(f, "st.a [{base}{}]{off10}, {s}", pi(postinc))
             }
-            Instr::J { disp24 } => write!(f, "j {:+}", disp24 * 2),
-            Instr::Jl { disp24 } => write!(f, "jl {:+}", disp24 * 2),
+            Instr::J { disp24 } => write!(f, "j {}", to(disp24)),
+            Instr::Jl { disp24 } => write!(f, "jl {}", to(disp24)),
             Instr::Ji { a } => write!(f, "ji {a}"),
             Instr::Jli { a } => write!(f, "jli {a}"),
             Instr::Jcond {
@@ -656,14 +670,20 @@ impl fmt::Display for Instr {
                 s2,
                 disp16,
             } => {
-                write!(f, "{} {s1}, {s2}, {:+}", cond.mnemonic(), disp16 as i32 * 2)
+                write!(f, "{} {s1}, {s2}, {}", cond.mnemonic(), to(disp16.into()))
             }
             Instr::JcondZ { cond, s1, disp16 } => {
-                write!(f, "{} {s1}, {:+}", cond.z_mnemonic(), disp16 as i32 * 2)
+                write!(f, "{} {s1}, {}", cond.z_mnemonic(), to(disp16.into()))
             }
-            Instr::Loop { a, disp16 } => write!(f, "loop {a}, {:+}", disp16 as i32 * 2),
+            Instr::Loop { a, disp16 } => write!(f, "loop {a}, {}", to(disp16.into())),
             Instr::Nop => write!(f, "nop"),
         }
+    }
+}
+
+impl fmt::Display for Instr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.print(f, None)
     }
 }
 

@@ -13,42 +13,41 @@
 //!
 //! # Dispatch modes
 //!
-//! The simulator has three dispatch cores selected by [`DispatchMode`]:
+//! The simulator has two dispatch cores selected by [`DispatchMode`]:
 //!
-//! * [`DispatchMode::Predecoded`] (the default) decodes the whole
-//!   `.text` image once at load into a dense table. Each entry carries
-//!   the decoded instruction, its fall-through and direct-branch-target
-//!   *table indices*, the cache lines its fetch touches, and its
-//!   read/write register sets — and the table is compiled, also at
-//!   load, into one specialized closure per instruction. One step runs
-//!   one closure and chases the successor index through a flat `Vec`,
-//!   never hashing an address or allocating.
-//! * [`DispatchMode::Trace`] goes the paper's final step on the same
-//!   closures: the table is partitioned into basic blocks (the shared
-//!   [`cabt_exec::blocks::BlockMap`]), and block-edge counters
-//!   collected during a warm-up window fuse hot chains into single
-//!   multi-block closure runs with side-exit guards
+//! * [`DispatchMode::Trace`] (the default) is the compiled tier. The
+//!   whole `.text` image is decoded once at load into a dense
+//!   pre-decoded table. Each entry carries the decoded instruction, its
+//!   fall-through and direct-branch-target *table indices*, the cache
+//!   lines its fetch touches, and its read/write register sets — and
+//!   the table is compiled, also at load, into one specialized closure
+//!   per instruction. One step runs one closure and chases the
+//!   successor index through a flat `Vec`, never hashing an address or
+//!   allocating. On top of the same closures the table is partitioned
+//!   into basic blocks (the shared [`cabt_exec::blocks::BlockMap`]),
+//!   and block-edge counters collected during a warm-up window fuse hot
+//!   chains into single multi-block closure runs with side-exit guards
 //!   ([`cabt_exec::trace`]); one step at a trace head then dispatches a
 //!   whole *trace* (up to a bounded number of loop iterations for loop
-//!   traces). Everywhere else it steps one instruction, so with a
-//!   warm-up window of 0 no trace ever forms and the tier steps exactly
-//!   like the pre-decoded one. Traces are the only multi-instruction
-//!   stop points: budgeted runs overshoot into the end of the current
-//!   trace.
+//!   traces). With a warm-up window of 0 the engine keeps no trace
+//!   state at all, never profiles, and steps one instruction at a time.
+//!   Traces are the only multi-instruction stop points: budgeted runs
+//!   overshoot into the end of the current trace.
 //! * [`DispatchMode::Naive`] is the retained seed interpreter: an
 //!   address-keyed map looked up on every step, with per-step line and
 //!   operand-set computation, over its own copy of the instruction
 //!   semantics ([`Simulator`]'s `exec`). It exists as the reference for
-//!   the differential tests proving the compiled cores bit-identical.
+//!   the differential tests proving the compiled core bit-identical.
 //!
-//! All modes produce exactly the same architectural state, cycle
-//! counts, statistics and fault behaviour (the trace core observed at
-//! instruction and trace boundaries).
+//! Both cores produce exactly the same architectural state, cycle
+//! counts, statistics and fault behaviour (the compiled core observed
+//! at instruction and trace boundaries).
 
 use crate::arch::{ArchDesc, CacheConfig, CacheSim, PreTiming, TimingModel, TimingState};
 use crate::compiled::{self, CompiledProgram, CompiledTrace, Ctl, Hot, TraceCont};
 use crate::encode::decode_section;
 use crate::isa::{AReg, Instr, LdKind, StKind, RA};
+use cabt_exec::blocks::BlockMap;
 use cabt_exec::trace::{TraceConfig, TracePlan, TraceState, TraceStats};
 use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::{expect_index, ByteReader, ByteWriter, CodecError};
@@ -192,27 +191,11 @@ pub struct RunStats {
 /// Which dispatch core [`Simulator::step`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// The compiled ops, one instruction per step, never profiled.
+    /// The compiled ops plus the profile-guided superblock tier (see
+    /// the module docs): a [`Simulator::step`] at a trace head runs the
+    /// whole trace, so `run_until` budgets may overshoot into it. A
+    /// warm-up of 0 ([`TraceConfig::warmup`]) keeps no trace state.
     #[default]
-    Predecoded,
-    /// The compiled ops plus the profile-guided superblock tier.
-    /// During a warm-up window
-    /// ([`cabt_exec::trace::TraceConfig::warmup`] profiled block
-    /// dispatches) the engine counts block executions (at each block
-    /// leader) and exit edges (at each block's last instruction); when
-    /// a block's count reaches the hot threshold, the hottest
-    /// fall/taken chain is fused into one closure run spanning its
-    /// blocks, with fetch line runs proved across the seams and
-    /// side-exit guards falling back to single ops. Once the window
-    /// closes profiling stops and dispatch is pure table lookups. One
-    /// [`Simulator::step`] (and one [`ExecutionEngine::step_unit`])
-    /// executes a whole trace — bounded loop-trace iteration included —
-    /// when it starts at a trace head, and one instruction otherwise,
-    /// so `run_until` budgets may overshoot into the current trace and
-    /// snapshots land on instruction or trace boundaries. A warm-up of
-    /// 0 forms no traces and steps exactly like
-    /// [`DispatchMode::Predecoded`]. Everything architectural is
-    /// bit-identical to [`DispatchMode::Naive`] at every stop point.
     Trace,
     /// The retained seed interpreter: address-map fetch on every step,
     /// and the reference the compiled ops are diffed against.
@@ -364,10 +347,12 @@ struct TraceTier {
 }
 
 impl TraceTier {
-    /// A cold state under `cfg` and no compiled traces.
-    fn restart(&mut self, cfg: TraceConfig) {
-        self.state.restart(cfg);
-        self.traces.fill_with(|| None);
+    /// A cold tier over `map`'s blocks under `cfg`.
+    fn cold(map: &BlockMap, cfg: TraceConfig) -> Box<TraceTier> {
+        Box::new(TraceTier {
+            state: TraceState::new(map.len(), cfg, true),
+            traces: (0..map.len()).map(|_| None).collect(),
+        })
     }
 }
 
@@ -424,15 +409,12 @@ pub struct Simulator {
     /// Address → table index (entry points, indirect jumps).
     index_of: HashMap<u32, u32>,
     /// The table compiled at load into one fused op per instruction,
-    /// over its block partition — what the pre-decoded and trace tiers
-    /// step.
+    /// over its block partition — what the compiled core steps.
     prog: CompiledProgram,
-    /// Trace-tier state (profile, formed traces, coverage counters) —
-    /// built on first selection of [`DispatchMode::Trace`]. Formed
-    /// traces are deterministic compilations of load-time data and
-    /// their plans, so snapshots carry only the plans: whichever tier
-    /// dispatches an instruction, the architectural trajectory is
-    /// identical.
+    /// Trace-tier state (profile, formed traces, coverage counters),
+    /// built cold on first use while the engine
+    /// [profiles](Simulator::profiles). Snapshots carry only the plans:
+    /// formed traces are deterministic compilations of them.
     trace: Option<Box<TraceTier>>,
     /// Trace-tier knobs ([`Simulator::set_trace_config`]).
     trace_cfg: TraceConfig,
@@ -548,28 +530,25 @@ impl Simulator {
         self.cache = None;
     }
 
-    /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`DispatchMode::Trace`] for the first time sets up its profile.
+    /// Selects the dispatch core (the compiled [`DispatchMode::Trace`]
+    /// by default). Leaving the compiled core drops its trace state.
     pub fn set_dispatch(&mut self, mode: DispatchMode) {
         self.mode = mode;
-        if mode == DispatchMode::Trace && self.trace.is_none() {
-            let blocks = self.prog.map.len();
-            self.trace = Some(Box::new(TraceTier {
-                state: TraceState::new(blocks, self.trace_cfg, true),
-                traces: (0..blocks).map(|_| None).collect(),
-            }));
-        }
+        self.trace = self.trace.take().filter(|_| self.profiles());
     }
 
     /// Sets the trace-tier knobs (warm-up window and hot threshold).
-    /// Call before — or together with — selecting
-    /// [`DispatchMode::Trace`]: an already-built tier is rebuilt with a
-    /// fresh profile and no formed traces.
+    /// The profile and formed traces start over, cold; a warm-up of 0
+    /// keeps no trace state.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         self.trace_cfg = cfg;
-        if let Some(tier) = &mut self.trace {
-            tier.restart(cfg);
-        }
+        self.trace = None;
+    }
+
+    /// Whether the engine profiles: the compiled core with an open
+    /// warm-up window. Exactly such an engine has trace state.
+    fn profiles(&self) -> bool {
+        self.mode == DispatchMode::Trace && self.trace_cfg.warmup > 0
     }
 
     /// Checks a snapshot decoded from untrusted bytes against this
@@ -593,18 +572,21 @@ impl Simulator {
                 value: snapshot.cache.is_some().into(),
             });
         }
-        if let (Some(_), Some(snap)) = (&self.trace, &snapshot.trace) {
+        if let Some(snap) = snapshot.trace.as_ref().filter(|_| self.profiles()) {
             snap.check(&self.prog.map)?;
         }
         Ok(())
     }
 
-    /// Trace-tier formation/coverage counters (`None` unless
-    /// [`DispatchMode::Trace`] was ever selected). Deliberately outside
-    /// [`RunStats`], which is compared bit-for-bit across dispatch
-    /// modes by the differential suites.
+    /// Trace-tier formation/coverage counters (`None` unless the engine
+    /// profiles: [`DispatchMode::Trace`] with a warm-up window).
+    /// Deliberately outside [`RunStats`], which is compared bit-for-bit
+    /// across dispatch modes by the differential suites.
     pub fn trace_stats(&self) -> Option<TraceStats> {
-        self.trace.as_ref().map(|t| t.state.stats)
+        match &self.trace {
+            Some(t) => Some(t.state.stats),
+            None => self.profiles().then(TraceStats::default),
+        }
     }
 
     /// The chains the trace tier has fused so far, in head-block order —
@@ -676,9 +658,8 @@ impl Simulator {
     }
 
     /// Executes a single dispatch unit, returning the last instruction
-    /// it retired: one instruction, or under [`DispatchMode::Trace`] at
-    /// the head of a formed trace one whole trace (reporting the
-    /// terminator it left through).
+    /// it retired: one instruction, or at the head of a formed trace one
+    /// whole trace (reporting the terminator it left through).
     ///
     /// # Errors
     ///
@@ -693,19 +674,19 @@ impl Simulator {
     fn dispatch(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         match self.mode {
             DispatchMode::Naive => self.step_naive(io),
-            DispatchMode::Predecoded | DispatchMode::Trace => self.step_compiled(io),
+            DispatchMode::Trace => self.step_compiled(io),
         }
     }
 
-    /// The compiled hot loop of the pre-decoded and trace tiers. At a
-    /// block leader with a formed trace (trace tier only), the whole
+    /// The compiled hot loop. At a block leader with a formed trace the
+    /// whole
     /// fused superblock executes inside this one step — seam guards
     /// compare each segment terminator's actual exit with the edge the
     /// trace was selected along, side-exiting into normal dispatch on
     /// mismatch; loop traces iterate in place (bounded by
     /// [`TRACE_LOOP_CAP`]) using the head segment's back-edge
     /// specialization. Everywhere else one compiled op executes, and
-    /// while the trace tier's warm-up window is open a leader counts
+    /// while the warm-up window is open a leader counts
     /// its block's dispatch (forming traces) and a block's last
     /// instruction records the exit edge. Per-instruction work inside
     /// the closures mirrors the naive step exactly (cache accounting,
@@ -725,7 +706,7 @@ impl Simulator {
         let Simulator {
             prog,
             trace,
-            mode,
+            trace_cfg,
             table,
             cpu,
             mem,
@@ -740,15 +721,17 @@ impl Simulator {
             ..
         } = self;
         let loc = prog.map.location(cur);
-        let mut tier = trace
-            .as_deref_mut()
-            .filter(|_| *mode == DispatchMode::Trace);
+        // A profiling engine builds its tier cold on first dispatch.
+        let mut tier = match trace_cfg.warmup {
+            0 => None,
+            _ => Some(&mut **trace.get_or_insert_with(|| TraceTier::cold(&prog.map, *trace_cfg))),
+        };
         // At a leader, warm-up profiling counts the dispatch and, on the
         // hot-threshold crossing, grows the hottest chain and fuses it;
         // then the trace headed here, if any, runs.
         let formed = match tier.as_deref_mut() {
             Some(t) if loc.offset == 0 => {
-                if let Some(plan) = t.state.form(&prog.map, loc.block) {
+                if let Some(plan) = t.state.form(&prog.map, loc.block, trace_cfg.hot_threshold) {
                     t.traces[loc.block as usize] = Some(compiled::compile_trace(
                         table.as_slice(),
                         &prog.map,
@@ -1227,7 +1210,10 @@ impl ExecutionEngine for Simulator {
             stats: self.stats,
             cur: self.cur,
             halted: self.halted,
-            trace: self.trace.as_ref().map(|t| t.state.clone()),
+            trace: self.profiles().then(|| match &self.trace {
+                Some(t) => t.state.clone(),
+                None => TraceState::new(self.prog.map.len(), self.trace_cfg, true),
+            }),
         }
     }
 
@@ -1239,8 +1225,11 @@ impl ExecutionEngine for Simulator {
         self.stats = snapshot.stats;
         self.cur = snapshot.cur;
         self.halted = snapshot.halted;
-        match (&mut self.trace, &snapshot.trace) {
-            (Some(tier), Some(snap)) => {
+        match &snapshot.trace {
+            Some(snap) if self.profiles() => {
+                let tier = self
+                    .trace
+                    .get_or_insert_with(|| TraceTier::cold(&self.prog.map, self.trace_cfg));
                 let plans = tier.traces.iter_mut().zip(&tier.state.plans);
                 for ((tr, had), plan) in plans.zip(&snap.plans) {
                     match plan {
@@ -1256,15 +1245,12 @@ impl ExecutionEngine for Simulator {
                         }
                     }
                 }
-                tier.state = TraceState {
-                    cfg: tier.state.cfg,
-                    ..snap.clone()
-                };
+                tier.state = snap.clone();
             }
-            // Snapshot predates the tier: replay starts from a fresh
-            // profile, exactly as the snapshotted engine would have.
-            (Some(tier), None) => tier.restart(tier.state.cfg),
-            _ => {}
+            // A snapshot without trace state (or an engine that does not
+            // profile): replay starts from a cold profile, exactly as
+            // the snapshotted engine would have.
+            _ => self.trace = None,
         }
     }
 
@@ -1286,9 +1272,7 @@ impl ExecutionEngine for Simulator {
         // A reset engine reruns from a cold trace profile, so a rerun
         // reproduces the original run exactly — budget stop points
         // included, not just the architectural trajectory.
-        if let Some(tier) = &mut self.trace {
-            tier.restart(tier.state.cfg);
-        }
+        self.trace = None;
     }
 
     fn step_unit(&mut self) -> Result<(), SimError> {
@@ -1576,27 +1560,39 @@ mod tests {
         "
         ))
         .unwrap();
-        for mode in [
-            DispatchMode::Naive,
-            DispatchMode::Predecoded,
-            DispatchMode::Trace,
+        for (mode, warmup) in [
+            (DispatchMode::Naive, 0),
+            (DispatchMode::Trace, 0),
+            (DispatchMode::Trace, TraceConfig::default().warmup),
         ] {
             let counts = Arc::new(Counts::default());
             let mut sim = Simulator::new(&elf).unwrap();
+            sim.set_trace_config(TraceConfig {
+                warmup,
+                ..TraceConfig::default()
+            });
             sim.set_dispatch(mode);
             sim.set_io_device(Box::new(Gate(Arc::clone(&counts))));
             assert_eq!(
                 sim.run_until(Limit::Cycles(u64::MAX)),
                 Ok(StopCause::Halted),
-                "{mode:?}"
+                "{mode:?}/{warmup}"
             );
-            assert_eq!(counts.enters.load(Relaxed), 1, "{mode:?}: run_until");
-            assert_eq!(counts.reads.load(Relaxed), N, "{mode:?}: run_until");
+            assert_eq!(
+                counts.enters.load(Relaxed),
+                1,
+                "{mode:?}/{warmup}: run_until"
+            );
+            assert_eq!(
+                counts.reads.load(Relaxed),
+                N,
+                "{mode:?}/{warmup}: run_until"
+            );
 
             sim.reset();
             sim.run(1_000_000).unwrap();
-            assert_eq!(counts.enters.load(Relaxed), 2, "{mode:?}: run");
-            assert_eq!(counts.reads.load(Relaxed), 2 * N, "{mode:?}: run");
+            assert_eq!(counts.enters.load(Relaxed), 2, "{mode:?}/{warmup}: run");
+            assert_eq!(counts.reads.load(Relaxed), 2 * N, "{mode:?}/{warmup}: run");
         }
     }
 
@@ -1662,27 +1658,22 @@ mod tests {
     }
 
     /// Every observable — registers, stats, cycles, fault shape — must
-    /// be identical across every dispatch core at the halt, the trace
-    /// tier with and without traces. The naive core is the reference:
-    /// the others all run the compiled ops.
+    /// be identical across both dispatch cores at the halt, the compiled
+    /// core with and without traces. The naive core is the reference.
     fn diff_modes(src: &str) {
         let elf = assemble(src).expect("assembles");
         let mut fast = sim_on(&elf, DispatchMode::Naive, eager_traces());
         let rf = fast.run(1_000_000);
-        for (mode, cfg) in [
-            (DispatchMode::Predecoded, eager_traces()),
-            (DispatchMode::Trace, block_dispatch()),
-            (DispatchMode::Trace, eager_traces()),
-        ] {
-            let mut sim = sim_on(&elf, mode, cfg);
+        for cfg in [block_dispatch(), eager_traces()] {
+            let mut sim = sim_on(&elf, DispatchMode::Trace, cfg);
             let rm = sim.run(1_000_000);
-            assert_eq!(rf, rm, "{mode:?} {cfg:?}: run results diverge");
-            assert_eq!(fast.stats(), sim.stats(), "{mode:?} {cfg:?}: stats diverge");
+            assert_eq!(rf, rm, "{cfg:?}: run results diverge");
+            assert_eq!(fast.stats(), sim.stats(), "{cfg:?}: stats diverge");
             for i in 0..16 {
-                assert_eq!(fast.cpu.d(i), sim.cpu.d(i), "{mode:?} {cfg:?}: d{i}");
-                assert_eq!(fast.cpu.a(i), sim.cpu.a(i), "{mode:?} {cfg:?}: a{i}");
+                assert_eq!(fast.cpu.d(i), sim.cpu.d(i), "{cfg:?}: d{i}");
+                assert_eq!(fast.cpu.a(i), sim.cpu.a(i), "{cfg:?}: a{i}");
             }
-            assert_eq!(fast.cpu.pc, sim.cpu.pc, "{mode:?} {cfg:?}: pc");
+            assert_eq!(fast.cpu.pc, sim.cpu.pc, "{cfg:?}: pc");
         }
     }
 
@@ -1745,12 +1736,10 @@ mod tests {
         };
         let (en, pn, sn) = run(DispatchMode::Naive);
         assert!(matches!(en, SimError::Mem(_)));
-        for mode in [DispatchMode::Predecoded, DispatchMode::Trace] {
-            let (ec, pc, sc) = run(mode);
-            assert_eq!(en, ec, "{mode:?}: fault kind");
-            assert_eq!(pn, pc, "{mode:?}: fault pc");
-            assert_eq!(sn, sc, "{mode:?}: stats at the fault");
-        }
+        let (ec, pc, sc) = run(DispatchMode::Trace);
+        assert_eq!(en, ec, "fault kind");
+        assert_eq!(pn, pc, "fault pc");
+        assert_eq!(sn, sc, "stats at the fault");
     }
 
     #[test]
@@ -1774,11 +1763,7 @@ mod tests {
         // CFG — but the engine's block map only splits at control flow,
         // so force a mid-block landing by computing the address.
         let elf = assemble(src).unwrap();
-        for mode in [
-            DispatchMode::Naive,
-            DispatchMode::Predecoded,
-            DispatchMode::Trace,
-        ] {
+        for mode in [DispatchMode::Naive, DispatchMode::Trace] {
             let mut sim = sim_on(&elf, mode, block_dispatch());
             sim.run(100).unwrap();
             assert_eq!(sim.cpu.d(1), 0, "{mode:?}: skipped prefix must not run");
@@ -1790,7 +1775,6 @@ mod tests {
             sim.run(100).unwrap();
             sim.stats()
         };
-        assert_eq!(stats(DispatchMode::Naive), stats(DispatchMode::Predecoded));
         assert_eq!(stats(DispatchMode::Naive), stats(DispatchMode::Trace));
     }
 
@@ -1895,11 +1879,7 @@ mod tests {
     #[test]
     fn naive_mode_faults_identically() {
         let elf = assemble(".text\n_start: ji %a0\n").unwrap();
-        for mode in [
-            DispatchMode::Predecoded,
-            DispatchMode::Trace,
-            DispatchMode::Naive,
-        ] {
+        for mode in [DispatchMode::Trace, DispatchMode::Naive] {
             let mut sim = sim_on(&elf, mode, block_dispatch());
             sim.cpu.set_a(0, 0x1234_0000);
             sim.step().unwrap();

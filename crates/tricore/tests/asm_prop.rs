@@ -125,8 +125,10 @@ fn straightline_programs_assemble_and_decode() {
 
 #[test]
 fn assembled_programs_run_identically_in_both_dispatch_modes() {
-    // The same generated programs, executed by the pre-decoded and the
-    // naive dispatch core: every architectural observable must match.
+    // The same generated programs, executed by the compiled core at a
+    // warm-up of 0 and the naive core: every architectural observable
+    // must match.
+    use cabt_exec::trace::TraceConfig;
     use cabt_tricore::sim::{DispatchMode, Simulator};
     let mut rng = Pcg32::seed_from_u64(0x0a52);
     for _ in 0..48 {
@@ -141,6 +143,10 @@ fn assembled_programs_run_identically_in_both_dispatch_modes() {
         let elf = assemble(&src).expect("assembles");
 
         let mut fast = Simulator::new(&elf).expect("loads");
+        fast.set_trace_config(TraceConfig {
+            warmup: 0,
+            ..TraceConfig::default()
+        });
         let mut naive = Simulator::new(&elf).expect("loads");
         naive.set_dispatch(DispatchMode::Naive);
         let sf = fast.run(10_000).expect("halts");

@@ -18,10 +18,10 @@
 //! write-backs make control transfer and retirement between any two
 //! packets, so a compiled packet is bit-identical to the naive
 //! interpreter at *every* packet, not just at block boundaries. The
-//! pre-decoded tier ([`VliwDispatch`](crate::sim::VliwDispatch))
-//! dispatches these packets one at a time; the trace tier does too
-//! until a fall chain turns hot, then runs the chain as one fused
-//! packet range.
+//! compiled core ([`VliwDispatch::Trace`](crate::sim::VliwDispatch))
+//! dispatches these packets one at a time until a fall chain turns hot
+//! during its warm-up window, then runs the chain as one fused packet
+//! range; at a warm-up of 0 it never does.
 //!
 //! The closures do only the write-back work their slot needs:
 //! single-cycle results (every ALU operation but multiply, divide and

@@ -29,20 +29,18 @@
 //! [`cabt_exec::blocks::BlockMap`] partition. [`VliwDispatch`] selects
 //! how those packets are stepped:
 //!
-//! * [`VliwDispatch::Predecoded`] (default) runs one compiled packet
-//!   per step: retire due writes, redirect an expired branch shadow,
-//!   call the packet's closure. Nothing is profiled, so every step is
-//!   one packet — the granularity the lockstep debugger needs.
-//! * [`VliwDispatch::Trace`] is the same per-packet path plus the
-//!   profile-guided trace tier: hot fall-through packet chains (branch
-//!   shadows make every in-trace edge a fall edge) are dispatched as
-//!   one fused run per step, with the branch-shadow and delayed-write
-//!   pipeline checked between packets inside the run and side exits
-//!   falling back to per-packet dispatch. Inside a run, an all-NOP
-//!   packet folds into the packet before it: its write-back prologue
-//!   and epilogue run, its closure is not called. With a warm-up window
-//!   of 0 no trace forms and it steps exactly like the pre-decoded
-//!   tier.
+//! * [`VliwDispatch::Trace`] (default) is the compiled tier: one
+//!   compiled packet per step — retire due writes, redirect an expired
+//!   branch shadow, call the packet's closure — plus the profile-guided
+//!   trace tier: hot fall-through packet chains (branch shadows make
+//!   every in-trace edge a fall edge) are dispatched as one fused run
+//!   per step, with the branch-shadow and delayed-write pipeline
+//!   checked between packets inside the run and side exits falling back
+//!   to per-packet dispatch. Inside a run, an all-NOP packet folds into
+//!   the packet before it: its write-back prologue and epilogue run,
+//!   its closure is not called. With a warm-up window of 0 the engine
+//!   keeps no trace state, never profiles, and every step is one
+//!   packet — the granularity the lockstep debugger needs.
 //! * [`VliwDispatch::Naive`] is the retained seed interpreter (clone
 //!   the packet, scan for slot positions, hash branch targets) and the
 //!   one caller of the slot-walking `exec_slot`: the independent
@@ -178,19 +176,11 @@ pub struct VliwStats {
 /// Which dispatch core [`VliwSim::step_packet`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VliwDispatch {
-    /// One compiled packet per step, never profiled.
+    /// The compiled packets plus the profile-guided trace tier (see the
+    /// module docs); budget overshoot is trace-granular. A warm-up of 0
+    /// ([`TraceConfig::warmup`]) keeps no trace state and steps packet
+    /// by packet, as the lockstep debugger needs.
     #[default]
-    Predecoded,
-    /// The compiled packets plus the profile-guided trace tier.
-    /// During the warm-up window ([`TraceConfig::warmup`] dispatches)
-    /// block execution and fall-edge counters are collected; when a
-    /// block crosses [`TraceConfig::hot_threshold`] the hottest fall
-    /// chain is fused into a trace and dispatched as one run per step.
-    /// Once warm-up closes, profiling cost drops to zero and the trace
-    /// set is frozen. Budget overshoot is trace-granular (a warm-up of
-    /// 0 forms no traces and steps one packet at a time); the lockstep
-    /// debugger runs translated sessions on
-    /// [`VliwDispatch::Predecoded`] to keep packet stepping.
     Trace,
     /// The retained seed interpreter (per-packet clone and scans), the
     /// reference the compiled packets are diffed against.
@@ -215,10 +205,12 @@ struct TraceTier {
 }
 
 impl TraceTier {
-    /// A cold state under `cfg` and no covers.
-    fn restart(&mut self, cfg: TraceConfig) {
-        self.state.restart(cfg);
-        self.span.fill(0);
+    /// A cold tier over `map`'s blocks under `cfg`.
+    fn cold(map: &BlockMap, cfg: TraceConfig) -> Box<TraceTier> {
+        Box::new(TraceTier {
+            state: TraceState::new(map.len(), cfg, false),
+            span: vec![0; map.len()],
+        })
     }
 }
 
@@ -369,8 +361,9 @@ pub struct VliwSim {
     /// The compiled packets, parallel to `program`, and their block
     /// partition (a load-time constant).
     prog: CompiledProgram,
-    /// Trace-tier state (profile, formed plans, their range covers),
-    /// built on selection of [`VliwDispatch::Trace`].
+    /// Trace-tier state (profile, formed plans, their range covers):
+    /// present only while the engine [profiles](VliwSim::profiles),
+    /// and built cold on first use.
     trace: Option<Box<TraceTier>>,
     /// Warm-up/threshold knobs the trace tier is built with.
     trace_cfg: TraceConfig,
@@ -475,21 +468,20 @@ impl VliwSim {
         self.bus.as_mut().map(|b| &mut *b.dev)
     }
 
-    /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`VliwDispatch::Trace`] for the first time sets up its profile
-    /// and cover table.
+    /// Selects the dispatch core (the compiled [`VliwDispatch::Trace`]
+    /// by default). Leaving the compiled core drops its trace state.
     pub fn set_dispatch(&mut self, mode: VliwDispatch) {
         // The naive core never latches; it sees one list.
         self.latch
             .spill(&mut self.pending_writes, &mut self.next_due);
         self.mode = mode;
-        if mode == VliwDispatch::Trace && self.trace.is_none() {
-            let blocks = self.prog.map.len();
-            self.trace = Some(Box::new(TraceTier {
-                state: TraceState::new(blocks, self.trace_cfg, false),
-                span: vec![0; blocks],
-            }));
-        }
+        self.trace = self.trace.take().filter(|_| self.profiles());
+    }
+
+    /// Whether the engine profiles: the compiled core with an open
+    /// warm-up window. Exactly such an engine has trace state.
+    fn profiles(&self) -> bool {
+        self.mode == VliwDispatch::Trace && self.trace_cfg.warmup > 0
     }
 
     /// Checks a snapshot decoded from untrusted bytes against this
@@ -508,26 +500,27 @@ impl VliwSim {
             snapshot.pending_branch_idx,
             0..self.program.len(),
         )?;
-        if let (Some(_), Some(snap)) = (&self.trace, &snapshot.trace) {
+        if let Some(snap) = snapshot.trace.as_ref().filter(|_| self.profiles()) {
             snap.check(&self.prog.map)?;
         }
         Ok(())
     }
 
-    /// Sets the trace tier's warm-up/threshold knobs. Resets any
-    /// existing profile and formed traces so the new configuration
-    /// applies from a clean slate.
+    /// Sets the trace tier's warm-up/threshold knobs. The profile and
+    /// formed traces start over, cold; a warm-up of 0 keeps no trace
+    /// state.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         self.trace_cfg = cfg;
-        if let Some(tier) = &mut self.trace {
-            tier.restart(cfg);
-        }
+        self.trace = None;
     }
 
-    /// Trace-tier counters (`None` unless [`VliwDispatch::Trace`] has
-    /// been selected).
+    /// Trace-tier counters (`None` unless the engine profiles:
+    /// [`VliwDispatch::Trace`] with a warm-up window).
     pub fn trace_stats(&self) -> Option<TraceStats> {
-        self.trace.as_ref().map(|t| t.state.stats)
+        match &self.trace {
+            Some(t) => Some(t.state.stats),
+            None => self.profiles().then(TraceStats::default),
+        }
     }
 
     /// The fall chains the trace tier has formed so far, in head-block
@@ -667,15 +660,16 @@ impl VliwSim {
         if pcv >= self.program.len() {
             return Err(self.off_end_error());
         }
-        match self.mode {
-            VliwDispatch::Trace => self.step_packet_trace(pcv),
-            _ => self.step_packet_compiled(pcv),
+        if self.trace_cfg.warmup > 0 {
+            self.step_packet_trace(pcv)
+        } else {
+            self.step_packet_compiled(pcv)
         }
     }
 
     /// Packet `pcv` on its fused closure run, entered after the
-    /// prologue: the whole pre-decoded step, and the trace tier's
-    /// per-packet body.
+    /// prologue: the whole step of an engine that does not profile,
+    /// and the trace tier's per-packet body.
     fn step_packet_compiled(&mut self, pcv: usize) -> Result<(), VliwError> {
         let mut stall = 0u64;
         let mut branch: Option<(u32, u32)> = None;
@@ -730,17 +724,19 @@ impl VliwSim {
     /// compiled per-packet path, feeding the warm-up fall-edge profile
     /// that forms traces.
     fn step_packet_trace(&mut self, pcv: usize) -> Result<(), VliwError> {
-        let tier = &mut **self
-            .trace
-            .as_mut()
-            .expect("set_dispatch builds the trace tier");
         let prog = &self.prog;
+        let tier = self
+            .trace
+            .get_or_insert_with(|| TraceTier::cold(&prog.map, self.trace_cfg));
         let loc = prog.map.location(pcv as u32);
         let warm = tier.state.profile.warm();
         if loc.offset == 0 {
             // Fall chains are consecutive in the dense packet arena, so
             // a formed trace is just a packet range.
-            if let Some(plan) = tier.state.form(&prog.map, loc.block) {
+            if let Some(plan) = tier
+                .state
+                .form(&prog.map, loc.block, self.trace_cfg.hot_threshold)
+            {
                 cover(&mut tier.span, &prog.map, plan);
             }
         }
@@ -767,7 +763,7 @@ impl VliwSim {
                 let tier = self
                     .trace
                     .as_mut()
-                    .expect("set_dispatch builds the trace tier");
+                    .expect("step_packet_trace builds the trace tier");
                 tier.state.profile.record_fall(loc.block);
             }
         }
@@ -1327,7 +1323,10 @@ impl ExecutionEngine for VliwSim {
             pending_branch_idx: self.pending_branch_idx,
             stats: self.stats,
             halted: self.halted,
-            trace: self.trace.as_ref().map(|t| t.state.clone()),
+            trace: self.profiles().then(|| match &self.trace {
+                Some(t) => t.state.clone(),
+                None => TraceState::new(self.prog.map.len(), self.trace_cfg, false),
+            }),
         }
     }
 
@@ -1343,21 +1342,21 @@ impl ExecutionEngine for VliwSim {
         self.pending_branch_idx = snapshot.pending_branch_idx;
         self.stats = snapshot.stats;
         self.halted = snapshot.halted;
-        match (&mut self.trace, &snapshot.trace) {
-            (Some(tier), Some(snap)) => {
-                tier.state = TraceState {
-                    cfg: tier.state.cfg,
-                    ..snap.clone()
-                };
+        match &snapshot.trace {
+            Some(snap) if self.profiles() => {
+                let tier = self
+                    .trace
+                    .get_or_insert_with(|| TraceTier::cold(&self.prog.map, self.trace_cfg));
+                tier.state = snap.clone();
                 tier.span.fill(0);
                 for plan in snap.plans.iter().flatten() {
                     cover(&mut tier.span, &self.prog.map, plan);
                 }
             }
-            // Snapshot predates the tier: replay starts from a fresh
-            // profile, exactly as the snapshotted engine would have.
-            (Some(tier), None) => tier.restart(tier.state.cfg),
-            _ => {}
+            // A snapshot without trace state (or an engine that does not
+            // profile): replay starts from a cold profile, exactly as
+            // the snapshotted engine would have.
+            _ => self.trace = None,
         }
     }
 
@@ -1381,9 +1380,7 @@ impl ExecutionEngine for VliwSim {
         self.halted = false;
         // Rerun from a cold trace profile so a reset run reproduces the
         // original exactly, budget stop points included.
-        if let Some(tier) = &mut self.trace {
-            tier.restart(tier.state.cfg);
-        }
+        self.trace = None;
     }
 
     fn step_unit(&mut self) -> Result<(), VliwError> {
@@ -1687,17 +1684,22 @@ mod tests {
             ],
             halt(),
         ]);
-        for mode in [
-            VliwDispatch::Naive,
-            VliwDispatch::Predecoded,
-            VliwDispatch::Trace,
+        for (mode, warmup) in [
+            (VliwDispatch::Naive, 0),
+            (VliwDispatch::Trace, 0),
+            (VliwDispatch::Trace, TraceConfig::default().warmup),
         ] {
             let mut sim = VliwSim::new(prog.clone()).unwrap();
+            sim.set_trace_config(TraceConfig {
+                warmup,
+                ..TraceConfig::default()
+            });
             sim.set_dispatch(mode);
             let st = sim.run(100).unwrap();
-            assert_eq!(sim.reg(Reg::a(2)), 5, "{mode:?}: true guard executes");
-            assert_eq!(sim.reg(Reg::a(3)), 0, "{mode:?}: false guard annuls");
-            assert_eq!(st.slots, 3, "{mode:?}: the annulled slot is not counted");
+            let at = format!("{mode:?}/{warmup}");
+            assert_eq!(sim.reg(Reg::a(2)), 5, "{at}: true guard executes");
+            assert_eq!(sim.reg(Reg::a(3)), 0, "{at}: false guard annuls");
+            assert_eq!(st.slots, 3, "{at}: the annulled slot is not counted");
         }
     }
 
@@ -1834,15 +1836,16 @@ mod tests {
                 // A fused run takes an expired shadow's redirect before
                 // it stops; the naive core at its next prologue.
                 assert_eq!(tr.pc_addr(), pre.pc_addr(), "{at}");
-                for mode in [
-                    VliwDispatch::Trace,
-                    VliwDispatch::Predecoded,
-                    VliwDispatch::Naive,
+                for (mode, cfg) in [
+                    (VliwDispatch::Trace, cfg),
+                    (VliwDispatch::Trace, per_packet),
+                    (VliwDispatch::Naive, cfg),
                 ] {
                     let mut replay = build(mode, cfg);
                     replay.restore(&t);
-                    assert_eq!(replay.run(10_000).unwrap(), end, "{at}: {mode:?}");
-                    assert_eq!(replay.regs, end_regs, "{at}: {mode:?}");
+                    let on = format!("{at}: {mode:?} {cfg:?}");
+                    assert_eq!(replay.run(10_000).unwrap(), end, "{on}");
+                    assert_eq!(replay.regs, end_regs, "{on}");
                 }
             }
             assert!(latched > 0, "{cfg:?}: no boundary held latched results");
@@ -2028,7 +2031,7 @@ mod tests {
             Reg::a(5),
             Reg::b(1),
         );
-        let build = |mode| {
+        let build = |(mode, warmup)| {
             let prog = program(vec![
                 vec![
                     Slot::new(Unit::S1, Op::Mvk { d: a1, imm16: 100 }),
@@ -2079,6 +2082,10 @@ mod tests {
                 halt(),
             ]);
             let mut sim = VliwSim::new(prog).unwrap();
+            sim.set_trace_config(TraceConfig {
+                warmup,
+                ..TraceConfig::default()
+            });
             sim.set_dispatch(mode);
             sim.set_bus(Box::new(StallDev));
             sim
@@ -2092,9 +2099,9 @@ mod tests {
             VliwSnapshot::decode(&mut ByteReader::new(&bytes)).unwrap()
         };
         for mode in [
-            VliwDispatch::Naive,
-            VliwDispatch::Predecoded,
-            VliwDispatch::Trace,
+            (VliwDispatch::Naive, 0),
+            (VliwDispatch::Trace, 0),
+            (VliwDispatch::Trace, TraceConfig::default().warmup),
         ] {
             let mut sim = build(mode);
             for _ in 0..4 {

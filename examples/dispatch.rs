@@ -1,8 +1,8 @@
-//! Prints the host dispatch throughput of the three engine tiers on
-//! both cores: naive (the seed interpreters), pre-decoded (the compiled
-//! closures, one instruction or packet per step), and the
-//! profile-guided trace tier (the same closures, with hot chains fused
-//! into traces; traces are its only multi-instruction steps). The
+//! Prints the host dispatch throughput of three dispatch settings on
+//! both cores: naive (the seed interpreters), compiled at a warm-up of
+//! 0 (the compiled closures, one instruction or packet per step), and
+//! trace (the same closures, with hot chains fused into traces after a
+//! warm-up window; traces are its only multi-instruction steps). The
 //! golden model runs the source code; the translated image dispatches
 //! execute packets on the platform.
 //! Each row also shows the trace tier's coverage, and the printer
@@ -15,8 +15,6 @@
 
 use cabt::exec::trace::TraceStats;
 use cabt::prelude::*;
-use cabt::tricore::sim::DispatchMode;
-use cabt::vliw::sim::VliwDispatch;
 use std::time::Instant;
 
 /// Timed runs per batch.
@@ -25,7 +23,7 @@ const RUNS: u32 = 10;
 /// a shared host only ever makes a batch slower.
 const BATCHES: u32 = 3;
 
-/// One tier on one workload.
+/// One dispatch setting on one workload.
 struct Tier {
     /// Million units (instructions or packets) dispatched per host
     /// second.
@@ -78,15 +76,15 @@ fn measure(w: &Workload, backend: Backend) -> Tier {
     }
 }
 
-/// `naive -> pre-decoded -> trace` throughput with the two speedups.
-fn throughput([naive, pre, trace]: &[Tier; 3], unit: &str) -> String {
+/// `naive -> compiled -> trace` throughput with the two speedups.
+fn throughput([naive, compiled, trace]: &[Tier; 3], unit: &str) -> String {
     format!(
-        "{:>7.2} -> {:>7.2} -> {:>7.2} {unit} ({:.2}x pre, {:.2}x trace)",
+        "{:>7.2} -> {:>7.2} -> {:>7.2} {unit} ({:.2}x compiled, {:.2}x trace)",
         naive.per_sec,
-        pre.per_sec,
+        compiled.per_sec,
         trace.per_sec,
-        pre.per_sec / naive.per_sec,
-        trace.per_sec / pre.per_sec,
+        compiled.per_sec / naive.per_sec,
+        trace.per_sec / compiled.per_sec,
     )
 }
 
@@ -103,24 +101,15 @@ fn coverage(name: &str, tier: &Tier) -> String {
 }
 
 fn main() {
-    println!("dispatch throughput (naive -> pre-decoded -> trace, best of {BATCHES} batches of {RUNS} runs):");
+    println!("dispatch throughput (naive -> compiled, warm-up 0 -> trace, best of {BATCHES} batches of {RUNS} runs):");
     for (w, level) in [
         (cabt::workloads::gcd(256, 0xcab7), DetailLevel::Static),
         (cabt::workloads::fir(16, 2000, 0xcab7), DetailLevel::Static),
         (cabt::workloads::sieve(2000), DetailLevel::Cache),
     ] {
-        let golden = [
-            DispatchMode::Naive,
-            DispatchMode::Predecoded,
-            DispatchMode::Trace,
-        ]
-        .map(|dispatch| measure(&w, Backend::Golden { dispatch }));
-        let vliw = [
-            VliwDispatch::Naive,
-            VliwDispatch::Predecoded,
-            VliwDispatch::Trace,
-        ]
-        .map(|dispatch| measure(&w, Backend::Translated { level, dispatch }));
+        let tiers = [Dispatch::Naive, Dispatch::Compiled, Dispatch::Trace];
+        let golden = tiers.map(|dispatch| measure(&w, Backend::Golden { dispatch }));
+        let vliw = tiers.map(|dispatch| measure(&w, Backend::Translated { level, dispatch }));
         println!(
             "  {:<8} level {:<14} golden {}   vliw {}",
             w.name,

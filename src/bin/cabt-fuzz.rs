@@ -1,6 +1,6 @@
 //! Differential fuzz loop CLI: generates seed-reproducible guest
 //! programs and runs each across the full execution matrix — golden
-//! and translated vehicles × naive/pre-decoded/trace dispatch, RTL
+//! and translated vehicles × naive/compiled/trace dispatch, RTL
 //! where the workload fits, sharded sequential-vs-pooled schedules —
 //! comparing per-stride digest chains, final architectural state,
 //! guest memory, UART logs, and fault parity.

@@ -21,8 +21,8 @@
 //! |---|---|
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
 //! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the one-queue `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
-//! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (pre-decoded and trace dispatch cores, naive oracle) |
-//! | [`vliw`] | target VLIW ISA, binary container format, simulator (pre-decoded and trace dispatch cores, naive oracle) |
+//! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (compiled dispatch core with its trace tier, naive oracle) |
+//! | [`vliw`] | target VLIW ISA, binary container format, simulator (compiled dispatch core with its trace tier, naive oracle) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
 //! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with a deterministic O(traffic) journaled delta exchange (`docs/sharding.md`) |
 //! | [`rtlsim`] | event-driven RT-level baseline simulator |
@@ -32,20 +32,20 @@
 //! | [`fleet`] | **the session service**: a batch driver that hands built sessions to the one-queue pool (M sessions × N shards as epoch-round jobs), per-epoch digest chains, `fleet-server` binary |
 //! | [`fuzz`] | **continuous differential fuzzing**: seed-reproducible program generator, full-matrix comparison on per-epoch digest chains, shrinker to minimal reproducers, `cabt-fuzz` binary |
 //!
-//! Execution comes in three dispatch tiers, all bit-identical and all
-//! selected as plain `Backend` data: the retained naive interpreters
-//! (the differential oracle), the **pre-decoded engines** (the image
-//! decoded once at load into index-chased tables and compiled into
-//! closures, stepped one instruction or packet at a time) and the
-//! **trace tier** (the same closures, profiled over the basic blocks of
-//! the shared [`cabt_exec::blocks`] partition, with hot chains fused
-//! into superblocks after a warm-up window; traces are its only
-//! multi-instruction steps, and with a warm-up of 0 it steps exactly
-//! like the pre-decoded engine). The [`tricore::sim`] and [`vliw::sim`]
-//! module docs describe each core; `tests/predecode_diff.rs` and
-//! `tests/compiled_diff.rs` prove them bit-identical. The repository
-//! benchmark in `perfbench/` measures their speed end to end, and
-//! `examples/dispatch.rs` prints each tier's throughput on both cores.
+//! Each core has two dispatch variants, bit-identical and selected as
+//! plain `Backend` data: the retained naive interpreter (the
+//! differential oracle) and the **compiled tier**. The compiled tier
+//! decodes the image once at load into an index-chased pre-decoded
+//! table, compiles it into closures and steps them one instruction or
+//! packet at a time (`golden`, `translated:<level>`: a warm-up of 0).
+//! With a warm-up window (`:trace`) it also profiles the basic blocks
+//! of the shared [`cabt_exec::blocks`] partition and fuses hot chains
+//! into superblocks; traces are its only multi-instruction steps. The
+//! [`tricore::sim`] and [`vliw::sim`] module docs describe each core;
+//! `tests/predecode_diff.rs` and `tests/compiled_diff.rs` prove them
+//! bit-identical. The repository benchmark in `perfbench/` measures
+//! their speed end to end, and `examples/dispatch.rs` prints their
+//! throughput on both cores.
 //!
 //! Every vehicle — the golden model, the translated platform, *and* the
 //! RTL core — implements [`cabt_exec::ExecutionEngine`], including its
@@ -111,7 +111,7 @@
 //! "#;
 //!
 //! // Every production vehicle answers the same way — golden and
-//! // translated on the pre-decoded and trace dispatch cores, plus
+//! // translated on the compiled tier with and without traces, plus
 //! // the RTL baseline:
 //! for backend in Backend::all() {
 //!     let mut s = SimBuilder::asm(src).backend(backend).build()?;
@@ -219,7 +219,7 @@ pub mod prelude {
     pub use cabt_exec::{ExecutionEngine, Limit, StopCause};
     pub use cabt_fleet::{run_fleet, run_one, FleetPool, FleetRequest, FleetResult};
     pub use cabt_platform::{Platform, PlatformConfig, SyncRate};
-    pub use cabt_sim::{Backend, Session, SessionError, ShardSchedule, SimBuilder};
+    pub use cabt_sim::{Backend, Dispatch, Session, SessionError, ShardSchedule, SimBuilder};
     pub use cabt_tricore::asm::assemble;
     pub use cabt_tricore::sim::Simulator;
     pub use cabt_workloads::Workload;

@@ -1,12 +1,11 @@
-//! Differential proof that the trace-tier dispatch cores — instructions
+//! Differential proof that the compiled dispatch cores — instructions
 //! (golden) and execute packets (VLIW) compiled into closures at load,
 //! plus profile-guided superblock traces over them — are bit-identical
-//! to the naive interpreters. The pre-decoded tiers step the same
-//! closures, so the naive cores are the reference throughout.
+//! to the naive interpreters, the reference throughout.
 //!
-//! The trace tier is exercised in two configurations: an eager one in
-//! which traces form and carry most retirement, and a warm-up of 0 in
-//! which no trace ever forms, so every step dispatches one compiled
+//! The compiled core is exercised in two configurations: an eager one
+//! in which traces form and carry most retirement, and a warm-up of 0
+//! which keeps no trace state, so every step dispatches one compiled
 //! instruction (golden) or one compiled packet (VLIW) and is compared
 //! after every step. With traces formed, the golden model is compared
 //! at instruction and trace boundaries (and at the halt). Both are
@@ -34,9 +33,8 @@ fn eager_traces() -> TraceConfig {
     }
 }
 
-/// A closed warm-up window: no trace ever forms, so the trace tier
-/// dispatches one compiled instruction (golden) or packet (VLIW) per
-/// step.
+/// A warm-up of 0: no trace state, so the compiled core dispatches one
+/// compiled instruction (golden) or packet (VLIW) per step.
 fn block_dispatch() -> TraceConfig {
     TraceConfig {
         warmup: 0,
@@ -238,20 +236,31 @@ fn engine_trait_reports_identical_counters() {
     assert_eq!(collect(DispatchMode::Naive), collect(DispatchMode::Trace));
 }
 
-/// Trace backends with warm-up 0 drive through `cabt-sim` sessions like
-/// any other: same checksums, same counters as their pre-decoded twins
-/// at the halt.
+/// The compiled descriptors (`golden`, `translated:<level>`) and trace
+/// backends with warm-up 0 drive through `cabt-sim` sessions like any
+/// other: same checksums, same counters as their naive twins at the
+/// halt.
 #[test]
 fn compiled_sessions_match_predecoded_sessions() {
     for w in all_workloads() {
-        let pairs: [(Backend, Backend); 2] = [
-            (Backend::golden(), Backend::golden_trace()),
-            (
+        let vehicles: [[Backend; 3]; 2] = [
+            [
+                Backend::Golden {
+                    dispatch: Dispatch::Naive,
+                },
+                Backend::golden(),
+                Backend::golden_trace(),
+            ],
+            [
+                Backend::Translated {
+                    level: DetailLevel::Static,
+                    dispatch: Dispatch::Naive,
+                },
                 Backend::translated(DetailLevel::Static),
                 Backend::translated_trace(DetailLevel::Static),
-            ),
+            ],
         ];
-        for (pre, comp) in pairs {
+        for [naive, compiled, trace] in vehicles {
             let drive = |backend: Backend| {
                 let mut s = SimBuilder::workload(&w)
                     .backend(backend)
@@ -261,13 +270,15 @@ fn compiled_sessions_match_predecoded_sessions() {
                 s.run(Limit::Cycles(u64::MAX)).unwrap();
                 (s.stats(), s.read_d(2))
             };
-            assert_eq!(drive(pre), drive(comp), "{}: {pre} vs {comp}", w.name);
+            let want = drive(naive);
+            assert_eq!(want, drive(compiled), "{}: {naive} vs {compiled}", w.name);
+            assert_eq!(want, drive(trace), "{}: {naive} vs {trace}", w.name);
         }
     }
 }
 
-/// The trace tier with warm-up 0 — every step one compiled
-/// instruction, no trace ever forms — runs every bundled workload
+/// The compiled core with warm-up 0 — every step one compiled
+/// instruction, no trace state — runs every bundled workload
 /// bit-identically to the naive interpreter: registers, memory, stats,
 /// checksum.
 #[test]
@@ -282,8 +293,12 @@ fn tricore_compiled_is_bit_identical_on_all_workloads() {
         assert_eq!(comp.cpu.d(2), w.expected_d2, "{}: checksum", w.name);
         assert_tricore_equal(w.name, &mut pre, &mut comp);
         assert_memory_equal(w.name, &elf, &mut pre, &mut comp);
-        let ts = comp.trace_stats().expect("trace dispatch selected");
-        assert_eq!(ts.traces, 0, "{}: a closed window formed traces", w.name);
+        assert_eq!(
+            comp.trace_stats(),
+            None,
+            "{}: warm-up 0 kept trace state",
+            w.name
+        );
     }
 }
 
@@ -302,8 +317,8 @@ fn vliw_run(
     (stats, regs, p.sim().stats(), p.trace_stats())
 }
 
-/// The VLIW trace tier with warm-up 0 — every step one compiled packet,
-/// no trace ever forms — matches the naive interpreter at the halt on
+/// The VLIW compiled core with warm-up 0 — every step one compiled
+/// packet, no trace state — matches the naive interpreter at the halt on
 /// every bundled workload and detail level.
 #[test]
 fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
@@ -316,10 +331,9 @@ fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
             assert_eq!(sp, sc, "{} level {level}: platform stats diverged", w.name);
             assert_eq!(vp, vc, "{} level {level}: engine stats diverged", w.name);
             assert_eq!(rp, rc, "{} level {level}: register file diverged", w.name);
-            let ts = ts.expect("trace dispatch selected");
             assert_eq!(
-                ts.traces, 0,
-                "{} level {level}: a closed window formed traces",
+                ts, None,
+                "{} level {level}: warm-up 0 kept trace state",
                 w.name
             );
         }
@@ -403,7 +417,7 @@ fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
         let mut tr = build(Backend::translated_trace(DetailLevel::Cache));
         let mut naive = build(Backend::Translated {
             level: DetailLevel::Cache,
-            dispatch: VliwDispatch::Naive,
+            dispatch: Dispatch::Naive,
         });
         let mut boundaries = 0u64;
         loop {

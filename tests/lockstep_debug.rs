@@ -5,6 +5,7 @@
 //! expansion, scheduling or delayed write-back shows up here.
 
 use cabt::prelude::*;
+use cabt_exec::trace::TraceConfig;
 use cabt_tricore::sim::Simulator;
 
 fn lockstep(w: &Workload, steps: usize) {
@@ -16,6 +17,11 @@ fn lockstep(w: &Workload, steps: usize) {
 fn lockstep_against(w: &Workload, steps: usize, mut dbg: DebugSession) {
     let elf = w.elf().expect("assembles");
     let mut gold = Simulator::new(&elf).expect("golden loads");
+    // A warm-up of 0: one instruction per golden step.
+    gold.set_trace_config(TraceConfig {
+        warmup: 0,
+        ..TraceConfig::default()
+    });
 
     for n in 0..steps {
         if gold.is_halted() {
@@ -94,7 +100,8 @@ fn fibonacci_lockstep() {
 }
 
 /// The lockstep debugger accepts a trace-tier builder and runs it on
-/// the packet-granular pre-decoded core, so the per-instruction
+/// the compiled core at a warm-up of 0, packet by packet, so the
+/// per-instruction
 /// translation still stops at every source address.
 #[test]
 fn lockstep_drives_a_trace_backend_builder() {

@@ -1,17 +1,19 @@
-//! Differential proof that the pre-decoded dispatch cores are
-//! bit-identical to the retained naive interpreters — the acceptance
-//! gate of the decode-once refactor.
+//! Differential proof that the compiled dispatch cores, stepping one
+//! instruction or packet at a time (a warm-up of 0), are bit-identical
+//! to the retained naive interpreters — the acceptance gate of the
+//! decode-once refactor.
 //!
 //! Both engines (the TriCore golden model and the VLIW target core) are
-//! run in both dispatch modes over every bundled workload and over
+//! run on both dispatch cores over every bundled workload and over
 //! randomly generated programs; registers, data memory, cycle counts,
 //! statistics and stop/fault behaviour must match exactly. One
 //! lockstep variant compares state after *every* instruction, so a
 //! divergence is pinned to the step that introduced it.
 
 use cabt::prelude::*;
+use cabt_exec::trace::TraceConfig;
 use cabt_exec::ExecutionEngine;
-use cabt_isa::elf::SectionKind;
+use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_isa::rng::Pcg32;
 use cabt_tricore::sim::{DispatchMode, SimError, Simulator};
 use cabt_vliw::sim::VliwDispatch;
@@ -22,6 +24,23 @@ fn all_workloads() -> Vec<Workload> {
     let mut ws = cabt::workloads::fig5_set();
     ws.extend(cabt::workloads::table2_set());
     ws
+}
+
+/// A warm-up of 0: the compiled core keeps no trace state and steps one
+/// instruction or packet at a time.
+fn no_traces() -> TraceConfig {
+    TraceConfig {
+        warmup: 0,
+        ..TraceConfig::default()
+    }
+}
+
+/// The golden model on `mode`, the compiled core at a warm-up of 0.
+fn golden(elf: &ElfFile, mode: DispatchMode) -> Simulator {
+    let mut sim = Simulator::new(elf).expect("loads");
+    sim.set_trace_config(no_traces());
+    sim.set_dispatch(mode);
+    sim
 }
 
 /// Asserts every observable of two golden-model runs is equal:
@@ -39,12 +58,7 @@ fn assert_tricore_equal(name: &str, fast: &mut Simulator, naive: &mut Simulator)
 
 /// Compares the writable memory image of both runs over the ELF's
 /// data/bss section ranges.
-fn assert_memory_equal(
-    name: &str,
-    elf: &cabt_isa::elf::ElfFile,
-    a: &mut Simulator,
-    b: &mut Simulator,
-) {
+fn assert_memory_equal(name: &str, elf: &ElfFile, a: &mut Simulator, b: &mut Simulator) {
     for s in &elf.sections {
         if matches!(s.kind, SectionKind::Data | SectionKind::Bss) && s.size > 0 {
             let ma = a.read_mem(s.addr, s.size as usize).expect("readable");
@@ -58,9 +72,8 @@ fn assert_memory_equal(
 fn tricore_predecoded_is_lockstep_equivalent_on_all_workloads() {
     for w in all_workloads() {
         let elf = w.elf().expect("assembles");
-        let mut fast = Simulator::new(&elf).expect("loads");
-        let mut naive = Simulator::new(&elf).expect("loads");
-        naive.set_dispatch(DispatchMode::Naive);
+        let mut fast = golden(&elf, DispatchMode::Trace);
+        let mut naive = golden(&elf, DispatchMode::Naive);
         let rf = fast.run(500_000_000).expect("halts");
         let rn = naive.run(500_000_000).expect("halts");
         assert_eq!(rf, rn, "{}: final stats", w.name);
@@ -76,9 +89,8 @@ fn tricore_modes_agree_after_every_single_step() {
     // divergence is caught at the exact instruction that caused it.
     for w in [cabt::workloads::gcd(6, 11), cabt::workloads::sieve(60)] {
         let elf = w.elf().expect("assembles");
-        let mut fast = Simulator::new(&elf).expect("loads");
-        let mut naive = Simulator::new(&elf).expect("loads");
-        naive.set_dispatch(DispatchMode::Naive);
+        let mut fast = golden(&elf, DispatchMode::Trace);
+        let mut naive = golden(&elf, DispatchMode::Naive);
         let mut steps = 0u64;
         while !fast.is_halted() && steps < 20_000 {
             let inf = fast.step().expect("fast steps");
@@ -100,13 +112,14 @@ fn vliw_predecoded_is_lockstep_equivalent_on_all_workloads() {
             let t = Translator::new(level).translate(&elf).expect("translates");
             let run = |mode: VliwDispatch| {
                 let mut p = Platform::new(&t, PlatformConfig::unlimited()).expect("builds");
+                p.set_trace_config(no_traces());
                 p.set_dispatch(mode);
                 let stats = p.run(5_000_000_000).expect("halts");
                 let regs: Vec<u32> = (0..64).map(|i| p.sim().read_reg_index(i)).collect();
                 let vstats = p.sim().stats();
                 (stats, regs, vstats)
             };
-            let (sf, rf, vf) = run(VliwDispatch::Predecoded);
+            let (sf, rf, vf) = run(VliwDispatch::Trace);
             let (sn, rn, vn) = run(VliwDispatch::Naive);
             assert_eq!(sf, sn, "{} level {level}: platform stats diverged", w.name);
             assert_eq!(vf, vn, "{} level {level}: engine stats diverged", w.name);
@@ -158,9 +171,8 @@ fn random_programs_agree_in_both_modes() {
         src.push_str("leaf:\n    addi %d10, %d10, 3\n    ret\n");
 
         let elf = cabt_tricore::asm::assemble(&src).expect("assembles");
-        let mut fast = Simulator::new(&elf).expect("loads");
-        let mut naive = Simulator::new(&elf).expect("loads");
-        naive.set_dispatch(DispatchMode::Naive);
+        let mut fast = golden(&elf, DispatchMode::Trace);
+        let mut naive = golden(&elf, DispatchMode::Naive);
         let rf = fast.run(100_000).expect("halts");
         let rn = naive.run(100_000).expect("halts");
         assert_eq!(rf, rn, "case {case}: stats diverged");
@@ -174,8 +186,7 @@ fn fault_behaviour_matches_between_modes() {
     // error on the same step.
     let elf = cabt_tricore::asm::assemble(".text\n_start: mov %d1, 2\nji %a5\n").unwrap();
     let run = |mode: DispatchMode| {
-        let mut sim = Simulator::new(&elf).unwrap();
-        sim.set_dispatch(mode);
+        let mut sim = golden(&elf, mode);
         sim.cpu.set_a(5, 0xbad0_0000);
         let mut steps = 0;
         let err = loop {
@@ -186,7 +197,7 @@ fn fault_behaviour_matches_between_modes() {
         };
         (steps, err, sim.stats())
     };
-    let (steps_f, err_f, stats_f) = run(DispatchMode::Predecoded);
+    let (steps_f, err_f, stats_f) = run(DispatchMode::Trace);
     let (steps_n, err_n, stats_n) = run(DispatchMode::Naive);
     assert_eq!(steps_f, steps_n);
     assert_eq!(err_f, err_n);
@@ -195,9 +206,8 @@ fn fault_behaviour_matches_between_modes() {
 
     // Instruction-limit behaviour is identical too.
     let elf = cabt_tricore::asm::assemble(".text\n_start: j _start\n").unwrap();
-    for mode in [DispatchMode::Predecoded, DispatchMode::Naive] {
-        let mut sim = Simulator::new(&elf).unwrap();
-        sim.set_dispatch(mode);
+    for mode in [DispatchMode::Trace, DispatchMode::Naive] {
+        let mut sim = golden(&elf, mode);
         assert_eq!(sim.run(25), Err(SimError::InstructionLimit));
         assert_eq!(sim.stats().instructions, 25);
     }
@@ -211,7 +221,7 @@ fn reset_restores_mutated_data_memory() {
     let w = cabt::workloads::sieve(200);
     let elf = w.elf().expect("assembles");
 
-    let mut sim = Simulator::new(&elf).expect("loads");
+    let mut sim = golden(&elf, DispatchMode::Trace);
     sim.run(10_000_000).expect("halts");
     let first = sim.stats();
     assert_eq!(sim.cpu.d(2), w.expected_d2);
@@ -224,6 +234,7 @@ fn reset_restores_mutated_data_memory() {
         .translate(&elf)
         .expect("translates");
     let mut vsim = t.make_sim().expect("builds");
+    vsim.set_trace_config(no_traces());
     let first = vsim.run(1_000_000_000).expect("halts");
     assert_eq!(
         vsim.reg(cabt_core::regbind::dreg(cabt_tricore::isa::DReg(2))),
@@ -245,13 +256,9 @@ fn engine_trait_reports_identical_counters_across_modes() {
     let w = cabt::workloads::fir(8, 64, 5);
     let elf = w.elf().expect("assembles");
     let collect = |mode: DispatchMode| {
-        let mut sim = Simulator::new(&elf).expect("loads");
-        sim.set_dispatch(mode);
+        let mut sim = golden(&elf, mode);
         sim.run(10_000_000).expect("halts");
         sim.engine_stats()
     };
-    assert_eq!(
-        collect(DispatchMode::Predecoded),
-        collect(DispatchMode::Naive)
-    );
+    assert_eq!(collect(DispatchMode::Trace), collect(DispatchMode::Naive));
 }

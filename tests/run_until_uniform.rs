@@ -7,8 +7,6 @@
 
 use cabt::prelude::*;
 use cabt_exec::trace::TraceConfig;
-use cabt_tricore::sim::DispatchMode;
-use cabt_vliw::sim::VliwDispatch;
 
 const SUM: &str = "
     .text
@@ -28,11 +26,11 @@ top:
 fn all_backends() -> Vec<Backend> {
     let mut v = Backend::all();
     v.push(Backend::Golden {
-        dispatch: DispatchMode::Naive,
+        dispatch: Dispatch::Naive,
     });
     v.extend(DetailLevel::ALL.map(|level| Backend::Translated {
         level,
-        dispatch: VliwDispatch::Naive,
+        dispatch: Dispatch::Naive,
     }));
     v
 }
@@ -46,9 +44,9 @@ fn trace_granular(backend: Backend) -> bool {
     matches!(
         backend,
         Backend::Golden {
-            dispatch: DispatchMode::Trace
+            dispatch: Dispatch::Trace
         } | Backend::Translated {
-            dispatch: VliwDispatch::Trace,
+            dispatch: Dispatch::Trace,
             ..
         }
     )

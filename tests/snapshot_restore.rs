@@ -1,8 +1,8 @@
 //! Differential proof of the trait-level snapshot capability:
 //! `snapshot → run N → restore → run N` must be bit-identical —
 //! registers, memory, `EngineStats`, cycle count, pc — on both
-//! pre-decoded dispatch cores (golden model and VLIW target, in both
-//! dispatch modes) and on the RTL core. The snapshot is taken
+//! compiled dispatch cores (golden model and VLIW target, each also on
+//! its naive core) and on the RTL core. The snapshot is taken
 //! mid-flight, so pending pipeline state (delayed write-backs, branch
 //! shadows, cache contents, timing state) is covered, not just
 //! architectural registers.
@@ -115,13 +115,12 @@ fn data_windows(elf: &cabt_isa::elf::ElfFile) -> Vec<(u32, usize)> {
 fn golden_model_snapshot_is_bit_identical_in_every_dispatch_mode() {
     let elf = assemble(SRC).unwrap();
     let win = data_windows(&elf);
-    // The trace tier runs twice: one instruction per step (warm-up 0,
-    // no trace forms) and with aggressive formation, so the snapshot/restore
+    // The compiled core runs twice: one instruction per step (warm-up 0,
+    // no trace state) and with aggressive formation, so the snapshot/restore
     // straddles fused-trace dispatch (the tier is architecturally
     // invisible, so restore need not rewind the profile — replay must
     // still be bit-identical).
     for (mode, warmup) in [
-        (DispatchMode::Predecoded, 1_000_000),
         (DispatchMode::Trace, 0),
         (DispatchMode::Trace, 1_000_000),
         (DispatchMode::Naive, 1_000_000),
@@ -144,7 +143,6 @@ fn vliw_core_snapshot_is_bit_identical_in_both_dispatch_modes() {
     for level in [DetailLevel::Static, DetailLevel::Cache] {
         let t = Translator::new(level).translate(&elf).unwrap();
         for (mode, warmup) in [
-            (VliwDispatch::Predecoded, 1_000_000),
             (VliwDispatch::Trace, 0),
             (VliwDispatch::Trace, 1_000_000),
             (VliwDispatch::Naive, 1_000_000),
@@ -438,9 +436,9 @@ fn park_on(parked: &[u8], backend: Backend) -> Vec<u8> {
 /// after a fused run whose last packet left results that are due but
 /// not yet committed: the trace tier holds such single-cycle results in
 /// its next-cycle latch, and the park image carries them in the pending
-/// list, where the pre-decoded core keeps its own. Resumed on the trace
-/// tier and on the pre-decoded core, both runs end bit-identical to the
-/// uninterrupted one.
+/// list, where the naive core keeps its own. Resumed on the trace tier
+/// and on the compiled tier at a warm-up of 0, both runs end
+/// bit-identical to the uninterrupted one.
 #[test]
 fn park_with_latched_results_resumes_on_trace_and_predecoded_cores() {
     let w = cabt::workloads::gcd(6, 11);
@@ -486,6 +484,52 @@ fn park_with_latched_results_resumes_on_trace_and_predecoded_cores() {
         let resumed = Session::resume(&park_on(&parked, backend)).expect("resumes");
         assert_eq!(resumed.backend(), backend);
         assert_eq!(finish(resumed), expected, "{backend}: resumed run diverged");
+    }
+}
+
+/// A warm-up of 0 keeps no trace state. So `golden:trace` and
+/// `translated:cache:trace` built with one park exactly the snapshot
+/// payloads of `golden` and `translated:cache`, the compiled tier at a
+/// warm-up of 0, at every stop point: only the descriptor and the
+/// build-config bytes differ.
+#[test]
+fn warm_up_zero_parks_no_trace_state() {
+    let w = cabt_workloads::by_name("fir").unwrap();
+    let no_traces = TraceConfig {
+        warmup: 0,
+        ..TraceConfig::default()
+    };
+    let park = |backend: Backend, cfg: Option<TraceConfig>, at: u64| {
+        let mut b = SimBuilder::workload(&w).backend(backend);
+        if let Some(cfg) = cfg {
+            b = b.trace_config(cfg);
+        }
+        let mut s = b.build().unwrap();
+        s.run_until(Limit::Retirements(at)).unwrap();
+        assert_eq!(s.trace_stats(), None, "{backend} at {at}: trace state");
+        split_park(&s)
+    };
+    let pairs = [
+        (Backend::golden(), Backend::golden_trace()),
+        (
+            Backend::translated(DetailLevel::Cache),
+            Backend::translated_trace(DetailLevel::Cache),
+        ),
+    ];
+    for (compiled, trace) in pairs {
+        for at in [0, 7, 50] {
+            let (_, payload) = park(compiled, None, at);
+            let (head, traced) = park(trace, Some(no_traces), at);
+            assert_eq!(payload, traced, "{compiled} vs {trace} at {at}: payloads");
+            // Under one build config the images differ in the
+            // descriptor alone.
+            let (same_config, _) = park(compiled, Some(no_traces), at);
+            assert_eq!(
+                park_on(&[same_config, payload].concat(), trace),
+                [head, traced].concat(),
+                "{compiled} vs {trace} at {at}: images"
+            );
+        }
     }
 }
 
@@ -839,7 +883,7 @@ fn with_entry(snap: &[u8], count: usize, at: usize, bytes: &[u8]) -> Vec<u8> {
 
 /// Well-framed parks that decode but whose engine state does not fit
 /// the engine the resume rebuilds: a golden table index past the
-/// program, on the pre-decoded and the trace tier; a golden icache
+/// program, on the compiled tier with and without traces; a golden icache
 /// image with an emptied tag table, or of another geometry; a golden
 /// trace profile with empty counter tables; trace plans that trace
 /// growth could not have produced, on both cores; a VLIW pending write
@@ -869,7 +913,7 @@ fn corrupt_engine_parks() -> Vec<(String, Vec<u8>)> {
     });
     let cur_end = snap.len() - devices - 2;
     push(
-        "golden pre-decoded cur",
+        "golden compiled cur",
         &head,
         with_golden_cur(&snap, cur_end),
     );

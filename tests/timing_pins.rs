@@ -1,6 +1,6 @@
 //! Exact outputs of the shared TriCore timing model, pinned as literals.
 //!
-//! Every golden dispatch tier, the naive core and the translator's static
+//! The golden compiled core, the naive core and the translator's static
 //! cycle calculator drive the one `TimingModel::step_pre_class` body. The
 //! differential suites (`compiled_diff`, `predecode_diff`) compare those
 //! consumers with each other, so a change to the shared body moves them
@@ -11,12 +11,14 @@ use cabt::prelude::{
     Backend, DetailLevel, Limit, Platform, PlatformConfig, ShardSchedule, SimBuilder, StopCause,
     Translator,
 };
+use cabt_exec::trace::TraceConfig;
 use cabt_isa::elf::ElfFile;
-use cabt_tricore::sim::{DispatchMode, RunStats, Simulator};
+use cabt_tricore::sim::{RunStats, Simulator};
 
-/// Per single-core registry program: the golden pre-decoded run's
-/// retired instructions, cycles, mispredictions and icache misses; the
-/// golden trace tier's retired instructions and cycles; and the
+/// Per single-core registry program: the golden compiled run's (at a
+/// warm-up of 0) retired instructions, cycles, mispredictions and
+/// icache misses; the golden trace tier's retired instructions and
+/// cycles; and the
 /// cache-level translation's target cycles and generated SoC cycles on
 /// the paper's platform.
 type Pin = (&'static str, [u64; 4], [u64; 2], [u64; 2]);
@@ -46,21 +48,25 @@ const PINS: [Pin; 7] = [
     ),
 ];
 
-fn golden(elf: &ElfFile, mode: DispatchMode) -> RunStats {
+/// The golden model on the compiled tier with a warm-up of `warmup`.
+fn golden(elf: &ElfFile, warmup: u64) -> RunStats {
     let mut sim = Simulator::new(elf).expect("loads");
-    sim.set_dispatch(mode);
+    sim.set_trace_config(TraceConfig {
+        warmup,
+        ..TraceConfig::default()
+    });
     sim.run(500_000_000).expect("halts")
 }
 
 #[test]
 fn timing_model_outputs_match_the_pinned_literals() {
-    for (name, predecoded, trace, translated) in PINS {
+    for (name, compiled, trace, translated) in PINS {
         let w = cabt_workloads::by_name(name).expect("registry program");
         let elf = w.elf().expect("assembles");
-        let g = golden(&elf, DispatchMode::Predecoded);
+        let g = golden(&elf, 0);
         let got = [g.instructions, g.cycles, g.mispredicted, g.icache_misses];
-        assert_eq!(got, predecoded, "{name}: golden pre-decoded");
-        let g = golden(&elf, DispatchMode::Trace);
+        assert_eq!(got, compiled, "{name}: golden compiled");
+        let g = golden(&elf, TraceConfig::default().warmup);
         assert_eq!([g.instructions, g.cycles], trace, "{name}: golden trace");
         let t = Translator::new(DetailLevel::Cache)
             .translate(&elf)
