@@ -13,12 +13,14 @@ use crate::regbind::{
 use crate::sched::{FixupKind, Item, Scheduler, TOp};
 use crate::{DetailLevel, Granularity, TranslateError};
 use cabt_isa::elf::{check_section_size, ElfFile, Section, SectionKind, EM_TI_C6000};
+use cabt_isa::mem::Memory;
 use cabt_tricore::arch::{ArchDesc, TimingModel};
 use cabt_tricore::isa::{AReg, Cond, Instr, RA};
 use cabt_vliw::encode::encode_program;
 use cabt_vliw::isa::{Op, Packet, Pred, Reg, Slot, Width};
-use cabt_vliw::sim::VliwSim;
+use cabt_vliw::sim::{VliwError, VliwProgram};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Base address of the synchronization device in the target address
 /// space (start / wait / correction-start / correction-wait words).
@@ -87,29 +89,26 @@ pub struct Translated {
 }
 
 impl Translated {
-    /// Builds a ready-to-run simulator: program loaded, data sections
-    /// placed, entry at the prologue. Attach a platform bus before
-    /// running if the program does I/O or cycle generation should stall.
+    /// Builds the VLIW program every engine over this image shares
+    /// ([`cabt_vliw::sim::VliwSim::instantiate`]): the packets compiled
+    /// once, the data sections placed in the load image, entry at the
+    /// prologue. Attach a platform bus to an instance before running it
+    /// if the program does I/O or cycle generation should stall.
     ///
     /// # Errors
     ///
-    /// Propagates simulator construction/load failures.
-    pub fn make_sim(&self) -> Result<VliwSim, cabt_vliw::sim::VliwError> {
-        let mut sim = VliwSim::new(self.packets.clone())?;
+    /// Propagates program construction and load failures.
+    pub fn program(&self) -> Result<Arc<VliwProgram>, VliwError> {
+        let mut image = Memory::new();
+        for (addr, data) in &self.data_sections {
+            image.load(*addr, data)?;
+        }
         // Register-indirect branches carry source-world code addresses
         // (the guest materializes labels with `movh.a`/`lea`); alias
         // every source block start to its packet so they resolve on
         // all dispatch cores.
-        sim.add_branch_aliases(self.addr_map.iter().map(|(&src, &tgt)| (src, tgt)))?;
-        for (addr, data) in &self.data_sections {
-            sim.mem
-                .load(*addr, data)
-                .map_err(cabt_vliw::sim::VliwError::Mem)?;
-        }
-        // The placed data sections are the state an engine reset
-        // restores.
-        sim.seal_reset_image();
-        Ok(sim)
+        let aliases = self.addr_map.iter().map(|(&src, &tgt)| (src, tgt));
+        VliwProgram::new(self.packets.clone(), aliases, image).map(Arc::new)
     }
 
     /// Serializes the translated program to an ELF image for the target
@@ -885,6 +884,7 @@ fn row_addresses(rows: &[Vec<Slot>], base: u32) -> (Vec<u32>, u32) {
 mod tests {
     use super::*;
     use cabt_tricore::asm::assemble;
+    use cabt_vliw::sim::VliwSim;
 
     fn translate(src: &str, level: DetailLevel) -> Translated {
         let elf = assemble(src).expect("assembles");
@@ -892,7 +892,7 @@ mod tests {
     }
 
     fn run(t: &Translated) -> VliwSim {
-        let mut sim = t.make_sim().unwrap();
+        let mut sim = VliwSim::instantiate(t.program().unwrap());
         sim.run(10_000_000).expect("halts");
         sim
     }

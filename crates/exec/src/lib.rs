@@ -121,10 +121,8 @@ pub trait ExecutionEngine {
     /// Returns architectural state (registers, program counter, cycle
     /// and stat counters, pending pipeline state) to the
     /// post-load/reset state, and restores memory to the engine's
-    /// load-time image where one was captured — so reset-then-rerun is
-    /// reproducible even for programs that mutate their data sections.
-    /// Engines loaded by hand without sealing an image leave memory
-    /// untouched (see the implementation's docs). Engines without a
+    /// load-time image — so reset-then-rerun is reproducible even for
+    /// programs that mutate their data sections. Engines without a
     /// bespoke reset path implement this by restoring a
     /// [`ExecutionEngine::snapshot`] captured at construction (the RTL
     /// core does).
@@ -133,7 +131,8 @@ pub trait ExecutionEngine {
     /// memory-mapped peripherals) are owned by whoever attached them
     /// and keep their state; a driver that needs a fully fresh system
     /// — e.g. a platform whose synchronization device has generated
-    /// cycles — rebuilds that harness instead.
+    /// cycles — resets that harness too (the platform crate's
+    /// `Platform::reset`).
     fn reset(&mut self);
 
     /// Dispatches one engine-native unit: one instruction on an

@@ -41,10 +41,11 @@ pub mod sync;
 use cabt_core::translate::SYNC_DEVICE_BASE;
 use cabt_core::Translated;
 use cabt_exec::{ExecutionEngine, Limit, StopCause};
-use cabt_vliw::sim::{TargetBus, VliwError, VliwSim};
+use cabt_vliw::sim::{TargetBus, VliwError, VliwProgram, VliwSim};
 use std::any::Any;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 pub use bus::{
     CoreLink, GoldenBridge, ScratchRam, ShardArbiter, SharedSocBus, SocBus, SocBusState,
@@ -219,12 +220,6 @@ impl From<VliwError> for PlatformError {
     }
 }
 
-/// The concrete [`cabt_exec::ExecutionEngine`] the platform drives — named so
-/// downstream code can store [`Platform::engine`]'s return value and
-/// spell the type in its own signatures
-/// (`fn probe(e: &mut PlatformEngine)`).
-pub type PlatformEngine = VliwSim;
-
 /// The default SoC device population: timer at `0xf000_0000`, UART at
 /// `0xf000_0100`, a 1 KiB scratch RAM (shared mailbox) at
 /// `0xf000_0200`, and the [`CoreLink`] doorbell endpoint at
@@ -272,6 +267,10 @@ pub fn mirror_soc_bus(ncores: u32) -> SocBus {
 pub struct Platform {
     sim: VliwSim,
     cfg: PlatformConfig,
+    /// Device state of the bus as built, when the platform owns its bus
+    /// — what [`Platform::reset`] returns it to. `None` for a bus owned
+    /// by the caller ([`Platform::instantiate`]).
+    built_devices: Option<SocBusState>,
 }
 
 impl fmt::Debug for Platform {
@@ -288,44 +287,51 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Propagates simulator construction failures.
+    /// Propagates program construction failures.
     pub fn new(translated: &Translated, cfg: PlatformConfig) -> Result<Self, PlatformError> {
-        Self::with_bus(translated, cfg, default_soc_bus())
+        Ok(Self::instantiate(translated.program()?, cfg, None))
     }
 
-    /// Builds the platform with a custom SoC bus population.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction failures.
-    pub fn with_bus(
-        translated: &Translated,
+    /// A platform around an instance of an already built `program`
+    /// ([`Translated::program`]) — how sessions and shards build theirs,
+    /// every engine over one image sharing its program. It routes its
+    /// I/O window into `bus`, owned by the caller and possibly shared
+    /// with other cores, or, without one, into a default device
+    /// population of its own ([`default_soc_bus`]). Each platform keeps
+    /// its own synchronization device.
+    pub fn instantiate(
+        program: Arc<VliwProgram>,
         cfg: PlatformConfig,
-        soc: SocBus,
-    ) -> Result<Self, PlatformError> {
-        Self::with_shared_bus(translated, cfg, SharedSocBus::new(soc))
-    }
-
-    /// Builds the platform around an externally owned [`SharedSocBus`] —
-    /// the multi-core construction path: every shard's platform routes
-    /// its I/O window into the same device population, while keeping its
-    /// own synchronization device.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction failures.
-    pub fn with_shared_bus(
-        translated: &Translated,
-        cfg: PlatformConfig,
-        soc: SharedSocBus,
-    ) -> Result<Self, PlatformError> {
-        let mut sim = translated.make_sim()?;
+        bus: Option<SharedSocBus>,
+    ) -> Self {
+        let owned = bus.is_none();
+        let soc = bus.unwrap_or_else(|| SharedSocBus::new(default_soc_bus()));
+        let built_devices = owned.then(|| soc.save_state());
+        let mut sim = VliwSim::instantiate(program);
         sim.set_bus(Box::new(PlatformBus {
             sync: SyncDevice::new(cfg.rate),
             soc,
             cfg,
         }));
-        Ok(Platform { sim, cfg })
+        Platform {
+            sim,
+            cfg,
+            built_devices,
+        }
+    }
+
+    /// Resets the platform in place to a fresh run: the engine (at its
+    /// program's entry and load image, dispatch and trace knobs kept), a
+    /// fresh synchronization device, and — when the platform owns its
+    /// bus — the devices in their built state. A bus owned by someone
+    /// else keeps its state; its owner resets it.
+    pub fn reset(&mut self) {
+        self.sim.reset();
+        self.restore_sync_device(&SyncDevice::new(self.cfg.rate));
+        if let (Some(image), Some(soc)) = (&self.built_devices, self.soc_bus()) {
+            soc.restore_state(image)
+                .expect("a bus's own image restores into it");
+        }
     }
 
     /// The platform's device bus, unless the engine's bus was replaced.
@@ -384,27 +390,19 @@ impl Platform {
         stats
     }
 
-    /// The platform configuration.
-    pub fn config(&self) -> &PlatformConfig {
-        &self.cfg
-    }
-
     /// Access to the target simulator (architectural state inspection).
     pub fn sim(&self) -> &VliwSim {
         &self.sim
     }
 
-    /// Mutable access to the execution engine behind the platform. The
-    /// return type is the nameable [`PlatformEngine`] alias (not an
-    /// opaque `impl Trait`), so callers can store the reference and
-    /// mention the type in their own signatures.
+    /// Mutable access to the execution engine behind the platform.
     ///
     /// Note that [`cabt_exec::ExecutionEngine::reset`] resets the *engine* only:
     /// the synchronization device and SoC peripherals behind the bus
     /// keep their state (generated-cycle counters, UART log). For a
-    /// reproducible platform rerun, build a fresh [`Platform`] from the
-    /// same [`Translated`] image — construction is cheap.
-    pub fn engine(&mut self) -> &mut PlatformEngine {
+    /// reproducible platform rerun, call [`Platform::reset`], which
+    /// resets them too.
+    pub fn engine(&mut self) -> &mut VliwSim {
         &mut self.sim
     }
 
@@ -447,7 +445,7 @@ impl Platform {
     }
 
     /// A clone of the handle to this platform's SoC bus. With
-    /// [`Platform::with_shared_bus`] this is the *same* bus other cores
+    /// [`Platform::instantiate`] this is the *same* bus other cores
     /// were built around.
     pub fn soc_bus(&self) -> Option<SharedSocBus> {
         self.bus().map(|b| b.soc.clone())

@@ -51,12 +51,14 @@ use cabt_platform::{
     SyncRate,
 };
 use cabt_rtlsim::{RtlCore, RtlError, RtlSnapshot};
+use cabt_tricore::arch::ArchDesc;
 use cabt_tricore::asm::AsmError;
 use cabt_tricore::isa::{AReg, DReg};
-use cabt_tricore::sim::{DispatchMode, SimError, SimSnapshot, Simulator};
-use cabt_vliw::sim::{VliwDispatch, VliwError, VliwSnapshot};
+use cabt_tricore::sim::{DispatchMode, GoldenProgram, SimError, SimSnapshot, Simulator};
+use cabt_vliw::sim::{VliwDispatch, VliwError, VliwProgram, VliwSnapshot};
 use cabt_workloads::Workload;
 use std::fmt;
+use std::sync::Arc;
 
 /// How a golden or translated vehicle dispatches: one vocabulary for
 /// both cores, spelled as the descriptor's suffix.
@@ -701,9 +703,9 @@ impl SimBuilder {
     /// their own shared bus and reject an external one.
     ///
     /// The bus is *owned by the caller*: [`Session::reset`] resets the
-    /// engine (and, for translated sessions, rebuilds the platform
-    /// around the same bus) but leaves the bus state alone, and session
-    /// snapshots still capture/restore its device state.
+    /// engine (and, for translated sessions, the synchronization
+    /// device) but leaves the bus state alone, and session snapshots
+    /// still capture/restore its device state.
     pub fn soc_bus(mut self, bus: SharedSocBus) -> Self {
         self.soc_bus = Some(bus);
         self
@@ -768,28 +770,51 @@ impl SimBuilder {
     }
 }
 
-/// A translated vehicle's platform around `image`: on `bus` when one is
-/// given, else on the platform's own device population.
-fn build_platform(
-    image: &Translated,
-    config: &BuildConfig,
-    dispatch: Dispatch,
-    bus: Option<SharedSocBus>,
-) -> Result<Platform, SessionError> {
-    let mut platform = match bus {
-        Some(bus) => Platform::with_shared_bus(image, config.platform, bus)?,
-        None => Platform::new(image, config.platform)?,
-    };
-    platform.set_trace_config(dispatch.trace_config(config.trace_config));
-    if dispatch == Dispatch::Naive {
-        platform.set_dispatch(VliwDispatch::Naive);
-    }
-    Ok(platform)
+/// What every engine a backend builds over one image shares: the
+/// golden model's decoded and compiled program, or the translated image
+/// and its compiled VLIW program. Built once per session — once per
+/// shard set — and instantiated per engine ([`Session::instantiate`]).
+/// RTL cores build their own.
+enum Program {
+    Golden(Arc<GoldenProgram>),
+    Translated {
+        image: Arc<Translated>,
+        program: Arc<VliwProgram>,
+    },
+    Rtl,
 }
 
-/// The vehicle actually driven by a session. Engines are boxed: they
-/// are megabyte-scale (memory images, pre-decoded tables) and the
-/// variants would otherwise differ wildly in size.
+impl Program {
+    /// Translates, decodes and compiles `elf` for `backend`.
+    fn build(
+        elf: &ElfFile,
+        backend: Backend,
+        config: &BuildConfig,
+    ) -> Result<Program, SessionError> {
+        Ok(match backend {
+            Backend::Golden { .. } => {
+                Program::Golden(Arc::new(GoldenProgram::new(elf, ArchDesc::default())?))
+            }
+            Backend::Translated { level, .. } => {
+                let image = Translator::new(level)
+                    .with_granularity(config.granularity)
+                    .translate(elf)?;
+                Program::Translated {
+                    program: image.program()?,
+                    image: Arc::new(image),
+                }
+            }
+            // A shard set shares one program among its shards.
+            Backend::Sharded { backend, .. } => Program::build(elf, backend.into(), config)?,
+            Backend::Rtl => Program::Rtl,
+        })
+    }
+}
+
+/// The vehicle actually driven by a session: an engine's run state over
+/// a shared [`Program`]. Engines are boxed: their memory images are
+/// megabyte-scale and the variants would otherwise differ wildly in
+/// size.
 enum Vehicle {
     Golden {
         sim: Box<Simulator>,
@@ -799,13 +824,9 @@ enum Vehicle {
     },
     Translated {
         platform: Box<Platform>,
-        /// Retained so [`Session::reset`] can rebuild the whole
-        /// platform (engine *and* devices) from the same image, under
-        /// the session's own configuration and dispatch core.
-        image: Box<Translated>,
-        /// Externally owned bus the platform was built around, if any:
-        /// reset reattaches it instead of minting fresh devices.
-        shared: Option<SharedSocBus>,
+        /// The translated image, shared by every shard of a set; debug
+        /// tooling reads its address map ([`Session::translated`]).
+        image: Arc<Translated>,
     },
     Rtl(Box<RtlCore>),
     Sharded(Box<ShardSet>),
@@ -1071,7 +1092,9 @@ pub struct ShardedStats {
 }
 
 /// N shard sessions, each around a *private* clone of the SoC device
-/// population, reconciled by the epoch-barrier arbiter.
+/// population, reconciled by the epoch-barrier arbiter. Every shard is
+/// instantiated from the set's one [`Program`] and one source image, and
+/// owns only its run state.
 struct ShardSet {
     shards: Vec<Session>,
     arbiter: ShardArbiter,
@@ -1091,13 +1114,32 @@ struct ShardSet {
 }
 
 impl ShardSet {
+    /// `cores` shards of `backend`, every one instantiated from
+    /// `program`, the one program of the set.
     fn build(
-        elf: &ElfFile,
+        elf: &Arc<ElfFile>,
+        program: &Program,
         cores: u16,
         backend: ShardBackend,
         schedule: ShardSchedule,
         config: &BuildConfig,
+        bus: Option<SharedSocBus>,
     ) -> Result<ShardSet, SessionError> {
+        if cores == 0 {
+            return Err(SessionError::ShardConfig(
+                "a sharded backend needs at least one core".into(),
+            ));
+        }
+        if cores > MAX_SHARDS {
+            return Err(SessionError::ShardConfig(format!(
+                "{cores} cores exceed the fabric's ceiling of {MAX_SHARDS}"
+            )));
+        }
+        if bus.is_some() {
+            return Err(SessionError::ShardConfig(
+                "sharded sessions own their device fabric; `soc_bus` is not accepted".into(),
+            ));
+        }
         // One private device population per shard — each with its own
         // CoreLink identity (core-id register, doorbell window) — plus
         // the arbiter's canonical mirror. Identity registers are not
@@ -1140,7 +1182,8 @@ impl ShardSet {
         for (id, bus) in (0..cores).zip(buses) {
             // RTL shards have no I/O window.
             let bus = (backend != ShardBackend::Rtl).then_some(bus);
-            let mut shard = Session::new(elf.clone(), backend.into(), shard_config, bus)?;
+            let mut shard =
+                Session::instantiate(Arc::clone(elf), program, backend.into(), shard_config, bus)?;
             shard.write_d(15, u32::from(id));
             shards.push(shard);
         }
@@ -1267,11 +1310,11 @@ impl ShardSet {
 /// (checksums, generated cycles, wall-clock time) as in the paper.
 pub struct Session {
     vehicle: Vehicle,
-    elf: ElfFile,
+    /// The source image, shared by every shard of a set.
+    elf: Arc<ElfFile>,
     backend: Backend,
     /// Build-time knobs, retained so [`Session::park`] can emit a
-    /// self-describing envelope and [`Session::reset`] can rebuild a
-    /// platform.
+    /// self-describing envelope.
     config: BuildConfig,
 }
 
@@ -1286,18 +1329,33 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
-    /// Builds the vehicle for `backend` around `elf` — the one place a
-    /// session is made. `bus` routes the I/O window of a golden or
-    /// translated vehicle onto an existing device population.
+    /// Builds the program for `backend` from `elf` and a session over
+    /// it. `bus` routes the I/O window of a golden or translated vehicle
+    /// onto an existing device population.
     fn new(
         elf: ElfFile,
         backend: Backend,
         config: BuildConfig,
         bus: Option<SharedSocBus>,
     ) -> Result<Session, SessionError> {
-        let vehicle = match backend {
-            Backend::Golden { dispatch } => {
-                let mut sim = Simulator::new(&elf)?;
+        let elf = Arc::new(elf);
+        let program = Program::build(&elf, backend, &config)?;
+        Session::instantiate(elf, &program, backend, config, bus)
+    }
+
+    /// A session over `program`, which was built from `elf` for
+    /// `backend`: only the run state is new. The one place a session is
+    /// made — shards of a set included.
+    fn instantiate(
+        elf: Arc<ElfFile>,
+        program: &Program,
+        backend: Backend,
+        config: BuildConfig,
+        bus: Option<SharedSocBus>,
+    ) -> Result<Session, SessionError> {
+        let vehicle = match (backend, program) {
+            (Backend::Golden { dispatch }, Program::Golden(program)) => {
+                let mut sim = Simulator::instantiate(Arc::clone(program));
                 sim.set_trace_config(dispatch.trace_config(config.trace_config));
                 if dispatch == Dispatch::Naive {
                     sim.set_dispatch(DispatchMode::Naive);
@@ -1310,42 +1368,30 @@ impl Session {
                     bus,
                 }
             }
-            Backend::Translated { level, dispatch } => {
-                let image = Translator::new(level)
-                    .with_granularity(config.granularity)
-                    .translate(&elf)?;
+            (Backend::Translated { dispatch, .. }, Program::Translated { image, program }) => {
+                let mut platform = Platform::instantiate(Arc::clone(program), config.platform, bus);
+                platform.set_trace_config(dispatch.trace_config(config.trace_config));
+                if dispatch == Dispatch::Naive {
+                    platform.set_dispatch(VliwDispatch::Naive);
+                }
                 Vehicle::Translated {
-                    platform: Box::new(build_platform(&image, &config, dispatch, bus.clone())?),
-                    image: Box::new(image),
-                    shared: bus,
+                    platform: Box::new(platform),
+                    image: Arc::clone(image),
                 }
             }
-            Backend::Rtl => Vehicle::Rtl(Box::new(RtlCore::new(&elf)?)),
-            Backend::Sharded {
-                cores,
-                backend,
-                schedule,
-            } => {
-                if cores == 0 {
-                    return Err(SessionError::ShardConfig(
-                        "a sharded backend needs at least one core".into(),
-                    ));
-                }
-                if cores > MAX_SHARDS {
-                    return Err(SessionError::ShardConfig(format!(
-                        "{cores} cores exceed the fabric's ceiling of {MAX_SHARDS}"
-                    )));
-                }
-                if bus.is_some() {
-                    return Err(SessionError::ShardConfig(
-                        "sharded sessions own their device fabric; `soc_bus` is not accepted"
-                            .into(),
-                    ));
-                }
-                Vehicle::Sharded(Box::new(ShardSet::build(
-                    &elf, cores, backend, schedule, &config,
-                )?))
+            (
+                Backend::Sharded {
+                    cores,
+                    backend,
+                    schedule,
+                },
+                program,
+            ) => {
+                let set = ShardSet::build(&elf, program, cores, backend, schedule, &config, bus)?;
+                Vehicle::Sharded(Box::new(set))
             }
+            (Backend::Rtl, _) => Vehicle::Rtl(Box::new(RtlCore::new(&elf)?)),
+            _ => unreachable!("Program::build builds the program of its backend"),
         };
         Ok(Session {
             vehicle,
@@ -1955,28 +2001,20 @@ impl ExecutionEngine for Session {
             .expect("in-process snapshots fit their session");
     }
 
-    /// Resets to a fully fresh run. Unlike the engine-scope trait
-    /// minimum, a translated session *owns* its platform, so reset
-    /// rebuilds the synchronization device and SoC peripherals too —
-    /// reset-then-rerun is reproducible on every backend. Sessions
-    /// built around an externally owned bus ([`SimBuilder::soc_bus`])
-    /// leave that bus's state to its owner; sharded sessions own their
-    /// shared bus and restore it to its freshly built state (and
-    /// re-seed shard core ids).
+    /// Resets to a fully fresh run, in place: nothing is translated,
+    /// decoded or compiled again. Unlike the engine-scope trait minimum,
+    /// a translated session *owns* its platform, so reset also gives it
+    /// a fresh synchronization device and returns its SoC peripherals
+    /// to their built state ([`Platform::reset`]) — reset-then-rerun is
+    /// reproducible on every backend. Sessions built around an
+    /// externally owned bus ([`SimBuilder::soc_bus`]) leave that bus's
+    /// state to its owner; sharded sessions own their shared bus and
+    /// restore it to its freshly built state (and re-seed shard core
+    /// ids).
     fn reset(&mut self) {
         match &mut self.vehicle {
             Vehicle::Golden { sim, .. } => sim.reset(),
-            Vehicle::Translated {
-                platform,
-                image,
-                shared,
-            } => {
-                let Backend::Translated { dispatch, .. } = self.backend else {
-                    unreachable!("a translated vehicle has a translated backend")
-                };
-                **platform = build_platform(image, &self.config, dispatch, shared.clone())
-                    .expect("rebuilding a platform that built once");
-            }
+            Vehicle::Translated { platform, .. } => platform.reset(),
             Vehicle::Rtl(core) => core.reset(),
             Vehicle::Sharded(set) => set.reset(),
         }
@@ -2336,6 +2374,54 @@ mod tests {
             assert!(!s.is_halted(), "{backend}");
             s.run(Limit::Cycles(10_000_000)).unwrap();
             assert_eq!(s.stats(), first, "{backend}: reset + rerun diverged");
+        }
+    }
+
+    /// Whether two single-core sessions run on one program and one
+    /// source image.
+    fn share_a_program(a: &Session, b: &Session) -> bool {
+        Arc::ptr_eq(&a.elf, &b.elf)
+            && match (&a.vehicle, &b.vehicle) {
+                (Vehicle::Golden { sim: x, .. }, Vehicle::Golden { sim: y, .. }) => {
+                    Arc::ptr_eq(x.program(), y.program())
+                }
+                (
+                    Vehicle::Translated {
+                        platform: x,
+                        image: i,
+                    },
+                    Vehicle::Translated {
+                        platform: y,
+                        image: j,
+                    },
+                ) => Arc::ptr_eq(x.sim().program(), y.sim().program()) && Arc::ptr_eq(i, j),
+                _ => false,
+            }
+    }
+
+    /// A shard set translates, decodes and compiles once: every shard
+    /// holds shard 0's program, after the build and after a reset.
+    #[test]
+    fn a_shard_set_runs_on_one_program() {
+        for descriptor in ["sharded-256x:golden:trace", "sharded-256x:translated:cache"] {
+            let mut s = SimBuilder::named("fir")
+                .backend(descriptor.parse().unwrap())
+                .build()
+                .unwrap();
+            for when in ["built", "reset"] {
+                let Vehicle::Sharded(set) = &s.vehicle else {
+                    panic!("{descriptor}: not a shard set");
+                };
+                assert_eq!(set.shards.len(), 256);
+                for (i, shard) in set.shards.iter().enumerate() {
+                    assert!(
+                        share_a_program(shard, &set.shards[0]),
+                        "{descriptor} {when}: shard {i} has its own program"
+                    );
+                }
+                s.run(Limit::Retirements(1000)).unwrap();
+                s.reset();
+            }
         }
     }
 

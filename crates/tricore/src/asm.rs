@@ -867,6 +867,13 @@ fn build_instr<'a>(
     resolve: &dyn Fn(&str) -> Option<i64>,
 ) -> Result<Instr, AsmError> {
     let ev = |a: &Arg| eval(a.val(), line, resolve);
+    // A `32` suffix asks for the 32-bit encoding where the plain
+    // mnemonic may pick a 16-bit one (`nop32`, `mov32`, `ld.w32`,
+    // `st.w32`): the spellings the disassembler prints for long forms.
+    let (mnemonic, long) = match mnemonic.strip_suffix("32") {
+        Some(m @ ("nop" | "mov" | "ld.w" | "st.w")) => (m, true),
+        _ => (mnemonic, false),
+    };
     // One mnemonic table per mapping: the ISA's own spellings (what
     // `Display` prints), searched over the encoder's operation lists.
     let cond_of = |m: &str| CONDS.into_iter().find(|c| c.mnemonic() == m);
@@ -882,11 +889,7 @@ fn build_instr<'a>(
     match mnemonic {
         "nop" => {
             n_args(args, 0, line)?;
-            Ok(Instr::Nop16)
-        }
-        "nop32" => {
-            n_args(args, 0, line)?;
-            Ok(Instr::Nop)
+            Ok(if long { Instr::Nop } else { Instr::Nop16 })
         }
         "debug" => {
             n_args(args, 0, line)?;
@@ -899,9 +902,10 @@ fn build_instr<'a>(
         "mov" => {
             let a = n_args(args, 2, line)?;
             match (&a[0], &a[1]) {
+                (Arg::D(d), Arg::D(s)) if long => Ok(Instr::MovRR { d: *d, s: *s }),
                 (Arg::D(d), Arg::D(s)) => Ok(Instr::MovRR16 { d: *d, s: *s }),
                 (Arg::D(d), rhs) => {
-                    if let Some(v) = literal(rhs) {
+                    if let Some(v) = literal(rhs).filter(|_| !long) {
                         if (-64..=63).contains(&v) {
                             return Ok(Instr::Mov16 {
                                 d: *d,
@@ -1047,7 +1051,7 @@ fn build_instr<'a>(
             }
             let d = a[0].d(line)?;
             // Short form: ld.w with a literal zero offset, no post-increment.
-            if mnemonic == "ld.w" && !postinc && off == Some(Val::Imm(0)) {
+            if mnemonic == "ld.w" && !long && !postinc && off == Some(Val::Imm(0)) {
                 return Ok(Instr::LdW16 { d, a: base });
             }
             let kind = match mnemonic {
@@ -1081,7 +1085,7 @@ fn build_instr<'a>(
                 });
             }
             let s = a[1].d(line)?;
-            if mnemonic == "st.w" && !postinc && off == Some(Val::Imm(0)) {
+            if mnemonic == "st.w" && !long && !postinc && off == Some(Val::Imm(0)) {
                 return Ok(Instr::StW16 { a: base, s });
             }
             let kind = match mnemonic {

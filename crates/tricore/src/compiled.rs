@@ -158,7 +158,7 @@ impl Hot<'_> {
 
 /// One fused instruction: fetch accounting + semantics + timing in a
 /// single specialized body behind one indirect call.
-pub(crate) type OpFn = Box<dyn Fn(&mut Hot<'_>) -> Result<Ctl, SimError> + Send>;
+pub(crate) type OpFn = Box<dyn Fn(&mut Hot<'_>) -> Result<Ctl, SimError> + Send + Sync>;
 
 /// The compiled program: the shared block partition (the trace tier's
 /// profile and plans index its blocks) plus one fused op per
@@ -440,7 +440,7 @@ macro_rules! by_class {
 /// core passes for non-conditionals), then the fixed exit.
 fn fuse<F>(m: Meta, exit: Ctl, body: F) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + Sync + 'static,
 {
     by_class!(fuse_class, m, exit, body)
 }
@@ -451,7 +451,7 @@ fn fuse_class<const IS_LS: bool, const IS_BR: bool, const FETCH: bool, F>(
     body: F,
 ) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + Sync + 'static,
 {
     Box::new(move |h| {
         if FETCH {
@@ -469,7 +469,7 @@ where
 /// the compiled form of the naive step's branch bookkeeping.
 fn fuse_cond<F>(m: Meta, body: F) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> bool + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> bool + Send + Sync + 'static,
 {
     by_class!(fuse_cond_class, m, body)
 }
@@ -479,7 +479,7 @@ fn fuse_cond_class<const IS_LS: bool, const IS_BR: bool, const FETCH: bool, F>(
     body: F,
 ) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> bool + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> bool + Send + Sync + 'static,
 {
     Box::new(move |h| {
         if FETCH {
@@ -502,7 +502,7 @@ where
 /// Fuses an indirect terminator: the body computes the destination.
 fn fuse_indirect<F>(m: Meta, body: F) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> u32 + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> u32 + Send + Sync + 'static,
 {
     by_class!(fuse_indirect_class, m, body)
 }
@@ -512,7 +512,7 @@ fn fuse_indirect_class<const IS_LS: bool, const IS_BR: bool, const FETCH: bool, 
     body: F,
 ) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> u32 + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> u32 + Send + Sync + 'static,
 {
     Box::new(move |h| {
         if FETCH {

@@ -579,7 +579,9 @@ impl Instr {
     /// This instruction at address `pc`, with direct branch targets as
     /// the absolute addresses [`assemble`](crate::asm::assemble) reads
     /// (`Display` prints them relative): `.text` printed line by line
-    /// reassembles to the same bytes.
+    /// reassembles to the same bytes. A 32-bit form the assembler would
+    /// otherwise encode in 16 bits prints with a `32` suffix (`nop32`,
+    /// `mov32`, `ld.w32`, `st.w32`).
     pub fn at(self, pc: u32) -> impl fmt::Display {
         fmt::from_fn(move |f| self.print(f, Some(pc)))
     }
@@ -587,13 +589,15 @@ impl Instr {
     /// The one printer behind `Display` and [`Instr::at`].
     fn print(&self, f: &mut fmt::Formatter<'_>, pc: Option<u32>) -> fmt::Result {
         let pi = |p: bool| if p { "+" } else { "" };
+        // The suffix of a long form that shares its short form's text.
+        let long = |shared: bool| if shared { "32" } else { "" };
         // A direct branch's absolute target, or its byte displacement.
         let to = |halfwords: i32| match pc {
             Some(pc) => format!("{:#x}", pc.wrapping_add((halfwords * 2) as u32)),
             None => format!("{:+}", halfwords * 2),
         };
         match *self {
-            Instr::Nop16 => write!(f, "nop16"),
+            Instr::Nop16 => write!(f, "nop"),
             Instr::Debug16 => write!(f, "debug"),
             Instr::Ret16 => write!(f, "ret"),
             Instr::Mov16 { d, imm7 } => write!(f, "mov {d}, {imm7}"),
@@ -602,12 +606,15 @@ impl Instr {
             Instr::Sub16 { d, s } => write!(f, "sub {d}, {s}"),
             Instr::LdW16 { d, a } => write!(f, "ld.w {d}, [{a}]"),
             Instr::StW16 { a, s } => write!(f, "st.w [{a}], {s}"),
+            Instr::Mov { d, imm16 } if (-64..=63).contains(&imm16) => {
+                write!(f, "mov32 {d}, {imm16}")
+            }
             Instr::Mov { d, imm16 } => write!(f, "mov {d}, {imm16}"),
             Instr::Movh { d, imm16 } => write!(f, "movh {d}, {imm16:#x}"),
             Instr::MovhA { a, imm16 } => write!(f, "movh.a {a}, {imm16:#x}"),
             Instr::Addi { d, s, imm16 } => write!(f, "addi {d}, {s}, {imm16}"),
             Instr::Addih { d, s, imm16 } => write!(f, "addih {d}, {s}, {imm16:#x}"),
-            Instr::MovRR { d, s } => write!(f, "mov {d}, {s}"),
+            Instr::MovRR { d, s } => write!(f, "mov32 {d}, {s}"),
             Instr::MovA { a, s } => write!(f, "mov.a {a}, {s}"),
             Instr::MovD { d, a } => write!(f, "mov.d {d}, {a}"),
             Instr::MovAA { a, s } => write!(f, "mov.aa {a}, {s}"),
@@ -625,8 +632,9 @@ impl Instr {
             } => {
                 write!(
                     f,
-                    "ld.{} {d}, [{base}{}]{off10}",
+                    "ld.{}{} {d}, [{base}{}]{off10}",
                     kind.suffix(),
+                    long(kind == LdKind::W && off10 == 0 && !postinc),
                     pi(postinc)
                 )
             }
@@ -647,8 +655,9 @@ impl Instr {
             } => {
                 write!(
                     f,
-                    "st.{} [{base}{}]{off10}, {s}",
+                    "st.{}{} [{base}{}]{off10}, {s}",
                     kind.suffix(),
+                    long(kind == StKind::W && off10 == 0 && !postinc),
                     pi(postinc)
                 )
             }
@@ -676,7 +685,7 @@ impl Instr {
                 write!(f, "{} {s1}, {}", cond.z_mnemonic(), to(disp16.into()))
             }
             Instr::Loop { a, disp16 } => write!(f, "loop {a}, {}", to(disp16.into())),
-            Instr::Nop => write!(f, "nop"),
+            Instr::Nop => write!(f, "nop32"),
         }
     }
 }

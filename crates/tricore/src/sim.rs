@@ -42,8 +42,20 @@
 //! Both cores produce exactly the same architectural state, cycle
 //! counts, statistics and fault behaviour (the compiled core observed
 //! at instruction and trace boundaries).
+//!
+//! # Program and run state
+//!
+//! The load-time constants — the pre-decoded table and its address
+//! index, the compiled ops, the load image, the architecture and timing
+//! model, the entry point — live in a [`GoldenProgram`], built once per
+//! image and shared behind an [`Arc`] by every engine instantiated from
+//! it ([`Simulator::instantiate`]; [`Simulator::new`] builds one and
+//! instantiates it). A [`Simulator`] owns only run state: registers,
+//! memory, pipeline timing state, the instruction cache, its trace tier
+//! (each engine forms its own traces) and the counters. Reset and
+//! restore rewrite run state and never decode or compile again.
 
-use crate::arch::{ArchDesc, CacheConfig, CacheSim, PreTiming, TimingModel, TimingState};
+use crate::arch::{ArchDesc, CacheSim, PreTiming, TimingModel, TimingState};
 use crate::compiled::{self, CompiledProgram, CompiledTrace, Ctl, Hot, TraceCont};
 use crate::encode::decode_section;
 use crate::isa::{AReg, Instr, LdKind, StKind, RA};
@@ -56,6 +68,7 @@ use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Start of the memory-mapped I/O region on the source SoC bus.
 pub const IO_BASE: u32 = 0xf000_0000;
@@ -232,9 +245,8 @@ pub(crate) struct PreInstr {
 /// [`ExecutionEngine::snapshot`] must capture so that
 /// `snapshot → run → restore → run` replays bit-identically: registers,
 /// data memory, pipeline timing state, cache contents, statistics and
-/// the cached dispatch index. The pre-decoded table, the address index
-/// and the timing model are load-time constants and stay shared with
-/// the engine.
+/// the cached dispatch index. The engine's [`GoldenProgram`] is not
+/// part of it.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     cpu: Cpu,
@@ -256,9 +268,8 @@ pub struct SimSnapshot {
 
 impl SimSnapshot {
     /// Serializes the snapshot for portable park/resume. The encoding
-    /// captures exactly the fields `restore` re-seats; the pre-decoded
-    /// table and timing model are load-time constants the resuming
-    /// engine rebuilds from the same ELF.
+    /// captures exactly the fields `restore` re-seats; the resuming
+    /// engine builds its [`GoldenProgram`] from the same ELF.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new(out);
         for &v in &self.cpu.d {
@@ -374,91 +385,38 @@ enum Flow {
     Indirect(u32),
 }
 
-/// The golden-model simulator.
-///
-/// # Example
-///
-/// ```
-/// use cabt_tricore::{asm::assemble, sim::Simulator};
-///
-/// let elf = assemble(".text\n_start: mov %d2, 7\n debug\n")?;
-/// let mut sim = Simulator::new(&elf)?;
-/// sim.run(100)?;
-/// assert_eq!(sim.cpu.d(2), 7);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct Simulator {
-    /// Architectural register state.
-    pub cpu: Cpu,
-    /// Data memory (code is pre-decoded and never read as data).
-    pub mem: Memory,
-    /// Pristine copy of `mem` as loaded from the image, restored by
-    /// [`ExecutionEngine::reset`] so reruns are reproducible even when
-    /// the program mutates its data sections.
-    mem_image: Memory,
+/// The golden model's load-time constants, built once from an image and
+/// shared by every [`Simulator`] instantiated from it (see the module
+/// docs). Nothing in it changes while an engine runs.
+pub struct GoldenProgram {
+    /// Memory as loaded from the image: every instance starts from it
+    /// and [`ExecutionEngine::reset`] restores it, so reruns are
+    /// reproducible even when the program mutates its data sections.
+    image: Memory,
     arch: ArchDesc,
     model: TimingModel,
-    tstate: TimingState,
-    cache: Option<CacheSim>,
-    /// Copy of the cache geometry (hot loop must not borrow the cache).
-    cache_cfg: CacheConfig,
     /// Pre-decoded instruction table, sorted by address. The naive path
     /// fetches through `index_of` into this table — the same per-step
     /// address hash the seed's instruction map cost.
     table: Vec<PreInstr>,
     /// Address → table index (entry points, indirect jumps).
     index_of: HashMap<u32, u32>,
-    /// The table compiled at load into one fused op per instruction,
-    /// over its block partition — what the compiled core steps.
-    prog: CompiledProgram,
-    /// Trace-tier state (profile, formed traces, coverage counters),
-    /// built cold on first use while the engine
-    /// [profiles](Simulator::profiles). Snapshots carry only the plans:
-    /// formed traces are deterministic compilations of them.
-    trace: Option<Box<TraceTier>>,
-    /// Trace-tier knobs ([`Simulator::set_trace_config`]).
-    trace_cfg: TraceConfig,
-    /// Cached table index of `cpu.pc` (`NO_IDX` forces a map lookup).
-    cur: u32,
-    mode: DispatchMode,
+    /// The table compiled into one fused op per instruction, over its
+    /// block partition — what the compiled core steps.
+    compiled: CompiledProgram,
     entry: u32,
-    stats: RunStats,
-    io: Option<Box<dyn IoDevice>>,
-    halted: bool,
 }
 
-impl fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Simulator")
-            .field("pc", &self.cpu.pc)
-            .field("mode", &self.mode)
-            .field("stats", &self.stats)
-            .field("halted", &self.halted)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Simulator {
-    /// Builds a simulator for `elf` with the default architecture
-    /// description (48 MHz TC10GP-like core, 1 KiB 2-way I-cache).
+impl GoldenProgram {
+    /// Loads and pre-decodes `elf` and compiles its ops under `arch`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the image fails to load or its code
     /// section does not decode.
-    pub fn new(elf: &ElfFile) -> Result<Self, SimError> {
-        Self::with_arch(elf, ArchDesc::default())
-    }
-
-    /// Builds a simulator with an explicit architecture description.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::new`].
-    pub fn with_arch(elf: &ElfFile, arch: ArchDesc) -> Result<Self, SimError> {
-        let mut mem = Memory::new();
-        elf.load_into(&mut mem)?;
-        let mem_image = mem.clone();
+    pub fn new(elf: &ElfFile, arch: ArchDesc) -> Result<Self, SimError> {
+        let mut image = Memory::new();
+        elf.load_into(&mut image)?;
         let mut decoded: Vec<(u32, Instr)> = Vec::new();
         for s in &elf.sections {
             if s.kind == cabt_isa::elf::SectionKind::Text {
@@ -494,35 +452,114 @@ impl Simulator {
                 }
             })
             .collect();
-
-        let mut cpu = Cpu {
-            pc: elf.entry,
-            ..Cpu::default()
-        };
-        cpu.set_a(10, 0xd003_0000); // default stack pointer
-        let cur = index_of.get(&elf.entry).copied().unwrap_or(NO_IDX);
-        let prog = compiled::compile(&table, cur);
-        Ok(Simulator {
-            cpu,
-            mem,
-            mem_image,
-            model,
-            cache: Some(CacheSim::new(arch.cache)),
-            cache_cfg: arch.cache,
+        let entry = index_of.get(&elf.entry).copied().unwrap_or(NO_IDX);
+        let compiled = compiled::compile(&table, entry);
+        Ok(GoldenProgram {
+            image,
             arch,
-            tstate: TimingState::new(),
+            model,
             table,
             index_of,
-            prog,
+            compiled,
+            entry: elf.entry,
+        })
+    }
+}
+
+/// The golden-model simulator: the run state of one engine over a
+/// shared [`GoldenProgram`].
+///
+/// # Example
+///
+/// ```
+/// use cabt_tricore::{asm::assemble, sim::Simulator};
+///
+/// let elf = assemble(".text\n_start: mov %d2, 7\n debug\n")?;
+/// let mut sim = Simulator::new(&elf)?;
+/// sim.run(100)?;
+/// assert_eq!(sim.cpu.d(2), 7);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct Simulator {
+    /// Architectural register state.
+    pub cpu: Cpu,
+    /// Data memory (code is pre-decoded and never read as data).
+    pub mem: Memory,
+    program: Arc<GoldenProgram>,
+    tstate: TimingState,
+    cache: Option<CacheSim>,
+    /// Trace-tier state (profile, formed traces, coverage counters),
+    /// built cold on first use while the engine
+    /// [profiles](Simulator::profiles). Snapshots carry only the plans:
+    /// formed traces are deterministic compilations of them.
+    trace: Option<Box<TraceTier>>,
+    /// Trace-tier knobs ([`Simulator::set_trace_config`]).
+    trace_cfg: TraceConfig,
+    /// Cached table index of `cpu.pc` (`NO_IDX` forces a map lookup).
+    cur: u32,
+    mode: DispatchMode,
+    stats: RunStats,
+    io: Option<Box<dyn IoDevice>>,
+    halted: bool,
+}
+
+impl fmt::Debug for Simulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Simulator")
+            .field("pc", &self.cpu.pc)
+            .field("mode", &self.mode)
+            .field("stats", &self.stats)
+            .field("halted", &self.halted)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Simulator {
+    /// Builds a simulator for `elf` with the default architecture
+    /// description (48 MHz TC10GP-like core, 1 KiB 2-way I-cache).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the image fails to load or its code
+    /// section does not decode.
+    pub fn new(elf: &ElfFile) -> Result<Self, SimError> {
+        Self::with_arch(elf, ArchDesc::default())
+    }
+
+    /// Builds a simulator with an explicit architecture description.
+    ///
+    /// # Errors
+    ///
+    /// See [`Simulator::new`].
+    pub fn with_arch(elf: &ElfFile, arch: ArchDesc) -> Result<Self, SimError> {
+        Ok(Self::instantiate(Arc::new(GoldenProgram::new(elf, arch)?)))
+    }
+
+    /// A fresh engine over `program`, at its entry with its load image:
+    /// the one way every simulator is made, so engines over one program
+    /// share its tables and compiled ops.
+    pub fn instantiate(program: Arc<GoldenProgram>) -> Self {
+        let mut sim = Simulator {
+            cpu: Cpu::default(),
+            mem: Memory::new(),
+            cache: Some(CacheSim::new(program.arch.cache)),
+            program,
+            tstate: TimingState::new(),
             trace: None,
             trace_cfg: TraceConfig::default(),
-            cur,
+            cur: NO_IDX,
             mode: DispatchMode::default(),
-            entry: elf.entry,
             stats: RunStats::default(),
             io: None,
             halted: false,
-        })
+        };
+        sim.reset();
+        sim
+    }
+
+    /// The program this engine runs.
+    pub fn program(&self) -> &Arc<GoldenProgram> {
+        &self.program
     }
 
     /// Disables the instruction-cache model (an ideal-memory variant).
@@ -562,9 +599,10 @@ impl Simulator {
     ///
     /// The [`CodecError`] of the first field that does not fit.
     pub fn check_snapshot(&self, snapshot: &SimSnapshot) -> Result<(), CodecError> {
-        expect_index("golden table index", snapshot.cur, 0..self.table.len())?;
+        let prog = &*self.program;
+        expect_index("golden table index", snapshot.cur, 0..prog.table.len())?;
         if let Some(c) = &snapshot.cache {
-            c.check(&self.cache_cfg)?;
+            c.check(&prog.arch.cache)?;
         }
         if snapshot.cache.is_some() != self.cache.is_some() {
             return Err(CodecError::BadValue {
@@ -573,7 +611,7 @@ impl Simulator {
             });
         }
         if let Some(snap) = snapshot.trace.as_ref().filter(|_| self.profiles()) {
-            snap.check(&self.prog.map)?;
+            snap.check(&prog.compiled.map)?;
         }
         Ok(())
     }
@@ -619,11 +657,6 @@ impl Simulator {
         });
         self.io = Some(dev);
         out.expect("IoDevice::enter runs its slice")
-    }
-
-    /// The architecture description in use.
-    pub fn arch(&self) -> &ArchDesc {
-        &self.arch
     }
 
     /// Counters accumulated so far.
@@ -698,28 +731,34 @@ impl Simulator {
         let pc = self.cpu.pc;
         // The cached index is valid unless someone rewrote `cpu.pc`
         // behind our back (debuggers do); fall back to one map lookup.
-        let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
-            self.cur
-        } else {
-            *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
-        };
         let Simulator {
-            prog,
+            program,
             trace,
             trace_cfg,
-            table,
             cpu,
             mem,
             tstate,
             cache,
-            cache_cfg,
-            model,
             stats,
             halted,
             cur: cur_field,
-            index_of,
             ..
         } = self;
+        // One borrow of the shared program for the whole step.
+        let GoldenProgram {
+            table,
+            index_of,
+            compiled: prog,
+            model,
+            arch,
+            ..
+        } = &**program;
+        let cache_cfg = &arch.cache;
+        let cur = if *cur_field != NO_IDX && table[*cur_field as usize].pc == pc {
+            *cur_field
+        } else {
+            *index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
+        };
         let loc = prog.map.location(cur);
         // A profiling engine builds its tier cold on first dispatch.
         let mut tier = match trace_cfg.warmup {
@@ -910,8 +949,12 @@ impl Simulator {
     fn step_naive(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
         let pc = self.cpu.pc;
         // Address-hashed fetch on every step — the seed's dispatch shape.
-        let idx = *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?;
-        let instr = self.table[idx as usize].instr;
+        let idx = *self
+            .program
+            .index_of
+            .get(&pc)
+            .ok_or(SimError::PcInvalid { pc })?;
+        let instr = self.program.table[idx as usize].instr;
 
         // Instruction-cache accounting: charge each line the fetch touches.
         if let Some(cache) = &mut self.cache {
@@ -943,13 +986,13 @@ impl Simulator {
 
         // Timing: dynamic outcome for conditionals, exact for the rest.
         let dyn_taken = taken.or(Some(true));
-        self.model.step(&mut self.tstate, &instr, dyn_taken);
+        self.program.model.step(&mut self.tstate, &instr, dyn_taken);
         if let Some(t) = taken {
             self.stats.cond_branches += 1;
             if t {
                 self.stats.taken += 1;
             }
-            if self.arch.timing.predicts_taken(&instr) != Some(t) {
+            if self.program.arch.timing.predicts_taken(&instr) != Some(t) {
                 self.stats.mispredicted += 1;
             }
         }
@@ -1212,7 +1255,7 @@ impl ExecutionEngine for Simulator {
             halted: self.halted,
             trace: self.profiles().then(|| match &self.trace {
                 Some(t) => t.state.clone(),
-                None => TraceState::new(self.prog.map.len(), self.trace_cfg, true),
+                None => TraceState::new(self.program.compiled.map.len(), self.trace_cfg, true),
             }),
         }
     }
@@ -1227,9 +1270,10 @@ impl ExecutionEngine for Simulator {
         self.halted = snapshot.halted;
         match &snapshot.trace {
             Some(snap) if self.profiles() => {
+                let prog = &*self.program;
                 let tier = self
                     .trace
-                    .get_or_insert_with(|| TraceTier::cold(&self.prog.map, self.trace_cfg));
+                    .get_or_insert_with(|| TraceTier::cold(&prog.compiled.map, self.trace_cfg));
                 let plans = tier.traces.iter_mut().zip(&tier.state.plans);
                 for ((tr, had), plan) in plans.zip(&snap.plans) {
                     match plan {
@@ -1237,10 +1281,10 @@ impl ExecutionEngine for Simulator {
                         Some(plan) if had.as_ref() == Some(plan) => {}
                         Some(plan) => {
                             *tr = Some(compiled::compile_trace(
-                                &self.table,
-                                &self.prog.map,
+                                &prog.table,
+                                &prog.compiled.map,
                                 plan,
-                                self.cache_cfg.line_bytes,
+                                prog.arch.cache.line_bytes,
                             ));
                         }
                     }
@@ -1256,19 +1300,20 @@ impl ExecutionEngine for Simulator {
 
     /// Flat register space: `0..16` = `D0..D15`, `16..32` = `A0..A15`.
     fn reset(&mut self) {
+        let prog = &*self.program;
         self.cpu = Cpu {
-            pc: self.entry,
+            pc: prog.entry,
             ..Cpu::default()
         };
-        self.cpu.set_a(10, 0xd003_0000);
-        self.mem = self.mem_image.clone();
+        self.cpu.set_a(10, 0xd003_0000); // default stack pointer
+        self.mem = prog.image.clone();
         self.tstate = TimingState::new();
         if self.cache.is_some() {
-            self.cache = Some(CacheSim::new(self.arch.cache));
+            self.cache = Some(CacheSim::new(prog.arch.cache));
         }
         self.stats = RunStats::default();
         self.halted = false;
-        self.cur = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
+        self.cur = prog.index_of.get(&prog.entry).copied().unwrap_or(NO_IDX);
         // A reset engine reruns from a cold trace profile, so a rerun
         // reproduces the original run exactly — budget stop points
         // included, not just the architectural trajectory.
@@ -1298,8 +1343,9 @@ impl ExecutionEngine for Simulator {
 
     fn pc(&self) -> Option<u32> {
         let pc = self.cpu.pc;
-        let known = (self.cur != NO_IDX && self.table[self.cur as usize].pc == pc)
-            || self.index_of.contains_key(&pc);
+        let prog = &*self.program;
+        let known = (self.cur != NO_IDX && prog.table[self.cur as usize].pc == pc)
+            || prog.index_of.contains_key(&pc);
         known.then_some(pc)
     }
 

@@ -64,7 +64,8 @@ pub(crate) type SlotFn = Box<
             &mut u64,
             &mut Option<(u32, u32)>,
         ) -> Result<(), VliwError>
-        + Send,
+        + Send
+        + Sync,
 >;
 
 /// One compiled execute packet: all slots fused into a single closure
@@ -174,6 +175,7 @@ where
             &mut Option<(u32, u32)>,
         ) -> Result<(), VliwError>
         + Send
+        + Sync
         + 'static,
 {
     Box::new(move |h, writes, stall, branch| {

@@ -51,6 +51,18 @@
 //! against.
 //!
 //! All paths are cycle- and state-identical.
+//!
+//! # Program and run state
+//!
+//! The load-time constants — the packets, their address index with the
+//! branch aliases, the compiled packets and the load image — live in a
+//! [`VliwProgram`], built once per translated image and shared behind
+//! an [`Arc`] by every engine instantiated from it
+//! ([`VliwSim::instantiate`]). A [`VliwSim`] owns only run state:
+//! registers, memory, the fetch position, the delayed-write and
+//! branch-shadow pipeline, its trace tier (each engine forms its own
+//! traces), the counters and its device bus. Reset and restore rewrite
+//! run state and never compile again.
 
 use crate::compiled::{self, CompiledProgram, VHot};
 use crate::isa::{Op, Packet, Reg, Slot, Width};
@@ -64,6 +76,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The memory-mapped device bus of the target.
 ///
@@ -226,10 +239,9 @@ fn cover(span: &mut [u32], map: &BlockMap, plan: &TracePlan) {
 
 /// Resumable image of the VLIW core's mutable state — registers, data
 /// memory, fetch position, the delayed-write and branch-shadow pipeline
-/// state, and counters. The packet table and its compiled packets are
-/// load-time constants and stay with the engine; the attached
-/// [`TargetBus`] lives in the engine but is device state, *not* captured
-/// (the same scope as [`ExecutionEngine::reset`]).
+/// state, and counters. The engine's [`VliwProgram`] is not part of
+/// it; the attached [`TargetBus`] lives in the engine but is device
+/// state, *not* captured (the same scope as [`ExecutionEngine::reset`]).
 #[derive(Debug, Clone)]
 pub struct VliwSnapshot {
     regs: [u32; 64],
@@ -249,9 +261,8 @@ pub struct VliwSnapshot {
 
 impl VliwSnapshot {
     /// Serializes the snapshot for portable park/resume. Captures
-    /// exactly the fields `restore` re-seats; the packet table and its
-    /// compiled packets are load-time constants the resuming engine
-    /// rebuilds from the same translated image.
+    /// exactly the fields `restore` re-seats; the resuming engine
+    /// builds its [`VliwProgram`] from the same translated image.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new(out);
         for &v in &self.regs {
@@ -347,20 +358,78 @@ impl VliwSnapshot {
     }
 }
 
-/// The VLIW target simulator. See the crate docs for an example.
+/// The VLIW core's load-time constants, built once from a translated
+/// image and shared by every [`VliwSim`] instantiated from it (see the
+/// module docs). Nothing in it changes while an engine runs.
+pub struct VliwProgram {
+    packets: Vec<Packet>,
+    /// Packet address → packet index, plus the branch aliases.
+    index: HashMap<u32, usize>,
+    /// The compiled packets, parallel to `packets`, and their block
+    /// partition.
+    compiled: CompiledProgram,
+    /// Memory as loaded: every instance starts from it and
+    /// [`ExecutionEngine::reset`] restores it.
+    image: Memory,
+}
+
+impl VliwProgram {
+    /// Builds the program over a packet list: indexes the packet
+    /// addresses, compiles every packet once (static branch targets
+    /// resolved to packet indices), registers `aliases` and keeps
+    /// `image` as the load image.
+    ///
+    /// `aliases` are extra `(alias, packet address)` branch targets. A
+    /// translated guest computes *source-world* code addresses
+    /// (`movh.a`/`lea` of a label, jump tables in data) and branches
+    /// through registers; the translator's block map provides `(source
+    /// block start, target packet address)` pairs here so every
+    /// register-indirect transfer — on every dispatch core, all of
+    /// which resolve through this one index — lands on the right
+    /// packet. Source and target address spaces are disjoint (the
+    /// target image lives below the source text base), so aliases can
+    /// never shadow a real packet address.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VliwError::BadPc`] if two packets share an address, an
+    /// alias collides with a packet address (or a previous alias), or
+    /// an alias's destination is not a packet start.
+    pub fn new(
+        packets: Vec<Packet>,
+        aliases: impl IntoIterator<Item = (u32, u32)>,
+        image: Memory,
+    ) -> Result<Self, VliwError> {
+        let mut index = HashMap::with_capacity(packets.len());
+        for (i, p) in packets.iter().enumerate() {
+            if index.insert(p.addr, i).is_some() {
+                return Err(VliwError::BadPc { addr: p.addr });
+            }
+        }
+        // Static branch targets resolve against the packets alone.
+        let compiled = compiled::compile(&packets, &index);
+        for (alias, dest) in aliases {
+            let idx = *index.get(&dest).ok_or(VliwError::BadPc { addr: dest })?;
+            if index.insert(alias, idx).is_some_and(|prev| prev != idx) {
+                return Err(VliwError::BadPc { addr: alias });
+            }
+        }
+        Ok(VliwProgram {
+            packets,
+            index,
+            compiled,
+            image,
+        })
+    }
+}
+
+/// The VLIW target simulator: the run state of one engine over a
+/// shared [`VliwProgram`]. See the crate docs for an example.
 pub struct VliwSim {
     regs: [u32; 64],
     /// Target data memory.
     pub mem: Memory,
-    /// Pristine copy of `mem` captured by [`VliwSim::seal_reset_image`]
-    /// (loaders call it once the image is placed); restored on
-    /// [`ExecutionEngine::reset`] so reruns are reproducible.
-    mem_image: Option<Memory>,
-    program: Vec<Packet>,
-    index: HashMap<u32, usize>,
-    /// The compiled packets, parallel to `program`, and their block
-    /// partition (a load-time constant).
-    prog: CompiledProgram,
+    program: Arc<VliwProgram>,
     /// Trace-tier state (profile, formed plans, their range covers):
     /// present only while the engine [profiles](VliwSim::profiles),
     /// and built cold on first use.
@@ -403,28 +472,25 @@ impl fmt::Debug for VliwSim {
 }
 
 impl VliwSim {
-    /// Builds a simulator over a packet list. Packet addresses index the
-    /// branch-target map; every packet is compiled, with its static
-    /// branch targets resolved to packet indices, once, here.
+    /// Builds a simulator over a packet list with no branch aliases and
+    /// an empty load image ([`VliwProgram::new`]).
     ///
     /// # Errors
     ///
     /// Returns [`VliwError::BadPc`] if two packets share an address.
     pub fn new(program: Vec<Packet>) -> Result<Self, VliwError> {
-        let mut index = HashMap::with_capacity(program.len());
-        for (i, p) in program.iter().enumerate() {
-            if index.insert(p.addr, i).is_some() {
-                return Err(VliwError::BadPc { addr: p.addr });
-            }
-        }
-        let prog = compiled::compile(&program, &index);
-        Ok(VliwSim {
+        let program = VliwProgram::new(program, [], Memory::new())?;
+        Ok(Self::instantiate(Arc::new(program)))
+    }
+
+    /// A fresh engine over `program`, at its first packet with its load
+    /// image: the one way every VLIW engine is made, so engines over one
+    /// program share its packets and compiled closures.
+    pub fn instantiate(program: Arc<VliwProgram>) -> Self {
+        VliwSim {
             regs: [0; 64],
-            mem: Memory::new(),
-            mem_image: None,
+            mem: program.image.clone(),
             program,
-            index,
-            prog,
             trace: None,
             trace_cfg: TraceConfig::default(),
             pc: 0,
@@ -438,15 +504,12 @@ impl VliwSim {
             bus: None,
             stats: VliwStats::default(),
             halted: false,
-        })
+        }
     }
 
-    /// Snapshots the current memory contents as the load image that
-    /// [`ExecutionEngine::reset`] restores. Loaders call this once the
-    /// program's data sections are placed; without a sealed image,
-    /// reset leaves memory untouched.
-    pub fn seal_reset_image(&mut self) {
-        self.mem_image = Some(self.mem.clone());
+    /// The program this engine runs.
+    pub fn program(&self) -> &Arc<VliwProgram> {
+        &self.program
     }
 
     /// Attaches the memory-mapped device bus, replacing any previous
@@ -498,10 +561,10 @@ impl VliwSim {
         expect_index(
             "pending branch packet index",
             snapshot.pending_branch_idx,
-            0..self.program.len(),
+            0..self.program.packets.len(),
         )?;
         if let Some(snap) = snapshot.trace.as_ref().filter(|_| self.profiles()) {
-            snap.check(&self.prog.map)?;
+            snap.check(&self.program.compiled.map)?;
         }
         Ok(())
     }
@@ -571,7 +634,7 @@ impl VliwSim {
                 return Some(target);
             }
         }
-        self.program.get(self.pc).map(|p| p.addr)
+        self.program.packets.get(self.pc).map(|p| p.addr)
     }
 
     /// Execution counters so far.
@@ -584,42 +647,6 @@ impl VliwSim {
     /// True once a `HALT` slot executed.
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// Registers extra branch-target addresses resolving to existing
-    /// packets. A translated guest computes *source-world* code
-    /// addresses (`movh.a`/`lea` of a label, jump tables in data) and
-    /// branches through registers; the translator's block map provides
-    /// `(source block start, target packet address)` pairs here so
-    /// every register-indirect transfer — on every dispatch core, all
-    /// of which resolve through this one index — lands on the right
-    /// packet. Source and target address spaces are disjoint (the
-    /// target image lives below the source text base), so aliases can
-    /// never shadow a real packet address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VliwError::BadPc`] if an alias collides with a packet
-    /// address (or a previous alias) or its destination is not a packet
-    /// start.
-    pub fn add_branch_aliases(
-        &mut self,
-        aliases: impl IntoIterator<Item = (u32, u32)>,
-    ) -> Result<(), VliwError> {
-        for (alias, dest) in aliases {
-            let idx = *self
-                .index
-                .get(&dest)
-                .ok_or(VliwError::BadPc { addr: dest })?;
-            if self
-                .index
-                .insert(alias, idx)
-                .is_some_and(|prev| prev != idx)
-            {
-                return Err(VliwError::BadPc { addr: alias });
-            }
-        }
-        Ok(())
     }
 
     /// Runs until `HALT` or until `max_cycles` elapse.
@@ -657,7 +684,7 @@ impl VliwSim {
         self.commit_due_writes();
         self.redirect_if_due()?;
         let pcv = self.pc;
-        if pcv >= self.program.len() {
+        if pcv >= self.program.packets.len() {
             return Err(self.off_end_error());
         }
         if self.trace_cfg.warmup > 0 {
@@ -680,7 +707,7 @@ impl VliwSim {
         let staged = self.pending_writes.len();
         let result = {
             let VliwSim {
-                prog,
+                program,
                 regs,
                 mem,
                 bus,
@@ -691,7 +718,7 @@ impl VliwSim {
                 latch,
                 ..
             } = self;
-            let cp = &prog.packets[pcv];
+            let cp = &program.compiled.packets[pcv];
             issue = cp.issue;
             latch.due = *cycle + 1;
             let mut hot = VHot {
@@ -724,7 +751,7 @@ impl VliwSim {
     /// compiled per-packet path, feeding the warm-up fall-edge profile
     /// that forms traces.
     fn step_packet_trace(&mut self, pcv: usize) -> Result<(), VliwError> {
-        let prog = &self.prog;
+        let prog = &self.program.compiled;
         let tier = self
             .trace
             .get_or_insert_with(|| TraceTier::cold(&prog.map, self.trace_cfg));
@@ -786,12 +813,11 @@ impl VliwSim {
     /// any packet — the translator's `NOP 5` after every branch folds.
     fn run_vliw_trace(&mut self, end: u32) -> Result<(), VliwError> {
         let VliwSim {
-            prog,
+            program,
             trace,
             regs,
             mem,
             bus,
-            index,
             pc,
             cycle,
             pending_writes,
@@ -803,6 +829,12 @@ impl VliwSim {
             halted,
             ..
         } = self;
+        // One borrow of the shared program for the whole run.
+        let VliwProgram {
+            index,
+            compiled: prog,
+            ..
+        } = &**program;
         let tier = &mut **trace.as_mut().expect("set_dispatch builds the trace tier");
         let mut pcv = *pc;
         let mut cyc = *cycle;
@@ -919,6 +951,7 @@ impl VliwSim {
                     self.pending_branch_idx as usize
                 } else {
                     *self
+                        .program
                         .index
                         .get(&target)
                         .ok_or(VliwError::BadPc { addr: target })?
@@ -932,7 +965,7 @@ impl VliwSim {
 
     fn off_end_error(&self) -> VliwError {
         VliwError::BadPc {
-            addr: self.program.last().map_or(0, |p| p.addr + p.size()),
+            addr: self.program.packets.last().map_or(0, |p| p.addr + p.size()),
         }
     }
 
@@ -952,6 +985,7 @@ impl VliwSim {
         if let Some((remaining, target)) = self.pending_branch {
             if remaining <= 0 {
                 self.pc = *self
+                    .program
                     .index
                     .get(&target)
                     .ok_or(VliwError::BadPc { addr: target })?;
@@ -960,7 +994,7 @@ impl VliwSim {
             }
         }
 
-        let packet = match self.program.get(self.pc) {
+        let packet = match self.program.packets.get(self.pc) {
             Some(p) => p.clone(),
             None => return Err(self.off_end_error()),
         };
@@ -1325,7 +1359,7 @@ impl ExecutionEngine for VliwSim {
             halted: self.halted,
             trace: self.profiles().then(|| match &self.trace {
                 Some(t) => t.state.clone(),
-                None => TraceState::new(self.prog.map.len(), self.trace_cfg, false),
+                None => TraceState::new(self.program.compiled.map.len(), self.trace_cfg, false),
             }),
         }
     }
@@ -1344,13 +1378,14 @@ impl ExecutionEngine for VliwSim {
         self.halted = snapshot.halted;
         match &snapshot.trace {
             Some(snap) if self.profiles() => {
+                let map = &self.program.compiled.map;
                 let tier = self
                     .trace
-                    .get_or_insert_with(|| TraceTier::cold(&self.prog.map, self.trace_cfg));
+                    .get_or_insert_with(|| TraceTier::cold(map, self.trace_cfg));
                 tier.state = snap.clone();
                 tier.span.fill(0);
                 for plan in snap.plans.iter().flatten() {
-                    cover(&mut tier.span, &self.prog.map, plan);
+                    cover(&mut tier.span, map, plan);
                 }
             }
             // A snapshot without trace state (or an engine that does not
@@ -1366,9 +1401,7 @@ impl ExecutionEngine for VliwSim {
     /// binding, not by this engine.
     fn reset(&mut self) {
         self.regs = [0; 64];
-        if let Some(image) = &self.mem_image {
-            self.mem = image.clone();
-        }
+        self.mem = self.program.image.clone();
         self.pc = 0;
         self.cycle = 0;
         self.pending_writes.clear();
@@ -1874,7 +1907,7 @@ mod tests {
         sim.restore(&snap);
         assert_eq!(sim.trace.as_ref().unwrap().span, span, "covers re-derived");
 
-        let map = &sim.prog.map;
+        let map = &sim.program.compiled.map;
         let (head, to) = (0..map.len() as u32)
             .find_map(|b| Some((b, map.blocks[b as usize].taken)).filter(|e| e.1 != NO_BLOCK))
             .expect("the loop branch has a taken edge");
@@ -2465,7 +2498,7 @@ mod tests {
             p
         };
         let mut sim = VliwSim::new(prog).unwrap();
-        let map = &sim.prog.map;
+        let map = &sim.program.compiled.map;
         // Blocks: [0,1] (ends at the branch packet), [2] (post-branch
         // leader), [3] (branch target).
         assert_eq!(map.len(), 3);

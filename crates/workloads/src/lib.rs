@@ -835,7 +835,7 @@ pub fn fuzz_regression_set() -> Vec<FuzzRegression> {
         // vehicle faulted with "branch to non-packet address" because
         // the VLIW sim's packet index only knew target-image addresses.
         // Fixed by installing the translator's source→target block map
-        // as branch aliases on the sim (`VliwSim::add_branch_aliases`).
+        // as branch aliases of the VLIW program (`VliwProgram::new`).
         FuzzRegression {
             name: "fuzz-indirect-source-branch",
             seed: 39,

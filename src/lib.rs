@@ -66,8 +66,9 @@
 //!
 //! Snapshots capture the engine, the synchronization device and every
 //! SoC peripheral, which is what the multi-core backend builds on:
-//! `Backend::Sharded` runs N engines (up to 256) on private device
-//! clones reconciled at epoch barriers, bit-identically under the
+//! `Backend::Sharded` runs N engines (up to 256), instantiated from one
+//! shared program, on private device clones reconciled at epoch
+//! barriers, bit-identically under the
 //! sequential and the pooled schedule (`docs/sharding.md` is the
 //! operating manual, `tests/parallel_determinism.rs` the proof):
 //!

@@ -20,7 +20,7 @@ use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_isa::rng::Pcg32;
 use cabt_platform::PlatformStats;
 use cabt_tricore::sim::{DispatchMode, SimError, Simulator};
-use cabt_vliw::sim::{VliwDispatch, VliwStats};
+use cabt_vliw::sim::{VliwDispatch, VliwSim, VliwStats};
 use std::fmt::Write as _;
 
 /// Aggressive trace formation for differential tests: the warm-up
@@ -110,9 +110,10 @@ fn vliw_compiled_agrees_after_every_packet() {
     let t = Translator::new(DetailLevel::Static)
         .translate(&elf)
         .expect("translates");
-    let mut naive = t.make_sim().expect("builds");
+    let program = t.program().expect("builds");
+    let mut naive = VliwSim::instantiate(program.clone());
     naive.set_dispatch(VliwDispatch::Naive);
-    let mut comp = t.make_sim().expect("builds");
+    let mut comp = VliwSim::instantiate(program);
     comp.set_trace_config(block_dispatch());
     comp.set_dispatch(VliwDispatch::Trace);
     let mut packets = 0u64;

@@ -498,7 +498,8 @@ fn timer_reconfiguration_is_schedule_and_snapshot_independent() {
 
 /// The compile-time half of the Send-cleanliness satellite: every type
 /// that crosses (or could cross) a worker-thread boundary in a parallel
-/// sharded run must be `Send`, and the bus handle additionally `Sync`.
+/// sharded run must be `Send`, and the bus handle and the shared
+/// programs additionally `Sync`.
 /// A regression — say an `Rc` sneaking back into an engine — fails this
 /// test at compile time.
 #[test]
@@ -516,6 +517,11 @@ fn parallel_shard_types_are_send_clean() {
     assert_send::<Simulator>();
     assert_send::<cabt::rtlsim::RtlCore>();
     assert_send::<Platform>();
+    // One program serves every shard of a set, on any worker.
+    assert_send::<cabt_tricore::sim::GoldenProgram>();
+    assert_sync::<cabt_tricore::sim::GoldenProgram>();
+    assert_send::<cabt_vliw::sim::VliwProgram>();
+    assert_sync::<cabt_vliw::sim::VliwProgram>();
 }
 
 // --- NoC-scale cases: 64- and 256-shard fabrics ----------------------

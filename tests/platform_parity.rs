@@ -42,10 +42,11 @@ fn golden_uart_bytes() -> Vec<u8> {
 fn platform_uart_bytes(level: DetailLevel) -> Vec<u8> {
     let elf = assemble(DRIVER).expect("assembles");
     let t = Translator::new(level).translate(&elf).expect("translates");
-    let mut bus = SocBus::new();
+    let bus = SharedSocBus::new(SocBus::new());
     bus.attach(Box::new(Uart::new(0xf000_0100)));
     bus.attach(Box::new(ScratchRam::new(0xf000_0200, 0x100)));
-    let mut p = Platform::with_bus(&t, PlatformConfig::default(), bus).expect("builds");
+    let program = t.program().expect("builds");
+    let mut p = Platform::instantiate(program, PlatformConfig::default(), Some(bus));
     let stats = p.run(10_000_000).expect("halts");
     stats.uart.into_iter().map(|(_, b)| b).collect()
 }
@@ -77,10 +78,11 @@ fn uart_timestamps_are_in_generated_time() {
     let t = Translator::new(DetailLevel::Static)
         .translate(&elf)
         .expect("translates");
-    let mut bus = SocBus::new();
+    let bus = SharedSocBus::new(SocBus::new());
     bus.attach(Box::new(Uart::new(0xf000_0100)));
     bus.attach(Box::new(ScratchRam::new(0xf000_0200, 0x100)));
-    let mut p = Platform::with_bus(&t, PlatformConfig::default(), bus).expect("builds");
+    let program = t.program().expect("builds");
+    let mut p = Platform::instantiate(program, PlatformConfig::default(), Some(bus));
     let stats = p.run(10_000_000).expect("halts");
     // Timestamps are nondecreasing SoC cycles, bounded by the total.
     let times: Vec<u64> = stats.uart.iter().map(|&(t, _)| t).collect();

@@ -16,7 +16,7 @@ use cabt_exec::ExecutionEngine;
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_isa::rng::Pcg32;
 use cabt_tricore::sim::{DispatchMode, SimError, Simulator};
-use cabt_vliw::sim::VliwDispatch;
+use cabt_vliw::sim::{VliwDispatch, VliwSim};
 use std::fmt::Write as _;
 
 /// All bundled workloads (the Fig. 5 set plus the Table 2 set).
@@ -233,7 +233,7 @@ fn reset_restores_mutated_data_memory() {
     let t = Translator::new(DetailLevel::Static)
         .translate(&elf)
         .expect("translates");
-    let mut vsim = t.make_sim().expect("builds");
+    let mut vsim = VliwSim::instantiate(t.program().expect("builds"));
     vsim.set_trace_config(no_traces());
     let first = vsim.run(1_000_000_000).expect("halts");
     assert_eq!(

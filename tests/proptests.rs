@@ -8,7 +8,9 @@
 //! `proptest` crate is unavailable; fixed seeds keep every run
 //! reproducible.
 
+use cabt_isa::elf::SectionKind;
 use cabt_isa::rng::Pcg32;
+use cabt_tricore::asm::{assemble, TEXT_BASE};
 use cabt_tricore::encode::{decode, encode};
 use cabt_tricore::isa::{AReg, BinOp, Cond, DReg, Instr, LdKind, StKind};
 
@@ -192,6 +194,54 @@ fn encode_decode_round_trip() {
         let (back, size) = decode(lo, hi).expect("decodes");
         assert_eq!(back, i);
         assert_eq!(size, i.size());
+    }
+}
+
+/// Text ⇄ bytes for single instructions: what `Instr::at` prints
+/// assembles to the instruction's own encoding — including the long
+/// forms that share a short form's text (`nop32`, `mov32`, `ld.w32`,
+/// `st.w32`), which `instr` draws rarely or never.
+#[test]
+fn printed_instructions_reassemble_to_their_encoding() {
+    let reassembles = |i: Instr| {
+        let src = format!(".text\n    {}\n", i.at(TEXT_BASE));
+        let elf = assemble(&src).unwrap_or_else(|e| panic!("{i:?}: `{src}`: {e}"));
+        let text = elf.sections.iter().find(|s| s.kind == SectionKind::Text);
+        let bytes = encode(&i).expect("valid fields by construction");
+        assert_eq!(
+            text.map(|s| &s.data[..]),
+            Some(&bytes[..]),
+            "{i:?}: `{src}`"
+        );
+    };
+    let mut rng = Pcg32::seed_from_u64(0x070a);
+    for _ in 0..CASES {
+        reassembles(instr(&mut rng));
+    }
+    let (d, a) = (DReg(3), AReg(4));
+    for imm16 in [-64, 0, 63] {
+        reassembles(Instr::Mov { d, imm16 });
+    }
+    for i in [
+        Instr::Nop16,
+        Instr::Nop,
+        Instr::MovRR { d, s: DReg(5) },
+        Instr::Ld {
+            kind: LdKind::W,
+            d,
+            base: a,
+            off10: 0,
+            postinc: false,
+        },
+        Instr::St {
+            kind: StKind::W,
+            s: d,
+            base: a,
+            off10: 0,
+            postinc: false,
+        },
+    ] {
+        reassembles(i);
     }
 }
 

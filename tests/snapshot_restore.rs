@@ -15,7 +15,7 @@ use cabt_isa::elf::SectionKind;
 use cabt_platform::SocBusState;
 use cabt_rtlsim::RtlCore;
 use cabt_tricore::sim::DispatchMode;
-use cabt_vliw::sim::VliwDispatch;
+use cabt_vliw::sim::{VliwDispatch, VliwSim};
 
 const SRC: &str = "
     .text
@@ -147,7 +147,7 @@ fn vliw_core_snapshot_is_bit_identical_in_both_dispatch_modes() {
             (VliwDispatch::Trace, 1_000_000),
             (VliwDispatch::Naive, 1_000_000),
         ] {
-            let mut sim = t.make_sim().unwrap();
+            let mut sim = VliwSim::instantiate(t.program().unwrap());
             sim.set_trace_config(TraceConfig {
                 warmup,
                 hot_threshold: 2,
@@ -1070,6 +1070,46 @@ fn a_parked_image_is_a_fixpoint_of_resume() {
                 assert!(
                     s.park().unwrap() == parked,
                     "{backend} at {retired}: adopt_shard moved the park"
+                );
+            }
+        }
+    }
+}
+
+/// Reset is a fresh build: after runs of 0, 7, 50 and 3000
+/// retirements, a reset session parks byte for byte what a freshly built
+/// one parks — on every backend and on sharded sets of each (two shards
+/// sequential, three pooled on one worker), under the paper's clock
+/// ratio. Reset rebuilds nothing, so this pins that it leaves nothing of
+/// the run behind either: registers, memory, caches, trace state, the
+/// synchronization device and the SoC devices.
+#[test]
+fn a_reset_session_parks_like_a_fresh_build() {
+    let mut backends = Backend::all();
+    for base in Backend::all() {
+        if base != Backend::Rtl {
+            backends.push(Backend::sharded(2, base));
+            backends.push(Backend::sharded_pooled(3, 1, base));
+        }
+    }
+    backends.push(Backend::sharded(2, Backend::Rtl));
+    for name in ["fir", "gcd", "sieve", "producer_consumer", "mailbox"] {
+        for &backend in &backends {
+            let build = || {
+                SimBuilder::named(name)
+                    .backend(backend)
+                    .platform(PlatformConfig::default())
+                    .build()
+                    .unwrap()
+            };
+            let fresh = build().park().unwrap();
+            let mut s = build();
+            for retired in [0, 7, 50, 3000] {
+                s.run_until(Limit::Retirements(retired)).unwrap();
+                s.reset();
+                assert!(
+                    s.park().unwrap() == fresh,
+                    "{name} on {backend}: reset after {retired} retirements"
                 );
             }
         }
