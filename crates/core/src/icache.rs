@@ -26,7 +26,6 @@ use crate::regbind::{
 use crate::sched::TOp;
 use crate::TranslateError;
 use cabt_tricore::arch::CacheConfig;
-use cabt_tricore::isa::Instr;
 use cabt_vliw::isa::{Op, Pred, Reg, Width};
 
 /// The valid bit stored alongside each tag word (bit 31, as tags of
@@ -380,24 +379,6 @@ pub fn initial_state(layout: &CacheLayout) -> Vec<u32> {
     vec![0; (layout.total_bytes() / 4) as usize]
 }
 
-/// Checks whether an instruction stream's analysis blocks charge the
-/// same (set, tag) sequence as the golden model's per-fetch accesses —
-/// an internal consistency helper used by the accuracy tests.
-pub fn touched_lines(instrs: &[(u32, Instr)], cfg: &CacheConfig) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut last = None;
-    for (addr, instr) in instrs {
-        for line in [cfg.line_of(*addr), cfg.line_of(addr + instr.size() - 1)] {
-            if last != Some(line) {
-                out.push(line);
-                last = Some(line);
-            }
-        }
-    }
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,20 +509,5 @@ mod tests {
         assert!(ops
             .iter()
             .any(|t| matches!(t.op, Op::Mvk { imm16: 40, .. })));
-    }
-
-    #[test]
-    fn touched_lines_dedups_consecutive() {
-        use cabt_tricore::isa::{BinOp, DReg, Instr};
-        let add = Instr::Bin {
-            op: BinOp::Add,
-            d: DReg(1),
-            s1: DReg(2),
-            s2: DReg(3),
-        };
-        let cfg = CacheConfig::default();
-        let instrs: Vec<(u32, Instr)> = (0..10).map(|i| (0x100 + i * 4, add)).collect();
-        let lines = touched_lines(&instrs, &cfg);
-        assert_eq!(lines, vec![0x100, 0x120]);
     }
 }

@@ -12,11 +12,10 @@ use crate::regbind::{
 };
 use crate::sched::{FixupKind, Item, Scheduler, TOp};
 use crate::{DetailLevel, Granularity, TranslateError};
-use cabt_isa::elf::{check_section_size, ElfFile, Section, SectionKind, EM_TI_C6000};
+use cabt_isa::elf::{check_section_size, ElfFile, SectionKind};
 use cabt_isa::mem::Memory;
 use cabt_tricore::arch::{ArchDesc, TimingModel};
 use cabt_tricore::isa::{AReg, Cond, Instr, RA};
-use cabt_vliw::encode::encode_program;
 use cabt_vliw::isa::{Op, Packet, Pred, Reg, Slot, Width};
 use cabt_vliw::sim::{VliwError, VliwProgram};
 use std::collections::HashMap;
@@ -109,31 +108,6 @@ impl Translated {
         // all dispatch cores.
         let aliases = self.addr_map.iter().map(|(&src, &tgt)| (src, tgt));
         VliwProgram::new(self.packets.clone(), aliases, image).map(Arc::new)
-    }
-
-    /// Serializes the translated program to an ELF image for the target
-    /// machine (`EM_TI_C6000`), preserving the data sections.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ELF encoding failures.
-    pub fn to_elf(&self) -> Result<ElfFile, cabt_isa::IsaError> {
-        let mut elf = ElfFile::new(EM_TI_C6000, self.entry);
-        elf.sections
-            .push(Section::text(self.entry, encode_program(&self.packets)));
-        for (i, (addr, data)) in self.data_sections.iter().enumerate() {
-            let mut s = Section::data(*addr, data.clone());
-            if i > 0 {
-                s.name = format!(".data{i}");
-            }
-            elf.sections.push(s);
-        }
-        Ok(elf)
-    }
-
-    /// The target address of the source basic block starting at `src`.
-    pub fn target_of(&self, src: u32) -> Option<u32> {
-        self.addr_map.get(&src).copied()
     }
 
     /// Renders a human-readable listing: each source block's range and
@@ -1012,7 +986,7 @@ mod tests {
         assert_eq!(t.blocks.len(), 3);
         for b in &t.blocks {
             assert!(b.static_cycles > 0);
-            assert!(t.target_of(b.src_start).is_some());
+            assert_eq!(t.addr_map.get(&b.src_start), Some(&b.tgt_addr));
         }
     }
 
@@ -1035,18 +1009,6 @@ mod tests {
         let sim = run(&t);
         assert_eq!(sim.reg(dreg(cabt_tricore::isa::DReg(2))), 55);
         assert!(t.blocks.len() > 3, "every instruction is a block");
-    }
-
-    #[test]
-    fn elf_round_trip_of_translation() {
-        let t = translate(SUM_SRC, DetailLevel::Static);
-        let elf = t.to_elf().unwrap();
-        let bytes = elf.to_bytes().unwrap();
-        let back = ElfFile::parse(&bytes).unwrap();
-        assert_eq!(back.machine, EM_TI_C6000);
-        let text = back.section(".text").unwrap();
-        let packets = cabt_vliw::encode::decode_program(text.addr, &text.data).unwrap();
-        assert_eq!(packets, t.packets);
     }
 
     #[test]

@@ -471,17 +471,6 @@ impl DebugSession {
         Ok(self.inner.read_reg_index(reg_by_name(name)?.index()))
     }
 
-    /// Writes a source register by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DebugError::BadRegister`] for unknown names.
-    pub fn write_reg(&mut self, name: &str, value: u32) -> Result<(), DebugError> {
-        self.inner
-            .write_reg_index(reg_by_name(name)?.index(), value);
-        Ok(())
-    }
-
     /// Reads emulated memory (identity-mapped data space).
     ///
     /// # Errors
@@ -643,16 +632,6 @@ mod tests {
             Err(DebugError::BadRegister(_))
         ));
         assert_eq!(dbg.read_reg("sp").unwrap(), 0xd003_0000);
-    }
-
-    #[test]
-    fn write_reg_alters_execution() {
-        let mut dbg = session();
-        dbg.step().unwrap(); // d0 = 3 executed
-        dbg.write_reg("d0", 1).unwrap();
-        // Now the loop runs once: d2 = 1.
-        assert_eq!(dbg.cont().unwrap(), StopReason::Halted);
-        assert_eq!(dbg.read_reg("d2").unwrap(), 1);
     }
 
     #[test]

@@ -230,16 +230,6 @@ impl BlockMap {
     pub fn location(&self, unit: u32) -> UnitLoc {
         self.loc[unit as usize]
     }
-
-    /// Per-block totals of an arbitrary per-unit cost — e.g. the static
-    /// cycle totals a compiled backend folds into each block, or an
-    /// instruction count. Returns one total per block, in block order.
-    pub fn block_totals(&self, cost: impl Fn(u32) -> u64) -> Vec<u64> {
-        self.blocks
-            .iter()
-            .map(|b| (b.first..b.end()).map(&cost).sum())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -329,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn block_totals_sum_per_block() {
-        let units = vec![
-            UnitFlow::Straight,
-            UnitFlow::Branch { target: Some(0) },
-            UnitFlow::Halt,
-        ];
-        let m = BlockMap::build(&units, |_| true, [0u32], false);
-        assert_eq!(m.block_totals(|u| u as u64 + 1), vec![3, 3]);
-    }
-
-    #[test]
     fn empty_table_is_empty_map() {
         let m = BlockMap::build(&[], |_| true, [0u32], false);
         assert!(m.is_empty());
@@ -388,18 +367,6 @@ mod tests {
                 offset: 0
             },
             "first unit after the gap is a leader"
-        );
-    }
-
-    #[test]
-    fn block_totals_on_single_unit_blocks_is_the_per_unit_cost() {
-        let mut units = straight(4);
-        units[3] = UnitFlow::Halt;
-        let m = BlockMap::build(&units, |_| true, [0u32], true);
-        assert_eq!(
-            m.block_totals(|u| u as u64 * 10 + 1),
-            vec![1, 11, 21, 31],
-            "a one-unit block's total is exactly its unit's cost"
         );
     }
 }

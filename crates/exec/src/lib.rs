@@ -352,15 +352,6 @@ impl DigestChain {
         &self.entries
     }
 
-    /// The whole chain folded into one digest (order-sensitive).
-    pub fn rolled(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        for &e in &self.entries {
-            fp.mix_u64(e);
-        }
-        fp.digest()
-    }
-
     /// Index of the first boundary where the chains disagree: the
     /// first element-wise mismatch, or — when one chain is a strict
     /// prefix of the other — the first index only one of them has.
@@ -962,7 +953,6 @@ mod tests {
         let cb = toy_chain(&mut b);
         assert_eq!(ca, cb);
         assert_eq!(ca.first_divergence(&cb), None);
-        assert_eq!(ca.rolled(), cb.rolled());
         assert_eq!(ca.len(), 6, "entry boundary plus five retirements");
         assert!(!ca.is_empty());
         assert_eq!(ca.entries().len(), ca.len());
@@ -994,7 +984,7 @@ mod tests {
                 "flip at epoch {k} must surface at boundary {k}, never earlier"
             );
             assert_eq!(cb.first_divergence(&ca), Some(k), "divergence is symmetric");
-            assert_ne!(ca.rolled(), cb.rolled());
+            assert_ne!(ca, cb);
         }
     }
 

@@ -47,9 +47,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 /// and the largest image a bundled workload parks to is a 256-core
 /// `producer_consumer` session: about 6.8 MB of hex (1.4 MB at 64
 /// cores, under 80 kB at 4 cores or on one core). The cap is ten times
-/// that. Only sessions whose state grows with the budget — a
-/// one-core `mailbox` spinning for 10^8 cycles parks to 200 MB — exceed
-/// it, and their resume lines get an error row instead of a buffer.
+/// that; a longer line gets an error row instead of a buffer.
 const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Largest `cycles` or `retirements` budget `run`, `park` and `resume`
@@ -57,21 +55,11 @@ const MAX_LINE_BYTES: usize = 64 << 20;
 /// within 468,138 cycles (the largest: `fibonacci` on
 /// `translated:cache`), and a 256-core `producer_consumer` within
 /// 4,501 frontier cycles. The cap is about 200 times the former, so
-/// every halting request fits, while a request that never halts (e.g.
-/// one-core `mailbox`) stops after a bounded run instead of holding a
-/// worker forever.
+/// every halting request fits, while a program that never halts (a
+/// guest loop that spins) stops after a bounded run instead of holding
+/// a worker forever. A registered workload that cannot halt on its
+/// backend, such as a one-core `mailbox`, is refused before it runs.
 const MAX_BUDGET: u64 = 100_000_000;
-
-const WORKLOAD_NAMES: [&str; 8] = [
-    "gcd",
-    "dpcm",
-    "fir",
-    "ellip",
-    "sieve",
-    "subband",
-    "fibonacci",
-    "producer_consumer",
-];
 
 fn main() {
     let mut workers = None;
@@ -173,9 +161,8 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, Box<dyn Error>> {
     match words[..] {
         ["workloads"] => Ok(format!(
             "{{\"ok\":true,\"workloads\":[{}]}}",
-            WORKLOAD_NAMES
-                .iter()
-                .map(|w| json_str(w))
+            cabt_workloads::names()
+                .map(json_str)
                 .collect::<Vec<_>>()
                 .join(",")
         )),
@@ -488,6 +475,41 @@ mod tests {
             assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
         }
         assert!(rows[2].starts_with(r#"{"ok":true,"#), "{}", rows[2]);
+    }
+
+    #[test]
+    fn every_listed_workload_resolves() {
+        let rows = replies("workloads\n", MAX_LINE_BYTES);
+        let list = rows[0]
+            .strip_prefix(r#"{"ok":true,"workloads":["#)
+            .and_then(|r| r.strip_suffix("]}"))
+            .unwrap_or_else(|| panic!("{rows:?}"));
+        let listed: Vec<&str> = list.split(',').map(|w| w.trim_matches('"')).collect();
+        assert!(listed.contains(&"mailbox"), "{listed:?}");
+        for name in &listed {
+            assert!(cabt_workloads::by_name(name).is_some(), "{name}");
+        }
+        assert_eq!(listed, cabt_workloads::names().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn workloads_that_cannot_halt_on_the_backend_are_refused() {
+        let rows = replies(
+            "run mailbox golden cycles 1000\nrun mailbox sharded-4x:translated:cache cycles 1000000\n",
+            MAX_LINE_BYTES,
+        );
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(
+            rows[0]
+                .starts_with(r#"{"ok":false,"error":"workload `mailbox` cannot halt on `golden`"#),
+            "{}",
+            rows[0]
+        );
+        assert!(
+            rows[1].contains(r#""checksum_ok":true,"d2":46,"#),
+            "{}",
+            rows[1]
+        );
     }
 
     #[test]

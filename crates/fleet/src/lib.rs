@@ -111,7 +111,7 @@ pub struct FleetResult {
     pub epoch_chain: u64,
     /// Checksum register `%d2` of shard 0 at stop.
     pub d2: u32,
-    /// The workload's predicted checksum.
+    /// The workload's predicted checksum on the backend's core count.
     pub expected_d2: u32,
     /// Merged UART transmit log (timestamped bytes), where the vehicle
     /// has a device fabric.
@@ -120,7 +120,7 @@ pub struct FleetResult {
 
 impl FleetResult {
     /// True when the session halted with the workload's predicted
-    /// checksum in `%d2`.
+    /// checksum for its core count in `%d2`.
     pub fn checksum_ok(&self) -> bool {
         self.stop == StopCause::Halted && self.d2 == self.expected_d2
     }
@@ -138,10 +138,9 @@ type Progress = (u64, Fingerprint);
 
 impl Unit {
     fn build(req: &FleetRequest) -> Result<(Unit, Session), SessionError> {
-        let expected_d2 = cabt_workloads::by_name(&req.workload)
-            .ok_or_else(|| SessionError::UnknownWorkload(req.workload.clone()))?
-            .expected_d2;
-        let session = SimBuilder::named(&req.workload)
+        let w = cabt_sim::named_workload(&req.workload, req.backend)?;
+        let expected_d2 = w.expected_d2;
+        let session = SimBuilder::asm(w.source)
             .backend(req.backend)
             .shard_epoch(FLEET_EPOCH_CYCLES)
             .build()?;
@@ -211,8 +210,9 @@ fn spawn_session(
 /// with the same budget, whatever the worker count (the per-epoch
 /// digest chain in [`FleetResult::epoch_chain`] is the receipt).
 ///
-/// Build failures (unknown workload, invalid configuration) are
-/// reported per request; they do not abort the batch.
+/// Build failures (unknown workload, a workload that cannot halt on
+/// the backend, invalid configuration) are reported per request; they
+/// do not abort the batch.
 pub fn run_fleet(
     pool: &FleetPool,
     requests: &[FleetRequest],

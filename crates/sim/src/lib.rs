@@ -56,7 +56,7 @@ use cabt_tricore::asm::AsmError;
 use cabt_tricore::isa::{AReg, DReg};
 use cabt_tricore::sim::{DispatchMode, GoldenProgram, SimError, SimSnapshot, Simulator};
 use cabt_vliw::sim::{VliwDispatch, VliwError, VliwProgram, VliwSnapshot};
-use cabt_workloads::Workload;
+use cabt_workloads::{Needs, Workload};
 use std::fmt;
 use std::sync::Arc;
 
@@ -405,6 +405,15 @@ pub enum SessionError {
     Asm(AsmError),
     /// A named workload was not found in `cabt-workloads`.
     UnknownWorkload(String),
+    /// A named workload cannot halt on the selected backend: it needs
+    /// the shard device fabric ([`cabt_workloads::Needs::Fabric`]),
+    /// which only a sharded set on a non-RTL base has.
+    UnsupportedShape {
+        /// The workload's registered name.
+        workload: String,
+        /// The backend it was asked to run on.
+        backend: Backend,
+    },
     /// Translation to the VLIW target failed.
     Translate(TranslateError),
     /// The golden model faulted (build or run).
@@ -435,6 +444,11 @@ impl fmt::Display for SessionError {
         match self {
             SessionError::Asm(e) => write!(f, "workload fails to assemble: {e}"),
             SessionError::UnknownWorkload(n) => write!(f, "no workload named `{n}`"),
+            SessionError::UnsupportedShape { workload, backend } => write!(
+                f,
+                "workload `{workload}` cannot halt on `{backend}`: it needs the shard device \
+                 fabric of a sharded backend on a non-RTL base"
+            ),
             SessionError::Translate(e) => write!(f, "translation failed: {e}"),
             SessionError::Golden(e) => write!(f, "golden model fault: {e}"),
             SessionError::Target(e) => write!(f, "target fault: {e}"),
@@ -659,7 +673,9 @@ impl SimBuilder {
 
     /// A session over a named `cabt-workloads` entry (`"gcd"`,
     /// `"sieve"`, …) at its default parameterization. Unknown names
-    /// surface as [`SessionError::UnknownWorkload`] at build time.
+    /// surface as [`SessionError::UnknownWorkload`] at build time, and
+    /// a workload that cannot halt on the selected backend as
+    /// [`SessionError::UnsupportedShape`] ([`named_workload`]).
     pub fn named(name: impl Into<String>) -> Self {
         Self::with_source(SourceSpec::Named(name.into()))
     }
@@ -743,18 +759,24 @@ impl SimBuilder {
     ///
     /// Assembly, lookup and decode failures.
     pub fn analyze(self) -> Result<analyze::AnalysisReport, SessionError> {
-        let elf = Self::resolve(self.source)?;
+        let elf = Self::resolve(self.source, None)?;
         analyze::analyze_elf(&elf)
     }
 
-    /// Resolves a source spec to its ELF image.
-    fn resolve(source: SourceSpec) -> Result<ElfFile, SessionError> {
+    /// Resolves a source spec to its ELF image. A named workload must
+    /// halt on `backend` when one is given ([`named_workload`]); analysis
+    /// runs no vehicle and passes none.
+    fn resolve(source: SourceSpec, backend: Option<Backend>) -> Result<ElfFile, SessionError> {
         Ok(match source {
             SourceSpec::Asm(src) => cabt_tricore::asm::assemble(&src)?,
             SourceSpec::Elf(elf) => elf,
-            SourceSpec::Named(name) => cabt_workloads::by_name(&name)
-                .ok_or(SessionError::UnknownWorkload(name))?
-                .elf()?,
+            SourceSpec::Named(name) => match backend {
+                Some(backend) => named_workload(&name, backend)?,
+                None => {
+                    cabt_workloads::by_name(&name).ok_or(SessionError::UnknownWorkload(name))?
+                }
+            }
+            .elf()?,
         })
     }
 
@@ -763,10 +785,36 @@ impl SimBuilder {
     ///
     /// # Errors
     ///
-    /// Assembly, lookup, translation and engine construction failures.
+    /// Assembly, lookup, translation and engine construction failures,
+    /// and [`SessionError::UnsupportedShape`] for a named workload that
+    /// cannot halt on the selected backend.
     pub fn build(self) -> Result<Session, SessionError> {
-        let elf = Self::resolve(self.source)?;
+        let elf = Self::resolve(self.source, Some(self.backend))?;
         Session::new(elf, self.backend, self.config, self.soc_bus)
+    }
+}
+
+/// The registered workload `name` as `backend` runs it: its
+/// `expected_d2` is the checksum every core leaves at halt on the
+/// backend's core count ([`cabt_workloads::on_cores`]).
+///
+/// # Errors
+///
+/// [`SessionError::UnknownWorkload`] for an unregistered name, and
+/// [`SessionError::UnsupportedShape`] when the program cannot halt on
+/// `backend`.
+pub fn named_workload(name: &str, backend: Backend) -> Result<Workload, SessionError> {
+    let (cores, fabric) = match backend {
+        Backend::Sharded { cores, backend, .. } => (u32::from(cores), backend != ShardBackend::Rtl),
+        _ => (1, false),
+    };
+    match cabt_workloads::on_cores(name, cores) {
+        None => Err(SessionError::UnknownWorkload(name.to_string())),
+        Some((_, Needs::Fabric)) if !fabric => Err(SessionError::UnsupportedShape {
+            workload: name.to_string(),
+            backend,
+        }),
+        Some((w, _)) => Ok(w),
     }
 }
 

@@ -70,7 +70,8 @@ pub const PRED_REGS: [Reg; 6] = [Reg(0), Reg(1), Reg(2), Reg(32), Reg(33), Reg(3
 /// zero, when `negated`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pred {
-    /// Condition register (must be one of [`PRED_REGS`] to encode).
+    /// Condition register (one of [`PRED_REGS`]; [`Packet::push`]
+    /// refuses any other).
     pub reg: Reg,
     /// `true` → execute when the register is zero (`[!r]`).
     pub negated: bool,
@@ -608,8 +609,11 @@ impl Packet {
         &self.slots
     }
 
-    /// Byte size of the packet in the container encoding (8 bytes per
-    /// slot; an empty packet still occupies one NOP slot when encoded).
+    /// Bytes the packet occupies in the translated image's address
+    /// layout: 8 per slot, and an empty packet takes one NOP slot. The
+    /// translator places packets at this pitch, so every target
+    /// address of a translation, the base of its cache-state area and
+    /// every translated park image depend on it.
     pub fn size(&self) -> u32 {
         8 * self.slots.len().max(1) as u32
     }

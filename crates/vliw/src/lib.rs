@@ -10,8 +10,6 @@
 //!   small set of condition registers, multi-cycle `NOP`, and the
 //!   delay-slot discipline (5 for branches, 4 for loads, 1 for
 //!   multiplies).
-//! * [`encode`] — a 32-bit binary encoding with the C6x p-bit chaining of
-//!   execute packets, so translated programs are genuine binary images.
 //! * [`sim`] — a cycle-counting simulator with delayed register
 //!   write-back, branch shadows and a memory-mapped-device hook
 //!   ([`sim::TargetBus`]) through which the platform's synchronization
@@ -20,11 +18,11 @@
 //!   attached, and a device access stalls the core by the cycles it
 //!   returns, charged after the packet that made it.
 //!
-//! One deliberate deviation from the real C6201 is documented in
-//! DESIGN.md: the target has an iterative divide unit (`div`/`rem`, 18
-//! cycles) standing in for the C6x run-time division library routine of
-//! equivalent cost, which keeps the translator free of a software
-//! division expansion while preserving the cycle shape.
+//! One deliberate deviation from the real C6201: the target has an
+//! iterative divide unit (`div`/`rem`, 18 cycles) standing in for the
+//! C6x run-time division library routine of equivalent cost, which
+//! keeps the translator free of a software division expansion while
+//! preserving the cycle shape.
 //!
 //! # Example
 //!
@@ -47,7 +45,6 @@
 //! ```
 
 pub(crate) mod compiled;
-pub mod encode;
 pub mod isa;
 pub mod sim;
 

@@ -600,11 +600,6 @@ impl VliwSim {
         self.regs[r.index()]
     }
 
-    /// Writes a register immediately (for test and platform setup).
-    pub fn set_reg(&mut self, r: Reg, v: u32) {
-        self.regs[r.index()] = v;
-    }
-
     /// Commits all delayed writes whose delay slots have elapsed — the
     /// same retirement the next packet dispatch would perform. Debuggers
     /// call this before inspecting registers so the architecturally
@@ -1604,7 +1599,7 @@ mod tests {
         prog.rotate_right(0);
         let mut sim = VliwSim::new(prog).unwrap();
         sim.mem.write_u32(0x100, 0xdead_beef).unwrap();
-        sim.set_reg(Reg::b(1), 0x100);
+        sim.regs[Reg::b(1).index()] = 0x100;
         sim.run(100).unwrap();
         assert_eq!(sim.reg(Reg::a(2)), 0);
         assert_eq!(sim.reg(Reg::a(5)), 0);

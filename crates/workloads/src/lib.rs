@@ -644,10 +644,12 @@ sum:
 /// contributions have landed and sums them into `%d2`. Every core must
 /// halt with the same all-reduce total `7*n + 3*n*(n-1)/2`.
 ///
+/// The program reads the core count from CoreLink, so its image is the
+/// same for every `ncores`: `ncores` sets only `expected_d2`.
 /// Delivery is epoch-synchronous (doorbells travel in the barrier
-/// delta), so the program only terminates on a *sharded* session whose
-/// core count equals `ncores` — on a single-core session there is no
-/// barrier and the poll spins forever, which is why this workload is
+/// delta), so the program only terminates on a *sharded* session on a
+/// non-RTL base ([`Needs::Fabric`]) — elsewhere there is no CoreLink
+/// window and the poll spins forever, which is why this workload is
 /// deliberately absent from [`fig5_set`] / [`table2_set`].
 ///
 /// # Panics
@@ -659,7 +661,7 @@ pub fn mailbox(ncores: u32) -> Workload {
         (1..=256).contains(&ncores),
         "core count outside the CoreLink fabric's ceiling"
     );
-    let expected = (0..ncores).fold(0u32, |a, id| a.wrapping_add(7 + 3 * id));
+    let expected = mailbox_sum(ncores);
 
     let source = format!(
         "
@@ -702,6 +704,15 @@ collect:
         source,
         expected_d2: expected,
     }
+}
+
+/// The all-reduce total `mailbox` leaves in `%d2` on a fabric of
+/// `ncores` cores: `7*n + 3*n*(n-1)/2`, wrapping like the guest's
+/// 32-bit adds.
+fn mailbox_sum(ncores: u32) -> u32 {
+    let n = u64::from(ncores);
+    let pairs = n * n.saturating_sub(1) / 2;
+    (7 * n).wrapping_add(pairs.wrapping_mul(3)) as u32
 }
 
 /// One entry of the seeded known-bad corpus: a tiny program carrying
@@ -793,142 +804,6 @@ pub fn known_bad_by_name(name: &str) -> Option<KnownBad> {
     known_bad_set().into_iter().find(|k| k.name == name)
 }
 
-/// One entry of the fuzz-found regression corpus: a hand-minimized
-/// reproducer for a divergence the differential fuzzer (`cabt-fuzz`)
-/// found between execution tiers. Each entry pins a bug class that has
-/// since been fixed — `tests/fuzz_regressions.rs` replays the minimized
-/// source across the whole comparison matrix, so a reintroduced bug
-/// fails the plain test suite, not just a long fuzz campaign.
-#[derive(Debug, Clone)]
-pub struct FuzzRegression {
-    /// Corpus entry name (`fuzz-<bug-class>`).
-    pub name: &'static str,
-    /// The fuzz seed that first exposed the divergence
-    /// (`cabt-fuzz --seed N` replays the original, unminimized case).
-    pub seed: u64,
-    /// The matrix check that diverged (a `cabt-fuzz` `Divergence`
-    /// check label), recorded for the reader — the regression test
-    /// runs the full matrix, not just this check.
-    pub check: &'static str,
-    /// Minimized assembly reproducer.
-    pub source: &'static str,
-}
-
-impl FuzzRegression {
-    /// Assembles the corpus entry to an ELF image.
-    ///
-    /// # Errors
-    ///
-    /// Returns the assembler error (a bug in the corpus if it ever
-    /// fires — every entry is a well-formed program).
-    pub fn elf(&self) -> Result<ElfFile, AsmError> {
-        assemble(self.source)
-    }
-}
-
-/// The fuzz-found regression corpus: one minimized program per
-/// divergence class the fuzzer has found (and this repo has fixed).
-pub fn fuzz_regression_set() -> Vec<FuzzRegression> {
-    vec![
-        // Register-indirect branches (`ji` / `calli`) carry
-        // *source-world* code addresses at run time; the translated
-        // vehicle faulted with "branch to non-packet address" because
-        // the VLIW sim's packet index only knew target-image addresses.
-        // Fixed by installing the translator's source→target block map
-        // as branch aliases of the VLIW program (`VliwProgram::new`).
-        FuzzRegression {
-            name: "fuzz-indirect-source-branch",
-            seed: 39,
-            check: "cross-isa:stop:translated:static",
-            source: "
-    .text
-    .global _start
-_start:
-    movh   %d7, 39616
-    addi   %d7, %d7, 5504
-    movh.a %a4, hi:even
-    lea    %a4, [%a4]lo:even
-    movh.a %a5, hi:odd
-    lea    %a5, [%a5]lo:odd
-    and    %d11, %d7, 1
-    jnz    %d11, co
-    calli  %a4
-    j      end
-co:
-    calli  %a5
-    j      end
-even:
-    ret
-odd:
-    ret
-end:
-    debug
-",
-        },
-        // A `div`/`rem` result has 17 delay slots — longer than the
-        // 6-cycle branch shadow — so a translated block ending soon
-        // after a divide let successor blocks read the *stale*
-        // register across the control transfer (the scheduler's
-        // scoreboard is per-block). Fixed by draining in-flight
-        // architectural writes before every block terminator
-        // (`Scheduler::flush_architectural`). Here the caller reads
-        // `%d2` right after the leaf's `rem` → `ret`.
-        FuzzRegression {
-            name: "fuzz-div-shadow-hazard",
-            seed: 71,
-            check: "cross-isa:translated:static",
-            source: "
-    .text
-    .global _start
-_start:
-    mov    %d4, 37
-    mov    %d2, 5
-    jl     leaf
-    add    %d2, %d2, %d2
-    debug
-leaf:
-    rem    %d2, %d4, %d2
-    ret
-",
-        },
-        // The sequential shard scheduler stopped mid-round at the
-        // first faulting shard while the parallel scheduler ran every
-        // shard of the round to its deadline — post-fault state (and
-        // retired counts) differed between bit-identical schedules.
-        // Fixed by running every shard of a faulting round to the
-        // deadline and propagating the lowest-numbered shard's fault.
-        // Here odd shards take a wild indirect jump (the only access
-        // class the golden model faults on) while even shards spin, so
-        // under 4 cores the old sequential driver skipped shards 2
-        // and 3 of the faulting round.
-        FuzzRegression {
-            name: "fuzz-shard-fault-parity",
-            seed: 39,
-            check: "sharded-schedule:4x:golden",
-            source: "
-    .text
-    .global _start
-_start:
-    and    %d11, %d15, 1
-    jnz    %d11, faulter
-    mov    %d12, 300
-spin:
-    addi   %d12, %d12, -1
-    jnz    %d12, spin
-    debug
-faulter:
-    movh.a %a4, 0x4000
-    ji     %a4
-",
-        },
-    ]
-}
-
-/// Looks a fuzz-regression corpus entry up by name.
-pub fn fuzz_regression_by_name(name: &str) -> Option<FuzzRegression> {
-    fuzz_regression_set().into_iter().find(|k| k.name == name)
-}
-
 /// The six Fig. 5 / Fig. 6 programs with their default parameters.
 pub fn fig5_set() -> Vec<Workload> {
     vec![
@@ -951,27 +826,72 @@ pub fn table2_set() -> Vec<Workload> {
     vec![gcd(13, 0x7ab1e2), fibonacci(1150, 6), sieve(880)]
 }
 
-/// Looks a workload up by its paper name (`gcd`, `sieve`, `fir`,
-/// `ellip`, `dpcm`, `subband`, `fibonacci`), at the default Fig. 5 /
-/// Table 2 parameterization — the registry behind session builders
-/// that accept a named workload. The SPMD extras ride along:
-/// `producer_consumer` (any sharded core count) and `mailbox` (at its
-/// two-core default; sessions with other core counts should call
-/// [`mailbox`] directly, since the checksum depends on the fabric
-/// size).
+/// A registered name and the generator of its program.
+type Registered = (&'static str, fn() -> Workload);
+
+/// The registry: every name [`by_name`] resolves, with its program at
+/// the default Fig. 5 / Table 2 parameterization, in listing order.
+/// The SPMD extras ride along: `producer_consumer` and `mailbox` (at
+/// its two-core default; [`on_cores`] gives its checksum at other core
+/// counts).
+const REGISTRY: [Registered; 9] = [
+    ("gcd", || gcd(16, 0xcab7)),
+    ("dpcm", || dpcm(600, 0xcab7)),
+    ("fir", || fir(16, 300, 0xcab7)),
+    ("ellip", || ellip(120, 0xcab7)),
+    ("sieve", || sieve(400)),
+    ("subband", || subband(120, 0xcab7)),
+    ("fibonacci", || fibonacci(1150, 6)),
+    ("producer_consumer", || producer_consumer(64, 0xcab7)),
+    ("mailbox", || mailbox(2)),
+];
+
+/// Every registered workload name, in listing order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    REGISTRY.iter().map(|&(name, _)| name)
+}
+
+/// Looks a workload up by its registered name ([`names`]) — the
+/// registry behind session builders that accept a named workload. Its
+/// `expected_d2` is the checksum on one core (on two for `mailbox`);
+/// [`on_cores`] gives it for any core count.
 pub fn by_name(name: &str) -> Option<Workload> {
-    match name {
-        "gcd" => Some(gcd(16, 0xcab7)),
-        "dpcm" => Some(dpcm(600, 0xcab7)),
-        "fir" => Some(fir(16, 300, 0xcab7)),
-        "ellip" => Some(ellip(120, 0xcab7)),
-        "sieve" => Some(sieve(400)),
-        "subband" => Some(subband(120, 0xcab7)),
-        "fibonacci" => Some(fibonacci(1150, 6)),
-        "producer_consumer" => Some(producer_consumer(64, 0xcab7)),
-        "mailbox" => Some(mailbox(2)),
-        _ => None,
-    }
+    REGISTRY
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|(_, make)| make())
+}
+
+/// What a vehicle must offer for a registered workload to halt on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Needs {
+    /// Nothing: the program halts on every vehicle.
+    Nothing,
+    /// The shard device fabric — a CoreLink window and the shared
+    /// scratch RAM on every core — which only a sharded set on a
+    /// non-RTL base has. Elsewhere the program's poll loops never end.
+    Fabric,
+}
+
+/// The registered workload `name` on a vehicle of `cores` cores: its
+/// program, with `expected_d2` the checksum every core leaves there,
+/// and what the vehicle must offer for it to halt. `None` for an
+/// unknown name.
+pub fn on_cores(name: &str, cores: u32) -> Option<(Workload, Needs)> {
+    let mut w = by_name(name)?;
+    let needs = match name {
+        // The image reads the fabric's core count from CoreLink, so
+        // one image serves every width; only the sum depends on it.
+        "mailbox" => {
+            w.expected_d2 = mailbox_sum(cores);
+            Needs::Fabric
+        }
+        // Consumers poll the shared scratch RAM for the producer's
+        // publish; a lone core is the producer.
+        "producer_consumer" if cores > 1 => Needs::Fabric,
+        _ => Needs::Nothing,
+    };
+    Some((w, needs))
 }
 
 #[cfg(test)]
@@ -1072,6 +992,29 @@ mod tests {
             assert_eq!(w.expected_d2, 7 * n + 3 * n * (n - 1) / 2);
         }
         assert_eq!(mailbox(64).expected_d2, 6496);
+    }
+
+    #[test]
+    fn on_cores_predicts_every_width_from_the_registered_image() {
+        for name in names() {
+            let registered = by_name(name).expect("every listed name resolves");
+            for cores in [1u32, 2, 3, 8, 256] {
+                let (w, needs) = on_cores(name, cores).expect("registered");
+                assert_eq!(w.source, registered.source, "{name}: one image");
+                let (want, fabric) = match name {
+                    "mailbox" => (mailbox(cores).expected_d2, true),
+                    "producer_consumer" => (registered.expected_d2, cores > 1),
+                    _ => (registered.expected_d2, false),
+                };
+                assert_eq!(w.expected_d2, want, "{name} on {cores} cores");
+                assert_eq!(needs == Needs::Fabric, fabric, "{name} on {cores} cores");
+            }
+        }
+        assert!(on_cores("nonesuch", 1).is_none());
+        // Any core count gives a value, wrapping like the guest's adds.
+        for cores in [0, u32::MAX] {
+            on_cores("mailbox", cores).expect("registered");
+        }
     }
 
     #[test]

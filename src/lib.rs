@@ -22,7 +22,7 @@
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
 //! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the one-queue `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
 //! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (compiled dispatch core with its trace tier, naive oracle) |
-//! | [`vliw`] | target VLIW ISA, binary container format, simulator (compiled dispatch core with its trace tier, naive oracle) |
+//! | [`vliw`] | target VLIW ISA and simulator (compiled dispatch core with its trace tier, naive oracle) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
 //! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with a deterministic O(traffic) journaled delta exchange (`docs/sharding.md`) |
 //! | [`rtlsim`] | event-driven RT-level baseline simulator |

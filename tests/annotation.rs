@@ -161,7 +161,7 @@ fn blocks_map_to_ascending_target_addresses() {
             "blocks laid out in source order"
         );
         last = b.tgt_addr;
-        assert_eq!(t.target_of(b.src_start), Some(b.tgt_addr));
+        assert_eq!(t.addr_map.get(&b.src_start), Some(&b.tgt_addr));
     }
 }
 

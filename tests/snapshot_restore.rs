@@ -14,6 +14,7 @@ use cabt_isa::codec::{ByteReader, ByteWriter};
 use cabt_isa::elf::SectionKind;
 use cabt_platform::SocBusState;
 use cabt_rtlsim::RtlCore;
+use cabt_sim::ShardBackend;
 use cabt_tricore::sim::DispatchMode;
 use cabt_vliw::sim::{VliwDispatch, VliwSim};
 
@@ -1082,7 +1083,9 @@ fn a_parked_image_is_a_fixpoint_of_resume() {
 /// sequential, three pooled on one worker), under the paper's clock
 /// ratio. Reset rebuilds nothing, so this pins that it leaves nothing of
 /// the run behind either: registers, memory, caches, trace state, the
-/// synchronization device and the SoC devices.
+/// synchronization device and the SoC devices. A shape the workload
+/// cannot halt on — `mailbox` off a shard fabric, `producer_consumer`
+/// on a multi-core RTL set — is refused at build instead.
 #[test]
 fn a_reset_session_parks_like_a_fresh_build() {
     let mut backends = Backend::all();
@@ -1100,8 +1103,23 @@ fn a_reset_session_parks_like_a_fresh_build() {
                     .backend(backend)
                     .platform(PlatformConfig::default())
                     .build()
-                    .unwrap()
             };
+            let refused = match backend {
+                Backend::Sharded {
+                    backend: ShardBackend::Rtl,
+                    ..
+                } => name == "mailbox" || name == "producer_consumer",
+                Backend::Sharded { .. } => false,
+                _ => name == "mailbox",
+            };
+            if refused {
+                assert!(
+                    matches!(build(), Err(SessionError::UnsupportedShape { .. })),
+                    "{name} on {backend}: must be refused"
+                );
+                continue;
+            }
+            let build = || build().unwrap();
             let fresh = build().park().unwrap();
             let mut s = build();
             for retired in [0, 7, 50, 3000] {
