@@ -400,12 +400,6 @@ impl DebugSession {
             .expect("translated session carries its image")
     }
 
-    /// The generic lockstep driver underneath (for engine-agnostic
-    /// tooling). The engine is a full `cabt-sim` [`Session`].
-    pub fn lockstep(&mut self) -> &mut Lockstep<Session> {
-        &mut self.inner
-    }
-
     /// Sets a breakpoint at a source instruction address.
     ///
     /// # Errors
@@ -563,7 +557,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            dbg.lockstep().engine().backend(),
+            dbg.inner.engine().backend(),
             Backend::Translated {
                 level: DetailLevel::Static,
                 dispatch: Dispatch::Compiled,

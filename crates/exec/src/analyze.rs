@@ -2,8 +2,8 @@
 //!
 //! Everything in this workspace *executes* the [`BlockMap`] partition;
 //! this module is the first consumer that only *reads* it. It provides
-//! a small worklist dataflow framework — forward or backward, with a
-//! caller-supplied lattice join and per-unit transfer function — plus
+//! a small forward worklist dataflow framework, with a caller-supplied
+//! lattice join and per-unit transfer function — plus
 //! the four concrete analyses the lint pipeline ships with:
 //!
 //! * **reachability** — blocks no path from any entry can reach;
@@ -24,7 +24,7 @@
 //! has successors only run time knows. The framework is conservative
 //! in the classical direction: an indirect terminator may transfer to
 //! *any* block leader, so its out-fact joins into every block's
-//! in-fact (and symmetrically for backward analyses). One reachable
+//! in-fact. One reachable
 //! `ret` therefore makes every block reachable and every register
 //! possibly-clobbered downstream of it — pessimistic, but never a
 //! false "clean". The per-ISA lowerings document which instructions
@@ -236,29 +236,18 @@ impl FlowGraph {
 // The worklist solver
 // ---------------------------------------------------------------------
 
-/// Direction of a dataflow analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow from entries toward successors.
-    Forward,
-    /// Facts flow from exits toward predecessors.
-    Backward,
-}
-
-/// One dataflow analysis: a lattice (initial/boundary values + join)
-/// and a per-unit transfer function. The solver calls `transfer` on
-/// units in program order for forward analyses and in reverse order
-/// for backward ones.
+/// One forward dataflow analysis: a lattice (initial/boundary values +
+/// join) and a per-unit transfer function. Facts flow from entries
+/// toward successors; the solver calls `transfer` on units in program
+/// order.
 pub trait Analysis {
     /// The lattice element.
     type Fact: Clone + PartialEq;
-    /// Direction facts flow in.
-    fn direction(&self) -> Direction;
     /// The optimistic initial fact (lattice top): the value a block
     /// holds before any path has reached it.
     fn top(&self) -> Self::Fact;
-    /// The fact entering the analysis at its boundary: entry blocks of
-    /// a forward analysis, exit blocks of a backward one.
+    /// The fact entering the analysis at its boundary, the entry
+    /// blocks.
     fn boundary(&self) -> Self::Fact;
     /// Joins `from` into `into`; returns true when `into` changed.
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool;
@@ -266,16 +255,13 @@ pub trait Analysis {
     fn transfer(&self, unit: u32, fact: &mut Self::Fact);
 }
 
-/// Fixed-point result of [`solve`]: per-block facts in the analysis
-/// direction. For a forward analysis `input[b]` is the fact at the
-/// block's first unit and `output[b]` after its last; for a backward
-/// analysis `input[b]` is the fact *after* the last unit and
-/// `output[b]` the fact before the first.
+/// Fixed-point result of [`solve`]: per-block facts. `input[b]` is the
+/// fact at the block's first unit and `output[b]` after its last.
 #[derive(Debug, Clone)]
 pub struct Solution<F> {
-    /// Fact entering each block, in the analysis direction.
+    /// Fact entering each block.
     pub input: Vec<F>,
-    /// Fact leaving each block, in the analysis direction.
+    /// Fact leaving each block.
     pub output: Vec<F>,
 }
 
@@ -284,12 +270,10 @@ pub struct Solution<F> {
 /// Indirect terminators are handled through a single conservative
 /// channel rather than materialized edges: every indirect block's
 /// out-fact joins the channel, and the channel joins every block's
-/// in-fact (any block leader is a potential indirect target). The
-/// backward case is symmetric. Programs without indirect flow pay
-/// nothing.
+/// in-fact (any block leader is a potential indirect target). Programs
+/// without indirect flow pay nothing.
 pub fn solve<A: Analysis>(graph: &FlowGraph, analysis: &A) -> Solution<A::Fact> {
     let n = graph.len();
-    let forward = analysis.direction() == Direction::Forward;
     let mut input: Vec<A::Fact> = vec![analysis.top(); n];
     let mut output: Vec<A::Fact> = vec![analysis.top(); n];
     let mut chan = analysis.top();
@@ -297,31 +281,16 @@ pub fn solve<A: Analysis>(graph: &FlowGraph, analysis: &A) -> Solution<A::Fact> 
     let mut work: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
 
     let boundary = analysis.boundary();
-    let seed = |b: u32, input: &mut Vec<A::Fact>, work: &mut std::collections::VecDeque<u32>| {
+    for &b in &graph.entries {
         analysis.join(&mut input[b as usize], &boundary);
         work.push_back(b);
-    };
-    if forward {
-        for &b in &graph.entries {
-            seed(b, &mut input, &mut work);
-        }
-        // Indirect targets are unknown: any block may start a path, so
-        // the conservative channel below seeds them; entries suffice
-        // here. Every block still gets processed at least once.
-        for b in 0..n as u32 {
-            if !work.contains(&b) {
-                work.push_back(b);
-            }
-        }
-    } else {
-        // Backward boundary: blocks with no explicit successors (halts,
-        // table-end falls, off-table edges, indirect terminators).
-        for b in 0..n as u32 {
-            if graph.succs[b as usize].is_empty() {
-                seed(b, &mut input, &mut work);
-            } else {
-                work.push_back(b);
-            }
+    }
+    // Indirect targets are unknown: any block may start a path, so the
+    // conservative channel below seeds them; entries suffice here.
+    // Every block still gets processed at least once.
+    for b in 0..n as u32 {
+        if !work.contains(&b) {
+            work.push_back(b);
         }
     }
     for &b in &work {
@@ -332,21 +301,15 @@ pub fn solve<A: Analysis>(graph: &FlowGraph, analysis: &A) -> Solution<A::Fact> 
         queued[b as usize] = false;
         let span = graph.map.blocks[b as usize];
         let mut fact = input[b as usize].clone();
-        if forward {
-            for u in span.first..span.end() {
-                analysis.transfer(u, &mut fact);
-            }
-        } else {
-            for u in (span.first..span.end()).rev() {
-                analysis.transfer(u, &mut fact);
-            }
+        for u in span.first..span.end() {
+            analysis.transfer(u, &mut fact);
         }
         if fact == output[b as usize] {
             continue;
         }
         output[b as usize] = fact;
 
-        // Propagate along edges of the analysis direction.
+        // Propagate along the successor edges.
         let push = |t: u32,
                     input: &mut Vec<A::Fact>,
                     work: &mut std::collections::VecDeque<u32>,
@@ -356,31 +319,13 @@ pub fn solve<A: Analysis>(graph: &FlowGraph, analysis: &A) -> Solution<A::Fact> 
                 work.push_back(t);
             }
         };
-        let edges: &[u32] = if forward {
-            &graph.succs[b as usize]
-        } else {
-            &graph.preds[b as usize]
-        };
-        for &t in edges {
+        for &t in &graph.succs[b as usize] {
             push(t, &mut input, &mut work, &mut queued);
         }
 
         // Conservative indirect channel.
-        let feeds_chan = if forward {
-            graph.indirect.contains(&b)
-        } else {
-            // Backward: any block's start fact may flow into an
-            // indirect terminator, so every block feeds the channel
-            // (if the program has indirect flow at all).
-            !graph.indirect.is_empty()
-        };
-        if feeds_chan && analysis.join(&mut chan, &output[b as usize]) {
-            let drains: Vec<u32> = if forward {
-                (0..n as u32).collect()
-            } else {
-                graph.indirect.clone()
-            };
-            for t in drains {
+        if graph.indirect.contains(&b) && analysis.join(&mut chan, &output[b as usize]) {
+            for t in 0..n as u32 {
                 push(t, &mut input, &mut work, &mut queued);
             }
         }
@@ -444,9 +389,6 @@ struct Reach;
 
 impl Analysis for Reach {
     type Fact = bool;
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
     fn top(&self) -> bool {
         false
     }
@@ -492,7 +434,7 @@ pub fn reachability(prog: &Program, graph: &FlowGraph) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Analysis 2: register liveness / use-before-def
+// Analysis 2: use-before-def
 // ---------------------------------------------------------------------
 
 fn reg_bit(r: u8) -> u64 {
@@ -512,9 +454,6 @@ struct MustDef<'p> {
 
 impl Analysis for MustDef<'_> {
     type Fact = u64;
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
     fn top(&self) -> u64 {
         u64::MAX
     }
@@ -530,40 +469,6 @@ impl Analysis for MustDef<'_> {
     fn transfer(&self, unit: u32, fact: &mut u64) {
         *fact |= mask_of(&self.prog.units[unit as usize].writes);
     }
-}
-
-/// Backward liveness: bit `r` set ⇔ some path from this point reads
-/// register `r` before writing it. The backward instance of the
-/// framework; exposed for tooling and tests (`input[b]` = live after
-/// the block, `output[b]` = live before it).
-pub fn liveness(prog: &Program, graph: &FlowGraph) -> Solution<u64> {
-    struct Live<'p> {
-        prog: &'p Program,
-    }
-    impl Analysis for Live<'_> {
-        type Fact = u64;
-        fn direction(&self) -> Direction {
-            Direction::Backward
-        }
-        fn top(&self) -> u64 {
-            0
-        }
-        fn boundary(&self) -> u64 {
-            0
-        }
-        fn join(&self, into: &mut u64, from: &u64) -> bool {
-            let next = *into | *from;
-            let changed = next != *into;
-            *into = next;
-            changed
-        }
-        fn transfer(&self, unit: u32, fact: &mut u64) {
-            let u = &self.prog.units[unit as usize];
-            *fact &= !mask_of(&u.writes);
-            *fact |= mask_of(&u.reads);
-        }
-    }
-    solve(graph, &Live { prog })
 }
 
 /// Flags register reads some path from entry reaches with no prior
@@ -662,9 +567,6 @@ fn apply_const_ops(unit: &GuestUnit, fact: &mut ConstFact) {
 
 impl Analysis for ConstProp<'_> {
     type Fact = ConstFact;
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
     fn top(&self) -> ConstFact {
         vec![CVal::Undef; NUM_REGS].into_boxed_slice()
     }
@@ -1215,30 +1117,6 @@ mod tests {
         let p = prog(units);
         let g = p.graph();
         assert!(use_before_def(&p, &g, 0).is_empty());
-    }
-
-    #[test]
-    fn liveness_runs_backward() {
-        // 0: read r2 / 1: write r2 / 2: read r2, halt
-        let mut units = vec![
-            unit(UnitFlow::Straight),
-            unit(UnitFlow::Straight),
-            unit(UnitFlow::Halt),
-        ];
-        units[0].reads = vec![2];
-        units[1].writes = vec![2];
-        units[2].reads = vec![2];
-        let mut p = prog(units);
-        // Two blocks: force a split so liveness crosses an edge.
-        p.units[0].flow = UnitFlow::Branch { target: Some(1) };
-        let g = p.graph();
-        let live = liveness(&p, &g);
-        // Before block 0, r2 is live (read immediately).
-        assert_eq!(live.output[0] & reg_bit(2), reg_bit(2));
-        // After block 0 (= before block 1) r2 is still live (block 1
-        // reads it at unit 2 only after redefining at unit 1 — so NOT
-        // live into block 1).
-        assert_eq!(live.output[1] & reg_bit(2), 0);
     }
 
     #[test]

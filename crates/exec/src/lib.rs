@@ -58,6 +58,20 @@ pub enum Limit {
     Retirements(u64),
 }
 
+impl Limit {
+    /// True once an engine at `cycles` clock cycles with `retired` units
+    /// retired has used up this budget: [`run_until_with`]'s check
+    /// before each dispatch, for run loops that keep both counters in
+    /// locals (the compiled cores').
+    #[inline]
+    pub fn exhausted(self, cycles: u64, retired: u64) -> bool {
+        match self {
+            Limit::Cycles(c) => cycles >= c,
+            Limit::Retirements(r) => retired >= r,
+        }
+    }
+}
+
 /// Uniform counters every engine exposes, in engine-native units
 /// (source cycles/instructions for interpreters of source code, target
 /// cycles/packets for the VLIW core).
@@ -205,10 +219,10 @@ pub trait ExecutionEngine {
 
 /// The loop behind [`ExecutionEngine::run_until`], with the dispatch
 /// of one unit supplied by the caller: the budget check, then the halt
-/// check (committing architectural state), then `step`. Engines that
-/// override `run_until` to hold a resource for the whole run — the
-/// golden model enters its I/O device once — dispatch through this, so
-/// every engine keeps the one stop rule.
+/// check (committing architectural state), then `step`. The naive
+/// cores dispatch through this; the compiled cores run their own loop
+/// that makes the same two checks at the same unit boundaries, so every
+/// engine keeps the one stop rule.
 ///
 /// # Errors
 ///

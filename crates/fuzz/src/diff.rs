@@ -126,16 +126,6 @@ pub struct CaseReport {
     pub retired: u64,
 }
 
-impl CaseReport {
-    /// The divergences, if any.
-    pub fn divergences(&self) -> &[Divergence] {
-        match &self.status {
-            CaseStatus::Diverged(d) => d,
-            _ => &[],
-        }
-    }
-}
-
 /// Aggressive trace formation (mirrors `tests/compiled_diff.rs`): the
 /// warm-up window never closes and two visits make a block hot, so
 /// short fuzz programs still run mostly inside fused traces.

@@ -29,10 +29,46 @@ pub mod elf;
 pub mod mem;
 pub mod rng;
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A 32-bit byte address in either the source or target address space.
 pub type Addr = u32;
+
+/// Multiplicative hasher for `u32` address keys: page numbers in the
+/// [`mem::Memory`] page table, code addresses in the simulators'
+/// address → position indexes. Every data access and every indirect
+/// branch of a simulator hashes one of them, and the default SipHash is
+/// built for untrusted keys, not for a hot loop hashing small integers;
+/// one odd-constant multiply (Fibonacci hashing) spreads sequential
+/// keys well enough and costs a cycle.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        // Generic fallback (unused by `u32` keys).
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = u64::from(v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A map keyed by a `u32` address (or page number), hashed by
+/// [`AddrHasher`].
+pub type AddrMap<V> = HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
 
 /// A 32-bit machine word.
 pub type Word = u32;

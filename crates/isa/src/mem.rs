@@ -11,42 +11,11 @@
 //! and C6x memory conventions used in the paper's platform.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::{Addr, IsaError, Word};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::{Addr, AddrMap, IsaError, Word};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const OFFSET_MASK: u32 = (PAGE_SIZE as u32) - 1;
-
-/// Multiplicative hasher for page numbers. Every data access of every
-/// simulator funnels through the page table, and the default SipHash
-/// is built for untrusted keys, not for a hot loop hashing the same
-/// handful of small integers; one odd-constant multiply (Fibonacci
-/// hashing) spreads sequential page numbers well enough for a table
-/// this small and costs a cycle.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the u32 page keys).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.0 = u64::from(v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
 
 /// A sparse, paged, little-endian memory.
 ///
@@ -66,7 +35,7 @@ pub struct Memory {
     /// Page number → index into `frames`. Pages are never freed, so
     /// frame indices are stable and the one-entry cache below stays
     /// valid across mutation.
-    table: HashMap<u32, u32, BuildHasherDefault<PageHasher>>,
+    table: AddrMap<u32>,
     /// Page frames, owned flat so a cached index resolves without
     /// touching the hash table.
     frames: Vec<Box<[u8; PAGE_SIZE]>>,
@@ -284,7 +253,7 @@ impl Memory {
         let fault_on_unmapped = r.bool()?;
         let npages = r.count("memory pages", 4 + PAGE_SIZE)?;
         let mut mem = Memory {
-            table: HashMap::default(),
+            table: AddrMap::default(),
             frames: Vec::with_capacity(npages),
             last: None,
             fault_on_unmapped,

@@ -416,11 +416,6 @@ impl Uart {
         }
     }
 
-    /// Bytes transmitted so far.
-    pub fn transmitted(&self) -> &[(u64, u8)] {
-        &self.log
-    }
-
     fn encode_entries(entries: &[(u64, u8)], out: &mut Vec<u8>) {
         for &(ts, byte) in entries {
             put_u64(out, ts);
@@ -1109,7 +1104,7 @@ mod tests {
         assert_eq!(u.read(0, 0x104, 4), 1, "always ready");
         u.write(10, 0x100, 4, b'A' as u32);
         u.write(20, 0x100, 4, b'B' as u32);
-        assert_eq!(u.transmitted(), &[(10, b'A'), (20, b'B')]);
+        assert_eq!(u.transmit_log(), &[(10, b'A'), (20, b'B')]);
     }
 
     #[test]
@@ -1158,12 +1153,12 @@ mod tests {
         let img = u.save_state();
         let mut fresh = Uart::new(0);
         fresh.restore_state(&img).unwrap();
-        assert_eq!(fresh.transmitted(), u.transmitted());
+        assert_eq!(fresh.transmit_log(), u.transmit_log());
         // Restoring an earlier image truncates later transmissions —
         // the double-log fix.
         u.write(1000, 0, 4, b'Z' as u32);
         u.restore_state(&img).unwrap();
-        assert_eq!(u.transmitted().len(), 2);
+        assert_eq!(u.transmit_log().len(), 2);
     }
 
     #[test]
@@ -1356,14 +1351,14 @@ mod tests {
         // Only traffic of the new epoch travels, however long the log.
         u.write(3, 0, 4, b'c' as u32);
         assert_eq!(u.barrier_delta().len(), 9);
-        assert_eq!(u.transmitted().len(), 3, "history intact");
+        assert_eq!(u.transmit_log().len(), 3, "history intact");
 
         // The exchanged mark survives a save/restore round trip.
         let img = u.save_state();
         let mut fresh = Uart::new(0);
         fresh.restore_state(&img).unwrap();
         assert_eq!(fresh.barrier_delta().len(), 9);
-        assert_eq!(fresh.transmitted(), u.transmitted());
+        assert_eq!(fresh.transmit_log(), u.transmit_log());
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! actually claims) and the TriCore lowering — and runs every shipped
 //! analysis over a workload before any backend executes it.
 //!
-//! Three consumers sit on top of this module: the `cabt-analyze`
-//! binary, [`SimBuilder::analyze`](crate::SimBuilder::analyze), and
-//! the `analyze` verb of `fleet-server`.
+//! Two consumers sit on top of this module: the `cabt-analyze` binary
+//! and the `analyze` verb of `fleet-server`.
 
 use cabt_exec::analyze::{analyze_program, MemMap};
 use cabt_isa::elf::{ElfFile, SectionKind};

@@ -752,34 +752,6 @@ impl SimBuilder {
         self
     }
 
-    /// Resolves the workload to an ELF image and runs the full
-    /// static-analysis pass over it, without building a vehicle.
-    ///
-    /// # Errors
-    ///
-    /// Assembly, lookup and decode failures.
-    pub fn analyze(self) -> Result<analyze::AnalysisReport, SessionError> {
-        let elf = Self::resolve(self.source, None)?;
-        analyze::analyze_elf(&elf)
-    }
-
-    /// Resolves a source spec to its ELF image. A named workload must
-    /// halt on `backend` when one is given ([`named_workload`]); analysis
-    /// runs no vehicle and passes none.
-    fn resolve(source: SourceSpec, backend: Option<Backend>) -> Result<ElfFile, SessionError> {
-        Ok(match source {
-            SourceSpec::Asm(src) => cabt_tricore::asm::assemble(&src)?,
-            SourceSpec::Elf(elf) => elf,
-            SourceSpec::Named(name) => match backend {
-                Some(backend) => named_workload(&name, backend)?,
-                None => {
-                    cabt_workloads::by_name(&name).ok_or(SessionError::UnknownWorkload(name))?
-                }
-            }
-            .elf()?,
-        })
-    }
-
     /// Builds the session: resolves the workload to an ELF image and
     /// constructs the configured vehicle around it.
     ///
@@ -789,7 +761,11 @@ impl SimBuilder {
     /// and [`SessionError::UnsupportedShape`] for a named workload that
     /// cannot halt on the selected backend.
     pub fn build(self) -> Result<Session, SessionError> {
-        let elf = Self::resolve(self.source, Some(self.backend))?;
+        let elf = match self.source {
+            SourceSpec::Asm(src) => cabt_tricore::asm::assemble(&src)?,
+            SourceSpec::Elf(elf) => elf,
+            SourceSpec::Named(name) => named_workload(&name, self.backend)?.elf()?,
+        };
         Session::new(elf, self.backend, self.config, self.soc_bus)
     }
 }

@@ -6,8 +6,8 @@
 //! record and operand sets are captured as constants, so executing an
 //! instruction is one indirect call into a body with no decode match,
 //! no table-entry copy and no per-step dispatch-cache maintenance. The
-//! compiled core steps these ops one per step wherever no trace is
-//! formed. Block structure comes from the shared
+//! compiled core's run loop dispatches these ops one per unit wherever
+//! no trace is formed. Block structure comes from the shared
 //! [`cabt_exec::blocks::BlockMap`] (the same partition the translator's
 //! CFG uses): during a warm-up window the core profiles blocks and fuses
 //! hot chains of them into superblocks ([`compile_trace`]).
@@ -249,10 +249,10 @@ pub(crate) struct CompiledTrace {
     /// anywhere.
     pub loop_head_ops: Option<Box<[OpFn]>>,
     /// Union of every segment's fetch lines — the whole-trace residency
-    /// guard, checked *once* per trace step: while it holds, no op of
+    /// guard, checked *once* per trace unit: while it holds, no op of
     /// any segment can move cache state, so it keeps holding through
     /// loop iterations and the executor batches all fetch accounting
-    /// for the step into one add.
+    /// for the trace into one add.
     pub lines: Box<[u32]>,
 }
 

@@ -21,16 +21,19 @@
 //!   fall-through and direct-branch-target *table indices*, the cache
 //!   lines its fetch touches, and its read/write register sets — and
 //!   the table is compiled, also at load, into one specialized closure
-//!   per instruction. One step runs one closure and chases the
-//!   successor index through a flat `Vec`, never hashing an address or
-//!   allocating. On top of the same closures the table is partitioned
-//!   into basic blocks (the shared [`cabt_exec::blocks::BlockMap`]),
-//!   and block-edge counters collected during a warm-up window fuse hot
-//!   chains into single multi-block closure runs with side-exit guards
-//!   ([`cabt_exec::trace`]); one step at a trace head then dispatches a
-//!   whole *trace* (up to a bounded number of loop iterations for loop
+//!   per instruction. The tier's one run loop keeps the program
+//!   counter, its table index and the retirement counter in locals,
+//!   enters the I/O device once, and per unit runs one closure and
+//!   chases the successor index through a flat `Vec`, never hashing an
+//!   address or allocating. On top of the same closures the table is
+//!   partitioned into basic blocks (the shared
+//!   [`cabt_exec::blocks::BlockMap`]), and block-edge counters
+//!   collected during a warm-up window fuse hot chains into single
+//!   multi-block closure runs with side-exit guards
+//!   ([`cabt_exec::trace`]); a unit at a trace head is then a whole
+//!   *trace* (up to a bounded number of loop iterations for loop
 //!   traces). With a warm-up window of 0 the engine keeps no trace
-//!   state at all, never profiles, and steps one instruction at a time.
+//!   state at all, never profiles, and every unit is one instruction.
 //!   Traces are the only multi-instruction stop points: budgeted runs
 //!   overshoot into the end of the current trace.
 //! * [`DispatchMode::Naive`] is the retained seed interpreter: an
@@ -65,8 +68,7 @@ use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::{expect_index, ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::mem::Memory;
-use cabt_isa::IsaError;
-use std::collections::HashMap;
+use cabt_isa::{AddrMap, IsaError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -201,7 +203,8 @@ pub struct RunStats {
     pub stall_cycles: u64,
 }
 
-/// Which dispatch core [`Simulator::step`] uses.
+/// Which dispatch core [`Simulator::step`] and
+/// [`ExecutionEngine::run_until`] use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// The compiled ops plus the profile-guided superblock tier (see
@@ -367,11 +370,11 @@ impl TraceTier {
     }
 }
 
-/// Loop traces iterate in place, but a single [`Simulator::step`] stays
-/// bounded: after this many back-edge trips the step returns (parked on
-/// the loop head, a block leader) and the next step re-enters the
-/// trace. Purely a stop-point granularity knob — any value yields the
-/// same architectural trajectory.
+/// Loop traces iterate in place, but a single unit stays bounded: after
+/// this many back-edge trips the unit ends (parked on the loop head, a
+/// block leader), the run loop checks its budget, and the next unit
+/// re-enters the trace. Purely a stop-point granularity knob — any
+/// value yields the same architectural trajectory.
 const TRACE_LOOP_CAP: u32 = 64;
 
 /// Where execution goes after an instruction.
@@ -396,11 +399,11 @@ pub struct GoldenProgram {
     arch: ArchDesc,
     model: TimingModel,
     /// Pre-decoded instruction table, sorted by address. The naive path
-    /// fetches through `index_of` into this table — the same per-step
-    /// address hash the seed's instruction map cost.
+    /// fetches through `index_of` into this table — an address hash on
+    /// every step, as the seed's instruction map did.
     table: Vec<PreInstr>,
     /// Address → table index (entry points, indirect jumps).
-    index_of: HashMap<u32, u32>,
+    index_of: AddrMap<u32>,
     /// The table compiled into one fused op per instruction, over its
     /// block partition — what the compiled core steps.
     compiled: CompiledProgram,
@@ -427,7 +430,7 @@ impl GoldenProgram {
         }
         decoded.sort_by_key(|&(addr, _)| addr);
 
-        let index_of: HashMap<u32, u32> = decoded
+        let index_of: AddrMap<u32> = decoded
             .iter()
             .enumerate()
             .map(|(i, &(addr, _))| (addr, i as u32))
@@ -672,22 +675,20 @@ impl Simulator {
     }
 
     /// Runs until `debug` halts the program, with the I/O device
-    /// entered once for the whole run.
+    /// entered once for the whole run: [`ExecutionEngine::run_until`]
+    /// with a retirement budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InstructionLimit`] after `max_instructions`
     /// retirements without a halt, or any fault from [`Simulator::step`].
     pub fn run(&mut self, max_instructions: u64) -> Result<RunStats, SimError> {
-        self.with_io(|sim, mut io| {
-            while !sim.halted {
-                if sim.stats.instructions >= max_instructions {
-                    return Err(SimError::InstructionLimit);
-                }
-                sim.dispatch(io.as_deref_mut())?;
-            }
-            Ok(sim.stats())
-        })
+        if self.run_until(Limit::Retirements(max_instructions))? == StopCause::LimitReached
+            && !self.halted
+        {
+            return Err(SimError::InstructionLimit);
+        }
+        Ok(self.stats())
     }
 
     /// Executes a single dispatch unit, returning the last instruction
@@ -699,38 +700,51 @@ impl Simulator {
     /// Returns [`SimError::PcInvalid`] if the program counter points
     /// outside the decoded program, or [`SimError::Mem`] on data faults.
     pub fn step(&mut self) -> Result<Instr, SimError> {
-        self.with_io(Self::dispatch)
+        // A step ignores the budget: any limit will do.
+        let one = Limit::Cycles(0);
+        self.with_io(|sim, io| {
+            let mut last = None;
+            match sim.mode {
+                DispatchMode::Naive => return sim.step_naive(io),
+                DispatchMode::Trace if sim.profiles() => {
+                    sim.run_compiled::<true, true>(io, one, &mut last)?
+                }
+                DispatchMode::Trace => sim.run_compiled::<false, true>(io, one, &mut last)?,
+            };
+            Ok(last.expect("a step retires its unit or faults"))
+        })
     }
 
-    /// One dispatch unit on the selected core, with `io` the entered
-    /// I/O device.
-    fn dispatch(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
-        match self.mode {
-            DispatchMode::Naive => self.step_naive(io),
-            DispatchMode::Trace => self.step_compiled(io),
-        }
-    }
-
-    /// The compiled hot loop. At a block leader with a formed trace the
-    /// whole
-    /// fused superblock executes inside this one step — seam guards
+    /// The compiled tier's run loop: the only place a compiled op or
+    /// trace is dispatched, with `io` the entered I/O device. The
+    /// program counter, its table index and the retirement counter live
+    /// in locals for the whole run and are written back once, on the
+    /// way out.
+    ///
+    /// At every unit boundary it makes [`cabt_exec::run_until_with`]'s
+    /// checks — the budget, then the halt — or, with `ONE`, stops after
+    /// the first unit (a step), leaving its last instruction in `last`.
+    /// Without `PROFILE` (a warm-up of 0) every unit is one compiled
+    /// op. With it, a leader counts its block's dispatch (forming traces
+    /// on the hot-threshold crossing) and, when a trace is headed
+    /// there, the whole fused superblock is the unit — seam guards
     /// compare each segment terminator's actual exit with the edge the
-    /// trace was selected along, side-exiting into normal dispatch on
-    /// mismatch; loop traces iterate in place (bounded by
-    /// [`TRACE_LOOP_CAP`]) using the head segment's back-edge
-    /// specialization. Everywhere else one compiled op executes, and
-    /// while the warm-up window is open a leader counts
-    /// its block's dispatch (forming traces) and a block's last
+    /// trace was selected along, side-exiting on mismatch; loop traces
+    /// iterate in place (bounded by [`TRACE_LOOP_CAP`]) using the head
+    /// segment's back-edge specialization. Elsewhere one compiled op is
+    /// the unit, and while the warm-up window is open a block's last
     /// instruction records the exit edge. Per-instruction work inside
     /// the closures mirrors the naive step exactly (cache accounting,
     /// semantics, the stateful timing model, branch statistics); only
     /// the retirement counter is batched per trace — and reconstructed
     /// on the fault path, where `cpu.pc` parks on the faulting
     /// instruction just as the naive core leaves it.
-    fn step_compiled(&mut self, io: Option<&mut (dyn IoDevice + '_)>) -> Result<Instr, SimError> {
-        let pc = self.cpu.pc;
-        // The cached index is valid unless someone rewrote `cpu.pc`
-        // behind our back (debuggers do); fall back to one map lookup.
+    fn run_compiled<const PROFILE: bool, const ONE: bool>(
+        &mut self,
+        io: Option<&mut (dyn IoDevice + '_)>,
+        limit: Limit,
+        last: &mut Option<Instr>,
+    ) -> Result<StopCause, SimError> {
         let Simulator {
             program,
             trace,
@@ -744,7 +758,7 @@ impl Simulator {
             cur: cur_field,
             ..
         } = self;
-        // One borrow of the shared program for the whole step.
+        // One borrow of the shared program for the whole run.
         let GoldenProgram {
             table,
             index_of,
@@ -754,193 +768,234 @@ impl Simulator {
             ..
         } = &**program;
         let cache_cfg = &arch.cache;
-        let cur = if *cur_field != NO_IDX && table[*cur_field as usize].pc == pc {
-            *cur_field
+        let cfg = *trace_cfg;
+        let mut tier = if PROFILE {
+            Some(&mut **trace.get_or_insert_with(|| TraceTier::cold(&prog.map, cfg)))
         } else {
-            *index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
+            None
         };
-        let loc = prog.map.location(cur);
-        // A profiling engine builds its tier cold on first dispatch.
-        let mut tier = match trace_cfg.warmup {
-            0 => None,
-            _ => Some(&mut **trace.get_or_insert_with(|| TraceTier::cold(&prog.map, *trace_cfg))),
+        let mut retired = stats.instructions;
+        let mut pc = cpu.pc;
+        // `field` is what `self.cur` holds; `cur` the index of `pc`. They
+        // differ only at entry, when someone rewrote `cpu.pc` behind the
+        // cached index (debuggers do): one map lookup then.
+        let mut field = *cur_field;
+        let mut cur = if field != NO_IDX && table[field as usize].pc == pc {
+            field
+        } else {
+            index_of.get(&pc).copied().unwrap_or(NO_IDX)
         };
-        // At a leader, warm-up profiling counts the dispatch and, on the
-        // hot-threshold crossing, grows the hottest chain and fuses it;
-        // then the trace headed here, if any, runs.
-        let formed = match tier.as_deref_mut() {
-            Some(t) if loc.offset == 0 => {
-                if let Some(plan) = t.state.form(&prog.map, loc.block, trace_cfg.hot_threshold) {
-                    t.traces[loc.block as usize] = Some(compiled::compile_trace(
+        let mut hot = Hot {
+            cpu,
+            mem,
+            // Shortens the device's object lifetime to the run's.
+            io: io.map(|d| d as &mut dyn IoDevice),
+            tstate,
+            cache,
+            cache_cfg: *cache_cfg,
+            model,
+            stats,
+            halted,
+        };
+        let mut stepped = false;
+        let result = 'run: loop {
+            if ONE {
+                if stepped {
+                    break Ok(StopCause::LimitReached);
+                }
+                stepped = true;
+            } else {
+                if limit.exhausted(hot.tstate.cycles(), retired) {
+                    break Ok(StopCause::LimitReached);
+                }
+                if *hot.halted {
+                    break Ok(StopCause::Halted);
+                }
+            }
+            if cur == NO_IDX {
+                match index_of.get(&pc) {
+                    Some(&i) => cur = i,
+                    None => break Err(SimError::PcInvalid { pc }),
+                }
+            }
+            let loc = PROFILE.then(|| prog.map.location(cur));
+            if let Some(loc) = loc.filter(|l| l.offset == 0) {
+                let TraceTier { state, traces } =
+                    tier.as_deref_mut().expect("a profiling run has a tier");
+                // At a leader, warm-up profiling counts the dispatch
+                // and, on the hot-threshold crossing, grows the hottest
+                // chain and fuses it; then the trace headed here, if
+                // any, runs.
+                if let Some(plan) = state.form(&prog.map, loc.block, cfg.hot_threshold) {
+                    traces[loc.block as usize] = Some(compiled::compile_trace(
                         table.as_slice(),
                         &prog.map,
                         plan,
                         cache_cfg.line_bytes,
                     ));
                 }
-                let tr = t.traces[loc.block as usize].as_ref();
-                tr.map(|tr| (tr, &mut t.state.stats))
-            }
-            _ => None,
-        };
-
-        let mut hot = Hot {
-            cpu: &mut *cpu,
-            mem: &mut *mem,
-            // Shortens the device's object lifetime to the step's.
-            io: io.map(|d| d as &mut dyn IoDevice),
-            tstate: &mut *tstate,
-            cache: &mut *cache,
-            cache_cfg: *cache_cfg,
-            model,
-            stats: &mut *stats,
-            halted: &mut *halted,
-        };
-
-        if let Some((tr, tstats)) = formed {
-            // Fused superblock dispatch. Batched-fetch fast path: when
-            // every line the whole trace touches is MRU-resident, each
-            // per-op access would be a pure hit with no tag/LRU
-            // movement — so the fetch-free ops run, nothing can move
-            // cache state for the rest of the step (the guard keeps
-            // holding through seams and loop iterations), and all
-            // fetch accounting of the step collapses into one add at
-            // the exit point. Bit-identical: no observation point
-            // exists inside a step. With no cache configured the fast
-            // path is unconditional and accounts nothing, like a
-            // single op's prologue.
-            let (batched, counted) = match hot.cache.as_ref() {
-                None => (true, false),
-                Some(c) => (tr.lines.iter().all(|&l| c.mru_resident(l)), true),
-            };
-            let mut done = 0u64; // units retired in completed segments
-            let mut acc = 0u64; // batched icache accesses of those
-            let mut si = 0usize;
-            let mut iters = 0u32;
-            let mut on_back_edge = false;
-            loop {
-                let seg = &tr.segs[si];
-                let ops = if batched {
-                    &seg.lean_ops[..]
-                } else if on_back_edge && si == 0 {
-                    tr.loop_head_ops
-                        .as_deref()
-                        .expect("loop traces carry head ops")
-                } else {
-                    &seg.ops[..]
-                };
-                let mut i = 0usize;
-                let exit = loop {
-                    match (ops[i])(&mut hot) {
-                        Ok(Ctl::Next) => i += 1,
-                        Ok(ctl) => break ctl,
-                        Err(e) => {
-                            // Fault inside the trace: the completed
-                            // prefix retires, the faulting op does not.
-                            // On the batched path, fetch precedes
-                            // execute, so ops 0..=i did fetch — their
-                            // accesses (all guarded hits) land now.
-                            if batched && counted {
-                                let n = acc + u64::from(seg.acc_prefix[i]);
-                                hot.stats.icache_accesses += n;
-                                hot.cache
-                                    .as_mut()
-                                    .expect("counted implies a cache")
-                                    .batch_hits(n);
+                if let Some(tr) = &traces[loc.block as usize] {
+                    // Fused superblock dispatch. Batched-fetch fast
+                    // path: when every line the whole trace touches is
+                    // MRU-resident, each per-op access would be a pure
+                    // hit with no tag/LRU movement — so the fetch-free
+                    // ops run, nothing can move cache state for the
+                    // rest of the trace (the guard keeps holding
+                    // through seams and loop iterations), and all fetch
+                    // accounting of the trace collapses into one add at
+                    // the exit point. Bit-identical: no observation
+                    // point exists inside a unit. With no cache
+                    // configured the fast path is unconditional and
+                    // accounts nothing, like a single op's prologue.
+                    let tstats = &mut state.stats;
+                    let (batched, counted) = match hot.cache.as_ref() {
+                        None => (true, false),
+                        Some(c) => (tr.lines.iter().all(|&l| c.mru_resident(l)), true),
+                    };
+                    let mut done = 0u64; // units retired in completed segments
+                    let mut acc = 0u64; // batched icache accesses of those
+                    let mut si = 0usize;
+                    let mut iters = 0u32;
+                    let mut on_back_edge = false;
+                    loop {
+                        let seg = &tr.segs[si];
+                        let ops = if batched {
+                            &seg.lean_ops[..]
+                        } else if on_back_edge && si == 0 {
+                            tr.loop_head_ops
+                                .as_deref()
+                                .expect("loop traces carry head ops")
+                        } else {
+                            &seg.ops[..]
+                        };
+                        let mut i = 0usize;
+                        let exit = loop {
+                            match (ops[i])(&mut hot) {
+                                Ok(Ctl::Next) => i += 1,
+                                Ok(ctl) => break ctl,
+                                Err(e) => {
+                                    // Fault inside the trace: the
+                                    // completed prefix retires, the
+                                    // faulting op does not. On the
+                                    // batched path, fetch precedes
+                                    // execute, so ops 0..=i did fetch —
+                                    // their accesses (all guarded hits)
+                                    // land now.
+                                    if batched && counted {
+                                        let n = acc + u64::from(seg.acc_prefix[i]);
+                                        hot.stats.icache_accesses += n;
+                                        hot.cache
+                                            .as_mut()
+                                            .expect("counted implies a cache")
+                                            .batch_hits(n);
+                                    }
+                                    let done = done + i as u64;
+                                    retired += done;
+                                    tstats.trace_retired += done;
+                                    pc = seg.pcs[i];
+                                    field = seg.first + i as u32;
+                                    break 'run Err(e);
+                                }
                             }
-                            let retired = done + i as u64;
-                            hot.stats.instructions += retired;
-                            tstats.trace_retired += retired;
-                            hot.cpu.pc = seg.pcs[i];
-                            *cur_field = seg.first + i as u32;
-                            return Err(e);
+                        };
+                        acc += u64::from(seg.accesses);
+                        done += (i + 1) as u64;
+                        // Seam guard: did control leave through the edge
+                        // the trace was selected along?
+                        let cont = if si + 1 < tr.segs.len() {
+                            seg.cont
+                        } else {
+                            tr.loop_cont
+                        };
+                        let follows = !*hot.halted
+                            && matches!(
+                                (cont, exit),
+                                (Some(TraceCont::Fall), Ctl::Next | Ctl::Fall)
+                                    | (Some(TraceCont::Taken), Ctl::Taken)
+                            );
+                        if follows {
+                            if si + 1 < tr.segs.len() {
+                                si += 1;
+                                continue;
+                            }
+                            // Back edge of a loop trace: iterate in place.
+                            iters += 1;
+                            if iters < TRACE_LOOP_CAP {
+                                si = 0;
+                                on_back_edge = true;
+                                continue;
+                            }
+                            // Cap hit: end the unit on the matched edge —
+                            // it lands on the head leader, like any side
+                            // exit.
                         }
+                        // Side exit: resolve the successor exactly as a
+                        // single op would and end the unit.
+                        (pc, cur) = match exit {
+                            Ctl::Next | Ctl::Fall => (seg.fall_pc, seg.fall_unit),
+                            Ctl::Taken => (seg.target_pc, seg.taken_unit),
+                            Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
+                        };
+                        // Direct side exits always land on block leaders
+                        // (targets and post-terminator successors are
+                        // leaders by construction); indirect exits may
+                        // land mid-block, where single ops take over.
+                        debug_assert!(
+                            matches!(exit, Ctl::Indirect(_))
+                                || cur == NO_IDX
+                                || prog.map.location(cur).offset == 0,
+                            "trace side exit must land on a block leader"
+                        );
+                        if batched && counted {
+                            hot.stats.icache_accesses += acc;
+                            hot.cache
+                                .as_mut()
+                                .expect("counted implies a cache")
+                                .batch_hits(acc);
+                        }
+                        field = cur;
+                        retired += done;
+                        tstats.trace_retired += done;
+                        if ONE {
+                            *last = Some(seg.term);
+                        }
+                        continue 'run;
                     }
-                };
-                acc += u64::from(seg.accesses);
-                done += (i + 1) as u64;
-                // Seam guard: did control leave through the edge the
-                // trace was selected along?
-                let cont = if si + 1 < tr.segs.len() {
-                    seg.cont
-                } else {
-                    tr.loop_cont
-                };
-                let follows = !*hot.halted
-                    && matches!(
-                        (cont, exit),
-                        (Some(TraceCont::Fall), Ctl::Next | Ctl::Fall)
-                            | (Some(TraceCont::Taken), Ctl::Taken)
-                    );
-                if follows {
-                    if si + 1 < tr.segs.len() {
-                        si += 1;
-                        continue;
-                    }
-                    // Back edge of a loop trace: iterate in place.
-                    iters += 1;
-                    if iters < TRACE_LOOP_CAP {
-                        si = 0;
-                        on_back_edge = true;
-                        continue;
-                    }
-                    // Cap hit: end the step on the matched edge — it
-                    // lands on the head leader, like any side exit.
                 }
-                // Side exit: resolve the successor exactly as a single
-                // op would and return to normal dispatch.
-                let (next_pc, next_idx) = match exit {
-                    Ctl::Next | Ctl::Fall => (seg.fall_pc, seg.fall_unit),
-                    Ctl::Taken => (seg.target_pc, seg.taken_unit),
-                    Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
-                };
-                // Direct side exits always land on block leaders
-                // (targets and post-terminator successors are leaders
-                // by construction); indirect exits may land mid-block,
-                // where single ops take over.
-                debug_assert!(
-                    matches!(exit, Ctl::Indirect(_))
-                        || next_idx == NO_IDX
-                        || prog.map.location(next_idx).offset == 0,
-                    "trace side exit must land on a block leader"
-                );
-                if batched && counted {
-                    hot.stats.icache_accesses += acc;
-                    hot.cache
-                        .as_mut()
-                        .expect("counted implies a cache")
-                        .batch_hits(acc);
-                }
-                hot.cpu.pc = next_pc;
-                *cur_field = next_idx;
-                hot.stats.instructions += done;
-                tstats.trace_retired += done;
-                return Ok(seg.term);
             }
-        }
 
-        // One compiled op; a fault leaves `cpu.pc` on it.
-        let exit = (prog.ops[cur as usize])(&mut hot)?;
-        hot.stats.instructions += 1;
-        if let Some(tier) = tier {
-            let profile = &mut tier.state.profile;
-            if profile.warm() && cur == prog.map.blocks[loc.block as usize].last() {
-                match exit {
-                    Ctl::Next | Ctl::Fall => profile.record_fall(loc.block),
-                    Ctl::Taken => profile.record_taken(loc.block),
-                    Ctl::Indirect(_) => {}
+            // One compiled op; a fault leaves `cpu.pc` on it.
+            let exit = match (prog.ops[cur as usize])(&mut hot) {
+                Ok(exit) => exit,
+                Err(e) => break Err(e),
+            };
+            retired += 1;
+            if let Some(loc) = loc {
+                let tier = tier.as_deref_mut().expect("a profiling run has a tier");
+                let profile = &mut tier.state.profile;
+                if profile.warm() && cur == prog.map.blocks[loc.block as usize].last() {
+                    match exit {
+                        Ctl::Next | Ctl::Fall => profile.record_fall(loc.block),
+                        Ctl::Taken => profile.record_taken(loc.block),
+                        Ctl::Indirect(_) => {}
+                    }
                 }
             }
-        }
-        let pi = &table[cur as usize];
-        let (next_pc, next_idx) = match exit {
-            Ctl::Next | Ctl::Fall => (pi.fall_pc, pi.fall),
-            Ctl::Taken => (pi.target_pc, pi.target),
-            Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
+            let pi = &table[cur as usize];
+            (pc, cur) = match exit {
+                Ctl::Next | Ctl::Fall => (pi.fall_pc, pi.fall),
+                Ctl::Taken => (pi.target_pc, pi.target),
+                Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
+            };
+            field = cur;
+            if ONE {
+                *last = Some(pi.instr);
+            }
         };
-        hot.cpu.pc = next_pc;
-        *cur_field = next_idx;
-        Ok(pi.instr)
+        hot.cpu.pc = pc;
+        hot.stats.instructions = retired;
+        *cur_field = field;
+        result
     }
 
     /// The retained naive interpreter: per-step map fetch, per-step line
@@ -1321,15 +1376,23 @@ impl ExecutionEngine for Simulator {
     }
 
     fn step_unit(&mut self) -> Result<(), SimError> {
-        self.step().map(|_| ())
+        self.step().map(drop)
     }
 
-    /// The trait's loop ([`cabt_exec::run_until_with`]) with the I/O
-    /// device entered once for the whole run, however many accesses
-    /// the run makes.
+    /// The I/O device entered once for the whole run, however many
+    /// accesses the run makes; the naive core runs
+    /// [`cabt_exec::run_until_with`] inside it, the compiled tier its
+    /// own loop, which makes the same checks at the same unit
+    /// boundaries.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SimError> {
-        self.with_io(|sim, mut io| {
-            cabt_exec::run_until_with(sim, limit, |s| s.dispatch(io.as_deref_mut()).map(|_| ()))
+        self.with_io(|sim, mut io| match sim.mode {
+            DispatchMode::Naive => {
+                cabt_exec::run_until_with(sim, limit, |s| s.step_naive(io.as_deref_mut()).map(drop))
+            }
+            DispatchMode::Trace if sim.profiles() => {
+                sim.run_compiled::<true, false>(io, limit, &mut None)
+            }
+            DispatchMode::Trace => sim.run_compiled::<false, false>(io, limit, &mut None),
         })
     }
 

@@ -26,16 +26,18 @@
 //! The closures do only the write-back work their slot needs:
 //! single-cycle results (every ALU operation but multiply, divide and
 //! remainder) go into the engine's next-cycle latch; loads and the
-//! multi-cycle results go into the due-ordered list. Each compiled
-//! packet also records whether the packet after it is all NOPs, so a
-//! fused run can fold that packet into this one's dispatch without
-//! calling its closure.
+//! multi-cycle results go into the due-ordered list. NOP slots compile
+//! to no closure, so an all-NOP packet has none: the run loop retires
+//! it with its write-back prologue and branch-shadow epilogue alone.
+//! A packet's closures are kept as a slice the run loop walks — one
+//! indirect call per slot — rather than composed into one closure,
+//! whose nested calls cost more than the loop.
 
 use crate::isa::{Op, Packet, Pred, Reg, Slot};
 use crate::sim::{route_load, route_store, DeviceBus, Latch, VliwError, NO_IDX};
 use cabt_exec::blocks::{BlockMap, UnitFlow};
 use cabt_isa::mem::Memory;
-use std::collections::HashMap;
+use cabt_isa::AddrMap;
 
 /// The mutable engine state a slot closure executes against.
 pub(crate) struct VHot<'a> {
@@ -68,37 +70,19 @@ pub(crate) type SlotFn = Box<
         + Sync,
 >;
 
-/// One compiled execute packet: all slots fused into a single closure
-/// so the hot loop pays one indirect call per packet, with no slot
-/// iteration or per-slot bounds checks.
+/// One compiled execute packet: its slots' closures in issue order.
 pub(crate) struct CompiledPacket {
     /// Issue cycles (packet epilogue cost).
     pub issue: u32,
-    /// Issue cycles of the next packet when all its slots are NOPs, so
-    /// a trace run can fold it into this one; 0 otherwise.
-    pub nop_after: u32,
-    /// The whole packet, slots composed in issue order.
-    pub run: SlotFn,
-}
-
-/// Composes the packet's slot closures pairwise into one body. Slots
-/// only read architectural registers (staged writes commit between
-/// packets), so sequential composition is exactly the naive core's
-/// slot loop.
-fn fuse_packet(slots: Vec<SlotFn>) -> SlotFn {
-    slots
-        .into_iter()
-        .reduce(|a, b| {
-            Box::new(move |h, writes, stall, branch| {
-                a(h, writes, stall, branch)?;
-                b(h, writes, stall, branch)
-            })
-        })
-        .unwrap_or_else(|| Box::new(|_, _, _, _| Ok(())))
+    /// The closures of the packet's non-NOP slots, in issue order
+    /// (empty when every slot is a NOP). Slots only read architectural
+    /// registers (staged writes commit between packets), so running
+    /// them in order is exactly the naive core's slot loop.
+    pub slots: Box<[SlotFn]>,
 }
 
 /// The compiled program: the shared block partition over the packet
-/// table plus one fused packet per table entry.
+/// table plus one compiled packet per table entry.
 pub(crate) struct CompiledProgram {
     pub map: BlockMap,
     pub packets: Vec<CompiledPacket>,
@@ -107,7 +91,7 @@ pub(crate) struct CompiledProgram {
 /// A slot's branch destination: the target address of a static `B`
 /// at `slot_addr` and its packet index ([`NO_IDX`] when the target is
 /// not a packet start).
-fn branch_dest(slot_addr: u32, disp21: i32, index: &HashMap<u32, usize>) -> (u32, u32) {
+fn branch_dest(slot_addr: u32, disp21: i32, index: &AddrMap<usize>) -> (u32, u32) {
     let dest = slot_addr.wrapping_add((disp21 as u32).wrapping_mul(4));
     (dest, index.get(&dest).map_or(NO_IDX, |&i| i as u32))
 }
@@ -117,7 +101,7 @@ fn branch_dest(slot_addr: u32, disp21: i32, index: &HashMap<u32, usize>) -> (u32
 /// packets with a `HALT` slot terminate. Branches keep their fall edge
 /// — the five-issue-slot shadow architecturally *falls* into the next
 /// packets before the redirect lands.
-fn flow_of(p: &Packet, index: &HashMap<u32, usize>) -> UnitFlow {
+fn flow_of(p: &Packet, index: &AddrMap<usize>) -> UnitFlow {
     let mut flow = UnitFlow::Straight;
     for (pos, s) in p.slots().iter().enumerate() {
         match s.op {
@@ -137,28 +121,22 @@ fn flow_of(p: &Packet, index: &HashMap<u32, usize>) -> UnitFlow {
 
 /// Compiles the whole packet table; `index` maps packet addresses to
 /// table positions and resolves static branch destinations.
-pub(crate) fn compile(program: &[Packet], index: &HashMap<u32, usize>) -> CompiledProgram {
+pub(crate) fn compile(program: &[Packet], index: &AddrMap<usize>) -> CompiledProgram {
     let units: Vec<UnitFlow> = program.iter().map(|p| flow_of(p, index)).collect();
     // Packets are a dense arena: every packet's sequential successor is
     // the next table entry.
     let map = BlockMap::build(&units, |_| true, std::iter::once(0u32), false);
-    let all_nops = |p: &&Packet| p.slots().iter().all(|s| matches!(s.op, Op::Nop { .. }));
     let packets = program
         .iter()
-        .enumerate()
-        .map(|(i, p)| CompiledPacket {
+        .map(|p| CompiledPacket {
             issue: p.issue_cycles(),
-            nop_after: program
-                .get(i + 1)
-                .filter(all_nops)
-                .map_or(0, Packet::issue_cycles),
-            run: fuse_packet(
-                p.slots()
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, s)| compile_slot(s, p.addr + 8 * pos as u32, index))
-                    .collect(),
-            ),
+            slots: p
+                .slots()
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !matches!(s.op, Op::Nop { .. }))
+                .map(|(pos, s)| compile_slot(s, p.addr + 8 * pos as u32, index))
+                .collect(),
         })
         .collect();
     CompiledProgram { map, packets }
@@ -166,7 +144,7 @@ pub(crate) fn compile(program: &[Packet], index: &HashMap<u32, usize>) -> Compil
 
 /// Wraps a slot body with its predication guard and the executed-slot
 /// counter — the compiled form of the naive core's per-slot prologue.
-fn guard<F>(pred: Option<Pred>, counts: bool, body: F) -> SlotFn
+fn guard<F>(pred: Option<Pred>, body: F) -> SlotFn
 where
     F: Fn(
             &mut VHot<'_>,
@@ -185,19 +163,17 @@ where
                 return Ok(()); // guard false: annulled
             }
         }
-        if counts {
-            *h.slots += 1;
-        }
+        *h.slots += 1;
         body(h, writes, stall, branch)
     })
 }
 
 /// Compiles the slot at `slot_addr` into its fused closure,
 /// specializing the operation and capturing operands, the staged-write
-/// latency and the pre-resolved branch destination.
-fn compile_slot(slot: &Slot, slot_addr: u32, index: &HashMap<u32, usize>) -> SlotFn {
+/// latency and the pre-resolved branch destination. NOP slots have no
+/// closure ([`compile`] skips them).
+fn compile_slot(slot: &Slot, slot_addr: u32, index: &AddrMap<usize>) -> SlotFn {
     let pred = slot.pred;
-    let counts = !matches!(slot.op, Op::Nop { .. });
     // Staged results become visible `1 + delay` cycles after dispatch.
     let lat = 1 + slot.op.delay_slots() as u64;
     // ALU ops share one shape: read sources, stage one result —
@@ -206,13 +182,13 @@ fn compile_slot(slot: &Slot, slot_addr: u32, index: &HashMap<u32, usize>) -> Slo
         (|$h:ident| $v:expr, $d:expr) => {{
             let d = $d;
             if lat == 1 {
-                guard(pred, counts, move |$h, _, _, _| {
+                guard(pred, move |$h, _, _, _| {
                     let v = $v;
                     $h.latch.push(d, v);
                     Ok(())
                 })
             } else {
-                guard(pred, counts, move |$h, writes, _, _| {
+                guard(pred, move |$h, writes, _, _| {
                     writes.push(($h.cycle + lat, d, $v));
                     Ok(())
                 })
@@ -320,7 +296,7 @@ fn compile_slot(slot: &Slot, slot_addr: u32, index: &HashMap<u32, usize>) -> Slo
             woff,
         } => {
             let off = (woff as i32 as u32).wrapping_mul(w.bytes());
-            guard(pred, counts, move |h, writes, stall, _| {
+            guard(pred, move |h, writes, stall, _| {
                 let addr = h.regs[base.index()].wrapping_add(off);
                 let v = route_load(h.mem, h.bus, h.cycle, addr, w, unsigned, stall)?;
                 writes.push((h.cycle + lat, d, v));
@@ -329,7 +305,7 @@ fn compile_slot(slot: &Slot, slot_addr: u32, index: &HashMap<u32, usize>) -> Slo
         }
         Op::St { w, s, base, woff } => {
             let off = (woff as i32 as u32).wrapping_mul(w.bytes());
-            guard(pred, counts, move |h, _, stall, _| {
+            guard(pred, move |h, _, stall, _| {
                 let addr = h.regs[base.index()].wrapping_add(off);
                 let v = h.regs[s.index()];
                 route_store(h.mem, h.bus, h.cycle, addr, w, v, stall)
@@ -337,17 +313,17 @@ fn compile_slot(slot: &Slot, slot_addr: u32, index: &HashMap<u32, usize>) -> Slo
         }
         Op::B { disp21 } => {
             let (dest, b_idx) = branch_dest(slot_addr, disp21, index);
-            guard(pred, counts, move |_, _, _, branch| {
+            guard(pred, move |_, _, _, branch| {
                 *branch = Some((dest, b_idx));
                 Ok(())
             })
         }
-        Op::BReg { s } => guard(pred, counts, move |h, _, _, branch| {
+        Op::BReg { s } => guard(pred, move |h, _, _, branch| {
             *branch = Some((h.regs[s.index()], NO_IDX));
             Ok(())
         }),
-        Op::Nop { .. } => guard(pred, counts, |_, _, _, _| Ok(())),
-        Op::Halt => guard(pred, counts, |h, _, _, _| {
+        Op::Nop { .. } => unreachable!("NOP slots compile to nothing"),
+        Op::Halt => guard(pred, |h, _, _, _| {
             *h.halted = true;
             Ok(())
         }),

@@ -27,20 +27,21 @@
 //! staged-write latencies and resolved branch-target *packet indices*
 //! captured as constants), organized by the shared
 //! [`cabt_exec::blocks::BlockMap`] partition. [`VliwDispatch`] selects
-//! how those packets are stepped:
+//! how those packets are dispatched:
 //!
-//! * [`VliwDispatch::Trace`] (default) is the compiled tier: one
-//!   compiled packet per step — retire due writes, redirect an expired
-//!   branch shadow, call the packet's closure — plus the profile-guided
-//!   trace tier: hot fall-through packet chains (branch shadows make
-//!   every in-trace edge a fall edge) are dispatched as one fused run
-//!   per step, with the branch-shadow and delayed-write pipeline
-//!   checked between packets inside the run and side exits falling back
-//!   to per-packet dispatch. Inside a run, an all-NOP packet folds into
-//!   the packet before it: its write-back prologue and epilogue run,
-//!   its closure is not called. With a warm-up window of 0 the engine
-//!   keeps no trace state, never profiles, and every step is one
-//!   packet — the granularity the lockstep debugger needs.
+//! * [`VliwDispatch::Trace`] (default) is the compiled tier. Its one
+//!   run loop keeps the fetch position, clock, counters and branch
+//!   shadow in locals and, per unit, retires due writes, redirects an
+//!   expired branch shadow and calls the packet's closure. With a
+//!   warm-up window of 0 the engine keeps no trace state, never
+//!   profiles, and every unit is one packet — the granularity the
+//!   lockstep debugger needs. With a window open, the profile-guided
+//!   trace tier runs in the same loop: hot fall-through packet chains
+//!   (branch shadows make every in-trace edge a fall edge) run as one
+//!   fused range per unit, with the branch-shadow and delayed-write
+//!   pipeline checked between packets and a side exit redirected at
+//!   once. An all-NOP packet has no slot closures: its write-back prologue
+//!   and shadow epilogue run, nothing is called.
 //! * [`VliwDispatch::Naive`] is the retained seed interpreter (clone
 //!   the packet, scan for slot positions, hash branch targets) and the
 //!   one caller of the slot-walking `exec_slot`: the independent
@@ -68,12 +69,11 @@ use crate::compiled::{self, CompiledProgram, VHot};
 use crate::isa::{Op, Packet, Reg, Slot, Width};
 use cabt_exec::blocks::BlockMap;
 use cabt_exec::trace::{TraceConfig, TracePlan, TraceState, TraceStats};
-use cabt_exec::{EngineStats, ExecutionEngine};
+use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::{expect_index, ByteReader, ByteWriter, CodecError};
 use cabt_isa::mem::Memory;
-use cabt_isa::IsaError;
+use cabt_isa::{AddrMap, IsaError};
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -186,13 +186,14 @@ pub struct VliwStats {
     pub stall_cycles: u64,
 }
 
-/// Which dispatch core [`VliwSim::step_packet`] uses.
+/// Which dispatch core [`VliwSim::step_packet`] and
+/// [`ExecutionEngine::run_until`] use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VliwDispatch {
     /// The compiled packets plus the profile-guided trace tier (see the
     /// module docs); budget overshoot is trace-granular. A warm-up of 0
-    /// ([`TraceConfig::warmup`]) keeps no trace state and steps packet
-    /// by packet, as the lockstep debugger needs.
+    /// ([`TraceConfig::warmup`]) keeps no trace state and dispatches
+    /// packet by packet, as the lockstep debugger needs.
     #[default]
     Trace,
     /// The retained seed interpreter (per-packet clone and scans), the
@@ -364,7 +365,7 @@ impl VliwSnapshot {
 pub struct VliwProgram {
     packets: Vec<Packet>,
     /// Packet address → packet index, plus the branch aliases.
-    index: HashMap<u32, usize>,
+    index: AddrMap<usize>,
     /// The compiled packets, parallel to `packets`, and their block
     /// partition.
     compiled: CompiledProgram,
@@ -400,7 +401,7 @@ impl VliwProgram {
         aliases: impl IntoIterator<Item = (u32, u32)>,
         image: Memory,
     ) -> Result<Self, VliwError> {
-        let mut index = HashMap::with_capacity(packets.len());
+        let mut index = AddrMap::with_capacity_and_hasher(packets.len(), Default::default());
         for (i, p) in packets.iter().enumerate() {
             if index.insert(p.addr, i).is_some() {
                 return Err(VliwError::BadPc { addr: p.addr });
@@ -420,6 +421,13 @@ impl VliwProgram {
             compiled,
             image,
         })
+    }
+
+    /// The fault of running off the end of the program.
+    fn off_end_error(&self) -> VliwError {
+        VliwError::BadPc {
+            addr: self.packets.last().map_or(0, |p| p.addr + p.size()),
+        }
     }
 }
 
@@ -644,172 +652,75 @@ impl VliwSim {
         self.halted
     }
 
-    /// Runs until `HALT` or until `max_cycles` elapse.
+    /// Runs until `HALT` or until `max_cycles` elapse:
+    /// [`ExecutionEngine::run_until`] with a cycle budget, then the
+    /// retirement of writes that became due during the final packets,
+    /// so the architectural state is fully visible to the caller.
     ///
     /// # Errors
     ///
     /// Returns [`VliwError::CycleLimit`] on timeout or any execution
     /// fault from [`VliwSim::step_packet`].
     pub fn run(&mut self, max_cycles: u64) -> Result<VliwStats, VliwError> {
-        while !self.halted {
-            if self.cycle >= max_cycles {
-                return Err(VliwError::CycleLimit);
-            }
-            self.step_packet()?;
+        if self.run_until(Limit::Cycles(max_cycles))? == StopCause::LimitReached && !self.halted {
+            return Err(VliwError::CycleLimit);
         }
-        // Retire writes that became due during the final packets so the
-        // architectural state is fully visible to the caller.
         self.commit_due_writes();
         Ok(self.stats())
     }
 
-    /// Dispatches one execute packet.
+    /// Dispatches one unit: one execute packet, or on the trace tier at
+    /// a packet inside a formed range the rest of that range.
     ///
     /// # Errors
     ///
     /// Returns [`VliwError`] on bad branch targets, overlapping branch
     /// shadows or data faults.
     pub fn step_packet(&mut self) -> Result<(), VliwError> {
-        if self.mode == VliwDispatch::Naive {
-            return self.step_packet_naive();
-        }
-        // The compiled cores' prologue: retire due writes, then redirect
-        // an expired branch shadow — only then is `pc` the packet this
-        // step actually dispatches.
-        self.commit_due_writes();
-        self.redirect_if_due()?;
-        let pcv = self.pc;
-        if pcv >= self.program.packets.len() {
-            return Err(self.off_end_error());
-        }
-        if self.trace_cfg.warmup > 0 {
-            self.step_packet_trace(pcv)
-        } else {
-            self.step_packet_compiled(pcv)
-        }
-    }
-
-    /// Packet `pcv` on its fused closure run, entered after the
-    /// prologue: the whole step of an engine that does not profile,
-    /// and the trace tier's per-packet body.
-    fn step_packet_compiled(&mut self, pcv: usize) -> Result<(), VliwError> {
-        let mut stall = 0u64;
-        let mut branch: Option<(u32, u32)> = None;
-        let issue;
-        // Slots stage straight into the latch and `pending_writes`:
-        // results only become due from the next cycle on, so nothing
-        // staged here can commit mid-packet.
-        let staged = self.pending_writes.len();
-        let result = {
-            let VliwSim {
-                program,
-                regs,
-                mem,
-                bus,
-                cycle,
-                halted,
-                stats,
-                pending_writes,
-                latch,
-                ..
-            } = self;
-            let cp = &program.compiled.packets[pcv];
-            issue = cp.issue;
-            latch.due = *cycle + 1;
-            let mut hot = VHot {
-                regs,
-                mem,
-                bus,
-                cycle: *cycle,
-                halted,
-                slots: &mut stats.slots,
-                latch,
-            };
-            (cp.run)(&mut hot, pending_writes, &mut stall, &mut branch)
-        };
-        if let Err(e) = result {
-            self.pending_writes.truncate(staged);
-            self.latch.len = 0;
-            return Err(e);
-        }
-        if self.pending_writes.len() != staged {
-            settle_staged(&mut self.pending_writes, staged, &mut self.next_due);
-        }
-        self.finish_packet(branch, issue, stall)
-    }
-
-    /// The trace-tier hot loop, entered after the prologue at packet
-    /// `pcv`. At any packet inside a formed trace range — its head
-    /// leader or a mid-range landing — the rest of the consecutive
-    /// range dispatches inside this one step via
-    /// [`VliwSim::run_vliw_trace`]; uncovered packets take the
-    /// compiled per-packet path, feeding the warm-up fall-edge profile
-    /// that forms traces.
-    fn step_packet_trace(&mut self, pcv: usize) -> Result<(), VliwError> {
-        let prog = &self.program.compiled;
-        let tier = self
-            .trace
-            .get_or_insert_with(|| TraceTier::cold(&prog.map, self.trace_cfg));
-        let loc = prog.map.location(pcv as u32);
-        let warm = tier.state.profile.warm();
-        if loc.offset == 0 {
-            // Fall chains are consecutive in the dense packet arena, so
-            // a formed trace is just a packet range.
-            if let Some(plan) = tier
-                .state
-                .form(&prog.map, loc.block, self.trace_cfg.hot_threshold)
-            {
-                cover(&mut tier.span, &prog.map, plan);
+        // A step ignores the budget: any limit will do.
+        let one = Limit::Cycles(0);
+        match self.mode {
+            VliwDispatch::Naive => self.step_packet_naive(),
+            VliwDispatch::Trace if self.profiles() => {
+                self.run_compiled::<true, true>(one).map(drop)
             }
+            VliwDispatch::Trace => self.run_compiled::<false, true>(one).map(drop),
         }
-        // Any pc inside a formed range — its head, an interior leader,
-        // or a mid-block landing of an indirect side exit (`BReg`
-        // returns) — dispatches the rest of the range as one fused
-        // run. Bit-identical either way: the fused loop replays the
-        // per-packet semantics from any starting pc.
-        let end = tier.span[loc.block as usize];
-        if (pcv as u32) < end {
-            return self.run_vliw_trace(end);
-        }
-
-        // No trace here: one compiled packet, recording the fall edge
-        // while the warm-up window is open (a packet "falls" when it is
-        // the last of its block and no redirect lands before the next
-        // packet — branch shadows mean taken edges leave via
-        // `redirect_if_due` later, which ends trace growth anyway).
-        let last_of_block = pcv as u32 == prog.map.blocks[loc.block as usize].last();
-        let r = self.step_packet_compiled(pcv);
-        if r.is_ok() && warm && last_of_block {
-            let redirecting = self.pending_branch.is_some_and(|(rem, _)| rem <= 0);
-            if !redirecting && !self.halted {
-                let tier = self
-                    .trace
-                    .as_mut()
-                    .expect("step_packet_trace builds the trace tier");
-                tier.state.profile.record_fall(loc.block);
-            }
-        }
-        r
     }
 
-    /// Dispatches every packet from `pc` up to (exclusive) `end` as one
-    /// fused run — the trace body. The delayed-write and branch-shadow
-    /// pipeline is honored between packets exactly as the per-packet
-    /// cores do it; an expiring branch shadow is a *side exit* that
-    /// hands the redirect target back to normal dispatch. Retirement
-    /// (`stats.packets`) is batched per run.
+    /// The compiled tier's run loop: the only place a compiled packet is
+    /// dispatched. The fetch position, clock, counters and branch shadow
+    /// live in locals for the whole run and are written back once, on
+    /// the way out.
     ///
-    /// A packet followed by an all-NOP packet inside the range folds
-    /// that packet into its own dispatch when the loop would not stop
-    /// before it — no halt, no expired shadow: the NOP's prologue
-    /// write-back and epilogue run, its closure (which could only read
-    /// predicate registers) does not. A branch the packet staged is
-    /// already a pending shadow by then, which the NOP counts down like
-    /// any packet — the translator's `NOP 5` after every branch folds.
-    fn run_vliw_trace(&mut self, end: u32) -> Result<(), VliwError> {
+    /// At every unit boundary it makes [`cabt_exec::run_until_with`]'s
+    /// checks — the budget, then the halt — or, with `ONE`, stops after
+    /// the first unit (a step). A unit starts with the packet prologue:
+    /// retire due writes, redirect an expired branch shadow, fault off
+    /// the end. Without `PROFILE` (a warm-up of 0) the unit is that one
+    /// packet. With it, a leader counts its block's dispatch and may
+    /// form a trace; at any packet inside a formed range — its head, an
+    /// interior leader, or a mid-block landing of an indirect side exit
+    /// — the rest of the consecutive range runs fused in the same unit,
+    /// the delayed-write and branch-shadow pipeline honored between its
+    /// packets, until a halt, the range end, or an expiring shadow (a
+    /// *side exit*, redirected at once). An uncovered packet is a unit
+    /// of its own that records its block's fall edge while the warm-up
+    /// window is open (a packet "falls" when it is the last of its
+    /// block and no redirect is due after it — branch shadows mean
+    /// taken edges leave via a later redirect, which ends trace growth
+    /// anyway).
+    ///
+    /// An all-NOP packet has no slot closures: its prologue and epilogue
+    /// run and nothing is called, whatever the unit.
+    fn run_compiled<const PROFILE: bool, const ONE: bool>(
+        &mut self,
+        limit: Limit,
+    ) -> Result<StopCause, VliwError> {
         let VliwSim {
             program,
             trace,
+            trace_cfg,
             regs,
             mem,
             bus,
@@ -830,11 +741,24 @@ impl VliwSim {
             compiled: prog,
             ..
         } = &**program;
-        let tier = &mut **trace.as_mut().expect("set_dispatch builds the trace tier");
+        let cfg = *trace_cfg;
+        let mut tier = if PROFILE {
+            Some(&mut **trace.get_or_insert_with(|| TraceTier::cold(&prog.map, cfg)))
+        } else {
+            None
+        };
+        let VliwStats {
+            packets: packets_out,
+            slots,
+            stall_cycles,
+            ..
+        } = stats;
         let mut pcv = *pc;
         let mut cyc = *cycle;
-        let mut retired = 0u64;
-        let mut stall_acc = 0u64;
+        let mut packets = *packets_out;
+        let mut stalls = *stall_cycles;
+        let mut shadow = *pending_branch;
+        let mut shadow_idx = *pending_branch_idx;
         // One borrow bundle for the whole run; only `cycle` varies per
         // packet.
         let mut hot = VHot {
@@ -843,125 +767,162 @@ impl VliwSim {
             bus,
             cycle: cyc,
             halted,
-            slots: &mut stats.slots,
+            slots,
             latch,
         };
+        let mut stepped = false;
         let result = loop {
-            if *hot.halted {
-                break Ok(());
+            if ONE {
+                if stepped {
+                    break Ok(StopCause::LimitReached);
+                }
+                stepped = true;
+            } else {
+                if limit.exhausted(cyc, packets) {
+                    break Ok(StopCause::LimitReached);
+                }
+                if *hot.halted {
+                    commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
+                    break Ok(StopCause::Halted);
+                }
             }
-            // Expired branch shadow: side-exit to the redirect target.
-            if let Some((remaining, target)) = *pending_branch {
+            // Prologue: retire due writes, then redirect an expired
+            // branch shadow — only then is `pcv` the packet this unit
+            // dispatches.
+            commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
+            if let Some((remaining, target)) = shadow {
                 if remaining <= 0 {
-                    let idx = if *pending_branch_idx != NO_IDX {
-                        let idx = *pending_branch_idx as usize;
+                    match redirect(shadow_idx, target, index) {
+                        Ok(to) => pcv = to,
+                        Err(e) => break Err(e),
+                    }
+                    shadow = None;
+                    shadow_idx = NO_IDX;
+                }
+            }
+            if pcv >= prog.packets.len() {
+                break Err(program.off_end_error());
+            }
+
+            // The unit's extent: `end` past the last packet of a fused
+            // range; `fall_block`, the block an uncovered packet records
+            // a fall edge for.
+            let mut end = 0;
+            let mut fall_block = None;
+            if PROFILE {
+                let tier = tier.as_deref_mut().expect("a profiling run has a tier");
+                let loc = prog.map.location(pcv as u32);
+                let warm = tier.state.profile.warm();
+                if loc.offset == 0 {
+                    // Fall chains are consecutive in the dense packet
+                    // arena, so a formed trace is just a packet range.
+                    if let Some(plan) = tier.state.form(&prog.map, loc.block, cfg.hot_threshold) {
+                        cover(&mut tier.span, &prog.map, plan);
+                    }
+                }
+                end = tier.span[loc.block as usize] as usize;
+                if pcv < end {
+                    // Stepping an engine past its halt runs no range.
+                    if *hot.halted {
+                        continue;
+                    }
+                } else if warm && pcv as u32 == prog.map.blocks[loc.block as usize].last() {
+                    fall_block = Some(loc.block);
+                }
+            }
+            let fused = PROFILE && pcv < end;
+            let start = packets;
+            let unit = loop {
+                let cp = &prog.packets[pcv];
+                let mut stall = 0u64;
+                let mut branch: Option<(u32, u32)> = None;
+                if !cp.slots.is_empty() {
+                    // Slots stage straight into the latch and
+                    // `pending_writes`: results only become due from
+                    // the next cycle on, so nothing staged here can
+                    // commit mid-packet.
+                    let staged = pending_writes.len();
+                    hot.cycle = cyc;
+                    hot.latch.due = cyc + 1;
+                    let run = cp.slots.iter().try_for_each(|slot| {
+                        slot(&mut hot, pending_writes, &mut stall, &mut branch)
+                    });
+                    if let Err(e) = run {
+                        pending_writes.truncate(staged);
+                        hot.latch.len = 0;
+                        break Err(e);
+                    }
+                    if pending_writes.len() != staged {
+                        settle_staged(pending_writes, staged, next_due);
+                    }
+                }
+                // Epilogue: branch shadow bookkeeping, counters, clock.
+                if let Some((target, idx)) = branch {
+                    if shadow.is_some() {
+                        break Err(VliwError::OverlappingBranches { cycle: cyc });
+                    }
+                    shadow = Some((5, target));
+                    shadow_idx = idx;
+                } else if let Some((remaining, _)) = &mut shadow {
+                    *remaining -= cp.issue as i64;
+                }
+                packets += 1;
+                stalls += stall;
+                cyc += cp.issue as u64 + stall;
+                pcv += 1;
+
+                if !fused || *hot.halted {
+                    break Ok(());
+                }
+                // Expired branch shadow: side-exit to the redirect
+                // target.
+                if let Some((remaining, target)) = shadow {
+                    if remaining <= 0 {
+                        match redirect(shadow_idx, target, index) {
+                            Ok(to) => pcv = to,
+                            Err(e) => break Err(e),
+                        }
                         // Static branch destinations are leaders by
                         // block construction: a resolved side exit
                         // re-enters dispatch at a `BlockMap` leader.
-                        debug_assert_eq!(
-                            prog.map.location(idx as u32).offset,
-                            0,
+                        // Indirect targets (`BReg`, unresolved `B`) may
+                        // land mid-block.
+                        debug_assert!(
+                            shadow_idx == NO_IDX || prog.map.location(pcv as u32).offset == 0,
                             "trace side exit must land on a block leader"
                         );
-                        idx
-                    } else {
-                        // Indirect targets (`BReg`, unresolved `B`) may
-                        // land mid-block; the per-packet path handles
-                        // them on the next step.
-                        match index.get(&target) {
-                            Some(&i) => i,
-                            None => break Err(VliwError::BadPc { addr: target }),
-                        }
-                    };
-                    *pending_branch = None;
-                    *pending_branch_idx = NO_IDX;
-                    pcv = idx;
+                        shadow = None;
+                        shadow_idx = NO_IDX;
+                        break Ok(());
+                    }
+                }
+                if pcv >= end {
                     break Ok(());
                 }
-            }
-            if pcv as u32 >= end {
-                break Ok(());
-            }
-            commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
-
-            let cp = &prog.packets[pcv];
-            let mut stall = 0u64;
-            let mut branch: Option<(u32, u32)> = None;
-            let staged = pending_writes.len();
-            hot.cycle = cyc;
-            hot.latch.due = cyc + 1;
-            let r = (cp.run)(&mut hot, pending_writes, &mut stall, &mut branch);
-            if let Err(e) = r {
-                pending_writes.truncate(staged);
-                hot.latch.len = 0;
-                break Err(e);
-            }
-            if pending_writes.len() != staged {
-                settle_staged(pending_writes, staged, next_due);
-            }
-
-            // Packet epilogue, inline (`finish_packet` minus the
-            // per-packet counter, which is batched below).
-            if let Some((target, idx)) = branch {
-                if pending_branch.is_some() {
-                    break Err(VliwError::OverlappingBranches { cycle: cyc });
-                }
-                *pending_branch = Some((5, target));
-                *pending_branch_idx = idx;
-            } else if let Some((remaining, _)) = pending_branch {
-                *remaining -= cp.issue as i64;
-            }
-            retired += 1;
-            stall_acc += stall;
-            cyc += cp.issue as u64 + stall;
-            pcv += 1;
-
-            if cp.nop_after != 0
-                && (pcv as u32) < end
-                && !*hot.halted
-                && !pending_branch.is_some_and(|(remaining, _)| remaining <= 0)
-            {
                 commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
-                if let Some((remaining, _)) = pending_branch {
-                    *remaining -= cp.nop_after as i64;
+            };
+            if PROFILE {
+                let tier = tier.as_deref_mut().expect("a profiling run has a tier");
+                if fused {
+                    tier.state.stats.trace_retired += packets - start;
+                } else if let Some(block) = fall_block {
+                    let redirecting = shadow.is_some_and(|(remaining, _)| remaining <= 0);
+                    if unit.is_ok() && !redirecting && !*hot.halted {
+                        tier.state.profile.record_fall(block);
+                    }
                 }
-                retired += 1;
-                cyc += cp.nop_after as u64;
-                pcv += 1;
+            }
+            if let Err(e) = unit {
+                break Err(e);
             }
         };
         *pc = pcv;
         *cycle = cyc;
-        stats.stall_cycles += stall_acc;
-        stats.packets += retired;
-        tier.state.stats.trace_retired += retired;
+        *packets_out = packets;
+        *stall_cycles = stalls;
+        *pending_branch = shadow;
+        *pending_branch_idx = shadow_idx;
         result
-    }
-
-    /// Redirects fetch if the pending branch's shadow has expired.
-    fn redirect_if_due(&mut self) -> Result<(), VliwError> {
-        if let Some((remaining, target)) = self.pending_branch {
-            if remaining <= 0 {
-                self.pc = if self.pending_branch_idx != NO_IDX {
-                    self.pending_branch_idx as usize
-                } else {
-                    *self
-                        .program
-                        .index
-                        .get(&target)
-                        .ok_or(VliwError::BadPc { addr: target })?
-                };
-                self.pending_branch = None;
-                self.pending_branch_idx = NO_IDX;
-            }
-        }
-        Ok(())
-    }
-
-    fn off_end_error(&self) -> VliwError {
-        VliwError::BadPc {
-            addr: self.program.packets.last().map_or(0, |p| p.addr + p.size()),
-        }
     }
 
     /// The retained naive interpreter: per-packet clone, per-slot
@@ -991,7 +952,7 @@ impl VliwSim {
 
         let packet = match self.program.packets.get(self.pc) {
             Some(p) => p.clone(),
-            None => return Err(self.off_end_error()),
+            None => return Err(self.program.off_end_error()),
         };
 
         let mut stall = 0u64;
@@ -1022,8 +983,8 @@ impl VliwSim {
         self.finish_packet(branch, packet.issue_cycles(), stall)
     }
 
-    /// Packet epilogue shared by the per-packet steps: branch shadow
-    /// bookkeeping, counters, cycle advance.
+    /// The naive core's packet epilogue: branch shadow bookkeeping,
+    /// counters, cycle advance.
     fn finish_packet(
         &mut self,
         branch: Option<(u32, u32)>,
@@ -1166,6 +1127,21 @@ impl VliwSim {
 
     fn store(&mut self, addr: u32, w: Width, v: u32, stall: &mut u64) -> Result<(), VliwError> {
         route_store(&mut self.mem, &mut self.bus, self.cycle, addr, w, v, stall)
+    }
+}
+
+/// The packet an expired branch shadow redirects to: its resolved
+/// index, or for an indirect target (`BReg`, unresolved `B`) the
+/// address index's entry.
+#[inline]
+fn redirect(idx: u32, target: u32, index: &AddrMap<usize>) -> Result<usize, VliwError> {
+    if idx != NO_IDX {
+        Ok(idx as usize)
+    } else {
+        index
+            .get(&target)
+            .copied()
+            .ok_or(VliwError::BadPc { addr: target })
     }
 }
 
@@ -1413,6 +1389,17 @@ impl ExecutionEngine for VliwSim {
 
     fn step_unit(&mut self) -> Result<(), VliwError> {
         self.step_packet()
+    }
+
+    /// The naive core runs [`cabt_exec::run_until_with`]; the compiled
+    /// tier its own loop, which makes the same checks at the same unit
+    /// boundaries.
+    fn run_until(&mut self, limit: Limit) -> Result<StopCause, VliwError> {
+        match self.mode {
+            VliwDispatch::Naive => cabt_exec::run_until_with(self, limit, Self::step_packet_naive),
+            VliwDispatch::Trace if self.profiles() => self.run_compiled::<true, false>(limit),
+            VliwDispatch::Trace => self.run_compiled::<false, false>(limit),
+        }
     }
 
     fn cycle(&self) -> u64 {

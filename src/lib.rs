@@ -150,7 +150,7 @@
 //! // program: dataflow passes over the same basic-block partition the
 //! // engines dispatch (`docs/static-analysis.md`). The `cabt-analyze`
 //! // binary and the fleet-server's `analyze` verb sit on this.
-//! let report = SimBuilder::asm(src).analyze()?;
+//! let report = cabt::sim::analyze::analyze_elf(&assemble(src)?)?;
 //! assert!(report.is_clean());
 //! assert_eq!(report.loops.len(), 1); // the `fact` countdown loop
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -5,7 +5,8 @@
 //! first `#[cfg(test)]` (integration-test directories are skipped) and
 //! collects every `pub fn`. A name counts as called when it appears in
 //! that non-test code, or in `examples/` or `perfbench/src`, anywhere
-//! other than after `fn`. Every uncalled name must appear in backticks
+//! other than after `fn` or inside a comment (a doc line that names a
+//! function does not call it). Every uncalled name must appear in backticks
 //! in `docs/oracles.md`, and the rows of its "Public items kept for an
 //! oracle role" table may name only uncalled items.
 
@@ -40,13 +41,79 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// A file's non-test code: everything before its first `#[cfg(test)]`.
+/// A file's non-test code: everything before its first `#[cfg(test)]`,
+/// with comments removed.
 fn non_test(path: &Path) -> String {
     let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    match text.find("#[cfg(test)]") {
-        Some(at) => text[..at].to_string(),
-        None => text,
+    let code = match text.find("#[cfg(test)]") {
+        Some(at) => &text[..at],
+        None => &text,
+    };
+    strip_comments(code)
+}
+
+/// `code` without its `//` line comments (doc comments included) and
+/// `/* */` block comments. String and character literals are skipped
+/// over, so a `//` inside one stays; a lifetime's quote opens nothing.
+fn strip_comments(code: &str) -> String {
+    let chars: Vec<char> = code.chars().collect();
+    let mut out = String::with_capacity(code.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        let next = chars.get(i + 1).copied();
+        match c {
+            '/' if next == Some('/') => {
+                while i < chars.len() && chars[i] != '\n' {
+                    i += 1;
+                }
+            }
+            '/' if next == Some('*') => {
+                i += 2;
+                while i < chars.len() && !(chars[i] == '*' && chars.get(i + 1) == Some(&'/')) {
+                    i += 1;
+                }
+                i += 2;
+                out.push(' ');
+            }
+            '"' => {
+                out.push(c);
+                i += 1;
+                while i < chars.len() && chars[i] != '"' {
+                    if chars[i] == '\\' {
+                        out.push(chars[i]);
+                        i += 1;
+                    }
+                    if let Some(&ch) = chars.get(i) {
+                        out.push(ch);
+                    }
+                    i += 1;
+                }
+                if i < chars.len() {
+                    out.push('"');
+                    i += 1;
+                }
+            }
+            '\'' => {
+                // A character literal (`'x'`, `'\n'`) or a lifetime.
+                let len = match (next, chars.get(i + 2)) {
+                    (Some('\\'), _) => chars[(i + 3).min(chars.len())..]
+                        .iter()
+                        .position(|&ch| ch == '\'')
+                        .map_or(1, |p| p + 4),
+                    (Some(_), Some('\'')) => 3,
+                    _ => 1,
+                };
+                out.extend(&chars[i..(i + len).min(chars.len())]);
+                i += len;
+            }
+            _ => {
+                out.push(c);
+                i += 1;
+            }
+        }
     }
+    out
 }
 
 /// The identifiers of `text`, in order.

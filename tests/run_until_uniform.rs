@@ -160,3 +160,183 @@ fn budget_check_precedes_halt_check() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Stop points of the compiled tiers' run loops
+// ---------------------------------------------------------------------
+//
+// Each compiled core runs `run_until` in a loop of its own that keeps
+// the pipeline in locals. These sweeps pin its budget checks to the
+// unit boundaries `cabt_exec::run_until_with` checks at: every budget
+// below must stop the loop exactly where the reference stops.
+
+/// The swept backends. The first entry of each pair is driven by its
+/// own `run_until`; the second names its reference: the `:naive`
+/// session (independent semantics, the same one-unit stop points as a
+/// warm-up of 0), or `stepped` — the same backend driven by
+/// `run_until_with(.., step_unit)`, which stops after every trace run
+/// and side exit.
+const SWEPT: [(&str, &str); 7] = [
+    ("golden", "golden:naive"),
+    ("golden:trace", "stepped"),
+    ("translated:static", "translated:static:naive"),
+    ("translated:cache", "translated:cache:naive"),
+    ("translated:cache:trace", "stepped"),
+    ("sharded-2x:golden", "sharded-2x:golden:naive"),
+    (
+        "sharded-2x:translated:cache",
+        "sharded-2x:translated:cache:naive",
+    ),
+];
+
+/// Units whose boundaries are each a budget of their own.
+const FIRST_UNITS: u64 = 300;
+
+/// Strides of the budgets past the first units (primes, so the stops
+/// fall at every phase of the programs' loops).
+const CYCLE_STRIDE: u64 = 997;
+const RETIREMENT_STRIDE: u64 = 331;
+
+/// A registry program on `backend`, or `None` when the program cannot
+/// halt on it (it needs the shard fabric).
+fn named_session(name: &str, backend: &str) -> Option<Session> {
+    match SimBuilder::named(name)
+        .backend(backend.parse().expect("backend parses"))
+        .build()
+    {
+        Ok(s) => Some(s),
+        Err(SessionError::UnsupportedShape { .. }) => None,
+        Err(e) => panic!("{name} on {backend}: {e}"),
+    }
+}
+
+/// One side of a sweep: a session and how it is driven.
+struct Side {
+    session: Session,
+    stepped: bool,
+}
+
+impl Side {
+    fn run(&mut self, limit: Limit) -> StopCause {
+        let s = &mut self.session;
+        let stop = if self.stepped {
+            cabt_exec::run_until_with(s, limit, Session::step_unit)
+        } else {
+            s.run_until(limit)
+        };
+        stop.expect("registry programs run without faults")
+    }
+
+    fn observe(
+        &self,
+    ) -> (
+        u64,
+        cabt_exec::EngineStats,
+        Option<cabt_exec::trace::TraceStats>,
+    ) {
+        let s = &self.session;
+        (cabt_exec::fingerprint_engine(s), s.stats(), s.trace_stats())
+    }
+}
+
+/// Cycle counts at the first [`FIRST_UNITS`] unit boundaries of the
+/// reference, stepped one unit at a time.
+fn unit_boundaries(name: &str, reference: &str) -> Vec<u64> {
+    let mut s = named_session(name, reference).expect("reference builds");
+    let mut cycles = Vec::new();
+    for _ in 0..FIRST_UNITS {
+        if s.is_halted() {
+            break;
+        }
+        s.step_unit().expect("steps");
+        cycles.push(s.cycle());
+    }
+    cycles
+}
+
+/// Drives `backend` and its reference through the same increasing
+/// budgets `limits` (then to the halt), comparing stop cause,
+/// fingerprint, counters and trace counters at every stop.
+fn sweep(name: &str, backend: &str, reference: &str, limits: impl Iterator<Item = Limit>) -> usize {
+    let Some(session) = named_session(name, backend) else {
+        return 0;
+    };
+    let mut subject = Side {
+        session,
+        stepped: false,
+    };
+    let (ref_backend, stepped) = match reference {
+        "stepped" => (backend, true),
+        r => (r, false),
+    };
+    let mut reference = Side {
+        session: named_session(name, ref_backend).expect("reference builds"),
+        stepped,
+    };
+    let mut stops = 0;
+    for limit in limits.chain([Limit::Cycles(u64::MAX)]) {
+        let got = subject.run(limit);
+        let want = reference.run(limit);
+        assert_eq!(got, want, "{name} on {backend}: stop cause at {limit:?}");
+        assert_eq!(
+            subject.observe(),
+            reference.observe(),
+            "{name} on {backend}: state at {limit:?} (reference {ref_backend}{})",
+            if stepped { ", stepped" } else { "" }
+        );
+        stops += 1;
+        if got == StopCause::Halted {
+            return stops;
+        }
+    }
+    unreachable!("an unbounded budget halts")
+}
+
+#[test]
+fn compiled_loops_stop_where_the_reference_stops_on_cycle_budgets() {
+    for name in cabt_workloads::names() {
+        for (backend, reference) in SWEPT {
+            let ref_backend = if reference == "stepped" {
+                backend
+            } else {
+                reference
+            };
+            if named_session(name, backend).is_none() {
+                continue;
+            }
+            // Every unit boundary of the first units, and one cycle past
+            // it (the loop must run on to the next boundary), then a
+            // prime stride to the halt.
+            let mut budgets: Vec<u64> = unit_boundaries(name, ref_backend)
+                .into_iter()
+                .flat_map(|c| [c, c + 1])
+                .collect();
+            let from = budgets.last().copied().unwrap_or(0);
+            budgets.extend((1..).map(|k| from + k * CYCLE_STRIDE).take(100_000));
+            budgets.dedup();
+            let stops = sweep(
+                name,
+                backend,
+                reference,
+                budgets.into_iter().map(Limit::Cycles),
+            );
+            assert!(stops > 1, "{name} on {backend}: the sweep stopped the run");
+        }
+    }
+}
+
+#[test]
+fn compiled_loops_stop_where_the_reference_stops_on_retirement_budgets() {
+    for name in cabt_workloads::names() {
+        for (backend, reference) in SWEPT {
+            let budgets = (1..=FIRST_UNITS)
+                .chain(
+                    (1..)
+                        .map(|k| FIRST_UNITS + k * RETIREMENT_STRIDE)
+                        .take(100_000),
+                )
+                .map(Limit::Retirements);
+            sweep(name, backend, reference, budgets);
+        }
+    }
+}
