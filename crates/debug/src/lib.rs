@@ -28,7 +28,7 @@ use cabt_core::regbind::{areg, dreg};
 use cabt_core::{DetailLevel, Granularity, TranslateError, Translated, Translator};
 use cabt_exec::ExecutionEngine;
 use cabt_isa::elf::ElfFile;
-use cabt_sim::{Backend, Dispatch, Session, SessionError, SimBuilder};
+use cabt_sim::{Backend, Session, SessionError, SimBuilder};
 use cabt_tricore::isa::{AReg, DReg};
 use cabt_vliw::sim::VliwError;
 use std::collections::{BTreeSet, HashMap};
@@ -345,21 +345,12 @@ impl DebugSession {
     /// builder selected a non-translated vehicle (checked *before* the
     /// vehicle is built).
     pub fn from_builder(builder: SimBuilder) -> Result<Self, DebugError> {
-        let Backend::Translated { level, dispatch } = builder.selected_backend() else {
+        // Both VLIW cores step one packet at a time, which is the
+        // lockstep contract's one source instruction per boundary.
+        let Backend::Translated { level, .. } = builder.selected_backend() else {
             return Err(DebugError::BadBackend(builder.selected_backend()));
         };
-        // The lockstep contract is one source instruction per boundary,
-        // so a trace builder (whole fused packet runs per step) runs on
-        // the compiled tier at a warm-up of 0, which steps the same
-        // compiled packets one at a time; the naive core passes through.
-        let dispatch = match dispatch {
-            Dispatch::Trace => Dispatch::Compiled,
-            other => other,
-        };
-        let session = builder
-            .backend(Backend::Translated { level, dispatch })
-            .granularity(Granularity::PerInstruction)
-            .build()?;
+        let session = builder.granularity(Granularity::PerInstruction).build()?;
         let elf = session.source_elf();
         let bb = Translator::new(level).translate(elf)?;
         let src_of_tgt: HashMap<u32, u32> = session
@@ -547,23 +538,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_backends_downgrade_to_packet_stepping() {
-        // A trace-tier builder is accepted, but the lockstep session
-        // runs on the compiled tier at a warm-up of 0, packet by packet —
-        // single-stepping still stops at every source instruction.
+    fn naive_backends_step_packet_by_packet() {
+        // The builder's backend passes through: a naive builder runs
+        // lockstep on the naive core, which steps one packet at a time
+        // like the compiled tier — single-stepping still stops at every
+        // source instruction.
         use cabt_core::DetailLevel;
-        let mut dbg = DebugSession::from_builder(
-            SimBuilder::asm(SRC).backend(Backend::translated_trace(DetailLevel::Static)),
-        )
-        .unwrap();
-        assert_eq!(
-            dbg.inner.engine().backend(),
-            Backend::Translated {
-                level: DetailLevel::Static,
-                dispatch: Dispatch::Compiled,
-            },
-            "debugger must run trace builders on the compiled tier at warm-up 0"
-        );
+        let naive = Backend::Translated {
+            level: DetailLevel::Static,
+            naive: true,
+        };
+        let mut dbg = DebugSession::from_builder(SimBuilder::asm(SRC).backend(naive)).unwrap();
+        assert_eq!(dbg.inner.engine().backend(), naive);
         dbg.step().unwrap();
         assert_eq!(dbg.read_reg("d0").unwrap(), 3);
         while !matches!(dbg.cont().unwrap(), StopReason::Halted) {}

@@ -1,12 +1,11 @@
 //! Generic basic-block discovery over any pre-decoded dispatch table —
 //! the shared substrate of the block-compiled execution layer.
 //!
-//! Every engine in this workspace decodes its program once at load into
-//! a dense table of dispatch units (source instructions on the golden
-//! model, execute packets on the VLIW core), and the translator builds
-//! its own control-flow graph over the same object code. All three used
-//! to discover basic blocks privately; this module hoists the one
-//! algorithm they share: given each unit's control-flow role
+//! The golden model decodes its program once at load into a dense table
+//! of dispatch units (source instructions), the translator builds its
+//! own control-flow graph over the same object code, and the static
+//! analyzer lowers guest programs onto the same partition. This module
+//! holds the one algorithm they share: given each unit's control-flow role
 //! ([`UnitFlow`]), compute the *leaders* (units where a block must
 //! start), partition the table into maximal straight-line runs, and
 //! resolve each block's fall-through and taken edges to *block ids* —
@@ -22,9 +21,9 @@
 //! * every unit that cannot be *fallen into* (a decode gap before it).
 //!
 //! The map is index-based on purpose: it never looks at addresses, so
-//! one implementation serves instruction tables, packet arenas and the
-//! translator's intermediate code alike — each caller keeps its own
-//! address⇄index mapping.
+//! one implementation serves instruction tables and the translator's
+//! intermediate code alike — each caller keeps its own address⇄index
+//! mapping.
 
 /// Sentinel block id: "no successor block" (the edge leaves the table,
 /// or the terminator kind has no such edge).

@@ -27,11 +27,12 @@
 //! and the *compiled* engine — the paper's compiled-simulation thesis.
 //! It decodes the whole image once at load into a dense pre-decoded
 //! table indexed by position, compiles each table entry into a
-//! specialized closure, and, while its warm-up window is open, fuses
-//! hot chains of basic blocks into traces ([`trace`]). The basic-block
-//! discovery every compiled engine (and the translator's CFG) shares
-//! lives in [`blocks`]: one index-based partition algorithm producing
-//! leaders, block spans and fall-through/taken block edges.
+//! specialized closure; the golden model's, while its warm-up window is
+//! open, also fuses hot chains of basic blocks into traces ([`trace`]).
+//! The basic-block discovery the golden model, the translator's CFG and
+//! the analyzer share lives in [`blocks`]: one index-based partition
+//! algorithm producing leaders, block spans and fall-through/taken
+//! block edges.
 
 pub mod analyze;
 pub mod blocks;

@@ -12,9 +12,10 @@
 //! bench harness reports ([`TraceStats`]). The state forms traces
 //! ([`TraceState::form`]), serializes with its engine's snapshot and
 //! checks a decoded image against the engine's block map
-//! ([`TraceState::check`]). What an engine *derives* from a plan — fused
-//! closure chains on the golden model, packet-range covers on the VLIW
-//! core — is engine-specific and lives with each core's trace tier.
+//! ([`TraceState::check`]). What an engine *derives* from a plan — the
+//! golden model's fused closure chains — is engine-specific and lives
+//! with that core's trace tier. The golden model is the one user: the
+//! VLIW core dispatches packet by packet and forms no traces.
 //!
 //! The tier is profile-guided but still deterministic: counters advance
 //! only with the engine's own (deterministic) execution, so the same
@@ -65,10 +66,8 @@ pub struct TraceProfile {
     pub exec: Vec<u32>,
     /// Per-block fall-edge exit counts.
     pub fall: Vec<u32>,
-    /// Per-block taken-edge exit counts; `None` on an engine that
-    /// records fall edges only (the VLIW core, whose branch shadows
-    /// redirect *mid*-block), which therefore grows fall chains only.
-    pub taken: Option<Vec<u32>>,
+    /// Per-block taken-edge exit counts.
+    pub taken: Vec<u32>,
 }
 
 impl TraceProfile {
@@ -96,14 +95,11 @@ impl TraceProfile {
         *c = c.saturating_add(1);
     }
 
-    /// Records a taken-edge exit of `block` (a no-op on a fall-only
-    /// profile).
+    /// Records a taken-edge exit of `block`.
     #[inline]
     pub fn record_taken(&mut self, block: u32) {
-        if let Some(t) = &mut self.taken {
-            let c = &mut t[block as usize];
-            *c = c.saturating_add(1);
-        }
+        let c = &mut self.taken[block as usize];
+        *c = c.saturating_add(1);
     }
 }
 
@@ -131,8 +127,7 @@ pub struct TracePlan {
 /// exits and have fired at all), at indirect terminators and table
 /// exits (no successor edge), at blocks already in the trace, and at
 /// the [`MAX_TRACE_BLOCKS`] cap. An edge back to the head is detected
-/// as a *loop trace* instead of a stop. A fall-only profile grows along
-/// fall chains only.
+/// as a *loop trace* instead of a stop.
 ///
 /// Returns `None` when no useful trace exists (a single block with no
 /// loop edge gains nothing over plain block dispatch).
@@ -146,7 +141,7 @@ pub fn grow(map: &BlockMap, profile: &TraceProfile, head: u32) -> Option<TracePl
         let span = &map.blocks[cur as usize];
         let exec = profile.exec[cur as usize];
         let fall_n = profile.fall[cur as usize];
-        let taken_n = profile.taken.as_ref().map_or(0, |t| t[cur as usize]);
+        let taken_n = profile.taken[cur as usize];
         // Hottest recorded exit edge (ties go to the fall edge — the
         // cheaper continuation on every engine).
         let (next, thru_taken, hits) = if taken_n > fall_n {
@@ -186,8 +181,7 @@ pub fn grow(map: &BlockMap, profile: &TraceProfile, head: u32) -> Option<TracePl
 /// *outside* the engine's architectural statistics on purpose: those
 /// are compared bit-for-bit across dispatch tiers by the differential
 /// suites, while these describe the tier itself (printed by
-/// `examples/dispatch.rs`, and as
-/// `exec.golden_trace_coverage` / `exec.vliw_trace_coverage` by the
+/// `examples/dispatch.rs`, and as `exec.golden_trace_coverage` by the
 /// repository benchmark).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
@@ -195,8 +189,7 @@ pub struct TraceStats {
     pub traces: u64,
     /// Total blocks across all formed traces.
     pub trace_blocks: u64,
-    /// Units (instructions or packets) retired inside fused trace
-    /// dispatch.
+    /// Instructions retired inside fused trace dispatch.
     pub trace_retired: u64,
 }
 
@@ -213,9 +206,9 @@ impl TraceStats {
 
 /// One engine's trace-tier state: the warm-up profile, the plan of the
 /// trace formed at each head block and the coverage counters (the
-/// knobs, [`TraceConfig`], stay with the engine). Both cores keep one, and derive from its plans only what
-/// they dispatch (compiled closure chains, packet-range covers), so a
-/// snapshot carries the state and a restore re-derives the rest.
+/// knobs, [`TraceConfig`], stay with the engine). The engine derives
+/// from its plans only what it dispatches (compiled closure chains),
+/// so a snapshot carries the state and a restore re-derives the rest.
 #[derive(Debug, Clone)]
 pub struct TraceState {
     /// Warm-up profile counters.
@@ -229,15 +222,14 @@ pub struct TraceState {
 
 impl TraceState {
     /// A cold tier over `blocks` basic blocks under `cfg`'s warm-up
-    /// window; `taken_edges` says whether the engine profiles taken
-    /// edges ([`TraceProfile::taken`]).
-    pub fn new(blocks: usize, cfg: TraceConfig, taken_edges: bool) -> TraceState {
+    /// window.
+    pub fn new(blocks: usize, cfg: TraceConfig) -> TraceState {
         TraceState {
             profile: TraceProfile {
                 warmup_left: cfg.warmup,
                 exec: vec![0; blocks],
                 fall: vec![0; blocks],
-                taken: taken_edges.then(|| vec![0; blocks]),
+                taken: vec![0; blocks],
             },
             plans: vec![None; blocks],
             stats: TraceStats::default(),
@@ -314,10 +306,9 @@ fn decode_counters(r: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<u32
 
 impl TraceState {
     /// Serializes an engine's tier state (`None` while the engine does
-    /// not profile): a presence flag, then the warm-up
-    /// left, the exec/fall (and taken, where profiled) counter tables,
-    /// the formed-plan table and the coverage counters. The knobs are
-    /// not part of the image.
+    /// not profile): a presence flag, then the warm-up left, the
+    /// exec/fall/taken counter tables, the formed-plan table and the
+    /// coverage counters. The knobs are not part of the image.
     pub fn encode_into(state: Option<&TraceState>, out: &mut Vec<u8>) {
         ByteWriter::new(out).bool(state.is_some());
         let Some(state) = state else { return };
@@ -325,9 +316,7 @@ impl TraceState {
         ByteWriter::new(out).u64(p.warmup_left);
         encode_counters(out, &p.exec);
         encode_counters(out, &p.fall);
-        if let Some(taken) = &p.taken {
-            encode_counters(out, taken);
-        }
+        encode_counters(out, &p.taken);
         ByteWriter::new(out).u64(state.plans.len() as u64);
         for plan in &state.plans {
             ByteWriter::new(out).bool(plan.is_some());
@@ -341,13 +330,12 @@ impl TraceState {
         w.u64(state.stats.trace_retired);
     }
 
-    /// Decodes a [`TraceState::encode_into`] image of an engine that
-    /// profiles taken edges iff `taken_edges`.
+    /// Decodes a [`TraceState::encode_into`] image.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>, taken_edges: bool) -> Result<Option<Self>, CodecError> {
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Option<Self>, CodecError> {
         if !r.bool()? {
             return Ok(None);
         }
@@ -355,9 +343,7 @@ impl TraceState {
             warmup_left: r.u64()?,
             exec: decode_counters(r, "trace exec counters")?,
             fall: decode_counters(r, "trace fall counters")?,
-            taken: taken_edges
-                .then(|| decode_counters(r, "trace taken counters"))
-                .transpose()?,
+            taken: decode_counters(r, "trace taken counters")?,
         };
         let n = r.count("formed trace plans", 1)?;
         let plans = (0..n)
@@ -376,9 +362,8 @@ impl TraceState {
 
     /// Checks a decoded state against the block map of the engine it is
     /// restored into: every counter table and the plan table have one
-    /// entry per block, every formed plan passes [`TracePlan::check`]
-    /// under its head, and a fall-only profile's plans seam and loop
-    /// along fall edges only. A state the engine took always passes.
+    /// entry per block and every formed plan passes [`TracePlan::check`]
+    /// under its head. A state the engine took always passes.
     ///
     /// # Errors
     ///
@@ -387,18 +372,11 @@ impl TraceState {
         let p = &self.profile;
         expect_len("trace exec counters", p.exec.len(), map.len())?;
         expect_len("trace fall counters", p.fall.len(), map.len())?;
-        if let Some(taken) = &p.taken {
-            expect_len("trace taken counters", taken.len(), map.len())?;
-        }
+        expect_len("trace taken counters", p.taken.len(), map.len())?;
         expect_len("formed trace plans", self.plans.len(), map.len())?;
         for (head, plan) in (0..).zip(&self.plans) {
-            let Some(plan) = plan else { continue };
-            plan.check(map, head)?;
-            if p.taken.is_none() && (plan.loop_via_taken || plan.via_taken.contains(&true)) {
-                return Err(CodecError::BadValue {
-                    what: "taken edge in a fall-only trace plan",
-                    value: u64::from(head),
-                });
+            if let Some(plan) = plan {
+                plan.check(map, head)?;
             }
         }
         Ok(())
@@ -526,7 +504,7 @@ mod tests {
     #[test]
     fn threshold_crossing_fires_exactly_once() {
         let cfg = cfg();
-        let mut p = TraceState::new(3, cfg, true).profile;
+        let mut p = TraceState::new(3, cfg).profile;
         let mut fired = 0;
         for _ in 0..10 {
             if p.record_exec(1, cfg.hot_threshold) {
@@ -541,7 +519,7 @@ mod tests {
     fn single_block_loop_grows_a_loop_trace() {
         let cfg = cfg();
         let map = loopy_map();
-        let mut p = TraceState::new(map.len(), cfg, true).profile;
+        let mut p = TraceState::new(map.len(), cfg).profile;
         for _ in 0..8 {
             p.record_exec(1, cfg.hot_threshold);
             p.record_taken(1);
@@ -564,7 +542,7 @@ mod tests {
         ];
         let map = BlockMap::build(&units, |_| true, [0u32], false);
         let cfg = cfg();
-        let mut p = TraceState::new(map.len(), cfg, true).profile;
+        let mut p = TraceState::new(map.len(), cfg).profile;
         for _ in 0..8 {
             p.record_exec(0, cfg.hot_threshold);
             p.record_taken(0); // hot edge: taken to block [3]
@@ -582,7 +560,7 @@ mod tests {
     fn cold_and_unseen_edges_stop_growth() {
         let map = loopy_map();
         let cfg = cfg();
-        let mut p = TraceState::new(map.len(), cfg, true).profile;
+        let mut p = TraceState::new(map.len(), cfg).profile;
         // Block 0 executed often but its fall edge fired once out of
         // eight exits — dominated, so no trace.
         for _ in 0..8 {
@@ -599,7 +577,7 @@ mod tests {
         units[31] = UnitFlow::Halt;
         let map = BlockMap::build(&units, |_| true, [0u32], true);
         let cfg = cfg();
-        let mut p = TraceState::new(map.len(), cfg, true).profile;
+        let mut p = TraceState::new(map.len(), cfg).profile;
         for b in 0..32u32 {
             for _ in 0..8 {
                 p.record_exec(b, cfg.hot_threshold);
@@ -614,7 +592,7 @@ mod tests {
     #[test]
     fn grown_plans_round_trip_and_pass_the_check() {
         let map = loopy_map();
-        let mut st = TraceState::new(map.len(), cfg(), true);
+        let mut st = TraceState::new(map.len(), cfg());
         for _ in 0..8 {
             st.form(&map, 1, cfg().hot_threshold);
             st.profile.record_taken(1);
@@ -624,17 +602,11 @@ mod tests {
         assert!(plan.loop_back && plan.loop_via_taken);
         let mut bytes = Vec::new();
         TraceState::encode_into(Some(&st), &mut bytes);
-        let back = TraceState::decode(&mut ByteReader::new(&bytes), true)
+        let back = TraceState::decode(&mut ByteReader::new(&bytes))
             .expect("decodes")
             .expect("present");
         assert_eq!((&back.plans, back.stats), (&st.plans, st.stats));
         assert_eq!(back.check(&map), Ok(()));
-        // A fall-only engine could not have grown along the taken edge.
-        let fall_only = TraceState {
-            profile: TraceState::new(map.len(), cfg(), false).profile,
-            ..back.clone()
-        };
-        assert!(fall_only.check(&map).is_err());
         let mut short = back;
         short.plans.pop();
         assert!(short.check(&map).is_err());

@@ -478,6 +478,23 @@ mod tests {
     }
 
     #[test]
+    fn retired_vliw_trace_descriptors_get_an_error_row() {
+        let rows = replies(
+            "run gcd translated:cache:trace cycles 1000\nrun gcd translated:cache cycles 1000\n",
+            MAX_LINE_BYTES,
+        );
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(
+            rows[0].starts_with(
+                r#"{"ok":false,"error":"unknown backend descriptor `translated:cache:trace`"#
+            ),
+            "{}",
+            rows[0]
+        );
+        assert!(rows[1].starts_with(r#"{"ok":true,"#), "{}", rows[1]);
+    }
+
+    #[test]
     fn every_listed_workload_resolves() {
         let rows = replies("workloads\n", MAX_LINE_BYTES);
         let list = rows[0]

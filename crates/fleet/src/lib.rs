@@ -358,7 +358,7 @@ mod tests {
             ("sieve", Backend::translated(cabt_core::DetailLevel::Cache)),
             (
                 "fibonacci",
-                Backend::translated_trace(cabt_core::DetailLevel::Static),
+                Backend::translated(cabt_core::DetailLevel::Static),
             ),
         ];
         let requests: Vec<FleetRequest> = sharded
@@ -418,7 +418,7 @@ mod tests {
         // Park on this thread, resume and finish inside a pool job —
         // the migration the portable snapshot format exists for.
         let pool = FleetPool::new(2);
-        let backend = Backend::translated_trace(cabt_core_detail());
+        let backend = Backend::translated(cabt_core_detail());
         let mut donor = SimBuilder::named("gcd").backend(backend).build().unwrap();
         donor.run(Limit::Retirements(500)).unwrap();
         let parked = donor.park().unwrap();

@@ -703,15 +703,12 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
             cross.push((subject.to_string(), f));
         }
     }
-    // In-family chains: each translated level's tiers against that
-    // level's naive core (which also yields the cross-ISA finals).
+    // In-family chains: each translated level's compiled tier against
+    // that level's naive core (which also yields the cross-ISA finals).
     for &level in &opts.levels {
-        let naive = Backend::Translated {
-            level,
-            dispatch: Dispatch::Naive,
-        };
+        let naive = Backend::Translated { level, naive: true };
         // The family reference itself must agree with golden on *how*
-        // the run ends — the chains below only pin the tiers to each
+        // the run ends — the chain below only pins the tiers to each
         // other, so this is the sole check that sees a fault shared by
         // the whole translated vehicle.
         checks += 1;
@@ -723,19 +720,18 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
             opts,
             &mut div,
         );
-        for subject in [Backend::translated(level), Backend::translated_trace(level)] {
-            checks += 1;
-            let f = family_chain(
-                &format!("family-chain:{subject}"),
-                &elf,
-                naive,
-                subject,
-                opts,
-                &mut div,
-            );
-            if let Some(f) = f {
-                cross.push((subject.to_string(), f));
-            }
+        let subject = Backend::translated(level);
+        checks += 1;
+        let f = family_chain(
+            &format!("family-chain:{subject}"),
+            &elf,
+            naive,
+            subject,
+            opts,
+            &mut div,
+        );
+        if let Some(f) = f {
+            cross.push((subject.to_string(), f));
         }
     }
 
@@ -797,7 +793,7 @@ pub fn run_source(seed: u64, src: &str, uses_mmio: bool, opts: &MatrixOptions) -
         }
         for probe in [
             Backend::golden_trace(),
-            Backend::translated_trace(DetailLevel::Static),
+            Backend::translated(DetailLevel::Static),
             Backend::sharded(2, Backend::golden()),
             Backend::sharded(2, Backend::golden_trace()),
         ] {

@@ -321,9 +321,9 @@ impl Platform {
     }
 
     /// Resets the platform in place to a fresh run: the engine (at its
-    /// program's entry and load image, dispatch and trace knobs kept), a
-    /// fresh synchronization device, and — when the platform owns its
-    /// bus — the devices in their built state. A bus owned by someone
+    /// program's entry and load image, dispatch kept), a fresh
+    /// synchronization device, and — when the platform owns its bus —
+    /// the devices in their built state. A bus owned by someone
     /// else keeps its state; its owner resets it.
     pub fn reset(&mut self) {
         self.sim.reset();
@@ -407,23 +407,18 @@ impl Platform {
     }
 
     /// Selects the VLIW dispatch core (the compiled tier by default: one
-    /// packet per step, plus fused hot ranges after a warm-up window).
-    /// The naive core is the reference the compiled packets are diffed
-    /// against, and the dispatch benchmarks' baseline.
+    /// packet per step). The naive core is the reference the compiled
+    /// packets are diffed against, and the dispatch benchmarks'
+    /// baseline.
     pub fn set_dispatch(&mut self, mode: cabt_vliw::sim::VliwDispatch) {
         self.sim.set_dispatch(mode);
     }
 
-    /// Sets the trace tier's warm-up/threshold knobs (see
-    /// [`cabt_vliw::sim::VliwSim::set_trace_config`]).
-    pub fn set_trace_config(&mut self, cfg: cabt_exec::trace::TraceConfig) {
-        self.sim.set_trace_config(cfg);
-    }
-
-    /// Trace-tier counters, when [`cabt_vliw::sim::VliwDispatch::Trace`]
-    /// is selected with a warm-up window.
+    /// Always `None`: the VLIW core forms no traces. It stays because
+    /// the repository benchmark (`perfbench/`), its one caller, reads
+    /// it; the benchmark's next revision (ROADMAP item 1) retires it.
     pub fn trace_stats(&self) -> Option<cabt_exec::trace::TraceStats> {
-        self.sim.trace_stats()
+        None
     }
 
     /// Clones the synchronization device's state. Together with an

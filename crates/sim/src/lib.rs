@@ -14,8 +14,8 @@
 //! use cabt_sim::{Backend, SimBuilder};
 //!
 //! let src = ".text\n_start: mov %d2, 21\n add %d2, %d2\n debug\n";
-//! // Every production vehicle — golden and translated on the compiled
-//! // core with and without trace formation, plus RTL.
+//! // Every production vehicle — golden on the compiled tier with and
+//! // without trace formation, translated on the compiled tier, plus RTL.
 //! for backend in Backend::all() {
 //!     let mut session = SimBuilder::asm(src).backend(backend).build()?;
 //!     session.run(Limit::Cycles(1_000_000))?;
@@ -60,12 +60,13 @@ use cabt_workloads::{Needs, Workload};
 use std::fmt;
 use std::sync::Arc;
 
-/// How a golden or translated vehicle dispatches: one vocabulary for
-/// both cores, spelled as the descriptor's suffix.
+/// How a golden vehicle dispatches, spelled as the descriptor's
+/// suffix. A translated vehicle has only the compiled tier and the
+/// naive oracle ([`Backend::Translated`]'s `naive`), spelled the same.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
     /// The compiled tier at a warm-up of 0: no trace state, one
-    /// instruction or packet per step. No suffix.
+    /// instruction per step. No suffix.
     Compiled,
     /// The compiled tier forming traces under the session's
     /// [`SimBuilder::trace_config`]: `:trace`.
@@ -114,8 +115,10 @@ pub enum Backend {
     Translated {
         /// Cycle-accuracy detail level of the translation.
         level: DetailLevel,
-        /// How the VLIW engine dispatches.
-        dispatch: Dispatch,
+        /// Whether the VLIW engine runs the naive oracle (`:naive`)
+        /// instead of the compiled tier (no suffix), which dispatches
+        /// one packet per step.
+        naive: bool,
     },
     /// The event-driven RT-level model (the slow Table 2 baseline).
     Rtl,
@@ -181,8 +184,8 @@ pub enum ShardBackend {
     Translated {
         /// Cycle-accuracy detail level of the translation.
         level: DetailLevel,
-        /// How the VLIW engine dispatches.
-        dispatch: Dispatch,
+        /// Whether the VLIW engine runs the naive oracle.
+        naive: bool,
     },
     /// RT-level shards (no I/O window — they compute but do not touch
     /// the shared bus).
@@ -193,7 +196,7 @@ impl From<ShardBackend> for Backend {
     fn from(s: ShardBackend) -> Backend {
         match s {
             ShardBackend::Golden { dispatch } => Backend::Golden { dispatch },
-            ShardBackend::Translated { level, dispatch } => Backend::Translated { level, dispatch },
+            ShardBackend::Translated { level, naive } => Backend::Translated { level, naive },
             ShardBackend::Rtl => Backend::Rtl,
         }
     }
@@ -213,11 +216,11 @@ impl Backend {
         }
     }
 
-    /// A translated session at `level` on the compiled tier at warm-up 0.
+    /// A translated session at `level` on the compiled tier.
     pub fn translated(level: DetailLevel) -> Self {
         Backend::Translated {
             level,
-            dispatch: Dispatch::Compiled,
+            naive: false,
         }
     }
 
@@ -229,13 +232,12 @@ impl Backend {
         }
     }
 
-    /// A translated session at `level` on the compiled tier forming
-    /// traces ([`Dispatch::Trace`]).
+    /// [`Backend::translated`]: the VLIW core forms no traces. It stays
+    /// because the repository benchmark (`perfbench/`), its one caller,
+    /// names it; the benchmark's next revision (ROADMAP item 1) retires
+    /// it.
     pub fn translated_trace(level: DetailLevel) -> Self {
-        Backend::Translated {
-            level,
-            dispatch: Dispatch::Trace,
-        }
+        Backend::translated(level)
     }
 
     /// A sharded multi-core session: `cores` shards of `base`, run by
@@ -270,7 +272,7 @@ impl Backend {
     pub fn sharded_with_schedule(cores: u16, base: Backend, schedule: ShardSchedule) -> Self {
         let backend = match base {
             Backend::Golden { dispatch } => ShardBackend::Golden { dispatch },
-            Backend::Translated { level, dispatch } => ShardBackend::Translated { level, dispatch },
+            Backend::Translated { level, naive } => ShardBackend::Translated { level, naive },
             Backend::Rtl => ShardBackend::Rtl,
             Backend::Sharded { .. } => panic!("sharded backends do not nest"),
         };
@@ -282,15 +284,15 @@ impl Backend {
     }
 
     /// Every single-core backend generic drivers should sweep: golden
-    /// and the four translation detail levels on the compiled tier,
-    /// with and without trace formation, plus RTL — the full Table 2
-    /// column set. The retained naive interpreters are differential
-    /// references, not production backends, and are spelled explicitly
-    /// where needed; sharded configurations via [`Backend::sharded`].
+    /// on the compiled tier with and without trace formation, the four
+    /// translation detail levels on the compiled tier, plus RTL — the
+    /// full Table 2 column set. The retained naive interpreters are
+    /// differential references, not production backends, and are
+    /// spelled explicitly where needed; sharded configurations via
+    /// [`Backend::sharded`].
     pub fn all() -> Vec<Backend> {
         let mut v = vec![Backend::golden(), Backend::golden_trace()];
         v.extend(DetailLevel::ALL.map(Backend::translated));
-        v.extend(DetailLevel::ALL.map(Backend::translated_trace));
         v.push(Backend::Rtl);
         v
     }
@@ -306,8 +308,9 @@ impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Backend::Golden { dispatch } => write!(f, "golden{}", dispatch.suffix()),
-            Backend::Translated { level, dispatch } => {
-                write!(f, "translated:{level}{}", dispatch.suffix())
+            Backend::Translated { level, naive } => {
+                let suffix = if *naive { Dispatch::Naive.suffix() } else { "" };
+                write!(f, "translated:{level}{suffix}")
             }
             Backend::Rtl => f.write_str("rtl"),
             Backend::Sharded {
@@ -335,18 +338,19 @@ impl fmt::Display for Backend {
 ///     assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
 /// }
 /// assert_eq!(
-///     "sharded-4x:translated:cache:trace".parse::<Backend>().unwrap(),
-///     Backend::sharded(4, Backend::translated_trace(cabt_core::DetailLevel::Cache)),
+///     "sharded-4x:translated:cache".parse::<Backend>().unwrap(),
+///     Backend::sharded(4, Backend::translated(cabt_core::DetailLevel::Cache)),
 /// );
 /// assert_eq!(
 ///     "sharded-64x-pool8:golden".parse::<Backend>().unwrap(),
 ///     Backend::sharded_pooled(64, 8, Backend::golden()),
 /// );
-/// // The retired thread-per-shard schedule is a typed error.
-/// assert!(matches!(
-///     "sharded-4x-par:golden".parse::<Backend>(),
-///     Err(cabt_sim::SessionError::ParseBackend(_)),
-/// ));
+/// // The retired thread-per-shard schedule and the retired VLIW trace
+/// // tier are typed errors.
+/// for retired in ["sharded-4x-par:golden", "translated:cache:trace", "sharded-4x:translated:cache:trace"] {
+///     let err = retired.parse::<Backend>();
+///     assert!(matches!(err, Err(cabt_sim::SessionError::ParseBackend(_))), "{retired}");
+/// }
 /// // The compiled tier at a warm-up of 0 is spelled without a suffix.
 /// for retired in ["golden:compiled", "translated:cache:compiled", "sharded-4x:translated:cache:compiled"] {
 ///     let err = retired.parse::<Backend>();
@@ -394,7 +398,13 @@ impl std::str::FromStr for Backend {
             "cache" => DetailLevel::Cache,
             _ => return Err(err()),
         };
-        Ok(Backend::Translated { level, dispatch })
+        let naive = match dispatch {
+            Dispatch::Compiled => false,
+            Dispatch::Naive => true,
+            // The VLIW core forms no traces.
+            Dispatch::Trace => return Err(err()),
+        };
+        Ok(Backend::Translated { level, naive })
     }
 }
 
@@ -727,12 +737,12 @@ impl SimBuilder {
         self
     }
 
-    /// Warm-up/threshold knobs of the trace dispatch tier, applied to
-    /// every engine the session builds (including each shard of a
-    /// sharded session). Only observable when the selected backend
-    /// dispatches with [`Dispatch::Trace`]; other descriptors carry the
-    /// configuration but never profile. Defaults to
-    /// [`cabt_exec::trace::TraceConfig::default`].
+    /// Warm-up/threshold knobs of the golden model's trace dispatch
+    /// tier, applied to every golden engine the session builds
+    /// (including each shard of a sharded session). Only observable
+    /// when the selected backend is golden with [`Dispatch::Trace`];
+    /// other descriptors carry the configuration but never profile.
+    /// Defaults to [`cabt_exec::trace::TraceConfig::default`].
     pub fn trace_config(mut self, cfg: TraceConfig) -> Self {
         self.config.trace_config = Some(cfg);
         self
@@ -1060,8 +1070,9 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// formed flag, so a resumed trace tier dispatches the donor's traces.
 /// v6 gives both cores one trace-tier encoding: the VLIW tier parks its
 /// formed plans, not its `ends`, `span` and always-zero taken tables,
-/// and re-derives its packet-range covers on restore.
-pub const PARK_VERSION: u16 = 6;
+/// and re-derives its packet-range covers on restore. v7 drops the VLIW
+/// snapshot's trace section with the VLIW trace tier.
+pub const PARK_VERSION: u16 = 7;
 
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1392,10 +1403,9 @@ impl Session {
                     bus,
                 }
             }
-            (Backend::Translated { dispatch, .. }, Program::Translated { image, program }) => {
+            (Backend::Translated { naive, .. }, Program::Translated { image, program }) => {
                 let mut platform = Platform::instantiate(Arc::clone(program), config.platform, bus);
-                platform.set_trace_config(dispatch.trace_config(config.trace_config));
-                if dispatch == Dispatch::Naive {
+                if naive {
                     platform.set_dispatch(VliwDispatch::Naive);
                 }
                 Vehicle::Translated {
@@ -1482,15 +1492,14 @@ impl Session {
 
     /// Trace-tier counters (traces formed, blocks fused, units retired
     /// inside traces) — `Some` only when the session's engine profiles,
-    /// i.e. its backend is a `:trace` one with a warm-up window.
+    /// i.e. its backend is `golden:trace` with a warm-up window.
     /// Sharded sessions aggregate across shards (every shard runs the
     /// same deterministic program, so per-shard values are identical
     /// for SPMD workloads).
     pub fn trace_stats(&self) -> Option<TraceStats> {
         match &self.vehicle {
             Vehicle::Golden { sim, .. } => sim.trace_stats(),
-            Vehicle::Translated { platform, .. } => platform.trace_stats(),
-            Vehicle::Rtl(_) => None,
+            Vehicle::Translated { .. } | Vehicle::Rtl(_) => None,
             Vehicle::Sharded(set) => {
                 let per: Vec<TraceStats> =
                     set.shards.iter().filter_map(Session::trace_stats).collect();
@@ -1506,17 +1515,15 @@ impl Session {
         }
     }
 
-    /// The trace chains the trace tier has formed so far
-    /// ([`cabt_exec::trace::TracePlan`]s, in head-block order) — over the
-    /// guest's blocks on a golden vehicle (the dynamic side of the static
-    /// trace-prediction cross-check), over the packets' blocks on a
-    /// translated one. Empty for RTL and sharded vehicles and while
-    /// nothing is hot.
+    /// The trace chains the golden model's trace tier has formed so far
+    /// ([`cabt_exec::trace::TracePlan`]s over the guest's blocks, in
+    /// head-block order): the dynamic side of the static
+    /// trace-prediction cross-check. Empty for every other vehicle and
+    /// while nothing is hot.
     pub fn trace_plans(&self) -> Vec<cabt_exec::trace::TracePlan> {
         match &self.vehicle {
             Vehicle::Golden { sim, .. } => sim.trace_plans(),
-            Vehicle::Translated { platform, .. } => platform.sim().trace_plans(),
-            Vehicle::Rtl(_) | Vehicle::Sharded(_) => Vec::new(),
+            _ => Vec::new(),
         }
     }
 
@@ -2242,11 +2249,11 @@ mod tests {
         assert!(all.iter().any(|b| matches!(b, Backend::Golden { .. })));
         assert!(all.iter().any(|b| matches!(b, Backend::Translated { .. })));
         assert!(all.iter().any(|b| matches!(b, Backend::Rtl)));
-        // The compiled tier with and without traces on each
-        // dispatch-capable vehicle (the naive interpreters are
-        // differential references, deliberately absent): golden, four
-        // levels and RTL.
-        assert_eq!(all.len(), 2 + 2 * DetailLevel::ALL.len() + 1);
+        // The compiled tier with and without traces on golden, the
+        // compiled tier on each translation level, and RTL (the naive
+        // interpreters are differential references, deliberately
+        // absent).
+        assert_eq!(all.len(), 2 + DetailLevel::ALL.len() + 1);
         for dispatch in [Dispatch::Compiled, Dispatch::Trace] {
             assert!(
                 all.contains(&Backend::Golden { dispatch }),
@@ -2254,22 +2261,17 @@ mod tests {
             );
         }
         for level in DetailLevel::ALL {
-            for dispatch in [Dispatch::Compiled, Dispatch::Trace] {
-                assert!(
-                    all.contains(&Backend::Translated { level, dispatch }),
-                    "translated {level}/{dispatch:?} missing from Backend::all()"
-                );
-            }
+            assert!(
+                all.contains(&Backend::translated(level)),
+                "translated {level} missing from Backend::all()"
+            );
         }
         assert!(
             !all.iter().any(|b| matches!(
                 b,
                 Backend::Golden {
                     dispatch: Dispatch::Naive
-                } | Backend::Translated {
-                    dispatch: Dispatch::Naive,
-                    ..
-                }
+                } | Backend::Translated { naive: true, .. }
             )),
             "naive reference interpreters are not production backends"
         );
@@ -2297,7 +2299,7 @@ mod tests {
             },
             Backend::Translated {
                 level: DetailLevel::Cache,
-                dispatch: Dispatch::Naive,
+                naive: true,
             },
         ]);
         for b in &singles {
@@ -2515,7 +2517,7 @@ mod tests {
     fn park_resume_continues_bit_identically() {
         for backend in [
             Backend::golden_trace(),
-            Backend::translated_trace(DetailLevel::Cache),
+            Backend::translated(DetailLevel::Cache),
             Backend::sharded(2, Backend::golden()),
             Backend::sharded_pooled(2, 2, Backend::golden()),
         ] {

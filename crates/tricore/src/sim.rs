@@ -339,7 +339,7 @@ impl SimSnapshot {
         };
         let cur = r.u32()?;
         let halted = r.bool()?;
-        let trace = TraceState::decode(r, true)?;
+        let trace = TraceState::decode(r)?;
         Ok(SimSnapshot {
             cpu,
             mem,
@@ -364,7 +364,7 @@ impl TraceTier {
     /// A cold tier over `map`'s blocks under `cfg`.
     fn cold(map: &BlockMap, cfg: TraceConfig) -> Box<TraceTier> {
         Box::new(TraceTier {
-            state: TraceState::new(map.len(), cfg, true),
+            state: TraceState::new(map.len(), cfg),
             traces: (0..map.len()).map(|_| None).collect(),
         })
     }
@@ -1310,7 +1310,7 @@ impl ExecutionEngine for Simulator {
             halted: self.halted,
             trace: self.profiles().then(|| match &self.trace {
                 Some(t) => t.state.clone(),
-                None => TraceState::new(self.program.compiled.map.len(), self.trace_cfg, true),
+                None => TraceState::new(self.program.compiled.map.len(), self.trace_cfg),
             }),
         }
     }

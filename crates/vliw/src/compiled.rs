@@ -10,18 +10,12 @@
 //! loop dispatches slots through indirect calls with no per-slot
 //! operation match and no slot-record construction.
 //!
-//! Packet-run structure comes from the same
-//! [`cabt_exec::blocks::BlockMap`] partition the golden model's
-//! compiled blocks and the translator's CFG use (leaders at branch
-//! destinations and after branch packets). Unlike the golden model,
-//! dispatch here stays *per packet*: branch shadows and delayed
-//! write-backs make control transfer and retirement between any two
-//! packets, so a compiled packet is bit-identical to the naive
-//! interpreter at *every* packet, not just at block boundaries. The
-//! compiled core ([`VliwDispatch::Trace`](crate::sim::VliwDispatch))
-//! dispatches these packets one at a time until a fall chain turns hot
-//! during its warm-up window, then runs the chain as one fused packet
-//! range; at a warm-up of 0 it never does.
+//! Dispatch stays *per packet*: branch shadows and delayed write-backs
+//! make control transfer and retirement between any two packets, so
+//! the compiled core
+//! ([`VliwDispatch::Trace`](crate::sim::VliwDispatch)) dispatches these
+//! packets one at a time, bit-identical to the naive interpreter at
+//! *every* packet, and a budget stops it exactly.
 //!
 //! The closures do only the write-back work their slot needs:
 //! single-cycle results (every ALU operation but multiply, divide and
@@ -35,7 +29,6 @@
 
 use crate::isa::{Op, Packet, Pred, Reg, Slot};
 use crate::sim::{route_load, route_store, DeviceBus, Latch, VliwError, NO_IDX};
-use cabt_exec::blocks::{BlockMap, UnitFlow};
 use cabt_isa::mem::Memory;
 use cabt_isa::AddrMap;
 
@@ -81,13 +74,6 @@ pub(crate) struct CompiledPacket {
     pub slots: Box<[SlotFn]>,
 }
 
-/// The compiled program: the shared block partition over the packet
-/// table plus one compiled packet per table entry.
-pub(crate) struct CompiledProgram {
-    pub map: BlockMap,
-    pub packets: Vec<CompiledPacket>,
-}
-
 /// A slot's branch destination: the target address of a static `B`
 /// at `slot_addr` and its packet index ([`NO_IDX`] when the target is
 /// not a packet start).
@@ -96,37 +82,10 @@ fn branch_dest(slot_addr: u32, disp21: i32, index: &AddrMap<usize>) -> (u32, u32
     (dest, index.get(&dest).map_or(NO_IDX, |&i| i as u32))
 }
 
-/// Control-flow role of one packet for the block builder: packets with
-/// a branch slot end blocks (their shadow packets lead the next one),
-/// packets with a `HALT` slot terminate. Branches keep their fall edge
-/// — the five-issue-slot shadow architecturally *falls* into the next
-/// packets before the redirect lands.
-fn flow_of(p: &Packet, index: &AddrMap<usize>) -> UnitFlow {
-    let mut flow = UnitFlow::Straight;
-    for (pos, s) in p.slots().iter().enumerate() {
-        match s.op {
-            Op::Halt => return UnitFlow::Halt,
-            Op::B { disp21 } => {
-                let (_, idx) = branch_dest(p.addr + 8 * pos as u32, disp21, index);
-                flow = UnitFlow::Branch {
-                    target: (idx != NO_IDX).then_some(idx),
-                };
-            }
-            Op::BReg { .. } => flow = UnitFlow::Branch { target: None },
-            _ => {}
-        }
-    }
-    flow
-}
-
 /// Compiles the whole packet table; `index` maps packet addresses to
 /// table positions and resolves static branch destinations.
-pub(crate) fn compile(program: &[Packet], index: &AddrMap<usize>) -> CompiledProgram {
-    let units: Vec<UnitFlow> = program.iter().map(|p| flow_of(p, index)).collect();
-    // Packets are a dense arena: every packet's sequential successor is
-    // the next table entry.
-    let map = BlockMap::build(&units, |_| true, std::iter::once(0u32), false);
-    let packets = program
+pub(crate) fn compile(program: &[Packet], index: &AddrMap<usize>) -> Vec<CompiledPacket> {
+    program
         .iter()
         .map(|p| CompiledPacket {
             issue: p.issue_cycles(),
@@ -138,8 +97,7 @@ pub(crate) fn compile(program: &[Packet], index: &AddrMap<usize>) -> CompiledPro
                 .map(|(pos, s)| compile_slot(s, p.addr + 8 * pos as u32, index))
                 .collect(),
         })
-        .collect();
-    CompiledProgram { map, packets }
+        .collect()
 }
 
 /// Wraps a slot body with its predication guard and the executed-slot

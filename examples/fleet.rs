@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Portable park/resume: interrupt a session mid-run, serialize it,
     // finish it inside a pool worker, and match the uninterrupted run.
-    let backend = Backend::translated_trace(DetailLevel::Cache);
+    let backend = Backend::translated(DetailLevel::Cache);
     let mut donor = SimBuilder::named("sieve").backend(backend).build()?;
     donor.run(Limit::Retirements(1_000))?;
     let parked = donor.park()?;

@@ -22,7 +22,7 @@
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
 //! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the one-queue `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
 //! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (compiled dispatch core with its trace tier, naive oracle) |
-//! | [`vliw`] | target VLIW ISA and simulator (compiled dispatch core with its trace tier, naive oracle) |
+//! | [`vliw`] | target VLIW ISA and simulator (compiled dispatch core, one packet per step; naive oracle) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
 //! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with a deterministic O(traffic) journaled delta exchange (`docs/sharding.md`) |
 //! | [`rtlsim`] | event-driven RT-level baseline simulator |
@@ -37,10 +37,11 @@
 //! differential oracle) and the **compiled tier**. The compiled tier
 //! decodes the image once at load into an index-chased pre-decoded
 //! table, compiles it into closures and steps them one instruction or
-//! packet at a time (`golden`, `translated:<level>`: a warm-up of 0).
-//! With a warm-up window (`:trace`) it also profiles the basic blocks
-//! of the shared [`cabt_exec::blocks`] partition and fuses hot chains
-//! into superblocks; traces are its only multi-instruction steps. The
+//! packet at a time (`golden` at a warm-up of 0, `translated:<level>`).
+//! On the golden model a warm-up window (`golden:trace`) also profiles
+//! the basic blocks of the shared [`cabt_exec::blocks`] partition and
+//! fuses hot chains into superblocks; traces are its only
+//! multi-instruction steps. The
 //! [`tricore::sim`] and [`vliw::sim`] module docs describe each core;
 //! `tests/predecode_diff.rs` and `tests/compiled_diff.rs` prove them
 //! bit-identical. The repository benchmark in `perfbench/` measures
@@ -111,9 +112,9 @@
 //!     debug
 //! "#;
 //!
-//! // Every production vehicle answers the same way — golden and
-//! // translated on the compiled tier with and without traces, plus
-//! // the RTL baseline:
+//! // Every production vehicle answers the same way — golden on the
+//! // compiled tier with and without traces, translated on the compiled
+//! // tier, plus the RTL baseline:
 //! for backend in Backend::all() {
 //!     let mut s = SimBuilder::asm(src).backend(backend).build()?;
 //!     s.run(Limit::Cycles(1_000_000))?;

@@ -1,20 +1,22 @@
 //! Differential proof that the compiled dispatch cores — instructions
 //! (golden) and execute packets (VLIW) compiled into closures at load,
-//! plus profile-guided superblock traces over them — are bit-identical
-//! to the naive interpreters, the reference throughout.
+//! plus the golden model's profile-guided superblock traces over them —
+//! are bit-identical to the naive interpreters, the reference
+//! throughout.
 //!
-//! The compiled core is exercised in two configurations: an eager one
-//! in which traces form and carry most retirement, and a warm-up of 0
-//! which keeps no trace state, so every step dispatches one compiled
-//! instruction (golden) or one compiled packet (VLIW) and is compared
-//! after every step. With traces formed, the golden model is compared
-//! at instruction and trace boundaries (and at the halt). Both are
-//! swept over every bundled workload, PRNG-randomized programs, and
-//! the fault paths (mid-block memory faults, indirect jumps out of the
-//! image).
+//! The golden compiled core is exercised in two configurations: an
+//! eager one in which traces form and carry most retirement, and a
+//! warm-up of 0 which keeps no trace state, so every step dispatches
+//! one compiled instruction and is compared after every step. With
+//! traces formed, it is compared at instruction and trace boundaries
+//! (and at the halt). The VLIW compiled core dispatches one compiled
+//! packet per step and is compared after every packet, at budget stops
+//! and at the halt. Both are swept over every bundled workload,
+//! PRNG-randomized programs, and the fault paths (mid-block memory
+//! faults, indirect jumps out of the image).
 
 use cabt::prelude::*;
-use cabt_exec::trace::{TraceConfig, TraceStats};
+use cabt_exec::trace::TraceConfig;
 use cabt_exec::{fingerprint_engine, ExecutionEngine};
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_isa::rng::Pcg32;
@@ -33,8 +35,8 @@ fn eager_traces() -> TraceConfig {
     }
 }
 
-/// A warm-up of 0: no trace state, so the compiled core dispatches one
-/// compiled instruction (golden) or packet (VLIW) per step.
+/// A warm-up of 0: no trace state, so the golden compiled core
+/// dispatches one compiled instruction per step.
 fn block_dispatch() -> TraceConfig {
     TraceConfig {
         warmup: 0,
@@ -100,9 +102,9 @@ fn tricore_compiled_agrees_at_every_block_boundary() {
     }
 }
 
-/// With warm-up 0 the VLIW trace tier dispatches one compiled packet
-/// per step, so the comparison against the naive interpreter can be
-/// made after *every* packet, pending pipeline state included.
+/// The VLIW compiled tier dispatches one compiled packet per step, so
+/// the comparison against the naive interpreter can be made after
+/// *every* packet, pending pipeline state included.
 #[test]
 fn vliw_compiled_agrees_after_every_packet() {
     let w = cabt::workloads::gcd(6, 11);
@@ -114,8 +116,6 @@ fn vliw_compiled_agrees_after_every_packet() {
     let mut naive = VliwSim::instantiate(program.clone());
     naive.set_dispatch(VliwDispatch::Naive);
     let mut comp = VliwSim::instantiate(program);
-    comp.set_trace_config(block_dispatch());
-    comp.set_dispatch(VliwDispatch::Trace);
     let mut packets = 0u64;
     while !naive.is_halted() && packets < 50_000 {
         naive.step_packet().expect("naive steps");
@@ -237,31 +237,29 @@ fn engine_trait_reports_identical_counters() {
     assert_eq!(collect(DispatchMode::Naive), collect(DispatchMode::Trace));
 }
 
-/// The compiled descriptors (`golden`, `translated:<level>`) and trace
-/// backends with warm-up 0 drive through `cabt-sim` sessions like any
-/// other: same checksums, same counters as their naive twins at the
-/// halt.
+/// The compiled descriptors (`golden`, `translated:<level>`) and the
+/// golden trace backend with warm-up 0 drive through `cabt-sim`
+/// sessions like any other: same checksums, same counters as their
+/// naive twins at the halt.
 #[test]
 fn compiled_sessions_match_predecoded_sessions() {
     for w in all_workloads() {
-        let vehicles: [[Backend; 3]; 2] = [
-            [
+        let vehicles = [
+            (
                 Backend::Golden {
                     dispatch: Dispatch::Naive,
                 },
-                Backend::golden(),
-                Backend::golden_trace(),
-            ],
-            [
+                vec![Backend::golden(), Backend::golden_trace()],
+            ),
+            (
                 Backend::Translated {
                     level: DetailLevel::Static,
-                    dispatch: Dispatch::Naive,
+                    naive: true,
                 },
-                Backend::translated(DetailLevel::Static),
-                Backend::translated_trace(DetailLevel::Static),
-            ],
+                vec![Backend::translated(DetailLevel::Static)],
+            ),
         ];
-        for [naive, compiled, trace] in vehicles {
+        for (naive, subjects) in vehicles {
             let drive = |backend: Backend| {
                 let mut s = SimBuilder::workload(&w)
                     .backend(backend)
@@ -272,8 +270,9 @@ fn compiled_sessions_match_predecoded_sessions() {
                 (s.stats(), s.read_d(2))
             };
             let want = drive(naive);
-            assert_eq!(want, drive(compiled), "{}: {naive} vs {compiled}", w.name);
-            assert_eq!(want, drive(trace), "{}: {naive} vs {trace}", w.name);
+            for subject in subjects {
+                assert_eq!(want, drive(subject), "{}: {naive} vs {subject}", w.name);
+            }
         }
     }
 }
@@ -304,41 +303,37 @@ fn tricore_compiled_is_bit_identical_on_all_workloads() {
 }
 
 /// Shared VLIW run for the all-workload checks: platform stats,
-/// register file, engine stats and trace counters at the halt.
-fn vliw_run(
-    t: &Translated,
-    mode: VliwDispatch,
-    cfg: TraceConfig,
-) -> (PlatformStats, Vec<u32>, VliwStats, Option<TraceStats>) {
+/// register file and engine stats at the halt.
+fn vliw_run(t: &Translated, mode: VliwDispatch) -> (PlatformStats, Vec<u32>, VliwStats) {
     let mut p = Platform::new(t, PlatformConfig::unlimited()).expect("builds");
-    p.set_trace_config(cfg);
     p.set_dispatch(mode);
     let stats = p.run(5_000_000_000).expect("halts");
     let regs: Vec<u32> = (0..64).map(|i| p.sim().read_reg_index(i)).collect();
-    (stats, regs, p.sim().stats(), p.trace_stats())
+    (stats, regs, p.sim().stats())
 }
 
-/// The VLIW compiled core with warm-up 0 — every step one compiled
-/// packet, no trace state — matches the naive interpreter at the halt on
-/// every bundled workload and detail level.
-#[test]
-fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
+/// The VLIW compiled core matches the naive interpreter at the halt on
+/// every bundled workload at the `levels` detail levels.
+fn assert_vliw_compiled_matches_naive(levels: [DetailLevel; 2]) {
     for w in all_workloads() {
         let elf = w.elf().expect("assembles");
-        for level in [DetailLevel::Static, DetailLevel::Cache] {
+        for level in levels {
             let t = Translator::new(level).translate(&elf).expect("translates");
-            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Naive, block_dispatch());
-            let (sc, rc, vc, ts) = vliw_run(&t, VliwDispatch::Trace, block_dispatch());
+            let (sp, rp, vp) = vliw_run(&t, VliwDispatch::Naive);
+            let (sc, rc, vc) = vliw_run(&t, VliwDispatch::Trace);
             assert_eq!(sp, sc, "{} level {level}: platform stats diverged", w.name);
             assert_eq!(vp, vc, "{} level {level}: engine stats diverged", w.name);
             assert_eq!(rp, rc, "{} level {level}: register file diverged", w.name);
-            assert_eq!(
-                ts, None,
-                "{} level {level}: warm-up 0 kept trace state",
-                w.name
-            );
         }
     }
+}
+
+/// The VLIW compiled core — every step one compiled packet — matches
+/// the naive interpreter at the halt on every bundled workload at the
+/// static and cache levels.
+#[test]
+fn vliw_compiled_is_packet_lockstep_identical_on_all_workloads() {
+    assert_vliw_compiled_matches_naive([DetailLevel::Static, DetailLevel::Cache]);
 }
 
 /// The trace tier with eager formation runs every bundled workload
@@ -369,39 +364,22 @@ fn tricore_trace_is_bit_identical_on_all_workloads() {
     }
 }
 
-/// The trace tier on the VLIW target: bit-identical to the naive
-/// interpreter at the halt on every bundled workload and detail level,
-/// retiring packets inside fused packet ranges.
+/// The VLIW compiled core at the two remaining detail levels
+/// (functional and branch prediction): bit-identical to the naive
+/// interpreter at the halt on every bundled workload.
 #[test]
 fn vliw_trace_is_bit_identical_on_all_workloads() {
-    for w in all_workloads() {
-        let elf = w.elf().expect("assembles");
-        for level in [DetailLevel::Static, DetailLevel::Cache] {
-            let t = Translator::new(level).translate(&elf).expect("translates");
-            let (sp, rp, vp, _) = vliw_run(&t, VliwDispatch::Naive, eager_traces());
-            let (st, rt, vt, ts) = vliw_run(&t, VliwDispatch::Trace, eager_traces());
-            assert_eq!(sp, st, "{} level {level}: platform stats diverged", w.name);
-            assert_eq!(vp, vt, "{} level {level}: engine stats diverged", w.name);
-            assert_eq!(rp, rt, "{} level {level}: register file diverged", w.name);
-            let ts = ts.expect("trace dispatch selected");
-            assert!(ts.traces > 0, "{} level {level}: no traces formed", w.name);
-            assert!(
-                ts.trace_retired > 0,
-                "{} level {level}: no trace retirement",
-                w.name
-            );
-        }
-    }
+    assert_vliw_compiled_matches_naive([DetailLevel::Functional, DetailLevel::BranchPredict]);
 }
 
 /// The paper's configuration — cache level, `PlatformConfig::default()`
 /// with its sync-device stalls — compared at every boundary of a small
-/// prime cycle stride, not only at the halt. The trace session stops
-/// where its fused runs end (at or past each stride multiple), often
-/// right after a folded NOP packet; the naive session is run to the
-/// same retirement count and both digests must agree there. In
-/// between, results the trace tier holds in its next-cycle latch and
-/// the naive core holds in its list are equally uncommitted, so the
+/// prime cycle stride, not only at the halt. The compiled session stops
+/// at the first packet boundary at or past each stride multiple, often
+/// right after a folded NOP packet or a stall; the naive session is run
+/// to the same retirement count and both digests must agree there. In
+/// between, results the compiled core holds in its next-cycle latch
+/// and the naive core holds in its list are equally uncommitted, so the
 /// digests see the same register file.
 #[test]
 fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
@@ -411,19 +389,18 @@ fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
             SimBuilder::workload(&w)
                 .backend(backend)
                 .platform(PlatformConfig::default())
-                .trace_config(eager_traces())
                 .build()
                 .expect("builds")
         };
-        let mut tr = build(Backend::translated_trace(DetailLevel::Cache));
+        let mut tr = build(Backend::translated(DetailLevel::Cache));
         let mut naive = build(Backend::Translated {
             level: DetailLevel::Cache,
-            dispatch: Dispatch::Naive,
+            naive: true,
         });
         let mut boundaries = 0u64;
         loop {
             let bound = (tr.cycle() / STRIDE + 1) * STRIDE;
-            let stop = tr.run(Limit::Cycles(bound)).expect("trace session runs");
+            let stop = tr.run(Limit::Cycles(bound)).expect("compiled session runs");
             naive
                 .run(Limit::Retirements(tr.stats().retired))
                 .expect("naive session runs");
@@ -442,8 +419,6 @@ fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
         }
         assert!(naive.is_halted(), "{}: naive session did not halt", w.name);
         assert_eq!(tr.read_d(2), w.expected_d2, "{}: checksum", w.name);
-        let ts = tr.trace_stats().expect("trace backend");
-        assert!(ts.trace_retired > 0, "{}: no trace retirement", w.name);
         assert!(
             tr.stats().stall_cycles > 0,
             "{}: no sync stall to straddle",
@@ -570,16 +545,17 @@ walk:
     );
 }
 
-/// Session snapshots taken while traces are live restore across trace
-/// side exits: the replay revisits the same budget stop points (the
-/// snapshot carries the tier's profile), the same halt state and the
-/// same checksum — on both trace backends.
+/// Session snapshots taken mid-run restore and replay: the replay
+/// revisits the same budget stop points, the same halt state and the
+/// same checksum. On the golden trace backend traces are live at the
+/// snapshot, so the replay crosses side exits (the snapshot carries the
+/// tier's profile); the translated backend is the compiled VLIW core.
 #[test]
 fn trace_sessions_snapshot_across_side_exits() {
     let w = cabt::workloads::sieve(200);
     for backend in [
         Backend::golden_trace(),
-        Backend::translated_trace(DetailLevel::Static),
+        Backend::translated(DetailLevel::Static),
     ] {
         let mut s = SimBuilder::workload(&w)
             .backend(backend)
@@ -587,10 +563,12 @@ fn trace_sessions_snapshot_across_side_exits() {
             .build()
             .expect("builds");
         s.run_until(Limit::Retirements(500)).expect("warms up");
-        assert!(
-            s.trace_stats().expect("trace backend").traces > 0,
-            "{backend}: no trace live at the snapshot point"
-        );
+        if backend == Backend::golden_trace() {
+            assert!(
+                s.trace_stats().expect("trace backend").traces > 0,
+                "{backend}: no trace live at the snapshot point"
+            );
+        }
         let snap = s.snapshot();
         s.run_until(Limit::Retirements(1500)).expect("runs on");
         let mid = (s.stats(), s.cycle(), s.read_d(2));

@@ -99,32 +99,35 @@ fn fibonacci_lockstep() {
     lockstep(&cabt::workloads::fibonacci(3, 10), 300);
 }
 
-/// The lockstep debugger accepts a trace-tier builder and runs it on
-/// the compiled core at a warm-up of 0, packet by packet, so the
-/// per-instruction
-/// translation still stops at every source address.
+/// The naive VLIW core, which steps one packet at a time.
+fn naive_static() -> Backend {
+    Backend::Translated {
+        level: DetailLevel::Static,
+        naive: true,
+    }
+}
+
+/// The lockstep debugger runs the builder's backend as given: on the
+/// naive VLIW core, packet by packet like the compiled tier, the
+/// per-instruction translation still stops at every source address.
 #[test]
 fn lockstep_drives_a_trace_backend_builder() {
     for w in [cabt::workloads::gcd(4, 21), cabt::workloads::sieve(40)] {
         let elf = w.elf().expect("assembles");
-        let dbg = DebugSession::from_builder(
-            SimBuilder::elf(elf).backend(Backend::translated_trace(DetailLevel::Static)),
-        )
-        .expect("trace debug session builds");
+        let dbg = DebugSession::from_builder(SimBuilder::elf(elf).backend(naive_static()))
+            .expect("naive debug session builds");
         lockstep_against(&w, 500, dbg);
     }
 }
 
-/// Breakpoints hit at the same source addresses on a trace-tier builder.
+/// Breakpoints hit at the same source addresses on a naive-core builder.
 #[test]
 fn breakpoints_work_on_a_trace_backend_builder() {
     let elf = assemble(".text\n_start: mov %d1, 1\nmid: mov %d2, 2\n add %d2, %d1\n debug\n")
         .expect("assembles");
     let mid = elf.symbol("mid").expect("symbol").value;
-    let mut dbg = DebugSession::from_builder(
-        SimBuilder::elf(elf).backend(Backend::translated_trace(DetailLevel::Static)),
-    )
-    .expect("builds");
+    let mut dbg =
+        DebugSession::from_builder(SimBuilder::elf(elf).backend(naive_static())).expect("builds");
     dbg.set_breakpoint(mid).expect("source address");
     assert_eq!(dbg.cont().expect("runs"), StopReason::Breakpoint(mid));
     assert_eq!(dbg.read_reg("d1").expect("readable"), 1);

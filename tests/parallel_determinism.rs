@@ -167,7 +167,6 @@ fn producer_consumer_is_schedule_independent_at_2_4_8_shards() {
             Backend::golden(),
             Backend::golden_trace(),
             Backend::translated(DetailLevel::Static),
-            Backend::translated_trace(DetailLevel::Static),
             Backend::translated(DetailLevel::Cache),
         ] {
             assert_schedules_agree("producer_consumer", &w, cores, base, BUDGET);
@@ -337,7 +336,6 @@ fn randomized_spmd_programs_are_schedule_independent() {
                 Backend::golden(),
                 Backend::golden_trace(),
                 Backend::translated(DetailLevel::Static),
-                Backend::translated_trace(DetailLevel::Static),
             ] {
                 let drive = |schedule: ShardSchedule| {
                     let mut s = SimBuilder::asm(src.clone())
@@ -670,7 +668,10 @@ fn mailbox_runs_on_every_mmio_capable_base() {
         Backend::golden(),
         Backend::golden_trace(),
         Backend::translated(DetailLevel::Static),
-        Backend::translated_trace(DetailLevel::Static),
+        Backend::Translated {
+            level: DetailLevel::Static,
+            naive: true,
+        },
     ] {
         assert_schedules_agree("mailbox", &w, 4, base, BUDGET);
         let mut s = build(&w, 4, base, ShardSchedule::Pooled(2));

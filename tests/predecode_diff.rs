@@ -26,8 +26,9 @@ fn all_workloads() -> Vec<Workload> {
     ws
 }
 
-/// A warm-up of 0: the compiled core keeps no trace state and steps one
-/// instruction or packet at a time.
+/// A warm-up of 0: the golden compiled core keeps no trace state and
+/// steps one instruction at a time (the VLIW compiled core always steps
+/// one packet).
 fn no_traces() -> TraceConfig {
     TraceConfig {
         warmup: 0,
@@ -112,7 +113,6 @@ fn vliw_predecoded_is_lockstep_equivalent_on_all_workloads() {
             let t = Translator::new(level).translate(&elf).expect("translates");
             let run = |mode: VliwDispatch| {
                 let mut p = Platform::new(&t, PlatformConfig::unlimited()).expect("builds");
-                p.set_trace_config(no_traces());
                 p.set_dispatch(mode);
                 let stats = p.run(5_000_000_000).expect("halts");
                 let regs: Vec<u32> = (0..64).map(|i| p.sim().read_reg_index(i)).collect();
@@ -234,7 +234,6 @@ fn reset_restores_mutated_data_memory() {
         .translate(&elf)
         .expect("translates");
     let mut vsim = VliwSim::instantiate(t.program().expect("builds"));
-    vsim.set_trace_config(no_traces());
     let first = vsim.run(1_000_000_000).expect("halts");
     assert_eq!(
         vsim.reg(cabt_core::regbind::dreg(cabt_tricore::isa::DReg(2))),

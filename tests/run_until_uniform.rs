@@ -28,34 +28,28 @@ fn all_backends() -> Vec<Backend> {
     v.push(Backend::Golden {
         dispatch: Dispatch::Naive,
     });
-    v.extend(DetailLevel::ALL.map(|level| Backend::Translated {
-        level,
-        dispatch: Dispatch::Naive,
-    }));
+    v.extend(DetailLevel::ALL.map(|level| Backend::Translated { level, naive: true }));
     v
 }
 
-/// True for the trace backends, whose dispatch unit is a fused trace
-/// once one forms: their budget checks happen between units, so an
+/// True for the golden trace backend, whose dispatch unit is a fused
+/// trace once one forms: its budget checks happen between units, so an
 /// unmet budget may be overshot into the end of the current trace
-/// (documented on `DispatchMode::Trace` and `VliwDispatch::Trace`).
-/// Every *met-at-entry* semantic below is identical regardless.
+/// (documented on `DispatchMode::Trace`). Every *met-at-entry* semantic
+/// below is identical regardless.
 fn trace_granular(backend: Backend) -> bool {
     matches!(
         backend,
         Backend::Golden {
             dispatch: Dispatch::Trace
-        } | Backend::Translated {
-            dispatch: Dispatch::Trace,
-            ..
         }
     )
 }
 
 /// One session per backend, labelled, with whether its budgets may
-/// overshoot — plus every trace backend again with a warm-up of 0,
-/// where no trace forms and each step dispatches one compiled
-/// instruction (golden) or packet (VLIW), so its budgets are exact.
+/// overshoot — plus the trace backend again with a warm-up of 0, where
+/// no trace forms and each step dispatches one compiled instruction,
+/// so its budgets are exact.
 fn sessions() -> Vec<(String, bool, Session)> {
     let block_dispatch = TraceConfig {
         warmup: 0,
@@ -176,12 +170,11 @@ fn budget_check_precedes_halt_check() {
 /// warm-up of 0), or `stepped` — the same backend driven by
 /// `run_until_with(.., step_unit)`, which stops after every trace run
 /// and side exit.
-const SWEPT: [(&str, &str); 7] = [
+const SWEPT: [(&str, &str); 6] = [
     ("golden", "golden:naive"),
     ("golden:trace", "stepped"),
     ("translated:static", "translated:static:naive"),
     ("translated:cache", "translated:cache:naive"),
-    ("translated:cache:trace", "stepped"),
     ("sharded-2x:golden", "sharded-2x:golden:naive"),
     (
         "sharded-2x:translated:cache",

@@ -143,20 +143,12 @@ fn vliw_core_snapshot_is_bit_identical_in_both_dispatch_modes() {
     let win = data_windows(&elf);
     for level in [DetailLevel::Static, DetailLevel::Cache] {
         let t = Translator::new(level).translate(&elf).unwrap();
-        for (mode, warmup) in [
-            (VliwDispatch::Trace, 0),
-            (VliwDispatch::Trace, 1_000_000),
-            (VliwDispatch::Naive, 1_000_000),
-        ] {
+        for mode in [VliwDispatch::Trace, VliwDispatch::Naive] {
             let mut sim = VliwSim::instantiate(t.program().unwrap());
-            sim.set_trace_config(TraceConfig {
-                warmup,
-                hot_threshold: 2,
-            });
             sim.set_dispatch(mode);
             // Snapshot inside the program: loads in flight, branch
             // shadows pending.
-            let label = format!("vliw/{level}/{mode:?}/warm-up {warmup}");
+            let label = format!("vliw/{level}/{mode:?}");
             diff_snapshot(&label, &mut sim, 11, 17, &win);
         }
     }
@@ -433,27 +425,18 @@ fn park_on(parked: &[u8], backend: Backend) -> Vec<u8> {
     out
 }
 
-/// A park taken at a trace-tier `Limit::Retirements` boundary, right
-/// after a fused run whose last packet left results that are due but
-/// not yet committed: the trace tier holds such single-cycle results in
-/// its next-cycle latch, and the park image carries them in the pending
-/// list, where the naive core keeps its own. Resumed on the trace tier
-/// and on the compiled tier at a warm-up of 0, both runs end
-/// bit-identical to the uninterrupted one.
+/// A park taken at a compiled-tier `Limit::Retirements` boundary, right
+/// after a packet that left results due but not yet committed: the
+/// compiled tier holds such single-cycle results in its next-cycle
+/// latch, and the park image carries them in the pending list, where
+/// the naive core keeps its own. Resumed on the compiled tier and on
+/// the naive core, both runs end bit-identical to the uninterrupted
+/// one.
 #[test]
 fn park_with_latched_results_resumes_on_trace_and_predecoded_cores() {
     let w = cabt::workloads::gcd(6, 11);
-    let trace = Backend::translated_trace(DetailLevel::Cache);
-    let build = || {
-        SimBuilder::workload(&w)
-            .backend(trace)
-            .trace_config(TraceConfig {
-                warmup: 1_000_000_000,
-                hot_threshold: 2,
-            })
-            .build()
-            .unwrap()
-    };
+    let compiled = Backend::translated(DetailLevel::Cache);
+    let build = || SimBuilder::workload(&w).backend(compiled).build().unwrap();
     let regs =
         |s: &Session| -> Vec<u32> { (0..s.reg_count()).map(|i| s.read_reg_index(i)).collect() };
     let finish = |mut s: Session| {
@@ -463,17 +446,13 @@ fn park_with_latched_results_resumes_on_trace_and_predecoded_cores() {
     let expected = finish(build());
     assert_eq!(expected.2, w.expected_d2);
 
-    // One step per call: find the first fused run that ends with
-    // results pending at its boundary (committing them would change
-    // the register file) and park there, before probing.
+    // One packet per call: find the first boundary with results
+    // pending (committing them would change the register file) and
+    // park there, before probing.
     let mut donor = build();
     let parked = loop {
-        let fused = donor.trace_stats().unwrap().trace_retired;
         let stop = donor.run_until(Limit::Retirements(donor.stats().retired + 1));
         assert_eq!(stop.unwrap(), StopCause::LimitReached, "no such boundary");
-        if donor.trace_stats().unwrap().trace_retired == fused {
-            continue;
-        }
         let parked = donor.park().unwrap();
         let staged = regs(&donor);
         donor.commit_arch_state();
@@ -481,18 +460,21 @@ fn park_with_latched_results_resumes_on_trace_and_predecoded_cores() {
             break parked;
         }
     };
-    for backend in [trace, Backend::translated(DetailLevel::Cache)] {
+    let naive = Backend::Translated {
+        level: DetailLevel::Cache,
+        naive: true,
+    };
+    for backend in [compiled, naive] {
         let resumed = Session::resume(&park_on(&parked, backend)).expect("resumes");
         assert_eq!(resumed.backend(), backend);
         assert_eq!(finish(resumed), expected, "{backend}: resumed run diverged");
     }
 }
 
-/// A warm-up of 0 keeps no trace state. So `golden:trace` and
-/// `translated:cache:trace` built with one park exactly the snapshot
-/// payloads of `golden` and `translated:cache`, the compiled tier at a
-/// warm-up of 0, at every stop point: only the descriptor and the
-/// build-config bytes differ.
+/// A warm-up of 0 keeps no trace state. So `golden:trace` built with
+/// one parks exactly the snapshot payload of `golden`, the compiled
+/// tier at a warm-up of 0, at every stop point: only the descriptor and
+/// the build-config bytes differ.
 #[test]
 fn warm_up_zero_parks_no_trace_state() {
     let w = cabt_workloads::by_name("fir").unwrap();
@@ -510,27 +492,19 @@ fn warm_up_zero_parks_no_trace_state() {
         assert_eq!(s.trace_stats(), None, "{backend} at {at}: trace state");
         split_park(&s)
     };
-    let pairs = [
-        (Backend::golden(), Backend::golden_trace()),
-        (
-            Backend::translated(DetailLevel::Cache),
-            Backend::translated_trace(DetailLevel::Cache),
-        ),
-    ];
-    for (compiled, trace) in pairs {
-        for at in [0, 7, 50] {
-            let (_, payload) = park(compiled, None, at);
-            let (head, traced) = park(trace, Some(no_traces), at);
-            assert_eq!(payload, traced, "{compiled} vs {trace} at {at}: payloads");
-            // Under one build config the images differ in the
-            // descriptor alone.
-            let (same_config, _) = park(compiled, Some(no_traces), at);
-            assert_eq!(
-                park_on(&[same_config, payload].concat(), trace),
-                [head, traced].concat(),
-                "{compiled} vs {trace} at {at}: images"
-            );
-        }
+    let (compiled, trace) = (Backend::golden(), Backend::golden_trace());
+    for at in [0, 7, 50] {
+        let (_, payload) = park(compiled, None, at);
+        let (head, traced) = park(trace, Some(no_traces), at);
+        assert_eq!(payload, traced, "{compiled} vs {trace} at {at}: payloads");
+        // Under one build config the images differ in the descriptor
+        // alone.
+        let (same_config, _) = park(compiled, Some(no_traces), at);
+        assert_eq!(
+            park_on(&[same_config, payload].concat(), trace),
+            [head, traced].concat(),
+            "{compiled} vs {trace} at {at}: images"
+        );
     }
 }
 
@@ -765,15 +739,13 @@ fn trace_stats_at(s: &Session, snap: &[u8]) -> usize {
 }
 
 /// The trace state in `s`'s snapshot image: where its image (presence
-/// flag first) starts and ends, and the state itself. The golden model
-/// profiles taken edges, the VLIW core does not.
+/// flag first) starts and ends, and the state itself.
 fn trace_state_in(s: &Session, snap: &[u8]) -> (usize, usize, TraceState) {
     let end = trace_stats_at(s, snap) + 24;
-    let taken = matches!(s.backend(), Backend::Golden { .. });
     let found: Vec<_> = (0..end)
         .filter_map(|at| {
             let mut r = ByteReader::new(&snap[at..end]);
-            let state = TraceState::decode(&mut r, taken).ok()??;
+            let state = TraceState::decode(&mut r).ok()??;
             (r.remaining() == 0).then_some((at, state))
         })
         .collect();
@@ -792,9 +764,8 @@ fn with_state(snap: &[u8], at: usize, end: usize, state: &TraceState) -> Vec<u8>
 
 /// Trace-tier snapshots whose formed traces could not have grown on the
 /// program's block map: a plan naming a block past the map, a seam
-/// flipped to the other edge (on the VLIW core, whose plans are fall
-/// chains, a taken seam), a plan longer than [`MAX_TRACE_BLOCKS`], a
-/// plan filed under another head, and a plan table one entry short.
+/// flipped to the other edge, a plan longer than [`MAX_TRACE_BLOCKS`],
+/// a plan filed under another head, and a plan table one entry short.
 /// Each is well framed, so only the engine's check can object.
 fn forged_plan_snaps(s: &Session, snap: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
     let (at, end, state) = trace_state_in(s, snap);
@@ -857,9 +828,7 @@ fn with_empty_profile(snap: &[u8], at: usize, end: usize, state: &TraceState) ->
     let mut empty = state.clone();
     empty.profile.exec.clear();
     empty.profile.fall.clear();
-    if let Some(taken) = &mut empty.profile.taken {
-        taken.clear();
-    }
+    empty.profile.taken.clear();
     with_state(snap, at, end, &empty)
 }
 
@@ -886,8 +855,8 @@ fn with_entry(snap: &[u8], count: usize, at: usize, bytes: &[u8]) -> Vec<u8> {
 /// the engine the resume rebuilds: a golden table index past the
 /// program, on the compiled tier with and without traces; a golden icache
 /// image with an emptied tag table, or of another geometry; a golden
-/// trace profile with empty counter tables; trace plans that trace
-/// growth could not have produced, on both cores; a VLIW pending write
+/// trace profile with empty counter tables; golden trace plans that
+/// trace growth could not have produced; a VLIW pending write
 /// to a register past the 64 the core has; and an RTL kernel image
 /// with one signal fewer than the elaboration, or a runnable process
 /// index past its processes. Returns `(what, park bytes)`.
@@ -951,12 +920,8 @@ fn corrupt_engine_parks() -> Vec<(String, Vec<u8>)> {
         push(&format!("golden {what}"), &head, forged);
     }
 
-    // VLIW trace tier.
-    let s = session(Backend::translated_trace(DetailLevel::Cache), 10_000);
+    let s = session(Backend::translated(DetailLevel::Cache), 10_000);
     let (head, snap) = split_park(&s);
-    for (what, forged) in forged_plan_snaps(&s, &snap) {
-        push(&format!("VLIW {what}"), &head, forged);
-    }
     // VLIW snapshot: the tag byte, 64 registers, the memory image (the
     // unmapped-read flag, a page count, 4100 bytes a page), the pc and
     // cycle, then the pending-write count and its `(due, register,
@@ -1134,10 +1099,9 @@ fn a_reset_session_parks_like_a_fresh_build() {
     }
 }
 
-/// A trace tier dispatches the same traces after resume, and after
-/// reset-then-restore, as the engine that took the snapshot — the
-/// golden model recompiling its traces from their plans, the VLIW core
-/// re-deriving its packet-range covers from them: run in 3-retirement
+/// The golden trace tier dispatches the same traces after resume, and
+/// after reset-then-restore, as the engine that took the snapshot,
+/// recompiling its traces from their plans: run in 3-retirement
 /// slices, every slice stops at the same point with the same trace
 /// coverage.
 #[test]
@@ -1145,8 +1109,6 @@ fn restored_trace_tiers_stop_where_the_donor_stops() {
     for (name, backend) in [
         ("fir", Backend::golden_trace()),
         ("sieve", Backend::golden_trace()),
-        ("fir", Backend::translated_trace(DetailLevel::Cache)),
-        ("sieve", Backend::translated_trace(DetailLevel::Cache)),
     ] {
         let w = cabt_workloads::by_name(name).unwrap();
         let build = || {

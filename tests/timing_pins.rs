@@ -129,20 +129,19 @@ fn golden_shard_bus_traffic_matches_the_pinned_literals() {
     }
 }
 
-/// Per single-core registry program: the trace tier's `traces`,
+/// Per single-core registry program: the golden trace tier's `traces`,
 /// `trace_blocks` and `trace_retired` after a run to halt under the
-/// default `TraceConfig`, on `golden:trace` and on
-/// `translated:cache:trace`.
-type TracePin = (&'static str, [u64; 3], [u64; 3]);
+/// default `TraceConfig`, on `golden:trace`.
+type TracePin = (&'static str, [u64; 3]);
 
 const TRACE_PINS: [TracePin; 7] = [
-    ("gcd", [2, 7, 921], [4, 13, 24955]),
-    ("dpcm", [3, 13, 5484], [5, 18, 57510]),
-    ("fir", [3, 6, 20208], [4, 14, 178103]),
-    ("ellip", [1, 1, 3363], [2, 12, 19889]),
-    ("sieve", [5, 12, 8007], [6, 28, 107129]),
-    ("subband", [1, 1, 2622], [2, 10, 14906]),
-    ("fibonacci", [3, 6, 40707], [4, 13, 287596]),
+    ("gcd", [2, 7, 921]),
+    ("dpcm", [3, 13, 5484]),
+    ("fir", [3, 6, 20208]),
+    ("ellip", [1, 1, 3363]),
+    ("sieve", [5, 12, 8007]),
+    ("subband", [1, 1, 2622]),
+    ("fibonacci", [3, 6, 40707]),
 ];
 
 /// Trace formation is invisible to the architecture, so the
@@ -151,21 +150,16 @@ const TRACE_PINS: [TracePin; 7] = [
 /// here as a moved number.
 #[test]
 fn trace_formation_matches_the_pinned_literals() {
-    for (name, golden, translated) in TRACE_PINS {
+    for (name, want) in TRACE_PINS {
         let w = cabt_workloads::by_name(name).expect("registry program");
-        for (backend, want) in [
-            (Backend::golden_trace(), golden),
-            (Backend::translated_trace(DetailLevel::Cache), translated),
-        ] {
-            let mut s = SimBuilder::workload(&w)
-                .backend(backend)
-                .build()
-                .expect("builds");
-            let stop = s.run(Limit::Cycles(u64::MAX)).expect("runs");
-            assert_eq!(stop, StopCause::Halted, "{name} {backend}");
-            let t = s.trace_stats().expect("trace tier active");
-            let got = [t.traces, t.trace_blocks, t.trace_retired];
-            assert_eq!(got, want, "{name} {backend}: trace formation");
-        }
+        let mut s = SimBuilder::workload(&w)
+            .backend(Backend::golden_trace())
+            .build()
+            .expect("builds");
+        let stop = s.run(Limit::Cycles(u64::MAX)).expect("runs");
+        assert_eq!(stop, StopCause::Halted, "{name}");
+        let t = s.trace_stats().expect("trace tier active");
+        let got = [t.traces, t.trace_blocks, t.trace_retired];
+        assert_eq!(got, want, "{name}: trace formation");
     }
 }
