@@ -346,12 +346,6 @@ impl DigestChain {
         d
     }
 
-    /// Appends a precomputed digest (e.g. one augmented with memory
-    /// windows on top of [`fingerprint_engine`]).
-    pub fn push(&mut self, digest: u64) {
-        self.entries.push(digest);
-    }
-
     /// Number of recorded boundaries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -360,11 +354,6 @@ impl DigestChain {
     /// True if no boundary has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The recorded per-boundary digests, in order.
-    pub fn entries(&self) -> &[u64] {
-        &self.entries
     }
 
     /// Index of the first boundary where the chains disagree: the
@@ -383,11 +372,10 @@ impl DigestChain {
 }
 
 /// The scheduling frontier of a shard set: the cycle count of the
-/// least-advanced non-halted shard (every shard has completed at least
-/// this many cycles), or the maximum cycle count when all shards have
-/// halted. Paired with whether the whole set has halted. This is the
-/// clock epoch rounds are planned against, and what a sharded session
-/// reports as its own [`ExecutionEngine::cycle`].
+/// least-advanced non-halted shard, or the maximum cycle count when all
+/// shards have halted, paired with whether they all have. Rounds are
+/// planned against it, and a sharded session reports it as its
+/// [`ExecutionEngine::cycle`].
 pub fn shard_frontier<E: ExecutionEngine>(shards: &[E]) -> (u64, bool) {
     frontier(shards.iter().map(|s| (s.cycle(), s.is_halted())))
 }
@@ -405,10 +393,49 @@ fn frontier(clocks: impl Iterator<Item = (u64, bool)>) -> (u64, bool) {
     (min_live.unwrap_or(max_all), min_live.is_none())
 }
 
-/// What the round planner reads of one shard. Executors collect one
-/// per shard before every round — from a slice of engines or from the
-/// mutex slots a worker pool shares — and hand them to
-/// `plan_shard_round`.
+/// A shard set's armed epoch barrier, and the one barrier rule of
+/// [`run_epochs_sharded`], [`pool::spawn_epochs_pooled`] and
+/// [`step_epochs_sharded`]: a round runs the live shards up to
+/// `min(next, budget deadline)`; the barrier fires exactly when every
+/// shard has halted or reached `next`, then re-arms one epoch past the
+/// frontier. A budget-cut round fires none, so a set run in chunks,
+/// stepped, or parked and resumed exchanges where one straight run does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochBarrier {
+    /// The frontier cycle at which the next barrier fires.
+    pub next: u64,
+    /// Target cycles per epoch, at least one.
+    epoch: u64,
+}
+
+impl EpochBarrier {
+    /// A barrier armed one `epoch` (at least one cycle) past `frontier`.
+    pub fn new(frontier: u64, epoch: u64) -> EpochBarrier {
+        let epoch = epoch.max(1);
+        EpochBarrier {
+            next: frontier.saturating_add(epoch),
+            epoch,
+        }
+    }
+
+    /// Target cycles per epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Fires and re-arms the barrier if `shards` complete the round;
+    /// returns whether it fired.
+    fn close<'a, E: ExecutionEngine + 'a>(&mut self, shards: impl Iterator<Item = &'a E>) -> bool {
+        let (frontier, all_halted) = frontier(shards.map(|s| (s.cycle(), s.is_halted())));
+        let complete = all_halted || frontier >= self.next;
+        if complete {
+            self.next = frontier.saturating_add(self.epoch);
+        }
+        complete
+    }
+}
+
+/// What the round planner reads of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShardState {
     /// The shard's clock ([`ExecutionEngine::cycle`]).
@@ -428,17 +455,9 @@ impl ShardState {
             retired: shard.engine_stats().retired,
         }
     }
-
-    /// Whether a round with this deadline advances the shard at all
-    /// (the check [`run_shard_to_deadline`] makes first).
-    pub fn runs_before(&self, deadline: u64) -> bool {
-        !self.halted && self.cycle < deadline
-    }
 }
 
-/// What the epoch planner decided for the next round. One plan per
-/// barrier: collect the shards' `ShardState`s, call
-/// `plan_shard_round`, act on the verdict.
+/// What the epoch planner decided for the next round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochPlan {
     /// The budget is exhausted: stop with [`StopCause::LimitReached`].
@@ -448,8 +467,8 @@ pub enum EpochPlan {
     /// Every shard halted: commit architectural state on all shards and
     /// stop with [`StopCause::Halted`].
     Halted,
-    /// Run every live shard below `deadline` up to it, then exchange
-    /// shared state at the barrier and plan again.
+    /// Run every live shard below `deadline` up to it, then close the
+    /// barrier and plan again.
     Round {
         /// The cycle deadline of this round.
         deadline: u64,
@@ -457,10 +476,9 @@ pub enum EpochPlan {
 }
 
 /// Plans one round against a *cycle* budget from a shard set's
-/// frontier: the cycle half of `plan_shard_round`. `frontier` and
-/// `all_halted` come from [`shard_frontier`]; the deadline is
-/// `frontier + epoch`, clamped to the budget; `epoch` is clamped to at
-/// least one cycle.
+/// frontier. `frontier` and `all_halted` come from [`shard_frontier`];
+/// the deadline is `frontier + epoch`, clamped to the budget; `epoch`
+/// is clamped to at least one cycle.
 pub fn plan_epoch_round(frontier: u64, all_halted: bool, max_cycles: u64, epoch: u64) -> EpochPlan {
     if frontier >= max_cycles {
         return EpochPlan::LimitReached;
@@ -472,56 +490,55 @@ pub fn plan_epoch_round(frontier: u64, all_halted: bool, max_cycles: u64, epoch:
     EpochPlan::Round { deadline }
 }
 
-/// Plans the next epoch round of a shard set against `limit` — the one
-/// decision procedure both executors share: [`run_epochs_sharded`] on
-/// the calling thread and [`pool::spawn_epochs_pooled`] on a worker
-/// pool. An empty set is trivially halted.
-///
-/// A [`Limit::Cycles`] budget binds the frontier
-/// ([`plan_epoch_round`]). A [`Limit::Retirements`] budget binds the
-/// retirements summed over all shards, checked before the halt state.
-/// Its rounds get the remaining budget split evenly across the shards
-/// as cycle room, clamped to one epoch and to at least one cycle. A
-/// shard retires at most one unit per cycle, so the final rounds
-/// advance one unit per shard and the aggregate overshoots the budget
-/// by fewer than the shard count.
-pub(crate) fn plan_shard_round(shards: &[ShardState], limit: Limit, epoch: u64) -> EpochPlan {
+/// Plans the next round of a shard set against `limit`, the one
+/// decision both executors make; an empty set is halted. A
+/// [`Limit::Cycles`] budget binds the frontier ([`plan_epoch_round`]).
+/// A [`Limit::Retirements`] budget binds the retirements summed over
+/// the shards, checked before the halt state; its rounds split the
+/// remaining budget evenly across the shards as cycle room, clamped to
+/// one epoch and to at least one cycle, so (a shard retiring at most
+/// one unit per cycle) the aggregate overshoots by fewer than the shard
+/// count. Either deadline is clamped to the armed barrier.
+pub(crate) fn plan_shard_round(
+    shards: &[ShardState],
+    limit: Limit,
+    barrier: &EpochBarrier,
+) -> EpochPlan {
     if shards.is_empty() {
         return EpochPlan::Halted;
     }
     let (frontier, all_halted) = frontier(shards.iter().map(|s| (s.cycle, s.halted)));
-    let budget = match limit {
+    let plan = match limit {
         Limit::Cycles(max_cycles) => {
-            return plan_epoch_round(frontier, all_halted, max_cycles, epoch);
+            plan_epoch_round(frontier, all_halted, max_cycles, barrier.epoch)
         }
-        Limit::Retirements(budget) => budget,
+        Limit::Retirements(budget) => {
+            let retired: u64 = shards.iter().map(|s| s.retired).sum();
+            if retired >= budget {
+                EpochPlan::LimitReached
+            } else if all_halted {
+                EpochPlan::Halted
+            } else {
+                let room = ((budget - retired) / shards.len() as u64).clamp(1, barrier.epoch);
+                EpochPlan::Round {
+                    deadline: frontier.saturating_add(room),
+                }
+            }
+        }
     };
-    let retired: u64 = shards.iter().map(|s| s.retired).sum();
-    if retired >= budget {
-        EpochPlan::LimitReached
-    } else if all_halted {
-        EpochPlan::Halted
-    } else {
-        let room = ((budget - retired) / shards.len() as u64).clamp(1, epoch.max(1));
-        EpochPlan::Round {
-            deadline: frontier.saturating_add(room),
-        }
+    match plan {
+        EpochPlan::Round { deadline } => EpochPlan::Round {
+            deadline: deadline.min(barrier.next),
+        },
+        plan => plan,
     }
 }
 
-/// Whether a shard halting exactly on a round deadline commits its
-/// architectural state inside the round. Under a cycle budget that halt
-/// is a completed run (a halt wins over an exactly exhausted budget);
-/// under a retirement budget only the all-halted stop commits.
-fn commits_boundary_halts(limit: Limit) -> bool {
-    matches!(limit, Limit::Cycles(_))
-}
-
-/// Advances one shard to an epoch-round deadline — the per-shard body
-/// both executors share. Halted shards and shards already at the
-/// deadline are skipped; with `commit_boundary_halts`, a shard that
-/// halts exactly on the deadline gets its architectural state committed
-/// inside the round (a completed run).
+/// Advances one shard to an epoch-round deadline, the per-shard body of
+/// both executors; halted shards and shards at the deadline are
+/// skipped. With `commit_boundary_halts` (the executors always pass
+/// it), a shard that halts exactly on the deadline commits its
+/// architectural state inside the round, as an earlier halt does.
 ///
 /// # Errors
 ///
@@ -543,48 +560,37 @@ pub fn run_shard_to_deadline<E: ExecutionEngine>(
     Ok(())
 }
 
-/// Epoch-synchronized multi-core driver, the *inline* executor: runs
-/// epoch rounds over `shards` on the calling thread until every shard
-/// halts or `limit` is exhausted. [`pool::spawn_epochs_pooled`] is the
-/// same engine on a worker pool.
+/// The *inline* executor of the epoch-round engine: runs rounds over
+/// `shards` on the calling thread until every shard halts or `limit`
+/// is exhausted. Each round advances the shards below its deadline in
+/// shard order ([`run_shard_to_deadline`]), then closes `barrier`,
+/// calling `on_epoch`, where harnesses exchange shared device state,
+/// when it fires. Shards thus see each other's traffic one epoch late
+/// on every run, and whenever they share no mutable state inside an
+/// epoch the pool executor ([`pool::spawn_epochs_pooled`]) matches
+/// this one bit for bit.
 ///
-/// Every round is planned by `plan_shard_round`; the round runs each
-/// shard that has not yet reached the deadline up to it *in shard
-/// order* ([`run_shard_to_deadline`]), then fires `on_epoch` — the
-/// barrier at which harnesses exchange shared device state (the
-/// platform's arbiter reconciles the shards' SoC buses there). Because
-/// no shard can run ahead of the slowest by more than one epoch, shards
-/// communicating through shared devices observe each other's traffic
-/// with at most one epoch of skew, identically on every run. Whenever
-/// shards touch no shared mutable state inside an epoch, a round's
-/// result is a pure function of the shard states at its start, so the
-/// pool executor reproduces this one bit for bit.
-///
-/// Stop semantics mirror [`ExecutionEngine::run_until`]: the budget
-/// check precedes the halt check (a zero budget returns
-/// [`StopCause::LimitReached`] without dispatching, even on a fully
-/// halted set), `Halted` means *every* shard reached its halt, and
-/// architectural state is committed on all shards before returning
-/// `Halted`. An empty shard set reports `Halted` immediately.
+/// Stops as [`ExecutionEngine::run_until`] does: the budget is checked
+/// before the halt (a zero budget dispatches nothing), `Halted` means
+/// every shard halted, and it commits every shard's architectural
+/// state. An empty set is `Halted` at once.
 ///
 /// # Errors
 ///
-/// Propagates the fault of the lowest-numbered faulting shard. Every
-/// other shard of the faulting round still runs to its deadline first,
-/// and the round's barrier does not fire — the same post-fault state
-/// under both executors.
+/// The fault of the lowest-numbered faulting shard, after every other
+/// shard of the round has run to its deadline; the round closes no
+/// barrier.
 pub fn run_epochs_sharded<E: ExecutionEngine>(
     shards: &mut [E],
     limit: Limit,
-    epoch: u64,
+    barrier: &mut EpochBarrier,
     mut on_epoch: impl FnMut(&mut [E]),
 ) -> Result<StopCause, E::Error> {
-    let commit = commits_boundary_halts(limit);
     let mut states = Vec::with_capacity(shards.len());
     loop {
         states.clear();
         states.extend(shards.iter().map(ShardState::of));
-        match plan_shard_round(&states, limit, epoch) {
+        match plan_shard_round(&states, limit, barrier) {
             EpochPlan::LimitReached => return Ok(StopCause::LimitReached),
             EpochPlan::Halted => {
                 for s in shards.iter_mut() {
@@ -595,17 +601,52 @@ pub fn run_epochs_sharded<E: ExecutionEngine>(
             EpochPlan::Round { deadline } => {
                 let mut fault = None;
                 for s in shards.iter_mut() {
-                    if let Err(e) = run_shard_to_deadline(s, deadline, commit) {
+                    if let Err(e) = run_shard_to_deadline(s, deadline, true) {
                         fault.get_or_insert(e);
                     }
                 }
                 if let Some(e) = fault {
                     return Err(e);
                 }
-                on_epoch(shards);
+                if barrier.close(shards.iter()) {
+                    on_epoch(shards);
+                }
             }
         }
     }
+}
+
+/// The least-advanced live shard, ties to the lowest index.
+pub fn next_shard<E: ExecutionEngine>(shards: &[E]) -> Option<usize> {
+    (0..shards.len())
+        .filter(|&i| !shards[i].is_halted())
+        .min_by_key(|&i| shards[i].cycle())
+}
+
+/// The single-step driver of a shard set: one unit on the
+/// [`next_shard`], if any, committing its state if that halts it, then
+/// the barrier closes as after a round. A set stepped to its halt
+/// matches one run to halt.
+///
+/// # Errors
+///
+/// Propagates the stepped shard's fault; the barrier is not closed.
+pub fn step_epochs_sharded<E: ExecutionEngine>(
+    shards: &mut [E],
+    barrier: &mut EpochBarrier,
+    on_epoch: impl FnOnce(&mut [E]),
+) -> Result<(), E::Error> {
+    let Some(shard) = next_shard(shards).map(|i| &mut shards[i]) else {
+        return Ok(());
+    };
+    shard.step_unit()?;
+    if shard.is_halted() {
+        shard.commit_arch_state();
+    }
+    if barrier.close(shards.iter()) {
+        on_epoch(shards);
+    }
+    Ok(())
 }
 
 /// Aggregate counters of a shard set: `retired` and `stall_cycles` sum
@@ -880,7 +921,12 @@ mod tests {
         // Unequal speeds: the slow shard defines the frontier.
         let mut shards = vec![scaled(2, 10), scaled(7, 4)];
         let mut boundaries = 0;
-        let r = run_epochs_sharded(&mut shards, Limit::Cycles(u64::MAX), 8, |_| boundaries += 1);
+        let r = run_epochs_sharded(
+            &mut shards,
+            Limit::Cycles(u64::MAX),
+            &mut EpochBarrier::new(0, 8),
+            |_| boundaries += 1,
+        );
         assert_eq!(r, Ok(StopCause::Halted));
         assert!(shards.iter().all(super::ExecutionEngine::is_halted));
         assert!(boundaries >= 2, "multiple epoch rounds: {boundaries}");
@@ -894,15 +940,30 @@ mod tests {
         // Zero budget: LimitReached without dispatching, even halted.
         let mut shards = vec![scaled(1, 0), scaled(1, 0)];
         assert!(shards.iter().all(super::ExecutionEngine::is_halted));
-        let r = run_epochs_sharded(&mut shards, Limit::Cycles(0), 4, |_| {});
+        let r = run_epochs_sharded(
+            &mut shards,
+            Limit::Cycles(0),
+            &mut EpochBarrier::new(0, 4),
+            |_| {},
+        );
         assert_eq!(r, Ok(StopCause::LimitReached));
         // With budget, a fully halted set reports Halted.
-        let r = run_epochs_sharded(&mut shards, Limit::Cycles(100), 4, |_| {});
+        let r = run_epochs_sharded(
+            &mut shards,
+            Limit::Cycles(100),
+            &mut EpochBarrier::new(0, 4),
+            |_| {},
+        );
         assert_eq!(r, Ok(StopCause::Halted));
 
         // The budget binds the *frontier*: the slowest live shard.
         let mut shards = vec![scaled(1, 1000), scaled(10, 1000)];
-        let r = run_epochs_sharded(&mut shards, Limit::Cycles(50), 5, |_| {});
+        let r = run_epochs_sharded(
+            &mut shards,
+            Limit::Cycles(50),
+            &mut EpochBarrier::new(0, 5),
+            |_| {},
+        );
         assert_eq!(r, Ok(StopCause::LimitReached));
         let (frontier, all_halted) = shard_frontier(&shards);
         assert!(!all_halted);
@@ -921,7 +982,13 @@ mod tests {
     fn sharded_driver_is_deterministic() {
         let run = || {
             let mut shards = vec![scaled(3, 40), scaled(5, 25), scaled(2, 60)];
-            run_epochs_sharded(&mut shards, Limit::Cycles(u64::MAX), 16, |_| {}).unwrap();
+            run_epochs_sharded(
+                &mut shards,
+                Limit::Cycles(u64::MAX),
+                &mut EpochBarrier::new(0, 16),
+                |_| {},
+            )
+            .unwrap();
             shards
                 .iter()
                 .map(super::ExecutionEngine::engine_stats)
@@ -934,7 +1001,12 @@ mod tests {
     fn empty_shard_set_is_trivially_halted() {
         let mut shards: Vec<Toy> = Vec::new();
         assert_eq!(
-            run_epochs_sharded(&mut shards, Limit::Cycles(100), 4, |_| {}),
+            run_epochs_sharded(
+                &mut shards,
+                Limit::Cycles(100),
+                &mut EpochBarrier::new(0, 4),
+                |_| {}
+            ),
             Ok(StopCause::Halted)
         );
     }
@@ -970,7 +1042,6 @@ mod tests {
         assert_eq!(ca.first_divergence(&cb), None);
         assert_eq!(ca.len(), 6, "entry boundary plus five retirements");
         assert!(!ca.is_empty());
-        assert_eq!(ca.entries().len(), ca.len());
     }
 
     #[test]
@@ -1017,10 +1088,5 @@ mod tests {
         // `cb` is a strict prefix of `ca`: first index only one has.
         assert_eq!(ca.first_divergence(&cb), Some(4));
         assert_eq!(cb.first_divergence(&ca), Some(4));
-
-        // A hand-pushed digest participates like a recorded one.
-        let mut cc = cb.clone();
-        cc.push(0xdead_beef);
-        assert_eq!(cb.first_divergence(&cc), Some(4));
     }
 }

@@ -6,16 +6,11 @@
 //! epoch rounds are *work items*, and however many sessions are in
 //! flight, host parallelism stays bounded by the worker count.
 //!
-//! [`spawn_epochs_pooled`] runs one shard set's epoch rounds as pool
-//! jobs — one job per live shard per round — and the job that finishes
-//! a round performs the barrier exchange and plans the next round; a
-//! completion callback receives the shards back, so no job ever blocks.
-//! [`run_epochs_pooled`] is the same run with the caller waiting for
-//! it. The rounds are planned by `plan_shard_round` and advanced by
-//! [`run_shard_to_deadline`], the same two functions the inline
-//! executor [`run_epochs_sharded`](crate::run_epochs_sharded) uses, so
-//! both executors are bit-identical whenever shards touch no shared
-//! mutable state inside an epoch.
+//! [`spawn_epochs_pooled`] is the pool executor of the epoch-round
+//! engine: one job per live shard per round, the round's last job
+//! closes the barrier and plans the next, and a completion callback
+//! gets the shards back, so no job ever blocks. [`run_epochs_pooled`]
+//! waits for it.
 //!
 //! One queue: every job, whether the caller or a running job spawned
 //! it, joins the back of a single FIFO queue, and idle workers take
@@ -23,8 +18,8 @@
 //! one long-running session cannot starve the rest of the fleet.
 
 use crate::{
-    commits_boundary_halts, plan_shard_round, run_shard_to_deadline, EpochPlan, ExecutionEngine,
-    Limit, ShardState, StopCause,
+    plan_shard_round, run_shard_to_deadline, EpochBarrier, EpochPlan, ExecutionEngine, Limit,
+    ShardState, StopCause,
 };
 use std::any::Any;
 use std::collections::VecDeque;
@@ -225,6 +220,8 @@ pub struct PooledOutcome<E: ExecutionEngine, C> {
     pub shards: Vec<E>,
     /// The barrier context handed to `on_epoch` (e.g. a shard arbiter).
     pub ctx: C,
+    /// The armed barrier the run stopped with, for the set's next run.
+    pub barrier: EpochBarrier,
     /// Why the run stopped, or the fault of the lowest-numbered
     /// faulting shard.
     pub stop: Result<StopCause, E::Error>,
@@ -238,9 +235,11 @@ pub type PooledResult<E, C> = std::thread::Result<PooledOutcome<E, C>>;
 /// The barrier callback of a pooled run.
 type BarrierFn<E, C> = Box<dyn FnMut(&mut C, &[&E]) + Send>;
 
-/// The barrier context, its callback and the completion callback of a
-/// pooled run — taken out exactly once, by whichever job finishes it.
+/// The armed barrier, the barrier context, its callback and the
+/// completion callback of a pooled run — taken out exactly once, by
+/// whichever job finishes it.
 struct Control<E: ExecutionEngine, C> {
+    barrier: EpochBarrier,
     ctx: C,
     on_epoch: BarrierFn<E, C>,
     done: Box<dyn FnOnce(PooledResult<E, C>) + Send>,
@@ -261,7 +260,6 @@ struct PooledRun<E: ExecutionEngine, C> {
     /// Panic payload of the first panicking shard job.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     limit: Limit,
-    epoch: u64,
 }
 
 impl<E, C> PooledRun<E, C>
@@ -279,7 +277,10 @@ where
             .iter()
             .filter_map(|s| lock_ok(s).as_ref().map(ShardState::of))
             .collect();
-        match plan_shard_round(&states, self.limit, self.epoch) {
+        let Some(barrier) = lock_ok(&self.control).as_ref().map(|c| c.barrier) else {
+            return;
+        };
+        match plan_shard_round(&states, self.limit, &barrier) {
             EpochPlan::LimitReached => self.finish(Ok(Ok(StopCause::LimitReached))),
             EpochPlan::Halted => {
                 for s in &self.shards {
@@ -290,11 +291,14 @@ where
                 self.finish(Ok(Ok(StopCause::Halted)));
             }
             EpochPlan::Round { deadline } => {
-                // A `Round` always has a live shard below its deadline,
-                // so at least one job is scheduled.
                 let runnable: Vec<usize> = (0..states.len())
-                    .filter(|&i| states[i].runs_before(deadline))
+                    .filter(|&i| !states[i].halted && states[i].cycle < deadline)
                     .collect();
+                if runnable.is_empty() {
+                    // Every live shard was moved to or past the armed
+                    // barrier from outside: the empty round closes it.
+                    return self.end_round(core);
+                }
                 self.remaining.store(runnable.len(), Ordering::Release);
                 for idx in runnable {
                     let (run, job_core) = (Arc::clone(&self), Arc::clone(core));
@@ -305,13 +309,11 @@ where
     }
 
     /// One shard's slice of a round. The job that completes the round
-    /// ends a faulting run, or runs the barrier and re-plans —
-    /// event-driven, no coordinator polling.
+    /// ends it — event-driven, no coordinator polling.
     fn shard_job(self: Arc<Self>, core: &Arc<PoolCore>, idx: usize, deadline: u64) {
-        let commit = commits_boundary_halts(self.limit);
         let ran = catch_unwind(AssertUnwindSafe(|| {
             match lock_ok(&self.shards[idx]).as_mut() {
-                Some(shard) => run_shard_to_deadline(shard, deadline, commit),
+                Some(shard) => run_shard_to_deadline(shard, deadline, true),
                 None => Ok(()),
             }
         }));
@@ -329,11 +331,14 @@ where
                 lock_ok(&self.panic).get_or_insert(payload);
             }
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.end_round(core);
         }
-        // Last shard of the round. A faulting round ends the run without
-        // its barrier, exactly like the inline executor.
+    }
+
+    /// Ends a round: a faulting round ends the run without closing the
+    /// barrier, as inline; any other closes it and plans the next.
+    fn end_round(self: Arc<Self>, core: &Arc<PoolCore>) {
         let panic = lock_ok(&self.panic).take();
         if let Some(payload) = panic {
             return self.finish(Err(payload));
@@ -350,20 +355,22 @@ where
         self.plan(core);
     }
 
-    /// Fires the barrier callback with read access to every shard.
+    /// Closes the barrier, firing its callback with read access to
+    /// every shard when the round is complete.
     fn barrier(&self) {
         let guards: Vec<_> = self.shards.iter().map(lock_ok).collect();
         let view: Vec<&E> = guards.iter().filter_map(|g| g.as_ref()).collect();
         if let Some(c) = lock_ok(&self.control).as_mut() {
-            (c.on_epoch)(&mut c.ctx, &view);
+            if c.barrier.close(view.iter().copied()) {
+                (c.on_epoch)(&mut c.ctx, &view);
+            }
         }
     }
 
     /// Hands the shards and context back through the completion
     /// callback.
     fn finish(&self, stop: std::thread::Result<Result<StopCause, E::Error>>) {
-        let control = lock_ok(&self.control).take();
-        let Some(Control { ctx, done, .. }) = control else {
+        let Some(c) = lock_ok(&self.control).take() else {
             return;
         };
         let shards = self
@@ -371,33 +378,32 @@ where
             .iter()
             .filter_map(|s| lock_ok(s).take())
             .collect();
-        done(stop.map(|stop| PooledOutcome { shards, ctx, stop }));
+        (c.done)(stop.map(|stop| PooledOutcome {
+            shards,
+            ctx: c.ctx,
+            barrier: c.barrier,
+            stop,
+        }));
     }
 }
 
-/// Epoch-synchronized multi-core driver, the *pool* executor: the same
-/// engine as the inline [`run_epochs_sharded`](crate::run_epochs_sharded)
-/// — `plan_shard_round` makes every decision,
-/// [`run_shard_to_deadline`] is the per-shard body, the lowest-numbered
-/// fault wins and a faulting round fires no barrier — but each round's
-/// shards run as work items on `pool`. No thread is spawned per round,
-/// and the job that finishes a round performs the barrier (`on_epoch`
-/// over `ctx`, with read access to every shard) and plans the next.
+/// The *pool* executor: the inline
+/// [`run_epochs_sharded`](crate::run_epochs_sharded) — same plan,
+/// per-shard body, [`EpochBarrier`] rule and fault rule, so the same
+/// rounds, deadlines and barriers whenever shards share no mutable
+/// state inside an epoch — with each round's shards as work items on
+/// `pool`. The round's last job closes the barrier (`on_epoch` gets
+/// `ctx` and every shard when it fires) and plans the next.
 ///
-/// Returns at once; no job of the run ever blocks. `done` runs on a
-/// pool worker when the run stops and receives the shards and context
-/// back, or the payload of a panicking shard job or barrier.
-///
-/// Bit-identity with the inline executor is a *property of the shards*:
-/// whenever shards touch no shared mutable state inside an epoch, both
-/// executors run the identical rounds to the identical deadlines and
-/// exchange at the identical barriers.
+/// Returns at once. `done` runs on a pool worker when the run stops,
+/// with the shards, the context and the armed barrier, or the payload
+/// of a panicking shard job or barrier.
 pub fn spawn_epochs_pooled<E, C>(
     pool: &FleetPool,
     shards: Vec<E>,
     ctx: C,
     limit: Limit,
-    epoch: u64,
+    barrier: EpochBarrier,
     on_epoch: impl FnMut(&mut C, &[&E]) + Send + 'static,
     done: impl FnOnce(PooledResult<E, C>) + Send + 'static,
 ) where
@@ -408,6 +414,7 @@ pub fn spawn_epochs_pooled<E, C>(
     let run = Arc::new(PooledRun {
         shards: shards.into_iter().map(|s| Mutex::new(Some(s))).collect(),
         control: Mutex::new(Some(Control {
+            barrier,
             ctx,
             on_epoch: Box::new(on_epoch),
             done: Box::new(done),
@@ -416,7 +423,6 @@ pub fn spawn_epochs_pooled<E, C>(
         fault: Mutex::new(None),
         panic: Mutex::new(None),
         limit,
-        epoch,
     });
     let core = pool.core();
     let job_core = Arc::clone(&core);
@@ -424,8 +430,8 @@ pub fn spawn_epochs_pooled<E, C>(
 }
 
 /// [`spawn_epochs_pooled`] plus a wait on the calling thread: runs the
-/// shard set on `pool` and returns the shards and context when the run
-/// stops.
+/// shard set on `pool` and returns the shards, the context and the
+/// armed barrier when the run stops.
 ///
 /// # Panics
 ///
@@ -435,7 +441,7 @@ pub fn run_epochs_pooled<E, C>(
     shards: Vec<E>,
     ctx: C,
     limit: Limit,
-    epoch: u64,
+    barrier: EpochBarrier,
     on_epoch: impl FnMut(&mut C, &[&E]) + Send + 'static,
 ) -> PooledOutcome<E, C>
 where
@@ -444,7 +450,7 @@ where
     C: Send + 'static,
 {
     let (tx, rx) = mpsc::channel();
-    spawn_epochs_pooled(pool, shards, ctx, limit, epoch, on_epoch, move |result| {
+    spawn_epochs_pooled(pool, shards, ctx, limit, barrier, on_epoch, move |result| {
         // The receiver waits below until this send.
         let _ = tx.send(result);
     });
@@ -459,6 +465,10 @@ where
 mod tests {
     use super::*;
     use crate::{aggregate_stats, run_epochs_sharded, EngineStats};
+
+    fn armed(epoch: u64) -> EpochBarrier {
+        EpochBarrier::new(0, epoch)
+    }
     use std::fmt;
 
     #[test]
@@ -566,6 +576,8 @@ mod tests {
         cost: u64,
         halt_units: u64,
         fault_at: Option<u64>,
+        /// Whether architectural state was committed since the halt.
+        committed: bool,
     }
 
     #[derive(Debug, PartialEq)]
@@ -605,6 +617,9 @@ mod tests {
         fn is_halted(&self) -> bool {
             self.units >= self.halt_units
         }
+        fn commit_arch_state(&mut self) {
+            self.committed = self.is_halted();
+        }
         fn pc(&self) -> Option<u32> {
             None
         }
@@ -634,6 +649,7 @@ mod tests {
             cost,
             halt_units,
             fault_at: None,
+            committed: false,
         }
     }
 
@@ -652,8 +668,8 @@ mod tests {
     }
 
     /// Runs `build()` under `limit` on both executors and asserts the
-    /// same stop cause, per-shard stats and barrier count; returns the
-    /// inline run's shards and stop cause.
+    /// same stop cause, per-shard stats, barrier count and armed
+    /// barrier; returns the inline run's shards and stop cause.
     fn both_executors(
         build: impl Fn() -> Vec<Shardling>,
         limit: Limit,
@@ -661,17 +677,84 @@ mod tests {
     ) -> (Vec<Shardling>, Result<StopCause, Boom>) {
         let mut inline = build();
         let mut bounds = 0u32;
-        let stop = run_epochs_sharded(&mut inline, limit, epoch, |_| bounds += 1);
+        let mut barrier = armed(epoch);
+        let stop = run_epochs_sharded(&mut inline, limit, &mut barrier, |_| bounds += 1);
         let pool = FleetPool::new(3);
         let n = inline.len();
-        let out = run_epochs_pooled(&pool, build(), 0u32, limit, epoch, move |b, view| {
+        let out = run_epochs_pooled(&pool, build(), 0u32, limit, armed(epoch), move |b, view| {
             assert_eq!(view.len(), n, "the barrier sees every shard");
             *b += 1;
         });
         assert_eq!(out.stop, stop, "{limit:?}: stop cause");
         assert_eq!(out.ctx, bounds, "{limit:?}: barrier count");
+        assert_eq!(out.barrier, barrier, "{limit:?}: armed barrier");
         assert_eq!(stats(&inline), stats(&out.shards), "{limit:?}: shard stats");
         (inline, stop)
+    }
+
+    /// Every shard's clock and commit flag, as a barrier sees them.
+    fn at_barrier<'a>(shards: impl IntoIterator<Item = &'a Shardling>) -> Vec<(u64, bool)> {
+        shards
+            .into_iter()
+            .map(|s| (s.cycles, s.committed))
+            .collect()
+    }
+
+    #[test]
+    fn budgets_that_cut_rounds_move_no_barrier() {
+        // One run to halt against the same set run in chunks, on both
+        // executors: the barriers fire at the same frontiers and see
+        // the same shards, and the final states agree. In the second
+        // set, the first retirement chunk's deadline (3) is the cycle
+        // shard 0 halts on; its state is committed in that round, as it
+        // is when a straight run reaches the halt.
+        let pool = FleetPool::new(2);
+        let halts_on_cut = || vec![shardling(1, 3), shardling(1, 100)];
+        type Case = (fn() -> Vec<Shardling>, fn(u64) -> Limit);
+        let cases: [Case; 3] = [
+            (uneven, |k| Limit::Cycles(7 * k)),
+            (uneven, |k| Limit::Retirements(5 * k)),
+            (halts_on_cut, |k| Limit::Retirements(6 * k)),
+        ];
+        for (build, chunk) in cases {
+            let mut straight = build();
+            let mut barrier = armed(16);
+            let mut want = Vec::new();
+            let stop =
+                run_epochs_sharded(&mut straight, Limit::Cycles(u64::MAX), &mut barrier, |s| {
+                    want.push(at_barrier(&*s));
+                });
+            assert_eq!(stop, Ok(StopCause::Halted));
+            let (mut inline, mut inline_barrier, mut seen) = (build(), armed(16), Vec::new());
+            let mut pooled = (build(), armed(16), Vec::new());
+            for k in 1.. {
+                let stop = run_epochs_sharded(&mut inline, chunk(k), &mut inline_barrier, |s| {
+                    seen.push(at_barrier(&*s));
+                });
+                let out =
+                    run_epochs_pooled(&pool, pooled.0, pooled.2, chunk(k), pooled.1, |b, view| {
+                        b.push(at_barrier(view.iter().copied()));
+                    });
+                assert_eq!(out.stop, stop);
+                pooled = (out.shards, out.barrier, out.ctx);
+                if stop == Ok(StopCause::Halted) {
+                    break;
+                }
+            }
+            let what = chunk(1);
+            assert_eq!(seen, want, "{what:?}: inline barriers");
+            assert_eq!(pooled.2, want, "{what:?}: pooled barriers");
+            assert_eq!(at_barrier(&inline), at_barrier(&straight), "{what:?}");
+            assert_eq!(at_barrier(&pooled.0), at_barrier(&straight), "{what:?}");
+            assert_eq!((inline_barrier, pooled.1), (barrier, barrier), "{what:?}");
+        }
+        let mut set = halts_on_cut();
+        run_epochs_sharded(&mut set, Limit::Retirements(6), &mut armed(16), |_| {}).unwrap();
+        assert_eq!(
+            at_barrier(&set),
+            [(3, true), (3, false)],
+            "a halt on the cut deadline"
+        );
     }
 
     #[test]
@@ -711,18 +794,34 @@ mod tests {
     }
 
     #[test]
+    fn a_set_already_past_its_barrier_closes_it_before_running() {
+        // Shard 1 starts past the armed barrier (as after an adoption)
+        // and shard 0 has halted: the first round advances nobody, and
+        // both executors close the barrier and run on instead of
+        // stalling.
+        let build = || {
+            let mut ahead = shardling(1, 40);
+            (ahead.cycles, ahead.units) = (20, 20);
+            vec![shardling(1, 0), ahead]
+        };
+        let (shards, stop) = both_executors(build, Limit::Cycles(u64::MAX), 16);
+        assert_eq!(stop, Ok(StopCause::Halted));
+        assert_eq!(shards[1].cycles, 40);
+    }
+
+    #[test]
     fn pooled_entry_semantics_match_the_trait() {
         let pool = FleetPool::new(2);
         let idle = |_: &mut (), _: &[&Shardling]| {};
         // Zero budget: LimitReached without dispatching, even halted.
         let halted = vec![shardling(1, 0), shardling(1, 0)];
-        let out = run_epochs_pooled(&pool, halted, (), Limit::Cycles(0), 4, idle);
+        let out = run_epochs_pooled(&pool, halted, (), Limit::Cycles(0), armed(4), idle);
         assert_eq!(out.stop, Ok(StopCause::LimitReached));
         // With budget, a fully halted set reports Halted.
-        let out = run_epochs_pooled(&pool, out.shards, (), Limit::Cycles(100), 4, idle);
+        let out = run_epochs_pooled(&pool, out.shards, (), Limit::Cycles(100), armed(4), idle);
         assert_eq!(out.stop, Ok(StopCause::Halted));
         // An empty shard set is trivially halted.
-        let out = run_epochs_pooled(&pool, Vec::new(), (), Limit::Cycles(100), 4, idle);
+        let out = run_epochs_pooled(&pool, Vec::new(), (), Limit::Cycles(100), armed(4), idle);
         assert_eq!(out.stop, Ok(StopCause::Halted));
     }
 
@@ -753,7 +852,7 @@ mod tests {
                 (0..8).map(|i| shardling(1 + i % 3, 30)).collect(),
                 (),
                 Limit::Cycles(u64::MAX),
-                8,
+                armed(8),
                 |(), _| {},
             );
             assert_eq!(out.stop, Ok(StopCause::Halted));
@@ -803,7 +902,7 @@ mod tests {
                 vec![Bomb],
                 (),
                 Limit::Cycles(u64::MAX),
-                8,
+                armed(8),
                 |(), _| {},
             )
         }));

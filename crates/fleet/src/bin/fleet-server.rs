@@ -19,7 +19,8 @@
 //!     → {"ok":true,"parked":"<hex>", ...}
 //! resume <hex> cycles|retirements <n>
 //!     Rebuild a parked session from hex bytes — from this process or
-//!     any other — and continue it under the budget.
+//!     any other — and continue it under the budget. A registered
+//!     workload's image gets `workload` and `checksum_ok` as in `run`.
 //! analyze <workload>
 //!     Run the static analyzer over a named workload (or a `bad-*`
 //!     known-bad corpus entry) without executing it.
@@ -35,7 +36,7 @@
 //! word gets an `{"ok":false,...}` row and the conversation goes on.
 //! Protocol mistakes read `"error":"protocol: …"`.
 
-use cabt_exec::Limit;
+use cabt_exec::{Limit, StopCause};
 use cabt_fleet::{run_one, FleetPool, FleetRequest, FleetResult};
 use cabt_sim::analyze::json_str;
 use cabt_sim::{Backend, Session};
@@ -183,7 +184,7 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, Box<dyn Error>> {
                     .backend(backend)
                     .budget(budget),
             )?;
-            Ok(result_json(&result, None))
+            Ok(result_json(&result))
         }
         ["park", workload, backend, kind, n] => {
             let backend: Backend = backend.parse()?;
@@ -221,13 +222,22 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, Box<dyn Error>> {
             let bytes = hex_decode(hex).ok_or_else(|| protocol("bad hex in resume"))?;
             let mut session = Session::resume(&bytes)?;
             let stop = session.run(budget)?;
-            let stats = cabt_exec::ExecutionEngine::engine_stats(&session);
+            let d2 = session.read_d(2);
+            let (workload, checksum) = match registered_workload(&session) {
+                Some((name, want)) => (
+                    format!("\"workload\":{},", json_str(name)),
+                    format!(
+                        "\"checksum_ok\":{},",
+                        stop == StopCause::Halted && d2 == want
+                    ),
+                ),
+                None => Default::default(),
+            };
             Ok(format!(
-                "{{\"ok\":true,\"backend\":{},\"stop\":{},\"d2\":{},\"stats\":{}}}",
+                "{{\"ok\":true,{workload}\"backend\":{},\"stop\":{},{checksum}\"d2\":{d2},\"stats\":{}}}",
                 json_str(&session.backend().to_string()),
                 json_str(stop_name(stop)),
-                session.read_d(2),
-                stats_json(&stats),
+                stats_json(&session.stats()),
             ))
         }
         ["run" | "park", ..] => Err(protocol(
@@ -238,6 +248,15 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, Box<dyn Error>> {
         ["workloads" | "backends", ..] => Err(protocol("usage: workloads | backends")),
         _ => Err(protocol(&format!("unknown verb `{}`", words[0]))),
     }
+}
+
+/// The registered workload whose program, built for the session's
+/// backend, is the session's image, and its expected `%d2`.
+fn registered_workload(session: &Session) -> Option<(&'static str, u32)> {
+    cabt_workloads::names().find_map(|name| {
+        let w = cabt_sim::named_workload(name, session.backend()).ok()?;
+        (w.elf().ok()? == *session.source_elf()).then_some((name, w.expected_d2))
+    })
 }
 
 fn parse_budget(kind: &str, n: &str) -> Result<Limit, Box<dyn Error>> {
@@ -265,7 +284,7 @@ fn protocol(msg: &str) -> Box<dyn Error> {
     format!("protocol: {msg}").into()
 }
 
-fn result_json(r: &FleetResult, parked_hex: Option<&str>) -> String {
+fn result_json(r: &FleetResult) -> String {
     let uart_text: String = r
         .uart
         .iter()
@@ -277,8 +296,8 @@ fn result_json(r: &FleetResult, parked_hex: Option<&str>) -> String {
             }
         })
         .collect();
-    let mut out = format!(
-        "{{\"ok\":true,\"workload\":{},\"backend\":{},\"stop\":{},\"checksum_ok\":{},\"d2\":{},\"epochs\":{},\"digest\":\"{:016x}\",\"epoch_chain\":\"{:016x}\",\"stats\":{},\"uart\":{}",
+    format!(
+        "{{\"ok\":true,\"workload\":{},\"backend\":{},\"stop\":{},\"checksum_ok\":{},\"d2\":{},\"epochs\":{},\"digest\":\"{:016x}\",\"epoch_chain\":\"{:016x}\",\"stats\":{},\"uart\":{}}}",
         json_str(&r.workload),
         json_str(&r.backend.to_string()),
         json_str(stop_name(r.stop)),
@@ -289,13 +308,7 @@ fn result_json(r: &FleetResult, parked_hex: Option<&str>) -> String {
         r.epoch_chain,
         stats_json(&r.stats),
         json_str(&uart_text),
-    );
-    if let Some(hex) = parked_hex {
-        out.push_str(",\"parked\":");
-        out.push_str(&json_str(hex));
-    }
-    out.push('}');
-    out
+    )
 }
 
 fn stats_json(s: &cabt_exec::EngineStats) -> String {
@@ -305,10 +318,10 @@ fn stats_json(s: &cabt_exec::EngineStats) -> String {
     )
 }
 
-fn stop_name(stop: cabt_exec::StopCause) -> &'static str {
+fn stop_name(stop: StopCause) -> &'static str {
     match stop {
-        cabt_exec::StopCause::Halted => "halted",
-        cabt_exec::StopCause::LimitReached => "limit-reached",
+        StopCause::Halted => "halted",
+        StopCause::LimitReached => "limit-reached",
     }
 }
 
@@ -462,6 +475,54 @@ mod tests {
             assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
         }
         assert!(rows[2].contains(r#""checksum_ok":true"#), "{}", rows[2]);
+    }
+
+    #[test]
+    fn resume_rows_name_a_registered_workload() {
+        let park = |s: &mut cabt_sim::Session| {
+            s.run(Limit::Retirements(300)).unwrap();
+            hex_encode(&s.park().unwrap())
+        };
+        let sharded = Backend::sharded(4, Backend::golden());
+        let mailbox = park(
+            &mut SimBuilder::named("mailbox")
+                .backend(sharded)
+                .build()
+                .unwrap(),
+        );
+        let gcd = park(&mut SimBuilder::named("gcd").build().unwrap());
+        let other = park(
+            &mut SimBuilder::asm(".text\n mov %d2, 7\n debug\n")
+                .build()
+                .unwrap(),
+        );
+        let input = format!(
+            "resume {mailbox} cycles 1000000\nresume {gcd} cycles 1000000\n\
+             resume {gcd} retirements 400\nresume {other} cycles 100\n"
+        );
+        let rows = replies(&input, MAX_LINE_BYTES);
+        assert_eq!(rows.len(), 4, "{rows:?}");
+        // `mailbox` on four cores sums to 46, not the registry's 2-core
+        // answer.
+        assert!(
+            rows[0].starts_with(
+                r#"{"ok":true,"workload":"mailbox","backend":"sharded-4x:golden","stop":"halted","checksum_ok":true,"d2":46,"#
+            ),
+            "{}",
+            rows[0]
+        );
+        assert!(rows[1].contains(r#""workload":"gcd","#), "{}", rows[1]);
+        assert!(rows[1].contains(r#""checksum_ok":true"#), "{}", rows[1]);
+        assert!(
+            rows[2].contains(r#""stop":"limit-reached","checksum_ok":false,"#),
+            "{}",
+            rows[2]
+        );
+        assert!(
+            rows[3].starts_with(r#"{"ok":true,"backend":"golden","stop":"halted","d2":7,"#),
+            "an unregistered image keeps the bare row: {}",
+            rows[3]
+        );
     }
 
     #[test]

@@ -100,12 +100,13 @@ pub struct FleetResult {
     /// Aggregate counters (`retired`/`stall_cycles` summed across
     /// shards, `cycles` the longest shard clock).
     pub stats: EngineStats,
-    /// Epoch rounds the scheduler drove.
+    /// Epoch barriers the run reached; a round the budget cut short
+    /// reaches none.
     pub epochs: u64,
     /// Final state digest: every shard's
     /// [`cabt_exec::fingerprint_engine`] mixed in shard order.
     pub digest: u64,
-    /// Rolling digest chain over every epoch boundary — two schedulers
+    /// Rolling digest chain over every epoch barrier — two schedulers
     /// ran the *same simulation* iff their chains match, not just their
     /// final states.
     pub epoch_chain: u64,
@@ -133,22 +134,21 @@ struct Unit {
     expected_d2: u32,
 }
 
-/// Epoch rounds completed and the rolling per-epoch digest chain.
+/// Epoch barriers reached and the rolling per-barrier digest chain.
 type Progress = (u64, Fingerprint);
 
 impl Unit {
     fn build(req: &FleetRequest) -> Result<(Unit, Session), SessionError> {
         let w = cabt_sim::named_workload(&req.workload, req.backend)?;
-        let expected_d2 = w.expected_d2;
+        let unit = Unit {
+            workload: req.workload.clone(),
+            backend: req.backend,
+            expected_d2: w.expected_d2,
+        };
         let session = SimBuilder::asm(w.source)
             .backend(req.backend)
             .shard_epoch(FLEET_EPOCH_CYCLES)
             .build()?;
-        let unit = Unit {
-            workload: req.workload.clone(),
-            backend: req.backend,
-            expected_d2,
-        };
         Ok((unit, session))
     }
 
@@ -184,22 +184,12 @@ fn digest(session: &Session) -> u64 {
     fp.digest()
 }
 
-/// Runs `session` on the pool under `budget`, extending the epoch
-/// count and digest chain at every barrier. Returns at once; `done`
-/// runs on a pool worker.
-fn spawn_session(
-    pool: &FleetPool,
-    session: Session,
-    budget: Limit,
-    done: impl FnOnce(Result<(Session, StopCause, Progress), SessionError>) + Send + 'static,
-) {
-    let on_barrier = |(epochs, chain): &mut Progress, shards: &[&Session]| {
-        *epochs += 1;
-        for shard in shards {
-            chain.mix_u64(fingerprint_engine(*shard));
-        }
-    };
-    session.spawn_on(pool, budget, (0, Fingerprint::new()), on_barrier, done);
+/// Extends the epoch count and digest chain at a barrier.
+fn on_barrier((epochs, chain): &mut Progress, shards: &[&Session]) {
+    *epochs += 1;
+    for shard in shards {
+        chain.mix_u64(fingerprint_engine(*shard));
+    }
 }
 
 /// Runs every request to completion on the pool and returns the results
@@ -223,7 +213,8 @@ pub fn run_fleet(
         match Unit::build(req) {
             Ok((unit, session)) => {
                 let tx = tx.clone();
-                spawn_session(pool, session, req.budget, move |ran| {
+                let progress = (0, Fingerprint::new());
+                session.spawn_on(pool, req.budget, progress, on_barrier, move |ran| {
                     let result = ran.map(|(s, stop, progress)| unit.result(&s, stop, progress));
                     // The batch waits below until every unit has sent.
                     let _ = tx.send((i, result));
@@ -476,7 +467,8 @@ mod tests {
         let pool = FleetPool::new(4);
         for attempt in 0..20 {
             let (tx, rx) = mpsc::channel();
-            spawn_session(&pool, build(), budget, move |ran| {
+            let progress = (0, Fingerprint::new());
+            build().spawn_on(&pool, budget, progress, on_barrier, move |ran| {
                 tx.send(ran.map(|(_, _, (epochs, _))| epochs)).unwrap();
             });
             assert_eq!(

@@ -18,12 +18,13 @@
 //!   vehicle by design), plus guest memory windows and UART byte
 //!   sequences. Cycle counts differ across vehicles by design and are
 //!   never compared here.
-//! * **Sharded**: the sequential and pooled schedulers are
-//!   driven through an *identical* chunked run-call sequence (epoch
-//!   barriers land where run calls put them) and must produce
+//! * **Sharded**: the sequential and pooled schedulers are driven
+//!   through one chunked run-call sequence and must produce
 //!   element-wise equal digest chains, equal per-shard finals, equal
-//!   merged UART logs. A snapshot taken at a mid-run (mid-epoch)
-//!   chunk boundary must replay to an identical final digest.
+//!   merged UART logs; a third session run to halt in one call must
+//!   reach the same finals, UART log, epoch count and aggregate. A
+//!   snapshot taken at a mid-run (mid-epoch) chunk boundary must
+//!   replay to an identical final digest.
 
 use crate::gen::{self, FuzzProgram};
 use cabt_core::DetailLevel;
@@ -92,6 +93,14 @@ pub struct Divergence {
     pub detail: String,
 }
 
+/// Records a divergence of `check`.
+fn diverge(out: &mut Vec<Divergence>, check: &str, detail: String) {
+    out.push(Divergence {
+        check: check.to_string(),
+        detail,
+    });
+}
+
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] {}", self.check, self.detail)
@@ -150,6 +159,18 @@ fn build(elf: &ElfFile, backend: Backend) -> Result<Session, SessionError> {
     b.build()
 }
 
+/// [`build`], reporting a failure as a divergence of `check`.
+fn build_or_report(
+    check: &str,
+    elf: &ElfFile,
+    backend: Backend,
+    out: &mut Vec<Divergence>,
+) -> Option<Session> {
+    build(elf, backend)
+        .map_err(|e| diverge(out, check, format!("session build failed: {e}")))
+        .ok()
+}
+
 /// Final architectural state of a halted session, in source-ISA terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FinalState {
@@ -195,38 +216,29 @@ fn diff_finals(
     rhs: &FinalState,
     out: &mut Vec<Divergence>,
 ) {
-    for i in 0..16 {
-        if lhs.d[i] != rhs.d[i] {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!(
-                    "%d{i}: {lhs_name}={:#010x} {rhs_name}={:#010x}",
-                    lhs.d[i], rhs.d[i]
+    let regs = [('d', &lhs.d, &rhs.d), ('a', &lhs.a, &rhs.a)];
+    for (file, l, r) in regs {
+        if let Some(i) = (0..16).find(|&i| l[i] != r[i] && (file, i) != ('a', 11)) {
+            diverge(
+                out,
+                check,
+                format!(
+                    "%{file}{i}: {lhs_name}={:#010x} {rhs_name}={:#010x}",
+                    l[i], r[i]
                 ),
-            });
-            return;
-        }
-    }
-    for i in 0..16 {
-        if i != 11 && lhs.a[i] != rhs.a[i] {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!(
-                    "%a{i}: {lhs_name}={:#010x} {rhs_name}={:#010x}",
-                    lhs.a[i], rhs.a[i]
-                ),
-            });
+            );
             return;
         }
     }
     if lhs.uart != rhs.uart {
-        out.push(Divergence {
-            check: check.to_string(),
-            detail: format!(
+        diverge(
+            out,
+            check,
+            format!(
                 "uart bytes: {lhs_name}={:02x?} {rhs_name}={:02x?}",
                 lhs.uart, rhs.uart
             ),
-        });
+        );
     }
 }
 
@@ -246,22 +258,24 @@ fn diff_memory(
             lhs.read_mem(sec.addr, sec.size as usize),
             rhs.read_mem(sec.addr, sec.size as usize),
         ) else {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!("memory window {:#010x} unreadable", sec.addr),
-            });
+            diverge(
+                out,
+                check,
+                format!("memory window {:#010x} unreadable", sec.addr),
+            );
             return;
         };
         if let Some(off) = (0..ml.len()).find(|&i| ml[i] != mr[i]) {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!(
+            diverge(
+                out,
+                check,
+                format!(
                     "memory byte {:#010x}: {:#04x} vs {:#04x}",
                     sec.addr + off as u32,
                     ml[off],
                     mr[off]
                 ),
-            });
+            );
             return;
         }
     }
@@ -294,18 +308,12 @@ fn family_chain(
     opts: &MatrixOptions,
     out: &mut Vec<Divergence>,
 ) -> Option<FinalState> {
-    let (mut reference, mut subject) =
-        match (build(elf, reference_backend), build(elf, subject_backend)) {
-            (Ok(r), Ok(s)) => (r, s),
-            (r, s) => {
-                let e = r.err().or(s.err()).expect("one side failed");
-                out.push(Divergence {
-                    check: check.to_string(),
-                    detail: format!("session build failed: {e}"),
-                });
-                return None;
-            }
-        };
+    let (Some(mut reference), Some(mut subject)) = (
+        build_or_report(check, elf, reference_backend, out),
+        build_or_report(check, elf, subject_backend, out),
+    ) else {
+        return None;
+    };
     let mut sub_chain = DigestChain::new();
     let mut ref_chain = DigestChain::new();
     let cap = opts.cycle_cap.saturating_mul(4);
@@ -322,27 +330,25 @@ fn family_chain(
         let sd = sub_chain.record(&subject);
         let rd = ref_chain.record(&reference);
         if sd != rd {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!(
-                    "digest chain diverged at boundary {} (retired {boundary}): subject {} pc={:?} vs reference {} pc={:?}",
-                    sub_chain.len() - 1,
-                    subject.stats(),
-                    subject.pc(),
-                    reference.stats(),
-                    reference.pc(),
-                ),
-            });
+            diverge(out, check, format!(
+                "digest chain diverged at boundary {} (retired {boundary}): subject {} pc={:?} vs reference {} pc={:?}",
+                sub_chain.len() - 1,
+                subject.stats(),
+                subject.pc(),
+                reference.stats(),
+                reference.pc(),
+            ));
             return None;
         }
         match (sub_end, ref_end) {
             (RunEnd::Halted, RunEnd::Halted) => break,
             (RunEnd::Fault(se), RunEnd::Fault(re)) => {
                 if se != re {
-                    out.push(Divergence {
-                        check: check.to_string(),
-                        detail: format!("fault mismatch: subject `{se}` vs reference `{re}`"),
-                    });
+                    diverge(
+                        out,
+                        check,
+                        format!("fault mismatch: subject `{se}` vs reference `{re}`"),
+                    );
                 }
                 // Digest equality above already pinned the fault
                 // prefix (stats, registers, pc).
@@ -350,20 +356,16 @@ fn family_chain(
             }
             (RunEnd::Limited, RunEnd::Limited) => {
                 if subject.cycle() > cap {
-                    out.push(Divergence {
-                        check: check.to_string(),
-                        detail: format!("subject ran away past {cap} cycles"),
-                    });
+                    diverge(out, check, format!("subject ran away past {cap} cycles"));
                     return None;
                 }
             }
             (sub_end, ref_end) => {
-                out.push(Divergence {
-                    check: check.to_string(),
-                    detail: format!(
-                        "stop cause mismatch: subject {sub_end:?} vs reference {ref_end:?}"
-                    ),
-                });
+                diverge(
+                    out,
+                    check,
+                    format!("stop cause mismatch: subject {sub_end:?} vs reference {ref_end:?}"),
+                );
                 return None;
             }
         }
@@ -396,15 +398,8 @@ fn stop_parity_check(
     opts: &MatrixOptions,
     out: &mut Vec<Divergence>,
 ) {
-    let mut s = match build(elf, subject) {
-        Ok(s) => s,
-        Err(e) => {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!("session build failed: {e}"),
-            });
-            return;
-        }
+    let Some(mut s) = build_or_report(check, elf, subject, out) else {
+        return;
     };
     let sub_end = run_to(&mut s, Limit::Cycles(opts.cycle_cap.saturating_mul(4)));
     let kind = |e: &RunEnd| match e {
@@ -413,10 +408,11 @@ fn stop_parity_check(
         RunEnd::Limited => "cycle-limited",
     };
     if kind(&sub_end) != kind(ref_end) {
-        out.push(Divergence {
-            check: check.to_string(),
-            detail: format!("stop parity: subject {sub_end:?} vs golden reference {ref_end:?}"),
-        });
+        diverge(
+            out,
+            check,
+            format!("stop parity: subject {sub_end:?} vs golden reference {ref_end:?}"),
+        );
     }
 }
 
@@ -430,32 +426,25 @@ fn run_final(
     limit: Limit,
     out: &mut Vec<Divergence>,
 ) -> Option<FinalState> {
-    let mut s = match build(elf, backend) {
-        Ok(s) => s,
-        Err(e) => {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!("session build failed: {e}"),
-            });
-            return None;
-        }
-    };
+    let mut s = build_or_report(check, elf, backend, out)?;
     match run_to(&mut s, limit) {
         RunEnd::Halted => Some(final_state(&s)),
         end => {
-            out.push(Divergence {
-                check: check.to_string(),
-                detail: format!("reference halted clean but {backend} ended {end:?}"),
-            });
+            diverge(
+                out,
+                check,
+                format!("reference halted clean but {backend} ended {end:?}"),
+            );
             None
         }
     }
 }
 
 /// Drives the sequential and pooled sharded schedulers (the inline and
-/// the pool executor of the epoch-round engine) through an identical
-/// chunked run-call sequence and compares their chains and final
-/// states — seq≡pooled, fuzzed continuously.
+/// the pool executor of the epoch-round engine) through one chunked
+/// run-call sequence and compares their chains and final states —
+/// seq≡pooled, fuzzed continuously — then requires a sequential session
+/// run to halt in one call to finish where the chunked one did.
 fn sharded_schedule_check(
     elf: &ElfFile,
     cores: u16,
@@ -466,16 +455,11 @@ fn sharded_schedule_check(
     let check = format!("sharded-schedule:{cores}x:{base}");
     let seq_b = Backend::sharded(cores, base);
     let pool_b = Backend::sharded_pooled(cores, 2, base);
-    let (mut seq, mut pool) = match (build(elf, seq_b), build(elf, pool_b)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            let e = a.err().or(b.err()).expect("one side failed");
-            out.push(Divergence {
-                check: check.clone(),
-                detail: format!("session build failed: {e}"),
-            });
-            return;
-        }
+    let (Some(mut seq), Some(mut pool)) = (
+        build_or_report(&check, elf, seq_b, out),
+        build_or_report(&check, elf, pool_b, out),
+    ) else {
+        return;
     };
     let mut seq_chain = DigestChain::new();
     let mut pool_chain = DigestChain::new();
@@ -488,17 +472,14 @@ fn sharded_schedule_check(
         let sd = seq_chain.record(&seq);
         let od = pool_chain.record(&pool);
         if sd != od || se != oe {
-            out.push(Divergence {
-                check: check.clone(),
-                detail: format!(
-                    "schedulers diverged at chunk {} (deadline {deadline}): sequential {:?} {} vs pooled {:?} {}",
-                    seq_chain.len() - 1,
-                    se,
-                    seq.stats(),
-                    oe,
-                    pool.stats(),
-                ),
-            });
+            diverge(out, &check, format!(
+                "schedulers diverged at chunk {} (deadline {deadline}): sequential {:?} {} vs pooled {:?} {}",
+                seq_chain.len() - 1,
+                se,
+                seq.stats(),
+                oe,
+                pool.stats(),
+            ));
             return;
         }
         match se {
@@ -506,54 +487,75 @@ fn sharded_schedule_check(
             RunEnd::Fault(_) => return,
             RunEnd::Limited => {
                 if deadline > cap {
-                    out.push(Divergence {
-                        check: check.clone(),
-                        detail: format!("sharded run exceeded {cap} cycles"),
-                    });
+                    diverge(out, &check, format!("sharded run exceeded {cap} cycles"));
                     return;
                 }
             }
         }
     }
-    // Per-shard architectural finals and the merged device log.
-    for i in 0..usize::from(cores) {
-        let (Some(a), Some(b)) = (seq.shard(i), pool.shard(i)) else {
+    if !sharded_finals_agree(&check, ("sequential", &seq), ("pooled", &pool), out) {
+        return;
+    }
+    diff_memory(&check, elf, &mut seq, &mut pool, out);
+    let Ok(mut straight) = build(elf, seq_b) else {
+        return;
+    };
+    match run_to(&mut straight, Limit::Cycles(deadline)) {
+        RunEnd::Halted => {
+            sharded_finals_agree(&check, ("chunked", &seq), ("one-call", &straight), out);
+        }
+        end => diverge(
+            out,
+            &check,
+            format!("the one-call run ended {end:?} by cycle {deadline}"),
+        ),
+    }
+}
+
+/// Whether two halted shard sets agree on per-shard finals, merged
+/// UART log, epoch count and aggregate counters.
+fn sharded_finals_agree(
+    check: &str,
+    (lhs_name, lhs): (&str, &Session),
+    (rhs_name, rhs): (&str, &Session),
+    out: &mut Vec<Divergence>,
+) -> bool {
+    for i in 0..lhs.shard_count() {
+        let (Some(a), Some(b)) = (lhs.shard(i), rhs.shard(i)) else {
             break;
         };
         let mut d = Vec::new();
         diff_finals(
-            &check,
-            "sequential",
+            check,
+            lhs_name,
             &final_state(a),
-            "pooled",
+            rhs_name,
             &final_state(b),
             &mut d,
         );
         if let Some(mut dv) = d.pop() {
             dv.detail = format!("shard {i}: {}", dv.detail);
             out.push(dv);
-            return;
+            return false;
         }
     }
-    if let (Some(ss), Some(os)) = (seq.sharded_stats(), pool.sharded_stats()) {
-        if ss.uart != os.uart || ss.epochs != os.epochs || ss.aggregate != os.aggregate {
-            out.push(Divergence {
-                check: check.clone(),
-                detail: format!(
-                    "sharded stats mismatch: sequential {:?}/{} epochs vs pooled {:?}/{} epochs",
-                    ss.aggregate, ss.epochs, os.aggregate, os.epochs
-                ),
-            });
+    if let (Some(l), Some(r)) = (lhs.sharded_stats(), rhs.sharded_stats()) {
+        if l.uart != r.uart || l.epochs != r.epochs || l.aggregate != r.aggregate {
+            let detail = format!(
+                "sharded stats mismatch: {lhs_name} {:?}/{} epochs vs {rhs_name} {:?}/{} epochs",
+                l.aggregate, l.epochs, r.aggregate, r.epochs
+            );
+            diverge(out, check, detail);
+            return false;
         }
     }
-    diff_memory(&check, elf, &mut seq, &mut pool, out);
+    true
 }
 
-/// Mid-run snapshot/restore replay: runs `backend` in chunks, snapshots
-/// at the middle chunk boundary (deliberately unaligned with epoch
-/// barriers), runs to the end, restores, replays the identical
-/// remaining run-call sequence, and requires a bit-identical final
-/// digest and UART log.
+/// Mid-run snapshot/restore replay: runs `backend` in chunks to the
+/// middle chunk boundary of its run (mid-epoch on a shard set),
+/// snapshots, runs the remaining chunks, restores, replays them, and
+/// requires identical per-chunk digests and UART log.
 fn snapshot_replay_check(
     elf: &ElfFile,
     backend: Backend,
@@ -565,22 +567,13 @@ fn snapshot_replay_check(
         // Build failures are reported by the other sweeps.
         return;
     };
-    let chunk = opts.shard_chunk;
-    let cap = opts.cycle_cap.saturating_mul(4);
-    // First pass: find the halt chunk count.
-    let mut chunks = 0u64;
-    loop {
-        chunks += 1;
-        match run_to(&mut s, Limit::Cycles(chunks * chunk)) {
-            RunEnd::Halted => break,
-            RunEnd::Fault(_) => return,
-            RunEnd::Limited => {
-                if chunks * chunk > cap {
-                    return;
-                }
-            }
-        }
+    // Stops do not move a run's halt, so one straight run finds the
+    // chunk it halts in.
+    if run_to(&mut s, Limit::Cycles(opts.cycle_cap.saturating_mul(4))) != RunEnd::Halted {
+        return;
     }
+    let chunk = opts.shard_chunk;
+    let chunks = s.cycle().div_ceil(chunk);
     if chunks < 2 {
         return;
     }
@@ -604,21 +597,17 @@ fn snapshot_replay_check(
     s.restore(&snap);
     let (replay_chain, replay_uart) = drive_tail(&mut s);
     if let Some(i) = first_chain.first_divergence(&replay_chain) {
-        out.push(Divergence {
-            check,
-            detail: format!(
-                "restore-replay diverged at tail boundary {i} (snapshot at chunk {mid}/{chunks}, chunk {chunk} cycles)"
-            ),
-        });
+        diverge(out, &check, format!(
+            "restore-replay diverged at tail boundary {i} (snapshot at chunk {mid}/{chunks}, chunk {chunk} cycles)"
+        ));
         return;
     }
     if first_uart != replay_uart {
-        out.push(Divergence {
-            check,
-            detail: format!(
-                "restore-replay uart mismatch: {first_uart:02x?} vs {replay_uart:02x?}"
-            ),
-        });
+        diverge(
+            out,
+            &check,
+            format!("restore-replay uart mismatch: {first_uart:02x?} vs {replay_uart:02x?}"),
+        );
     }
 }
 

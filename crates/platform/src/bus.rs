@@ -942,11 +942,6 @@ impl ShardArbiter {
         self.buses[i].clone()
     }
 
-    /// Number of shard buses.
-    pub fn shard_count(&self) -> usize {
-        self.buses.len()
-    }
-
     /// Runs the epoch barrier: reconciles every device across the
     /// shard buses and the canonical mirror, then returns the number
     /// of bus transactions served during the epoch that just ended.

@@ -42,7 +42,7 @@ pub mod analyze;
 use cabt_core::{DetailLevel, Granularity, TranslateError, Translated, Translator};
 use cabt_exec::pool::{run_epochs_pooled, spawn_epochs_pooled, FleetPool};
 use cabt_exec::trace::{TraceConfig, TraceStats};
-use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
+use cabt_exec::{EngineStats, EpochBarrier, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::IsaError;
@@ -153,10 +153,10 @@ pub enum Backend {
 /// executor of the one epoch-round engine in `cabt-exec` runs them.
 ///
 /// Both schedules run the *same* deterministic protocol — one round
-/// plan, one per-shard body, one barrier placement — and therefore
-/// produce bit-identical simulations under every budget; they differ
-/// only in wall-clock scaling. `tests/parallel_determinism.rs` pins
-/// the equivalence.
+/// plan, one per-shard body, one barrier rule — and therefore produce
+/// bit-identical simulations under every budget; they differ only in
+/// wall-clock scaling. `tests/parallel_determinism.rs` pins the
+/// equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardSchedule {
     /// The inline executor: one host thread runs every shard in shard
@@ -916,13 +916,13 @@ enum Snap {
     Rtl(Box<RtlSnapshot>),
     /// Per-shard session snapshots (in shard order, each carrying its
     /// private — possibly mid-epoch — bus image) plus the arbiter's
-    /// epoch counter and the single-step path's armed barrier, so a
-    /// stepped replay exchanges at the same frontier as the donor
-    /// session; the canonical barrier image lives in `devices`.
+    /// epoch counter and the armed barrier, so a replay exchanges at
+    /// the same frontiers as the donor session; the canonical barrier
+    /// image lives in `devices`.
     Sharded {
         shards: Vec<SessionSnapshot>,
         epochs: u64,
-        step_exchange_at: u64,
+        next_barrier: u64,
     },
 }
 
@@ -988,7 +988,7 @@ impl SessionSnapshot {
             Snap::Sharded {
                 shards,
                 epochs,
-                step_exchange_at,
+                next_barrier,
             } => {
                 ByteWriter::new(out).u64(shards.len() as u64);
                 for s in shards {
@@ -996,7 +996,7 @@ impl SessionSnapshot {
                 }
                 let mut w = ByteWriter::new(out);
                 w.u64(*epochs);
-                w.u64(*step_exchange_at);
+                w.u64(*next_barrier);
             }
         }
         match &self.devices {
@@ -1032,7 +1032,7 @@ impl SessionSnapshot {
                 Snap::Sharded {
                     shards,
                     epochs: r.u64()?,
-                    step_exchange_at: r.u64()?,
+                    next_barrier: r.u64()?,
                 }
             }
             tag => {
@@ -1071,8 +1071,9 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// v6 gives both cores one trace-tier encoding: the VLIW tier parks its
 /// formed plans, not its `ends`, `span` and always-zero taken tables,
 /// and re-derives its packet-range covers on restore. v7 drops the VLIW
-/// snapshot's trace section with the VLIW trace tier.
-pub const PARK_VERSION: u16 = 7;
+/// snapshot's trace section with the VLIW trace tier. v8 reads the
+/// sharded payload's last `u64` as the armed barrier, which runs obey.
+pub const PARK_VERSION: u16 = 8;
 
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1120,7 +1121,7 @@ pub struct ShardedStats {
     pub aggregate: EngineStats,
     /// Transactions served by the shared SoC bus.
     pub bus_transactions: u64,
-    /// Epoch boundaries the arbiter has crossed.
+    /// Epoch barriers the set has fired.
     pub epochs: u64,
     /// Merged transmit log of the shared bus's logging peripherals.
     pub uart: Vec<(u64, u8)>,
@@ -1133,16 +1134,13 @@ pub struct ShardedStats {
 struct ShardSet {
     shards: Vec<Session>,
     arbiter: ShardArbiter,
-    /// Target cycles per scheduling epoch.
-    epoch: u64,
+    /// The armed epoch barrier, whose epoch is the set's scheduling
+    /// epoch in target cycles.
+    barrier: EpochBarrier,
     /// Host schedule of the epoch rounds (bit-identical either way).
     schedule: ShardSchedule,
     /// Device state of the freshly built fabric — what reset restores.
     initial_bus: SocBusState,
-    /// Frontier cycle at which the interleaved single-step path runs
-    /// its next barrier exchange (the run drivers exchange per round on
-    /// their own and re-arm this afterwards).
-    step_exchange_at: u64,
     /// The worker pool of [`ShardSchedule::Pooled`] runs, built lazily
     /// on the first pooled run and reused for the session's lifetime.
     pool: Option<FleetPool>,
@@ -1225,10 +1223,9 @@ impl ShardSet {
         Ok(ShardSet {
             shards,
             arbiter,
-            epoch,
+            barrier: EpochBarrier::new(0, epoch),
             schedule,
             initial_bus,
-            step_exchange_at: epoch,
             pool: None,
         })
     }
@@ -1240,22 +1237,6 @@ impl ShardSet {
         }
     }
 
-    /// The scheduling clock: see [`cabt_exec::shard_frontier`].
-    fn frontier(&self) -> u64 {
-        cabt_exec::shard_frontier(&self.shards).0
-    }
-
-    /// The shard the interleaved single-step path dispatches next: the
-    /// least-advanced non-halted shard (ties to the lowest index).
-    fn next_shard(&self) -> Option<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_halted())
-            .min_by_key(|(i, s)| (s.cycle(), *i))
-            .map(|(i, _)| i)
-    }
-
     /// Moves the shards and the arbiter out for a pool run, leaving an
     /// empty fabric behind until the run hands them back.
     fn take_fabric(&mut self) -> (Vec<Session>, ShardArbiter) {
@@ -1264,22 +1245,15 @@ impl ShardSet {
         (std::mem::take(&mut self.shards), arbiter)
     }
 
-    /// Re-arms the single-step path's barrier bookkeeping from
-    /// wherever a run left the frontier (runs exchange per round on
-    /// their own).
-    fn rearm_step_exchange(&mut self) {
-        self.step_exchange_at = self.frontier().saturating_add(self.epoch);
-    }
-
     /// Epoch rounds under any budget, on the schedule's executor. The
     /// pooled schedule moves the shards and arbiter into the run (pool
     /// jobs are `'static`) on the session's own worker pool, built on
     /// the first pooled run.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
-        let stop = match self.schedule {
+        match self.schedule {
             ShardSchedule::Sequential => {
                 let arbiter = &mut self.arbiter;
-                cabt_exec::run_epochs_sharded(&mut self.shards, limit, self.epoch, |_| {
+                cabt_exec::run_epochs_sharded(&mut self.shards, limit, &mut self.barrier, |_| {
                     arbiter.exchange();
                 })
             }
@@ -1289,25 +1263,15 @@ impl ShardSet {
                     0 => FleetPool::with_host_parallelism(),
                     n => FleetPool::new(usize::from(n)),
                 });
-                let out = run_epochs_pooled(pool, shards, arbiter, limit, self.epoch, |arb, _| {
-                    arb.exchange();
-                });
+                let out =
+                    run_epochs_pooled(pool, shards, arbiter, limit, self.barrier, |arb, _| {
+                        arb.exchange();
+                    });
                 self.shards = out.shards;
                 self.arbiter = out.ctx;
+                self.barrier = out.barrier;
                 out.stop
             }
-        };
-        self.rearm_step_exchange();
-        stop
-    }
-
-    /// Barrier check of the interleaved single-step path: once the
-    /// frontier crosses the armed boundary, exchange device state so
-    /// stepped shards keep seeing each other's (epoch-delayed) traffic.
-    fn step_exchange_if_due(&mut self) {
-        if self.frontier() >= self.step_exchange_at {
-            self.arbiter.exchange();
-            self.step_exchange_at = self.frontier().saturating_add(self.epoch);
         }
     }
 
@@ -1332,7 +1296,7 @@ impl ShardSet {
         }
         self.arbiter.reset(&self.initial_bus);
         self.seed_core_ids();
-        self.step_exchange_at = self.epoch;
+        self.barrier = EpochBarrier::new(0, self.barrier.epoch());
     }
 }
 ///
@@ -1527,21 +1491,21 @@ impl Session {
         }
     }
 
-    /// Hands the session to `pool` and returns at once: its epoch
-    /// rounds run under `limit` on the pool executor of the epoch-round
-    /// engine ([`cabt_exec::pool::spawn_epochs_pooled`]), and no pool
-    /// job ever blocks. A sharded session submits its shards and its
-    /// arbiter, whatever its own schedule; a single-core session runs
-    /// as a one-shard set without an arbiter, in rounds of its
-    /// [`SimBuilder::shard_epoch`] (4096 cycles by default). Budgets
-    /// mean what they mean to [`ExecutionEngine::run_until`].
+    /// Hands the session to `pool` and returns at once: its rounds run
+    /// under `limit` on the pool executor
+    /// ([`cabt_exec::pool::spawn_epochs_pooled`]). A sharded session
+    /// submits its shards, arbiter and armed barrier, whatever its own
+    /// schedule; a single-core session runs as a one-shard set without
+    /// an arbiter, its barrier armed one [`SimBuilder::shard_epoch`]
+    /// (4096 cycles by default) past its clock. Budgets mean what they
+    /// mean to [`ExecutionEngine::run_until`].
     ///
-    /// After every round's barrier exchange, `on_barrier` gets `state`
-    /// and read access to the shards (the session itself when it is
-    /// single-core). `done` runs on a pool worker when the run stops
-    /// and gets the session, the stop cause and `state` back — or the
-    /// fault of the lowest-numbered faulting shard (the session is
-    /// dropped), or [`SessionError::Service`] if a pool job panicked.
+    /// At every barrier (after its exchange, on a sharded session)
+    /// `on_barrier` gets `state` and the shards (the session itself when
+    /// single-core). `done` runs on a pool worker when the run stops,
+    /// with the session, the stop cause and `state` — or the fault of
+    /// the lowest-numbered faulting shard (the session is dropped), or
+    /// [`SessionError::Service`] if a pool job panicked.
     pub fn spawn_on<S: Send + 'static>(
         mut self,
         pool: &FleetPool,
@@ -1552,7 +1516,8 @@ impl Session {
     ) {
         let Vehicle::Sharded(set) = &mut self.vehicle else {
             let epoch = self.config.shard_epoch.unwrap_or(SHARD_EPOCH_CYCLES);
-            return spawn_epochs_pooled(pool, vec![self], state, limit, epoch, on_barrier, |ran| {
+            let armed = EpochBarrier::new(self.cycle(), epoch);
+            return spawn_epochs_pooled(pool, vec![self], state, limit, armed, on_barrier, |ran| {
                 done(ran.map_err(pool_job_panicked).and_then(|mut out| {
                     let stop = out.stop?;
                     let session = out.shards.pop().ok_or_else(|| {
@@ -1563,13 +1528,12 @@ impl Session {
             });
         };
         let (shards, arbiter) = set.take_fabric();
-        let epoch = set.epoch;
         spawn_epochs_pooled(
             pool,
             shards,
             (arbiter, state),
             limit,
-            epoch,
+            set.barrier,
             move |(arbiter, state), shards| {
                 arbiter.exchange();
                 on_barrier(state, shards);
@@ -1580,7 +1544,7 @@ impl Session {
                     if let Vehicle::Sharded(set) = &mut self.vehicle {
                         set.shards = out.shards;
                         set.arbiter = arbiter;
-                        set.rearm_step_exchange();
+                        set.barrier = out.barrier;
                     }
                     Ok((self, out.stop?, state))
                 }));
@@ -1704,7 +1668,7 @@ impl Session {
                     .map(Session::snapshot_with_devices)
                     .collect(),
                 epochs: set.arbiter.epochs(),
-                step_exchange_at: set.step_exchange_at,
+                next_barrier: set.barrier.next,
             },
         };
         SessionSnapshot {
@@ -1822,13 +1786,13 @@ impl Session {
                     Some(devices),
                     Snap::Sharded {
                         epochs,
-                        step_exchange_at,
+                        next_barrier,
                         ..
                     },
                 ) = (&snapshot.devices, &snapshot.snap)
                 {
                     set.arbiter.restore_canonical(devices, *epochs)?;
-                    set.step_exchange_at = *step_exchange_at;
+                    set.barrier.next = *next_barrier;
                 }
             }
             vehicle => {
@@ -1880,9 +1844,9 @@ impl Session {
     /// private — possibly mid-epoch — bus state), so it travels across
     /// threads or processes like any [`Session::park`] image.
     ///
-    /// Call at an epoch barrier (after [`Session::run`] returns) so the
-    /// shard's private device state and the arbiter's canonical image
-    /// are consistent.
+    /// Call between run or step calls, wherever they stopped: the
+    /// image carries the shard's unexchanged device writes, and the
+    /// set keeps its armed barrier.
     ///
     /// # Errors
     ///
@@ -1912,8 +1876,8 @@ impl Session {
     /// reconstructed *around the arbiter's registered bus handle* for
     /// slot `i`, so the barrier fabric keeps aliasing the shard's
     /// devices, and the envelope's snapshot (engine state plus the
-    /// donor's private bus image) is restored into it. Run at an epoch
-    /// barrier, the migrated run replays bit-identically.
+    /// donor's private bus image) is restored into it. Adopting a shard
+    /// parked from this run at this stop leaves the run bit-identical.
     ///
     /// `backend_override` rebuilds the shard on a *different* vehicle —
     /// a different dispatch of the same vehicle kind (compiled ↔
@@ -2057,7 +2021,10 @@ impl ExecutionEngine for Session {
     /// epoch-synchronized rounds planned by
     /// `cabt_exec::plan_shard_round`; aggregate `Retirements` budgets
     /// may overshoot by fewer than `cores` units (shards advance in
-    /// lockstep).
+    /// lockstep). Barriers fire where the set's armed
+    /// [`EpochBarrier`] puts them, never where a budget stops a round,
+    /// so a run split into several calls, or parked and resumed
+    /// between them, reaches the same states as one call.
     ///
     /// Single-core sessions hand the whole budget to their engine's own
     /// `run_until`, so a golden engine enters its I/O device once for
@@ -2084,18 +2051,14 @@ impl ExecutionEngine for Session {
                 platform.engine().step_unit().map_err(SessionError::Target)
             }
             Vehicle::Rtl(core) => core.step_unit().map_err(SessionError::Rtl),
-            // Interleaved single-step: dispatch one unit on the
-            // least-advanced live shard (a no-op once all have halted),
-            // exchanging device state whenever the frontier crosses an
-            // epoch boundary so polling shards keep making progress.
-            Vehicle::Sharded(set) => match set.next_shard() {
-                Some(i) => {
-                    set.shards[i].step_unit()?;
-                    set.step_exchange_if_due();
-                    Ok(())
-                }
-                None => Ok(()),
-            },
+            // Interleaved single-step on the least-advanced live shard,
+            // exchanging device state at the set's barriers.
+            Vehicle::Sharded(set) => {
+                let arbiter = &mut set.arbiter;
+                cabt_exec::step_epochs_sharded(&mut set.shards, &mut set.barrier, |_| {
+                    arbiter.exchange();
+                })
+            }
         }
     }
 
@@ -2104,7 +2067,7 @@ impl ExecutionEngine for Session {
             Vehicle::Golden { sim, .. } => sim.cycle(),
             Vehicle::Translated { platform, .. } => platform.sim().cycle(),
             Vehicle::Rtl(core) => core.cycle(),
-            Vehicle::Sharded(set) => set.frontier(),
+            Vehicle::Sharded(set) => cabt_exec::shard_frontier(&set.shards).0,
         }
     }
 
@@ -2122,7 +2085,9 @@ impl ExecutionEngine for Session {
             Vehicle::Golden { sim, .. } => sim.pc(),
             Vehicle::Translated { platform, .. } => platform.sim().pc(),
             Vehicle::Rtl(core) => core.pc(),
-            Vehicle::Sharded(set) => set.next_shard().and_then(|i| set.shards[i].pc()),
+            Vehicle::Sharded(set) => {
+                cabt_exec::next_shard(&set.shards).and_then(|i| set.shards[i].pc())
+            }
         }
     }
 
@@ -2581,9 +2546,12 @@ mod tests {
             .unwrap();
         let mut set = [s];
         let mut epochs = 0;
+        let mut barrier = EpochBarrier::new(0, 64);
         let stop =
-            cabt_exec::run_epochs_sharded(&mut set, Limit::Cycles(1_000_000), 64, |_| epochs += 1)
-                .unwrap();
+            cabt_exec::run_epochs_sharded(&mut set, Limit::Cycles(1_000_000), &mut barrier, |_| {
+                epochs += 1;
+            })
+            .unwrap();
         assert_eq!(stop, StopCause::Halted);
         assert!(epochs > 1, "64-cycle epochs: the run crosses barriers");
         assert_eq!(set[0].read_d(2), 55);

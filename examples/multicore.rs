@@ -86,11 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ...the POOLED scheduler must reproduce the run
         // bit-identically (epoch rounds as work items on a fixed
-        // two-worker fleet pool, same barrier exchanges). Epoch
-        // barriers land where the run calls put them, so the pooled
-        // session is driven through the *same* call sequence.
+        // two-worker fleet pool, same barrier exchanges), here in one
+        // run call: barriers fall where the epoch puts them, not where
+        // a run stops.
         let mut pooled = build(ShardSchedule::Pooled(2))?;
-        pooled.run_until(Limit::Cycles(500))?;
         pooled.run(Limit::Cycles(50_000_000))?;
         assert_eq!(
             pooled.sharded_stats().expect("sharded"),
@@ -126,10 +125,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // fabric: every core reads its id/count from MMIO (0xf000_2000),
     // rings every peer's doorbell with its contribution, and sums the
     // 64 epoch-synchronously delivered contributions into %d2 — no
-    // shared RAM involved. Mid-run, shard 13 is parked at an epoch
-    // barrier and adopted back onto the *trace* dispatch core; the
-    // barrier fabric keeps the shard's bus slot, so the migration is
-    // invisible to the run.
+    // shared RAM involved. Mid-run, shard 13 is parked and adopted
+    // back onto the *trace* dispatch core; the barrier fabric keeps the
+    // shard's bus slot, so the migration is invisible to the run.
     let mailbox = cabt_workloads::mailbox(64);
     let mut noc = SimBuilder::workload(&mailbox)
         .backend(Backend::sharded_pooled(64, 0, Backend::golden()))

@@ -20,7 +20,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
-//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the one-queue `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, an inline and a pool executor) |
+//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the one-queue `exec::pool::FleetPool`; the single-core epoch driver and the one epoch-round engine for shard sets (one plan, one barrier rule `EpochBarrier`, an inline and a pool executor, a single-step driver) |
 //! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (compiled dispatch core with its trace tier, naive oracle) |
 //! | [`vliw`] | target VLIW ISA and simulator (compiled dispatch core, one packet per step; naive oracle) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |

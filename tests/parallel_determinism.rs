@@ -710,3 +710,147 @@ fn shard_buses_are_private_to_each_shard() {
         }
     }
 }
+
+// --- Stop independence: barriers fall where the epoch puts them ------
+
+/// What every way of driving a sharded session to its halt must
+/// reproduce of one run straight to halt.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// [`fingerprint_engine`] of every shard, in shard order.
+    shards: Vec<u64>,
+    aggregate: cabt_exec::EngineStats,
+    epochs: u64,
+    bus_transactions: u64,
+    devices: Option<cabt_platform::SocBusState>,
+}
+
+fn outcome(s: &Session) -> Outcome {
+    let st = s.sharded_stats().expect("sharded session");
+    Outcome {
+        shards: (0..s.shard_count())
+            .map(|i| fingerprint_engine(s.shard(i).expect("shard")))
+            .collect(),
+        aggregate: st.aggregate,
+        epochs: st.epochs,
+        bus_transactions: st.bus_transactions,
+        devices: s.soc_bus_state(),
+    }
+}
+
+/// Cycles per chunk of the chunked drive: prime, so chunk ends fall
+/// inside epochs.
+const CYCLE_STRIDE: u64 = 997;
+/// Aggregate retirements per chunk of the retirement-chunked drive.
+const RETIREMENT_STRIDE: u64 = 1009;
+
+/// Runs `s` under successive budgets until it halts.
+fn run_in_chunks(s: &mut Session, chunk: impl Fn(u64) -> Limit, what: &str) {
+    for k in 1..=10_000 {
+        if s.run(chunk(k)).expect("runs") == StopCause::Halted {
+            return;
+        }
+    }
+    panic!("{what}: no halt after 10,000 chunks");
+}
+
+/// The shard fingerprints seen at every barrier of `s` run on `pool`
+/// through [`Session::spawn_on`] under each of `limits` in turn, and
+/// the session afterwards.
+fn barrier_digests(pool: &FleetPool, mut s: Session, limits: &[Limit]) -> (Session, Vec<Vec<u64>>) {
+    let mut seen = Vec::new();
+    for &limit in limits {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let record = |seen: &mut Vec<Vec<u64>>, shards: &[&Session]| {
+            seen.push(shards.iter().map(|s| fingerprint_engine(*s)).collect());
+        };
+        s.spawn_on(pool, limit, seen, record, move |ran| {
+            let _ = tx.send(ran);
+        });
+        let (session, _, digests) = rx.recv().expect("the run reports").expect("runs");
+        (s, seen) = (session, digests);
+    }
+    (s, seen)
+}
+
+/// Every way of getting a shard set from its start to its halt — one
+/// run, single steps, cycle chunks, retirement chunks, a park and
+/// resume, a shard parked and adopted back, and a cycle budget that
+/// ends on the first shard's halt — must reach the straight run's
+/// per-shard states, aggregate counters, epoch count, bus traffic and
+/// canonical device state: where a run stops never moves a barrier.
+/// Through `spawn_on`, the budget that stops on a halt also leaves the
+/// shard digests seen at every barrier as they were.
+#[test]
+fn barriers_fall_where_the_epoch_puts_them_however_the_run_is_driven() {
+    let pool = FleetPool::new(2);
+    let mut sets: Vec<(&str, u16)> = cabt_workloads::names().map(|n| (n, 2)).collect();
+    sets.extend([("producer_consumer", 4), ("mailbox", 4)]);
+    let bases = [
+        "golden",
+        "golden:trace",
+        "translated:cache",
+        "translated:cache:naive",
+    ];
+    for (name, cores) in sets {
+        for base in bases {
+            let base: Backend = base.parse().expect("descriptor");
+            for schedule in [ShardSchedule::Sequential, ShardSchedule::Pooled(2)] {
+                let backend = Backend::sharded_with_schedule(cores, base, schedule);
+                let what = format!("{name} on {backend}");
+                let build = || {
+                    SimBuilder::named(name)
+                        .backend(backend)
+                        .build()
+                        .unwrap_or_else(|e| panic!("{what}: {e}"))
+                };
+                let mut straight = build();
+                assert_eq!(straight.run(BUDGET), Ok(StopCause::Halted), "{what}");
+                let want = outcome(&straight);
+                let per_shard = straight.sharded_stats().expect("sharded").per_shard;
+                let first_halt = per_shard.iter().map(|s| s.cycles).min().expect("shards");
+
+                let mut s = build();
+                while !s.is_halted() {
+                    s.step().expect("steps");
+                }
+                assert_eq!(outcome(&s), want, "{what}: stepped to halt");
+
+                let mut s = build();
+                run_in_chunks(&mut s, |k| Limit::Cycles(k * CYCLE_STRIDE), &what);
+                assert_eq!(outcome(&s), want, "{what}: {CYCLE_STRIDE}-cycle chunks");
+
+                let mut s = build();
+                run_in_chunks(&mut s, |k| Limit::Retirements(k * RETIREMENT_STRIDE), &what);
+                assert_eq!(outcome(&s), want, "{what}: retirement chunks");
+
+                let mut s = build();
+                s.run(Limit::Retirements(want.aggregate.retired / 2))
+                    .expect("runs");
+                let mut s = Session::resume(&s.park().expect("parks")).expect("resumes");
+                assert_eq!(s.run(BUDGET), Ok(StopCause::Halted), "{what}");
+                assert_eq!(outcome(&s), want, "{what}: parked and resumed mid-run");
+
+                let mut s = build();
+                s.run(Limit::Cycles(want.aggregate.cycles / 2))
+                    .expect("runs");
+                let last = s.shard_count() - 1;
+                let parked = s.park_shard(last).expect("parks a shard");
+                s.adopt_shard(last, &parked, None).expect("adopts it back");
+                assert_eq!(s.run(BUDGET), Ok(StopCause::Halted), "{what}");
+                assert_eq!(
+                    outcome(&s),
+                    want,
+                    "{what}: shard parked and adopted mid-run"
+                );
+
+                let (s, straight_digests) = barrier_digests(&pool, build(), &[BUDGET]);
+                assert_eq!(outcome(&s), want, "{what}: spawned on a pool");
+                let cut = [Limit::Cycles(first_halt), BUDGET];
+                let (s, cut_digests) = barrier_digests(&pool, build(), &cut);
+                assert_eq!(outcome(&s), want, "{what}: stopped on a halt");
+                assert_eq!(cut_digests, straight_digests, "{what}: barrier digests");
+            }
+        }
+    }
+}

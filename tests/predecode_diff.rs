@@ -3,12 +3,13 @@
 //! to the retained naive interpreters — the acceptance gate of the
 //! decode-once refactor.
 //!
-//! Both engines (the TriCore golden model and the VLIW target core) are
-//! run on both dispatch cores over every bundled workload and over
-//! randomly generated programs; registers, data memory, cycle counts,
-//! statistics and stop/fault behaviour must match exactly. One
-//! lockstep variant compares state after *every* instruction, so a
-//! divergence is pinned to the step that introduced it.
+//! The TriCore golden model is run on both dispatch cores over every
+//! bundled workload and over randomly generated programs; registers,
+//! data memory, cycle counts, statistics and stop/fault behaviour must
+//! match exactly. One lockstep variant compares state after *every*
+//! instruction, so a divergence is pinned to the step that introduced
+//! it. The VLIW core's bundled-workload check is
+//! `tests/compiled_diff.rs::vliw_compiled_is_packet_lockstep_identical_on_all_workloads`.
 
 use cabt::prelude::*;
 use cabt_exec::trace::TraceConfig;
@@ -16,7 +17,7 @@ use cabt_exec::ExecutionEngine;
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_isa::rng::Pcg32;
 use cabt_tricore::sim::{DispatchMode, SimError, Simulator};
-use cabt_vliw::sim::{VliwDispatch, VliwSim};
+use cabt_vliw::sim::VliwSim;
 use std::fmt::Write as _;
 
 /// All bundled workloads (the Fig. 5 set plus the Table 2 set).
@@ -102,29 +103,6 @@ fn tricore_modes_agree_after_every_single_step() {
         }
         assert!(fast.is_halted(), "{}: did not halt in bounds", w.name);
         assert!(naive.is_halted());
-    }
-}
-
-#[test]
-fn vliw_predecoded_is_lockstep_equivalent_on_all_workloads() {
-    for w in all_workloads() {
-        let elf = w.elf().expect("assembles");
-        for level in [DetailLevel::Static, DetailLevel::Cache] {
-            let t = Translator::new(level).translate(&elf).expect("translates");
-            let run = |mode: VliwDispatch| {
-                let mut p = Platform::new(&t, PlatformConfig::unlimited()).expect("builds");
-                p.set_dispatch(mode);
-                let stats = p.run(5_000_000_000).expect("halts");
-                let regs: Vec<u32> = (0..64).map(|i| p.sim().read_reg_index(i)).collect();
-                let vstats = p.sim().stats();
-                (stats, regs, vstats)
-            };
-            let (sf, rf, vf) = run(VliwDispatch::Trace);
-            let (sn, rn, vn) = run(VliwDispatch::Naive);
-            assert_eq!(sf, sn, "{} level {level}: platform stats diverged", w.name);
-            assert_eq!(vf, vn, "{} level {level}: engine stats diverged", w.name);
-            assert_eq!(rf, rn, "{} level {level}: register file diverged", w.name);
-        }
     }
 }
 
