@@ -190,12 +190,12 @@ impl<E: ExecutionEngine> Lockstep<E> {
         self.engine.cycle()
     }
 
-    /// One stop-condition evaluation at the current position. Every
-    /// stop commits delayed write-backs first, so architectural state
-    /// is observable at every exit — halt included.
+    /// One stop-condition evaluation at the current position.
+    /// Breakpoint and step stops commit delayed write-backs, so
+    /// architectural state is observable at every exit; a halted engine
+    /// committed its state when it halted.
     fn check_stop(&mut self, mode: Advance, start: Option<u32>, moved: bool) -> Option<StopReason> {
         if self.engine.is_halted() {
-            self.engine.commit_arch_state();
             return Some(StopReason::Halted);
         }
         let src = self.current_src()?;

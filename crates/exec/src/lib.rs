@@ -159,15 +159,21 @@ pub trait ExecutionEngine {
     fn step_unit(&mut self) -> Result<(), Self::Error>;
 
     /// Runs until halt or until `limit` is exhausted, whichever comes
-    /// first. The budget check happens *before* each dispatch and
-    /// *before* the halt check, uniformly across every engine: a zero
-    /// budget, or a limit already met at entry, returns
-    /// [`StopCause::LimitReached`] without dispatching anything — even
-    /// on an engine that is already halted. A `Retirements` budget is
-    /// exact, while a `Cycles` budget may be overshot by the last
-    /// dispatched unit (units cost several cycles on most engines) —
-    /// `LimitReached` means the engine is at or just past the boundary,
-    /// never more than one unit beyond it.
+    /// first. Before each dispatch the halt is checked, then the budget,
+    /// uniformly across every engine: a halted engine reports
+    /// [`StopCause::Halted`] whatever its budget, and a live engine
+    /// whose budget is spent (a zero budget, or a limit already met at
+    /// entry) reports [`StopCause::LimitReached`]; neither dispatches
+    /// anything. A program that halts exactly as its budget runs out has
+    /// completed. A `Retirements` budget is exact, while a `Cycles`
+    /// budget may be overshot by the last dispatched unit (units cost
+    /// several cycles on most engines) — `LimitReached` means the engine
+    /// is at or just past the boundary, never more than one unit beyond
+    /// it.
+    ///
+    /// Whenever this or [`ExecutionEngine::step_unit`] returns with the
+    /// engine halted, its architectural state is committed: the engine
+    /// commits in the unit that halts it.
     ///
     /// # Errors
     ///
@@ -187,7 +193,10 @@ pub trait ExecutionEngine {
     fn pc(&self) -> Option<u32>;
 
     /// Makes all retired results architecturally visible (e.g. commits
-    /// delayed write-backs). A no-op for engines without delayed state.
+    /// delayed write-backs) on a live engine, for a driver that stops
+    /// one mid-run to inspect it (a debugger at a breakpoint). A halted
+    /// engine has committed already. A no-op for engines without delayed
+    /// state.
     fn commit_arch_state(&mut self) {}
 
     /// Size of the flat register index space.
@@ -219,11 +228,11 @@ pub trait ExecutionEngine {
 }
 
 /// The loop behind [`ExecutionEngine::run_until`], with the dispatch
-/// of one unit supplied by the caller: the budget check, then the halt
-/// check (committing architectural state), then `step`. The naive
-/// cores dispatch through this; the compiled cores run their own loop
-/// that makes the same two checks at the same unit boundaries, so every
-/// engine keeps the one stop rule.
+/// of one unit supplied by the caller: the halt check, then the budget
+/// check, then `step`, which commits the engine's state when it halts
+/// it. The naive cores dispatch through this; the compiled cores run
+/// their own loop that makes the same two checks at the same unit
+/// boundaries, so every engine keeps the one stop rule.
 ///
 /// # Errors
 ///
@@ -234,16 +243,15 @@ pub fn run_until_with<E: ExecutionEngine + ?Sized>(
     mut step: impl FnMut(&mut E) -> Result<(), E::Error>,
 ) -> Result<StopCause, E::Error> {
     loop {
+        if engine.is_halted() {
+            return Ok(StopCause::Halted);
+        }
         let exhausted = match limit {
             Limit::Cycles(c) => engine.cycle() >= c,
             Limit::Retirements(r) => engine.engine_stats().retired >= r,
         };
         if exhausted {
             return Ok(StopCause::LimitReached);
-        }
-        if engine.is_halted() {
-            engine.commit_arch_state();
-            return Ok(StopCause::Halted);
         }
         step(engine)?;
     }
@@ -457,15 +465,17 @@ impl ShardState {
     }
 }
 
-/// What the epoch planner decided for the next round.
+/// What the epoch planner decided for the next round, under
+/// [`ExecutionEngine::run_until`]'s rule: the halt is checked before the
+/// budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochPlan {
-    /// The budget is exhausted: stop with [`StopCause::LimitReached`].
-    /// Checked *before* the halt state, mirroring
-    /// [`ExecutionEngine::run_until`]'s budget-first rule.
+    /// Some shard is live and the budget is exhausted: stop with
+    /// [`StopCause::LimitReached`].
     LimitReached,
-    /// Every shard halted: commit architectural state on all shards and
-    /// stop with [`StopCause::Halted`].
+    /// Every shard halted, whatever the budget: stop with
+    /// [`StopCause::Halted`]. Each shard committed its architectural
+    /// state when it halted.
     Halted,
     /// Run every live shard below `deadline` up to it, then close the
     /// barrier and plan again.
@@ -480,44 +490,41 @@ pub enum EpochPlan {
 /// the deadline is `frontier + epoch`, clamped to the budget; `epoch`
 /// is clamped to at least one cycle.
 pub fn plan_epoch_round(frontier: u64, all_halted: bool, max_cycles: u64, epoch: u64) -> EpochPlan {
-    if frontier >= max_cycles {
-        return EpochPlan::LimitReached;
-    }
     if all_halted {
         return EpochPlan::Halted;
+    }
+    if frontier >= max_cycles {
+        return EpochPlan::LimitReached;
     }
     let deadline = frontier.saturating_add(epoch.max(1)).min(max_cycles);
     EpochPlan::Round { deadline }
 }
 
 /// Plans the next round of a shard set against `limit`, the one
-/// decision both executors make; an empty set is halted. A
-/// [`Limit::Cycles`] budget binds the frontier ([`plan_epoch_round`]).
-/// A [`Limit::Retirements`] budget binds the retirements summed over
-/// the shards, checked before the halt state; its rounds split the
-/// remaining budget evenly across the shards as cycle room, clamped to
-/// one epoch and to at least one cycle, so (a shard retiring at most
-/// one unit per cycle) the aggregate overshoots by fewer than the shard
-/// count. Either deadline is clamped to the armed barrier.
+/// decision both executors make. A set whose shards have all halted (an
+/// empty set too) is halted whatever the budget. Otherwise a
+/// [`Limit::Cycles`] budget binds the frontier ([`plan_epoch_round`]),
+/// and a [`Limit::Retirements`] budget binds the retirements summed
+/// over the shards; its rounds split the remaining budget evenly across
+/// the shards as cycle room, clamped to one epoch and to at least one
+/// cycle, so (a shard retiring at most one unit per cycle) the
+/// aggregate overshoots by fewer than the shard count. Either deadline
+/// is clamped to the armed barrier.
 pub(crate) fn plan_shard_round(
     shards: &[ShardState],
     limit: Limit,
     barrier: &EpochBarrier,
 ) -> EpochPlan {
-    if shards.is_empty() {
+    let (frontier, all_halted) = frontier(shards.iter().map(|s| (s.cycle, s.halted)));
+    if all_halted {
         return EpochPlan::Halted;
     }
-    let (frontier, all_halted) = frontier(shards.iter().map(|s| (s.cycle, s.halted)));
     let plan = match limit {
-        Limit::Cycles(max_cycles) => {
-            plan_epoch_round(frontier, all_halted, max_cycles, barrier.epoch)
-        }
+        Limit::Cycles(max_cycles) => plan_epoch_round(frontier, false, max_cycles, barrier.epoch),
         Limit::Retirements(budget) => {
             let retired: u64 = shards.iter().map(|s| s.retired).sum();
             if retired >= budget {
                 EpochPlan::LimitReached
-            } else if all_halted {
-                EpochPlan::Halted
             } else {
                 let room = ((budget - retired) / shards.len() as u64).clamp(1, barrier.epoch);
                 EpochPlan::Round {
@@ -536,9 +543,10 @@ pub(crate) fn plan_shard_round(
 
 /// Advances one shard to an epoch-round deadline, the per-shard body of
 /// both executors; halted shards and shards at the deadline are
-/// skipped. With `commit_boundary_halts` (the executors always pass
-/// it), a shard that halts exactly on the deadline commits its
-/// architectural state inside the round, as an earlier halt does.
+/// skipped. A shard that halts in the round has committed its state.
+///
+/// `_commit_boundary_halts` has no effect: it is kept only so the
+/// benchmark's fleet driver (`perfbench/src/fleet.rs`) builds unchanged.
 ///
 /// # Errors
 ///
@@ -546,17 +554,12 @@ pub(crate) fn plan_shard_round(
 pub fn run_shard_to_deadline<E: ExecutionEngine>(
     shard: &mut E,
     deadline: u64,
-    commit_boundary_halts: bool,
+    _commit_boundary_halts: bool,
 ) -> Result<(), E::Error> {
     if shard.is_halted() || shard.cycle() >= deadline {
         return Ok(());
     }
-    if shard.run_until(Limit::Cycles(deadline))? == StopCause::LimitReached
-        && commit_boundary_halts
-        && shard.is_halted()
-    {
-        shard.commit_arch_state();
-    }
+    shard.run_until(Limit::Cycles(deadline))?;
     Ok(())
 }
 
@@ -570,10 +573,10 @@ pub fn run_shard_to_deadline<E: ExecutionEngine>(
 /// epoch the pool executor ([`pool::spawn_epochs_pooled`]) matches
 /// this one bit for bit.
 ///
-/// Stops as [`ExecutionEngine::run_until`] does: the budget is checked
-/// before the halt (a zero budget dispatches nothing), `Halted` means
-/// every shard halted, and it commits every shard's architectural
-/// state. An empty set is `Halted` at once.
+/// Stops as [`ExecutionEngine::run_until`] does: the halt is checked
+/// before the budget, `Halted` means every shard halted (each committed
+/// its state as it did), and a spent budget dispatches nothing. An
+/// empty set is `Halted` at once.
 ///
 /// # Errors
 ///
@@ -592,12 +595,7 @@ pub fn run_epochs_sharded<E: ExecutionEngine>(
         states.extend(shards.iter().map(ShardState::of));
         match plan_shard_round(&states, limit, barrier) {
             EpochPlan::LimitReached => return Ok(StopCause::LimitReached),
-            EpochPlan::Halted => {
-                for s in shards.iter_mut() {
-                    s.commit_arch_state();
-                }
-                return Ok(StopCause::Halted);
-            }
+            EpochPlan::Halted => return Ok(StopCause::Halted),
             EpochPlan::Round { deadline } => {
                 let mut fault = None;
                 for s in shards.iter_mut() {
@@ -624,9 +622,8 @@ pub fn next_shard<E: ExecutionEngine>(shards: &[E]) -> Option<usize> {
 }
 
 /// The single-step driver of a shard set: one unit on the
-/// [`next_shard`], if any, committing its state if that halts it, then
-/// the barrier closes as after a round. A set stepped to its halt
-/// matches one run to halt.
+/// [`next_shard`], if any, then the barrier closes as after a round. A
+/// set stepped to its halt matches one run to halt.
 ///
 /// # Errors
 ///
@@ -640,9 +637,6 @@ pub fn step_epochs_sharded<E: ExecutionEngine>(
         return Ok(());
     };
     shard.step_unit()?;
-    if shard.is_halted() {
-        shard.commit_arch_state();
-    }
     if barrier.close(shards.iter()) {
         on_epoch(shards);
     }
@@ -808,17 +802,15 @@ mod tests {
         assert_eq!(t.run_until(Limit::Cycles(3)), Ok(StopCause::LimitReached));
         assert_eq!(t.engine_stats(), before);
 
-        // The budget check precedes the halt check: even a halted
-        // engine reports an exhausted budget as LimitReached.
+        // The halt check precedes the budget check: a halted engine
+        // reports the halt under a spent budget, and steps nothing.
         let mut t = toy();
         t.run_until(Limit::Cycles(u64::MAX)).unwrap();
         assert!(t.is_halted());
-        assert_eq!(t.run_until(Limit::Cycles(0)), Ok(StopCause::LimitReached));
-        assert_eq!(
-            t.run_until(Limit::Cycles(u64::MAX)),
-            Ok(StopCause::Halted),
-            "an unexhausted budget still reports the halt"
-        );
+        let done = t.engine_stats();
+        assert_eq!(t.run_until(Limit::Cycles(0)), Ok(StopCause::Halted));
+        assert_eq!(t.run_until(Limit::Retirements(0)), Ok(StopCause::Halted));
+        assert_eq!(t.engine_stats(), done);
     }
 
     #[test]
@@ -936,10 +928,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_driver_budget_precedes_halt_and_is_frontier_based() {
-        // Zero budget: LimitReached without dispatching, even halted.
+    fn sharded_driver_halt_precedes_budget_and_is_frontier_based() {
+        // A fully halted set reports Halted under any budget, zero
+        // included, without dispatching.
         let mut shards = vec![scaled(1, 0), scaled(1, 0)];
         assert!(shards.iter().all(super::ExecutionEngine::is_halted));
+        for limit in [Limit::Cycles(0), Limit::Retirements(0), Limit::Cycles(100)] {
+            let r = run_epochs_sharded(&mut shards, limit, &mut EpochBarrier::new(0, 4), |_| {});
+            assert_eq!(r, Ok(StopCause::Halted), "{limit:?}");
+        }
+        assert_eq!(aggregate_stats(&shards).retired, 0);
+        // A live set under a zero budget dispatches nothing.
+        let mut shards = vec![scaled(1, 3), scaled(1, 0)];
         let r = run_epochs_sharded(
             &mut shards,
             Limit::Cycles(0),
@@ -947,14 +947,7 @@ mod tests {
             |_| {},
         );
         assert_eq!(r, Ok(StopCause::LimitReached));
-        // With budget, a fully halted set reports Halted.
-        let r = run_epochs_sharded(
-            &mut shards,
-            Limit::Cycles(100),
-            &mut EpochBarrier::new(0, 4),
-            |_| {},
-        );
-        assert_eq!(r, Ok(StopCause::Halted));
+        assert_eq!(aggregate_stats(&shards).retired, 0);
 
         // The budget binds the *frontier*: the slowest live shard.
         let mut shards = vec![scaled(1, 1000), scaled(10, 1000)];

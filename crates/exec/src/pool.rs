@@ -282,14 +282,7 @@ where
         };
         match plan_shard_round(&states, self.limit, &barrier) {
             EpochPlan::LimitReached => self.finish(Ok(Ok(StopCause::LimitReached))),
-            EpochPlan::Halted => {
-                for s in &self.shards {
-                    if let Some(s) = lock_ok(s).as_mut() {
-                        s.commit_arch_state();
-                    }
-                }
-                self.finish(Ok(Ok(StopCause::Halted)));
-            }
+            EpochPlan::Halted => self.finish(Ok(Ok(StopCause::Halted))),
             EpochPlan::Round { deadline } => {
                 let runnable: Vec<usize> = (0..states.len())
                     .filter(|&i| !states[i].halted && states[i].cycle < deadline)
@@ -603,12 +596,14 @@ mod tests {
             self.cycles = 0;
             self.units = 0;
         }
+        /// Commits in the unit that halts the shard.
         fn step_unit(&mut self) -> Result<(), Boom> {
             if self.fault_at == Some(self.units) {
                 return Err(Boom(self.units));
             }
             self.units += 1;
             self.cycles += self.cost;
+            self.committed = self.is_halted();
             Ok(())
         }
         fn cycle(&self) -> u64 {
@@ -616,9 +611,6 @@ mod tests {
         }
         fn is_halted(&self) -> bool {
             self.units >= self.halt_units
-        }
-        fn commit_arch_state(&mut self) {
-            self.committed = self.is_halted();
         }
         fn pc(&self) -> Option<u32> {
             None
@@ -813,13 +805,18 @@ mod tests {
     fn pooled_entry_semantics_match_the_trait() {
         let pool = FleetPool::new(2);
         let idle = |_: &mut (), _: &[&Shardling]| {};
-        // Zero budget: LimitReached without dispatching, even halted.
+        // A fully halted set reports Halted under any budget, zero
+        // included.
         let halted = vec![shardling(1, 0), shardling(1, 0)];
         let out = run_epochs_pooled(&pool, halted, (), Limit::Cycles(0), armed(4), idle);
-        assert_eq!(out.stop, Ok(StopCause::LimitReached));
-        // With budget, a fully halted set reports Halted.
-        let out = run_epochs_pooled(&pool, out.shards, (), Limit::Cycles(100), armed(4), idle);
         assert_eq!(out.stop, Ok(StopCause::Halted));
+        let out = run_epochs_pooled(&pool, out.shards, (), Limit::Retirements(0), armed(4), idle);
+        assert_eq!(out.stop, Ok(StopCause::Halted));
+        // A live set under a zero budget dispatches nothing.
+        let live = vec![shardling(1, 0), shardling(1, 3)];
+        let out = run_epochs_pooled(&pool, live, (), Limit::Cycles(0), armed(4), idle);
+        assert_eq!(out.stop, Ok(StopCause::LimitReached));
+        assert_eq!(aggregate_stats(&out.shards).retired, 0);
         // An empty shard set is trivially halted.
         let out = run_epochs_pooled(&pool, Vec::new(), (), Limit::Cycles(100), armed(4), idle);
         assert_eq!(out.stop, Ok(StopCause::Halted));

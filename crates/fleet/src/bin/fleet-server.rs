@@ -478,6 +478,44 @@ mod tests {
     }
 
     #[test]
+    fn budgets_spent_on_the_halt_complete_the_run() {
+        // Each budget is exactly the halt's cycle or retirement count:
+        // the row must read as the unbounded run's, digest included.
+        let exact = [
+            ("gcd", "golden", "retirements 1325"),
+            ("gcd", "golden", "cycles 2027"),
+            ("gcd", "translated:cache", "cycles 48866"),
+            ("gcd", "translated:cache", "retirements 29438"),
+            ("gcd", "rtl", "retirements 1325"),
+            ("producer_consumer", "sharded-2x:golden", "cycles 4501"),
+            ("producer_consumer", "sharded-2x:golden", "retirements 2642"),
+        ];
+        let digest = |row: &str| {
+            let at = row.find(r#""digest":""#).expect("a result row") + 10;
+            row[at..at + 16].to_string()
+        };
+        for (name, backend, budget) in exact {
+            let input = format!(
+                "run {name} {backend} {budget}
+run {name} {backend} cycles 50000000
+"
+            );
+            let rows = replies(&input, MAX_LINE_BYTES);
+            for row in &rows {
+                assert!(
+                    row.contains(r#""stop":"halted","checksum_ok":true,"#),
+                    "{name} on {backend} under {budget}: {row}"
+                );
+            }
+            assert_eq!(
+                digest(&rows[0]),
+                digest(&rows[1]),
+                "{name} on {backend} under {budget}"
+            );
+        }
+    }
+
+    #[test]
     fn resume_rows_name_a_registered_workload() {
         let park = |s: &mut cabt_sim::Session| {
             s.run(Limit::Retirements(300)).unwrap();

@@ -6,7 +6,7 @@
 //!   retirement lockstep — the subject runs one chain stride, the
 //!   family's naive reference runs to the *same* retirement count, and
 //!   both record a [`DigestChain`] entry
-//!   ([`fingerprint_engine`](cabt_exec::fingerprint_engine):
+//!   ([`fingerprint_engine`]:
 //!   stats, full register file, pc, halt flag). Chains must agree at
 //!   every boundary; at the halt the guest `Data`/`Bss` windows must
 //!   match byte-for-byte, and a faulting subject must fault at the
@@ -25,11 +25,15 @@
 //!   reach the same finals, UART log, epoch count and aggregate. A
 //!   snapshot taken at a mid-run (mid-epoch) chunk boundary must
 //!   replay to an identical final digest.
+//! * **Stop rule**: a translated subject that halts is reset and run
+//!   again through `ExecutionEngine::run_until` with a budget of exactly
+//!   its halting cycle count; it must report the halt and reach the same
+//!   final digest and state.
 
 use crate::gen::{self, FuzzProgram};
 use cabt_core::DetailLevel;
 use cabt_exec::trace::TraceConfig;
-use cabt_exec::{DigestChain, ExecutionEngine, Limit, StopCause};
+use cabt_exec::{fingerprint_engine, DigestChain, ExecutionEngine, Limit, StopCause};
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_platform::{default_soc_bus, SharedSocBus};
 use cabt_sim::{Backend, Dispatch, Session, SessionError, SimBuilder};
@@ -389,7 +393,9 @@ fn family_chain(
 /// golden reference did — halt when it halts, fault when it faults.
 /// The in-family chains compare a vehicle's tiers against each other,
 /// so a *whole-vehicle* fault (every tier faulting identically, e.g.
-/// on a mistranslated indirect branch) is visible only here.
+/// on a mistranslated indirect branch) is visible only here. A subject
+/// that halts is then rerun from reset under a budget of exactly its
+/// halting cycle count, which must complete the run.
 fn stop_parity_check(
     check: &str,
     elf: &ElfFile,
@@ -413,6 +419,17 @@ fn stop_parity_check(
             check,
             format!("stop parity: subject {sub_end:?} vs golden reference {ref_end:?}"),
         );
+    }
+    if sub_end != RunEnd::Halted {
+        return;
+    }
+    let (halt, want) = (s.cycle(), (fingerprint_engine(&s), final_state(&s)));
+    s.reset();
+    let end = ExecutionEngine::run_until(&mut s, Limit::Cycles(halt));
+    let same = (fingerprint_engine(&s), final_state(&s)) == want;
+    if !matches!(end, Ok(StopCause::Halted)) || !same {
+        let what = format!("rerun to its halting cycle {halt}: {end:?}, same final state: {same}");
+        diverge(out, check, what);
     }
 }
 

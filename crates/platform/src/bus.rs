@@ -270,24 +270,6 @@ impl SocBus {
     }
 }
 
-// --- little-endian state (de)serialization helpers ----------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("u32 field"))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("u64 field"))
-}
-
 /// A free-running timer clocked by generated SoC cycles.
 ///
 /// Register map (offsets from base): `0x0` current count (read),
@@ -350,9 +332,10 @@ impl SocPeripheral for Timer {
     /// the last barrier (24 bytes).
     fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24);
+        let mut w = ByteWriter::new(&mut out);
         for (epoch, compare) in [(self.epoch, self.compare), self.exchanged] {
-            put_u64(&mut out, epoch);
-            put_u32(&mut out, compare);
+            w.u64(epoch);
+            w.u32(compare);
         }
         out
     }
@@ -373,16 +356,18 @@ impl SocPeripheral for Timer {
     fn barrier_delta(&self) -> Vec<u8> {
         let mut out = Vec::new();
         if (self.epoch, self.compare) != self.exchanged {
-            put_u64(&mut out, self.epoch);
-            put_u32(&mut out, self.compare);
+            let mut w = ByteWriter::new(&mut out);
+            w.u64(self.epoch);
+            w.u32(self.compare);
         }
         out
     }
 
     fn apply_barrier(&mut self, merged: &[u8]) {
-        if let Some(last) = merged.rchunks_exact(12).next() {
-            (self.epoch, self.compare) = (get_u64(last, 0), get_u32(last, 8));
-            self.exchanged = (self.epoch, self.compare);
+        let mut r = ByteReader::new(merged);
+        while let (Ok(epoch), Ok(compare)) = (r.u64(), r.u32()) {
+            (self.epoch, self.compare) = (epoch, compare);
+            self.exchanged = (epoch, compare);
         }
     }
 }
@@ -416,15 +401,11 @@ impl Uart {
         }
     }
 
-    fn encode_entries(entries: &[(u64, u8)], out: &mut Vec<u8>) {
+    fn encode_entries(entries: &[(u64, u8)], w: &mut ByteWriter<'_>) {
         for &(ts, byte) in entries {
-            put_u64(out, ts);
-            out.push(byte);
+            w.u64(ts);
+            w.u8(byte);
         }
-    }
-
-    fn decode_entries(bytes: &[u8]) -> impl Iterator<Item = (u64, u8)> + '_ {
-        bytes.chunks_exact(9).map(|c| (get_u64(c, 0), c[8]))
     }
 }
 
@@ -454,8 +435,9 @@ impl SocPeripheral for Uart {
     /// entries (9 bytes each).
     fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 9 * self.log.len());
-        put_u64(&mut out, self.exchanged as u64);
-        Self::encode_entries(&self.log, &mut out);
+        let mut w = ByteWriter::new(&mut out);
+        w.u64(self.exchanged as u64);
+        Self::encode_entries(&self.log, &mut w);
         out
     }
 
@@ -481,13 +463,16 @@ impl SocPeripheral for Uart {
     /// prefix travel.
     fn barrier_delta(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(9 * (self.log.len() - self.exchanged));
-        Self::encode_entries(&self.log[self.exchanged..], &mut out);
+        Self::encode_entries(&self.log[self.exchanged..], &mut ByteWriter::new(&mut out));
         out
     }
 
     fn apply_barrier(&mut self, merged: &[u8]) {
         self.log.truncate(self.exchanged);
-        self.log.extend(Self::decode_entries(merged));
+        let mut r = ByteReader::new(merged);
+        while let (Ok(ts), Ok(byte)) = (r.u64(), r.u8()) {
+            self.log.push((ts, byte));
+        }
         self.exchanged = self.log.len();
     }
 }
@@ -568,13 +553,14 @@ impl SocPeripheral for ScratchRam {
         let mut entries: Vec<(u32, u32)> = self.words.iter().map(|(&a, &w)| (a, w)).collect();
         entries.sort_unstable();
         let mut out = Vec::with_capacity(8 + 4 * self.journal.len() + 8 * entries.len());
-        put_u64(&mut out, self.journal.len() as u64);
+        let mut w = ByteWriter::new(&mut out);
+        w.u64(self.journal.len() as u64);
         for &addr in &self.journal {
-            put_u32(&mut out, addr);
+            w.u32(addr);
         }
         for (addr, word) in entries {
-            put_u32(&mut out, addr);
-            put_u32(&mut out, word);
+            w.u32(addr);
+            w.u32(word);
         }
         out
     }
@@ -595,16 +581,18 @@ impl SocPeripheral for ScratchRam {
     /// pairs travel.
     fn barrier_delta(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 * self.journal.len());
+        let mut w = ByteWriter::new(&mut out);
         for &addr in &self.journal {
-            put_u32(&mut out, addr);
-            put_u32(&mut out, self.words.get(&addr).copied().unwrap_or(0));
+            w.u32(addr);
+            w.u32(self.words.get(&addr).copied().unwrap_or(0));
         }
         out
     }
 
     fn apply_barrier(&mut self, merged: &[u8]) {
-        for c in merged.chunks_exact(8) {
-            self.words.insert(get_u32(c, 0), get_u32(c, 4));
+        let mut r = ByteReader::new(merged);
+        while let (Ok(addr), Ok(word)) = (r.u32(), r.u32()) {
+            self.words.insert(addr, word);
         }
         self.journal.clear();
     }
@@ -711,15 +699,16 @@ impl SocPeripheral for CoreLink {
     /// identity and deliberately not part of the image.
     fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 4 * self.inbox.len() + 12 * self.outbox.len());
-        put_u64(&mut out, self.inbox.len() as u64);
-        for &w in &self.inbox {
-            put_u32(&mut out, w);
+        let mut w = ByteWriter::new(&mut out);
+        w.u64(self.inbox.len() as u64);
+        for &word in &self.inbox {
+            w.u32(word);
         }
-        put_u64(&mut out, self.outbox.len() as u64);
+        w.u64(self.outbox.len() as u64);
         for &(src, target, value) in &self.outbox {
-            put_u32(&mut out, src);
-            put_u32(&mut out, target);
-            put_u32(&mut out, value);
+            w.u32(src);
+            w.u32(target);
+            w.u32(value);
         }
         out
     }
@@ -750,10 +739,11 @@ impl SocPeripheral for CoreLink {
     /// O(traffic) barrier exchange: only the sends of the epoch travel.
     fn barrier_delta(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(12 * self.outbox.len());
+        let mut w = ByteWriter::new(&mut out);
         for &(src, target, value) in &self.outbox {
-            put_u32(&mut out, src);
-            put_u32(&mut out, target);
-            put_u32(&mut out, value);
+            w.u32(src);
+            w.u32(target);
+            w.u32(value);
         }
         out
     }
@@ -762,8 +752,8 @@ impl SocPeripheral for CoreLink {
     /// keeps only the triples addressed to its own id (on two sends
     /// from one source, the later one in shard-merge order wins).
     fn apply_barrier(&mut self, merged: &[u8]) {
-        for c in merged.chunks_exact(12) {
-            let (src, target, value) = (get_u32(c, 0), get_u32(c, 4), get_u32(c, 8));
+        let mut r = ByteReader::new(merged);
+        while let (Ok(src), Ok(target), Ok(value)) = (r.u32(), r.u32(), r.u32()) {
             if target == self.core_id {
                 if let Some(slot) = self.inbox.get_mut(src as usize) {
                     *slot = value;

@@ -40,7 +40,7 @@ pub mod sync;
 
 use cabt_core::translate::SYNC_DEVICE_BASE;
 use cabt_core::Translated;
-use cabt_exec::{ExecutionEngine, Limit, StopCause};
+use cabt_exec::ExecutionEngine;
 use cabt_vliw::sim::{TargetBus, VliwError, VliwProgram, VliwSim};
 use std::any::Any;
 use std::fmt;
@@ -349,24 +349,18 @@ impl Platform {
     /// Runs the translated program to completion within `max_cycles`
     /// target cycles.
     ///
-    /// The engine runs as one [`ExecutionEngine::run_until`]: the
-    /// synchronization device and the peripherals are clocked lazily,
-    /// on access, by the device's generated-cycle count, so nothing
-    /// needs to happen between packets. A halt exactly on the budget is
-    /// a completed run, not an exhausted one.
+    /// The engine runs as one [`VliwSim::run`]: the synchronization
+    /// device and the peripherals are clocked lazily, on access, by the
+    /// device's generated-cycle count, so nothing needs to happen
+    /// between packets. A halt exactly on the budget is a completed
+    /// run, not an exhausted one.
     ///
     /// # Errors
     ///
     /// Returns [`PlatformError`] on target faults or cycle-limit
-    /// exhaustion.
+    /// exhaustion ([`VliwError::CycleLimit`]).
     pub fn run(&mut self, max_cycles: u64) -> Result<PlatformStats, PlatformError> {
-        // `run_until` reports the budget before the halt.
-        if self.sim.run_until(Limit::Cycles(max_cycles))? == StopCause::LimitReached {
-            if !self.sim.is_halted() {
-                return Err(PlatformError::Vliw(VliwError::CycleLimit));
-            }
-            self.sim.commit_arch_state();
-        }
+        self.sim.run(max_cycles)?;
         Ok(self.stats())
     }
 

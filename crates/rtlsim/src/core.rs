@@ -9,7 +9,7 @@
 //! the "RT level simulation on a workstation" baseline of Table 2.
 
 use crate::kernel::{DeltaOverflow, Kernel, KernelState, SignalId};
-use cabt_exec::{EngineStats, ExecutionEngine};
+use cabt_exec::{EngineStats, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::mem::Memory;
@@ -568,19 +568,19 @@ impl RtlCore {
         })
     }
 
-    /// Runs to the halt instruction.
+    /// Runs to the halt instruction: [`ExecutionEngine::run_until`]
+    /// with a retirement budget. A halt on the last budgeted retirement
+    /// is a completed run.
     ///
     /// # Errors
     ///
-    /// Returns [`RtlError::InstructionLimit`] after `max_instructions`.
+    /// Returns [`RtlError::InstructionLimit`] after `max_instructions`
+    /// retirements without a halt.
     pub fn run(&mut self, max_instructions: u64) -> Result<(), RtlError> {
-        while !self.is_halted() {
-            if self.instructions >= max_instructions {
-                return Err(RtlError::InstructionLimit);
-            }
-            self.step_instruction()?;
+        match self.run_until(Limit::Retirements(max_instructions))? {
+            StopCause::Halted => Ok(()),
+            StopCause::LimitReached => Err(RtlError::InstructionLimit),
         }
-        Ok(())
     }
 
     /// True once `debug` executed.
@@ -606,11 +606,6 @@ impl RtlCore {
     /// Clock cycles simulated.
     pub fn cycles(&self) -> u64 {
         self.kernel.time()
-    }
-
-    /// Delta cycles executed (simulation work metric).
-    pub fn delta_count(&self) -> u64 {
-        self.kernel.delta_count()
     }
 
     /// Checks a snapshot decoded from untrusted bytes against this
@@ -814,7 +809,10 @@ mod tests {
         assert_eq!(core.instructions(), 3);
         // 2 ALU × 3 + debug (halts in EXEC after fetch: 2 ticks).
         assert_eq!(core.cycles(), 8);
-        assert!(core.delta_count() > core.cycles(), "deltas dominate work");
+        assert!(
+            core.kernel.delta_count() > core.cycles(),
+            "deltas dominate work"
+        );
     }
 
     #[test]

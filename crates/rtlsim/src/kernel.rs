@@ -317,7 +317,8 @@ impl Kernel {
     }
 
     /// Total delta cycles executed (a measure of simulation work).
-    pub fn delta_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn delta_count(&self) -> u64 {
         self.deltas
     }
 }

@@ -1424,23 +1424,15 @@ impl Session {
         self.step_unit()
     }
 
-    /// Runs until halt or `limit`: [`ExecutionEngine::run_until`], except
-    /// that a *completed run* wins — where the raw trait call checks the
-    /// budget before the halt, a program that halts exactly on the limit
-    /// reports [`StopCause::Halted`] here (and commits its architectural
-    /// state), matching [`cabt_exec::run_epochs_sharded`] under a cycle
-    /// budget.
+    /// Runs until halt or `limit`: [`ExecutionEngine::run_until`]. A
+    /// program that halts exactly on the limit has completed: it reports
+    /// [`StopCause::Halted`], with its architectural state committed.
     ///
     /// # Errors
     ///
     /// Engine faults, wrapped in [`SessionError`].
     pub fn run(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
-        let stop = self.run_until(limit)?;
-        if stop == StopCause::LimitReached && self.is_halted() {
-            self.commit_arch_state();
-            return Ok(StopCause::Halted);
-        }
-        Ok(stop)
+        self.run_until(limit)
     }
 
     /// Platform counters (generated/corrected cycles, UART log) —
@@ -2037,9 +2029,9 @@ impl ExecutionEngine for Session {
                 .run_until(limit)
                 .map_err(SessionError::Target),
             Vehicle::Rtl(core) => core.run_until(limit).map_err(SessionError::Rtl),
-            // Both ShardSet paths check the budget before the halt on
-            // their first iteration, preserving the uniform entry
-            // semantics (an exhausted budget dispatches nothing).
+            // Both ShardSet paths plan their first round as every later
+            // one: a halted set reports the halt, and a spent budget
+            // dispatches nothing.
             Vehicle::Sharded(set) => set.run_until(limit),
         }
     }
@@ -2437,9 +2429,7 @@ mod tests {
 
     #[test]
     fn run_reports_halt_on_exact_limit_boundary() {
-        // A completed run wins over an exactly-exhausted budget —
-        // `Session::run` matches the epoch-round drivers, not the raw
-        // budget-first `run_until`.
+        // A completed run wins over an exactly-exhausted budget.
         for backend in [
             Backend::golden(),
             Backend::translated(DetailLevel::Static),

@@ -238,11 +238,6 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Total capacity in bytes.
-    pub fn total_bytes(&self) -> u32 {
-        self.sets * self.ways * self.line_bytes
-    }
-
     /// Line-aligned address of the line containing `addr`.
     pub fn line_of(&self, addr: u32) -> u32 {
         addr & !(self.line_bytes - 1)
@@ -1125,7 +1120,7 @@ mod tests {
     #[test]
     fn cache_geometry() {
         let c = CacheConfig::default();
-        assert_eq!(c.total_bytes(), 1024);
+        assert_eq!(c.sets * c.ways * c.line_bytes, 1024, "total capacity");
         assert_eq!(c.line_of(0x8000_0047), 0x8000_0040);
         assert_eq!(c.set_of(0x8000_0040), 2);
         assert_eq!(c.set_of(0x8000_0040 + 32 * 16), 2, "wraps around the sets");
@@ -1168,6 +1163,7 @@ mod tests {
     fn arch_desc_defaults_match_paper_platform() {
         let a = ArchDesc::default();
         assert_eq!(a.clock_hz, 48_000_000);
-        assert_eq!(a.cache.total_bytes(), 1024);
+        let c = a.cache;
+        assert_eq!(c.sets * c.ways * c.line_bytes, 1024, "total capacity");
     }
 }

@@ -676,19 +676,18 @@ impl Simulator {
 
     /// Runs until `debug` halts the program, with the I/O device
     /// entered once for the whole run: [`ExecutionEngine::run_until`]
-    /// with a retirement budget.
+    /// with a retirement budget. A halt on the last budgeted
+    /// retirement is a completed run.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InstructionLimit`] after `max_instructions`
     /// retirements without a halt, or any fault from [`Simulator::step`].
     pub fn run(&mut self, max_instructions: u64) -> Result<RunStats, SimError> {
-        if self.run_until(Limit::Retirements(max_instructions))? == StopCause::LimitReached
-            && !self.halted
-        {
-            return Err(SimError::InstructionLimit);
+        match self.run_until(Limit::Retirements(max_instructions))? {
+            StopCause::Halted => Ok(self.stats()),
+            StopCause::LimitReached => Err(SimError::InstructionLimit),
         }
-        Ok(self.stats())
     }
 
     /// Executes a single dispatch unit, returning the last instruction
@@ -722,7 +721,7 @@ impl Simulator {
     /// way out.
     ///
     /// At every unit boundary it makes [`cabt_exec::run_until_with`]'s
-    /// checks — the budget, then the halt — or, with `ONE`, stops after
+    /// checks — the halt, then the budget — or, with `ONE`, stops after
     /// the first unit (a step), leaving its last instruction in `last`.
     /// Without `PROFILE` (a warm-up of 0) every unit is one compiled
     /// op. With it, a leader counts its block's dispatch (forming traces
@@ -805,11 +804,11 @@ impl Simulator {
                 }
                 stepped = true;
             } else {
-                if limit.exhausted(hot.tstate.cycles(), retired) {
-                    break Ok(StopCause::LimitReached);
-                }
                 if *hot.halted {
                     break Ok(StopCause::Halted);
+                }
+                if limit.exhausted(hot.tstate.cycles(), retired) {
+                    break Ok(StopCause::LimitReached);
                 }
             }
             if cur == NO_IDX {

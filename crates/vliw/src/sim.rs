@@ -514,10 +514,10 @@ impl VliwSim {
     }
 
     /// Commits all delayed writes whose delay slots have elapsed — the
-    /// same retirement the next packet dispatch would perform. Debuggers
-    /// call this before inspecting registers so the architecturally
-    /// visible state is observed.
-    pub fn commit_due_writes(&mut self) {
+    /// same retirement the next packet dispatch would perform: at the
+    /// halt, and through [`ExecutionEngine::commit_arch_state`] for a
+    /// debugger stopped mid-run.
+    fn commit_due_writes(&mut self) {
         commit_latched(
             &mut self.pending_writes,
             &mut self.next_due,
@@ -558,20 +558,19 @@ impl VliwSim {
     }
 
     /// Runs until `HALT` or until `max_cycles` elapse:
-    /// [`ExecutionEngine::run_until`] with a cycle budget, then the
-    /// retirement of writes that became due during the final packets,
-    /// so the architectural state is fully visible to the caller.
+    /// [`ExecutionEngine::run_until`] with a cycle budget. A halt, even
+    /// exactly on the budget, is a completed run, with its architectural
+    /// state committed.
     ///
     /// # Errors
     ///
     /// Returns [`VliwError::CycleLimit`] on timeout or any execution
     /// fault from [`VliwSim::step_packet`].
     pub fn run(&mut self, max_cycles: u64) -> Result<VliwStats, VliwError> {
-        if self.run_until(Limit::Cycles(max_cycles))? == StopCause::LimitReached && !self.halted {
-            return Err(VliwError::CycleLimit);
+        match self.run_until(Limit::Cycles(max_cycles))? {
+            StopCause::Halted => Ok(self.stats()),
+            StopCause::LimitReached => Err(VliwError::CycleLimit),
         }
-        self.commit_due_writes();
-        Ok(self.stats())
     }
 
     /// Dispatches one execute packet.
@@ -593,12 +592,14 @@ impl VliwSim {
     /// live in locals for the whole run and are written back once, on
     /// the way out.
     ///
-    /// Before every packet it makes [`cabt_exec::run_until_with`]'s
-    /// checks — the budget, then the halt — or, with `ONE`, stops after
-    /// the first packet (a step). A packet starts with its prologue:
-    /// retire due writes, redirect an expired branch shadow, fault off
-    /// the end. An all-NOP packet has no slot closures: its prologue and
-    /// epilogue run and nothing is called.
+    /// It makes [`cabt_exec::run_until_with`]'s checks at every packet
+    /// boundary — the halt (at entry, in [`ExecutionEngine::run_until`]),
+    /// then the budget — or, with `ONE`, stops after the first packet (a
+    /// step). A packet starts with its prologue: retire due writes,
+    /// redirect an expired branch shadow, fault off the end. An all-NOP
+    /// packet has no slot closures: its prologue and epilogue run and
+    /// nothing is called. A packet that halts the core retires the
+    /// writes due after it, in a run and in a step alike.
     fn run_compiled<const ONE: bool>(&mut self, limit: Limit) -> Result<StopCause, VliwError> {
         let VliwSim {
             program,
@@ -652,14 +653,8 @@ impl VliwSim {
                     break Ok(StopCause::LimitReached);
                 }
                 stepped = true;
-            } else {
-                if limit.exhausted(cyc, packets) {
-                    break Ok(StopCause::LimitReached);
-                }
-                if *hot.halted {
-                    commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
-                    break Ok(StopCause::Halted);
-                }
+            } else if limit.exhausted(cyc, packets) {
+                break Ok(StopCause::LimitReached);
             }
             // Prologue: retire due writes, then redirect an expired
             // branch shadow — only then is `pcv` the packet to dispatch.
@@ -714,6 +709,10 @@ impl VliwSim {
             stalls += stall;
             cyc += cp.issue as u64 + stall;
             pcv += 1;
+            if *hot.halted {
+                commit_latched(pending_writes, next_due, hot.latch, hot.regs, cyc);
+                break Ok(StopCause::Halted);
+            }
         };
         *pc = pcv;
         *cycle = cyc;
@@ -783,7 +782,8 @@ impl VliwSim {
     }
 
     /// The naive core's packet epilogue: branch shadow bookkeeping,
-    /// counters, cycle advance.
+    /// counters, cycle advance, and the retirement of the writes due
+    /// after a packet that halts the core.
     fn finish_packet(
         &mut self,
         branch: Option<(u32, u32)>,
@@ -804,6 +804,9 @@ impl VliwSim {
         self.stats.stall_cycles += stall;
         self.cycle += issue_cycles as u64 + stall;
         self.pc += 1;
+        if self.halted {
+            self.commit_due_writes();
+        }
         Ok(())
     }
 
@@ -1168,8 +1171,14 @@ impl ExecutionEngine for VliwSim {
 
     /// The naive core runs [`cabt_exec::run_until_with`]; the compiled
     /// tier its own loop, which makes the same checks before every
-    /// packet.
+    /// packet. A core that is halted at entry retires its due writes
+    /// (an image taken right after the halting packet by an older
+    /// build has them pending) and dispatches nothing.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, VliwError> {
+        if self.halted {
+            self.commit_due_writes();
+            return Ok(StopCause::Halted);
+        }
         match self.mode {
             VliwDispatch::Naive => cabt_exec::run_until_with(self, limit, Self::step_packet_naive),
             VliwDispatch::Trace => self.run_compiled::<false>(limit),

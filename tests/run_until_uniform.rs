@@ -1,9 +1,11 @@
-//! Cross-engine regression for the uniform `run_until` contract: a
-//! zero budget, or a limit already met at entry, returns
-//! `LimitReached` without dispatching anything — on *every* backend,
-//! driven purely through the `ExecutionEngine` trait via `cabt-sim`
-//! sessions. The budget check precedes the halt check, so even a
-//! halted engine reports an exhausted budget as `LimitReached`.
+//! Cross-engine regression for the uniform `run_until` contract: the
+//! halt check precedes the budget check, so a halted engine reports
+//! `Halted` whatever its budget, and a live engine with a zero budget,
+//! or a limit already met at entry, returns `LimitReached`; neither
+//! dispatches anything — on *every* backend, driven purely through the
+//! `ExecutionEngine` trait via `cabt-sim` sessions. A run whose budget
+//! runs out exactly on its halting unit has completed, whichever driver
+//! runs it.
 
 use cabt::prelude::*;
 use cabt_exec::trace::TraceConfig;
@@ -127,7 +129,7 @@ fn already_met_limits_return_limit_without_stepping() {
 }
 
 #[test]
-fn budget_check_precedes_halt_check() {
+fn halt_check_precedes_budget_check() {
     for (label, _, mut s) in sessions() {
         assert_eq!(
             s.run_until(Limit::Cycles(u64::MAX)).unwrap(),
@@ -135,23 +137,131 @@ fn budget_check_precedes_halt_check() {
             "{label}"
         );
         assert!(s.is_halted(), "{label}");
-        // Exhausted budget wins over the halt...
-        assert_eq!(
-            s.run_until(Limit::Cycles(0)).unwrap(),
-            StopCause::LimitReached,
-            "{label}: zero budget on a halted engine"
-        );
-        assert_eq!(
-            s.run_until(Limit::Retirements(0)).unwrap(),
-            StopCause::LimitReached,
-            "{label}: zero retirements on a halted engine"
-        );
-        // ...while an unexhausted budget still reports the halt.
-        assert_eq!(
-            s.run_until(Limit::Cycles(u64::MAX)).unwrap(),
-            StopCause::Halted,
-            "{label}: halted engine with budget left"
-        );
+        let done = (s.stats(), cabt_exec::fingerprint_engine(&s));
+        // A spent budget on a halted engine still reports the halt, and
+        // dispatches nothing.
+        for limit in [Limit::Cycles(0), Limit::Retirements(0)] {
+            assert_eq!(
+                s.run_until(limit).unwrap(),
+                StopCause::Halted,
+                "{label}: {limit:?} on a halted engine"
+            );
+            assert_eq!(
+                (s.stats(), cabt_exec::fingerprint_engine(&s)),
+                done,
+                "{label}: {limit:?} must leave the halted engine untouched"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Budgets spent on the halting unit
+// ---------------------------------------------------------------------
+
+/// The shapes of the exact-halt sweep: [`Backend::all`], the two naive
+/// references the fleet serves, and two-core shard sets of the golden
+/// and the translated model on both schedules.
+fn exact_halt_shapes() -> Vec<Backend> {
+    let mut v = Backend::all();
+    v.extend(
+        ["golden:naive", "translated:cache:naive"]
+            .map(|d| d.parse::<Backend>().expect("descriptor")),
+    );
+    for base in [Backend::golden(), Backend::translated(DetailLevel::Cache)] {
+        for schedule in [ShardSchedule::Sequential, ShardSchedule::Pooled(2)] {
+            v.push(Backend::sharded_with_schedule(2, base, schedule));
+        }
+    }
+    v
+}
+
+/// A registry program on `backend`, or `None` when it cannot halt there.
+fn registry_session(name: &str, backend: Backend) -> Option<Session> {
+    match SimBuilder::named(name).backend(backend).build() {
+        Ok(s) => Some(s),
+        Err(SessionError::UnsupportedShape { .. }) => None,
+        Err(e) => panic!("{name} on {backend}: {e}"),
+    }
+}
+
+/// What a completed run leaves: the engine trajectory, the counters
+/// and the SoC device state.
+type Final = (
+    u64,
+    cabt_exec::EngineStats,
+    Option<cabt_platform::SocBusState>,
+);
+
+fn final_of(s: &Session) -> Final {
+    (
+        cabt_exec::fingerprint_engine(s),
+        s.stats(),
+        s.soc_bus_state(),
+    )
+}
+
+/// `s` run under `limit` through [`Session::spawn_on`].
+fn spawned(pool: &FleetPool, s: Session, limit: Limit) -> (Session, StopCause) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    s.spawn_on(
+        pool,
+        limit,
+        (),
+        |_, _| {},
+        move |ran| {
+            let _ = tx.send(ran);
+        },
+    );
+    let (s, stop, ()) = rx.recv().expect("the run reports").expect("runs");
+    (s, stop)
+}
+
+/// A budget of exactly the cycles or the retirements a program needs to
+/// halt completes the run on every shape and through every driver — the
+/// engine's `run_until`, `Session::run`, `spawn_on` — and stepping to
+/// the halt ends where the unbounded run does; each leaves the
+/// unbounded run's final state.
+#[test]
+fn a_budget_spent_on_the_halting_unit_completes_the_run() {
+    let pool = FleetPool::new(2);
+    for backend in exact_halt_shapes() {
+        for name in cabt_workloads::names() {
+            let build = || registry_session(name, backend);
+            let Some(mut straight) = build() else {
+                continue;
+            };
+            let unbounded = Limit::Cycles(u64::MAX);
+            assert_eq!(straight.run_until(unbounded).unwrap(), StopCause::Halted);
+            let want = final_of(&straight);
+            let what = format!("{name} on {backend}");
+            for limit in [
+                Limit::Cycles(want.1.cycles),
+                Limit::Retirements(want.1.retired),
+            ] {
+                let mut s = build().expect("builds");
+                let stop = s.run_until(limit).unwrap();
+                assert_eq!(stop, StopCause::Halted, "{what}: run_until {limit:?}");
+                assert_eq!(final_of(&s), want, "{what}: run_until {limit:?}");
+                let mut s = build().expect("builds");
+                let stop = s.run(limit).unwrap();
+                assert_eq!(stop, StopCause::Halted, "{what}: run {limit:?}");
+                assert_eq!(final_of(&s), want, "{what}: run {limit:?}");
+                let (s, stop) = spawned(&pool, build().expect("builds"), limit);
+                assert_eq!(stop, StopCause::Halted, "{what}: spawn_on {limit:?}");
+                assert_eq!(final_of(&s), want, "{what}: spawn_on {limit:?}");
+            }
+            let mut s = build().expect("builds");
+            for _ in 0..=want.1.retired {
+                if s.is_halted() {
+                    break;
+                }
+                s.step_unit().unwrap();
+            }
+            let stop = s.run_until(Limit::Retirements(0)).unwrap();
+            assert_eq!(stop, StopCause::Halted, "{what}: stepped");
+            assert_eq!(final_of(&s), want, "{what}: stepped");
+        }
     }
 }
 

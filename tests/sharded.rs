@@ -128,7 +128,8 @@ fn sharded_sessions_expose_uniform_engine_surface() {
     assert_eq!(s.shard(0).unwrap().read_d(15), 0);
     assert_eq!(s.shard(1).unwrap().read_d(15), 1);
 
-    // Uniform run_until entry semantics: budget precedes halt.
+    // Uniform run_until entry semantics: a spent budget on a live set
+    // dispatches nothing.
     assert_eq!(
         s.run_until(Limit::Cycles(0)).unwrap(),
         StopCause::LimitReached
