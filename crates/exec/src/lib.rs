@@ -153,6 +153,11 @@ pub trait ExecutionEngine {
     /// Dispatches one engine-native unit: one instruction on an
     /// instruction interpreter, one execute packet on the VLIW core.
     ///
+    /// On a halted engine it dispatches nothing and returns `Ok`, as
+    /// [`ExecutionEngine::run_until`] reports the halt without
+    /// dispatching: stepping past a halt leaves the engine, its counters
+    /// and its devices as the halt left them.
+    ///
     /// # Errors
     ///
     /// Engine-specific faults (invalid program counter, memory faults).

@@ -175,36 +175,43 @@ pub struct ByteWriter<'a> {
 impl<'a> ByteWriter<'a> {
     /// Wraps `out`; encoded bytes are appended (existing content is
     /// preserved, so envelopes can nest writers).
+    #[inline]
     pub fn new(out: &'a mut Vec<u8>) -> Self {
         ByteWriter { out }
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
 
     /// Appends a bool as one byte (0/1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.out.push(v as u8);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `i64`.
+    #[inline]
     pub fn i64(&mut self, v: i64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
@@ -238,11 +245,13 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// A cursor at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -264,6 +273,7 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
@@ -278,12 +288,14 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a 0/1 presence/flag byte; any other value is a
     /// [`CodecError::BadTag`].
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
@@ -293,6 +305,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(
             self.take(2)?.try_into().expect("2 bytes"),
@@ -300,6 +313,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
@@ -307,6 +321,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -314,6 +329,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `i64`.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),

@@ -93,6 +93,17 @@ pub trait SocPeripheral: Send {
     }
 }
 
+/// The whole `N`-byte records of a merged barrier delta, in shard
+/// order, each as a reader over exactly one record. Every device's delta
+/// is a run of fixed-width records; a trailing partial record is
+/// skipped.
+fn records<const N: usize>(merged: &[u8]) -> impl DoubleEndedIterator<Item = ByteReader<'_>> {
+    merged.chunks_exact(N).map(ByteReader::new)
+}
+
+/// Reads of a [`records`] reader stay inside its record.
+const WHOLE: &str = "a record reader holds one whole record";
+
 /// Serialized state of every device on a [`SocBus`] plus the bus's own
 /// transaction counter — the device half of a resumable platform image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -363,11 +374,12 @@ impl SocPeripheral for Timer {
         out
     }
 
+    /// The last shard's image wins: only the last record is read.
     fn apply_barrier(&mut self, merged: &[u8]) {
-        let mut r = ByteReader::new(merged);
-        while let (Ok(epoch), Ok(compare)) = (r.u64(), r.u32()) {
-            (self.epoch, self.compare) = (epoch, compare);
-            self.exchanged = (epoch, compare);
+        if let Some(mut r) = records::<12>(merged).next_back() {
+            let last = (r.u64().expect(WHOLE), r.u32().expect(WHOLE));
+            (self.epoch, self.compare) = last;
+            self.exchanged = last;
         }
     }
 }
@@ -469,9 +481,8 @@ impl SocPeripheral for Uart {
 
     fn apply_barrier(&mut self, merged: &[u8]) {
         self.log.truncate(self.exchanged);
-        let mut r = ByteReader::new(merged);
-        while let (Ok(ts), Ok(byte)) = (r.u64(), r.u8()) {
-            self.log.push((ts, byte));
+        for mut r in records::<9>(merged) {
+            self.log.push((r.u64().expect(WHOLE), r.u8().expect(WHOLE)));
         }
         self.exchanged = self.log.len();
     }
@@ -590,9 +601,9 @@ impl SocPeripheral for ScratchRam {
     }
 
     fn apply_barrier(&mut self, merged: &[u8]) {
-        let mut r = ByteReader::new(merged);
-        while let (Ok(addr), Ok(word)) = (r.u32(), r.u32()) {
-            self.words.insert(addr, word);
+        for mut r in records::<8>(merged) {
+            self.words
+                .insert(r.u32().expect(WHOLE), r.u32().expect(WHOLE));
         }
         self.journal.clear();
     }
@@ -752,8 +763,9 @@ impl SocPeripheral for CoreLink {
     /// keeps only the triples addressed to its own id (on two sends
     /// from one source, the later one in shard-merge order wins).
     fn apply_barrier(&mut self, merged: &[u8]) {
-        let mut r = ByteReader::new(merged);
-        while let (Ok(src), Ok(target), Ok(value)) = (r.u32(), r.u32(), r.u32()) {
+        for mut r in records::<12>(merged) {
+            let src = r.u32().expect(WHOLE);
+            let (target, value) = (r.u32().expect(WHOLE), r.u32().expect(WHOLE));
             if target == self.core_id {
                 if let Some(slot) = self.inbox.get_mut(src as usize) {
                     *slot = value;

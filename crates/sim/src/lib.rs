@@ -30,8 +30,9 @@
 //! [`ExecutionEngine`], so every generic driver in the workspace (the
 //! lockstep debugger, `run_epochs_sharded`, the benchmark harnesses) drives a
 //! session exactly like a bare engine. Growing a new backend (JIT,
-//! sharded multi-core) means adding one [`Backend`] variant, not
-//! another bespoke constructor.
+//! sharded multi-core) means adding one [`Backend`] variant and one
+//! implementation of the crate's private vehicle trait, not another
+//! bespoke constructor.
 //!
 //! Progress tracing needs no hook: run in slices
 //! (`session.run_until(Limit::Cycles(session.cycle() + n))`) and read
@@ -57,6 +58,7 @@ use cabt_tricore::isa::{AReg, DReg};
 use cabt_tricore::sim::{DispatchMode, GoldenProgram, SimError, SimSnapshot, Simulator};
 use cabt_vliw::sim::{VliwDispatch, VliwError, VliwProgram, VliwSnapshot};
 use cabt_workloads::{Needs, Workload};
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -845,47 +847,269 @@ impl Program {
     }
 }
 
-/// The vehicle actually driven by a session: an engine's run state over
-/// a shared [`Program`]. Engines are boxed: their memory images are
-/// megabyte-scale and the variants would otherwise differ wildly in
-/// size.
-enum Vehicle {
-    Golden {
-        sim: Box<Simulator>,
-        /// The shared bus the simulator's I/O window is bridged onto,
-        /// when one was attached — snapshots capture its device state.
-        bus: Option<SharedSocBus>,
-    },
-    Translated {
-        platform: Box<Platform>,
-        /// The translated image, shared by every shard of a set; debug
-        /// tooling reads its address map ([`Session::translated`]).
-        image: Arc<Translated>,
-    },
-    Rtl(Box<RtlCore>),
-    Sharded(Box<ShardSet>),
-}
+/// The engine calls a [`Session`] forwards to its vehicle:
+/// [`ExecutionEngine`] without its snapshot type, object-safe and
+/// failing in [`SessionError`]. A module of its own keeps these method
+/// names from clashing with [`ExecutionEngine`]'s at call sites.
+mod engine {
+    use super::{EngineStats, ExecutionEngine, Limit, SessionError, StopCause};
 
-impl Vehicle {
-    fn name(&self) -> &'static str {
-        match self {
-            Vehicle::Golden { .. } => "golden",
-            Vehicle::Translated { .. } => "translated",
-            Vehicle::Rtl(_) => "rtl",
-            Vehicle::Sharded(_) => "sharded",
-        }
+    pub(crate) trait Engine {
+        fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError>;
+        fn step_unit(&mut self) -> Result<(), SessionError>;
+        fn reset(&mut self);
+        fn cycle(&self) -> u64;
+        fn is_halted(&self) -> bool;
+        fn pc(&self) -> Option<u32>;
+        fn commit_arch_state(&mut self);
+        fn reg_count(&self) -> usize;
+        fn read_reg_index(&self, index: usize) -> u32;
+        fn write_reg_index(&mut self, index: usize, value: u32);
+        fn read_mem(&mut self, addr: u32, len: usize) -> Result<Vec<u8>, SessionError>;
+        fn engine_stats(&self) -> EngineStats;
     }
 
-    /// The SoC bus whose device state belongs in this vehicle's
-    /// snapshot, if it has one. Sharded vehicles have no *single* live
-    /// bus — every shard owns a private one and the arbiter holds the
-    /// canonical image — so they snapshot through their own path.
-    fn device_bus(&self) -> Option<SharedSocBus> {
-        match self {
-            Vehicle::Golden { bus, .. } => bus.clone(),
-            Vehicle::Translated { platform, .. } => platform.soc_bus(),
-            Vehicle::Rtl(_) | Vehicle::Sharded(_) => None,
+    /// Every engine whose faults convert into [`SessionError`]: each
+    /// call is the engine's own.
+    impl<E> Engine for E
+    where
+        E: ExecutionEngine,
+        SessionError: From<E::Error>,
+    {
+        fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
+            Ok(ExecutionEngine::run_until(self, limit)?)
         }
+        fn step_unit(&mut self) -> Result<(), SessionError> {
+            Ok(ExecutionEngine::step_unit(self)?)
+        }
+        fn reset(&mut self) {
+            ExecutionEngine::reset(self);
+        }
+        fn cycle(&self) -> u64 {
+            ExecutionEngine::cycle(self)
+        }
+        fn is_halted(&self) -> bool {
+            ExecutionEngine::is_halted(self)
+        }
+        fn pc(&self) -> Option<u32> {
+            ExecutionEngine::pc(self)
+        }
+        fn commit_arch_state(&mut self) {
+            ExecutionEngine::commit_arch_state(self);
+        }
+        fn reg_count(&self) -> usize {
+            ExecutionEngine::reg_count(self)
+        }
+        fn read_reg_index(&self, index: usize) -> u32 {
+            ExecutionEngine::read_reg_index(self, index)
+        }
+        fn write_reg_index(&mut self, index: usize, value: u32) {
+            ExecutionEngine::write_reg_index(self, index, value);
+        }
+        fn read_mem(&mut self, addr: u32, len: usize) -> Result<Vec<u8>, SessionError> {
+            Ok(ExecutionEngine::read_mem(self, addr, len)?)
+        }
+        fn engine_stats(&self) -> EngineStats {
+            ExecutionEngine::engine_stats(self)
+        }
+    }
+}
+
+/// The execution vehicle a [`Session`] drives: an engine, plus what the
+/// vehicles do differently. Each encodes and restores its own section of
+/// a [`SessionSnapshot`], homes the source registers where its engine
+/// keeps them and may own a device bus. What only one kind of vehicle
+/// has, a session reaches by downcasting to it ([`Session::vehicle_as`]).
+trait Vehicle: Any + Send {
+    /// The engine that runs, steps and holds the registers.
+    fn engine(&self) -> &dyn engine::Engine;
+
+    /// Mutable twin of [`Vehicle::engine`].
+    fn engine_mut(&mut self) -> &mut dyn engine::Engine;
+
+    /// Resets to a fresh run: the engine, plus what the vehicle owns.
+    fn reset(&mut self) {
+        self.engine_mut().reset();
+    }
+
+    /// Appends the vehicle's snapshot section: its tag byte, then its
+    /// state in the layout `docs/snapshot-format.md` documents.
+    fn encode_section(&self, out: &mut Vec<u8>);
+
+    /// Decodes a whole snapshot image of this vehicle's kind — the
+    /// section [`Vehicle::encode_section`] wrote and the device image
+    /// after it — checks it against the engine, and restores it.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] for another kind's section, corrupt bytes, or
+    /// state that does not fit the engine; the vehicle is then partly
+    /// restored.
+    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
+
+    /// Flat register index of source data register `D{i}`.
+    fn d_home(&self, i: u8) -> usize {
+        usize::from(i)
+    }
+
+    /// Flat register index of source address register `A{i}`.
+    fn a_home(&self, i: u8) -> usize {
+        16 + usize::from(i)
+    }
+
+    /// The live SoC bus whose device state belongs in the vehicle's
+    /// snapshots, if it has one.
+    fn device_bus(&self) -> Option<SharedSocBus> {
+        None
+    }
+
+    /// The device state a snapshot carries: the live bus's.
+    fn devices(&self) -> Option<SocBusState> {
+        self.device_bus().map(|b| b.save_state())
+    }
+}
+
+/// Tag bytes of the vehicles' snapshot sections.
+const GOLDEN_TAG: u8 = 0;
+const TRANSLATED_TAG: u8 = 1;
+const RTL_TAG: u8 = 2;
+const SHARDED_TAG: u8 = 3;
+
+/// Reads the tag byte that opens a snapshot section, which must be
+/// `tag`, the restoring vehicle's.
+fn expect_tag(r: &mut ByteReader<'_>, tag: u8) -> Result<(), CodecError> {
+    match r.u8()? {
+        found if found == tag => Ok(()),
+        found => Err(CodecError::BadTag {
+            what: "session snapshot vehicle",
+            tag: found,
+        }),
+    }
+}
+
+/// Decodes the device image that closes a single-core snapshot and
+/// restores it into `bus`, when the vehicle has one.
+fn restore_devices(r: &mut ByteReader<'_>, bus: Option<SharedSocBus>) -> Result<(), CodecError> {
+    if r.bool()? {
+        let devices = SocBusState::decode(r)?;
+        if let Some(bus) = bus {
+            bus.restore_state(&devices)?;
+        }
+    }
+    Ok(())
+}
+
+/// The golden model, with the shared bus its I/O window is bridged onto
+/// when one was attached.
+struct GoldenVehicle {
+    sim: Simulator,
+    bus: Option<SharedSocBus>,
+}
+
+impl Vehicle for GoldenVehicle {
+    fn engine(&self) -> &dyn engine::Engine {
+        &self.sim
+    }
+    fn engine_mut(&mut self) -> &mut dyn engine::Engine {
+        &mut self.sim
+    }
+
+    fn encode_section(&self, out: &mut Vec<u8>) {
+        ByteWriter::new(out).u8(GOLDEN_TAG);
+        self.sim.snapshot().encode_into(out);
+    }
+
+    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        expect_tag(r, GOLDEN_TAG)?;
+        let s = SimSnapshot::decode(r)?;
+        self.sim.check_snapshot(&s)?;
+        self.sim.restore(&s);
+        restore_devices(r, self.device_bus())
+    }
+
+    fn device_bus(&self) -> Option<SharedSocBus> {
+        self.bus.clone()
+    }
+}
+
+/// The translated program on the prototyping platform. The image is
+/// shared by every shard of a set; debug tooling reads its address map
+/// ([`Session::translated`]).
+struct TranslatedVehicle {
+    platform: Platform,
+    image: Arc<Translated>,
+}
+
+impl Vehicle for TranslatedVehicle {
+    fn engine(&self) -> &dyn engine::Engine {
+        self.platform.sim()
+    }
+    fn engine_mut(&mut self) -> &mut dyn engine::Engine {
+        self.platform.engine()
+    }
+
+    /// The platform owns its synchronization device, and its devices
+    /// unless the bus came from the caller: [`Platform::reset`].
+    fn reset(&mut self) {
+        self.platform.reset();
+    }
+
+    /// The engine, then the synchronization device: its generation
+    /// queue is keyed to the target clock, so rewinding the engine
+    /// without it would turn later wait reads into phantom stalls.
+    fn encode_section(&self, out: &mut Vec<u8>) {
+        ByteWriter::new(out).u8(TRANSLATED_TAG);
+        self.platform.sim().snapshot().encode_into(out);
+        let sync = self.platform.save_sync_device();
+        sync.expect("a session's platform keeps its own device bus")
+            .encode_into(out);
+    }
+
+    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        expect_tag(r, TRANSLATED_TAG)?;
+        let s = VliwSnapshot::decode(r)?;
+        let sync = cabt_platform::SyncDevice::decode(r)?;
+        self.platform.sim().check_snapshot(&s)?;
+        self.platform.engine().restore(&s);
+        self.platform.restore_sync_device(&sync);
+        restore_devices(r, self.device_bus())
+    }
+
+    /// The register binding's home.
+    fn d_home(&self, i: u8) -> usize {
+        cabt_core::regbind::dreg(DReg(i)).index()
+    }
+
+    fn a_home(&self, i: u8) -> usize {
+        cabt_core::regbind::areg(AReg(i)).index()
+    }
+
+    fn device_bus(&self) -> Option<SharedSocBus> {
+        self.platform.soc_bus()
+    }
+}
+
+/// The RT-level core: no I/O window, registers at the golden model's
+/// indices.
+impl Vehicle for RtlCore {
+    fn engine(&self) -> &dyn engine::Engine {
+        self
+    }
+    fn engine_mut(&mut self) -> &mut dyn engine::Engine {
+        self
+    }
+
+    fn encode_section(&self, out: &mut Vec<u8>) {
+        ByteWriter::new(out).u8(RTL_TAG);
+        self.snapshot().encode_into(out);
+    }
+
+    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        expect_tag(r, RTL_TAG)?;
+        let s = RtlSnapshot::decode(r)?;
+        self.check_snapshot(&s)?;
+        self.restore(&s);
+        restore_devices(r, None)
     }
 }
 
@@ -895,79 +1119,12 @@ impl Vehicle {
 /// restore-replay repeats device behaviour bit-identically instead of
 /// double-logging. Restorable into the session (or another session
 /// built from the same workload and backend).
+///
+/// A snapshot is its encoded image: the vehicle's section, then the
+/// device state. In-process snapshots and park images are one format.
 #[derive(Clone)]
 pub struct SessionSnapshot {
-    snap: Snap,
-    /// SoC-bus device state at capture time, for vehicles with a bus.
-    devices: Option<SocBusState>,
-}
-
-#[derive(Clone)]
-enum Snap {
-    Golden(Box<SimSnapshot>),
-    /// Engine state plus the synchronization device: the device's
-    /// generation queue is keyed to the target clock, so restoring the
-    /// engine (rewinding time) without it would turn later wait reads
-    /// into phantom stalls.
-    Target {
-        engine: Box<VliwSnapshot>,
-        sync: cabt_platform::SyncDevice,
-    },
-    Rtl(Box<RtlSnapshot>),
-    /// Per-shard session snapshots (in shard order, each carrying its
-    /// private — possibly mid-epoch — bus image) plus the arbiter's
-    /// epoch counter and the armed barrier, so a replay exchanges at
-    /// the same frontiers as the donor session; the canonical barrier
-    /// image lives in `devices`.
-    Sharded {
-        shards: Vec<SessionSnapshot>,
-        epochs: u64,
-        next_barrier: u64,
-    },
-}
-
-/// Sessions never hand out their [`Platform`], so nothing can replace
-/// its engine's device bus.
-const PLATFORM_BUS: &str = "a session's platform keeps its own device bus";
-
-impl Snap {
-    fn name(&self) -> &'static str {
-        match self {
-            Snap::Golden(_) => "golden",
-            Snap::Target { .. } => "translated",
-            Snap::Rtl(_) => "rtl",
-            Snap::Sharded { .. } => "sharded",
-        }
-    }
-
-    /// The codec tag byte of this vehicle kind.
-    fn tag(&self) -> u8 {
-        match self {
-            Snap::Golden(_) => 0,
-            Snap::Target { .. } => 1,
-            Snap::Rtl(_) => 2,
-            Snap::Sharded { .. } => 3,
-        }
-    }
-}
-
-/// True when `snap` structurally matches the vehicle `backend` builds —
-/// same kind, and (recursively) the same shard population. What keeps a
-/// corrupt-but-well-formed park payload from panicking
-/// [`Session::restore`].
-fn snapshot_matches_backend(backend: Backend, snap: &Snap) -> bool {
-    match (backend, snap) {
-        (Backend::Golden { .. }, Snap::Golden(_))
-        | (Backend::Translated { .. }, Snap::Target { .. })
-        | (Backend::Rtl, Snap::Rtl(_)) => true,
-        (Backend::Sharded { cores, backend, .. }, Snap::Sharded { shards, .. }) => {
-            shards.len() == cores as usize
-                && shards
-                    .iter()
-                    .all(|s| snapshot_matches_backend(backend.into(), &s.snap))
-        }
-        _ => false,
-    }
+    image: Vec<u8>,
 }
 
 impl SessionSnapshot {
@@ -977,77 +1134,18 @@ impl SessionSnapshot {
     /// `docs/snapshot-format.md`; [`Session::park`] wraps it in the
     /// versioned envelope.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        ByteWriter::new(out).u8(self.snap.tag());
-        match &self.snap {
-            Snap::Golden(s) => s.encode_into(out),
-            Snap::Target { engine, sync } => {
-                engine.encode_into(out);
-                sync.encode_into(out);
-            }
-            Snap::Rtl(s) => s.encode_into(out),
-            Snap::Sharded {
-                shards,
-                epochs,
-                next_barrier,
-            } => {
-                ByteWriter::new(out).u64(shards.len() as u64);
-                for s in shards {
-                    s.encode_into(out);
-                }
-                let mut w = ByteWriter::new(out);
-                w.u64(*epochs);
-                w.u64(*next_barrier);
-            }
-        }
-        match &self.devices {
-            None => ByteWriter::new(out).bool(false),
-            Some(d) => {
-                ByteWriter::new(out).bool(true);
-                d.encode_into(out);
-            }
-        }
+        out.extend_from_slice(&self.image);
     }
 
-    /// Decodes a [`SessionSnapshot::encode_into`] image.
+    /// Decodes a [`SessionSnapshot::encode_into`] image: the rest of
+    /// `r`, which the restoring vehicle checks ([`Session::resume`]).
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
+    /// None today: the image is checked where it is restored.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let snap = match r.u8()? {
-            0 => Snap::Golden(Box::new(SimSnapshot::decode(r)?)),
-            1 => Snap::Target {
-                engine: Box::new(VliwSnapshot::decode(r)?),
-                sync: cabt_platform::SyncDevice::decode(r)?,
-            },
-            2 => Snap::Rtl(Box::new(RtlSnapshot::decode(r)?)),
-            3 => {
-                // Every shard snapshot is at least a tag byte and a
-                // devices flag.
-                let n = r.count("shard snapshots", 2)?;
-                let mut shards = Vec::with_capacity(n);
-                for _ in 0..n {
-                    shards.push(SessionSnapshot::decode(r)?);
-                }
-                Snap::Sharded {
-                    shards,
-                    epochs: r.u64()?,
-                    next_barrier: r.u64()?,
-                }
-            }
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "session snapshot vehicle",
-                    tag,
-                })
-            }
-        };
-        let devices = if r.bool()? {
-            Some(SocBusState::decode(r)?)
-        } else {
-            None
-        };
-        Ok(SessionSnapshot { snap, devices })
+        let image = r.raw(r.remaining())?.to_vec();
+        Ok(SessionSnapshot { image })
     }
 }
 
@@ -1078,9 +1176,8 @@ pub const PARK_VERSION: u16 = 8;
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SessionSnapshot")
-            .field("vehicle", &self.snap.name())
-            .field("devices", &self.devices.is_some())
-            .finish()
+            .field("bytes", &self.image.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -1230,13 +1327,6 @@ impl ShardSet {
         })
     }
 
-    /// Re-seeds every shard's core id (source register `%d15`).
-    fn seed_core_ids(&mut self) {
-        for (id, shard) in self.shards.iter_mut().enumerate() {
-            shard.write_d(15, id as u32);
-        }
-    }
-
     /// Moves the shards and the arbiter out for a pool run, leaving an
     /// empty fabric behind until the run hands them back.
     fn take_fabric(&mut self) -> (Vec<Session>, ShardArbiter) {
@@ -1245,6 +1335,87 @@ impl ShardSet {
         (std::mem::take(&mut self.shards), arbiter)
     }
 
+    fn stats(&self) -> ShardedStats {
+        ShardedStats {
+            per_shard: self
+                .shards
+                .iter()
+                .map(ExecutionEngine::engine_stats)
+                .collect(),
+            aggregate: cabt_exec::aggregate_stats(&self.shards),
+            bus_transactions: self.arbiter.transactions(),
+            epochs: self.arbiter.epochs(),
+            uart: self.arbiter.uart_log(),
+        }
+    }
+}
+
+impl Vehicle for ShardSet {
+    fn engine(&self) -> &dyn engine::Engine {
+        self
+    }
+    fn engine_mut(&mut self) -> &mut dyn engine::Engine {
+        self
+    }
+
+    /// The shards' snapshots in shard order, each carrying its private
+    /// (possibly mid-epoch) bus image, then the arbiter's epoch counter
+    /// and the armed barrier, so a replay exchanges at the same frontiers
+    /// as the donor session.
+    fn encode_section(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::new(out);
+        w.u8(SHARDED_TAG);
+        w.u64(self.shards.len() as u64);
+        for s in &self.shards {
+            s.encode_snapshot(out);
+        }
+        let mut w = ByteWriter::new(out);
+        w.u64(self.arbiter.epochs());
+        w.u64(self.barrier.next);
+    }
+
+    /// Every shard restores its private bus from its own snapshot; the
+    /// set's device image re-seats the arbiter's canonical mirror and
+    /// epoch counter, and re-arms the barrier.
+    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        expect_tag(r, SHARDED_TAG)?;
+        let n = r.count("shard snapshots", 2)?;
+        if n != self.shards.len() {
+            return Err(CodecError::BadLength {
+                what: "shard snapshots",
+                len: n as u64,
+            });
+        }
+        for shard in &mut self.shards {
+            shard.vehicle.restore_section(r)?;
+        }
+        let (epochs, next_barrier) = (r.u64()?, r.u64()?);
+        if r.bool()? {
+            self.arbiter
+                .restore_canonical(&SocBusState::decode(r)?, epochs)?;
+            self.barrier.next = next_barrier;
+        }
+        Ok(())
+    }
+
+    /// Shard 0's homes: it holds the first indices of the set's register
+    /// space.
+    fn d_home(&self, i: u8) -> usize {
+        self.shards[0].vehicle.d_home(i)
+    }
+
+    fn a_home(&self, i: u8) -> usize {
+        self.shards[0].vehicle.a_home(i)
+    }
+
+    /// The arbiter's canonical barrier image: every shard owns a private
+    /// bus, so a set has no single live one.
+    fn devices(&self) -> Option<SocBusState> {
+        Some(self.arbiter.canonical_state())
+    }
+}
+
+impl engine::Engine for ShardSet {
     /// Epoch rounds under any budget, on the schedule's executor. The
     /// pooled schedule moves the shards and arbiter into the run (pool
     /// jobs are `'static`) on the session's own worker pool, built on
@@ -1275,30 +1446,60 @@ impl ShardSet {
         }
     }
 
-    fn stats(&self) -> ShardedStats {
-        let per_shard: Vec<EngineStats> = self
-            .shards
-            .iter()
-            .map(cabt_exec::ExecutionEngine::engine_stats)
-            .collect();
-        ShardedStats {
-            aggregate: cabt_exec::aggregate_stats(&self.shards),
-            per_shard,
-            bus_transactions: self.arbiter.transactions(),
-            epochs: self.arbiter.epochs(),
-            uart: self.arbiter.uart_log(),
-        }
+    /// Interleaved single-step on the least-advanced live shard,
+    /// exchanging device state at the set's barriers.
+    fn step_unit(&mut self) -> Result<(), SessionError> {
+        let arbiter = &mut self.arbiter;
+        cabt_exec::step_epochs_sharded(&mut self.shards, &mut self.barrier, |_| {
+            arbiter.exchange();
+        })
     }
 
+    /// The shards, re-seeding their core ids (source register `%d15`),
+    /// and the fabric's devices as built.
     fn reset(&mut self) {
-        for s in &mut self.shards {
-            s.reset();
+        for (id, s) in self.shards.iter_mut().enumerate() {
+            ExecutionEngine::reset(s);
+            s.write_d(15, id as u32);
         }
         self.arbiter.reset(&self.initial_bus);
-        self.seed_core_ids();
         self.barrier = EpochBarrier::new(0, self.barrier.epoch());
     }
+
+    fn cycle(&self) -> u64 {
+        cabt_exec::shard_frontier(&self.shards).0
+    }
+    fn is_halted(&self) -> bool {
+        self.shards.iter().all(ExecutionEngine::is_halted)
+    }
+    fn pc(&self) -> Option<u32> {
+        cabt_exec::next_shard(&self.shards).and_then(|i| ExecutionEngine::pc(&self.shards[i]))
+    }
+    fn commit_arch_state(&mut self) {
+        for s in &mut self.shards {
+            ExecutionEngine::commit_arch_state(s);
+        }
+    }
+    fn reg_count(&self) -> usize {
+        self.shards.len() * ExecutionEngine::reg_count(&self.shards[0])
+    }
+    fn read_reg_index(&self, index: usize) -> u32 {
+        let per = ExecutionEngine::reg_count(&self.shards[0]);
+        ExecutionEngine::read_reg_index(&self.shards[index / per], index % per)
+    }
+    fn write_reg_index(&mut self, index: usize, value: u32) {
+        let per = ExecutionEngine::reg_count(&self.shards[0]);
+        ExecutionEngine::write_reg_index(&mut self.shards[index / per], index % per, value);
+    }
+    fn read_mem(&mut self, addr: u32, len: usize) -> Result<Vec<u8>, SessionError> {
+        ExecutionEngine::read_mem(&mut self.shards[0], addr, len)
+    }
+    fn engine_stats(&self) -> EngineStats {
+        cabt_exec::aggregate_stats(&self.shards)
+    }
 }
+
+/// One workload on one execution vehicle, built by [`SimBuilder`].
 ///
 /// `Session` implements [`ExecutionEngine`], so anything that drives an
 /// engine generically — `Lockstep`, `run_epochs_sharded`, the bench harnesses —
@@ -1308,7 +1509,7 @@ impl ShardSet {
 /// RTL core); comparisons across backends go through derived quantities
 /// (checksums, generated cycles, wall-clock time) as in the paper.
 pub struct Session {
-    vehicle: Vehicle,
+    vehicle: Box<dyn Vehicle>,
     /// The source image, shared by every shard of a set.
     elf: Arc<ElfFile>,
     backend: Backend,
@@ -1352,7 +1553,7 @@ impl Session {
         config: BuildConfig,
         bus: Option<SharedSocBus>,
     ) -> Result<Session, SessionError> {
-        let vehicle = match (backend, program) {
+        let vehicle: Box<dyn Vehicle> = match (backend, program) {
             (Backend::Golden { dispatch }, Program::Golden(program)) => {
                 let mut sim = Simulator::instantiate(Arc::clone(program));
                 sim.set_trace_config(dispatch.trace_config(config.trace_config));
@@ -1362,20 +1563,17 @@ impl Session {
                 if let Some(bus) = &bus {
                     sim.set_io_device(Box::new(GoldenBridge::new(bus.clone())));
                 }
-                Vehicle::Golden {
-                    sim: Box::new(sim),
-                    bus,
-                }
+                Box::new(GoldenVehicle { sim, bus })
             }
             (Backend::Translated { naive, .. }, Program::Translated { image, program }) => {
                 let mut platform = Platform::instantiate(Arc::clone(program), config.platform, bus);
                 if naive {
                     platform.set_dispatch(VliwDispatch::Naive);
                 }
-                Vehicle::Translated {
-                    platform: Box::new(platform),
+                Box::new(TranslatedVehicle {
+                    platform,
                     image: Arc::clone(image),
-                }
+                })
             }
             (
                 Backend::Sharded {
@@ -1384,11 +1582,10 @@ impl Session {
                     schedule,
                 },
                 program,
-            ) => {
-                let set = ShardSet::build(&elf, program, cores, backend, schedule, &config, bus)?;
-                Vehicle::Sharded(Box::new(set))
-            }
-            (Backend::Rtl, _) => Vehicle::Rtl(Box::new(RtlCore::new(&elf)?)),
+            ) => Box::new(ShardSet::build(
+                &elf, program, cores, backend, schedule, &config, bus,
+            )?),
+            (Backend::Rtl, _) => Box::new(RtlCore::new(&elf)?),
             _ => unreachable!("Program::build builds the program of its backend"),
         };
         Ok(Session {
@@ -1397,6 +1594,18 @@ impl Session {
             backend,
             config,
         })
+    }
+
+    /// The vehicle, when it is a `V`.
+    fn vehicle_as<V: Vehicle>(&self) -> Option<&V> {
+        let vehicle: &dyn Any = &*self.vehicle;
+        vehicle.downcast_ref()
+    }
+
+    /// Mutable twin of [`Session::vehicle_as`].
+    fn vehicle_as_mut<V: Vehicle>(&mut self) -> Option<&mut V> {
+        let vehicle: &mut dyn Any = &mut *self.vehicle;
+        vehicle.downcast_mut()
     }
 
     /// The backend this session was built with.
@@ -1440,10 +1649,8 @@ impl Session {
     /// sessions report through [`Session::sharded_stats`] (per-shard
     /// platform counters via [`Session::shard`]).
     pub fn platform_stats(&self) -> Option<PlatformStats> {
-        match &self.vehicle {
-            Vehicle::Translated { platform, .. } => Some(platform.stats()),
-            _ => None,
-        }
+        self.vehicle_as::<TranslatedVehicle>()
+            .map(|v| v.platform.stats())
     }
 
     /// Trace-tier counters (traces formed, blocks fused, units retired
@@ -1453,22 +1660,17 @@ impl Session {
     /// same deterministic program, so per-shard values are identical
     /// for SPMD workloads).
     pub fn trace_stats(&self) -> Option<TraceStats> {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.trace_stats(),
-            Vehicle::Translated { .. } | Vehicle::Rtl(_) => None,
-            Vehicle::Sharded(set) => {
-                let per: Vec<TraceStats> =
-                    set.shards.iter().filter_map(Session::trace_stats).collect();
-                if per.is_empty() {
-                    return None;
-                }
-                Some(per.iter().fold(TraceStats::default(), |a, t| TraceStats {
-                    traces: a.traces + t.traces,
-                    trace_blocks: a.trace_blocks + t.trace_blocks,
-                    trace_retired: a.trace_retired + t.trace_retired,
-                }))
-            }
-        }
+        let Some(set) = self.vehicle_as::<ShardSet>() else {
+            return self.vehicle_as::<GoldenVehicle>()?.sim.trace_stats();
+        };
+        set.shards
+            .iter()
+            .filter_map(Session::trace_stats)
+            .reduce(|a, t| TraceStats {
+                traces: a.traces + t.traces,
+                trace_blocks: a.trace_blocks + t.trace_blocks,
+                trace_retired: a.trace_retired + t.trace_retired,
+            })
     }
 
     /// The trace chains the golden model's trace tier has formed so far
@@ -1477,10 +1679,8 @@ impl Session {
     /// trace-prediction cross-check. Empty for every other vehicle and
     /// while nothing is hot.
     pub fn trace_plans(&self) -> Vec<cabt_exec::trace::TracePlan> {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.trace_plans(),
-            _ => Vec::new(),
-        }
+        self.vehicle_as::<GoldenVehicle>()
+            .map_or_else(Vec::new, |v| v.sim.trace_plans())
     }
 
     /// Hands the session to `pool` and returns at once: its rounds run
@@ -1506,7 +1706,7 @@ impl Session {
         mut on_barrier: impl FnMut(&mut S, &[&Session]) + Send + 'static,
         done: impl FnOnce(Result<(Session, StopCause, S), SessionError>) + Send + 'static,
     ) {
-        let Vehicle::Sharded(set) = &mut self.vehicle else {
+        let Some(set) = self.vehicle_as_mut::<ShardSet>() else {
             let epoch = self.config.shard_epoch.unwrap_or(SHARD_EPOCH_CYCLES);
             let armed = EpochBarrier::new(self.cycle(), epoch);
             return spawn_epochs_pooled(pool, vec![self], state, limit, armed, on_barrier, |ran| {
@@ -1533,7 +1733,7 @@ impl Session {
             move |ran| {
                 done(ran.map_err(pool_job_panicked).and_then(|out| {
                     let (arbiter, state) = out.ctx;
-                    if let Vehicle::Sharded(set) = &mut self.vehicle {
+                    if let Some(set) = self.vehicle_as_mut::<ShardSet>() {
                         set.shards = out.shards;
                         set.arbiter = arbiter;
                         set.barrier = out.barrier;
@@ -1547,18 +1747,13 @@ impl Session {
     /// Per-shard and aggregate counters plus the merged UART log —
     /// `Some` only for [`Backend::Sharded`] sessions.
     pub fn sharded_stats(&self) -> Option<ShardedStats> {
-        match &self.vehicle {
-            Vehicle::Sharded(set) => Some(set.stats()),
-            _ => None,
-        }
+        self.vehicle_as::<ShardSet>().map(ShardSet::stats)
     }
 
     /// Number of shards (1 for every single-core backend).
     pub fn shard_count(&self) -> usize {
-        match &self.vehicle {
-            Vehicle::Sharded(set) => set.shards.len(),
-            _ => 1,
-        }
+        self.vehicle_as::<ShardSet>()
+            .map_or(1, |set| set.shards.len())
     }
 
     /// The `i`th shard of a sharded session, as a full [`Session`] —
@@ -1566,10 +1761,7 @@ impl Session {
     /// (`session.shard(2).unwrap().read_d(2)`). `None` for single-core
     /// backends or out-of-range indices.
     pub fn shard(&self, i: usize) -> Option<&Session> {
-        match &self.vehicle {
-            Vehicle::Sharded(set) => set.shards.get(i),
-            _ => None,
-        }
+        self.vehicle_as::<ShardSet>()?.shards.get(i)
     }
 
     /// Mutable access to the `i`th shard — for inspection paths that
@@ -1579,20 +1771,14 @@ impl Session {
     /// barrier, so a differential harness should only *read* through
     /// this. `None` for single-core backends or out-of-range indices.
     pub fn shard_mut(&mut self, i: usize) -> Option<&mut Session> {
-        match &mut self.vehicle {
-            Vehicle::Sharded(set) => set.shards.get_mut(i),
-            _ => None,
-        }
+        self.vehicle_as_mut::<ShardSet>()?.shards.get_mut(i)
     }
 
     /// The translated image — `Some` only for [`Backend::Translated`]
     /// sessions. Debug tooling reads the source↔target address map
     /// from here.
     pub fn translated(&self) -> Option<&Translated> {
-        match &self.vehicle {
-            Vehicle::Translated { image, .. } => Some(image),
-            _ => None,
-        }
+        self.vehicle_as::<TranslatedVehicle>().map(|v| &*v.image)
     }
 
     /// Reads source data register `D{i}` wherever the backend homes it
@@ -1601,25 +1787,13 @@ impl Session {
     /// other shards via [`Session::shard`]). This is how cross-backend
     /// checksum comparisons read `%d2`.
     pub fn read_d(&self, i: u8) -> u32 {
-        match &self.vehicle {
-            Vehicle::Golden { .. } | Vehicle::Rtl(_) => self.read_reg_index(i as usize),
-            Vehicle::Translated { .. } => {
-                self.read_reg_index(cabt_core::regbind::dreg(DReg(i)).index())
-            }
-            Vehicle::Sharded(set) => set.shards[0].read_d(i),
-        }
+        self.read_reg_index(self.vehicle.d_home(i))
     }
 
     /// Reads source address register `A{i}` wherever the backend homes
     /// it (see [`Session::read_d`]).
     pub fn read_a(&self, i: u8) -> u32 {
-        match &self.vehicle {
-            Vehicle::Golden { .. } | Vehicle::Rtl(_) => self.read_reg_index(16 + i as usize),
-            Vehicle::Translated { .. } => {
-                self.read_reg_index(cabt_core::regbind::areg(AReg(i)).index())
-            }
-            Vehicle::Sharded(set) => set.shards[0].read_a(i),
-        }
+        self.read_reg_index(self.vehicle.a_home(i))
     }
 
     /// Writes source data register `D{i}` wherever the backend homes it
@@ -1627,49 +1801,7 @@ impl Session {
     /// sessions). This is how boot arguments — e.g. the core id a
     /// sharded build seeds into `%d15` — reach the program.
     pub fn write_d(&mut self, i: u8, value: u32) {
-        let index = match &self.vehicle {
-            Vehicle::Golden { .. } | Vehicle::Rtl(_) => i as usize,
-            Vehicle::Translated { .. } => cabt_core::regbind::dreg(DReg(i)).index(),
-            Vehicle::Sharded(_) => {
-                if let Vehicle::Sharded(set) = &mut self.vehicle {
-                    set.shards[0].write_d(i, value);
-                }
-                return;
-            }
-        };
-        self.write_reg_index(index, value);
-    }
-
-    /// Snapshot core. Single-core vehicles capture their bus's device
-    /// state in `devices`; sharded sessions capture every shard's
-    /// *private* (possibly mid-epoch) bus image inside the per-shard
-    /// sub-snapshots, and carry the arbiter's canonical barrier image
-    /// in `devices`.
-    fn snapshot_with_devices(&self) -> SessionSnapshot {
-        let snap = match &self.vehicle {
-            Vehicle::Golden { sim, .. } => Snap::Golden(Box::new(sim.snapshot())),
-            Vehicle::Translated { platform, .. } => Snap::Target {
-                engine: Box::new(platform.sim().snapshot()),
-                sync: platform.save_sync_device().expect(PLATFORM_BUS),
-            },
-            Vehicle::Rtl(core) => Snap::Rtl(Box::new(core.snapshot())),
-            Vehicle::Sharded(set) => Snap::Sharded {
-                shards: set
-                    .shards
-                    .iter()
-                    .map(Session::snapshot_with_devices)
-                    .collect(),
-                epochs: set.arbiter.epochs(),
-                next_barrier: set.barrier.next,
-            },
-        };
-        SessionSnapshot {
-            snap,
-            devices: match &self.vehicle {
-                Vehicle::Sharded(set) => Some(set.arbiter.canonical_state()),
-                vehicle => vehicle.device_bus().map(|b| b.save_state()),
-            },
-        }
+        self.write_reg_index(self.vehicle.d_home(i), value);
     }
 
     /// Serializes the whole session — backend descriptor, build
@@ -1696,7 +1828,7 @@ impl Session {
         self.config.encode_into(&mut out);
         let elf = self.elf.to_bytes()?;
         ByteWriter::new(&mut out).bytes(&elf);
-        self.snapshot_with_devices().encode_into(&mut out);
+        self.encode_snapshot(&mut out);
         Ok(out)
     }
 
@@ -1710,7 +1842,8 @@ impl Session {
     ///
     /// [`SessionError::Codec`] on bad magic, a version this build does
     /// not read ([`CodecError::Version`]), or truncated/corrupt
-    /// payload bytes — device images included;
+    /// payload bytes — device images included, and a payload of another
+    /// vehicle kind or shard count than the descriptor's;
     /// [`SessionError::ParseBackend`] if the descriptor does not parse
     /// (retired descriptors such as `golden:compiled` included); plus
     /// the usual build errors.
@@ -1728,77 +1861,33 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// The first [`CodecError`] an engine check or a device image
-    /// raises; the session's state is then partly restored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a different backend kind.
+    /// The first [`CodecError`] the image raises: a section of another
+    /// vehicle kind or shard count, an engine check, or a device image.
+    /// The session's state is then partly restored.
     fn restore_checked(&mut self, snapshot: &SessionSnapshot) -> Result<(), CodecError> {
-        match (&mut self.vehicle, &snapshot.snap) {
-            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => {
-                sim.check_snapshot(s)?;
-                sim.restore(s);
-            }
-            (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
-                platform.sim().check_snapshot(engine)?;
-                platform.engine().restore(engine);
-                platform.restore_sync_device(sync);
-            }
-            (Vehicle::Rtl(core), Snap::Rtl(s)) => {
-                core.check_snapshot(s)?;
-                core.restore(s);
-            }
-            (Vehicle::Sharded(set), Snap::Sharded { shards, .. }) => {
-                assert_eq!(
-                    set.shards.len(),
-                    shards.len(),
-                    "cannot restore a {}-shard snapshot into a {}-shard session",
-                    shards.len(),
-                    set.shards.len()
-                );
-                for (shard, snap) in set.shards.iter_mut().zip(shards) {
-                    shard.restore_checked(snap)?;
-                }
-            }
-            (vehicle, snap) => panic!(
-                "cannot restore a {} snapshot into a {} session",
-                snap.name(),
-                vehicle.name()
-            ),
-        }
-        // Device state. Single-core vehicles restore their live bus;
-        // sharded sessions already restored every shard's private bus
-        // through the per-shard sub-snapshots above, so the top-level
-        // image re-seats the arbiter's canonical mirror (and epoch
-        // counter) instead.
-        match &mut self.vehicle {
-            Vehicle::Sharded(set) => {
-                if let (
-                    Some(devices),
-                    Snap::Sharded {
-                        epochs,
-                        next_barrier,
-                        ..
-                    },
-                ) = (&snapshot.devices, &snapshot.snap)
-                {
-                    set.arbiter.restore_canonical(devices, *epochs)?;
-                    set.barrier.next = *next_barrier;
-                }
-            }
-            vehicle => {
-                if let (Some(devices), Some(bus)) = (&snapshot.devices, vehicle.device_bus()) {
-                    bus.restore_state(devices)?;
-                }
-            }
-        }
-        Ok(())
+        let mut r = ByteReader::new(&snapshot.image);
+        self.vehicle.restore_section(&mut r)?;
+        r.finish()
     }
 
-    /// Parses and validates a park envelope without building a vehicle —
-    /// the shared front half of [`Session::resume`] and
-    /// [`Session::adopt_shard`].
+    /// Appends the session's snapshot image: the vehicle's section, then
+    /// the device state of its bus — a single-core vehicle's live bus, a
+    /// shard set's canonical barrier image.
+    fn encode_snapshot(&self, out: &mut Vec<u8>) {
+        self.vehicle.encode_section(out);
+        match self.vehicle.devices() {
+            None => ByteWriter::new(out).bool(false),
+            Some(d) => {
+                ByteWriter::new(out).bool(true);
+                d.encode_into(out);
+            }
+        }
+    }
+
+    /// Parses a park envelope without building a vehicle — the shared
+    /// front half of [`Session::resume`] and [`Session::adopt_shard`].
+    /// The snapshot payload is checked by the vehicle it is restored
+    /// into.
     fn decode_park(
         bytes: &[u8],
     ) -> Result<(Backend, BuildConfig, ElfFile, SessionSnapshot), SessionError> {
@@ -1818,14 +1907,7 @@ impl Session {
         let config = BuildConfig::decode(&mut r)?;
         let elf = ElfFile::parse(r.bytes("ELF image")?)?;
         let snapshot = SessionSnapshot::decode(&mut r)?;
-        r.finish().map_err(SessionError::Codec)?;
-        if !snapshot_matches_backend(backend, &snapshot.snap) {
-            return Err(CodecError::BadTag {
-                what: "session snapshot vehicle",
-                tag: snapshot.snap.tag(),
-            }
-            .into());
-        }
+        r.finish()?;
         Ok((backend, config, elf, snapshot))
     }
 
@@ -1846,21 +1928,18 @@ impl Session {
     /// out-of-range indices; [`SessionError::Elf`] if the image fails
     /// to re-serialize.
     pub fn park_shard(&self, i: usize) -> Result<Vec<u8>, SessionError> {
-        match &self.vehicle {
-            Vehicle::Sharded(set) => set
-                .shards
-                .get(i)
-                .ok_or_else(|| {
-                    SessionError::ShardConfig(format!(
-                        "no shard {i} in a {}-shard session",
-                        set.shards.len()
-                    ))
-                })?
-                .park(),
-            _ => Err(SessionError::ShardConfig(
-                "park_shard needs a sharded session".into(),
-            )),
-        }
+        let set = self.vehicle_as::<ShardSet>().ok_or_else(|| {
+            SessionError::ShardConfig("park_shard needs a sharded session".into())
+        })?;
+        set.shards
+            .get(i)
+            .ok_or_else(|| {
+                SessionError::ShardConfig(format!(
+                    "no shard {i} in a {}-shard session",
+                    set.shards.len()
+                ))
+            })?
+            .park()
     }
 
     /// Rebuilds shard `i` from a [`Session::park_shard`] envelope — the
@@ -1883,16 +1962,17 @@ impl Session {
     /// # Errors
     ///
     /// [`SessionError::ShardConfig`] on single-core sessions,
-    /// out-of-range indices, or an override the snapshot does not fit;
-    /// plus everything [`Session::resume`] raises for the envelope. On
-    /// any error the shard and its bus slot are left as they were.
+    /// out-of-range indices or a sharded override; plus everything
+    /// [`Session::resume`] raises for the envelope, a snapshot that does
+    /// not fit the override included. On any error the shard and its bus
+    /// slot are left as they were.
     pub fn adopt_shard(
         &mut self,
         i: usize,
         bytes: &[u8],
         backend_override: Option<Backend>,
     ) -> Result<(), SessionError> {
-        let Vehicle::Sharded(set) = &mut self.vehicle else {
+        let Some(set) = self.vehicle_as_mut::<ShardSet>() else {
             return Err(SessionError::ShardConfig(
                 "adopt_shard needs a sharded session".into(),
             ));
@@ -1909,11 +1989,6 @@ impl Session {
             return Err(SessionError::ShardConfig(
                 "a shard is a single-core session; sharding does not nest".into(),
             ));
-        }
-        if !snapshot_matches_backend(backend, &snapshot.snap) {
-            return Err(SessionError::ShardConfig(format!(
-                "parked shard snapshot does not fit backend `{backend}`"
-            )));
         }
         let bus = match backend {
             Backend::Rtl => None,
@@ -1940,10 +2015,7 @@ impl Session {
     /// arbiter's canonical barrier image. What cross-schedule
     /// differential tests compare.
     pub fn soc_bus_state(&self) -> Option<SocBusState> {
-        match &self.vehicle {
-            Vehicle::Sharded(set) => Some(set.arbiter.canonical_state()),
-            vehicle => vehicle.device_bus().map(|b| b.save_state()),
-        }
+        self.vehicle.devices()
     }
 
     /// A handle to the session's live SoC bus, if it has one. `None`
@@ -1962,7 +2034,9 @@ impl ExecutionEngine for Session {
     type Snapshot = SessionSnapshot;
 
     fn snapshot(&self) -> SessionSnapshot {
-        self.snapshot_with_devices()
+        let mut image = Vec::new();
+        self.encode_snapshot(&mut image);
+        SessionSnapshot { image }
     }
 
     /// Restores a snapshot taken from a session with the same backend
@@ -1984,8 +2058,12 @@ impl ExecutionEngine for Session {
     /// does not decode (untrusted bytes go through [`Session::resume`],
     /// which reports it).
     fn restore(&mut self, snapshot: &SessionSnapshot) {
-        self.restore_checked(snapshot)
-            .expect("in-process snapshots fit their session");
+        if let Err(e) = self.restore_checked(snapshot) {
+            panic!(
+                "cannot restore this snapshot into a `{}` session: {e}",
+                self.backend
+            );
+        }
     }
 
     /// Resets to a fully fresh run, in place: nothing is translated,
@@ -1999,12 +2077,7 @@ impl ExecutionEngine for Session {
     /// restore it to its freshly built state (and re-seed shard core
     /// ids).
     fn reset(&mut self) {
-        match &mut self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.reset(),
-            Vehicle::Translated { platform, .. } => platform.reset(),
-            Vehicle::Rtl(core) => core.reset(),
-            Vehicle::Sharded(set) => set.reset(),
-        }
+        self.vehicle.reset();
     }
 
     /// See the trait contract — identical across backends. On sharded
@@ -2022,78 +2095,28 @@ impl ExecutionEngine for Session {
     /// `run_until`, so a golden engine enters its I/O device once for
     /// the call — a golden shard's round slice takes its bus lock once.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
-        match &mut self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.run_until(limit).map_err(SessionError::Golden),
-            Vehicle::Translated { platform, .. } => platform
-                .engine()
-                .run_until(limit)
-                .map_err(SessionError::Target),
-            Vehicle::Rtl(core) => core.run_until(limit).map_err(SessionError::Rtl),
-            // Both ShardSet paths plan their first round as every later
-            // one: a halted set reports the halt, and a spent budget
-            // dispatches nothing.
-            Vehicle::Sharded(set) => set.run_until(limit),
-        }
+        self.vehicle.engine_mut().run_until(limit)
     }
 
+    /// One unit of the engine; on a sharded session, one unit of the
+    /// least-advanced live shard, exchanging device state at the set's
+    /// barriers. A halted session dispatches nothing.
     fn step_unit(&mut self) -> Result<(), SessionError> {
-        match &mut self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.step_unit().map_err(SessionError::Golden),
-            Vehicle::Translated { platform, .. } => {
-                platform.engine().step_unit().map_err(SessionError::Target)
-            }
-            Vehicle::Rtl(core) => core.step_unit().map_err(SessionError::Rtl),
-            // Interleaved single-step on the least-advanced live shard,
-            // exchanging device state at the set's barriers.
-            Vehicle::Sharded(set) => {
-                let arbiter = &mut set.arbiter;
-                cabt_exec::step_epochs_sharded(&mut set.shards, &mut set.barrier, |_| {
-                    arbiter.exchange();
-                })
-            }
-        }
+        self.vehicle.engine_mut().step_unit()
     }
 
+    /// The engine's clock; a sharded session's frontier clock.
     fn cycle(&self) -> u64 {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.cycle(),
-            Vehicle::Translated { platform, .. } => platform.sim().cycle(),
-            Vehicle::Rtl(core) => core.cycle(),
-            Vehicle::Sharded(set) => cabt_exec::shard_frontier(&set.shards).0,
-        }
+        self.vehicle.engine().cycle()
     }
-
     fn is_halted(&self) -> bool {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.is_halted(),
-            Vehicle::Translated { platform, .. } => platform.sim().is_halted(),
-            Vehicle::Rtl(core) => ExecutionEngine::is_halted(core.as_ref()),
-            Vehicle::Sharded(set) => set.shards.iter().all(cabt_exec::ExecutionEngine::is_halted),
-        }
+        self.vehicle.engine().is_halted()
     }
-
     fn pc(&self) -> Option<u32> {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.pc(),
-            Vehicle::Translated { platform, .. } => platform.sim().pc(),
-            Vehicle::Rtl(core) => core.pc(),
-            Vehicle::Sharded(set) => {
-                cabt_exec::next_shard(&set.shards).and_then(|i| set.shards[i].pc())
-            }
-        }
+        self.vehicle.engine().pc()
     }
-
     fn commit_arch_state(&mut self) {
-        match &mut self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.commit_arch_state(),
-            Vehicle::Translated { platform, .. } => platform.engine().commit_arch_state(),
-            Vehicle::Rtl(core) => core.commit_arch_state(),
-            Vehicle::Sharded(set) => {
-                for s in &mut set.shards {
-                    s.commit_arch_state();
-                }
-            }
-        }
+        self.vehicle.engine_mut().commit_arch_state();
     }
 
     /// Flat register space. Sharded sessions concatenate their shards:
@@ -2101,66 +2124,27 @@ impl ExecutionEngine for Session {
     /// is one shard's `reg_count` — debuggers address every core
     /// through one index space.
     fn reg_count(&self) -> usize {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.reg_count(),
-            Vehicle::Translated { platform, .. } => platform.sim().reg_count(),
-            Vehicle::Rtl(core) => core.reg_count(),
-            Vehicle::Sharded(set) => set.shards.len() * set.shards[0].reg_count(),
-        }
+        self.vehicle.engine().reg_count()
     }
-
     fn read_reg_index(&self, index: usize) -> u32 {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.read_reg_index(index),
-            Vehicle::Translated { platform, .. } => platform.sim().read_reg_index(index),
-            Vehicle::Rtl(core) => core.read_reg_index(index),
-            Vehicle::Sharded(set) => {
-                let per = set.shards[0].reg_count();
-                set.shards[index / per].read_reg_index(index % per)
-            }
-        }
+        self.vehicle.engine().read_reg_index(index)
     }
-
     fn write_reg_index(&mut self, index: usize, value: u32) {
-        match &mut self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.write_reg_index(index, value),
-            Vehicle::Translated { platform, .. } => {
-                platform.engine().write_reg_index(index, value);
-            }
-            Vehicle::Rtl(core) => core.write_reg_index(index, value),
-            Vehicle::Sharded(set) => {
-                let per = set.shards[0].reg_count();
-                set.shards[index / per].write_reg_index(index % per, value);
-            }
-        }
+        self.vehicle.engine_mut().write_reg_index(index, value);
     }
 
     /// Engine memory. Shards run private copies of the image, so on
     /// sharded sessions this reads shard 0 (per-shard memory via
-    /// [`Session::shard`] — note `read_mem` needs `&mut`, so inspect
-    /// shards through their registers or clone the session's snapshot).
+    /// [`Session::shard_mut`]).
     fn read_mem(&mut self, addr: u32, len: usize) -> Result<Vec<u8>, SessionError> {
-        match &mut self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.read_mem(addr, len).map_err(SessionError::Golden),
-            Vehicle::Translated { platform, .. } => platform
-                .engine()
-                .read_mem(addr, len)
-                .map_err(SessionError::Target),
-            Vehicle::Rtl(core) => core.read_mem(addr, len).map_err(SessionError::Rtl),
-            Vehicle::Sharded(set) => set.shards[0].read_mem(addr, len),
-        }
+        self.vehicle.engine_mut().read_mem(addr, len)
     }
 
     /// Uniform counters. Sharded sessions aggregate: `retired` and
     /// `stall_cycles` sum across shards, `cycles` is the maximum shard
     /// clock (see [`cabt_exec::aggregate_stats`]).
     fn engine_stats(&self) -> EngineStats {
-        match &self.vehicle {
-            Vehicle::Golden { sim, .. } => sim.engine_stats(),
-            Vehicle::Translated { platform, .. } => platform.sim().engine_stats(),
-            Vehicle::Rtl(core) => core.engine_stats(),
-            Vehicle::Sharded(set) => cabt_exec::aggregate_stats(&set.shards),
-        }
+        self.vehicle.engine().engine_stats()
     }
 }
 
@@ -2363,21 +2347,21 @@ mod tests {
     /// Whether two single-core sessions run on one program and one
     /// source image.
     fn share_a_program(a: &Session, b: &Session) -> bool {
+        let golden = (
+            a.vehicle_as::<GoldenVehicle>(),
+            b.vehicle_as::<GoldenVehicle>(),
+        );
+        let translated = (
+            a.vehicle_as::<TranslatedVehicle>(),
+            b.vehicle_as::<TranslatedVehicle>(),
+        );
         Arc::ptr_eq(&a.elf, &b.elf)
-            && match (&a.vehicle, &b.vehicle) {
-                (Vehicle::Golden { sim: x, .. }, Vehicle::Golden { sim: y, .. }) => {
-                    Arc::ptr_eq(x.program(), y.program())
+            && match (golden, translated) {
+                ((Some(x), Some(y)), _) => Arc::ptr_eq(x.sim.program(), y.sim.program()),
+                (_, (Some(x), Some(y))) => {
+                    Arc::ptr_eq(x.platform.sim().program(), y.platform.sim().program())
+                        && Arc::ptr_eq(&x.image, &y.image)
                 }
-                (
-                    Vehicle::Translated {
-                        platform: x,
-                        image: i,
-                    },
-                    Vehicle::Translated {
-                        platform: y,
-                        image: j,
-                    },
-                ) => Arc::ptr_eq(x.sim().program(), y.sim().program()) && Arc::ptr_eq(i, j),
                 _ => false,
             }
     }
@@ -2392,7 +2376,7 @@ mod tests {
                 .build()
                 .unwrap();
             for when in ["built", "reset"] {
-                let Vehicle::Sharded(set) = &s.vehicle else {
+                let Some(set) = s.vehicle_as::<ShardSet>() else {
                     panic!("{descriptor}: not a shard set");
                 };
                 assert_eq!(set.shards.len(), 256);

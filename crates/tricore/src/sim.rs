@@ -1374,7 +1374,11 @@ impl ExecutionEngine for Simulator {
         self.trace = None;
     }
 
+    /// A halted engine dispatches nothing.
     fn step_unit(&mut self) -> Result<(), SimError> {
+        if self.halted {
+            return Ok(());
+        }
         self.step().map(drop)
     }
 

@@ -1165,7 +1165,13 @@ impl ExecutionEngine for VliwSim {
         self.halted = false;
     }
 
+    /// A halted core retires its due writes, as its `run_until` does,
+    /// and dispatches nothing.
     fn step_unit(&mut self) -> Result<(), VliwError> {
+        if self.halted {
+            self.commit_due_writes();
+            return Ok(());
+        }
         self.step_packet()
     }
 

@@ -367,6 +367,9 @@ fn tricore_trace_is_bit_identical_on_all_workloads() {
 /// The VLIW compiled core at the two remaining detail levels
 /// (functional and branch prediction): bit-identical to the naive
 /// interpreter at the halt on every bundled workload.
+///
+/// The name is from the retired VLIW trace tier; it stays so that
+/// recorded lists of test names keep matching.
 #[test]
 fn vliw_trace_is_bit_identical_on_all_workloads() {
     assert_vliw_compiled_matches_naive([DetailLevel::Functional, DetailLevel::BranchPredict]);
@@ -381,6 +384,9 @@ fn vliw_trace_is_bit_identical_on_all_workloads() {
 /// between, results the compiled core holds in its next-cycle latch
 /// and the naive core holds in its list are equally uncommitted, so the
 /// digests see the same register file.
+///
+/// The name is from the retired VLIW trace tier; it stays so that
+/// recorded lists of test names keep matching.
 #[test]
 fn vliw_trace_agrees_at_every_cycle_stride_boundary_under_sync_stalls() {
     const STRIDE: u64 = 31;
@@ -549,7 +555,11 @@ walk:
 /// revisits the same budget stop points, the same halt state and the
 /// same checksum. On the golden trace backend traces are live at the
 /// snapshot, so the replay crosses side exits (the snapshot carries the
-/// tier's profile); the translated backend is the compiled VLIW core.
+/// tier's profile); the translated backend is the compiled VLIW core,
+/// which forms no traces.
+///
+/// The name is from the retired VLIW trace tier; it stays so that
+/// recorded lists of test names keep matching.
 #[test]
 fn trace_sessions_snapshot_across_side_exits() {
     let w = cabt::workloads::sieve(200);

@@ -109,7 +109,11 @@ fn naive_static() -> Backend {
 
 /// The lockstep debugger runs the builder's backend as given: on the
 /// naive VLIW core, packet by packet like the compiled tier, the
-/// per-instruction translation still stops at every source address.
+/// per-instruction translation still stops at every source address, in
+/// lockstep with the golden model.
+///
+/// The name is from the retired VLIW trace tier; it stays so that
+/// recorded lists of test names keep matching.
 #[test]
 fn lockstep_drives_a_trace_backend_builder() {
     for w in [cabt::workloads::gcd(4, 21), cabt::workloads::sieve(40)] {
@@ -120,7 +124,12 @@ fn lockstep_drives_a_trace_backend_builder() {
     }
 }
 
-/// Breakpoints hit at the same source addresses on a naive-core builder.
+/// Breakpoints on a builder of the naive VLIW core: `cont` stops at the
+/// source address of the breakpoint with the instructions before it
+/// retired, `step` retires the next one, and the run then halts.
+///
+/// The name is from the retired VLIW trace tier; it stays so that
+/// recorded lists of test names keep matching.
 #[test]
 fn breakpoints_work_on_a_trace_backend_builder() {
     let elf = assemble(".text\n_start: mov %d1, 1\nmid: mov %d2, 2\n add %d2, %d1\n debug\n")

@@ -265,6 +265,28 @@ fn a_budget_spent_on_the_halting_unit_completes_the_run() {
     }
 }
 
+/// A step on a halted session dispatches nothing, on every shape of
+/// the exact-halt sweep: the engine trajectory, the counters and the
+/// SoC device state stay as the halt left them.
+#[test]
+fn a_step_on_a_halted_session_dispatches_nothing() {
+    for backend in exact_halt_shapes() {
+        for name in cabt_workloads::names() {
+            let Some(mut s) = registry_session(name, backend) else {
+                continue;
+            };
+            let what = format!("{name} on {backend}");
+            let stop = s.run_until(Limit::Cycles(u64::MAX)).unwrap();
+            assert_eq!(stop, StopCause::Halted, "{what}");
+            let halted = final_of(&s);
+            if let Err(e) = s.step_unit() {
+                panic!("{what}: a step after the halt faults: {e}");
+            }
+            assert_eq!(final_of(&s), halted, "{what}: a step after the halt");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Stop points of the compiled tiers' run loops
 // ---------------------------------------------------------------------

@@ -432,6 +432,9 @@ fn park_on(parked: &[u8], backend: Backend) -> Vec<u8> {
 /// the naive core keeps its own. Resumed on the compiled tier and on
 /// the naive core, both runs end bit-identical to the uninterrupted
 /// one.
+///
+/// The name is from the retired VLIW trace tier and its pre-decoded
+/// core; it stays so that recorded lists of test names keep matching.
 #[test]
 fn park_with_latched_results_resumes_on_trace_and_predecoded_cores() {
     let w = cabt::workloads::gcd(6, 11);
