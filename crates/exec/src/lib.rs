@@ -39,6 +39,7 @@ pub mod blocks;
 pub mod pool;
 pub mod trace;
 
+use cabt_isa::codec::{ByteReader, CodecError};
 use std::fmt;
 
 /// Why a bounded run returned without a fault.
@@ -110,37 +111,39 @@ pub trait ExecutionEngine {
     /// Fault type raised by stepping.
     type Error: std::error::Error + 'static;
 
-    /// Resumable image of the engine's *mutable* state: registers,
-    /// memory, counters, pending pipeline state. Immutable load-time
-    /// artifacts (pre-decoded tables, elaborated processes) are shared
-    /// by reference or rebuilt identically, so a snapshot is cheap
-    /// relative to reconstruction.
-    type Snapshot: Clone;
-
-    /// Captures the engine's current mutable state.
+    /// Appends the engine's state image to `out`: its *mutable* state
+    /// (registers, memory, counters, pending pipeline state) in the
+    /// layout `docs/snapshot-format.md` documents. Immutable load-time
+    /// artifacts (pre-decoded tables, elaborated processes) are not in
+    /// it; [`ExecutionEngine::load_state`] finds them in the engine it
+    /// restores.
     ///
-    /// Scope matches [`ExecutionEngine::reset`]: the snapshot covers
-    /// the *engine*. Attached devices (bus hooks, memory-mapped
+    /// Scope matches [`ExecutionEngine::reset`]: the image covers the
+    /// *engine*. Attached devices (bus hooks, memory-mapped
     /// peripherals) are owned by whoever attached them and are not
-    /// captured; runs whose engine trajectory depends on device state
-    /// (e.g. stalling synchronization reads) are only reproducible
-    /// from a snapshot if the devices are restored by their owner too.
-    fn snapshot(&self) -> Self::Snapshot;
+    /// saved; runs whose engine trajectory depends on device state
+    /// (e.g. stalling synchronization reads) are only reproducible from
+    /// an image if the devices are restored by their owner too.
+    fn save_state(&self, out: &mut Vec<u8>);
 
-    /// Restores state captured by [`ExecutionEngine::snapshot`] on
-    /// *this* engine (or one built from the same image). Restoring a
-    /// snapshot from a different program is not detected and yields
-    /// unspecified (but memory-safe) behaviour.
-    fn restore(&mut self, snapshot: &Self::Snapshot);
+    /// Decodes an image written by [`ExecutionEngine::save_state`],
+    /// checks it against this engine (tables and indices of the
+    /// program it was built from) and restores it. Replaying from a
+    /// restored image is bit-identical to the run that saved it.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] for truncated or corrupt bytes, or state that
+    /// does not fit this engine. A single core decodes and checks the
+    /// whole image before it changes anything, so it is left as it was.
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
 
     /// Returns architectural state (registers, program counter, cycle
     /// and stat counters, pending pipeline state) to the
     /// post-load/reset state, and restores memory to the engine's
     /// load-time image — so reset-then-rerun is reproducible even for
-    /// programs that mutate their data sections. Engines without a
-    /// bespoke reset path implement this by restoring a
-    /// [`ExecutionEngine::snapshot`] captured at construction (the RTL
-    /// core does).
+    /// programs that mutate their data sections. The RTL core does so
+    /// by putting back the state it saved right after elaboration.
     ///
     /// Scope: reset covers the *engine*. Attached devices (bus hooks,
     /// memory-mapped peripherals) are owned by whoever attached them
@@ -665,6 +668,7 @@ pub fn aggregate_stats<E: ExecutionEngine>(shards: &[E]) -> EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cabt_isa::codec::ByteWriter;
 
     /// A toy engine: each unit costs 3 cycles, halts after 5 units.
     struct Toy {
@@ -684,14 +688,22 @@ mod tests {
 
     impl ExecutionEngine for Toy {
         type Error = NoFault;
-        type Snapshot = (u64, u64, [u32; 4]);
-        fn snapshot(&self) -> Self::Snapshot {
-            (self.cycles, self.units, self.regs)
+        fn save_state(&self, out: &mut Vec<u8>) {
+            let mut w = ByteWriter::new(out);
+            w.u64(self.cycles);
+            w.u64(self.units);
+            for &v in &self.regs {
+                w.u32(v);
+            }
         }
-        fn restore(&mut self, &(cycles, units, regs): &Self::Snapshot) {
-            self.cycles = cycles;
-            self.units = units;
-            self.regs = regs;
+        fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+            let (cycles, units) = (r.u64()?, r.u64()?);
+            let mut regs = [0; 4];
+            for v in &mut regs {
+                *v = r.u32()?;
+            }
+            (self.cycles, self.units, self.regs) = (cycles, units, regs);
+            Ok(())
         }
         fn reset(&mut self) {
             self.cycles = 0;
@@ -822,10 +834,11 @@ mod tests {
     fn snapshot_restore_round_trips() {
         let mut t = toy();
         t.run_until(Limit::Retirements(2)).unwrap();
-        let snap = t.snapshot();
+        let mut snap = Vec::new();
+        t.save_state(&mut snap);
         t.run_until(Limit::Cycles(u64::MAX)).unwrap();
         let end = t.engine_stats();
-        t.restore(&snap);
+        t.load_state(&mut ByteReader::new(&snap)).unwrap();
         assert_eq!(t.engine_stats().retired, 2);
         t.run_until(Limit::Cycles(u64::MAX)).unwrap();
         assert_eq!(t.engine_stats(), end, "replay from snapshot is identical");
@@ -860,12 +873,11 @@ mod tests {
 
     impl ExecutionEngine for ScaledToy {
         type Error = NoFault;
-        type Snapshot = (u64, u64, [u32; 4]);
-        fn snapshot(&self) -> Self::Snapshot {
-            self.inner.snapshot()
+        fn save_state(&self, out: &mut Vec<u8>) {
+            self.inner.save_state(out);
         }
-        fn restore(&mut self, s: &Self::Snapshot) {
-            self.inner.restore(s);
+        fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+            self.inner.load_state(r)
         }
         fn reset(&mut self) {
             self.inner.reset();

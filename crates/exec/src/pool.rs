@@ -458,6 +458,7 @@ where
 mod tests {
     use super::*;
     use crate::{aggregate_stats, run_epochs_sharded, EngineStats};
+    use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 
     fn armed(epoch: u64) -> EpochBarrier {
         EpochBarrier::new(0, epoch)
@@ -584,13 +585,14 @@ mod tests {
 
     impl ExecutionEngine for Shardling {
         type Error = Boom;
-        type Snapshot = (u64, u64);
-        fn snapshot(&self) -> Self::Snapshot {
-            (self.cycles, self.units)
+        fn save_state(&self, out: &mut Vec<u8>) {
+            let mut w = ByteWriter::new(out);
+            w.u64(self.cycles);
+            w.u64(self.units);
         }
-        fn restore(&mut self, &(cycles, units): &Self::Snapshot) {
-            self.cycles = cycles;
-            self.units = units;
+        fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+            (self.cycles, self.units) = (r.u64()?, r.u64()?);
+            Ok(())
         }
         fn reset(&mut self) {
             self.cycles = 0;
@@ -862,9 +864,10 @@ mod tests {
         struct Bomb;
         impl ExecutionEngine for Bomb {
             type Error = Boom;
-            type Snapshot = ();
-            fn snapshot(&self) -> Self::Snapshot {}
-            fn restore(&mut self, (): &Self::Snapshot) {}
+            fn save_state(&self, _: &mut Vec<u8>) {}
+            fn load_state(&mut self, _: &mut ByteReader<'_>) -> Result<(), CodecError> {
+                Ok(())
+            }
             fn reset(&mut self) {}
             fn step_unit(&mut self) -> Result<(), Boom> {
                 panic!("engine bug");

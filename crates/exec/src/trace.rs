@@ -10,7 +10,7 @@
 //! every formed trace ([`TracePlan`], grown greedily along the hottest
 //! successors by [`grow`]) and the formation/coverage counters the
 //! bench harness reports ([`TraceStats`]). The state forms traces
-//! ([`TraceState::form`]), serializes with its engine's snapshot and
+//! ([`TraceState::form`]), serializes with its engine's state image and
 //! checks a decoded image against the engine's block map
 //! ([`TraceState::check`]). What an engine *derives* from a plan — the
 //! golden model's fused closure chains — is engine-specific and lives
@@ -208,7 +208,7 @@ impl TraceStats {
 /// trace formed at each head block and the coverage counters (the
 /// knobs, [`TraceConfig`], stay with the engine). The engine derives
 /// from its plans only what it dispatches (compiled closure chains),
-/// so a snapshot carries the state and a restore re-derives the rest.
+/// so a state image carries the state and a restore re-derives the rest.
 #[derive(Debug, Clone)]
 pub struct TraceState {
     /// Warm-up profile counters.
@@ -262,12 +262,12 @@ impl TraceState {
     }
 }
 
-// --- portable-snapshot codecs -------------------------------------------
+// --- state-image codecs -------------------------------------------------
 //
 // The trace tier is part of an engine's resumable state (profiles keep
 // counting and traces keep forming after a park/resume), so its state
-// serializes with the rest of the snapshot. Engines embed it in their
-// own snapshot codecs.
+// serializes with the rest of the engine's image
+// (`ExecutionEngine::save_state`), which embeds it.
 
 impl TraceConfig {
     /// Serializes the tier knobs (part of a session's config descriptor).

@@ -153,12 +153,6 @@ impl Unit {
     }
 
     fn result(self, session: &Session, stop: StopCause, (epochs, chain): Progress) -> FleetResult {
-        let uart = match session.sharded_stats() {
-            Some(stats) => stats.uart,
-            None => session
-                .soc_bus_handle()
-                .map_or_else(Vec::new, |b| b.uart_log()),
-        };
         FleetResult {
             workload: self.workload,
             backend: self.backend,
@@ -169,7 +163,7 @@ impl Unit {
             epoch_chain: chain.digest(),
             d2: session.read_d(2),
             expected_d2: self.expected_d2,
-            uart,
+            uart: session.uart_log(),
         }
     }
 }

@@ -34,6 +34,7 @@ use crate::gen::{self, FuzzProgram};
 use cabt_core::DetailLevel;
 use cabt_exec::trace::TraceConfig;
 use cabt_exec::{fingerprint_engine, DigestChain, ExecutionEngine, Limit, StopCause};
+use cabt_isa::codec::ByteReader;
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_platform::{default_soc_bus, SharedSocBus};
 use cabt_sim::{Backend, Dispatch, Session, SessionError, SimBuilder};
@@ -184,15 +185,7 @@ struct FinalState {
 }
 
 fn uart_bytes(s: &Session) -> Vec<u8> {
-    if let Some(st) = s.sharded_stats() {
-        return st.uart.iter().map(|&(_, b)| b).collect();
-    }
-    if let Some(st) = s.platform_stats() {
-        return st.uart.iter().map(|&(_, b)| b).collect();
-    }
-    s.soc_bus_handle()
-        .map(|bus| bus.uart_log().iter().map(|&(_, b)| b).collect())
-        .unwrap_or_default()
+    s.uart_log().iter().map(|&(_, b)| b).collect()
 }
 
 fn final_state(s: &Session) -> FinalState {
@@ -601,7 +594,8 @@ fn snapshot_replay_check(
     for k in 1..=mid {
         run_to(&mut s, Limit::Cycles(k * chunk));
     }
-    let snap = s.snapshot();
+    let mut snap = Vec::new();
+    s.save_state(&mut snap);
     let drive_tail = |s: &mut Session| {
         let mut chain = DigestChain::new();
         for k in (mid + 1)..=chunks {
@@ -611,7 +605,14 @@ fn snapshot_replay_check(
         (chain, uart_bytes(s))
     };
     let (first_chain, first_uart) = drive_tail(&mut s);
-    s.restore(&snap);
+    if let Err(e) = s.load_state(&mut ByteReader::new(&snap)) {
+        diverge(
+            out,
+            &check,
+            format!("restore-replay: the session refused its own image: {e}"),
+        );
+        return;
+    }
     let (replay_chain, replay_uart) = drive_tail(&mut s);
     if let Some(i) = first_chain.first_divergence(&replay_chain) {
         diverge(out, &check, format!(

@@ -41,6 +41,7 @@ pub mod sync;
 use cabt_core::translate::SYNC_DEVICE_BASE;
 use cabt_core::Translated;
 use cabt_exec::ExecutionEngine;
+use cabt_isa::codec::{ByteReader, CodecError};
 use cabt_vliw::sim::{TargetBus, VliwError, VliwProgram, VliwSim};
 use std::any::Any;
 use std::fmt;
@@ -258,7 +259,7 @@ pub fn mirror_soc_bus(ncores: u32) -> SocBus {
 /// The assembled rapid-prototyping platform.
 ///
 /// The engine owns the device bus; the platform's device accessors
-/// ([`Platform::stats`], [`Platform::save_sync_device`],
+/// ([`Platform::stats`], [`Platform::save_state`],
 /// [`Platform::soc_bus`], …) read it back through
 /// [`VliwSim::bus`]. If a caller replaces the bus through
 /// [`Platform::engine`], those accessors see no platform devices: they
@@ -327,7 +328,10 @@ impl Platform {
     /// else keeps its state; its owner resets it.
     pub fn reset(&mut self) {
         self.sim.reset();
-        self.restore_sync_device(&SyncDevice::new(self.cfg.rate));
+        let sync = SyncDevice::new(self.cfg.rate);
+        if let Some(bus) = self.bus_mut() {
+            bus.sync = sync;
+        }
         if let (Some(image), Some(soc)) = (&self.built_devices, self.soc_bus()) {
             soc.restore_state(image)
                 .expect("a bus's own image restores into it");
@@ -415,22 +419,37 @@ impl Platform {
         None
     }
 
-    /// Clones the synchronization device's state. Together with an
-    /// engine snapshot *and* the [`SharedSocBus::save_state`] image of
-    /// [`Platform::soc_bus`] this is a resumable image of a platform
-    /// run: the device's generation queue is keyed to the target clock,
-    /// so rewinding the engine without it would turn wait reads into
-    /// phantom stalls.
-    pub fn save_sync_device(&self) -> Option<SyncDevice> {
-        self.bus().map(|b| b.sync.clone())
+    /// Appends the platform's state image: the engine's
+    /// ([`ExecutionEngine::save_state`]), then the synchronization
+    /// device's, whose generation queue is keyed to the target clock —
+    /// rewinding the engine without it would turn later wait reads into
+    /// phantom stalls. The SoC devices behind [`Platform::soc_bus`] are
+    /// not in it ([`SharedSocBus::save_state`]). A platform whose bus was
+    /// replaced saves a fresh device's image.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        self.sim.save_state(out);
+        match self.bus() {
+            Some(bus) => bus.sync.encode_into(out),
+            None => SyncDevice::new(self.cfg.rate).encode_into(out),
+        }
     }
 
-    /// Restores synchronization-device state captured by
-    /// [`Platform::save_sync_device`].
-    pub fn restore_sync_device(&mut self, sync: &SyncDevice) {
+    /// Decodes a [`Platform::save_state`] image, checks it and restores
+    /// the engine and the synchronization device from it.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] for truncated or corrupt bytes, or an engine
+    /// image that does not fit ([`ExecutionEngine::load_state`]). The
+    /// engine is left as it was on an engine error; on a device error
+    /// it holds the new image while the device keeps its state.
+    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        self.sim.load_state(r)?;
+        let sync = SyncDevice::decode(r)?;
         if let Some(bus) = self.bus_mut() {
-            bus.sync = sync.clone();
+            bus.sync = sync;
         }
+        Ok(())
     }
 
     /// A clone of the handle to this platform's SoC bus. With

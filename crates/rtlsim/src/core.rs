@@ -66,42 +66,6 @@ impl From<DeltaOverflow> for RtlError {
     }
 }
 
-/// Resumable image of the RTL core's mutable state: the kernel's signal
-/// values and scheduling state plus the shared data memory and the
-/// retirement counter. The elaborated processes and the instruction
-/// memory are construction-time constants and stay shared with the
-/// core. This is what finally gives the RTL model a cheap
-/// [`ExecutionEngine::reset`] — restoring the post-elaboration snapshot
-/// instead of re-elaborating the whole model.
-#[derive(Debug, Clone)]
-pub struct RtlSnapshot {
-    kernel: KernelState,
-    mem: Memory,
-    instructions: u64,
-}
-
-impl RtlSnapshot {
-    /// Serializes the snapshot for portable park/resume.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.kernel.encode_into(out);
-        self.mem.encode_into(out);
-        ByteWriter::new(out).u64(self.instructions);
-    }
-
-    /// Decodes an [`RtlSnapshot::encode_into`] image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(RtlSnapshot {
-            kernel: KernelState::decode(r)?,
-            mem: Memory::decode(r)?,
-            instructions: r.u64()?,
-        })
-    }
-}
-
 /// The RTL-style core bound to a program image.
 pub struct RtlCore {
     kernel: Kernel,
@@ -114,8 +78,9 @@ pub struct RtlCore {
     /// Instruction memory handle (fetch closures share it); used to
     /// decide whether the pc signal points inside the program.
     imem: Arc<HashMap<u32, u16>>,
-    /// Post-elaboration state, restored by [`ExecutionEngine::reset`].
-    initial: RtlSnapshot,
+    /// Post-elaboration kernel state and data memory, put back by
+    /// [`ExecutionEngine::reset`] instead of re-elaborating the model.
+    initial: (KernelState, Memory),
 }
 
 impl fmt::Debug for RtlCore {
@@ -516,11 +481,7 @@ impl RtlCore {
         });
         k.make_sensitive(wb, clk);
 
-        let initial = RtlSnapshot {
-            kernel: k.save_state(),
-            mem: mem.lock().expect("rtl memory lock").clone(),
-            instructions: 0,
-        };
+        let initial = (k.save_state(), mem.lock().expect("rtl memory lock").clone());
         Ok(RtlCore {
             kernel: k,
             clk,
@@ -608,13 +569,6 @@ impl RtlCore {
         self.kernel.time()
     }
 
-    /// Checks a snapshot decoded from untrusted bytes against this
-    /// core's elaboration before [`ExecutionEngine::restore`]; the
-    /// errors are [`Kernel::check_state`]'s.
-    pub fn check_snapshot(&self, snapshot: &RtlSnapshot) -> Result<(), CodecError> {
-        self.kernel.check_state(&snapshot.kernel)
-    }
-
     /// Shared handle to the data memory (testbench access).
     pub fn memory(&self) -> Arc<Mutex<Memory>> {
         Arc::clone(&self.mem)
@@ -623,31 +577,37 @@ impl RtlCore {
 
 impl ExecutionEngine for RtlCore {
     type Error = RtlError;
-    type Snapshot = RtlSnapshot;
 
-    fn snapshot(&self) -> RtlSnapshot {
-        RtlSnapshot {
-            kernel: self.kernel.save_state(),
-            mem: self.mem.lock().expect("rtl memory lock").clone(),
-            instructions: self.instructions,
-        }
+    /// The kernel's signal values and scheduling state, the shared data
+    /// memory and the retirement counter. The elaborated processes and
+    /// the instruction memory are construction-time constants and stay
+    /// with the core.
+    fn save_state(&self, out: &mut Vec<u8>) {
+        self.kernel.save_state().encode_into(out);
+        self.mem.lock().expect("rtl memory lock").encode_into(out);
+        ByteWriter::new(out).u64(self.instructions);
     }
 
-    fn restore(&mut self, snapshot: &RtlSnapshot) {
-        self.kernel.restore_state(&snapshot.kernel);
-        *self.mem.lock().expect("rtl memory lock") = snapshot.mem.clone();
-        self.instructions = snapshot.instructions;
+    /// The kernel state must fit this core's elaboration
+    /// ([`Kernel::check_state`]).
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        let kernel = KernelState::decode(r)?;
+        let mem = Memory::decode(r)?;
+        let instructions = r.u64()?;
+        self.kernel.check_state(&kernel)?;
+        self.kernel.restore_state(&kernel);
+        *self.mem.lock().expect("rtl memory lock") = mem;
+        self.instructions = instructions;
+        Ok(())
     }
 
-    /// Snapshot-based reset: restores the post-elaboration state
-    /// captured at construction (signals, memory image, counters) —
-    /// the model is *not* re-elaborated.
+    /// Restores the post-elaboration state captured at construction
+    /// (signals, memory image, counters) — the model is *not*
+    /// re-elaborated.
     fn reset(&mut self) {
-        // Disjoint field borrows: restore straight from `self.initial`
-        // without cloning the whole snapshot first.
-        self.kernel.restore_state(&self.initial.kernel);
-        *self.mem.lock().expect("rtl memory lock") = self.initial.mem.clone();
-        self.instructions = self.initial.instructions;
+        self.kernel.restore_state(&self.initial.0);
+        *self.mem.lock().expect("rtl memory lock") = self.initial.1.clone();
+        self.instructions = 0;
     }
 
     fn step_unit(&mut self) -> Result<(), RtlError> {

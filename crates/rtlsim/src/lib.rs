@@ -22,5 +22,5 @@
 pub mod core;
 pub mod kernel;
 
-pub use crate::core::{RtlCore, RtlError, RtlSnapshot};
+pub use crate::core::{RtlCore, RtlError};
 pub use kernel::{Kernel, KernelState, ProcId, SignalId};

@@ -25,8 +25,8 @@
 //! ```
 //!
 //! A [`Session`] has a uniform lifecycle — [`Session::run`],
-//! [`Session::step`], [`Session::stats`], [`Session::snapshot`],
-//! [`Session::restore`], [`Session::reset`] — and itself implements
+//! [`Session::step`], [`Session::stats`], [`Session::save_state`],
+//! [`Session::load_state`], [`Session::reset`] — and itself implements
 //! [`ExecutionEngine`], so every generic driver in the workspace (the
 //! lockstep debugger, `run_epochs_sharded`, the benchmark harnesses) drives a
 //! session exactly like a bare engine. Growing a new backend (JIT,
@@ -51,12 +51,12 @@ use cabt_platform::{
     GoldenBridge, Platform, PlatformConfig, PlatformStats, ShardArbiter, SharedSocBus, SocBusState,
     SyncRate,
 };
-use cabt_rtlsim::{RtlCore, RtlError, RtlSnapshot};
+use cabt_rtlsim::{RtlCore, RtlError};
 use cabt_tricore::arch::ArchDesc;
 use cabt_tricore::asm::AsmError;
 use cabt_tricore::isa::{AReg, DReg};
-use cabt_tricore::sim::{DispatchMode, GoldenProgram, SimError, SimSnapshot, Simulator};
-use cabt_vliw::sim::{VliwDispatch, VliwError, VliwProgram, VliwSnapshot};
+use cabt_tricore::sim::{DispatchMode, GoldenProgram, SimError, Simulator};
+use cabt_vliw::sim::{VliwDispatch, VliwError, VliwProgram};
 use cabt_workloads::{Needs, Workload};
 use std::any::Any;
 use std::fmt;
@@ -732,8 +732,8 @@ impl SimBuilder {
     ///
     /// The bus is *owned by the caller*: [`Session::reset`] resets the
     /// engine (and, for translated sessions, the synchronization
-    /// device) but leaves the bus state alone, and session snapshots
-    /// still capture/restore its device state.
+    /// device) but leaves the bus state alone, and session state images
+    /// still carry its device state.
     pub fn soc_bus(mut self, bus: SharedSocBus) -> Self {
         self.soc_bus = Some(bus);
         self
@@ -848,8 +848,8 @@ impl Program {
 }
 
 /// The engine calls a [`Session`] forwards to its vehicle:
-/// [`ExecutionEngine`] without its snapshot type, object-safe and
-/// failing in [`SessionError`]. A module of its own keeps these method
+/// [`ExecutionEngine`] without its state image (a vehicle saves its
+/// own), object-safe and failing in [`SessionError`]. A module of its own keeps these method
 /// names from clashing with [`ExecutionEngine`]'s at call sites.
 mod engine {
     use super::{EngineStats, ExecutionEngine, Limit, SessionError, StopCause};
@@ -916,10 +916,10 @@ mod engine {
 }
 
 /// The execution vehicle a [`Session`] drives: an engine, plus what the
-/// vehicles do differently. Each encodes and restores its own section of
-/// a [`SessionSnapshot`], homes the source registers where its engine
-/// keeps them and may own a device bus. What only one kind of vehicle
-/// has, a session reaches by downcasting to it ([`Session::vehicle_as`]).
+/// vehicles do differently. Each saves and loads its own session image,
+/// homes the source registers where its engine keeps them and may own a
+/// device bus. What only one kind of vehicle has, a session reaches by
+/// downcasting to it ([`Session::vehicle_as`]).
 trait Vehicle: Any + Send {
     /// The engine that runs, steps and holds the registers.
     fn engine(&self) -> &dyn engine::Engine;
@@ -932,20 +932,22 @@ trait Vehicle: Any + Send {
         self.engine_mut().reset();
     }
 
-    /// Appends the vehicle's snapshot section: its tag byte, then its
-    /// state in the layout `docs/snapshot-format.md` documents.
-    fn encode_section(&self, out: &mut Vec<u8>);
+    /// Appends the vehicle's session image: its section — its tag byte,
+    /// then its engine's image ([`ExecutionEngine::save_state`]) — and
+    /// then the device state of its bus, in the layout
+    /// `docs/snapshot-format.md` documents.
+    fn save_state(&self, out: &mut Vec<u8>);
 
-    /// Decodes a whole snapshot image of this vehicle's kind — the
-    /// section [`Vehicle::encode_section`] wrote and the device image
-    /// after it — checks it against the engine, and restores it.
+    /// Decodes what [`Vehicle::save_state`] wrote, checks it against the
+    /// engine, and restores it.
     ///
     /// # Errors
     ///
     /// A [`CodecError`] for another kind's section, corrupt bytes, or
-    /// state that does not fit the engine; the vehicle is then partly
-    /// restored.
-    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
+    /// state that does not fit the engine. The engine is left as it was
+    /// when its own image fails; a device image that fails leaves it
+    /// restored, and a shard set restores shard by shard.
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
 
     /// Flat register index of source data register `D{i}`.
     fn d_home(&self, i: u8) -> usize {
@@ -958,25 +960,25 @@ trait Vehicle: Any + Send {
     }
 
     /// The live SoC bus whose device state belongs in the vehicle's
-    /// snapshots, if it has one.
+    /// image, if it has one.
     fn device_bus(&self) -> Option<SharedSocBus> {
         None
     }
 
-    /// The device state a snapshot carries: the live bus's.
+    /// The device state the vehicle's image carries: the live bus's.
     fn devices(&self) -> Option<SocBusState> {
         self.device_bus().map(|b| b.save_state())
     }
 }
 
-/// Tag bytes of the vehicles' snapshot sections.
+/// Tag bytes of the vehicles' sections.
 const GOLDEN_TAG: u8 = 0;
 const TRANSLATED_TAG: u8 = 1;
 const RTL_TAG: u8 = 2;
 const SHARDED_TAG: u8 = 3;
 
-/// Reads the tag byte that opens a snapshot section, which must be
-/// `tag`, the restoring vehicle's.
+/// Reads the tag byte that opens a section, which must be `tag`, the
+/// restoring vehicle's.
 fn expect_tag(r: &mut ByteReader<'_>, tag: u8) -> Result<(), CodecError> {
     match r.u8()? {
         found if found == tag => Ok(()),
@@ -987,9 +989,18 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8) -> Result<(), CodecError> {
     }
 }
 
-/// Decodes the device image that closes a single-core snapshot and
+/// Appends the device image that closes a single-core session image:
+/// the state of `bus`, when the vehicle has one.
+fn save_devices(out: &mut Vec<u8>, bus: Option<SharedSocBus>) {
+    ByteWriter::new(out).bool(bus.is_some());
+    if let Some(bus) = bus {
+        bus.save_state().encode_into(out);
+    }
+}
+
+/// Decodes the device image that closes a single-core session image and
 /// restores it into `bus`, when the vehicle has one.
-fn restore_devices(r: &mut ByteReader<'_>, bus: Option<SharedSocBus>) -> Result<(), CodecError> {
+fn load_devices(r: &mut ByteReader<'_>, bus: Option<SharedSocBus>) -> Result<(), CodecError> {
     if r.bool()? {
         let devices = SocBusState::decode(r)?;
         if let Some(bus) = bus {
@@ -1014,17 +1025,16 @@ impl Vehicle for GoldenVehicle {
         &mut self.sim
     }
 
-    fn encode_section(&self, out: &mut Vec<u8>) {
+    fn save_state(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u8(GOLDEN_TAG);
-        self.sim.snapshot().encode_into(out);
+        self.sim.save_state(out);
+        save_devices(out, self.device_bus());
     }
 
-    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, GOLDEN_TAG)?;
-        let s = SimSnapshot::decode(r)?;
-        self.sim.check_snapshot(&s)?;
-        self.sim.restore(&s);
-        restore_devices(r, self.device_bus())
+        self.sim.load_state(r)?;
+        load_devices(r, self.device_bus())
     }
 
     fn device_bus(&self) -> Option<SharedSocBus> {
@@ -1054,25 +1064,18 @@ impl Vehicle for TranslatedVehicle {
         self.platform.reset();
     }
 
-    /// The engine, then the synchronization device: its generation
-    /// queue is keyed to the target clock, so rewinding the engine
-    /// without it would turn later wait reads into phantom stalls.
-    fn encode_section(&self, out: &mut Vec<u8>) {
+    /// The platform's image: the engine, then the synchronization
+    /// device.
+    fn save_state(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u8(TRANSLATED_TAG);
-        self.platform.sim().snapshot().encode_into(out);
-        let sync = self.platform.save_sync_device();
-        sync.expect("a session's platform keeps its own device bus")
-            .encode_into(out);
+        self.platform.save_state(out);
+        save_devices(out, self.device_bus());
     }
 
-    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, TRANSLATED_TAG)?;
-        let s = VliwSnapshot::decode(r)?;
-        let sync = cabt_platform::SyncDevice::decode(r)?;
-        self.platform.sim().check_snapshot(&s)?;
-        self.platform.engine().restore(&s);
-        self.platform.restore_sync_device(&sync);
-        restore_devices(r, self.device_bus())
+        self.platform.load_state(r)?;
+        load_devices(r, self.device_bus())
     }
 
     /// The register binding's home.
@@ -1099,53 +1102,16 @@ impl Vehicle for RtlCore {
         self
     }
 
-    fn encode_section(&self, out: &mut Vec<u8>) {
+    fn save_state(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u8(RTL_TAG);
-        self.snapshot().encode_into(out);
+        ExecutionEngine::save_state(self, out);
+        save_devices(out, None);
     }
 
-    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, RTL_TAG)?;
-        let s = RtlSnapshot::decode(r)?;
-        self.check_snapshot(&s)?;
-        self.restore(&s);
-        restore_devices(r, None)
-    }
-}
-
-/// Snapshot of a session's engine state — plus, where the session has
-/// SoC peripherals, the device state of its bus (UART logs, timer
-/// epochs, scratch-RAM words, the transaction counter), so a
-/// restore-replay repeats device behaviour bit-identically instead of
-/// double-logging. Restorable into the session (or another session
-/// built from the same workload and backend).
-///
-/// A snapshot is its encoded image: the vehicle's section, then the
-/// device state. In-process snapshots and park images are one format.
-#[derive(Clone)]
-pub struct SessionSnapshot {
-    image: Vec<u8>,
-}
-
-impl SessionSnapshot {
-    /// Serializes the snapshot (engine state, synchronization device
-    /// where the vehicle has one, SoC device images, recursive shard
-    /// snapshots) into `out`. The byte layout is documented in
-    /// `docs/snapshot-format.md`; [`Session::park`] wraps it in the
-    /// versioned envelope.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.image);
-    }
-
-    /// Decodes a [`SessionSnapshot::encode_into`] image: the rest of
-    /// `r`, which the restoring vehicle checks ([`Session::resume`]).
-    ///
-    /// # Errors
-    ///
-    /// None today: the image is checked where it is restored.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let image = r.raw(r.remaining())?.to_vec();
-        Ok(SessionSnapshot { image })
+        ExecutionEngine::load_state(self, r)?;
+        load_devices(r, None)
     }
 }
 
@@ -1172,14 +1138,6 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// snapshot's trace section with the VLIW trace tier. v8 reads the
 /// sharded payload's last `u64` as the armed barrier, which runs obey.
 pub const PARK_VERSION: u16 = 8;
-
-impl fmt::Debug for SessionSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionSnapshot")
-            .field("bytes", &self.image.len())
-            .finish_non_exhaustive()
-    }
-}
 
 /// Most shards a [`Backend::Sharded`] session may have. The CoreLink
 /// window ([`cabt_platform::CORE_LINK_WINDOW`]) holds one doorbell send
@@ -1358,26 +1316,28 @@ impl Vehicle for ShardSet {
         self
     }
 
-    /// The shards' snapshots in shard order, each carrying its private
+    /// The shards' images in shard order, each carrying its private
     /// (possibly mid-epoch) bus image, then the arbiter's epoch counter
     /// and the armed barrier, so a replay exchanges at the same frontiers
-    /// as the donor session.
-    fn encode_section(&self, out: &mut Vec<u8>) {
+    /// as the donor session, then the arbiter's canonical barrier image.
+    fn save_state(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new(out);
         w.u8(SHARDED_TAG);
         w.u64(self.shards.len() as u64);
         for s in &self.shards {
-            s.encode_snapshot(out);
+            s.save_state(out);
         }
         let mut w = ByteWriter::new(out);
         w.u64(self.arbiter.epochs());
         w.u64(self.barrier.next);
+        w.bool(true);
+        self.arbiter.canonical_state().encode_into(out);
     }
 
-    /// Every shard restores its private bus from its own snapshot; the
+    /// Every shard restores its private bus from its own image; the
     /// set's device image re-seats the arbiter's canonical mirror and
     /// epoch counter, and re-arms the barrier.
-    fn restore_section(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, SHARDED_TAG)?;
         let n = r.count("shard snapshots", 2)?;
         if n != self.shards.len() {
@@ -1387,7 +1347,7 @@ impl Vehicle for ShardSet {
             });
         }
         for shard in &mut self.shards {
-            shard.vehicle.restore_section(r)?;
+            shard.load_state(r)?;
         }
         let (epochs, next_barrier) = (r.u64()?, r.u64()?);
         if r.bool()? {
@@ -1805,7 +1765,7 @@ impl Session {
     }
 
     /// Serializes the whole session — backend descriptor, build
-    /// configuration, ELF image and a full [`Session::snapshot`] — into
+    /// configuration, ELF image and its [`Session::save_state`] image — into
     /// a versioned, self-describing byte envelope. [`Session::resume`]
     /// rebuilds an identical session from it in any process: parking a
     /// session mid-run and resuming it elsewhere replays bit-identically
@@ -1828,15 +1788,16 @@ impl Session {
         self.config.encode_into(&mut out);
         let elf = self.elf.to_bytes()?;
         ByteWriter::new(&mut out).bytes(&elf);
-        self.encode_snapshot(&mut out);
+        self.save_state(&mut out);
         Ok(out)
     }
 
     /// Rebuilds a parked session from [`Session::park`] bytes: parses
     /// the envelope, reconstructs the vehicle from the embedded backend
-    /// descriptor, configuration and ELF image, and restores the
-    /// snapshot payload. The resumed session continues exactly where
-    /// the donor stopped, on any thread or in any process.
+    /// descriptor, configuration and ELF image, and loads the state
+    /// image that closes it ([`Session::load_state`]). The resumed
+    /// session continues exactly where the donor stopped, on any thread
+    /// or in any process.
     ///
     /// # Errors
     ///
@@ -1848,49 +1809,20 @@ impl Session {
     /// (retired descriptors such as `golden:compiled` included); plus
     /// the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
-        let (backend, config, elf, snapshot) = Self::decode_park(bytes)?;
+        let (backend, config, elf, mut r) = Self::decode_park(bytes)?;
         let mut session = Session::new(elf, backend, config, None)?;
-        session.restore_checked(&snapshot)?;
+        session.load_state(&mut r)?;
+        r.finish()?;
         Ok(session)
     }
 
-    /// [`ExecutionEngine::restore`] for snapshots decoded from untrusted
-    /// bytes ([`Session::resume`], [`Session::adopt_shard`]): an engine
-    /// index or table that does not fit the rebuilt engine, or a device
-    /// image that does not decode, is an error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// The first [`CodecError`] the image raises: a section of another
-    /// vehicle kind or shard count, an engine check, or a device image.
-    /// The session's state is then partly restored.
-    fn restore_checked(&mut self, snapshot: &SessionSnapshot) -> Result<(), CodecError> {
-        let mut r = ByteReader::new(&snapshot.image);
-        self.vehicle.restore_section(&mut r)?;
-        r.finish()
-    }
-
-    /// Appends the session's snapshot image: the vehicle's section, then
-    /// the device state of its bus — a single-core vehicle's live bus, a
-    /// shard set's canonical barrier image.
-    fn encode_snapshot(&self, out: &mut Vec<u8>) {
-        self.vehicle.encode_section(out);
-        match self.vehicle.devices() {
-            None => ByteWriter::new(out).bool(false),
-            Some(d) => {
-                ByteWriter::new(out).bool(true);
-                d.encode_into(out);
-            }
-        }
-    }
-
     /// Parses a park envelope without building a vehicle — the shared
-    /// front half of [`Session::resume`] and [`Session::adopt_shard`].
-    /// The snapshot payload is checked by the vehicle it is restored
-    /// into.
+    /// front half of [`Session::resume`] and [`Session::adopt_shard`] —
+    /// and returns the reader at the state image that closes it, which
+    /// the vehicle it is loaded into checks.
     fn decode_park(
         bytes: &[u8],
-    ) -> Result<(Backend, BuildConfig, ElfFile, SessionSnapshot), SessionError> {
+    ) -> Result<(Backend, BuildConfig, ElfFile, ByteReader<'_>), SessionError> {
         let mut r = ByteReader::new(bytes);
         if r.raw(PARK_MAGIC.len()).map_err(|_| CodecError::BadMagic)? != PARK_MAGIC {
             return Err(CodecError::BadMagic.into());
@@ -1906,15 +1838,13 @@ impl Session {
         let backend: Backend = r.str("backend descriptor")?.parse()?;
         let config = BuildConfig::decode(&mut r)?;
         let elf = ElfFile::parse(r.bytes("ELF image")?)?;
-        let snapshot = SessionSnapshot::decode(&mut r)?;
-        r.finish()?;
-        Ok((backend, config, elf, snapshot))
+        Ok((backend, config, elf, r))
     }
 
     /// Serializes shard `i` of a sharded session into its own park
     /// envelope — the donor half of live shard migration. The envelope
     /// is a complete single-core park image (the shard's backend
-    /// descriptor, configuration, ELF image and snapshot, including its
+    /// descriptor, configuration, ELF image and state image, including its
     /// private — possibly mid-epoch — bus state), so it travels across
     /// threads or processes like any [`Session::park`] image.
     ///
@@ -1946,14 +1876,14 @@ impl Session {
     /// receiving half of live shard migration. The shard's vehicle is
     /// reconstructed *around the arbiter's registered bus handle* for
     /// slot `i`, so the barrier fabric keeps aliasing the shard's
-    /// devices, and the envelope's snapshot (engine state plus the
-    /// donor's private bus image) is restored into it. Adopting a shard
+    /// devices, and the envelope's state image (engine state plus the
+    /// donor's private bus image) is loaded into it. Adopting a shard
     /// parked from this run at this stop leaves the run bit-identical.
     ///
     /// `backend_override` rebuilds the shard on a *different* vehicle —
     /// a different dispatch of the same vehicle kind (compiled ↔
     /// trace), which shares architectural state — proving
-    /// heterogeneous shard sets. The parked snapshot must structurally
+    /// heterogeneous shard sets. The parked image must structurally
     /// fit the override; a cross-kind override (golden → RTL) is
     /// rejected. Note the set-level backend descriptor keeps describing
     /// the original uniform population: a whole-session park/resume
@@ -1963,7 +1893,7 @@ impl Session {
     ///
     /// [`SessionError::ShardConfig`] on single-core sessions,
     /// out-of-range indices or a sharded override; plus everything
-    /// [`Session::resume`] raises for the envelope, a snapshot that does
+    /// [`Session::resume`] raises for the envelope, an image that does
     /// not fit the override included. On any error the shard and its bus
     /// slot are left as they were.
     pub fn adopt_shard(
@@ -1983,7 +1913,7 @@ impl Session {
                 set.shards.len()
             )));
         }
-        let (parked_backend, config, elf, snapshot) = Self::decode_park(bytes)?;
+        let (parked_backend, config, elf, mut r) = Self::decode_park(bytes)?;
         let backend = backend_override.unwrap_or(parked_backend);
         if matches!(backend, Backend::Sharded { .. }) {
             return Err(SessionError::ShardConfig(
@@ -1999,7 +1929,7 @@ impl Session {
         // was.
         let live = bus.as_ref().map(|b| (b.clone(), b.save_state()));
         let mut shard = Session::new(elf, backend, config, bus)?;
-        if let Err(e) = shard.restore_checked(&snapshot) {
+        if let Err(e) = shard.load_state(&mut r).and_then(|()| r.finish()) {
             if let Some((bus, image)) = live {
                 bus.restore_state(&image)
                     .expect("a bus's own image restores into it");
@@ -2027,43 +1957,53 @@ impl Session {
     pub fn soc_bus_handle(&self) -> Option<SharedSocBus> {
         self.vehicle.device_bus()
     }
+
+    /// The transmit log of the session's logging peripherals, as
+    /// `(cycle, byte)` pairs: a shard set's merged log
+    /// ([`ShardedStats::uart`]), otherwise the log of the session's bus
+    /// (the translated platform's, or the bus a golden session was
+    /// built around). Empty without a bus.
+    pub fn uart_log(&self) -> Vec<(u64, u8)> {
+        match self.vehicle_as::<ShardSet>() {
+            Some(set) => set.arbiter.uart_log(),
+            None => self
+                .vehicle
+                .device_bus()
+                .map_or_else(Vec::new, |b| b.uart_log()),
+        }
+    }
 }
 
 impl ExecutionEngine for Session {
     type Error = SessionError;
-    type Snapshot = SessionSnapshot;
 
-    fn snapshot(&self) -> SessionSnapshot {
-        let mut image = Vec::new();
-        self.encode_snapshot(&mut image);
-        SessionSnapshot { image }
+    /// The vehicle's section — its tag byte, then its engine's image (a
+    /// translated session's platform's, a shard set's shards' images and
+    /// barrier state) — then the device state of its bus: a single-core
+    /// vehicle's live bus (UART logs, timer epochs, scratch-RAM words,
+    /// the transaction counter), a shard set's canonical barrier image.
+    /// So a load-replay repeats device behaviour bit-identically instead
+    /// of double-logging. [`Session::park`] wraps exactly these bytes.
+    fn save_state(&self, out: &mut Vec<u8>) {
+        self.vehicle.save_state(out);
     }
 
-    /// Restores a snapshot taken from a session with the same backend
-    /// kind.
+    /// Loads an image of a session with the same backend kind (and shard
+    /// count): the engine, plus — on translated sessions — the
+    /// synchronization device, plus the SoC peripherals of any bus the
+    /// session holds. Sharded sessions load every shard and the
+    /// arbiter's canonical image.
     ///
-    /// Scope: the engine, plus — on translated sessions — the
-    /// synchronization device (its generation queue is keyed to the
-    /// target clock, so it must rewind with the engine), plus the SoC
-    /// peripherals of any bus the session holds (UART logs, timer
-    /// epochs, scratch-RAM contents and the transaction counter rewind
-    /// with the engine, so restore-replays repeat device behaviour
-    /// bit-identically). Sharded sessions restore every shard and the
-    /// shared bus.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a different backend kind, does
-    /// not fit this session's program, or carries a device image that
-    /// does not decode (untrusted bytes go through [`Session::resume`],
-    /// which reports it).
-    fn restore(&mut self, snapshot: &SessionSnapshot) {
-        if let Err(e) = self.restore_checked(snapshot) {
-            panic!(
-                "cannot restore this snapshot into a `{}` session: {e}",
-                self.backend
-            );
-        }
+    /// [`CodecError::BadTag`] for another vehicle kind's image,
+    /// [`CodecError::BadLength`] for another shard count, and any error
+    /// of a corrupt or misfit engine or device image. The engine of a
+    /// single-core session is left as it was when its own image fails;
+    /// a failing device image leaves it restored, and a shard set
+    /// restores shard by shard.
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        self.vehicle.load_state(r)
     }
 
     /// Resets to a fully fresh run, in place: nothing is translated,
@@ -2441,11 +2381,12 @@ mod tests {
         for backend in Backend::all() {
             let mut s = SimBuilder::asm(SUM).backend(backend).build().unwrap();
             s.run(Limit::Retirements(5)).unwrap();
-            let snap = s.snapshot();
+            let mut snap = Vec::new();
+            s.save_state(&mut snap);
             s.run(Limit::Cycles(10_000_000)).unwrap();
             let end = s.stats();
             let d2 = s.read_d(2);
-            s.restore(&snap);
+            s.load_state(&mut ByteReader::new(&snap)).unwrap();
             s.run(Limit::Cycles(10_000_000)).unwrap();
             assert_eq!(s.stats(), end, "{backend}: replay stats diverged");
             assert_eq!(s.read_d(2), d2, "{backend}: replay checksum diverged");
@@ -2497,17 +2438,34 @@ mod tests {
                 Err(SessionError::Codec(CodecError::Version { .. }))
             ));
         }
-        // Truncation anywhere is an error, never a panic.
+        // Truncation anywhere is an error, never a panic, and so is a
+        // byte past the state image that closes the park.
         assert!(Session::resume(&parked[..parked.len() - 3]).is_err());
+        let mut longer = parked.clone();
+        longer.push(0);
+        assert!(matches!(
+            Session::resume(&longer),
+            Err(SessionError::Codec(CodecError::TrailingBytes { .. }))
+        ));
     }
 
+    /// A golden session's image does not load into an RTL session. The
+    /// name stays from when the misfit panicked; it is still refused,
+    /// now as a typed error, [`CodecError::BadTag`], with the RTL core
+    /// left as it was.
     #[test]
-    #[should_panic(expected = "cannot restore")]
     fn cross_backend_restore_panics() {
         let golden = SimBuilder::asm(SUM).build().unwrap();
         let mut rtl = SimBuilder::asm(SUM).backend(Backend::Rtl).build().unwrap();
-        let snap = golden.snapshot();
-        rtl.restore(&snap);
+        rtl.run(Limit::Retirements(5)).unwrap();
+        let mut image = Vec::new();
+        golden.save_state(&mut image);
+        let before = (cabt_exec::fingerprint_engine(&rtl), rtl.stats());
+        assert!(matches!(
+            rtl.load_state(&mut ByteReader::new(&image)),
+            Err(CodecError::BadTag { .. })
+        ));
+        assert_eq!((cabt_exec::fingerprint_engine(&rtl), rtl.stats()), before);
     }
 
     #[test]

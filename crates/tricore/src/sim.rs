@@ -244,115 +244,6 @@ pub(crate) struct PreInstr {
     pub(crate) timing: PreTiming,
 }
 
-/// Resumable image of the golden model's mutable state — everything
-/// [`ExecutionEngine::snapshot`] must capture so that
-/// `snapshot → run → restore → run` replays bit-identically: registers,
-/// data memory, pipeline timing state, cache contents, statistics and
-/// the cached dispatch index. The engine's [`GoldenProgram`] is not
-/// part of it.
-#[derive(Debug, Clone)]
-pub struct SimSnapshot {
-    cpu: Cpu,
-    mem: Memory,
-    tstate: TimingState,
-    cache: Option<CacheSim>,
-    stats: RunStats,
-    cur: u32,
-    halted: bool,
-    /// Trace-tier state. The tier is architecturally invisible, but
-    /// its profile decides *where* budgeted runs stop (trace-granular
-    /// overshoot), so a replay must rewind it too. Compiled traces are
-    /// not cloned: restore keeps an engine trace whose plan is equal,
-    /// compiles the other carried plans (compilation is deterministic)
-    /// and drops the rest, so a resumed, adopted or reset engine
-    /// dispatches exactly the traces the snapshotted one did.
-    trace: Option<TraceState>,
-}
-
-impl SimSnapshot {
-    /// Serializes the snapshot for portable park/resume. The encoding
-    /// captures exactly the fields `restore` re-seats; the resuming
-    /// engine builds its [`GoldenProgram`] from the same ELF.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::new(out);
-        for &v in &self.cpu.d {
-            w.u32(v);
-        }
-        for &v in &self.cpu.a {
-            w.u32(v);
-        }
-        w.u32(self.cpu.pc);
-        self.mem.encode_into(out);
-        self.tstate.encode_into(out);
-        let mut w = ByteWriter::new(out);
-        match &self.cache {
-            None => w.bool(false),
-            Some(c) => {
-                w.bool(true);
-                c.encode_into(out);
-            }
-        }
-        let mut w = ByteWriter::new(out);
-        w.u64(self.stats.instructions);
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.cond_branches);
-        w.u64(self.stats.taken);
-        w.u64(self.stats.mispredicted);
-        w.u64(self.stats.icache_accesses);
-        w.u64(self.stats.icache_misses);
-        w.u64(self.stats.stall_cycles);
-        w.u32(self.cur);
-        w.bool(self.halted);
-        TraceState::encode_into(self.trace.as_ref(), out);
-    }
-
-    /// Decodes a [`SimSnapshot::encode_into`] image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut cpu = Cpu::default();
-        for v in &mut cpu.d {
-            *v = r.u32()?;
-        }
-        for v in &mut cpu.a {
-            *v = r.u32()?;
-        }
-        cpu.pc = r.u32()?;
-        let mem = Memory::decode(r)?;
-        let tstate = TimingState::decode(r)?;
-        let cache = if r.bool()? {
-            Some(CacheSim::decode(r)?)
-        } else {
-            None
-        };
-        let stats = RunStats {
-            instructions: r.u64()?,
-            cycles: r.u64()?,
-            cond_branches: r.u64()?,
-            taken: r.u64()?,
-            mispredicted: r.u64()?,
-            icache_accesses: r.u64()?,
-            icache_misses: r.u64()?,
-            stall_cycles: r.u64()?,
-        };
-        let cur = r.u32()?;
-        let halted = r.bool()?;
-        let trace = TraceState::decode(r)?;
-        Ok(SimSnapshot {
-            cpu,
-            mem,
-            tstate,
-            cache,
-            stats,
-            cur,
-            halted,
-            trace,
-        })
-    }
-}
-
 /// The golden model's trace tier: the shared trace state and, per head
 /// block, the trace compiled from its plan.
 struct TraceTier {
@@ -493,7 +384,7 @@ pub struct Simulator {
     cache: Option<CacheSim>,
     /// Trace-tier state (profile, formed traces, coverage counters),
     /// built cold on first use while the engine
-    /// [profiles](Simulator::profiles). Snapshots carry only the plans:
+    /// [profiles](Simulator::profiles). State images carry only the plans:
     /// formed traces are deterministic compilations of them.
     trace: Option<Box<TraceTier>>,
     /// Trace-tier knobs ([`Simulator::set_trace_config`]).
@@ -591,34 +482,6 @@ impl Simulator {
         self.mode == DispatchMode::Trace && self.trace_cfg.warmup > 0
     }
 
-    /// Checks a snapshot decoded from untrusted bytes against this
-    /// engine before [`ExecutionEngine::restore`]: the cached table
-    /// index must fit the program this engine was built from, the cache
-    /// image this engine's cache model ([`CacheSim::check`]), and the
-    /// trace state its block map ([`TraceState::check`]). A snapshot
-    /// this engine took always fits.
-    ///
-    /// # Errors
-    ///
-    /// The [`CodecError`] of the first field that does not fit.
-    pub fn check_snapshot(&self, snapshot: &SimSnapshot) -> Result<(), CodecError> {
-        let prog = &*self.program;
-        expect_index("golden table index", snapshot.cur, 0..prog.table.len())?;
-        if let Some(c) = &snapshot.cache {
-            c.check(&prog.arch.cache)?;
-        }
-        if snapshot.cache.is_some() != self.cache.is_some() {
-            return Err(CodecError::BadValue {
-                what: "golden icache presence",
-                value: snapshot.cache.is_some().into(),
-            });
-        }
-        if let Some(snap) = snapshot.trace.as_ref().filter(|_| self.profiles()) {
-            snap.check(&prog.compiled.map)?;
-        }
-        Ok(())
-    }
-
     /// Trace-tier formation/coverage counters (`None` unless the engine
     /// profiles: [`DispatchMode::Trace`] with a warm-up window).
     /// Deliberately outside [`RunStats`], which is compared bit-for-bit
@@ -692,25 +555,30 @@ impl Simulator {
 
     /// Executes a single dispatch unit, returning the last instruction
     /// it retired: one instruction, or at the head of a formed trace one
-    /// whole trace (reporting the terminator it left through).
+    /// whole trace (reporting the terminator it left through). A halted
+    /// engine dispatches nothing and returns `None`
+    /// ([`ExecutionEngine::step_unit`]'s contract).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::PcInvalid`] if the program counter points
     /// outside the decoded program, or [`SimError::Mem`] on data faults.
-    pub fn step(&mut self) -> Result<Instr, SimError> {
+    pub fn step(&mut self) -> Result<Option<Instr>, SimError> {
+        if self.halted {
+            return Ok(None);
+        }
         // A step ignores the budget: any limit will do.
         let one = Limit::Cycles(0);
         self.with_io(|sim, io| {
             let mut last = None;
             match sim.mode {
-                DispatchMode::Naive => return sim.step_naive(io),
+                DispatchMode::Naive => return sim.step_naive(io).map(Some),
                 DispatchMode::Trace if sim.profiles() => {
                     sim.run_compiled::<true, true>(io, one, &mut last)?
                 }
                 DispatchMode::Trace => sim.run_compiled::<false, true>(io, one, &mut last)?,
             };
-            Ok(last.expect("a step retires its unit or faults"))
+            Ok(Some(last.expect("a step retires its unit or faults")))
         })
     }
 
@@ -1296,60 +1164,138 @@ pub(crate) fn route_store(
 
 impl ExecutionEngine for Simulator {
     type Error = SimError;
-    type Snapshot = SimSnapshot;
 
-    fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            cpu: self.cpu.clone(),
-            mem: self.mem.clone(),
-            tstate: self.tstate.clone(),
-            cache: self.cache.clone(),
-            stats: self.stats,
-            cur: self.cur,
-            halted: self.halted,
-            trace: self.profiles().then(|| match &self.trace {
-                Some(t) => t.state.clone(),
-                None => TraceState::new(self.program.compiled.map.len(), self.trace_cfg),
-            }),
+    /// Registers, data memory, pipeline timing state, cache contents,
+    /// statistics, the cached dispatch index and the trace-tier state
+    /// (when the engine profiles): everything a replay needs to be
+    /// bit-identical. The [`GoldenProgram`] is not part of it; the
+    /// resuming engine builds it from the same ELF. The trace tier is
+    /// architecturally invisible, but its profile decides *where*
+    /// budgeted runs stop (trace-granular overshoot), so a replay must
+    /// rewind it too; formed traces travel as their plans.
+    fn save_state(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::new(out);
+        for &v in self.cpu.d.iter().chain(&self.cpu.a) {
+            w.u32(v);
         }
+        w.u32(self.cpu.pc);
+        self.mem.encode_into(out);
+        self.tstate.encode_into(out);
+        let mut w = ByteWriter::new(out);
+        w.bool(self.cache.is_some());
+        if let Some(c) = &self.cache {
+            c.encode_into(out);
+        }
+        let mut w = ByteWriter::new(out);
+        let st = &self.stats;
+        for v in [
+            st.instructions,
+            st.cycles,
+            st.cond_branches,
+            st.taken,
+            st.mispredicted,
+            st.icache_accesses,
+            st.icache_misses,
+            st.stall_cycles,
+        ] {
+            w.u64(v);
+        }
+        w.u32(self.cur);
+        w.bool(self.halted);
+        let cold;
+        let trace = match &self.trace {
+            _ if !self.profiles() => None,
+            Some(t) => Some(&t.state),
+            None => {
+                cold = TraceState::new(self.program.compiled.map.len(), self.trace_cfg);
+                Some(&cold)
+            }
+        };
+        TraceState::encode_into(trace, out);
     }
 
-    fn restore(&mut self, snapshot: &SimSnapshot) {
-        self.cpu = snapshot.cpu.clone();
-        self.mem = snapshot.mem.clone();
-        self.tstate = snapshot.tstate.clone();
-        self.cache = snapshot.cache.clone();
-        self.stats = snapshot.stats;
-        self.cur = snapshot.cur;
-        self.halted = snapshot.halted;
-        match &snapshot.trace {
-            Some(snap) if self.profiles() => {
-                let prog = &*self.program;
-                let tier = self
-                    .trace
-                    .get_or_insert_with(|| TraceTier::cold(&prog.compiled.map, self.trace_cfg));
-                let plans = tier.traces.iter_mut().zip(&tier.state.plans);
-                for ((tr, had), plan) in plans.zip(&snap.plans) {
-                    match plan {
-                        None => *tr = None,
-                        Some(plan) if had.as_ref() == Some(plan) => {}
-                        Some(plan) => {
-                            *tr = Some(compiled::compile_trace(
-                                &prog.table,
-                                &prog.compiled.map,
-                                plan,
-                                prog.arch.cache.line_bytes,
-                            ));
-                        }
-                    }
-                }
-                tier.state = snap.clone();
-            }
-            // A snapshot without trace state (or an engine that does not
-            // profile): replay starts from a cold profile, exactly as
-            // the snapshotted engine would have.
-            _ => self.trace = None,
+    /// The cached table index must fit the program this engine was built
+    /// from, the cache image this engine's cache model
+    /// ([`CacheSim::check`]), and the trace state its block map
+    /// ([`TraceState::check`]). Restoring keeps an engine trace whose
+    /// plan is equal, compiles the other carried plans (compilation is
+    /// deterministic) and drops the rest, so a resumed, adopted or reset
+    /// engine dispatches exactly the traces the saving one did. An image
+    /// without trace state (or an engine that does not profile) replays
+    /// from a cold profile, exactly as the saving engine would have.
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        let mut cpu = Cpu::default();
+        for v in cpu.d.iter_mut().chain(&mut cpu.a) {
+            *v = r.u32()?;
         }
+        cpu.pc = r.u32()?;
+        let mem = Memory::decode(r)?;
+        let tstate = TimingState::decode(r)?;
+        let cache = if r.bool()? {
+            Some(CacheSim::decode(r)?)
+        } else {
+            None
+        };
+        let stats = RunStats {
+            instructions: r.u64()?,
+            cycles: r.u64()?,
+            cond_branches: r.u64()?,
+            taken: r.u64()?,
+            mispredicted: r.u64()?,
+            icache_accesses: r.u64()?,
+            icache_misses: r.u64()?,
+            stall_cycles: r.u64()?,
+        };
+        let cur = r.u32()?;
+        let halted = r.bool()?;
+        let trace = TraceState::decode(r)?.filter(|_| self.profiles());
+
+        let prog = &*self.program;
+        expect_index("golden table index", cur, 0..prog.table.len())?;
+        if let Some(c) = &cache {
+            c.check(&prog.arch.cache)?;
+        }
+        if cache.is_some() != self.cache.is_some() {
+            return Err(CodecError::BadValue {
+                what: "golden icache presence",
+                value: cache.is_some().into(),
+            });
+        }
+        if let Some(t) = &trace {
+            t.check(&prog.compiled.map)?;
+        }
+
+        self.cpu = cpu;
+        self.mem = mem;
+        self.tstate = tstate;
+        self.cache = cache;
+        self.stats = stats;
+        self.cur = cur;
+        self.halted = halted;
+        let Some(state) = trace else {
+            self.trace = None;
+            return Ok(());
+        };
+        let tier = self
+            .trace
+            .get_or_insert_with(|| TraceTier::cold(&prog.compiled.map, self.trace_cfg));
+        let plans = tier.traces.iter_mut().zip(&tier.state.plans);
+        for ((tr, had), plan) in plans.zip(&state.plans) {
+            match plan {
+                None => *tr = None,
+                Some(plan) if had.as_ref() == Some(plan) => {}
+                Some(plan) => {
+                    *tr = Some(compiled::compile_trace(
+                        &prog.table,
+                        &prog.compiled.map,
+                        plan,
+                        prog.arch.cache.line_bytes,
+                    ));
+                }
+            }
+        }
+        tier.state = state;
+        Ok(())
     }
 
     /// Flat register space: `0..16` = `D0..D15`, `16..32` = `A0..A15`.
@@ -1374,11 +1320,8 @@ impl ExecutionEngine for Simulator {
         self.trace = None;
     }
 
-    /// A halted engine dispatches nothing.
+    /// A halted engine dispatches nothing ([`Simulator::step`]).
     fn step_unit(&mut self) -> Result<(), SimError> {
-        if self.halted {
-            return Ok(());
-        }
         self.step().map(drop)
     }
 
@@ -1815,7 +1758,7 @@ mod tests {
         // step retires one instruction, even at a block leader.
         let elf = assemble(".text\n_start: mov %d1, 1\nmov %d2, 2\nmov %d3, 3\ndebug\n").unwrap();
         let mut sim = sim_on(&elf, DispatchMode::Trace, block_dispatch());
-        let first = sim.step().unwrap();
+        let first = sim.step().unwrap().expect("a live engine steps");
         assert!(
             matches!(first, Instr::Mov16 { .. } | Instr::Mov { .. }),
             "step reports the instruction it ran: {first:?}"

@@ -18,7 +18,7 @@
 //! the list: they go into a next-cycle latch that the next packet's
 //! prologue always finds due and drains between the list entries due
 //! no later and the rest, the order the one list would retire them in.
-//! Snapshots put the latch back into the list at that place.
+//! A state image puts the latch back into the list at that place.
 //!
 //! # Dispatch modes
 //!
@@ -86,7 +86,8 @@ use std::sync::Arc;
 /// * **The engine owns the bus.** It is attached as a box and lives in
 ///   the simulator; owners reach it again through [`VliwSim::bus`] /
 ///   [`VliwSim::bus_mut`] and downcast through the [`Any`] supertrait.
-///   It is not part of a [`VliwSnapshot`].
+///   It is not part of the engine's state image
+///   ([`ExecutionEngine::save_state`]).
 ///
 /// The platform implements its synchronization device and SoC-bus
 /// adapter behind this trait.
@@ -177,7 +178,7 @@ pub struct VliwStats {
     pub stall_cycles: u64,
 }
 
-/// Which dispatch core [`VliwSim::step_packet`] and
+/// Which dispatch core [`ExecutionEngine::step_unit`] and
 /// [`ExecutionEngine::run_until`] use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VliwDispatch {
@@ -195,121 +196,6 @@ pub enum VliwDispatch {
 
 /// Sentinel for "no packet index".
 pub(crate) const NO_IDX: u32 = u32::MAX;
-
-/// Resumable image of the VLIW core's mutable state — registers, data
-/// memory, fetch position, the delayed-write and branch-shadow pipeline
-/// state, and counters. The engine's [`VliwProgram`] is not part of
-/// it; the attached [`TargetBus`] lives in the engine but is device
-/// state, *not* captured (the same scope as [`ExecutionEngine::reset`]).
-#[derive(Debug, Clone)]
-pub struct VliwSnapshot {
-    regs: [u32; 64],
-    mem: Memory,
-    pc: usize,
-    cycle: u64,
-    pending_writes: Vec<(u64, Reg, u32)>,
-    next_due: u64,
-    pending_branch: Option<(i64, u32)>,
-    pending_branch_idx: u32,
-    stats: VliwStats,
-    halted: bool,
-}
-
-impl VliwSnapshot {
-    /// Serializes the snapshot for portable park/resume. Captures
-    /// exactly the fields `restore` re-seats; the resuming engine
-    /// builds its [`VliwProgram`] from the same translated image.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::new(out);
-        for &v in &self.regs {
-            w.u32(v);
-        }
-        self.mem.encode_into(out);
-        let mut w = ByteWriter::new(out);
-        w.u64(self.pc as u64);
-        w.u64(self.cycle);
-        w.u64(self.pending_writes.len() as u64);
-        for &(due, reg, val) in &self.pending_writes {
-            w.u64(due);
-            w.u8(reg.index() as u8);
-            w.u32(val);
-        }
-        w.u64(self.next_due);
-        match self.pending_branch {
-            None => w.bool(false),
-            Some((slots, addr)) => {
-                w.bool(true);
-                w.i64(slots);
-                w.u32(addr);
-            }
-        }
-        w.u32(self.pending_branch_idx);
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.packets);
-        w.u64(self.stats.slots);
-        w.u64(self.stats.stall_cycles);
-        w.bool(self.halted);
-    }
-
-    /// Decodes a [`VliwSnapshot::encode_into`] image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut regs = [0u32; 64];
-        for v in &mut regs {
-            *v = r.u32()?;
-        }
-        let mem = Memory::decode(r)?;
-        let pc = r.u64()? as usize;
-        let cycle = r.u64()?;
-        let npending = r.count("pending writes", 13)?;
-        let mut pending_writes = Vec::with_capacity(npending);
-        for _ in 0..npending {
-            let due = r.u64()?;
-            let reg = r.u8()?;
-            if reg >= 64 {
-                return Err(CodecError::BadIndex {
-                    what: "pending write register",
-                    index: reg.into(),
-                });
-            }
-            pending_writes.push((due, Reg::from_index(reg), r.u32()?));
-        }
-        // Engines keep the list in due order; images written before
-        // they did may not be, and a stable sort is the order the old
-        // commit applied them in.
-        pending_writes.sort_by_key(|&(due, _, _)| due);
-        let next_due = r.u64()?;
-        let pending_branch = if r.bool()? {
-            let slots = r.i64()?;
-            Some((slots, r.u32()?))
-        } else {
-            None
-        };
-        let pending_branch_idx = r.u32()?;
-        let stats = VliwStats {
-            cycles: r.u64()?,
-            packets: r.u64()?,
-            slots: r.u64()?,
-            stall_cycles: r.u64()?,
-        };
-        let halted = r.bool()?;
-        Ok(VliwSnapshot {
-            regs,
-            mem,
-            pc,
-            cycle,
-            pending_writes,
-            next_due,
-            pending_branch,
-            pending_branch_idx,
-            stats,
-            halted,
-        })
-    }
-}
 
 /// The VLIW core's load-time constants, built once from a translated
 /// image and shared by every [`VliwSim`] instantiated from it (see the
@@ -491,22 +377,6 @@ impl VliwSim {
         self.mode = mode;
     }
 
-    /// Checks a snapshot decoded from untrusted bytes against this
-    /// engine before [`ExecutionEngine::restore`]: the resolved branch
-    /// index must fit the program this engine was built from. A
-    /// snapshot this engine took always passes.
-    ///
-    /// # Errors
-    ///
-    /// The [`CodecError`] of the first field that does not fit.
-    pub fn check_snapshot(&self, snapshot: &VliwSnapshot) -> Result<(), CodecError> {
-        expect_index(
-            "pending branch packet index",
-            snapshot.pending_branch_idx,
-            0..self.program.packets.len(),
-        )
-    }
-
     /// Reads a register as the architecture would see it *now*
     /// (committed state; in-flight delayed writes are not visible).
     pub fn reg(&self, r: Reg) -> u32 {
@@ -565,25 +435,11 @@ impl VliwSim {
     /// # Errors
     ///
     /// Returns [`VliwError::CycleLimit`] on timeout or any execution
-    /// fault from [`VliwSim::step_packet`].
+    /// fault from [`ExecutionEngine::step_unit`].
     pub fn run(&mut self, max_cycles: u64) -> Result<VliwStats, VliwError> {
         match self.run_until(Limit::Cycles(max_cycles))? {
             StopCause::Halted => Ok(self.stats()),
             StopCause::LimitReached => Err(VliwError::CycleLimit),
-        }
-    }
-
-    /// Dispatches one execute packet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VliwError`] on bad branch targets, overlapping branch
-    /// shadows or data faults.
-    pub fn step_packet(&mut self) -> Result<(), VliwError> {
-        match self.mode {
-            VliwDispatch::Naive => self.step_packet_naive(),
-            // A step ignores the budget: any limit will do.
-            VliwDispatch::Trace => self.run_compiled::<true>(Limit::Cycles(0)).map(drop),
         }
     }
 
@@ -1109,42 +965,106 @@ fn commit_latched(
 
 impl ExecutionEngine for VliwSim {
     type Error = VliwError;
-    type Snapshot = VliwSnapshot;
 
-    /// The latch goes into the snapshot's pending list where a list-only
-    /// core keeps the same writes, so the image reads the same whichever
-    /// core took it.
-    fn snapshot(&self) -> VliwSnapshot {
-        let mut pending_writes = self.pending_writes.clone();
+    /// Registers, data memory, fetch position, the delayed-write and
+    /// branch-shadow pipeline state, and counters. The [`VliwProgram`]
+    /// is not part of it (the resuming engine builds it from the same
+    /// translated image), nor is the attached [`TargetBus`], which is
+    /// device state (the same scope as [`ExecutionEngine::reset`]). The
+    /// latch goes into the pending list where a list-only core keeps the
+    /// same writes, so the image reads the same whichever core saved it.
+    fn save_state(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::new(out);
+        for &v in &self.regs {
+            w.u32(v);
+        }
+        self.mem.encode_into(out);
+        let mut pending = self.pending_writes.clone();
         let mut next_due = self.next_due;
         let mut latch = self.latch;
-        latch.spill(&mut pending_writes, &mut next_due);
-        VliwSnapshot {
-            regs: self.regs,
-            mem: self.mem.clone(),
-            pc: self.pc,
-            cycle: self.cycle,
-            pending_writes,
-            next_due,
-            pending_branch: self.pending_branch,
-            pending_branch_idx: self.pending_branch_idx,
-            stats: self.stats,
-            halted: self.halted,
+        latch.spill(&mut pending, &mut next_due);
+        let mut w = ByteWriter::new(out);
+        w.u64(self.pc as u64);
+        w.u64(self.cycle);
+        w.u64(pending.len() as u64);
+        for &(due, reg, val) in &pending {
+            w.u64(due);
+            w.u8(reg.index() as u8);
+            w.u32(val);
         }
+        w.u64(next_due);
+        w.bool(self.pending_branch.is_some());
+        if let Some((slots, addr)) = self.pending_branch {
+            w.i64(slots);
+            w.u32(addr);
+        }
+        w.u32(self.pending_branch_idx);
+        w.u64(self.stats.cycles);
+        w.u64(self.stats.packets);
+        w.u64(self.stats.slots);
+        w.u64(self.stats.stall_cycles);
+        w.bool(self.halted);
     }
 
-    fn restore(&mut self, snapshot: &VliwSnapshot) {
-        self.regs = snapshot.regs;
-        self.mem = snapshot.mem.clone();
-        self.pc = snapshot.pc;
-        self.cycle = snapshot.cycle;
-        self.pending_writes.clone_from(&snapshot.pending_writes);
-        self.next_due = snapshot.next_due;
+    /// The resolved branch index must fit the program this engine was
+    /// built from.
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        let mut regs = [0u32; 64];
+        for v in &mut regs {
+            *v = r.u32()?;
+        }
+        let mem = Memory::decode(r)?;
+        let pc = r.u64()? as usize;
+        let cycle = r.u64()?;
+        let npending = r.count("pending writes", 13)?;
+        let mut pending_writes = Vec::with_capacity(npending);
+        for _ in 0..npending {
+            let due = r.u64()?;
+            let reg = r.u8()?;
+            if reg >= 64 {
+                return Err(CodecError::BadIndex {
+                    what: "pending write register",
+                    index: reg.into(),
+                });
+            }
+            pending_writes.push((due, Reg::from_index(reg), r.u32()?));
+        }
+        // Engines keep the list in due order; images written before
+        // they did may not be, and a stable sort is the order the old
+        // commit applied them in.
+        pending_writes.sort_by_key(|&(due, _, _)| due);
+        let next_due = r.u64()?;
+        let pending_branch = if r.bool()? {
+            let slots = r.i64()?;
+            Some((slots, r.u32()?))
+        } else {
+            None
+        };
+        let pending_branch_idx = r.u32()?;
+        let stats = VliwStats {
+            cycles: r.u64()?,
+            packets: r.u64()?,
+            slots: r.u64()?,
+            stall_cycles: r.u64()?,
+        };
+        let halted = r.bool()?;
+        expect_index(
+            "pending branch packet index",
+            pending_branch_idx,
+            0..self.program.packets.len(),
+        )?;
+        self.regs = regs;
+        self.mem = mem;
+        self.pc = pc;
+        self.cycle = cycle;
+        self.pending_writes = pending_writes;
+        self.next_due = next_due;
         self.latch.len = 0;
-        self.pending_branch = snapshot.pending_branch;
-        self.pending_branch_idx = snapshot.pending_branch_idx;
-        self.stats = snapshot.stats;
-        self.halted = snapshot.halted;
+        self.pending_branch = pending_branch;
+        self.pending_branch_idx = pending_branch_idx;
+        self.stats = stats;
+        self.halted = halted;
+        Ok(())
     }
 
     /// Flat register space: indices `0..64` are the physical registers
@@ -1172,7 +1092,11 @@ impl ExecutionEngine for VliwSim {
             self.commit_due_writes();
             return Ok(());
         }
-        self.step_packet()
+        match self.mode {
+            VliwDispatch::Naive => self.step_packet_naive(),
+            // A step ignores the budget: any limit will do.
+            VliwDispatch::Trace => self.run_compiled::<true>(Limit::Cycles(0)).map(drop),
+        }
     }
 
     /// The naive core runs [`cabt_exec::run_until_with`]; the compiled
@@ -1586,11 +1510,16 @@ mod tests {
         ])
     }
 
-    /// At every packet boundary of the compiled core the snapshot reads
-    /// exactly like the list-only naive core's at the same retirement
-    /// count: the latch sits in the pending list behind the writes due
-    /// no later, and `next_due` covers it. Restoring it on either core
-    /// replays to the same halt.
+    /// At every packet boundary of the compiled core the state image
+    /// reads like the list-only naive core's at the same retirement
+    /// count, byte for byte but for the resolved branch index: the latch
+    /// sits in the pending list behind the writes due no later, and
+    /// `next_due` covers it. Loading it on
+    /// either core replays to the same halt.
+    ///
+    /// The name is from the retired VLIW trace tier (the compiled core
+    /// kept its `Trace` spelling); it stays so that recorded lists of
+    /// test names keep matching.
     #[test]
     fn trace_snapshots_put_the_latch_where_the_list_keeps_it() {
         let build = |mode| {
@@ -1613,15 +1542,22 @@ mod tests {
                 .run_until(Limit::Retirements(comp.stats().packets))
                 .unwrap();
             latched += usize::from(comp.latch.len > 0);
-            let (t, p) = (comp.snapshot(), naive.snapshot());
+            let (mut t, mut p) = (Vec::new(), Vec::new());
+            comp.save_state(&mut t);
+            naive.save_state(&mut p);
             let at = format!("at packet {}", comp.stats().packets);
-            assert_eq!(t.pending_writes, p.pending_writes, "{at}");
-            assert_eq!(t.next_due, p.next_due, "{at}");
-            assert_eq!((t.regs, t.cycle), (p.regs, p.cycle), "{at}");
+            // The images agree but for the pending branch's resolved
+            // packet index, which only the compiled core resolves: the
+            // `u32` before the four `u64` counters and the halted flag
+            // that close an image.
+            let idx = t.len() - 4 - 4 * 8 - 1;
+            assert_eq!(t.len(), p.len(), "{at}");
+            assert!(t[..idx] == p[..idx], "{at}: the images differ");
+            assert!(t[idx + 4..] == p[idx + 4..], "{at}: the counters differ");
             assert_eq!(comp.pc_addr(), naive.pc_addr(), "{at}");
             for mode in [VliwDispatch::Trace, VliwDispatch::Naive] {
                 let mut replay = build(mode);
-                replay.restore(&t);
+                replay.load_state(&mut ByteReader::new(&t)).unwrap();
                 let on = format!("{at}: {mode:?}");
                 assert_eq!(replay.run(10_000).unwrap(), end, "{on}");
                 assert_eq!(replay.regs, end_regs, "{on}");
@@ -1814,35 +1750,54 @@ mod tests {
         let regs = |sim: &VliwSim| -> Vec<u32> {
             (0..64u8).map(|i| sim.reg(Reg::from_index(i))).collect()
         };
-        let encode = |snap: &VliwSnapshot| {
+        // The pending list as an image lists it.
+        let listed = |writes: &[(u64, Reg, u32)]| {
             let mut bytes = Vec::new();
-            snap.encode_into(&mut bytes);
-            VliwSnapshot::decode(&mut ByteReader::new(&bytes)).unwrap()
+            let mut w = ByteWriter::new(&mut bytes);
+            w.u64(writes.len() as u64);
+            for &(due, reg, val) in writes {
+                w.u64(due);
+                w.u8(reg.index() as u8);
+                w.u32(val);
+            }
+            bytes
+        };
+        let in_due_order = listed(&[(4, a3, 107), (8, a4, 0x5a), (20, a3, 14)]);
+        let at = |image: &[u8]| {
+            let n = in_due_order.len();
+            image.windows(n).position(|w| w == in_due_order)
         };
         for mode in [VliwDispatch::Naive, VliwDispatch::Trace] {
             let mut sim = build(mode);
             for _ in 0..4 {
-                sim.step_packet().unwrap();
+                sim.step_unit().unwrap();
             }
             assert_eq!(sim.cycle(), 34, "{mode:?}");
-            let snap = sim.snapshot();
-            let in_due_order = vec![(4, a3, 107), (8, a4, 0x5a), (20, a3, 14)];
-            assert_eq!(snap.pending_writes, in_due_order, "{mode:?}");
+            let mut image = Vec::new();
+            sim.save_state(&mut image);
+            let list = at(&image).expect("the image lists the writes in due order");
             // An image listing the writes in staging order, as engines
             // that sorted at commit time wrote it.
-            let mut staging_order = snap.clone();
-            staging_order.pending_writes = vec![(20, a3, 14), (4, a3, 107), (8, a4, 0x5a)];
+            let mut staging_order = image.clone();
+            staging_order.splice(
+                list..list + in_due_order.len(),
+                listed(&[(20, a3, 14), (4, a3, 107), (8, a4, 0x5a)]),
+            );
 
             let stats = sim.run(1000).unwrap();
             assert_eq!(sim.reg(a3), 14, "{mode:?}: the later-due quotient wins");
             assert_eq!(sim.reg(a5), 14, "{mode:?}: one commit retired both");
             assert_eq!(sim.reg(a4), 0x5a, "{mode:?}");
             let want = regs(&sim);
-            for image in [&snap, &staging_order] {
-                let decoded = encode(image);
-                assert_eq!(decoded.pending_writes, in_due_order, "{mode:?}");
+            for bytes in [&image, &staging_order] {
                 let mut replay = build(mode);
-                replay.restore(&decoded);
+                replay.load_state(&mut ByteReader::new(bytes)).unwrap();
+                let mut loaded = Vec::new();
+                replay.save_state(&mut loaded);
+                assert_eq!(
+                    loaded, image,
+                    "{mode:?}: loading sorts the list by due cycle"
+                );
                 assert_eq!(replay.run(1000).unwrap(), stats, "{mode:?}");
                 assert_eq!(regs(&replay), want, "{mode:?}: replay diverged");
             }
@@ -1922,8 +1877,8 @@ mod tests {
             },
         )]]);
         let mut sim = VliwSim::new(prog).unwrap();
-        sim.step_packet().unwrap();
-        assert!(matches!(sim.step_packet(), Err(VliwError::BadPc { .. })));
+        sim.step_unit().unwrap();
+        assert!(matches!(sim.step_unit(), Err(VliwError::BadPc { .. })));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! thread) and the *pooled* scheduler (epoch rounds as work items on a
 //! fixed fleet pool) produce **bit-identical** runs — both are
 //! executors of one epoch-round engine. This example proves it end to
-//! end, then proves snapshot → restore → rerun replays bit-identically
-//! too.
+//! end, then proves save → load → rerun replays bit-identically too.
 //!
 //! The bundled `producer_consumer` workload is SPMD: every core runs
 //! the same image and picks its role from the core id seeded into
@@ -31,6 +30,7 @@
 //! cargo run --release --example multicore
 //! ```
 
+use cabt::isa::codec::ByteReader;
 use cabt::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Snapshot mid-handoff, finish, then prove the replay.
         session.run_until(Limit::Cycles(500))?;
-        let snap = session.snapshot();
+        let mut snap = Vec::new();
+        session.save_state(&mut snap);
         session.run(Limit::Cycles(50_000_000))?;
         let stats = session.sharded_stats().expect("sharded session");
 
@@ -105,17 +106,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("  pooled scheduler (2 pool workers): bit-identical");
 
-        // ...and a snapshot captured under one scheduler replays
-        // bit-identically under the other: snapshots pin simulation
+        // ...and a state image saved under one scheduler replays
+        // bit-identically under the other: images pin simulation
         // state, not the host schedule.
-        pooled.restore(&snap);
+        pooled.load_state(&mut ByteReader::new(&snap))?;
         pooled.run(Limit::Cycles(50_000_000))?;
         assert_eq!(
             pooled.sharded_stats().expect("sharded"),
             stats,
             "restore-replay across schedulers must be bit-identical"
         );
-        println!("  snapshot (sequential) -> restore -> pooled rerun: bit-identical\n");
+        println!("  state image (sequential) -> load -> pooled rerun: bit-identical\n");
     }
 
     // -- NoC scale: 64 cores on the fleet pool, doorbell mailboxes,

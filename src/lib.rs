@@ -65,8 +65,8 @@
 //! one pass over the paper's programs, rendered as the committed
 //! `docs/reproduction.md` that `tests/reproduction.rs` diffs.
 //!
-//! Snapshots capture the engine, the synchronization device and every
-//! SoC peripheral, which is what the multi-core backend builds on:
+//! A session's state image carries the engine, the synchronization
+//! device and every SoC peripheral, which is what the multi-core backend builds on:
 //! `Backend::Sharded` runs N engines (up to 256), instantiated from one
 //! shared program, on private device clones reconciled at epoch
 //! barriers, bit-identically under the
@@ -143,9 +143,11 @@
 //! let dev = (generated as f64 - measured as f64).abs() / measured as f64;
 //! assert!(dev < 0.05, "generated cycles track the measured count");
 //!
-//! // Sessions snapshot and rewind, whatever the backend.
-//! let snap = session.snapshot();
-//! session.restore(&snap);
+//! // Sessions save their state image and load it back, whatever the
+//! // backend; a park envelope wraps exactly these bytes.
+//! let mut image = Vec::new();
+//! session.save_state(&mut image);
+//! session.load_state(&mut cabt::isa::codec::ByteReader::new(&image))?;
 //!
 //! // Before anything executes, the static analyzer can vet the
 //! // program: dataflow passes over the same basic-block partition the

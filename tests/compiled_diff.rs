@@ -18,6 +18,7 @@
 use cabt::prelude::*;
 use cabt_exec::trace::TraceConfig;
 use cabt_exec::{fingerprint_engine, ExecutionEngine};
+use cabt_isa::codec::ByteReader;
 use cabt_isa::elf::{ElfFile, SectionKind};
 use cabt_isa::rng::Pcg32;
 use cabt_platform::PlatformStats;
@@ -118,8 +119,8 @@ fn vliw_compiled_agrees_after_every_packet() {
     let mut comp = VliwSim::instantiate(program);
     let mut packets = 0u64;
     while !naive.is_halted() && packets < 50_000 {
-        naive.step_packet().expect("naive steps");
-        comp.step_packet().expect("compiled steps");
+        naive.step_unit().expect("naive steps");
+        comp.step_unit().expect("compiled steps");
         assert_eq!(naive.cycle(), comp.cycle(), "cycle at packet {packets}");
         assert_eq!(naive.pc_addr(), comp.pc_addr(), "pc at packet {packets}");
         for i in 0..64 {
@@ -579,14 +580,16 @@ fn trace_sessions_snapshot_across_side_exits() {
                 "{backend}: no trace live at the snapshot point"
             );
         }
-        let snap = s.snapshot();
+        let mut snap = Vec::new();
+        s.save_state(&mut snap);
         s.run_until(Limit::Retirements(1500)).expect("runs on");
         let mid = (s.stats(), s.cycle(), s.read_d(2));
         s.run_until(Limit::Cycles(u64::MAX)).expect("halts");
         let end = (s.stats(), s.read_d(2));
         assert_eq!(end.1, w.expected_d2, "{backend}: checksum");
 
-        s.restore(&snap);
+        s.load_state(&mut ByteReader::new(&snap))
+            .expect("the session loads its own image");
         s.run_until(Limit::Retirements(1500)).expect("replays");
         assert_eq!(
             (s.stats(), s.cycle(), s.read_d(2)),

@@ -20,6 +20,7 @@
 use cabt::prelude::*;
 use cabt_exec::trace::TraceConfig;
 use cabt_exec::{fingerprint_engine, Fingerprint};
+use cabt_isa::codec::ByteReader;
 use cabt_isa::elf::SectionKind;
 use cabt_isa::rng::Pcg32;
 use cabt_sim::ShardedStats;
@@ -481,9 +482,11 @@ fn timer_reconfiguration_is_schedule_and_snapshot_independent() {
             let stop = reference.run_until(BUDGET).expect("runs");
             let want = observe(&mut reference, Some(stop));
             let mut s = stepped();
-            let snap = s.snapshot();
+            let mut snap = Vec::new();
+            s.save_state(&mut snap);
             s.run_until(BUDGET).expect("runs");
-            s.restore(&snap);
+            s.load_state(&mut ByteReader::new(&snap))
+                .expect("the session loads its own image");
             let stop = s.run_until(BUDGET).expect("replays");
             assert_eq!(
                 observe(&mut s, Some(stop)),
@@ -505,7 +508,6 @@ fn parallel_shard_types_are_send_clean() {
     fn assert_send<T: Send>() {}
     fn assert_sync<T: Sync>() {}
     assert_send::<Session>();
-    assert_send::<cabt_sim::SessionSnapshot>();
     assert_send::<cabt_platform::SocBus>();
     assert_send::<cabt_platform::SocBusState>();
     assert_send::<cabt_platform::SharedSocBus>();

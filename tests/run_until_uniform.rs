@@ -8,7 +8,10 @@
 //! runs it.
 
 use cabt::prelude::*;
+use cabt_exec::fingerprint_engine;
 use cabt_exec::trace::TraceConfig;
+use cabt_tricore::sim::DispatchMode;
+use cabt_vliw::sim::{VliwDispatch, VliwSim};
 
 const SUM: &str = "
     .text
@@ -283,6 +286,61 @@ fn a_step_on_a_halted_session_dispatches_nothing() {
                 panic!("{what}: a step after the halt faults: {e}");
             }
             assert_eq!(final_of(&s), halted, "{what}: a step after the halt");
+        }
+    }
+}
+
+/// Code after the halt: a step past the `debug` would run `mov %d2, 5`.
+const AFTER_HALT: &str = "
+    .text
+_start:
+    mov %d2, 1
+    debug
+    mov %d2, 5
+    debug
+";
+
+/// A direct step on a halted engine dispatches nothing, below the
+/// session layer too: `Simulator::step` on the golden model in every
+/// dispatch mode (it reports `None`), and `step_unit` on the VLIW core
+/// at every detail level on both of its cores. The engine's fingerprint
+/// and its counters stay as the halt left them.
+#[test]
+fn a_direct_step_on_a_halted_engine_dispatches_nothing() {
+    let elf = assemble(AFTER_HALT).unwrap();
+    for (mode, warmup) in [
+        (DispatchMode::Trace, 0),
+        (DispatchMode::Trace, 1),
+        (DispatchMode::Naive, 0),
+    ] {
+        let mut sim = Simulator::new(&elf).unwrap();
+        sim.set_trace_config(TraceConfig {
+            warmup,
+            ..TraceConfig::default()
+        });
+        sim.set_dispatch(mode);
+        sim.run(100).unwrap();
+        let what = format!("golden {mode:?}, warm-up {warmup}");
+        let halted = (fingerprint_engine(&sim), sim.stats());
+        let stepped = sim.step();
+        assert!(matches!(stepped, Ok(None)), "{what}: {stepped:?}");
+        assert_eq!((fingerprint_engine(&sim), sim.stats()), halted, "{what}");
+        assert_eq!(sim.cpu.d(2), 1, "{what}");
+    }
+    for level in DetailLevel::ALL {
+        let program = Translator::new(level)
+            .translate(&elf)
+            .unwrap()
+            .program()
+            .unwrap();
+        for mode in [VliwDispatch::Trace, VliwDispatch::Naive] {
+            let mut sim = VliwSim::instantiate(program.clone());
+            sim.set_dispatch(mode);
+            sim.run(10_000).unwrap();
+            let what = format!("vliw {level} {mode:?}");
+            let halted = (fingerprint_engine(&sim), sim.stats());
+            sim.step_unit().unwrap();
+            assert_eq!((fingerprint_engine(&sim), sim.stats()), halted, "{what}");
         }
     }
 }

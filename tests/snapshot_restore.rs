@@ -61,6 +61,19 @@ fn observe<E: ExecutionEngine>(e: &mut E, windows: &[(u32, usize)]) -> Observed 
     }
 }
 
+/// The engine's state image.
+fn save<E: ExecutionEngine>(e: &E) -> Vec<u8> {
+    let mut image = Vec::new();
+    e.save_state(&mut image);
+    image
+}
+
+/// Loads `image` into `e`, which must accept it.
+fn load<E: ExecutionEngine>(e: &mut E, image: &[u8]) {
+    e.load_state(&mut ByteReader::new(image))
+        .expect("the image loads");
+}
+
 /// The differential core: run `k` units, snapshot, run `n` more,
 /// observe, restore, run `n` again, and demand identical observables
 /// after both replays.
@@ -76,10 +89,10 @@ fn diff_snapshot<E: ExecutionEngine>(label: &str, e: &mut E, k: u64, n: u64, win
     // stopped.
     let at = e.engine_stats().retired;
     assert!(at >= k, "{label}: warm-up fell short of its budget");
-    let snap = e.snapshot();
+    let snap = save(e);
     e.run_until(Limit::Retirements(k + n)).expect("runs");
     let first = observe(e, win);
-    e.restore(&snap);
+    load(e, &snap);
     assert_eq!(
         e.engine_stats().retired,
         at,
@@ -90,11 +103,11 @@ fn diff_snapshot<E: ExecutionEngine>(label: &str, e: &mut E, k: u64, n: u64, win
     assert_eq!(first, second, "{label}: replay diverged");
 
     // And a restored engine replays all the way to the same halt.
-    e.restore(&snap);
+    load(e, &snap);
     e.run_until(Limit::Cycles(u64::MAX))
         .expect("replays to halt");
     let end1 = observe(e, win);
-    e.restore(&snap);
+    load(e, &snap);
     e.run_until(Limit::Cycles(u64::MAX))
         .expect("replays to halt");
     let end2 = observe(e, win);
@@ -162,6 +175,123 @@ fn rtl_core_snapshot_is_bit_identical() {
     diff_snapshot("rtl", &mut core, 7, 9, &win);
 }
 
+/// `e`, run to `k` units, saves an image, runs `n` more and must then
+/// refuse each of `foreign` and of that image cut short (at its last
+/// byte, its middle and its first): every load is an `Err` and leaves
+/// the engine as it was — the same fingerprint, counters and image.
+/// Had a load committed part of the earlier image, the engine would
+/// have moved.
+fn refuses<E: ExecutionEngine>(
+    label: &str,
+    e: &mut E,
+    k: u64,
+    n: u64,
+    foreign: &[(&str, Vec<u8>)],
+) {
+    e.run_until(Limit::Retirements(k)).expect("runs");
+    let early = save(e);
+    e.run_until(Limit::Retirements(k + n)).expect("runs");
+    let before = (fingerprint_engine(e), e.engine_stats(), save(e));
+    assert_ne!(before.2, early, "{label}: the engine did not move");
+    let cuts = [early.len() - 1, early.len() / 2, 1];
+    let truncated = cuts.map(|at| (format!("truncated at {at}"), early[..at].to_vec()));
+    let foreign = foreign
+        .iter()
+        .map(|(what, image)| (what.to_string(), image.clone()));
+    for (what, image) in truncated.into_iter().chain(foreign) {
+        let loaded = e.load_state(&mut ByteReader::new(&image));
+        assert!(loaded.is_err(), "{label}: a {what} image loads");
+        let after = (fingerprint_engine(e), e.engine_stats(), save(e));
+        assert!(
+            after == before,
+            "{label}: refusing a {what} image changed the engine"
+        );
+    }
+}
+
+/// An image that does not fit an engine over [`SRC`]: a mid-run image
+/// of [`SRC`] on another engine kind (`golden`, `vliw`, `rtl`), or of
+/// `sieve` on the same kind — on the golden model 1500 instructions in,
+/// at table index 20, past [`SRC`]'s table (`sieve golden`), on the
+/// VLIW core 12 packets in, with a branch pending into packet 145, past
+/// [`SRC`]'s last (`sieve vliw`). An engine image names neither its kind nor its
+/// program, so each is refused by the first field that does not fit.
+fn foreign(kind: &'static str) -> (&'static str, Vec<u8>) {
+    let (elf, k) = match kind {
+        "sieve golden" => (
+            cabt_workloads::by_name("sieve").unwrap().elf().unwrap(),
+            1500,
+        ),
+        "sieve vliw" => (cabt_workloads::by_name("sieve").unwrap().elf().unwrap(), 12),
+        _ => (assemble(SRC).unwrap(), 9),
+    };
+    let image = match kind {
+        "golden" | "sieve golden" => {
+            let mut sim = Simulator::new(&elf).unwrap();
+            sim.run_until(Limit::Retirements(k)).unwrap();
+            save(&sim)
+        }
+        "vliw" | "sieve vliw" => {
+            let t = Translator::new(DetailLevel::Cache).translate(&elf).unwrap();
+            let mut sim = VliwSim::instantiate(t.program().unwrap());
+            sim.run_until(Limit::Retirements(k)).unwrap();
+            save(&sim)
+        }
+        "rtl" => {
+            let mut core = RtlCore::new(&elf).unwrap();
+            core.run_until(Limit::Retirements(k)).unwrap();
+            save(&core)
+        }
+        _ => unreachable!("no {kind} image"),
+    };
+    (kind, image)
+}
+
+#[test]
+fn golden_load_state_refuses_truncated_and_foreign_images() {
+    let elf = assemble(SRC).unwrap();
+    for (mode, warmup) in [
+        (DispatchMode::Trace, 0),
+        (DispatchMode::Trace, 1_000_000),
+        (DispatchMode::Naive, 0),
+    ] {
+        let mut sim = Simulator::new(&elf).unwrap();
+        sim.set_trace_config(TraceConfig {
+            warmup,
+            hot_threshold: 2,
+        });
+        sim.set_dispatch(mode);
+        let label = format!("golden/{mode:?}/warm-up {warmup}");
+        let images = [foreign("vliw"), foreign("sieve golden")];
+        refuses(&label, &mut sim, 5, 9, &images);
+    }
+}
+
+#[test]
+fn vliw_load_state_refuses_truncated_and_foreign_images() {
+    let elf = assemble(SRC).unwrap();
+    let t = Translator::new(DetailLevel::Cache).translate(&elf).unwrap();
+    for mode in [VliwDispatch::Trace, VliwDispatch::Naive] {
+        let mut sim = VliwSim::instantiate(t.program().unwrap());
+        sim.set_dispatch(mode);
+        let images = [foreign("rtl"), foreign("sieve vliw")];
+        refuses(&format!("vliw/{mode:?}"), &mut sim, 5, 9, &images);
+    }
+}
+
+#[test]
+fn rtl_load_state_refuses_truncated_and_foreign_images() {
+    let elf = assemble(SRC).unwrap();
+    let mut core = RtlCore::new(&elf).unwrap();
+    refuses(
+        "rtl",
+        &mut core,
+        5,
+        9,
+        &[foreign("golden"), foreign("vliw")],
+    );
+}
+
 #[test]
 fn rtl_core_reset_restores_the_initial_snapshot() {
     let elf = assemble(SRC).unwrap();
@@ -222,12 +352,12 @@ fn peripheral_state_replays_bit_identically() {
         // Into the middle of round two: one byte logged, one epoch reset
         // behind us.
         s.run_until(Limit::Retirements(150)).unwrap();
-        let snap = s.snapshot();
+        let snap = save(&s);
         s.run_until(Limit::Cycles(u64::MAX)).unwrap();
         let first = s.platform_stats().unwrap();
         assert_eq!(first.uart.len(), 3, "{backend}: three rounds transmit");
 
-        s.restore(&snap);
+        load(&mut s, &snap);
         let mid = s.platform_stats().unwrap();
         assert!(
             mid.uart.len() < 3,
@@ -241,7 +371,7 @@ fn peripheral_state_replays_bit_identically() {
             "{backend}: peripheral replay diverged (UART bytes/timestamps or timer state)"
         );
         assert_eq!(s.stats(), {
-            s.restore(&snap);
+            load(&mut s, &snap);
             s.run_until(Limit::Cycles(u64::MAX)).unwrap();
             s.stats()
         });
@@ -318,7 +448,7 @@ fn sharded_snapshots_are_schedule_independent() {
         // mid-handoff, finish pooled.
         let mut par = build(ShardSchedule::Pooled(2));
         par.run_until(Limit::Cycles(500)).unwrap();
-        let snap = par.snapshot();
+        let snap = save(&par);
         par.run_until(Limit::Cycles(50_000_000)).unwrap();
         let end_par = par.sharded_stats().unwrap();
         let d2_par: Vec<u32> = (0..cores as usize)
@@ -327,7 +457,7 @@ fn sharded_snapshots_are_schedule_independent() {
 
         // Restore that image into a SEQUENTIAL session and replay.
         let mut seq = build(ShardSchedule::Sequential);
-        seq.restore(&snap);
+        load(&mut seq, &snap);
         assert!(seq.cycle() > 0, "restore lands mid-flight, not at reset");
         seq.run_until(Limit::Cycles(50_000_000)).unwrap();
         assert_eq!(
@@ -343,7 +473,7 @@ fn sharded_snapshots_are_schedule_independent() {
         // And back the other way: the same image replays identically
         // under the pooled scheduler too.
         let mut par2 = build(ShardSchedule::Pooled(2));
-        par2.restore(&snap);
+        load(&mut par2, &snap);
         par2.run_until(Limit::Cycles(50_000_000)).unwrap();
         assert_eq!(par2.sharded_stats().unwrap(), end_par, "{cores} cores");
     }
@@ -356,10 +486,10 @@ fn sessions_snapshot_uniformly_across_backends() {
     for backend in Backend::all() {
         let mut s = SimBuilder::asm(SRC).backend(backend).build().unwrap();
         s.run_until(Limit::Retirements(6)).unwrap();
-        let snap = s.snapshot();
+        let snap = save(&s);
         s.run_until(Limit::Cycles(u64::MAX)).unwrap();
         let end = (s.stats(), s.read_d(2));
-        s.restore(&snap);
+        load(&mut s, &snap);
         s.run_until(Limit::Cycles(u64::MAX)).unwrap();
         assert_eq!((s.stats(), s.read_d(2)), end, "{backend}: replay diverged");
     }
@@ -718,9 +848,8 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 /// and the snapshot itself, which closes the park.
 fn split_park(s: &Session) -> (Vec<u8>, Vec<u8>) {
     let parked = s.park().unwrap();
-    let mut snap = Vec::new();
-    s.snapshot().encode_into(&mut snap);
-    assert!(parked.ends_with(&snap), "the snapshot closes the park");
+    let snap = save(s);
+    assert!(parked.ends_with(&snap), "the state image closes the park");
     (parked[..parked.len() - snap.len()].to_vec(), snap)
 }
 
@@ -1126,12 +1255,12 @@ fn restored_trace_tiers_stop_where_the_donor_stops() {
         };
         let mut donor = build();
         donor.run_until(Limit::Retirements(3_000)).unwrap();
-        let snap = donor.snapshot();
+        let snap = save(&donor);
         let mut resumed = Session::resume(&donor.park().unwrap()).unwrap();
         let mut restored = build();
         restored.run_until(Limit::Cycles(u64::MAX)).unwrap();
         restored.reset();
-        restored.restore(&snap);
+        load(&mut restored, &snap);
         let mut slices = 0;
         while !donor.is_halted() {
             let limit = Limit::Retirements(donor.stats().retired + 3);
