@@ -134,8 +134,9 @@ pub trait ExecutionEngine {
     /// # Errors
     ///
     /// A [`CodecError`] for truncated or corrupt bytes, or state that
-    /// does not fit this engine. A single core decodes and checks the
-    /// whole image before it changes anything, so it is left as it was.
+    /// does not fit this engine. A refused image leaves the engine as it
+    /// was: a core decodes and checks the whole image before it changes
+    /// anything, and a `cabt_sim::Session` loads its own image back.
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
 
     /// Returns architectural state (registers, program counter, cycle

@@ -445,10 +445,7 @@ mod tests {
         // The park ends with the bus image: a device count, then each
         // device image as a u64 length and its bytes — the Timer first,
         // 24 bytes long. Cut the Timer image to 3 bytes.
-        let mut bus = Vec::new();
-        s.soc_bus_state()
-            .expect("translated bus")
-            .encode_into(&mut bus);
+        let bus = s.soc_bus_state().expect("translated bus");
         let at = parked.len() - bus.len();
         assert_eq!(parked[at + 8..at + 16], 24u64.to_le_bytes());
         parked.splice(

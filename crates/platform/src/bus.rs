@@ -9,11 +9,13 @@
 //!
 //! Every peripheral is *snapshottable*: [`SocPeripheral::save_state`] /
 //! [`SocPeripheral::restore_state`] serialize the device's mutable state
-//! to bytes, and [`SocBus::save_state`] bundles the whole bus (devices
-//! plus the transaction counter) into a [`SocBusState`]. Session
-//! snapshots carry that image, so `snapshot → run → restore → run`
-//! replays device behaviour bit-identically — no double-logged UART
-//! bytes, no stale timer epochs.
+//! to bytes, and [`SocBus::save_state`] appends the whole bus — every
+//! device's image in attachment order, then the transaction counter — to
+//! a state image, which [`SocBus::load_state`] reads back. Session images
+//! end with these bytes, so `save → run → load → run` replays device
+//! behaviour bit-identically — no double-logged UART bytes, no stale
+//! timer epochs. A device image that does not decode is a typed
+//! [`CodecError`]; the session that loads it rolls back to its own image.
 //!
 //! For multi-core sharding every shard owns a *private* clone of the
 //! device population behind its own [`SharedSocBus`] handle, and a
@@ -104,52 +106,6 @@ fn records<const N: usize>(merged: &[u8]) -> impl DoubleEndedIterator<Item = Byt
 /// Reads of a [`records`] reader stay inside its record.
 const WHOLE: &str = "a record reader holds one whole record";
 
-/// Serialized state of every device on a [`SocBus`] plus the bus's own
-/// transaction counter — the device half of a resumable platform image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SocBusState {
-    /// Per-device state images, in attachment order.
-    devices: Vec<Vec<u8>>,
-    /// Transactions served at capture time.
-    transactions: u64,
-}
-
-impl SocBusState {
-    /// Transactions the bus had served when this image was captured.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    /// Serializes the bus image for a portable snapshot. Per-device
-    /// images are opaque bytes (their encoding is private to each
-    /// device), carried positionally.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::new(out);
-        w.u64(self.devices.len() as u64);
-        for img in &self.devices {
-            w.bytes(img);
-        }
-        w.u64(self.transactions);
-    }
-
-    /// Decodes a [`SocBusState::encode_into`] image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated or corrupt input.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let ndevices = r.count("bus device images", 8)?;
-        let mut devices = Vec::with_capacity(ndevices);
-        for _ in 0..ndevices {
-            devices.push(r.bytes("device image")?.to_vec());
-        }
-        Ok(SocBusState {
-            devices,
-            transactions: r.u64()?,
-        })
-    }
-}
-
 /// A word-level SoC bus with positional device decoding. Unclaimed
 /// addresses read zero and ignore writes (open bus) and are *not*
 /// counted as transactions — `transactions` counts accesses a device
@@ -227,38 +183,52 @@ impl SocBus {
         self.devices.iter().flat_map(|d| d.transmit_log()).collect()
     }
 
-    /// Captures the state of every attached device plus the transaction
-    /// counter.
-    pub fn save_state(&self) -> SocBusState {
-        SocBusState {
-            devices: self.devices.iter().map(|d| d.save_state()).collect(),
-            transactions: self.transactions,
+    /// Appends the bus's state image: the device count, each device's
+    /// image ([`SocPeripheral::save_state`]) as a `u64` length and its
+    /// bytes, in attachment order, then the transaction counter.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::new(out);
+        w.u64(self.devices.len() as u64);
+        for dev in &self.devices {
+            w.bytes(&dev.save_state());
         }
+        w.u64(self.transactions);
     }
 
-    /// Restores a [`SocBus::save_state`] image into this bus.
+    /// Decodes a [`SocBus::save_state`] image and loads it into this bus.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] — before touching any device — if the
-    /// image was captured from a bus with a different device count
-    /// (state is positional, so the device population must match), or
-    /// from the first device whose image does not decode. That device
-    /// is unchanged, but the devices before it already hold their new
-    /// images: callers restoring untrusted bytes restore into a bus
-    /// they can discard or roll back.
-    pub fn restore_state(&mut self, state: &SocBusState) -> Result<(), CodecError> {
-        if state.devices.len() != self.devices.len() {
+    /// A [`CodecError`] for an image of a bus with another device count
+    /// (state is positional), before any device changes, or for bytes
+    /// that do not decode. The devices before a refused image keep their
+    /// new images: the session that loads them rolls back.
+    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        let n = r.count("bus device images", 8)?;
+        if n != self.devices.len() {
             return Err(CodecError::BadLength {
                 what: "bus device images",
-                len: state.devices.len() as u64,
+                len: n as u64,
             });
         }
-        for (dev, img) in self.devices.iter_mut().zip(&state.devices) {
-            dev.restore_state(img)?;
+        for dev in &mut self.devices {
+            dev.restore_state(r.bytes("device image")?)?;
         }
-        self.transactions = state.transactions;
+        self.transactions = r.u64()?;
         Ok(())
+    }
+
+    /// Reads a [`SocBus::save_state`] image past, for a session that has
+    /// no bus to load it into.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] for truncated bytes.
+    pub fn skip_state(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        for _ in 0..r.count("bus device images", 8)? {
+            r.bytes("device image")?;
+        }
+        r.u64().map(drop)
     }
 
     // --- device-granular accessors for the barrier exchange ------------
@@ -819,7 +789,7 @@ impl SharedSocBus {
     }
 
     /// Attaches a peripheral. Attach the full device population before
-    /// capturing any [`SocBusState`] — state is positional.
+    /// saving any state image — state is positional.
     pub fn attach(&self, dev: Box<dyn SocPeripheral>) {
         self.lock().attach(dev);
     }
@@ -844,18 +814,18 @@ impl SharedSocBus {
         self.lock().transactions()
     }
 
-    /// Captures the bus state (see [`SocBus::save_state`]).
-    pub fn save_state(&self) -> SocBusState {
-        self.lock().save_state()
+    /// Appends the bus's state image ([`SocBus::save_state`]).
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        self.lock().save_state(out);
     }
 
-    /// Restores a captured bus state (see [`SocBus::restore_state`]).
+    /// Loads a state image into the bus ([`SocBus::load_state`]).
     ///
     /// # Errors
     ///
-    /// See [`SocBus::restore_state`].
-    pub fn restore_state(&self, state: &SocBusState) -> Result<(), CodecError> {
-        self.lock().restore_state(state)
+    /// See [`SocBus::load_state`].
+    pub fn load_state(&self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        self.lock().load_state(r)
     }
 
     /// True if `other` is a handle to the same underlying bus.
@@ -987,11 +957,11 @@ impl ShardArbiter {
         self.epochs
     }
 
-    /// The canonical device-state image of the last epoch boundary —
-    /// what a session snapshot, a shard handed to another host, or an
-    /// external checkpoint carries.
-    pub fn canonical_state(&self) -> SocBusState {
-        self.mirror.save_state()
+    /// Appends the canonical device-state image of the last epoch
+    /// boundary ([`SocBus::save_state`]) — what a session image, a shard
+    /// handed to another host, or an external checkpoint carries.
+    pub fn save_canonical(&self, out: &mut Vec<u8>) {
+        self.mirror.save_state(out);
     }
 
     /// Total bus transactions served: the canonical count plus every
@@ -1019,32 +989,35 @@ impl ShardArbiter {
         out
     }
 
-    /// Resets the whole device fabric to `initial`: the mirror and
-    /// every shard bus are restored and the epoch counter cleared.
-    pub fn reset(&mut self, initial: &SocBusState) {
-        let expect = "the initial image was captured from this fabric";
-        self.mirror.restore_state(initial).expect(expect);
+    /// Resets the whole device fabric to `initial`, a state image saved
+    /// from a bus of this population: the mirror and every shard bus
+    /// load it and the epoch counter is cleared.
+    pub fn reset(&mut self, initial: &[u8]) {
+        let expect = "the initial image was saved from this fabric";
+        self.mirror
+            .load_state(&mut ByteReader::new(initial))
+            .expect(expect);
         for bus in &self.buses {
-            bus.restore_state(initial).expect(expect);
+            bus.load_state(&mut ByteReader::new(initial)).expect(expect);
         }
         self.epochs = 0;
     }
 
-    /// Restores the canonical state and epoch counter from a snapshot —
-    /// the restore-side pair of [`ShardArbiter::exchange`]. The
-    /// per-shard buses are restored by their owners (each shard's
-    /// snapshot carries its own possibly mid-epoch device image); this
-    /// only re-seats the canonical mirror.
+    /// Loads the canonical state and sets the epoch counter — the
+    /// load-side pair of [`ShardArbiter::save_canonical`]. The per-shard
+    /// buses are loaded by their owners (each shard's image carries its
+    /// own possibly mid-epoch device image); this only re-seats the
+    /// canonical mirror.
     ///
     /// # Errors
     ///
-    /// See [`SocBus::restore_state`]; the epoch counter is kept then.
-    pub fn restore_canonical(
+    /// See [`SocBus::load_state`]; the epoch counter is kept then.
+    pub fn load_canonical(
         &mut self,
-        state: &SocBusState,
+        r: &mut ByteReader<'_>,
         epochs: u64,
     ) -> Result<(), CodecError> {
-        self.mirror.restore_state(state)?;
+        self.mirror.load_state(r)?;
         self.epochs = epochs;
         Ok(())
     }
@@ -1053,6 +1026,13 @@ impl ShardArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The state image `save` appends.
+    fn image(save: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        save(&mut out);
+        out
+    }
 
     #[test]
     fn bus_routes_by_range() {
@@ -1189,13 +1169,13 @@ mod tests {
         bus.write(5, 0x200, 4, 99);
         bus.write(7, 0x100, 4, b'!' as u32);
         bus.write(9, 0xc, 4, 0); // timer epoch = 9
-        let img = bus.save_state();
+        let img = image(|o| bus.save_state(o));
 
         bus.write(20, 0x100, 4, b'?' as u32);
         bus.write(20, 0x204, 4, 1);
         assert_eq!(bus.uart_log().len(), 2);
 
-        bus.restore_state(&img).unwrap();
+        bus.load_state(&mut ByteReader::new(&img)).unwrap();
         assert_eq!(bus.uart_log(), vec![(7, b'!')]);
         assert_eq!(bus.read(10, 0x204, 4), 0, "later write rolled back");
         assert_eq!(bus.read(10, 0x0, 4), 1, "timer epoch restored (10 - 9)");
@@ -1205,8 +1185,8 @@ mod tests {
             b2.attach(Box::new(Timer::new(0x0)));
             b2.attach(Box::new(Uart::new(0x100)));
             b2.attach(Box::new(ScratchRam::new(0x200, 0x100)));
-            b2.restore_state(&img).unwrap();
-            b2.save_state()
+            b2.load_state(&mut ByteReader::new(&img)).unwrap();
+            image(|o| b2.save_state(o))
         });
     }
 
@@ -1214,16 +1194,20 @@ mod tests {
     fn bus_state_rejects_mismatched_population() {
         let mut a = SocBus::new();
         a.attach(Box::new(Timer::new(0)));
-        let img = a.save_state();
+        let img = image(|o| a.save_state(o));
         let mut b = SocBus::new();
         b.attach(Box::new(Timer::new(0)));
         b.attach(Box::new(Uart::new(0x100)));
-        let before = b.save_state();
+        let before = image(|o| b.save_state(o));
         assert!(matches!(
-            b.restore_state(&img),
+            b.load_state(&mut ByteReader::new(&img)),
             Err(CodecError::BadLength { len: 1, .. })
         ));
-        assert_eq!(b.save_state(), before, "a refused image changes nothing");
+        assert_eq!(
+            image(|o| b.save_state(o)),
+            before,
+            "a refused image changes nothing"
+        );
     }
 
     #[test]
@@ -1279,10 +1263,10 @@ mod tests {
     fn arbiter_exchange_merges_and_broadcasts() {
         let shard0 = SharedSocBus::new(arbiter_population());
         let shard1 = SharedSocBus::new(arbiter_population());
-        let initial = shard0.save_state();
+        let initial = image(|o| shard0.save_state(o));
         let mut arb = ShardArbiter::new(arbiter_population(), vec![shard0.clone(), shard1.clone()]);
         assert_eq!(arb.epochs(), 0);
-        assert_eq!(arb.canonical_state(), initial);
+        assert_eq!(image(|o| arb.save_canonical(o)), initial);
 
         // Epoch 1: shard 0 fills the mailbox, shard 1 transmits.
         shard0.write(5, 0x200, 4, 99);
@@ -1291,7 +1275,10 @@ mod tests {
         assert_eq!(arb.uart_log(), vec![(7, b'b')]);
         assert_eq!(arb.exchange(), 2, "two transactions this epoch");
         assert_eq!(arb.epochs(), 1);
-        assert_eq!(arb.canonical_state(), shard0.save_state());
+        assert_eq!(
+            image(|o| arb.save_canonical(o)),
+            image(|o| shard0.save_state(o))
+        );
 
         // Both shards now see the merged state.
         for bus in [&shard0, &shard1] {
@@ -1306,8 +1293,12 @@ mod tests {
 
         arb.reset(&initial);
         assert_eq!(arb.epochs(), 0);
-        assert_eq!(arb.canonical_state(), initial);
-        assert_eq!(shard1.save_state(), initial, "reset restores every bus");
+        assert_eq!(image(|o| arb.save_canonical(o)), initial);
+        assert_eq!(
+            image(|o| shard1.save_state(o)),
+            initial,
+            "reset loads every bus"
+        );
     }
 
     #[test]
@@ -1380,11 +1371,14 @@ mod tests {
             let bytes: Vec<u8> = arb.uart_log().iter().map(|&(_, x)| x).collect();
             assert_eq!(bytes, expected, "epoch {epoch}: merged log");
             assert_eq!(
-                arb.canonical_state(),
-                shard0.save_state(),
+                image(|o| arb.save_canonical(o)),
+                image(|o| shard0.save_state(o)),
                 "epoch {epoch}: broadcast state"
             );
-            assert_eq!(shard0.save_state(), shard1.save_state());
+            assert_eq!(
+                image(|o| shard0.save_state(o)),
+                image(|o| shard1.save_state(o))
+            );
         }
     }
 
@@ -1433,10 +1427,10 @@ mod tests {
 
     /// The timer compare value every shard and the mirror agree on.
     fn agreed_compare(shards: &[SharedSocBus], arb: &ShardArbiter) -> u32 {
-        let mirror = arb.canonical_state();
+        let mirror = image(|o| arb.save_canonical(o));
         for bus in shards {
             assert_eq!(
-                bus.save_state(),
+                image(|o| bus.save_state(o)),
                 mirror,
                 "every shard holds the canonical image"
             );
@@ -1500,9 +1494,14 @@ mod tests {
         // shard 0 with the old value.
         shards[0].write(0, 0x4, 4, 40);
         for bus in &shards {
-            let img = bus.save_state();
-            assert_eq!(img.devices[0].len(), 24, "timer image carries its base");
-            bus.restore_state(&img).unwrap();
+            let img = image(|o| bus.save_state(o));
+            // The device count, then the timer image's length.
+            assert_eq!(
+                img[8..16],
+                24u64.to_le_bytes(),
+                "timer image carries its base"
+            );
+            bus.load_state(&mut ByteReader::new(&img)).unwrap();
         }
         arb.exchange();
         assert_eq!(agreed_compare(&shards, &arb), 40);
@@ -1632,7 +1631,7 @@ mod tests {
 
         // Identity is construction state: a fabric-wide reset keeps
         // per-core ids while clearing the mailboxes.
-        let initial = doorbell_population(0, 2).save_state();
+        let initial = image(|o| doorbell_population(0, 2).save_state(o));
         arb.reset(&initial);
         assert_eq!(shard1.read(7, 0x2000, 4), 1, "id survives reset");
         assert_eq!(shard1.read(7, 0x2800, 4), 0, "inbox cleared");

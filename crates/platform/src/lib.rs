@@ -49,8 +49,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 pub use bus::{
-    CoreLink, GoldenBridge, ScratchRam, ShardArbiter, SharedSocBus, SocBus, SocBusState,
-    SocPeripheral, Timer, Uart, CORE_LINK_WINDOW,
+    CoreLink, GoldenBridge, ScratchRam, ShardArbiter, SharedSocBus, SocBus, SocPeripheral, Timer,
+    Uart, CORE_LINK_WINDOW,
 };
 pub use sync::{SyncDevice, SyncRate};
 
@@ -268,10 +268,11 @@ pub fn mirror_soc_bus(ncores: u32) -> SocBus {
 pub struct Platform {
     sim: VliwSim,
     cfg: PlatformConfig,
-    /// Device state of the bus as built, when the platform owns its bus
-    /// — what [`Platform::reset`] returns it to. `None` for a bus owned
-    /// by the caller ([`Platform::instantiate`]).
-    built_devices: Option<SocBusState>,
+    /// State image of the bus as built ([`SocBus::save_state`]), when
+    /// the platform owns its bus — what [`Platform::reset`] returns it
+    /// to. `None` for a bus owned by the caller
+    /// ([`Platform::instantiate`]).
+    built_devices: Option<Vec<u8>>,
 }
 
 impl fmt::Debug for Platform {
@@ -307,7 +308,11 @@ impl Platform {
     ) -> Self {
         let owned = bus.is_none();
         let soc = bus.unwrap_or_else(|| SharedSocBus::new(default_soc_bus()));
-        let built_devices = owned.then(|| soc.save_state());
+        let built_devices = owned.then(|| {
+            let mut image = Vec::new();
+            soc.save_state(&mut image);
+            image
+        });
         let mut sim = VliwSim::instantiate(program);
         sim.set_bus(Box::new(PlatformBus {
             sync: SyncDevice::new(cfg.rate),
@@ -333,8 +338,8 @@ impl Platform {
             bus.sync = sync;
         }
         if let (Some(image), Some(soc)) = (&self.built_devices, self.soc_bus()) {
-            soc.restore_state(image)
-                .expect("a bus's own image restores into it");
+            soc.load_state(&mut ByteReader::new(image))
+                .expect("a bus's own image loads into it");
         }
     }
 
@@ -440,9 +445,10 @@ impl Platform {
     /// # Errors
     ///
     /// A [`CodecError`] for truncated or corrupt bytes, or an engine
-    /// image that does not fit ([`ExecutionEngine::load_state`]). The
-    /// engine is left as it was on an engine error; on a device error
-    /// it holds the new image while the device keeps its state.
+    /// image that does not fit ([`ExecutionEngine::load_state`]). A
+    /// synchronization-device image that fails after the engine's
+    /// loaded leaves the engine loaded; the session that loads a
+    /// platform rolls back to its own image.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.sim.load_state(r)?;
         let sync = SyncDevice::decode(r)?;

@@ -48,7 +48,7 @@ use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::IsaError;
 use cabt_platform::{
-    GoldenBridge, Platform, PlatformConfig, PlatformStats, ShardArbiter, SharedSocBus, SocBusState,
+    GoldenBridge, Platform, PlatformConfig, PlatformStats, ShardArbiter, SharedSocBus, SocBus,
     SyncRate,
 };
 use cabt_rtlsim::{RtlCore, RtlError};
@@ -934,19 +934,19 @@ trait Vehicle: Any + Send {
 
     /// Appends the vehicle's session image: its section — its tag byte,
     /// then its engine's image ([`ExecutionEngine::save_state`]) — and
-    /// then the device state of its bus, in the layout
+    /// then its device row ([`Vehicle::save_devices`]), in the layout
     /// `docs/snapshot-format.md` documents.
     fn save_state(&self, out: &mut Vec<u8>);
 
     /// Decodes what [`Vehicle::save_state`] wrote, checks it against the
-    /// engine, and restores it.
+    /// engine, and loads it.
     ///
     /// # Errors
     ///
     /// A [`CodecError`] for another kind's section, corrupt bytes, or
-    /// state that does not fit the engine. The engine is left as it was
-    /// when its own image fails; a device image that fails leaves it
-    /// restored, and a shard set restores shard by shard.
+    /// state that does not fit the engine. A refusal may leave part of
+    /// the image loaded: the session rolls back
+    /// ([`Session::load_state`]).
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
 
     /// Flat register index of source data register `D{i}`.
@@ -965,9 +965,15 @@ trait Vehicle: Any + Send {
         None
     }
 
-    /// The device state the vehicle's image carries: the live bus's.
-    fn devices(&self) -> Option<SocBusState> {
-        self.device_bus().map(|b| b.save_state())
+    /// Appends the device row that closes the vehicle's image: a
+    /// presence flag, then the state image of the live bus
+    /// ([`SocBus::save_state`]) when it has one.
+    fn save_devices(&self, out: &mut Vec<u8>) {
+        let bus = self.device_bus();
+        ByteWriter::new(out).bool(bus.is_some());
+        if let Some(bus) = bus {
+            bus.save_state(out);
+        }
     }
 }
 
@@ -989,22 +995,14 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8) -> Result<(), CodecError> {
     }
 }
 
-/// Appends the device image that closes a single-core session image:
-/// the state of `bus`, when the vehicle has one.
-fn save_devices(out: &mut Vec<u8>, bus: Option<SharedSocBus>) {
-    ByteWriter::new(out).bool(bus.is_some());
-    if let Some(bus) = bus {
-        bus.save_state().encode_into(out);
-    }
-}
-
-/// Decodes the device image that closes a single-core session image and
-/// restores it into `bus`, when the vehicle has one.
+/// Reads the device row that closes a single-core session image
+/// ([`Vehicle::save_devices`]) and loads it into `bus`; a vehicle
+/// without a bus reads the devices past.
 fn load_devices(r: &mut ByteReader<'_>, bus: Option<SharedSocBus>) -> Result<(), CodecError> {
     if r.bool()? {
-        let devices = SocBusState::decode(r)?;
-        if let Some(bus) = bus {
-            bus.restore_state(&devices)?;
+        match bus {
+            Some(bus) => bus.load_state(r)?,
+            None => SocBus::skip_state(r)?,
         }
     }
     Ok(())
@@ -1028,7 +1026,7 @@ impl Vehicle for GoldenVehicle {
     fn save_state(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u8(GOLDEN_TAG);
         self.sim.save_state(out);
-        save_devices(out, self.device_bus());
+        self.save_devices(out);
     }
 
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
@@ -1069,7 +1067,7 @@ impl Vehicle for TranslatedVehicle {
     fn save_state(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u8(TRANSLATED_TAG);
         self.platform.save_state(out);
-        save_devices(out, self.device_bus());
+        self.save_devices(out);
     }
 
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
@@ -1105,7 +1103,7 @@ impl Vehicle for RtlCore {
     fn save_state(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u8(RTL_TAG);
         ExecutionEngine::save_state(self, out);
-        save_devices(out, None);
+        self.save_devices(out);
     }
 
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
@@ -1194,8 +1192,8 @@ struct ShardSet {
     barrier: EpochBarrier,
     /// Host schedule of the epoch rounds (bit-identical either way).
     schedule: ShardSchedule,
-    /// Device state of the freshly built fabric — what reset restores.
-    initial_bus: SocBusState,
+    /// State image of the freshly built fabric — what reset loads.
+    initial_bus: Vec<u8>,
     /// The worker pool of [`ShardSchedule::Pooled`] runs, built lazily
     /// on the first pooled run and reused for the session's lifetime.
     pool: Option<FleetPool>,
@@ -1241,7 +1239,8 @@ impl ShardSet {
                 ))
             })
             .collect();
-        let initial_bus = buses[0].save_state();
+        let mut initial_bus = Vec::new();
+        buses[0].save_state(&mut initial_bus);
         let arbiter = ShardArbiter::new(
             cabt_platform::mirror_soc_bus(u32::from(cores)),
             buses.clone(),
@@ -1330,11 +1329,11 @@ impl Vehicle for ShardSet {
         let mut w = ByteWriter::new(out);
         w.u64(self.arbiter.epochs());
         w.u64(self.barrier.next);
-        w.bool(true);
-        self.arbiter.canonical_state().encode_into(out);
+        self.save_devices(out);
     }
 
-    /// Every shard restores its private bus from its own image; the
+    /// Every shard loads its private bus from its own image, through its
+    /// vehicle (the session over the set rolls back once for all); the
     /// set's device image re-seats the arbiter's canonical mirror and
     /// epoch counter, and re-arms the barrier.
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
@@ -1347,12 +1346,11 @@ impl Vehicle for ShardSet {
             });
         }
         for shard in &mut self.shards {
-            shard.load_state(r)?;
+            shard.vehicle.load_state(r)?;
         }
         let (epochs, next_barrier) = (r.u64()?, r.u64()?);
         if r.bool()? {
-            self.arbiter
-                .restore_canonical(&SocBusState::decode(r)?, epochs)?;
+            self.arbiter.load_canonical(r, epochs)?;
             self.barrier.next = next_barrier;
         }
         Ok(())
@@ -1370,8 +1368,9 @@ impl Vehicle for ShardSet {
 
     /// The arbiter's canonical barrier image: every shard owns a private
     /// bus, so a set has no single live one.
-    fn devices(&self) -> Option<SocBusState> {
-        Some(self.arbiter.canonical_state())
+    fn save_devices(&self, out: &mut Vec<u8>) {
+        ByteWriter::new(out).bool(true);
+        self.arbiter.save_canonical(out);
     }
 }
 
@@ -1809,11 +1808,34 @@ impl Session {
     /// (retired descriptors such as `golden:compiled` included); plus
     /// the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
-        let (backend, config, elf, mut r) = Self::decode_park(bytes)?;
+        let (backend, config, elf, r) = Self::decode_park(bytes)?;
         let mut session = Session::new(elf, backend, config, None)?;
-        session.load_state(&mut r)?;
-        r.finish()?;
+        session.load_park(r)?;
         Ok(session)
+    }
+
+    /// Loads the state image that closes a park, to the park's last
+    /// byte, or leaves the session as it was ([`Session::load_state`]).
+    fn load_park(&mut self, mut r: ByteReader<'_>) -> Result<(), CodecError> {
+        self.load_or_roll_back(|v| v.load_state(&mut r).and_then(|()| r.finish()))
+    }
+
+    /// Runs `load` on the vehicle and, if it refuses, loads back the
+    /// session's own image, saved beforehand: the one place a refused
+    /// image is undone, whichever layer of whichever vehicle refused.
+    fn load_or_roll_back(
+        &mut self,
+        load: impl FnOnce(&mut dyn Vehicle) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        let mut own = Vec::new();
+        self.vehicle.save_state(&mut own);
+        let loaded = load(&mut *self.vehicle);
+        if loaded.is_err() {
+            self.vehicle
+                .load_state(&mut ByteReader::new(&own))
+                .expect("a session loads its own image");
+        }
+        loaded
     }
 
     /// Parses a park envelope without building a vehicle — the shared
@@ -1913,7 +1935,7 @@ impl Session {
                 set.shards.len()
             )));
         }
-        let (parked_backend, config, elf, mut r) = Self::decode_park(bytes)?;
+        let (parked_backend, config, elf, r) = Self::decode_park(bytes)?;
         let backend = backend_override.unwrap_or(parked_backend);
         if matches!(backend, Backend::Sharded { .. }) {
             return Err(SessionError::ShardConfig(
@@ -1924,28 +1946,23 @@ impl Session {
             Backend::Rtl => None,
             _ => Some(set.arbiter.bus(i)),
         };
-        // The shard is built around the arbiter's live bus for slot `i`:
-        // a device image that fails to decode must leave that bus as it
-        // was.
-        let live = bus.as_ref().map(|b| (b.clone(), b.save_state()));
+        // The shard is built around the arbiter's live bus for slot `i`,
+        // so a refused image rolls that bus back with the shard.
         let mut shard = Session::new(elf, backend, config, bus)?;
-        if let Err(e) = shard.load_state(&mut r).and_then(|()| r.finish()) {
-            if let Some((bus, image)) = live {
-                bus.restore_state(&image)
-                    .expect("a bus's own image restores into it");
-            }
-            return Err(e.into());
-        }
+        shard.load_park(r)?;
         set.shards[i] = shard;
         Ok(())
     }
 
-    /// The device state of the session's SoC bus, if it has one —
+    /// The state image of the session's SoC bus, if it has one
+    /// ([`SocBus::save_state`]), as it closes the session's image —
     /// single-core vehicles report their bus, sharded sessions the
     /// arbiter's canonical barrier image. What cross-schedule
     /// differential tests compare.
-    pub fn soc_bus_state(&self) -> Option<SocBusState> {
-        self.vehicle.devices()
+    pub fn soc_bus_state(&self) -> Option<Vec<u8>> {
+        let mut row = Vec::new();
+        self.vehicle.save_devices(&mut row);
+        (row[0] == 1).then(|| row.split_off(1))
     }
 
     /// A handle to the session's live SoC bus, if it has one. `None`
@@ -1998,12 +2015,11 @@ impl ExecutionEngine for Session {
     ///
     /// [`CodecError::BadTag`] for another vehicle kind's image,
     /// [`CodecError::BadLength`] for another shard count, and any error
-    /// of a corrupt or misfit engine or device image. The engine of a
-    /// single-core session is left as it was when its own image fails;
-    /// a failing device image leaves it restored, and a shard set
-    /// restores shard by shard.
+    /// of a corrupt or misfit engine or device image. The session saves
+    /// its own image first and, when any layer refuses, loads it back:
+    /// a refused image leaves the session as it was.
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.vehicle.load_state(r)
+        self.load_or_roll_back(|v| v.load_state(r))
     }
 
     /// Resets to a fully fresh run, in place: nothing is translated,

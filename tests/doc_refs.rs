@@ -1,15 +1,19 @@
 //! Prose that cannot cite what is gone: every source path that
-//! `docs/*.md` and `ROADMAP.md` cite must exist, every `path.rs::name`
-//! must name an item or test defined in that file, and no citation may
-//! pin a line number (`file.rs` followed by `:` and digits), which
-//! drifts with every edit. `CHANGES.md` is a log of what was true when
-//! each line was written and is not checked.
+//! `docs/*.md`, `ROADMAP.md` and the verify skill cite must exist, every
+//! `path.rs::name` must name an item or test defined in that file, no
+//! citation may pin a line number (`file.rs` followed by `:` and
+//! digits), which drifts with every edit, and every backend descriptor
+//! in backticks must parse. `CHANGES.md` is a log of what was true when
+//! each line was written and is not checked. `perfbench/BENCHMARK.md`
+//! is not checked yet: it names a descriptor retired since it was
+//! written, and the benchmark's own revision mends it.
 //!
 //! The scan is plain text: a citation is a run of path characters that
 //! ends in `.rs`. A path without a directory (`lib.rs`) names no one
 //! file, so only its line-number rule applies. One `{a,b}` group in a
 //! path expands to one path per alternative.
 
+use cabt_sim::Backend;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -17,7 +21,8 @@ fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The checked documents: every `docs/*.md`, then `ROADMAP.md`.
+/// The checked documents: every `docs/*.md`, then `ROADMAP.md` and the
+/// verify skill.
 fn documents() -> Vec<PathBuf> {
     let mut docs: Vec<PathBuf> = fs::read_dir(root().join("docs"))
         .expect("docs/ exists")
@@ -26,6 +31,7 @@ fn documents() -> Vec<PathBuf> {
         .collect();
     docs.sort();
     docs.push(root().join("ROADMAP.md"));
+    docs.push(root().join(".claude/skills/verify/SKILL.md"));
     docs
 }
 
@@ -94,7 +100,7 @@ fn cited_items(rest: &str) -> Vec<String> {
 }
 
 /// Every problem with the citations in `text`, resolved against the
-/// repository at `root`.
+/// repository at `root`, and with its backend descriptors.
 fn problems_in(text: &str, root: &Path) -> Vec<String> {
     let mut out = Vec::new();
     for (end, _) in text.match_indices(".rs") {
@@ -143,6 +149,47 @@ fn problems_in(text: &str, root: &Path) -> Vec<String> {
             }
         }
     }
+    out.extend(descriptor_problems(text));
+    out
+}
+
+/// Every backticked word of `text` that names a backend — `golden`,
+/// `rtl`, or one that opens with `golden:`, `translated:` or `sharded-`
+/// — and does not parse with `Backend::from_str`. Placeholders
+/// (`translated:<level>`, `sharded-Nx:…`: anything beyond lower-case
+/// letters, digits, `:` and `-`) and words on a line that calls them
+/// retired or an error are exempt. Fenced blocks count as spans, so a
+/// command in one is checked too.
+fn descriptor_problems(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    for (i, span) in text.split('`').enumerate() {
+        let start = at;
+        at += span.len() + 1;
+        if i % 2 == 0 {
+            continue;
+        }
+        for word in span.split_whitespace() {
+            let named = word == "golden"
+                || word == "rtl"
+                || ["golden:", "translated:", "sharded-"]
+                    .iter()
+                    .any(|p| word.starts_with(p));
+            let concrete = word
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || ":-".contains(c));
+            if !named || !concrete || word.parse::<Backend>().is_ok() {
+                continue;
+            }
+            let offset = start + span.find(word).unwrap_or(0);
+            let line_start = text[..offset].rfind('\n').map_or(0, |n| n + 1);
+            let line_end = text[offset..].find('\n').map_or(text.len(), |n| offset + n);
+            let line = text[line_start..line_end].to_lowercase();
+            if !line.contains("retired") && !line.contains("error") {
+                out.push(format!("`{word}` is not a backend descriptor"));
+            }
+        }
+    }
     out
 }
 
@@ -170,9 +217,12 @@ fn docs_cite_only_paths_and_items_that_exist() {
     );
 }
 
-/// The check itself: a deleted type, a missing file and a line number
-/// are each one problem; a defined item, a test, a brace group of
-/// files and a bare file name are none.
+/// The check itself: a deleted type, a missing file, a line number and
+/// a backend descriptor that does not parse — in a span of its own or
+/// inside a command — are each one problem; a defined item, a test, a
+/// brace group of files, a bare file name, a live descriptor, a
+/// placeholder, a workload name and a descriptor its line calls retired
+/// or an error are none.
 #[test]
 fn the_doc_check_flags_deleted_items_missing_paths_and_line_numbers() {
     let root = root();
@@ -196,4 +246,14 @@ fn the_doc_check_flags_deleted_items_missing_paths_and_line_numbers() {
         flagged("`crates/core/src/{cycles,icache}.rs` and `lib.rs`."),
         0
     );
+    assert_eq!(flagged("runs on `golden:traced` and `translated:fast`"), 2);
+    assert_eq!(flagged("`run gcd sharded-2x:gold cycles 9`"), 1);
+    assert_eq!(
+        flagged("`golden`, `rtl`, `sharded-2x-pool2:translated:cache:naive`"),
+        0
+    );
+    assert_eq!(flagged("`translated:<level>` and `sharded-Nx:golden`"), 0);
+    assert_eq!(flagged("`golden_ref` measures `golden:trace`"), 0);
+    assert_eq!(flagged("`golden:compiled` is retired"), 0);
+    assert_eq!(flagged("`translated:cache:trace` is a parse error"), 0);
 }

@@ -44,7 +44,7 @@ struct Observed {
     /// merged UART log.
     stats: ShardedStats,
     /// Canonical SoC device state (`None` only for busless sessions).
-    devices: Option<cabt_platform::SocBusState>,
+    devices: Option<Vec<u8>>,
     halted: bool,
 }
 
@@ -92,8 +92,8 @@ fn observe(s: &mut Session, stop: Option<StopCause>) -> Observed {
 
 /// 8-byte digest of a sharded session's observable state: per-shard
 /// engine trajectories ([`fingerprint_engine`]: counters, registers,
-/// pc, halt flag), per-shard data/BSS windows, the shared-bus counters
-/// and the merged UART log. The long randomized sweeps compare these
+/// pc, halt flag), per-shard data/BSS windows, the shared-bus counters,
+/// the merged UART log and the canonical device image. The long randomized sweeps compare these
 /// digests instead of hauling full [`Observed`] images around; one
 /// full-state comparison per test anchors them.
 fn digest_session(s: &mut Session, stop: StopCause) -> u64 {
@@ -115,7 +115,7 @@ fn digest_session(s: &mut Session, stop: StopCause) -> u64 {
         fp.mix_bytes(&[b]);
     }
     if let Some(d) = s.soc_bus_state() {
-        fp.mix_u64(d.transactions());
+        fp.mix_bytes(&d);
     }
     fp.digest()
 }
@@ -509,7 +509,6 @@ fn parallel_shard_types_are_send_clean() {
     fn assert_sync<T: Sync>() {}
     assert_send::<Session>();
     assert_send::<cabt_platform::SocBus>();
-    assert_send::<cabt_platform::SocBusState>();
     assert_send::<cabt_platform::SharedSocBus>();
     assert_sync::<cabt_platform::SharedSocBus>();
     assert_send::<cabt_platform::ShardArbiter>();
@@ -724,7 +723,7 @@ struct Outcome {
     aggregate: cabt_exec::EngineStats,
     epochs: u64,
     bus_transactions: u64,
-    devices: Option<cabt_platform::SocBusState>,
+    devices: Option<Vec<u8>>,
 }
 
 fn outcome(s: &Session) -> Outcome {

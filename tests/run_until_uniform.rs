@@ -190,11 +190,7 @@ fn registry_session(name: &str, backend: Backend) -> Option<Session> {
 
 /// What a completed run leaves: the engine trajectory, the counters
 /// and the SoC device state.
-type Final = (
-    u64,
-    cabt_exec::EngineStats,
-    Option<cabt_platform::SocBusState>,
-);
+type Final = (u64, cabt_exec::EngineStats, Option<Vec<u8>>);
 
 fn final_of(s: &Session) -> Final {
     (

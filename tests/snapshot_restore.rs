@@ -10,9 +10,8 @@
 use cabt::prelude::*;
 use cabt_exec::fingerprint_engine;
 use cabt_exec::trace::{TraceConfig, TracePlan, TraceState, MAX_TRACE_BLOCKS};
-use cabt_isa::codec::{ByteReader, ByteWriter};
+use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::SectionKind;
-use cabt_platform::SocBusState;
 use cabt_rtlsim::RtlCore;
 use cabt_sim::ShardBackend;
 use cabt_tricore::sim::DispatchMode;
@@ -290,6 +289,33 @@ fn rtl_load_state_refuses_truncated_and_foreign_images() {
         9,
         &[foreign("golden"), foreign("vliw")],
     );
+}
+
+/// Sessions refuse like the engines they drive: each shape refuses its
+/// own image cut short and another vehicle's session image, and is left
+/// as it was — engine, synchronization device, devices and every shard.
+/// Cut by its last byte, an image loses only the device row that closes
+/// it, after every engine image in it has loaded.
+#[test]
+fn session_load_state_refuses_truncated_and_foreign_images() {
+    let session = |descriptor: &str| {
+        SimBuilder::asm(SRC)
+            .backend(descriptor.parse().unwrap())
+            .build()
+            .unwrap()
+    };
+    for (shape, other) in [
+        ("golden", "translated:cache"),
+        ("golden:trace", "rtl"),
+        ("translated:cache", "golden"),
+        ("rtl", "sharded-2x:golden"),
+        ("sharded-2x:golden", "golden"),
+        ("sharded-2x-pool2:translated:cache", "sharded-2x:golden"),
+    ] {
+        let mut donor = session(other);
+        donor.run_until(Limit::Retirements(9)).unwrap();
+        refuses(shape, &mut session(shape), 5, 9, &[(other, save(&donor))]);
+    }
 }
 
 #[test]
@@ -689,13 +715,11 @@ fn park_header_rejects_foreign_and_future_images() {
 /// the Timer and UART images truncated to 3 bytes, and a scratch-RAM
 /// journal count of `u64::MAX`. Every variant keeps a well-formed
 /// envelope, so only the device restore can object.
-fn corrupt_device_parks(parked: &[u8], devices: &SocBusState) -> Vec<(&'static str, Vec<u8>)> {
-    let mut tail = Vec::new();
-    devices.encode_into(&mut tail);
-    assert!(parked.ends_with(&tail), "the bus image closes the park");
-    let head = &parked[..parked.len() - tail.len()];
+fn corrupt_device_parks(parked: &[u8], devices: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    assert!(parked.ends_with(devices), "the bus image closes the park");
+    let head = &parked[..parked.len() - devices.len()];
     // Default device population: Timer, UART, scratch RAM, CoreLink.
-    let mut r = ByteReader::new(&tail);
+    let mut r = ByteReader::new(devices);
     let n = r.count("device images", 8).unwrap();
     let images: Vec<Vec<u8>> = (0..n).map(|_| r.bytes("image").unwrap().to_vec()).collect();
     let transactions = r.u64().unwrap();
@@ -769,6 +793,18 @@ fn corrupt_device_images_are_codec_errors_not_panics() {
                     "adopt_shard: {what}"
                 );
             }
+            // A whole, valid park with one byte more: the shard and its
+            // bus load it all before the trailing byte is found.
+            let trailing = [&parked[..], &[0]].concat();
+            assert!(
+                matches!(
+                    s.adopt_shard(1, &trailing, None),
+                    Err(SessionError::Codec(CodecError::TrailingBytes {
+                        remaining: 1
+                    }))
+                ),
+                "adopt_shard: a trailing byte"
+            );
         }
         s.run_until(Limit::Cycles(u64::MAX)).unwrap();
         let devices = s.soc_bus_state();
@@ -1008,11 +1044,7 @@ fn corrupt_engine_parks() -> Vec<(String, Vec<u8>)> {
     // the devices flag and bus image.
     let s = session(Backend::golden(), 10_000);
     let (head, snap) = split_park(&s);
-    let devices = s.soc_bus_state().map_or(1, |d| {
-        let mut v = Vec::new();
-        d.encode_into(&mut v);
-        1 + v.len()
-    });
+    let devices = s.soc_bus_state().map_or(1, |d| 1 + d.len());
     let cur_end = snap.len() - devices - 2;
     push(
         "golden compiled cur",
