@@ -20,7 +20,8 @@
 //! resume <hex> cycles|retirements <n>
 //!     Rebuild a parked session from hex bytes — from this process or
 //!     any other — and continue it under the budget. A registered
-//!     workload's image gets `workload` and `checksum_ok` as in `run`.
+//!     workload's image gets `workload` and `checksum_ok` as in `run`;
+//!     every row ends with the session's `uart` log, as in `run`.
 //! analyze <workload>
 //!     Run the static analyzer over a named workload (or a `bad-*`
 //!     known-bad corpus entry) without executing it.
@@ -234,10 +235,11 @@ fn dispatch(pool: &FleetPool, line: &str) -> Result<String, Box<dyn Error>> {
                 None => Default::default(),
             };
             Ok(format!(
-                "{{\"ok\":true,{workload}\"backend\":{},\"stop\":{},{checksum}\"d2\":{d2},\"stats\":{}}}",
+                "{{\"ok\":true,{workload}\"backend\":{},\"stop\":{},{checksum}\"d2\":{d2},\"stats\":{},\"uart\":{}}}",
                 json_str(&session.backend().to_string()),
                 json_str(stop_name(stop)),
                 stats_json(&session.stats()),
+                uart_json(&session.uart_log()),
             ))
         }
         ["run" | "park", ..] => Err(protocol(
@@ -284,9 +286,9 @@ fn protocol(msg: &str) -> Box<dyn Error> {
     format!("protocol: {msg}").into()
 }
 
-fn result_json(r: &FleetResult) -> String {
-    let uart_text: String = r
-        .uart
+/// A UART log as a JSON string of its bytes, `.` for the unprintable.
+fn uart_json(log: &[(u64, u8)]) -> String {
+    let text: String = log
         .iter()
         .map(|&(_, b)| {
             if b.is_ascii_graphic() || b == b' ' {
@@ -296,6 +298,10 @@ fn result_json(r: &FleetResult) -> String {
             }
         })
         .collect();
+    json_str(&text)
+}
+
+fn result_json(r: &FleetResult) -> String {
     format!(
         "{{\"ok\":true,\"workload\":{},\"backend\":{},\"stop\":{},\"checksum_ok\":{},\"d2\":{},\"epochs\":{},\"digest\":\"{:016x}\",\"epoch_chain\":\"{:016x}\",\"stats\":{},\"uart\":{}}}",
         json_str(&r.workload),
@@ -307,7 +313,7 @@ fn result_json(r: &FleetResult) -> String {
         r.digest,
         r.epoch_chain,
         stats_json(&r.stats),
-        json_str(&uart_text),
+        uart_json(&r.uart),
     )
 }
 
@@ -436,42 +442,50 @@ mod tests {
 
     #[test]
     fn corrupt_park_images_get_an_error_row_and_serving_goes_on() {
-        let mut s = SimBuilder::named("gcd")
-            .backend(Backend::translated(cabt_core::DetailLevel::Cache))
-            .build()
-            .unwrap();
-        s.run(Limit::Retirements(500)).unwrap();
-        let mut parked = s.park().unwrap();
+        let parked = |backend: Backend| {
+            let mut s = SimBuilder::named("gcd").backend(backend).build().unwrap();
+            s.run(Limit::Retirements(500)).unwrap();
+            let bus = s.soc_bus_state().expect("the session owns a bus");
+            (s.park().unwrap(), bus)
+        };
         // The park ends with the bus image: a device count, then each
         // device image as a u64 length and its bytes — the Timer first,
         // 24 bytes long. Cut the Timer image to 3 bytes.
-        let bus = s.soc_bus_state().expect("translated bus");
-        let at = parked.len() - bus.len();
-        assert_eq!(parked[at + 8..at + 16], 24u64.to_le_bytes());
-        parked.splice(
-            at + 8..at + 40,
-            [&3u64.to_le_bytes()[..], &bus[16..19]].concat(),
-        );
+        let timer_cut = |(mut parked, bus): (Vec<u8>, Vec<u8>)| {
+            let at = parked.len() - bus.len();
+            assert_eq!(parked[at + 8..at + 16], 24u64.to_le_bytes());
+            parked.splice(
+                at + 8..at + 40,
+                [&3u64.to_le_bytes()[..], &bus[16..19]].concat(),
+            );
+            parked
+        };
+        let translated = timer_cut(parked(Backend::translated(cabt_core::DetailLevel::Cache)));
+        let golden_timer_cut = timer_cut(parked(Backend::golden()));
         // A golden park whose cached table index points past the
         // program: `cur` is the u32 before the halted flag, the
-        // trace-tier flag and the absent-devices flag that close it.
-        let mut golden = SimBuilder::named("gcd").build().unwrap();
-        golden.run(Limit::Retirements(500)).unwrap();
-        assert!(golden.soc_bus_state().is_none(), "no devices to skip");
-        let mut past_end = golden.park().unwrap();
-        let cur = past_end.len() - 7;
+        // trace-tier flag and the device row that close it.
+        let (mut past_end, bus) = parked(Backend::golden());
+        let cur = past_end.len() - (1 + bus.len()) - 2 - 4;
+        assert_eq!(
+            past_end[cur + 4..cur + 7],
+            [0, 0, 1],
+            "running, no traces, devices"
+        );
         past_end[cur..cur + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
         let input = format!(
-            "resume {} cycles 1000000\nresume {} cycles 1000000\nrun gcd golden cycles {MAX_BUDGET}\n",
-            hex_encode(&parked),
+            "resume {} cycles 1000000\nresume {} cycles 1000000\nresume {} cycles 1000000\n\
+             run gcd golden cycles {MAX_BUDGET}\n",
+            hex_encode(&translated),
+            hex_encode(&golden_timer_cut),
             hex_encode(&past_end)
         );
         let rows = replies(&input, MAX_LINE_BYTES);
-        assert_eq!(rows.len(), 3, "{rows:?}");
-        for row in &rows[..2] {
+        assert_eq!(rows.len(), 4, "{rows:?}");
+        for row in &rows[..3] {
             assert!(row.starts_with(r#"{"ok":false,"#), "{row}");
         }
-        assert!(rows[2].contains(r#""checksum_ok":true"#), "{}", rows[2]);
+        assert!(rows[3].contains(r#""checksum_ok":true"#), "{}", rows[3]);
     }
 
     #[test]

@@ -36,7 +36,6 @@ use cabt_exec::trace::TraceConfig;
 use cabt_exec::{fingerprint_engine, DigestChain, ExecutionEngine, Limit, StopCause};
 use cabt_isa::codec::ByteReader;
 use cabt_isa::elf::{ElfFile, SectionKind};
-use cabt_platform::{default_soc_bus, SharedSocBus};
 use cabt_sim::{Backend, Dispatch, Session, SessionError, SimBuilder};
 use std::fmt;
 
@@ -151,17 +150,12 @@ fn eager_traces() -> TraceConfig {
 }
 
 /// Builds a session for `backend`, forming traces eagerly on `:trace`
-/// descriptors (the others ignore the trace config); single-core golden
-/// sessions get a private default SoC bus so MMIO templates hit devices
-/// instead of faulting (every other vehicle owns its bus already).
+/// descriptors (the others ignore the trace config).
 fn build(elf: &ElfFile, backend: Backend) -> Result<Session, SessionError> {
-    let mut b = SimBuilder::elf(elf.clone())
+    SimBuilder::elf(elf.clone())
         .backend(backend)
-        .trace_config(eager_traces());
-    if matches!(backend, Backend::Golden { .. }) {
-        b = b.soc_bus(SharedSocBus::new(default_soc_bus()));
-    }
-    b.build()
+        .trace_config(eager_traces())
+        .build()
 }
 
 /// [`build`], reporting a failure as a divergence of `check`.

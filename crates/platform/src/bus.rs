@@ -218,19 +218,6 @@ impl SocBus {
         Ok(())
     }
 
-    /// Reads a [`SocBus::save_state`] image past, for a session that has
-    /// no bus to load it into.
-    ///
-    /// # Errors
-    ///
-    /// A [`CodecError`] for truncated bytes.
-    pub fn skip_state(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        for _ in 0..r.count("bus device images", 8)? {
-            r.bytes("device image")?;
-        }
-        r.u64().map(drop)
-    }
-
     // --- device-granular accessors for the barrier exchange ------------
 
     /// Number of attached devices.
@@ -1001,6 +988,30 @@ impl ShardArbiter {
             bus.load_state(&mut ByteReader::new(initial)).expect(expect);
         }
         self.epochs = 0;
+    }
+
+    /// Checks that every shard bus extends the canonical state: it has
+    /// served no fewer transactions and logged no fewer UART bytes than
+    /// the mirror. A shard image parked before the last barrier fails
+    /// it; [`ShardArbiter::exchange`] and the aggregate views would
+    /// count such a bus's traffic below zero.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadLength`] naming the count that falls short.
+    pub fn check_buses(&self) -> Result<(), CodecError> {
+        let (transactions, log) = (self.mirror.transactions(), self.mirror.uart_log().len());
+        for bus in self.buses.iter().map(SharedSocBus::lock) {
+            let (what, len) = if bus.transactions() < transactions {
+                ("shard bus transactions", bus.transactions())
+            } else if bus.uart_log().len() < log {
+                ("shard UART log", bus.uart_log().len() as u64)
+            } else {
+                continue;
+            };
+            return Err(CodecError::BadLength { what, len });
+        }
+        Ok(())
     }
 
     /// Loads the canonical state and sets the epoch counter — the

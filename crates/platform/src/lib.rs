@@ -155,11 +155,10 @@ const SYNC_WINDOW: Range<u32> = SYNC_DEVICE_BASE..SYNC_DEVICE_BASE + 16;
 
 /// The platform's device bus, owned by the engine: the core's own
 /// synchronization device — each core paces its own cycle generation —
-/// plus a [`SharedSocBus`] handle, so the *same* device population can
-/// also be shared with other vehicles (e.g. the golden model via
-/// [`bus::GoldenBridge`]); shards of a multi-core session instead get
-/// *private* bus clones reconciled by the [`ShardArbiter`] at epoch
-/// barriers. [`Platform`] reaches it through the engine.
+/// plus a [`SharedSocBus`] handle to the SoC devices, whose owner holds
+/// another: a single-core session, or the [`ShardArbiter`] that
+/// reconciles a shard set's *private* buses at epoch barriers.
+/// [`Platform`] reaches it through the engine.
 struct PlatformBus {
     sync: SyncDevice,
     soc: SharedSocBus,
@@ -259,20 +258,17 @@ pub fn mirror_soc_bus(ncores: u32) -> SocBus {
 /// The assembled rapid-prototyping platform.
 ///
 /// The engine owns the device bus; the platform's device accessors
-/// ([`Platform::stats`], [`Platform::save_state`],
-/// [`Platform::soc_bus`], …) read it back through
-/// [`VliwSim::bus`]. If a caller replaces the bus through
+/// ([`Platform::stats`], [`Platform::save_state`], …) read it back
+/// through [`VliwSim::bus`]. If a caller replaces the bus through
 /// [`Platform::engine`], those accessors see no platform devices: they
-/// report zero device counters, return `None` and ignore restores —
-/// they never panic.
+/// report zero device counters and ignore restores — they never panic.
+///
+/// [`Platform::reset`] leaves the SoC devices alone: the bus's owner
+/// resets them — a single-core session loads their built image back, a
+/// shard set's arbiter resets its whole fabric.
 pub struct Platform {
     sim: VliwSim,
     cfg: PlatformConfig,
-    /// State image of the bus as built ([`SocBus::save_state`]), when
-    /// the platform owns its bus — what [`Platform::reset`] returns it
-    /// to. `None` for a bus owned by the caller
-    /// ([`Platform::instantiate`]).
-    built_devices: Option<Vec<u8>>,
 }
 
 impl fmt::Debug for Platform {
@@ -291,55 +287,33 @@ impl Platform {
     ///
     /// Propagates program construction failures.
     pub fn new(translated: &Translated, cfg: PlatformConfig) -> Result<Self, PlatformError> {
-        Ok(Self::instantiate(translated.program()?, cfg, None))
+        let bus = SharedSocBus::new(default_soc_bus());
+        Ok(Self::instantiate(translated.program()?, cfg, bus))
     }
 
     /// A platform around an instance of an already built `program`
     /// ([`Translated::program`]) — how sessions and shards build theirs,
     /// every engine over one image sharing its program. It routes its
-    /// I/O window into `bus`, owned by the caller and possibly shared
-    /// with other cores, or, without one, into a default device
-    /// population of its own ([`default_soc_bus`]). Each platform keeps
-    /// its own synchronization device.
-    pub fn instantiate(
-        program: Arc<VliwProgram>,
-        cfg: PlatformConfig,
-        bus: Option<SharedSocBus>,
-    ) -> Self {
-        let owned = bus.is_none();
-        let soc = bus.unwrap_or_else(|| SharedSocBus::new(default_soc_bus()));
-        let built_devices = owned.then(|| {
-            let mut image = Vec::new();
-            soc.save_state(&mut image);
-            image
-        });
+    /// I/O window into `bus` and keeps its own synchronization device.
+    pub fn instantiate(program: Arc<VliwProgram>, cfg: PlatformConfig, bus: SharedSocBus) -> Self {
         let mut sim = VliwSim::instantiate(program);
         sim.set_bus(Box::new(PlatformBus {
             sync: SyncDevice::new(cfg.rate),
-            soc,
+            soc: bus,
             cfg,
         }));
-        Platform {
-            sim,
-            cfg,
-            built_devices,
-        }
+        Platform { sim, cfg }
     }
 
     /// Resets the platform in place to a fresh run: the engine (at its
-    /// program's entry and load image, dispatch kept), a fresh
-    /// synchronization device, and — when the platform owns its bus —
-    /// the devices in their built state. A bus owned by someone
-    /// else keeps its state; its owner resets it.
+    /// program's entry and load image, dispatch kept) and a fresh
+    /// synchronization device. The SoC devices keep their state; the
+    /// bus's owner resets them.
     pub fn reset(&mut self) {
         self.sim.reset();
         let sync = SyncDevice::new(self.cfg.rate);
         if let Some(bus) = self.bus_mut() {
             bus.sync = sync;
-        }
-        if let (Some(image), Some(soc)) = (&self.built_devices, self.soc_bus()) {
-            soc.load_state(&mut ByteReader::new(image))
-                .expect("a bus's own image loads into it");
         }
     }
 
@@ -428,8 +402,8 @@ impl Platform {
     /// ([`ExecutionEngine::save_state`]), then the synchronization
     /// device's, whose generation queue is keyed to the target clock —
     /// rewinding the engine without it would turn later wait reads into
-    /// phantom stalls. The SoC devices behind [`Platform::soc_bus`] are
-    /// not in it ([`SharedSocBus::save_state`]). A platform whose bus was
+    /// phantom stalls. The SoC devices are not in it: their owner saves
+    /// them ([`SharedSocBus::save_state`]). A platform whose bus was
     /// replaced saves a fresh device's image.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         self.sim.save_state(out);
@@ -456,13 +430,6 @@ impl Platform {
             bus.sync = sync;
         }
         Ok(())
-    }
-
-    /// A clone of the handle to this platform's SoC bus. With
-    /// [`Platform::instantiate`] this is the *same* bus other cores
-    /// were built around.
-    pub fn soc_bus(&self) -> Option<SharedSocBus> {
-        self.bus().map(|b| b.soc.clone())
     }
 }
 

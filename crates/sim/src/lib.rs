@@ -48,8 +48,7 @@ use cabt_isa::codec::{ByteReader, ByteWriter, CodecError};
 use cabt_isa::elf::ElfFile;
 use cabt_isa::IsaError;
 use cabt_platform::{
-    GoldenBridge, Platform, PlatformConfig, PlatformStats, ShardArbiter, SharedSocBus, SocBus,
-    SyncRate,
+    GoldenBridge, Platform, PlatformConfig, PlatformStats, ShardArbiter, SharedSocBus, SyncRate,
 };
 use cabt_rtlsim::{RtlCore, RtlError};
 use cabt_tricore::arch::ArchDesc;
@@ -537,10 +536,9 @@ enum SourceSpec {
 
 /// The build-time knobs a builder sets and a session retains so it can
 /// describe itself — the configuration half of the park envelope,
-/// enough to rebuild an identical vehicle in another process. An
-/// externally owned bus is deliberately absent: a resumed session owns
-/// a private device population whose *state* comes from the snapshot
-/// payload.
+/// enough to rebuild an identical vehicle in another process. It names
+/// no bus: every vehicle builds its own device population, whose
+/// *state* travels in the snapshot payload.
 #[derive(Debug, Clone, Copy)]
 struct BuildConfig {
     platform: PlatformConfig,
@@ -637,7 +635,6 @@ pub struct SimBuilder {
     source: SourceSpec,
     backend: Backend,
     config: BuildConfig,
-    soc_bus: Option<SharedSocBus>,
 }
 
 impl fmt::Debug for SimBuilder {
@@ -664,7 +661,6 @@ impl SimBuilder {
                 shard_epoch: None,
                 trace_config: None,
             },
-            soc_bus: None,
         }
     }
 
@@ -721,24 +717,6 @@ impl SimBuilder {
         self
     }
 
-    /// Routes the session's I/O window into an externally owned
-    /// [`SharedSocBus`] instead of the platform's default peripherals —
-    /// how several sessions (or a session and hand-built engines) share
-    /// one device population. Honored by [`Backend::Translated`]
-    /// (platform bus) and [`Backend::Golden`] (attached via
-    /// [`cabt_platform::GoldenBridge`]); ignored by [`Backend::Rtl`],
-    /// which has no I/O window. [`Backend::Sharded`] sessions build
-    /// their own shared bus and reject an external one.
-    ///
-    /// The bus is *owned by the caller*: [`Session::reset`] resets the
-    /// engine (and, for translated sessions, the synchronization
-    /// device) but leaves the bus state alone, and session state images
-    /// still carry its device state.
-    pub fn soc_bus(mut self, bus: SharedSocBus) -> Self {
-        self.soc_bus = Some(bus);
-        self
-    }
-
     /// Warm-up/threshold knobs of the golden model's trace dispatch
     /// tier, applied to every golden engine the session builds
     /// (including each shard of a sharded session). Only observable
@@ -778,7 +756,7 @@ impl SimBuilder {
             SourceSpec::Elf(elf) => elf,
             SourceSpec::Named(name) => named_workload(&name, self.backend)?.elf()?,
         };
-        Session::new(elf, self.backend, self.config, self.soc_bus)
+        Session::new(elf, self.backend, self.config, None)
     }
 }
 
@@ -917,8 +895,8 @@ mod engine {
 
 /// The execution vehicle a [`Session`] drives: an engine, plus what the
 /// vehicles do differently. Each saves and loads its own session image,
-/// homes the source registers where its engine keeps them and may own a
-/// device bus. What only one kind of vehicle has, a session reaches by
+/// homes the source registers where its engine keeps them and may drive
+/// a SoC bus. What only one kind of vehicle has, a session reaches by
 /// downcasting to it ([`Session::vehicle_as`]).
 trait Vehicle: Any + Send {
     /// The engine that runs, steps and holds the registers.
@@ -927,7 +905,8 @@ trait Vehicle: Any + Send {
     /// Mutable twin of [`Vehicle::engine`].
     fn engine_mut(&mut self) -> &mut dyn engine::Engine;
 
-    /// Resets to a fresh run: the engine, plus what the vehicle owns.
+    /// Resets to a fresh run: the engine, plus what the vehicle owns
+    /// besides its bus, which the session resets ([`Devices::reset`]).
     fn reset(&mut self) {
         self.engine_mut().reset();
     }
@@ -959,20 +938,68 @@ trait Vehicle: Any + Send {
         16 + usize::from(i)
     }
 
-    /// The live SoC bus whose device state belongs in the vehicle's
-    /// image, if it has one.
-    fn device_bus(&self) -> Option<SharedSocBus> {
+    /// The SoC bus the vehicle's I/O window drives, if it has one.
+    fn devices(&self) -> Option<&Devices> {
         None
     }
 
     /// Appends the device row that closes the vehicle's image: a
-    /// presence flag, then the state image of the live bus
-    /// ([`SocBus::save_state`]) when it has one.
+    /// presence flag, then the state image of its bus
+    /// ([`SharedSocBus::save_state`]) when it has one.
     fn save_devices(&self, out: &mut Vec<u8>) {
-        let bus = self.device_bus();
-        ByteWriter::new(out).bool(bus.is_some());
-        if let Some(bus) = bus {
-            bus.save_state(out);
+        let devices = self.devices();
+        ByteWriter::new(out).bool(devices.is_some());
+        if let Some(devices) = devices {
+            devices.bus.save_state(out);
+        }
+    }
+
+    /// Loads the device row [`Vehicle::save_devices`] wrote into the
+    /// vehicle's bus. A row with devices where the vehicle has no bus, or
+    /// none where it has one, is a [`CodecError::BadTag`].
+    fn load_devices(&self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        match (r.bool()?, self.devices()) {
+            (true, Some(devices)) => devices.bus.load_state(r),
+            (false, None) => Ok(()),
+            (present, _) => Err(CodecError::BadTag {
+                what: "session device row",
+                tag: u8::from(present),
+            }),
+        }
+    }
+}
+
+/// The SoC bus of a golden or translated vehicle. A single-core session
+/// owns its bus, a default device population
+/// ([`cabt_platform::default_soc_bus`]), and keeps the state image it
+/// was built in, which [`Session::reset`] loads back. A shard drives its
+/// set's bus slot, which the arbiter resets with the fabric.
+struct Devices {
+    bus: SharedSocBus,
+    /// The image of an owned bus as built; `None` for a shard's slot.
+    built: Option<Vec<u8>>,
+}
+
+impl Devices {
+    /// The shard set's bus `slot`, or else a bus of the session's own.
+    fn new(slot: Option<SharedSocBus>) -> Devices {
+        let own = slot.is_none();
+        let bus = slot.unwrap_or_else(|| SharedSocBus::new(cabt_platform::default_soc_bus()));
+        let built = own.then(|| {
+            let mut image = Vec::new();
+            bus.save_state(&mut image);
+            image
+        });
+        Devices { bus, built }
+    }
+
+    /// Returns an owned bus to its built state; a slot's arbiter resets
+    /// the slot.
+    fn reset(&self) {
+        if let Some(image) = &self.built {
+            self.bus
+                .load_state(&mut ByteReader::new(image))
+                .expect("a bus loads its own image");
         }
     }
 }
@@ -995,24 +1022,10 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8) -> Result<(), CodecError> {
     }
 }
 
-/// Reads the device row that closes a single-core session image
-/// ([`Vehicle::save_devices`]) and loads it into `bus`; a vehicle
-/// without a bus reads the devices past.
-fn load_devices(r: &mut ByteReader<'_>, bus: Option<SharedSocBus>) -> Result<(), CodecError> {
-    if r.bool()? {
-        match bus {
-            Some(bus) => bus.load_state(r)?,
-            None => SocBus::skip_state(r)?,
-        }
-    }
-    Ok(())
-}
-
-/// The golden model, with the shared bus its I/O window is bridged onto
-/// when one was attached.
+/// The golden model, its I/O window bridged onto its bus.
 struct GoldenVehicle {
     sim: Simulator,
-    bus: Option<SharedSocBus>,
+    devices: Devices,
 }
 
 impl Vehicle for GoldenVehicle {
@@ -1032,11 +1045,11 @@ impl Vehicle for GoldenVehicle {
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, GOLDEN_TAG)?;
         self.sim.load_state(r)?;
-        load_devices(r, self.device_bus())
+        self.load_devices(r)
     }
 
-    fn device_bus(&self) -> Option<SharedSocBus> {
-        self.bus.clone()
+    fn devices(&self) -> Option<&Devices> {
+        Some(&self.devices)
     }
 }
 
@@ -1046,6 +1059,7 @@ impl Vehicle for GoldenVehicle {
 struct TranslatedVehicle {
     platform: Platform,
     image: Arc<Translated>,
+    devices: Devices,
 }
 
 impl Vehicle for TranslatedVehicle {
@@ -1056,8 +1070,7 @@ impl Vehicle for TranslatedVehicle {
         self.platform.engine()
     }
 
-    /// The platform owns its synchronization device, and its devices
-    /// unless the bus came from the caller: [`Platform::reset`].
+    /// The platform owns its synchronization device: [`Platform::reset`].
     fn reset(&mut self) {
         self.platform.reset();
     }
@@ -1073,7 +1086,7 @@ impl Vehicle for TranslatedVehicle {
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, TRANSLATED_TAG)?;
         self.platform.load_state(r)?;
-        load_devices(r, self.device_bus())
+        self.load_devices(r)
     }
 
     /// The register binding's home.
@@ -1085,8 +1098,8 @@ impl Vehicle for TranslatedVehicle {
         cabt_core::regbind::areg(AReg(i)).index()
     }
 
-    fn device_bus(&self) -> Option<SharedSocBus> {
-        self.platform.soc_bus()
+    fn devices(&self) -> Option<&Devices> {
+        Some(&self.devices)
     }
 }
 
@@ -1109,7 +1122,7 @@ impl Vehicle for RtlCore {
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, RTL_TAG)?;
         ExecutionEngine::load_state(self, r)?;
-        load_devices(r, None)
+        self.load_devices(r)
     }
 }
 
@@ -1135,7 +1148,9 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// and re-derives its packet-range covers on restore. v7 drops the VLIW
 /// snapshot's trace section with the VLIW trace tier. v8 reads the
 /// sharded payload's last `u64` as the armed barrier, which runs obey.
-pub const PARK_VERSION: u16 = 8;
+/// v9 gives every golden session its own bus: a golden image carries a
+/// device row, and its I/O window reaches the devices, not memory.
+pub const PARK_VERSION: u16 = 9;
 
 /// Most shards a [`Backend::Sharded`] session may have. The CoreLink
 /// window ([`cabt_platform::CORE_LINK_WINDOW`]) holds one doorbell send
@@ -1209,7 +1224,6 @@ impl ShardSet {
         backend: ShardBackend,
         schedule: ShardSchedule,
         config: &BuildConfig,
-        bus: Option<SharedSocBus>,
     ) -> Result<ShardSet, SessionError> {
         if cores == 0 {
             return Err(SessionError::ShardConfig(
@@ -1220,11 +1234,6 @@ impl ShardSet {
             return Err(SessionError::ShardConfig(format!(
                 "{cores} cores exceed the fabric's ceiling of {MAX_SHARDS}"
             )));
-        }
-        if bus.is_some() {
-            return Err(SessionError::ShardConfig(
-                "sharded sessions own their device fabric; `soc_bus` is not accepted".into(),
-            ));
         }
         // One private device population per shard — each with its own
         // CoreLink identity (core-id register, doorbell window) — plus
@@ -1335,7 +1344,9 @@ impl Vehicle for ShardSet {
     /// Every shard loads its private bus from its own image, through its
     /// vehicle (the session over the set rolls back once for all); the
     /// set's device image re-seats the arbiter's canonical mirror and
-    /// epoch counter, and re-arms the barrier.
+    /// epoch counter, and re-arms the barrier. Shard buses that fall
+    /// short of the canonical state are refused
+    /// ([`ShardArbiter::check_buses`]).
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect_tag(r, SHARDED_TAG)?;
         let n = r.count("shard snapshots", 2)?;
@@ -1353,7 +1364,7 @@ impl Vehicle for ShardSet {
             self.arbiter.load_canonical(r, epochs)?;
             self.barrier.next = next_barrier;
         }
-        Ok(())
+        self.arbiter.check_buses()
     }
 
     /// Shard 0's homes: it holds the first indices of the set's register
@@ -1489,28 +1500,29 @@ impl fmt::Debug for Session {
 
 impl Session {
     /// Builds the program for `backend` from `elf` and a session over
-    /// it. `bus` routes the I/O window of a golden or translated vehicle
-    /// onto an existing device population.
+    /// it, on a shard set's bus `slot` if given ([`Devices::new`]).
     fn new(
         elf: ElfFile,
         backend: Backend,
         config: BuildConfig,
-        bus: Option<SharedSocBus>,
+        slot: Option<SharedSocBus>,
     ) -> Result<Session, SessionError> {
         let elf = Arc::new(elf);
         let program = Program::build(&elf, backend, &config)?;
-        Session::instantiate(elf, &program, backend, config, bus)
+        Session::instantiate(elf, &program, backend, config, slot)
     }
 
     /// A session over `program`, which was built from `elf` for
     /// `backend`: only the run state is new. The one place a session is
-    /// made — shards of a set included.
+    /// made — shards of a set included. A golden or translated vehicle
+    /// drives the shard set's bus `slot`, or without one owns a bus of
+    /// its own ([`Devices::new`]).
     fn instantiate(
         elf: Arc<ElfFile>,
         program: &Program,
         backend: Backend,
         config: BuildConfig,
-        bus: Option<SharedSocBus>,
+        slot: Option<SharedSocBus>,
     ) -> Result<Session, SessionError> {
         let vehicle: Box<dyn Vehicle> = match (backend, program) {
             (Backend::Golden { dispatch }, Program::Golden(program)) => {
@@ -1519,12 +1531,13 @@ impl Session {
                 if dispatch == Dispatch::Naive {
                     sim.set_dispatch(DispatchMode::Naive);
                 }
-                if let Some(bus) = &bus {
-                    sim.set_io_device(Box::new(GoldenBridge::new(bus.clone())));
-                }
-                Box::new(GoldenVehicle { sim, bus })
+                let devices = Devices::new(slot);
+                sim.set_io_device(Box::new(GoldenBridge::new(devices.bus.clone())));
+                Box::new(GoldenVehicle { sim, devices })
             }
             (Backend::Translated { naive, .. }, Program::Translated { image, program }) => {
+                let devices = Devices::new(slot);
+                let bus = devices.bus.clone();
                 let mut platform = Platform::instantiate(Arc::clone(program), config.platform, bus);
                 if naive {
                     platform.set_dispatch(VliwDispatch::Naive);
@@ -1532,6 +1545,7 @@ impl Session {
                 Box::new(TranslatedVehicle {
                     platform,
                     image: Arc::clone(image),
+                    devices,
                 })
             }
             (
@@ -1542,7 +1556,7 @@ impl Session {
                 },
                 program,
             ) => Box::new(ShardSet::build(
-                &elf, program, cores, backend, schedule, &config, bus,
+                &elf, program, cores, backend, schedule, &config,
             )?),
             (Backend::Rtl, _) => Box::new(RtlCore::new(&elf)?),
             _ => unreachable!("Program::build builds the program of its backend"),
@@ -1770,9 +1784,10 @@ impl Session {
     /// session mid-run and resuming it elsewhere replays bit-identically
     /// (`tests/snapshot_restore.rs` pins this for every backend).
     ///
-    /// Sessions built around an externally owned bus
-    /// ([`SimBuilder::soc_bus`]) park their device *state*; the resumed
-    /// session owns a private device population restored from it.
+    /// Every vehicle but RTL parks the state of its devices, a
+    /// single-core session its own bus's and a shard set the arbiter's
+    /// canonical image with each shard's bus; the resumed session builds
+    /// its own devices and loads that state into them.
     ///
     /// # Errors
     ///
@@ -1808,16 +1823,11 @@ impl Session {
     /// (retired descriptors such as `golden:compiled` included); plus
     /// the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
-        let (backend, config, elf, r) = Self::decode_park(bytes)?;
+        let (backend, config, elf, mut r) = Self::decode_park(bytes)?;
         let mut session = Session::new(elf, backend, config, None)?;
-        session.load_park(r)?;
+        session.load_state(&mut r)?;
+        r.finish()?;
         Ok(session)
-    }
-
-    /// Loads the state image that closes a park, to the park's last
-    /// byte, or leaves the session as it was ([`Session::load_state`]).
-    fn load_park(&mut self, mut r: ByteReader<'_>) -> Result<(), CodecError> {
-        self.load_or_roll_back(|v| v.load_state(&mut r).and_then(|()| r.finish()))
     }
 
     /// Runs `load` on the vehicle and, if it refuses, loads back the
@@ -1916,8 +1926,10 @@ impl Session {
     /// [`SessionError::ShardConfig`] on single-core sessions,
     /// out-of-range indices or a sharded override; plus everything
     /// [`Session::resume`] raises for the envelope, an image that does
-    /// not fit the override included. On any error the shard and its bus
-    /// slot are left as they were.
+    /// not fit the override included, and a [`CodecError`] for a shard
+    /// parked before the set's last barrier, whose bus falls short of the
+    /// canonical state ([`ShardArbiter::check_buses`]). On any error the
+    /// shard and its bus slot are left as they were.
     pub fn adopt_shard(
         &mut self,
         i: usize,
@@ -1935,58 +1947,62 @@ impl Session {
                 set.shards.len()
             )));
         }
-        let (parked_backend, config, elf, r) = Self::decode_park(bytes)?;
+        let (parked_backend, config, elf, mut r) = Self::decode_park(bytes)?;
         let backend = backend_override.unwrap_or(parked_backend);
         if matches!(backend, Backend::Sharded { .. }) {
             return Err(SessionError::ShardConfig(
                 "a shard is a single-core session; sharding does not nest".into(),
             ));
         }
-        let bus = match backend {
+        let slot = match backend {
             Backend::Rtl => None,
             _ => Some(set.arbiter.bus(i)),
         };
         // The shard is built around the arbiter's live bus for slot `i`,
         // so a refused image rolls that bus back with the shard.
-        let mut shard = Session::new(elf, backend, config, bus)?;
-        shard.load_park(r)?;
+        let mut shard = Session::new(elf, backend, config, slot)?;
+        let arbiter = &set.arbiter;
+        shard.load_or_roll_back(|v| {
+            v.load_state(&mut r)?;
+            r.finish()?;
+            arbiter.check_buses()
+        })?;
         set.shards[i] = shard;
         Ok(())
     }
 
-    /// The state image of the session's SoC bus, if it has one
-    /// ([`SocBus::save_state`]), as it closes the session's image —
-    /// single-core vehicles report their bus, sharded sessions the
-    /// arbiter's canonical barrier image. What cross-schedule
-    /// differential tests compare.
+    /// The state image of the session's SoC bus
+    /// ([`cabt_platform::SocBus::save_state`]), as it closes the
+    /// session's image: a golden or translated session's own bus, a
+    /// sharded session's canonical barrier image; `None` on RTL. What
+    /// cross-schedule differential tests compare.
     pub fn soc_bus_state(&self) -> Option<Vec<u8>> {
         let mut row = Vec::new();
         self.vehicle.save_devices(&mut row);
         (row[0] == 1).then(|| row.split_off(1))
     }
 
-    /// A handle to the session's live SoC bus, if it has one. `None`
-    /// for RTL sessions (no I/O window), golden sessions without an
-    /// attached bus, and sharded sessions — a shard set has no *single*
-    /// live bus; inspect per-shard handles through [`Session::shard`],
-    /// which is how the determinism harness asserts shards never alias
-    /// one bus.
+    /// A handle to the session's live SoC bus: a golden or translated
+    /// session's own bus, or a shard's slot in its set's fabric. `None`
+    /// for RTL sessions (no I/O window) and sharded sessions — a shard
+    /// set has no *single* live bus; inspect per-shard handles through
+    /// [`Session::shard`], which is how the determinism harness asserts
+    /// shards never alias one bus.
     pub fn soc_bus_handle(&self) -> Option<SharedSocBus> {
-        self.vehicle.device_bus()
+        self.vehicle.devices().map(|d| d.bus.clone())
     }
 
     /// The transmit log of the session's logging peripherals, as
     /// `(cycle, byte)` pairs: a shard set's merged log
-    /// ([`ShardedStats::uart`]), otherwise the log of the session's bus
-    /// (the translated platform's, or the bus a golden session was
-    /// built around). Empty without a bus.
+    /// ([`ShardedStats::uart`]), otherwise the log of the session's bus,
+    /// golden and translated alike. Empty on RTL, which has no bus.
     pub fn uart_log(&self) -> Vec<(u64, u8)> {
         match self.vehicle_as::<ShardSet>() {
             Some(set) => set.arbiter.uart_log(),
             None => self
                 .vehicle
-                .device_bus()
-                .map_or_else(Vec::new, |b| b.uart_log()),
+                .devices()
+                .map_or_else(Vec::new, |d| d.bus.uart_log()),
         }
     }
 }
@@ -2007,9 +2023,9 @@ impl ExecutionEngine for Session {
 
     /// Loads an image of a session with the same backend kind (and shard
     /// count): the engine, plus — on translated sessions — the
-    /// synchronization device, plus the SoC peripherals of any bus the
-    /// session holds. Sharded sessions load every shard and the
-    /// arbiter's canonical image.
+    /// synchronization device, plus the SoC peripherals of the session's
+    /// bus. Sharded sessions load every shard and the arbiter's canonical
+    /// image.
     ///
     /// # Errors
     ///
@@ -2024,16 +2040,17 @@ impl ExecutionEngine for Session {
 
     /// Resets to a fully fresh run, in place: nothing is translated,
     /// decoded or compiled again. Unlike the engine-scope trait minimum,
-    /// a translated session *owns* its platform, so reset also gives it
-    /// a fresh synchronization device and returns its SoC peripherals
-    /// to their built state ([`Platform::reset`]) — reset-then-rerun is
-    /// reproducible on every backend. Sessions built around an
-    /// externally owned bus ([`SimBuilder::soc_bus`]) leave that bus's
-    /// state to its owner; sharded sessions own their shared bus and
-    /// restore it to its freshly built state (and re-seed shard core
-    /// ids).
+    /// a session *owns* its devices, so reset also returns a golden or
+    /// translated session's SoC peripherals to their built state and
+    /// gives a translated session a fresh synchronization device
+    /// ([`Platform::reset`]) — reset-then-rerun is reproducible on every
+    /// backend. A sharded session restores its device fabric to its
+    /// freshly built state and re-seeds its shards' core ids.
     fn reset(&mut self) {
         self.vehicle.reset();
+        if let Some(devices) = self.vehicle.devices() {
+            devices.reset();
+        }
     }
 
     /// See the trait contract — identical across backends. On sharded

@@ -55,94 +55,94 @@ fn park_digest(name: &str, backend: Backend) -> Option<u64> {
 /// shape.
 #[rustfmt::skip]
 const PINS: &[(&str, &str, Option<u64>)] = &[
-    ("gcd", "golden", Some(0x17f8a8e857687267)),
-    ("gcd", "golden:trace", Some(0x9a429b460316fff3)),
-    ("gcd", "translated:functional", Some(0xa36d6f0c6a6a4539)),
-    ("gcd", "translated:static", Some(0xfd8bd2ec4723480c)),
-    ("gcd", "translated:branch-predict", Some(0xddb5170bb6a4f8d4)),
-    ("gcd", "translated:cache", Some(0x0525b9550383a382)),
-    ("gcd", "rtl", Some(0x187dbaad325f3dd9)),
-    ("gcd", "golden:naive", Some(0x4c1e4cba953a3804)),
-    ("gcd", "translated:cache:naive", Some(0x99ce9e51f793235f)),
-    ("gcd", "sharded-2x:golden", Some(0xff9b42a3c6858168)),
-    ("gcd", "sharded-2x:translated:cache", Some(0x1fe2f0ca397ce587)),
-    ("dpcm", "golden", Some(0xae056d490ba6c49e)),
-    ("dpcm", "golden:trace", Some(0xf51bd3f37557b75a)),
-    ("dpcm", "translated:functional", Some(0xc4b0d702f51f217b)),
-    ("dpcm", "translated:static", Some(0x12d320fcfaafaf4c)),
-    ("dpcm", "translated:branch-predict", Some(0x6ceb78d2a85a4f7c)),
-    ("dpcm", "translated:cache", Some(0x955136f6b80c4300)),
-    ("dpcm", "rtl", Some(0x91639ffc3ee61acb)),
-    ("dpcm", "golden:naive", Some(0xf8cfcfdffb17dc7c)),
-    ("dpcm", "translated:cache:naive", Some(0xd35d4352a909ae01)),
-    ("dpcm", "sharded-2x:golden", Some(0xbae1ff81cca1a03d)),
-    ("dpcm", "sharded-2x:translated:cache", Some(0x2aa7d5a4430be815)),
-    ("fir", "golden", Some(0x6cd1a9721d7e269f)),
-    ("fir", "golden:trace", Some(0xfdcca00ed21738b9)),
-    ("fir", "translated:functional", Some(0x3b6489b549863319)),
-    ("fir", "translated:static", Some(0x7efc2e232fd4d7a6)),
-    ("fir", "translated:branch-predict", Some(0xed27179ba8341dda)),
-    ("fir", "translated:cache", Some(0x04d7a05de731a44a)),
-    ("fir", "rtl", Some(0x5450d09463a035b5)),
-    ("fir", "golden:naive", Some(0x2278b84d1a16e264)),
-    ("fir", "translated:cache:naive", Some(0xefb416756b264795)),
-    ("fir", "sharded-2x:golden", Some(0x4bbc50016d16e00b)),
-    ("fir", "sharded-2x:translated:cache", Some(0xb2b53da0a77728e9)),
-    ("ellip", "golden", Some(0x225a2fca0092b6f6)),
-    ("ellip", "golden:trace", Some(0x768514584891b0f7)),
-    ("ellip", "translated:functional", Some(0x7358b1de4f0ac6a0)),
-    ("ellip", "translated:static", Some(0xb7c96449fa004b84)),
-    ("ellip", "translated:branch-predict", Some(0xc4b1f0a8a9738e3a)),
-    ("ellip", "translated:cache", Some(0x4710739ac2c65074)),
-    ("ellip", "rtl", Some(0x03afb3083f526db3)),
-    ("ellip", "golden:naive", Some(0xe103dc5885ec5b71)),
-    ("ellip", "translated:cache:naive", Some(0xe4db3e30e76d6131)),
-    ("ellip", "sharded-2x:golden", Some(0x244a1929617f2963)),
-    ("ellip", "sharded-2x:translated:cache", Some(0x835884410ad71e9e)),
-    ("sieve", "golden", Some(0xd285d5d754d79cbf)),
-    ("sieve", "golden:trace", Some(0xa3c751313cf0ac80)),
-    ("sieve", "translated:functional", Some(0xdb3bdf80fe4794ce)),
-    ("sieve", "translated:static", Some(0xc3198ca2981f70c8)),
-    ("sieve", "translated:branch-predict", Some(0x58b415257e72bccd)),
-    ("sieve", "translated:cache", Some(0xf18b2e1c844499c5)),
-    ("sieve", "rtl", Some(0x1d6aa23d81f8247d)),
-    ("sieve", "golden:naive", Some(0xe92474597b29141a)),
-    ("sieve", "translated:cache:naive", Some(0x26d0de2dede06a67)),
-    ("sieve", "sharded-2x:golden", Some(0x8b749bcd1b7330f5)),
-    ("sieve", "sharded-2x:translated:cache", Some(0x742b381b4c75cc25)),
-    ("subband", "golden", Some(0x917d77a9d1e68e6a)),
-    ("subband", "golden:trace", Some(0xb73bf4f4e2e26e00)),
-    ("subband", "translated:functional", Some(0x1ff2f88b1d7e05fe)),
-    ("subband", "translated:static", Some(0x91320b54e480e86f)),
-    ("subband", "translated:branch-predict", Some(0x97726e7ade3dbdbf)),
-    ("subband", "translated:cache", Some(0xcfc34fa44a84d0d3)),
-    ("subband", "rtl", Some(0x9048632c5d5469d5)),
-    ("subband", "golden:naive", Some(0xaa1589d6239d3b41)),
-    ("subband", "translated:cache:naive", Some(0x9ecaf9e809bcfe32)),
-    ("subband", "sharded-2x:golden", Some(0xaece2051661cf48d)),
-    ("subband", "sharded-2x:translated:cache", Some(0x197fc4f91a2b862d)),
-    ("fibonacci", "golden", Some(0x194c3402cde6c991)),
-    ("fibonacci", "golden:trace", Some(0xd294a72746aa7e11)),
-    ("fibonacci", "translated:functional", Some(0xbefaee33d597f66a)),
-    ("fibonacci", "translated:static", Some(0x84b9cedf9dd39381)),
-    ("fibonacci", "translated:branch-predict", Some(0x8eaff92c03be638f)),
-    ("fibonacci", "translated:cache", Some(0x2e45441ace7ae270)),
-    ("fibonacci", "rtl", Some(0x8e85501d58b9ca8b)),
-    ("fibonacci", "golden:naive", Some(0x0ed377f9fde96cb0)),
-    ("fibonacci", "translated:cache:naive", Some(0xa687cf9d3cd0d099)),
-    ("fibonacci", "sharded-2x:golden", Some(0x23c2ae07df01eb9d)),
-    ("fibonacci", "sharded-2x:translated:cache", Some(0x0e04b984e7e84391)),
-    ("producer_consumer", "golden", Some(0xd3694462e0fffe54)),
-    ("producer_consumer", "golden:trace", Some(0x6130e20ae6623252)),
-    ("producer_consumer", "translated:functional", Some(0x39458881863b52ad)),
-    ("producer_consumer", "translated:static", Some(0xd76ac04e1fb616a7)),
-    ("producer_consumer", "translated:branch-predict", Some(0xc6158fcc91afe9d8)),
-    ("producer_consumer", "translated:cache", Some(0xac688024eac6f0bb)),
-    ("producer_consumer", "rtl", Some(0xee5a308150a1daf4)),
-    ("producer_consumer", "golden:naive", Some(0xf852e4e235691f12)),
-    ("producer_consumer", "translated:cache:naive", Some(0x46e9ce1a4fc30fa8)),
-    ("producer_consumer", "sharded-2x:golden", Some(0xa114364191493db8)),
-    ("producer_consumer", "sharded-2x:translated:cache", Some(0x7210d30878837aa0)),
+    ("gcd", "golden", Some(0x67717d2329aba9bb)),
+    ("gcd", "golden:trace", Some(0xe9fc5a09896f9e96)),
+    ("gcd", "translated:functional", Some(0x97c1e1a77cb07c1d)),
+    ("gcd", "translated:static", Some(0x2aaecf08c51bcd68)),
+    ("gcd", "translated:branch-predict", Some(0xbce8274243817b90)),
+    ("gcd", "translated:cache", Some(0x33f7fb0aca31c422)),
+    ("gcd", "rtl", Some(0x1bfa93a9b2b0f4c1)),
+    ("gcd", "golden:naive", Some(0xb71d30253096e51c)),
+    ("gcd", "translated:cache:naive", Some(0x93b17158cb3f3f27)),
+    ("gcd", "sharded-2x:golden", Some(0xea2e032a791c780c)),
+    ("gcd", "sharded-2x:translated:cache", Some(0xda46ab495857317f)),
+    ("dpcm", "golden", Some(0x0b9f92dfbc696ac6)),
+    ("dpcm", "golden:trace", Some(0x3e070eaf48f255df)),
+    ("dpcm", "translated:functional", Some(0xe37e1e3d9149834d)),
+    ("dpcm", "translated:static", Some(0xe3d5e666dfbe4aa6)),
+    ("dpcm", "translated:branch-predict", Some(0xd40a840c063c7a56)),
+    ("dpcm", "translated:cache", Some(0xbb3f4f5ca79a1da0)),
+    ("dpcm", "rtl", Some(0x9e860c07c4a2d417)),
+    ("dpcm", "golden:naive", Some(0xf9ff270e3da28150)),
+    ("dpcm", "translated:cache:naive", Some(0xbec532e28f7079c9)),
+    ("dpcm", "sharded-2x:golden", Some(0x9aa4c2a6167066e9)),
+    ("dpcm", "sharded-2x:translated:cache", Some(0xb41bdfc5418212d1)),
+    ("fir", "golden", Some(0x1fa338288c06ed45)),
+    ("fir", "golden:trace", Some(0xab876732df90a343)),
+    ("fir", "translated:functional", Some(0x4f6a0814c152f55b)),
+    ("fir", "translated:static", Some(0x7f2b10dc306666e2)),
+    ("fir", "translated:branch-predict", Some(0x9d9e9cddb23d74d6)),
+    ("fir", "translated:cache", Some(0x501c063c2c08e86e)),
+    ("fir", "rtl", Some(0x5bd9ac31f18814d5)),
+    ("fir", "golden:naive", Some(0x31152a50131abd1e)),
+    ("fir", "translated:cache:naive", Some(0x4209e5df60d69a19)),
+    ("fir", "sharded-2x:golden", Some(0x80fa62de40fcf0eb)),
+    ("fir", "sharded-2x:translated:cache", Some(0xbcc23f7aed365db1)),
+    ("ellip", "golden", Some(0xca493ff6cd1a7535)),
+    ("ellip", "golden:trace", Some(0x2a8356002c4d6ce1)),
+    ("ellip", "translated:functional", Some(0x90b876877faaabee)),
+    ("ellip", "translated:static", Some(0x9aba21a99f9abd30)),
+    ("ellip", "translated:branch-predict", Some(0x6be179d4d4a56ff8)),
+    ("ellip", "translated:cache", Some(0x4dbed5da521c392a)),
+    ("ellip", "rtl", Some(0x6d4d672c4541bbf3)),
+    ("ellip", "golden:naive", Some(0xb55fb7be3d3c0396)),
+    ("ellip", "translated:cache:naive", Some(0xc3c34a72d78f7503)),
+    ("ellip", "sharded-2x:golden", Some(0x8fdb2e285a5c0d07)),
+    ("ellip", "sharded-2x:translated:cache", Some(0xd6019823bf243b9a)),
+    ("sieve", "golden", Some(0xc3b57777b91ecaa3)),
+    ("sieve", "golden:trace", Some(0xdd74ee51f38640a0)),
+    ("sieve", "translated:functional", Some(0xfdb10657f46c5106)),
+    ("sieve", "translated:static", Some(0x4b05bf32bce260a4)),
+    ("sieve", "translated:branch-predict", Some(0x3e3371505ea497f7)),
+    ("sieve", "translated:cache", Some(0x61ab19c7b5921349)),
+    ("sieve", "rtl", Some(0xcb63c2bc92935715)),
+    ("sieve", "golden:naive", Some(0x8b19943c6706020e)),
+    ("sieve", "translated:cache:naive", Some(0x0c9f665433b9613b)),
+    ("sieve", "sharded-2x:golden", Some(0x9832435e1924484d)),
+    ("sieve", "sharded-2x:translated:cache", Some(0x324ac89bc2af3ee1)),
+    ("subband", "golden", Some(0xce226a825a9ded0a)),
+    ("subband", "golden:trace", Some(0xdf94d60f8e562d00)),
+    ("subband", "translated:functional", Some(0xaaad3f738f44a0c6)),
+    ("subband", "translated:static", Some(0xc721512cd9df2735)),
+    ("subband", "translated:branch-predict", Some(0x70e22472b2789e21)),
+    ("subband", "translated:cache", Some(0xc722c17b6626f783)),
+    ("subband", "rtl", Some(0x215fd447c6e3c5f1)),
+    ("subband", "golden:naive", Some(0x9692e446a94031fd)),
+    ("subband", "translated:cache:naive", Some(0x9d2757f7a62d4cda)),
+    ("subband", "sharded-2x:golden", Some(0x2346d431a989e0b5)),
+    ("subband", "sharded-2x:translated:cache", Some(0xbfc3093d97837d8d)),
+    ("fibonacci", "golden", Some(0x264b12bc3ded4e83)),
+    ("fibonacci", "golden:trace", Some(0x030bce6c6175f020)),
+    ("fibonacci", "translated:functional", Some(0xa5b7bd078379861a)),
+    ("fibonacci", "translated:static", Some(0x43862dae5b4c01a1)),
+    ("fibonacci", "translated:branch-predict", Some(0x3b940fb268859395)),
+    ("fibonacci", "translated:cache", Some(0x15dbf2d435bcc9c0)),
+    ("fibonacci", "rtl", Some(0x28503a4cc33de7d3)),
+    ("fibonacci", "golden:naive", Some(0x2137e2d70c3b1876)),
+    ("fibonacci", "translated:cache:naive", Some(0x0f01657660d3a8b9)),
+    ("fibonacci", "sharded-2x:golden", Some(0x93fecc31a7e5f3b9)),
+    ("fibonacci", "sharded-2x:translated:cache", Some(0xf9b09196a40e8e7d)),
+    ("producer_consumer", "golden", Some(0xd4715a11bc2480b1)),
+    ("producer_consumer", "golden:trace", Some(0xb61882064c10245b)),
+    ("producer_consumer", "translated:functional", Some(0x991c1e0f44d10653)),
+    ("producer_consumer", "translated:static", Some(0x8c8f686f11f36ad1)),
+    ("producer_consumer", "translated:branch-predict", Some(0xf6a75d7193883f00)),
+    ("producer_consumer", "translated:cache", Some(0x390fc145b96d718b)),
+    ("producer_consumer", "rtl", Some(0x192212df4895a3e0)),
+    ("producer_consumer", "golden:naive", Some(0x3eb0520f73b0eb47)),
+    ("producer_consumer", "translated:cache:naive", Some(0x1eaea86a6aea8078)),
+    ("producer_consumer", "sharded-2x:golden", Some(0x272e15b6e88ab626)),
+    ("producer_consumer", "sharded-2x:translated:cache", Some(0x486e2c3c91cc434c)),
     ("mailbox", "golden", None),
     ("mailbox", "golden:trace", None),
     ("mailbox", "translated:functional", None),
@@ -152,8 +152,8 @@ const PINS: &[(&str, &str, Option<u64>)] = &[
     ("mailbox", "rtl", None),
     ("mailbox", "golden:naive", None),
     ("mailbox", "translated:cache:naive", None),
-    ("mailbox", "sharded-2x:golden", Some(0x765414a41b6f60fe)),
-    ("mailbox", "sharded-2x:translated:cache", Some(0x2b7487c2d4f5e93d)),
+    ("mailbox", "sharded-2x:golden", Some(0xebba11a9a1f16972)),
+    ("mailbox", "sharded-2x:translated:cache", Some(0xb7a01dff96598c91)),
 ];
 
 #[test]

@@ -5,7 +5,6 @@
 
 use cabt::prelude::*;
 use cabt_platform::bus::{GoldenBridge, ScratchRam, SharedSocBus, SocBus, Uart};
-use cabt_platform::default_soc_bus;
 
 const DRIVER: &str = "
     .text
@@ -46,7 +45,7 @@ fn platform_uart_bytes(level: DetailLevel) -> Vec<u8> {
     bus.attach(Box::new(Uart::new(0xf000_0100)));
     bus.attach(Box::new(ScratchRam::new(0xf000_0200, 0x100)));
     let program = t.program().expect("builds");
-    let mut p = Platform::instantiate(program, PlatformConfig::default(), Some(bus));
+    let mut p = Platform::instantiate(program, PlatformConfig::default(), bus);
     let stats = p.run(10_000_000).expect("halts");
     stats.uart.into_iter().map(|(_, b)| b).collect()
 }
@@ -82,7 +81,7 @@ fn uart_timestamps_are_in_generated_time() {
     bus.attach(Box::new(Uart::new(0xf000_0100)));
     bus.attach(Box::new(ScratchRam::new(0xf000_0200, 0x100)));
     let program = t.program().expect("builds");
-    let mut p = Platform::instantiate(program, PlatformConfig::default(), Some(bus));
+    let mut p = Platform::instantiate(program, PlatformConfig::default(), bus);
     let stats = p.run(10_000_000).expect("halts");
     // Timestamps are nondecreasing SoC cycles, bounded by the total.
     let times: Vec<u64> = stats.uart.iter().map(|&(t, _)| t).collect();
@@ -108,12 +107,8 @@ fn a_faulting_golden_run_releases_its_bus() {
         ji     %a4                  # outside the program
     ";
     for backend in [Backend::golden(), Backend::golden_trace()] {
-        let bus = SharedSocBus::new(default_soc_bus());
-        let mut s = SimBuilder::asm(FAULT)
-            .backend(backend)
-            .soc_bus(bus.clone())
-            .build()
-            .unwrap();
+        let mut s = SimBuilder::asm(FAULT).backend(backend).build().unwrap();
+        let bus = s.soc_bus_handle().expect("a golden session owns a bus");
         assert!(
             matches!(
                 s.run(Limit::Cycles(1_000_000)),
@@ -132,11 +127,8 @@ fn a_faulting_golden_run_releases_its_bus() {
 /// slices, and the handle works after the run.
 #[test]
 fn a_golden_session_hands_its_bus_back_between_run_slices() {
-    let bus = SharedSocBus::new(default_soc_bus());
-    let mut s = SimBuilder::asm(DRIVER)
-        .soc_bus(bus.clone())
-        .build()
-        .unwrap();
+    let mut s = SimBuilder::asm(DRIVER).build().unwrap();
+    let bus = s.soc_bus_handle().expect("a golden session owns a bus");
     let mut seen = Vec::new();
     while s.run_until(Limit::Cycles(s.cycle() + 8)).unwrap() == StopCause::LimitReached {
         seen.push(bus.uart_log().len());
@@ -145,4 +137,75 @@ fn a_golden_session_hands_its_bus_back_between_run_slices() {
     assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
     let bytes: Vec<u8> = bus.uart_log().into_iter().map(|(_, b)| b).collect();
     assert_eq!(bytes, b"ABCD");
+}
+
+/// The device parity sweep: every registry program that halts on one
+/// core, and `DRIVER`, leaves one UART log — bytes and timestamps — on
+/// every golden dispatch and on the one-shard set of each, and the same
+/// bytes on every translation level. A golden session owns its bus like
+/// every other vehicle, so its I/O window reaches the devices.
+#[test]
+fn every_vehicle_logs_the_same_uart_traffic() {
+    let mut programs: Vec<(&str, String)> = cabt::workloads::names()
+        .filter_map(|name| cabt_sim::named_workload(name, Backend::golden()).ok())
+        .map(|w| (w.name, w.source))
+        .collect();
+    programs.push(("DRIVER", DRIVER.to_string()));
+    let bytes = |log: &[(u64, u8)]| log.iter().map(|&(_, b)| b).collect::<Vec<u8>>();
+    for (name, src) in programs {
+        let log = |backend: Backend| {
+            let mut s = SimBuilder::asm(src.clone())
+                .backend(backend)
+                .build()
+                .unwrap();
+            let stop = s.run(Limit::Cycles(u64::MAX)).unwrap();
+            assert_eq!(stop, StopCause::Halted, "{name} on {backend}");
+            s.uart_log()
+        };
+        let golden = log(Backend::golden());
+        let want: &[u8] = match name {
+            // The checksum's low byte, 3249959 & 0xff.
+            "producer_consumer" => b"'",
+            "DRIVER" => b"ABCD",
+            _ => b"",
+        };
+        assert_eq!(bytes(&golden), want, "{name} on golden");
+        for dispatch in ["golden", "golden:trace", "golden:naive"] {
+            for descriptor in [dispatch.to_string(), format!("sharded-1x:{dispatch}")] {
+                let backend = descriptor.parse().unwrap();
+                assert_eq!(log(backend), golden, "{name} on {descriptor}");
+            }
+        }
+        for level in DetailLevel::ALL {
+            let backend = Backend::translated(level);
+            assert_eq!(bytes(&log(backend)), want, "{name} on {backend}");
+        }
+    }
+}
+
+/// Every single-core session but RTL owns a bus, and a reset returns it
+/// to its built state: a golden reset-then-rerun of `producer_consumer`
+/// logs its checksum byte again, once, at the same cycle.
+#[test]
+fn single_core_sessions_own_and_reset_their_devices() {
+    let mut backends = Backend::all();
+    backends
+        .extend(["golden:naive", "translated:cache:naive"].map(|d| d.parse::<Backend>().unwrap()));
+    for backend in backends {
+        let mut s = SimBuilder::named("producer_consumer")
+            .backend(backend)
+            .build()
+            .unwrap();
+        let built = s.soc_bus_state();
+        assert_eq!(built.is_some(), backend != Backend::Rtl, "{backend}");
+        s.run(Limit::Cycles(u64::MAX)).unwrap();
+        let first = s.uart_log();
+        s.reset();
+        assert_eq!(s.soc_bus_state(), built, "{backend}: reset devices");
+        s.run(Limit::Cycles(u64::MAX)).unwrap();
+        assert_eq!(s.uart_log(), first, "{backend}: rerun log");
+        if backend == Backend::golden() {
+            assert_eq!(first.len(), 1, "one checksum byte");
+        }
+    }
 }

@@ -422,12 +422,12 @@ fn golden_and_translated_timers_agree() {
         ld.w   %d3, [%a2]0
         debug
     ";
-    let bus = cabt_platform::SharedSocBus::new(cabt_platform::default_soc_bus());
-    let mut golden = SimBuilder::asm(TIMER_READ_SRC)
-        .soc_bus(bus)
-        .build()
-        .unwrap();
+    let mut golden = SimBuilder::asm(TIMER_READ_SRC).build().unwrap();
     golden.run_until(Limit::Cycles(u64::MAX)).unwrap();
+    let bus = golden
+        .soc_bus_handle()
+        .expect("a golden session owns a bus");
+    assert_eq!(bus.transactions(), 1, "the timer read reached the bus");
     let g = golden.read_d(3);
     assert!(
         g > 300,
@@ -874,6 +874,92 @@ fn adopt_shard_refuses_a_shard_from_another_fabric_width() {
         Err(SessionError::Codec(_))
     ));
     assert_eq!(s.park_shard(1).unwrap(), before, "slot 1 unchanged");
+}
+
+/// Every core transmits one byte per loop turn, 200 turns.
+const UART_LOOP_SRC: &str = "
+    .text
+_start:
+    movh.a %a3, 0xf000
+    lea    %a3, [%a3]0x100      # uart
+    mov    %d6, 200
+send:
+    st.w   [%a3]0, %d6
+    addi   %d6, %d6, -1
+    jnz    %d6, send
+    debug
+";
+
+/// A two-shard golden set running [`UART_LOOP_SRC`] on 64-cycle epochs,
+/// its shard 1 image after 20 retirements, and the set run on to 600:
+/// the early image's bus has fewer transactions and UART bytes than the
+/// set's canonical state.
+fn set_past_a_stale_shard() -> (Session, Vec<u8>, Vec<u8>) {
+    let mut s = SimBuilder::asm(UART_LOOP_SRC)
+        .backend(Backend::sharded(2, Backend::golden()))
+        .shard_epoch(64)
+        .build()
+        .unwrap();
+    s.run_until(Limit::Retirements(20)).unwrap();
+    let parked = s.park_shard(1).unwrap();
+    let image = save(s.shard(1).unwrap());
+    s.run_until(Limit::Retirements(600)).unwrap();
+    assert!(!s.is_halted(), "the set is still running");
+    assert!(s.sharded_stats().unwrap().epochs > 1, "barriers passed");
+    (s, parked, image)
+}
+
+/// A shard parked before the set's last barrier does not fit the set:
+/// its bus counts fewer transactions and UART bytes than the canonical
+/// state, whose views would count its traffic below zero. Adopting it
+/// is a typed codec error that leaves the set as it was.
+#[test]
+fn adopt_shard_refuses_a_shard_older_than_the_canonical_devices() {
+    let (mut s, parked, _) = set_past_a_stale_shard();
+    let before = s.park().unwrap();
+    assert!(matches!(
+        s.adopt_shard(1, &parked, None),
+        Err(SessionError::Codec(_))
+    ));
+    assert!(s.park().unwrap() == before, "the set is unchanged");
+    assert_eq!(s.uart_log(), s.sharded_stats().unwrap().uart);
+}
+
+/// A set image whose shard 1 section comes from before the set's last
+/// barrier is refused on both load paths, `Session::load_state` and
+/// `Session::resume`, and the loading session is left as it was.
+#[test]
+fn set_images_with_a_stale_shard_section_are_refused() {
+    let (mut s, _, early) = set_past_a_stale_shard();
+    let (head, snap) = split_park(&s);
+    let late = save(s.shard(1).unwrap());
+    let at = 1 + 8 + save(s.shard(0).unwrap()).len();
+    assert!(snap[at..].starts_with(&late), "shard 1's section");
+    let stale = [&snap[..at], &early[..], &snap[at + late.len()..]].concat();
+    let before = s.park().unwrap();
+    assert!(s.load_state(&mut ByteReader::new(&stale)).is_err());
+    assert!(s.park().unwrap() == before, "the set is unchanged");
+    assert!(matches!(
+        Session::resume(&[head, stale].concat()),
+        Err(SessionError::Codec(_))
+    ));
+}
+
+/// A golden session parks and resumes with its devices: the timer/UART
+/// driver parked at 200 retirements and resumed ends with the UART log
+/// and the last timer read (`%d1`) of the uninterrupted run.
+#[test]
+fn a_resumed_golden_session_keeps_its_devices() {
+    let mut s = SimBuilder::asm(TIMER_UART_SRC).build().unwrap();
+    s.run_until(Limit::Retirements(200)).unwrap();
+    let parked = s.park().unwrap();
+    s.run_until(Limit::Cycles(u64::MAX)).unwrap();
+    assert_eq!(s.uart_log().len(), 3, "three rounds transmit");
+    assert_eq!(s.read_d(1), 126, "the last round's timer read");
+    let mut resumed = Session::resume(&parked).unwrap();
+    resumed.run_until(Limit::Cycles(u64::MAX)).unwrap();
+    assert_eq!(resumed.uart_log(), s.uart_log());
+    assert_eq!(resumed.read_d(1), s.read_d(1));
 }
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
